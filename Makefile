@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-pam bench-store bench-obs bench-scan benchstat vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
+.PHONY: build test race bench bench-smoke bench-click loc bench-pam bench-store bench-obs bench-scan benchstat vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
 # The scheduler subsystem under the race detector (also a CI step),
 # plus extra iterations of the backpressure overload stress.
@@ -26,7 +26,7 @@ race-store:
 	go test -race -count=2 -run 'Conservation' ./internal/core/...
 
 # The streaming scan layer under the race detector (also a CI step):
-# concurrent parallel page-range scans and projected gathers hammering
+# concurrent parallel page-range scans and column gathers hammering
 # one shared segment, with early Scanner.Close cancellation in the mix.
 race-scan:
 	go test -race -count=2 -run 'TestScanConcurrentParallel' ./internal/store/
@@ -86,10 +86,23 @@ bench:
 
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
 # storage-engine filter benchmarks and the streaming-scan benchmarks
-# (sequential vs parallel page ranges, projected vs full-width gather).
+# (sequential vs parallel page ranges, limit pushdown, sample gathers).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' .
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store
+
+# The click ledger (bench/README.md): every workload of BENCHMARK.json
+# once, over HTTP, with the end-to-end metrics the acceptance gate reads.
+bench-click:
+	go run ./bench/load
+
+# The size figures simplification PRs are judged by: non-test Go lines
+# repo-wide (bench/ and testdata excluded) and in internal/store, and
+# the number of core.Options fields.
+loc:
+	@echo "non-test lines, repo:           $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "non-test lines, internal/store: $$(ls internal/store/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "core.Options fields:            $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
 
 # Regenerate BENCH_pam.json, the tracked perf trajectory: the PAM
 # matrix (oracle strategies × seeding schemes) plus the scheduler
@@ -104,8 +117,8 @@ bench-pam:
 
 # Record the out-of-core storage section of BENCH_pam.json: a 10M-row
 # CSV is generated, converted to a segment, opened under a 256 MiB page
-# budget, then sampled and filtered both naively (per-row
-# Predicate.Matches) and vectorized (page-at-a-time with zone maps).
+# budget, then sampled and filtered (compiled matcher, page-at-a-time
+# with zone maps; once more on a predicate no page can satisfy).
 # Other sections of the file are preserved.
 bench-store:
 	go run ./cmd/blaeu-bench -store-json BENCH_pam.json
@@ -125,9 +138,7 @@ bench-obs:
 # CSV becomes a segment under the 256 MiB budget, the same filtered
 # streaming scan is timed sequentially and with parallel page-range
 # workers (results verified identical; read the speedup against numCpu
-# in the file header), and a cold map build is timed on the
-# materialized vs streamed gather paths with allocation deltas. Other
-# sections of the file are preserved.
+# in the file header). Other sections of the file are preserved.
 bench-scan:
 	go run ./cmd/blaeu-bench -scan-json BENCH_pam.json
 	mkdir -p bench_history

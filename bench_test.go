@@ -90,14 +90,14 @@ var pamBenchSizes = []struct{ n, k int }{
 	{200, 4}, {500, 4}, {1000, 4}, {1000, 8},
 }
 
-func benchPAMAlgorithm(b *testing.B, algo cluster.Algorithm) {
+func benchPAMImpl(b *testing.B, pam func(cluster.Oracle, int) (*cluster.Clustering, error)) {
 	b.Helper()
 	for _, sz := range pamBenchSizes {
 		vecs, _ := benchVectors(sz.n, 6, sz.k)
 		m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
 		b.Run(fmt.Sprintf("n=%d/k=%d", sz.n, sz.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.PAMWith(m, sz.k, algo); err != nil {
+				if _, err := pam(m, sz.k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -105,8 +105,8 @@ func benchPAMAlgorithm(b *testing.B, algo cluster.Algorithm) {
 	}
 }
 
-func BenchmarkPAM(b *testing.B)        { benchPAMAlgorithm(b, cluster.AlgorithmFasterPAM) }
-func BenchmarkPAMClassic(b *testing.B) { benchPAMAlgorithm(b, cluster.AlgorithmClassic) }
+func BenchmarkPAM(b *testing.B)        { benchPAMImpl(b, cluster.FasterPAM) }
+func BenchmarkPAMClassic(b *testing.B) { benchPAMImpl(b, cluster.PAMClassic) }
 
 func BenchmarkCLARA(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {

@@ -14,12 +14,12 @@
 // rollback.
 //
 // Both clustering passes run on every user action, so the PAM SWAP phase
-// is the engine's hottest path. By default it uses a FasterPAM-style
-// eager-swap loop (Schubert & Rousseeuw's removal-loss decomposition,
-// O(n²) per pass instead of the textbook O(k·n²)) with candidate scoring
-// parallelized across CPUs; set Options.PAMAlgorithm to
-// cluster.AlgorithmClassic to fall back to the reference Kaufman &
-// Rousseeuw loop, e.g. for differential runs (see the e5 experiment).
+// is the engine's hottest path. It is a FasterPAM-style eager-swap loop
+// (Schubert & Rousseeuw's removal-loss decomposition, O(n²) per pass
+// instead of the textbook O(k·n²)) with candidate scoring parallelized
+// across CPUs. The textbook Kaufman & Rousseeuw loop survives only as
+// the reference the differential tests and the e5 experiment call
+// directly; no option selects it.
 //
 // Distances flow through a pluggable oracle layer: Options.OracleStrategy
 // picks a materialized matrix for small samples, a lazy on-demand oracle
@@ -56,6 +56,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/render"
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // Re-exported core types. See the internal packages for full method
@@ -121,7 +122,7 @@ func BuildSegment(csvPath, segPath string, opts *store.SegmentBuildOptions) (int
 // OpenSegmentTable opens a segment file as a relation, caching pages in
 // a buffer pool of at most pageBudget bytes.
 func OpenSegmentTable(path string, pageBudget int64) (*SegmentTable, error) {
-	return store.OpenSegmentTable(path, pageBudget)
+	return store.OpenSegmentTableWith(path, segment.NewPoolObs(pageBudget, nil))
 }
 
 // ReadCSV parses a CSV stream (with header) into a typed table, inferring

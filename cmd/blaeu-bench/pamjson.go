@@ -79,16 +79,16 @@ type pamBenchFile struct {
 	// subset-oracle build time vs. derivation from a cached parent.
 	ZoomDerived []derivedBenchEntry `json:"zoomDerived,omitempty"`
 	// Store tracks the out-of-core storage engine: segment conversion,
-	// cold sampling and the naive-vs-vectorized filter speedup
-	// (regenerated by `make bench-store`).
+	// cold sampling and the compiled filter (regenerated by `make
+	// bench-store`).
 	Store []storeBenchEntry `json:"store,omitempty"`
 	// Obs tracks the telemetry plane's instrumentation overhead: cold
 	// build time with the per-build trace and metric recording on vs.
 	// off (regenerated by `make bench-obs`).
 	Obs []obsBenchEntry `json:"obs,omitempty"`
 	// Scan tracks the streaming batch-scan layer: the filtered
-	// sequential vs parallel page-range scan and the streamed vs
-	// materialized cold build (regenerated by `make bench-scan`).
+	// sequential vs parallel page-range scan (regenerated by `make
+	// bench-scan`).
 	Scan []scanBenchEntry `json:"scan,omitempty"`
 }
 

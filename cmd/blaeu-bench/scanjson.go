@@ -9,25 +9,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // scanBenchEntry is one streaming batch-scan measurement: a wide CSV is
-// converted to a segment and opened under a fixed page budget, then
-// measured two ways. First, the same filtered streaming scan runs
-// sequentially and with parallel page-range workers — results must be
-// byte-identical, and ParSpeedup is the headline number of the
-// streaming-scan PR (read it against NumCPU in the file header: on a
-// single-core runner the parallel path can only tie, the >=2x bar needs
-// the multi-core CI box). Second, a cold Explorer build runs once on the
-// materialized path (full-width Gather of the sample) and once on the
-// streamed path (projected batch gathers), recording wall time and
-// allocated bytes for each.
+// converted to a segment and opened under a fixed page budget, then the
+// same filtered streaming scan runs sequentially and with parallel
+// page-range workers — results must be byte-identical, and ParSpeedup
+// is the headline number of the streaming-scan PR (read it against
+// NumCPU in the file header: on a single-core runner the parallel path
+// can only tie, the >=2x bar needs the multi-core CI box). What a cold
+// build and its projected sample gather cost is the click ledger's to
+// report (make bench-click: core.sample_ms_p50, store.scan_gather_ms_p50).
 type scanBenchEntry struct {
 	Rows        int   `json:"rows"`
 	Cols        int   `json:"cols"`
@@ -41,27 +38,11 @@ type scanBenchEntry struct {
 	ParFilterMS float64 `json:"parFilterMs"`
 	ParSpeedup  float64 `json:"parSpeedup"`
 	MatchedRows int     `json:"matchedRows"`
-	// Cold map build over the segment, materialized vs streamed front
-	// half: the time gap is projection pushdown never faulting in the
-	// five filler columns' pages.
-	SampleSize          int     `json:"sampleSize"`
-	MaterializedBuildMS float64 `json:"materializedBuildMs"`
-	StreamedBuildMS     float64 `json:"streamedBuildMs"`
-	MaterializedAllocMB float64 `json:"materializedAllocMb"`
-	StreamedAllocMB     float64 `json:"streamedAllocMb"`
-	// The gather operator in isolation over the same pinned sample
-	// rows — full-width Gather vs projection-pushed ScanGather of the
-	// three live columns — since within the whole build the clustering
-	// stages allocate identically on both paths and drown this delta.
-	MaterializedGatherMS      float64 `json:"materializedGatherMs"`
-	StreamedGatherMS          float64 `json:"streamedGatherMs"`
-	MaterializedGatherAllocMB float64 `json:"materializedGatherAllocMb"`
-	StreamedGatherAllocMB     float64 `json:"streamedGatherAllocMb"`
 }
 
 // writeScanCSV streams a rows-row CSV to path: the x/y/label trio the
-// filter predicate reads, plus five filler numeric columns that give
-// projection pushdown real width to discard.
+// filter predicate reads, plus five filler numeric columns the scan
+// never touches.
 func writeScanCSV(path string, rows int, seed int64) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -108,7 +89,7 @@ func scanBench(rows int, seed int64) (*scanBenchEntry, error) {
 		return nil, err
 	}
 
-	e := &scanBenchEntry{Rows: rows, Cols: 8, BudgetBytes: 256 << 20, SampleSize: 2000}
+	e := &scanBenchEntry{Rows: rows, Cols: 8, BudgetBytes: 256 << 20}
 	if _, err := store.BuildSegment(csvPath, segPath, nil); err != nil {
 		return nil, err
 	}
@@ -118,7 +99,7 @@ func scanBench(rows int, seed int64) (*scanBenchEntry, error) {
 	}
 	e.SegBytes = fi.Size()
 
-	st, err := store.OpenSegmentTable(segPath, e.BudgetBytes)
+	st, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(e.BudgetBytes, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -156,82 +137,6 @@ func scanBench(rows int, seed int64) (*scanBenchEntry, error) {
 		e.ParSpeedup = e.SeqFilterMS / e.ParFilterMS
 	}
 
-	// The gather operator in isolation: the same 2000 pinned sample
-	// rows materialized full-width vs streamed with projection onto
-	// the three live columns.
-	rng := rand.New(rand.NewSource(seed))
-	sampleRows := rng.Perm(rows)[:e.SampleSize]
-	sort.Ints(sampleRows)
-	measure := func(f func() error) (float64, float64, error) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, 0, err
-		}
-		ms := msSince(start)
-		runtime.ReadMemStats(&after)
-		return ms, float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), nil
-	}
-	e.MaterializedGatherMS, e.MaterializedGatherAllocMB, err = measure(func() error {
-		if got := st.Gather(sampleRows).NumRows(); got != e.SampleSize {
-			return fmt.Errorf("scan bench: full-width gather returned %d rows", got)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.StreamedGatherMS, e.StreamedGatherAllocMB, err = measure(func() error {
-		tab, err := store.ScanGather(st, sampleRows, []string{"x", "y", "label"}, w)
-		if err != nil {
-			return err
-		}
-		if tab.NumRows() != e.SampleSize {
-			return fmt.Errorf("scan bench: projected gather returned %d rows", tab.NumRows())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Cold map builds: the explorer (and its theme-detection pass, the
-	// same full-table scan either way) is constructed untimed with both
-	// reuse tiers off; the measured stage is the cold map build whose
-	// front half the streaming path changes. TotalAlloc is monotonic,
-	// so the delta is allocation volume, independent of when GC runs.
-	build := func(opts core.Options) (float64, float64, error) {
-		opts.Seed = seed
-		opts.SampleSize = e.SampleSize
-		opts.MapCacheSize = -1
-		opts.ArtifactCacheSize = -1
-		ex, err := core.NewExplorer(st, opts)
-		if err != nil {
-			return 0, 0, err
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		m, err := ex.SelectTheme(0)
-		if err != nil {
-			return 0, 0, err
-		}
-		ms := msSince(start)
-		runtime.ReadMemStats(&after)
-		if m == nil || len(m.Root.Children) == 0 {
-			return 0, 0, fmt.Errorf("scan bench: cold build produced no map")
-		}
-		return ms, float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), nil
-	}
-	if e.MaterializedBuildMS, e.MaterializedAllocMB, err = build(core.Options{MaterializedGather: true, ScanWorkers: 1}); err != nil {
-		return nil, err
-	}
-	if e.StreamedBuildMS, e.StreamedAllocMB, err = build(core.Options{ScanWorkers: w}); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
@@ -265,9 +170,7 @@ func writeScanBench(path string, rows int, seed int64) error {
 	if err := enc.Encode(out); err != nil {
 		return err
 	}
-	fmt.Printf("scan bench (%d rows, %d workers, %d cpus): filter seq %.0fms vs parallel %.0fms (%.2fx); cold build materialized %.0fms vs streamed %.0fms; sample gather %.0fms/%.2fMB vs %.0fms/%.2fMB, wrote %s\n",
-		e.Rows, e.Workers, runtime.NumCPU(), e.SeqFilterMS, e.ParFilterMS, e.ParSpeedup,
-		e.MaterializedBuildMS, e.StreamedBuildMS,
-		e.MaterializedGatherMS, e.MaterializedGatherAllocMB, e.StreamedGatherMS, e.StreamedGatherAllocMB, path)
+	fmt.Printf("scan bench (%d rows, %d workers, %d cpus): filter seq %.0fms vs parallel %.0fms (%.2fx), wrote %s\n",
+		e.Rows, e.Workers, runtime.NumCPU(), e.SeqFilterMS, e.ParFilterMS, e.ParSpeedup, path)
 	return nil
 }

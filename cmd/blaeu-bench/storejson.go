@@ -12,14 +12,13 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // storeBenchEntry is one out-of-core storage measurement: a generated
 // CSV is converted to a segment, opened under a fixed page budget, and
-// scanned three ways — cold sample+gather (the map-build entry path),
-// a naive per-row Predicate.Matches filter, and the vectorized
-// page-at-a-time Filter. Speedup is naive/vectorized, the headline
-// number of the storage-engine PR.
+// read three ways — cold sample+gather (the map-build entry path), the
+// compiled page-at-a-time Filter, and a Filter no page can satisfy.
 type storeBenchEntry struct {
 	Rows        int     `json:"rows"`
 	SegBytes    int64   `json:"segBytes"`
@@ -29,13 +28,9 @@ type storeBenchEntry struct {
 	// SampleMS is a cold 5000-row uniform sample + gather, the first
 	// thing a map build does on a freshly opened segment.
 	SampleMS float64 `json:"sampleMs"`
-	// NaiveFilterMS evaluates Predicate.Matches row by row over the
-	// segment relation (column resolved per row, page fetched per cell).
-	NaiveFilterMS float64 `json:"naiveFilterMs"`
 	// VectorFilterMS is SegmentTable.Filter: matcher compiled once,
 	// pages scanned in place, zone maps consulted first.
 	VectorFilterMS float64 `json:"vectorFilterMs"`
-	Speedup        float64 `json:"speedup"`
 	// SkipAllMS filters on a predicate no page satisfies: zone maps
 	// answer from the footer without touching data pages.
 	SkipAllMS     float64 `json:"skipAllMs"`
@@ -103,7 +98,7 @@ func storeBench(rows int, seed int64) (*storeBenchEntry, error) {
 	e.SegBytes = fi.Size()
 
 	start = time.Now()
-	st, err := store.OpenSegmentTable(segPath, e.BudgetBytes)
+	st, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(e.BudgetBytes, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -124,28 +119,10 @@ func storeBench(rows int, seed int64) (*storeBenchEntry, error) {
 		store.StrEq{Col: "label", Val: "c"},
 	}
 
-	// Naive per-row reference: this is what Filter cost before the
-	// vectorized path — predicate tree walked and column resolved for
-	// every row, every cell access a page lookup.
-	start = time.Now()
-	naive := 0
-	for i := 0; i < st.NumRows(); i++ {
-		if pred.Matches(st, i) {
-			naive++
-		}
-	}
-	e.NaiveFilterMS = msSince(start)
-
 	start = time.Now()
 	matched := st.Filter(pred)
 	e.VectorFilterMS = msSince(start)
 	e.MatchedRows = len(matched)
-	if naive != len(matched) {
-		return nil, fmt.Errorf("store bench: naive filter matched %d rows, vectorized %d", naive, len(matched))
-	}
-	if e.VectorFilterMS > 0 {
-		e.Speedup = e.NaiveFilterMS / e.VectorFilterMS
-	}
 
 	start = time.Now()
 	if n := len(st.Filter(store.NumCmp{Col: "x", Op: store.Gt, Val: 1e12})); n != 0 {
@@ -192,7 +169,7 @@ func writeStoreBench(path string, rows int, seed int64) error {
 	if err := enc.Encode(out); err != nil {
 		return err
 	}
-	fmt.Printf("store bench (%d rows): convert %.0fms, naive filter %.0fms, vectorized %.0fms (%.1fx), wrote %s\n",
-		e.Rows, e.ConvertMS, e.NaiveFilterMS, e.VectorFilterMS, e.Speedup, path)
+	fmt.Printf("store bench (%d rows): convert %.0fms, filter %.0fms (%d rows), wrote %s\n",
+		e.Rows, e.ConvertMS, e.VectorFilterMS, e.MatchedRows, path)
 	return nil
 }

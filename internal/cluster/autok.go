@@ -38,10 +38,6 @@ type AutoKOptions struct {
 	KMin, KMax int
 	// Method selects PAM vs CLARA (default MethodAuto).
 	Method Method
-	// Algorithm selects the PAM SWAP implementation — the fast default
-	// (AlgorithmFasterPAM) or the textbook reference (AlgorithmClassic) —
-	// for both direct PAM runs and CLARA's per-sample runs.
-	Algorithm Algorithm
 	// Seeding selects how PAM picks its initial medoids (default
 	// SeedingAuto), for both direct runs and CLARA's per-sample runs.
 	Seeding Seeding
@@ -95,14 +91,13 @@ func ClusterK(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 	case MethodCLARA:
 		co := opts.CLARA
 		co.Rand = opts.Rand
-		co.Algorithm = opts.Algorithm
 		co.Seeding = opts.Seeding
 		if co.Context == nil {
 			co.Context = opts.Context
 		}
 		return CLARA(o, k, co)
 	default:
-		return PAMRun(o, k, PAMOptions{Algorithm: opts.Algorithm, Seeding: opts.Seeding, Rand: opts.Rand})
+		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
 	}
 }
 

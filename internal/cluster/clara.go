@@ -29,9 +29,6 @@ type CLARAOptions struct {
 	// because FasterPAM made the per-sample runs cheap enough to afford
 	// the quality gain of larger samples.
 	SampleSize int
-	// Algorithm selects the SWAP implementation of the per-sample PAM
-	// runs (default AlgorithmFasterPAM).
-	Algorithm Algorithm
 	// Seeding selects how the per-sample PAM runs pick their initial
 	// medoids (default SeedingAuto; samples are small, so auto stays on
 	// BUILD unless tuned otherwise).
@@ -94,7 +91,7 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		return nil, err
 	}
 	if n <= opts.SampleSize || n <= k {
-		return PAMRun(o, k, PAMOptions{Algorithm: opts.Algorithm, Seeding: opts.Seeding, Rand: opts.Rand})
+		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
 	}
 
 	// Draw every sample's inputs up front, in sample order, so the runs
@@ -125,9 +122,8 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 			}
 			sub := &SubsetOracle{Parent: o, Idx: r.idx}
 			c, err := PAMRun(sub, k, PAMOptions{
-				Algorithm: opts.Algorithm,
-				Seeding:   opts.Seeding,
-				Rand:      rand.New(rand.NewSource(r.seed)),
+				Seeding: opts.Seeding,
+				Rand:    rand.New(rand.NewSource(r.seed)),
 			})
 			if err != nil {
 				r.err = err

@@ -1,46 +1,10 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
 )
-
-// Algorithm selects the SWAP strategy used by the k-medoid algorithms.
-type Algorithm int
-
-const (
-	// AlgorithmFasterPAM (the default) uses the removal-loss decomposition
-	// of Schubert & Rousseeuw, "Fast and Eager k-Medoids Clustering"
-	// (2021): every candidate is evaluated against all k medoids in a
-	// single O(n) pass and improving swaps are applied eagerly, dropping a
-	// SWAP iteration from the textbook O(k·n²) to O(n²).
-	AlgorithmFasterPAM Algorithm = iota
-	// AlgorithmClassic is the textbook Kaufman & Rousseeuw SWAP loop,
-	// kept as the reference implementation for differential testing.
-	AlgorithmClassic
-)
-
-// String names the algorithm (the wire format of the server API).
-func (a Algorithm) String() string {
-	if a == AlgorithmClassic {
-		return "classic"
-	}
-	return "fasterpam"
-}
-
-// ParseAlgorithm parses the wire name of a SWAP algorithm; the empty
-// string means AlgorithmFasterPAM (the default).
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "fasterpam":
-		return AlgorithmFasterPAM, nil
-	case "classic":
-		return AlgorithmClassic, nil
-	}
-	return AlgorithmFasterPAM, fmt.Errorf("cluster: unknown PAM algorithm %q (want fasterpam or classic)", s)
-}
 
 // swapBlock is the number of candidates evaluated per parallel batch of
 // the eager SWAP loop. It is a fixed constant — not a function of

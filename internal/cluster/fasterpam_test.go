@@ -11,8 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// algorithms under differential test.
-var bothAlgorithms = []Algorithm{AlgorithmFasterPAM, AlgorithmClassic}
+// bothAlgorithms are the SWAP implementations under differential test:
+// the production FasterPAM and the classic reference.
+var bothAlgorithms = []struct {
+	name string
+	run  func(Oracle, int) (*Clustering, error)
+}{{"fasterpam", FasterPAM}, {"classic", PAMClassic}}
 
 // TestPAMKGreaterEqualN is the regression test for the k >= n degenerate
 // case: the effective K must be n (not the requested k), every object its
@@ -24,30 +28,30 @@ func TestPAMKGreaterEqualN(t *testing.T) {
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
 	for _, algo := range bothAlgorithms {
 		for _, k := range []int{3, 5, 100} {
-			c, err := PAMWith(m, k, algo)
+			c, err := algo.run(m, k)
 			if err != nil {
-				t.Fatalf("%v k=%d: %v", algo, k, err)
+				t.Fatalf("%s k=%d: %v", algo.name, k, err)
 			}
 			if c.K != 3 {
-				t.Errorf("%v k=%d: effective K = %d, want n=3", algo, k, c.K)
+				t.Errorf("%s k=%d: effective K = %d, want n=3", algo.name, k, c.K)
 			}
 			if c.Cost != 0 {
-				t.Errorf("%v k=%d: cost = %g, want exactly 0", algo, k, c.Cost)
+				t.Errorf("%s k=%d: cost = %g, want exactly 0", algo.name, k, c.Cost)
 			}
 			if len(c.Labels) != 3 || len(c.Medoids) != 3 {
-				t.Fatalf("%v k=%d: labels/medoids sized %d/%d, want 3/3", algo, k, len(c.Labels), len(c.Medoids))
+				t.Fatalf("%s k=%d: labels/medoids sized %d/%d, want 3/3", algo.name, k, len(c.Labels), len(c.Medoids))
 			}
 			for i := 0; i < 3; i++ {
 				if c.Labels[i] != i || c.Medoids[i] != i {
-					t.Errorf("%v k=%d: object %d not its own medoid (label=%d medoid=%d)",
-						algo, k, i, c.Labels[i], c.Medoids[i])
+					t.Errorf("%s k=%d: object %d not its own medoid (label=%d medoid=%d)",
+						algo.name, k, i, c.Labels[i], c.Medoids[i])
 				}
 			}
 			if !math.IsNaN(c.Silhouette) {
-				t.Errorf("%v k=%d: silhouette = %g, want NaN", algo, k, c.Silhouette)
+				t.Errorf("%s k=%d: silhouette = %g, want NaN", algo.name, k, c.Silhouette)
 			}
 			if got := len(c.Sizes()); got != 3 {
-				t.Errorf("%v k=%d: Sizes() has %d entries, want K=3", algo, k, got)
+				t.Errorf("%s k=%d: Sizes() has %d entries, want K=3", algo.name, k, got)
 			}
 		}
 	}
@@ -286,16 +290,17 @@ func TestFasterPAMForcedParallel(t *testing.T) {
 	}
 }
 
-// TestPAMWithSelectsAlgorithm sanity-checks the dispatcher.
-func TestPAMWithSelectsAlgorithm(t *testing.T) {
+// TestPAMDefaultIsFasterPAM: PAM runs FasterPAM, and on separated
+// blobs the classic reference agrees with it.
+func TestPAMDefaultIsFasterPAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vecs, _ := blobs(rng, 3, 30, 3, 8)
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	fast, err := PAMWith(m, 3, AlgorithmFasterPAM)
+	fast, err := FasterPAM(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := PAMWith(m, 3, AlgorithmClassic)
+	classic, err := PAMClassic(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +313,5 @@ func TestPAMWithSelectsAlgorithm(t *testing.T) {
 	}
 	if math.Abs(fast.Cost-classic.Cost) > 1e-9 {
 		t.Errorf("algorithms disagree on separated blobs: %g vs %g", fast.Cost, classic.Cost)
-	}
-	if AlgorithmFasterPAM.String() != "fasterpam" || AlgorithmClassic.String() != "classic" {
-		t.Error("Algorithm.String broken")
 	}
 }

@@ -65,11 +65,9 @@ func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
 	return nil, nil
 }
 
-// PAM runs Partitioning Around Medoids on the oracle using the default
-// algorithm (AlgorithmFasterPAM): a parallel BUILD phase greedily seeds k
-// medoids, then a FasterPAM-style SWAP phase eagerly applies improving
-// swaps until a local optimum is reached. Use PAMWith to select the
-// classic Kaufman & Rousseeuw SWAP loop instead.
+// PAM runs Partitioning Around Medoids on the oracle: a parallel BUILD
+// phase greedily seeds k medoids, then a FasterPAM-style SWAP phase
+// eagerly applies improving swaps until a local optimum is reached.
 //
 // PAM is the paper's clustering algorithm of choice for both theme
 // detection (on the dependency graph) and map construction (§3), because
@@ -79,18 +77,8 @@ func PAM(o Oracle, k int) (*Clustering, error) {
 	return FasterPAM(o, k)
 }
 
-// PAMWith runs PAM with an explicit SWAP algorithm.
-func PAMWith(o Oracle, k int, algo Algorithm) (*Clustering, error) {
-	if algo == AlgorithmClassic {
-		return PAMClassic(o, k)
-	}
-	return FasterPAM(o, k)
-}
-
 // PAMOptions configures a PAM run beyond the oracle and k.
 type PAMOptions struct {
-	// Algorithm selects the SWAP implementation (default AlgorithmFasterPAM).
-	Algorithm Algorithm
 	// Seeding selects how the initial medoids are picked (default
 	// SeedingAuto: BUILD on small inputs, k-means++ on large ones when a
 	// random source is available).
@@ -100,23 +88,20 @@ type PAMOptions struct {
 	Rand *rand.Rand
 }
 
-// PAMRun runs PAM with explicit seeding and SWAP options — the full
-// entry point behind PAM/PAMWith/FasterPAM/PAMClassic. For k == 1 the
-// seeding option is moot (BUILD's first medoid is the exact optimum and
-// SWAP has nothing to refine), so the run short-circuits to it.
+// PAMRun runs PAM with explicit seeding options — the full entry point
+// behind PAM/FasterPAM. For k == 1 the seeding option is moot (BUILD's
+// first medoid is the exact optimum and SWAP has nothing to refine), so
+// the run short-circuits to it.
 func PAMRun(o Oracle, k int, opts PAMOptions) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
 	if k == 1 {
-		return PAMWith(o, 1, opts.Algorithm)
+		return FasterPAM(o, 1)
 	}
 	seeds, err := SeedMedoids(o, k, opts.Seeding, opts.Rand)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Algorithm == AlgorithmClassic {
-		return pamClassicFrom(o, k, seeds)
 	}
 	return fasterPAMFrom(o, k, seeds)
 }
@@ -125,8 +110,9 @@ func PAMRun(o Oracle, k int, opts PAMOptions) (*Clustering, error) {
 // phase greedily seeds k medoids, then a SWAP phase repeatedly exchanges
 // the single best (medoid, candidate) pair whenever that lowers the total
 // dissimilarity, until no improving swap exists. Each SWAP iteration costs
-// O(k·n²); it is kept as the reference implementation for differential
-// testing of FasterPAM and as the baseline of the e5 experiment.
+// O(k·n²). It is the reference implementation only: the differential
+// tests of FasterPAM and the e5 experiment call it directly, and no
+// option reaches it.
 func PAMClassic(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err

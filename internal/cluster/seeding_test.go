@@ -130,9 +130,9 @@ func TestPAMRunK1(t *testing.T) {
 	}
 }
 
-// TestPAMRunClassicFromSeeds: the classic SWAP must also accept
+// TestPAMClassicFromSeeds: the classic SWAP must also accept
 // randomized seeds and land within the usual local-optimum gap.
-func TestPAMRunClassicFromSeeds(t *testing.T) {
+func TestPAMClassicFromSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 250, K: 3, Dims: 4, Sep: 6}, rng)
 	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
@@ -144,7 +144,11 @@ func TestPAMRunClassicFromSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PAMRun(m, 3, PAMOptions{Algorithm: AlgorithmClassic, Seeding: SeedingKMeansPP, Rand: rng})
+	seeds, err := SeedMedoids(m, 3, SeedingKMeansPP, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pamClassicFrom(m, 3, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

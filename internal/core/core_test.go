@@ -112,16 +112,13 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 		t.Errorf("Options() = sample %d threshold %d, want defaults %d / %d",
 			got.SampleSize, got.PAMThreshold, want.SampleSize, want.PAMThreshold)
 	}
-	if got.PAMAlgorithm != cluster.AlgorithmFasterPAM {
-		t.Errorf("default PAMAlgorithm = %v, want fasterpam", got.PAMAlgorithm)
-	}
 
-	e2, err := NewExplorer(tab, Options{Seed: 1, PAMAlgorithm: cluster.AlgorithmClassic})
+	e2, err := NewExplorer(tab, Options{Seed: 1, Seeding: cluster.SeedingKMeansPP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Options().PAMAlgorithm != cluster.AlgorithmClassic {
-		t.Error("explicit PAMAlgorithm not reported back")
+	if e2.Options().Seeding != cluster.SeedingKMeansPP {
+		t.Error("explicit Seeding not reported back")
 	}
 	if got.OracleStrategy != cluster.OracleAuto || got.Seeding != cluster.SeedingAuto {
 		t.Errorf("default strategy/seeding = %v/%v, want auto/auto", got.OracleStrategy, got.Seeding)

@@ -104,7 +104,7 @@ func (e *Explorer) Filter(pred store.Predicate) (*Map, error) {
 	// The scan path keeps the zone-map advantage on segment backings
 	// even though the filter runs over a selection: pages holding no
 	// selected rows, or excluded by the predicate's page stats, are
-	// never read. Output is identical to store.FilterRows.
+	// never read.
 	rows := store.ScanRows(e.table, pred, cur.Rows, e.opts.ScanWorkers)
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: predicate %s matches no tuples in the selection", pred)

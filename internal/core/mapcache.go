@@ -105,8 +105,8 @@ func fingerprintRows(rows []int) uint64 {
 // and materialized oracles are byte-identical).
 func configFingerprint(o Options) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%d|%d|%d|%d|%d|%d|%d|%d",
-		o.PAMAlgorithm, o.OracleStrategy, o.Seeding, o.ClusterMethod,
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%d|%d|%d|%d|%d|%d",
+		o.OracleStrategy, o.Seeding, o.ClusterMethod,
 		o.SampleSize, o.MapKMin, o.MapKMax,
 		o.TreeMaxDepth, o.TreeMinLeaf, o.PAMThreshold,
 		o.KNN.K, o.KNN.Pivots)

@@ -97,12 +97,16 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 	var sample *store.Table
 	if art == nil {
 		// Stage 0: multi-scale sampling. The sample indices are drawn
-		// first (index math only), then materialized through the
-		// streaming scan projected onto the theme's columns.
+		// first (index math only), then materialized by a gather
+		// projected onto the theme's columns.
 		sp := tr.Start("sample")
 		sampleRows := e.sampleStage(rng, rows)
-		sample = e.gatherSample(sampleRows, theme)
+		var err error
+		sample, err = e.gatherSample(sampleRows, theme)
 		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
 		report(0.05)
 
 		// Stage 1: preprocessing. A selection that is constant (or
@@ -110,7 +114,6 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 		// degrade to a single-region map instead of failing, so users can
 		// zoom to the bottom of any region and still roll back.
 		sp = tr.Start("prep")
-		var err error
 		art, err = e.prepStage(sample, sampleRows, theme)
 		sp.End()
 		if err != nil {
@@ -132,8 +135,12 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 		// stage still needs the raw tuples. The gather is this path's
 		// whole sampling work, so it books under the sample span.
 		sp := tr.Start("sample")
-		sample = e.gatherSample(art.sampleRows, theme)
+		var err error
+		sample, err = e.gatherSample(art.sampleRows, theme)
 		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	report(0.15)
 
@@ -192,25 +199,14 @@ func (e *Explorer) sampleStage(rng *rand.Rand, rows []int) []int {
 	return sampleRows
 }
 
-// gatherSample materializes the build sample for one theme. The
-// streaming path scans only the theme's columns (projection pushdown —
-// prep, tree fitting and accuracy never read outside them, since the
-// tree's features are pipe.UsedColumns() ⊆ theme.Columns), in page
-// batches with zone-map row-set skips, so a sparse sample over a
-// segment touches only the pages it actually draws from. The
-// materialized fallback gathers every column; both paths produce
-// byte-identical maps.
-func (e *Explorer) gatherSample(rows []int, theme Theme) *store.Table {
-	if e.opts.MaterializedGather {
-		return e.table.Gather(rows)
-	}
-	t, err := store.ScanGather(e.table, rows, theme.Columns, e.opts.ScanWorkers)
-	if err != nil {
-		// A theme column missing from the table would be an engine bug;
-		// degrade to the full gather rather than failing the build.
-		return e.table.Gather(rows)
-	}
-	return t
+// gatherSample materializes the build sample for one theme: only the
+// theme's columns are gathered (projection pushdown — prep, tree
+// fitting and accuracy never read outside them, since the tree's
+// features are pipe.UsedColumns() ⊆ theme.Columns), so a sparse sample
+// over a segment touches only the pages of those columns it actually
+// draws from. A theme column missing from the table is an error.
+func (e *Explorer) gatherSample(rows []int, theme Theme) (*store.Table, error) {
+	return store.ScanGather(e.table, rows, theme.Columns, 0)
 }
 
 // prepStage fits the preprocessing pipeline on the gathered sample and
@@ -259,7 +255,6 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 		KMin:                  e.opts.MapKMin,
 		KMax:                  kMax,
 		Method:                e.opts.ClusterMethod,
-		Algorithm:             e.opts.PAMAlgorithm,
 		Seeding:               e.opts.Seeding,
 		LargeThreshold:        e.opts.PAMThreshold,
 		MCSilhouetteThreshold: e.opts.PAMThreshold,

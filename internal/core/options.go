@@ -51,11 +51,6 @@ type Options struct {
 	Prep prep.Options
 	// ClusterMethod selects PAM / CLARA / auto (default auto).
 	ClusterMethod cluster.Method
-	// PAMAlgorithm selects the PAM SWAP implementation for map and theme
-	// clustering: the FasterPAM eager-swap loop (default) or the textbook
-	// Kaufman & Rousseeuw loop (cluster.AlgorithmClassic), kept for
-	// differential runs and benchmarking.
-	PAMAlgorithm cluster.Algorithm
 	// OracleStrategy selects the distance-oracle implementation maps are
 	// clustered over (default cluster.OracleAuto: a materialized matrix
 	// up to OracleThreshold objects, a lazy on-demand oracle above it;
@@ -88,17 +83,12 @@ type Options struct {
 	// session tier installs its job scheduler (internal/jobs.Pool) here.
 	Runner cluster.TaskRunner
 	// ScanWorkers bounds the page-range workers of the streaming scans
-	// the engine issues (sample gathers, predicate filters — see
+	// the engine issues (predicate filters over the selection — see
 	// store.Scan). Default runtime.GOMAXPROCS(0); 1 or negative forces
 	// sequential scans. Results are byte-identical at every setting —
 	// the scan's merge is order-preserving — so, like Parallelism, it
 	// is excluded from the cache fingerprints.
 	ScanWorkers int
-	// MaterializedGather disables the streaming scan path of the build
-	// front half: the sample is gathered with a full-width Gather
-	// instead of a projected batch scan. Kept for differential tests
-	// and benchmarks; maps are byte-identical either way.
-	MaterializedGather bool
 	// MapCacheSize bounds the zoom-aware map cache: finished maps are
 	// keyed by (row-set fingerprint, theme, clustering config) and
 	// reused when navigation revisits a selection, e.g. rollback

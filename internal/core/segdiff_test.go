@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // writeLaborCSV renders a Fig. 1-style dataset to CSV so the same bytes
@@ -116,7 +117,7 @@ func TestSegmentBackedExplorerMatchesInMemory(t *testing.T) {
 	if _, err := store.BuildSegment(csvPath, segPath, &store.SegmentBuildOptions{RowsPerPage: 128}); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := store.OpenSegmentTable(segPath, 64*1024)
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(64*1024, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestSegmentBackedExplorerMatchesInMemory(t *testing.T) {
 		}
 	}
 
-	// Filter through the predicate path exercises FilterRows over the
+	// Filter through the predicate path exercises ScanRows over the
 	// segment relation inside the explorer.
 	fm, errM := em.Filter(store.NumCmp{Col: "AverageIncome", Op: store.Gt, Val: 20})
 	fs, errS := es.Filter(store.NumCmp{Col: "AverageIncome", Op: store.Gt, Val: 20})
@@ -211,7 +212,7 @@ func TestSegmentBackedExplorerBig(t *testing.T) {
 	if _, err := store.BuildSegment(csvPath, segPath, nil); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := store.OpenSegmentTable(segPath, 8<<20) // 8 MiB pool, ~46 MB of pages
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(8<<20, nil)) // 8 MiB pool, ~46 MB of pages
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // openLaborBoth materializes the same labor CSV as an in-memory table
@@ -21,7 +22,7 @@ func openLaborBoth(t *testing.T, n int, seed int64) (*store.Table, *store.Segmen
 	if _, err := store.BuildSegment(csvPath, segPath, &store.SegmentBuildOptions{RowsPerPage: 128}); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := store.OpenSegmentTable(segPath, 64*1024)
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(64*1024, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +59,49 @@ func driveExplorer(t *testing.T, e *Explorer) []*Map {
 	return out
 }
 
-// TestStreamedFrontHalfMatchesMaterialized is the PR's differential
-// bar: with pinned seeds, the streamed build front half (projected
-// batch-scan sample gathers, scan-path filters, at several worker
+// materialized is the baseline backing of the differential below: a
+// relation whose every column gather goes through a full-width
+// Relation.Gather and which, being no store type, the scan sees without
+// pages or zone maps and the matcher compiler evaluates through the
+// generic Column interface, row by row.
+type materialized struct{ store.Relation }
+
+func (m materialized) Column(i int) store.Column {
+	return materializedCol{m.Relation.Column(i), m.Relation}
+}
+
+func (m materialized) ColumnByName(name string) store.Column {
+	c := m.Relation.ColumnByName(name)
+	if c == nil {
+		return nil
+	}
+	return materializedCol{c, m.Relation}
+}
+
+type materializedCol struct {
+	store.Column
+	rel store.Relation
+}
+
+func (c materializedCol) Gather(rows []int) store.Column {
+	return c.rel.Gather(rows).ColumnByName(c.Name())
+}
+
+// Code keeps string columns discretizing by dictionary code, as both
+// store backings do.
+func (c materializedCol) Code(i int) int32 {
+	return c.Column.(interface{ Code(int) int32 }).Code(i)
+}
+
+// TestStreamedFrontHalfMatchesMaterialized is the front half's
+// differential bar: with pinned seeds, the production build front half
+// (projected sample gathers, scan-path filters, at several worker
 // counts) must produce byte-identical maps to the materialized path
-// (full-width Gather, row-loop FilterRows) on both backings.
+// (full-width Gather, row-loop filters) on both backings.
 func TestStreamedFrontHalfMatchesMaterialized(t *testing.T) {
 	mem, seg := openLaborBoth(t, 600, 17)
 	for _, backing := range []store.Relation{mem, seg} {
-		baseline, err := NewExplorer(backing, Options{Seed: 17, MaterializedGather: true, ScanWorkers: 1})
+		baseline, err := NewExplorer(materialized{backing}, Options{Seed: 17, ScanWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func (e *Explorer) detectThemes() error {
 	if kMin > kMax {
 		kMin = kMax
 	}
-	c, err := g.AutoPartitionWith(kMin, kMax, e.opts.PAMAlgorithm, e.rng)
+	c, err := g.AutoPartition(kMin, kMax, e.rng)
 	if err != nil {
 		return err
 	}

@@ -233,14 +233,14 @@ func runE5(cfg Config) (*Result, error) {
 		oracle := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
 
 		start := time.Now()
-		classic, err := cluster.PAMWith(oracle, sz.k, cluster.AlgorithmClassic)
+		classic, err := cluster.PAMClassic(oracle, sz.k)
 		if err != nil {
 			return nil, err
 		}
 		classicTime := time.Since(start)
 
 		start = time.Now()
-		faster, err := cluster.PAMWith(oracle, sz.k, cluster.AlgorithmFasterPAM)
+		faster, err := cluster.FasterPAM(oracle, sz.k)
 		if err != nil {
 			return nil, err
 		}

@@ -245,8 +245,8 @@ func runS3(cfg Config) (*Result, error) {
 func runF4(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hw := datagen.Hollywood(rng)
-	srv := server.New(map[string]store.Relation{"hollywood": hw.Table},
-		core.Options{Seed: cfg.Seed, SampleSize: cfg.scaled(2000)})
+	srv := server.NewWith(map[string]store.Relation{"hollywood": hw.Table},
+		core.Options{Seed: cfg.Seed, SampleSize: cfg.scaled(2000)}, nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -248,16 +248,10 @@ func (g *Graph) Partition(k int) (*cluster.Clustering, error) {
 }
 
 // AutoPartition chooses the number of themes with the silhouette
-// criterion, using the default (FasterPAM) SWAP implementation.
+// criterion.
 func (g *Graph) AutoPartition(kMin, kMax int, rng *rand.Rand) (*cluster.Clustering, error) {
-	return g.AutoPartitionWith(kMin, kMax, cluster.AlgorithmFasterPAM, rng)
-}
-
-// AutoPartitionWith is AutoPartition with an explicit PAM SWAP algorithm,
-// so callers can run the classic reference loop differentially.
-func (g *Graph) AutoPartitionWith(kMin, kMax int, algo cluster.Algorithm, rng *rand.Rand) (*cluster.Clustering, error) {
 	return cluster.AutoK(g.Oracle(), cluster.AutoKOptions{
-		KMin: kMin, KMax: kMax, Method: cluster.MethodPAM, Algorithm: algo, Rand: rng,
+		KMin: kMin, KMax: kMax, Method: cluster.MethodPAM, Rand: rng,
 	})
 }
 

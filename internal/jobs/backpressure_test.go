@@ -207,7 +207,7 @@ func TestMaxInFlightQuota(t *testing.T) {
 // dispatcher — StatusShed, context.DeadlineExceeded, never run — while
 // jobs without deadlines still run.
 func TestDeadlineShed(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
 
@@ -298,7 +298,7 @@ func TestRetentionPerSession(t *testing.T) {
 // immediately and its still-draining job as soon as it finishes, so a
 // dead session pins no memory.
 func TestReleaseSession(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	finished, err := p.Submit("a", "work", noop)
 	if err != nil {
@@ -335,7 +335,7 @@ func TestReleaseSession(t *testing.T) {
 // grow the tenant map (or the Stats payload) without bound. The
 // pool-level counters survive the pruning.
 func TestTenantStatePruned(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	for i := 0; i < 5; i++ {
 		session := fmt.Sprintf("s%d", i)
@@ -373,7 +373,7 @@ func TestTenantStatePruned(t *testing.T) {
 // queued job counts once, the running job exactly once — a second call
 // while it winds down reports 0.
 func TestCancelSessionCounts(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
 	defer close(release)
@@ -394,7 +394,7 @@ func TestCancelSessionCounts(t *testing.T) {
 // RunTasks must still complete all tasks on the caller's goroutine
 // rather than blocking for a slot.
 func TestRunTasksCallerRunsWhenLanesFull(t *testing.T) {
-	p := NewPool(2)
+	p := NewPoolConfig(Config{Workers: 2})
 	defer p.Close()
 	for i := 0; i < p.Workers(); i++ { // exhaust the compute lane
 		p.compute <- struct{}{}

@@ -18,7 +18,7 @@ func waitCtx(t *testing.T) context.Context {
 }
 
 func TestSubmitRunDone(t *testing.T) {
-	p := NewPool(2)
+	p := NewPoolConfig(Config{Workers: 2})
 	defer p.Close()
 	j, err := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
 		j.SetProgress(0.5)
@@ -50,7 +50,7 @@ func TestSubmitRunDone(t *testing.T) {
 }
 
 func TestFailedJob(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	boom := errors.New("boom")
 	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
@@ -65,7 +65,7 @@ func TestFailedJob(t *testing.T) {
 }
 
 func TestPanicBecomesFailure(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
 		panic("kaboom")
@@ -86,7 +86,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 // TestPerSessionSerializationAndOrder: one session's jobs must run
 // strictly FIFO, never two at once, even with spare workers.
 func TestPerSessionSerializationAndOrder(t *testing.T) {
-	p := NewPool(4)
+	p := NewPoolConfig(Config{Workers: 4})
 	defer p.Close()
 	var mu sync.Mutex
 	var order []int
@@ -129,7 +129,7 @@ func TestPerSessionSerializationAndOrder(t *testing.T) {
 // TestRoundRobinFairness: with one worker, a late-arriving session must
 // be served before the first session's backlog drains.
 func TestRoundRobinFairness(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -168,7 +168,7 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestCancelQueued(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -202,7 +202,7 @@ func TestCancelQueued(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
 	j, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
@@ -223,7 +223,7 @@ func TestCancelRunning(t *testing.T) {
 }
 
 func TestCancelSession(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
 	running, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
@@ -249,7 +249,7 @@ func TestCancelSession(t *testing.T) {
 }
 
 func TestCloseCancelsAndStops(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	started := make(chan struct{})
 	running, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
@@ -269,7 +269,7 @@ func TestCloseCancelsAndStops(t *testing.T) {
 }
 
 func TestSessionJobsOrdered(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	var want []string
 	for i := 0; i < 3; i++ {
@@ -291,7 +291,7 @@ func TestSessionJobsOrdered(t *testing.T) {
 // TestRunTasksFromInsideJob: nested fan-out must complete even when the
 // single job worker is occupied by the very job doing the fan-out.
 func TestRunTasksFromInsideJob(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	j, _ := p.Submit("a", "fanout", func(ctx context.Context, j *Job) (any, error) {
 		var n int32
@@ -311,7 +311,7 @@ func TestRunTasksFromInsideJob(t *testing.T) {
 }
 
 func TestProgressClampedAndMonotone(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	j, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
 		j.SetProgress(0.8)

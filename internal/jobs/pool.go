@@ -169,11 +169,9 @@ type Pool struct {
 	compute chan struct{} // fan-out lane for RunTasks
 }
 
-// NewPool starts a pool with the given number of job workers
-// (workers <= 0 means runtime.NumCPU()) and no backpressure limits.
-func NewPool(workers int) *Pool { return NewPoolConfig(Config{Workers: workers}) }
-
-// NewPoolConfig starts a pool under the given scheduling configuration.
+// NewPoolConfig starts a pool under the given scheduling configuration;
+// the zero Config means runtime.NumCPU() job workers and no backpressure
+// limits.
 func NewPoolConfig(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()

@@ -136,7 +136,7 @@ func slowServerConfig(t *testing.T, cfg jobs.Config) *httptest.Server {
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 20000, K: 4, Dims: 6, Sep: 6}, rng)
 	srv := NewWith(map[string]store.Relation{"big": ds.Table},
 		core.Options{Seed: 1, SampleSize: 20000, DependencySampleRows: 500},
-		session.NewManagerConfig(cfg))
+		session.NewManagerObs(cfg, nil))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts

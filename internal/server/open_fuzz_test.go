@@ -12,11 +12,12 @@ import (
 // apply() must never panic, and whenever apply accepts, the resulting
 // engine options must be within validated bounds.
 func FuzzOpenOptions(f *testing.F) {
-	f.Add(`{"algorithm":"fasterpam","oracle":"sparse","seeding":"lab"}`)
-	f.Add(`{"algorithm":"classic","mapCacheSize":4,"artifactCacheSize":2}`)
+	f.Add(`{"oracle":"sparse","seeding":"lab"}`)
+	f.Add(`{"oracle":"lazy","mapCacheSize":4,"artifactCacheSize":2}`)
 	f.Add(`{"mapCacheSize":-1}`)
 	f.Add(`{"mapCacheSize":99999}`)
-	f.Add(`{"algorithm":"bogus"}`)
+	f.Add(`{"algorithm":"classic"}`)
+	f.Add(`{"seeding":"bogus"}`)
 	f.Add(`{"mapCacheSize":null,"artifactCacheSize":0}`)
 	f.Add(`{}`)
 	f.Fuzz(func(t *testing.T, raw string) {

@@ -2,18 +2,17 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // segmentTestServer serves the same planted-blobs dataset from both
@@ -23,6 +22,12 @@ func segmentTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 400, K: 3, Dims: 4, Sep: 8}, rng)
+	// A categorical column next to the numeric blobs, for highlights.
+	tag := store.NewStringColumn("tag")
+	for i := 0; i < ds.Table.NumRows(); i++ {
+		tag.Append(fmt.Sprintf("t%d", i%3))
+	}
+	ds.Table.MustAddColumn(tag)
 
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "blobs.csv")
@@ -40,7 +45,7 @@ func segmentTestServer(t *testing.T) *httptest.Server {
 	if _, err := store.BuildSegment(csvPath, segPath, &store.SegmentBuildOptions{RowsPerPage: 64}); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := store.OpenSegmentTable(segPath, 64*1024)
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(64*1024, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +60,8 @@ func segmentTestServer(t *testing.T) *httptest.Server {
 	mem.SetName("mem")
 	seg.SetName("seg")
 
-	srv := New(map[string]store.Relation{"mem": mem, "seg": seg},
-		core.Options{Seed: 1, SampleSize: 400})
+	srv := NewWith(map[string]store.Relation{"mem": mem, "seg": seg},
+		core.Options{Seed: 1, SampleSize: 400}, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
@@ -86,26 +91,38 @@ func TestSegmentDatasetServesIdenticalSessions(t *testing.T) {
 	}
 }
 
-// TestSegmentDatasetHighlight exercises the inspection path (stats over
-// segment columns) through the API.
-func TestSegmentDatasetHighlight(t *testing.T) {
+// TestHighlightBothBackings exercises the inspection path through the
+// API over both backings, on a numeric column and on a string column —
+// the paper's own Fig. 1c action, whose NaN moments used to fail the
+// JSON encoding after the 200 was committed, leaving an empty body.
+func TestHighlightBothBackings(t *testing.T) {
 	ts := segmentTestServer(t)
-	id, _ := openSession(t, ts, "seg")
-	base := ts.URL + "/api/sessions/" + id
-	doJSON(t, "POST", base+"/select", map[string]int{"theme": 0}, http.StatusOK)
-	res, err := http.Get(base + "/highlight?column=v0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("highlight over segment dataset: status %d", res.StatusCode)
-	}
-	body, err := io.ReadAll(res.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "v0") {
-		t.Fatalf("highlight payload missing column: %s", body)
+	for _, dataset := range []string{"mem", "seg"} {
+		id, _ := openSession(t, ts, dataset)
+		base := ts.URL + "/api/sessions/" + id
+		doJSON(t, "POST", base+"/select", map[string]int{"theme": 0}, http.StatusOK)
+
+		num := doJSON(t, "GET", base+"/highlight?column=v0", nil, http.StatusOK)
+		stats, _ := num["Stats"].(map[string]any)
+		if num["Column"] != "v0" || stats == nil {
+			t.Fatalf("%s: numeric highlight payload: %v", dataset, num)
+		}
+		if _, ok := stats["Mean"].(float64); !ok {
+			t.Errorf("%s: numeric highlight has no mean: %v", dataset, stats)
+		}
+
+		str := doJSON(t, "GET", base+"/highlight?column=tag", nil, http.StatusOK)
+		stats, _ = str["Stats"].(map[string]any)
+		if str["Column"] != "tag" || stats == nil {
+			t.Fatalf("%s: string highlight payload: %v", dataset, str)
+		}
+		if top, _ := stats["TopValues"].([]any); len(top) != 3 {
+			t.Errorf("%s: string highlight TopValues = %v, want the 3 tags", dataset, stats["TopValues"])
+		}
+		for _, moment := range []string{"Min", "Max", "Mean", "Std"} {
+			if v, present := stats[moment]; !present || v != nil {
+				t.Errorf("%s: string highlight %s = %v, want null", dataset, moment, v)
+			}
+		}
 	}
 }

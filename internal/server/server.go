@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -33,19 +35,15 @@ type Server struct {
 // Manager aliases the session registry (kept narrow for testability).
 type Manager = session.Manager
 
-// New builds a server over a registry of named datasets. opts configures
-// every explorer the server opens. The scheduler runs without
-// backpressure limits; use NewWith to configure queue caps, tenant
-// weights and quotas.
-func New(datasets map[string]store.Relation, opts core.Options) *Server {
-	return NewWith(datasets, opts, session.NewManager())
-}
-
-// NewWith is New over an externally configured session manager, so
-// deployments can set the scheduler's backpressure policy (queue caps,
-// tenant weights, in-flight quotas — session.NewManagerConfig) before
-// handing it to the HTTP tier.
+// NewWith builds a server over a registry of named datasets. opts
+// configures every explorer the server opens. m is the session manager
+// whose scheduler carries the deployment's backpressure policy (queue
+// caps, tenant weights, in-flight quotas — see session.NewManagerObs);
+// nil means a default manager without backpressure limits.
 func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) *Server {
+	if m == nil {
+		m = session.NewManagerObs(jobs.Config{}, nil)
+	}
 	s := &Server{
 		manager:  m,
 		mux:      http.NewServeMux(),
@@ -82,7 +80,7 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 
 // attachScanMetrics registers the streaming-scan counters against the
 // manager's registry and attaches them to every dataset, so scans run
-// by explorers (sample gathers, filters) surface on /metrics.
+// by explorers (selection filters) surface on /metrics.
 func (s *Server) attachScanMetrics() {
 	sm := store.NewScanMetrics(s.manager.Telemetry().Reg())
 	type setter interface{ SetScanMetrics(*store.ScanMetrics) }
@@ -155,18 +153,27 @@ type stateJSON struct {
 
 // clusterOptionsJSON is the optional clustering block of the open
 // request: per-session overrides of the server-wide engine options, so
-// remote clients can request differential classic-vs-FasterPAM-vs-sparse
-// runs. Empty fields keep the server defaults.
+// remote clients can request differential matrix-vs-lazy-vs-sparse
+// runs. Empty fields keep the server defaults; unknown keys are
+// rejected, so a misspelt or retired option is a 400 rather than a
+// silently ignored one.
 type clusterOptionsJSON struct {
-	Algorithm string `json:"algorithm"`
-	Oracle    string `json:"oracle"`
-	Seeding   string `json:"seeding"`
+	Oracle  string `json:"oracle"`
+	Seeding string `json:"seeding"`
 	// MapCacheSize / ArtifactCacheSize bound the session's two reuse
 	// tiers (entries). Omitted or 0 keeps the server default; -1
 	// disables the tier; larger values are capped by validation (the
 	// caches pin maps and oracles in server memory).
 	MapCacheSize      *int `json:"mapCacheSize"`
 	ArtifactCacheSize *int `json:"artifactCacheSize"`
+}
+
+// UnmarshalJSON decodes the block strictly.
+func (c *clusterOptionsJSON) UnmarshalJSON(b []byte) error {
+	type plain clusterOptionsJSON
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*plain)(c))
 }
 
 // maxCacheEntries bounds the per-session cache sizes a client may
@@ -183,10 +190,6 @@ func validateCacheSize(name string, v int) error {
 
 // apply validates the overrides and writes them into opts.
 func (c *clusterOptionsJSON) apply(opts *core.Options) error {
-	algo, err := cluster.ParseAlgorithm(c.Algorithm)
-	if err != nil {
-		return err
-	}
 	oracle, err := cluster.ParseOracleStrategy(c.Oracle)
 	if err != nil {
 		return err
@@ -194,9 +197,6 @@ func (c *clusterOptionsJSON) apply(opts *core.Options) error {
 	seeding, err := cluster.ParseSeeding(c.Seeding)
 	if err != nil {
 		return err
-	}
-	if c.Algorithm != "" {
-		opts.PAMAlgorithm = algo
 	}
 	if c.Oracle != "" {
 		opts.OracleStrategy = oracle
@@ -296,10 +296,25 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 
 // --- handlers ---
 
+// jsonBufs recycles response buffers, so encoding before the status is
+// committed costs no allocation per response.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before committing the status, so a value that
+// cannot be encoded is a 500 with an error body instead of the intended
+// status over an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

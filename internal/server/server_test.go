@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -20,8 +21,8 @@ func testServer(t *testing.T) *httptest.Server {
 	rng := rand.New(rand.NewSource(1))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 400, K: 3, Dims: 4, Sep: 8}, rng)
 	hw := datagen.Hollywood(rand.New(rand.NewSource(2)))
-	srv := New(map[string]store.Relation{"blobs": ds.Table, "hollywood": hw.Table},
-		core.Options{Seed: 1, SampleSize: 400})
+	srv := NewWith(map[string]store.Relation{"blobs": ds.Table, "hollywood": hw.Table},
+		core.Options{Seed: 1, SampleSize: 400}, nil)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
@@ -378,21 +379,23 @@ func TestOpenClusterOptions(t *testing.T) {
 		wantEcho   map[string]string // subset of the echoed cluster block
 	}{
 		{"defaults", nil, http.StatusCreated,
-			map[string]string{"algorithm": "fasterpam", "oracle": "auto", "seeding": "auto"}},
-		{"classic", map[string]string{"algorithm": "classic"}, http.StatusCreated,
-			map[string]string{"algorithm": "classic"}},
+			map[string]string{"oracle": "auto", "seeding": "auto"}},
 		{"lazy oracle", map[string]string{"oracle": "lazy"}, http.StatusCreated,
 			map[string]string{"oracle": "lazy"}},
 		{"knn oracle", map[string]string{"oracle": "knn"}, http.StatusCreated,
 			map[string]string{"oracle": "knn"}},
 		{"kmeans++ seeding", map[string]string{"seeding": "kmeans++"}, http.StatusCreated,
 			map[string]string{"seeding": "kmeans++"}},
-		{"all three", map[string]string{"algorithm": "classic", "oracle": "matrix", "seeding": "lab"}, http.StatusCreated,
-			map[string]string{"algorithm": "classic", "oracle": "matrix", "seeding": "lab"}},
-		{"bad algorithm", map[string]string{"algorithm": "pam2000"}, http.StatusBadRequest, nil},
+		{"both", map[string]string{"oracle": "matrix", "seeding": "lab"}, http.StatusCreated,
+			map[string]string{"oracle": "matrix", "seeding": "lab"}},
+		// The PAM SWAP algorithm left the option surface: the retired key
+		// is rejected like any unknown one, not silently ignored.
+		{"retired algorithm", map[string]string{"algorithm": "classic"}, http.StatusBadRequest, nil},
+		{"retired algorithm default", map[string]string{"algorithm": "fasterpam"}, http.StatusBadRequest, nil},
+		{"unknown key", map[string]string{"oracel": "lazy"}, http.StatusBadRequest, nil},
 		{"bad oracle", map[string]string{"oracle": "quantum"}, http.StatusBadRequest, nil},
 		{"bad seeding", map[string]string{"seeding": "astrology"}, http.StatusBadRequest, nil},
-		{"bad alongside good", map[string]string{"algorithm": "classic", "oracle": "nope"}, http.StatusBadRequest, nil},
+		{"bad alongside good", map[string]string{"seeding": "lab", "oracle": "nope"}, http.StatusBadRequest, nil},
 	}
 	ts := testServer(t)
 	for _, tc := range cases {
@@ -428,7 +431,7 @@ func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 	ts := testServer(t)
 	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
-		"options": map[string]string{"algorithm": "classic", "oracle": "lazy", "seeding": "lab"},
+		"options": map[string]string{"oracle": "lazy", "seeding": "lab"},
 	}, http.StatusCreated)
 	id, _ := st["sessionId"].(string)
 	st = doJSON(t, "POST", ts.URL+"/api/sessions/"+id+"/select", map[string]int{"theme": 0}, http.StatusOK)
@@ -436,7 +439,7 @@ func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 		t.Fatalf("no usable map under explicit cluster options: %v", st["map"])
 	}
 	echo, _ := st["cluster"].(map[string]any)
-	if echo["oracle"] != "lazy" || echo["algorithm"] != "classic" || echo["seeding"] != "lab" {
+	if echo["oracle"] != "lazy" || echo["seeding"] != "lab" {
 		t.Errorf("cluster block not echoed after actions: %v", echo)
 	}
 }
@@ -491,5 +494,20 @@ func TestDatasetsPayloadStable(t *testing.T) {
 		if got := fetch(); got != first {
 			t.Fatalf("payload changed between identical requests:\n%s\nvs\n%s", first, got)
 		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json rejects must become a
+// 500 with the usual error body, not the intended status over an empty
+// one.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"v": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("error body %q (%v)", rec.Body.String(), err)
 	}
 }

@@ -13,12 +13,48 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
+
+// materialized is the baseline backing of the differential below: a
+// relation whose every column gather goes through a full-width
+// Relation.Gather and which, being no store type, the scan sees without
+// pages or zone maps and the matcher compiler evaluates through the
+// generic Column interface, row by row.
+type materialized struct{ store.Relation }
+
+func (m materialized) Column(i int) store.Column {
+	return materializedCol{m.Relation.Column(i), m.Relation}
+}
+
+func (m materialized) ColumnByName(name string) store.Column {
+	c := m.Relation.ColumnByName(name)
+	if c == nil {
+		return nil
+	}
+	return materializedCol{c, m.Relation}
+}
+
+type materializedCol struct {
+	store.Column
+	rel store.Relation
+}
+
+func (c materializedCol) Gather(rows []int) store.Column {
+	return c.rel.Gather(rows).ColumnByName(c.Name())
+}
+
+// Code keeps string columns discretizing by dictionary code, as both
+// store backings do.
+func (c materializedCol) Code(i int) int32 {
+	return c.Column.(interface{ Code(int) int32 }).Code(i)
+}
 
 // streamTestServer serves the planted-blobs dataset from both backings
 // under the given engine options — built twice by the differential
-// below, once streamed and once materialized.
-func streamTestServer(t *testing.T, opts core.Options) *httptest.Server {
+// below, once as production serves it and once with every backing
+// wrapped by wrap into the materialized baseline.
+func streamTestServer(t *testing.T, opts core.Options, wrap func(store.Relation) store.Relation) *httptest.Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 400, K: 3, Dims: 4, Sep: 8}, rng)
@@ -39,7 +75,7 @@ func streamTestServer(t *testing.T, opts core.Options) *httptest.Server {
 	if _, err := store.BuildSegment(csvPath, segPath, &store.SegmentBuildOptions{RowsPerPage: 64}); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := store.OpenSegmentTable(segPath, 64*1024)
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(64*1024, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +87,22 @@ func streamTestServer(t *testing.T, opts core.Options) *httptest.Server {
 	mem.SetName("mem")
 	seg.SetName("seg")
 
-	ts := httptest.NewServer(New(map[string]store.Relation{"mem": mem, "seg": seg}, opts))
+	ts := httptest.NewServer(NewWith(map[string]store.Relation{"mem": wrap(mem), "seg": wrap(seg)}, opts, nil))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
 // TestStreamedServerMatchesMaterialized is the HTTP half of the
 // streamed-front-half differential: two servers over the same bytes —
-// one on the streaming scan path with parallel workers, one on the
-// materialized sequential path — must serve identical themes, maps,
-// zooms and filtered selections, on both backings.
+// one on the production path (projected gathers, scan-path filters with
+// parallel workers), one over the materialized sequential baseline —
+// must serve identical themes, maps, zooms and filtered selections, on
+// both backings.
 func TestStreamedServerMatchesMaterialized(t *testing.T) {
-	streamed := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, ScanWorkers: 3})
-	materialized := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, MaterializedGather: true, ScanWorkers: 1})
+	streamed := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, ScanWorkers: 3},
+		func(r store.Relation) store.Relation { return r })
+	baseline := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, ScanWorkers: 1},
+		func(r store.Relation) store.Relation { return materialized{r} })
 
 	navigate := func(ts *httptest.Server, dataset string) string {
 		id, st := openSession(t, ts, dataset)
@@ -75,7 +114,7 @@ func TestStreamedServerMatchesMaterialized(t *testing.T) {
 	}
 	for _, dataset := range []string{"mem", "seg"} {
 		got := navigate(streamed, dataset)
-		want := navigate(materialized, dataset)
+		want := navigate(baseline, dataset)
 		if got != want {
 			d := 0
 			for d < len(got) && d < len(want) && got[d] == want[d] {

@@ -27,7 +27,7 @@ func waitJob(t *testing.T, j *jobs.Job) error {
 }
 
 func TestSubmitSelectAndZoomAsync(t *testing.T) {
-	m := NewManagerWorkers(2)
+	m := NewManagerObs(jobs.Config{Workers: 2}, nil)
 	defer m.Shutdown()
 	s, err := m.Open(smallTable(), core.Options{Seed: 1})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 // refuse sessions that are no longer registered (the submit/close race
 // guard).
 func TestManagerSubmitClosedSession(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	if err := m.Close(s.ID); err != nil {
@@ -92,7 +92,7 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 }
 
 func TestSubmitUnknownAction(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	if _, err := s.Submit(m.Pool(), Action{Kind: "teleport"}); err == nil {
@@ -101,7 +101,7 @@ func TestSubmitUnknownAction(t *testing.T) {
 }
 
 func TestSubmitInvalidThemeFailsJob(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	j, err := s.Submit(m.Pool(), Action{Kind: ActionSelect, Theme: 99})
@@ -119,7 +119,7 @@ func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 // TestCacheHitMetadata: a re-zoom into a previously visited selection
 // must be answered by the zoom cache and say so in the job metadata.
 func TestCacheHitMetadata(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	if err := waitJob(t, mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})); err != nil {
@@ -152,7 +152,7 @@ func TestCacheHitMetadata(t *testing.T) {
 // oracle from the cached artifact, and a re-zoom after rollback is a
 // map hit.
 func TestReuseLevelMetadata(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	// The 200-row test table needs a lower derivation floor than the
 	// production default of 128 rows.
@@ -202,7 +202,7 @@ func mustSubmit(t *testing.T, s *Session, m *Manager, act Action) *jobs.Job {
 // jobs.ErrQueueFull through Submit — the error the HTTP tier turns into
 // a 429.
 func TestManagerQueueFull(t *testing.T) {
-	m := NewManagerConfig(jobs.Config{Workers: 1, MaxQueuedPerSession: 1})
+	m := NewManagerObs(jobs.Config{Workers: 1, MaxQueuedPerSession: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	started := make(chan struct{})
@@ -231,7 +231,7 @@ func TestManagerQueueFull(t *testing.T) {
 // TestActionDeadlineSheds: an action with a queue deadline that lapses
 // while queued is shed by the scheduler, never building a map.
 func TestActionDeadlineSheds(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	started := make(chan struct{})
@@ -270,7 +270,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 // TestOpenTenantAttribution: sessions opened under a tenant label are
 // scheduled and accounted under it.
 func TestOpenTenantAttribution(t *testing.T) {
-	m := NewManagerConfig(jobs.Config{Workers: 1})
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, err := m.OpenTenant(smallTable(), core.Options{Seed: 1}, "gold")
 	if err != nil {
@@ -297,7 +297,7 @@ func TestOpenTenantAttribution(t *testing.T) {
 // TestCloseReleasesRetainedJobs: closing a session drops its retained
 // terminal jobs from the pool, so dead sessions pin no scheduler memory.
 func TestCloseReleasesRetainedJobs(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	j := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
@@ -319,7 +319,7 @@ func TestCloseReleasesRetainedJobs(t *testing.T) {
 // session must cancel its queued and running jobs so no worker writes
 // into it.
 func TestCloseCancelsSessionJobs(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	started := make(chan struct{})
@@ -355,7 +355,7 @@ func TestCloseCancelsSessionJobs(t *testing.T) {
 // job survives until the job is terminal (a client polling a long build
 // never touches LastUsed).
 func TestEvictIdle(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	now := time.Now()
 	m.now = func() time.Time { return now }
@@ -408,7 +408,7 @@ func TestEvictIdle(t *testing.T) {
 // TestStartEvictor: the background ticker must sweep without manual
 // calls.
 func TestStartEvictor(t *testing.T) {
-	m := NewManagerWorkers(1)
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
 	s.mu.Lock()
@@ -433,7 +433,7 @@ func TestStartEvictor(t *testing.T) {
 // may fail (stale builds, empty history); the invariants are no data
 // races, no panics, and a session that still navigates afterwards.
 func TestConcurrentSessionStress(t *testing.T) {
-	m := NewManagerWorkers(4)
+	m := NewManagerObs(jobs.Config{Workers: 4}, nil)
 	defer m.Shutdown()
 	s, err := m.Open(smallTable(), core.Options{Seed: 3})
 	if err != nil {

@@ -45,15 +45,13 @@ func (s *Session) Do(f func(e *core.Explorer) error) error {
 }
 
 // ClusterConfig names the clustering configuration a session runs with —
-// the PAM SWAP algorithm, the distance-oracle strategy and the seeding
-// scheme. Remote clients set these in the open request and the server
-// echoes them back in every state response, so differential
-// (classic-vs-FasterPAM-vs-sparse) runs can be requested and audited
-// over the wire.
+// the distance-oracle strategy and the seeding scheme. Remote clients
+// set these in the open request and the server echoes them back in
+// every state response, so differential (matrix-vs-lazy-vs-sparse) runs
+// can be requested and audited over the wire.
 type ClusterConfig struct {
-	Algorithm string `json:"algorithm"`
-	Oracle    string `json:"oracle"`
-	Seeding   string `json:"seeding"`
+	Oracle  string `json:"oracle"`
+	Seeding string `json:"seeding"`
 }
 
 // DescribeCluster renders the clustering knobs of effective engine
@@ -61,9 +59,8 @@ type ClusterConfig struct {
 // e.Options() directly (the session mutex is not reentrant).
 func DescribeCluster(o core.Options) ClusterConfig {
 	return ClusterConfig{
-		Algorithm: o.PAMAlgorithm.String(),
-		Oracle:    o.OracleStrategy.String(),
-		Seeding:   o.Seeding.String(),
+		Oracle:  o.OracleStrategy.String(),
+		Seeding: o.Seeding.String(),
 	}
 }
 
@@ -85,35 +82,23 @@ type Manager struct {
 	tel *obs.Telemetry
 }
 
-// NewManager returns an empty session registry whose scheduler runs one
-// job worker per CPU and applies no backpressure limits.
-func NewManager() *Manager { return NewManagerWorkers(0) }
-
-// NewManagerWorkers returns an empty session registry with an explicit
-// scheduler width (workers <= 0 means one per CPU).
-func NewManagerWorkers(workers int) *Manager {
-	return NewManagerConfig(jobs.Config{Workers: workers})
-}
-
-// NewManagerConfig returns an empty session registry whose scheduler
-// runs under the given configuration — queue caps, tenant weights and
-// in-flight quotas (see jobs.Config). The manager owns tenant
+// NewManagerObs returns an empty session registry whose scheduler runs
+// under the given configuration — queue caps, tenant weights and
+// in-flight quotas (see jobs.Config); the zero Config runs one job
+// worker per CPU with no backpressure limits. The manager owns tenant
 // attribution: sessions opened with OpenTenant are scheduled under that
 // tenant; cfg.Tenant, if set, is consulted for the rest; sessions with
 // neither are their own tenant.
-func NewManagerConfig(cfg jobs.Config) *Manager {
-	// Every manager gets a working metrics plane: a fresh registry the
-	// server can mount at /metrics without extra wiring. Callers wanting
-	// logging, a fake clock or a slow-build threshold use NewManagerObs.
-	return NewManagerObs(cfg, &obs.Telemetry{Registry: obs.NewRegistry()})
-}
-
-// NewManagerObs is NewManagerConfig with an explicit telemetry plane:
-// the scheduler's counters land in tel's registry, every build job
-// records a per-stage trace timed by tel's clock, and builds slower
-// than tel.SlowBuild are logged through tel's logger with their stage
-// breakdown. tel may be nil (no metrics, wall clock, no logging).
+//
+// tel is the telemetry plane: the scheduler's counters land in its
+// registry, every build job records a per-stage trace timed by its
+// clock, and builds slower than tel.SlowBuild are logged through its
+// logger with their stage breakdown. A nil tel means a fresh registry
+// the server can mount at /metrics, the wall clock and no logging.
 func NewManagerObs(cfg jobs.Config, tel *obs.Telemetry) *Manager {
+	if tel == nil {
+		tel = &obs.Telemetry{Registry: obs.NewRegistry()}
+	}
 	m := &Manager{
 		sessions: make(map[string]*Session),
 		now:      time.Now,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/jobs"
 	"repro/internal/store"
 )
 
@@ -19,7 +20,7 @@ func smallTable() *store.Table {
 }
 
 func TestOpenGetClose(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	s, err := m.Open(smallTable(), core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func TestOpenGetClose(t *testing.T) {
 }
 
 func TestOpenInvalidTable(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	empty := store.NewTable("empty")
 	empty.MustAddColumn(store.NewFloatColumn("x"))
 	if _, err := m.Open(empty, core.Options{}); err == nil {
@@ -55,7 +56,7 @@ func TestOpenInvalidTable(t *testing.T) {
 }
 
 func TestDoSerializesAccess(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	s, err := m.Open(smallTable(), core.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestDoSerializesAccess(t *testing.T) {
 }
 
 func TestList(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	a, _ := m.Open(smallTable(), core.Options{Seed: 3})
 	b, _ := m.Open(smallTable(), core.Options{Seed: 4})
 	ids := m.List()
@@ -102,7 +103,7 @@ func TestList(t *testing.T) {
 }
 
 func TestCloseIdle(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	now := time.Now()
 	m.now = func() time.Time { return now }
 	s1, _ := m.Open(smallTable(), core.Options{Seed: 5})
@@ -122,7 +123,7 @@ func TestCloseIdle(t *testing.T) {
 }
 
 func TestConcurrentOpen(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -150,7 +151,7 @@ func TestConcurrentOpen(t *testing.T) {
 // TestClusterConfigEcho: a session must report the effective clustering
 // configuration (defaults applied) in wire form.
 func TestClusterConfigEcho(t *testing.T) {
-	m := NewManager()
+	m := NewManagerObs(jobs.Config{}, nil)
 	config := func(s *Session) ClusterConfig {
 		var cfg ClusterConfig
 		_ = s.Do(func(e *core.Explorer) error {
@@ -163,20 +164,19 @@ func TestClusterConfigEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ClusterConfig{Algorithm: "fasterpam", Oracle: "auto", Seeding: "auto"}
+	want := ClusterConfig{Oracle: "auto", Seeding: "auto"}
 	if cfg := config(s); cfg != want {
 		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
 	}
 	s2, err := m.Open(smallTable(), core.Options{
 		Seed:           1,
-		PAMAlgorithm:   cluster.AlgorithmClassic,
 		OracleStrategy: cluster.OracleKNN,
 		Seeding:        cluster.SeedingKMeansPP,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = ClusterConfig{Algorithm: "classic", Oracle: "knn", Seeding: "kmeans++"}
+	want = ClusterConfig{Oracle: "knn", Seeding: "kmeans++"}
 	if cfg := config(s2); cfg != want {
 		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
 	}

@@ -188,21 +188,23 @@ func NormalizedMI(x, y []int) float64 {
 func DiscretizeColumn(c store.Column, bins int, method BinningMethod) []int {
 	n := c.Len()
 	out := make([]int, n)
-	// Dispatch on capability, not concrete type, so segment-backed
-	// columns discretize identically to in-memory ones: both expose
-	// dictionary codes (strings) or raw bools through the same methods,
-	// which is what keeps NMI — and hence theme detection — independent
-	// of the storage backing.
-	switch col := c.(type) {
-	case interface{ Code(int) int32 }: // dictionary-encoded strings
+	// Dispatch on the column's type, not its concrete implementation, so
+	// segment-backed columns discretize identically to in-memory ones:
+	// both backings expose the same dictionary codes for strings and the
+	// same 0/1 reading for bools, which is what keeps NMI — and hence
+	// theme detection — independent of the storage backing.
+	coder, hasCodes := c.(interface{ Code(int) int32 })
+	switch {
+	case c.Type() == store.String && hasCodes: // dictionary-encoded strings
 		for i := 0; i < n; i++ {
-			out[i] = int(col.Code(i)) // -1 for nulls
+			out[i] = int(coder.Code(i)) // -1 for nulls
 		}
-	case interface{ Value(int) bool }: // bools
+	case c.Type() == store.Bool:
 		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
+			switch v := c.Float(i); {
+			case math.IsNaN(v): // null
 				out[i] = -1
-			} else if col.Value(i) {
+			case v != 0:
 				out[i] = 1
 			}
 		}

@@ -7,18 +7,18 @@ import (
 )
 
 // Streaming batch scans: the lazy operator pipeline over both backings.
-// A Scanner yields column-vector batches of about one page of rows at a
-// time, so operators compose without materializing intermediates — the
-// Volcano shape, but batch-at-a-time rather than row-at-a-time.
+// A Scanner yields batches of matching row indices, about one page of
+// rows at a time, so operators compose without materializing
+// intermediates — the Volcano shape, but batch-at-a-time rather than
+// row-at-a-time. Scans are index-only: values are materialized by
+// gathering the rows a scan selected (Column.Gather, ScanGather).
 //
-// Three pushdowns happen at the scan source instead of above it:
+// Two pushdowns happen at the scan source instead of above it:
 //
-//   - projection: only the columns named in ScanSpec.Cols are decoded;
-//     an empty Cols yields index-only batches (Filter-shaped calls);
-//   - predicate: segment-backed scans apply the zone-map page skips of
-//     SegmentTable.Filter, and an ascending ScanSpec.Rows set narrows
-//     the scan further — pages holding no candidate rows are never
-//     fetched, so a filtered sample keeps its zone-map advantage;
+//   - predicate: segment-backed scans apply zone-map page skips, and an
+//     ascending ScanSpec.Rows set narrows the scan further — pages
+//     holding no candidate rows are never fetched, so a filtered
+//     selection keeps its zone-map advantage;
 //   - limit: the scan stops as soon as ScanSpec.Limit matching rows
 //     have been delivered, so Head-shaped calls never reach EOF.
 //
@@ -33,9 +33,6 @@ const defaultScanPageRows = 8192
 
 // ScanSpec configures a streaming batch scan over a Relation.
 type ScanSpec struct {
-	// Cols are the projected column names; empty means index-only
-	// batches (Batch.Cols stays nil).
-	Cols []string
 	// Pred filters rows (nil = every row). On segment backings its
 	// top-level conjuncts also drive zone-map page skips.
 	Pred Predicate
@@ -51,12 +48,9 @@ type ScanSpec struct {
 }
 
 // Batch is one unit of scan output: the matching row indices of one
-// source page, plus the projected column vectors when ScanSpec.Cols
-// was set (Cols[i] holds the values of spec.Cols[i], row-aligned with
-// Rows). Batches arrive in ascending row order and never overlap.
+// source page. Batches arrive in ascending row order and never overlap.
 type Batch struct {
 	Rows []int
-	Cols []Column
 }
 
 // ScanMetrics holds the scan-path counters, registered once against a
@@ -104,21 +98,20 @@ func (m *ScanMetrics) addBatches(n int) {
 }
 
 // scanPlan is the resolved form of a ScanSpec against one relation:
-// page geometry, projection columns, zone-map skips and metrics sink.
+// page geometry, zone-map skips and metrics sink.
 type scanPlan struct {
 	r       Relation
 	spec    ScanSpec
-	cols    []Column // resolved projection, parallel to spec.Cols
-	rpp     int      // rows per page (batch granularity)
-	np      int      // page count
-	n       int      // relation row count
+	rpp     int // rows per page (batch granularity)
+	np      int // page count
+	n       int // relation row count
 	skips   []func(pi int) bool
 	metrics *ScanMetrics
 }
 
-// Scan starts a streaming batch scan of r. Spec errors (unknown
-// projection column, a Rows set that is not strictly ascending or out
-// of range) surface through Scanner.Err after Next returns false.
+// Scan starts a streaming batch scan of r. Spec errors (a Rows set that
+// is not strictly ascending or out of range) surface through
+// Scanner.Err after Next returns false.
 func Scan(r Relation, spec ScanSpec) *Scanner {
 	pl, err := newScanPlan(r, spec)
 	if err != nil {
@@ -193,7 +186,7 @@ func (s *Scanner) Next() (Batch, bool) {
 		return Batch{}, false
 	}
 	if s.limit > 0 && s.emitted+len(b.Rows) > s.limit {
-		b = truncateBatch(b, s.limit-s.emitted)
+		b.Rows = b.Rows[:s.limit-s.emitted] // limit tail
 	}
 	s.emitted += len(b.Rows)
 	return b, true
@@ -252,39 +245,19 @@ func (s *Scanner) Collect() []int {
 	}
 }
 
-// truncateBatch cuts a batch down to its first k rows (limit tail).
-func truncateBatch(b Batch, k int) Batch {
-	out := Batch{Rows: b.Rows[:k]}
-	if b.Cols != nil {
-		out.Cols = make([]Column, len(b.Cols))
-		for i, c := range b.Cols {
-			out.Cols[i] = c.Slice(0, k)
-		}
-	}
-	return out
-}
-
 func newScanPlan(r Relation, spec ScanSpec) (*scanPlan, error) {
 	pl := &scanPlan{r: r, spec: spec, n: r.NumRows(), rpp: defaultScanPageRows}
-	if st, ok := r.(*SegmentTable); ok {
-		if len(st.cols) > 0 {
-			pl.rpp = st.seg.RowsPerPage()
-		}
-		if spec.Pred != nil {
-			pl.skips = st.pageSkips(spec.Pred)
-		}
-		pl.metrics = st.scanMetrics
-	} else if t, ok := r.(*Table); ok {
+	if cs, ok := r.(interface{ columns() *columnSet }); ok {
+		t := cs.columns()
 		pl.metrics = t.scanMetrics
+		if t.pageRows > 0 {
+			pl.rpp = t.pageRows
+			if spec.Pred != nil {
+				pl.skips = t.pageSkips(spec.Pred)
+			}
+		}
 	}
 	pl.np = (pl.n + pl.rpp - 1) / pl.rpp
-	for _, name := range spec.Cols {
-		c := r.ColumnByName(name)
-		if c == nil {
-			return nil, fmt.Errorf("store: scan of %s: no column %q", r.Name(), name)
-		}
-		pl.cols = append(pl.cols, c)
-	}
 	if spec.Rows != nil {
 		prev := -1
 		for _, i := range spec.Rows {
@@ -377,16 +350,9 @@ func (it *rangeIter) next() (Batch, bool) {
 		if nm == 0 {
 			continue
 		}
-		b := Batch{Rows: dst[:nm:nm]}
-		if len(pl.cols) > 0 {
-			b.Cols = make([]Column, len(pl.cols))
-			for i, c := range pl.cols {
-				b.Cols[i] = c.Gather(b.Rows)
-			}
-		}
 		it.emitted += nm
 		it.batches++
-		return b, true
+		return Batch{Rows: dst[:nm:nm]}, true
 	}
 	it.flush()
 	return Batch{}, false
@@ -484,14 +450,15 @@ func FilterLimit(r Relation, p Predicate, limit int) []int {
 // WhereLimit materializes the first limit rows matching p — the
 // Head-shaped form of Where.
 func WhereLimit(r Relation, p Predicate, limit int) *Table {
-	return gatherRelation(r, FilterLimit(r, p, limit))
+	return r.Gather(FilterLimit(r, p, limit))
 }
 
-// ScanRows filters an ascending row set through the scan path:
-// identical output to FilterRows, but pages outside the row set or
-// excluded by zone maps are never read, and workers > 1 splits the
-// scan into parallel page ranges. Falls back to FilterRows when the
-// row set does not satisfy the scan contract.
+// ScanRows is the row-set filter: the subset of rows matching p.
+// Ascending row sets — every selection the engine holds — go through
+// the scan path, so pages outside the row set or excluded by zone maps
+// are never read and workers > 1 splits the scan into parallel page
+// ranges. A row set the scan contract rejects is filtered row by row
+// in input order instead.
 func ScanRows(r Relation, p Predicate, rows []int, workers int) []int {
 	if len(rows) == 0 {
 		return nil
@@ -499,155 +466,12 @@ func ScanRows(r Relation, p Predicate, rows []int, workers int) []int {
 	sc := Scan(r, ScanSpec{Pred: p, Rows: rows, Workers: workers})
 	out := sc.Collect()
 	if sc.Err() != nil {
-		return FilterRows(r, p, rows)
+		m := CompileMatcher(r, p)
+		for _, i := range rows {
+			if m(i) {
+				out = append(out, i)
+			}
+		}
 	}
 	return out
-}
-
-// ScanGather materializes the named columns of an ascending row set
-// into an in-memory table — Gather with projection pushdown, built
-// batch-at-a-time so only the requested columns are ever decoded.
-func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, error) {
-	if rows == nil {
-		// An explicit row set is the contract; nil means empty, not all.
-		rows = []int{}
-	}
-	sc := Scan(r, ScanSpec{Cols: cols, Rows: rows, Workers: workers})
-	out := NewTable(r.Name())
-	builders := make([]Column, len(cols))
-	total := 0
-	for {
-		b, ok := sc.Next()
-		if !ok {
-			break
-		}
-		total += len(b.Rows)
-		for i, c := range b.Cols {
-			if builders[i] == nil {
-				builders[i] = c
-				continue
-			}
-			var err error
-			builders[i], err = appendColumn(builders[i], c)
-			if err != nil {
-				sc.Close()
-				return nil, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for i, c := range builders {
-		if c == nil {
-			// No batch materialized (empty row set): gather an empty
-			// column of the right shape.
-			c = r.ColumnByName(cols[i]).Gather(nil)
-		}
-		out.MustAddColumn(c)
-	}
-	if len(cols) == 0 {
-		out.numRows = total
-	}
-	return out, nil
-}
-
-// gatherRelation is Gather over the Relation seam (both backings
-// implement Gather; the interface keeps callers backing-agnostic).
-func gatherRelation(r Relation, rows []int) *Table {
-	type gatherer interface{ Gather(rows []int) *Table }
-	if g, ok := r.(gatherer); ok {
-		return g.Gather(rows)
-	}
-	out := NewTable(r.Name())
-	for i := 0; i < r.NumCols(); i++ {
-		out.MustAddColumn(r.Column(i).Gather(rows))
-	}
-	if r.NumCols() == 0 {
-		out.numRows = len(rows)
-	}
-	return out
-}
-
-// appendColumn concatenates src onto dst. Batch columns are the
-// in-memory concrete types (both backings' Gather produce them), so
-// the typed fast paths cover every scan; the generic tail handles
-// foreign Column implementations.
-func appendColumn(dst, src Column) (Column, error) {
-	switch d := dst.(type) {
-	case *FloatColumn:
-		s, ok := src.(*FloatColumn)
-		if !ok {
-			break
-		}
-		for i := 0; i < s.Len(); i++ {
-			if s.IsNull(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.vals[i])
-			}
-		}
-		return d, nil
-	case *IntColumn:
-		s, ok := src.(*IntColumn)
-		if !ok {
-			break
-		}
-		for i := 0; i < s.Len(); i++ {
-			if s.IsNull(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.vals[i])
-			}
-		}
-		return d, nil
-	case *StringColumn:
-		s, ok := src.(*StringColumn)
-		if !ok {
-			break
-		}
-		for i := 0; i < s.Len(); i++ {
-			if s.IsNull(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.Value(i))
-			}
-		}
-		return d, nil
-	case *BoolColumn:
-		s, ok := src.(*BoolColumn)
-		if !ok {
-			break
-		}
-		for i := 0; i < s.Len(); i++ {
-			if s.IsNull(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.Value(i))
-			}
-		}
-		return d, nil
-	}
-	if dst.Type() != src.Type() {
-		return nil, fmt.Errorf("store: scan batch column %q changed type mid-stream", dst.Name())
-	}
-	for i := 0; i < src.Len(); i++ {
-		switch {
-		case src.IsNull(i):
-			dst.AppendNull()
-		case dst.Type() == String:
-			sc, ok := dst.(*StringColumn)
-			if !ok {
-				return nil, fmt.Errorf("store: cannot append to column %q", dst.Name())
-			}
-			sc.Append(src.StringAt(i))
-		default:
-			fc, ok := dst.(*FloatColumn)
-			if !ok {
-				return nil, fmt.Errorf("store: cannot append to column %q", dst.Name())
-			}
-			fc.Append(src.Float(i))
-		}
-	}
-	return dst, nil
 }

@@ -54,9 +54,8 @@ func benchSampleRows(n int) []int {
 	return rows
 }
 
-// BenchmarkScanGatherProjected is the streamed sample gather: row-set
-// pushdown skips candidate-free pages and only the projected column is
-// decoded.
+// BenchmarkScanGatherProjected is the projected sample gather: only
+// the projected column is decoded, each of its pages read once.
 func BenchmarkScanGatherProjected(b *testing.B) {
 	st := benchSegment(b)
 	rows := benchSampleRows(st.NumRows())
@@ -70,8 +69,8 @@ func BenchmarkScanGatherProjected(b *testing.B) {
 	}
 }
 
-// BenchmarkGatherMaterialized is the pre-streaming baseline for the
-// same row set: full-width Gather with per-row column access.
+// BenchmarkGatherMaterialized is the baseline for the same row set:
+// full-width Gather of every column.
 func BenchmarkGatherMaterialized(b *testing.B) {
 	st := benchSegment(b)
 	rows := benchSampleRows(st.NumRows())

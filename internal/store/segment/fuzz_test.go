@@ -81,7 +81,7 @@ func FuzzSegmentOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(path, NewPool(1<<16))
+		s, err := Open(path, NewPoolObs(1<<16, nil))
 		if err != nil {
 			return
 		}

@@ -69,15 +69,12 @@ type Pool struct {
 	mHits, mMisses, mEvictions *obs.Counter
 }
 
-// NewPool returns a pool holding at most budget bytes of unpinned
-// pages.
-func NewPool(budget int64) *Pool { return NewPoolObs(budget, nil) }
-
-// NewPoolObs is NewPool with the pool's counters and occupancy gauges
-// exported through the registry as the blaeu_pagepool_* family. The
-// series are process-global: a deployment registers one page pool (the
-// blaeud-wide budget), so a second pool on the same registry would
-// double-count.
+// NewPoolObs returns a pool holding at most budget bytes of unpinned
+// pages, with its counters and occupancy gauges exported through the
+// registry as the blaeu_pagepool_* family (a nil registry exports
+// nothing). The series are process-global: a deployment registers one
+// page pool (the blaeud-wide budget), so a second pool on the same
+// registry would double-count.
 func NewPoolObs(budget int64, reg *obs.Registry) *Pool {
 	p := &Pool{budget: budget, entries: make(map[Key]*entry)}
 	p.mHits = reg.Counter("blaeu_pagepool_hits_total", "Page reads served from the buffer pool.", nil)

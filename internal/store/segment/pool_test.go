@@ -18,7 +18,7 @@ func fixedLoad(k byte, size int) func() ([]byte, error) {
 }
 
 func TestPoolHitMissCounters(t *testing.T) {
-	p := NewPool(1 << 20)
+	p := NewPoolObs(1<<20, nil)
 	h1, err := p.Get(Key{1, 0}, fixedLoad(1, 100))
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestPoolHitMissCounters(t *testing.T) {
 }
 
 func TestPoolByteBudgetAccounting(t *testing.T) {
-	p := NewPool(250)
+	p := NewPoolObs(250, nil)
 	for i := 0; i < 5; i++ {
 		h, err := p.Get(Key{1, i}, fixedLoad(byte(i), 100))
 		if err != nil {
@@ -60,7 +60,7 @@ func TestPoolByteBudgetAccounting(t *testing.T) {
 }
 
 func TestPoolLRUEvictionOrder(t *testing.T) {
-	p := NewPool(300)
+	p := NewPoolObs(300, nil)
 	get := func(page int) {
 		t.Helper()
 		h, err := p.Get(Key{1, page}, fixedLoad(byte(page), 100))
@@ -93,7 +93,7 @@ func TestPoolLRUEvictionOrder(t *testing.T) {
 }
 
 func TestPoolPinningBlocksEviction(t *testing.T) {
-	p := NewPool(200)
+	p := NewPoolObs(200, nil)
 	h0, err := p.Get(Key{1, 0}, fixedLoad(0, 100)) // pinned
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestPoolPinningBlocksEviction(t *testing.T) {
 }
 
 func TestPoolPinnedMayOvershootUntilRelease(t *testing.T) {
-	p := NewPool(150)
+	p := NewPoolObs(150, nil)
 	h0, _ := p.Get(Key{1, 0}, fixedLoad(0, 100))
 	h1, err := p.Get(Key{1, 1}, fixedLoad(1, 100))
 	if err != nil {
@@ -155,7 +155,7 @@ func TestPoolPinnedMayOvershootUntilRelease(t *testing.T) {
 // cap <= 0 must stay correct (cache nothing), not crash or wedge.
 func TestPoolZeroBudget(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
-		p := NewPool(budget)
+		p := NewPoolObs(budget, nil)
 		for i := 0; i < 3; i++ {
 			h, err := p.Get(Key{1, 7}, fixedLoad(7, 64))
 			if err != nil {
@@ -178,7 +178,7 @@ func TestPoolZeroBudget(t *testing.T) {
 }
 
 func TestPoolLoadErrorPropagates(t *testing.T) {
-	p := NewPool(1 << 20)
+	p := NewPoolObs(1<<20, nil)
 	boom := fmt.Errorf("disk gone")
 	if _, err := p.Get(Key{1, 0}, func() ([]byte, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -195,7 +195,7 @@ func TestPoolLoadErrorPropagates(t *testing.T) {
 }
 
 func TestPoolInvalidate(t *testing.T) {
-	p := NewPool(1 << 20)
+	p := NewPoolObs(1<<20, nil)
 	for i := 0; i < 3; i++ {
 		h, _ := p.Get(Key{1, i}, fixedLoad(byte(i), 50))
 		h.Release()
@@ -213,7 +213,7 @@ func TestPoolInvalidate(t *testing.T) {
 // overlapping page ranges through a small pool, hammering load dedup,
 // eviction and the counters at once.
 func TestPoolConcurrentScan(t *testing.T) {
-	p := NewPool(32 * 64) // room for 32 of 128 pages
+	p := NewPoolObs(32*64, nil) // room for 32 of 128 pages
 	const pages, workers, rounds = 128, 8, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -254,7 +254,7 @@ func TestPoolConcurrentScan(t *testing.T) {
 // TestPoolConcurrentSingleFlight checks load dedup: concurrent readers
 // of one cold page must trigger exactly one load.
 func TestPoolConcurrentSingleFlight(t *testing.T) {
-	p := NewPool(1 << 20)
+	p := NewPoolObs(1<<20, nil)
 	var loads int32
 	var mu sync.Mutex
 	start := make(chan struct{})

@@ -58,7 +58,7 @@ func buildTestSegment(t *testing.T, rows, rpp int) (string, *Footer) {
 func TestSegmentRoundTrip(t *testing.T) {
 	const rows, rpp = 1000, 64
 	path, _ := buildTestSegment(t, rows, rpp)
-	s, err := Open(path, NewPool(1<<20))
+	s, err := Open(path, NewPoolObs(1<<20, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSegmentPageStats(t *testing.T) {
 		}
 	}
 	// Reopen to confirm the stats survive the encode/decode cycle.
-	s, err := Open(path, NewPool(1<<20))
+	s, err := Open(path, NewPoolObs(1<<20, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSegmentAllNullPage(t *testing.T) {
 	if !math.IsNaN(pg.Min) || !math.IsNaN(pg.Max) || pg.NullCount != 8 {
 		t.Fatalf("all-null page stats = %+v", pg)
 	}
-	if _, err := Open(path, NewPool(1<<20)); err != nil {
+	if _, err := Open(path, NewPoolObs(1<<20, nil)); err != nil {
 		t.Fatalf("open all-null segment: %v", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestSegmentEmpty(t *testing.T) {
 	if _, err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, NewPool(1<<20))
+	s, err := Open(path, NewPoolObs(1<<20, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSegmentOpenRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(p, NewPool(1<<20))
+		s, err := Open(p, NewPoolObs(1<<20, nil))
 		if err == nil {
 			s.Close()
 		}
@@ -303,7 +303,7 @@ func TestSegmentPreadFallback(t *testing.T) {
 	// Force the pread path by reading through a segment whose mapping we
 	// drop: simulate by opening normally and checking both paths agree.
 	path, _ := buildTestSegment(t, 128, 32)
-	s, err := Open(path, NewPool(1<<20))
+	s, err := Open(path, NewPoolObs(1<<20, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -20,31 +19,14 @@ import (
 // (Filter, Gather of sorted rows) touch pages sequentially; point
 // accesses via the Column interface work but pay a pool round trip
 // per page crossing, so hot paths should go through Filter /
-// FilterRows / Gather, which keep a page cursor.
+// ScanRows / Gather, which keep a page cursor.
 type SegmentTable struct {
-	seg     *segment.Segment
-	name    string
-	cols    []Column
-	colIdx  map[string]int
-	numRows int
-	// scanMetrics, when attached, receives this table's streaming-scan
-	// counters (see SetScanMetrics).
-	scanMetrics *ScanMetrics
+	columnSet
+	seg *segment.Segment
 }
 
-// SetScanMetrics attaches the scan-path counters; subsequent Filter
-// and Scan calls report page and batch counts through them. Attach
-// before the table is scanned concurrently.
-func (t *SegmentTable) SetScanMetrics(m *ScanMetrics) { t.scanMetrics = m }
-
-// OpenSegmentTable opens a segment file with a private buffer pool of
-// pageBudget bytes.
-func OpenSegmentTable(path string, pageBudget int64) (*SegmentTable, error) {
-	return OpenSegmentTableWith(path, segment.NewPool(pageBudget))
-}
-
-// OpenSegmentTableWith opens a segment file against a shared pool, so
-// several datasets can split one byte budget.
+// OpenSegmentTableWith opens a segment file against the given buffer
+// pool; several datasets can split one byte budget by sharing a pool.
 func OpenSegmentTableWith(path string, pool *segment.Pool) (*SegmentTable, error) {
 	seg, err := segment.Open(path, pool)
 	if err != nil {
@@ -68,46 +50,41 @@ func newSegmentTable(seg *segment.Segment, path string) (*SegmentTable, error) {
 		name = name[i+1:]
 	}
 	name = strings.TrimSuffix(name, ".seg")
-	t := &SegmentTable{
-		seg:     seg,
+	t := &SegmentTable{seg: seg, columnSet: columnSet{
 		name:    name,
 		colIdx:  make(map[string]int, len(f.Cols)),
 		numRows: int(f.NumRows),
-	}
+	}}
 	for ci := range f.Cols {
 		meta := &f.Cols[ci]
-		base := segColBase{
-			seg:  seg,
-			ci:   ci,
-			meta: meta,
-			rpp:  f.RowsPerPage,
-			n:    t.numRows,
-		}
-		var col Column
+		col := &segCol{seg: seg, ci: ci, meta: meta, rpp: f.RowsPerPage, n: t.numRows}
 		switch meta.Kind {
 		case segment.KindFloat64:
-			col = &segFloatCol{base}
+			col.typ = Float64
 		case segment.KindInt64:
-			col = &segIntCol{base}
+			col.typ = Int64
 		case segment.KindBool:
-			col = &segBoolCol{base}
+			col.typ = Bool
 		case segment.KindString:
-			dict, err := seg.Dict(ci)
-			if err != nil {
+			col.typ = String
+			var err error
+			if col.dict, err = seg.Dict(ci); err != nil {
 				return nil, err
 			}
-			index := make(map[string]int32, len(dict))
-			for code, v := range dict {
-				if _, dup := index[v]; !dup {
-					index[v] = int32(code)
+			col.index = make(map[string]int32, len(col.dict))
+			for code, v := range col.dict {
+				if _, dup := col.index[v]; !dup {
+					col.index[v] = int32(code)
 				}
 			}
-			col = &segStrCol{base: base, dict: dict, index: index}
 		default:
 			return nil, fmt.Errorf("store: segment %s: column %q has unsupported kind", path, meta.Name)
 		}
 		t.colIdx[meta.Name] = ci
 		t.cols = append(t.cols, col)
+	}
+	if len(t.cols) > 0 {
+		t.pageRows = f.RowsPerPage
 	}
 	return t, nil
 }
@@ -128,126 +105,11 @@ func (t *SegmentTable) PoolStats() segment.PoolStats {
 	return segment.PoolStats{}
 }
 
-// Name implements Relation.
-func (t *SegmentTable) Name() string { return t.name }
-
-// SetName renames the relation.
-func (t *SegmentTable) SetName(name string) { t.name = name }
-
-// NumRows implements Relation.
-func (t *SegmentTable) NumRows() int { return t.numRows }
-
-// NumCols implements Relation.
-func (t *SegmentTable) NumCols() int { return len(t.cols) }
-
-// Column implements Relation.
-func (t *SegmentTable) Column(i int) Column { return t.cols[i] }
-
-// ColumnByName implements Relation.
-func (t *SegmentTable) ColumnByName(name string) Column {
-	i, ok := t.colIdx[name]
-	if !ok {
-		return nil
-	}
-	return t.cols[i]
-}
-
-// ColumnIndex implements Relation.
-func (t *SegmentTable) ColumnIndex(name string) int {
-	i, ok := t.colIdx[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
-// ColumnNames implements Relation.
-func (t *SegmentTable) ColumnNames() []string {
-	out := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		out[i] = c.Name()
-	}
-	return out
-}
-
-// Schema implements Relation.
-func (t *SegmentTable) Schema() Schema {
-	s := make(Schema, len(t.cols))
-	for i, c := range t.cols {
-		s[i] = Field{Name: c.Name(), Type: c.Type()}
-	}
-	return s
-}
-
-// Gather implements Relation: the result is a materialized in-memory
-// table. Sorted row sets (samples, filter results) read each page
-// once, sequentially.
-func (t *SegmentTable) Gather(rows []int) *Table {
-	out := NewTable(t.name)
-	for _, c := range t.cols {
-		out.MustAddColumn(c.Gather(rows))
-	}
-	if len(t.cols) == 0 {
-		out.numRows = len(rows)
-	}
-	return out
-}
-
-// Head returns the first n rows (or fewer), materialized.
-func (t *SegmentTable) Head(n int) *Table {
-	if n > t.numRows {
-		n = t.numRows
-	}
-	if n < 0 {
-		n = 0
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return t.Gather(rows)
-}
-
-// Filter implements Relation on the streaming scan path: the
-// predicate is compiled once (columns resolved, constants mapped to
-// dictionary codes), and per-page min/max, null-count stats skip pages
-// that cannot contain matches without reading them.
-func (t *SegmentTable) Filter(p Predicate) []int {
-	return Scan(t, ScanSpec{Pred: p}).Collect()
-}
-
-// Where implements Relation.
-func (t *SegmentTable) Where(p Predicate) *Table {
-	return t.Gather(t.Filter(p))
-}
-
-// Sample returns up to n row indices drawn uniformly without
-// replacement, sorted ascending — sorted order keeps the subsequent
-// gather sequential over pages, which is what makes cold sampling
-// cheap on a segment.
-func (t *SegmentTable) Sample(n int, rng *rand.Rand) []int {
-	return SampleIndices(t.numRows, n, rng)
-}
-
-// SampleTable returns a materialized uniform sample of up to n rows.
-func (t *SegmentTable) SampleTable(n int, rng *rand.Rand) *Table {
-	return t.Gather(t.Sample(n, rng))
-}
-
-// Row implements Relation.
-func (t *SegmentTable) Row(i int) []string {
-	out := make([]string, len(t.cols))
-	for j, c := range t.cols {
-		out[j] = c.StringAt(i)
-	}
-	return out
-}
-
 // pageSkips collects page-exclusion tests from the top-level
 // conjuncts of p: a page skips when the conjunct provably matches no
 // row of it. Non-conjunctive shapes contribute no skip (they still
 // evaluate row-wise).
-func (t *SegmentTable) pageSkips(p Predicate) []func(pi int) bool {
+func (t *columnSet) pageSkips(p Predicate) []func(pi int) bool {
 	var out []func(int) bool
 	switch p := p.(type) {
 	case And:
@@ -263,8 +125,8 @@ func (t *SegmentTable) pageSkips(p Predicate) []func(pi int) bool {
 			out = append(out, skip)
 		}
 	case IsNull:
-		if c, ok := t.ColumnByName(p.Col).(segColumn); ok {
-			pages := c.pages()
+		if c, ok := t.ColumnByName(p.Col).(*segCol); ok {
+			pages := c.meta.Pages
 			if p.Not {
 				out = append(out, func(pi int) bool { return pages[pi].NullCount == pages[pi].Rows })
 			} else {
@@ -277,14 +139,14 @@ func (t *SegmentTable) pageSkips(p Predicate) []func(pi int) bool {
 
 // numCmpSkip builds the zone-map test for a numeric comparison: page
 // stats bound the non-null values, and comparisons never match nulls.
-func (t *SegmentTable) numCmpSkip(p NumCmp) func(pi int) bool {
-	c, ok := t.ColumnByName(p.Col).(segColumn)
-	if !ok || c.Type() == String {
+func (t *columnSet) numCmpSkip(p NumCmp) func(pi int) bool {
+	c, ok := t.ColumnByName(p.Col).(*segCol)
+	if !ok || c.typ == String {
 		// String page stats are dictionary codes, unrelated to the
 		// numeric parse NumCmp applies; no skip.
 		return nil
 	}
-	return numSkipFunc(c.pages(), p.Op, p.Val)
+	return numSkipFunc(c.meta.Pages, p.Op, p.Val)
 }
 
 func numSkipFunc(pages []segment.PageInfo, op CmpOp, val float64) func(pi int) bool {
@@ -313,12 +175,12 @@ func numSkipFunc(pages []segment.PageInfo, op CmpOp, val float64) func(pi int) b
 
 // strEqSkip builds the zone-map test for string equality: the constant
 // resolves to a dictionary code once, and page stats bound the codes.
-func (t *SegmentTable) strEqSkip(p StrEq) func(pi int) bool {
-	c, ok := t.ColumnByName(p.Col).(*segStrCol)
-	if !ok {
+func (t *columnSet) strEqSkip(p StrEq) func(pi int) bool {
+	c, ok := t.ColumnByName(p.Col).(*segCol)
+	if !ok || c.typ != String {
 		return nil
 	}
-	pages := c.pages()
+	pages := c.meta.Pages
 	code, present := c.index[p.Val]
 	if !present {
 		if p.Neq {
@@ -337,34 +199,31 @@ func (t *SegmentTable) strEqSkip(p StrEq) func(pi int) bool {
 // ---------------------------------------------------------------------------
 // Segment-backed columns
 
-// segColumn is the store-side view of a segment-backed column: the
-// compiled-matcher layer uses it to build page-cursor matchers, and
+// segCol is the one segment-backed Column: a page directory plus, for
+// strings, the dictionary. typ selects how a page slot decodes; every
+// access goes through a page cursor, so sequential reads (Gather of
+// sorted rows, compiled matchers) fetch each page once. The
+// compiled-matcher layer builds its page-cursor matchers from it and
 // the scan planner reads its page directory.
-type segColumn interface {
-	Column
-	pages() []segment.PageInfo
-	nullMatcher() func(i int) bool
-	numMatcher(cmp func(float64) bool) func(i int) bool
-	strMatcher(vals []string, neq bool) func(i int) bool
+type segCol struct {
+	seg   *segment.Segment
+	ci    int
+	meta  *segment.ColumnMeta
+	rpp   int
+	n     int
+	typ   Type
+	dict  []string         // String only: distinct values by code
+	index map[string]int32 // String only: value -> code
 }
 
-// segColBase is the shared state of segment-backed columns.
-type segColBase struct {
-	seg  *segment.Segment
-	ci   int
-	meta *segment.ColumnMeta
-	rpp  int
-	n    int
-}
-
-func (b *segColBase) Name() string              { return b.meta.Name }
-func (b *segColBase) Len() int                  { return b.n }
-func (b *segColBase) NullCount() int            { return b.meta.NullCount() }
-func (b *segColBase) pages() []segment.PageInfo { return b.meta.Pages }
+func (c *segCol) Name() string   { return c.meta.Name }
+func (c *segCol) Type() Type     { return c.typ }
+func (c *segCol) Len() int       { return c.n }
+func (c *segCol) NullCount() int { return c.meta.NullCount() }
 
 // AppendNull implements Column; segment columns are immutable.
-func (b *segColBase) AppendNull() {
-	panic(fmt.Sprintf("store: segment column %q is immutable", b.meta.Name))
+func (c *segCol) AppendNull() {
+	panic(fmt.Sprintf("store: segment column %q is immutable", c.meta.Name))
 }
 
 // fetch returns the data and null payloads of page pi (nulls is nil
@@ -372,16 +231,16 @@ func (b *segColBase) AppendNull() {
 // returning: the byte slices stay valid (see segment.Handle.Bytes) and
 // the pages simply become evictable again, so cursors can hold the
 // bytes without pinning pool budget.
-func (b *segColBase) fetch(pi int) (data, nulls []byte) {
-	h, err := b.seg.DataPage(b.ci, pi)
+func (c *segCol) fetch(pi int) (data, nulls []byte) {
+	h, err := c.seg.DataPage(c.ci, pi)
 	if err != nil {
-		panic(fmt.Sprintf("store: segment column %q page %d: %v", b.meta.Name, pi, err))
+		panic(fmt.Sprintf("store: segment column %q page %d: %v", c.meta.Name, pi, err))
 	}
 	data = h.Bytes()
 	h.Release()
-	nh, err := b.seg.NullPage(b.ci, pi)
+	nh, err := c.seg.NullPage(c.ci, pi)
 	if err != nil {
-		panic(fmt.Sprintf("store: segment column %q null page %d: %v", b.meta.Name, pi, err))
+		panic(fmt.Sprintf("store: segment column %q null page %d: %v", c.meta.Name, pi, err))
 	}
 	if nh != nil {
 		nulls = nh.Bytes()
@@ -393,200 +252,62 @@ func (b *segColBase) fetch(pi int) (data, nulls []byte) {
 // segCursor walks a column page by page; sequential access fetches
 // each page once.
 type segCursor struct {
-	b           *segColBase
+	c           *segCol
 	pi          int
 	data, nulls []byte
 }
 
-func (b *segColBase) cursor() segCursor { return segCursor{b: b, pi: -1} }
+func (c *segCol) cursor() segCursor { return segCursor{c: c, pi: -1} }
 
 // seek positions the cursor on row i's page and returns the in-page
 // offset.
 //
 //blaeu:hot
-func (c *segCursor) seek(i int) int {
-	pi := i / c.b.rpp
-	if pi != c.pi {
+func (cur *segCursor) seek(i int) int {
+	pi := i / cur.c.rpp
+	if pi != cur.pi {
 		//blaeu:nolint hotpath one page fetch amortized over the page's rows
-		c.data, c.nulls = c.b.fetch(pi)
-		c.pi = pi
+		cur.data, cur.nulls = cur.c.fetch(pi)
+		cur.pi = pi
 	}
-	return i - pi*c.b.rpp
+	return i - pi*cur.c.rpp
 }
 
-func (c *segCursor) isNull(j int) bool {
-	return c.nulls != nil && segment.BitAt(c.nulls, j)
+func (cur *segCursor) isNull(j int) bool {
+	return cur.nulls != nil && segment.BitAt(cur.nulls, j)
 }
 
 // nullMatcher returns a cursor-backed null test.
-func (b *segColBase) nullMatcher() func(i int) bool {
-	if b.meta.NullCount() == 0 {
+func (c *segCol) nullMatcher() func(i int) bool {
+	if c.meta.NullCount() == 0 {
 		return matchNone
 	}
-	cur := b.cursor()
+	cur := c.cursor()
 	return func(i int) bool { return cur.isNull(cur.seek(i)) }
 }
 
-// isNullAt is the point-access null test (page fetch per call).
-func (b *segColBase) isNullAt(i int) bool {
-	pi := i / b.rpp
-	if b.meta.Pages[pi].NullCount == 0 {
+// IsNull is the point-access null test (page fetch per call).
+func (c *segCol) IsNull(i int) bool {
+	pi := i / c.rpp
+	if c.meta.Pages[pi].NullCount == 0 {
 		return false
 	}
-	h, err := b.seg.NullPage(b.ci, pi)
+	h, err := c.seg.NullPage(c.ci, pi)
 	if err != nil {
-		panic(fmt.Sprintf("store: segment column %q null page %d: %v", b.meta.Name, pi, err))
+		panic(fmt.Sprintf("store: segment column %q null page %d: %v", c.meta.Name, pi, err))
 	}
-	v := segment.BitAt(h.Bytes(), i-pi*b.rpp)
+	v := segment.BitAt(h.Bytes(), i-pi*c.rpp)
 	h.Release()
 	return v
 }
 
-// --- float64 ---
-
-type segFloatCol struct{ segColBase }
-
-func (c *segFloatCol) Type() Type        { return Float64 }
-func (c *segFloatCol) IsNull(i int) bool { return c.isNullAt(i) }
-
-func (c *segFloatCol) Float(i int) float64 {
+// Code returns the dictionary code at row i of a string column (-1
+// when null), mirroring StringColumn.Code. Both backings assign codes
+// in first-appearance order over the same row sequence, so codes agree
+// across them — the discretization layer relies on that for
+// backing-independent NMI.
+func (c *segCol) Code(i int) int32 {
 	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return math.NaN()
-	}
-	return segment.Float64At(cur.data, j)
-}
-
-func (c *segFloatCol) StringAt(i int) string {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return ""
-	}
-	return strconv.FormatFloat(segment.Float64At(cur.data, j), 'g', -1, 64)
-}
-
-func (c *segFloatCol) Gather(rows []int) Column {
-	out := NewFloatColumn(c.meta.Name)
-	cur := c.cursor()
-	for _, r := range rows {
-		j := cur.seek(r)
-		if cur.isNull(j) {
-			out.AppendNull()
-		} else {
-			out.Append(segment.Float64At(cur.data, j))
-		}
-	}
-	return out
-}
-
-func (c *segFloatCol) Slice(lo, hi int) Column {
-	return c.Gather(rangeRows(lo, hi))
-}
-
-func (c *segFloatCol) numMatcher(cmp func(float64) bool) func(i int) bool {
-	cur := c.cursor()
-	return func(i int) bool {
-		j := cur.seek(i)
-		return !cur.isNull(j) && cmp(segment.Float64At(cur.data, j))
-	}
-}
-
-func (c *segFloatCol) strMatcher(vals []string, neq bool) func(i int) bool {
-	return genericStrMatcher(c, vals, neq)
-}
-
-// --- int64 ---
-
-type segIntCol struct{ segColBase }
-
-func (c *segIntCol) Type() Type        { return Int64 }
-func (c *segIntCol) IsNull(i int) bool { return c.isNullAt(i) }
-
-func (c *segIntCol) Float(i int) float64 {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return math.NaN()
-	}
-	return float64(segment.Int64At(cur.data, j))
-}
-
-func (c *segIntCol) StringAt(i int) string {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return ""
-	}
-	return strconv.FormatInt(segment.Int64At(cur.data, j), 10)
-}
-
-func (c *segIntCol) Gather(rows []int) Column {
-	out := NewIntColumn(c.meta.Name)
-	cur := c.cursor()
-	for _, r := range rows {
-		j := cur.seek(r)
-		if cur.isNull(j) {
-			out.AppendNull()
-		} else {
-			out.Append(segment.Int64At(cur.data, j))
-		}
-	}
-	return out
-}
-
-func (c *segIntCol) Slice(lo, hi int) Column {
-	return c.Gather(rangeRows(lo, hi))
-}
-
-func (c *segIntCol) numMatcher(cmp func(float64) bool) func(i int) bool {
-	cur := c.cursor()
-	return func(i int) bool {
-		j := cur.seek(i)
-		return !cur.isNull(j) && cmp(float64(segment.Int64At(cur.data, j)))
-	}
-}
-
-func (c *segIntCol) strMatcher(vals []string, neq bool) func(i int) bool {
-	return genericStrMatcher(c, vals, neq)
-}
-
-// --- string (dictionary) ---
-
-type segStrCol struct {
-	base  segColBase
-	dict  []string
-	index map[string]int32
-}
-
-func (c *segStrCol) Name() string              { return c.base.Name() }
-func (c *segStrCol) Type() Type                { return String }
-func (c *segStrCol) Len() int                  { return c.base.Len() }
-func (c *segStrCol) NullCount() int            { return c.base.NullCount() }
-func (c *segStrCol) AppendNull()               { c.base.AppendNull() }
-func (c *segStrCol) pages() []segment.PageInfo { return c.base.pages() }
-func (c *segStrCol) IsNull(i int) bool         { return c.base.isNullAt(i) }
-func (c *segStrCol) nullMatcher() func(i int) bool {
-	return c.base.nullMatcher()
-}
-
-// Dict returns the dictionary of distinct values (callers must not
-// mutate).
-func (c *segStrCol) Dict() []string { return c.dict }
-
-// Cardinality returns the number of distinct non-null values.
-func (c *segStrCol) Cardinality() int { return len(c.dict) }
-
-// Value returns the string at row i ("" when null).
-func (c *segStrCol) Value(i int) string { return c.StringAt(i) }
-
-// Code returns the dictionary code at row i (-1 when null), mirroring
-// StringColumn.Code. Both backings assign codes in first-appearance
-// order over the same row sequence, so codes agree across them — the
-// discretization layer relies on that for backing-independent NMI.
-func (c *segStrCol) Code(i int) int32 {
-	cur := c.base.cursor()
 	j := cur.seek(i)
 	if cur.isNull(j) {
 		return -1
@@ -594,50 +315,122 @@ func (c *segStrCol) Code(i int) int32 {
 	return segment.Int32At(cur.data, j)
 }
 
-func (c *segStrCol) StringAt(i int) string {
-	cur := c.base.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return ""
+// floatAt decodes non-null slot j of a page as Column.Float defines it:
+// bools map to 0/1, strings parse as numbers when possible.
+func (c *segCol) floatAt(data []byte, j int) float64 {
+	switch c.typ {
+	case Float64:
+		return segment.Float64At(data, j)
+	case Int64:
+		return float64(segment.Int64At(data, j))
+	case Bool:
+		if segment.BitAt(data, j) {
+			return 1
+		}
+		return 0
 	}
-	return c.dict[segment.Int32At(cur.data, j)]
-}
-
-// Float implements Column: strings parse as numbers when possible.
-func (c *segStrCol) Float(i int) float64 {
-	cur := c.base.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return math.NaN()
-	}
-	v, err := strconv.ParseFloat(c.dict[segment.Int32At(cur.data, j)], 64)
+	v, err := strconv.ParseFloat(c.dict[segment.Int32At(data, j)], 64)
 	if err != nil {
 		return math.NaN()
 	}
 	return v
 }
 
-func (c *segStrCol) Gather(rows []int) Column {
-	out := NewStringColumn(c.base.meta.Name)
-	cur := c.base.cursor()
+// Float implements Column.
+func (c *segCol) Float(i int) float64 {
+	cur := c.cursor()
+	j := cur.seek(i)
+	if cur.isNull(j) {
+		return math.NaN()
+	}
+	return c.floatAt(cur.data, j)
+}
+
+// StringAt implements Column.
+func (c *segCol) StringAt(i int) string {
+	cur := c.cursor()
+	j := cur.seek(i)
+	if cur.isNull(j) {
+		return ""
+	}
+	switch c.typ {
+	case Float64:
+		return strconv.FormatFloat(segment.Float64At(cur.data, j), 'g', -1, 64)
+	case Int64:
+		return strconv.FormatInt(segment.Int64At(cur.data, j), 10)
+	case Bool:
+		return strconv.FormatBool(segment.BitAt(cur.data, j))
+	}
+	return c.dict[segment.Int32At(cur.data, j)]
+}
+
+// Gather implements Column: the result is the in-memory column type
+// of the same kind.
+func (c *segCol) Gather(rows []int) Column {
+	name := c.meta.Name
+	switch c.typ {
+	case Float64:
+		return gatherSeg(c, rows, NewFloatColumn(name), segment.Float64At)
+	case Int64:
+		return gatherSeg(c, rows, NewIntColumn(name), segment.Int64At)
+	case Bool:
+		return gatherSeg(c, rows, NewBoolColumn(name), segment.BitAt)
+	}
+	return gatherSeg(c, rows, NewStringColumn(name), func(data []byte, j int) string {
+		return c.dict[segment.Int32At(data, j)]
+	})
+}
+
+// gatherSeg appends the given rows of c to out through one page cursor,
+// decoding non-null slots with at.
+func gatherSeg[T any, C interface {
+	Column
+	Append(T)
+}](c *segCol, rows []int, out C, at func(data []byte, j int) T) Column {
+	cur := c.cursor()
 	for _, r := range rows {
 		j := cur.seek(r)
 		if cur.isNull(j) {
 			out.AppendNull()
 		} else {
-			out.Append(c.dict[segment.Int32At(cur.data, j)])
+			out.Append(at(cur.data, j))
 		}
 	}
 	return out
 }
 
-func (c *segStrCol) Slice(lo, hi int) Column {
-	return c.Gather(rangeRows(lo, hi))
-}
+// Slice implements Column.
+func (c *segCol) Slice(lo, hi int) Column { return c.Gather(rangeRows(lo, hi)) }
 
-// numMatcher parses each dictionary entry once; the per-row test is a
-// code lookup into the parsed table.
-func (c *segStrCol) numMatcher(cmp func(float64) bool) func(i int) bool {
+// numMatcher returns a cursor-backed test of cmp against the column's
+// numeric reading. Strings parse each dictionary entry once, so their
+// per-row test is a code lookup into the parsed table.
+func (c *segCol) numMatcher(cmp func(float64) bool) func(i int) bool {
+	cur := c.cursor()
+	switch c.typ {
+	case Float64:
+		return func(i int) bool {
+			j := cur.seek(i)
+			return !cur.isNull(j) && cmp(segment.Float64At(cur.data, j))
+		}
+	case Int64:
+		return func(i int) bool {
+			j := cur.seek(i)
+			return !cur.isNull(j) && cmp(float64(segment.Int64At(cur.data, j)))
+		}
+	case Bool:
+		m0, m1 := cmp(0), cmp(1)
+		return func(i int) bool {
+			j := cur.seek(i)
+			if cur.isNull(j) {
+				return false
+			}
+			if segment.BitAt(cur.data, j) {
+				return m1
+			}
+			return m0
+		}
+	}
 	match := make([]bool, len(c.dict))
 	for code, v := range c.dict {
 		f, err := strconv.ParseFloat(v, 64)
@@ -645,128 +438,32 @@ func (c *segStrCol) numMatcher(cmp func(float64) bool) func(i int) bool {
 		// matches them.
 		match[code] = err == nil && cmp(f)
 	}
-	cur := c.base.cursor()
 	return func(i int) bool {
 		j := cur.seek(i)
 		return !cur.isNull(j) && match[segment.Int32At(cur.data, j)]
 	}
 }
 
-// strMatcher compares dictionary codes against the constants, never
-// materializing row strings.
-func (c *segStrCol) strMatcher(vals []string, neq bool) func(i int) bool {
+// strMatcher compares a string column's dictionary codes against the
+// constants, never materializing row strings; other kinds compare
+// their rendered values.
+func (c *segCol) strMatcher(vals []string, neq bool) func(i int) bool {
+	if c.typ != String {
+		return genericStrMatcher(c, vals, neq)
+	}
 	want := make(map[int32]bool, len(vals))
-	any := false
 	for _, v := range vals {
 		if code, ok := c.index[v]; ok {
 			want[code] = true
-			any = true
 		}
 	}
-	cur := c.base.cursor()
-	if neq {
-		return func(i int) bool {
-			j := cur.seek(i)
-			return !cur.isNull(j) && !want[segment.Int32At(cur.data, j)]
-		}
-	}
-	if !any {
+	if len(want) == 0 && !neq {
 		return matchNone
 	}
+	cur := c.cursor()
 	return func(i int) bool {
 		j := cur.seek(i)
-		return !cur.isNull(j) && want[segment.Int32At(cur.data, j)]
-	}
-}
-
-// --- bool ---
-
-type segBoolCol struct{ segColBase }
-
-func (c *segBoolCol) Type() Type        { return Bool }
-func (c *segBoolCol) IsNull(i int) bool { return c.isNullAt(i) }
-
-// Value returns the bool at row i (false when null), mirroring
-// BoolColumn.Value.
-func (c *segBoolCol) Value(i int) bool {
-	cur := c.cursor()
-	j := cur.seek(i)
-	return !cur.isNull(j) && segment.BitAt(cur.data, j)
-}
-
-func (c *segBoolCol) Float(i int) float64 {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return math.NaN()
-	}
-	if segment.BitAt(cur.data, j) {
-		return 1
-	}
-	return 0
-}
-
-func (c *segBoolCol) StringAt(i int) string {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return ""
-	}
-	return strconv.FormatBool(segment.BitAt(cur.data, j))
-}
-
-func (c *segBoolCol) Gather(rows []int) Column {
-	out := NewBoolColumn(c.meta.Name)
-	cur := c.cursor()
-	for _, r := range rows {
-		j := cur.seek(r)
-		if cur.isNull(j) {
-			out.AppendNull()
-		} else {
-			out.Append(segment.BitAt(cur.data, j))
-		}
-	}
-	return out
-}
-
-func (c *segBoolCol) Slice(lo, hi int) Column {
-	return c.Gather(rangeRows(lo, hi))
-}
-
-func (c *segBoolCol) numMatcher(cmp func(float64) bool) func(i int) bool {
-	cur := c.cursor()
-	m0, m1 := cmp(0), cmp(1)
-	return func(i int) bool {
-		j := cur.seek(i)
-		if cur.isNull(j) {
-			return false
-		}
-		if segment.BitAt(cur.data, j) {
-			return m1
-		}
-		return m0
-	}
-}
-
-func (c *segBoolCol) strMatcher(vals []string, neq bool) func(i int) bool {
-	return genericStrMatcher(c, vals, neq)
-}
-
-// genericStrMatcher is the string comparison for non-string columns:
-// rendered values against the constants (rare — region predicates only
-// use string equality on string columns).
-func genericStrMatcher(c Column, vals []string, neq bool) func(i int) bool {
-	return func(i int) bool {
-		if c.IsNull(i) {
-			return false
-		}
-		s := c.StringAt(i)
-		for _, v := range vals {
-			if s == v {
-				return !neq
-			}
-		}
-		return neq
+		return !cur.isNull(j) && want[segment.Int32At(cur.data, j)] != neq
 	}
 }
 

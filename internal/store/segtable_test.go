@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/store/segment"
 )
 
 // writeTestCSV renders a deterministic CSV exercising every inferred
@@ -73,7 +75,7 @@ func openBoth(t *testing.T, rows int, pageBudget int64) (*Table, *SegmentTable) 
 	if int(n) != rows {
 		t.Fatalf("BuildSegment wrote %d rows, want %d", n, rows)
 	}
-	st, err := OpenSegmentTable(segPath, pageBudget)
+	st, err := OpenSegmentTableWith(segPath, segment.NewPoolObs(pageBudget, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestSegmentPageSkipping(t *testing.T) {
 	if _, err := BuildSegment(csvPath, segPath, &SegmentBuildOptions{RowsPerPage: 64}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenSegmentTable(segPath, 1<<20)
+	st, err := OpenSegmentTableWith(segPath, segment.NewPoolObs(1<<20, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +339,10 @@ func TestOpenSegmentTableRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("definitely not a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmentTable(path, 1<<20); err == nil {
+	if _, err := OpenSegmentTableWith(path, segment.NewPoolObs(1<<20, nil)); err == nil {
 		t.Fatal("garbage file opened without error")
 	}
-	if _, err := OpenSegmentTable(filepath.Join(t.TempDir(), "absent.seg"), 1<<20); err == nil {
+	if _, err := OpenSegmentTableWith(filepath.Join(t.TempDir(), "absent.seg"), segment.NewPoolObs(1<<20, nil)); err == nil {
 		t.Fatal("missing file opened without error")
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 )
@@ -18,6 +19,27 @@ type ColumnStats struct {
 	// TopValues holds the most frequent values, most frequent first
 	// (categorical columns only).
 	TopValues []ValueCount
+}
+
+// MarshalJSON renders the stats under the struct's own field names and
+// order, with the moments of a column that has none (non-numeric, or no
+// non-null rows) as null: JSON has no NaN, and encoding/json fails the
+// whole document on one.
+func (s ColumnStats) MarshalJSON() ([]byte, error) {
+	finite := func(v float64) *float64 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil
+		}
+		return &v
+	}
+	return json.Marshal(struct {
+		Name                   string
+		Type                   Type
+		Count, Nulls, Distinct int
+		Min, Max, Mean, Std    *float64
+		TopValues              []ValueCount
+	}{s.Name, s.Type, s.Count, s.Nulls, s.Distinct,
+		finite(s.Min), finite(s.Max), finite(s.Mean), finite(s.Std), s.TopValues})
 }
 
 // ValueCount is a categorical value with its frequency.
@@ -116,7 +138,9 @@ const maxKeyScanRows = 100000
 // unique identifier carries no cluster structure.
 func IsLikelyKey(c Column) bool {
 	n := c.Len()
-	if n == 0 {
+	// Only strings and integers can be keys under the rules below, so
+	// the other types are answered without a pass over their values.
+	if t := c.Type(); n == 0 || (t != String && t != Int64) {
 		return false
 	}
 	// Bound the scan: a prefix this long decides keyness with the same

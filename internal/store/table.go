@@ -27,38 +27,13 @@ func (s Schema) String() string {
 	return out
 }
 
-// Table is a named collection of equal-length columns.
-type Table struct {
-	name    string
-	cols    []Column
-	colIdx  map[string]int
-	numRows int
-	// scanMetrics, when attached, receives this table's streaming-scan
-	// counters (see SetScanMetrics).
-	scanMetrics *ScanMetrics
-}
-
-// SetScanMetrics attaches the scan-path counters; subsequent Filter
-// and Scan calls report page and batch counts through them. Attach
-// before the table is scanned concurrently.
-func (t *Table) SetScanMetrics(m *ScanMetrics) { t.scanMetrics = m }
+// Table is a named collection of equal-length in-memory columns.
+type Table struct{ columnSet }
 
 // NewTable returns an empty table with the given name.
 func NewTable(name string) *Table {
-	return &Table{name: name, colIdx: make(map[string]int)}
+	return &Table{columnSet{name: name, colIdx: make(map[string]int)}}
 }
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// SetName renames the table.
-func (t *Table) SetName(name string) { t.name = name }
-
-// NumRows returns the number of rows.
-func (t *Table) NumRows() int { return t.numRows }
-
-// NumCols returns the number of columns.
-func (t *Table) NumCols() int { return len(t.cols) }
 
 // AddColumn appends a column. All columns must have equal length; the first
 // column fixes the row count.
@@ -86,45 +61,6 @@ func (t *Table) MustAddColumn(c Column) {
 	}
 }
 
-// Column returns the i-th column.
-func (t *Table) Column(i int) Column { return t.cols[i] }
-
-// ColumnByName returns the named column, or nil if absent.
-func (t *Table) ColumnByName(name string) Column {
-	i, ok := t.colIdx[name]
-	if !ok {
-		return nil
-	}
-	return t.cols[i]
-}
-
-// ColumnIndex returns the position of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	i, ok := t.colIdx[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
-// ColumnNames returns the column names in schema order.
-func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		out[i] = c.Name()
-	}
-	return out
-}
-
-// Schema returns the table schema.
-func (t *Table) Schema() Schema {
-	s := make(Schema, len(t.cols))
-	for i, c := range t.cols {
-		s[i] = Field{Name: c.Name(), Type: c.Type()}
-	}
-	return s
-}
-
 // Project returns a new table with only the named columns, sharing column
 // storage with the receiver (columns are immutable once built).
 func (t *Table) Project(names ...string) (*Table, error) {
@@ -137,6 +73,29 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		if err := out.AddColumn(c); err != nil {
 			return nil, err
 		}
+	}
+	return out, nil
+}
+
+// ScanGather materializes the named columns of the given rows of r into
+// an in-memory table — Gather with projection pushdown: only the
+// requested columns are decoded, and on a segment backing an ascending
+// row set reads each of their pages once, through the column's page
+// cursor. workers is unused; it stays in the signature because the
+// frozen click benchmark (bench/load) passes it.
+func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, error) {
+	out := NewTable(r.Name())
+	for _, name := range cols {
+		c := r.ColumnByName(name)
+		if c == nil {
+			return nil, fmt.Errorf("store: gather of %s: no column %q", r.Name(), name)
+		}
+		if err := out.AddColumn(c.Gather(rows)); err != nil {
+			return nil, err
+		}
+	}
+	if len(cols) == 0 {
+		out.numRows = len(rows)
 	}
 	return out, nil
 }
@@ -154,61 +113,6 @@ func (t *Table) Drop(names ...string) *Table {
 		}
 	}
 	return out
-}
-
-// Gather returns a new materialized table containing the given rows in order.
-func (t *Table) Gather(rows []int) *Table {
-	out := NewTable(t.name)
-	for _, c := range t.cols {
-		out.MustAddColumn(c.Gather(rows))
-	}
-	if len(t.cols) == 0 {
-		out.numRows = len(rows)
-	}
-	return out
-}
-
-// Head returns the first n rows (or fewer).
-func (t *Table) Head(n int) *Table {
-	if n > t.numRows {
-		n = t.numRows
-	}
-	if n < 0 {
-		n = 0
-	}
-	out := NewTable(t.name)
-	for _, c := range t.cols {
-		out.MustAddColumn(c.Slice(0, n))
-	}
-	if len(t.cols) == 0 {
-		out.numRows = n
-	}
-	return out
-}
-
-// Filter returns the indices of rows matching the predicate, in order.
-// It runs on the streaming scan path: the predicate is compiled once
-// (columns resolved out of the row loop, string constants mapped to
-// dictionary codes) and rows are collected batch-at-a-time.
-func (t *Table) Filter(p Predicate) []int {
-	return Scan(t, ScanSpec{Pred: p}).Collect()
-}
-
-// Where returns a new materialized table of the rows matching the predicate.
-func (t *Table) Where(p Predicate) *Table {
-	return t.Gather(t.Filter(p))
-}
-
-// Sample returns up to n row indices drawn uniformly without replacement
-// using the given source. The result is sorted ascending so downstream
-// scans stay sequential (mirrors MonetDB's SAMPLE).
-func (t *Table) Sample(n int, rng *rand.Rand) []int {
-	return SampleIndices(t.numRows, n, rng)
-}
-
-// SampleTable returns a materialized uniform sample of up to n rows.
-func (t *Table) SampleTable(n int, rng *rand.Rand) *Table {
-	return t.Gather(t.Sample(n, rng))
 }
 
 // SampleIndices draws up to k of the integers [0,n) uniformly without
@@ -233,15 +137,6 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 		out = append(out, v)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// Row renders row i as strings in schema order (nulls render as "").
-func (t *Table) Row(i int) []string {
-	out := make([]string, len(t.cols))
-	for j, c := range t.cols {
-		out[j] = c.StringAt(i)
-	}
 	return out
 }
 

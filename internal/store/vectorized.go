@@ -5,8 +5,11 @@ package store
 // time. CompileMatcher resolves each leaf's column exactly once and
 // returns a closure over the concrete storage (raw float64/int64
 // slices, dictionary codes), so the per-row work collapses to a slice
-// index and a comparison. Table.Filter and the core's row-set
-// filtering (Explorer.Filter, region assignment) run on top of it.
+// index and a comparison. It is the one production evaluator: the
+// scan (hence every Filter), the row-set filter and partition below,
+// and through them CART's split routing all run on it. Predicate.Matches
+// stays as the reference semantics the differential tests compare
+// against.
 
 // CompileMatcher returns a per-row matcher equivalent to p.Matches
 // over r, with all column lookups hoisted out of the row loop. The
@@ -83,7 +86,7 @@ func matchNone(int) bool { return false }
 
 // compileIsNull returns a null test with the column resolved.
 func compileIsNull(c Column) func(i int) bool {
-	if sc, ok := c.(segColumn); ok {
+	if sc, ok := c.(*segCol); ok {
 		return sc.nullMatcher()
 	}
 	if c.NullCount() == 0 {
@@ -144,7 +147,7 @@ func compileNumCmp(r Relation, p NumCmp) func(i int) bool {
 			}
 			return cmp(v)
 		}
-	case segColumn:
+	case *segCol:
 		return c.numMatcher(cmp)
 	default:
 		return func(i int) bool {
@@ -181,19 +184,10 @@ func compileStrEq(r Relation, p StrEq) func(i int) bool {
 			return matchNone
 		}
 		return func(i int) bool { return notNull(i) && codes[i] == want }
-	case segColumn:
+	case *segCol:
 		return c.strMatcher([]string{p.Val}, p.Neq)
 	default:
-		return func(i int) bool {
-			if c.IsNull(i) {
-				return false
-			}
-			eq := c.StringAt(i) == p.Val
-			if p.Neq {
-				return !eq
-			}
-			return eq
-		}
+		return genericStrMatcher(c, []string{p.Val}, p.Neq)
 	}
 }
 
@@ -220,24 +214,29 @@ func compileStrIn(r Relation, p StrIn) func(i int) bool {
 			return func(i int) bool { return want[codes[i]] }
 		}
 		return func(i int) bool { return !nulls.Get(i) && want[codes[i]] }
-	case segColumn:
+	case *segCol:
 		return c.strMatcher(p.Vals, false)
 	default:
-		return func(i int) bool { return p.Matches(r, i) }
+		return genericStrMatcher(c, p.Vals, false)
 	}
 }
 
-// FilterRows returns the subset of rows matching p, in input order,
-// with the predicate compiled once.
-func FilterRows(r Relation, p Predicate, rows []int) []int {
-	m := CompileMatcher(r, p)
-	var out []int
-	for _, i := range rows {
-		if m(i) {
-			out = append(out, i)
+// genericStrMatcher is the string comparison for columns without
+// dictionary codes: rendered values against the constants (rare —
+// region predicates only use string equality on string columns).
+func genericStrMatcher(c Column, vals []string, neq bool) func(i int) bool {
+	return func(i int) bool {
+		if c.IsNull(i) {
+			return false
 		}
+		s := c.StringAt(i)
+		for _, v := range vals {
+			if s == v {
+				return !neq
+			}
+		}
+		return neq
 	}
-	return out
 }
 
 // PartitionRows splits rows into those matching p and those not,

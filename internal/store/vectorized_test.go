@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"repro/internal/store/segment"
 )
 
 // randomTable builds a table with numeric, string and bool columns,
@@ -110,7 +112,7 @@ func TestCompileMatcherEquivalence(t *testing.T) {
 	}
 }
 
-func TestFilterRowsAndPartitionRows(t *testing.T) {
+func TestScanRowsAndPartitionRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 200)
 	rows := SampleIndices(tab.NumRows(), 80, rng)
@@ -123,8 +125,8 @@ func TestFilterRowsAndPartitionRows(t *testing.T) {
 			wantNo = append(wantNo, r)
 		}
 	}
-	if got := FilterRows(tab, p, rows); !equalInts(got, wantYes) {
-		t.Fatalf("FilterRows = %v, want %v", got, wantYes)
+	if got := ScanRows(tab, p, rows, 1); !equalInts(got, wantYes) {
+		t.Fatalf("ScanRows = %v, want %v", got, wantYes)
 	}
 	yes, no := PartitionRows(tab, p, rows)
 	if !equalInts(yes, wantYes) || !equalInts(no, wantNo) {
@@ -240,7 +242,7 @@ func benchSegment(b *testing.B) *SegmentTable {
 	if _, err := BuildSegment(csvPath, segPath, nil); err != nil {
 		b.Fatal(err)
 	}
-	st, err := OpenSegmentTable(segPath, 64<<20)
+	st, err := OpenSegmentTableWith(segPath, segment.NewPoolObs(64<<20, nil))
 	if err != nil {
 		b.Fatal(err)
 	}

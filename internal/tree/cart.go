@@ -164,14 +164,7 @@ func (g *grower) grow(rows []int, depth int) *Node {
 	if split == nil || gain < g.opts.MinImpurityDecrease {
 		return node
 	}
-	var left, right []int
-	for _, r := range rows {
-		if split.Matches(g.t, r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
+	left, right := store.PartitionRows(g.t, split, rows)
 	if len(left) < g.opts.MinLeaf || len(right) < g.opts.MinLeaf {
 		return node
 	}
@@ -229,9 +222,16 @@ func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity f
 		l int
 	}
 	pts := make([]pair, 0, len(rows))
+	// Missing rows go right at every threshold (they fail predicates),
+	// so their per-class counts are taken once, here, not in the sweep.
 	missing := 0
+	var missingCounts []int
 	for _, r := range rows {
 		if col.IsNull(r) {
+			if missingCounts == nil {
+				missingCounts = make([]int, g.k)
+			}
+			missingCounts[g.labels[r]]++
 			missing++
 			continue
 		}
@@ -261,7 +261,7 @@ func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity f
 		}
 		// Weighted impurity; missing rows go right (they fail predicates).
 		gl := gini(leftCounts, nLeft)
-		gr := giniWithExtra(rightCounts, nRight, missing, g.missingCounts(rows, col))
+		gr := giniWithExtra(rightCounts, nRight, missing, missingCounts)
 		w := parentImpurity - (float64(nLeft)*gl+float64(nRight+missing)*gr)/float64(total)
 		if w > bestGain {
 			bestGain = w
@@ -272,21 +272,6 @@ func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity f
 		return nil, 0
 	}
 	return store.NumCmp{Col: col.Name(), Op: store.Lt, Val: bestThresh}, bestGain
-}
-
-// missingCounts returns the per-class counts of rows whose value is null
-// in col (cached per call site; cheap relative to the sort).
-func (g *grower) missingCounts(rows []int, col store.Column) []int {
-	var out []int
-	for _, r := range rows {
-		if col.IsNull(r) {
-			if out == nil {
-				out = make([]int, g.k)
-			}
-			out[g.labels[r]]++
-		}
-	}
-	return out
 }
 
 func giniWithExtra(counts []int, n, extraN int, extra []int) float64 {
@@ -354,45 +339,65 @@ func (g *grower) bestCategoricalSplit(col *store.StringColumn, rows []int, paren
 	return best, bestGain
 }
 
+// route sends rows of t down the tree — one compiled matcher per node,
+// as store.PartitionRows evaluates it — and calls leaf with every leaf
+// some row reaches and the rows that reach it, in input order.
+func route(t *store.Table, n *Node, rows []int, leaf func(n *Node, rows []int)) {
+	if len(rows) == 0 {
+		return
+	}
+	if n.IsLeaf() {
+		leaf(n, rows)
+		return
+	}
+	yes, no := store.PartitionRows(t, n.Split, rows)
+	route(t, n.Left, yes, leaf)
+	route(t, n.Right, no, leaf)
+}
+
 // Predict returns the predicted class for row i of t.
 func (tr *Tree) Predict(t *store.Table, i int) int {
-	n := tr.Root
-	for !n.IsLeaf() {
-		if n.Split.Matches(t, i) {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Class
+	class := 0
+	route(t, tr.Root, []int{i}, func(n *Node, _ []int) { class = n.Class })
+	return class
 }
 
 // PredictAll classifies every row of t.
 func (tr *Tree) PredictAll(t *store.Table) []int {
 	out := make([]int, t.NumRows())
-	for i := range out {
-		out[i] = tr.Predict(t, i)
+	rows := make([]int, len(out))
+	for i := range rows {
+		rows[i] = i
 	}
+	route(t, tr.Root, rows, func(n *Node, rows []int) {
+		for _, r := range rows {
+			out[r] = n.Class
+		}
+	})
 	return out
 }
 
 // Accuracy returns the fraction of rows whose prediction matches labels
 // (rows with negative labels are skipped).
 func (tr *Tree) Accuracy(t *store.Table, labels []int) float64 {
-	n, hit := 0, 0
+	rows := make([]int, 0, t.NumRows())
 	for i := 0; i < t.NumRows(); i++ {
-		if labels[i] < 0 {
-			continue
-		}
-		n++
-		if tr.Predict(t, i) == labels[i] {
-			hit++
+		if labels[i] >= 0 {
+			rows = append(rows, i)
 		}
 	}
-	if n == 0 {
+	if len(rows) == 0 {
 		return 0
 	}
-	return float64(hit) / float64(n)
+	hit := 0
+	route(t, tr.Root, rows, func(n *Node, rows []int) {
+		for _, r := range rows {
+			if labels[r] == n.Class {
+				hit++
+			}
+		}
+	})
+	return float64(hit) / float64(len(rows))
 }
 
 // NumLeaves returns the number of leaves.
