@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-click loc bench-pam bench-store bench-obs bench-scan benchstat vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
+.PHONY: build test race bench bench-smoke bench-click bench-ab loc bench-pam bench-store bench-obs bench-scan benchstat vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
 # The scheduler subsystem under the race detector (also a CI step),
 # plus extra iterations of the backpressure overload stress.
@@ -26,10 +26,11 @@ race-store:
 	go test -race -count=2 -run 'Conservation' ./internal/core/...
 
 # The streaming scan layer under the race detector (also a CI step):
-# concurrent parallel page-range scans and column gathers hammering
-# one shared segment, with early Scanner.Close cancellation in the mix.
+# concurrent parallel page-range scans, tree routes and column gathers
+# hammering one shared segment, with early Scanner.Close cancellation
+# in the mix.
 race-scan:
-	go test -race -count=2 -run 'TestScanConcurrentParallel' ./internal/store/
+	go test -race -count=2 -run 'TestScanConcurrentParallel|TestRouteRowsConcurrent' ./internal/store/
 
 build:
 	go build ./...
@@ -95,6 +96,19 @@ bench-smoke:
 # once, over HTTP, with the end-to-end metrics the acceptance gate reads.
 bench-click:
 	go run ./bench/load
+
+# A clock claim, stated the way a noisy box allows: the working tree
+# against BASE on one ledger workload in PAIRS interleaved pairs of
+# runs (alternating which side goes first, both binaries built from
+# this tree's bench/load), per metric each side's median and quartiles
+# and the pairs won. TRACE=1 compares the traced run's per-layer
+# metrics instead of the three end-to-end ones.
+BASE ?= HEAD
+WORKLOAD ?= explore_seg
+PAIRS ?= 10
+TRACE ?= 0
+bench-ab:
+	go run ./cmd/blaeu-ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -trace $(TRACE)
 
 # The size figures simplification PRs are judged by: non-test Go lines
 # repo-wide (bench/ and testdata excluded) and in internal/store, and

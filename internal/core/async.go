@@ -55,6 +55,7 @@ type MapBuild struct {
 	action ActionKind
 	detail string
 	rows   []int
+	fp     rowsFingerprint // of rows; set when a cache tier needed it
 	theme  Theme
 	cond   store.And
 	rng    *rand.Rand
@@ -82,7 +83,7 @@ func (e *Explorer) PrepareSelect(themeID int) (*MapBuild, error) {
 	cur := e.State()
 	return e.prepare(ActionSelect,
 		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
-		cur.Rows, e.themes[themeID], cur.Condition), nil
+		cur.Rows, &cur.fp, e.themes[themeID], cur.Condition), nil
 }
 
 // PrepareProject stages a Project build.
@@ -93,7 +94,7 @@ func (e *Explorer) PrepareProject(themeID int) (*MapBuild, error) {
 	cur := e.State()
 	return e.prepare(ActionProject,
 		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
-		cur.Rows, e.themes[themeID], cur.Condition), nil
+		cur.Rows, &cur.fp, e.themes[themeID], cur.Condition), nil
 }
 
 // PrepareZoom stages a Zoom build into the region at path.
@@ -110,7 +111,7 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 		return nil, fmt.Errorf("core: region %v is empty", path)
 	}
 	cond := append(append(store.And(nil), cur.Condition...), region.Condition...)
-	return e.prepare(ActionZoom, region.Describe(), region.Rows, cur.Map.Theme, cond), nil
+	return e.prepare(ActionZoom, region.Describe(), region.Rows, &region.fp, cur.Map.Theme, cond), nil
 }
 
 // prepare snapshots the build inputs, derives the child RNG and resolves
@@ -120,8 +121,12 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 // largest usable sample overlap backs a derived build). The RNG draw
 // happens on every prepare — hit, derived or cold — so the explorer's
 // random stream advances identically either way and later navigation
-// does not depend on the caches' contents.
-func (e *Explorer) prepare(action ActionKind, detail string, rows []int, theme Theme, cond store.And) *MapBuild {
+// does not depend on the caches' contents. fp is the fingerprint memo
+// of the State or Region that owns rows: the cache keys read it, so a
+// selection already fingerprinted — a revisit, a rollback followed by
+// the same zoom, a projection of a zoomed state — costs no pass over
+// its rows here.
+func (e *Explorer) prepare(action ActionKind, detail string, rows []int, fp *rowsFingerprint, theme Theme, cond store.And) *MapBuild {
 	b := &MapBuild{
 		e:      e,
 		action: action,
@@ -136,16 +141,17 @@ func (e *Explorer) prepare(action ActionKind, detail string, rows []int, theme T
 	if e.cache == nil && e.artifacts == nil {
 		return b
 	}
-	fp := fingerprintRows(rows)
+	sum := fp.of(rows)
+	b.fp = *fp
 	if e.cache != nil {
-		b.key = mapKey{rows: fp, n: len(rows), theme: theme.ID, config: e.cfg}
+		b.key = mapKey{rows: sum, n: len(rows), theme: theme.ID, config: e.cfg}
 		b.hit = e.cache.get(b.key)
 		if b.hit != nil {
 			b.reuse = ReuseMapHit
 		}
 	}
 	if e.artifacts != nil {
-		b.akey = artifactKey{rows: fp, n: len(rows), theme: theme.ID, config: e.acfg}
+		b.akey = artifactKey{rows: sum, n: len(rows), theme: theme.ID, config: e.acfg}
 		if b.hit != nil {
 			return b // map tier already answered; leave the artifact tier untouched
 		}
@@ -269,6 +275,7 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 		Action:    b.action,
 		Detail:    b.detail,
 		Rows:      b.rows,
+		fp:        b.fp,
 		Map:       m,
 		Condition: b.cond,
 	})

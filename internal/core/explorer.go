@@ -34,6 +34,8 @@ type State struct {
 	Detail string
 	// Rows is the active selection (absolute base-table row indices).
 	Rows []int
+	// fp memoises the fingerprint of Rows (see rowsFingerprint).
+	fp rowsFingerprint
 	// Map is the active data map (nil before the first theme selection).
 	Map *Map
 	// Condition accumulates the predicates of all zooms so far — the

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 )
 
@@ -54,8 +54,9 @@ func (c *mapCache) put(k mapKey, m *Map) { c.lru.put(k, m) }
 // tree, so a cache hit behaves like a fresh build: navigation states
 // never share mutable regions, and annotations made on one state can
 // neither leak into a later re-zoom nor be mutated through it.
-// Annotations are dropped (a fresh build has none); Rows, Split and
-// Condition are shared — they are read-only once built.
+// Annotations are dropped (a fresh build has none); Rows (with their
+// memoised fingerprint), Split and Condition are shared — they are
+// read-only once built.
 func cloneForReuse(m *Map) *Map {
 	out := *m
 	out.Root = cloneRegion(m.Root)
@@ -74,26 +75,52 @@ func cloneRegion(r *Region) *Region {
 	return &out
 }
 
-// fingerprintRows hashes a selection's row indices (FNV-1a, 64 bit).
+// fingerprintRows hashes a selection's row indices (FNV-1a, 64 bit,
+// each index as eight little-endian bytes — the value hash/fnv gives).
 // The fingerprint is over the canonical (ascending) order, so the same
 // set of rows produced in a different order — a filter evaluated in
 // another sequence, a future merge of partial selections — still hits
 // the cache. Selections are ascending in practice (region rows preserve
-// the base-table order), so the common case is a pure scan; only
+// the base-table order), so the common case is one pass; only
 // out-of-order input pays for a sorted copy.
 func fingerprintRows(rows []int) uint64 {
-	if !sort.IntsAreSorted(rows) {
-		sorted := append([]int(nil), rows...)
-		sort.Ints(sorted)
-		rows = sorted
-	}
-	h := fnv.New64a()
-	var buf [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	prev := math.MinInt
 	for _, r := range rows {
-		binary.LittleEndian.PutUint64(buf[:], uint64(r))
-		_, _ = h.Write(buf[:])
+		if r < prev {
+			sorted := append([]int(nil), rows...)
+			sort.Ints(sorted)
+			return fingerprintRows(sorted)
+		}
+		prev = r
+		v := uint64(r)
+		h = (h ^ v&0xff) * prime64
+		h = (h ^ v>>8&0xff) * prime64
+		h = (h ^ v>>16&0xff) * prime64
+		h = (h ^ v>>24&0xff) * prime64
+		h = (h ^ v>>32&0xff) * prime64
+		h = (h ^ v>>40&0xff) * prime64
+		h = (h ^ v>>48&0xff) * prime64
+		h = (h ^ v>>56) * prime64
 	}
-	return h.Sum64()
+	return h
+}
+
+// rowsFingerprint memoises fingerprintRows on the State or Region that
+// owns the rows, so a selection is hashed at most once however often
+// it is zoomed into, projected or revisited.
+type rowsFingerprint struct {
+	sum uint64
+	ok  bool
+}
+
+// of returns the fingerprint of rows, the owner's row list.
+func (f *rowsFingerprint) of(rows []int) uint64 {
+	if !f.ok {
+		f.sum, f.ok = fingerprintRows(rows), true
+	}
+	return f.sum
 }
 
 // configFingerprint hashes every option field that changes what

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -57,5 +59,98 @@ func TestMapCacheHitAcrossRowOrder(t *testing.T) {
 	}
 	if got := c.get(key([]int{2, 4, 7, 8})); got != nil {
 		t.Error("different selection hit the cache")
+	}
+}
+
+// TestFingerprintRowsIsFNV1a pins the inlined hash to the value
+// hash/fnv gives for the same bytes (each row as eight little-endian
+// bytes): cache keys keep their meaning.
+func TestFingerprintRowsIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 1000} {
+		rows := make([]int, n)
+		row := 0
+		for i := range rows {
+			row += rng.Intn(1 << uint(rng.Intn(40)))
+			rows[i] = row
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, r := range rows {
+			binary.LittleEndian.PutUint64(buf[:], uint64(r))
+			h.Write(buf[:])
+		}
+		if got, want := fingerprintRows(rows), h.Sum64(); got != want {
+			t.Errorf("%d rows: fingerprint %x, hash/fnv %x", n, got, want)
+		}
+	}
+}
+
+// TestFingerprintOncePerSelection: a selection is hashed by the first
+// prepare that needs its cache key and never again — the region hands
+// its fingerprint to the state a zoom pushes, and a revisit, a
+// rollback-then-rezoom and a projection of the zoomed state reuse it.
+// The test overwrites the memoised rows between prepares: had any
+// later prepare hashed them again, its key would change and the map
+// cache would miss.
+func TestFingerprintOncePerSelection(t *testing.T) {
+	e := asyncExplorer(t, Options{Seed: 1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	region, err := e.CurrentMap().Root.Find(leafPath(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if region.fp.ok {
+		t.Fatal("region fingerprinted before anything zoomed into it")
+	}
+	if _, err := e.Zoom(region.Path...); err != nil {
+		t.Fatal(err)
+	}
+	if want := fingerprintRows(region.Rows); !region.fp.ok || region.fp.sum != want || e.State().fp != region.fp {
+		t.Fatalf("after the zoom: region memo %+v, state memo %+v, want both {%x true}", region.fp, e.State().fp, want)
+	}
+
+	scramble := func(rows []int) (restore func()) {
+		saved := append([]int(nil), rows...)
+		for i := range rows {
+			rows[i] = -1 - i
+		}
+		return func() { copy(rows, saved) }
+	}
+	// Project the zoomed state onto its own theme: the state's memo
+	// keys the lookup.
+	restore := scramble(e.State().Rows)
+	b, err := e.PrepareProject(e.CurrentMap().Theme.ID)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Cached() {
+		t.Error("projecting the zoomed state re-hashed its rows")
+	}
+	// Roll back and zoom into the same region again: the region's memo
+	// keys the lookup.
+	if err := e.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	restore = scramble(region.Rows)
+	b, err = e.PrepareZoom(region.Path...)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Cached() {
+		t.Error("the revisit re-hashed the region's rows")
+	}
+	// The memo survives cloneForReuse: the clone of a fingerprinted
+	// region needs no pass either.
+	clone, err := cloneForReuse(e.CurrentMap()).Root.Find(region.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clone == region || clone.fp != region.fp {
+		t.Error("cloneForReuse dropped the region's fingerprint")
 	}
 }

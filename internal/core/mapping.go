@@ -300,19 +300,24 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 	// Per-cluster quality for leaf annotation.
 	perCluster := cluster.SilhouettePerCluster(art.oracle, clustering.Labels, clustering.K)
 
-	m.Root = e.regionsFromTree(tr.Root, rows, nil, nil, perCluster)
+	// One pass over the selection's pages routes it through the whole
+	// tree; the regions mirror the tree over the routed row lists.
+	splits, nodes := tr.Root.Splits()
+	m.Root = regionsFromTree(nodes, splits, store.RouteRows(e.table, splits, rows), 0, nil, nil, perCluster)
 	report(1)
 	return m, nil
 }
 
-// regionsFromTree mirrors the fitted description tree over the full
-// selection: each tree node becomes a region whose rows are the selection
-// tuples satisfying the node's predicate path.
-func (e *Explorer) regionsFromTree(node *tree.Node, rows []int, path []int, cond store.And, perCluster []float64) *Region {
+// regionsFromTree mirrors the fitted description tree over the routed
+// selection: node i of the flattened tree becomes a region whose rows
+// are routed[i], the selection tuples satisfying the node's predicate
+// path.
+func regionsFromTree(nodes []*tree.Node, splits store.SplitTree, routed [][]int, i int, path []int, cond store.And, perCluster []float64) *Region {
+	node := nodes[i]
 	r := &Region{
 		Path:       append([]int(nil), path...),
 		Condition:  append(store.And(nil), cond...),
-		Rows:       rows,
+		Rows:       routed[i],
 		ClusterID:  -1,
 		Silhouette: math.NaN(),
 	}
@@ -324,11 +329,10 @@ func (e *Explorer) regionsFromTree(node *tree.Node, rows []int, path []int, cond
 		return r
 	}
 	r.Split = node.Split
-	yes, no := store.PartitionRows(e.table, node.Split, rows)
 	neg := tree.Complement(node.Split, node.SplitMissing)
 	r.Children = []*Region{
-		e.regionsFromTree(node.Left, yes, append(path, 0), append(cond, node.Split), perCluster),
-		e.regionsFromTree(node.Right, no, append(path, 1), append(cond, neg), perCluster),
+		regionsFromTree(nodes, splits, routed, i+1, append(path, 0), append(cond, node.Split), perCluster),
+		regionsFromTree(nodes, splits, routed, i+splits[i].No, append(path, 1), append(cond, neg), perCluster),
 	}
 	return r
 }

@@ -26,6 +26,9 @@ type Region struct {
 	// Rows are the absolute base-table row indices of the selection
 	// falling in this region.
 	Rows []int
+	// fp memoises the fingerprint of Rows (see rowsFingerprint); a zoom
+	// into the region hands it on to the state it pushes.
+	fp rowsFingerprint
 	// ClusterID is the sample-clustering cluster this (leaf) region
 	// describes (-1 for internal regions).
 	ClusterID int

@@ -18,6 +18,11 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// newBitmapCap returns an empty bitmap with room for n bits.
+func newBitmapCap(n int) *Bitmap {
+	return &Bitmap{words: make([]uint64, 0, (n+63)/64)}
+}
+
 // Len returns the logical number of bits.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -80,6 +80,12 @@ func NewFloatColumn(name string) *FloatColumn {
 	return &FloatColumn{name: name, nulls: NewBitmap(0)}
 }
 
+// newFloatColumnCap is NewFloatColumn with room for n rows, so a gather
+// of known length never regrows its storage.
+func newFloatColumnCap(name string, n int) *FloatColumn {
+	return &FloatColumn{name: name, vals: make([]float64, 0, n), nulls: newBitmapCap(n)}
+}
+
 // NewFloatColumnFrom builds a float column from values; NaNs become nulls.
 func NewFloatColumnFrom(name string, vals []float64) *FloatColumn {
 	c := NewFloatColumn(name)
@@ -145,7 +151,7 @@ func (c *FloatColumn) Values() []float64 { return c.vals }
 
 // Gather implements Column.
 func (c *FloatColumn) Gather(rows []int) Column {
-	out := NewFloatColumn(c.name)
+	out := newFloatColumnCap(c.name, len(rows))
 	for _, r := range rows {
 		if c.IsNull(r) {
 			out.AppendNull()
@@ -158,7 +164,7 @@ func (c *FloatColumn) Gather(rows []int) Column {
 
 // Slice implements Column.
 func (c *FloatColumn) Slice(lo, hi int) Column {
-	out := NewFloatColumn(c.name)
+	out := newFloatColumnCap(c.name, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
 		if c.IsNull(i) {
 			out.AppendNull()
@@ -182,6 +188,11 @@ type IntColumn struct {
 // NewIntColumn returns an empty integer column with the given name.
 func NewIntColumn(name string) *IntColumn {
 	return &IntColumn{name: name, nulls: NewBitmap(0)}
+}
+
+// newIntColumnCap is NewIntColumn with room for n rows.
+func newIntColumnCap(name string, n int) *IntColumn {
+	return &IntColumn{name: name, vals: make([]int64, 0, n), nulls: newBitmapCap(n)}
 }
 
 // NewIntColumnFrom builds an integer column from values.
@@ -245,7 +256,7 @@ func (c *IntColumn) Values() []int64 { return c.vals }
 
 // Gather implements Column.
 func (c *IntColumn) Gather(rows []int) Column {
-	out := NewIntColumn(c.name)
+	out := newIntColumnCap(c.name, len(rows))
 	for _, r := range rows {
 		if c.IsNull(r) {
 			out.AppendNull()
@@ -258,7 +269,7 @@ func (c *IntColumn) Gather(rows []int) Column {
 
 // Slice implements Column.
 func (c *IntColumn) Slice(lo, hi int) Column {
-	out := NewIntColumn(c.name)
+	out := newIntColumnCap(c.name, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
 		if c.IsNull(i) {
 			out.AppendNull()
@@ -284,6 +295,12 @@ type StringColumn struct {
 // NewStringColumn returns an empty string column with the given name.
 func NewStringColumn(name string) *StringColumn {
 	return &StringColumn{name: name, index: make(map[string]int32), nulls: NewBitmap(0)}
+}
+
+// newStringColumnCap is NewStringColumn with room for n rows (the
+// dictionary still grows with the distinct values met).
+func newStringColumnCap(name string, n int) *StringColumn {
+	return &StringColumn{name: name, codes: make([]int32, 0, n), index: make(map[string]int32), nulls: newBitmapCap(n)}
 }
 
 // NewStringColumnFrom builds a string column from values ("" stays a value,
@@ -369,7 +386,7 @@ func (c *StringColumn) StringAt(i int) string { return c.Value(i) }
 
 // Gather implements Column.
 func (c *StringColumn) Gather(rows []int) Column {
-	out := NewStringColumn(c.name)
+	out := newStringColumnCap(c.name, len(rows))
 	for _, r := range rows {
 		if c.IsNull(r) {
 			out.AppendNull()
@@ -382,7 +399,7 @@ func (c *StringColumn) Gather(rows []int) Column {
 
 // Slice implements Column.
 func (c *StringColumn) Slice(lo, hi int) Column {
-	out := NewStringColumn(c.name)
+	out := newStringColumnCap(c.name, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
 		if c.IsNull(i) {
 			out.AppendNull()
@@ -415,6 +432,11 @@ type BoolColumn struct {
 // NewBoolColumn returns an empty boolean column with the given name.
 func NewBoolColumn(name string) *BoolColumn {
 	return &BoolColumn{name: name, vals: NewBitmap(0), nulls: NewBitmap(0)}
+}
+
+// newBoolColumnCap is NewBoolColumn with room for n rows.
+func newBoolColumnCap(name string, n int) *BoolColumn {
+	return &BoolColumn{name: name, vals: newBitmapCap(n), nulls: newBitmapCap(n)}
 }
 
 // NewBoolColumnFrom builds a boolean column from values.
@@ -483,7 +505,7 @@ func (c *BoolColumn) StringAt(i int) string {
 
 // Gather implements Column.
 func (c *BoolColumn) Gather(rows []int) Column {
-	out := NewBoolColumn(c.name)
+	out := newBoolColumnCap(c.name, len(rows))
 	for _, r := range rows {
 		if c.IsNull(r) {
 			out.AppendNull()
@@ -496,7 +518,7 @@ func (c *BoolColumn) Gather(rows []int) Column {
 
 // Slice implements Column.
 func (c *BoolColumn) Slice(lo, hi int) Column {
-	out := NewBoolColumn(c.name)
+	out := newBoolColumnCap(c.name, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
 		if c.IsNull(i) {
 			out.AppendNull()

@@ -1,0 +1,273 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// referenceRoute is the router's specification: every split is the
+// row-by-row Predicate.Matches loop over the rows its parent hands it.
+func referenceRoute(r Relation, t SplitTree, rows []int) [][]int {
+	out := make([][]int, len(t))
+	var walk func(i int, rows []int)
+	walk = func(i int, rows []int) {
+		out[i] = rows
+		if t[i].Split == nil {
+			return
+		}
+		var yes, no []int
+		for _, row := range rows {
+			if t[i].Split.Matches(r, row) {
+				yes = append(yes, row)
+			} else {
+				no = append(no, row)
+			}
+		}
+		walk(i+1, yes)
+		walk(i+t[i].No, no)
+	}
+	walk(0, rows)
+	return out
+}
+
+// routeSplits are the split shapes the random trees draw from, over
+// the writeTestCSV schema (every column has nulls, so every split is
+// one a tree.Node would mark SplitMissing): the typed kernels' shapes
+// at thresholds inside, at and beyond the value range (the last leave
+// a child empty), a value missing from the dictionary, and shapes only
+// the compiled-matcher fallback covers.
+func routeSplits() []Predicate {
+	return []Predicate{
+		NumCmp{Col: "x", Op: Lt, Val: 0},
+		NumCmp{Col: "x", Op: Lt, Val: 7.25},
+		NumCmp{Col: "x", Op: Lt, Val: -1e9},
+		NumCmp{Col: "x", Op: Lt, Val: 1e9},
+		NumCmp{Col: "count", Op: Lt, Val: 0},
+		NumCmp{Col: "count", Op: Lt, Val: -123.5},
+		NumCmp{Col: "count", Op: Lt, Val: 1e9},
+		NumCmp{Col: "flag", Op: Lt, Val: 0.5},
+		NumCmp{Col: "flag", Op: Lt, Val: 2},
+		NumCmp{Col: "flag", Op: Lt, Val: 0},
+		StrEq{Col: "label", Val: "beta"},
+		StrEq{Col: "label", Val: "delta"},
+		StrEq{Col: "label", Val: "no-such-level"},
+		NumCmp{Col: "ragged", Op: Lt, Val: 1},
+		NumCmp{Col: "x", Op: Ge, Val: 3},
+		NumCmp{Col: "label", Op: Lt, Val: 0},
+		NumCmp{Col: "missing", Op: Lt, Val: 0},
+		StrEq{Col: "label", Val: "alpha", Neq: true},
+		StrEq{Col: "count", Val: "42"},
+		IsNull{Col: "x"},
+		Or{NumCmp{Col: "x", Op: Gt, Val: 10}, StrIn{Col: "label", Vals: []string{"gamma"}}},
+	}
+}
+
+// randomSplitTree draws a tree of at most maxDepth split levels.
+func randomSplitTree(rng *rand.Rand, maxDepth int) SplitTree {
+	splits := routeSplits()
+	var t SplitTree
+	var grow func(depth int)
+	grow = func(depth int) {
+		i := len(t)
+		t = append(t, SplitNode{})
+		if depth == maxDepth || rng.Intn(4) == 0 {
+			return
+		}
+		grow(depth + 1)
+		t[i] = SplitNode{Split: splits[rng.Intn(len(splits))], No: len(t) - i}
+		grow(depth + 1)
+	}
+	grow(0)
+	return t
+}
+
+// routeSelections are the selection shapes over n rows at 64 rows per
+// page.
+func routeSelections(rng *rand.Rand, n int) map[string][]int {
+	sparse := SampleIndices(n, n/9, rng)
+	shuffled := append([]int(nil), sparse...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return map[string][]int{
+		"full":        rangeRows(0, n),
+		"sparse":      sparse,
+		"single-page": rangeRows(130, 190),
+		"one-row":     {n - 1},
+		"empty":       {},
+		"straddling":  rangeRows(60, 70),
+		"tail-page":   rangeRows(n-70, n),
+		"shuffled":    shuffled,
+		"repeats":     {5, 5, 70, 5, 64, 63, 64},
+	}
+}
+
+func assertRouted(t *testing.T, what string, got, want [][]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d node lists, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !equalInts(got[i], want[i]) {
+			t.Fatalf("%s: node %d got %d rows %v, want %d rows %v", what, i, len(got[i]), got[i], len(want[i]), want[i])
+		}
+	}
+}
+
+// TestRouteRowsMatchesReference is the router's differential: random
+// pruned trees × both backings × every selection shape, leaf and
+// internal rows against the recursive Matches partition.
+func TestRouteRowsMatchesReference(t *testing.T) {
+	const n = 700
+	mem, seg := openBoth(t, n, 1<<20)
+	rng := rand.New(rand.NewSource(16))
+	sels := routeSelections(rng, n)
+	for trial := 0; trial < 60; trial++ {
+		tree := randomSplitTree(rng, 1+trial%4)
+		for name, rows := range sels {
+			want := referenceRoute(mem, tree, rows)
+			for _, b := range []struct {
+				backing string
+				r       Relation
+			}{{"table", mem}, {"segment", seg}} {
+				what := fmt.Sprintf("trial %d (%d nodes), %s selection, %s", trial, len(tree), name, b.backing)
+				got := RouteRows(b.r, tree, rows)
+				assertRouted(t, what, got, want)
+				if len(rows) > 0 && &got[0][0] != &rows[0] {
+					t.Fatalf("%s: root list is a copy, want the selection itself", what)
+				}
+			}
+		}
+	}
+}
+
+// TestRouteRowsDeepTree routes through more split levels than one pass
+// descends (and more leaves than a leaf id names): a left-leaning chain
+// of thresholds and a full tree of depth 9.
+func TestRouteRowsDeepTree(t *testing.T) {
+	const n = 700
+	mem, seg := openBoth(t, n, 1<<20)
+	rows := rangeRows(0, n)
+
+	// depth nested thresholds: node d's yes-child is node d+1, and the
+	// no-leaves close the chain in reverse after the innermost leaf.
+	const depth = 2*maxRouteDepth + 3
+	chain := make(SplitTree, 2*depth+1)
+	for d := 0; d < depth; d++ {
+		chain[d] = SplitNode{Split: NumCmp{Col: "x", Op: Lt, Val: 20 - float64(d)}, No: 2 * (depth - d)}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	splits := routeSplits()
+	var full SplitTree
+	var grow func(depth int)
+	grow = func(depth int) {
+		i := len(full)
+		full = append(full, SplitNode{})
+		if depth == maxRouteDepth+1 {
+			return
+		}
+		grow(depth + 1)
+		full[i] = SplitNode{Split: splits[rng.Intn(len(splits))], No: len(full) - i}
+		grow(depth + 1)
+	}
+	grow(0)
+
+	for name, tree := range map[string]SplitTree{"chain": chain, "full": full} {
+		want := referenceRoute(mem, tree, rows)
+		assertRouted(t, name+", table", RouteRows(mem, tree, rows), want)
+		assertRouted(t, name+", segment", RouteRows(seg, tree, rows), want)
+	}
+}
+
+// TestPartitionRowsIsOneSplit: PartitionRows over every predicate
+// shape equals the reference on both backings, and an append to the
+// first half cannot run into the second, which shares its allocation.
+func TestPartitionRowsIsOneSplit(t *testing.T) {
+	const n = 700
+	mem, seg := openBoth(t, n, 1<<20)
+	rows := SampleIndices(n, 300, rand.New(rand.NewSource(3)))
+	for _, p := range append(testPredicates(), routeSplits()...) {
+		want := referenceRoute(mem, SplitTree{{Split: p, No: 2}, {}, {}}, rows)
+		for _, r := range []Relation{mem, seg} {
+			yes, no := PartitionRows(r, p, rows)
+			if !equalInts(yes, want[1]) || !equalInts(no, want[2]) {
+				t.Fatalf("%s: PartitionRows = (%d, %d rows), want (%d, %d)", p, len(yes), len(no), len(want[1]), len(want[2]))
+			}
+			if cap(yes) != len(yes) {
+				t.Fatalf("%s: yes has cap %d beyond its %d rows: an append would run into no", p, cap(yes), len(yes))
+			}
+		}
+	}
+}
+
+// TestRouteRowsByteBudget: a region build over n rows and L non-root
+// levels allocates the final row lists (8 bytes per row and level),
+// one leaf id per row and a fixed amount of scratch — nothing that
+// grows by doubling.
+func TestRouteRowsByteBudget(t *testing.T) {
+	const n = 200_000
+	const slack = 64 << 10
+	tab := benchTable(n)
+	rows := rangeRows(0, n)
+	for name, c := range map[string]struct {
+		tree   SplitTree
+		levels int
+	}{
+		"one split":  {SplitTree{{Split: NumCmp{Col: "x", Op: Lt, Val: 50}, No: 2}, {}, {}}, 1},
+		"two levels": {benchRouteTree(), 2},
+	} {
+		RouteRows(tab, c.tree, rows) // warm the runtime's size classes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := RouteRows(tab, c.tree, rows)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		budget := uint64(8*n*c.levels + n + slack)
+		if got > budget {
+			t.Errorf("%s: RouteRows allocated %d bytes for %d rows, budget %d", name, got, n, budget)
+		}
+		runtime.KeepAlive(out)
+	}
+}
+
+// TestRouteRowsConcurrent hammers one shared segment (and a pool far
+// smaller than it) with concurrent routes and gathers; every route
+// must equal the sequential result. Run under -race by `make
+// race-scan`.
+func TestRouteRowsConcurrent(t *testing.T) {
+	const n = 3000
+	mem, seg := openBoth(t, n, 8<<10)
+	rng := rand.New(rand.NewSource(21))
+	tree := randomSplitTree(rng, 4)
+	for len(tree) < 7 {
+		tree = randomSplitTree(rng, 4)
+	}
+	sels := [][]int{rangeRows(0, n), SampleIndices(n, n/5, rng), rangeRows(1000, 1100)}
+	want := make([][][]int, len(sels))
+	for i, rows := range sels {
+		want[i] = referenceRoute(mem, tree, rows)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 10; it++ {
+				i := (g + it) % len(sels)
+				got := RouteRows(seg, tree, sels[i])
+				for nd := range want[i] {
+					if !equalInts(got[nd], want[i][nd]) {
+						t.Errorf("goroutine %d: node %d differs from the sequential route", g, nd)
+						return
+					}
+				}
+				if it%3 == 0 {
+					seg.ColumnByName("x").Gather(sels[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

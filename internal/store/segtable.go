@@ -370,19 +370,19 @@ func (c *segCol) Gather(rows []int) Column {
 	name := c.meta.Name
 	switch c.typ {
 	case Float64:
-		return gatherSeg(c, rows, NewFloatColumn(name), segment.Float64At)
+		return gatherSeg(c, rows, newFloatColumnCap(name, len(rows)), segment.Float64At)
 	case Int64:
-		return gatherSeg(c, rows, NewIntColumn(name), segment.Int64At)
+		return gatherSeg(c, rows, newIntColumnCap(name, len(rows)), segment.Int64At)
 	case Bool:
-		return gatherSeg(c, rows, NewBoolColumn(name), segment.BitAt)
+		return gatherSeg(c, rows, newBoolColumnCap(name, len(rows)), segment.BitAt)
 	}
-	return gatherSeg(c, rows, NewStringColumn(name), func(data []byte, j int) string {
+	return gatherSeg(c, rows, newStringColumnCap(name, len(rows)), func(data []byte, j int) string {
 		return c.dict[segment.Int32At(data, j)]
 	})
 }
 
-// gatherSeg appends the given rows of c to out through one page cursor,
-// decoding non-null slots with at.
+// gatherSeg appends the given rows of c to out (reserved for them by
+// the caller) through one page cursor, decoding non-null slots with at.
 func gatherSeg[T any, C interface {
 	Column
 	Append(T)

@@ -136,36 +136,74 @@ const maxKeyScanRows = 100000
 // identifier: (almost) all values distinct and non-null. Blaeu's
 // preprocessing drops such columns before clustering (paper §3) because a
 // unique identifier carries no cluster structure.
+//
+// The rule, over the first maxKeyScanRows rows: no nulls, more than 99%
+// of the values distinct and, for integers (keys are usually sequential
+// or near-sequential), more than half of the value range occupied. Only
+// distinctness is counted, and the scan stops at the first null or as
+// soon as the repeats seen already put the 99% out of reach.
 func IsLikelyKey(c Column) bool {
 	n := c.Len()
-	// Only strings and integers can be keys under the rules below, so
-	// the other types are answered without a pass over their values.
+	// Only strings and integers can be keys under the rule, so the
+	// other types are answered without a pass over their values.
 	if t := c.Type(); n == 0 || (t != String && t != Int64) {
 		return false
 	}
 	// Bound the scan: a prefix this long decides keyness with the same
 	// rule on both in-memory and segment-backed columns, so key
 	// detection does not force a full pass over an out-of-core column.
-	if n > maxKeyScanRows {
-		c = c.Slice(0, maxKeyScanRows)
+	limit := min(n, maxKeyScanRows)
+	if seg, ok := c.(*segCol); ok {
+		// One cursor pass over the prefix, not a pool round trip per row.
+		c = seg.Slice(0, limit)
 	}
-	s := ComputeStats(c)
-	if s.Nulls > 0 || s.Count == 0 {
-		return false
+	// repeated reports whether row i's value occurred before it.
+	var repeated func(i int) bool
+	lo, hi := math.Inf(1), math.Inf(-1)
+	if sc, ok := c.(*StringColumn); ok {
+		// Dictionary entries are distinct, so codes stand for values.
+		seen := NewBitmap(len(sc.dict))
+		repeated = func(i int) bool {
+			code := int(sc.codes[i])
+			was := seen.Get(code)
+			seen.Set(code)
+			return was
+		}
+	} else if c.Type() == String {
+		seen := make(map[string]struct{})
+		repeated = func(i int) bool {
+			v := c.StringAt(i)
+			_, was := seen[v]
+			seen[v] = struct{}{}
+			return was
+		}
+	} else {
+		seen := make(map[float64]struct{})
+		repeated = func(i int) bool {
+			v := c.Float(i)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+			_, was := seen[v]
+			seen[v] = struct{}{}
+			return was
+		}
 	}
-	ratio := float64(s.Distinct) / float64(s.Count)
-	if c.Type() == String {
-		return ratio > 0.99
-	}
-	if c.Type() == Int64 {
-		// Integer keys are usually sequential or near-sequential.
-		if ratio <= 0.99 {
+	repeats := 0
+	for i := 0; i < limit; i++ {
+		if c.IsNull(i) {
 			return false
 		}
-		span := s.Max - s.Min + 1
-		return span > 0 && float64(s.Count)/span > 0.5
+		if repeated(i) {
+			repeats++
+			if float64(limit-repeats)/float64(limit) <= 0.99 {
+				return false
+			}
+		}
 	}
-	return false
+	if c.Type() == String {
+		return true
+	}
+	span := hi - lo + 1
+	return span > 0 && float64(limit)/span > 0.5
 }
 
 // Quantile returns the q-th quantile (0..1) of the non-null values of a

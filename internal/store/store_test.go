@@ -1,11 +1,15 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/store/segment"
 )
 
 func TestBitmapSetGetClear(t *testing.T) {
@@ -639,6 +643,132 @@ func TestIsLikelyKey(t *testing.T) {
 	}
 	if IsLikelyKey(NewIntColumnFrom("sparse", sparse)) {
 		t.Error("sparse distinct ints should not be flagged as key")
+	}
+}
+
+// likelyKeyByStats is the rule IsLikelyKey implements, stated through
+// ComputeStats over the scanned prefix: no nulls, distinct ratio above
+// 0.99 and, for integers, density above 0.5.
+func likelyKeyByStats(c Column) bool {
+	if c.Len() == 0 {
+		return false
+	}
+	if c.Len() > maxKeyScanRows {
+		c = c.Slice(0, maxKeyScanRows)
+	}
+	s := ComputeStats(c)
+	if s.Nulls > 0 || s.Count == 0 {
+		return false
+	}
+	ratio := float64(s.Distinct) / float64(s.Count)
+	switch c.Type() {
+	case String:
+		return ratio > 0.99
+	case Int64:
+		span := s.Max - s.Min + 1
+		return ratio > 0.99 && span > 0 && float64(s.Count)/span > 0.5
+	}
+	return false
+}
+
+// opaqueColumn hides the concrete column type, so IsLikelyKey takes
+// its path for column implementations it does not know.
+type opaqueColumn struct{ Column }
+
+// TestIsLikelyKeyMatchesStatsRule is the differential for the
+// distinct-count-only IsLikelyKey: generated string and integer
+// columns — keys, near-keys either side of the 99% line, densities
+// either side of one half, nulls in and after the scanned prefix,
+// columns longer than the prefix — must get the verdict of the
+// ComputeStats rule, on in-memory, opaque and segment-backed columns.
+func TestIsLikelyKeyMatchesStatsRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var cols []Column
+	add := func(c Column) { cols = append(cols, c, opaqueColumn{c}) }
+	// n values of which the last repeats copy earlier ones; nullAt < n
+	// makes that row null; step spreads the integers.
+	gen := func(n, repeats, nullAt, step int) {
+		name := fmt.Sprintf("n%d_r%d_null%d_step%d", n, repeats, nullAt, step)
+		ic, sc := NewIntColumn("int_"+name), NewStringColumn("str_"+name)
+		for i := 0; i < n; i++ {
+			v := i
+			if i >= n-repeats {
+				v = rng.Intn(n - repeats)
+			}
+			if i == nullAt {
+				ic.AppendNull()
+				sc.AppendNull()
+				continue
+			}
+			ic.Append(int64(v*step - 40))
+			sc.Append(fmt.Sprintf("v%d", v))
+		}
+		add(ic)
+		add(sc)
+	}
+	for _, n := range []int{1, 2, 100, 1000} {
+		for _, repeats := range []int{0, 1, n / 100, n/100 + 1, n / 2} {
+			if repeats >= n {
+				continue
+			}
+			for _, step := range []int{1, 2, 3} {
+				gen(n, repeats, -1, step)
+			}
+			gen(n, repeats, 0, 1)
+			gen(n, repeats, n-1, 1)
+		}
+	}
+	// Longer than the prefix: what lies beyond it must not count.
+	long := maxKeyScanRows + 5000
+	gen(long, 0, -1, 1)
+	gen(long, 4000, -1, 1)            // repeats beyond the prefix only
+	gen(long, long/2, -1, 1)          // repeats inside it
+	gen(long, 0, maxKeyScanRows+1, 1) // a null beyond it
+	gen(long, 0, maxKeyScanRows-1, 1) // a null on its last row
+	gen(long, 5000+maxKeyScanRows/100, -1, 1)
+	gen(long, 5000+maxKeyScanRows/100+1, -1, 2)
+	add(NewFloatColumnFrom("f", []float64{1, 2, 3}))
+	add(NewBoolColumnFrom("b", []bool{true, false}))
+	add(NewIntColumn("empty"))
+
+	// The same rule through segment-backed columns.
+	dir := t.TempDir()
+	var csv strings.Builder
+	csv.WriteString("id,name,cat,gappy\n")
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&csv, "%d,row%d,c%d,", 1000+i, i, i%7)
+		if i != 300 {
+			fmt.Fprintf(&csv, "%d", i)
+		}
+		csv.WriteString("\n")
+	}
+	if err := os.WriteFile(dir+"/keys.csv", []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildSegment(dir+"/keys.csv", dir+"/keys.seg", &SegmentBuildOptions{RowsPerPage: 64}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegmentTableWith(dir+"/keys.seg", segment.NewPoolObs(1<<20, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	for i := 0; i < seg.NumCols(); i++ {
+		cols = append(cols, seg.Column(i))
+	}
+
+	keys := 0
+	for _, c := range cols {
+		want := likelyKeyByStats(c)
+		if got := IsLikelyKey(c); got != want {
+			t.Errorf("IsLikelyKey(%s, %d rows, %T) = %v, the stats rule says %v", c.Name(), c.Len(), c, got, want)
+		}
+		if want {
+			keys++
+		}
+	}
+	if keys == 0 || keys == len(cols) {
+		t.Fatalf("%d of %d generated columns are keys: the generator no longer straddles the rule", keys, len(cols))
 	}
 }
 

@@ -5,11 +5,11 @@ package store
 // time. CompileMatcher resolves each leaf's column exactly once and
 // returns a closure over the concrete storage (raw float64/int64
 // slices, dictionary codes), so the per-row work collapses to a slice
-// index and a comparison. It is the one production evaluator: the
-// scan (hence every Filter), the row-set filter and partition below,
-// and through them CART's split routing all run on it. Predicate.Matches
-// stays as the reference semantics the differential tests compare
-// against.
+// index and a comparison. It is the one production row-at-a-time
+// evaluator: the scan (hence every Filter and the row-set filter) runs
+// on it, and the tree router (route.go) falls back to it for any split
+// its batch kernels do not cover. Predicate.Matches stays as the
+// reference semantics the differential tests compare against.
 
 // CompileMatcher returns a per-row matcher equivalent to p.Matches
 // over r, with all column lookups hoisted out of the row loop. The
@@ -237,18 +237,4 @@ func genericStrMatcher(c Column, vals []string, neq bool) func(i int) bool {
 		}
 		return neq
 	}
-}
-
-// PartitionRows splits rows into those matching p and those not,
-// preserving order, with the predicate compiled once.
-func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
-	m := CompileMatcher(r, p)
-	for _, i := range rows {
-		if m(i) {
-			yes = append(yes, i)
-		} else {
-			no = append(no, i)
-		}
-	}
-	return yes, no
 }

@@ -105,7 +105,8 @@ func Fit(t *store.Table, features []string, labels []int, numClasses int, opts O
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("tree: no labeled rows")
 	}
-	g := &grower{t: t, features: features, labels: labels, k: numClasses, opts: opts}
+	g := &grower{t: t, features: features, labels: labels, k: numClasses, opts: opts,
+		left: make([]int, numClasses), right: make([]int, numClasses), missing: make([]int, numClasses)}
 	root := g.grow(rows, 0)
 	return &Tree{Root: root, NumClasses: numClasses, Features: features}, nil
 }
@@ -116,6 +117,19 @@ type grower struct {
 	labels   []int
 	k        int
 	opts     Options
+
+	// Scratch of bestNumericSplit, reused across features and nodes:
+	// the (value, label) points of the feature under test and the
+	// per-class counts of the threshold sweep.
+	pts                  []point
+	left, right, missing []int
+}
+
+// point is one non-null value of the feature under test with its row's
+// label.
+type point struct {
+	v float64
+	l int
 }
 
 func (g *grower) counts(rows []int) []int {
@@ -217,33 +231,28 @@ func (g *grower) bestSplit(rows []int, parentImpurity float64) (store.Predicate,
 // bestNumericSplit finds the threshold minimizing weighted child impurity
 // in one sorted sweep.
 func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity float64) (store.Predicate, float64) {
-	type pair struct {
-		v float64
-		l int
-	}
-	pts := make([]pair, 0, len(rows))
+	leftCounts, rightCounts, missingCounts := g.left, g.right, g.missing
+	clear(leftCounts)
+	clear(rightCounts)
+	clear(missingCounts)
+	pts := g.pts[:0]
 	// Missing rows go right at every threshold (they fail predicates),
 	// so their per-class counts are taken once, here, not in the sweep.
 	missing := 0
-	var missingCounts []int
 	for _, r := range rows {
 		if col.IsNull(r) {
-			if missingCounts == nil {
-				missingCounts = make([]int, g.k)
-			}
 			missingCounts[g.labels[r]]++
 			missing++
 			continue
 		}
-		pts = append(pts, pair{col.Float(r), g.labels[r]})
+		pts = append(pts, point{col.Float(r), g.labels[r]})
 	}
+	g.pts = pts
 	if len(pts) < 2*g.opts.MinLeaf {
 		return nil, 0
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].v < pts[j].v })
 
-	leftCounts := make([]int, g.k)
-	rightCounts := make([]int, g.k)
 	for _, p := range pts {
 		rightCounts[p.l]++
 	}
@@ -274,16 +283,18 @@ func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity f
 	return store.NumCmp{Col: col.Name(), Op: store.Lt, Val: bestThresh}, bestGain
 }
 
+// giniWithExtra is gini over counts[i]+extra[i] and n+extraN.
 func giniWithExtra(counts []int, n, extraN int, extra []int) float64 {
-	if extraN == 0 || extra == nil {
+	if extraN == 0 {
 		return gini(counts, n)
 	}
-	merged := make([]int, len(counts))
-	copy(merged, counts)
-	for i, e := range extra {
-		merged[i] += e
+	sum := 0.0
+	fn := float64(n + extraN)
+	for i, c := range counts {
+		p := float64(c+extra[i]) / fn
+		sum += p * p
 	}
-	return gini(merged, n+extraN)
+	return 1 - sum
 }
 
 // bestCategoricalSplit tries one-vs-rest equality splits on the most
@@ -339,20 +350,37 @@ func (g *grower) bestCategoricalSplit(col *store.StringColumn, rows []int, paren
 	return best, bestGain
 }
 
-// route sends rows of t down the tree — one compiled matcher per node,
-// as store.PartitionRows evaluates it — and calls leaf with every leaf
-// some row reaches and the rows that reach it, in input order.
+// Splits returns the subtree under n as the split tree store.RouteRows
+// routes through, with its nodes in the same (preorder) order.
+func (n *Node) Splits() (store.SplitTree, []*Node) {
+	var splits store.SplitTree
+	var nodes []*Node
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		i := len(splits)
+		splits = append(splits, store.SplitNode{})
+		nodes = append(nodes, n)
+		if n.IsLeaf() {
+			return
+		}
+		walk(n.Left)
+		splits[i] = store.SplitNode{Split: n.Split, No: len(splits) - i}
+		walk(n.Right)
+	}
+	walk(n)
+	return splits, nodes
+}
+
+// route sends rows of t down the tree in one store.RouteRows pass and
+// calls leaf with every leaf some row reaches and the rows that reach
+// it, in input order.
 func route(t *store.Table, n *Node, rows []int, leaf func(n *Node, rows []int)) {
-	if len(rows) == 0 {
-		return
+	splits, nodes := n.Splits()
+	for i, reached := range store.RouteRows(t, splits, rows) {
+		if nodes[i].IsLeaf() && len(reached) > 0 {
+			leaf(nodes[i], reached)
+		}
 	}
-	if n.IsLeaf() {
-		leaf(n, rows)
-		return
-	}
-	yes, no := store.PartitionRows(t, n.Split, rows)
-	route(t, n.Left, yes, leaf)
-	route(t, n.Right, no, leaf)
 }
 
 // Predict returns the predicted class for row i of t.
