@@ -11,8 +11,8 @@ race-jobs:
 
 # Concurrent derived builds against one shared parent artifact under the
 # race detector (also a CI step): the core builds sharing cached
-# vectors/oracles and the cluster-layer derived oracles sharing a parent
-# memo.
+# vectors/oracles, the cluster-layer subsets sharing a parent memo, and
+# CLARA's per-sample runs subsetting one shared lazy parent.
 race-derived:
 	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent' ./internal/core/... ./internal/cluster/...
 
@@ -111,12 +111,14 @@ bench-ab:
 	go run ./cmd/blaeu-ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -trace $(TRACE)
 
 # The size figures simplification PRs are judged by: non-test Go lines
-# repo-wide (bench/ and testdata excluded) and in internal/store, and
-# the number of core.Options fields.
+# repo-wide (bench/ and testdata excluded), in internal/store and in
+# internal/cluster, and the number of core.Options fields. The CI test
+# job prints them, so every log carries the figures.
 loc:
-	@echo "non-test lines, repo:           $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
-	@echo "non-test lines, internal/store: $$(ls internal/store/*.go | grep -v _test.go | xargs cat | wc -l)"
-	@echo "core.Options fields:            $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
+	@echo "non-test lines, repo:             $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "non-test lines, internal/store:   $$(ls internal/store/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "non-test lines, internal/cluster: $$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "core.Options fields:              $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
 
 # Regenerate BENCH_pam.json, the tracked perf trajectory: the PAM
 # matrix (oracle strategies × seeding schemes) plus the scheduler

@@ -3,7 +3,8 @@ package blaeu
 // Benchmark harness: one testing.B benchmark per figure, demonstration
 // scenario and performance claim of the paper (the demo paper has no
 // numeric tables; its "evaluation" is Figures 1–4, the three §4.2
-// scenarios, and the §3 performance claims — see DESIGN.md §4).
+// scenarios, and the §3 performance claims — `blaeu-bench -list` is the
+// index).
 // Run with: go test -bench=. -benchmem
 //
 // The figure-level benchmarks execute the same runners as the blaeu-bench
@@ -111,7 +112,7 @@ func BenchmarkPAMClassic(b *testing.B) { benchPAMImpl(b, cluster.PAMClassic) }
 func BenchmarkCLARA(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
 		vecs, _ := benchVectors(n, 6, 4)
-		o := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		o := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
@@ -131,7 +132,7 @@ func BenchmarkCLARA(b *testing.B) {
 // directly comparable.
 func BenchmarkCLARAParallel(b *testing.B) {
 	vecs, _ := benchVectors(10000, 6, 4)
-	o := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("n=10000/workers=%d", workers), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -194,7 +195,7 @@ func BenchmarkSQLExecute(b *testing.B) {
 func BenchmarkSilhouetteExact(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
 		vecs, labels := benchVectors(n, 6, 3)
-		o := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		o := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cluster.Silhouette(o, labels, 3)
@@ -206,7 +207,7 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 func BenchmarkSilhouetteMC(b *testing.B) {
 	for _, n := range []int{1000, 4000, 20000} {
 		vecs, labels := benchVectors(n, 6, 3)
-		o := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		o := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
@@ -434,7 +435,7 @@ func BenchmarkZoomCached(b *testing.B) {
 // sub-runs disable the map cache (every zoom is a map miss; that is the
 // scenario); the derived run keeps the artifact cache, so the zoom
 // derives its oracle (and skips sampling + prep) from the parent
-// selection's cached artifact via cluster.DerivableOracle. The strategy
+// selection's cached artifact via cluster.Oracle's Subset. The strategy
 // is materialized so the oracle stage — the O(m²) distance work the
 // derivation removes — dominates the gap. The acceptance bar of the
 // staged-pipeline PR is ≥2× on the oracle stage; end to end the derived

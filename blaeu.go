@@ -21,9 +21,10 @@
 // the reference the differential tests and the e5 experiment call
 // directly; no option selects it.
 //
-// Distances flow through a pluggable oracle layer: Options.OracleStrategy
-// picks a materialized matrix for small samples, a lazy on-demand oracle
-// for large ones (no O(n²) allocation, byte-identical clusterings) or a
+// Distances flow through one contract (pairs, rows and subsets of an
+// oracle) with three storages behind it: Options.OracleStrategy picks a
+// materialized matrix for small samples, a lazy on-demand oracle for
+// large ones (no O(n²) allocation, byte-identical clusterings) or a
 // sparse k-NN-graph oracle, and Options.Seeding swaps the quadratic BUILD
 // seeding for k-means++ D² sampling or LAB subsample BUILD (see the e6
 // experiment). This is what lets the sampling budget default to 5000.

@@ -1,6 +1,5 @@
 // Command blaeu-bench regenerates the paper's figures and demonstration
-// scenarios (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for recorded outcomes).
+// scenarios; `blaeu-bench -list` is the experiment index.
 //
 // Usage:
 //

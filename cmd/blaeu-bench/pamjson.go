@@ -223,7 +223,7 @@ func zoomDerived(seed int64, scale float64) ([]derivedBenchEntry, error) {
 	var out []derivedBenchEntry
 	for _, o := range []struct {
 		name    string
-		parent  cluster.DerivableOracle
+		parent  cluster.Oracle
 		buildMS func() float64 // fresh oracle over the subset, timed
 	}{
 		{

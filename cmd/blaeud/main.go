@@ -17,7 +17,7 @@
 //	       [-max-queued 1024] [-max-queued-per-session 16]
 //	       [-map-cache 0] [-artifact-cache 0]
 //	       [-tenant-weights gold=4,free=1] [-tenant-max-in-flight 0]
-//	       [-page-budget-mb 256] [-pprof-addr ""] [-slow-build-ms 1000]
+//	       [-page-budget-mb 256] [-scan-workers 0] [-pprof-addr ""] [-slow-build-ms 1000]
 //	       [file.csv | file.seg ...]
 //
 // Telemetry: GET /metrics serves the Prometheus-format registry (the

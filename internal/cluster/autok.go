@@ -7,42 +7,16 @@ import (
 	"math/rand"
 )
 
-// Method selects which k-medoid algorithm drives a clustering run.
-type Method int
-
-const (
-	// MethodAuto picks PAM for small inputs and CLARA above LargeThreshold.
-	MethodAuto Method = iota
-	// MethodPAM forces exact PAM.
-	MethodPAM
-	// MethodCLARA forces the sampling variant.
-	MethodCLARA
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case MethodPAM:
-		return "pam"
-	case MethodCLARA:
-		return "clara"
-	default:
-		return "auto"
-	}
-}
-
 // AutoKOptions tunes automatic model selection.
 type AutoKOptions struct {
 	// KMin and KMax bound the candidate numbers of clusters
 	// (defaults 2 and 8).
 	KMin, KMax int
-	// Method selects PAM vs CLARA (default MethodAuto).
-	Method Method
 	// Seeding selects how PAM picks its initial medoids (default
 	// SeedingAuto), for both direct runs and CLARA's per-sample runs.
 	Seeding Seeding
-	// LargeThreshold is the object count above which MethodAuto switches
-	// to CLARA (default 2000).
+	// LargeThreshold is the object count above which clustering switches
+	// from exact PAM to CLARA (default 2000).
 	LargeThreshold int
 	// CLARA tunes the CLARA runs (Rand is shared with silhouettes).
 	CLARA CLARAOptions
@@ -76,29 +50,20 @@ func (o *AutoKOptions) defaults() {
 	}
 }
 
-// ClusterK clusters with a fixed k using the configured method.
+// ClusterK clusters with a fixed k: exact PAM up to LargeThreshold
+// objects, CLARA above it.
 func ClusterK(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 	opts.defaults()
-	method := opts.Method
-	if method == MethodAuto {
-		if o.N() > opts.LargeThreshold {
-			method = MethodCLARA
-		} else {
-			method = MethodPAM
-		}
-	}
-	switch method {
-	case MethodCLARA:
-		co := opts.CLARA
-		co.Rand = opts.Rand
-		co.Seeding = opts.Seeding
-		if co.Context == nil {
-			co.Context = opts.Context
-		}
-		return CLARA(o, k, co)
-	default:
+	if o.N() <= opts.LargeThreshold {
 		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
 	}
+	co := opts.CLARA
+	co.Rand = opts.Rand
+	co.Seeding = opts.Seeding
+	if co.Context == nil {
+		co.Context = opts.Context
+	}
+	return CLARA(o, k, co)
 }
 
 // AutoK clusters the oracle for every k in [KMin, KMax], scores each

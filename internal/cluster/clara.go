@@ -120,8 +120,7 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 			if r.err = ctxErr(opts.Context); r.err != nil {
 				return
 			}
-			sub := &SubsetOracle{Parent: o, Idx: r.idx}
-			c, err := PAMRun(sub, k, PAMOptions{
+			c, err := PAMRun(o.Subset(r.idx), k, PAMOptions{
 				Seeding: opts.Seeding,
 				Rand:    rand.New(rand.NewSource(r.seed)),
 			})

@@ -15,7 +15,7 @@ func claraFixture(t testing.TB, n int) Oracle {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	vecs, _ := blobs(rng, 4, n, 5, 8)
-	return &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	return NewLazyOracle(vecs, stats.Euclidean{})
 }
 
 // TestCLARAParallelMatchesSequential is the differential contract of the
@@ -100,7 +100,7 @@ func TestCLARACancelled(t *testing.T) {
 func TestCLARAParallelQualityAtScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vecs, truth := blobs(rng, 3, 1500, 4, 10)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	c, err := CLARA(o, 3, CLARAOptions{Parallelism: 4, Rand: rng})
 	if err != nil {
 		t.Fatal(err)

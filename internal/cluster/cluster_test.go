@@ -82,27 +82,6 @@ func TestDistMatrix(t *testing.T) {
 	}
 }
 
-func TestDistMatrixRowInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 2, 3, 7, 40} {
-		m := NewDistMatrix(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				m.Set(i, j, rng.Float64())
-			}
-		}
-		row := make([]float64, n)
-		for i := 0; i < n; i++ {
-			m.RowInto(i, row)
-			for j := 0; j < n; j++ {
-				if row[j] != m.Dist(i, j) {
-					t.Fatalf("n=%d: RowInto(%d)[%d] = %g, Dist = %g", n, i, j, row[j], m.Dist(i, j))
-				}
-			}
-		}
-	}
-}
-
 func TestDistMatrixSetDiagonalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -116,25 +95,13 @@ func TestComputeDistMatrixMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vecs, _ := blobs(rng, 2, 10, 3, 5)
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	for i := 0; i < len(vecs); i++ {
 		for j := 0; j < len(vecs); j++ {
 			if math.Abs(m.Dist(i, j)-o.Dist(i, j)) > 1e-12 {
 				t.Fatalf("matrix and oracle disagree at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestSubsetOracle(t *testing.T) {
-	vecs := [][]float64{{0}, {1}, {2}, {10}}
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
-	sub := &SubsetOracle{Parent: o, Idx: []int{0, 3}}
-	if sub.N() != 2 {
-		t.Fatal("subset N wrong")
-	}
-	if sub.Dist(0, 1) != 10 {
-		t.Errorf("subset dist = %g, want 10", sub.Dist(0, 1))
 	}
 }
 
@@ -234,7 +201,7 @@ func TestPAMDeterministic(t *testing.T) {
 
 func TestAssignToMedoids(t *testing.T) {
 	vecs := [][]float64{{0}, {1}, {9}, {10}}
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	labels, cost := AssignToMedoids(o, []int{0, 3})
 	want := []int{0, 0, 1, 1}
 	for i := range want {
@@ -250,7 +217,7 @@ func TestAssignToMedoids(t *testing.T) {
 func TestCLARARecoversBlobsAtScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vecs, truth := blobs(rng, 3, 1500, 4, 10)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	c, err := CLARA(o, 3, CLARAOptions{Rand: rng})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +230,7 @@ func TestCLARARecoversBlobsAtScale(t *testing.T) {
 func TestCLARAFallsBackToPAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vecs, _ := blobs(rng, 2, 10, 2, 6)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	c, err := CLARA(o, 2, CLARAOptions{SampleSize: 100, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +242,7 @@ func TestCLARAFallsBackToPAM(t *testing.T) {
 }
 
 func TestCLARARequiresRand(t *testing.T) {
-	o := &VectorOracle{Vecs: [][]float64{{0}, {1}}, Metric: stats.Euclidean{}}
+	o := NewLazyOracle([][]float64{{0}, {1}}, stats.Euclidean{})
 	if _, err := CLARA(o, 2, CLARAOptions{}); err == nil {
 		t.Error("missing Rand should fail")
 	}
@@ -284,7 +251,7 @@ func TestCLARARequiresRand(t *testing.T) {
 func TestCLARACostNeverWorseThanSingleSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vecs, _ := blobs(rng, 4, 500, 3, 6)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	multi, err := CLARA(o, 4, CLARAOptions{Samples: 5, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +321,7 @@ func TestSilhouetteDegenerate(t *testing.T) {
 func TestMCSilhouetteApproximatesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vecs, truth := blobs(rng, 3, 400, 3, 8)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	exact := Silhouette(o, truth, 3)
 	mc := MCSilhouette(o, truth, 3, MCSilhouetteOptions{Rounds: 6, SampleSize: 200, Rand: rng})
 	if math.Abs(exact-mc) > 0.1 {
@@ -365,7 +332,7 @@ func TestMCSilhouetteApproximatesExact(t *testing.T) {
 func TestMCSilhouetteSmallInputIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	vecs, truth := blobs(rng, 2, 20, 2, 8)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+	o := NewLazyOracle(vecs, stats.Euclidean{})
 	exact := Silhouette(o, truth, 2)
 	mc := MCSilhouette(o, truth, 2, MCSilhouetteOptions{SampleSize: 1000, Rand: rng})
 	if exact != mc {
@@ -424,18 +391,18 @@ func TestAutoKTinyInput(t *testing.T) {
 func TestClusterKMethodSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
-	o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
-	// MethodAuto above threshold must not try O(n²) PAM; just check it runs
-	// and returns a sane clustering quickly.
-	c, err := ClusterK(o, 2, AutoKOptions{Method: MethodAuto, LargeThreshold: 500, Rand: rng})
+	o := NewLazyOracle(vecs, stats.Euclidean{})
+	// Above the threshold ClusterK must not try O(n²) PAM: CLARA only
+	// ever materializes rows of its samples, never of the full set.
+	c, err := ClusterK(o, 2, AutoKOptions{LargeThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Labels) != o.N() || c.K != 2 {
 		t.Error("ClusterK result malformed")
 	}
-	if MethodPAM.String() != "pam" || MethodCLARA.String() != "clara" || MethodAuto.String() != "auto" {
-		t.Error("method names wrong")
+	if got := o.cachedRows(); got != 0 {
+		t.Errorf("ClusterK above the threshold materialized %d full-set rows: it ran PAM, not CLARA", got)
 	}
 }
 

@@ -1,0 +1,135 @@
+package cluster_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/graph"
+	"repro/internal/stats"
+)
+
+// contractVecs returns n pinned-seed vectors in three loose groups, so a
+// k-NN graph over them has both exact neighborhoods and far pairs.
+func contractVecs(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		c := float64(i%3) * 6
+		vecs[i] = []float64{c + rng.NormFloat64(), c - rng.NormFloat64(), rng.NormFloat64() * 2}
+	}
+	return vecs
+}
+
+// randomMatrix fills an n-object DistMatrix with random cells — no
+// vectors behind it, as for the dependency graph.
+func randomMatrix(n int, seed int64) *cluster.DistMatrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := cluster.NewDistMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, rng.Float64())
+		}
+	}
+	return m
+}
+
+// checkOracle asserts the Oracle contract on o, bit for bit: while
+// depth lasts, Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]) for an
+// ascending and a scrambled idx, each subset being held to the same
+// contract in turn; then Dist is symmetric with a zero diagonal and
+// RowInto(i)[j] == Dist(i, j) (twice, so the second pass reads whatever
+// the first memoized).
+func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
+	t.Helper()
+	n := o.N()
+	// Subsets first: o has materialized no row yet, so a lazy subset
+	// computes from the vectors unless the caller warmed o's memo.
+	if depth > 0 && n >= 2 {
+		var ascending []int
+		for i := 0; i < n; i += 2 {
+			ascending = append(ascending, i)
+		}
+		scrambled := rand.New(rand.NewSource(int64(n))).Perm(n)[:(2*n+2)/3]
+		for _, sub := range []struct {
+			name string
+			idx  []int
+		}{{"ascending", ascending}, {"scrambled", scrambled}} {
+			label := fmt.Sprintf("%s/%s", name, sub.name)
+			s := o.Subset(sub.idx)
+			if s.N() != len(sub.idx) {
+				t.Fatalf("%s: N = %d, want %d", label, s.N(), len(sub.idx))
+			}
+			for a, i := range sub.idx {
+				for b, j := range sub.idx {
+					if got, want := s.Dist(a, b), o.Dist(i, j); got != want {
+						t.Fatalf("%s: Dist(%d,%d) = %v, parent Dist(%d,%d) = %v", label, a, b, got, i, j, want)
+					}
+				}
+			}
+			checkOracle(t, label, s, depth-1)
+		}
+	}
+	row := make([]float64, n)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			o.RowInto(i, row)
+			for j := 0; j < n; j++ {
+				d := o.Dist(i, j)
+				if row[j] != d {
+					t.Fatalf("%s pass %d: RowInto(%d)[%d] = %v, Dist = %v", name, pass, i, j, row[j], d)
+				}
+				if back := o.Dist(j, i); back != d {
+					t.Fatalf("%s: Dist(%d,%d) = %v but Dist(%d,%d) = %v", name, i, j, d, j, i, back)
+				}
+			}
+			if row[i] != 0 {
+				t.Fatalf("%s: Dist(%d,%d) = %v, want 0", name, i, i, row[i])
+			}
+		}
+	}
+}
+
+// TestOracleContract holds every implementation of cluster.Oracle, and
+// two levels of subsets of each (a view, a view of the view, with
+// ascending and unsorted idx), to the two laws written on the interface.
+func TestOracleContract(t *testing.T) {
+	vecs := contractVecs(90, 21)
+	metric := stats.Euclidean{}
+
+	warm := cluster.NewLazyOracle(vecs, metric)
+	buf := make([]float64, len(vecs))
+	for i := range vecs {
+		warm.RowInto(i, buf) // subsets then gather out of this memo
+	}
+	g := graph.New([]string{"a", "b", "c", "d", "e", "f", "g"})
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < g.N(); i++ {
+		for j := i + 1; j < g.N(); j++ {
+			g.SetWeight(i, j, rng.Float64()*1.1) // some weights above 1: clamped distances
+		}
+	}
+
+	cases := []struct {
+		name string
+		o    cluster.Oracle
+	}{
+		{"matrix", cluster.ComputeDistMatrix(vecs, metric)},
+		{"lazy/cold", cluster.NewLazyOracle(vecs, metric)},
+		{"lazy/warm", warm},
+		{"knn", cluster.NewKNNOracle(vecs, metric, cluster.KNNOracleOptions{K: 8, Pivots: 4})},
+		{"graph", g.Oracle()},
+	}
+	// The condensed layout's edge sizes: no pairs, one pair, the first
+	// strided row.
+	for _, n := range []int{0, 1, 2, 3, 7, 40} {
+		cases = append(cases, struct {
+			name string
+			o    cluster.Oracle
+		}{fmt.Sprintf("matrix/n=%d", n), randomMatrix(n, int64(n))})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkOracle(t, tc.name, tc.o, 2) })
+	}
+}

@@ -50,16 +50,11 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 			}
 		}
 	}
-	gr, ok1 := got.(RowOracle)
-	wr, ok2 := want.(RowOracle)
-	if !ok1 || !ok2 {
-		return
-	}
 	g, w := make([]float64, n), make([]float64, n)
 	for pass := 0; pass < 2; pass++ { // second pass exercises the memos
 		for i := 0; i < n; i++ {
-			gr.RowInto(i, g)
-			wr.RowInto(i, w)
+			got.RowInto(i, g)
+			want.RowInto(i, w)
 			for j := range w {
 				if g[j] != w[j] {
 					t.Fatalf("%s pass %d: RowInto(%d)[%d] = %v, want %v", label, pass, i, j, g[j], w[j])
@@ -124,15 +119,12 @@ func TestLazyOracleSubsetByteIdentical(t *testing.T) {
 // the same bound as its parent's.
 func TestLazySubsetMemoBounded(t *testing.T) {
 	vecs, idx := deriveTestVecs(4*lazyCacheRows, 2, 13)
-	derived := NewLazyOracle(vecs, stats.Euclidean{}).Subset(idx).(*lazySubset)
+	derived := NewLazyOracle(vecs, stats.Euclidean{}).Subset(idx).(*LazyOracle)
 	dst := make([]float64, len(idx))
 	for i := range idx {
 		derived.RowInto(i, dst)
 	}
-	derived.mu.Lock()
-	got := len(derived.rows)
-	derived.mu.Unlock()
-	if got > lazyCacheRows {
+	if got := derived.cachedRows(); got > lazyCacheRows {
 		t.Fatalf("derived memo holds %d rows, cap is %d", got, lazyCacheRows)
 	}
 }
@@ -219,43 +211,6 @@ func TestKNNOracleSubsetUnsortedIdx(t *testing.T) {
 	}
 }
 
-// plainOracle deliberately lacks a Subset method, to exercise the
-// SubsetOracleOf fallback.
-type plainOracle struct{ m *DistMatrix }
-
-func (o plainOracle) N() int                { return o.m.N() }
-func (o plainOracle) Dist(i, j int) float64 { return o.m.Dist(i, j) }
-
-// TestSubsetOracleOf checks dispatch: derivable oracles get their
-// derivation, everything else the re-indexing view.
-func TestSubsetOracleOf(t *testing.T) {
-	vecs, idx := deriveTestVecs(100, 3, 15)
-	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	if _, ok := SubsetOracleOf(m, idx).(*matrixView); !ok {
-		t.Error("DistMatrix should derive a matrixView")
-	}
-	if _, ok := SubsetOracleOf(NewLazyOracle(vecs, stats.Euclidean{}), idx).(*lazySubset); !ok {
-		t.Error("LazyOracle should derive a lazySubset")
-	}
-	if _, ok := SubsetOracleOf(NewKNNOracle(vecs, stats.Euclidean{}, KNNOracleOptions{K: 8, Pivots: 2}), idx).(*KNNOracle); !ok {
-		t.Error("KNNOracle should derive a KNNOracle")
-	}
-	if _, ok := SubsetOracleOf(&VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}, idx).(*VectorOracle); !ok {
-		t.Error("VectorOracle should derive a VectorOracle")
-	}
-	fb, ok := SubsetOracleOf(plainOracle{m}, idx).(*SubsetOracle)
-	if !ok {
-		t.Fatal("plain oracle should fall back to SubsetOracle")
-	}
-	for i := range idx {
-		for j := range idx {
-			if fb.Dist(i, j) != m.Dist(idx[i], idx[j]) {
-				t.Fatalf("fallback Dist(%d,%d) mismatch", i, j)
-			}
-		}
-	}
-}
-
 // TestDerivedOraclesConcurrent hammers several derived oracles that
 // share one parent from concurrent goroutines — the cluster-layer half
 // of the concurrent-derived-builds guarantee (run under -race in CI).
@@ -274,14 +229,46 @@ func TestDerivedOraclesConcurrent(t *testing.T) {
 				idx = append(idx, i)
 			}
 			for _, o := range []Oracle{parent.Subset(idx), knnParent.Subset(idx)} {
-				ro := o.(RowOracle)
 				dst := make([]float64, len(idx))
 				for i := range idx {
-					ro.RowInto(i, dst)
+					o.RowInto(i, dst)
 					_ = o.Dist(i, (i+1)%len(idx))
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDerivedOraclesConcurrentCLARA: CLARA's per-sample runs each subset
+// the one oracle they were handed, concurrently. Over a lazy parent the
+// subsets read through its row memo — here while another goroutine
+// fills that memo, as a PAM run sharing the parent would — and the
+// clustering must still be the sequential, cold-memo one (run under
+// -race in CI).
+func TestDerivedOraclesConcurrentCLARA(t *testing.T) {
+	vecs, _ := deriveTestVecs(1200, 4, 17)
+	parent := NewLazyOracle(vecs, stats.Euclidean{})
+	run := func(parallelism int) *Clustering {
+		c, err := CLARA(parent, 4, CLARAOptions{
+			Samples: 8, Parallelism: parallelism, Rand: rand.New(rand.NewSource(5)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	want := run(1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		row := make([]float64, len(vecs))
+		for i := 0; i < 2*lazyCacheRows; i++ {
+			parent.RowInto(i, row)
+		}
+	}()
+	got := run(4)
+	wg.Wait()
+	assertIdenticalClustering(t, "clara over a shared lazy parent", len(vecs), got, want)
 }

@@ -81,6 +81,8 @@ func (m *DistMatrix) idx(i, j int) int {
 func (m *DistMatrix) N() int { return m.n }
 
 // Dist implements Oracle.
+//
+//blaeu:hot
 func (m *DistMatrix) Dist(i, j int) float64 {
 	if i == j {
 		return 0
@@ -96,9 +98,11 @@ func (m *DistMatrix) Set(i, j int, v float64) {
 	m.data[m.idx(i, j)] = v
 }
 
-// RowInto implements RowOracle. For j < i the condensed layout strides
+// RowInto implements Oracle. For j < i the condensed layout strides
 // across rows (the offset advances by n-j-2, a stride that shrinks as j
 // grows); for j > i the row is one contiguous block.
+//
+//blaeu:hot
 func (m *DistMatrix) RowInto(i int, dst []float64) {
 	off := i - 1 // idx(0, i)
 	for j := 0; j < i; j++ {
@@ -113,3 +117,63 @@ func (m *DistMatrix) RowInto(i int, dst []float64) {
 		copy(dst[i+1:], m.data[base:base+m.n-i-1])
 	}
 }
+
+// DistEvals implements Oracle: the condensed matrix holds every pair
+// exactly once, all computed at construction.
+func (m *DistMatrix) DistEvals() int64 {
+	n := int64(m.n)
+	if n < 2 {
+		return 0
+	}
+	return n * (n - 1) / 2
+}
+
+// Subset implements Oracle: an index view over the condensed storage —
+// no distance is recomputed and nothing is copied, not even idx.
+func (m *DistMatrix) Subset(idx []int) Oracle {
+	return &matrixView{m: m, idx: idx}
+}
+
+// matrixView is a DistMatrix restricted to a subset of its objects.
+// Every answer is read from the matrix's condensed storage, so the view
+// is byte-identical to a matrix freshly computed over the subset's
+// vectors.
+type matrixView struct {
+	m   *DistMatrix
+	idx []int // view object -> matrix object
+}
+
+// N implements Oracle.
+func (v *matrixView) N() int { return len(v.idx) }
+
+// Dist implements Oracle.
+//
+//blaeu:hot
+func (v *matrixView) Dist(i, j int) float64 {
+	return v.m.Dist(v.idx[i], v.idx[j])
+}
+
+// RowInto implements Oracle.
+//
+//blaeu:hot
+func (v *matrixView) RowInto(i int, dst []float64) {
+	pi := v.idx[i]
+	for j, pj := range v.idx {
+		dst[j] = v.m.Dist(pi, pj)
+	}
+}
+
+// Subset implements Oracle: a view of a view is a view of the matrix
+// under the composed index, so nesting never adds an indirection to
+// Dist.
+func (v *matrixView) Subset(idx []int) Oracle {
+	composed := make([]int, len(idx))
+	for a, i := range idx {
+		composed[a] = v.idx[i]
+	}
+	return &matrixView{m: v.m, idx: composed}
+}
+
+// DistEvals implements Oracle: a view reads the matrix's storage and
+// never evaluates the metric.
+func (v *matrixView) DistEvals() int64 { return 0 }

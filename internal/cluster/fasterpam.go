@@ -57,19 +57,29 @@ func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// argMinScore evaluates score(i) for every i in [0,n) across CPUs and
-// returns the argmin and its value. Each worker gets a private scratch
-// slice of scratchLen floats (nil when scratchLen is 0) so score can
-// materialize distance rows without per-call allocation. Exact ties
-// resolve to the lowest index, so the result is identical to a
+// newRowScratch allocates the distance-row scratch of one k-medoid run
+// over n objects, one n-sized buffer per worker it can fan out to. The
+// run owns it: BUILD's scoring, the seedings' nearest updates and SWAP's
+// candidate evaluation all materialize rows into the same buffers.
+func newRowScratch(n int) [][]float64 {
+	rows := make([][]float64, rangeWorkers(n))
+	for w := range rows {
+		rows[w] = make([]float64, n)
+	}
+	return rows
+}
+
+// argMinScore evaluates score(i) for every i in [0,n) across one worker
+// per row buffer and returns the argmin and its value. Each worker hands
+// score its own buffer of rows, to materialize distance rows into. Exact
+// ties resolve to the lowest index, so the result is identical to a
 // sequential first-wins scan regardless of core count.
-func argMinScore(n, scratchLen int, score func(i int, scratch []float64) float64) (int, float64) {
-	workers := rangeWorkers(n)
+func argMinScore(n int, rows [][]float64, score func(i int, row []float64) float64) (int, float64) {
 	type result struct {
 		idx int
 		val float64
 	}
-	results := make([]result, workers)
+	results := make([]result, len(rows))
 	for w := range results {
 		// parallelChunks may launch fewer chunks than workers (chunk size
 		// is rounded up); unwritten slots must lose every comparison, not
@@ -77,14 +87,10 @@ func argMinScore(n, scratchLen int, score func(i int, scratch []float64) float64
 		// scored 0.
 		results[w] = result{-1, math.Inf(1)}
 	}
-	parallelChunks(n, workers, func(w, lo, hi int) {
+	parallelChunks(n, len(rows), func(w, lo, hi int) {
 		best, bestV := -1, math.Inf(1)
-		var scratch []float64
-		if scratchLen > 0 {
-			scratch = make([]float64, scratchLen)
-		}
 		for i := lo; i < hi; i++ {
-			if v := score(i, scratch); v < bestV {
+			if v := score(i, rows[w]); v < bestV {
 				best, bestV = i, v
 			}
 		}
@@ -109,80 +115,58 @@ func parallelRange(n int, fn func(lo, hi int)) {
 
 // pamBuild is PAM's BUILD phase: pick the object minimizing total distance
 // as the first medoid, then greedily add the object that most reduces the
-// total dissimilarity. Candidate scoring is spread across CPUs; the result
-// is identical to the sequential scan (ties break to the lowest index).
-// Shared by FasterPAM and PAMClassic, so both start from the same seed
-// medoids — the property differential tests rely on.
-func pamBuild(o Oracle, k int) []int {
+// total dissimilarity. Candidate scoring is spread across the workers of
+// rows (the run's scratch, see newRowScratch); the result is identical to
+// the sequential scan (ties break to the lowest index). Shared by
+// FasterPAM and PAMClassic, so both start from the same seed medoids —
+// the property differential tests rely on.
+func pamBuild(o Oracle, k int, rows [][]float64) []int {
 	n := o.N()
 	medoids := make([]int, 0, k)
-	ro, fastRows := o.(RowOracle)
-	scratchLen := 0
-	if fastRows {
-		scratchLen = n
-	}
 
 	// First medoid: the most central object.
-	first, _ := argMinScore(n, scratchLen, func(i int, row []float64) float64 {
+	//blaeu:hot
+	first, _ := argMinScore(n, rows, func(i int, row []float64) float64 {
+		o.RowInto(i, row)
 		sum := 0.0
-		if fastRows {
-			ro.RowInto(i, row)
-			for _, d := range row {
-				sum += d
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				sum += o.Dist(i, j)
-			}
+		for _, d := range row {
+			sum += d
 		}
 		return sum
 	})
 	medoids = append(medoids, first)
 
 	nearest := make([]float64, n)
-	for j := 0; j < n; j++ {
-		nearest[j] = o.Dist(j, first)
+	for j := range nearest {
+		nearest[j] = math.Inf(1)
 	}
+	updateNearest(o, nearest, rows[0], first)
 	chosen := make([]bool, n)
 	chosen[first] = true
 
 	for len(medoids) < k {
 		// Greedy addition: maximize the total distance reduction (argmin
 		// of the negated gain).
-		bestI, _ := argMinScore(n, scratchLen, func(i int, row []float64) float64 {
+		//blaeu:hot
+		bestI, _ := argMinScore(n, rows, func(i int, row []float64) float64 {
 			if chosen[i] {
 				return math.Inf(1)
 			}
+			o.RowInto(i, row)
 			gain := 0.0
-			if fastRows {
-				ro.RowInto(i, row)
-				for j := 0; j < n; j++ {
-					if chosen[j] || j == i {
-						continue
-					}
-					if d := row[j]; d < nearest[j] {
-						gain += nearest[j] - d
-					}
+			for j, d := range row {
+				if chosen[j] || j == i {
+					continue
 				}
-			} else {
-				for j := 0; j < n; j++ {
-					if chosen[j] || j == i {
-						continue
-					}
-					if d := o.Dist(i, j); d < nearest[j] {
-						gain += nearest[j] - d
-					}
+				if d < nearest[j] {
+					gain += nearest[j] - d
 				}
 			}
 			return -gain
 		})
 		chosen[bestI] = true
 		medoids = append(medoids, bestI)
-		for j := 0; j < n; j++ {
-			if d := o.Dist(j, bestI); d < nearest[j] {
-				nearest[j] = d
-			}
-		}
+		updateNearest(o, nearest, rows[0], bestI)
 	}
 	return medoids
 }
@@ -192,7 +176,6 @@ func pamBuild(o Oracle, k int) []int {
 // nearest and second-nearest medoid, plus the per-medoid removal losses.
 type swapState struct {
 	o        Oracle
-	ro       RowOracle // non-nil when o can materialize rows
 	n, k     int
 	medoids  []int
 	isMedoid []bool
@@ -211,7 +194,6 @@ func newSwapState(o Oracle, medoids []int) *swapState {
 		dn: make([]float64, n), ds: make([]float64, n),
 		loss: make([]float64, len(medoids)),
 	}
-	s.ro, _ = o.(RowOracle)
 	for _, m := range medoids {
 		s.isMedoid[m] = true
 	}
@@ -265,39 +247,25 @@ func (s *swapState) refresh() {
 // FasterPAM removal-loss decomposition. scratch must be k-sized; it
 // accumulates the per-medoid delta while acc collects the shared gain of
 // objects that move to c no matter which medoid is removed. row is an
-// n-sized buffer used to materialize c's distance row on RowOracles (nil
-// is fine otherwise). Returns the best total delta and the slot of the
-// medoid to remove.
+// n-sized buffer c's distance row is materialized into. Returns the best
+// total delta and the slot of the medoid to remove.
 //
 //blaeu:hot
 func (s *swapState) evalCandidate(c int, scratch, row []float64) (float64, int) {
 	copy(scratch, s.loss)
 	acc := 0.0
-	if s.ro != nil {
-		//blaeu:nolint hotpath one row materialization amortized over the O(n) scan below
-		s.ro.RowInto(c, row)
-		for j, d := range row {
-			if d < s.dn[j] {
-				// j switches to c regardless of the removed medoid; cancel
-				// its removal-loss contribution (it no longer falls back
-				// to its second when its nearest goes away).
-				acc += d - s.dn[j]
-				scratch[s.n1[j]] += s.dn[j] - s.ds[j]
-			} else if d < s.ds[j] {
-				// j switches to c only if its nearest medoid is the one
-				// removed: it prefers c over its current second.
-				scratch[s.n1[j]] += d - s.ds[j]
-			}
-		}
-	} else {
-		for j := 0; j < s.n; j++ {
-			d := s.o.Dist(j, c)
-			if d < s.dn[j] {
-				acc += d - s.dn[j]
-				scratch[s.n1[j]] += s.dn[j] - s.ds[j]
-			} else if d < s.ds[j] {
-				scratch[s.n1[j]] += d - s.ds[j]
-			}
+	s.o.RowInto(c, row)
+	for j, d := range row {
+		if d < s.dn[j] {
+			// j switches to c regardless of the removed medoid; cancel
+			// its removal-loss contribution (it no longer falls back
+			// to its second when its nearest goes away).
+			acc += d - s.dn[j]
+			scratch[s.n1[j]] += s.dn[j] - s.ds[j]
+		} else if d < s.ds[j] {
+			// j switches to c only if its nearest medoid is the one
+			// removed: it prefers c over its current second.
+			scratch[s.n1[j]] += d - s.ds[j]
 		}
 	}
 	bestSlot := 0
@@ -310,25 +278,18 @@ func (s *swapState) evalCandidate(c int, scratch, row []float64) (float64, int) 
 }
 
 // applySwap installs candidate c in the given medoid slot and repairs the
-// nearest/second bookkeeping incrementally: most objects need O(1) work,
-// only those whose nearest or second was the replaced medoid fall back to
-// an O(k) rescan. Classic PAM instead re-ran a full O(n·k) assignment
-// after every swap.
+// nearest/second bookkeeping incrementally from c's distance row: most
+// objects need O(1) work, only those whose nearest or second was the
+// replaced medoid fall back to an O(k) rescan. Classic PAM instead re-ran
+// a full O(n·k) assignment after every swap.
 func (s *swapState) applySwap(slot, c int, row []float64) {
 	s.isMedoid[s.medoids[slot]] = false
 	s.isMedoid[c] = true
 	s.medoids[slot] = c
-	if s.ro != nil {
-		s.ro.RowInto(c, row)
-	}
+	s.o.RowInto(c, row)
 	parallelRange(s.n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			var d float64
-			if s.ro != nil {
-				d = row[j]
-			} else {
-				d = s.o.Dist(j, c)
-			}
+			d := row[j]
 			switch {
 			case s.n1[j] == slot:
 				if d <= s.ds[j] {
@@ -373,20 +334,22 @@ func FasterPAM(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
+	rows := newRowScratch(o.N())
 	if k == 1 {
 		// BUILD's first medoid is already the global optimum for k=1 (it
 		// minimizes the total distance), so SWAP has nothing to do.
-		medoids := pamBuild(o, 1)
+		medoids := pamBuild(o, 1, rows)
 		labels, cost := AssignToMedoids(o, medoids)
 		return &Clustering{K: 1, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
 	}
-	return fasterPAMFrom(o, k, pamBuild(o, k))
+	return fasterPAMFrom(o, k, pamBuild(o, k, rows), rows)
 }
 
 // fasterPAMFrom runs the eager removal-loss SWAP phase from the given
-// seed medoids (which it copies, not mutates). Preconditions (1 < k < n)
-// are the caller's responsibility.
-func fasterPAMFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
+// seed medoids (which it copies, not mutates), materializing candidate
+// rows into the run's scratch. Preconditions (1 < k < n) are the
+// caller's responsibility.
+func fasterPAMFrom(o Oracle, k int, seeds []int, rows [][]float64) (*Clustering, error) {
 	n := o.N()
 	medoids := append([]int(nil), seeds...)
 
@@ -397,33 +360,13 @@ func fasterPAMFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 	}
 	cands := make([]int, 0, swapBlock)
 	out := make([]verdict, swapBlock)
-	rowLen := 0
-	if s.ro != nil {
-		rowLen = n
-	}
-	// Per-worker scratch, allocated once for the whole run: the SWAP loop
-	// calls evalBlock constantly and per-block buffers would be pure GC
-	// churn on its hottest path.
-	blockWorkers := min(maxWorkers, swapBlock)
+	// Per-worker removal-loss scratch, allocated once for the whole run
+	// like the rows: the SWAP loop evaluates blocks constantly and
+	// per-block buffers would be pure GC churn on its hottest path.
+	blockWorkers := min(len(rows), swapBlock)
 	scratchBufs := make([][]float64, blockWorkers)
-	rowBufs := make([][]float64, blockWorkers)
 	for w := range scratchBufs {
 		scratchBufs[w] = make([]float64, s.k)
-		rowBufs[w] = make([]float64, rowLen)
-	}
-
-	evalBlock := func(cands []int) {
-		// Each candidate costs O(n), so parallelism pays off even for a
-		// partial block as long as the inner pass is long enough.
-		workers := min(blockWorkers, len(cands))
-		if n < parallelThreshold {
-			workers = 1
-		}
-		parallelChunks(len(cands), workers, func(w, lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				out[bi].delta, out[bi].slot = s.evalCandidate(cands[bi], scratchBufs[w], rowBufs[w])
-			}
-		})
 	}
 
 	for pass := 0; pass < maxSwapIters; pass++ {
@@ -439,7 +382,14 @@ func fasterPAMFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 			if len(cands) == 0 {
 				continue
 			}
-			evalBlock(cands)
+			// Each candidate costs O(n), so parallelism pays off even for
+			// a partial block once n is long enough — which rangeWorkers
+			// decided when rows was sized.
+			parallelChunks(len(cands), min(blockWorkers, len(cands)), func(w, lo, hi int) {
+				for bi := lo; bi < hi; bi++ {
+					out[bi].delta, out[bi].slot = s.evalCandidate(cands[bi], scratchBufs[w], rows[w])
+				}
+			})
 			best := -1
 			for bi := range cands {
 				// Same numeric guard as the classic loop so FP noise never
@@ -449,7 +399,7 @@ func fasterPAMFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 				}
 			}
 			if best >= 0 {
-				s.applySwap(out[best].slot, cands[best], rowBufs[0])
+				s.applySwap(out[best].slot, cands[best], rows[0])
 				improved = true
 			}
 		}

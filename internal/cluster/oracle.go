@@ -5,8 +5,11 @@
 // Kaufman & Rousseeuw, "Finding Groups in Data" (1990), the reference the
 // paper cites.
 //
-// All algorithms are written against the Oracle interface, a pluggable
-// distance layer with several implementations traded off per workload:
+// All algorithms are written against one distance contract, Oracle, and
+// every k-medoid loop is written once against it. Three storages
+// implement it, traded off per workload; each serves a subset of its
+// objects out of the same storage (an index view, re-sliced vectors
+// reading through the parent's memo, the induced subgraph):
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
 //     repeated access, O(n²) memory, right for small samples;
@@ -26,446 +29,63 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/stats"
 )
 
-// Oracle answers pairwise-distance queries over n objects. PAM and the
-// silhouette computation are written against this interface so they work
-// identically on raw vectors, precomputed matrices, and dependency graphs.
+// Oracle is the one distance contract of the cluster layer: pairwise
+// dissimilarities over n objects, served a pair at a time, a row at a
+// time, or over a subset of the objects. PAM "needs only pairwise
+// dissimilarities" (paper §3), so everything here — BUILD, SWAP, the
+// seedings, CLARA, the silhouettes — is written against this interface
+// and works identically on prepared vectors, precomputed matrices and
+// dependency graphs.
+//
+// Dist is a dissimilarity: symmetric and zero on the diagonal. Two laws
+// tie the other methods to it, bit for bit, and TestOracleContract
+// enforces them on every implementation:
+//
+//   - rows: after RowInto(i, dst), dst[j] == Dist(i, j) for every j;
+//   - subsets: Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]).
+//
+// The laws are what let every loop pick the cheapest access — a row
+// where it scans all of one object's distances, a pair where it touches
+// a few — without the result depending on the choice or on the storage.
+//
+// An oracle is read-only once built (LazyOracle's memo synchronizes
+// itself) and a subset shares its parent's storage, so oracles are safe
+// for concurrent use and several subsets of one parent (CLARA's samples,
+// concurrent derived builds) may be used at once.
 type Oracle interface {
 	// N returns the number of objects.
 	N() int
 	// Dist returns the dissimilarity between objects i and j.
 	Dist(i, j int) float64
-}
-
-// RowOracle is an Oracle that can materialize a full row of distances in
-// one call. Hot loops (PAM's BUILD scoring, FasterPAM's candidate
-// evaluation) scan an entire row per step; materializing it replaces n
-// interface calls and index computations with one sequential pass over
-// the backing storage.
-type RowOracle interface {
-	Oracle
-	// RowInto fills dst[j] = Dist(i, j) for all j; dst must have length N().
+	// RowInto fills dst[j] = Dist(i, j) for all j; dst must have length
+	// N(). Loops that scan a whole row per step (BUILD scoring, SWAP's
+	// candidate evaluation) use it: one sequential pass over the backing
+	// storage instead of n interface calls and index computations.
 	RowInto(i int, dst []float64)
-}
-
-// VectorOracle computes distances between vectors on demand, without
-// materializing the O(n²) matrix; used by CLARA's full-data assignment
-// pass and by Monte-Carlo silhouettes on large selections.
-type VectorOracle struct {
-	Vecs   [][]float64
-	Metric stats.Distance
-}
-
-// N implements Oracle.
-func (o *VectorOracle) N() int { return len(o.Vecs) }
-
-// Dist implements Oracle.
-//
-//blaeu:hot
-func (o *VectorOracle) Dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	return o.Metric.Dist(o.Vecs[i], o.Vecs[j])
-}
-
-// SubsetOracle exposes a subset of another oracle's objects, re-indexed
-// densely. Idx maps local index -> parent index.
-type SubsetOracle struct {
-	Parent Oracle
-	Idx    []int
-}
-
-// N implements Oracle.
-func (o *SubsetOracle) N() int { return len(o.Idx) }
-
-// Dist implements Oracle.
-//
-//blaeu:hot
-func (o *SubsetOracle) Dist(i, j int) float64 {
-	return o.Parent.Dist(o.Idx[i], o.Idx[j])
-}
-
-// lazyCacheRows bounds LazyOracle's row memo. Each cached row costs 8·n
-// bytes, so the memo tops out at 128·8·n — linear in n, versus the
-// 4·n² bytes of the condensed matrix it replaces.
-const lazyCacheRows = 128
-
-// LazyOracle computes distances on demand from the prepared vectors,
-// memoizing whole rows materialized through RowInto in a bounded cache.
-// It never allocates the O(n²) condensed matrix, which is what lets the
-// mapping pipeline raise its sampling budget past the DistMatrix memory
-// wall. Distances are computed by exactly the same metric calls as
-// ComputeDistMatrix, so clusterings over a LazyOracle are byte-identical
-// to clusterings over the materialized matrix.
-//
-// Dist is lock-free (it always computes directly); RowInto takes one
-// mutex acquisition per call, amortized over the O(n) row it returns.
-// The type is safe for concurrent use by the parallel PAM loops.
-type LazyOracle struct {
-	vecs    [][]float64
-	metric  stats.Distance
-	maxRows int
-
-	mu   sync.Mutex
-	rows map[int][]float64
-	// evals counts metric evaluations made by RowInto materializations
-	// (guarded by mu; see EvalCounter for why Dist is not counted).
-	evals int64
-}
-
-// NewLazyOracle returns a lazy oracle over the vectors.
-func NewLazyOracle(vecs [][]float64, metric stats.Distance) *LazyOracle {
-	return &LazyOracle{
-		vecs:    vecs,
-		metric:  metric,
-		maxRows: lazyCacheRows,
-		rows:    make(map[int][]float64),
-	}
-}
-
-// N implements Oracle.
-func (o *LazyOracle) N() int { return len(o.vecs) }
-
-// Dist implements Oracle. It computes the metric directly — no cache
-// lookup, so the hot O(k)-scan paths of PAM never contend on the memo.
-//
-//blaeu:hot
-func (o *LazyOracle) Dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	return o.metric.Dist(o.vecs[i], o.vecs[j])
-}
-
-// RowInto implements RowOracle with a bounded per-row memo: rows already
-// materialized are copied out of the cache; fresh rows are computed
-// outside the lock (so concurrent misses on different rows proceed in
-// parallel) and stored while the cache has room.
-func (o *LazyOracle) RowInto(i int, dst []float64) {
-	o.mu.Lock()
-	if row, ok := o.rows[i]; ok {
-		copy(dst, row)
-		o.mu.Unlock()
-		return
-	}
-	o.mu.Unlock()
-	vi := o.vecs[i]
-	for j := range o.vecs {
-		if j == i {
-			dst[j] = 0
-			continue
-		}
-		dst[j] = o.metric.Dist(vi, o.vecs[j])
-	}
-	o.mu.Lock()
-	o.evals += int64(len(o.vecs) - 1)
-	if len(o.rows) < o.maxRows {
-		if _, ok := o.rows[i]; !ok {
-			o.rows[i] = append([]float64(nil), dst...)
-		}
-	}
-	o.mu.Unlock()
-}
-
-// cachedRows reports how many rows the memo currently holds (tests).
-func (o *LazyOracle) cachedRows() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.rows)
-}
-
-// KNNOracleOptions tunes the k-NN graph construction.
-type KNNOracleOptions struct {
-	// K is the number of nearest neighbors stored per object before
-	// symmetrization (default: n/8 clamped to [32, 512]).
-	K int
-	// Pivots is the number of reference points used for the far-pair
-	// upper bound (default 16). Pivots are evenly spaced over the input
-	// order, so the oracle is deterministic.
-	Pivots int
-}
-
-func (o *KNNOracleOptions) defaults(n int) {
-	if o.K <= 0 {
-		o.K = n / 8
-		if o.K < 32 {
-			o.K = 32
-		}
-		if o.K > 512 {
-			o.K = 512
-		}
-	}
-	if o.K >= n {
-		o.K = n - 1
-	}
-	if o.Pivots <= 0 {
-		o.Pivots = 16
-	}
-	if o.Pivots > n {
-		o.Pivots = n
-	}
-}
-
-// KNNOracle answers distance queries from a k-nearest-neighbor graph:
-// pairs inside a neighborhood (i among j's k nearest or vice versa) get
-// their exact distance; far pairs get an upper-bound estimate routed
-// through the best of a small set of pivot points (d(i,j) ≤ min_p
-// d(i,p)+d(p,j), by the triangle inequality). The graph is built exactly
-// by a parallel brute-force pass — O(n²) time but only O(n·(K+Pivots))
-// memory — which unlocks PAM and silhouettes past the DistMatrix memory
-// wall at a small, bounded cost inflation (see the golden tests).
-//
-// Caveat: the pivot bound inflates far *within-cluster* distances, so
-// silhouette-driven model selection over this oracle is biased (by about
-// ±1 cluster in practice) when true clusters dwarf the neighborhood
-// size K. PAM at a fixed k is robust to this — candidate medoids suffer
-// the same inflation and the argmin survives — but for AutoK prefer the
-// lazy oracle, or size K on the order of the expected cluster size.
-type KNNOracle struct {
-	vecs   [][]float64
-	metric stats.Distance
-	// adjIdx[i] lists i's neighbors sorted by object id (symmetrized:
-	// j appears in adjIdx[i] iff i appears in adjIdx[j]); adjDist holds
-	// the matching exact distances.
-	adjIdx  [][]int32
-	adjDist [][]float64
-	// pivotD[p][j] is the exact distance from pivot p to object j.
-	pivotD [][]float64
-	// evals is the metric-evaluation count of the graph build, fixed at
-	// construction (0 for derived oracles — induction copies storage).
-	evals int64
-}
-
-// NewKNNOracle builds the k-NN graph oracle over the vectors. The build
-// is exact (brute force) and spread across CPUs.
-func NewKNNOracle(vecs [][]float64, metric stats.Distance, opts KNNOracleOptions) *KNNOracle {
-	n := len(vecs)
-	opts.defaults(n)
-	o := &KNNOracle{vecs: vecs, metric: metric}
-	if n < 2 {
-		o.adjIdx = make([][]int32, n)
-		o.adjDist = make([][]float64, n)
-		return o
-	}
-	k := opts.K
-
-	// Pivot rows: evenly spaced objects, exact distances to everything.
-	o.pivotD = make([][]float64, opts.Pivots)
-	for p := range o.pivotD {
-		o.pivotD[p] = make([]float64, n)
-	}
-	parallelRange(opts.Pivots, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			pi := p * n / opts.Pivots
-			row := o.pivotD[p]
-			for j := 0; j < n; j++ {
-				if j == pi {
-					row[j] = 0
-					continue
-				}
-				row[j] = metric.Dist(vecs[pi], vecs[j])
-			}
-		}
-	})
-
-	// Exact k-NN lists: per object, a brute-force pass keeping the K
-	// nearest via a bounded max-heap.
-	knnIdx := make([][]int32, n)
-	knnDist := make([][]float64, n)
-	parallelRange(n, func(lo, hi int) {
-		heapIdx := make([]int32, k)
-		heapDist := make([]float64, k)
-		for i := lo; i < hi; i++ {
-			size := 0
-			vi := vecs[i]
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				d := metric.Dist(vi, vecs[j])
-				if size < k {
-					heapPush(heapIdx, heapDist, size, int32(j), d)
-					size++
-				} else if d < heapDist[0] {
-					heapReplace(heapIdx, heapDist, size, int32(j), d)
-				}
-			}
-			knnIdx[i] = append([]int32(nil), heapIdx[:size]...)
-			knnDist[i] = append([]float64(nil), heapDist[:size]...)
-			sortByID(knnIdx[i], knnDist[i])
-		}
-	})
-
-	// Symmetrize: j ∈ knn(i) must also make i a neighbor of j, so Dist
-	// answers exactly whenever either side considers the other near.
-	extraIdx := make([][]int32, n)
-	extraDist := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		for t, j := range knnIdx[i] {
-			if !containsID(knnIdx[j], int32(i)) {
-				extraIdx[j] = append(extraIdx[j], int32(i))
-				extraDist[j] = append(extraDist[j], knnDist[i][t])
-			}
-		}
-	}
-	o.adjIdx = make([][]int32, n)
-	o.adjDist = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		if len(extraIdx[i]) == 0 {
-			o.adjIdx[i] = knnIdx[i]
-			o.adjDist[i] = knnDist[i]
-			continue
-		}
-		idx := append(knnIdx[i], extraIdx[i]...)
-		dist := append(knnDist[i], extraDist[i]...)
-		sortByID(idx, dist)
-		o.adjIdx[i] = idx
-		o.adjDist[i] = dist
-	}
-	// Pivot rows evaluate n-1 pairs each; the k-NN pass evaluates every
-	// ordered pair once.
-	o.evals = int64(opts.Pivots)*int64(n-1) + int64(n)*int64(n-1)
-	return o
-}
-
-// heapPush inserts into a max-heap of (id, dist) pairs keyed on dist.
-func heapPush(idx []int32, dist []float64, size int, id int32, d float64) {
-	idx[size], dist[size] = id, d
-	for c := size; c > 0; {
-		p := (c - 1) / 2
-		if dist[p] >= dist[c] {
-			break
-		}
-		idx[p], idx[c] = idx[c], idx[p]
-		dist[p], dist[c] = dist[c], dist[p]
-		c = p
-	}
-}
-
-// heapReplace swaps the root (current maximum) for a smaller element.
-func heapReplace(idx []int32, dist []float64, size int, id int32, d float64) {
-	idx[0], dist[0] = id, d
-	for c := 0; ; {
-		l, r := 2*c+1, 2*c+2
-		big := c
-		if l < size && dist[l] > dist[big] {
-			big = l
-		}
-		if r < size && dist[r] > dist[big] {
-			big = r
-		}
-		if big == c {
-			break
-		}
-		idx[big], idx[c] = idx[c], idx[big]
-		dist[big], dist[c] = dist[c], dist[big]
-		c = big
-	}
-}
-
-func sortByID(idx []int32, dist []float64) {
-	sort.Sort(&idDistPairs{idx, dist})
-}
-
-type idDistPairs struct {
-	idx  []int32
-	dist []float64
-}
-
-func (p *idDistPairs) Len() int           { return len(p.idx) }
-func (p *idDistPairs) Less(i, j int) bool { return p.idx[i] < p.idx[j] }
-func (p *idDistPairs) Swap(i, j int) {
-	p.idx[i], p.idx[j] = p.idx[j], p.idx[i]
-	p.dist[i], p.dist[j] = p.dist[j], p.dist[i]
-}
-
-func containsID(ids []int32, id int32) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
-}
-
-// N implements Oracle.
-func (o *KNNOracle) N() int { return len(o.vecs) }
-
-// Dist implements Oracle: exact inside the symmetrized neighborhood,
-// pivot-routed upper bound outside it.
-//
-//blaeu:hot
-func (o *KNNOracle) Dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	ids := o.adjIdx[i]
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < int32(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == int32(j) {
-		return o.adjDist[i][lo]
-	}
-	return o.estimate(i, j)
-}
-
-// estimate upper-bounds d(i,j) by routing through the best pivot.
-//
-//blaeu:hot
-func (o *KNNOracle) estimate(i, j int) float64 {
-	best := math.Inf(1)
-	for _, row := range o.pivotD {
-		if v := row[i] + row[j]; v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// RowInto implements RowOracle: the row is filled with pivot estimates in
-// one O(n·Pivots) sweep, then the exact neighborhood distances overwrite
-// their entries.
-func (o *KNNOracle) RowInto(i int, dst []float64) {
-	if len(o.pivotD) == 0 {
-		for j := range dst {
-			dst[j] = o.Dist(i, j)
-		}
-		return
-	}
-	first := o.pivotD[0]
-	di := first[i]
-	for j := range dst {
-		dst[j] = di + first[j]
-	}
-	for _, row := range o.pivotD[1:] {
-		di = row[i]
-		for j := range dst {
-			if v := di + row[j]; v < dst[j] {
-				dst[j] = v
-			}
-		}
-	}
-	for t, j := range o.adjIdx[i] {
-		dst[j] = o.adjDist[i][t]
-	}
-	dst[i] = 0
+	// Subset returns an oracle over the objects idx, re-indexed densely:
+	// its object a is this oracle's object idx[a]. It reuses this
+	// oracle's storage instead of recomputing distances — which is what
+	// lets a zoom whose rows fall inside an already-clustered selection
+	// skip a fresh oracle build (see core's artifact cache). Entries of
+	// idx must be distinct, valid indices; idx is retained, so callers
+	// must not mutate it afterwards.
+	Subset(idx []int) Oracle
+	// DistEvals returns the cumulative number of exact metric
+	// evaluations embodied in the oracle's storage — matrix cells,
+	// materialized rows, k-NN graph edges and pivot rows; callers
+	// interested in one build take a before/after delta (see core's build
+	// trace). The count is storage-based, not call-based: fixed at
+	// construction (DistMatrix, KNNOracle) or kept under a lock the
+	// oracle already takes (LazyOracle's row memo), never by
+	// instrumenting the per-call Dist path, where a shared counter
+	// measurably slows PAM's hot loops. So LazyOracle's lock-free Dist
+	// goes uncounted, and a subset reports only evaluations of its own:
+	// reads through the parent's storage are reuse, not new work.
+	DistEvals() int64
 }
 
 // OracleStrategy selects which distance-oracle implementation the mapping

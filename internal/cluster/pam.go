@@ -99,11 +99,12 @@ func PAMRun(o Oracle, k int, opts PAMOptions) (*Clustering, error) {
 	if k == 1 {
 		return FasterPAM(o, 1)
 	}
-	seeds, err := SeedMedoids(o, k, opts.Seeding, opts.Rand)
+	rows := newRowScratch(o.N())
+	seeds, err := seedMedoids(o, k, opts.Seeding, opts.Rand, rows)
 	if err != nil {
 		return nil, err
 	}
-	return fasterPAMFrom(o, k, seeds)
+	return fasterPAMFrom(o, k, seeds, rows)
 }
 
 // PAMClassic is the textbook PAM of Kaufman & Rousseeuw (1990): a BUILD
@@ -117,7 +118,7 @@ func PAMClassic(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
-	return pamClassicFrom(o, k, pamBuild(o, k))
+	return pamClassicFrom(o, k, pamBuild(o, k, newRowScratch(o.N())))
 }
 
 // pamClassicFrom runs the textbook SWAP loop from the given seed medoids

@@ -85,7 +85,7 @@ func TestCLARACostConsistencyProperty(t *testing.T) {
 		for i := range vecs {
 			vecs[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
-		o := &VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		o := NewLazyOracle(vecs, stats.Euclidean{})
 		c, err := CLARA(o, 3, CLARAOptions{SampleSize: 60, Rand: rng})
 		if err != nil {
 			return false

@@ -72,41 +72,40 @@ func ParseSeeding(s string) (Seeding, error) {
 // seeding scheme. rng is required by the randomized schemes (k-means++
 // and LAB) and ignored by BUILD.
 func SeedMedoids(o Oracle, k int, s Seeding, rng *rand.Rand) ([]int, error) {
+	return seedMedoids(o, k, s, rng, newRowScratch(o.N()))
+}
+
+// seedMedoids is SeedMedoids over the calling run's row scratch.
+func seedMedoids(o Oracle, k int, s Seeding, rng *rand.Rand, rows [][]float64) ([]int, error) {
 	switch s {
 	case SeedingBUILD:
-		return pamBuild(o, k), nil
+		return pamBuild(o, k, rows), nil
 	case SeedingKMeansPP:
 		if rng == nil {
 			return nil, fmt.Errorf("cluster: %s seeding requires a random source", s)
 		}
-		return kmeansPPSeeds(o, k, rng), nil
+		return kmeansPPSeeds(o, k, rng, rows[0]), nil
 	case SeedingLAB:
 		if rng == nil {
 			return nil, fmt.Errorf("cluster: %s seeding requires a random source", s)
 		}
-		return labSeeds(o, k, rng), nil
+		return labSeeds(o, k, rng, rows[0]), nil
 	default:
 		if rng != nil && o.N() > seedingAutoThreshold {
-			return kmeansPPSeeds(o, k, rng), nil
+			return kmeansPPSeeds(o, k, rng, rows[0]), nil
 		}
-		return pamBuild(o, k), nil
+		return pamBuild(o, k, rows), nil
 	}
 }
 
-// updateNearest lowers nearest[j] to Dist(j, m) where m's row improves
-// it, materializing m's whole row when the oracle supports it.
+// updateNearest lowers nearest[j] to Dist(m, j) wherever medoid m's row
+// improves it. row is an n-sized buffer m's row is materialized into.
+//
+//blaeu:hot
 func updateNearest(o Oracle, nearest, row []float64, m int) {
-	if ro, ok := o.(RowOracle); ok {
-		ro.RowInto(m, row)
-		for j, d := range row {
-			if d < nearest[j] {
-				nearest[j] = d
-			}
-		}
-		return
-	}
-	for j := range nearest {
-		if d := o.Dist(j, m); d < nearest[j] {
+	o.RowInto(m, row)
+	for j, d := range row {
+		if d < nearest[j] {
 			nearest[j] = d
 		}
 	}
@@ -114,7 +113,7 @@ func updateNearest(o Oracle, nearest, row []float64, m int) {
 
 // kmeansPPSeeds is D² sampling on the oracle: O(n) distance evaluations
 // per medoid instead of BUILD's O(n²).
-func kmeansPPSeeds(o Oracle, k int, rng *rand.Rand) []int {
+func kmeansPPSeeds(o Oracle, k int, rng *rand.Rand, row []float64) []int {
 	n := o.N()
 	medoids := make([]int, 0, k)
 	chosen := make([]bool, n)
@@ -122,7 +121,6 @@ func kmeansPPSeeds(o Oracle, k int, rng *rand.Rand) []int {
 	for j := range nearest {
 		nearest[j] = math.Inf(1)
 	}
-	row := make([]float64, n)
 
 	first := rng.Intn(n)
 	medoids = append(medoids, first)
@@ -172,7 +170,7 @@ func kmeansPPSeeds(o Oracle, k int, rng *rand.Rand) []int {
 // 10+⌈√n⌉ candidates, scoring gains over that same subsample — O(k·n)
 // overall instead of BUILD's O(k·n²) — then maintains exact nearest
 // distances over the full set so later steps see true gains.
-func labSeeds(o Oracle, k int, rng *rand.Rand) []int {
+func labSeeds(o Oracle, k int, rng *rand.Rand, row []float64) []int {
 	n := o.N()
 	size := 10 + int(math.Ceil(math.Sqrt(float64(n))))
 	if size > n {
@@ -184,7 +182,6 @@ func labSeeds(o Oracle, k int, rng *rand.Rand) []int {
 	for j := range nearest {
 		nearest[j] = math.Inf(1)
 	}
-	row := make([]float64, n)
 
 	for len(medoids) < k {
 		sub := sampleUnchosen(n, size, chosen, rng)

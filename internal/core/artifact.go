@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/prep"
@@ -34,8 +33,7 @@ const (
 // derived builds.
 type buildArtifact struct {
 	theme      int
-	sampleRows []int       // absolute base-table rows actually clustered
-	rowPos     map[int]int // absolute row -> position in sampleRows/vecs
+	sampleRows []int // absolute base-table rows actually clustered, ascending
 	pipe       *prep.Pipeline
 	vecs       [][]float64
 	oracle     cluster.Oracle
@@ -81,9 +79,11 @@ func (c *artifactCache) get(k artifactKey) *buildArtifact {
 // findDerivable scans the cache for the parent artifact whose sample
 // overlaps rows the most, returning it with the overlapping positions
 // (indices into the parent's sampleRows/vecs, ascending) when the
-// overlap reaches minNeeded — the derivation policy's floor. The scan is
-// O(entries × len(rows)) map probes; with single-digit capacities that
-// is microseconds against the seconds a fresh oracle build costs.
+// overlap reaches minNeeded — the derivation policy's floor. Both lists
+// are ascending (see State.Rows), so the overlap is an intersection of
+// sorted lists: each of the ≤ SampleSize sample rows is binary-searched
+// in what is left of rows, O(sample · log rows) per cached entry however
+// large the selection.
 func (c *artifactCache) findDerivable(theme int, cfg uint64, rows []int, minNeeded int) (*buildArtifact, []int) {
 	var bestKey artifactKey
 	var bestArt *buildArtifact
@@ -96,10 +96,17 @@ func (c *artifactCache) findDerivable(theme int, cfg uint64, rows []int, minNeed
 			return true // cannot beat the current best
 		}
 		var pos []int
-		for _, r := range rows {
-			if p, ok := art.rowPos[r]; ok {
-				pos = append(pos, p)
+		rest := rows
+		for p, r := range art.sampleRows {
+			if len(rest) == 0 {
+				break
 			}
+			at := sort.SearchInts(rest, r)
+			if at < len(rest) && rest[at] == r {
+				pos = append(pos, p)
+				at++
+			}
+			rest = rest[at:]
 		}
 		if len(pos) >= minNeeded && len(pos) > len(bestPos) {
 			bestKey, bestArt, bestPos = k, art, pos
@@ -121,20 +128,6 @@ func (c *artifactCache) each(f func(k artifactKey, art *buildArtifact) bool) {
 // put stores a finished artifact, evicting least recently used entries
 // beyond capacity.
 func (c *artifactCache) put(k artifactKey, art *buildArtifact) { c.lru.put(k, art) }
-
-// artifactConfigFingerprint hashes the option fields that change what
-// the sample/prep/oracle stages produce for a given (rows, theme): the
-// sampling budget, the preprocessing knobs, and the oracle strategy with
-// its parameters. Clustering-only knobs (k bounds, tree shape, seeding)
-// are excluded — two builds that differ only there can still share an
-// artifact.
-func artifactConfigFingerprint(o Options) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%v|%s|%d|%d|%d",
-		o.SampleSize, o.Prep, o.OracleStrategy, o.OracleThreshold,
-		o.KNN.K, o.KNN.Pivots)
-	return h.Sum64()
-}
 
 // derivedSampleFloor is the derivation policy: the smallest overlap
 // (between a new selection and a cached parent's sample) that still
@@ -172,14 +165,12 @@ func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Ra
 		}
 		pos = sub
 	}
-	// rowPos stays nil: it only serves findDerivable's overlap probing,
-	// and derived artifacts never enter the cache (see ApplyBuild).
 	art := &buildArtifact{
 		theme:      parent.theme,
 		sampleRows: make([]int, len(pos)),
 		pipe:       parent.pipe,
 		vecs:       make([][]float64, len(pos)),
-		oracle:     cluster.SubsetOracleOf(parent.oracle, pos),
+		oracle:     parent.oracle.Subset(pos),
 	}
 	for i, p := range pos {
 		art.sampleRows[i] = parent.sampleRows[p]

@@ -123,9 +123,6 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 	if got.OracleStrategy != cluster.OracleAuto || got.Seeding != cluster.SeedingAuto {
 		t.Errorf("default strategy/seeding = %v/%v, want auto/auto", got.OracleStrategy, got.Seeding)
 	}
-	if got.OracleThreshold != cluster.DefaultMaterializeThreshold {
-		t.Errorf("OracleThreshold default = %d", got.OracleThreshold)
-	}
 }
 
 // TestLazyStrategyMatchesMaterializedMaps is the end-to-end differential

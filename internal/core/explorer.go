@@ -32,7 +32,10 @@ type State struct {
 	Action ActionKind
 	// Detail describes the action (e.g. the zoomed region's condition).
 	Detail string
-	// Rows is the active selection (absolute base-table row indices).
+	// Rows is the active selection: absolute base-table row indices,
+	// ascending. Every producer keeps the order (NewExplorer's full
+	// table, store.ScanRows for filters, store.RouteRows for regions),
+	// and the artifact tier's overlap search relies on it.
 	Rows []int
 	// fp memoises the fingerprint of Rows (see rowsFingerprint).
 	fp rowsFingerprint
@@ -83,11 +86,11 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 	e := &Explorer{table: t, opts: opts, rng: opts.newRNG(), metric: stats.Euclidean{}}
 	if opts.MapCacheSize > 0 {
 		e.cache = newMapCache(opts.MapCacheSize)
-		e.cfg = configFingerprint(opts)
+		e.cfg = optionsFingerprint(opts, mapTier)
 	}
 	if opts.ArtifactCacheSize > 0 {
 		e.artifacts = newArtifactCache(opts.ArtifactCacheSize)
-		e.acfg = artifactConfigFingerprint(opts)
+		e.acfg = optionsFingerprint(opts, artifactTier)
 	}
 	if err := e.detectThemes(); err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 )
@@ -121,21 +119,4 @@ func (f *rowsFingerprint) of(rows []int) uint64 {
 		f.sum, f.ok = fingerprintRows(rows), true
 	}
 	return f.sum
-}
-
-// configFingerprint hashes every option field that changes what
-// buildMap produces for a given (rows, theme): the ClusterConfig wire
-// strings, the sampling, model-selection and tree knobs, and the k-NN
-// oracle parameters (which change knn-strategy clusterings).
-// Parallelism and the oracle materialization threshold are deliberately
-// excluded — they change how fast a map is built, not which map (lazy
-// and materialized oracles are byte-identical).
-func configFingerprint(o Options) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%d|%d|%d|%d|%d|%d",
-		o.OracleStrategy, o.Seeding, o.ClusterMethod,
-		o.SampleSize, o.MapKMin, o.MapKMax,
-		o.TreeMaxDepth, o.TreeMinLeaf, o.PAMThreshold,
-		o.KNN.K, o.KNN.Pivots)
-	return h.Sum64()
 }

@@ -88,10 +88,10 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 		return nil, nil, fmt.Errorf("core: empty selection")
 	}
 	// Distance work is accounted as a before/after delta of the oracle's
-	// own evaluation count (cluster.EvalCounter) — storage-based and free,
-	// where wrapping the per-call Dist path costs several percent of a
-	// build. A reused artifact starts at its accumulated count, so the
-	// delta is exactly this build's new evaluations.
+	// own evaluation count (cluster.Oracle's DistEvals) — storage-based
+	// and free, where wrapping the per-call Dist path costs several
+	// percent of a build. A reused artifact starts at its accumulated
+	// count, so the delta is exactly this build's new evaluations.
 	evalsBefore := distEvals(art)
 
 	var sample *store.Table
@@ -173,20 +173,16 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 }
 
 // distEvals reads the cumulative metric-evaluation count of the
-// artifact's oracle, when it exposes one; 0 for a nil artifact (cold
-// build not yet prepped) or an oracle without the counter.
+// artifact's oracle; 0 for a nil artifact (cold build not yet prepped).
 func distEvals(art *buildArtifact) int64 {
 	if art == nil || art.oracle == nil {
 		return 0
 	}
-	if c, ok := art.oracle.(cluster.EvalCounter); ok {
-		return c.DistEvals()
-	}
-	return 0
+	return art.oracle.DistEvals()
 }
 
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of
-// the selection's rows, uniformly, in ascending order.
+// the selection's rows, uniformly, in the selection's (ascending) order.
 func (e *Explorer) sampleStage(rng *rand.Rand, rows []int) []int {
 	if len(rows) <= e.opts.SampleSize {
 		return rows
@@ -218,26 +214,16 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 	if err != nil {
 		return nil, err
 	}
-	art := &buildArtifact{
-		theme:      theme.ID,
-		sampleRows: sampleRows,
-		rowPos:     make(map[int]int, len(sampleRows)),
-		pipe:       pipe,
-		vecs:       vecs,
-	}
-	for i, r := range sampleRows {
-		art.rowPos[r] = i
-	}
-	return art, nil
+	return &buildArtifact{theme: theme.ID, sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
 }
 
 // oracleStage attaches the distance oracle for the artifact's vectors
 // under the engine's OracleStrategy: auto materializes a matrix for
 // small samples (fast repeated access by PAM) and goes lazy above
-// OracleThreshold; explicit strategies (matrix, lazy, knn) override the
-// size heuristic.
+// cluster.DefaultMaterializeThreshold; explicit strategies (matrix,
+// lazy, knn) override the size heuristic.
 func (e *Explorer) oracleStage(art *buildArtifact) {
-	art.oracle = cluster.BuildOracle(art.vecs, e.metric, e.opts.OracleStrategy, e.opts.OracleThreshold, e.opts.KNN)
+	art.oracle = cluster.BuildOracle(art.vecs, e.metric, e.opts.OracleStrategy, 0, e.opts.KNN)
 }
 
 // clusterStage runs cluster detection with automatic k over the
@@ -254,7 +240,6 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 	return cluster.AutoK(art.oracle, cluster.AutoKOptions{
 		KMin:                  e.opts.MapKMin,
 		KMax:                  kMax,
-		Method:                e.opts.ClusterMethod,
 		Seeding:               e.opts.Seeding,
 		LargeThreshold:        e.opts.PAMThreshold,
 		MCSilhouetteThreshold: e.opts.PAMThreshold,

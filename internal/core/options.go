@@ -5,17 +5,22 @@
 // and exposes the four navigational actions: zoom, highlight, project and
 // rollback (paper §2–3).
 //
-// Map construction runs on a pluggable distance layer: Options.
-// OracleStrategy selects between a materialized distance matrix, a lazy
-// on-demand oracle and a sparse k-NN-graph oracle (see internal/cluster),
-// and Options.Seeding selects how PAM picks initial medoids. The defaults
-// (auto/auto) materialize below cluster.DefaultMaterializeThreshold
-// objects and go lazy above it, which is what lets the sampling budget
-// default to 5000 tuples without quadratic memory.
+// Map construction runs on one distance contract, cluster.Oracle, with
+// three storages behind it: Options.OracleStrategy selects between a
+// materialized distance matrix, a lazy on-demand oracle and a sparse
+// k-NN-graph oracle (see internal/cluster), and Options.Seeding selects
+// how PAM picks initial medoids. The defaults (auto/auto) materialize
+// below cluster.DefaultMaterializeThreshold objects and go lazy above it,
+// which is what lets the sampling budget default to 5000 tuples without
+// quadratic memory. A zoom inside an already-clustered selection asks
+// the cached oracle for a Subset instead of building a new one.
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"runtime"
 
 	"repro/internal/cluster"
@@ -30,7 +35,8 @@ type Options struct {
 	// Blaeu clusters at most this many tuples (paper §3: "After each
 	// zoom, Blaeu only takes a few thousand samples"). Default 5000 —
 	// raised from the paper-era 2000 now that the oracle layer no longer
-	// materializes the O(n²) distance matrix above OracleThreshold.
+	// materializes the O(n²) distance matrix above
+	// cluster.DefaultMaterializeThreshold objects.
 	SampleSize int
 	// ThemeKMin / ThemeKMax bound the number of themes tried during
 	// vertical clustering (defaults 2 and 8, capped by column count).
@@ -49,17 +55,12 @@ type Options struct {
 	DependencySampleRows int
 	// Prep configures preprocessing (default prep.NewOptions()).
 	Prep prep.Options
-	// ClusterMethod selects PAM / CLARA / auto (default auto).
-	ClusterMethod cluster.Method
 	// OracleStrategy selects the distance-oracle implementation maps are
 	// clustered over (default cluster.OracleAuto: a materialized matrix
-	// up to OracleThreshold objects, a lazy on-demand oracle above it;
-	// cluster.OracleKNN opts into the k-NN-graph oracle).
+	// up to cluster.DefaultMaterializeThreshold objects, a lazy on-demand
+	// oracle above it; cluster.OracleKNN opts into the k-NN-graph
+	// oracle).
 	OracleStrategy cluster.OracleStrategy
-	// OracleThreshold is the sample size above which OracleAuto stops
-	// materializing the condensed distance matrix (default
-	// cluster.DefaultMaterializeThreshold).
-	OracleThreshold int
 	// KNN tunes the k-NN graph when OracleStrategy is cluster.OracleKNN
 	// (zero values pick the oracle's defaults). Sizing KNN.K on the
 	// order of the expected cluster size avoids the model-selection bias
@@ -69,8 +70,8 @@ type Options struct {
 	// cluster.SeedingAuto: quadratic BUILD on small samples, k-means++
 	// D² sampling on large ones).
 	Seeding cluster.Seeding
-	// PAMThreshold is the sample size above which the auto method
-	// switches from exact PAM to CLARA, and silhouettes switch to the
+	// PAMThreshold is the sample size above which clustering switches
+	// from exact PAM to CLARA, and silhouettes switch to the
 	// Monte-Carlo estimator (paper §3: "when the data is too large,
 	// Blaeu creates the maps with CLARA"). Default 1024.
 	PAMThreshold int
@@ -86,8 +87,7 @@ type Options struct {
 	// the engine issues (predicate filters over the selection — see
 	// store.Scan). Default runtime.GOMAXPROCS(0); 1 or negative forces
 	// sequential scans. Results are byte-identical at every setting —
-	// the scan's merge is order-preserving — so, like Parallelism, it
-	// is excluded from the cache fingerprints.
+	// the scan's merge is order-preserving.
 	ScanWorkers int
 	// MapCacheSize bounds the zoom-aware map cache: finished maps are
 	// keyed by (row-set fingerprint, theme, clustering config) and
@@ -100,7 +100,7 @@ type Options struct {
 	// oracle are kept keyed by (row-set fingerprint, theme, prep+oracle
 	// config), so a map-cache miss whose rows overlap a cached parent's
 	// sample derives its oracle instead of rebuilding it (see
-	// cluster.DerivableOracle). 0 means DefaultArtifactCacheSize;
+	// cluster.Oracle's Subset). 0 means DefaultArtifactCacheSize;
 	// negative disables the tier.
 	ArtifactCacheSize int
 	// DerivedSampleMin is the smallest overlap (rows of a new selection
@@ -118,6 +118,76 @@ type Options struct {
 	MaxHistory int
 }
 
+// cacheTier names a reuse tier whose keys carry an options fingerprint.
+type cacheTier uint8
+
+const (
+	// mapTier: the field changes which map a build produces for a given
+	// (rows, theme).
+	mapTier cacheTier = 1 << iota
+	// artifactTier: the field changes what the sample, prep or oracle
+	// stage produces — the front half a build artifact caches. Whatever
+	// changes the artifact changes the map built from it, so these
+	// fields enter both keys.
+	artifactTier
+)
+
+// optionTiers classifies every field of Options by the cache keys it
+// enters; optionsFingerprint hashes exactly the fields listed for a
+// tier, so a key cannot drift from this table, and
+// TestEveryOptionIsClassified fails for a field that is missing from it
+// or whose change does not move exactly the fingerprints listed. A
+// field is left out of both keys (0) when it changes how fast a map is
+// built, not which map (results are byte-identical at every setting),
+// or when it never reaches buildMap at all.
+var optionTiers = map[string]cacheTier{
+	// Which sample is drawn, how it becomes vectors, and what the oracle
+	// over them answers (knn's neighborhoods change knn clusterings).
+	"SampleSize":     mapTier | artifactTier,
+	"Prep":           mapTier | artifactTier,
+	"OracleStrategy": mapTier | artifactTier,
+	"KNN":            mapTier | artifactTier,
+	// Model selection and description over a given artifact: two builds
+	// that differ only here still share sample, vectors and oracle.
+	"MapKMin":      mapTier,
+	"MapKMax":      mapTier,
+	"TreeMaxDepth": mapTier,
+	"TreeMinLeaf":  mapTier,
+	"Seeding":      mapTier,
+	"PAMThreshold": mapTier,
+	// The engine's random stream: fixed when the Explorer opens, and a
+	// cache never outlives its Explorer.
+	"Seed": 0,
+	// Theme detection: a different partition gives different theme IDs,
+	// which the keys carry themselves.
+	"ThemeKMin":            0,
+	"ThemeKMax":            0,
+	"DependencySampleRows": 0,
+	// How fast, never which map.
+	"Parallelism": 0,
+	"Runner":      0,
+	"ScanWorkers": 0,
+	// The caches' own sizes and reuse policy, and the rollback stack.
+	"MapCacheSize":          0,
+	"ArtifactCacheSize":     0,
+	"DerivedSampleMin":      0,
+	"DerivedSampleFraction": 0,
+	"MaxHistory":            0,
+}
+
+// optionsFingerprint hashes, in declaration order, the fields of o that
+// optionTiers lists for the tier.
+func optionsFingerprint(o Options, tier cacheTier) uint64 {
+	h := fnv.New64a()
+	v := reflect.ValueOf(o)
+	for i := 0; i < v.NumField(); i++ {
+		if optionTiers[v.Type().Field(i).Name]&tier != 0 {
+			fmt.Fprintf(h, "%v|", v.Field(i).Interface())
+		}
+	}
+	return h.Sum64()
+}
+
 // DefaultOptions returns the engine defaults described in the paper.
 func DefaultOptions() Options {
 	return Options{
@@ -132,7 +202,6 @@ func DefaultOptions() Options {
 		PAMThreshold:          1024,
 		Parallelism:           runtime.NumCPU(),
 		ScanWorkers:           runtime.GOMAXPROCS(0),
-		OracleThreshold:       cluster.DefaultMaterializeThreshold,
 		MapCacheSize:          DefaultMapCacheSize,
 		ArtifactCacheSize:     DefaultArtifactCacheSize,
 		DerivedSampleMin:      defaultDerivedSampleMin,
@@ -190,9 +259,6 @@ func (o *Options) defaults() {
 	}
 	if o.DerivedSampleFraction <= 0 {
 		o.DerivedSampleFraction = d.DerivedSampleFraction
-	}
-	if o.OracleThreshold <= 0 {
-		o.OracleThreshold = d.OracleThreshold
 	}
 	if o.MaxHistory <= 0 {
 		o.MaxHistory = d.MaxHistory

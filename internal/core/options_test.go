@@ -1,0 +1,77 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+)
+
+type noopRunner struct{}
+
+func (noopRunner) RunTasks(tasks []func()) {}
+
+// bumpLeaves calls visit once per scalar leaf of v (v itself, or every
+// field of a struct-typed option, recursively) with that leaf changed to
+// a different value, restoring it afterwards.
+func bumpLeaves(t *testing.T, v reflect.Value, path string, visit func(path string)) {
+	t.Helper()
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			bumpLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+		return
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(noopRunner{}))
+	default:
+		t.Fatalf("%s: no way to change a %s; teach bumpLeaves", path, v.Kind())
+	}
+	visit(path)
+	v.Set(old)
+}
+
+// TestEveryOptionIsClassified: every field of Options is listed in
+// optionTiers, nothing else is, and changing a field moves exactly the
+// fingerprints its entry names — so a new option cannot silently miss a
+// cache key it belongs in, nor enter one it does not.
+func TestEveryOptionIsClassified(t *testing.T) {
+	typ := reflect.TypeOf(Options{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		fields[typ.Field(i).Name] = true
+	}
+	for name := range optionTiers {
+		if !fields[name] {
+			t.Errorf("optionTiers lists %q, which is not a field of Options", name)
+		}
+	}
+
+	opts := DefaultOptions()
+	baseMap, baseArt := optionsFingerprint(opts, mapTier), optionsFingerprint(opts, artifactTier)
+	v := reflect.ValueOf(&opts).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		tiers, ok := optionTiers[name]
+		if !ok {
+			t.Errorf("Options.%s is not classified in optionTiers: say which cache keys it enters (0 for neither) and why", name)
+			continue
+		}
+		bumpLeaves(t, v.Field(i), name, func(path string) {
+			movedMap := optionsFingerprint(opts, mapTier) != baseMap
+			movedArt := optionsFingerprint(opts, artifactTier) != baseArt
+			if want := tiers&mapTier != 0; movedMap != want {
+				t.Errorf("changing %s: map fingerprint moved = %v, optionTiers says %v", path, movedMap, want)
+			}
+			if want := tiers&artifactTier != 0; movedArt != want {
+				t.Errorf("changing %s: artifact fingerprint moved = %v, optionTiers says %v", path, movedArt, want)
+			}
+		})
+	}
+}

@@ -24,7 +24,8 @@ type Region struct {
 	// Children are the sub-regions (nil for leaves).
 	Children []*Region
 	// Rows are the absolute base-table row indices of the selection
-	// falling in this region.
+	// falling in this region, ascending like State.Rows (store.RouteRows
+	// keeps the selection's order).
 	Rows []int
 	// fp memoises the fingerprint of Rows (see rowsFingerprint); a zoom
 	// into the region hands it on to the state it pushes.

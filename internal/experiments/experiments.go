@@ -1,8 +1,7 @@
 // Package experiments implements the reproduction harness: one runner per
-// figure, demonstration scenario and performance claim of the paper (see
-// DESIGN.md §4 for the experiment index). The same runners back the
-// blaeu-bench command and the root-level testing.B benchmarks, and their
-// outputs are recorded in EXPERIMENTS.md.
+// figure, demonstration scenario and performance claim of the paper
+// (`blaeu-bench -list` prints the index). The same runners back the
+// blaeu-bench command and the root-level testing.B benchmarks.
 package experiments
 
 import (

@@ -194,7 +194,7 @@ func runE2(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		oracle := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		oracle := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 		start := time.Now()
 		cl, err := cluster.CLARA(oracle, 4, cluster.CLARAOptions{Rand: rng})
 		if err != nil {
@@ -362,7 +362,7 @@ func runE3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		oracle := &cluster.VectorOracle{Vecs: vecs, Metric: stats.Euclidean{}}
+		oracle := cluster.NewLazyOracle(vecs, stats.Euclidean{})
 		labels := ds.Truth["rows"]
 
 		start := time.Now()

@@ -221,24 +221,18 @@ func parallelRows(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// oracle adapts the graph to cluster.Oracle with distance = 1 - weight.
-type oracle struct{ g *Graph }
-
-func (o oracle) N() int { return o.g.N() }
-func (o oracle) Dist(i, j int) float64 {
-	if i == j {
-		return 0
+// Oracle returns the graph as a cluster.Oracle where dissimilarity is
+// 1 - weight (clamped at 0), suitable for PAM partitioning: a small
+// distance matrix, one cell per column pair.
+func (g *Graph) Oracle() cluster.Oracle {
+	m := cluster.NewDistMatrix(g.N())
+	for i, row := range g.weight {
+		for j := i + 1; j < len(row); j++ {
+			m.Set(i, j, max(1-row[j], 0))
+		}
 	}
-	d := 1 - o.g.weight[i][j]
-	if d < 0 {
-		return 0
-	}
-	return d
+	return m
 }
-
-// Oracle returns a cluster.Oracle view of the graph where dissimilarity is
-// 1 - weight, suitable for PAM partitioning.
-func (g *Graph) Oracle() cluster.Oracle { return oracle{g} }
 
 // Partition splits the graph's vertices into k groups with PAM, minimizing
 // the aggregated dissimilarity (1 - dependency) between vertices and their
@@ -251,7 +245,7 @@ func (g *Graph) Partition(k int) (*cluster.Clustering, error) {
 // criterion.
 func (g *Graph) AutoPartition(kMin, kMax int, rng *rand.Rand) (*cluster.Clustering, error) {
 	return cluster.AutoK(g.Oracle(), cluster.AutoKOptions{
-		KMin: kMin, KMax: kMax, Method: cluster.MethodPAM, Rand: rng,
+		KMin: kMin, KMax: kMax, Rand: rng,
 	})
 }
 
