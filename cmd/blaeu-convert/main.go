@@ -6,11 +6,14 @@
 //
 //	blaeu-convert [-rows-per-page 8192] [-infer-rows 0] [-comma ,] input.csv output.seg
 //
-// Conversion streams: two passes over the CSV (type inference, then
-// page writing) with memory bounded by columns × rows-per-page, so a
-// 100M-row file converts on a laptop. Column types follow the same
-// inference rules as the in-memory CSV reader, which is what makes
-// segment-backed exploration results identical to in-memory ones.
+// Conversion streams through the same block-parallel decoder as the
+// in-memory CSV reader (store.BuildSegment): the file is read once when
+// the column types guessed from its start hold to the end, twice when a
+// later cell contradicts them, with memory bounded by columns ×
+// rows-per-page plus a few 256 KB blocks in flight, so a 100M-row file
+// converts on a laptop. Column types follow the same inference rules as
+// the in-memory reader, which is what makes segment-backed exploration
+// results identical to in-memory ones.
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/internal/store"
 )
@@ -42,13 +46,19 @@ func main() {
 		}
 		opts.CSV.Comma = r[0]
 	}
+	t0 := time.Now()
 	rows, err := store.BuildSegment(in, out, opts)
 	if err != nil {
 		log.Fatalf("converting %s: %v", in, err)
 	}
+	secs := time.Since(t0).Seconds()
 	fi, err := os.Stat(out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s: %d rows, %d bytes", out, rows, fi.Size())
+	rate := ""
+	if src, err := os.Stat(in); err == nil {
+		rate = fmt.Sprintf(" (%.1f MB/s of CSV)", float64(src.Size())/1e6/secs)
+	}
+	log.Printf("wrote %s: %d rows, %d bytes, ingested in %.2f s%s", out, rows, fi.Size(), secs, rate)
 }

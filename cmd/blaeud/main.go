@@ -79,6 +79,17 @@ func parseWeights(s string) (map[string]int, error) {
 	return out, nil
 }
 
+// ingestRate renders the time since t0 and the MB/s that makes of the
+// file at path, for the per-dataset load line.
+func ingestRate(path string, t0 time.Time) string {
+	secs := time.Since(t0).Seconds()
+	fi, err := os.Stat(path)
+	if err != nil {
+		return fmt.Sprintf("ingested in %.2f s", secs)
+	}
+	return fmt.Sprintf("ingested in %.2f s (%.1f MB/s)", secs, float64(fi.Size())/1e6/secs)
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "random seed for synthetic data and clustering")
@@ -138,13 +149,13 @@ func main() {
 				t.Name(), t.NumRows(), t.NumCols(), *pageBudgetMB)
 			continue
 		}
+		t0 := time.Now()
 		t, err := store.ReadCSVFile(path, nil)
 		if err != nil {
 			log.Fatalf("loading %s: %v", path, err)
 		}
-		name := strings.TrimSuffix(path[strings.LastIndex(path, "/")+1:], ".csv")
-		datasets[name] = t
-		log.Printf("loaded %s: %d rows × %d cols", name, t.NumRows(), t.NumCols())
+		datasets[t.Name()] = t
+		log.Printf("loaded %s: %d rows × %d cols, %s", t.Name(), t.NumRows(), t.NumCols(), ingestRate(path, t0))
 	}
 	if len(datasets) == 0 {
 		fmt.Fprintln(os.Stderr, "no datasets to serve (use built-ins or pass CSV files)")

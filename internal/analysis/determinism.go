@@ -36,7 +36,7 @@ var Determinism = &Analyzer{
 	Scope: []string{
 		"internal/cluster", "internal/core", "internal/prep",
 		"internal/graph", "internal/stats",
-		"internal/store", "internal/store/segment",
+		"internal/store", "internal/store/segment", "internal/store/csvdec",
 		"internal/obs",
 	},
 	Run: runDeterminism,

@@ -1,13 +1,10 @@
 package store
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
+	"repro/internal/store/csvdec"
 	"repro/internal/store/segment"
 )
 
@@ -23,248 +20,55 @@ type SegmentBuildOptions struct {
 	RowsPerPage int
 }
 
-// typeSniffer incrementally infers a column's type from its non-null
-// cells, one cell at a time — the streaming form of inferTypes, shared
-// with it so the two paths can never disagree.
-type typeSniffer struct {
-	canInt, canFloat, canBool bool
-	seen                      bool
-}
-
-func newTypeSniffer() typeSniffer {
-	return typeSniffer{canInt: true, canFloat: true, canBool: true}
-}
-
-// observe narrows the candidate types by one non-null trimmed cell.
-func (ts *typeSniffer) observe(s string) {
-	ts.seen = true
-	if ts.canInt {
-		if _, err := strconv.ParseInt(s, 10, 64); err != nil {
-			ts.canInt = false
-		}
-	}
-	if ts.canFloat {
-		if _, err := strconv.ParseFloat(s, 64); err != nil {
-			ts.canFloat = false
-		}
-	}
-	if ts.canBool {
-		l := strings.ToLower(s)
-		if l != "true" && l != "false" {
-			ts.canBool = false
-		}
-	}
-}
-
-// dead reports whether further cells cannot change the outcome.
-func (ts *typeSniffer) dead() bool {
-	return !ts.canInt && !ts.canFloat && !ts.canBool
-}
-
-// result applies the precedence bool > int > float > string; a column
-// with no non-null cells is String.
-func (ts *typeSniffer) result() Type {
-	switch {
-	case !ts.seen:
-		return String
-	case ts.canBool:
-		return Bool
-	case ts.canInt:
-		return Int64
-	case ts.canFloat:
-		return Float64
-	default:
-		return String
-	}
-}
-
-// csvHeader reads and normalizes the header row the way ReadCSV does.
-func csvHeader(cr *csv.Reader) ([]string, error) {
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("store: reading CSV header: %w", err)
-	}
-	names := make([]string, len(header))
-	for i, h := range header {
-		names[i] = strings.TrimSpace(h)
-		if names[i] == "" {
-			names[i] = fmt.Sprintf("col%d", i)
-		}
-	}
-	return names, nil
-}
-
-func newCSVReader(r io.Reader, opts *CSVOptions) *csv.Reader {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
-	}
-	cr.ReuseRecord = true
-	return cr
-}
-
-// BuildSegment converts a CSV file into a segment file with bounded
-// memory: a first streaming pass infers column types (over
-// CSV.MaxInferRows rows, or all rows when 0), a second streams every
-// row into the page writer. The resident footprint is O(columns ×
-// RowsPerPage) plus the string dictionaries — the row count never
-// enters into it. It returns the number of data rows written.
+// BuildSegment converts a CSV file into a segment file through the
+// same decoder as ReadCSV (package csvdec), its chunks appended to the
+// page writer in file order, so the file holds exactly the typed
+// values, and the dictionaries in exactly the order, ReadCSV would
+// build. The input is read once when the schema speculated from its
+// start holds for every cell (or CSV.MaxInferRows fixes the schema
+// from a prefix); a cell that contradicts it costs one more pass, and
+// the partial file is discarded first. It returns the number of data
+// rows written; on error no file is left behind.
 //
-// Cells that fail to parse under the inferred type abort with an
-// error, matching ReadCSV (this can only happen when MaxInferRows
-// truncated inference).
+// The resident footprint is O(columns × RowsPerPage) for the writer's
+// pages, plus at most GOMAXPROCS+2 blocks of 256 KB in flight (each with
+// its decoded chunk), plus the string dictionaries — the row count
+// never enters into it.
 func BuildSegment(csvPath, segPath string, opts *SegmentBuildOptions) (int64, error) {
 	if opts == nil {
 		opts = &SegmentBuildOptions{}
 	}
-	copts := opts.CSV
-	if copts.NullTokens == nil {
-		copts.NullTokens = []string{"NA", "N/A", "null", "NULL", "nan", "NaN"}
-	}
-
-	// Pass 1: infer the schema.
-	names, types, err := sniffCSVFile(csvPath, &copts)
+	var sink *segSink
+	err := ingest(func() (io.ReadCloser, error) { return os.Open(csvPath) }, opts.CSV.withDefaults(),
+		func(names []string, kinds []segment.Kind) (_ csvdec.Sink, err error) {
+			sink, err = newSegSink(segPath, names, kinds, opts.RowsPerPage)
+			return sink, err
+		})
 	if err != nil {
 		return 0, err
 	}
+	footer, err := sink.w.Finish()
+	if err != nil {
+		return 0, err
+	}
+	return footer.NumRows, nil
+}
+
+// segSink appends the chunks to a segment writer.
+type segSink struct{ w *segment.Writer }
+
+func newSegSink(path string, names []string, kinds []segment.Kind, rowsPerPage int) (*segSink, error) {
 	schema := make([]segment.ColumnSpec, len(names))
 	for i, n := range names {
-		schema[i] = segment.ColumnSpec{Name: n, Kind: kindOf(types[i])}
+		schema[i] = segment.ColumnSpec{Name: n, Kind: kinds[i]}
 	}
-
-	// Pass 2: stream rows into pages.
-	f, err := os.Open(csvPath)
+	w, err := segment.NewWriter(path, schema, &segment.WriterOptions{RowsPerPage: rowsPerPage})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer f.Close()
-	cr := newCSVReader(f, &copts)
-	if _, err := cr.Read(); err != nil { // header, validated in pass 1
-		return 0, fmt.Errorf("store: reading CSV header: %w", err)
-	}
-	w, err := segment.NewWriter(segPath, schema, &segment.WriterOptions{RowsPerPage: opts.RowsPerPage})
-	if err != nil {
-		return 0, err
-	}
-	var rows int64
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Abort()
-			return 0, fmt.Errorf("store: reading CSV row %d: %w", rows+2, err)
-		}
-		for j := range schema {
-			var s string
-			ok := false
-			if j < len(rec) {
-				s = strings.TrimSpace(rec[j])
-				ok = !copts.isNull(s)
-			}
-			if !ok {
-				w.AppendNull(j)
-				continue
-			}
-			switch types[j] {
-			case Int64:
-				v, err := strconv.ParseInt(s, 10, 64)
-				if err != nil {
-					w.Abort()
-					return 0, fmt.Errorf("store: column %s row %d: %w", names[j], rows, err)
-				}
-				w.AppendInt(j, v)
-			case Float64:
-				v, err := strconv.ParseFloat(s, 64)
-				if err != nil {
-					w.Abort()
-					return 0, fmt.Errorf("store: column %s row %d: %w", names[j], rows, err)
-				}
-				w.AppendFloat(j, v)
-			case Bool:
-				w.AppendBool(j, strings.EqualFold(s, "true"))
-			default:
-				w.AppendString(j, s)
-			}
-		}
-		if err := w.EndRow(); err != nil {
-			w.Abort()
-			return 0, err
-		}
-		rows++
-	}
-	if _, err := w.Finish(); err != nil {
-		return 0, err
-	}
-	return rows, nil
+	return &segSink{w}, nil
 }
 
-// sniffCSVFile runs the inference pass: header names plus one
-// typeSniffer per column over the (possibly bounded) row prefix.
-func sniffCSVFile(path string, opts *CSVOptions) ([]string, []Type, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	cr := newCSVReader(f, opts)
-	names, err := csvHeader(cr)
-	if err != nil {
-		return nil, nil, err
-	}
-	sniffers := make([]typeSniffer, len(names))
-	for i := range sniffers {
-		sniffers[i] = newTypeSniffer()
-	}
-	row := 0
-	for {
-		if opts.MaxInferRows > 0 && row >= opts.MaxInferRows {
-			break
-		}
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: reading CSV row %d: %w", row+2, err)
-		}
-		allDead := true
-		for j := range sniffers {
-			if j >= len(rec) {
-				continue
-			}
-			s := strings.TrimSpace(rec[j])
-			if !opts.isNull(s) {
-				sniffers[j].observe(s)
-			}
-			if !sniffers[j].dead() || !sniffers[j].seen {
-				allDead = false
-			}
-		}
-		row++
-		if allDead && len(sniffers) > 0 {
-			// Every column is already pinned to String; further rows
-			// cannot change the schema.
-			break
-		}
-	}
-	types := make([]Type, len(names))
-	for i := range sniffers {
-		types[i] = sniffers[i].result()
-	}
-	return names, types, nil
-}
+func (s *segSink) Consume(c *csvdec.Chunk) error { return s.w.AppendRows(c.Rows, c.Cols) }
 
-func kindOf(t Type) segment.Kind {
-	switch t {
-	case Float64:
-		return segment.KindFloat64
-	case Int64:
-		return segment.KindInt64
-	case Bool:
-		return segment.KindBool
-	default:
-		return segment.KindString
-	}
-}
+func (s *segSink) Abort() { s.w.Abort() }

@@ -1,10 +1,12 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -331,5 +333,67 @@ func TestSegmentPreadFallback(t *testing.T) {
 		if buf[i] != h.Bytes()[i] {
 			t.Fatalf("mmap and pread disagree at byte %d", i)
 		}
+	}
+}
+
+// TestAppendRowsMatchesRowAtATime: the same table appended column-wise
+// in runs that straddle row groups (and interleaved with row-at-a-time
+// appends) must give the file buildTestSegment writes cell by cell,
+// byte for byte — null placeholders, dictionary order and all.
+func TestAppendRowsMatchesRowAtATime(t *testing.T) {
+	const rows, rpp = 1000, 64
+	wantPath, _ := buildTestSegment(t, rows, rpp)
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "batch.seg")
+	w, err := NewWriter(path, []ColumnSpec{
+		{Name: "f", Kind: KindFloat64}, {Name: "i", Kind: KindInt64},
+		{Name: "s", Kind: KindString}, {Name: "b", Kind: KindBool},
+	}, &WriterOptions{RowsPerPage: rpp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo, n := 0, 1; lo < rows; lo, n = lo+n, n*3%200+1 {
+		n = min(n, rows-lo)
+		cols := make([]Cells, 4)
+		for ci := range cols {
+			cols[ci].Nulls = make([]bool, n)
+		}
+		for k := 0; k < n; k++ {
+			r := lo + k
+			cols[0].Nulls[k], cols[1].Nulls[k], cols[2].Nulls[k], cols[3].Nulls[k] = r%7 == 3, r%11 == 5, r%13 == 1, r%17 == 2
+			f, i, s, b := float64(r)*0.5, int64(r*3), []string{"red", "green", "blue"}[r%3], r%2 == 0
+			if cols[0].Nulls[k] {
+				f = math.NaN()
+			}
+			if cols[1].Nulls[k] {
+				i = 0
+			}
+			if cols[2].Nulls[k] {
+				s = ""
+			}
+			cols[0].Floats, cols[1].Ints = append(cols[0].Floats, f), append(cols[1].Ints, i)
+			cols[2].Strings, cols[3].Bools = append(cols[2].Strings, s), append(cols[3].Bools, b && !cols[3].Nulls[k])
+		}
+		for ci := range cols {
+			if !slices.Contains(cols[ci].Nulls, true) {
+				cols[ci].Nulls = nil // the form a run without nulls arrives in
+			}
+		}
+		if err := w.AppendRows(n, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("column-wise file (%d bytes) differs from the row-at-a-time one (%d bytes)", len(got), len(want))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 )
 
 // ColumnSpec declares one column of a segment under construction.
@@ -25,8 +26,9 @@ type WriterOptions struct {
 // resident footprint is O(columns × RowsPerPage) regardless of how
 // many rows stream through.
 //
-// Usage: append exactly one value (or null) per column, then EndRow;
-// Finish seals the file. Abort discards a partial file.
+// Usage: append exactly one value (or null) per column, then EndRow —
+// or whole runs of rows column-wise with AppendRows; Finish seals the
+// file. Abort discards a partial file.
 type Writer struct {
 	f    *os.File
 	w    *bufio.Writer
@@ -123,14 +125,20 @@ func (w *Writer) AppendInt(ci int, v int64) {
 // AppendString appends a non-null string to column ci.
 func (w *Writer) AppendString(ci int, v string) {
 	c := w.cols[ci]
+	c.codes = append(c.codes, c.code(v))
+	c.count++
+}
+
+// code returns v's dictionary code, entering a copy of v when it is
+// new, so the dictionary never pins a buffer v was cut from.
+func (c *colWriter) code(v string) int32 {
 	code, ok := c.index[v]
 	if !ok {
-		code = int32(len(c.dict))
+		code, v = int32(len(c.dict)), strings.Clone(v)
 		c.dict = append(c.dict, v)
 		c.index[v] = code
 	}
-	c.codes = append(c.codes, code)
-	c.count++
+	return code
 }
 
 // AppendBool appends a non-null boolean to column ci.
@@ -168,17 +176,71 @@ func (c *colWriter) setBit(words *[]uint64, i int, v bool) {
 	}
 }
 
+// Cells is a run of consecutive cells of one column, held in the slice
+// of the column's kind. Nulls flags the missing cells (nil: none); their
+// slots hold the placeholder AppendNull stores (NaN, 0, false, "").
+type Cells struct {
+	Floats  []float64
+	Ints    []int64
+	Bools   []bool
+	Strings []string
+	Nulls   []bool
+}
+
+// AppendRows appends n complete rows given column-wise, cols[ci] holding
+// column ci's n cells — the form a block-at-a-time producer has in
+// hand. It is EndRow included: rows go out a row group at a time.
+func (w *Writer) AppendRows(n int, cols []Cells) error {
+	for lo := 0; lo < n; {
+		hi := min(n, lo+w.rpp-int(w.rows%int64(w.rpp)))
+		for ci, c := range w.cols {
+			switch in := &cols[ci]; c.spec.Kind {
+			case KindFloat64:
+				c.floats = append(c.floats, in.Floats[lo:hi]...)
+			case KindInt64:
+				c.ints = append(c.ints, in.Ints[lo:hi]...)
+			case KindBool:
+				for i, v := range in.Bools[lo:hi] {
+					c.setBit(&c.bits, c.count+i, v)
+				}
+			case KindString:
+				for i, v := range in.Strings[lo:hi] {
+					var code int32 // 0 at a null
+					if in.Nulls == nil || !in.Nulls[lo+i] {
+						code = c.code(v)
+					}
+					c.codes = append(c.codes, code)
+				}
+			}
+			if in := cols[ci].Nulls; in != nil {
+				for i, null := range in[lo:hi] {
+					if null {
+						c.setBit(&c.nulls, c.count+i, true)
+						c.nnulls++
+					}
+				}
+			}
+			c.count += hi - lo
+		}
+		if err := w.endRows(hi - lo); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
 // EndRow completes one row: every column must have received exactly
 // one value since the previous EndRow. Full row groups flush to disk.
-func (w *Writer) EndRow() error {
+func (w *Writer) EndRow() error { return w.endRows(1) }
+
+// endRows completes n rows that fit the current row group.
+func (w *Writer) endRows(n int) error {
 	if w.done {
 		return fmt.Errorf("segment: writer already finished")
 	}
-	w.rows++
-	want := int(w.rows % int64(w.rpp))
-	if want == 0 {
-		want = w.rpp
-	}
+	w.rows += int64(n)
+	want := int((w.rows-1)%int64(w.rpp)) + 1
 	for _, c := range w.cols {
 		if c.count != want {
 			return fmt.Errorf("segment: column %q has %d values at row %d (want %d)",
