@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-click bench-ab loc bench-pam bench-store bench-obs bench-scan benchstat vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
+.PHONY: build test race bench bench-smoke bench-click bench-ab loc vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
 # The scheduler subsystem under the race detector (also a CI step),
 # plus extra iterations of the backpressure overload stress.
@@ -120,57 +120,8 @@ loc:
 	@echo "non-test lines, internal/cluster: $$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "core.Options fields:              $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
 
-# Regenerate BENCH_pam.json, the tracked perf trajectory: the PAM
-# matrix (oracle strategies × seeding schemes) plus the scheduler
-# overload section (p50 submit-to-apply latency with and without
-# deadline shedding). Appends a per-commit snapshot under
-# bench_history/ so the trajectory is graphable across commits, not
-# just diffable.
-bench-pam:
-	go run ./cmd/blaeu-bench -pam-json BENCH_pam.json
-	mkdir -p bench_history
-	cp BENCH_pam.json bench_history/$$(git rev-parse --short HEAD).json
-
-# Record the out-of-core storage section of BENCH_pam.json: a 10M-row
-# CSV is generated, converted to a segment, opened under a 256 MiB page
-# budget, then sampled and filtered (compiled matcher, page-at-a-time
-# with zone maps; once more on a predicate no page can satisfy).
-# Other sections of the file are preserved.
-bench-store:
-	go run ./cmd/blaeu-bench -store-json BENCH_pam.json
-	mkdir -p bench_history
-	cp BENCH_pam.json bench_history/$$(git rev-parse --short HEAD).json
-
-# Record the telemetry-plane overhead section of BENCH_pam.json: the
-# same cold build timed with the per-build trace and metric recording
-# on and off (interleaved, medians). The acceptance bar for the
-# telemetry plane is <= 2% overhead. Other sections are preserved.
-bench-obs:
-	go run ./cmd/blaeu-bench -obs-json BENCH_pam.json
-	mkdir -p bench_history
-	cp BENCH_pam.json bench_history/$$(git rev-parse --short HEAD).json
-
-# Record the streaming-scan section of BENCH_pam.json: a 10M-row wide
-# CSV becomes a segment under the 256 MiB budget, the same filtered
-# streaming scan is timed sequentially and with parallel page-range
-# workers (results verified identical; read the speedup against numCpu
-# in the file header). Other sections of the file are preserved.
-bench-scan:
-	go run ./cmd/blaeu-bench -scan-json BENCH_pam.json
-	mkdir -p bench_history
-	cp BENCH_pam.json bench_history/$$(git rev-parse --short HEAD).json
-
 # Scrape-validity gate (also a CI step): starts an in-process server,
 # runs a build, fetches /metrics and fails on unparseable lines,
 # samples without a # TYPE, or duplicate series.
 metrics-smoke:
 	go test -count=1 -run 'MetricsScrape|MetricsJSONSnapshot|ByteStable' ./internal/server/
-
-# Compare the two most recent bench_history/ snapshots (by mtime):
-# per-cell PAM timings, scheduler p50s and derived-oracle speedups with
-# relative deltas. Run `make bench-pam` first if the history has fewer
-# than two snapshots.
-benchstat:
-	@set -- $$(ls -t bench_history/*.json 2>/dev/null | head -2); \
-	if [ $$# -lt 2 ]; then echo "need two snapshots in bench_history/ (run make bench-pam)"; exit 1; fi; \
-	go run ./cmd/blaeu-bench -diff $$2 $$1

@@ -5,17 +5,23 @@ package blaeu
 // numeric tables; its "evaluation" is Figures 1–4, the three §4.2
 // scenarios, and the §3 performance claims — `blaeu-bench -list` is the
 // index).
-// Run with: go test -bench=. -benchmem
+// Run with: go test -bench=. -benchmem (`make bench`); CI runs every
+// benchmark once (`make bench-smoke`).
 //
-// The figure-level benchmarks execute the same runners as the blaeu-bench
-// command at reduced scale so a full -bench=. pass stays in minutes; the
-// micro-benchmarks below time the individual algorithms at fixed sizes.
+// This file and internal/store's benchmarks answer questions about a
+// kernel; questions about a click are the ledger's (bench/load,
+// `make bench-click`). The figure-level benchmarks execute the same
+// runners as the blaeu-bench command at reduced scale so a full -bench=.
+// pass stays in minutes; the micro-benchmarks below time the individual
+// algorithms at fixed sizes.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,6 +69,7 @@ func BenchmarkE2ClaraVsPam(b *testing.B)   { benchExperiment(b, "e2", 0.25) }
 func BenchmarkE3MCSilhouette(b *testing.B) { benchExperiment(b, "e3", 0.25) }
 func BenchmarkE4AutoK(b *testing.B)        { benchExperiment(b, "e4", 0.5) }
 func BenchmarkE5SwapEngines(b *testing.B)  { benchExperiment(b, "e5", 0.25) }
+func BenchmarkE6OracleLayer(b *testing.B)  { benchExperiment(b, "e6", 0.25) }
 
 // --- Ablations ---
 
@@ -338,7 +345,7 @@ func BenchmarkMapBuild(b *testing.B) {
 // BenchmarkSeeding isolates the seeding phase at the scale where BUILD
 // became the bottleneck (ROADMAP item 1): n=5000, k=8 on a materialized
 // oracle. The acceptance bar for the k-means++/LAB seedings is ≥3× over
-// quadratic BUILD; measured speedups are ~500×.
+// quadratic BUILD; the sub-benchmarks' ns/op are the comparison.
 func BenchmarkSeeding(b *testing.B) {
 	vecs, _ := benchVectors(5000, 6, 8)
 	m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
@@ -502,9 +509,7 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 // with and without deadline-based shedding. Shedding drops queued work
 // whose deadline lapsed before dispatch, so the surviving jobs' latency
 // distribution tightens: the number to watch is the p50 gap between the
-// two sub-benchmarks. The episode itself (jobs.RunOverloadEpisode,
-// default shape) is shared with `make bench-pam`, which records the
-// same measurement into BENCH_pam.json's scheduler section.
+// two sub-benchmarks.
 func BenchmarkSchedulerOverload(b *testing.B) {
 	for _, v := range []struct {
 		name     string
@@ -516,17 +521,73 @@ func BenchmarkSchedulerOverload(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var p50Sum, shedSum, doneSum float64
 			for i := 0; i < b.N; i++ {
-				res := jobs.RunOverloadEpisode(context.Background(), jobs.DefaultOverloadConfig(v.deadline))
-				if res.Completed == 0 {
+				p50, shed, done := overloadEpisode(v.deadline)
+				if done == 0 {
 					b.Fatal("no job completed")
 				}
-				p50Sum += float64(res.P50.Microseconds()) / 1e3
-				shedSum += float64(res.Shed)
-				doneSum += float64(res.Completed)
+				p50Sum += float64(p50.Microseconds()) / 1e3
+				shedSum += float64(shed)
+				doneSum += float64(done)
 			}
 			b.ReportMetric(p50Sum/float64(b.N), "p50-ms")
 			b.ReportMetric(shedSum/float64(b.N), "shed/op")
 			b.ReportMetric(doneSum/float64(b.N), "done/op")
 		})
 	}
+}
+
+// overloadEpisode slams 8 sessions × 40 jobs of 200 µs wall time each
+// (sessions spread over four tenants) onto a fresh 2-worker pool, far
+// more work than the workers can absorb, and reports the p50
+// submit-to-apply latency of the jobs that completed — the number
+// deadline shedding exists to protect — with how many were shed and
+// how many completed. A non-zero deadline gives every job that queue
+// deadline so the dispatcher sheds the backlog.
+func overloadEpisode(deadline time.Duration) (p50 time.Duration, shed, done int) {
+	const (
+		sessions   = 8
+		perSession = 40
+		jobCost    = 200 * time.Microsecond
+	)
+	p := jobs.NewPoolConfig(jobs.Config{
+		Workers: 2,
+		Tenant:  func(session string) string { return session[:2] },
+	})
+	var mu sync.Mutex
+	var latencies []time.Duration
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		session := fmt.Sprintf("t%d-s%d", s%4, s)
+		for k := 0; k < perSession; k++ {
+			submitted := time.Now()
+			opts := jobs.SubmitOptions{}
+			if deadline > 0 {
+				opts.Deadline = submitted.Add(deadline)
+			}
+			j, err := p.Submit(session, "work", func(ctx context.Context, j *jobs.Job) (any, error) {
+				time.Sleep(jobCost)
+				return nil, ctx.Err()
+			}, opts)
+			if err != nil {
+				continue // unbounded queues: cannot happen
+			}
+			wg.Add(1)
+			go func(j *jobs.Job, submitted time.Time) {
+				defer wg.Done()
+				if j.Wait(context.Background()) == nil {
+					mu.Lock()
+					latencies = append(latencies, time.Since(submitted))
+					mu.Unlock()
+				}
+			}(j, submitted)
+		}
+	}
+	wg.Wait()
+	st := p.Stats()
+	p.Close()
+	if len(latencies) == 0 {
+		return 0, int(st.Shed), 0
+	}
+	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
+	return latencies[len(latencies)/2], int(st.Shed), len(latencies)
 }

@@ -15,7 +15,7 @@ import (
 //     unlock on every path out of the enclosing block (early returns
 //     that unlock first are fine; returns that don't are reported);
 //   - blocking operations (channel send/receive, select without
-//     default, calls named Submit/SubmitOpts/Wait/Sleep/Acquire) while
+//     default, calls named Submit/Wait/Sleep/Acquire) while
 //     the mutex is held are reported. sync.Cond.Wait is exempt — it
 //     releases the lock itself and is the sanctioned wait shape.
 //
@@ -35,7 +35,7 @@ var Lockcheck = &Analyzer{
 // blockingNames are call names treated as potentially blocking when they
 // appear while a mutex is held.
 var blockingNames = map[string]bool{
-	"Submit": true, "SubmitOpts": true, "Wait": true, "Sleep": true, "Acquire": true,
+	"Submit": true, "Wait": true, "Sleep": true, "Acquire": true,
 }
 
 func runLockcheck(pass *Pass) error {

@@ -406,52 +406,6 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	}
 }
 
-func TestKMeansRecoversBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	vecs, truth := blobs(rng, 3, 100, 4, 10)
-	c, err := KMeans(vecs, 3, KMeansOptions{Rand: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := agree(truth, c.Labels); acc < 0.95 {
-		t.Errorf("kmeans accuracy = %.3f", acc)
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	if _, err := KMeans(nil, 2, KMeansOptions{Rand: rng}); err == nil {
-		t.Error("empty kmeans should fail")
-	}
-	if _, err := KMeans([][]float64{{1}}, 0, KMeansOptions{Rand: rng}); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := KMeans([][]float64{{1}}, 1, KMeansOptions{}); err == nil {
-		t.Error("missing Rand should fail")
-	}
-	c, err := KMeans([][]float64{{1}, {2}}, 5, KMeansOptions{Rand: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.K != 2 {
-		t.Errorf("k capped at n, got %d", c.K)
-	}
-}
-
-func TestRandomPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	c := RandomPartition(1000, 4, rng)
-	sizes := c.Sizes()
-	if len(sizes) != 4 {
-		t.Fatal("sizes len wrong")
-	}
-	for k, s := range sizes {
-		if s < 150 || s > 350 {
-			t.Errorf("cluster %d size %d far from uniform", k, s)
-		}
-	}
-}
-
 func TestClusteringSizes(t *testing.T) {
 	c := &Clustering{K: 3, Labels: []int{0, 1, 1, 2, 2, 2, -1}}
 	s := c.Sizes()

@@ -1,9 +1,9 @@
 // Package cluster implements the cluster-analysis algorithms Blaeu relies
 // on: PAM (Partitioning Around Medoids), its sampling variant CLARA, the
 // silhouette coefficient (exact and Monte-Carlo), automatic selection of
-// the number of clusters, and a k-means baseline. PAM and CLARA follow
-// Kaufman & Rousseeuw, "Finding Groups in Data" (1990), the reference the
-// paper cites.
+// the number of clusters, and experiment a3's density and hierarchical
+// comparison clusterers. PAM and CLARA follow Kaufman & Rousseeuw,
+// "Finding Groups in Data" (1990), the reference the paper cites.
 //
 // All algorithms are written against one distance contract, Oracle, and
 // every k-medoid loop is written once against it. Three storages

@@ -106,8 +106,7 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 // Table returns the underlying relation.
 func (e *Explorer) Table() store.Relation { return e.table }
 
-// Options returns the effective engine options (defaults applied),
-// including the PAM SWAP algorithm the session clusters with.
+// Options returns the effective engine options (defaults applied).
 func (e *Explorer) Options() Options { return e.opts }
 
 // Themes returns the detected themes, most cohesive first (Fig. 1a).

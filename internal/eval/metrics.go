@@ -1,12 +1,8 @@
-// Package eval provides external clustering-evaluation metrics (adjusted
-// Rand index, normalized mutual information, purity) used by the benchmark
-// harness to score Blaeu's recovered clusters and themes against the
-// planted ground truth of the synthetic datasets.
+// Package eval provides the external clustering-evaluation metrics
+// (adjusted Rand index over labelings, Jaccard set recovery over named
+// groups) the experiments use to score Blaeu's recovered clusters and
+// themes against the planted ground truth of the synthetic datasets.
 package eval
-
-import (
-	"math"
-)
 
 // contingency builds the contingency table between two labelings, ignoring
 // pairs where either label is negative.
@@ -57,107 +53,6 @@ func AdjustedRandIndex(a, b []int) float64 {
 		return 1 // both partitions trivial and identical in structure
 	}
 	return (sumCells - expected) / (maxIndex - expected)
-}
-
-// NMI returns the normalized mutual information between two labelings,
-// I(A;B)/sqrt(H(A)H(B)), in [0,1]. Negative labels are ignored.
-func NMI(a, b []int) float64 {
-	cells, rowSum, colSum, n := contingency(a, b)
-	if n == 0 {
-		return 0
-	}
-	fn := float64(n)
-	var ha, hb, mi float64
-	for _, c := range rowSum {
-		p := float64(c) / fn
-		ha -= p * math.Log(p)
-	}
-	for _, c := range colSum {
-		p := float64(c) / fn
-		hb -= p * math.Log(p)
-	}
-	for k, c := range cells {
-		pxy := float64(c) / fn
-		px := float64(rowSum[k[0]]) / fn
-		py := float64(colSum[k[1]]) / fn
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	if ha <= 0 || hb <= 0 {
-		return 0
-	}
-	v := mi / math.Sqrt(ha*hb)
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// Purity returns the purity of labeling pred against truth: each predicted
-// cluster votes for its dominant true class. In [0,1], 1 = every predicted
-// cluster contains a single true class.
-func Purity(truth, pred []int) float64 {
-	cells, _, colSum, n := contingency(truth, pred)
-	if n == 0 {
-		return 0
-	}
-	best := make(map[int]int)
-	for k, c := range cells {
-		if c > best[k[1]] {
-			best[k[1]] = c
-		}
-	}
-	sum := 0
-	for cl := range colSum {
-		sum += best[cl]
-	}
-	return float64(sum) / float64(n)
-}
-
-// ConfusionMatrix returns counts[t][p] over classes 0..kTruth-1 and
-// 0..kPred-1 (negative labels skipped).
-func ConfusionMatrix(truth, pred []int, kTruth, kPred int) [][]int {
-	m := make([][]int, kTruth)
-	for i := range m {
-		m[i] = make([]int, kPred)
-	}
-	n := len(truth)
-	if len(pred) < n {
-		n = len(pred)
-	}
-	for i := 0; i < n; i++ {
-		t, p := truth[i], pred[i]
-		if t >= 0 && t < kTruth && p >= 0 && p < kPred {
-			m[t][p]++
-		}
-	}
-	return m
-}
-
-// Accuracy returns the fraction of positions where the labels agree
-// exactly (negative labels skipped). Use ARI/NMI when cluster IDs are
-// arbitrary.
-func Accuracy(truth, pred []int) float64 {
-	n := len(truth)
-	if len(pred) < n {
-		n = len(pred)
-	}
-	seen, hit := 0, 0
-	for i := 0; i < n; i++ {
-		if truth[i] < 0 || pred[i] < 0 {
-			continue
-		}
-		seen++
-		if truth[i] == pred[i] {
-			hit++
-		}
-	}
-	if seen == 0 {
-		return 0
-	}
-	return float64(hit) / float64(seen)
 }
 
 // SetRecovery scores how well predicted groups of named items match truth

@@ -62,69 +62,6 @@ func TestARIBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestNMIBasics(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	if v := NMI(a, a); math.Abs(v-1) > 1e-12 {
-		t.Errorf("NMI(a,a) = %g", v)
-	}
-	if v := NMI(a, []int{0, 0, 0, 0}); v != 0 {
-		t.Errorf("NMI with constant = %g", v)
-	}
-	if v := NMI(nil, nil); v != 0 {
-		t.Error("empty NMI should be 0")
-	}
-}
-
-func TestNMISymmetric(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 50
-		a := make([]int, n)
-		b := make([]int, n)
-		for i := range a {
-			a[i] = r.Intn(3)
-			b[i] = r.Intn(5)
-		}
-		return math.Abs(NMI(a, b)-NMI(b, a)) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPurity(t *testing.T) {
-	truth := []int{0, 0, 0, 1, 1, 1}
-	perfect := []int{2, 2, 2, 5, 5, 5}
-	if v := Purity(truth, perfect); v != 1 {
-		t.Errorf("perfect purity = %g", v)
-	}
-	merged := []int{0, 0, 0, 0, 0, 0}
-	if v := Purity(truth, merged); v != 0.5 {
-		t.Errorf("merged purity = %g, want 0.5", v)
-	}
-	if v := Purity(nil, nil); v != 0 {
-		t.Error("empty purity should be 0")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	truth := []int{0, 0, 1, 1, -1}
-	pred := []int{0, 1, 1, 1, 0}
-	m := ConfusionMatrix(truth, pred, 2, 2)
-	if m[0][0] != 1 || m[0][1] != 1 || m[1][1] != 2 || m[1][0] != 0 {
-		t.Errorf("confusion = %v", m)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	if v := Accuracy([]int{0, 1, 2}, []int{0, 1, 0}); math.Abs(v-2.0/3) > 1e-12 {
-		t.Errorf("accuracy = %g", v)
-	}
-	if v := Accuracy([]int{-1}, []int{0}); v != 0 {
-		t.Error("all-skipped accuracy should be 0")
-	}
-}
-
 func TestSetRecovery(t *testing.T) {
 	truth := [][]string{{"a", "b", "c"}, {"x", "y"}}
 	if v := SetRecovery(truth, truth); v != 1 {
@@ -163,8 +100,5 @@ func TestARIBetterThanChanceOrdering(t *testing.T) {
 	}
 	if AdjustedRandIndex(truth, good) <= AdjustedRandIndex(truth, bad) {
 		t.Error("ARI ordering violated")
-	}
-	if NMI(truth, good) <= NMI(truth, bad) {
-		t.Error("NMI ordering violated")
 	}
 }

@@ -177,7 +177,7 @@ func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptio
 	default:
 		disc := make([][]int, len(cols))
 		for i, c := range cols {
-			disc[i] = stats.DiscretizeColumn(c, opts.Bins, stats.EqualFrequency)
+			disc[i] = stats.DiscretizeColumn(c, opts.Bins)
 		}
 		// O(cols²) NMI computations are independent: spread rows of the
 		// upper triangle across CPUs (disjoint writes per row i).
@@ -247,49 +247,6 @@ func (g *Graph) AutoPartition(kMin, kMax int, rng *rand.Rand) (*cluster.Clusteri
 	return cluster.AutoK(g.Oracle(), cluster.AutoKOptions{
 		KMin: kMin, KMax: kMax, Rand: rng,
 	})
-}
-
-// Components returns the connected components of the graph after dropping
-// edges with weight <= threshold — the simple alternative to PAM
-// partitioning, used as a baseline.
-func (g *Graph) Components(threshold float64) [][]int {
-	n := g.N()
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if g.weight[i][j] > threshold {
-				union(i, j)
-			}
-		}
-	}
-	groups := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, members := range groups {
-		out = append(out, members)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
-	return out
 }
 
 // MaximumSpanningTree returns the edges of a maximum-weight spanning

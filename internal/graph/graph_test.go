@@ -174,24 +174,6 @@ func TestMeasurePearsonMissesNonLinear(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New([]string{"a", "b", "c", "d", "e"})
-	g.SetWeight(0, 1, 0.9)
-	g.SetWeight(1, 2, 0.8)
-	g.SetWeight(3, 4, 0.7)
-	comps := g.Components(0.5)
-	if len(comps) != 2 {
-		t.Fatalf("components = %v", comps)
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 {
-		t.Errorf("component sizes = %d, %d", len(comps[0]), len(comps[1]))
-	}
-	// Raising the threshold above every weight isolates all vertices.
-	if got := g.Components(0.95); len(got) != 5 {
-		t.Errorf("high threshold components = %d, want 5", len(got))
-	}
-}
-
 func TestMaximumSpanningTree(t *testing.T) {
 	g := New([]string{"a", "b", "c", "d"})
 	g.SetWeight(0, 1, 0.9)

@@ -25,7 +25,7 @@ func gate(t *testing.T, p *Pool, session string) (release chan struct{}, j *Job)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestQueueFullPerSession(t *testing.T) {
 	release, _ := gate(t, p, "a")
 	defer close(release)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Submit("a", "work", noop); err != nil {
+		if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
 			t.Fatalf("submit %d under the cap: %v", i, err)
 		}
 	}
-	_, err := p.Submit("a", "work", noop)
+	_, err := p.Submit("a", "work", noop, SubmitOptions{})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap submit err = %v, want ErrQueueFull", err)
 	}
@@ -54,7 +54,7 @@ func TestQueueFullPerSession(t *testing.T) {
 		t.Errorf("queue-full detail = %+v", qf)
 	}
 	// Another session is not affected by a's cap.
-	if _, err := p.Submit("b", "work", noop); err != nil {
+	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatalf("other session rejected: %v", err)
 	}
 	st := p.Stats()
@@ -67,13 +67,13 @@ func TestQueueFullGlobal(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1, MaxQueued: 2})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
-	if _, err := p.Submit("b", "work", noop); err != nil {
+	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit("c", "work", noop); err != nil {
+	if _, err := p.Submit("c", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Submit("d", "work", noop)
+	_, err := p.Submit("d", "work", noop, SubmitOptions{})
 	var qf *QueueFullError
 	if !errors.As(err, &qf) || qf.Scope != ScopePool || qf.Limit != 2 {
 		t.Fatalf("over-cap submit err = %v, want pool-scoped QueueFullError", err)
@@ -83,7 +83,7 @@ func TestQueueFullGlobal(t *testing.T) {
 	close(release)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := p.Submit("d", "work", noop); err == nil {
+		if _, err := p.Submit("d", "work", noop, SubmitOptions{}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -117,11 +117,11 @@ func TestWeightedFairness(t *testing.T) {
 	}
 	var all []*Job
 	for i := 0; i < 20; i++ {
-		ja, err := p.Submit("a-s1", "work", mark("a"))
+		ja, err := p.Submit("a-s1", "work", mark("a"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := p.Submit("b-s1", "work", mark("b"))
+		jb, err := p.Submit("b-s1", "work", mark("b"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,14 +155,14 @@ func TestWeightedFairness(t *testing.T) {
 	}
 }
 
-// TestMaxInFlightQuota: a tenant with MaxInFlight 1 never runs two jobs
-// at once even with idle workers and multiple sessions, and other
-// tenants keep dispatching past it.
+// TestMaxInFlightQuota: a tenant at an in-flight quota of 1 never runs
+// two jobs at once even with idle workers and multiple sessions, and
+// other tenants keep dispatching past it.
 func TestMaxInFlightQuota(t *testing.T) {
 	p := NewPoolConfig(Config{
-		Workers:     4,
-		Tenant:      func(session string) string { return session[:1] },
-		MaxInFlight: map[string]int{"a": 1},
+		Workers:            4,
+		Tenant:             func(session string) string { return session[:1] },
+		DefaultMaxInFlight: 1,
 	})
 	defer p.Close()
 	var active, maxActive int32
@@ -179,14 +179,14 @@ func TestMaxInFlightQuota(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			atomic.AddInt32(&active, -1)
 			return nil, nil
-		})
+		}, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, j)
 	}
 	// Tenant b is not held back by a's quota.
-	jb, err := p.Submit("b-s1", "work", noop)
+	jb, err := p.Submit("b-s1", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestDeadlineShed(t *testing.T) {
 	release, _ := gate(t, p, "a")
 
 	ran := false
-	doomed, err := p.SubmitOpts("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	doomed, err := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
 		ran = true
 		return nil, nil
 	}, SubmitOptions{Deadline: time.Now().Add(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := p.Submit("a", "work", noop)
+	healthy, err := p.Submit("a", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestDeadlineShed(t *testing.T) {
 // session churning through jobs can no longer evict another session's
 // just-finished job from Get.
 func TestRetentionPerSession(t *testing.T) {
-	p := NewPoolConfig(Config{Workers: 1, RetainPerSession: 2})
+	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	quiet, err := p.Submit("quiet", "work", noop)
+	quiet, err := p.Submit("quiet", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,8 @@ func TestRetentionPerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var busy []*Job
-	for i := 0; i < 10; i++ {
-		j, err := p.Submit("busy", "work", noop)
+	for i := 0; i < DefaultRetainPerSession+1; i++ {
+		j, err := p.Submit("busy", "work", noop, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,9 +275,9 @@ func TestRetentionPerSession(t *testing.T) {
 		}
 		busy = append(busy, j)
 	}
-	// The busy session kept only its own last two terminal jobs...
-	if got := len(p.SessionJobs("busy")); got != 2 {
-		t.Errorf("busy session retains %d jobs, want 2", got)
+	// The busy session kept only its own last terminal jobs...
+	if got := len(p.SessionJobs("busy")); got != DefaultRetainPerSession {
+		t.Errorf("busy session retains %d jobs, want %d", got, DefaultRetainPerSession)
 	}
 	if _, ok := p.Get(busy[0].ID()); ok {
 		t.Error("busy session's oldest job should be evicted")
@@ -300,7 +300,7 @@ func TestRetentionPerSession(t *testing.T) {
 func TestReleaseSession(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	finished, err := p.Submit("a", "work", noop)
+	finished, err := p.Submit("a", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestTenantStatePruned(t *testing.T) {
 	defer p.Close()
 	for i := 0; i < 5; i++ {
 		session := fmt.Sprintf("s%d", i)
-		j, err := p.Submit(session, "work", noop)
+		j, err := p.Submit(session, "work", noop, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestTenantStatePruned(t *testing.T) {
 		t.Errorf("pool-level done = %d, want 5 (must survive tenant pruning)", st.Done)
 	}
 	// A tenant with a still-pinned session survives.
-	j, err := p.Submit("live", "work", noop)
+	j, err := p.Submit("live", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestCancelSessionCounts(t *testing.T) {
 	release, _ := gate(t, p, "a")
 	defer close(release)
 	for i := 0; i < 3; i++ {
-		if _, err := p.Submit("a", "work", noop); err != nil {
+		if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,10 +428,10 @@ func TestStatsSnapshot(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1, MaxQueued: 50, MaxQueuedPerSession: 10})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
-	if _, err := p.Submit("a", "work", noop); err != nil {
+	if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit("b", "work", noop); err != nil {
+	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -462,7 +462,7 @@ func TestSchedulerOverloadStress(t *testing.T) {
 		MaxQueuedPerSession: 4,
 		Tenant:              func(session string) string { return session[:2] },
 		Weights:             map[string]int{"t0": 3, "t1": 2},
-		MaxInFlight:         map[string]int{"t2": 1},
+		DefaultMaxInFlight:  1,
 	})
 	defer p.Close()
 
@@ -485,7 +485,7 @@ func TestSchedulerOverloadStress(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						opts.Deadline = time.Now().Add(time.Duration(rng.Intn(2)) * time.Millisecond)
 					}
-					j, err := p.SubmitOpts(session, "work", func(ctx context.Context, j *Job) (any, error) {
+					j, err := p.Submit(session, "work", func(ctx context.Context, j *Job) (any, error) {
 						time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 						return nil, ctx.Err()
 					}, opts)

@@ -7,7 +7,7 @@
 // selection, zoom, projection) are submitted as jobs and run on pool
 // workers, so a large clustering never stalls its session's lock — the
 // lock is held only for the cheap prepare and apply steps around the
-// build (see internal/session.Session.Submit). The same motivation as
+// build (see internal/session.Manager.Submit). The same motivation as
 // Polynesia's isolated analytical engines: interactive traffic must not
 // queue behind heavy analytics. At scale, admission control and
 // workload isolation are part of the engine (the Cambridge report's
@@ -25,7 +25,7 @@
 //     of a weight-1 tenant and nobody starves;
 //   - within a tenant, dispatch is round-robin over its sessions;
 //   - a tenant never runs more than its in-flight quota concurrently
-//     (Config.MaxInFlight);
+//     (Config.DefaultMaxInFlight);
 //   - at most Workers jobs run at once.
 //
 // Backpressure: Submit fails with ErrQueueFull once a queue cap —
@@ -119,13 +119,6 @@ func (j *Job) Session() string { return j.session }
 // Tenant returns the fairness/quota key the job is accounted under —
 // the session itself unless the pool was configured with a tenant hook.
 func (j *Job) Tenant() string { return j.tenant }
-
-// Kind names the kind of work ("zoom", "select", "project", ...).
-func (j *Job) Kind() string { return j.kind }
-
-// Deadline returns the job's queue deadline (zero when none): the
-// instant past which the dispatcher sheds the job instead of running it.
-func (j *Job) Deadline() time.Time { return j.deadline }
 
 // Status returns the current lifecycle state.
 func (j *Job) Status() Status {

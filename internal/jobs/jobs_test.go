@@ -24,7 +24,7 @@ func TestSubmitRunDone(t *testing.T) {
 		j.SetProgress(0.5)
 		j.SetMeta("touched", true)
 		return 42, nil
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFailedJob(t *testing.T) {
 	boom := errors.New("boom")
 	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
 		return nil, boom
-	})
+	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -69,7 +69,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 	defer p.Close()
 	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
 		panic("kaboom")
-	})
+	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); err == nil {
 		t.Fatal("panicking job should fail")
 	}
@@ -77,7 +77,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 		t.Errorf("status = %s", j.Status())
 	}
 	// The worker survived the panic.
-	j2, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil })
+	j2, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil }, SubmitOptions{})
 	if err := j2.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPerSessionSerializationAndOrder(t *testing.T) {
 			mu.Unlock()
 			atomic.AddInt32(&active, -1)
 			return nil, nil
-		})
+		}, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		close(started)
 		<-release
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	<-started // the worker is now busy; everything below queues
 
 	var mu sync.Mutex
@@ -150,9 +150,9 @@ func TestRoundRobinFairness(t *testing.T) {
 			return nil, nil
 		}
 	}
-	a2, _ := p.Submit("a", "work", mark("a2"))
-	a3, _ := p.Submit("a", "work", mark("a3"))
-	b1, _ := p.Submit("b", "work", mark("b1"))
+	a2, _ := p.Submit("a", "work", mark("a2"), SubmitOptions{})
+	a3, _ := p.Submit("a", "work", mark("a3"), SubmitOptions{})
+	b1, _ := p.Submit("b", "work", mark("b1"), SubmitOptions{})
 	close(release)
 	for _, j := range []*Job{gate, a2, a3, b1} {
 		if err := j.Wait(waitCtx(t)); err != nil {
@@ -177,13 +177,13 @@ func TestCancelQueued(t *testing.T) {
 		close(started)
 		<-release
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	<-started
 	ran := false
 	q, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
 		ran = true
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	if !q.Cancel() {
 		t.Fatal("cancel of a queued job should succeed")
 	}
@@ -209,7 +209,7 @@ func TestCancelRunning(t *testing.T) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}, SubmitOptions{})
 	<-started
 	if !j.Cancel() {
 		t.Fatal("cancel of a running job should succeed")
@@ -230,10 +230,10 @@ func TestCancelSession(t *testing.T) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}, SubmitOptions{})
 	<-started
-	q1, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil })
-	other, _ := p.Submit("b", "work", func(ctx context.Context, j *Job) (any, error) { return "b", nil })
+	q1, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
+	other, _ := p.Submit("b", "work", func(ctx context.Context, j *Job) (any, error) { return "b", nil }, SubmitOptions{})
 	if n := p.CancelSession("a"); n != 2 {
 		t.Errorf("cancelled %d jobs, want 2", n)
 	}
@@ -255,14 +255,14 @@ func TestCloseCancelsAndStops(t *testing.T) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}, SubmitOptions{})
 	<-started
-	queued, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil })
+	queued, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 	p.Close()
 	if running.Status() != StatusCancelled || queued.Status() != StatusCancelled {
 		t.Errorf("statuses after close: %s, %s", running.Status(), queued.Status())
 	}
-	if _, err := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }); err == nil {
+	if _, err := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{}); err == nil {
 		t.Error("submit after close should fail")
 	}
 	p.Close() // idempotent
@@ -273,10 +273,10 @@ func TestSessionJobsOrdered(t *testing.T) {
 	defer p.Close()
 	var want []string
 	for i := 0; i < 3; i++ {
-		j, _ := p.Submit("a", fmt.Sprintf("k%d", i), func(ctx context.Context, j *Job) (any, error) { return nil, nil })
+		j, _ := p.Submit("a", fmt.Sprintf("k%d", i), func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 		want = append(want, j.ID())
 	}
-	p.Submit("b", "other", func(ctx context.Context, j *Job) (any, error) { return nil, nil })
+	p.Submit("b", "other", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 	got := p.SessionJobs("a")
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
@@ -286,6 +286,57 @@ func TestSessionJobsOrdered(t *testing.T) {
 			t.Errorf("jobs[%d] = %s, want %s", i, j.ID(), want[i])
 		}
 	}
+}
+
+// TestSessionJobsInterleavedCancel pins submit order when the session's
+// jobs are spread over all three per-session indexes — one running, two
+// queued, one cancelled mid-queue and therefore terminal ahead of its
+// elders — with another session's jobs interleaved in the ID space.
+func TestSessionJobsInterleavedCancel(t *testing.T) {
+	p := NewPoolConfig(Config{Workers: 1})
+	defer p.Close()
+	release, a0 := gate(t, p, "a")
+	want := map[string][]string{"a": {a0.ID()}}
+	var a2 *Job
+	for i := 1; i <= 3; i++ {
+		for _, s := range []string{"a", "b"} {
+			j, err := p.Submit(s, "work", noop, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[s] = append(want[s], j.ID())
+			if s == "a" && i == 2 {
+				a2 = j
+			}
+		}
+	}
+	if !a2.Cancel() {
+		t.Fatal("cancelling a queued job had no effect")
+	}
+	check := func(when string) {
+		t.Helper()
+		for s, ids := range want {
+			got := p.SessionJobs(s)
+			if len(got) != len(ids) {
+				t.Fatalf("%s: session %s lists %d jobs, want %d", when, s, len(got), len(ids))
+			}
+			for i, j := range got {
+				if j.ID() != ids[i] || j.Session() != s {
+					t.Errorf("%s: session %s jobs[%d] = %s (session %s), want %s", when, s, i, j.ID(), j.Session(), ids[i])
+				}
+			}
+		}
+	}
+	check("running+queued+cancelled")
+	close(release)
+	for _, s := range []string{"a", "b"} {
+		for _, j := range p.SessionJobs(s) {
+			if err := j.Wait(waitCtx(t)); err != nil && j != a2 {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("all terminal")
 }
 
 // TestRunTasksFromInsideJob: nested fan-out must complete even when the
@@ -301,7 +352,7 @@ func TestRunTasksFromInsideJob(t *testing.T) {
 		}
 		p.RunTasks(tasks)
 		return int(n), nil
-	})
+	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -324,25 +375,8 @@ func TestProgressClampedAndMonotone(t *testing.T) {
 			return nil, fmt.Errorf("progress = %g, want 1", got)
 		}
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestOverloadEpisodeHonoursContext: RunOverloadEpisode used to mint
-// context.Background() for its waits, so a caller had no way to bound
-// the episode. With a cancelled context every wait returns immediately
-// and no completion is recorded.
-func TestOverloadEpisodeHonoursContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := OverloadConfig{Workers: 1, Sessions: 2, PerSession: 3, JobCost: time.Millisecond}
-	res := RunOverloadEpisode(ctx, cfg)
-	if res.Submitted != 6 {
-		t.Fatalf("Submitted = %d, want 6", res.Submitted)
-	}
-	if res.Completed != 0 {
-		t.Fatalf("Completed = %d with a cancelled context, want 0 (waits must honour ctx)", res.Completed)
 	}
 }

@@ -47,10 +47,10 @@ func (e *QueueFullError) Error() string {
 func (e *QueueFullError) Unwrap() error { return ErrQueueFull }
 
 // Config tunes the scheduler: worker width, admission control (queue
-// caps), tenant attribution and weighted fairness, per-tenant
-// concurrency quotas, and terminal-job retention. The zero value is a
-// pool with one worker per CPU, unbounded queues, every session its own
-// tenant at weight 1 — exactly the pre-backpressure scheduler.
+// caps), tenant attribution and weighted fairness, and the per-tenant
+// concurrency quota. The zero value is a pool with one worker per CPU,
+// unbounded queues, every session its own tenant at weight 1 — exactly
+// the pre-backpressure scheduler.
 type Config struct {
 	// Workers is the number of job workers (<= 0 means runtime.NumCPU()).
 	Workers int
@@ -61,10 +61,6 @@ type Config struct {
 	// MaxQueuedPerSession caps the queued jobs of one session; Submit
 	// beyond it fails with a session-scoped QueueFullError (0 = unbounded).
 	MaxQueuedPerSession int
-	// RetainPerSession bounds how many terminal jobs are kept per session
-	// for status lookups (0 = DefaultRetainPerSession, negative =
-	// unbounded).
-	RetainPerSession int
 	// Tenant maps a session key to its tenant — the unit of weighted
 	// fairness and quota accounting. nil means every session is its own
 	// tenant. The hook is called under the pool lock and must not call
@@ -74,17 +70,11 @@ type Config struct {
 	// Weights assigns weighted-round-robin dispatch weights per tenant: a
 	// weight-w tenant is offered up to w dispatches per scheduling round,
 	// so under contention it completes ~w× the jobs of a weight-1 tenant.
-	// Tenants not listed get DefaultWeight.
+	// Tenants not listed (or listed at <= 0) get weight 1.
 	Weights map[string]int
-	// DefaultWeight is the weight of tenants absent from Weights
-	// (<= 0 means 1).
-	DefaultWeight int
-	// MaxInFlight caps how many jobs of one tenant run concurrently
-	// (0 = unbounded); queued jobs beyond the cap wait without blocking
-	// other tenants' dispatch. Tenants not listed get DefaultMaxInFlight.
-	MaxInFlight map[string]int
-	// DefaultMaxInFlight is the in-flight cap of tenants absent from
-	// MaxInFlight (<= 0 means unbounded).
+	// DefaultMaxInFlight caps how many jobs of one tenant run
+	// concurrently (<= 0 means unbounded); queued jobs beyond the cap
+	// wait without blocking other tenants' dispatch.
 	DefaultMaxInFlight int
 	// Obs receives the scheduler's metrics (outcome counters, queue
 	// depth gauges, queue-wait and run-time histograms). nil is valid:
@@ -94,7 +84,7 @@ type Config struct {
 }
 
 // SubmitOptions carries the optional per-job scheduling knobs of
-// SubmitOpts.
+// Submit.
 type SubmitOptions struct {
 	// Deadline, when non-zero, is the submit-to-dispatch deadline: a job
 	// still queued past it is shed (StatusShed, context.DeadlineExceeded)
@@ -140,7 +130,6 @@ type Pool struct {
 
 	cfg     Config
 	workers int
-	retain  int // resolved RetainPerSession
 
 	queues  map[string][]*Job // per-session FIFO of queued jobs
 	running map[string]*Job   // session -> its currently running job
@@ -176,14 +165,9 @@ func NewPoolConfig(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	retain := cfg.RetainPerSession
-	if retain == 0 {
-		retain = DefaultRetainPerSession
-	}
 	p := &Pool{
 		cfg:           cfg,
 		workers:       cfg.Workers,
-		retain:        retain,
 		queues:        make(map[string][]*Job),
 		running:       make(map[string]*Job),
 		jobs:          make(map[string]*Job),
@@ -228,13 +212,9 @@ func (p *Pool) Workers() int { return p.workers }
 // Submit queues fn as a job under the given session key and returns its
 // handle immediately. Jobs of one session run FIFO, one at a time. Under
 // overload (a queue cap reached) it fails with ErrQueueFull instead of
-// queueing unboundedly.
-func (p *Pool) Submit(session, kind string, fn Func) (*Job, error) {
-	return p.SubmitOpts(session, kind, fn, SubmitOptions{})
-}
-
-// SubmitOpts is Submit with per-job scheduling options (deadline).
-func (p *Pool) SubmitOpts(session, kind string, fn Func, opts SubmitOptions) (*Job, error) {
+// queueing unboundedly. opts carries the per-job scheduling options
+// (deadline); the zero value sets none.
+func (p *Pool) Submit(session, kind string, fn Func, opts SubmitOptions) (*Job, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -312,19 +292,9 @@ func (p *Pool) tenantFor(name string) *tenantState {
 	}
 	w := p.cfg.Weights[name]
 	if w <= 0 {
-		w = p.cfg.DefaultWeight
-	}
-	if w <= 0 {
 		w = 1
 	}
-	mif, ok := p.cfg.MaxInFlight[name]
-	if !ok {
-		mif = p.cfg.DefaultMaxInFlight
-	}
-	if mif < 0 {
-		mif = 0
-	}
-	t := &tenantState{weight: w, maxInFlight: mif}
+	t := &tenantState{weight: w, maxInFlight: max(p.cfg.DefaultMaxInFlight, 0)}
 	const help = "Jobs by tenant and terminal outcome."
 	reg := p.cfg.Obs
 	t.mDone = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "done"})
@@ -337,7 +307,7 @@ func (p *Pool) tenantFor(name string) *tenantState {
 }
 
 // Get looks up a job by ID. Terminal jobs stay visible until the
-// session's retention window (Config.RetainPerSession) pushes them out
+// session's retention window (DefaultRetainPerSession) pushes them out
 // or the session is released.
 func (p *Pool) Get(id string) (*Job, bool) {
 	p.mu.Lock()
@@ -346,17 +316,23 @@ func (p *Pool) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// SessionJobs returns every known job of the session (queued, running
-// and retained terminal ones) in submit order.
+// SessionJobs returns every known job of the session (retained terminal
+// ones, the running one and the queued ones) in submit order. It reads
+// only the pool's per-session indexes, never the other sessions' jobs.
 func (p *Pool) SessionJobs(session string) []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*Job
-	for _, j := range p.jobs {
-		if j.session == session {
-			out = append(out, j)
-		}
+	done, queued := p.doneBySession[session], p.queues[session]
+	out := make([]*Job, 0, len(done)+1+len(queued))
+	for _, id := range done {
+		out = append(out, p.jobs[id])
 	}
+	if j := p.running[session]; j != nil {
+		out = append(out, j)
+	}
+	out = append(out, queued...)
+	// A job cancelled or shed in the queue turns terminal ahead of its
+	// elders, so the concatenation is not yet in submit order.
 	// Shorter IDs first, then lexicographic: numeric submit order even
 	// after the zero-padded counter grows past its width.
 	sort.Slice(out, func(a, b int) bool {
@@ -907,7 +883,7 @@ func (p *Pool) finishLocked(j *Job, res any, err error) {
 }
 
 // retainLocked files a terminal job into its session's retention window
-// (oldest evicted beyond Config.RetainPerSession). A released session's
+// (oldest evicted beyond DefaultRetainPerSession). A released session's
 // last draining job is dropped immediately instead — nothing of a closed
 // session outlives its drain.
 func (p *Pool) retainLocked(j *Job) {
@@ -918,11 +894,9 @@ func (p *Pool) retainLocked(j *Job) {
 		return
 	}
 	log := append(p.doneBySession[s], j.id)
-	if p.retain > 0 {
-		for len(log) > p.retain {
-			delete(p.jobs, log[0])
-			log = log[1:]
-		}
+	for len(log) > DefaultRetainPerSession {
+		delete(p.jobs, log[0])
+		log = log[1:]
 	}
 	p.doneBySession[s] = log
 }

@@ -369,7 +369,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sess, err := s.manager.OpenTenant(t, opts, req.Tenant)
+	sess, err := s.manager.Open(t, opts, req.Tenant)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -51,14 +51,14 @@ func (a Action) deadline() time.Time {
 	return time.Time{}
 }
 
-// Submit schedules the action on the manager's pool, failing when the
-// session is no longer registered. The membership check and the enqueue
-// happen under the registry lock, so Submit cannot race Close into
-// queueing work for a closed session — either the submit loses and
-// errors, or it wins and Close's CancelSession cancels the fresh job.
-// Under overload the scheduler refuses the submission with
-// jobs.ErrQueueFull (match with errors.Is), which the HTTP tier maps to
-// 429. Prefer this over Session.Submit whenever a Manager is in play.
+// Submit schedules the action as a job on the manager's pool and returns
+// its handle immediately, failing when the session is no longer
+// registered. The membership check and the enqueue happen under the
+// registry lock, so Submit cannot race Close into queueing work for a
+// closed session — either the submit loses and errors, or it wins and
+// Close's CancelSession cancels the fresh job. Under overload the
+// scheduler refuses the submission with jobs.ErrQueueFull (match with
+// errors.Is), which the HTTP tier maps to 429.
 func (m *Manager) Submit(id string, act Action) (*jobs.Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -66,32 +66,9 @@ func (m *Manager) Submit(id string, act Action) (*jobs.Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("session: no session %q", id)
 	}
-	// Enqueue-under-lock is the submit/close race fix; the underlying
-	// SubmitOpts refuses with ErrQueueFull instead of blocking.
-	return s.submitObs(m.pool, act, m.tel)
-}
-
-// Submit schedules the action as a job on the pool and returns its
-// handle immediately. Library users driving a bare Session/Pool pair
-// call it directly; servers should go through Manager.Submit, which
-// additionally closes the submit/close race. The job follows
-// core.MapBuild's three-step
-// protocol: prepare under the session lock (validation, row snapshot,
-// zoom-cache lookup — microseconds), build on the worker with the lock
-// released (the expensive clustering, reporting progress fractions and
-// honouring cancellation), then apply under the lock (one state push).
-// The pool runs one job per session at a time in submit order, which is
-// what makes the detached build safe; a rollback racing in between
-// surfaces as a "state changed" job failure, never as corrupted history.
-//
-// Jobs resolved by the zoom cache report {"cacheHit": true} in their
-// metadata and complete without rebuilding oracle, clustering or tree.
-// Every build job additionally reports its reuse level ({"reuse":
-// "mapHit" | "oracleDerived" | "cold"}, see core.ReuseLevel): whether it
-// was served from the map tier, rebuilt over an oracle reused or
-// derived from the artifact tier, or built entirely from scratch.
-func (s *Session) Submit(pool *jobs.Pool, act Action) (*jobs.Job, error) {
-	return s.submitObs(pool, act, nil)
+	// Enqueue-under-lock is the submit/close race fix; the pool's
+	// Submit refuses with ErrQueueFull instead of blocking.
+	return m.enqueue(s, act)
 }
 
 // poolStatser is the store-layer capability the page-read accounting
@@ -100,20 +77,36 @@ type poolStatser interface {
 	PoolStats() segment.PoolStats
 }
 
-// submitObs is Submit with a telemetry plane: the job function records
-// an obs.Trace (stage spans, distance-evaluation and page-read counters, the
-// reuse tier) retrievable through the job handle, feeds the build
-// histograms, and emits the slow-build log. A nil tel still traces —
-// with the wall clock, into no registry — so the trace endpoint works
-// for bare-pool library users too.
-func (s *Session) submitObs(pool *jobs.Pool, act Action, tel *obs.Telemetry) (*jobs.Job, error) {
+// enqueue queues the action's build job. The job follows core.MapBuild's
+// three-step protocol: prepare under the session lock (validation, row
+// snapshot, zoom-cache lookup — microseconds), build on the worker with
+// the lock released (the expensive clustering, reporting progress
+// fractions and honouring cancellation), then apply under the lock (one
+// state push). The pool runs one job per session at a time in submit
+// order, which is what makes the detached build safe; a rollback racing
+// in between surfaces as a "state changed" job failure, never as
+// corrupted history.
+//
+// Jobs resolved by the zoom cache report {"cacheHit": true} in their
+// metadata and complete without rebuilding oracle, clustering or tree.
+// Every build job additionally reports its reuse level ({"reuse":
+// "mapHit" | "oracleDerived" | "cold"}, see core.ReuseLevel): whether it
+// was served from the map tier, rebuilt over an oracle reused or
+// derived from the artifact tier, or built entirely from scratch.
+//
+// The job function records an obs.Trace (stage spans, distance-evaluation
+// and page-read counters, the reuse tier) retrievable through the job
+// handle, feeds the telemetry plane's build histograms, and emits the
+// slow-build log.
+func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
 	switch act.Kind {
 	case ActionZoom, ActionSelect, ActionProject:
 	default:
 		return nil, fmt.Errorf("session: unknown action %q (want %s, %s or %s)",
 			act.Kind, ActionZoom, ActionSelect, ActionProject)
 	}
-	return pool.SubmitOpts(s.ID, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
+	tel := m.tel
+	return m.pool.Submit(s.ID, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
 		tr := obs.NewTrace(tel.Time())
 		tr.SetAttr("action", act.Kind)
 		j.SetTrace(tr)

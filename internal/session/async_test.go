@@ -29,11 +29,11 @@ func waitJob(t *testing.T, j *jobs.Job) error {
 func TestSubmitSelectAndZoomAsync(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 2}, nil)
 	defer m.Shutdown()
-	s, err := m.Open(smallTable(), core.Options{Seed: 1})
+	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.Submit(m.Pool(), Action{Kind: ActionSelect, Theme: 0})
+	j, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 		path = leaves[0].Path
 		return nil
 	})
-	j2, err := s.Submit(m.Pool(), Action{Kind: ActionZoom, Path: path})
+	j2, err := m.Submit(s.ID, Action{Kind: ActionZoom, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 func TestManagerSubmitClosedSession(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	if err := m.Close(s.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 		t.Fatal("submit to a closed session should fail")
 	}
 	// And a live one still works through the same path.
-	s2, _ := m.Open(smallTable(), core.Options{Seed: 2})
+	s2, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
 	j, err := m.Submit(s2.ID, Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 func TestSubmitUnknownAction(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
-	if _, err := s.Submit(m.Pool(), Action{Kind: "teleport"}); err == nil {
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	if _, err := m.Submit(s.ID, Action{Kind: "teleport"}); err == nil {
 		t.Fatal("unknown action should be rejected before queueing")
 	}
 }
@@ -103,8 +103,8 @@ func TestSubmitUnknownAction(t *testing.T) {
 func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
-	j, err := s.Submit(m.Pool(), Action{Kind: ActionSelect, Theme: 99})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	j, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 func TestCacheHitMetadata(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	if err := waitJob(t, mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 	defer m.Shutdown()
 	// The 200-row test table needs a lower derivation floor than the
 	// production default of 128 rows.
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10}, "")
 	sel := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
 	if err := waitJob(t, sel); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 
 func mustSubmit(t *testing.T, s *Session, m *Manager, act Action) *jobs.Job {
 	t.Helper()
-	j, err := s.Submit(m.Pool(), act)
+	j, err := m.Submit(s.ID, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func mustSubmit(t *testing.T, s *Session, m *Manager, act Action) *jobs.Job {
 func TestManagerQueueFull(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1, MaxQueuedPerSession: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -215,7 +215,7 @@ func TestManagerQueueFull(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return nil, ctx.Err()
-	}); err != nil {
+	}, jobs.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -233,7 +233,7 @@ func TestManagerQueueFull(t *testing.T) {
 func TestActionDeadlineSheds(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	if _, err := m.Pool().Submit(s.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
@@ -243,7 +243,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return nil, ctx.Err()
-	}); err != nil {
+	}, jobs.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -272,7 +272,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 func TestOpenTenantAttribution(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, err := m.OpenTenant(smallTable(), core.Options{Seed: 1}, "gold")
+	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "gold")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestOpenTenantAttribution(t *testing.T) {
 func TestCloseReleasesRetainedJobs(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	j := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
 	if err := waitJob(t, j); err != nil {
 		t.Fatal(err)
@@ -321,13 +321,13 @@ func TestCloseReleasesRetainedJobs(t *testing.T) {
 func TestCloseCancelsSessionJobs(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	running, err := m.Pool().Submit(s.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}, jobs.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,15 +359,15 @@ func TestEvictIdle(t *testing.T) {
 	defer m.Shutdown()
 	now := time.Now()
 	m.now = func() time.Time { return now }
-	building, _ := m.Open(smallTable(), core.Options{Seed: 1})
-	fresh, _ := m.Open(smallTable(), core.Options{Seed: 2})
-	stale, _ := m.Open(smallTable(), core.Options{Seed: 3})
+	building, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	fresh, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
+	stale, _ := m.Open(smallTable(), core.Options{Seed: 3}, "")
 	started := make(chan struct{})
 	blocked, _ := m.Pool().Submit(building.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}, jobs.SubmitOptions{})
 	<-started
 
 	for _, s := range []*Session{building, stale} {
@@ -410,7 +410,7 @@ func TestEvictIdle(t *testing.T) {
 func TestStartEvictor(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1})
+	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	s.mu.Lock()
 	s.LastUsed = time.Now().Add(-2 * time.Hour)
 	s.mu.Unlock()
@@ -435,7 +435,7 @@ func TestStartEvictor(t *testing.T) {
 func TestConcurrentSessionStress(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 4}, nil)
 	defer m.Shutdown()
-	s, err := m.Open(smallTable(), core.Options{Seed: 3})
+	s, err := m.Open(smallTable(), core.Options{Seed: 3}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					kind = ActionProject
 				}
-				j, err := s.Submit(m.Pool(), Action{Kind: kind, Theme: 0})
+				j, err := m.Submit(s.ID, Action{Kind: kind, Theme: 0})
 				if err != nil {
 					continue
 				}
@@ -477,7 +477,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 				if path == nil {
 					continue
 				}
-				j, err := s.Submit(m.Pool(), Action{Kind: ActionZoom, Path: path})
+				j, err := m.Submit(s.ID, Action{Kind: ActionZoom, Path: path})
 				if err != nil {
 					continue
 				}

@@ -4,12 +4,13 @@
 // registry of exploration sessions, each wrapping one core.Explorer, an
 // asynchronous job scheduler (internal/jobs) that map builds are
 // submitted to so one large clustering never stalls a session's lock
-// (see Session.Submit), and a TTL sweep that evicts abandoned sessions
+// (see Manager.Submit), and a TTL sweep that evicts abandoned sessions
 // (EvictIdle / StartEvictor).
 package session
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -86,9 +87,8 @@ type Manager struct {
 // under the given configuration — queue caps, tenant weights and
 // in-flight quotas (see jobs.Config); the zero Config runs one job
 // worker per CPU with no backpressure limits. The manager owns tenant
-// attribution: sessions opened with OpenTenant are scheduled under that
-// tenant; cfg.Tenant, if set, is consulted for the rest; sessions with
-// neither are their own tenant.
+// attribution (it installs its own cfg.Tenant): sessions opened with a
+// tenant label are scheduled under it, the rest are their own tenant.
 //
 // tel is the telemetry plane: the scheduler's counters land in its
 // registry, every build job records a per-stage trace timed by its
@@ -106,16 +106,12 @@ func NewManagerObs(cfg jobs.Config, tel *obs.Telemetry) *Manager {
 		tel:      tel,
 	}
 	cfg.Obs = tel.Reg()
-	fallback := cfg.Tenant
 	cfg.Tenant = func(session string) string {
 		m.tenantMu.Lock()
 		t := m.tenants[session]
 		m.tenantMu.Unlock()
 		if t != "" {
 			return t
-		}
-		if fallback != nil {
-			return fallback(session)
 		}
 		return session
 	}
@@ -133,17 +129,11 @@ func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 // Open creates a session exploring the given table. Unless the caller
 // supplied its own, the scheduler is installed as the explorer's CLARA
 // fan-out runner, so per-sample PAM runs share the server's worker
-// budget instead of spawning free goroutines.
-func (m *Manager) Open(t store.Relation, opts core.Options) (*Session, error) {
-	return m.OpenTenant(t, opts, "")
-}
-
-// OpenTenant is Open with an explicit tenant label: the session's jobs
-// are scheduled (weighted fairness, in-flight quotas, per-tenant
-// accounting) under that tenant instead of standing alone. An empty
-// tenant falls back to the scheduler's tenant hook, then to the session
-// itself.
-func (m *Manager) OpenTenant(t store.Relation, opts core.Options, tenant string) (*Session, error) {
+// budget instead of spawning free goroutines. A non-empty tenant label
+// schedules the session's jobs (weighted fairness, in-flight quotas,
+// per-tenant accounting) under that tenant; with an empty one the
+// session stands alone as its own tenant.
+func (m *Manager) Open(t store.Relation, opts core.Options, tenant string) (*Session, error) {
 	if opts.Runner == nil {
 		opts.Runner = m.pool
 	}
@@ -212,15 +202,23 @@ func (m *Manager) releaseSession(id string) {
 // cancelled and the workers are joined. Sessions remain readable.
 func (m *Manager) Shutdown() { m.pool.Close() }
 
-// List returns the open session IDs in creation order.
+// List returns the open session IDs in creation order. The IDs are
+// copied under the registry lock and sorted outside it.
 func (m *Manager) List() []string {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.sessions))
 	for id := range m.sessions {
 		out = append(out, id)
 	}
-	sortStrings(out)
+	m.mu.Unlock()
+	// Shorter IDs first, then lexicographic: numeric creation order even
+	// after the zero-padded counter grows past its width.
+	sort.Slice(out, func(a, b int) bool {
+		if len(out[a]) != len(out[b]) {
+			return len(out[a]) < len(out[b])
+		}
+		return out[a] < out[b]
+	})
 	return out
 }
 
@@ -259,9 +257,6 @@ func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 	return len(evicted)
 }
 
-// CloseIdle is the original name of EvictIdle, kept as an alias.
-func (m *Manager) CloseIdle(maxIdle time.Duration) int { return m.EvictIdle(maxIdle) }
-
 // StartEvictor runs EvictIdle(maxIdle) every interval on a background
 // ticker until the returned stop function is called. Stop is
 // idempotent. Non-positive intervals are clamped to one second
@@ -285,12 +280,4 @@ func (m *Manager) StartEvictor(maxIdle, interval time.Duration) (stop func()) {
 	}()
 	var once sync.Once
 	return func() { once.Do(func() { close(done) }) }
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -2,9 +2,9 @@ package session
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -21,7 +21,7 @@ func smallTable() *store.Table {
 
 func TestOpenGetClose(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
-	s, err := m.Open(smallTable(), core.Options{Seed: 1})
+	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestOpenInvalidTable(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
 	empty := store.NewTable("empty")
 	empty.MustAddColumn(store.NewFloatColumn("x"))
-	if _, err := m.Open(empty, core.Options{}); err == nil {
+	if _, err := m.Open(empty, core.Options{}, ""); err == nil {
 		t.Error("empty table should fail to open")
 	}
 }
 
 func TestDoSerializesAccess(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
-	s, err := m.Open(smallTable(), core.Options{Seed: 2})
+	s, err := m.Open(smallTable(), core.Options{Seed: 2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,33 +92,25 @@ func TestDoSerializesAccess(t *testing.T) {
 	})
 }
 
+// TestList: creation order, also across the point where the ID counter
+// outgrows its zero-padded width ("s10000" sorts before "s9999" as a
+// plain string).
 func TestList(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
-	a, _ := m.Open(smallTable(), core.Options{Seed: 3})
-	b, _ := m.Open(smallTable(), core.Options{Seed: 4})
-	ids := m.List()
-	if len(ids) != 2 || ids[0] != a.ID || ids[1] != b.ID {
-		t.Errorf("list = %v", ids)
+	m.nextID = 9998
+	var want []string
+	for seed := int64(3); seed < 6; seed++ {
+		s, err := m.Open(smallTable(), core.Options{Seed: seed}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, s.ID)
 	}
-}
-
-func TestCloseIdle(t *testing.T) {
-	m := NewManagerObs(jobs.Config{}, nil)
-	now := time.Now()
-	m.now = func() time.Time { return now }
-	s1, _ := m.Open(smallTable(), core.Options{Seed: 5})
-	s2, _ := m.Open(smallTable(), core.Options{Seed: 6})
-	// Age s1 artificially.
-	s1.LastUsed = now.Add(-2 * time.Hour)
-	s2.LastUsed = now.Add(-time.Minute)
-	if n := m.CloseIdle(time.Hour); n != 1 {
-		t.Fatalf("closed %d, want 1", n)
+	if want[0] != "s9999" || want[2] != "s10001" {
+		t.Fatalf("opened %v, want the IDs to straddle s9999/s10000", want)
 	}
-	if _, err := m.Get(s1.ID); err == nil {
-		t.Error("idle session should be gone")
-	}
-	if _, err := m.Get(s2.ID); err != nil {
-		t.Error("fresh session should survive")
+	if ids := m.List(); !reflect.DeepEqual(ids, want) {
+		t.Errorf("list = %v, want creation order %v", ids, want)
 	}
 }
 
@@ -129,7 +121,7 @@ func TestConcurrentOpen(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			if _, err := m.Open(smallTable(), core.Options{Seed: seed}); err != nil {
+			if _, err := m.Open(smallTable(), core.Options{Seed: seed}, ""); err != nil {
 				t.Error(err)
 			}
 		}(int64(i))
@@ -160,7 +152,7 @@ func TestClusterConfigEcho(t *testing.T) {
 		})
 		return cfg
 	}
-	s, err := m.Open(smallTable(), core.Options{Seed: 1})
+	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +164,7 @@ func TestClusterConfigEcho(t *testing.T) {
 		Seed:           1,
 		OracleStrategy: cluster.OracleKNN,
 		Seeding:        cluster.SeedingKMeansPP,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives Blaeu's mapping engine
 // is built on: discretization, entropy and mutual information (the
 // dependency measure used for theme detection), correlation baselines,
-// normalization, and mixed-type distance functions.
+// normalization, and the missing-value-aware Euclidean distance.
 package stats
 
 import (
@@ -13,16 +13,6 @@ import (
 // variables for entropy estimation.
 const DefaultBins = 10
 
-// BinningMethod selects how continuous values are discretized.
-type BinningMethod int
-
-const (
-	// EqualWidth splits the value range into equal-width intervals.
-	EqualWidth BinningMethod = iota
-	// EqualFrequency splits at quantiles so bins hold similar counts.
-	EqualFrequency
-)
-
 // Discretizer maps continuous values to bin indices. The special index -1
 // denotes a missing value.
 type Discretizer struct {
@@ -30,9 +20,6 @@ type Discretizer struct {
 	// where cuts[i-1] <= v < cuts[i] (bin 0 is (-inf, cuts[0])).
 	Cuts []float64
 }
-
-// NumBins returns the number of bins produced by the discretizer.
-func (d *Discretizer) NumBins() int { return len(d.Cuts) + 1 }
 
 // Bin returns the bin index for v, or -1 for NaN.
 func (d *Discretizer) Bin(v float64) int {
@@ -52,19 +39,11 @@ func (d *Discretizer) Bin(v float64) int {
 	return lo
 }
 
-// BinAll discretizes a slice of values.
-func (d *Discretizer) BinAll(vals []float64) []int {
-	out := make([]int, len(vals))
-	for i, v := range vals {
-		out[i] = d.Bin(v)
-	}
-	return out
-}
-
-// NewDiscretizer fits a discretizer with the given method and bin count on
-// the non-NaN values. Degenerate inputs (constant or empty) yield a single
-// bin.
-func NewDiscretizer(vals []float64, bins int, method BinningMethod) *Discretizer {
+// NewDiscretizer fits an equal-frequency discretizer — cuts at the
+// quantiles, so bins hold similar counts — with the given bin count on
+// the non-NaN values. Repeated quantiles collapse into one cut, so a
+// constant input yields one cut and an empty one a single bin.
+func NewDiscretizer(vals []float64, bins int) *Discretizer {
 	if bins < 1 {
 		bins = 1
 	}
@@ -77,47 +56,14 @@ func NewDiscretizer(vals []float64, bins int, method BinningMethod) *Discretizer
 	if len(clean) == 0 {
 		return &Discretizer{}
 	}
-	switch method {
-	case EqualFrequency:
-		sort.Float64s(clean)
-		var cuts []float64
-		for b := 1; b < bins; b++ {
-			pos := float64(b) / float64(bins) * float64(len(clean)-1)
-			c := clean[int(math.Round(pos))]
-			if len(cuts) == 0 || c > cuts[len(cuts)-1] {
-				cuts = append(cuts, c)
-			}
-		}
-		return &Discretizer{Cuts: cuts}
-	default: // EqualWidth
-		min, max := clean[0], clean[0]
-		for _, v := range clean {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if min == max {
-			return &Discretizer{}
-		}
-		width := (max - min) / float64(bins)
-		cuts := make([]float64, 0, bins-1)
-		for b := 1; b < bins; b++ {
-			cuts = append(cuts, min+float64(b)*width)
-		}
-		return &Discretizer{Cuts: cuts}
-	}
-}
-
-// Histogram counts values per bin; index -1 (missing) is dropped.
-func Histogram(bins []int, numBins int) []int {
-	out := make([]int, numBins)
-	for _, b := range bins {
-		if b >= 0 && b < numBins {
-			out[b]++
+	sort.Float64s(clean)
+	var cuts []float64
+	for b := 1; b < bins; b++ {
+		pos := float64(b) / float64(bins) * float64(len(clean)-1)
+		c := clean[int(math.Round(pos))]
+		if len(cuts) == 0 || c > cuts[len(cuts)-1] {
+			cuts = append(cuts, c)
 		}
 	}
-	return out
+	return &Discretizer{Cuts: cuts}
 }

@@ -40,94 +40,3 @@ func (Euclidean) Dist(a, b []float64) float64 {
 
 // Name implements Distance.
 func (Euclidean) Name() string { return "euclidean" }
-
-// Manhattan is the L1 metric, missing dimensions handled as in Euclidean.
-type Manhattan struct{}
-
-// Dist implements Distance.
-//
-//blaeu:hot
-func (Manhattan) Dist(a, b []float64) float64 {
-	sum, seen := 0.0, 0
-	for i := range a {
-		x, y := a[i], b[i]
-		if math.IsNaN(x) || math.IsNaN(y) {
-			continue
-		}
-		sum += math.Abs(x - y)
-		seen++
-	}
-	if seen == 0 {
-		return 0
-	}
-	return sum * float64(len(a)) / float64(seen)
-}
-
-// Name implements Distance.
-func (Manhattan) Name() string { return "manhattan" }
-
-// Gower computes the Gower coefficient for mixed data: numeric dimensions
-// contribute |x-y|/range, categorical (one-hot or code) dimensions
-// contribute 0/1 mismatch. Ranges must be pre-computed by the caller;
-// dimensions with Range 0 or NaN entries are skipped.
-type Gower struct {
-	// Ranges holds max-min per numeric dimension; 0 marks a categorical
-	// (mismatch) dimension.
-	Ranges []float64
-}
-
-// Dist implements Distance.
-//
-//blaeu:hot
-func (g Gower) Dist(a, b []float64) float64 {
-	sum, seen := 0.0, 0
-	for i := range a {
-		x, y := a[i], b[i]
-		if math.IsNaN(x) || math.IsNaN(y) {
-			continue
-		}
-		seen++
-		var r float64
-		if i < len(g.Ranges) {
-			r = g.Ranges[i]
-		}
-		if r > 0 {
-			sum += math.Abs(x-y) / r
-		} else if x != y {
-			sum++
-		}
-	}
-	if seen == 0 {
-		return 0
-	}
-	return sum / float64(seen)
-}
-
-// Name implements Distance.
-func (g Gower) Name() string { return "gower" }
-
-// SquaredEuclidean is L2 squared; cheaper for nearest-centroid loops.
-type SquaredEuclidean struct{}
-
-// Dist implements Distance.
-//
-//blaeu:hot
-func (SquaredEuclidean) Dist(a, b []float64) float64 {
-	sum, seen := 0.0, 0
-	for i := range a {
-		x, y := a[i], b[i]
-		if math.IsNaN(x) || math.IsNaN(y) {
-			continue
-		}
-		d := x - y
-		sum += d * d
-		seen++
-	}
-	if seen == 0 {
-		return 0
-	}
-	return sum * float64(len(a)) / float64(seen)
-}
-
-// Name implements Distance.
-func (SquaredEuclidean) Name() string { return "sqeuclidean" }

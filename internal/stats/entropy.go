@@ -182,10 +182,10 @@ func NormalizedMI(x, y []int) float64 {
 }
 
 // DiscretizeColumn converts any store column to discrete labels suitable
-// for entropy computation: numeric and boolean columns are binned with the
-// given method, categorical columns use their dictionary codes, and nulls
-// map to -1.
-func DiscretizeColumn(c store.Column, bins int, method BinningMethod) []int {
+// for entropy computation: numeric columns are binned into equal-frequency
+// bins, booleans read as 0/1, categorical columns use their dictionary
+// codes, and nulls map to -1.
+func DiscretizeColumn(c store.Column, bins int) []int {
 	n := c.Len()
 	out := make([]int, n)
 	// Dispatch on the column's type, not its concrete implementation, so
@@ -213,21 +213,10 @@ func DiscretizeColumn(c store.Column, bins int, method BinningMethod) []int {
 		for i := 0; i < n; i++ {
 			vals[i] = c.Float(i) // NaN for nulls
 		}
-		d := NewDiscretizer(vals, bins, method)
+		d := NewDiscretizer(vals, bins)
 		for i := 0; i < n; i++ {
 			out[i] = d.Bin(vals[i])
 		}
 	}
 	return out
-}
-
-// ColumnDependency computes the normalized mutual information between two
-// columns of a table, binning continuous values into DefaultBins
-// equal-frequency bins. This is the pairwise dependency used to build
-// Blaeu's dependency graph (paper Fig. 2).
-func ColumnDependency(a, b store.Column) float64 {
-	return NormalizedMI(
-		DiscretizeColumn(a, DefaultBins, EqualFrequency),
-		DiscretizeColumn(b, DefaultBins, EqualFrequency),
-	)
 }

@@ -69,19 +69,3 @@ func (s Scaler) Apply(v float64) float64 {
 	}
 	return (v - s.Center) / s.Scale
 }
-
-// Invert maps a normalized value back to the original scale.
-func (s Scaler) Invert(v float64) float64 {
-	if math.IsNaN(v) {
-		return v
-	}
-	return v*s.Scale + s.Center
-}
-
-// ApplyAll transforms a slice in place and returns it.
-func (s Scaler) ApplyAll(vals []float64) []float64 {
-	for i, v := range vals {
-		vals[i] = s.Apply(v)
-	}
-	return vals
-}

@@ -48,14 +48,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << uint(i&63)
 }
 
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	if i >= b.n {
-		return
-	}
-	b.words[i>>6] &^= 1 << uint(i&63)
-}
-
 // Get reports whether bit i is set. Out-of-range bits read as clear.
 func (b *Bitmap) Get(i int) bool {
 	if b == nil || i < 0 || i >= b.n {
@@ -87,31 +79,4 @@ func (b *Bitmap) Any() bool {
 		}
 	}
 	return false
-}
-
-// Clone returns a deep copy.
-func (b *Bitmap) Clone() *Bitmap {
-	if b == nil {
-		return nil
-	}
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitmap{words: w, n: b.n}
-}
-
-// Indices returns the positions of all set bits in ascending order.
-func (b *Bitmap) Indices() []int {
-	if b == nil {
-		return nil
-	}
-	out := make([]int, 0, b.Count())
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			out = append(out, base+tz)
-			w &= w - 1
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -146,9 +145,6 @@ func (c *FloatColumn) StringAt(i int) string {
 	return strconv.FormatFloat(c.vals[i], 'g', -1, 64)
 }
 
-// Values returns the backing slice (callers must not mutate).
-func (c *FloatColumn) Values() []float64 { return c.vals }
-
 // Gather implements Column.
 func (c *FloatColumn) Gather(rows []int) Column {
 	out := newFloatColumnCap(c.name, len(rows))
@@ -232,9 +228,6 @@ func (c *IntColumn) AppendNull() {
 	c.nulls.Set(len(c.vals) - 1)
 }
 
-// Value returns the raw value at row i (0 when null; check IsNull).
-func (c *IntColumn) Value(i int) int64 { return c.vals[i] }
-
 // Float implements Column.
 func (c *IntColumn) Float(i int) float64 {
 	if c.IsNull(i) {
@@ -250,9 +243,6 @@ func (c *IntColumn) StringAt(i int) string {
 	}
 	return strconv.FormatInt(c.vals[i], 10)
 }
-
-// Values returns the backing slice (callers must not mutate).
-func (c *IntColumn) Values() []int64 { return c.vals }
 
 // Gather implements Column.
 func (c *IntColumn) Gather(rows []int) Column {
@@ -410,14 +400,6 @@ func (c *StringColumn) Slice(lo, hi int) Column {
 	return out
 }
 
-// Levels returns the distinct non-null values in sorted order.
-func (c *StringColumn) Levels() []string {
-	out := make([]string, len(c.dict))
-	copy(out, c.dict)
-	sort.Strings(out)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Bool column
 
@@ -480,9 +462,6 @@ func (c *BoolColumn) AppendNull() {
 	c.nulls.Resize(c.n)
 	c.nulls.Set(c.n - 1)
 }
-
-// Value returns the boolean at row i (false when null; check IsNull).
-func (c *BoolColumn) Value(i int) bool { return c.vals.Get(i) }
 
 // Float implements Column.
 func (c *BoolColumn) Float(i int) float64 {

@@ -51,40 +51,6 @@ func TestGatherRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestGroupByConservationProperty: group counts sum to the row count, and
-// group sums add up to the column total.
-func TestGroupByConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		tab := NewTable("p")
-		k := NewStringColumn("k")
-		v := NewFloatColumn("v")
-		total := 0.0
-		for i := 0; i < n; i++ {
-			k.Append([]string{"a", "b", "c", "d", "e"}[rng.Intn(5)])
-			x := rng.NormFloat64()
-			v.Append(x)
-			total += x
-		}
-		tab.MustAddColumn(k)
-		tab.MustAddColumn(v)
-		out, err := GroupBy(tab, "k", Aggregation{Func: AggCount}, Aggregation{Func: AggSum, Col: "v"})
-		if err != nil {
-			return false
-		}
-		countSum, sumSum := 0.0, 0.0
-		for i := 0; i < out.NumRows(); i++ {
-			countSum += out.ColumnByName("count").Float(i)
-			sumSum += out.ColumnByName("sum(v)").Float(i)
-		}
-		return countSum == float64(n) && math.Abs(sumSum-total) < 1e-6*(1+math.Abs(total))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPredicateParserRoundTripProperty: random predicate trees survive a
 // String() → ParsePredicate round trip with identical row matches.
 func TestPredicateParserRoundTripProperty(t *testing.T) {

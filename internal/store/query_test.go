@@ -70,19 +70,8 @@ func TestOrderByAndTopK(t *testing.T) {
 	if sorted.ColumnByName("x").Float(0) != 1 {
 		t.Error("orderby wrong")
 	}
-	top, err := TopK(tab, 2, SortKey{Col: "x", Desc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.NumRows() != 2 || top.ColumnByName("x").Float(0) != 3 {
-		t.Error("topk wrong")
-	}
 	if _, err := SortedIndices(tab, SortKey{Col: "zzz"}); err == nil {
 		t.Error("unknown sort column should fail")
-	}
-	over, _ := TopK(tab, 100, SortKey{Col: "x"})
-	if over.NumRows() != 4 {
-		t.Error("topk overflow should cap")
 	}
 }
 
@@ -124,100 +113,6 @@ func TestSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func groupTable() *Table {
-	t := NewTable("g")
-	t.MustAddColumn(NewStringColumnFrom("cat", []string{"a", "b", "a", "b", "a"}))
-	v := NewFloatColumn("v")
-	v.Append(1)
-	v.Append(10)
-	v.Append(3)
-	v.AppendNull()
-	v.Append(5)
-	t.MustAddColumn(v)
-	return t
-}
-
-func TestGroupByAggregates(t *testing.T) {
-	tab := groupTable()
-	out, err := GroupBy(tab, "cat",
-		Aggregation{Func: AggCount},
-		Aggregation{Func: AggSum, Col: "v"},
-		Aggregation{Func: AggMean, Col: "v"},
-		Aggregation{Func: AggMin, Col: "v"},
-		Aggregation{Func: AggMax, Col: "v"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 2 {
-		t.Fatalf("groups = %d", out.NumRows())
-	}
-	// Group "a": count 3, sum 9, mean 3, min 1, max 5.
-	if out.ColumnByName("cat").StringAt(0) != "a" {
-		t.Fatal("groups not sorted")
-	}
-	checks := map[string]float64{"count": 3, "sum(v)": 9, "mean(v)": 3, "min(v)": 1, "max(v)": 5}
-	for name, want := range checks {
-		if got := out.ColumnByName(name).Float(0); got != want {
-			t.Errorf("a.%s = %g, want %g", name, got, want)
-		}
-	}
-	// Group "b": count 2 rows, but v has 1 null → sum 10, mean 10.
-	if got := out.ColumnByName("sum(v)").Float(1); got != 10 {
-		t.Errorf("b.sum = %g", got)
-	}
-	if got := out.ColumnByName("mean(v)").Float(1); got != 10 {
-		t.Errorf("b.mean = %g", got)
-	}
-}
-
-func TestGroupByNullKeyAndErrors(t *testing.T) {
-	tab := NewTable("g")
-	c := NewStringColumn("k")
-	c.Append("x")
-	c.AppendNull()
-	tab.MustAddColumn(c)
-	tab.MustAddColumn(NewFloatColumnFrom("v", []float64{1, 2}))
-	out, err := GroupBy(tab, "k", Aggregation{Func: AggCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 2 {
-		t.Fatal("null key should form its own group")
-	}
-	if !out.ColumnByName("k").IsNull(0) && !out.ColumnByName("k").IsNull(1) {
-		t.Error("null group key lost")
-	}
-	if _, err := GroupBy(tab, "zzz"); err == nil {
-		t.Error("unknown key should fail")
-	}
-	if _, err := GroupBy(tab, "k", Aggregation{Func: AggSum}); err == nil {
-		t.Error("sum without column should fail")
-	}
-	if _, err := GroupBy(tab, "k", Aggregation{Func: AggSum, Col: "zzz"}); err == nil {
-		t.Error("unknown agg column should fail")
-	}
-}
-
-func TestGroupByAllNullAggregate(t *testing.T) {
-	tab := NewTable("g")
-	tab.MustAddColumn(NewStringColumnFrom("k", []string{"x", "x"}))
-	v := NewFloatColumn("v")
-	v.AppendNull()
-	v.AppendNull()
-	tab.MustAddColumn(v)
-	out, err := GroupBy(tab, "k", Aggregation{Func: AggMean, Col: "v"},
-		Aggregation{Func: AggMin, Col: "v"}, Aggregation{Func: AggMax, Col: "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"mean(v)", "min(v)", "max(v)"} {
-		if !out.ColumnByName(name).IsNull(0) {
-			t.Errorf("%s of all-null group should be null", name)
-		}
 	}
 }
 

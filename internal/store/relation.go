@@ -1,7 +1,5 @@
 package store
 
-import "math/rand"
-
 // Relation is a named, read-only collection of equal-length columns —
 // the seam between the in-memory *Table and the out-of-core
 // SegmentTable. Everything above the store (core.Explorer, the
@@ -169,19 +167,6 @@ func (t *columnSet) Filter(p Predicate) []int {
 // Where returns a new materialized table of the rows matching the predicate.
 func (t *columnSet) Where(p Predicate) *Table {
 	return t.Gather(t.Filter(p))
-}
-
-// Sample returns up to n row indices drawn uniformly without replacement
-// using the given source. The result is sorted ascending so downstream
-// scans and gathers stay sequential over pages (mirrors MonetDB's
-// SAMPLE), which is what makes cold sampling cheap on a segment.
-func (t *columnSet) Sample(n int, rng *rand.Rand) []int {
-	return SampleIndices(t.numRows, n, rng)
-}
-
-// SampleTable returns a materialized uniform sample of up to n rows.
-func (t *columnSet) SampleTable(n int, rng *rand.Rand) *Table {
-	return t.Gather(t.Sample(n, rng))
 }
 
 // Row renders row i as strings in schema order (nulls render as "").

@@ -447,12 +447,6 @@ func FilterLimit(r Relation, p Predicate, limit int) []int {
 	return Scan(r, ScanSpec{Pred: p, Limit: limit}).Collect()
 }
 
-// WhereLimit materializes the first limit rows matching p — the
-// Head-shaped form of Where.
-func WhereLimit(r Relation, p Predicate, limit int) *Table {
-	return r.Gather(FilterLimit(r, p, limit))
-}
-
 // ScanRows is the row-set filter: the subset of rows matching p.
 // Ascending row sets — every selection the engine holds — go through
 // the scan path, so pages outside the row set or excluded by zone maps

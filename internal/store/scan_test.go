@@ -90,10 +90,6 @@ func TestScanLimit(t *testing.T) {
 				t.Fatalf("%T FilterLimit(%d): got %d rows, want %d", r, limit, len(got), len(want))
 			}
 		}
-		// WhereLimit materializes exactly the first k matches.
-		wl := WhereLimit(r, scanTestPred(), 9)
-		want := r.Gather(full[:min(9, len(full))])
-		assertRelationsEqual(t, want, wl)
 	}
 }
 

@@ -222,17 +222,11 @@ func (s *Segment) Close() error {
 	return err
 }
 
-// Path returns the file path the segment was opened from.
-func (s *Segment) Path() string { return s.path }
-
 // Footer returns the decoded directory (callers must not mutate).
 func (s *Segment) Footer() *Footer { return s.footer }
 
 // NumRows returns the total row count.
 func (s *Segment) NumRows() int64 { return s.footer.NumRows }
-
-// RowsPerPage returns the shared page granularity.
-func (s *Segment) RowsPerPage() int { return s.footer.RowsPerPage }
 
 // NumPages returns the number of row groups.
 func (s *Segment) NumPages() int {

@@ -93,16 +93,3 @@ func OrderBy(t *Table, keys ...SortKey) (*Table, error) {
 	}
 	return t.Gather(idx), nil
 }
-
-// TopK returns the first k rows of t under the sort keys, without sorting
-// the whole table when k is small relative to n.
-func TopK(t *Table, k int, keys ...SortKey) (*Table, error) {
-	idx, err := SortedIndices(t, keys...)
-	if err != nil {
-		return nil, err
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return t.Gather(idx[:k]), nil
-}

@@ -206,31 +206,6 @@ func IsLikelyKey(c Column) bool {
 	return span > 0 && float64(limit)/span > 0.5
 }
 
-// Quantile returns the q-th quantile (0..1) of the non-null values of a
-// numeric column, using linear interpolation. It returns NaN when the
-// column has no usable values.
-func Quantile(c Column, q float64) float64 {
-	vals := NonNullFloats(c)
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := pos - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
-}
-
 // Describe summarizes every column of t as a new table (one row per
 // column: type, counts, range, moments, distinct values) — the overview
 // panel an explorer reads before picking a theme.

@@ -100,21 +100,6 @@ func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, err
 	return out, nil
 }
 
-// Drop returns a new table without the named columns.
-func (t *Table) Drop(names ...string) *Table {
-	dropped := make(map[string]bool, len(names))
-	for _, n := range names {
-		dropped[n] = true
-	}
-	out := NewTable(t.name)
-	for _, c := range t.cols {
-		if !dropped[c.Name()] {
-			out.MustAddColumn(c)
-		}
-	}
-	return out
-}
-
 // SampleIndices draws up to k of the integers [0,n) uniformly without
 // replacement, returned sorted ascending. When k >= n it returns all rows.
 func SampleIndices(n, k int, rng *rand.Rand) []int {
@@ -137,15 +122,5 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 		out = append(out, v)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// Clone returns a deep logical copy (columns are rebuilt).
-func (t *Table) Clone() *Table {
-	rows := make([]int, t.numRows)
-	for i := range rows {
-		rows[i] = i
-	}
-	out := t.Gather(rows)
 	return out
 }

@@ -153,18 +153,11 @@ func TestZeroColumnRowCounts(t *testing.T) {
 	if got := tab.Gather([]int{1, 3, 5}).NumRows(); got != 3 {
 		t.Errorf("Gather on zero-column table: %d rows, want 3", got)
 	}
-	if got := tab.Clone().NumRows(); got != 10 {
-		t.Errorf("Clone on zero-column table: %d rows, want 10", got)
-	}
 	if got := tab.Where(True{}).NumRows(); got != 10 {
 		t.Errorf("Where(True) on zero-column table: %d rows, want 10", got)
 	}
 	if got := tab.Where(IsNull{Col: "ghost"}).NumRows(); got != 0 {
 		t.Errorf("Where(impossible) on zero-column table: %d rows, want 0", got)
-	}
-	rng := rand.New(rand.NewSource(1))
-	if got := tab.SampleTable(6, rng).NumRows(); got != 6 {
-		t.Errorf("SampleTable on zero-column table: %d rows, want 6", got)
 	}
 }
 
