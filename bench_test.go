@@ -18,6 +18,7 @@ package blaeu
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -208,6 +209,87 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 				cluster.Silhouette(o, labels, 3)
 			}
 		})
+	}
+}
+
+// The four benchmarks below are the cluster stage's distance kernels at
+// the sizes of an explore_mem click (bench/load): a 1100-tuple sample in
+// 40 prepared dimensions, and the 668 of them a derived zoom keeps.
+
+func BenchmarkDistMatrixBuild(b *testing.B) {
+	vecs, _ := benchVectors(1100, 40, 4)
+	// The same vectors with one value in eight missing, as ImputeNone
+	// leaves them: the fill's fallback to one Dist per cell.
+	rng := rand.New(rand.NewSource(10))
+	holed := make([][]float64, len(vecs))
+	for i, v := range vecs {
+		holed[i] = append([]float64(nil), v...)
+		for d := range v {
+			if rng.Intn(8) == 0 {
+				holed[i][d] = math.NaN()
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		vecs [][]float64
+	}{{"NaN-free", vecs}, {"with-NaNs", holed}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cluster.ComputeDistMatrix(tc.vecs, stats.Euclidean{})
+			}
+		})
+	}
+}
+
+// benchView returns a 668-of-1100 view of one matrix, over an ascending
+// idx or the same idx shuffled, as the ascending view's contract allows.
+func benchView(shuffled bool) cluster.Oracle {
+	vecs, _ := benchVectors(1100, 40, 4)
+	rng := rand.New(rand.NewSource(11))
+	idx := store.SampleIndices(len(vecs), 668, rng)
+	if shuffled {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	}
+	return cluster.ComputeDistMatrix(vecs, stats.Euclidean{}).Subset(idx)
+}
+
+func BenchmarkAutoKExactView(b *testing.B) {
+	view := benchView(false)
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.AutoK(view, cluster.AutoKOptions{KMin: 2, KMax: 6, Rand: rand.New(rand.NewSource(1))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkViewRowInto(b *testing.B) {
+	for _, order := range []string{"ascending", "shuffled"} {
+		view := benchView(order == "shuffled")
+		row := make([]float64, view.N())
+		b.Run(order, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := range row {
+					view.RowInto(r, row)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHighlightStats is the store call behind a highlight click on
+// a region of 30 000 tuples of an all-distinct float column.
+func BenchmarkHighlightStats(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	vals := make([]float64, 30000)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	col := store.NewFloatColumnFrom("x", vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.ComputeStats(col)
 	}
 }
 

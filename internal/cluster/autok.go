@@ -51,26 +51,60 @@ func (o *AutoKOptions) defaults() {
 }
 
 // ClusterK clusters with a fixed k: exact PAM up to LargeThreshold
-// objects, CLARA above it.
+// objects, CLARA above it — the one-k case of AutoK's sweep.
 func ClusterK(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 	opts.defaults()
-	if o.N() <= opts.LargeThreshold {
+	var out *Clustering
+	err := sweepK(o, k, k, opts, func(c *Clustering) { out = c })
+	return out, err
+}
+
+// sweepK clusters o once for every k in [kMin, kMax], in k order, and
+// hands each clustering to visit; the context is read before every k.
+// On the exact path under BUILD seeding the ks share one BUILD to kMax
+// and one row scratch, each k's SWAP starting from seeds[:k]; everywhere
+// else a k is a run of its own (the package comment says why).
+func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
+	n := o.N()
+	run := func(k int) (*Clustering, error) {
 		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
 	}
-	co := opts.CLARA
-	co.Rand = opts.Rand
-	co.Seeding = opts.Seeding
-	if co.Context == nil {
-		co.Context = opts.Context
+	switch {
+	case n > opts.LargeThreshold:
+		co := opts.CLARA
+		co.Rand = opts.Rand
+		co.Seeding = opts.Seeding
+		if co.Context == nil {
+			co.Context = opts.Context
+		}
+		run = func(k int) (*Clustering, error) { return CLARA(o, k, co) }
+	case kMin > 1 && kMax < n && opts.Seeding.resolve(n, opts.Rand) == SeedingBUILD:
+		if err := ctxErr(opts.Context); err != nil {
+			return err
+		}
+		rows := newRowScratch(n)
+		seeds := pamBuild(o, kMax, rows)
+		run = func(k int) (*Clustering, error) { return fasterPAMFrom(o, k, seeds[:k], rows) }
 	}
-	return CLARA(o, k, co)
+	for k := kMin; k <= kMax; k++ {
+		if err := ctxErr(opts.Context); err != nil {
+			return err
+		}
+		c, err := run(k)
+		if err != nil {
+			return err
+		}
+		visit(c)
+	}
+	return nil
 }
 
 // AutoK clusters the oracle for every k in [KMin, KMax], scores each
 // partitioning with the (possibly Monte-Carlo) silhouette, and returns the
 // clustering with the best score — the model-selection scheme of paper §3:
 // "we generate several partitionings with different numbers of clusters,
-// and keep the one with the best score."
+// and keep the one with the best score." The winner carries the exact
+// scorer's per-cluster means too (ClusterSilhouettes).
 func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	opts.defaults()
 	if opts.Rand == nil {
@@ -91,27 +125,22 @@ func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	}
 
 	var best *Clustering
-	for k := opts.KMin; k <= kMax; k++ {
-		if err := ctxErr(opts.Context); err != nil {
-			return nil, err
-		}
-		c, err := ClusterK(o, k, opts)
-		if err != nil {
-			return nil, err
-		}
-		var sil float64
+	done := 0
+	err := sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
 		if n > opts.MCSilhouetteThreshold {
-			sil = MCSilhouette(o, c.Labels, c.K, MCSilhouetteOptions{Rand: opts.Rand})
+			c.Silhouette = MCSilhouette(o, c.Labels, c.K, MCSilhouetteOptions{Rand: opts.Rand})
 		} else {
-			sil = Silhouette(o, c.Labels, c.K)
+			c.Silhouette, c.ClusterSilhouettes = silhouettes(o, c.Labels, c.K)
 		}
-		c.Silhouette = sil
-		if best == nil || sil > best.Silhouette {
+		if best == nil || c.Silhouette > best.Silhouette {
 			best = c
 		}
-		if opts.Progress != nil {
-			opts.Progress(k-opts.KMin+1, kMax-opts.KMin+1)
+		if done++; opts.Progress != nil {
+			opts.Progress(done, kMax-opts.KMin+1)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if best == nil || math.IsNaN(best.Silhouette) {
 		return nil, fmt.Errorf("cluster: AutoK found no valid clustering")

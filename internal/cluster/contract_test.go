@@ -37,8 +37,8 @@ func randomMatrix(n int, seed int64) *cluster.DistMatrix {
 
 // checkOracle asserts the Oracle contract on o, bit for bit: while
 // depth lasts, Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]) for an
-// ascending and a scrambled idx, each subset being held to the same
-// contract in turn; then Dist is symmetric with a zero diagonal and
+// ascending, a scrambled and an all-but-ascending idx, each subset being
+// held to the same contract in turn; then Dist is symmetric with a zero diagonal and
 // RowInto(i)[j] == Dist(i, j) (twice, so the second pass reads whatever
 // the first memoized).
 func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
@@ -52,10 +52,17 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 			ascending = append(ascending, i)
 		}
 		scrambled := rand.New(rand.NewSource(int64(n))).Perm(n)[:(2*n+2)/3]
+		// Ascending up to its last pair: a view must not take it for
+		// ascending, nor a scrambled view's ascending subset (composed
+		// over the view's own idx) for one.
+		lastSwapped := append([]int(nil), ascending...)
+		if m := len(lastSwapped); m >= 2 {
+			lastSwapped[m-2], lastSwapped[m-1] = lastSwapped[m-1], lastSwapped[m-2]
+		}
 		for _, sub := range []struct {
 			name string
 			idx  []int
-		}{{"ascending", ascending}, {"scrambled", scrambled}} {
+		}{{"ascending", ascending}, {"scrambled", scrambled}, {"lastSwapped", lastSwapped}} {
 			label := fmt.Sprintf("%s/%s", name, sub.name)
 			s := o.Subset(sub.idx)
 			if s.N() != len(sub.idx) {
@@ -93,7 +100,9 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 
 // TestOracleContract holds every implementation of cluster.Oracle, and
 // two levels of subsets of each (a view, a view of the view, with
-// ascending and unsorted idx), to the two laws written on the interface.
+// ascending and unsorted idx — so both row loops of a matrix view, and
+// an ascending view of an unsorted one), to the two laws written on the
+// interface.
 func TestOracleContract(t *testing.T) {
 	vecs := contractVecs(90, 21)
 	metric := stats.Euclidean{}

@@ -45,7 +45,7 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 	n := want.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if g, w := got.Dist(i, j), want.Dist(i, j); g != w {
+			if g, w := got.Dist(i, j), want.Dist(i, j); !sameBits(g, w) {
 				t.Fatalf("%s: Dist(%d,%d) = %v, want %v", label, i, j, g, w)
 			}
 		}
@@ -56,7 +56,7 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 			got.RowInto(i, g)
 			want.RowInto(i, w)
 			for j := range w {
-				if g[j] != w[j] {
+				if !sameBits(g[j], w[j]) {
 					t.Fatalf("%s pass %d: RowInto(%d)[%d] = %v, want %v", label, pass, i, j, g[j], w[j])
 				}
 			}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -13,6 +11,10 @@ import (
 type DistMatrix struct {
 	n    int
 	data []float64
+	// rowOff[i]+j is the position of pair (i, j), i < j, in data: row i's
+	// offset in the triangle less i+1. Written once, by the constructor,
+	// so that no read multiplies — n ints beside n(n-1)/2 floats.
+	rowOff []int
 }
 
 // NewDistMatrix allocates a zeroed condensed upper-triangle matrix of
@@ -21,60 +23,37 @@ type DistMatrix struct {
 // empty selections) yield a valid matrix with no stored pairs rather
 // than a zero-length-slice edge case.
 func NewDistMatrix(n int) *DistMatrix {
-	if n < 2 {
-		if n < 0 {
-			n = 0
-		}
-		return &DistMatrix{n: n, data: []float64{}}
+	n = max(n, 0)
+	m := &DistMatrix{n: n, data: make([]float64, n*max(n-1, 0)/2), rowOff: make([]int, n)}
+	for i := range m.rowOff {
+		m.rowOff[i] = i*(2*n-i-1)/2 - i - 1
 	}
-	return &DistMatrix{n: n, data: make([]float64, n*(n-1)/2)}
-}
-
-// ComputeDistMatrix fills a matrix with pairwise distances of the
-// vectors, spreading rows across CPUs (rows touch disjoint slices of the
-// condensed storage, so no synchronization is needed).
-func ComputeDistMatrix(vecs [][]float64, d stats.Distance) *DistMatrix {
-	n := len(vecs)
-	m := NewDistMatrix(n)
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 128 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				m.Set(i, j, d.Dist(vecs[i], vecs[j]))
-			}
-		}
-		return m
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				for j := i + 1; j < n; j++ {
-					m.Set(i, j, d.Dist(vecs[i], vecs[j]))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return m
 }
 
+// ComputeDistMatrix fills a matrix with pairwise distances of the
+// vectors, one metric row call per matrix row, the rows dealt round-robin
+// so that the triangle's long and short rows spread evenly over the
+// workers. Rows are disjoint slices of the condensed storage: nothing to
+// synchronize, and the same matrix at every worker count.
+func ComputeDistMatrix(vecs [][]float64, d stats.Distance) *DistMatrix {
+	n := len(vecs)
+	m := NewDistMatrix(n)
+	workers := rangeWorkers(n)
+	parallelChunks(workers, workers, func(w, _, _ int) {
+		for i := w; i < n; i += workers {
+			d.DistRow(vecs[i], vecs[i+1:], m.data[m.rowOff[i]+i+1:m.rowOff[i]+n])
+		}
+	})
+	return m
+}
+
+// idx is the position of pair (i, j), i != j, in data.
 func (m *DistMatrix) idx(i, j int) int {
 	if i > j {
 		i, j = j, i
 	}
-	// Offset of row i in the condensed upper triangle.
-	return i*(2*m.n-i-1)/2 + (j - i - 1)
+	return m.rowOff[i] + j
 }
 
 // N implements Oracle.
@@ -99,23 +78,16 @@ func (m *DistMatrix) Set(i, j int, v float64) {
 }
 
 // RowInto implements Oracle. For j < i the condensed layout strides
-// across rows (the offset advances by n-j-2, a stride that shrinks as j
-// grows); for j > i the row is one contiguous block.
+// across rows (column i of each earlier row); for j > i the row is one
+// contiguous block.
 //
 //blaeu:hot
 func (m *DistMatrix) RowInto(i int, dst []float64) {
-	off := i - 1 // idx(0, i)
-	for j := 0; j < i; j++ {
-		dst[j] = m.data[off]
-		off += m.n - j - 2
+	for j, off := range m.rowOff[:i] {
+		dst[j] = m.data[off+i]
 	}
-	if i < m.n {
-		dst[i] = 0
-	}
-	if i+1 < m.n {
-		base := m.idx(i, i+1)
-		copy(dst[i+1:], m.data[base:base+m.n-i-1])
-	}
+	dst[i] = 0
+	copy(dst[i+1:], m.data[m.rowOff[i]+i+1:m.rowOff[i]+m.n])
 }
 
 // DistEvals implements Oracle: the condensed matrix holds every pair
@@ -131,16 +103,29 @@ func (m *DistMatrix) DistEvals() int64 {
 // Subset implements Oracle: an index view over the condensed storage —
 // no distance is recomputed and nothing is copied, not even idx.
 func (m *DistMatrix) Subset(idx []int) Oracle {
-	return &matrixView{m: m, idx: idx}
+	return newMatrixView(m, idx)
 }
 
 // matrixView is a DistMatrix restricted to a subset of its objects.
 // Every answer is read from the matrix's condensed storage, so the view
 // is byte-identical to a matrix freshly computed over the subset's
-// vectors.
+// vectors. It stays a view: a private square copy would serve rows by
+// memcpy, and cost a derived build megabytes the matrix already holds.
 type matrixView struct {
 	m   *DistMatrix
 	idx []int // view object -> matrix object
+	// ascending: idx is strictly increasing, as every subset the pipeline
+	// makes is (sorted samples, intersections of sorted row lists), so
+	// RowInto knows each cell's side of the diagonal without comparing.
+	ascending bool
+}
+
+func newMatrixView(m *DistMatrix, idx []int) *matrixView {
+	v := &matrixView{m: m, idx: idx, ascending: true}
+	for a := 1; a < len(idx) && v.ascending; a++ {
+		v.ascending = idx[a-1] < idx[a]
+	}
+	return v
 }
 
 // N implements Oracle.
@@ -153,13 +138,27 @@ func (v *matrixView) Dist(i, j int) float64 {
 	return v.m.Dist(v.idx[i], v.idx[j])
 }
 
-// RowInto implements Oracle.
+// RowInto implements Oracle. Over an ascending idx the cells left of
+// the diagonal sit in column pi of their own rows and the cells right of
+// it in row pi: two gathers with no test per cell. Any other idx takes
+// the loop that orders each pair.
 //
 //blaeu:hot
 func (v *matrixView) RowInto(i int, dst []float64) {
-	pi := v.idx[i]
-	for j, pj := range v.idx {
-		dst[j] = v.m.Dist(pi, pj)
+	pi, data, rowOff := v.idx[i], v.m.data, v.m.rowOff
+	if !v.ascending {
+		for j, pj := range v.idx {
+			dst[j] = v.m.Dist(pi, pj)
+		}
+		return
+	}
+	for j, pj := range v.idx[:i] {
+		dst[j] = data[rowOff[pj]+pi]
+	}
+	dst[i] = 0
+	off, right := rowOff[pi], dst[i+1:]
+	for j, pj := range v.idx[i+1:] {
+		right[j] = data[off+pj]
 	}
 }
 
@@ -171,7 +170,7 @@ func (v *matrixView) Subset(idx []int) Oracle {
 	for a, i := range idx {
 		composed[a] = v.idx[i]
 	}
-	return &matrixView{m: v.m, idx: composed}
+	return newMatrixView(v.m, composed)
 }
 
 // DistEvals implements Oracle: a view reads the matrix's storage and

@@ -89,15 +89,7 @@ func NewKNNOracle(vecs [][]float64, metric stats.Distance, opts KNNOracleOptions
 	}
 	parallelRange(opts.Pivots, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
-			pi := p * n / opts.Pivots
-			row := o.pivotD[p]
-			for j := 0; j < n; j++ {
-				if j == pi {
-					row[j] = 0
-					continue
-				}
-				row[j] = metric.Dist(vecs[pi], vecs[j])
-			}
+			metricRow(metric, vecs, p*n/opts.Pivots, o.pivotD[p])
 		}
 	})
 
@@ -108,14 +100,14 @@ func NewKNNOracle(vecs [][]float64, metric stats.Distance, opts KNNOracleOptions
 	parallelRange(n, func(lo, hi int) {
 		heapIdx := make([]int32, k)
 		heapDist := make([]float64, k)
+		row := make([]float64, n)
 		for i := lo; i < hi; i++ {
 			size := 0
-			vi := vecs[i]
-			for j := 0; j < n; j++ {
+			metricRow(metric, vecs, i, row)
+			for j, d := range row {
 				if j == i {
 					continue
 				}
-				d := metric.Dist(vi, vecs[j])
 				if size < k {
 					heapPush(heapIdx, heapDist, size, int32(j), d)
 					size++

@@ -79,18 +79,22 @@ func (o *LazyOracle) RowInto(i int, dst []float64) {
 			dst[j] = prow[pj]
 		}
 	} else {
-		vi := o.vecs[i]
-		for j, vj := range o.vecs {
-			if j == i {
-				dst[j] = 0
-				continue
-			}
-			dst[j] = o.metric.Dist(vi, vj)
-		}
+		metricRow(o.metric, o.vecs, i, dst)
 		computed = int64(len(o.vecs) - 1)
 	}
 	//blaeu:nolint hotpath one memo store (a lock, at most one row copy) amortized over the O(n) row
 	o.memoize(i, dst, computed)
+}
+
+// metricRow fills dst with object i's exact distances to all of vecs —
+// len(vecs)-1 evaluations in two row calls, the diagonal set to 0, not
+// evaluated.
+//
+//blaeu:hot
+func metricRow(metric stats.Distance, vecs [][]float64, i int, dst []float64) {
+	metric.DistRow(vecs[i], vecs[:i], dst[:i])
+	dst[i] = 0
+	metric.DistRow(vecs[i], vecs[i+1:], dst[i+1:])
 }
 
 // memoized copies row i out of the memo, reporting whether it was there.

@@ -25,6 +25,15 @@
 // selects how the k-medoid algorithms pick their initial medoids (the
 // quadratic BUILD of the textbook, k-means++-style D² sampling, or a
 // LAB-style subsample BUILD).
+//
+// AutoK is one sweep over k, and the ks share what cannot change a
+// result: on the exact path BUILD runs once, to the largest k — greedy,
+// ties to the lowest index, so its seeds for k are the first k of its
+// seeds for any larger k — every SWAP uses one row scratch, and the
+// winner carries the per-cluster silhouette means the pass that scored it
+// produced. Nothing else is shared: the k-means++ and LAB seedings and
+// CLARA's samples (sized by k) draw from the one Rand in k order, and
+// starting k+1 from k's converged medoids would be another algorithm.
 package cluster
 
 import (
@@ -51,6 +60,11 @@ import (
 // The laws are what let every loop pick the cheapest access — a row
 // where it scans all of one object's distances, a pair where it touches
 // a few — without the result depending on the choice or on the storage.
+// What a row costs does depend on the storage: a read of stored cells on
+// a DistMatrix and its views, n-1 evaluations booked in DistEvals on a
+// LazyOracle that has not memoized it, a sweep over every pivot on a
+// KNNOracle. BUILD and SWAP take rows anywhere — that work is the
+// build's; the silhouettes only where they are reads (see silhouettes).
 //
 // An oracle is read-only once built (LazyOracle's memo synchronizes
 // itself) and a subset shares its parent's storage, so oracles are safe

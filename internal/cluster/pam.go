@@ -22,6 +22,10 @@ type Clustering struct {
 	// Silhouette is the average silhouette width if it was computed
 	// (NaN otherwise).
 	Silhouette float64
+	// ClusterSilhouettes is the mean silhouette width of each cluster —
+	// what SilhouettePerCluster returns — when the pass that computed
+	// Silhouette produced it too (AutoK's exact scorer); nil otherwise.
+	ClusterSilhouettes []float64
 }
 
 // Sizes returns the number of objects per cluster.

@@ -75,27 +75,31 @@ func SeedMedoids(o Oracle, k int, s Seeding, rng *rand.Rand) ([]int, error) {
 	return seedMedoids(o, k, s, rng, newRowScratch(o.N()))
 }
 
+// resolve names the scheme s stands for over n objects: itself, or what
+// SeedingAuto picks.
+func (s Seeding) resolve(n int, rng *rand.Rand) Seeding {
+	switch {
+	case s == SeedingBUILD || s == SeedingKMeansPP || s == SeedingLAB:
+		return s
+	case rng != nil && n > seedingAutoThreshold:
+		return SeedingKMeansPP
+	}
+	return SeedingBUILD
+}
+
 // seedMedoids is SeedMedoids over the calling run's row scratch.
 func seedMedoids(o Oracle, k int, s Seeding, rng *rand.Rand, rows [][]float64) ([]int, error) {
-	switch s {
-	case SeedingBUILD:
-		return pamBuild(o, k, rows), nil
-	case SeedingKMeansPP:
-		if rng == nil {
-			return nil, fmt.Errorf("cluster: %s seeding requires a random source", s)
-		}
-		return kmeansPPSeeds(o, k, rng, rows[0]), nil
-	case SeedingLAB:
-		if rng == nil {
-			return nil, fmt.Errorf("cluster: %s seeding requires a random source", s)
-		}
-		return labSeeds(o, k, rng, rows[0]), nil
-	default:
-		if rng != nil && o.N() > seedingAutoThreshold {
-			return kmeansPPSeeds(o, k, rng, rows[0]), nil
-		}
+	s = s.resolve(o.N(), rng)
+	if s == SeedingBUILD {
 		return pamBuild(o, k, rows), nil
 	}
+	if rng == nil {
+		return nil, fmt.Errorf("cluster: %s seeding requires a random source", s)
+	}
+	if s == SeedingLAB {
+		return labSeeds(o, k, rng, rows[0]), nil
+	}
+	return kmeansPPSeeds(o, k, rng, rows[0]), nil
 }
 
 // updateNearest lowers nearest[j] to Dist(m, j) wherever medoid m's row

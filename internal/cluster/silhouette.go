@@ -18,48 +18,60 @@ import (
 // to the user and as the criterion for choosing the number of clusters k
 // (paper §3, "Number of clusters").
 func Silhouette(o Oracle, labels []int, k int) float64 {
-	if o.N() == 0 || k < 2 {
-		return 0
-	}
-	total, _, cnt := silhouetteSums(o, labels, k)
-	counted := 0
-	for _, c := range cnt {
-		counted += c
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
+	avg, _ := silhouettes(o, labels, k)
+	return avg
 }
 
-// silhouetteSums runs the one O(n²) silhouette kernel both results come
-// from: for every validly labelled object it computes s(i) and adds it
-// both to the running total (in object order) and to its cluster's sum,
-// counting the object in cnt. The two accumulations are kept apart — not
-// derived from each other — so the average width and the per-cluster
-// means each keep their own summation order. Objects in singleton
-// clusters, or with no other cluster to compare against, count with
-// s(i) = 0.
-func silhouetteSums(o Oracle, labels []int, k int) (total float64, perCluster []float64, cnt []int) {
+// silhouettes runs the one O(n²) silhouette kernel both results come
+// from — the average width and each cluster's mean width — so a caller
+// that needs both (AutoK, for the k it keeps) pays for one pass. The two
+// are accumulated apart, not derived from each other, so each keeps its
+// own summation order.
+func silhouettes(o Oracle, labels []int, k int) (avg float64, perCluster []float64) {
+	perCluster = make([]float64, k)
+	if o.N() == 0 || k < 2 {
+		return 0, perCluster
+	}
 	sizes := make([]int, k)
 	for _, l := range labels {
 		if l >= 0 && l < k {
 			sizes[l]++
 		}
 	}
-	perCluster = make([]float64, k)
-	cnt = make([]int, k)
-	total = silhouetteKernel(o, labels, sizes, make([]float64, k), perCluster, cnt)
-	return total, perCluster, cnt
+	// Where a row is a read of stored cells the kernel takes a row per
+	// object. Elsewhere it reads pairs through Dist, never rows:
+	// LazyOracle counts row materializations as evaluations, so this keeps
+	// scoring a clustering out of the build's distance-work account.
+	var row []float64
+	switch o.(type) {
+	case *DistMatrix, *matrixView:
+		row = make([]float64, o.N())
+	}
+	cnt := make([]int, k)
+	total := silhouetteKernel(o, labels, sizes, row, make([]float64, k), perCluster, cnt)
+	counted := 0
+	for c, m := range cnt {
+		counted += m
+		if m > 0 {
+			perCluster[c] /= float64(m)
+		}
+	}
+	if counted > 0 {
+		avg = total / float64(counted)
+	}
+	return avg, perCluster
 }
 
-// silhouetteKernel is silhouetteSums over buffers its caller allocated;
-// sums is its k-sized per-object scratch. It reads pairs through Dist, never
-// rows: LazyOracle counts row materializations as evaluations, so this
-// keeps scoring a clustering out of the build's distance-work account.
+// silhouetteKernel computes s(i) for every validly labelled object and
+// adds it both to the returned total (in object order) and to its
+// cluster's sum in perCluster, counting the object in cnt. Objects in
+// singleton clusters, or with no other cluster to compare against, count
+// with s(i) = 0. All buffers are the caller's: sums is the k-sized
+// per-object scratch; row, n-sized, takes each object's distances, or is
+// nil to read pairs — the same cells added in the same order either way.
 //
 //blaeu:hot
-func silhouetteKernel(o Oracle, labels, sizes []int, sums, perCluster []float64, cnt []int) float64 {
+func silhouetteKernel(o Oracle, labels, sizes []int, row, sums, perCluster []float64, cnt []int) float64 {
 	n, k := o.N(), len(sums)
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -74,11 +86,21 @@ func silhouetteKernel(o Oracle, labels, sizes []int, sums, perCluster []float64,
 		for c := range sums {
 			sums[c] = 0
 		}
-		for j, lj := range labels[:n] {
-			if j == i || lj < 0 || lj >= k {
-				continue
+		if row != nil {
+			o.RowInto(i, row)
+			for j, lj := range labels[:n] {
+				if j == i || lj < 0 || lj >= k {
+					continue
+				}
+				sums[lj] += row[j]
 			}
-			sums[lj] += o.Dist(i, j)
+		} else {
+			for j, lj := range labels[:n] {
+				if j == i || lj < 0 || lj >= k {
+					continue
+				}
+				sums[lj] += o.Dist(i, j)
+			}
 		}
 		a := sums[li] / float64(sizes[li]-1)
 		b := math.Inf(1)
@@ -152,14 +174,6 @@ func MCSilhouette(o Oracle, labels []int, k int, opts MCSilhouetteOptions) float
 // SilhouettePerCluster returns the mean silhouette width of each cluster,
 // the per-region quality signal Blaeu surfaces to users.
 func SilhouettePerCluster(o Oracle, labels []int, k int) []float64 {
-	if o.N() == 0 || k < 2 {
-		return make([]float64, k)
-	}
-	_, out, cnt := silhouetteSums(o, labels, k)
-	for c := range out {
-		if cnt[c] > 0 {
-			out[c] /= float64(cnt[c])
-		}
-	}
-	return out
+	_, perCluster := silhouettes(o, labels, k)
+	return perCluster
 }

@@ -282,8 +282,12 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 	m.TreeAccuracy = tr.Accuracy(sample, clustering.Labels)
 	report(0.92)
 
-	// Per-cluster quality for leaf annotation.
-	perCluster := cluster.SilhouettePerCluster(art.oracle, clustering.Labels, clustering.K)
+	// Per-cluster quality for leaf annotation; the exact scorer left it on
+	// the clustering, the Monte-Carlo one costs one more O(n²) pass.
+	perCluster := clustering.ClusterSilhouettes
+	if perCluster == nil {
+		perCluster = cluster.SilhouettePerCluster(art.oracle, clustering.Labels, clustering.K)
+	}
 
 	// One pass over the selection's pages routes it through the whole
 	// tree; the regions mirror the tree over the routed row lists.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -413,6 +414,53 @@ func TestEuclidean(t *testing.T) {
 	if d := e.Dist([]float64{math.NaN()}, []float64{1}); d != 0 {
 		t.Error("all-missing pairs should be 0")
 	}
+}
+
+// TestDistRowMatchesDistBitForBit holds the row form to its contract —
+// dst[j] is Dist(a, bs[j]), same bits — where the four-wide kernel could
+// slip: missing values on either side, infinities (Inf - Inf is a NaN no
+// value was missing for), magnitudes whose sums round, every row length
+// modulo four, no dimensions, one vector, and a vector of another length.
+func TestDistRowMatchesDistBitForBit(t *testing.T) {
+	e := Euclidean{}
+	rng := rand.New(rand.NewSource(11))
+	vec := func(dims int, nanEvery int) []float64 {
+		v := make([]float64, dims)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			if nanEvery > 0 && rng.Intn(nanEvery) == 0 {
+				v[i] = math.NaN()
+			}
+		}
+		return v
+	}
+	check := func(label string, a []float64, bs [][]float64) {
+		t.Helper()
+		dst := make([]float64, len(bs))
+		e.DistRow(a, bs, dst)
+		for j, b := range bs {
+			if want := e.Dist(a, b); math.Float64bits(dst[j]) != math.Float64bits(want) {
+				t.Fatalf("%s: DistRow[%d] = %v (%#x), Dist = %v (%#x)", label, j, dst[j], math.Float64bits(dst[j]), want, math.Float64bits(want))
+			}
+		}
+	}
+	for _, dims := range []int{0, 1, 3, 40} {
+		for rows := 0; rows <= 9; rows++ {
+			for _, nanEvery := range []int{0, 6} {
+				bs := make([][]float64, rows)
+				for j := range bs {
+					bs[j] = vec(dims, nanEvery)
+				}
+				label := fmt.Sprintf("dims=%d rows=%d nanEvery=%d", dims, rows, nanEvery)
+				check(label, vec(dims, 0), bs)
+				check(label+" NaN in a", vec(dims, 2), bs)
+			}
+		}
+	}
+	inf := math.Inf(1)
+	check("infinities", []float64{inf, 1, 2}, [][]float64{{inf, 0, 0}, {-inf, 0, 0}, {0, 0, 0}, {math.NaN(), inf, 0}, {1, 2, 3}})
+	check("overflow", []float64{1e200, -1e200}, [][]float64{{-1e200, 1e200}, {0, 0}, {1e200, 1e200}, {5, 5}})
+	check("longer b", []float64{1, 2}, [][]float64{{1, 2}, {3, 4}, {5, 6, 7}, {8, 9}, {0, 0}})
 }
 
 func TestDistanceProperties(t *testing.T) {

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -64,9 +65,9 @@ func ComputeStats(c Column) ColumnStats {
 		Mean: math.NaN(), Std: math.NaN()}
 	n := c.Len()
 	if c.Type().IsNumeric() || c.Type() == Bool {
+		distinct := floatSet{slots: make([]uint64, 3*min(n, distinctCap)/2+1)}
 		var sum, sumsq float64
 		min, max := math.Inf(1), math.Inf(-1)
-		distinct := make(map[float64]struct{})
 		for i := 0; i < n; i++ {
 			if c.IsNull(i) {
 				s.Nulls++
@@ -82,11 +83,9 @@ func ComputeStats(c Column) ColumnStats {
 			if v > max {
 				max = v
 			}
-			if len(distinct) <= 100000 {
-				distinct[v] = struct{}{}
-			}
+			distinct.add(v)
 		}
-		s.Distinct = len(distinct)
+		s.Distinct = distinct.n
 		if s.Count > 0 {
 			s.Min, s.Max = min, max
 			s.Mean = sum / float64(s.Count)
@@ -110,6 +109,50 @@ func ComputeStats(c Column) ColumnStats {
 	s.Distinct = len(counts)
 	s.TopValues = topK(counts, 10)
 	return s
+}
+
+// distinctCap is where ComputeStats stops telling a numeric column's
+// values apart: Distinct reads min(distinct values, distinctCap).
+const distinctCap = 100001
+
+// floatSet counts distinct float64 values, up to distinctCap, in one
+// open-addressing table its user allocates once with half again as many
+// slots as values to add: a highlight runs ComputeStats on every click,
+// and growing a map[float64]struct{} from empty was most of what a warm
+// click allocated. Values are told apart as map keys are: -0 and +0 are one,
+// every NaN is its own. A slot holds a value's bits xor floatSetEmpty —
+// a NaN's bits, and NaNs are not stored, so 0 marks a free slot.
+type floatSet struct {
+	slots []uint64
+	n     int
+}
+
+const floatSetEmpty = 0x7FF8000000000001
+
+func (s *floatSet) add(v float64) {
+	if s.n >= distinctCap {
+		return
+	}
+	if v != v {
+		s.n++
+		return
+	}
+	if v == 0 {
+		v = 0 // folds -0 into +0
+	}
+	key := math.Float64bits(v) ^ floatSetEmpty
+	// Fibonacci hashing, reduced to the table's length by a multiply.
+	h, _ := bits.Mul64(key*0x9E3779B97F4A7C15, uint64(len(s.slots)))
+	for s.slots[h] != key {
+		if s.slots[h] == 0 {
+			s.slots[h] = key
+			s.n++
+			return
+		}
+		if h++; h == uint64(len(s.slots)) {
+			h = 0
+		}
+	}
 }
 
 func topK(counts map[string]int, k int) []ValueCount {

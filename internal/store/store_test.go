@@ -571,6 +571,78 @@ func TestStatsCategorical(t *testing.T) {
 	}
 }
 
+// distinctViaMap is ComputeStats' distinct count as it was first written:
+// a map[float64]struct{} grown from empty, closed to new values once it
+// holds 100001. The reference the table-based count is held to.
+func distinctViaMap(c Column) int {
+	distinct := make(map[float64]struct{})
+	for i := 0; i < c.Len(); i++ {
+		if !c.IsNull(i) && len(distinct) <= 100000 {
+			distinct[c.Float(i)] = struct{}{}
+		}
+	}
+	return len(distinct)
+}
+
+func TestStatsDistinctMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	negZero := math.Copysign(0, -1)
+
+	repeats := NewFloatColumn("repeats")
+	for i := 0; i < 5000; i++ {
+		switch {
+		case i%11 == 0:
+			repeats.AppendNull()
+		case i%7 == 0:
+			repeats.Append(float64(rng.Intn(40)) / 8)
+		default:
+			repeats.Append(rng.NormFloat64())
+		}
+	}
+	// A non-null NaN is a value, and as a map key every NaN is its own.
+	special := NewFloatColumn("special")
+	for _, v := range []float64{0, negZero, math.NaN(), 1, math.NaN(), negZero, math.Inf(1), math.Inf(-1), 1, math.NaN()} {
+		special.Append(v)
+	}
+	special.AppendNull()
+	ints := make([]int64, 3000)
+	for i := range ints {
+		ints[i] = int64(rng.Intn(500) - 250)
+	}
+	saturated := NewFloatColumn("saturated")
+	for i := 0; i < 130000; i++ {
+		saturated.Append(float64(i) * 0.5)
+	}
+	justUnder := NewFloatColumn("justUnder")
+	for i := 0; i < 120000; i++ {
+		justUnder.Append(float64(i % 100000))
+	}
+	allNull := NewFloatColumn("allNull")
+	allNull.AppendNull()
+
+	for _, tc := range []struct {
+		c    Column
+		want int
+	}{
+		{repeats, -1},
+		{special, 7}, // ±0, three NaNs, 1, +Inf, -Inf
+		{NewIntColumnFrom("ints", ints), -1},
+		{NewBoolColumnFrom("bools", []bool{true, false, true}), 2},
+		{saturated, 100001},
+		{justUnder, 100000},
+		{allNull, 0},
+		{NewFloatColumn("empty"), 0},
+	} {
+		got := ComputeStats(tc.c).Distinct
+		if ref := distinctViaMap(tc.c); got != ref {
+			t.Errorf("%s: Distinct = %d, the map counts %d", tc.c.Name(), got, ref)
+		}
+		if tc.want >= 0 && got != tc.want {
+			t.Errorf("%s: Distinct = %d, want %d", tc.c.Name(), got, tc.want)
+		}
+	}
+}
+
 func TestStatsMissingColumn(t *testing.T) {
 	tab := newTestTable(t)
 	s := Stats(tab, "nope")
