@@ -66,10 +66,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
-# session open-options JSON, segment files) so the harnesses and corpora
-# don't bit-rot. Real fuzzing: raise -fuzztime and let it run.
+# filter expressions — parsed, then scanned by the batch kernels against
+# the reference — session open-options JSON, segment files) so the
+# harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime and
+# let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment
 	go test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/store/segment
@@ -86,8 +89,10 @@ bench:
 	go test -bench=. -benchmem -run '^$$' .
 
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
-# storage-engine filter benchmarks and the streaming-scan benchmarks
-# (sequential vs parallel page ranges, limit pushdown, sample gathers).
+# storage-engine filter benchmarks, the streaming-scan benchmarks
+# (sequential vs parallel page ranges, limit pushdown, sample gathers)
+# and the kernels behind the filter and highlight clicks
+# (BenchmarkFilterKernel*, BenchmarkStatsRows*).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' .
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store

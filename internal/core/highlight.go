@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/store"
 )
@@ -42,8 +43,9 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := col.Gather(region.Rows)
-	st := store.ComputeStats(sub)
+	// The statistics are computed over the region's rows in place: no
+	// copy of the column is made.
+	st := store.StatsRows(col, region.Rows)
 	h := &Highlight{Column: column, Region: region.Describe(), Stats: st}
 	if len(st.TopValues) > 0 {
 		for _, tv := range st.TopValues {
@@ -52,8 +54,14 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 			}
 			h.SampleValues = append(h.SampleValues, tv.Value)
 		}
-	} else {
-		for i := 0; i < sub.Len() && len(h.SampleValues) < MaxSampleValues; i++ {
+		return h, nil
+	}
+	// The first values present, rendered: gathered a few rows at a time
+	// until enough are seen.
+	want := min(MaxSampleValues, st.Count)
+	for lo := 0; len(h.SampleValues) < want; lo += 4 * MaxSampleValues {
+		sub := col.Gather(region.Rows[lo:min(lo+4*MaxSampleValues, len(region.Rows))])
+		for i := 0; i < sub.Len() && len(h.SampleValues) < want; i++ {
 			if !sub.IsNull(i) {
 				h.SampleValues = append(h.SampleValues, sub.StringAt(i))
 			}
@@ -93,9 +101,16 @@ func (e *Explorer) RegionHistogram(column string, bins int, path ...int) (*Histo
 	if err != nil {
 		return nil, err
 	}
-	sub := col.Gather(region.Rows)
-	vals := store.NonNullFloats(sub)
-	if len(vals) == 0 {
+	// The values present and not NaN, compacted in place.
+	vals, present := store.RowFloats(col, region.Rows)
+	n := 0
+	for k, v := range vals {
+		if present[k] != 0 && !math.IsNaN(v) {
+			vals[n] = v
+			n++
+		}
+	}
+	if vals = vals[:n]; n == 0 {
 		return &HistogramData{Column: column, Edges: []float64{0, 0}, Counts: make([]int, 1)}, nil
 	}
 	min, max := vals[0], vals[0]

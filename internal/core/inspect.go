@@ -48,15 +48,21 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 		return nil, err
 	}
 	sd := &ScatterData{XColumn: xCol, YColumn: yCol}
-	var xs, ys []float64
-	for _, r := range region.Rows {
-		if cx.IsNull(r) || cy.IsNull(r) {
-			continue
+	// Both columns are read page run by page run, and the pairs with
+	// both values present compacted in place.
+	xs, xok := store.RowFloats(cx, region.Rows)
+	ys, yok := store.RowFloats(cy, region.Rows)
+	n := 0
+	for k := range xs {
+		if xok[k]&yok[k] != 0 {
+			xs[n], ys[n] = xs[k], ys[k]
+			n++
 		}
-		xs = append(xs, cx.Float(r))
-		ys = append(ys, cy.Float(r))
 	}
-	sd.N = len(xs)
+	if xs, ys = xs[:n], ys[:n]; n == 0 {
+		xs, ys = nil, nil // as the JSON of a region without pairs has always read
+	}
+	sd.N = n
 	sd.Pearson = stats.Pearson(xs, ys)
 	sd.Spearman = stats.Spearman(xs, ys)
 	if len(xs) > MaxScatterPoints {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -258,5 +259,53 @@ func TestScatterHandlesNulls(t *testing.T) {
 	}
 	if math.Abs(sd.Pearson-1) > 1e-9 {
 		t.Errorf("self correlation = %g", sd.Pearson)
+	}
+}
+
+// TestInspectionReadsPagesNotRows: over a segment, a highlight, a
+// histogram and a scatter of a region cost buffer-pool lookups in
+// proportion to the pages the region's rows touch — a data and a null
+// lookup per column page — not to its rows.
+func TestInspectionReadsPagesNotRows(t *testing.T) {
+	const n = 6000
+	mem, seg := openLaborBoth(t, n, 33)
+	em, err := NewExplorer(mem, Options{Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := NewExplorer(seg, Options{Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Explorer{em, es} {
+		id, _ := e.AddTheme([]string{"WorkingLongHours", "AverageIncome"})
+		if _, err := e.SelectTheme(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := uint64(seg.Segment().NumPages())
+	lookups := func(fn func()) uint64 {
+		before := seg.PoolStats()
+		fn()
+		after := seg.PoolStats()
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	var hs, hm *Highlight
+	var hds, hdm *HistogramData
+	var sds, sdm *ScatterData
+	if got := lookups(func() { hs, err = es.Highlight("Leisure") }); err != nil || got > 2*pages+4 {
+		t.Fatalf("highlight of %d rows over %d pages: %d pool lookups, err %v", n, pages, got, err)
+	}
+	if got := lookups(func() { hds, err = es.RegionHistogram("Leisure", 8) }); err != nil || got > 2*pages {
+		t.Fatalf("histogram of %d rows over %d pages: %d pool lookups, err %v", n, pages, got, err)
+	}
+	if got := lookups(func() { sds, err = es.RegionScatter("WorkingLongHours", "Leisure") }); err != nil || got > 4*pages {
+		t.Fatalf("scatter of %d rows over %d pages: %d pool lookups, err %v", n, pages, got, err)
+	}
+	hm, _ = em.Highlight("Leisure")
+	hdm, _ = em.RegionHistogram("Leisure", 8)
+	sdm, _ = em.RegionScatter("WorkingLongHours", "Leisure")
+	if !reflect.DeepEqual(hs, hm) || !reflect.DeepEqual(hds, hdm) || !reflect.DeepEqual(sds, sdm) {
+		t.Fatal("inspection over the segment differs from the in-memory table's")
 	}
 }

@@ -66,6 +66,25 @@ func (op CmpOp) Negate() CmpOp {
 	return op
 }
 
+// holds reports whether v op val.
+func (op CmpOp) holds(v, val float64) bool {
+	switch op {
+	case Lt:
+		return v < val
+	case Le:
+		return v <= val
+	case Gt:
+		return v > val
+	case Ge:
+		return v >= val
+	case Eq:
+		return v == val
+	case Ne:
+		return v != val
+	}
+	return false
+}
+
 // NumCmp compares a numeric column against a constant threshold.
 // Null values never match.
 type NumCmp struct {
@@ -80,22 +99,7 @@ func (p NumCmp) Matches(t Relation, i int) bool {
 	if c == nil || c.IsNull(i) {
 		return false
 	}
-	v := c.Float(i)
-	switch p.Op {
-	case Lt:
-		return v < p.Val
-	case Le:
-		return v <= p.Val
-	case Gt:
-		return v > p.Val
-	case Ge:
-		return v >= p.Val
-	case Eq:
-		return v == p.Val
-	case Ne:
-		return v != p.Val
-	}
-	return false
+	return p.Op.holds(c.Float(i), p.Val)
 }
 
 // String implements Predicate.

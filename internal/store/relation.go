@@ -156,10 +156,11 @@ func (t *columnSet) Head(n int) *Table {
 
 // Filter returns the indices of rows matching the predicate, in order.
 // It runs on the streaming scan path: the predicate is compiled once
-// (columns resolved out of the row loop, string constants mapped to
-// dictionary codes), rows are collected batch-at-a-time, and on a
-// segment backing per-page min/max and null-count stats skip pages that
-// cannot contain matches without reading them.
+// into batch kernels (columns resolved, string constants mapped to
+// dictionary codes), every page is evaluated into match bytes and the
+// result allocated once at its final size, and on a segment backing
+// per-page min/max and null-count stats skip pages that cannot contain
+// matches without reading them.
 func (t *columnSet) Filter(p Predicate) []int {
 	return Scan(t, ScanSpec{Pred: p}).Collect()
 }

@@ -13,6 +13,13 @@ import (
 // row-at-a-time. Scans are index-only: values are materialized by
 // gathering the rows a scan selected (Column.Gather, ScanGather).
 //
+// A page's candidates — an explicit ascending run of the row set, or
+// the whole page — are evaluated by the batch kernels of kernel.go into
+// one match byte each, so nothing is allocated per page but those
+// bytes: a batch is allocated once its matches are counted, and Collect
+// fills one result of the final size from the match bytes of every
+// page.
+//
 // Two pushdowns happen at the scan source instead of above it:
 //
 //   - predicate: segment-backed scans apply zone-map page skips, and an
@@ -78,23 +85,12 @@ func NewScanMetrics(reg *obs.Registry) *ScanMetrics {
 	}
 }
 
-func (m *ScanMetrics) addPages(scanned, skipped int) {
-	if m == nil {
-		return
-	}
-	if scanned > 0 {
+func (m *ScanMetrics) add(scanned, skipped, batches int) {
+	if m != nil {
 		m.pagesScanned.Add(uint64(scanned))
-	}
-	if skipped > 0 {
 		m.pagesSkipped.Add(uint64(skipped))
+		m.batches.Add(uint64(batches))
 	}
-}
-
-func (m *ScanMetrics) addBatches(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.batches.Add(uint64(n))
 }
 
 // scanPlan is the resolved form of a ScanSpec against one relation:
@@ -118,16 +114,13 @@ func Scan(r Relation, spec ScanSpec) *Scanner {
 		return &Scanner{err: err}
 	}
 	s := &Scanner{limit: spec.Limit}
-	w := spec.Workers
-	if w > pl.np {
-		w = pl.np
-	}
+	w := min(spec.Workers, pl.np)
 	if w < 2 {
 		s.seq = pl.newRangeIter(0, pl.np)
 		return s
 	}
 	s.cancel = make(chan struct{})
-	s.workers = make([]chan Batch, w)
+	s.workers = make([]chan pageMatch, w)
 	base, rem := pl.np/w, pl.np%w
 	p0 := 0
 	for wi := 0; wi < w; wi++ {
@@ -135,23 +128,22 @@ func Scan(r Relation, spec ScanSpec) *Scanner {
 		if wi < rem {
 			p1++
 		}
-		ch := make(chan Batch, 2)
+		ch := make(chan pageMatch, 2) // a page in hand while the consumer drains an earlier range
 		s.workers[wi] = ch
-		go func(it *rangeIter, ch chan Batch) {
+		go func(it *rangeIter, ch chan pageMatch) {
 			defer close(ch)
+			defer it.flush()
 			for {
-				b, ok := it.next()
+				pm, ok := it.next()
 				if !ok {
-					break
+					return
 				}
 				select {
-				case ch <- b:
+				case ch <- pm:
 				case <-s.cancel:
-					it.flush()
 					return
 				}
 			}
-			it.flush()
 		}(pl.newRangeIter(p0, p1), ch)
 		p0 = p1
 	}
@@ -161,9 +153,9 @@ func Scan(r Relation, spec ScanSpec) *Scanner {
 // Scanner pulls batches from a scan. Not safe for concurrent use; the
 // consumer must either drain it or Close it so parallel workers exit.
 type Scanner struct {
-	seq     *rangeIter   // sequential mode
-	workers []chan Batch // parallel mode, one channel per page range
-	cur     int          // worker currently being drained
+	seq     *rangeIter       // sequential mode
+	workers []chan pageMatch // parallel mode, one channel per page range
+	cur     int              // worker currently being drained
 	cancel  chan struct{}
 	limit   int
 	emitted int
@@ -173,41 +165,53 @@ type Scanner struct {
 
 // Next returns the next batch; ok is false at end of scan (check Err).
 func (s *Scanner) Next() (Batch, bool) {
-	if s.err != nil || s.closed {
+	pm, ok := s.nextPage()
+	if !ok {
 		return Batch{}, false
+	}
+	rows := make([]int, pm.n)
+	pm.fill(rows)
+	return Batch{Rows: rows}, true
+}
+
+// nextPage returns the next page with matches, its count cut to what
+// the limit still admits.
+func (s *Scanner) nextPage() (pageMatch, bool) {
+	if s.err != nil || s.closed {
+		return pageMatch{}, false
 	}
 	if s.limit > 0 && s.emitted >= s.limit {
 		s.Close()
-		return Batch{}, false
+		return pageMatch{}, false
 	}
-	b, ok := s.fetch()
+	pm, ok := s.fetch()
 	if !ok {
 		s.Close()
-		return Batch{}, false
+		return pageMatch{}, false
 	}
-	if s.limit > 0 && s.emitted+len(b.Rows) > s.limit {
-		b.Rows = b.Rows[:s.limit-s.emitted] // limit tail
+	if s.limit > 0 && s.emitted+pm.n > s.limit {
+		pm.n = s.limit - s.emitted // limit tail
 	}
-	s.emitted += len(b.Rows)
-	return b, true
+	s.emitted += pm.n
+	return pm, true
 }
 
-// fetch pulls the next raw batch: straight from the iterator in
+// fetch pulls the next raw page: straight from the iterator in
 // sequential mode, or from the page ranges in range order — draining
 // range i completely before touching range i+1 is what makes the
 // parallel merge order-preserving.
-func (s *Scanner) fetch() (Batch, bool) {
+func (s *Scanner) fetch() (pageMatch, bool) {
 	if s.seq != nil {
 		return s.seq.next()
 	}
 	for s.cur < len(s.workers) {
-		b, ok := <-s.workers[s.cur]
+		pm, ok := <-s.workers[s.cur]
 		if ok {
-			return b, true
+			return pm, true
 		}
 		s.cur++
 	}
-	return Batch{}, false
+	return pageMatch{}, false
 }
 
 // Err reports the first spec error; nil for a clean scan.
@@ -233,16 +237,28 @@ func (s *Scanner) Close() {
 }
 
 // Collect drains the scanner into a flat slice of matching row indices
-// (nil when nothing matched) and closes it.
+// (nil when nothing matched) and closes it. The pages' match bytes are
+// held until the end of the scan, so the result is one allocation of
+// its final size.
 func (s *Scanner) Collect() []int {
-	var out []int
+	var pages []pageMatch
 	for {
-		b, ok := s.Next()
+		pm, ok := s.nextPage()
 		if !ok {
-			return out
+			break
 		}
-		out = append(out, b.Rows...)
+		pages = append(pages, pm)
 	}
+	if s.emitted == 0 {
+		return nil
+	}
+	out := make([]int, s.emitted)
+	off := 0
+	for _, pm := range pages {
+		pm.fill(out[off : off+pm.n])
+		off += pm.n
+	}
+	return out
 }
 
 func newScanPlan(r Relation, spec ScanSpec) (*scanPlan, error) {
@@ -270,14 +286,35 @@ func newScanPlan(r Relation, spec ScanSpec) (*scanPlan, error) {
 	return pl, nil
 }
 
-// rangeIter walks one contiguous page range, producing one batch per
-// page that yields matches. It is the scan core shared by sequential
-// scans (one iter over all pages) and parallel workers (one iter per
-// range); each iter compiles its own matcher, because compiled
-// matchers keep per-goroutine page cursors.
+// pageMatch is the outcome of one scanned page: its candidates (cand,
+// or the rows from lo on when cand is nil), one match byte per
+// candidate and the number of matches wanted of it.
+type pageMatch struct {
+	cand []int
+	lo   int
+	m    []uint8
+	n    int
+}
+
+// fill writes the page's first len(dst) matches into dst.
+func (pm *pageMatch) fill(dst []int) {
+	if pm.cand != nil {
+		fillMatched(pm.cand, pm.m, dst)
+	} else {
+		fillMatchedSeq(pm.lo, pm.m, dst)
+	}
+}
+
+// rangeIter walks one contiguous page range, producing the match bytes
+// of every page that yields matches. It is the scan core shared by
+// sequential scans (one iter over all pages) and parallel workers (one
+// iter per range); each iter compiles the predicate for itself, because
+// an evaluator keeps page cursors.
 type rangeIter struct {
 	pl                        *scanPlan
-	m                         func(i int) bool
+	ev                        evaluator
+	pred                      predNode
+	seq                       []int // the candidates of a whole page, when the scan has no row set
 	pi, p1                    int
 	rs                        []int // remaining candidate rows within the range
 	emitted                   int
@@ -286,21 +323,18 @@ type rangeIter struct {
 }
 
 func (pl *scanPlan) newRangeIter(p0, p1 int) *rangeIter {
-	it := &rangeIter{pl: pl, pi: p0, p1: p1}
-	if pl.spec.Pred != nil {
-		it.m = CompileMatcher(pl.r, pl.spec.Pred)
-	}
-	if pl.spec.Rows != nil {
-		rows := pl.spec.Rows
-		lo := splitBefore(rows, p0*pl.rpp)
-		hi := splitBefore(rows, p1*pl.rpp)
-		it.rs = rows[lo:hi]
+	it := &rangeIter{pl: pl, pi: p0, p1: p1, ev: evaluator{runCap: min(pl.rpp, routeRun)}}
+	it.pred = it.ev.compile(pl.r, pl.spec.Pred)
+	if rows := pl.spec.Rows; rows != nil {
+		it.rs = rows[splitBefore(rows, p0*pl.rpp):splitBefore(rows, p1*pl.rpp)]
+	} else {
+		it.seq = make([]int, min(pl.rpp, pl.n))
 	}
 	return it
 }
 
-// next advances to the next page with matches and returns its batch.
-func (it *rangeIter) next() (Batch, bool) {
+// next advances to the next page with matches.
+func (it *rangeIter) next() (pageMatch, bool) {
 	pl := it.pl
 	for it.pi < it.p1 {
 		if pl.spec.Limit > 0 && it.emitted >= pl.spec.Limit {
@@ -308,19 +342,14 @@ func (it *rangeIter) next() (Batch, bool) {
 		}
 		pi := it.pi
 		it.pi++
-		lo := pi * pl.rpp
-		hi := lo + pl.rpp
-		if hi > pl.n {
-			hi = pl.n
-		}
+		pm, hi := pageMatch{lo: pi * pl.rpp}, min((pi+1)*pl.rpp, pl.n)
 		// Candidate rows of this page. The row set advances past the
 		// page before any skip, so zone-map skips cannot desync it.
-		var cand []int
 		if pl.spec.Rows != nil {
 			k := splitBefore(it.rs, hi)
-			cand = it.rs[:k]
+			pm.cand = it.rs[:k]
 			it.rs = it.rs[k:]
-			if len(cand) == 0 {
+			if k == 0 {
 				it.skipped++
 				continue
 			}
@@ -330,32 +359,34 @@ func (it *rangeIter) next() (Batch, bool) {
 			continue
 		}
 		it.scanned++
-		var dst []int
-		var nm int
-		if cand != nil {
-			dst = make([]int, len(cand))
-			if it.m == nil {
-				nm = copy(dst, cand)
-			} else {
-				nm = collectRows(it.m, cand, dst)
-			}
-		} else {
-			dst = make([]int, hi-lo)
-			if it.m == nil {
-				nm = fillSeq(lo, hi, dst)
-			} else {
-				nm = collectSeq(it.m, lo, hi, dst)
-			}
-		}
-		if nm == 0 {
+		if it.match(pi, hi-pm.lo, &pm); pm.n == 0 {
 			continue
 		}
-		it.emitted += nm
+		it.emitted += pm.n
 		it.batches++
-		return Batch{Rows: dst[:nm:nm]}, true
+		return pm, true
 	}
 	it.flush()
-	return Batch{}, false
+	return pageMatch{}, false
+}
+
+// match evaluates the predicate over the candidates of page pi — cand,
+// or its nc rows — into pm.m, a run at a time, and counts the matches
+// into pm.n.
+func (it *rangeIter) match(pi, nc int, pm *pageMatch) {
+	cand := pm.cand
+	if cand == nil {
+		cand = it.seq[:nc]
+		fillSeq(pm.lo, pm.lo+nc, cand)
+	}
+	pm.m = make([]uint8, len(cand))
+	it.ev.page = pi
+	for lo := 0; lo < len(cand); lo += it.ev.runCap {
+		hi := min(lo+it.ev.runCap, len(cand))
+		it.ev.run = cand[lo:hi]
+		it.ev.eval(&it.pred, routeIdentity[:hi-lo], pm.m[lo:hi])
+	}
+	pm.n = countBytes(pm.m)
 }
 
 // zoneSkip applies the plan's page-exclusion tests.
@@ -375,8 +406,7 @@ func (it *rangeIter) flush() {
 		return
 	}
 	it.flushed = true
-	it.pl.metrics.addPages(it.scanned, it.skipped)
-	it.pl.metrics.addBatches(it.batches)
+	it.pl.metrics.add(it.scanned, it.skipped, it.batches)
 }
 
 // splitBefore returns the count of leading entries of rows below bound
@@ -397,43 +427,27 @@ func splitBefore(rows []int, bound int) int {
 	return lo
 }
 
-// collectSeq is the batch cursor's inner loop over a full page: row
-// indices [lo, hi) matching m are written into dst (len >= hi-lo).
+// fillMatched writes the first len(dst) candidates whose match byte is
+// set into dst; cand holds at least that many. Every candidate is
+// stored and the write position advances only past a match, so the
+// loop carries no data-dependent branch.
 //
 //blaeu:hot
-func collectSeq(m func(i int) bool, lo, hi int, dst []int) int {
-	n := 0
-	for i := lo; i < hi; i++ {
-		if m(i) {
-			dst[n] = i
-			n++
-		}
+func fillMatched(cand []int, m []uint8, dst []int) {
+	for k, j := 0, 0; j < len(dst); k++ {
+		dst[j] = cand[k]
+		j += int(m[k])
 	}
-	return n
 }
 
-// collectRows is collectSeq over an explicit candidate row set.
+// fillMatchedSeq is fillMatched over the candidates lo, lo+1, ….
 //
 //blaeu:hot
-func collectRows(m func(i int) bool, cand []int, dst []int) int {
-	n := 0
-	for _, i := range cand {
-		if m(i) {
-			dst[n] = i
-			n++
-		}
+func fillMatchedSeq(lo int, m []uint8, dst []int) {
+	for k, j := 0, 0; j < len(dst); k++ {
+		dst[j] = lo + k
+		j += int(m[k])
 	}
-	return n
-}
-
-// fillSeq writes [lo, hi) into dst — the no-predicate page batch.
-//
-//blaeu:hot
-func fillSeq(lo, hi int, dst []int) int {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = i
-	}
-	return hi - lo
 }
 
 // ---------------------------------------------------------------------------
@@ -451,8 +465,8 @@ func FilterLimit(r Relation, p Predicate, limit int) []int {
 // Ascending row sets — every selection the engine holds — go through
 // the scan path, so pages outside the row set or excluded by zone maps
 // are never read and workers > 1 splits the scan into parallel page
-// ranges. A row set the scan contract rejects is filtered row by row
-// in input order instead.
+// ranges. A row set the scan contract rejects is partitioned in input
+// order by the router instead.
 func ScanRows(r Relation, p Predicate, rows []int, workers int) []int {
 	if len(rows) == 0 {
 		return nil
@@ -460,12 +474,7 @@ func ScanRows(r Relation, p Predicate, rows []int, workers int) []int {
 	sc := Scan(r, ScanSpec{Pred: p, Rows: rows, Workers: workers})
 	out := sc.Collect()
 	if sc.Err() != nil {
-		m := CompileMatcher(r, p)
-		for _, i := range rows {
-			if m(i) {
-				out = append(out, i)
-			}
-		}
+		out, _ = PartitionRows(r, p, rows)
 	}
 	return out
 }

@@ -79,3 +79,39 @@ func BenchmarkGatherMaterialized(b *testing.B) {
 		benchSink = st.Gather(rows).NumRows()
 	}
 }
+
+// benchFilterKernel is the filter click's store call: a one-comparison
+// predicate over a zoomed selection (every other row), one result
+// allocation.
+func benchFilterKernel(b *testing.B, r Relation) {
+	rows := make([]int, 0, r.NumRows()/2)
+	for i := 0; i < r.NumRows(); i += 2 {
+		rows = append(rows, i)
+	}
+	p := NumCmp{Col: "x", Op: Ge, Val: 50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = len(ScanRows(r, p, rows, 1))
+	}
+}
+
+func BenchmarkFilterKernelMem(b *testing.B) { benchFilterKernel(b, benchTable(100_000)) }
+func BenchmarkFilterKernelSeg(b *testing.B) { benchFilterKernel(b, benchSegment(b)) }
+
+// benchStatsRows is the highlight click's store call: the statistics
+// of a float column over a region of 30 000 rows, read in place.
+func benchStatsRows(b *testing.B, r Relation) {
+	rows := make([]int, 0, 30_000)
+	for i := 0; len(rows) < cap(rows); i += 3 {
+		rows = append(rows, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = StatsRows(r.ColumnByName("x"), rows).Count
+	}
+}
+
+func BenchmarkStatsRowsMem(b *testing.B) { benchStatsRows(b, benchTable(100_000)) }
+func BenchmarkStatsRowsSeg(b *testing.B) { benchStatsRows(b, benchSegment(b)) }

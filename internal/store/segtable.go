@@ -18,8 +18,9 @@ import (
 // SegmentTables are read-only and safe for concurrent readers. Scans
 // (Filter, Gather of sorted rows) touch pages sequentially; point
 // accesses via the Column interface work but pay a pool round trip
-// per page crossing, so hot paths should go through Filter /
-// ScanRows / Gather, which keep a page cursor.
+// per row, so hot paths should go through Filter / ScanRows /
+// RouteRows / StatsRows / RowFloats / Gather, which fetch a page once
+// per run of rows on it.
 type SegmentTable struct {
 	columnSet
 	seg *segment.Segment
@@ -201,10 +202,9 @@ func (t *columnSet) strEqSkip(p StrEq) func(pi int) bool {
 
 // segCol is the one segment-backed Column: a page directory plus, for
 // strings, the dictionary. typ selects how a page slot decodes; every
-// access goes through a page cursor, so sequential reads (Gather of
-// sorted rows, compiled matchers) fetch each page once. The
-// compiled-matcher layer builds its page-cursor matchers from it and
-// the scan planner reads its page directory.
+// access goes through a page cursor, so a Gather of sorted rows
+// fetches each page once. The batch kernels (kernel.go) read its pages
+// through fetch, and the scan planner reads its page directory.
 type segCol struct {
 	seg   *segment.Segment
 	ci    int
@@ -275,15 +275,6 @@ func (cur *segCursor) seek(i int) int {
 
 func (cur *segCursor) isNull(j int) bool {
 	return cur.nulls != nil && segment.BitAt(cur.nulls, j)
-}
-
-// nullMatcher returns a cursor-backed null test.
-func (c *segCol) nullMatcher() func(i int) bool {
-	if c.meta.NullCount() == 0 {
-		return matchNone
-	}
-	cur := c.cursor()
-	return func(i int) bool { return cur.isNull(cur.seek(i)) }
 }
 
 // IsNull is the point-access null test (page fetch per call).
@@ -401,71 +392,6 @@ func gatherSeg[T any, C interface {
 
 // Slice implements Column.
 func (c *segCol) Slice(lo, hi int) Column { return c.Gather(rangeRows(lo, hi)) }
-
-// numMatcher returns a cursor-backed test of cmp against the column's
-// numeric reading. Strings parse each dictionary entry once, so their
-// per-row test is a code lookup into the parsed table.
-func (c *segCol) numMatcher(cmp func(float64) bool) func(i int) bool {
-	cur := c.cursor()
-	switch c.typ {
-	case Float64:
-		return func(i int) bool {
-			j := cur.seek(i)
-			return !cur.isNull(j) && cmp(segment.Float64At(cur.data, j))
-		}
-	case Int64:
-		return func(i int) bool {
-			j := cur.seek(i)
-			return !cur.isNull(j) && cmp(float64(segment.Int64At(cur.data, j)))
-		}
-	case Bool:
-		m0, m1 := cmp(0), cmp(1)
-		return func(i int) bool {
-			j := cur.seek(i)
-			if cur.isNull(j) {
-				return false
-			}
-			if segment.BitAt(cur.data, j) {
-				return m1
-			}
-			return m0
-		}
-	}
-	match := make([]bool, len(c.dict))
-	for code, v := range c.dict {
-		f, err := strconv.ParseFloat(v, 64)
-		// Unparseable strings are NaN under Column.Float: no comparison
-		// matches them.
-		match[code] = err == nil && cmp(f)
-	}
-	return func(i int) bool {
-		j := cur.seek(i)
-		return !cur.isNull(j) && match[segment.Int32At(cur.data, j)]
-	}
-}
-
-// strMatcher compares a string column's dictionary codes against the
-// constants, never materializing row strings; other kinds compare
-// their rendered values.
-func (c *segCol) strMatcher(vals []string, neq bool) func(i int) bool {
-	if c.typ != String {
-		return genericStrMatcher(c, vals, neq)
-	}
-	want := make(map[int32]bool, len(vals))
-	for _, v := range vals {
-		if code, ok := c.index[v]; ok {
-			want[code] = true
-		}
-	}
-	if len(want) == 0 && !neq {
-		return matchNone
-	}
-	cur := c.cursor()
-	return func(i int) bool {
-		j := cur.seek(i)
-		return !cur.isNull(j) && want[segment.Int32At(cur.data, j)] != neq
-	}
-}
 
 func rangeRows(lo, hi int) []int {
 	if hi < lo {

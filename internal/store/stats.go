@@ -60,55 +60,127 @@ func Stats(t Relation, col string) ColumnStats {
 }
 
 // ComputeStats computes summary statistics for a column.
-func ComputeStats(c Column) ColumnStats {
+func ComputeStats(c Column) ColumnStats { return statsOf(c, nil, c.Len()) }
+
+// StatsRows computes the summary statistics of c over the given rows,
+// in their order: what ComputeStats(c.Gather(rows)) returns, without
+// the copy. The column is read run by run through the typed reader
+// (kernel.go), and the sums accumulate in row order in one accumulator,
+// so the moments are the same bits whatever the backing.
+func StatsRows(c Column, rows []int) ColumnStats { return statsOf(c, rows, len(rows)) }
+
+// statsOf is StatsRows over rows, or over [0, n) when rows is nil.
+func statsOf(c Column, rows []int, n int) ColumnStats {
 	s := ColumnStats{Name: c.Name(), Type: c.Type(), Min: math.NaN(), Max: math.NaN(),
 		Mean: math.NaN(), Std: math.NaN()}
-	n := c.Len()
-	if c.Type().IsNumeric() || c.Type() == Bool {
-		distinct := floatSet{slots: make([]uint64, 3*min(n, distinctCap)/2+1)}
-		var sum, sumsq float64
-		min, max := math.Inf(1), math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				s.Nulls++
-				continue
-			}
-			v := c.Float(i)
-			s.Count++
-			sum += v
-			sumsq += v * v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-			distinct.add(v)
+	rd, ok := bindCol(c)
+	if !ok {
+		// A foreign Column implementation: its Gather yields one of the
+		// store's own.
+		if rows == nil {
+			rows = rangeRows(0, n)
 		}
-		s.Distinct = distinct.n
-		if s.Count > 0 {
-			s.Min, s.Max = min, max
-			s.Mean = sum / float64(s.Count)
-			variance := sumsq/float64(s.Count) - s.Mean*s.Mean
-			if variance < 0 {
-				variance = 0
-			}
-			s.Std = math.Sqrt(variance)
-		}
-		return s
+		c, rows = c.Gather(rows), nil
+		rd, _ = bindCol(c)
 	}
-	counts := make(map[string]int)
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			s.Nulls++
+	// A string column's values are counted by dictionary code (entries
+	// are distinct), the others accumulated.
+	var counts []int
+	acc := numAcc{min: math.Inf(1), max: math.Inf(-1)}
+	if c.Type() == String {
+		counts = make([]int, len(rd.dict))
+	} else {
+		acc.distinct.slots = make([]uint64, 3*min(n, distinctCap)/2+1)
+	}
+	vals, present := make([]float64, min(n, kernelChunk)), make([]uint8, min(n, kernelChunk))
+	rowRuns(rows, n, kernelChunk, rd.rpp, func(_, page int, run []int) {
+		sel := routeIdentity[:len(run)]
+		rd.notNull(page, run, sel, present[:len(run)])
+		rd.loadFloats(page, run, sel, vals)
+		if counts != nil {
+			acc.count += countCodes(vals[:len(run)], present, counts)
+		} else {
+			acc.add(vals[:len(run)], present)
+		}
+	})
+	s.Count, s.Nulls, s.Distinct = acc.count, n-acc.count, acc.distinct.n
+	if counts != nil {
+		s.TopValues, s.Distinct = topK(rd.dict, counts, 10)
+	} else if s.Count > 0 {
+		s.Min, s.Max = acc.min, acc.max
+		s.Mean = acc.sum / float64(s.Count)
+		variance := acc.sumsq/float64(s.Count) - s.Mean*s.Mean
+		if variance < 0 {
+			variance = 0
+		}
+		s.Std = math.Sqrt(variance)
+	}
+	return s
+}
+
+// numAcc accumulates the moments, range and distinct count of the
+// values it is shown, in the order shown.
+type numAcc struct {
+	count      int
+	sum, sumsq float64
+	min, max   float64
+	distinct   floatSet
+}
+
+// add takes in the values whose present byte is set.
+//
+//blaeu:hot
+func (a *numAcc) add(vals []float64, present []uint8) {
+	for k, v := range vals {
+		if present[k] == 0 {
 			continue
 		}
-		s.Count++
-		counts[c.StringAt(i)]++
+		a.count++
+		a.sum += v
+		a.sumsq += v * v
+		if v < a.min {
+			a.min = v
+		}
+		if v > a.max {
+			a.max = v
+		}
+		a.distinct.add(v)
 	}
-	s.Distinct = len(counts)
-	s.TopValues = topK(counts, 10)
-	return s
+}
+
+// countCodes adds the present codes to counts and returns how many
+// there were.
+//
+//blaeu:hot
+func countCodes(codes []float64, present []uint8, counts []int) int {
+	n := 0
+	for k, c := range codes {
+		if present[k] != 0 {
+			counts[int(c)]++
+			n++
+		}
+	}
+	return n
+}
+
+// RowFloats reads c at the given rows as Column.Float does, one page
+// fetch per page run: vals[k] is the value of row rows[k] (unspecified
+// where the row is null) and present[k] is 0 where it is null, else 1.
+func RowFloats(c Column, rows []int) (vals []float64, present []uint8) {
+	vals, present = make([]float64, len(rows)), make([]uint8, len(rows))
+	rd, ok := bindCol(c)
+	if !ok || c.Type() == String {
+		for k, r := range rows {
+			vals[k], present[k] = c.Float(r), bit(!c.IsNull(r))
+		}
+		return vals, present
+	}
+	rowRuns(rows, len(rows), kernelChunk, rd.rpp, func(off, page int, run []int) {
+		sel := routeIdentity[:len(run)]
+		rd.loadFloats(page, run, sel, vals[off:])
+		rd.notNull(page, run, sel, present[off:off+len(run)])
+	})
+	return vals, present
 }
 
 // distinctCap is where ComputeStats stops telling a numeric column's
@@ -155,10 +227,14 @@ func (s *floatSet) add(v float64) {
 	}
 }
 
-func topK(counts map[string]int, k int) []ValueCount {
-	out := make([]ValueCount, 0, len(counts))
-	for v, c := range counts {
-		out = append(out, ValueCount{Value: v, Count: c})
+// topK returns the k most frequent dictionary values (count
+// descending, value ascending) and the number of values that occur.
+func topK(dict []string, counts []int, k int) ([]ValueCount, int) {
+	out := []ValueCount{}
+	for code, n := range counts {
+		if n > 0 {
+			out = append(out, ValueCount{Value: dict[code], Count: n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -166,10 +242,7 @@ func topK(counts map[string]int, k int) []ValueCount {
 		}
 		return out[i].Value < out[j].Value
 	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return out[:min(k, len(out))], len(out)
 }
 
 // maxKeyScanRows bounds how many rows IsLikelyKey examines.
@@ -290,21 +363,6 @@ func Describe(t Relation) *Table {
 	}
 	for _, c := range []Column{name, typ, count, nulls, distinct, min, max, mean, std, top} {
 		out.MustAddColumn(c)
-	}
-	return out
-}
-
-// NonNullFloats extracts the non-null values of a column as float64s.
-func NonNullFloats(c Column) []float64 {
-	out := make([]float64, 0, c.Len())
-	for i := 0; i < c.Len(); i++ {
-		if c.IsNull(i) {
-			continue
-		}
-		v := c.Float(i)
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
 	}
 	return out
 }
