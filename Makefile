@@ -25,12 +25,13 @@ race-store:
 	go test -race -count=3 -run 'Pool|Concurrent' ./internal/store/...
 	go test -race -count=2 -run 'Conservation' ./internal/core/...
 
-# The streaming scan layer under the race detector (also a CI step):
-# concurrent parallel page-range scans, tree routes and column gathers
-# hammering one shared segment, with early Scanner.Close cancellation
-# in the mix.
+# The scan and the router under the race detector (also a CI step):
+# concurrent scans (whole-relation, row-set, limited), tree routes and
+# column gathers hammering one shared segment through a pool that holds
+# a fraction of its pages, so the pool's single-flight loads and
+# evictions run under them.
 race-scan:
-	go test -race -count=2 -run 'TestScanConcurrentParallel|TestRouteRowsConcurrent' ./internal/store/
+	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent' ./internal/store/
 
 build:
 	go build ./...
@@ -89,9 +90,8 @@ bench:
 	go test -bench=. -benchmem -run '^$$' .
 
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
-# storage-engine filter benchmarks, the streaming-scan benchmarks
-# (sequential vs parallel page ranges, limit pushdown, sample gathers)
-# and the kernels behind the filter and highlight clicks
+# storage-engine filter benchmarks, the scan benchmarks (limit pushdown,
+# sample gathers) and the kernels behind the filter and highlight clicks
 # (BenchmarkFilterKernel*, BenchmarkStatsRows*).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' .

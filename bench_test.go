@@ -513,7 +513,7 @@ func BenchmarkZoomCached(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if hits, _ := e.MapCacheStats(); hits < b.N {
+	if hits := e.ReuseStats().Map.Hits; hits < b.N {
 		b.Fatalf("cache hits = %d over %d re-zooms — the cache is not being used", hits, b.N)
 	}
 }

@@ -17,7 +17,7 @@
 //	       [-max-queued 1024] [-max-queued-per-session 16]
 //	       [-map-cache 0] [-artifact-cache 0]
 //	       [-tenant-weights gold=4,free=1] [-tenant-max-in-flight 0]
-//	       [-page-budget-mb 256] [-scan-workers 0] [-pprof-addr ""] [-slow-build-ms 1000]
+//	       [-page-budget-mb 256] [-pprof-addr ""] [-slow-build-ms 1000]
 //	       [file.csv | file.seg ...]
 //
 // Telemetry: GET /metrics serves the Prometheus-format registry (the
@@ -104,7 +104,6 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", "weighted-round-robin weights per tenant, e.g. gold=4,free=1 (unlisted tenants weigh 1)")
 	tenantInFlight := flag.Int("tenant-max-in-flight", 0, "max concurrently running jobs per tenant (0 = unbounded)")
 	pageBudgetMB := flag.Int64("page-budget-mb", 256, "buffer-pool byte budget (MiB) shared by all .seg datasets")
-	scanWorkers := flag.Int("scan-workers", 0, "parallel page-range workers per streaming scan (0 = GOMAXPROCS, 1 = sequential; results identical at any setting)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 	slowBuildMS := flag.Int64("slow-build-ms", 1000, "log builds slower than this with their stage breakdown (0 disables)")
 	flag.Parse()
@@ -171,7 +170,6 @@ func main() {
 	srv := server.NewWith(datasets, core.Options{
 		Seed: *seed, SampleSize: *sample,
 		MapCacheSize: *mapCache, ArtifactCacheSize: *artifactCache,
-		ScanWorkers: *scanWorkers,
 	}, manager)
 	if *sessionTTL > 0 {
 		// Sweep at a quarter of the TTL: abandoned sessions (and their

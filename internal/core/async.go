@@ -48,8 +48,10 @@ const (
 // the navigation state moved since Prepare (e.g. a rollback slipped in
 // between), so a stale build can never corrupt the history stack.
 //
-// The synchronous Zoom, SelectTheme and Project run exactly these three
-// steps inline — there is a single execution path for map builds.
+// The synchronous SelectTheme, Zoom, Project and Filter run exactly
+// these three steps inline (runAndApply): every map is built by
+// MapBuild.Run, and every action draws from the explorer's random stream
+// once, in prepare.
 type MapBuild struct {
 	e      *Explorer
 	action ActionKind
@@ -77,22 +79,22 @@ type MapBuild struct {
 
 // PrepareSelect stages a SelectTheme build.
 func (e *Explorer) PrepareSelect(themeID int) (*MapBuild, error) {
-	if themeID < 0 || themeID >= len(e.themes) {
-		return nil, fmt.Errorf("core: no theme %d (have %d)", themeID, len(e.themes))
-	}
-	cur := e.State()
-	return e.prepare(ActionSelect,
-		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
-		cur.Rows, &cur.fp, e.themes[themeID], cur.Condition), nil
+	return e.prepareTheme(ActionSelect, themeID)
 }
 
 // PrepareProject stages a Project build.
 func (e *Explorer) PrepareProject(themeID int) (*MapBuild, error) {
+	return e.prepareTheme(ActionProject, themeID)
+}
+
+// prepareTheme stages the build of a theme's map over the current
+// selection: select and project differ only in the action they record.
+func (e *Explorer) prepareTheme(action ActionKind, themeID int) (*MapBuild, error) {
 	if themeID < 0 || themeID >= len(e.themes) {
 		return nil, fmt.Errorf("core: no theme %d (have %d)", themeID, len(e.themes))
 	}
 	cur := e.State()
-	return e.prepare(ActionProject,
+	return e.prepare(action,
 		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
 		cur.Rows, &cur.fp, e.themes[themeID], cur.Condition), nil
 }
@@ -114,6 +116,38 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 	return e.prepare(ActionZoom, region.Describe(), region.Rows, &region.fp, cur.Map.Theme, cond), nil
 }
 
+// noTheme is the theme of a filter staged before any theme was
+// selected: there is no map to rebuild, so the build resolves no cache
+// tier, Run returns a nil map at once and ApplyBuild pushes a map-less
+// state.
+var noTheme = Theme{ID: -1}
+
+func (b *MapBuild) mapless() bool { return b.theme.ID == noTheme.ID }
+
+// PrepareFilter stages a Filter build: the current selection narrowed
+// to the rows matching pred, mapped under the current map's theme. The
+// scan runs here, before the cache lookup, because both cache keys are
+// over the result rows; it keeps the zone-map advantage on segment
+// backings even though it runs over a selection — pages holding no
+// selected rows, or excluded by the predicate's page stats, are never
+// read.
+func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
+	if pred == nil {
+		return nil, fmt.Errorf("core: nil predicate")
+	}
+	cur := e.State()
+	rows := store.ScanRows(e.table, pred, cur.Rows)
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("core: predicate %s matches no tuples in the selection", pred)
+	}
+	theme := noTheme
+	if cur.Map != nil {
+		theme = cur.Map.Theme
+	}
+	cond := append(append(store.And(nil), cur.Condition...), pred)
+	return e.prepare(ActionFilter, pred.String(), rows, new(rowsFingerprint), theme, cond), nil
+}
+
 // prepare snapshots the build inputs, derives the child RNG and resolves
 // the two cache tiers: the map cache first (a hit serves the finished
 // map), then the artifact cache (an exact hit reuses the whole front
@@ -125,7 +159,7 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 // of the State or Region that owns rows: the cache keys read it, so a
 // selection already fingerprinted — a revisit, a rollback followed by
 // the same zoom, a projection of a zoomed state — costs no pass over
-// its rows here.
+// its rows here; a filter's rows are new and pay the one pass.
 func (e *Explorer) prepare(action ActionKind, detail string, rows []int, fp *rowsFingerprint, theme Theme, cond store.And) *MapBuild {
 	b := &MapBuild{
 		e:      e,
@@ -138,7 +172,7 @@ func (e *Explorer) prepare(action ActionKind, detail string, rows []int, fp *row
 		base:   e.State(),
 		reuse:  ReuseCold,
 	}
-	if e.cache == nil && e.artifacts == nil {
+	if b.mapless() || (e.cache == nil && e.artifacts == nil) {
 		return b
 	}
 	sum := fp.of(rows)
@@ -187,12 +221,6 @@ func (b *MapBuild) Cached() bool { return b.hit != nil }
 // Reuse reports how much prior work the build reuses (see ReuseLevel).
 func (b *MapBuild) Reuse() ReuseLevel { return b.reuse }
 
-// Action returns the navigational action the build performs.
-func (b *MapBuild) Action() ActionKind { return b.action }
-
-// Detail describes the build (e.g. the zoomed region's condition).
-func (b *MapBuild) Detail() string { return b.detail }
-
 // Rows returns how many tuples the build's selection holds.
 func (b *MapBuild) Rows() int { return len(b.rows) }
 
@@ -209,6 +237,9 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 	// demote a derivation to a cold build below.
 	tr := obs.TraceFrom(ctx)
 	tr.SetAttr("reuse", string(b.reuse))
+	if b.mapless() {
+		return nil, nil
+	}
 	if b.hit != nil {
 		if progress != nil {
 			progress(1)
@@ -242,20 +273,21 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 }
 
 // ApplyBuild pushes the finished map as the new navigation state and
-// feeds both cache tiers. It fails if the build belongs to another
-// explorer or if the navigation state changed since Prepare, so stale
-// results are dropped instead of corrupting the history.
+// feeds both cache tiers (a noTheme build has no map and feeds neither).
+// It fails if the build belongs to another explorer or if the navigation
+// state changed since Prepare, so stale results are dropped instead of
+// corrupting the history.
 func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 	if b.e != e {
 		return fmt.Errorf("core: build belongs to a different explorer")
 	}
-	if m == nil {
+	if m == nil && !b.mapless() {
 		return fmt.Errorf("core: nil map")
 	}
 	if e.State() != b.base {
 		return fmt.Errorf("core: state changed since the %s build was prepared; navigate again", b.action)
 	}
-	if e.cache != nil && b.hit == nil {
+	if e.cache != nil && b.hit == nil && m != nil {
 		e.cache.put(b.key, m)
 	}
 	// Only cold builds enter the artifact cache: a derived artifact is a
@@ -292,16 +324,6 @@ func (e *Explorer) runAndApply(b *MapBuild) (*Map, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// MapCacheStats reports the zoom cache's hit/miss counters (both zero
-// when the cache is disabled). See ReuseStats for the full two-tier
-// breakdown.
-func (e *Explorer) MapCacheStats() (hits, misses int) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.hits, e.cache.misses
 }
 
 // ReuseStats reports the two-tier reuse-cache counters: hits, misses,

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"sort"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func asyncExplorer(t *testing.T, opts Options) *Explorer {
@@ -50,7 +53,7 @@ func TestZoomCacheHitOnRevisit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := e.MapCacheStats()
+	hits, misses := e.ReuseStats().Map.Hits, e.ReuseStats().Map.Misses
 	if hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
@@ -76,11 +79,11 @@ func TestSelectThenProjectSameThemeHitsCache(t *testing.T) {
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	hitsBefore, _ := e.MapCacheStats()
+	hitsBefore := e.ReuseStats().Map.Hits
 	if _, err := e.Project(0); err != nil {
 		t.Fatal(err)
 	}
-	if hitsAfter, _ := e.MapCacheStats(); hitsAfter != hitsBefore+1 {
+	if hitsAfter := e.ReuseStats().Map.Hits; hitsAfter != hitsBefore+1 {
 		t.Errorf("projecting the active theme over the same rows should hit the cache (hits %d -> %d)",
 			hitsBefore, hitsAfter)
 	}
@@ -110,7 +113,7 @@ func TestCacheHitDoesNotLeakAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := e.MapCacheStats(); hits != 1 {
+	if hits := e.ReuseStats().Map.Hits; hits != 1 {
 		t.Fatalf("expected a cache hit, got %d", hits)
 	}
 	for _, leaf := range m2.Root.Leaves() {
@@ -153,7 +156,7 @@ func TestMapCacheDisabled(t *testing.T) {
 	if m1 == m2 {
 		t.Error("cache disabled: maps should be rebuilt")
 	}
-	if h, m := e.MapCacheStats(); h != 0 || m != 0 {
+	if h, m := e.ReuseStats().Map.Hits, e.ReuseStats().Map.Misses; h != 0 || m != 0 {
 		t.Errorf("stats = %d/%d, want 0/0", h, m)
 	}
 }
@@ -175,11 +178,11 @@ func TestMapCacheLRUEviction(t *testing.T) {
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	hitsBefore, _ := e.MapCacheStats()
+	hitsBefore := e.ReuseStats().Map.Hits
 	if _, err := e.SelectTheme(0); err != nil { // must rebuild: evicted
 		t.Fatal(err)
 	}
-	hitsAfter, _ := e.MapCacheStats()
+	hitsAfter := e.ReuseStats().Map.Hits
 	if hitsAfter != hitsBefore {
 		t.Errorf("evicted entry produced a hit (hits %d -> %d)", hitsBefore, hitsAfter)
 	}
@@ -283,5 +286,118 @@ func TestRunCancelled(t *testing.T) {
 	cancel()
 	if _, err := b.Run(ctx, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// medianFilter returns a predicate keeping roughly the upper half of
+// the current selection on the first column of the active theme.
+func medianFilter(t *testing.T, e *Explorer) store.Predicate {
+	t.Helper()
+	col := e.CurrentMap().Theme.Columns[0]
+	vals, _ := store.RowFloats(e.Table().ColumnByName(col), e.State().Rows)
+	sort.Float64s(vals)
+	return store.NumCmp{Col: col, Op: store.Ge, Val: vals[len(vals)/2]}
+}
+
+// TestFilterRevisitHitsMapCache: a filter is a prepared build like the
+// other three actions, so select → filter → rollback → the same filter
+// resolves from the map tier, serves an equal (cloned) map, and the tier
+// counters obey their conservation laws with the filters counted.
+func TestFilterRevisitHitsMapCache(t *testing.T) {
+	e := asyncExplorer(t, Options{Seed: 1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	pred := medianFilter(t, e)
+	m1, err := e.Filter(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.PrepareFilter(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Cached() || b.Reuse() != ReuseMapHit {
+		t.Fatalf("repeated filter: cached=%v reuse=%q, want a %q", b.Cached(), b.Reuse(), ReuseMapHit)
+	}
+	m2, err := e.runAndApply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 == m1 || m2.Root == m1.Root {
+		t.Error("the hit must serve a fresh clone, not the first filter's map")
+	}
+	if !mapsEqual(m1, m2) {
+		t.Error("the revisited filter's map differs from the first one")
+	}
+	if st := e.State(); st.Action != ActionFilter || st.Detail != pred.String() || len(st.Rows) != m2.Root.Count() {
+		t.Errorf("state after the hit: %s %q over %d rows, map holds %d", st.Action, st.Detail, len(st.Rows), m2.Root.Count())
+	}
+	s := e.ReuseStats()
+	if s.Map.Hits != 1 || s.Map.Hits+s.Map.Misses != 3 {
+		t.Errorf("map tier %+v, want 1 hit of 3 lookups (select, filter, filter)", s.Map)
+	}
+	if got := s.Artifact.Hits + s.Artifact.Derived + s.Artifact.Misses; got != s.Map.Misses {
+		t.Errorf("artifact tier %+v answers %d lookups, want %d (map misses)", s.Artifact, got, s.Map.Misses)
+	}
+}
+
+// TestFilterInsideZoomDerivesOracle: a filter's rows inside a zoomed
+// region sit inside the root selection's cached sample, so when the
+// overlap clears the floor the build derives its oracle from that
+// artifact instead of running cold.
+func TestFilterInsideZoomDerivesOracle(t *testing.T) {
+	e := derivingExplorer(t, Options{Seed: 1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Zoom(leafPath(t, e)...); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.PrepareFilter(medianFilter(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Rows() < 10 || b.Reuse() != ReuseOracleDerived {
+		t.Fatalf("filter of %d rows inside a zoom: reuse = %q, want %q", b.Rows(), b.Reuse(), ReuseOracleDerived)
+	}
+	m, err := e.runAndApply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseOracleDerived || m.Root.Count() != b.Rows() || m.SampleSize > b.Rows() {
+		t.Errorf("derived filter map: reuse %q, %d rows of %d, sample %d", b.Reuse(), m.Root.Count(), b.Rows(), m.SampleSize)
+	}
+	if s := e.ReuseStats().Artifact; s.Derived != 2 || s.Entries != 1 {
+		t.Errorf("artifact tier %+v, want 2 derivations (zoom, filter) off 1 cached parent", s)
+	}
+}
+
+// TestFilterDrawsOnceFromTheSessionStream: like every other action a
+// filter takes exactly one value off the explorer's random stream, in
+// prepare — with or without a map to rebuild — so what later actions
+// draw does not depend on how much randomness its build used.
+func TestFilterDrawsOnceFromTheSessionStream(t *testing.T) {
+	for _, withMap := range []bool{true, false} {
+		e, twin := asyncExplorer(t, Options{Seed: 5}), asyncExplorer(t, Options{Seed: 5})
+		pred := store.Predicate(store.NumCmp{Col: "AverageIncome", Op: store.Ge, Val: 20})
+		if withMap {
+			for _, x := range []*Explorer{e, twin} {
+				if _, err := x.SelectTheme(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pred = medianFilter(t, e)
+		}
+		if _, err := e.Filter(pred); err != nil {
+			t.Fatal(err)
+		}
+		twin.rng.Int63()
+		if e.rng.Int63() != twin.rng.Int63() {
+			t.Errorf("with map %v: a filter advanced the session's random stream by other than one draw", withMap)
+		}
 	}
 }

@@ -96,40 +96,20 @@ func (e *Explorer) Annotate(text string, path ...int) error {
 }
 
 // Filter narrows the current selection with an explicit predicate and
-// rebuilds the active map (when one exists) over the filtered rows.
+// rebuilds the active map (when one exists) over the filtered rows; it
+// returns a nil map when no theme has been selected yet. PrepareFilter
+// is the asynchronous counterpart.
 //
 // This is an extension beyond the paper's four actions: Blaeu
 // deliberately quantizes the query space to cluster boundaries, but the
 // journal version's power users still need an escape hatch for exact
 // thresholds. Filter is reversible like every other action.
 func (e *Explorer) Filter(pred store.Predicate) (*Map, error) {
-	if pred == nil {
-		return nil, fmt.Errorf("core: nil predicate")
+	b, err := e.PrepareFilter(pred)
+	if err != nil {
+		return nil, err
 	}
-	cur := e.State()
-	// The scan path keeps the zone-map advantage on segment backings
-	// even though the filter runs over a selection: pages holding no
-	// selected rows, or excluded by the predicate's page stats, are
-	// never read.
-	rows := store.ScanRows(e.table, pred, cur.Rows, e.opts.ScanWorkers)
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("core: predicate %s matches no tuples in the selection", pred)
-	}
-	st := &State{
-		Action:    ActionFilter,
-		Detail:    pred.String(),
-		Rows:      rows,
-		Condition: append(append(store.And(nil), cur.Condition...), pred),
-	}
-	if cur.Map != nil {
-		m, err := e.buildMap(rows, cur.Map.Theme)
-		if err != nil {
-			return nil, err
-		}
-		st.Map = m
-	}
-	e.push(st)
-	return st.Map, nil
+	return e.runAndApply(b)
 }
 
 // FilterExpr parses a SQL-style predicate ("hours >= 20 AND name = 'CA'")

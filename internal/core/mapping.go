@@ -37,8 +37,8 @@ type Map struct {
 	Tree *tree.Tree
 }
 
-// buildMap runs the mapping pipeline of Fig. 3 on the given selection
-// (absolute row indices) and columns:
+// buildMapStaged runs the mapping pipeline of Fig. 3 on the given
+// selection (absolute row indices) and the theme's columns:
 //
 //  1. multi-scale sampling: cluster at most opts.SampleSize tuples;
 //  2. preprocessing: keys dropped, continuous variables normalized,
@@ -48,20 +48,15 @@ type Map struct {
 //     with cluster IDs as labels;
 //  5. the tree is applied to the *full* selection, so region counts
 //     reflect all tuples, not just the sample.
-func (e *Explorer) buildMap(rows []int, theme Theme) (*Map, error) {
-	m, _, err := e.buildMapStaged(context.Background(), e.rng, rows, theme, nil, nil)
-	return m, err
-}
-
-// buildMapStaged is the staged form of the mapping pipeline, with the
-// build's moving parts made explicit so it can run detached from the
-// Explorer on a scheduler worker (see MapBuild): ctx cancels the build
-// at stage and per-k granularity, rng is the randomness source (async
-// builds get a child RNG derived at prepare time, so they never race on
-// e.rng), and progress — may be nil — receives monotone completion
-// fractions in [0, 1]. Apart from rng, the method only reads immutable
-// Explorer state (table, options, metric), which is what makes lock-free
-// execution safe.
+//
+// Its only caller is MapBuild.Run, and the build's moving parts are
+// explicit so it can run detached from the Explorer on a scheduler
+// worker: ctx cancels the build at stage and per-k granularity, rng is
+// the build's own randomness source (a child RNG seeded at prepare
+// time, so a build never touches e.rng), and progress — may be nil —
+// receives monotone completion fractions in [0, 1]. Apart from rng, the
+// method only reads immutable Explorer state (table, options, metric),
+// which is what makes lock-free execution safe.
 //
 // Each stage produces an explicit intermediate — sample rows, a
 // buildArtifact (fitted vectors + oracle), a clustering, the region
@@ -256,7 +251,7 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 }
 
 // regionStage fits the description tree on the sample's original tuples
-// and mirrors it over the full selection (stages 3–4 of buildMap).
+// and mirrors it over the full selection (steps 4–5 of buildMapStaged).
 func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows []int, theme Theme, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}

@@ -83,12 +83,6 @@ type Options struct {
 	// external worker pool instead of Parallelism plain goroutines; the
 	// session tier installs its job scheduler (internal/jobs.Pool) here.
 	Runner cluster.TaskRunner
-	// ScanWorkers bounds the page-range workers of the streaming scans
-	// the engine issues (predicate filters over the selection — see
-	// store.Scan). Default runtime.GOMAXPROCS(0); 1 or negative forces
-	// sequential scans. Results are byte-identical at every setting —
-	// the scan's merge is order-preserving.
-	ScanWorkers int
 	// MapCacheSize bounds the zoom-aware map cache: finished maps are
 	// keyed by (row-set fingerprint, theme, clustering config) and
 	// reused when navigation revisits a selection, e.g. rollback
@@ -166,7 +160,6 @@ var optionTiers = map[string]cacheTier{
 	// How fast, never which map.
 	"Parallelism": 0,
 	"Runner":      0,
-	"ScanWorkers": 0,
 	// The caches' own sizes and reuse policy, and the rollback stack.
 	"MapCacheSize":          0,
 	"ArtifactCacheSize":     0,
@@ -201,7 +194,6 @@ func DefaultOptions() Options {
 		Prep:                  prep.NewOptions(),
 		PAMThreshold:          1024,
 		Parallelism:           runtime.NumCPU(),
-		ScanWorkers:           runtime.GOMAXPROCS(0),
 		MapCacheSize:          DefaultMapCacheSize,
 		ArtifactCacheSize:     DefaultArtifactCacheSize,
 		DerivedSampleMin:      defaultDerivedSampleMin,
@@ -244,9 +236,6 @@ func (o *Options) defaults() {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = d.Parallelism
-	}
-	if o.ScanWorkers == 0 {
-		o.ScanWorkers = d.ScanWorkers
 	}
 	if o.MapCacheSize == 0 {
 		o.MapCacheSize = d.MapCacheSize

@@ -95,35 +95,32 @@ func (c materializedCol) Code(i int) int32 {
 
 // TestStreamedFrontHalfMatchesMaterialized is the front half's
 // differential bar: with pinned seeds, the production build front half
-// (projected sample gathers, scan-path filters, at several worker
-// counts) must produce byte-identical maps to the materialized path
-// (full-width Gather, row-loop filters) on both backings.
+// (projected sample gathers, scan-path filters) must produce
+// byte-identical maps to the materialized path (full-width Gather,
+// row-loop filters) on both backings.
 func TestStreamedFrontHalfMatchesMaterialized(t *testing.T) {
 	mem, seg := openLaborBoth(t, 600, 17)
 	for _, backing := range []store.Relation{mem, seg} {
-		baseline, err := NewExplorer(materialized{backing}, Options{Seed: 17, ScanWorkers: 1})
+		baseline, err := NewExplorer(materialized{backing}, Options{Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantMaps := driveExplorer(t, baseline)
-		wantState := baseline.State()
-		for _, workers := range []int{1, 3} {
-			streamed, err := NewExplorer(backing, Options{Seed: 17, ScanWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
+		streamed, err := NewExplorer(backing, Options{Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMaps := driveExplorer(t, streamed)
+		if len(gotMaps) != len(wantMaps) {
+			t.Fatalf("%T: %d maps vs %d", backing, len(gotMaps), len(wantMaps))
+		}
+		for i := range wantMaps {
+			if !mapsEqual(gotMaps[i], wantMaps[i]) {
+				t.Fatalf("%T: map %d diverges between streamed and materialized paths", backing, i)
 			}
-			gotMaps := driveExplorer(t, streamed)
-			if len(gotMaps) != len(wantMaps) {
-				t.Fatalf("%T workers=%d: %d maps vs %d", backing, workers, len(gotMaps), len(wantMaps))
-			}
-			for i := range wantMaps {
-				if !mapsEqual(gotMaps[i], wantMaps[i]) {
-					t.Fatalf("%T workers=%d: map %d diverges between streamed and materialized paths", backing, workers, i)
-				}
-			}
-			if !reflect.DeepEqual(streamed.State().Rows, wantState.Rows) {
-				t.Fatalf("%T workers=%d: final selections diverge", backing, workers)
-			}
+		}
+		if !reflect.DeepEqual(streamed.State().Rows, baseline.State().Rows) {
+			t.Fatalf("%T: final selections diverge", backing)
 		}
 	}
 }

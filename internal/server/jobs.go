@@ -2,14 +2,15 @@ package server
 
 // The asynchronous job API — the HTTP face of internal/jobs:
 //
-//	POST   /api/sessions/{id}/jobs          submit a zoom/select/project build; 202 + job info
+//	POST   /api/sessions/{id}/jobs          submit a zoom/select/project/filter build; 202 + job info
 //	GET    /api/sessions/{id}/jobs          list the session's known jobs
 //	GET    /api/sessions/{id}/jobs/{jobID}  status, progress fraction, metadata
 //	DELETE /api/sessions/{id}/jobs/{jobID}  cancel (queued: dropped; running: context cancelled)
 //	GET    /api/jobs/stats                  scheduler snapshot (queue depths, per-tenant counters)
 //
-// The synchronous navigation endpoints (/select, /zoom, /project) are
-// submit-and-wait over the same scheduler (runAction), so async and sync
+// The synchronous navigation endpoints (/select, /zoom, /project,
+// /filter — one handler, handleAction) are submit-and-wait over the
+// same scheduler (runAction), so async and sync
 // requests share one execution path, one per-session FIFO and one
 // fairness policy — including backpressure: when a queue cap is reached
 // the scheduler refuses the submission and both paths answer 429 Too
@@ -19,7 +20,6 @@ package server
 // gave up sheds its queued build instead of computing a map for nobody.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,8 +40,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var act session.Action
-	if err := json.NewDecoder(r.Body).Decode(&act); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	if !decodeBody(w, r, &act) {
 		return
 	}
 	job, err := s.submit(sess, act)

@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -55,9 +56,9 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 	s.mux.HandleFunc("POST /api/sessions", s.handleOpen)
 	s.mux.HandleFunc("GET /api/sessions/{id}", s.handleState)
 	s.mux.HandleFunc("DELETE /api/sessions/{id}", s.handleClose)
-	s.mux.HandleFunc("POST /api/sessions/{id}/select", s.handleSelect)
-	s.mux.HandleFunc("POST /api/sessions/{id}/zoom", s.handleZoom)
-	s.mux.HandleFunc("POST /api/sessions/{id}/project", s.handleProject)
+	for _, kind := range []string{session.ActionSelect, session.ActionZoom, session.ActionProject, session.ActionFilter} {
+		s.mux.HandleFunc("POST /api/sessions/{id}/"+kind, s.handleAction(kind))
+	}
 	s.mux.HandleFunc("POST /api/sessions/{id}/rollback", s.handleRollback)
 	s.mux.HandleFunc("GET /api/jobs/stats", s.handleJobStats)
 	s.mux.HandleFunc("GET /api/cache/stats", s.handleCacheStats)
@@ -70,7 +71,6 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 	s.mux.HandleFunc("GET /api/sessions/{id}/highlight", s.handleHighlight)
 	s.mux.HandleFunc("GET /api/sessions/{id}/scatter", s.handleScatter)
 	s.mux.HandleFunc("POST /api/sessions/{id}/annotate", s.handleAnnotate)
-	s.mux.HandleFunc("POST /api/sessions/{id}/filter", s.handleFilter)
 	s.mux.HandleFunc("GET /api/sessions/{id}/map.svg", s.handleMapSVG)
 	s.mux.HandleFunc("GET /api/sessions/{id}/export", s.handleExport)
 	s.registerCacheGauges()
@@ -78,9 +78,9 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 	return s
 }
 
-// attachScanMetrics registers the streaming-scan counters against the
-// manager's registry and attaches them to every dataset, so scans run
-// by explorers (selection filters) surface on /metrics.
+// attachScanMetrics registers the scan counters against the manager's
+// registry and attaches them to every dataset, so scans run by
+// explorers (selection filters) surface on /metrics.
 func (s *Server) attachScanMetrics() {
 	sm := store.NewScanMetrics(s.manager.Telemetry().Reg())
 	type setter interface{ SetScanMetrics(*store.ScanMetrics) }
@@ -321,6 +321,27 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body: the largest legitimate one is a
+// filter expression or an annotation, kilobytes at most.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it answers — 413 for an oversized
+// body, 400 for anything else — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("bad request: %w", err))
+	return false
+}
+
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	type ds struct {
 		Name string `json:"name"`
@@ -353,8 +374,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		// trusting this field.
 		Tenant string `json:"tenant"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	t, ok := s.datasets[req.Dataset]
@@ -400,42 +420,23 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
 }
 
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	s.themeAction(w, r, session.ActionSelect)
-}
-
-func (s *Server) handleProject(w http.ResponseWriter, r *http.Request) {
-	s.themeAction(w, r, session.ActionProject)
-}
-
-func (s *Server) themeAction(w http.ResponseWriter, r *http.Request, kind string) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
+// handleAction serves the synchronous navigation route of one action
+// kind — select, zoom, project, filter. The body decodes straight into a
+// session.Action, whose JSON keys (theme, path, expr) are the routes'
+// bodies; the kind is the route's, whatever the body says.
+func (s *Server) handleAction(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sess := s.session(w, r)
+		if sess == nil {
+			return
+		}
+		var act session.Action
+		if !decodeBody(w, r, &act) {
+			return
+		}
+		act.Kind = kind
+		s.runAction(w, r, sess, act)
 	}
-	var req struct {
-		Theme int `json:"theme"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.runAction(w, r, sess, session.Action{Kind: kind, Theme: req.Theme})
-}
-
-func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	var req struct {
-		Path []int `json:"path"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.runAction(w, r, sess, session.Action{Kind: session.ActionZoom, Path: req.Path})
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
@@ -505,8 +506,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		Path []int  `json:"path"`
 		Text string `json:"text"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Text == "" {
@@ -520,28 +520,6 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"annotated": true})
-}
-
-func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	var req struct {
-		Expr string `json:"expr"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := sess.Do(func(e *core.Explorer) error {
-		_, err := e.FilterExpr(req.Expr)
-		return err
-	}); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.stateJSON(sess))
 }
 
 func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {

@@ -344,6 +344,14 @@ func TestFilterEndpoint(t *testing.T) {
 	if st["action"] != "filter" {
 		t.Errorf("action = %v", st["action"])
 	}
+	// No theme was selected, so the state has no map — but the filter
+	// still ran as a job.
+	if st["map"] != nil || int(st["historyDepth"].(float64)) != 2 {
+		t.Errorf("map-less filter: map %v, depth %v", st["map"], st["historyDepth"])
+	}
+	if job := lastJob(t, base); job["kind"] != "filter" || job["status"] != "done" {
+		t.Errorf("map-less filter job = %v", job)
+	}
 	doJSON(t, "POST", base+"/filter", map[string]string{"expr": "not parseable !!"}, http.StatusBadRequest)
 	doJSON(t, "POST", base+"/filter", map[string]string{"expr": "v0 > 1e12"}, http.StatusBadRequest)
 }

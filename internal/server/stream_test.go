@@ -94,15 +94,13 @@ func streamTestServer(t *testing.T, opts core.Options, wrap func(store.Relation)
 
 // TestStreamedServerMatchesMaterialized is the HTTP half of the
 // streamed-front-half differential: two servers over the same bytes —
-// one on the production path (projected gathers, scan-path filters with
-// parallel workers), one over the materialized sequential baseline —
-// must serve identical themes, maps, zooms and filtered selections, on
-// both backings.
+// one on the production path (projected gathers, scan-path filters),
+// one over the materialized baseline — must serve identical themes,
+// maps, zooms and filtered selections, on both backings.
 func TestStreamedServerMatchesMaterialized(t *testing.T) {
-	streamed := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, ScanWorkers: 3},
-		func(r store.Relation) store.Relation { return r })
-	baseline := streamTestServer(t, core.Options{Seed: 1, SampleSize: 400, ScanWorkers: 1},
-		func(r store.Relation) store.Relation { return materialized{r} })
+	opts := core.Options{Seed: 1, SampleSize: 400}
+	streamed := streamTestServer(t, opts, func(r store.Relation) store.Relation { return r })
+	baseline := streamTestServer(t, opts, func(r store.Relation) store.Relation { return materialized{r} })
 
 	navigate := func(ts *httptest.Server, dataset string) string {
 		id, st := openSession(t, ts, dataset)

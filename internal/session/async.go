@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/store/segment"
 )
 
@@ -19,15 +20,18 @@ const (
 	ActionZoom    = "zoom"
 	ActionSelect  = "select"
 	ActionProject = "project"
+	ActionFilter  = "filter"
 )
 
 // Action describes one map-build request against a session — the wire
-// shape of POST /api/sessions/{id}/jobs. Path is used by zoom, Theme by
-// select and project.
+// shape of POST /api/sessions/{id}/jobs, and, without the kind, the
+// body of the synchronous route named after it. Path is used by zoom,
+// Theme by select and project, Expr by filter.
 type Action struct {
 	Kind  string `json:"action"`
 	Path  []int  `json:"path,omitempty"`
 	Theme int    `json:"theme,omitempty"`
+	Expr  string `json:"expr,omitempty"`
 	// DeadlineMS, when positive, gives the job a queue deadline that many
 	// milliseconds from submission: if no worker has picked it up by
 	// then, the scheduler sheds it (jobs.StatusShed) instead of building
@@ -79,7 +83,8 @@ type poolStatser interface {
 
 // enqueue queues the action's build job. The job follows core.MapBuild's
 // three-step protocol: prepare under the session lock (validation, row
-// snapshot, zoom-cache lookup — microseconds), build on the worker with
+// snapshot, zoom-cache lookup — microseconds, plus, for a filter, the
+// scan that produces its rows), build on the worker with
 // the lock released (the expensive clustering, reporting progress
 // fractions and honouring cancellation), then apply under the lock (one
 // state push). The pool runs one job per session at a time in submit
@@ -100,10 +105,10 @@ type poolStatser interface {
 // slow-build log.
 func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
 	switch act.Kind {
-	case ActionZoom, ActionSelect, ActionProject:
+	case ActionZoom, ActionSelect, ActionProject, ActionFilter:
 	default:
-		return nil, fmt.Errorf("session: unknown action %q (want %s, %s or %s)",
-			act.Kind, ActionZoom, ActionSelect, ActionProject)
+		return nil, fmt.Errorf("session: unknown action %q (want %s, %s, %s or %s)",
+			act.Kind, ActionZoom, ActionSelect, ActionProject, ActionFilter)
 	}
 	tel := m.tel
 	return m.pool.Submit(s.ID, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
@@ -150,8 +155,13 @@ func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act Action) (any, e
 			build, err = e.PrepareZoom(act.Path...)
 		case ActionSelect:
 			build, err = e.PrepareSelect(act.Theme)
-		default:
+		case ActionProject:
 			build, err = e.PrepareProject(act.Theme)
+		default:
+			var pred store.Predicate
+			if pred, err = store.ParsePredicate(act.Expr); err == nil {
+				build, err = e.PrepareFilter(pred)
+			}
 		}
 		return err
 	}); err != nil {
@@ -178,7 +188,11 @@ func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act Action) (any, e
 	// The map itself is served by the state endpoints; the job keeps
 	// only a compact summary, so the pool's retained-job window never
 	// pins whole region trees in memory.
-	return map[string]any{"k": m.K, "sampleSize": m.SampleSize, "rows": build.Rows()}, nil
+	res := map[string]any{"rows": build.Rows()}
+	if m != nil { // nil for a filter before any theme was selected
+		res["k"], res["sampleSize"] = m.K, m.SampleSize
+	}
+	return res, nil
 }
 
 // recordBuild feeds the finished trace into the metrics registry (stage

@@ -158,10 +158,9 @@ func kernelPredicate(rng *rand.Rand, leaves []Predicate, depth int) Predicate {
 
 // TestKernelScanMatchesReference is the scan kernels' differential:
 // every leaf shape and random trees of them, on both backings, over
-// every row-set shape and worker count, against Predicate.Matches row
-// by row. FilterLimit must be a prefix of Filter, and a whole-relation
-// segment scan must skip exactly the pages the zone maps exclude, once
-// each, whatever the worker count.
+// every row-set shape, against Predicate.Matches row by row.
+// FilterLimit must be a prefix of Filter, and a whole-relation segment
+// scan must skip exactly the pages the zone maps exclude, once each.
 func TestKernelScanMatchesReference(t *testing.T) {
 	const n, rpp = 700, 64
 	rng := rand.New(rand.NewSource(77))
@@ -193,15 +192,15 @@ func TestKernelScanMatchesReference(t *testing.T) {
 			}
 			want := referenceFilter(mem, p, cand)
 			for _, r := range []Relation{mem, seg} {
-				for _, w := range []int{1, 2, 4} {
-					s0, k0 := scanned.Value(), skipped.Value()
-					got := Scan(r, ScanSpec{Pred: p, Rows: rows, Workers: w}).Collect()
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s over %s rows of %T, %d workers: %d rows %v, want %d rows %v", p, name, r, w, len(got), got, len(want), want)
-					}
-					if r != Relation(seg) || rows != nil {
-						continue
-					}
+				s0, k0 := scanned.Value(), skipped.Value()
+				got := ScanRows(r, p, rows)
+				if rows == nil {
+					got = r.Filter(p)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s over %s rows of %T: %d rows %v, want %d rows %v", p, name, r, len(got), got, len(want), want)
+				}
+				if r == Relation(seg) && rows == nil {
 					excluded, skips := 0, seg.pageSkips(p)
 					for pi := 0; pi < np; pi++ {
 						for _, skip := range skips {
@@ -212,7 +211,7 @@ func TestKernelScanMatchesReference(t *testing.T) {
 						}
 					}
 					if ds, dk := scanned.Value()-s0, skipped.Value()-k0; int(dk) != excluded || int(ds+dk) != np {
-						t.Fatalf("%s, %d workers: %d pages scanned and %d skipped, want %d skipped of %d", p, w, ds, dk, excluded, np)
+						t.Fatalf("%s: %d pages scanned and %d skipped, want %d skipped of %d", p, ds, dk, excluded, np)
 					}
 				}
 				if rows == nil {
@@ -372,8 +371,8 @@ func TestKernelByteBudgets(t *testing.T) {
 	}
 
 	p := benchScanPred()
-	m := len(ScanRows(tab, p, rows, 1))
-	if got, budget := allocated(func() { ScanRows(tab, p, rows, 1) }), uint64(8*m+len(rows)*9/8+slack); got > budget {
+	m := len(ScanRows(tab, p, rows))
+	if got, budget := allocated(func() { ScanRows(tab, p, rows) }), uint64(8*m+len(rows)*9/8+slack); got > budget {
 		t.Errorf("ScanRows of %d candidates, %d matches allocated %d bytes, budget %d", len(rows), m, got, budget)
 	}
 	m = len(tab.Filter(p))
@@ -394,13 +393,11 @@ func TestKernelsOnPagesLongerThanARun(t *testing.T) {
 	leaves := kernelLeaves()
 	for trial := 0; trial < 40; trial++ {
 		p := kernelPredicate(rng, leaves, 3)
-		for _, w := range []int{1, 2} {
-			if got, want := Scan(seg, ScanSpec{Pred: p, Workers: w}).Collect(), referenceFilter(mem, p, rangeRows(0, n)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %d workers: scan selects %d rows, want %d", p, w, len(got), len(want))
-			}
-			if got, want := ScanRows(seg, p, rows, w), referenceFilter(mem, p, rows); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %d workers: row-set scan selects %d rows, want %d", p, w, len(got), len(want))
-			}
+		if got, want := seg.Filter(p), referenceFilter(mem, p, rangeRows(0, n)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: scan selects %d rows, want %d", p, len(got), len(want))
+		}
+		if got, want := ScanRows(seg, p, rows), referenceFilter(mem, p, rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: row-set scan selects %d rows, want %d", p, len(got), len(want))
 		}
 		tree := SplitTree{{Split: p, No: 2}, {}, {}}
 		assertRouted(t, p.String(), RouteRows(seg, tree, rows), referenceRoute(mem, tree, rows))
@@ -409,5 +406,58 @@ func TestKernelsOnPagesLongerThanARun(t *testing.T) {
 		if got, want := StatsRows(seg.Column(ci), rows), referenceStats(mem.Column(ci).Gather(rows)); !sameStats(got, want) {
 			t.Fatalf("StatsRows = %+v, want %+v", got, want)
 		}
+	}
+}
+
+// TestNeKeepsFloatPagesWithNaN: page stats do not see NaN cells, so a
+// float page whose other cells all equal v reads min == max == v — and
+// x <> v must still scan it, because a NaN differs from v. The int
+// column of the same shape has no NaN and keeps its skip.
+func TestNeKeepsFloatPagesWithNaN(t *testing.T) {
+	const rpp = 8
+	mem := NewTable("nan")
+	f, i := NewFloatColumn("f"), NewIntColumn("i")
+	for r := 0; r < 3*rpp; r++ {
+		switch {
+		case r == rpp+3 || r == 2*rpp:
+			f.Append(math.NaN()) // a value, not a null: Append keeps the cell
+		case r == rpp+5:
+			f.AppendNull()
+		default:
+			f.Append(7)
+		}
+		i.Append(7)
+	}
+	mem.MustAddColumn(f)
+	mem.MustAddColumn(i)
+	seg := segmentOf(t, mem, rpp)
+	reg := obs.NewRegistry()
+	seg.SetScanMetrics(NewScanMetrics(reg))
+	skipped := reg.Counter("blaeu_scan_pages_total", "", obs.Labels{"result": "skipped"})
+
+	all := rangeRows(0, mem.NumRows())
+	for _, p := range []Predicate{
+		NumCmp{Col: "f", Op: Ne, Val: 7},
+		And{NumCmp{Col: "f", Op: Ne, Val: 7}, IsNull{Col: "f", Not: true}},
+		NumCmp{Col: "f", Op: Eq, Val: 7},
+		NumCmp{Col: "i", Op: Ne, Val: 7},
+	} {
+		want := referenceFilter(mem, p, all)
+		for _, r := range []Relation{mem, seg} {
+			if got := r.Filter(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s on %T: Filter = %v, Predicate.Matches gives %v", p, r, got, want)
+			}
+			if got := ScanRows(r, p, all[1:]); !reflect.DeepEqual(got, referenceFilter(mem, p, all[1:])) {
+				t.Fatalf("%s on %T: ScanRows = %v", p, r, got)
+			}
+		}
+	}
+	if want := []int{rpp + 3, 2 * rpp}; !reflect.DeepEqual(seg.Filter(NumCmp{Col: "f", Op: Ne, Val: 7}), want) {
+		t.Fatalf("f <> 7 must select exactly the NaN cells %v", want)
+	}
+	k0 := skipped.Value()
+	seg.Filter(NumCmp{Col: "i", Op: Ne, Val: 7})
+	if got := skipped.Value() - k0; got != 3 {
+		t.Fatalf("i <> 7 skipped %d of 3 constant int pages", got)
 	}
 }

@@ -56,19 +56,19 @@ type columnSet struct {
 	cols    []Column
 	colIdx  map[string]int
 	numRows int
-	// pageRows is the backing's native page size, the scan's batch
+	// pageRows is the backing's native page size, the scan's
 	// granularity; 0 (in-memory tables) means defaultScanPageRows.
 	pageRows int
-	// scanMetrics, when attached, receives the relation's
-	// streaming-scan counters (see SetScanMetrics).
+	// scanMetrics, when attached, receives the relation's scan counters
+	// (see SetScanMetrics).
 	scanMetrics *ScanMetrics
 }
 
 func (t *columnSet) columns() *columnSet { return t }
 
-// SetScanMetrics attaches the scan-path counters; subsequent Filter
-// and Scan calls report page and batch counts through them. Attach
-// before the relation is scanned concurrently.
+// SetScanMetrics attaches the scan-path counters; subsequent scans
+// (Filter, FilterLimit, ScanRows) report their page counts through
+// them. Attach before the relation is scanned concurrently.
 func (t *columnSet) SetScanMetrics(m *ScanMetrics) { t.scanMetrics = m }
 
 // Name returns the relation name.
@@ -155,14 +155,14 @@ func (t *columnSet) Head(n int) *Table {
 }
 
 // Filter returns the indices of rows matching the predicate, in order.
-// It runs on the streaming scan path: the predicate is compiled once
-// into batch kernels (columns resolved, string constants mapped to
+// It is the whole-relation scan (scan.go): the predicate is compiled
+// once into batch kernels (columns resolved, string constants mapped to
 // dictionary codes), every page is evaluated into match bytes and the
 // result allocated once at its final size, and on a segment backing
 // per-page min/max and null-count stats skip pages that cannot contain
 // matches without reading them.
 func (t *columnSet) Filter(p Predicate) []int {
-	return Scan(t, ScanSpec{Pred: p}).Collect()
+	return scan(t, p, nil, 0)
 }
 
 // Where returns a new materialized table of the rows matching the predicate.

@@ -2,35 +2,11 @@ package store
 
 import "testing"
 
-// benchScanPred is the filter the streaming-scan benchmarks share with
-// the legacy Filter benchmarks above: a zone-mappable numeric leaf and
-// a dictionary leaf.
+// benchScanPred is the filter the scan benchmarks share with
+// BenchmarkSegmentFilter (the whole-relation scan): a zone-mappable
+// numeric leaf and a dictionary leaf.
 func benchScanPred() Predicate {
 	return And{NumCmp{Col: "x", Op: Gt, Val: 50}, StrEq{Col: "label", Val: "c"}}
-}
-
-// BenchmarkScanSequential streams the filtered scan over the benchmark
-// segment page range by page range on one goroutine — the baseline the
-// parallel merge must match byte for byte.
-func BenchmarkScanSequential(b *testing.B) {
-	st := benchSegment(b)
-	p := benchScanPred()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = len(Scan(st, ScanSpec{Pred: p, Workers: 1}).Collect())
-	}
-}
-
-// BenchmarkScanParallel4 runs the same scan with four page-range
-// workers and the order-preserving merge. Read against GOMAXPROCS: on
-// one core it can only tie the sequential path.
-func BenchmarkScanParallel4(b *testing.B) {
-	st := benchSegment(b)
-	p := benchScanPred()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = len(Scan(st, ScanSpec{Pred: p, Workers: 4}).Collect())
-	}
 }
 
 // BenchmarkScanLimit measures the limit pushdown: the scan stops at the
@@ -40,7 +16,7 @@ func BenchmarkScanLimit(b *testing.B) {
 	p := benchScanPred()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = len(Scan(st, ScanSpec{Pred: p, Limit: 100}).Collect())
+		benchSink = len(FilterLimit(st, p, 100))
 	}
 }
 
@@ -61,7 +37,7 @@ func BenchmarkScanGatherProjected(b *testing.B) {
 	rows := benchSampleRows(st.NumRows())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := ScanGather(st, rows, []string{"x"}, 1)
+		tab, err := ScanGather(st, rows, []string{"x"}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +68,7 @@ func benchFilterKernel(b *testing.B, r Relation) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = len(ScanRows(r, p, rows, 1))
+		benchSink = len(ScanRows(r, p, rows))
 	}
 }
 

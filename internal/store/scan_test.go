@@ -9,10 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// scanWorkerCounts exercises sequential (0, 1) and parallel merges,
-// including more workers than pages have remainders for.
-var scanWorkerCounts = []int{0, 1, 2, 3, 7}
-
 // scanTestPred matches roughly half the rows through a conjunction
 // with both a zone-mappable numeric leaf and a dictionary leaf.
 func scanTestPred() Predicate {
@@ -38,16 +34,12 @@ func TestScanMatchesFilter(t *testing.T) {
 	mem, seg := openBoth(t, 500, 1<<20)
 	for _, r := range []Relation{mem, seg} {
 		want := referenceFilter(r, scanTestPred(), rangeRows(0, r.NumRows()))
-		for _, w := range scanWorkerCounts {
-			got := Scan(r, ScanSpec{Pred: scanTestPred(), Workers: w}).Collect()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%T workers=%d: scan returned %d rows, want %d (first diff near %v)", r, w, len(got), len(want), got[:min(5, len(got))])
-			}
-			// Predicate-free scan enumerates every row.
-			all := Scan(r, ScanSpec{Workers: w}).Collect()
-			if !reflect.DeepEqual(all, rangeRows(0, r.NumRows())) {
-				t.Fatalf("%T workers=%d: full scan wrong", r, w)
-			}
+		if got := r.Filter(scanTestPred()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T: scan returned %d rows, want %d (first diff near %v)", r, len(got), len(want), got[:min(5, len(got))])
+		}
+		// Predicate-free scan enumerates every row.
+		if all := r.Filter(nil); !reflect.DeepEqual(all, rangeRows(0, r.NumRows())) {
+			t.Fatalf("%T: full scan wrong", r)
 		}
 	}
 }
@@ -62,11 +54,8 @@ func TestScanRowSetPushdown(t *testing.T) {
 	}
 	for _, r := range []Relation{mem, seg} {
 		want := referenceFilter(r, scanTestPred(), rows)
-		for _, w := range scanWorkerCounts {
-			got := ScanRows(r, scanTestPred(), rows, w)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%T workers=%d: ScanRows mismatch: %d vs %d rows", r, w, len(got), len(want))
-			}
+		if got := ScanRows(r, scanTestPred(), rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T: ScanRows mismatch: %d vs %d rows", r, len(got), len(want))
 		}
 	}
 }
@@ -80,12 +69,6 @@ func TestScanLimit(t *testing.T) {
 			if limit < len(full) {
 				want = full[:limit]
 			}
-			for _, w := range scanWorkerCounts {
-				got := Scan(r, ScanSpec{Pred: scanTestPred(), Limit: limit, Workers: w}).Collect()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%T workers=%d limit=%d: got %d rows, want %d", r, w, limit, len(got), len(want))
-				}
-			}
 			if got := FilterLimit(r, scanTestPred(), limit); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%T FilterLimit(%d): got %d rows, want %d", r, limit, len(got), len(want))
 			}
@@ -94,8 +77,7 @@ func TestScanLimit(t *testing.T) {
 }
 
 // TestScanGatherProjection pins ScanGather(cols) ==
-// Gather(rows).Project(cols) on both backings, at every worker count
-// the signature still accepts.
+// Gather(rows).Project(cols) on both backings.
 func TestScanGatherProjection(t *testing.T) {
 	mem, seg := openBoth(t, 500, 1<<20)
 	var rows []int
@@ -108,15 +90,13 @@ func TestScanGatherProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range scanWorkerCounts {
-			got, err := ScanGather(r, rows, cols, w)
-			if err != nil {
-				t.Fatalf("%T workers=%d: %v", r, w, err)
-			}
-			assertRelationsEqual(t, want, got)
+		got, err := ScanGather(r, rows, cols, 0)
+		if err != nil {
+			t.Fatalf("%T: %v", r, err)
 		}
+		assertRelationsEqual(t, want, got)
 		// Empty row set materializes empty columns of the right shape.
-		empty, err := ScanGather(r, nil, cols, 2)
+		empty, err := ScanGather(r, nil, cols, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,20 +109,20 @@ func TestScanGatherProjection(t *testing.T) {
 func TestScanSpecErrors(t *testing.T) {
 	mem, seg := openBoth(t, 200, 1<<20)
 	for _, r := range []Relation{mem, seg} {
-		if sc := Scan(r, ScanSpec{Rows: []int{5, 3}}); sc.Err() == nil {
-			t.Fatalf("%T: descending row set not rejected", r)
+		if scannable([]int{5, 3}, r.NumRows()) || scannable([]int{3, 3}, r.NumRows()) {
+			t.Fatalf("%T: row set that is not strictly ascending not rejected", r)
 		}
-		if sc := Scan(r, ScanSpec{Rows: []int{0, r.NumRows()}}); sc.Err() == nil {
+		if scannable([]int{0, r.NumRows()}, r.NumRows()) || scannable([]int{-1, 0}, r.NumRows()) {
 			t.Fatalf("%T: out-of-range row not rejected", r)
 		}
-		if _, err := ScanGather(r, []int{0}, []string{"nope"}, 1); err == nil {
+		if _, err := ScanGather(r, []int{0}, []string{"nope"}, 0); err == nil {
 			t.Fatalf("%T: ScanGather unknown column not rejected", r)
 		}
 		// ScanRows filters a row set the scan contract rejects row by
 		// row, in input order.
 		unsorted := []int{9, 1, 4}
 		want := referenceFilter(r, True{}, unsorted)
-		if got := ScanRows(r, True{}, unsorted, 1); !reflect.DeepEqual(got, want) {
+		if got := ScanRows(r, True{}, unsorted); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T: ScanRows fallback mismatch", r)
 		}
 	}
@@ -166,19 +146,19 @@ func TestScanMetricsCounters(t *testing.T) {
 		t.Fatalf("impossible predicate scanned %d pages", got)
 	}
 
-	// A full scan visits every page and emits one batch per page.
+	// A full scan visits every page and every page yields matches.
 	s0, b0 := scanned.Value(), batches.Value()
 	seg.Filter(True{})
 	if got := scanned.Value() - s0; got != uint64(np) {
 		t.Fatalf("full scan visited %d pages, want %d", got, np)
 	}
 	if got := batches.Value() - b0; got != uint64(np) {
-		t.Fatalf("full scan emitted %d batches, want %d", got, np)
+		t.Fatalf("full scan counted %d pages with matches, want %d", got, np)
 	}
 
 	// A two-row row set touches exactly its two pages; the rest skip.
 	s0, k0 := scanned.Value(), skipped.Value()
-	ScanRows(seg, True{}, []int{0, seg.NumRows() - 1}, 1)
+	ScanRows(seg, True{}, []int{0, seg.NumRows() - 1})
 	if got := scanned.Value() - s0; got != 2 {
 		t.Fatalf("row-set scan visited %d pages, want 2", got)
 	}
@@ -187,13 +167,15 @@ func TestScanMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestScanConcurrentParallel hammers one shared segment table with
-// concurrent parallel scans and projected gathers — the -race target
-// (make race-scan): compiled matchers are per-goroutine, pages flow
-// through the shared pool, and every result must equal the sequential
-// baseline.
-func TestScanConcurrentParallel(t *testing.T) {
-	mem, seg := openBoth(t, 800, 1<<18)
+// TestScanConcurrent hammers one shared segment table with concurrent
+// scans — whole-relation, row-set and limited — and projected gathers:
+// the -race target (make race-scan). Every scan compiles its own
+// evaluator and page cursors; what the goroutines share is the pool the
+// pages flow through, sized here to hold a fraction of them, so its
+// single-flight loads and evictions run under the scans. Every result
+// must equal the in-memory baseline.
+func TestScanConcurrent(t *testing.T) {
+	mem, seg := openBoth(t, 800, 8<<10)
 	seg.SetScanMetrics(NewScanMetrics(obs.NewRegistry()))
 	pred := scanTestPred()
 	wantRows := mem.Filter(pred)
@@ -201,24 +183,32 @@ func TestScanConcurrentParallel(t *testing.T) {
 	for i := 5; i < 800; i += 11 {
 		sample = append(sample, i)
 	}
+	wantSubset := ScanRows(mem, pred, sample)
 	wantSample, err := mem.Gather(sample).Project("x", "count", "label")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 32)
+	errs := make(chan error, 8) // one send per goroutine at most
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w := 2 + g%3
 			for iter := 0; iter < 5; iter++ {
-				if got := Scan(seg, ScanSpec{Pred: pred, Workers: w}).Collect(); !reflect.DeepEqual(got, wantRows) {
-					errs <- fmt.Errorf("goroutine %d: parallel filter diverged", g)
+				if got := seg.Filter(pred); !reflect.DeepEqual(got, wantRows) {
+					errs <- fmt.Errorf("goroutine %d: filter diverged", g)
 					return
 				}
-				got, err := ScanGather(seg, sample, []string{"x", "count", "label"}, w)
+				if got := ScanRows(seg, pred, sample); !reflect.DeepEqual(got, wantSubset) {
+					errs <- fmt.Errorf("goroutine %d: row-set scan diverged", g)
+					return
+				}
+				if got := FilterLimit(seg, pred, 3+g); !reflect.DeepEqual(got, wantRows[:3+g]) {
+					errs <- fmt.Errorf("goroutine %d: limited scan diverged", g)
+					return
+				}
+				got, err := ScanGather(seg, sample, []string{"x", "count", "label"}, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -227,10 +217,6 @@ func TestScanConcurrentParallel(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: gather %d rows, want %d", g, got.NumRows(), wantSample.NumRows())
 					return
 				}
-				// Early Close must not wedge workers or corrupt later scans.
-				sc := Scan(seg, ScanSpec{Pred: pred, Workers: w})
-				sc.Next()
-				sc.Close()
 			}
 		}(g)
 	}

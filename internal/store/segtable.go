@@ -147,6 +147,11 @@ func (t *columnSet) numCmpSkip(p NumCmp) func(pi int) bool {
 		// numeric parse NumCmp applies; no skip.
 		return nil
 	}
+	if p.Op == Ne && c.typ == Float64 {
+		// Page stats do not see NaN cells, and a NaN differs from every
+		// value: min == max == val does not prove the page matchless.
+		return nil
+	}
 	return numSkipFunc(c.meta.Pages, p.Op, p.Val)
 }
 
