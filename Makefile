@@ -68,12 +68,14 @@ fmt-check:
 
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
 # filter expressions — parsed, then scanned by the batch kernels against
-# the reference — session open-options JSON, segment files) so the
-# harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime and
+# the reference — Select-Project queries, parsed and held to their own
+# rendering, session open-options JSON, segment files) so the harnesses
+# and corpora don't bit-rot. Real fuzzing: raise -fuzztime and
 # let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment
 	go test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/store/segment

@@ -76,7 +76,6 @@ func BenchmarkE6OracleLayer(b *testing.B)  { benchExperiment(b, "e6", 0.25) }
 
 func BenchmarkA1MIvsCorr(b *testing.B)    { benchExperiment(b, "a1", 0.5) }
 func BenchmarkA2TreeDepth(b *testing.B)   { benchExperiment(b, "a2", 0.25) }
-func BenchmarkA3Shapes(b *testing.B)      { benchExperiment(b, "a3", 0.5) }
 func BenchmarkA4DepSampling(b *testing.B) { benchExperiment(b, "a4", 0.25) }
 
 // --- Micro-benchmarks: the algorithms under the maps ---
@@ -91,10 +90,10 @@ func benchVectors(n, dims, k int) ([][]float64, []int) {
 	return vecs, ds.Truth["rows"]
 }
 
-// pamBenchSizes is the shared grid of BenchmarkPAM (FasterPAM, the
-// default) and BenchmarkPAMClassic (the textbook SWAP loop), so the two
-// benchmarks are directly comparable; the headline comparison of the
-// FasterPAM PR is n=1000, k=8.
+// pamBenchSizes is the shared grid of BenchmarkPAM (the engine) and
+// BenchmarkPAMClassic (the textbook SWAP loop), so the two benchmarks are
+// directly comparable; the headline comparison of the FasterPAM PR is
+// n=1000, k=8.
 var pamBenchSizes = []struct{ n, k int }{
 	{200, 4}, {500, 4}, {1000, 4}, {1000, 8},
 }
@@ -114,7 +113,7 @@ func benchPAMImpl(b *testing.B, pam func(cluster.Oracle, int) (*cluster.Clusteri
 	}
 }
 
-func BenchmarkPAM(b *testing.B)        { benchPAMImpl(b, cluster.FasterPAM) }
+func BenchmarkPAM(b *testing.B)        { benchPAMImpl(b, cluster.PAM) }
 func BenchmarkPAMClassic(b *testing.B) { benchPAMImpl(b, cluster.PAMClassic) }
 
 func BenchmarkCLARA(b *testing.B) {
@@ -151,35 +150,6 @@ func BenchmarkCLARAParallel(b *testing.B) {
 					Parallelism: workers,
 					Rand:        rng,
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDBSCAN(b *testing.B) {
-	for _, n := range []int{500, 2000} {
-		vecs, _ := benchVectors(n, 4, 3)
-		m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
-		eps := cluster.EstimateEps(m, 5, 0.9)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.DBSCAN(m, cluster.DBSCANOptions{Eps: eps, MinPts: 5}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAgglomerative(b *testing.B) {
-	for _, n := range []int{200, 600} {
-		vecs, _ := benchVectors(n, 4, 3)
-		m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.Agglomerative(m, 3, cluster.AverageLinkage); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -421,25 +391,6 @@ func BenchmarkMapBuild(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSeeding isolates the seeding phase at the scale where BUILD
-// became the bottleneck (ROADMAP item 1): n=5000, k=8 on a materialized
-// oracle. The acceptance bar for the k-means++/LAB seedings is ≥3× over
-// quadratic BUILD; the sub-benchmarks' ns/op are the comparison.
-func BenchmarkSeeding(b *testing.B) {
-	vecs, _ := benchVectors(5000, 6, 8)
-	m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
-	for _, s := range []cluster.Seeding{cluster.SeedingBUILD, cluster.SeedingKMeansPP, cluster.SeedingLAB} {
-		b.Run(fmt.Sprintf("n=5000/k=8/seeding=%s", s), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.SeedMedoids(m, 8, s, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -14,20 +14,20 @@
 // rollback.
 //
 // Both clustering passes run on every user action, so the PAM SWAP phase
-// is the engine's hottest path. It is a FasterPAM-style eager-swap loop
-// (Schubert & Rousseeuw's removal-loss decomposition, O(n²) per pass
-// instead of the textbook O(k·n²)) with candidate scoring parallelized
-// across CPUs. The textbook Kaufman & Rousseeuw loop survives only as
-// the reference the differential tests and the e5 experiment call
-// directly; no option selects it.
+// is the engine's hottest path. There is one k-medoid engine: BUILD
+// seeds it, then a FasterPAM-style eager-swap loop (Schubert &
+// Rousseeuw's removal-loss decomposition, O(n²) per pass instead of the
+// textbook O(k·n²)) with candidate scoring parallelized across CPUs. The
+// textbook Kaufman & Rousseeuw loop survives only as the reference the
+// differential tests and the e5 experiment call directly; no option
+// selects it.
 //
 // Distances flow through one contract (pairs, rows and subsets of an
 // oracle) with three storages behind it: Options.OracleStrategy picks a
 // materialized matrix for small samples, a lazy on-demand oracle for
 // large ones (no O(n²) allocation, byte-identical clusterings) or a
-// sparse k-NN-graph oracle, and Options.Seeding swaps the quadratic BUILD
-// seeding for k-means++ D² sampling or LAB subsample BUILD (see the e6
-// experiment). This is what lets the sampling budget default to 5000.
+// sparse k-NN-graph oracle (see the e6 experiment). This is what lets
+// the sampling budget default to 5000.
 //
 // At the serving tiers, map builds run asynchronously: the session
 // manager schedules them on a bounded worker pool (internal/jobs) with

@@ -12,11 +12,10 @@
 // loads the packages matching the patterns (default ./...) in
 // dependency order, runs the suite with cross-package facts threaded
 // bottom-up, then runs the whole-program Finish hooks (metricscheck's
-// README reconciliation); exit status 1 means findings. Flags:
+// README reconciliation); exit status 1 means findings. One flag:
 //
-//	-json          emit diagnostics as a JSON array on stdout
-//	               (suppressed findings included, marked)
-//	-conservative  treat dynamic calls through func values as may-block
+//	-json  emit diagnostics as a JSON array on stdout (suppressed
+//	       findings included, marked)
 //
 // As a vet tool:
 //
@@ -72,8 +71,6 @@ func main() {
 		switch a {
 		case "-json", "--json":
 			jsonOut = true
-		case "-conservative", "--conservative":
-			analysis.BlockcheckConservative = true
 		default:
 			rest = append(rest, a)
 		}

@@ -13,7 +13,8 @@
 //
 // Usage:
 //
-//	blaeud [-addr :8080] [-seed 1] [-sample 2000] [-lofar-n 200000] [-session-ttl 1h]
+//	blaeud [-addr :8080] [-seed 1] [-sample 2000] [-lofar-n 200000] [-no-builtin]
+//	       [-session-ttl 1h]
 //	       [-max-queued 1024] [-max-queued-per-session 16]
 //	       [-map-cache 0] [-artifact-cache 0]
 //	       [-tenant-weights gold=4,free=1] [-tenant-max-in-flight 0]

@@ -25,8 +25,7 @@ import (
 // a cond does carry the MayBlock fact — a caller holding a *different*
 // mutex has no such guarantee.
 //
-// Dynamic calls (func values) are recorded as unknown callees and
-// ignored by default; BlockcheckConservative treats them as may-block.
+// Dynamic calls (func values) are unknown callees and are ignored.
 var Blockcheck = &Analyzer{
 	Name: "blockcheck",
 	Doc:  "propagate may-block facts up the call graph and forbid calls to may-block functions while a mutex is held",
@@ -37,13 +36,6 @@ var Blockcheck = &Analyzer{
 	Facts: true,
 	Run:   runBlockcheck,
 }
-
-// BlockcheckConservative switches unknown-callee handling: when set,
-// a dynamic call (func value, method-valued field) is treated as
-// may-block both in fact propagation and under a held lock. Off by
-// default — every callback invocation would be flagged; the driver
-// exposes it as -conservative.
-var BlockcheckConservative = false
 
 // mayBlockFact is blockcheck's exported fact: the function can block,
 // directly or transitively, with a human-readable witness chain.
@@ -68,11 +60,6 @@ func runBlockcheck(pass *Pass) error {
 		changed = false
 		for fn, node := range graph {
 			if _, done := may[fn]; done {
-				continue
-			}
-			if BlockcheckConservative && len(node.unknown) > 0 {
-				may[fn] = "makes a dynamic call to an unknown callee (conservative mode)"
-				changed = true
 				continue
 			}
 			for _, cs := range node.calls {
@@ -260,12 +247,7 @@ func checkHeldStmt(pass *Pass, may map[*types.Func]string, stmt ast.Stmt, recv s
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			targets, unknown := resolveCallees(pass, n)
-			if unknown && BlockcheckConservative {
-				pass.Reportf(n.Pos(), "dynamic call while holding %s: callee unknown, may block (conservative mode)", recv)
-				return true
-			}
-			for _, tgt := range targets {
+			for _, tgt := range resolveCallees(pass, n) {
 				if blockingNames[tgt.fn.Name()] {
 					continue // lockcheck's name rule owns this call site
 				}

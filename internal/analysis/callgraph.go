@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -17,8 +16,7 @@ import (
 //     imports whose method set satisfies the interface contributes its
 //     implementation as a possible callee;
 //   - everything else (func values, method-valued fields) is an
-//     explicit "unknown callee" — recorded, and treated as dangerous
-//     only in the conservative mode the driver can switch on.
+//     unknown callee: it contributes no edge.
 //
 // The universe error interface is excluded from method-set matching:
 // every error type in scope would match, and Error() is not a shape any
@@ -46,8 +44,6 @@ type funcInfo struct {
 	// function literals and go statements are excluded: their bodies do
 	// not run at the call site.
 	calls []callSite
-	// unknown holds the positions of dynamic calls with no resolution.
-	unknown []token.Pos
 }
 
 // packageGraph builds the call graph of the pass's package: one node
@@ -87,11 +83,7 @@ func walkCalls(pass *Pass, root ast.Node, node *funcInfo) {
 			}
 			return false
 		case *ast.CallExpr:
-			targets, unknown := resolveCallees(pass, n)
-			if unknown {
-				node.unknown = append(node.unknown, n.Pos())
-			}
-			if len(targets) > 0 {
+			if targets := resolveCallees(pass, n); len(targets) > 0 {
 				node.calls = append(node.calls, callSite{call: n, targets: targets})
 			}
 		}
@@ -100,44 +92,37 @@ func walkCalls(pass *Pass, root ast.Node, node *funcInfo) {
 }
 
 // resolveCallees resolves the possible callees of one call expression.
-// A nil, false result means the expression is not a function call at
-// all (a conversion, a builtin) or has no matchable implementations;
-// unknown=true flags a dynamic call the graph cannot see through.
-func resolveCallees(pass *Pass, call *ast.CallExpr) (targets []callTarget, unknown bool) {
+// A nil result means the expression is not a function call at all (a
+// conversion, a builtin), has no matchable implementations, or is a
+// dynamic call the graph cannot see through.
+func resolveCallees(pass *Pass, call *ast.CallExpr) []callTarget {
 	fun := ast.Unparen(call.Fun)
 	if tv, ok := pass.TypesInfo.Types[fun]; ok && tv.IsType() {
-		return nil, false // conversion, not a call
+		return nil // conversion, not a call
 	}
 	switch f := fun.(type) {
 	case *ast.Ident:
-		switch obj := pass.TypesInfo.Uses[f].(type) {
-		case *types.Func:
-			return []callTarget{{fn: obj}}, false
-		case *types.Builtin:
-			return nil, false
+		if obj, ok := pass.TypesInfo.Uses[f].(*types.Func); ok {
+			return []callTarget{{fn: obj}}
 		}
-		return nil, true // func-typed variable or parameter
+		// A builtin, or a func-typed variable or parameter.
 	case *ast.SelectorExpr:
 		if sel, ok := pass.TypesInfo.Selections[f]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil, true // func-typed struct field
-			}
 			m, _ := sel.Obj().(*types.Func)
-			if m == nil {
-				return nil, true
+			if sel.Kind() != types.MethodVal || m == nil {
+				return nil // func-typed struct field
 			}
 			if recv := m.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				return ifaceImpls(pass, m), false
+				return ifaceImpls(pass, m)
 			}
-			return []callTarget{{fn: m}}, false
+			return []callTarget{{fn: m}}
 		}
 		// Package-qualified call (pkg.Fn).
 		if obj, ok := pass.TypesInfo.Uses[f.Sel].(*types.Func); ok {
-			return []callTarget{{fn: obj}}, false
+			return []callTarget{{fn: obj}}
 		}
-		return nil, true
 	}
-	return nil, true
+	return nil
 }
 
 // ifaceImpls approximates the dynamic targets of an interface method

@@ -394,8 +394,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, sums map[*types.Func]*summary,
 		pass.Reportf(call.Pos(), "hot path: %s allocates", builtinName(pass, call))
 		return
 	}
-	targets, _ := resolveCallees(pass, call)
-	for _, tgt := range targets {
+	for _, tgt := range resolveCallees(pass, call) {
 		s := calleeSummary(pass, sums, hotFns, tgt.fn)
 		if s.clean() {
 			continue

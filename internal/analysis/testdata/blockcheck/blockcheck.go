@@ -62,7 +62,7 @@ func (s *q) pollHeld() {
 	s.mu.Unlock()
 }
 
-// dynamic calls are ignored unless -conservative is set.
+// dynamic calls are unknown callees: ignored.
 func (s *q) dynamic(f func()) {
 	s.mu.Lock()
 	f()

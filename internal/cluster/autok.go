@@ -12,9 +12,6 @@ type AutoKOptions struct {
 	// KMin and KMax bound the candidate numbers of clusters
 	// (defaults 2 and 8).
 	KMin, KMax int
-	// Seeding selects how PAM picks its initial medoids (default
-	// SeedingAuto), for both direct runs and CLARA's per-sample runs.
-	Seeding Seeding
 	// LargeThreshold is the object count above which clustering switches
 	// from exact PAM to CLARA (default 2000).
 	LargeThreshold int
@@ -61,24 +58,22 @@ func ClusterK(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 
 // sweepK clusters o once for every k in [kMin, kMax], in k order, and
 // hands each clustering to visit; the context is read before every k.
-// On the exact path under BUILD seeding the ks share one BUILD to kMax
-// and one row scratch, each k's SWAP starting from seeds[:k]; everywhere
-// else a k is a run of its own (the package comment says why).
+// Above LargeThreshold a k is a CLARA run of its own; below it the ks
+// share one BUILD to kMax and one row scratch, each k's SWAP starting
+// from seeds[:k] (the package comment says why), and the ks BUILD's
+// prefix does not serve — 1, and k >= n — are plain PAM runs.
 func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
 	n := o.N()
-	run := func(k int) (*Clustering, error) {
-		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
-	}
+	run := func(k int) (*Clustering, error) { return PAM(o, k) }
 	switch {
 	case n > opts.LargeThreshold:
 		co := opts.CLARA
 		co.Rand = opts.Rand
-		co.Seeding = opts.Seeding
 		if co.Context == nil {
 			co.Context = opts.Context
 		}
 		run = func(k int) (*Clustering, error) { return CLARA(o, k, co) }
-	case kMin > 1 && kMax < n && opts.Seeding.resolve(n, opts.Rand) == SeedingBUILD:
+	case kMin > 1 && kMax < n:
 		if err := ctxErr(opts.Context); err != nil {
 			return err
 		}

@@ -26,13 +26,9 @@ type CLARAOptions struct {
 	Samples int
 	// SampleSize is the size of each sub-sample. Kaufman & Rousseeuw's
 	// classic heuristic is 40 + 2k; the default is twice that (80 + 4k)
-	// because FasterPAM made the per-sample runs cheap enough to afford
-	// the quality gain of larger samples.
+	// because the eager SWAP made the per-sample runs cheap enough to
+	// afford the quality gain of larger samples.
 	SampleSize int
-	// Seeding selects how the per-sample PAM runs pick their initial
-	// medoids (default SeedingAuto; samples are small, so auto stays on
-	// BUILD unless tuned otherwise).
-	Seeding Seeding
 	// Parallelism is how many per-sample runs execute concurrently when
 	// Runner is nil (<= 1 runs them sequentially). The clustering is
 	// identical at every setting — see the determinism note on CLARA.
@@ -73,10 +69,10 @@ func ctxErr(ctx context.Context) error {
 //
 // The per-sample runs are embarrassingly parallel and fan out across
 // Parallelism workers (or the external Runner). Results are exactly the
-// same at every parallelism level: each sample's row set and RNG seed
-// are drawn from Rand up front in sample order, every sample is
-// clustered independently, and the winner is chosen by lowest full-data
-// cost with ties broken toward the earliest sample. This independence
+// same at every parallelism level: each sample's row set is drawn from
+// Rand up front in sample order, every sample is clustered
+// independently, and the winner is chosen by lowest full-data cost with
+// ties broken toward the earliest sample. This independence
 // drops the textbook carry-over of the current best medoids into later
 // samples — the price of a deterministic fan-out; multi-sample runs
 // still never lose to single-sample ones, because sample 0 is always
@@ -91,14 +87,13 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		return nil, err
 	}
 	if n <= opts.SampleSize || n <= k {
-		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
+		return PAM(o, k)
 	}
 
-	// Draw every sample's inputs up front, in sample order, so the runs
-	// below are independent of execution order and of each other.
+	// Draw every sample up front, in sample order, so the runs below are
+	// independent of execution order and of each other.
 	type sampleRun struct {
 		idx     []int
-		seed    int64
 		medoids []int
 		labels  []int
 		cost    float64
@@ -108,9 +103,14 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	for s := range runs {
 		runs[s] = &sampleRun{
 			idx:  store.SampleIndices(n, opts.SampleSize, opts.Rand),
-			seed: opts.Rand.Int63(),
 			cost: math.Inf(1),
 		}
+		// Seeds nothing — BUILD is deterministic — but every later draw
+		// from the shared Rand (the next sample, Monte-Carlo silhouettes,
+		// the next k) sits one position further for it, and the pinned
+		// navigation digests are CLARA builds. It goes with the first
+		// change that re-pins them (ROADMAP item 4(d)).
+		opts.Rand.Int63()
 	}
 
 	tasks := make([]func(), len(runs))
@@ -120,10 +120,7 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 			if r.err = ctxErr(opts.Context); r.err != nil {
 				return
 			}
-			c, err := PAMRun(o.Subset(r.idx), k, PAMOptions{
-				Seeding: opts.Seeding,
-				Rand:    rand.New(rand.NewSource(r.seed)),
-			})
+			c, err := PAM(o.Subset(r.idx), k)
 			if err != nil {
 				r.err = err
 				return

@@ -66,8 +66,8 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 
 // TestDistMatrixSubsetByteIdentical pins the matrix derivation: a Subset
 // view over the parent's condensed storage must answer bit-identically
-// to a matrix freshly computed over the subset's vectors, and FasterPAM
-// over both must produce the same clustering.
+// to a matrix freshly computed over the subset's vectors, and PAM over
+// both must produce the same clustering.
 func TestDistMatrixSubsetByteIdentical(t *testing.T) {
 	vecs, idx := deriveTestVecs(600, 5, 11)
 	parent := ComputeDistMatrix(vecs, stats.Euclidean{})
@@ -75,11 +75,11 @@ func TestDistMatrixSubsetByteIdentical(t *testing.T) {
 	fresh := ComputeDistMatrix(gather(vecs, idx), stats.Euclidean{})
 	assertOracleByteIdentical(t, "matrix", derived, fresh)
 
-	cd, err := FasterPAM(derived, 4)
+	cd, err := PAM(derived, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := FasterPAM(fresh, 4)
+	cf, err := PAM(fresh, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestLazyOracleSubsetByteIdentical(t *testing.T) {
 		fresh := NewLazyOracle(gather(vecs, idx), stats.Euclidean{})
 		assertOracleByteIdentical(t, "lazy", derived, fresh)
 
-		cd, err := FasterPAM(derived, 3)
+		cd, err := PAM(derived, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, err := FasterPAM(fresh, 3)
+		cf, err := PAM(fresh, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +172,11 @@ func TestKNNOracleSubsetBounds(t *testing.T) {
 		// Golden inflation bound: PAM over the derived oracle, costed on
 		// the true metric, within 2% of PAM over the exact sub-matrix.
 		exact := ComputeDistMatrix(sub, stats.Euclidean{})
-		ce, err := FasterPAM(exact, g.k)
+		ce, err := PAM(exact, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd, err := FasterPAM(derived, g.k)
+		cd, err := PAM(derived, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}

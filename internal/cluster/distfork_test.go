@@ -47,10 +47,10 @@ func (f distForkOracle) Subset(idx []int) Oracle {
 
 func (f distForkOracle) DistEvals() int64 { return 0 }
 
-// TestRowLoopsMatchDistFork pins every k-medoid entry point — FasterPAM,
-// PAMRun under each seeding, CLARA with its per-sample subsets — to the
-// same medoids, labels and cost whether the oracle serves rows and
-// subsets from its storage or through pair queries alone.
+// TestRowLoopsMatchDistFork pins every k-medoid entry point — PAM, and
+// CLARA with its per-sample subsets — to the same medoids, labels and
+// cost whether the oracle serves rows and subsets from its storage or
+// through pair queries alone.
 func TestRowLoopsMatchDistFork(t *testing.T) {
 	vecs, _ := blobs(rand.New(rand.NewSource(31)), 4, 160, 4, 5)
 	metric := stats.Euclidean{}
@@ -69,19 +69,10 @@ func TestRowLoopsMatchDistFork(t *testing.T) {
 			name string
 			run  func(o Oracle) (*Clustering, error)
 		}{
-			{"fasterpam", func(o Oracle) (*Clustering, error) { return FasterPAM(o, 4) }},
+			{"pam", func(o Oracle) (*Clustering, error) { return PAM(o, 4) }},
 			{"clara", func(o Oracle) (*Clustering, error) {
 				return CLARA(o, 4, CLARAOptions{Rand: rand.New(rand.NewSource(33))})
 			}},
-		}
-		for _, s := range []Seeding{SeedingBUILD, SeedingKMeansPP, SeedingLAB} {
-			s := s
-			runs = append(runs, struct {
-				name string
-				run  func(o Oracle) (*Clustering, error)
-			}{"pamrun/" + s.String(), func(o Oracle) (*Clustering, error) {
-				return PAMRun(o, 4, PAMOptions{Seeding: s, Rand: rand.New(rand.NewSource(34))})
-			}})
 		}
 		for _, r := range runs {
 			want, err := r.run(fork)

@@ -59,8 +59,8 @@ func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 
 // newRowScratch allocates the distance-row scratch of one k-medoid run
 // over n objects, one n-sized buffer per worker it can fan out to. The
-// run owns it: BUILD's scoring, the seedings' nearest updates and SWAP's
-// candidate evaluation all materialize rows into the same buffers.
+// run owns it: BUILD's scoring and nearest updates and SWAP's candidate
+// evaluation all materialize rows into the same buffers.
 func newRowScratch(n int) [][]float64 {
 	rows := make([][]float64, rangeWorkers(n))
 	for w := range rows {
@@ -113,13 +113,26 @@ func parallelRange(n int, fn func(lo, hi int)) {
 	parallelChunks(n, rangeWorkers(n), func(_, lo, hi int) { fn(lo, hi) })
 }
 
+// updateNearest lowers nearest[j] to Dist(m, j) wherever medoid m's row
+// improves it. row is an n-sized buffer m's row is materialized into.
+//
+//blaeu:hot
+func updateNearest(o Oracle, nearest, row []float64, m int) {
+	o.RowInto(m, row)
+	for j, d := range row {
+		if d < nearest[j] {
+			nearest[j] = d
+		}
+	}
+}
+
 // pamBuild is PAM's BUILD phase: pick the object minimizing total distance
 // as the first medoid, then greedily add the object that most reduces the
 // total dissimilarity. Candidate scoring is spread across the workers of
 // rows (the run's scratch, see newRowScratch); the result is identical to
-// the sequential scan (ties break to the lowest index). Shared by
-// FasterPAM and PAMClassic, so both start from the same seed medoids —
-// the property differential tests rely on.
+// the sequential scan (ties break to the lowest index). Shared by PAM
+// and PAMClassic, so both start from the same seed medoids — the
+// property differential tests rely on.
 func pamBuild(o Oracle, k int, rows [][]float64) []int {
 	n := o.N()
 	medoids := make([]int, 0, k)
@@ -320,29 +333,6 @@ func (s *swapState) applySwap(slot, c int, row []float64) {
 		}
 	})
 	s.refresh()
-}
-
-// FasterPAM runs PAM with the eager removal-loss SWAP phase: the same
-// BUILD seeding as PAMClassic, then repeated passes over the non-medoids
-// where each candidate is scored against all k medoids at once and the
-// best improving swap of every block is applied immediately (without
-// waiting for the full pass to finish, unlike the classic steepest-descent
-// loop). Converges when a complete pass yields no improving swap, i.e. at
-// a local optimum of exactly the same swap neighborhood classic PAM uses.
-// Use PAMRun to select a different seeding scheme.
-func FasterPAM(o Oracle, k int) (*Clustering, error) {
-	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
-		return c, err
-	}
-	rows := newRowScratch(o.N())
-	if k == 1 {
-		// BUILD's first medoid is already the global optimum for k=1 (it
-		// minimizes the total distance), so SWAP has nothing to do.
-		medoids := pamBuild(o, 1, rows)
-		labels, cost := AssignToMedoids(o, medoids)
-		return &Clustering{K: 1, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
-	}
-	return fasterPAMFrom(o, k, pamBuild(o, k, rows), rows)
 }
 
 // fasterPAMFrom runs the eager removal-loss SWAP phase from the given

@@ -12,11 +12,11 @@ import (
 )
 
 // bothAlgorithms are the SWAP implementations under differential test:
-// the production FasterPAM and the classic reference.
+// the production PAM (FasterPAM's eager SWAP) and the classic reference.
 var bothAlgorithms = []struct {
 	name string
 	run  func(Oracle, int) (*Clustering, error)
-}{{"fasterpam", FasterPAM}, {"classic", PAMClassic}}
+}{{"pam", PAM}, {"classic", PAMClassic}}
 
 // TestPAMKGreaterEqualN is the regression test for the k >= n degenerate
 // case: the effective K must be n (not the requested k), every object its
@@ -145,16 +145,16 @@ func TestFasterPAMMatchesClassicOnGoldenDatasets(t *testing.T) {
 
 func assertSameCost(t *testing.T, o Oracle, k int, label string, seed int64) {
 	t.Helper()
-	f, err := FasterPAM(o, k)
+	f, err := PAM(o, k)
 	if err != nil {
-		t.Fatalf("%s %d: FasterPAM: %v", label, seed, err)
+		t.Fatalf("%s %d: PAM: %v", label, seed, err)
 	}
 	c, err := PAMClassic(o, k)
 	if err != nil {
 		t.Fatalf("%s %d: PAMClassic: %v", label, seed, err)
 	}
 	if math.Abs(f.Cost-c.Cost) > 1e-9 {
-		t.Errorf("%s %d (n=%d k=%d): FasterPAM cost %.9f != classic %.9f",
+		t.Errorf("%s %d (n=%d k=%d): PAM cost %.9f != classic %.9f",
 			label, seed, o.N(), k, f.Cost, c.Cost)
 	}
 	if f.K != c.K {
@@ -178,7 +178,7 @@ func TestFasterPAMNearClassicProperty(t *testing.T) {
 			vecs[i] = []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
 		}
 		m := ComputeDistMatrix(vecs, stats.Euclidean{})
-		fast, err := FasterPAM(m, k)
+		fast, err := PAM(m, k)
 		if err != nil {
 			return false
 		}
@@ -213,11 +213,11 @@ func TestFasterPAMDeterministicParallel(t *testing.T) {
 		vecs[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	a, err := FasterPAM(m, 5)
+	a, err := PAM(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FasterPAM(m, 5)
+	b, err := PAM(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +264,12 @@ func TestFasterPAMForcedParallel(t *testing.T) {
 			m := ComputeDistMatrix(vecs, stats.Euclidean{})
 
 			maxWorkers = 1
-			seq, err := FasterPAM(m, tc.k)
+			seq, err := PAM(m, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			maxWorkers = tc.workers
-			par, err := FasterPAM(m, tc.k)
+			par, err := PAM(m, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,13 +290,13 @@ func TestFasterPAMForcedParallel(t *testing.T) {
 	}
 }
 
-// TestPAMDefaultIsFasterPAM: PAM runs FasterPAM, and on separated
-// blobs the classic reference agrees with it.
+// TestPAMDefaultIsFasterPAM: on separated blobs the eager SWAP behind
+// PAM and the classic reference land on the same optimum.
 func TestPAMDefaultIsFasterPAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vecs, _ := blobs(rng, 3, 30, 3, 8)
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	fast, err := FasterPAM(m, 3)
+	def, err := PAM(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +304,59 @@ func TestPAMDefaultIsFasterPAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := PAM(m, 3)
+	if math.Abs(def.Cost-classic.Cost) > 1e-9 {
+		t.Errorf("algorithms disagree on separated blobs: %g vs %g", def.Cost, classic.Cost)
+	}
+}
+
+// TestPAMRunK1 pins the k == 1 short-circuit: no SWAP runs, and the one
+// medoid is the exact optimum — the object with the least total distance
+// to all others, lowest index on ties.
+func TestPAMRunK1(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vecs := make([][]float64, 80)
+	for i := range vecs {
+		vecs[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	m := ComputeDistMatrix(vecs, stats.Euclidean{})
+	best, bestSum := -1, math.Inf(1)
+	for i := range vecs {
+		sum := 0.0
+		for j := range vecs {
+			sum += m.Dist(i, j)
+		}
+		if sum < bestSum {
+			best, bestSum = i, sum
+		}
+	}
+	got, err := PAM(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(fast.Cost-def.Cost) > 1e-12 {
-		t.Error("PAM default must be FasterPAM")
+	if got.K != 1 || got.Medoids[0] != best || math.Abs(got.Cost-bestSum) > 1e-9 {
+		t.Fatalf("k=1: got K %d medoid %d cost %v, want 1 / %d / %v", got.K, got.Medoids[0], got.Cost, best, bestSum)
 	}
-	if math.Abs(fast.Cost-classic.Cost) > 1e-9 {
-		t.Errorf("algorithms disagree on separated blobs: %g vs %g", fast.Cost, classic.Cost)
+}
+
+// TestPAMClassicFromSeeds: the classic SWAP must also accept seeds that
+// are not BUILD's and land within the usual local-optimum gap.
+func TestPAMClassicFromSeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 250, K: 3, Dims: 4, Sep: 6}, rng)
+	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ComputeDistMatrix(vecs, stats.Euclidean{})
+	want, err := PAMClassic(m, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pamClassicFrom(m, 3, rng.Perm(m.N())[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost > 1.05*want.Cost {
+		t.Fatalf("classic from random seeds: cost %.4f vs BUILD %.4f", got.Cost, want.Cost)
 	}
 }

@@ -1,9 +1,10 @@
 // Package cluster implements the cluster-analysis algorithms Blaeu relies
 // on: PAM (Partitioning Around Medoids), its sampling variant CLARA, the
-// silhouette coefficient (exact and Monte-Carlo), automatic selection of
-// the number of clusters, and experiment a3's density and hierarchical
-// comparison clusterers. PAM and CLARA follow Kaufman & Rousseeuw,
-// "Finding Groups in Data" (1990), the reference the paper cites.
+// silhouette coefficient (exact and Monte-Carlo) and automatic selection
+// of the number of clusters. PAM and CLARA follow Kaufman & Rousseeuw,
+// "Finding Groups in Data" (1990), the reference the paper cites; PAM is
+// the one k-medoid engine (BUILD, then FasterPAM's eager SWAP) and
+// PAMClassic the textbook loop the tests hold it to.
 //
 // All algorithms are written against one distance contract, Oracle, and
 // every k-medoid loop is written once against it. Three storages
@@ -21,19 +22,16 @@
 //     pivot-based upper bound — subquadratic memory with near-exact
 //     clusterings on separated data.
 //
-// BuildOracle picks between them from an OracleStrategy, and Seeding
-// selects how the k-medoid algorithms pick their initial medoids (the
-// quadratic BUILD of the textbook, k-means++-style D² sampling, or a
-// LAB-style subsample BUILD).
+// BuildOracle picks between them from an OracleStrategy.
 //
 // AutoK is one sweep over k, and the ks share what cannot change a
 // result: on the exact path BUILD runs once, to the largest k — greedy,
 // ties to the lowest index, so its seeds for k are the first k of its
 // seeds for any larger k — every SWAP uses one row scratch, and the
 // winner carries the per-cluster silhouette means the pass that scored it
-// produced. Nothing else is shared: the k-means++ and LAB seedings and
-// CLARA's samples (sized by k) draw from the one Rand in k order, and
-// starting k+1 from k's converged medoids would be another algorithm.
+// produced. Nothing else is shared: CLARA's samples (sized by k) draw
+// from the one Rand in k order, and starting k+1 from k's converged
+// medoids would be another algorithm.
 package cluster
 
 import (
@@ -45,10 +43,10 @@ import (
 // Oracle is the one distance contract of the cluster layer: pairwise
 // dissimilarities over n objects, served a pair at a time, a row at a
 // time, or over a subset of the objects. PAM "needs only pairwise
-// dissimilarities" (paper §3), so everything here — BUILD, SWAP, the
-// seedings, CLARA, the silhouettes — is written against this interface
-// and works identically on prepared vectors, precomputed matrices and
-// dependency graphs.
+// dissimilarities" (paper §3), so everything here — BUILD, SWAP, CLARA,
+// the silhouettes — is written against this interface and works
+// identically on prepared vectors, precomputed matrices and dependency
+// graphs.
 //
 // Dist is a dissimilarity: symmetric and zero on the diagonal. Two laws
 // tie the other methods to it, bit for bit, and TestOracleContract

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Clustering is the result of a partitional clustering run.
@@ -69,46 +68,32 @@ func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
 	return nil, nil
 }
 
-// PAM runs Partitioning Around Medoids on the oracle: a parallel BUILD
-// phase greedily seeds k medoids, then a FasterPAM-style SWAP phase
-// eagerly applies improving swaps until a local optimum is reached.
+// PAM runs Partitioning Around Medoids on the oracle: BUILD greedily
+// seeds k medoids, then the eager removal-loss SWAP of FasterPAM
+// (Schubert & Rousseeuw 2021) makes repeated passes over the non-medoids,
+// scoring each candidate against all k medoids at once and applying the
+// best improving swap of every block immediately instead of waiting for
+// the pass to finish, as the classic steepest-descent loop does. It
+// converges when a complete pass yields no improving swap — a local
+// optimum of exactly the swap neighborhood PAMClassic uses.
 //
 // PAM is the paper's clustering algorithm of choice for both theme
 // detection (on the dependency graph) and map construction (§3), because
 // it is "accurate, well established and fast enough" and, unlike k-means,
 // needs only pairwise dissimilarities (so it copes with mixed data).
 func PAM(o Oracle, k int) (*Clustering, error) {
-	return FasterPAM(o, k)
-}
-
-// PAMOptions configures a PAM run beyond the oracle and k.
-type PAMOptions struct {
-	// Seeding selects how the initial medoids are picked (default
-	// SeedingAuto: BUILD on small inputs, k-means++ on large ones when a
-	// random source is available).
-	Seeding Seeding
-	// Rand is the randomness source required by the k-means++ and LAB
-	// seedings; BUILD ignores it.
-	Rand *rand.Rand
-}
-
-// PAMRun runs PAM with explicit seeding options — the full entry point
-// behind PAM/FasterPAM. For k == 1 the seeding option is moot (BUILD's
-// first medoid is the exact optimum and SWAP has nothing to refine), so
-// the run short-circuits to it.
-func PAMRun(o Oracle, k int, opts PAMOptions) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
-	if k == 1 {
-		return FasterPAM(o, 1)
-	}
 	rows := newRowScratch(o.N())
-	seeds, err := seedMedoids(o, k, opts.Seeding, opts.Rand, rows)
-	if err != nil {
-		return nil, err
+	if k == 1 {
+		// BUILD's first medoid is already the global optimum for k=1 (it
+		// minimizes the total distance), so SWAP has nothing to do.
+		medoids := pamBuild(o, 1, rows)
+		labels, cost := AssignToMedoids(o, medoids)
+		return &Clustering{K: 1, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
 	}
-	return fasterPAMFrom(o, k, seeds, rows)
+	return fasterPAMFrom(o, k, pamBuild(o, k, rows), rows)
 }
 
 // PAMClassic is the textbook PAM of Kaufman & Rousseeuw (1990): a BUILD
@@ -116,8 +101,8 @@ func PAMRun(o Oracle, k int, opts PAMOptions) (*Clustering, error) {
 // the single best (medoid, candidate) pair whenever that lowers the total
 // dissimilarity, until no improving swap exists. Each SWAP iteration costs
 // O(k·n²). It is the reference implementation only: the differential
-// tests of FasterPAM and the e5 experiment call it directly, and no
-// option reaches it.
+// tests of PAM and the e5 experiment call it directly, and no option
+// reaches it.
 func PAMClassic(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err

@@ -136,64 +136,3 @@ func TestSilhouetteInvarianceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestDBSCANDeterministicProperty: identical input gives identical output,
-// and labels are either NoiseLabel or in [0, K).
-func TestDBSCANDeterministicProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 40 + rng.Intn(60)
-		vecs := make([][]float64, n)
-		for i := range vecs {
-			vecs[i] = []float64{rng.Float64() * 4, rng.Float64() * 4}
-		}
-		m := ComputeDistMatrix(vecs, stats.Euclidean{})
-		a, err := DBSCAN(m, DBSCANOptions{Eps: 0.5, MinPts: 4})
-		if err != nil {
-			return false
-		}
-		b, _ := DBSCAN(m, DBSCANOptions{Eps: 0.5, MinPts: 4})
-		for i := range a.Labels {
-			if a.Labels[i] != b.Labels[i] {
-				return false
-			}
-			if a.Labels[i] != NoiseLabel && (a.Labels[i] < 0 || a.Labels[i] >= a.K) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestAgglomerativeMergeCountProperty: for any k <= n, exactly k groups
-// come out and every object is labeled.
-func TestAgglomerativeMergeCountProperty(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(30)
-		k := 1 + int(kRaw)%n
-		vecs := make([][]float64, n)
-		for i := range vecs {
-			vecs[i] = []float64{rng.Float64()}
-		}
-		m := ComputeDistMatrix(vecs, stats.Euclidean{})
-		c, err := Agglomerative(m, k, AverageLinkage)
-		if err != nil || c.K != k {
-			return false
-		}
-		used := map[int]bool{}
-		for _, l := range c.Labels {
-			if l < 0 || l >= k {
-				return false
-			}
-			used[l] = true
-		}
-		return len(used) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

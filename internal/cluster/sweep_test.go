@@ -91,10 +91,10 @@ func TestBuildPrefixLaw(t *testing.T) {
 // were before the sweep: one full run per k, nothing shared between ks.
 func clusterKReference(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 	if o.N() <= opts.LargeThreshold {
-		return PAMRun(o, k, PAMOptions{Seeding: opts.Seeding, Rand: opts.Rand})
+		return PAM(o, k)
 	}
 	co := opts.CLARA
-	co.Rand, co.Seeding, co.Context = opts.Rand, opts.Seeding, opts.Context
+	co.Rand, co.Context = opts.Rand, opts.Context
 	return CLARA(o, k, co)
 }
 
@@ -178,28 +178,24 @@ func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) {
 
 // TestAutoKMatchesPerKReference holds the sweep to the per-k loop it
 // replaced on every storage, on both sides of LargeThreshold and of
-// MCSilhouetteThreshold, under every seeding, on random data and on
-// data with duplicated points.
+// MCSilhouetteThreshold, on random data and on data with duplicated
+// points.
 func TestAutoKMatchesPerKReference(t *testing.T) {
 	for _, dup := range []int{1, 2} {
 		for _, tc := range sweepOracles(sweepVecs(150, dup, 41), 41) {
-			for _, seeding := range []Seeding{SeedingAuto, SeedingBUILD, SeedingKMeansPP, SeedingLAB} {
-				for _, th := range []struct{ large, mc int }{{1000, 1000}, {1000, 120}, {120, 120}, {120, 1000}} {
-					checkSweep(t, fmt.Sprintf("%s dup=%d %s large=%d mc=%d", tc.name, dup, seeding, th.large, th.mc), tc.o,
-						AutoKOptions{KMin: 2, KMax: 6, Seeding: seeding, LargeThreshold: th.large,
-							MCSilhouetteThreshold: th.mc, CLARA: CLARAOptions{Parallelism: 2}})
-				}
+			for _, th := range []struct{ large, mc int }{{1000, 1000}, {1000, 120}, {120, 120}, {120, 1000}} {
+				checkSweep(t, fmt.Sprintf("%s dup=%d large=%d mc=%d", tc.name, dup, th.large, th.mc), tc.o,
+					AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: th.large,
+						MCSilhouetteThreshold: th.mc, CLARA: CLARAOptions{Parallelism: 2}})
 			}
 		}
 	}
 	// Past 256 objects the Monte-Carlo scorer draws its sub-samples from
 	// Rand between one k's clustering and the next's.
 	for _, tc := range sweepOracles(sweepVecs(270, 1, 43), 43)[:2] {
-		for _, seeding := range []Seeding{SeedingBUILD, SeedingKMeansPP} {
-			for _, large := range []int{1000, 200} {
-				checkSweep(t, fmt.Sprintf("%s n=270 %s large=%d mc=200", tc.name, seeding, large), tc.o,
-					AutoKOptions{KMin: 2, KMax: 5, Seeding: seeding, LargeThreshold: large, MCSilhouetteThreshold: 200})
-			}
+		for _, large := range []int{1000, 200} {
+			checkSweep(t, fmt.Sprintf("%s n=270 large=%d mc=200", tc.name, large), tc.o,
+				AutoKOptions{KMin: 2, KMax: 5, LargeThreshold: large, MCSilhouetteThreshold: 200})
 		}
 	}
 }

@@ -113,15 +113,15 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 			got.SampleSize, got.PAMThreshold, want.SampleSize, want.PAMThreshold)
 	}
 
-	e2, err := NewExplorer(tab, Options{Seed: 1, Seeding: cluster.SeedingKMeansPP})
+	e2, err := NewExplorer(tab, Options{Seed: 1, OracleStrategy: cluster.OracleLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Options().Seeding != cluster.SeedingKMeansPP {
-		t.Error("explicit Seeding not reported back")
+	if e2.Options().OracleStrategy != cluster.OracleLazy {
+		t.Error("explicit OracleStrategy not reported back")
 	}
-	if got.OracleStrategy != cluster.OracleAuto || got.Seeding != cluster.SeedingAuto {
-		t.Errorf("default strategy/seeding = %v/%v, want auto/auto", got.OracleStrategy, got.Seeding)
+	if got.OracleStrategy != cluster.OracleAuto {
+		t.Errorf("default strategy = %v, want auto", got.OracleStrategy)
 	}
 }
 

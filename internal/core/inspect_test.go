@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func TestRegionScatter(t *testing.T) {
@@ -170,6 +173,40 @@ func TestFilterErrors(t *testing.T) {
 	}
 }
 
+// checkImplicitQuery holds the explorer's implicit query to its promise:
+// it must parse, execute, and return exactly the tuples of the current
+// selection, projected on the theme columns.
+func checkImplicitQuery(t *testing.T, e *Explorer, stage string) {
+	t.Helper()
+	res, err := e.ExecuteQuery()
+	if err != nil {
+		t.Fatalf("%s: executing %q: %v", stage, e.Query(), err)
+	}
+	sel := e.Selection()
+	if res.NumRows() != sel.NumRows() {
+		t.Fatalf("%s: query returned %d rows, selection has %d (query %q)",
+			stage, res.NumRows(), sel.NumRows(), e.Query())
+	}
+	// Compare the theme-column values row by row (same order: both
+	// derive from ascending base-table row order).
+	cols := e.CurrentMap().Theme.Columns
+	if res.NumCols() != len(cols) {
+		t.Fatalf("%s: query returned %d columns, the theme has %d", stage, res.NumCols(), len(cols))
+	}
+	for _, col := range cols {
+		qc := res.ColumnByName(col)
+		sc := sel.ColumnByName(col)
+		if qc == nil || sc == nil {
+			t.Fatalf("%s: column %s missing", stage, col)
+		}
+		for i := 0; i < res.NumRows(); i++ {
+			if qc.StringAt(i) != sc.StringAt(i) {
+				t.Fatalf("%s: row %d differs: %q vs %q", stage, i, qc.StringAt(i), sc.StringAt(i))
+			}
+		}
+	}
+}
+
 // TestImplicitQueryExecutes is the loop-closing invariant of the paper's
 // query model: after any navigation sequence, the implicit query string
 // must parse, execute, and return exactly the tuples of the current
@@ -187,33 +224,7 @@ func TestImplicitQueryExecutes(t *testing.T) {
 	}
 	// Navigate: zoom into the largest leaf, filter, and verify at each
 	// step that ExecuteQuery() rows == Selection() rows.
-	check := func(stage string) {
-		t.Helper()
-		res, err := e.ExecuteQuery()
-		if err != nil {
-			t.Fatalf("%s: executing %q: %v", stage, e.Query(), err)
-		}
-		sel := e.Selection()
-		if res.NumRows() != sel.NumRows() {
-			t.Fatalf("%s: query returned %d rows, selection has %d (query %q)",
-				stage, res.NumRows(), sel.NumRows(), e.Query())
-		}
-		// Compare the theme-column values row by row (same order: both
-		// derive from ascending base-table row order).
-		for _, col := range e.CurrentMap().Theme.Columns {
-			qc := res.ColumnByName(col)
-			sc := sel.ColumnByName(col)
-			if qc == nil || sc == nil {
-				t.Fatalf("%s: column %s missing", stage, col)
-			}
-			for i := 0; i < res.NumRows(); i++ {
-				if qc.StringAt(i) != sc.StringAt(i) {
-					t.Fatalf("%s: row %d differs: %q vs %q", stage, i, qc.StringAt(i), sc.StringAt(i))
-				}
-			}
-		}
-	}
-	check("after select")
+	checkImplicitQuery(t, e, "after select")
 	var biggest *Region
 	for _, l := range m.Root.Leaves() {
 		if biggest == nil || l.Count() > biggest.Count() {
@@ -223,11 +234,66 @@ func TestImplicitQueryExecutes(t *testing.T) {
 	if _, err := e.Zoom(biggest.Path...); err != nil {
 		t.Fatal(err)
 	}
-	check("after zoom")
+	checkImplicitQuery(t, e, "after zoom")
 	if _, err := e.FilterExpr("AverageIncome >= 10"); err != nil {
 		t.Fatal(err)
 	}
-	check("after filter")
+	checkImplicitQuery(t, e, "after filter")
+}
+
+// TestImplicitQueryQuotesOddNames: the query stays executable over a
+// table whose names and values only quoting can carry — a column that
+// reads as a number, one that is a reserved word, and a split value with
+// a quote in it.
+func TestImplicitQueryQuotesOddNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	year, order, title := store.NewIntColumn("2010"), store.NewIntColumn("order"), store.NewStringColumn("title")
+	for i := 0; i < 600; i++ {
+		// The title names the cluster exactly; the numbers overlap, so the
+		// tree has to split on the title.
+		c := i % 3
+		year.Append(int64(3*c + rng.Intn(6)))
+		order.Append(int64(3*c + rng.Intn(6)))
+		title.Append([]string{"Ocean's Eleven", "Psycho", "Vertigo"}[c])
+	}
+	tab := store.NewTable("films")
+	tab.MustAddColumn(year)
+	tab.MustAddColumn(order)
+	tab.MustAddColumn(title)
+	e, err := NewExplorer(tab, Options{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := e.AddTheme([]string{"2010", "order", "title"})
+	m, err := e.SelectTheme(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkImplicitQuery(t, e, "after select")
+	var quoted *Region
+	var conds []string
+	for _, l := range m.Root.Leaves() {
+		conds = append(conds, l.Describe())
+		if strings.Contains(l.Describe(), "Ocean''s Eleven") {
+			quoted = l
+		}
+	}
+	if quoted == nil {
+		t.Fatalf("no leaf is described by the quoted title, so the fixture does not cover value escaping: %q", conds)
+	}
+	if _, err := e.Zoom(quoted.Path...); err != nil {
+		t.Fatal(err)
+	}
+	checkImplicitQuery(t, e, "after zoom")
+	if _, err := e.FilterExpr(`"2010" >= 1 AND "order" IS NOT NULL`); err != nil {
+		t.Fatal(err)
+	}
+	checkImplicitQuery(t, e, "after filter")
+	for _, want := range []string{`'Ocean''s Eleven'`, `"2010" >= 1`, `"order" IS NOT NULL`} {
+		if q := e.Query(); !strings.Contains(q, want) {
+			t.Errorf("query %q lacks %q", q, want)
+		}
+	}
 }
 
 func TestRunSQLOnExplorer(t *testing.T) {

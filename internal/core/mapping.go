@@ -218,7 +218,7 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 // cluster.DefaultMaterializeThreshold; explicit strategies (matrix,
 // lazy, knn) override the size heuristic.
 func (e *Explorer) oracleStage(art *buildArtifact) {
-	art.oracle = cluster.BuildOracle(art.vecs, e.metric, e.opts.OracleStrategy, 0, e.opts.KNN)
+	art.oracle = cluster.BuildOracle(art.vecs, e.metric, e.opts.OracleStrategy, 0, cluster.KNNOracleOptions{})
 }
 
 // clusterStage runs cluster detection with automatic k over the
@@ -235,7 +235,6 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 	return cluster.AutoK(art.oracle, cluster.AutoKOptions{
 		KMin:                  e.opts.MapKMin,
 		KMax:                  kMax,
-		Seeding:               e.opts.Seeding,
 		LargeThreshold:        e.opts.PAMThreshold,
 		MCSilhouetteThreshold: e.opts.PAMThreshold,
 		Context:               ctx,

@@ -8,12 +8,12 @@
 // Map construction runs on one distance contract, cluster.Oracle, with
 // three storages behind it: Options.OracleStrategy selects between a
 // materialized distance matrix, a lazy on-demand oracle and a sparse
-// k-NN-graph oracle (see internal/cluster), and Options.Seeding selects
-// how PAM picks initial medoids. The defaults (auto/auto) materialize
-// below cluster.DefaultMaterializeThreshold objects and go lazy above it,
-// which is what lets the sampling budget default to 5000 tuples without
-// quadratic memory. A zoom inside an already-clustered selection asks
-// the cached oracle for a Subset instead of building a new one.
+// k-NN-graph oracle (see internal/cluster). The default (auto)
+// materializes below cluster.DefaultMaterializeThreshold objects and goes
+// lazy above it, which is what lets the sampling budget default to 5000
+// tuples without quadratic memory. A zoom inside an already-clustered
+// selection asks the cached oracle for a Subset instead of building a new
+// one.
 package core
 
 import (
@@ -38,9 +38,6 @@ type Options struct {
 	// materializes the O(n²) distance matrix above
 	// cluster.DefaultMaterializeThreshold objects.
 	SampleSize int
-	// ThemeKMin / ThemeKMax bound the number of themes tried during
-	// vertical clustering (defaults 2 and 8, capped by column count).
-	ThemeKMin, ThemeKMax int
 	// MapKMin / MapKMax bound the number of clusters per data map
 	// (defaults 2 and 6).
 	MapKMin, MapKMax int
@@ -61,15 +58,6 @@ type Options struct {
 	// oracle above it; cluster.OracleKNN opts into the k-NN-graph
 	// oracle).
 	OracleStrategy cluster.OracleStrategy
-	// KNN tunes the k-NN graph when OracleStrategy is cluster.OracleKNN
-	// (zero values pick the oracle's defaults). Sizing KNN.K on the
-	// order of the expected cluster size avoids the model-selection bias
-	// documented on cluster.KNNOracle.
-	KNN cluster.KNNOracleOptions
-	// Seeding selects how PAM picks its initial medoids (default
-	// cluster.SeedingAuto: quadratic BUILD on small samples, k-means++
-	// D² sampling on large ones).
-	Seeding cluster.Seeding
 	// PAMThreshold is the sample size above which clustering switches
 	// from exact PAM to CLARA, and silhouettes switch to the
 	// Monte-Carlo estimator (paper §3: "when the data is too large,
@@ -136,26 +124,22 @@ const (
 // or when it never reaches buildMap at all.
 var optionTiers = map[string]cacheTier{
 	// Which sample is drawn, how it becomes vectors, and what the oracle
-	// over them answers (knn's neighborhoods change knn clusterings).
+	// over them answers.
 	"SampleSize":     mapTier | artifactTier,
 	"Prep":           mapTier | artifactTier,
 	"OracleStrategy": mapTier | artifactTier,
-	"KNN":            mapTier | artifactTier,
 	// Model selection and description over a given artifact: two builds
 	// that differ only here still share sample, vectors and oracle.
 	"MapKMin":      mapTier,
 	"MapKMax":      mapTier,
 	"TreeMaxDepth": mapTier,
 	"TreeMinLeaf":  mapTier,
-	"Seeding":      mapTier,
 	"PAMThreshold": mapTier,
 	// The engine's random stream: fixed when the Explorer opens, and a
 	// cache never outlives its Explorer.
 	"Seed": 0,
 	// Theme detection: a different partition gives different theme IDs,
 	// which the keys carry themselves.
-	"ThemeKMin":            0,
-	"ThemeKMax":            0,
 	"DependencySampleRows": 0,
 	// How fast, never which map.
 	"Parallelism": 0,
@@ -185,8 +169,6 @@ func optionsFingerprint(o Options, tier cacheTier) uint64 {
 func DefaultOptions() Options {
 	return Options{
 		SampleSize:            5000,
-		ThemeKMin:             2,
-		ThemeKMax:             8,
 		MapKMin:               2,
 		MapKMax:               6,
 		TreeMaxDepth:          3,
@@ -206,12 +188,6 @@ func (o *Options) defaults() {
 	d := DefaultOptions()
 	if o.SampleSize <= 0 {
 		o.SampleSize = d.SampleSize
-	}
-	if o.ThemeKMin < 2 {
-		o.ThemeKMin = d.ThemeKMin
-	}
-	if o.ThemeKMax < o.ThemeKMin {
-		o.ThemeKMax = o.ThemeKMin + 6
 	}
 	if o.MapKMin < 2 {
 		o.MapKMin = d.MapKMin

@@ -38,6 +38,10 @@ func (t Theme) Label() string {
 	return label
 }
 
+// themeKMin and themeKMax bound the number of themes tried during
+// vertical clustering, capped by the column count.
+const themeKMin, themeKMax = 2, 8
+
 // detectThemes builds the dependency graph over the clusterable columns
 // and partitions it, choosing the number of themes by silhouette.
 func (e *Explorer) detectThemes() error {
@@ -59,15 +63,8 @@ func (e *Explorer) detectThemes() error {
 	}
 	e.graph = g
 
-	kMax := e.opts.ThemeKMax
-	if kMax > len(cols)-1 {
-		kMax = len(cols) - 1
-	}
-	kMin := e.opts.ThemeKMin
-	if kMin > kMax {
-		kMin = kMax
-	}
-	c, err := g.AutoPartition(kMin, kMax, e.rng)
+	kMax := min(themeKMax, len(cols)-1)
+	c, err := g.AutoPartition(min(themeKMin, kMax), kMax, e.rng)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"a1", "a2", "a3", "a4", "e1", "e2", "e3", "e4", "e5", "e6", "f1a", "f1b", "f1c", "f1d", "f2", "f3", "f4", "s1", "s2", "s3"}
+	want := []string{"a1", "a2", "a4", "e1", "e2", "e3", "e4", "e5", "e6", "f1a", "f1b", "f1c", "f1d", "f2", "f3", "f4", "s1", "s2", "s3"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("ids = %v, want %v", got, want)
@@ -68,17 +68,15 @@ func TestIDsComplete(t *testing.T) {
 	}
 }
 
-// TestE6ProductTable checks e6's oracle × seeding table rather than
-// archiving it: 2 sizes × 3 oracles × 3 seedings rows, each true-cost
-// ratio (against the matrix × BUILD cell of its size) inside the bound
-// the cluster tests pin for its variant — 1.02 for the k-NN oracle
-// (TestKNNOracleCostInflation), 1.05 for a sampled seeding
-// (TestKMeansPPNeverMuchWorse), their product where both apply, and
-// exactly 1 for an exact oracle under BUILD. Scale 0.05 is the smoke
-// scale and the smallest at which the bounds mean something: both sizes
-// (100 and 250 rows) exceed the 32 neighbours the k-NN oracle stores, so
-// its far-pair upper bounds are in play. The bounds themselves hold at
-// every smaller scale down to the 10-row floor, where the oracle is
+// TestE6ProductTable checks e6's oracle table rather than archiving it:
+// 2 sizes × 3 oracles rows, each true-cost ratio (against the matrix
+// cell of its size) inside the bound the cluster tests pin for its
+// oracle — exactly 1 for the exact ones (TestLazyOracleMatchesDistMatrix)
+// and at most 1.02 for the k-NN oracle (TestKNNOracleCostInflation).
+// Scale 0.05 is the smoke scale and the smallest at which the bound means
+// something: both sizes (100 and 250 rows) exceed the 32 neighbours the
+// k-NN oracle stores, so its far-pair upper bounds are in play. It holds
+// at every smaller scale down to the 10-row floor, where the oracle is
 // exact.
 func TestE6ProductTable(t *testing.T) {
 	res, err := Run("e6", Config{Seed: 1, Scale: 0.05})
@@ -89,32 +87,29 @@ func TestE6ProductTable(t *testing.T) {
 	for i, h := range res.Headers {
 		col[h] = i
 	}
-	for _, h := range []string{"n", "oracle", "seeding", "cost ratio"} {
+	for _, h := range []string{"n", "oracle", "cost ratio"} {
 		if _, ok := col[h]; !ok {
 			t.Fatalf("e6 has no %q column: %v", h, res.Headers)
 		}
 	}
-	cells := map[[3]string]bool{}
+	cells := map[[2]string]bool{}
 	for _, row := range res.Rows {
-		oracle, seeding := row[col["oracle"]], row[col["seeding"]]
-		cells[[3]string{row[col["n"]], oracle, seeding}] = true
+		oracle := row[col["oracle"]]
+		cells[[2]string{row[col["n"]], oracle}] = true
 		ratio, err := strconv.ParseFloat(row[col["cost ratio"]], 64)
 		if err != nil {
 			t.Fatalf("row %v: %v", row, err)
 		}
-		bound := 1.0
 		if oracle == "knn" {
-			bound *= 1.02
-		}
-		if seeding != "build" {
-			bound *= 1.05
-		}
-		if ratio <= 0 || ratio > bound || (bound == 1 && ratio != 1) {
-			t.Errorf("n=%s %s × %s: cost ratio %v outside (0, %.4f]", row[col["n"]], oracle, seeding, ratio, bound)
+			if ratio <= 0 || ratio > 1.02 {
+				t.Errorf("n=%s knn: cost ratio %v outside (0, 1.02]", row[col["n"]], ratio)
+			}
+		} else if ratio != 1 {
+			t.Errorf("n=%s %s: cost ratio %v, want exactly 1 for an exact oracle", row[col["n"]], oracle, ratio)
 		}
 	}
-	if len(res.Rows) != 18 || len(cells) != 18 {
-		t.Errorf("e6 has %d rows over %d distinct (n, oracle, seeding) cells, want 2×3×3 = 18", len(res.Rows), len(cells))
+	if len(res.Rows) != 6 || len(cells) != 6 {
+		t.Errorf("e6 has %d rows over %d distinct (n, oracle) cells, want 2×3 = 6", len(res.Rows), len(cells))
 	}
 }
 

@@ -22,11 +22,10 @@ func init() {
 	register("e2", "§3 CLARA vs PAM — quality/runtime crossover", runE2)
 	register("e3", "§3 Monte-Carlo silhouette — error and speedup vs exact", runE3)
 	register("e4", "§3 auto-k — silhouette-chosen k vs planted k", runE4)
-	register("e5", "SWAP engines — FasterPAM vs classic PAM speedup at equal cost", runE5)
-	register("e6", "seeding + oracles — BUILD vs k-means++/LAB, matrix vs lazy/k-NN", runE6)
+	register("e5", "SWAP engines — PAM's eager swap vs classic PAM, speedup at equal cost", runE5)
+	register("e6", "distance oracles — matrix vs lazy vs k-NN under the same PAM run", runE6)
 	register("a1", "ablation — MI vs Pearson dependency for theme detection", runA1)
 	register("a2", "ablation — tree depth vs description fidelity", runA2)
-	register("a3", "ablation — cluster shape: PAM vs DBSCAN vs linkage on non-convex data", runA3)
 	register("a4", "ablation — dependency-graph sample size vs theme recovery", runA4)
 }
 
@@ -209,7 +208,7 @@ func runE2(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runE5 benchmarks the FasterPAM eager-swap SWAP phase against the
+// runE5 benchmarks PAM's eager-swap SWAP phase (FasterPAM) against the
 // classic Kaufman & Rousseeuw loop on identical inputs. Interactivity is
 // the paper's core constraint — PAM runs twice per user action (themes
 // and maps, §3) — so the SWAP engine is the hottest path in the system.
@@ -240,7 +239,7 @@ func runE5(cfg Config) (*Result, error) {
 		classicTime := time.Since(start)
 
 		start = time.Now()
-		faster, err := cluster.FasterPAM(oracle, sz.k)
+		faster, err := cluster.PAM(oracle, sz.k)
 		if err != nil {
 			return nil, err
 		}
@@ -260,18 +259,14 @@ func runE5(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runE6 measures the two axes of the pluggable distance layer as their
-// product, every oracle under every seeding. Seeding: once FasterPAM cut
-// SWAP to O(n²) per pass, the quadratic BUILD phase dominated the run —
-// k-means++ D² sampling and LAB subsample BUILD cut seeding to O(n·k),
-// and the SWAP phase recovers any quality loss. Oracles: the lazy and
-// k-NN oracles answer the same queries without the n(n-1)/2
-// materialization, trading per-query cost for O(n) memory. The cost
-// ratio is each cell's medoids costed exactly on the matrix against the
-// matrix × BUILD cell.
+// runE6 measures the pluggable distance layer: the same PAM run over
+// each storage. The lazy and k-NN oracles answer the same queries
+// without the n(n-1)/2 materialization, trading per-query cost for O(n)
+// memory. The cost ratio is each oracle's medoids costed exactly on the
+// matrix against the matrix's own.
 func runE6(cfg Config) (*Result, error) {
-	res := &Result{ID: "e6", Title: "Seeding schemes × distance oracles (oracle layer)",
-		Headers: []string{"n", "k", "oracle", "seeding", "oracle build", "seed time", "total time", "cost ratio"}}
+	res := &Result{ID: "e6", Title: "Distance oracles under PAM (oracle layer)",
+		Headers: []string{"n", "k", "oracle", "oracle build", "pam time", "cost ratio"}}
 	for _, sz := range []struct{ n, k int }{{2000, 8}, {5000, 8}} {
 		nn := cfg.scaled(sz.n)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(sz.n)))
@@ -281,7 +276,7 @@ func runE6(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		var matrix cluster.Oracle // the first oracle built: exact costs
-		baseCost := 0.0           // the first cell's: matrix × BUILD
+		baseCost := 0.0           // its medoids' cost
 		for _, strat := range []cluster.OracleStrategy{cluster.OracleMaterialized, cluster.OracleLazy, cluster.OracleKNN} {
 			start := time.Now()
 			o := cluster.BuildOracle(vecs, stats.Euclidean{}, strat, 0, cluster.KNNOracleOptions{})
@@ -289,34 +284,23 @@ func runE6(cfg Config) (*Result, error) {
 			if matrix == nil {
 				matrix = o
 			}
-			for _, s := range []cluster.Seeding{cluster.SeedingBUILD, cluster.SeedingKMeansPP, cluster.SeedingLAB} {
-				start = time.Now()
-				if _, err := cluster.SeedMedoids(o, sz.k, s, rand.New(rand.NewSource(cfg.Seed))); err != nil {
-					return nil, err
-				}
-				seedTime := time.Since(start)
-				start = time.Now()
-				c, err := cluster.PAMRun(o, sz.k, cluster.PAMOptions{
-					Seeding: s, Rand: rand.New(rand.NewSource(cfg.Seed)),
-				})
-				if err != nil {
-					return nil, err
-				}
-				total := time.Since(start)
-				_, trueCost := cluster.AssignToMedoids(matrix, c.Medoids)
-				if baseCost == 0 {
-					baseCost = trueCost
-				}
-				res.addRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", sz.k), strat.String(), s.String(),
-					oracleBuild.Round(time.Millisecond).String(),
-					seedTime.Round(time.Microsecond).String(),
-					total.Round(time.Millisecond).String(),
-					fmt.Sprintf("%.6f", trueCost/baseCost))
+			start = time.Now()
+			c, err := cluster.PAM(o, sz.k)
+			if err != nil {
+				return nil, err
 			}
+			pamTime := time.Since(start)
+			_, trueCost := cluster.AssignToMedoids(matrix, c.Medoids)
+			if baseCost == 0 {
+				baseCost = trueCost
+			}
+			res.addRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", sz.k), strat.String(),
+				oracleBuild.Round(time.Millisecond).String(),
+				pamTime.Round(time.Millisecond).String(),
+				fmt.Sprintf("%.6f", trueCost/baseCost))
 		}
 	}
-	res.note("seeding: BUILD is O(n²·k); k-means++/LAB are O(n·k) — expectation ≥3x faster at n=5000, k=8 at cost ratio ~1.00 after SWAP")
-	res.note("oracles: lazy/k-NN answer without the n(n-1)/2 matrix; k-NN true-cost inflation stays below 2%% on planted data")
+	res.note("oracles: lazy/k-NN answer without the n(n-1)/2 matrix; lazy is exact (ratio 1), k-NN true-cost inflation stays below 2%% on planted data")
 	return res, nil
 }
 
@@ -440,76 +424,6 @@ func runA1(cfg Config) (*Result, error) {
 	}
 	res.note("paper: MI was chosen because 'it copes with mixed values and it is sensitive to non-linear relationships'")
 	res.note("expectation: both measures catch the linear pair; only NMI catches quadratic, sine and the categorical column; both reject noise")
-	return res, nil
-}
-
-// runA3 probes the paper's second map requirement — "it must be able to
-// detect arbitrarily shaped clusters" (§3) — by comparing detectors on
-// convex blobs vs interleaved half-moons. PAM wins on blobs (and is what
-// Blaeu ships); density-based DBSCAN and single-linkage win on moons,
-// which is why the pipeline isolates detection behind the description
-// stage: "we can use arbitrarily sophisticated cluster detection
-// algorithms" without changing the map model.
-func runA3(cfg Config) (*Result, error) {
-	res := &Result{ID: "a3", Title: "Ablation: cluster shape (PAM vs DBSCAN vs linkage)",
-		Headers: []string{"workload", "algorithm", "ARI vs planted", "clusters found"}}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.scaled(600)
-
-	// Convex blobs.
-	blobDS := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: 2, Dims: 2, Sep: 6}, rng)
-	_, blobVecs, err := prep.FitTransform(blobDS.Table, nil, prep.NewOptions())
-	if err != nil {
-		return nil, err
-	}
-	// Interleaved half-moons.
-	moonVecs := make([][]float64, 0, n)
-	moonTruth := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		theta := rng.Float64() * math.Pi
-		c := i % 2
-		var x, y float64
-		if c == 0 {
-			x, y = math.Cos(theta), math.Sin(theta)
-		} else {
-			x, y = 1-math.Cos(theta), 0.5-math.Sin(theta)
-		}
-		moonVecs = append(moonVecs, []float64{x + rng.NormFloat64()*0.04, y + rng.NormFloat64()*0.04})
-		moonTruth = append(moonTruth, c)
-	}
-
-	type workload struct {
-		name  string
-		vecs  [][]float64
-		truth []int
-	}
-	for _, w := range []workload{
-		{"convex blobs", blobVecs, blobDS.Truth["rows"]},
-		{"two moons", moonVecs, moonTruth},
-	} {
-		m := cluster.ComputeDistMatrix(w.vecs, stats.Euclidean{})
-		pam, err := cluster.PAM(m, 2)
-		if err != nil {
-			return nil, err
-		}
-		res.addRow(w.name, "PAM", fmt.Sprintf("%.3f", eval.AdjustedRandIndex(w.truth, pam.Labels)), "2")
-
-		eps := cluster.EstimateEps(m, 5, 0.97)
-		db, err := cluster.DBSCAN(m, cluster.DBSCANOptions{Eps: eps, MinPts: 5})
-		if err != nil {
-			return nil, err
-		}
-		res.addRow(w.name, "DBSCAN", fmt.Sprintf("%.3f", eval.AdjustedRandIndex(w.truth, db.Labels)),
-			fmt.Sprintf("%d", db.K))
-
-		agg, err := cluster.Agglomerative(m, 2, cluster.SingleLinkage)
-		if err != nil {
-			return nil, err
-		}
-		res.addRow(w.name, "single-linkage", fmt.Sprintf("%.3f", eval.AdjustedRandIndex(w.truth, agg.Labels)), "2")
-	}
-	res.note("paper: the detector 'must be able to detect arbitrarily shaped clusters' yet results must stay describable")
-	res.note("expectation: all methods ace convex blobs; PAM fails on moons while DBSCAN/single-linkage recover them — the pipeline's pluggable detection stage absorbs this choice")
 	return res, nil
 }
 

@@ -4,10 +4,10 @@
 // cooperative cancellation through context.Context.
 //
 // The pool exists to keep the HTTP tier responsive. Map builds (theme
-// selection, zoom, projection) are submitted as jobs and run on pool
-// workers, so a large clustering never stalls its session's lock — the
-// lock is held only for the cheap prepare and apply steps around the
-// build (see internal/session.Manager.Submit). The same motivation as
+// selection, zoom, projection, filter) are submitted as jobs and run on
+// pool workers, so a large clustering never stalls its session's lock —
+// the lock is held only for the prepare and apply steps around the build
+// (see internal/session.Manager.Submit). The same motivation as
 // Polynesia's isolated analytical engines: interactive traffic must not
 // queue behind heavy analytics. At scale, admission control and
 // workload isolation are part of the engine (the Cambridge report's

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
 // FuzzOpenOptions drives the session open-options validation — the
 // other untrusted-input parser — with arbitrary JSON: decoding plus
 // apply() must never panic, and whenever apply accepts, the resulting
-// engine options must be within validated bounds.
+// engine options must be within validated bounds. The dataset is taken
+// larger than the sampling budget, so a forced matrix is always over
+// its limit.
 func FuzzOpenOptions(f *testing.F) {
 	f.Add(`{"oracle":"sparse","seeding":"lab"}`)
 	f.Add(`{"oracle":"lazy","mapCacheSize":4,"artifactCacheSize":2}`)
@@ -20,6 +23,7 @@ func FuzzOpenOptions(f *testing.F) {
 	f.Add(`{"seeding":"bogus"}`)
 	f.Add(`{"mapCacheSize":null,"artifactCacheSize":0}`)
 	f.Add(`{}`)
+	f.Add(`{"oracle":"matrix"}`)
 	f.Fuzz(func(t *testing.T, raw string) {
 		var c clusterOptionsJSON
 		if err := json.Unmarshal([]byte(raw), &c); err != nil {
@@ -27,8 +31,11 @@ func FuzzOpenOptions(f *testing.F) {
 		}
 		opts := core.DefaultOptions()
 		base := opts
-		if err := c.apply(&opts); err != nil {
+		if err := c.apply(&opts, 2*opts.SampleSize); err != nil {
 			return
+		}
+		if opts.OracleStrategy == cluster.OracleMaterialized {
+			t.Fatalf("apply accepted a %d-object matrix oracle (input %q)", opts.SampleSize, raw)
 		}
 		for name, v := range map[string]int{
 			"mapCacheSize":      opts.MapCacheSize,

@@ -158,8 +158,7 @@ type stateJSON struct {
 // rejected, so a misspelt or retired option is a 400 rather than a
 // silently ignored one.
 type clusterOptionsJSON struct {
-	Oracle  string `json:"oracle"`
-	Seeding string `json:"seeding"`
+	Oracle string `json:"oracle"`
 	// MapCacheSize / ArtifactCacheSize bound the session's two reuse
 	// tiers (entries). Omitted or 0 keeps the server default; -1
 	// disables the tier; larger values are capped by validation (the
@@ -188,21 +187,26 @@ func validateCacheSize(name string, v int) error {
 	return nil
 }
 
-// apply validates the overrides and writes them into opts.
-func (c *clusterOptionsJSON) apply(opts *core.Options) error {
+// apply validates the overrides for a session over a dataset of rows
+// tuples and writes them into opts.
+func (c *clusterOptionsJSON) apply(opts *core.Options, rows int) error {
 	oracle, err := cluster.ParseOracleStrategy(c.Oracle)
 	if err != nil {
 		return err
 	}
-	seeding, err := cluster.ParseSeeding(c.Seeding)
-	if err != nil {
-		return err
-	}
 	if c.Oracle != "" {
+		// A forced matrix is quadratic in the largest sample a build can
+		// draw and stays pinned per cached artifact — the allocation
+		// OracleAuto's threshold exists to refuse.
+		budget := opts.SampleSize
+		if budget <= 0 {
+			budget = core.DefaultOptions().SampleSize
+		}
+		if n := min(budget, rows); oracle == cluster.OracleMaterialized && n > cluster.DefaultMaterializeThreshold {
+			return fmt.Errorf("oracle %q would materialize a %d-object distance matrix; the limit is %d objects (use auto or lazy)",
+				c.Oracle, n, cluster.DefaultMaterializeThreshold)
+		}
 		opts.OracleStrategy = oracle
-	}
-	if c.Seeding != "" {
-		opts.Seeding = seeding
 	}
 	if c.MapCacheSize != nil {
 		if err := validateCacheSize("mapCacheSize", *c.MapCacheSize); err != nil {
@@ -384,7 +388,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.opts
 	if req.Options != nil {
-		if err := req.Options.apply(&opts); err != nil {
+		if err := req.Options.apply(&opts, t.NumRows()); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}

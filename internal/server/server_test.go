@@ -8,6 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -376,39 +380,49 @@ func TestExportEndpoint(t *testing.T) {
 }
 
 // TestOpenClusterOptions is the table-driven contract of the open
-// request's options block: valid algorithm/oracle/seeding names create a
-// session whose state echoes the chosen strategies, bad values are
-// rejected with 400 before any session is created.
+// request's options block: a valid oracle name creates a session whose
+// state echoes the chosen strategy; bad values, unknown keys and retired
+// ones are rejected with 400 before any session is created.
 func TestOpenClusterOptions(t *testing.T) {
 	cases := []struct {
 		name       string
-		options    map[string]string
+		dataset    string
+		options    map[string]any
 		wantStatus int
-		wantEcho   map[string]string // subset of the echoed cluster block
+		wantOracle string // the echoed cluster.oracle
 	}{
-		{"defaults", nil, http.StatusCreated,
-			map[string]string{"oracle": "auto", "seeding": "auto"}},
-		{"lazy oracle", map[string]string{"oracle": "lazy"}, http.StatusCreated,
-			map[string]string{"oracle": "lazy"}},
-		{"knn oracle", map[string]string{"oracle": "knn"}, http.StatusCreated,
-			map[string]string{"oracle": "knn"}},
-		{"kmeans++ seeding", map[string]string{"seeding": "kmeans++"}, http.StatusCreated,
-			map[string]string{"seeding": "kmeans++"}},
-		{"both", map[string]string{"oracle": "matrix", "seeding": "lab"}, http.StatusCreated,
-			map[string]string{"oracle": "matrix", "seeding": "lab"}},
-		// The PAM SWAP algorithm left the option surface: the retired key
-		// is rejected like any unknown one, not silently ignored.
-		{"retired algorithm", map[string]string{"algorithm": "classic"}, http.StatusBadRequest, nil},
-		{"retired algorithm default", map[string]string{"algorithm": "fasterpam"}, http.StatusBadRequest, nil},
-		{"unknown key", map[string]string{"oracel": "lazy"}, http.StatusBadRequest, nil},
-		{"bad oracle", map[string]string{"oracle": "quantum"}, http.StatusBadRequest, nil},
-		{"bad seeding", map[string]string{"seeding": "astrology"}, http.StatusBadRequest, nil},
-		{"bad alongside good", map[string]string{"seeding": "lab", "oracle": "nope"}, http.StatusBadRequest, nil},
+		{"defaults", "blobs", nil, http.StatusCreated, "auto"},
+		{"lazy oracle", "blobs", map[string]any{"oracle": "lazy"}, http.StatusCreated, "lazy"},
+		{"knn oracle", "blobs", map[string]any{"oracle": "knn"}, http.StatusCreated, "knn"},
+		{"both", "blobs", map[string]any{"oracle": "matrix", "mapCacheSize": 2}, http.StatusCreated, "matrix"},
+		// The PAM SWAP algorithm and the seeding scheme left the option
+		// surface: a retired key is rejected like any unknown one, not
+		// silently ignored, whatever value it carries.
+		{"retired algorithm", "blobs", map[string]any{"algorithm": "classic"}, http.StatusBadRequest, ""},
+		{"retired algorithm default", "blobs", map[string]any{"algorithm": "fasterpam"}, http.StatusBadRequest, ""},
+		{"kmeans++ seeding", "blobs", map[string]any{"seeding": "kmeans++"}, http.StatusBadRequest, ""},
+		{"retired seeding default", "blobs", map[string]any{"seeding": "auto"}, http.StatusBadRequest, ""},
+		{"bad seeding", "blobs", map[string]any{"seeding": "astrology"}, http.StatusBadRequest, ""},
+		{"unknown key", "blobs", map[string]any{"oracel": "lazy"}, http.StatusBadRequest, ""},
+		{"bad oracle", "blobs", map[string]any{"oracle": "quantum"}, http.StatusBadRequest, ""},
+		{"bad alongside good", "blobs", map[string]any{"mapCacheSize": 2, "oracle": "nope"}, http.StatusBadRequest, ""},
+		// A forced matrix is bounded by what a build can sample: 400 rows
+		// fit ("both" above), min(4096-tuple budget, 2100 rows) does not.
+		{"matrix over the limit", "wide", map[string]any{"oracle": "matrix"}, http.StatusBadRequest, ""},
+		{"lazy over the limit", "wide", map[string]any{"oracle": "lazy"}, http.StatusCreated, "lazy"},
 	}
-	ts := testServer(t)
+	small := testServer(t)
+	wide := datagen.PlantedBlobs(datagen.BlobSpec{N: 2100, K: 3, Dims: 4, Sep: 8}, rand.New(rand.NewSource(3)))
+	big := httptest.NewServer(NewWith(map[string]store.Relation{"wide": wide.Table},
+		core.Options{Seed: 1, SampleSize: 4096}, nil))
+	t.Cleanup(big.Close)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := map[string]any{"dataset": "blobs"}
+			ts := small
+			if tc.dataset == "wide" {
+				ts = big
+			}
+			body := map[string]any{"dataset": tc.dataset}
 			if tc.options != nil {
 				body["options"] = tc.options
 			}
@@ -423,23 +437,21 @@ func TestOpenClusterOptions(t *testing.T) {
 			if echo == nil {
 				t.Fatalf("no cluster block in state: %v", st)
 			}
-			for key, want := range tc.wantEcho {
-				if echo[key] != want {
-					t.Errorf("cluster.%s = %v, want %q", key, echo[key], want)
-				}
+			if echo["oracle"] != tc.wantOracle {
+				t.Errorf("cluster.oracle = %v, want %q", echo["oracle"], tc.wantOracle)
 			}
 		})
 	}
 }
 
-// TestOpenClusterOptionsDrivesClustering: a session opened with explicit
-// strategies must still navigate end to end (the options actually reach
-// the mapping pipeline).
+// TestOpenClusterOptionsDrivesClustering: a session opened with an
+// explicit strategy must still navigate end to end (the option actually
+// reaches the mapping pipeline).
 func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 	ts := testServer(t)
 	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
-		"options": map[string]string{"oracle": "lazy", "seeding": "lab"},
+		"options": map[string]string{"oracle": "lazy"},
 	}, http.StatusCreated)
 	id, _ := st["sessionId"].(string)
 	st = doJSON(t, "POST", ts.URL+"/api/sessions/"+id+"/select", map[string]int{"theme": 0}, http.StatusOK)
@@ -447,8 +459,40 @@ func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 		t.Fatalf("no usable map under explicit cluster options: %v", st["map"])
 	}
 	echo, _ := st["cluster"].(map[string]any)
-	if echo["oracle"] != "lazy" || echo["seeding"] != "lab" {
+	if echo["oracle"] != "lazy" {
 		t.Errorf("cluster block not echoed after actions: %v", echo)
+	}
+}
+
+// TestOpenOptionsTableMatchesWire: the keys of README's open-request
+// options table are exactly the JSON keys clusterOptionsJSON decodes —
+// what keeps a retired option from surviving in the documentation and a
+// new one from hiding from it.
+func TestOpenOptionsTableMatchesWire(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(readme), "The open request's `options` block has")
+	if !ok {
+		t.Fatal("README no longer introduces the open request's options table")
+	}
+	_, table, _ := strings.Cut(after, "\n|")
+	table, _, _ = strings.Cut(table, "\n\n")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
+		documented = append(documented, m[1])
+	}
+	var wire []string
+	typ := reflect.TypeOf(clusterOptionsJSON{})
+	for i := 0; i < typ.NumField(); i++ {
+		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		wire = append(wire, key)
+	}
+	sort.Strings(documented)
+	sort.Strings(wire)
+	if !reflect.DeepEqual(documented, wire) {
+		t.Errorf("README documents the option keys %q, the open request decodes %q", documented, wire)
 	}
 }
 

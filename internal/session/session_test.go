@@ -156,19 +156,18 @@ func TestClusterConfigEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ClusterConfig{Oracle: "auto", Seeding: "auto"}
+	want := ClusterConfig{Oracle: "auto"}
 	if cfg := config(s); cfg != want {
 		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
 	}
 	s2, err := m.Open(smallTable(), core.Options{
 		Seed:           1,
 		OracleStrategy: cluster.OracleKNN,
-		Seeding:        cluster.SeedingKMeansPP,
 	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = ClusterConfig{Oracle: "knn", Seeding: "kmeans++"}
+	want = ClusterConfig{Oracle: "knn"}
 	if cfg := config(s2); cfg != want {
 		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
 	}

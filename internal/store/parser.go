@@ -15,8 +15,10 @@ import (
 // Supported: comparison operators < <= > >= = <> != on numbers and quoted
 // strings, IS [NOT] NULL, IN (...), AND/OR/NOT with usual precedence
 // (NOT > AND > OR), parentheses, and double-quoted identifiers for column
-// names with spaces. This is the textual query path of the reproduction:
-// what Blaeu builds by clicking, the CLI accepts as text.
+// names that are not plain words (spaces, a leading digit, a reserved
+// word); a quote inside a literal of either kind is written twice. This
+// is the textual query path of the reproduction: what Blaeu builds by
+// clicking, the CLI accepts as text.
 func ParsePredicate(input string) (Predicate, error) {
 	toks, err := tokenize(input)
 	if err != nil {
@@ -52,6 +54,42 @@ type token struct {
 	text string
 }
 
+// keywords are the reserved words of the predicate and query grammars,
+// in the upper-case form their tokens carry.
+var keywords = [...]string{"AND", "OR", "NOT", "IS", "NULL", "IN", "TRUE", "FALSE",
+	"SELECT", "FROM", "WHERE", "ORDER", "BY", "LIMIT", "ASC", "DESC"}
+
+// keyword returns the reserved word s spells, in any case, or "". It
+// allocates nothing: quoteIdent asks it of every name it renders.
+func keyword(s string) string {
+	if len(s) > len("SELECT") { // the longest of them
+		return ""
+	}
+	for _, k := range keywords {
+		if strings.EqualFold(s, k) {
+			return k
+		}
+	}
+	return ""
+}
+
+// readQuoted reads the body of a literal opened at s[i-1] by quote, a
+// doubled quote standing for one, and returns it with the index past the
+// closing quote, or -1 when the literal never closes.
+func readQuoted(s string, i int, quote byte) (body string, end int) {
+	var sb strings.Builder
+	for ; i < len(s); i++ {
+		if s[i] == quote {
+			if i+1 == len(s) || s[i+1] != quote {
+				return sb.String(), i + 1
+			}
+			i++
+		}
+		sb.WriteByte(s[i])
+	}
+	return "", -1
+}
+
 func tokenize(s string) ([]token, error) {
 	var out []token
 	i := 0
@@ -84,35 +122,19 @@ func tokenize(s string) ([]token, error) {
 			}
 			out = append(out, token{tokOp, op})
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for j < len(s) {
-				if s[j] == '\'' {
-					if j+1 < len(s) && s[j+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(s[j])
-				j++
-			}
-			if j >= len(s) {
+			body, end := readQuoted(s, i+1, c)
+			if end < 0 {
 				return nil, fmt.Errorf("store: unterminated string literal")
 			}
-			out = append(out, token{tokString, sb.String()})
-			i = j + 1
+			out = append(out, token{tokString, body})
+			i = end
 		case c == '"':
-			j := i + 1
-			for j < len(s) && s[j] != '"' {
-				j++
-			}
-			if j >= len(s) {
+			body, end := readQuoted(s, i+1, c)
+			if end < 0 {
 				return nil, fmt.Errorf("store: unterminated quoted identifier")
 			}
-			out = append(out, token{tokIdent, s[i+1 : j]})
-			i = j + 1
+			out = append(out, token{tokIdent, body})
+			i = end
 		case c >= '0' && c <= '9' || c == '-' || c == '.' || c == '+':
 			j := i + 1
 			for j < len(s) && (s[j] >= '0' && s[j] <= '9' || s[j] == '.' || s[j] == 'e' ||
@@ -131,13 +153,10 @@ func tokenize(s string) ([]token, error) {
 				s[j] == '_' || s[j] == '.') {
 				j++
 			}
-			word := s[i:j]
-			switch strings.ToUpper(word) {
-			case "AND", "OR", "NOT", "IS", "NULL", "IN", "TRUE", "FALSE",
-				"SELECT", "FROM", "WHERE", "ORDER", "BY", "LIMIT", "ASC", "DESC":
-				out = append(out, token{tokKeyword, strings.ToUpper(word)})
-			default:
-				out = append(out, token{tokIdent, word})
+			if k := keyword(s[i:j]); k != "" {
+				out = append(out, token{tokKeyword, k})
+			} else {
+				out = append(out, token{tokIdent, s[i:j]})
 			}
 			i = j
 		default:

@@ -135,7 +135,7 @@ func (p StrEq) String() string {
 	if p.Neq {
 		op = "<>"
 	}
-	return fmt.Sprintf("%s %s '%s'", quoteIdent(p.Col), op, p.Val)
+	return quoteIdent(p.Col) + " " + op + " " + quoteString(p.Val)
 }
 
 // StrIn matches rows whose string column value belongs to a set.
@@ -163,7 +163,7 @@ func (p StrIn) Matches(t Relation, i int) bool {
 func (p StrIn) String() string {
 	quoted := make([]string, len(p.Vals))
 	for i, v := range p.Vals {
-		quoted[i] = "'" + v + "'"
+		quoted[i] = quoteString(v)
 	}
 	return fmt.Sprintf("%s IN (%s)", quoteIdent(p.Col), strings.Join(quoted, ", "))
 }
@@ -293,11 +293,26 @@ func (True) Matches(Relation, int) bool { return true }
 // String implements Predicate.
 func (True) String() string { return "TRUE" }
 
+// quoteString renders s as a string literal, an embedded quote doubled —
+// the form the tokenizer reads back.
+func quoteString(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
+// quoteIdent renders a column or table name so the tokenizer reads it
+// back as that identifier: bare when it is a word the grammar would take
+// for nothing else, double-quoted — an embedded quote doubled —
+// otherwise: empty, starting with a digit, holding any other byte, or a
+// reserved word. The bare case allocates nothing (it runs per region per
+// state response).
 func quoteIdent(s string) string {
-	for _, r := range s {
-		if !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9') {
-			return `"` + s + `"`
-		}
+	bare := s != "" && !(s[0] >= '0' && s[0] <= '9') && keyword(s) == ""
+	for i := 0; bare && i < len(s); i++ {
+		c := s[i]
+		bare = c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 	}
-	return s
+	if bare {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }

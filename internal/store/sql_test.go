@@ -156,6 +156,26 @@ func TestQueryStringQuoting(t *testing.T) {
 	if !strings.Contains(s, `"% long hours"`) || !strings.Contains(s, `"my table"`) {
 		t.Errorf("quoting missing: %s", s)
 	}
+	// A name stays bare only if the tokenizer would read it back as that
+	// identifier; values double their quotes.
+	for name, want := range map[string]string{
+		"hours": "hours", "_x1": "_x1", "selection": "selection", "Hours2": "Hours2",
+		"": `""`, "2010": `"2010"`, "order": `"order"`, "Limit": `"Limit"`, "in": `"in"`,
+		"a.b": `"a.b"`, `a"b`: `"a""b"`, "é": `"é"`,
+	} {
+		if got := quoteIdent(name); got != want {
+			t.Errorf("quoteIdent(%q) = %s, want %s", name, got, want)
+		}
+	}
+	if got := (StrIn{Col: "by", Vals: []string{"it's", ""}}).String(); got != `"by" IN ('it''s', '')` {
+		t.Errorf("StrIn renders %s", got)
+	}
+	// quoteIdent runs per region per state response: the common case —
+	// a bare name — must not allocate.
+	name := "hours"
+	if n := testing.AllocsPerRun(100, func() { name = quoteIdent(name) }); n != 0 {
+		t.Errorf("quoteIdent on a bare name allocates %v times", n)
+	}
 }
 
 func TestRunSQLLimitZeroMeansAll(t *testing.T) {
