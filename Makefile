@@ -3,8 +3,11 @@
 
 .PHONY: build test race bench bench-smoke bench-click bench-ab loc vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
-# The scheduler subsystem under the race detector (also a CI step),
-# plus extra iterations of the backpressure overload stress.
+# The scheduler subsystem under the race detector (also a CI step) —
+# the policy-against-model test (TestSchedAgainstModel) and the
+# dispatch-order regression (TestDrainedTenantDoesNotSkipNext) are in
+# the packages named — plus extra iterations of the backpressure
+# overload stress (TestSchedulerOverloadStress).
 race-jobs:
 	go test -race ./internal/jobs/... ./internal/session/...
 	go test -race -count=3 -run 'Overload' ./internal/jobs/...
@@ -118,13 +121,16 @@ bench-ab:
 	go run ./cmd/blaeu-ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -trace $(TRACE)
 
 # The size figures simplification PRs are judged by: non-test Go lines
-# repo-wide (bench/ and testdata excluded), in internal/store and in
-# internal/cluster, and the number of core.Options fields. The CI test
-# job prints them, so every log carries the figures.
+# repo-wide (bench/ and testdata excluded), in internal/store,
+# internal/cluster, internal/jobs and internal/session, and the number
+# of core.Options fields. The CI test job prints them, so every log
+# carries the figures.
 loc:
 	@echo "non-test lines, repo:             $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "non-test lines, internal/store:   $$(ls internal/store/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "non-test lines, internal/cluster: $$(ls internal/cluster/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "non-test lines, internal/jobs:    $$(ls internal/jobs/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "non-test lines, internal/session: $$(ls internal/session/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "core.Options fields:              $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
 
 # Scrape-validity gate (also a CI step): starts an in-process server,

@@ -582,10 +582,7 @@ func overloadEpisode(deadline time.Duration) (p50 time.Duration, shed, done int)
 		perSession = 40
 		jobCost    = 200 * time.Microsecond
 	)
-	p := jobs.NewPoolConfig(jobs.Config{
-		Workers: 2,
-		Tenant:  func(session string) string { return session[:2] },
-	})
+	p := jobs.NewPoolConfig(jobs.Config{Workers: 2})
 	var mu sync.Mutex
 	var latencies []time.Duration
 	var wg sync.WaitGroup
@@ -597,7 +594,7 @@ func overloadEpisode(deadline time.Duration) (p50 time.Duration, shed, done int)
 			if deadline > 0 {
 				opts.Deadline = submitted.Add(deadline)
 			}
-			j, err := p.Submit(session, "work", func(ctx context.Context, j *jobs.Job) (any, error) {
+			j, err := p.Submit(session, session[:2], "work", func(ctx context.Context, j *jobs.Job) (any, error) {
 				time.Sleep(jobCost)
 				return nil, ctx.Err()
 			}, opts)

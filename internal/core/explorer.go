@@ -52,8 +52,11 @@ type State struct {
 // execute on a scheduler worker while the owner's lock is released (see
 // MapBuild).
 type Explorer struct {
-	table  store.Relation
-	opts   Options
+	table store.Relation
+	opts  Options
+	// rng is the session stream. Only detectThemes and prepare (which
+	// seeds each build from it) draw from it — inspections never do, so
+	// reads cannot change the next map.
 	rng    *rand.Rand
 	metric stats.Distance
 	graph  *graph.Graph

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -66,7 +67,12 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 	sd.Pearson = stats.Pearson(xs, ys)
 	sd.Spearman = stats.Spearman(xs, ys)
 	if len(xs) > MaxScatterPoints {
-		idx := store.SampleIndices(len(xs), MaxScatterPoints, e.rng)
+		// A private stream, seeded by the session seed and the region's
+		// rows: an inspection never advances e.rng (the next build would
+		// come out different), and a region shows the same points on
+		// every call.
+		rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(region.fp.of(region.Rows))))
+		idx := store.SampleIndices(len(xs), MaxScatterPoints, rng)
 		sd.X = make([]float64, len(idx))
 		sd.Y = make([]float64, len(idx))
 		for i, j := range idx {

@@ -375,3 +375,43 @@ func TestInspectionReadsPagesNotRows(t *testing.T) {
 		t.Fatal("inspection over the segment differs from the in-memory table's")
 	}
 }
+
+// TestRegionScatterIsReadOnly: a scatter over a region large enough to
+// be thinned must not draw from the session stream — select → scatter →
+// project builds the same map as select → project — and the same region
+// shows the same points on every call.
+func TestRegionScatterIsReadOnly(t *testing.T) {
+	trail := func(scatter bool) string {
+		e, err := NewExplorer(pinnedTable(3*MaxScatterPoints, 7).Table, Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SelectTheme(0); err != nil {
+			t.Fatal(err)
+		}
+		if scatter {
+			cols := e.Themes()[0].Columns
+			first, err := e.RegionScatter(cols[0], cols[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(first.X) != MaxScatterPoints {
+				t.Fatalf("points = %d, want thinned to %d", len(first.X), MaxScatterPoints)
+			}
+			again, _ := e.RegionScatter(cols[0], cols[1])
+			if !reflect.DeepEqual(first, again) {
+				t.Error("the same region showed different points on a second call")
+			}
+		}
+		m, err := e.Project(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		mapDigest(&sb, "project", m)
+		return sb.String()
+	}
+	if plain, read := trail(false), trail(true); plain != read {
+		t.Errorf("a scatter changed the next map:\nwithout:\n%swith:\n%s", plain, read)
+	}
+}

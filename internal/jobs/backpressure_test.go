@@ -15,9 +15,15 @@ import (
 // waits for it to be running.
 func gate(t *testing.T, p *Pool, session string) (release chan struct{}, j *Job) {
 	t.Helper()
+	return gateTenant(t, p, session, "")
+}
+
+// gateTenant is gate with the session's tenant said.
+func gateTenant(t *testing.T, p *Pool, session, tenant string) (release chan struct{}, j *Job) {
+	t.Helper()
 	started := make(chan struct{})
 	release = make(chan struct{})
-	j, err := p.Submit(session, "gate", func(ctx context.Context, j *Job) (any, error) {
+	j, err := p.Submit(session, tenant, "gate", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		select {
 		case <-release:
@@ -41,11 +47,11 @@ func TestQueueFullPerSession(t *testing.T) {
 	release, _ := gate(t, p, "a")
 	defer close(release)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
+		if _, err := p.Submit("a", "", "work", noop, SubmitOptions{}); err != nil {
 			t.Fatalf("submit %d under the cap: %v", i, err)
 		}
 	}
-	_, err := p.Submit("a", "work", noop, SubmitOptions{})
+	_, err := p.Submit("a", "", "work", noop, SubmitOptions{})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap submit err = %v, want ErrQueueFull", err)
 	}
@@ -54,7 +60,7 @@ func TestQueueFullPerSession(t *testing.T) {
 		t.Errorf("queue-full detail = %+v", qf)
 	}
 	// Another session is not affected by a's cap.
-	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
+	if _, err := p.Submit("b", "", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatalf("other session rejected: %v", err)
 	}
 	st := p.Stats()
@@ -67,13 +73,13 @@ func TestQueueFullGlobal(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1, MaxQueued: 2})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
-	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
+	if _, err := p.Submit("b", "", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit("c", "work", noop, SubmitOptions{}); err != nil {
+	if _, err := p.Submit("c", "", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Submit("d", "work", noop, SubmitOptions{})
+	_, err := p.Submit("d", "", "work", noop, SubmitOptions{})
 	var qf *QueueFullError
 	if !errors.As(err, &qf) || qf.Scope != ScopePool || qf.Limit != 2 {
 		t.Fatalf("over-cap submit err = %v, want pool-scoped QueueFullError", err)
@@ -83,7 +89,7 @@ func TestQueueFullGlobal(t *testing.T) {
 	close(release)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := p.Submit("d", "work", noop, SubmitOptions{}); err == nil {
+		if _, err := p.Submit("d", "", "work", noop, SubmitOptions{}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -99,11 +105,10 @@ func TestQueueFullGlobal(t *testing.T) {
 func TestWeightedFairness(t *testing.T) {
 	p := NewPoolConfig(Config{
 		Workers: 1,
-		Tenant:  func(session string) string { return session[:1] },
 		Weights: map[string]int{"a": 2, "b": 1},
 	})
 	defer p.Close()
-	release, g := gate(t, p, "a-s1")
+	release, g := gateTenant(t, p, "a-s1", "a")
 
 	var mu sync.Mutex
 	var order []string
@@ -117,11 +122,11 @@ func TestWeightedFairness(t *testing.T) {
 	}
 	var all []*Job
 	for i := 0; i < 20; i++ {
-		ja, err := p.Submit("a-s1", "work", mark("a"), SubmitOptions{})
+		ja, err := p.Submit("a-s1", "a", "work", mark("a"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := p.Submit("b-s1", "work", mark("b"), SubmitOptions{})
+		jb, err := p.Submit("b-s1", "b", "work", mark("b"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,14 +166,13 @@ func TestWeightedFairness(t *testing.T) {
 func TestMaxInFlightQuota(t *testing.T) {
 	p := NewPoolConfig(Config{
 		Workers:            4,
-		Tenant:             func(session string) string { return session[:1] },
 		DefaultMaxInFlight: 1,
 	})
 	defer p.Close()
 	var active, maxActive int32
 	var all []*Job
 	for i := 0; i < 6; i++ {
-		j, err := p.Submit(fmt.Sprintf("a-s%d", i), "work", func(ctx context.Context, j *Job) (any, error) {
+		j, err := p.Submit(fmt.Sprintf("a-s%d", i), "a", "work", func(ctx context.Context, j *Job) (any, error) {
 			n := atomic.AddInt32(&active, 1)
 			for {
 				m := atomic.LoadInt32(&maxActive)
@@ -186,7 +190,7 @@ func TestMaxInFlightQuota(t *testing.T) {
 		all = append(all, j)
 	}
 	// Tenant b is not held back by a's quota.
-	jb, err := p.Submit("b-s1", "work", noop, SubmitOptions{})
+	jb, err := p.Submit("b-s1", "b", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +216,14 @@ func TestDeadlineShed(t *testing.T) {
 	release, _ := gate(t, p, "a")
 
 	ran := false
-	doomed, err := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	doomed, err := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		ran = true
 		return nil, nil
 	}, SubmitOptions{Deadline: time.Now().Add(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := p.Submit("a", "work", noop, SubmitOptions{})
+	healthy, err := p.Submit("a", "", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestDeadlineShed(t *testing.T) {
 func TestRetentionPerSession(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	quiet, err := p.Submit("quiet", "work", noop, SubmitOptions{})
+	quiet, err := p.Submit("quiet", "", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +270,7 @@ func TestRetentionPerSession(t *testing.T) {
 	}
 	var busy []*Job
 	for i := 0; i < DefaultRetainPerSession+1; i++ {
-		j, err := p.Submit("busy", "work", noop, SubmitOptions{})
+		j, err := p.Submit("busy", "", "work", noop, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +304,7 @@ func TestRetentionPerSession(t *testing.T) {
 func TestReleaseSession(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	finished, err := p.Submit("a", "work", noop, SubmitOptions{})
+	finished, err := p.Submit("a", "", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +343,7 @@ func TestTenantStatePruned(t *testing.T) {
 	defer p.Close()
 	for i := 0; i < 5; i++ {
 		session := fmt.Sprintf("s%d", i)
-		j, err := p.Submit(session, "work", noop, SubmitOptions{})
+		j, err := p.Submit(session, "", "work", noop, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +361,7 @@ func TestTenantStatePruned(t *testing.T) {
 		t.Errorf("pool-level done = %d, want 5 (must survive tenant pruning)", st.Done)
 	}
 	// A tenant with a still-pinned session survives.
-	j, err := p.Submit("live", "work", noop, SubmitOptions{})
+	j, err := p.Submit("live", "", "work", noop, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +382,7 @@ func TestCancelSessionCounts(t *testing.T) {
 	release, _ := gate(t, p, "a")
 	defer close(release)
 	for i := 0; i < 3; i++ {
-		if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
+		if _, err := p.Submit("a", "", "work", noop, SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,10 +432,10 @@ func TestStatsSnapshot(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1, MaxQueued: 50, MaxQueuedPerSession: 10})
 	defer p.Close()
 	release, _ := gate(t, p, "a")
-	if _, err := p.Submit("a", "work", noop, SubmitOptions{}); err != nil {
+	if _, err := p.Submit("a", "", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit("b", "work", noop, SubmitOptions{}); err != nil {
+	if _, err := p.Submit("b", "", "work", noop, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -460,7 +464,6 @@ func TestSchedulerOverloadStress(t *testing.T) {
 		Workers:             2,
 		MaxQueued:           32,
 		MaxQueuedPerSession: 4,
-		Tenant:              func(session string) string { return session[:2] },
 		Weights:             map[string]int{"t0": 3, "t1": 2},
 		DefaultMaxInFlight:  1,
 	})
@@ -485,7 +488,7 @@ func TestSchedulerOverloadStress(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						opts.Deadline = time.Now().Add(time.Duration(rng.Intn(2)) * time.Millisecond)
 					}
-					j, err := p.Submit(session, "work", func(ctx context.Context, j *Job) (any, error) {
+					j, err := p.Submit(session, session[:2], "work", func(ctx context.Context, j *Job) (any, error) {
 						time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 						return nil, ctx.Err()
 					}, opts)

@@ -18,11 +18,14 @@
 //   - jobs of one session run strictly in submit order, one at a time
 //     (per-session serialization — what makes the prepare/apply protocol
 //     of core.MapBuild safe without holding the session lock);
-//   - sessions roll up to tenants (Config.Tenant; identity by default)
-//     and dispatch across tenants is weighted round-robin: a tenant of
-//     weight w is offered up to w consecutive dispatches per round
-//     (Config.Weights), so under contention it completes ~w× the work
-//     of a weight-1 tenant and nobody starves;
+//   - sessions roll up to tenants (named at Submit; a session is its
+//     own tenant by default) and dispatch across tenants is weighted
+//     round-robin: a tenant of weight w is offered up to w consecutive
+//     dispatches per round (Config.Weights), so under contention it
+//     completes ~w× the work of a weight-1 tenant and nobody starves;
+//   - a tenant that gets queued work joins the back of the round, and one
+//     whose queue a dispatch drains hands the turn to the tenant behind
+//     it — so single-job tenants run in arrival order;
 //   - within a tenant, dispatch is round-robin over its sessions;
 //   - a tenant never runs more than its in-flight quota concurrently
 //     (Config.DefaultMaxInFlight);
@@ -85,12 +88,12 @@ type Func func(ctx context.Context, j *Job) (any, error)
 // guarded by the owning pool's lock; the accessors below are safe for
 // concurrent use.
 type Job struct {
-	pool    *Pool
-	id      string
-	session string
-	tenant  string
-	kind    string
-	fn      Func
+	pool *Pool
+	id   string
+	seq  int           // submit order; id is its formatted form
+	sess *sessionState // the session's record, which names its tenant
+	kind string
+	fn   Func
 
 	ctx      context.Context
 	cancelFn context.CancelFunc
@@ -114,11 +117,11 @@ func (j *Job) ID() string { return j.id }
 
 // Session returns the serialization key the job was submitted under
 // (the session ID at the HTTP tier).
-func (j *Job) Session() string { return j.session }
+func (j *Job) Session() string { return j.sess.name }
 
 // Tenant returns the fairness/quota key the job is accounted under —
-// the session itself unless the pool was configured with a tenant hook.
-func (j *Job) Tenant() string { return j.tenant }
+// the session itself unless its first Submit named a tenant.
+func (j *Job) Tenant() string { return j.sess.tenant.name }
 
 // Status returns the current lifecycle state.
 func (j *Job) Status() Status {
@@ -250,7 +253,7 @@ func (j *Job) Info() Info {
 	defer j.pool.mu.Unlock()
 	out := Info{
 		ID:         j.id,
-		Session:    j.session,
+		Session:    j.sess.name,
 		Kind:       j.kind,
 		Status:     j.status,
 		Progress:   j.progress,
@@ -259,8 +262,8 @@ func (j *Job) Info() Info {
 		FinishedAt: stamp(j.finished),
 		Deadline:   stamp(j.deadline),
 	}
-	if j.tenant != j.session {
-		out.Tenant = j.tenant
+	if t := j.sess.tenant.name; t != j.sess.name {
+		out.Tenant = t
 	}
 	switch {
 	case !j.started.IsZero():

@@ -20,7 +20,7 @@ func waitCtx(t *testing.T) context.Context {
 func TestSubmitRunDone(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 2})
 	defer p.Close()
-	j, err := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
+	j, err := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		j.SetProgress(0.5)
 		j.SetMeta("touched", true)
 		return 42, nil
@@ -53,7 +53,7 @@ func TestFailedJob(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	boom := errors.New("boom")
-	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
+	j, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		return nil, boom
 	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); !errors.Is(err, boom) {
@@ -67,7 +67,7 @@ func TestFailedJob(t *testing.T) {
 func TestPanicBecomesFailure(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	j, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
+	j, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		panic("kaboom")
 	}, SubmitOptions{})
 	if err := j.Wait(waitCtx(t)); err == nil {
@@ -77,7 +77,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 		t.Errorf("status = %s", j.Status())
 	}
 	// The worker survived the panic.
-	j2, _ := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil }, SubmitOptions{})
+	j2, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil }, SubmitOptions{})
 	if err := j2.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPerSessionSerializationAndOrder(t *testing.T) {
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
 		i := i
-		j, err := p.Submit("s1", "work", func(ctx context.Context, j *Job) (any, error) {
+		j, err := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) {
 			n := atomic.AddInt32(&active, 1)
 			if n > atomic.LoadInt32(&maxActive) {
 				atomic.StoreInt32(&maxActive, n)
@@ -133,7 +133,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	defer p.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	gate, _ := p.Submit("a", "gate", func(ctx context.Context, j *Job) (any, error) {
+	gate, _ := p.Submit("a", "", "gate", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -150,9 +150,9 @@ func TestRoundRobinFairness(t *testing.T) {
 			return nil, nil
 		}
 	}
-	a2, _ := p.Submit("a", "work", mark("a2"), SubmitOptions{})
-	a3, _ := p.Submit("a", "work", mark("a3"), SubmitOptions{})
-	b1, _ := p.Submit("b", "work", mark("b1"), SubmitOptions{})
+	a2, _ := p.Submit("a", "", "work", mark("a2"), SubmitOptions{})
+	a3, _ := p.Submit("a", "", "work", mark("a3"), SubmitOptions{})
+	b1, _ := p.Submit("b", "", "work", mark("b1"), SubmitOptions{})
 	close(release)
 	for _, j := range []*Job{gate, a2, a3, b1} {
 		if err := j.Wait(waitCtx(t)); err != nil {
@@ -167,20 +167,57 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestDrainedTenantDoesNotSkipNext: single-job sessions queued behind a
+// busy worker — the default deployment's shape, every session its own
+// tenant and one click at a time — run in arrival order. A dispatch that
+// drains its tenant leaves the cursor on the next tenant; advancing on
+// top of that (the old popLocked) skipped one per dispatch and ran
+// a b c d as b d c a. The same one level down: a tenant's single-job
+// sessions run in arrival order too.
+func TestDrainedTenantDoesNotSkipNext(t *testing.T) {
+	for _, tenant := range []string{"", "shared"} {
+		p := NewPoolConfig(Config{Workers: 1})
+		release, _ := gateTenant(t, p, "gate", tenant)
+		var order []string // written by the one worker, read after the waits
+		var all []*Job
+		want := []string{"a", "b", "c", "d"}
+		for _, s := range want {
+			j, err := p.Submit(s, tenant, "work", func(ctx context.Context, j *Job) (any, error) {
+				order = append(order, j.Session())
+				return nil, nil
+			}, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, j)
+		}
+		close(release)
+		for _, j := range all {
+			if err := j.Wait(waitCtx(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Close()
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("tenant %q: ran %v, want arrival order %v", tenant, order, want)
+		}
+	}
+}
+
 func TestCancelQueued(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	p.Submit("a", "gate", func(ctx context.Context, j *Job) (any, error) {
+	p.Submit("a", "", "gate", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-release
 		return nil, nil
 	}, SubmitOptions{})
 	<-started
 	ran := false
-	q, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	q, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		ran = true
 		return nil, nil
 	}, SubmitOptions{})
@@ -205,7 +242,7 @@ func TestCancelRunning(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
-	j, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	j, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -226,14 +263,14 @@ func TestCancelSession(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
 	started := make(chan struct{})
-	running, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	running, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}, SubmitOptions{})
 	<-started
-	q1, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
-	other, _ := p.Submit("b", "work", func(ctx context.Context, j *Job) (any, error) { return "b", nil }, SubmitOptions{})
+	q1, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
+	other, _ := p.Submit("b", "", "work", func(ctx context.Context, j *Job) (any, error) { return "b", nil }, SubmitOptions{})
 	if n := p.CancelSession("a"); n != 2 {
 		t.Errorf("cancelled %d jobs, want 2", n)
 	}
@@ -251,18 +288,18 @@ func TestCancelSession(t *testing.T) {
 func TestCloseCancelsAndStops(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	started := make(chan struct{})
-	running, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	running, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}, SubmitOptions{})
 	<-started
-	queued, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
+	queued, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 	p.Close()
 	if running.Status() != StatusCancelled || queued.Status() != StatusCancelled {
 		t.Errorf("statuses after close: %s, %s", running.Status(), queued.Status())
 	}
-	if _, err := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{}); err == nil {
+	if _, err := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{}); err == nil {
 		t.Error("submit after close should fail")
 	}
 	p.Close() // idempotent
@@ -273,10 +310,10 @@ func TestSessionJobsOrdered(t *testing.T) {
 	defer p.Close()
 	var want []string
 	for i := 0; i < 3; i++ {
-		j, _ := p.Submit("a", fmt.Sprintf("k%d", i), func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
+		j, _ := p.Submit("a", "", fmt.Sprintf("k%d", i), func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 		want = append(want, j.ID())
 	}
-	p.Submit("b", "other", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
+	p.Submit("b", "", "other", func(ctx context.Context, j *Job) (any, error) { return nil, nil }, SubmitOptions{})
 	got := p.SessionJobs("a")
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
@@ -300,7 +337,7 @@ func TestSessionJobsInterleavedCancel(t *testing.T) {
 	var a2 *Job
 	for i := 1; i <= 3; i++ {
 		for _, s := range []string{"a", "b"} {
-			j, err := p.Submit(s, "work", noop, SubmitOptions{})
+			j, err := p.Submit(s, "", "work", noop, SubmitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +381,7 @@ func TestSessionJobsInterleavedCancel(t *testing.T) {
 func TestRunTasksFromInsideJob(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	j, _ := p.Submit("a", "fanout", func(ctx context.Context, j *Job) (any, error) {
+	j, _ := p.Submit("a", "", "fanout", func(ctx context.Context, j *Job) (any, error) {
 		var n int32
 		tasks := make([]func(), 16)
 		for i := range tasks {
@@ -364,7 +401,7 @@ func TestRunTasksFromInsideJob(t *testing.T) {
 func TestProgressClampedAndMonotone(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1})
 	defer p.Close()
-	j, _ := p.Submit("a", "work", func(ctx context.Context, j *Job) (any, error) {
+	j, _ := p.Submit("a", "", "work", func(ctx context.Context, j *Job) (any, error) {
 		j.SetProgress(0.8)
 		j.SetProgress(0.2) // regression: ignored
 		if got := j.Progress(); got != 0.8 {

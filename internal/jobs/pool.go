@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,10 +47,9 @@ func (e *QueueFullError) Error() string {
 func (e *QueueFullError) Unwrap() error { return ErrQueueFull }
 
 // Config tunes the scheduler: worker width, admission control (queue
-// caps), tenant attribution and weighted fairness, and the per-tenant
-// concurrency quota. The zero value is a pool with one worker per CPU,
-// unbounded queues, every session its own tenant at weight 1 — exactly
-// the pre-backpressure scheduler.
+// caps), tenant weights and the per-tenant concurrency quota. The zero
+// value is one worker per CPU, unbounded queues, every tenant at weight
+// 1. Which tenant a session belongs to is said at Submit, not here.
 type Config struct {
 	// Workers is the number of job workers (<= 0 means runtime.NumCPU()).
 	Workers int
@@ -61,12 +60,6 @@ type Config struct {
 	// MaxQueuedPerSession caps the queued jobs of one session; Submit
 	// beyond it fails with a session-scoped QueueFullError (0 = unbounded).
 	MaxQueuedPerSession int
-	// Tenant maps a session key to its tenant — the unit of weighted
-	// fairness and quota accounting. nil means every session is its own
-	// tenant. The hook is called under the pool lock and must not call
-	// back into the pool. A session's tenant is pinned at its first
-	// submission and reused while the session has work or retained jobs.
-	Tenant func(session string) string
 	// Weights assigns weighted-round-robin dispatch weights per tenant: a
 	// weight-w tenant is offered up to w dispatches per scheduling round,
 	// so under contention it completes ~w× the jobs of a weight-1 tenant.
@@ -93,66 +86,50 @@ type SubmitOptions struct {
 	Deadline time.Time
 }
 
-// tenantState is one tenant's scheduling and accounting state. All
-// fields are guarded by the pool lock. The state lives as long as the
-// tenant has pinned sessions or work in flight and is pruned afterwards
-// (see maybeDropTenantLocked), so an endless stream of one-shot sessions
-// — each its own tenant by default — cannot grow the map unboundedly;
-// per-tenant counters therefore cover the tenant's current lifetime,
-// while the pool-level counters in Stats are forever.
-type tenantState struct {
-	weight      int      // WRR weight (>= 1)
-	maxInFlight int      // concurrent-running cap (0 = unbounded)
-	sessions    []string // tenant-local subring: sessions with queued work
-	snext       int      // subring cursor
-	burst       int      // dispatches consumed in the current WRR visit
-	queued      int      // queued jobs across the tenant's sessions
-	inFlight    int      // running jobs
-	pins        int      // sessions pinned to this tenant (sessionTenant)
-
-	done, failed, cancelled, shed, rejected uint64
-
-	// Labeled registry counters mirroring the plain counters above.
-	// Pruning the tenant drops the plain counters (Stats covers the
-	// current lifetime) but the registry series persist — get-or-create
-	// hands the same handles back if the tenant returns, so
-	// blaeu_tenant_jobs_total is cumulative the way Prometheus expects.
-	mDone, mFailed, mCancelled, mShed, mRejected *obs.Counter
+// sessionState is the pool's one record of a session, kept from its
+// first submit until it is released with nothing in flight. sched moves
+// jobs from queue to running; done and released are retention's.
+type sessionState struct {
+	name     string
+	tenant   *tenantState // fixed by the first submit
+	queue    []*Job       // queued jobs, FIFO
+	running  *Job         // the session's running job, if any
+	done     []*Job       // retained terminal jobs, oldest first
+	released bool         // dropped by the session tier; retains nothing
 }
+
+// outcomeCounters is one jobs_total family by outcome label: the four
+// terminal statuses plus outcomeRejected — not a job's status, since a
+// refused submit never becomes a job.
+type outcomeCounters map[Status]*obs.Counter
+
+const outcomeRejected Status = "rejected"
+
+var outcomeLabels = []Status{StatusDone, StatusFailed, StatusCancelled, StatusShed, outcomeRejected}
 
 // Pool is a bounded worker pool dispatching jobs FIFO per session, with
 // weighted round-robin fairness across tenants and round-robin across a
 // tenant's sessions (see the package comment for the full scheduling
-// contract, including backpressure and deadline shedding).
+// contract, including backpressure and deadline shedding). The pool is
+// the mechanism — workers, cancellation, retention, accounting; which
+// job runs next is sched's decision.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	cfg  Config
 
-	cfg     Config
-	workers int
+	sched    sched
+	sessions map[string]*sessionState
+	tenants  map[string]*tenantState // live tenants (see tenantState)
+	jobs     map[string]*Job         // every known job by ID
 
-	queues  map[string][]*Job // per-session FIFO of queued jobs
-	running map[string]*Job   // session -> its currently running job
-	jobs    map[string]*Job   // every known job by ID
-
-	tenants       map[string]*tenantState
-	ring          []string          // tenants with queued work, WRR order
-	next          int               // ring cursor
-	sessionTenant map[string]string // pinned tenant per session with work
-
-	doneBySession map[string][]string // terminal job IDs per session, oldest first
-	released      map[string]struct{} // sessions dropped by the session tier, draining
-
-	queuedTotal int
 	// Pool-lifetime outcome counters, held as registry handles so the
-	// scheduler's counts and /metrics are one source of truth
-	// (tenantState counters are pruned with their tenant; these never
-	// reset). With no registry configured the handles are detached but
-	// still count.
-	done, failed, cancelled, shedTotal, rejected *obs.Counter
-	queueWait, runTime                           *obs.Histogram
-	nextID                                       int
-	closed                                       bool
+	// scheduler's counts and /metrics are one source of truth. With no
+	// registry configured the handles are detached but still count.
+	outcome            outcomeCounters
+	queueWait, runTime *obs.Histogram
+	nextID             int
+	closed             bool
 
 	wg      sync.WaitGroup
 	compute chan struct{} // fan-out lane for RunTasks
@@ -166,24 +143,18 @@ func NewPoolConfig(cfg Config) *Pool {
 		cfg.Workers = runtime.NumCPU()
 	}
 	p := &Pool{
-		cfg:           cfg,
-		workers:       cfg.Workers,
-		queues:        make(map[string][]*Job),
-		running:       make(map[string]*Job),
-		jobs:          make(map[string]*Job),
-		tenants:       make(map[string]*tenantState),
-		sessionTenant: make(map[string]string),
-		doneBySession: make(map[string][]string),
-		released:      make(map[string]struct{}),
-		compute:       make(chan struct{}, cfg.Workers),
+		cfg:      cfg,
+		sched:    sched{maxQueued: cfg.MaxQueued, maxQueuedPerSession: cfg.MaxQueuedPerSession},
+		sessions: make(map[string]*sessionState),
+		tenants:  make(map[string]*tenantState),
+		jobs:     make(map[string]*Job),
+		outcome:  make(outcomeCounters),
+		compute:  make(chan struct{}, cfg.Workers),
 	}
 	reg := cfg.Obs
-	const outcomeHelp = "Jobs by terminal outcome."
-	p.done = reg.Counter("blaeu_jobs_total", outcomeHelp, obs.Labels{"outcome": "done"})
-	p.failed = reg.Counter("blaeu_jobs_total", outcomeHelp, obs.Labels{"outcome": "failed"})
-	p.cancelled = reg.Counter("blaeu_jobs_total", outcomeHelp, obs.Labels{"outcome": "cancelled"})
-	p.shedTotal = reg.Counter("blaeu_jobs_total", outcomeHelp, obs.Labels{"outcome": "shed"})
-	p.rejected = reg.Counter("blaeu_jobs_total", outcomeHelp, obs.Labels{"outcome": "rejected"})
+	for _, o := range outcomeLabels {
+		p.outcome[o] = reg.Counter("blaeu_jobs_total", "Jobs by terminal outcome.", obs.Labels{"outcome": string(o)})
+	}
 	p.queueWait = reg.Histogram("blaeu_job_queue_wait_seconds",
 		"Submit-to-dispatch wait (shed jobs: submit-to-shed).", nil, nil)
 	p.runTime = reg.Histogram("blaeu_job_run_seconds",
@@ -193,7 +164,7 @@ func NewPoolConfig(cfg Config) *Pool {
 	reg.Gauge("blaeu_jobs_workers", "Configured worker parallelism.", nil).Set(float64(cfg.Workers))
 	reg.RegisterCollector(func() {
 		p.mu.Lock()
-		q, r := p.queuedTotal, len(p.running)
+		q, r := p.sched.queued, p.sched.running
 		p.mu.Unlock()
 		gQueued.Set(float64(q))
 		gRunning.Set(float64(r))
@@ -207,103 +178,90 @@ func NewPoolConfig(cfg Config) *Pool {
 }
 
 // Workers returns the pool's parallelism.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return p.cfg.Workers }
 
 // Submit queues fn as a job under the given session key and returns its
-// handle immediately. Jobs of one session run FIFO, one at a time. Under
-// overload (a queue cap reached) it fails with ErrQueueFull instead of
-// queueing unboundedly. opts carries the per-job scheduling options
-// (deadline); the zero value sets none.
-func (p *Pool) Submit(session, kind string, fn Func, opts SubmitOptions) (*Job, error) {
+// handle immediately. Jobs of one session run FIFO, one at a time. tenant
+// is the session's fairness and quota group ("" = the session is its own
+// tenant); the session's first submit fixes it. Under overload (a queue
+// cap reached) Submit fails with ErrQueueFull instead of queueing
+// unboundedly. opts carries the per-job scheduling options (deadline).
+func (p *Pool) Submit(session, tenant, kind string, fn Func, opts SubmitOptions) (*Job, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, errors.New("jobs: pool is closed")
 	}
-	tenant, pinned := p.sessionTenant[session]
-	if !pinned {
-		tenant = p.tenantName(session)
-	}
-	t := p.tenantFor(tenant)
-	if cap := p.cfg.MaxQueuedPerSession; cap > 0 && len(p.queues[session]) >= cap {
-		t.rejected++
-		t.mRejected.Inc()
-		p.rejected.Inc()
-		p.maybeDropTenantLocked(tenant)
-		return nil, &QueueFullError{Scope: ScopeSession, Key: session, Limit: cap}
-	}
-	if cap := p.cfg.MaxQueued; cap > 0 && p.queuedTotal >= cap {
-		t.rejected++
-		t.mRejected.Inc()
-		p.rejected.Inc()
-		p.maybeDropTenantLocked(tenant)
-		return nil, &QueueFullError{Scope: ScopePool, Key: tenant, Limit: cap}
-	}
-	if !pinned {
-		p.sessionTenant[session] = tenant
-		t.pins++
-	}
-	delete(p.released, session) // the session is live again
-	p.nextID++
-	ctx, cancel := context.WithCancel(context.Background())
+	s := p.sessionFor(session, tenant)
 	j := &Job{
 		pool:     p,
-		id:       fmt.Sprintf("j%06d", p.nextID),
-		session:  session,
-		tenant:   tenant,
+		sess:     s,
 		kind:     kind,
 		fn:       fn,
-		ctx:      ctx,
-		cancelFn: cancel,
 		deadline: opts.Deadline,
 		done:     make(chan struct{}),
 		status:   StatusQueued,
 		meta:     make(map[string]any),
 		created:  time.Now(),
 	}
+	if err := p.sched.push(j); err != nil {
+		s.tenant.outcome[outcomeRejected].Inc()
+		p.outcome[outcomeRejected].Inc()
+		p.dropIfDrainedLocked(s)
+		return nil, err
+	}
+	s.released = false // the session is live again
+	p.nextID++
+	j.seq, j.id = p.nextID, fmt.Sprintf("j%06d", p.nextID)
+	j.ctx, j.cancelFn = context.WithCancel(context.Background())
 	p.jobs[j.id] = j
-	if len(p.queues[session]) == 0 {
-		t.sessions = append(t.sessions, session)
-	}
-	if t.queued == 0 {
-		p.ring = append(p.ring, tenant)
-	}
-	p.queues[session] = append(p.queues[session], j)
-	t.queued++
-	p.queuedTotal++
 	p.cond.Signal()
 	return j, nil
 }
 
-// tenantName resolves the tenant of a session through the configured
-// hook (identity when none is set).
-func (p *Pool) tenantName(session string) string {
-	if p.cfg.Tenant == nil {
-		return session
+// sessionFor returns the session's record, making it and its tenant's
+// state on first sight. A fresh record starts out released, so a first
+// submit that is refused leaves nothing behind.
+func (p *Pool) sessionFor(session, tenant string) *sessionState {
+	if s := p.sessions[session]; s != nil {
+		return s
 	}
-	return p.cfg.Tenant(session)
+	if tenant == "" {
+		tenant = session
+	}
+	t := p.tenants[tenant]
+	if t == nil {
+		t = &tenantState{
+			name:        tenant,
+			weight:      max(p.cfg.Weights[tenant], 1),
+			maxInFlight: max(p.cfg.DefaultMaxInFlight, 0),
+			outcome:     make(outcomeCounters),
+		}
+		for _, o := range outcomeLabels {
+			t.outcome[o] = p.cfg.Obs.Counter("blaeu_tenant_jobs_total", "Jobs by tenant and terminal outcome.",
+				obs.Labels{"tenant": tenant, "outcome": string(o)})
+		}
+		p.tenants[tenant] = t
+	}
+	t.live++
+	s := &sessionState{name: session, tenant: t, released: true}
+	p.sessions[session] = s
+	return s
 }
 
-// tenantFor returns the tenant's scheduling state, creating it with its
-// configured weight and in-flight cap on first sight.
-func (p *Pool) tenantFor(name string) *tenantState {
-	if t, ok := p.tenants[name]; ok {
-		return t
+// dropIfDrainedLocked forgets a released session once nothing of it is
+// queued or running, and the tenant's state with its last session — its
+// counts are rolled up at pool level, so nothing observable is lost, and
+// a stream of short-lived identity tenants cannot grow p.tenants (or the
+// Stats payload) without bound.
+func (p *Pool) dropIfDrainedLocked(s *sessionState) {
+	if !s.released || len(s.queue) > 0 || s.running != nil {
+		return
 	}
-	w := p.cfg.Weights[name]
-	if w <= 0 {
-		w = 1
+	delete(p.sessions, s.name)
+	if s.tenant.live--; s.tenant.live == 0 {
+		delete(p.tenants, s.tenant.name)
 	}
-	t := &tenantState{weight: w, maxInFlight: max(p.cfg.DefaultMaxInFlight, 0)}
-	const help = "Jobs by tenant and terminal outcome."
-	reg := p.cfg.Obs
-	t.mDone = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "done"})
-	t.mFailed = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "failed"})
-	t.mCancelled = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "cancelled"})
-	t.mShed = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "shed"})
-	t.mRejected = reg.Counter("blaeu_tenant_jobs_total", help, obs.Labels{"tenant": name, "outcome": "rejected"})
-	p.tenants[name] = t
-	return t
 }
 
 // Get looks up a job by ID. Terminal jobs stay visible until the
@@ -318,29 +276,22 @@ func (p *Pool) Get(id string) (*Job, bool) {
 
 // SessionJobs returns every known job of the session (retained terminal
 // ones, the running one and the queued ones) in submit order. It reads
-// only the pool's per-session indexes, never the other sessions' jobs.
+// only the session's own record, never the other sessions' jobs.
 func (p *Pool) SessionJobs(session string) []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	done, queued := p.doneBySession[session], p.queues[session]
-	out := make([]*Job, 0, len(done)+1+len(queued))
-	for _, id := range done {
-		out = append(out, p.jobs[id])
+	s := p.sessions[session]
+	if s == nil {
+		return nil
 	}
-	if j := p.running[session]; j != nil {
-		out = append(out, j)
+	out := slices.Clone(s.done)
+	if s.running != nil {
+		out = append(out, s.running)
 	}
-	out = append(out, queued...)
+	out = append(out, s.queue...)
 	// A job cancelled or shed in the queue turns terminal ahead of its
 	// elders, so the concatenation is not yet in submit order.
-	// Shorter IDs first, then lexicographic: numeric submit order even
-	// after the zero-padded counter grows past its width.
-	sort.Slice(out, func(a, b int) bool {
-		if len(out[a].id) != len(out[b].id) {
-			return len(out[a].id) < len(out[b].id)
-		}
-		return out[a].id < out[b].id
-	})
+	slices.SortFunc(out, func(a, b *Job) int { return a.seq - b.seq })
 	return out
 }
 
@@ -348,13 +299,8 @@ func (p *Pool) SessionJobs(session string) []*Job {
 // running. The session tier's idle evictor consults it so a session
 // with work in flight never counts as abandoned.
 func (p *Pool) InFlight(session string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.queues[session])
-	if p.running[session] != nil {
-		n++
-	}
-	return n
+	st := p.SessionStats(session)
+	return st.Queued + st.Running
 }
 
 // CancelSession cancels every queued job of the session immediately and
@@ -366,64 +312,39 @@ func (p *Pool) InFlight(session string) int {
 func (p *Pool) CancelSession(session string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	if q := p.queues[session]; len(q) > 0 {
-		delete(p.queues, session)
-		tenant := q[0].tenant
-		t := p.tenants[tenant]
-		p.dropSessionLocked(t, session)
-		t.queued -= len(q)
-		p.queuedTotal -= len(q)
-		if t.queued == 0 {
-			p.dropTenantLocked(tenant)
-		}
-		for _, j := range q {
-			j.cancelFn()
-			p.finishLocked(j, nil, context.Canceled)
-			n++
-		}
+	s := p.sessions[session]
+	if s == nil {
+		return 0
 	}
-	if j := p.running[session]; j != nil && j.ctx.Err() == nil {
+	queued := p.sched.removeSession(s)
+	for _, j := range queued {
+		p.finishLocked(j, StatusCancelled, nil, context.Canceled)
+	}
+	n := len(queued)
+	if j := s.running; j != nil && j.ctx.Err() == nil {
 		j.cancelFn()
 		n++
 	}
 	return n
 }
 
-// ReleaseSession drops the session's retained terminal jobs and its
-// tenant pin — the memory-hygiene hook the session tier calls after
-// closing a session (after CancelSession). Work still draining (a
-// cancelled build that has not returned yet) is dropped from retention
-// the moment it finishes, and a tenant whose last session is released
-// is pruned once its work drains.
+// ReleaseSession drops the session's retained terminal jobs — the
+// memory-hygiene hook the session tier calls after closing a session
+// (after CancelSession). Work still draining (a cancelled build that has
+// not returned yet) is dropped the moment it finishes, the session's
+// record with its last job, and a tenant with its last session.
 func (p *Pool) ReleaseSession(session string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, id := range p.doneBySession[session] {
-		delete(p.jobs, id)
+	s := p.sessions[session]
+	if s == nil {
+		return
 	}
-	delete(p.doneBySession, session)
-	if tenant, pinned := p.sessionTenant[session]; pinned {
-		delete(p.sessionTenant, session)
-		if t := p.tenants[tenant]; t != nil {
-			t.pins--
-			p.maybeDropTenantLocked(tenant)
-		}
+	for _, j := range s.done {
+		delete(p.jobs, j.id)
 	}
-	if len(p.queues[session]) > 0 || p.running[session] != nil {
-		p.released[session] = struct{}{}
-	}
-}
-
-// maybeDropTenantLocked prunes a tenant's state once nothing references
-// it: no pinned sessions, no queued work, nothing running. Its lifetime
-// counters are already rolled up at pool level, so nothing observable is
-// lost — and a stream of short-lived identity tenants cannot grow
-// p.tenants (or the Stats payload) without bound.
-func (p *Pool) maybeDropTenantLocked(name string) {
-	if t := p.tenants[name]; t != nil && t.pins == 0 && t.queued == 0 && t.inFlight == 0 {
-		delete(p.tenants, name)
-	}
+	s.done, s.released = nil, true
+	p.dropIfDrainedLocked(s)
 }
 
 // Close cancels all queued and running jobs, stops the workers and waits
@@ -435,19 +356,13 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	for s, q := range p.queues {
-		delete(p.queues, s)
-		for _, j := range q {
-			j.cancelFn()
-			p.finishLocked(j, nil, context.Canceled)
+	for _, j := range p.sched.drain() {
+		p.finishLocked(j, StatusCancelled, nil, context.Canceled)
+	}
+	for _, s := range p.sessions {
+		if s.running != nil {
+			s.running.cancelFn()
 		}
-	}
-	for _, t := range p.tenants {
-		t.sessions, t.snext, t.queued, t.burst = nil, 0, 0, 0
-	}
-	p.ring, p.next, p.queuedTotal = nil, 0, 0
-	for _, j := range p.running {
-		j.cancelFn()
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -497,9 +412,11 @@ type TenantStats struct {
 // Stats is a point-in-time snapshot of the scheduler: queue depths,
 // running jobs, the configured caps, pool-lifetime outcome counters and
 // the per-tenant breakdown. Served at GET /api/jobs/stats. Tenants
-// covers only live tenants (pinned sessions or work in flight) — a
-// tenant's entry, including its counters, is pruned when its last
-// session is released; the pool-level counters never reset.
+// covers only live tenants (sessions not yet released, or work in
+// flight). A tenant's counters are the registry's blaeu_tenant_jobs_total
+// series — cumulative for a tenant that returns while a registry is
+// configured, starting over (detached handles) without one; the
+// pool-level counters never reset.
 type Stats struct {
 	Workers             int    `json:"workers"`
 	Queued              int    `json:"queued"`
@@ -524,16 +441,17 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
-		Workers:             p.workers,
-		Queued:              p.queuedTotal,
-		Running:             len(p.running),
+		Workers:             p.cfg.Workers,
+		Queued:              p.sched.queued,
+		Running:             p.sched.running,
 		MaxQueued:           p.cfg.MaxQueued,
 		MaxQueuedPerSession: p.cfg.MaxQueuedPerSession,
-		Done:                p.done.Value(),
-		Failed:              p.failed.Value(),
-		Cancelled:           p.cancelled.Value(),
-		Shed:                p.shedTotal.Value(),
-		Rejected:            p.rejected.Value(),
+		Done:                p.outcome[StatusDone].Value(),
+		Failed:              p.outcome[StatusFailed].Value(),
+		Cancelled:           p.outcome[StatusCancelled].Value(),
+		Shed:                p.outcome[StatusShed].Value(),
+		Rejected:            p.outcome[outcomeRejected].Value(),
+		Tenants:             make(map[string]TenantStats, len(p.tenants)),
 	}
 	if n := p.queueWait.Count(); n > 0 {
 		st.AvgQueueWaitMs = p.queueWait.Sum() / float64(n) * 1e3
@@ -541,20 +459,17 @@ func (p *Pool) Stats() Stats {
 	if n := p.runTime.Count(); n > 0 {
 		st.AvgRunMs = p.runTime.Sum() / float64(n) * 1e3
 	}
-	if len(p.tenants) > 0 {
-		st.Tenants = make(map[string]TenantStats, len(p.tenants))
-	}
 	for name, t := range p.tenants {
 		st.Tenants[name] = TenantStats{
 			Weight:      t.weight,
 			MaxInFlight: t.maxInFlight,
 			Queued:      t.queued,
 			InFlight:    t.inFlight,
-			Done:        t.done,
-			Failed:      t.failed,
-			Cancelled:   t.cancelled,
-			Shed:        t.shed,
-			Rejected:    t.rejected,
+			Done:        t.outcome[StatusDone].Value(),
+			Failed:      t.outcome[StatusFailed].Value(),
+			Cancelled:   t.outcome[StatusCancelled].Value(),
+			Shed:        t.outcome[StatusShed].Value(),
+			Rejected:    t.outcome[outcomeRejected].Value(),
 		}
 	}
 	return st
@@ -570,29 +485,25 @@ type SessionStats struct {
 	QueueCap int    `json:"queueCap,omitempty"`
 }
 
-// SessionStats snapshots the scheduler state of one session.
+// SessionStats snapshots the scheduler state of one session. Tenant is
+// empty for a session the pool has seen no submit of: it is said there.
 func (p *Pool) SessionStats(session string) SessionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tenant, ok := p.sessionTenant[session]
-	if !ok {
-		tenant = p.tenantName(session)
-	}
-	st := SessionStats{
-		Tenant:   tenant,
-		Queued:   len(p.queues[session]),
-		QueueCap: p.cfg.MaxQueuedPerSession,
-	}
-	if p.running[session] != nil {
-		st.Running = 1
+	st := SessionStats{QueueCap: p.cfg.MaxQueuedPerSession}
+	if s := p.sessions[session]; s != nil {
+		st.Tenant, st.Queued = s.tenant.name, len(s.queue)
+		if s.running != nil {
+			st.Running = 1
+		}
 	}
 	return st
 }
 
 // --- internals (all require p.mu unless noted) ---
 
-// worker is one dispatch loop: pick the next fair job, run it, publish
-// the outcome, repeat.
+// worker is one dispatch loop: pop the next fair job, shed what expired
+// on the way, run the job, publish the outcome, repeat.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	p.mu.Lock()
@@ -601,25 +512,29 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		j := p.popLocked()
+		j, expired := p.sched.pop(time.Now())
+		for _, x := range expired { // shed: never occupies a worker
+			p.finishLocked(x, StatusShed, nil, context.DeadlineExceeded)
+		}
 		if j == nil {
 			p.cond.Wait()
 			continue
 		}
 		j.status = StatusRunning
 		j.started = time.Now()
-		p.running[j.session] = j
 		p.mu.Unlock()
 
 		res, err := runJob(j)
 
 		p.mu.Lock()
-		delete(p.running, j.session)
-		if t := p.tenants[j.tenant]; t != nil {
-			t.inFlight--
+		p.sched.finished(j)
+		status := StatusDone
+		if errors.Is(err, context.Canceled) || (err != nil && j.ctx.Err() != nil) {
+			status = StatusCancelled
+		} else if err != nil {
+			status = StatusFailed
 		}
-		p.finishLocked(j, res, err)
-		p.maybeDropTenantLocked(j.tenant)
+		p.finishLocked(j, status, res, err)
 		// Finishing may unblock the session's next queued job — or a
 		// tenant that was at its in-flight cap.
 		p.cond.Broadcast()
@@ -637,170 +552,14 @@ func runJob(j *Job) (res any, err error) {
 	return j.fn(j.ctx, j)
 }
 
-// popLocked dequeues the next dispatchable job under the weighted
-// round-robin contract: visit the tenant at the ring cursor; if it is
-// under its in-flight cap, take the FIFO head of its next eligible
-// session (shedding expired queued jobs on the way); let the tenant keep
-// the cursor for up to weight consecutive dispatches (its WRR burst)
-// before advancing. Tenants with nothing dispatchable are skipped
-// without consuming their burst budget.
-func (p *Pool) popLocked() *Job {
-	now := time.Now()
-	misses := 0
-	for len(p.ring) > 0 && misses < len(p.ring) {
-		name := p.ring[p.next%len(p.ring)]
-		t := p.tenants[name]
-		var j *Job
-		if t.maxInFlight <= 0 || t.inFlight < t.maxInFlight {
-			j = p.popTenantLocked(t, now)
-		}
-		if t.queued == 0 {
-			// Shedding and/or the dispatch drained the tenant.
-			p.dropTenantLocked(name)
-			t.burst = 0
-			if j == nil {
-				continue // ring shrank; the miss bound tightened with it
-			}
-		}
-		if j != nil {
-			t.inFlight++
-			t.burst++
-			if t.burst >= t.weight {
-				t.burst = 0
-				p.advanceLocked()
-			}
-			return j
-		}
-		t.burst = 0
-		p.advanceLocked()
-		misses++
-	}
-	return nil
-}
-
-// popTenantLocked dequeues the next runnable job of one tenant:
-// round-robin over its sessions with queued work, skipping sessions
-// whose job is running (per-session serialization) and shedding expired
-// queue heads before they can reach a worker.
-func (p *Pool) popTenantLocked(t *tenantState, now time.Time) *Job {
-	misses := 0
-	for len(t.sessions) > 0 && misses < len(t.sessions) {
-		pos := t.snext % len(t.sessions)
-		s := t.sessions[pos]
-		q := p.queues[s]
-		for len(q) > 0 && q[0].expired(now) {
-			shed := q[0]
-			q = q[1:]
-			t.queued--
-			p.queuedTotal--
-			p.shedLocked(shed)
-		}
-		if len(q) == 0 {
-			delete(p.queues, s)
-			t.removeSession(pos)
-			continue // shrank the subring; the miss bound tightened
-		}
-		p.queues[s] = q
-		if p.running[s] != nil {
-			t.snext = (pos + 1) % len(t.sessions)
-			misses++
-			continue
-		}
-		j := q[0]
-		if len(q) == 1 {
-			delete(p.queues, s)
-			t.removeSession(pos)
-		} else {
-			p.queues[s] = q[1:]
-			t.snext = (pos + 1) % len(t.sessions)
-		}
-		t.queued--
-		p.queuedTotal--
-		return j
-	}
-	return nil
-}
-
-// removeSession drops the session at pos from the tenant's subring,
-// keeping the cursor pointed at the same next session.
-func (t *tenantState) removeSession(pos int) {
-	t.sessions = append(t.sessions[:pos], t.sessions[pos+1:]...)
-	if pos < t.snext {
-		t.snext--
-	}
-	if len(t.sessions) == 0 {
-		t.snext = 0
-	} else {
-		t.snext %= len(t.sessions)
-	}
-}
-
-// advanceLocked moves the tenant-ring cursor to the next tenant.
-func (p *Pool) advanceLocked() {
-	if len(p.ring) > 0 {
-		p.next = (p.next + 1) % len(p.ring)
-	} else {
-		p.next = 0
-	}
-}
-
-// dropTenantLocked removes a tenant from the WRR ring, keeping the
-// cursor pointed at the same next tenant.
-func (p *Pool) dropTenantLocked(name string) {
-	for i, s := range p.ring {
-		if s != name {
-			continue
-		}
-		p.ring = append(p.ring[:i], p.ring[i+1:]...)
-		if i < p.next {
-			p.next--
-		}
-		if len(p.ring) == 0 {
-			p.next = 0
-		} else {
-			p.next %= len(p.ring)
-		}
-		return
-	}
-}
-
-// dropSessionLocked removes a session from its tenant's subring.
-func (p *Pool) dropSessionLocked(t *tenantState, session string) {
-	for i, s := range t.sessions {
-		if s == session {
-			t.removeSession(i)
-			return
-		}
-	}
-}
-
 // cancel implements Job.Cancel.
 func (p *Pool) cancel(j *Job) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	switch j.status {
 	case StatusQueued:
-		q := p.queues[j.session]
-		for i, qj := range q {
-			if qj != j {
-				continue
-			}
-			t := p.tenants[j.tenant]
-			if len(q) == 1 {
-				delete(p.queues, j.session)
-				p.dropSessionLocked(t, j.session)
-			} else {
-				p.queues[j.session] = append(append([]*Job(nil), q[:i]...), q[i+1:]...)
-			}
-			t.queued--
-			p.queuedTotal--
-			if t.queued == 0 {
-				p.dropTenantLocked(j.tenant)
-			}
-			break
-		}
-		j.cancelFn()
-		p.finishLocked(j, nil, context.Canceled)
+		p.sched.remove(j)
+		p.finishLocked(j, StatusCancelled, nil, context.Canceled)
 		return true
 	case StatusRunning:
 		j.cancelFn()
@@ -810,93 +569,40 @@ func (p *Pool) cancel(j *Job) bool {
 	}
 }
 
-// expired reports whether the job's queue deadline has passed.
-func (j *Job) expired(now time.Time) bool {
-	return !j.deadline.IsZero() && now.After(j.deadline)
-}
-
-// shedLocked moves a still-queued job whose deadline expired straight to
-// StatusShed: the job never occupies a worker and Wait returns
-// context.DeadlineExceeded. The caller has already removed it from its
-// session queue and adjusted the queue counters.
-func (p *Pool) shedLocked(j *Job) {
-	j.finished = time.Now()
-	j.status = StatusShed
-	j.err = context.DeadlineExceeded
-	close(j.done)
-	j.cancelFn()
-	j.fn = nil
-	if t := p.tenants[j.tenant]; t != nil {
-		t.shed++
-		t.mShed.Inc()
-	}
-	p.shedTotal.Inc()
-	// A shed job waited its whole life: submit to shed.
-	p.queueWait.Observe(j.finished.Sub(j.created).Seconds())
-	p.retainLocked(j)
-}
-
-// finishLocked moves a job to its terminal state and publishes the
-// outcome: Done on success, Cancelled when its context was cancelled,
-// Failed otherwise.
-func (p *Pool) finishLocked(j *Job, res any, err error) {
-	j.finished = time.Now()
-	t := p.tenants[j.tenant]
-	switch {
-	case err == nil:
-		j.status = StatusDone
-		j.result = res
-		j.progress = 1
-		p.done.Inc()
-		if t != nil {
-			t.done++
-			t.mDone.Inc()
-		}
-	case errors.Is(err, context.Canceled) || j.ctx.Err() != nil:
-		j.status = StatusCancelled
+// finishLocked is the one way a job ends — done, failed, cancelled or
+// shed, off a worker or out of its queue (which it has left already): it
+// moves the job to its terminal state, publishes the outcome and files
+// the job for status lookups.
+func (p *Pool) finishLocked(j *Job, status Status, res any, err error) {
+	j.status, j.finished = status, time.Now()
+	if status == StatusDone {
+		j.result, j.progress = res, 1
+	} else {
 		j.err = err
-		p.cancelled.Inc()
-		if t != nil {
-			t.cancelled++
-			t.mCancelled.Inc()
-		}
-	default:
-		j.status = StatusFailed
-		j.err = err
-		p.failed.Inc()
-		if t != nil {
-			t.failed++
-			t.mFailed.Inc()
-		}
 	}
-	if !j.started.IsZero() {
+	p.outcome[status].Inc()
+	j.sess.tenant.outcome[status].Inc()
+	if j.started.IsZero() { // never dispatched: its whole life was queue wait
+		p.queueWait.Observe(j.finished.Sub(j.created).Seconds())
+	} else {
 		p.queueWait.Observe(j.started.Sub(j.created).Seconds())
 		p.runTime.Observe(j.finished.Sub(j.started).Seconds())
-	} else {
-		// Cancelled while still queued: its whole life was queue wait.
-		p.queueWait.Observe(j.finished.Sub(j.created).Seconds())
 	}
 	close(j.done)
 	j.cancelFn() // release the context's resources in every path
 	j.fn = nil   // the closure can pin tables and explorers; drop it
-	p.retainLocked(j)
-}
 
-// retainLocked files a terminal job into its session's retention window
-// (oldest evicted beyond DefaultRetainPerSession). A released session's
-// last draining job is dropped immediately instead — nothing of a closed
-// session outlives its drain.
-func (p *Pool) retainLocked(j *Job) {
-	s := j.session
-	if _, rel := p.released[s]; rel && len(p.queues[s]) == 0 && p.running[s] == nil {
+	// Retention: the session's window of terminal jobs, oldest evicted
+	// beyond DefaultRetainPerSession. A released session retains nothing,
+	// so nothing of a closed session outlives its drain.
+	s := j.sess
+	if s.released {
 		delete(p.jobs, j.id)
-		delete(p.released, s)
+		p.dropIfDrainedLocked(s)
 		return
 	}
-	log := append(p.doneBySession[s], j.id)
-	for len(log) > DefaultRetainPerSession {
-		delete(p.jobs, log[0])
-		log = log[1:]
+	if s.done = append(s.done, j); len(s.done) > DefaultRetainPerSession {
+		delete(p.jobs, s.done[0].id)
+		s.done = slices.Delete(s.done, 0, 1)
 	}
-	p.doneBySession[s] = log
 }

@@ -43,19 +43,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &act) {
 		return
 	}
-	job, err := s.submit(sess, act)
+	job, err := s.manager.Submit(sess.ID, act)
 	if err != nil {
 		s.writeSubmitErr(w, sess, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, job.Info())
-}
-
-// submit schedules the action through the manager, so a session closed
-// between lookup and submission is refused instead of silently keeping
-// a worker busy for a dead session.
-func (s *Server) submit(sess *session.Session, act session.Action) (*jobs.Job, error) {
-	return s.manager.Submit(sess.ID, act)
 }
 
 // writeSubmitErr maps a submit error onto the wire: 429 with Retry-After
@@ -189,7 +182,7 @@ func (s *Server) runAction(w http.ResponseWriter, r *http.Request, sess *session
 	if dl, ok := r.Context().Deadline(); ok && act.Deadline.IsZero() {
 		act.Deadline = dl
 	}
-	job, err := s.submit(sess, act)
+	job, err := s.manager.Submit(sess.ID, act)
 	if err != nil {
 		s.writeSubmitErr(w, sess, err)
 		return

@@ -295,6 +295,9 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 		}
 	}
 	out.Scheduler = s.manager.Pool().SessionStats(sess.ID)
+	if out.Scheduler.Tenant == "" { // the pool has seen no submit of it yet
+		out.Scheduler.Tenant = sess.Tenant
+	}
 	return out
 }
 
@@ -373,9 +376,9 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		// The label is client-asserted — this server has no auth layer —
 		// so weights/quotas keyed on it isolate cooperative workloads,
 		// not adversaries; deployments that must enforce isolation should
-		// derive the tenant server-side (reverse proxy, or a
-		// jobs.Config.Tenant hook over authenticated identity) instead of
-		// trusting this field.
+		// derive the tenant server-side (reverse proxy, or the
+		// authenticated identity passed as Manager.Open's tenant
+		// argument) instead of trusting this field.
 		Tenant string `json:"tenant"`
 	}
 	if !decodeBody(w, r, &req) {

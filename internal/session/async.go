@@ -70,8 +70,6 @@ func (m *Manager) Submit(id string, act Action) (*jobs.Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("session: no session %q", id)
 	}
-	// Enqueue-under-lock is the submit/close race fix; the pool's
-	// Submit refuses with ErrQueueFull instead of blocking.
 	return m.enqueue(s, act)
 }
 
@@ -111,7 +109,7 @@ func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
 			act.Kind, ActionZoom, ActionSelect, ActionProject, ActionFilter)
 	}
 	tel := m.tel
-	return m.pool.Submit(s.ID, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
+	return m.pool.Submit(s.ID, s.Tenant, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
 		tr := obs.NewTrace(tel.Time())
 		tr.SetAttr("action", act.Kind)
 		j.SetTrace(tr)

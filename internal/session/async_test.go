@@ -208,7 +208,7 @@ func TestManagerQueueFull(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := m.Pool().Submit(s.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
+	if _, err := m.Pool().Submit(s.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		select {
 		case <-release:
@@ -236,7 +236,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := m.Pool().Submit(s.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
+	if _, err := m.Pool().Submit(s.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		select {
 		case <-release:
@@ -323,7 +323,7 @@ func TestCloseCancelsSessionJobs(t *testing.T) {
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
-	running, err := m.Pool().Submit(s.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
+	running, err := m.Pool().Submit(s.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -363,7 +363,7 @@ func TestEvictIdle(t *testing.T) {
 	fresh, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
 	stale, _ := m.Open(smallTable(), core.Options{Seed: 3}, "")
 	started := make(chan struct{})
-	blocked, _ := m.Pool().Submit(building.ID, "block", func(ctx context.Context, j *jobs.Job) (any, error) {
+	blocked, _ := m.Pool().Submit(building.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -371,13 +371,9 @@ func TestEvictIdle(t *testing.T) {
 	<-started
 
 	for _, s := range []*Session{building, stale} {
-		s.mu.Lock()
-		s.LastUsed = now.Add(-2 * time.Hour)
-		s.mu.Unlock()
+		s.lastUsed.Store(now.Add(-2 * time.Hour).UnixNano())
 	}
-	fresh.mu.Lock()
-	fresh.LastUsed = now.Add(-time.Minute)
-	fresh.mu.Unlock()
+	fresh.lastUsed.Store(now.Add(-time.Minute).UnixNano())
 
 	if n := m.EvictIdle(time.Hour); n != 1 {
 		t.Fatalf("evicted %d, want 1 (only the idle stale session)", n)
@@ -411,9 +407,7 @@ func TestStartEvictor(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	s.mu.Lock()
-	s.LastUsed = time.Now().Add(-2 * time.Hour)
-	s.mu.Unlock()
+	s.lastUsed.Store(time.Now().Add(-2 * time.Hour).UnixNano())
 	stop := m.StartEvictor(time.Hour, time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)

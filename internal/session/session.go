@@ -10,8 +10,9 @@ package session
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -30,18 +31,28 @@ type Session struct {
 	// Explorer is the underlying exploration engine. Callers must hold
 	// the session lock (Do) for any interaction.
 	Explorer *core.Explorer
-	// Created and LastUsed are bookkeeping timestamps.
-	Created, LastUsed time.Time
+	// Created is the open time.
+	Created time.Time
+
+	seq int // creation order; ID is its formatted form
+	// lastUsed is the latest Do in Unix nanoseconds — atomic, not under
+	// mu: the idle sweep reads it holding the registry lock and must not
+	// wait there for a click in flight (a filter's scan runs inside Do).
+	lastUsed atomic.Int64
 
 	mu sync.Mutex
 }
+
+// LastUsed returns when the session's lock was last taken through Do
+// (its open time before the first).
+func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) }
 
 // Do runs f while holding the session's lock; all explorer access must go
 // through it (core.Explorer is not concurrency-safe).
 func (s *Session) Do(f func(e *core.Explorer) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.LastUsed = time.Now()
+	s.lastUsed.Store(time.Now().UnixNano())
 	return f(s.Explorer)
 }
 
@@ -69,22 +80,14 @@ type Manager struct {
 	nextID   int
 	now      func() time.Time
 	pool     *jobs.Pool
-
-	// tenantMu guards tenants separately from mu: the pool's tenant hook
-	// runs under the pool lock, which Manager.Submit acquires while
-	// holding mu — taking mu again there would deadlock.
-	tenantMu sync.Mutex
-	tenants  map[string]string // session ID -> tenant label
-
-	tel *obs.Telemetry
+	tel      *obs.Telemetry
 }
 
 // NewManagerObs returns an empty session registry whose scheduler runs
 // under the given configuration — queue caps, tenant weights and
 // in-flight quotas (see jobs.Config); the zero Config runs one job
-// worker per CPU with no backpressure limits. The manager owns tenant
-// attribution (it installs its own cfg.Tenant): sessions opened with a
-// tenant label are scheduled under it, the rest are their own tenant.
+// worker per CPU with no backpressure limits. Tenant attribution is the
+// tenant argument of Open: every job of the session is submitted under it.
 //
 // tel is the telemetry plane: the scheduler's counters land in its
 // registry, every build job records a per-stage trace timed by its
@@ -95,24 +98,13 @@ func NewManagerObs(cfg jobs.Config, tel *obs.Telemetry) *Manager {
 	if tel == nil {
 		tel = &obs.Telemetry{Registry: obs.NewRegistry()}
 	}
-	m := &Manager{
+	cfg.Obs = tel.Reg()
+	return &Manager{
 		sessions: make(map[string]*Session),
 		now:      time.Now,
-		tenants:  make(map[string]string),
+		pool:     jobs.NewPoolConfig(cfg),
 		tel:      tel,
 	}
-	cfg.Obs = tel.Reg()
-	cfg.Tenant = func(session string) string {
-		m.tenantMu.Lock()
-		t := m.tenants[session]
-		m.tenantMu.Unlock()
-		if t != "" {
-			return t
-		}
-		return session
-	}
-	m.pool = jobs.NewPoolConfig(cfg)
-	return m
 }
 
 // Pool returns the manager's job scheduler.
@@ -128,7 +120,9 @@ func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 // budget instead of spawning free goroutines. A non-empty tenant label
 // schedules the session's jobs (weighted fairness, in-flight quotas,
 // per-tenant accounting) under that tenant; with an empty one the
-// session stands alone as its own tenant.
+// session stands alone as its own tenant. This is where a deployment
+// that derives the tenant server-side (from an authenticated identity)
+// hands it in.
 func (m *Manager) Open(t store.Relation, opts core.Options, tenant string) (*Session, error) {
 	if opts.Runner == nil {
 		opts.Runner = m.pool
@@ -145,13 +139,9 @@ func (m *Manager) Open(t store.Relation, opts core.Options, tenant string) (*Ses
 		Tenant:   tenant,
 		Explorer: e,
 		Created:  m.now(),
-		LastUsed: m.now(),
+		seq:      m.nextID,
 	}
-	if tenant != "" {
-		m.tenantMu.Lock()
-		m.tenants[s.ID] = tenant
-		m.tenantMu.Unlock()
-	}
+	s.lastUsed.Store(s.Created.UnixNano())
 	m.sessions[s.ID] = s
 	return s, nil
 }
@@ -189,32 +179,26 @@ func (m *Manager) Close(id string) error {
 func (m *Manager) releaseSession(id string) {
 	m.pool.CancelSession(id)
 	m.pool.ReleaseSession(id)
-	m.tenantMu.Lock()
-	delete(m.tenants, id)
-	m.tenantMu.Unlock()
 }
 
 // Shutdown stops the scheduler: every queued and running job is
 // cancelled and the workers are joined. Sessions remain readable.
 func (m *Manager) Shutdown() { m.pool.Close() }
 
-// List returns the open session IDs in creation order. The IDs are
-// copied under the registry lock and sorted outside it.
+// List returns the open session IDs in creation order. The sessions
+// are copied under the registry lock and sorted outside it.
 func (m *Manager) List() []string {
 	m.mu.Lock()
-	out := make([]string, 0, len(m.sessions))
-	for id := range m.sessions {
-		out = append(out, id)
+	open := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		open = append(open, s)
 	}
 	m.mu.Unlock()
-	// Shorter IDs first, then lexicographic: numeric creation order even
-	// after the zero-padded counter grows past its width.
-	sort.Slice(out, func(a, b int) bool {
-		if len(out[a]) != len(out[b]) {
-			return len(out[a]) < len(out[b])
-		}
-		return out[a] < out[b]
-	})
+	slices.SortFunc(open, func(a, b *Session) int { return a.seq - b.seq })
+	out := make([]string, len(open))
+	for i, s := range open {
+		out[i] = s.ID
+	}
 	return out
 }
 
@@ -232,16 +216,14 @@ func (m *Manager) Len() int {
 // the job endpoints, not the session, so in-flight work — not the
 // LastUsed bump at prepare/apply — is what marks a session active.
 // Jobs submitted in the race window between the check and the removal
-// are still cancelled on the way out.
+// are still cancelled on the way out. The sweep takes no session's lock,
+// so a click in flight never parks the registry behind itself.
 func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 	m.mu.Lock()
 	cutoff := m.now().Add(-maxIdle)
 	var evicted []string
 	for id, s := range m.sessions {
-		s.mu.Lock()
-		idle := s.LastUsed.Before(cutoff)
-		s.mu.Unlock()
-		if idle && m.pool.InFlight(id) == 0 {
+		if s.LastUsed().Before(cutoff) && m.pool.InFlight(id) == 0 {
 			delete(m.sessions, id)
 			evicted = append(evicted, id)
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -170,5 +171,51 @@ func TestClusterConfigEcho(t *testing.T) {
 	want = ClusterConfig{Oracle: "knn"}
 	if cfg := config(s2); cfg != want {
 		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
+	}
+}
+
+// TestEvictIdleDoesNotStallRegistry: the idle sweep must not wait for a
+// session's lock while it holds the registry's — since a filter's scan
+// runs inside Do, that parked every Get, Open, Submit and Close of every
+// session behind the slowest click in flight.
+func TestEvictIdleDoesNotStallRegistry(t *testing.T) {
+	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
+	defer m.Shutdown()
+	busy, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	other, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
+
+	held, release := make(chan struct{}), make(chan struct{})
+	clicked := make(chan error, 1)
+	go func() {
+		clicked <- busy.Do(func(*core.Explorer) error {
+			close(held)
+			<-release // a long scan under the session lock
+			return nil
+		})
+	}()
+	<-held
+
+	swept := make(chan int, 1)
+	go func() { swept <- m.EvictIdle(time.Hour) }()
+	answered := make(chan error, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // let the sweep reach the busy session
+		_, err := m.Get(other.ID)
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Error("Get of another session waited behind a click in flight once the sweep had started")
+	}
+	close(release)
+	if err := <-clicked; err != nil {
+		t.Error(err)
+	}
+	if n := <-swept; n != 0 {
+		t.Errorf("sweep evicted %d fresh sessions", n)
 	}
 }
