@@ -14,10 +14,11 @@ race-jobs:
 
 # Concurrent derived builds against one shared parent artifact under the
 # race detector (also a CI step): the core builds sharing cached
-# vectors/oracles, the cluster-layer subsets sharing a parent memo, and
-# CLARA's per-sample runs subsetting one shared lazy parent.
+# vectors/oracles, the cluster-layer subsets sharing a parent memo,
+# CLARA's per-sample runs subsetting one shared lazy parent, and map-cache
+# clones building their regions' rows in one shared routing.
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent|ClonesShareRegionRows' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
@@ -32,7 +33,8 @@ race-store:
 # concurrent scans (whole-relation, row-set, limited), tree routes and
 # column gathers hammering one shared segment through a pool that holds
 # a fraction of its pages, so the pool's single-flight loads and
-# evictions run under them.
+# evictions run under them, and first reads of one shared routing's
+# nodes.
 race-scan:
 	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent' ./internal/store/
 

@@ -85,7 +85,8 @@ type (
 	// Map is a data map: the hierarchical, interpretable clustering of
 	// the current selection under one theme.
 	Map = core.Map
-	// Region is one node of a data map.
+	// Region is one node of a data map: Count is its size, RowIDs its
+	// rows, built the first time they are read.
 	Region = core.Region
 	// Highlight is a read-only inspection of a column within a region.
 	Highlight = core.Highlight

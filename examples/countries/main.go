@@ -58,7 +58,7 @@ func main() {
 			continue
 		}
 		var h, inc float64
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			h += hours.Float(r)
 			inc += income.Float(r)
 		}

@@ -42,7 +42,7 @@ func main() {
 	prof := ds.Table.ColumnByName("Profitability")
 	for i, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			sum += prof.Float(r)
 		}
 		h, err := ex.Highlight("Genre", l.Path...)
@@ -64,7 +64,7 @@ func main() {
 	bestMean := -1e18
 	for _, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			sum += prof.Float(r)
 		}
 		if mean := sum / float64(l.Count()); mean > bestMean {

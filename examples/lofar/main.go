@@ -64,7 +64,7 @@ func main() {
 			continue
 		}
 		sum := 0.0
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			sum += ar.Float(r)
 		}
 		if mean := sum / float64(l.Count()); mean > worstMean {

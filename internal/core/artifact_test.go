@@ -56,11 +56,11 @@ func TestZoomDerivesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Root.Count(); got != len(region.Rows) {
-		t.Errorf("derived map covers %d rows, want %d", got, len(region.Rows))
+	if got := m.Root.Count(); got != region.Count() {
+		t.Errorf("derived map covers %d rows, want %d", got, region.Count())
 	}
-	if m.SampleSize > len(region.Rows) || m.SampleSize < 10 {
-		t.Errorf("derived sample size %d out of range (region %d rows)", m.SampleSize, len(region.Rows))
+	if m.SampleSize > region.Count() || m.SampleSize < 10 {
+		t.Errorf("derived sample size %d out of range (region %d rows)", m.SampleSize, region.Count())
 	}
 	s := e.ReuseStats()
 	if s.Artifact.Derived != 1 {
@@ -278,10 +278,10 @@ func TestDerivedBuildDegeneratesToCold(t *testing.T) {
 	for _, leaf := range m.Root.Leaves() {
 		vals := make(map[string]bool)
 		col := tbl.ColumnByName("CountryName")
-		for _, r := range leaf.Rows {
+		for _, r := range leaf.RowIDs() {
 			vals[col.StringAt(r)] = true
 		}
-		if len(vals) == 1 && len(leaf.Rows) >= 5 {
+		if len(vals) == 1 && leaf.Count() >= 5 {
 			path = leaf.Path
 			break
 		}

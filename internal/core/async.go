@@ -113,7 +113,7 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 		return nil, fmt.Errorf("core: region %v is empty", path)
 	}
 	cond := append(append(store.And(nil), cur.Condition...), region.Condition...)
-	return e.prepare(ActionZoom, region.Describe(), region.Rows, &region.fp, cur.Map.Theme, cond), nil
+	return e.prepare(ActionZoom, region.Describe(), region.RowIDs(), &region.fp, cur.Map.Theme, cond), nil
 }
 
 // noTheme is the theme of a filter staged before any theme was

@@ -235,7 +235,7 @@ func TestSelectThemeBuildsMap(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range leaves {
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			pred[r] = l.ClusterID
 		}
 	}
@@ -386,7 +386,7 @@ func TestHighlightRevealsCountries(t *testing.T) {
 	bestMean := -1.0
 	for _, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			sum += income.Float(r)
 		}
 		if mean := sum / float64(l.Count()); mean > bestMean {
@@ -713,7 +713,7 @@ func TestCountriesEndToEnd(t *testing.T) {
 		predRows[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			predRows[r] = l.ClusterID
 		}
 	}

@@ -34,7 +34,7 @@ type State struct {
 	Detail string
 	// Rows is the active selection: absolute base-table row indices,
 	// ascending. Every producer keeps the order (NewExplorer's full
-	// table, store.ScanRows for filters, store.RouteRows for regions),
+	// table, store.ScanRows for filters, store.Route for regions),
 	// and the artifact tier's overlap search relies on it.
 	Rows []int
 	// fp memoises the fingerprint of Rows (see rowsFingerprint).

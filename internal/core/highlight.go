@@ -45,7 +45,8 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	}
 	// The statistics are computed over the region's rows in place: no
 	// copy of the column is made.
-	st := store.StatsRows(col, region.Rows)
+	rows := region.RowIDs()
+	st := store.StatsRows(col, rows)
 	h := &Highlight{Column: column, Region: region.Describe(), Stats: st}
 	if len(st.TopValues) > 0 {
 		for _, tv := range st.TopValues {
@@ -60,7 +61,7 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	// until enough are seen.
 	want := min(MaxSampleValues, st.Count)
 	for lo := 0; len(h.SampleValues) < want; lo += 4 * MaxSampleValues {
-		sub := col.Gather(region.Rows[lo:min(lo+4*MaxSampleValues, len(region.Rows))])
+		sub := col.Gather(rows[lo:min(lo+4*MaxSampleValues, len(rows))])
 		for i := 0; i < sub.Len() && len(h.SampleValues) < want; i++ {
 			if !sub.IsNull(i) {
 				h.SampleValues = append(h.SampleValues, sub.StringAt(i))
@@ -102,7 +103,7 @@ func (e *Explorer) RegionHistogram(column string, bins int, path ...int) (*Histo
 		return nil, err
 	}
 	// The values present and not NaN, compacted in place.
-	vals, present := store.RowFloats(col, region.Rows)
+	vals, present := store.RowFloats(col, region.RowIDs())
 	n := 0
 	for k, v := range vals {
 		if present[k] != 0 && !math.IsNaN(v) {

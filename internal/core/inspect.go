@@ -51,8 +51,9 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 	sd := &ScatterData{XColumn: xCol, YColumn: yCol}
 	// Both columns are read page run by page run, and the pairs with
 	// both values present compacted in place.
-	xs, xok := store.RowFloats(cx, region.Rows)
-	ys, yok := store.RowFloats(cy, region.Rows)
+	rows := region.RowIDs()
+	xs, xok := store.RowFloats(cx, rows)
+	ys, yok := store.RowFloats(cy, rows)
 	n := 0
 	for k := range xs {
 		if xok[k]&yok[k] != 0 {
@@ -71,7 +72,7 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 		// rows: an inspection never advances e.rng (the next build would
 		// come out different), and a region shows the same points on
 		// every call.
-		rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(region.fp.of(region.Rows))))
+		rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(region.fp.of(rows))))
 		idx := store.SampleIndices(len(xs), MaxScatterPoints, rng)
 		sd.X = make([]float64, len(idx))
 		sd.Y = make([]float64, len(idx))

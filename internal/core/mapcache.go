@@ -52,9 +52,10 @@ func (c *mapCache) put(k mapKey, m *Map) { c.lru.put(k, m) }
 // tree, so a cache hit behaves like a fresh build: navigation states
 // never share mutable regions, and annotations made on one state can
 // neither leak into a later re-zoom nor be mutated through it.
-// Annotations are dropped (a fresh build has none); Rows (with their
-// memoised fingerprint), Split and Condition are shared — they are
-// read-only once built.
+// Annotations are dropped (a fresh build has none); the routing (so
+// every region's rows are built once across the original and all its
+// clones), the memoised fingerprints, Split and Condition are shared —
+// they are read-only once built.
 func cloneForReuse(m *Map) *Map {
 	out := *m
 	out.Root = cloneRegion(m.Root)

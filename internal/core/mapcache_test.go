@@ -108,7 +108,7 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if _, err := e.Zoom(region.Path...); err != nil {
 		t.Fatal(err)
 	}
-	if want := fingerprintRows(region.Rows); !region.fp.ok || region.fp.sum != want || e.State().fp != region.fp {
+	if want := fingerprintRows(region.RowIDs()); !region.fp.ok || region.fp.sum != want || e.State().fp != region.fp {
 		t.Fatalf("after the zoom: region memo %+v, state memo %+v, want both {%x true}", region.fp, e.State().fp, want)
 	}
 
@@ -135,7 +135,7 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	restore = scramble(region.Rows)
+	restore = scramble(region.RowIDs())
 	b, err = e.PrepareZoom(region.Path...)
 	restore()
 	if err != nil {

@@ -116,7 +116,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 			return &Map{
 				Theme: theme, K: 1, Silhouette: 0, TreeAccuracy: 1,
 				SampleSize: len(sampleRows),
-				Root:       &Region{ClusterID: 0, Rows: rows, Silhouette: math.NaN()},
+				Root:       e.wholeSelection(rows),
 			}, nil, nil
 		}
 
@@ -255,7 +255,7 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}
 	if clustering.K < 2 {
-		m.Root = &Region{ClusterID: 0, Rows: rows, Silhouette: math.NaN()}
+		m.Root = e.wholeSelection(rows)
 		m.TreeAccuracy = 1
 		report(1)
 		return m, nil
@@ -284,23 +284,30 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 	}
 
 	// One pass over the selection's pages routes it through the whole
-	// tree; the regions mirror the tree over the routed row lists.
+	// tree; the regions mirror the tree over the routing, and build their
+	// rows only when read.
 	splits, nodes := tr.Root.Splits()
-	m.Root = regionsFromTree(nodes, splits, store.RouteRows(e.table, splits, rows), 0, nil, nil, perCluster)
+	m.Root = regionsFromTree(nodes, splits, store.Route(e.table, splits, rows), 0, nil, nil, perCluster)
 	report(1)
 	return m, nil
 }
 
+// wholeSelection is the one region of a map without structure: the
+// selection itself, as node 0 of a routing through no split.
+func (e *Explorer) wholeSelection(rows []int) *Region {
+	return &Region{routed: store.Route(e.table, store.SplitTree{{}}, rows), ClusterID: 0, Silhouette: math.NaN()}
+}
+
 // regionsFromTree mirrors the fitted description tree over the routed
-// selection: node i of the flattened tree becomes a region whose rows
-// are routed[i], the selection tuples satisfying the node's predicate
-// path.
-func regionsFromTree(nodes []*tree.Node, splits store.SplitTree, routed [][]int, i int, path []int, cond store.And, perCluster []float64) *Region {
+// selection: node i of the flattened tree becomes the region of node i
+// of routed, the selection tuples satisfying the node's predicate path.
+func regionsFromTree(nodes []*tree.Node, splits store.SplitTree, routed *store.Routing, i int, path []int, cond store.And, perCluster []float64) *Region {
 	node := nodes[i]
 	r := &Region{
 		Path:       append([]int(nil), path...),
 		Condition:  append(store.And(nil), cond...),
-		Rows:       routed[i],
+		routed:     routed,
+		node:       i,
 		ClusterID:  -1,
 		Silhouette: math.NaN(),
 	}

@@ -36,7 +36,7 @@ func TestMapWithMissingValues(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			pred[r] = l.ClusterID
 		}
 	}
@@ -116,7 +116,7 @@ func TestMixedTypeMap(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			pred[r] = l.ClusterID
 		}
 	}

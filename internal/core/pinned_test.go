@@ -55,7 +55,7 @@ func largestLeaf(m *Map) []int {
 }
 
 // assertAscending checks the ordering contract of State.Rows and
-// Region.Rows that findDerivable's merge relies on.
+// Region.RowIDs that findDerivable's merge relies on.
 func assertAscending(t *testing.T, what string, rows []int) {
 	t.Helper()
 	if !sort.IntsAreSorted(rows) {
@@ -65,7 +65,8 @@ func assertAscending(t *testing.T, what string, rows []int) {
 
 // pinnedNavigation drives select → zoom → project → rollback → zoom →
 // filter and returns the textual digest of every map on the way, asserting on the
-// way that every state's and region's rows are ascending. wantZoom is
+// way that every state's and region's rows are ascending (a region's
+// read through RowIDs, as many as it counts). wantZoom is
 // the reuse level the first zoom must resolve to.
 func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom ReuseLevel) string {
 	t.Helper()
@@ -86,7 +87,10 @@ func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom Re
 		assertAscending(t, step+" state", e.State().Rows)
 		var walk func(r *Region)
 		walk = func(r *Region) {
-			assertAscending(t, fmt.Sprintf("%s region %v", step, r.Path), r.Rows)
+			assertAscending(t, fmt.Sprintf("%s region %v", step, r.Path), r.RowIDs())
+			if len(r.RowIDs()) != r.Count() {
+				t.Fatalf("%s region %v: %d rows, count %d", step, r.Path, len(r.RowIDs()), r.Count())
+			}
 			for _, c := range r.Children {
 				walk(c)
 			}

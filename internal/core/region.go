@@ -10,7 +10,11 @@ import (
 // Region is one node of a data map: a subset of the current selection
 // described by an interpretable predicate path (paper §2). Leaf regions
 // are the clusters the user can zoom into; internal regions show the
-// hierarchy of splits (Fig. 1b).
+// hierarchy of splits (Fig. 1b). An engine-built region holds its map's
+// routing of the selection and its node in it: its count is known at
+// once, its rows are built the first time RowIDs reads them — once per
+// map, shared by every clone of a cached map — since a user zooms into
+// or inspects one region of a map, not all of them.
 type Region struct {
 	// Path addresses the region from the map root: Path[i] is the child
 	// index taken at depth i (empty for the root).
@@ -23,12 +27,17 @@ type Region struct {
 	Condition store.And
 	// Children are the sub-regions (nil for leaves).
 	Children []*Region
-	// Rows are the absolute base-table row indices of the selection
-	// falling in this region, ascending like State.Rows (store.RouteRows
-	// keeps the selection's order).
+	// Rows are the rows of a hand-built region (one made outside the
+	// engine, as the click benchmark's layer probe does). The engine
+	// never sets it: read a region's rows with RowIDs.
 	Rows []int
-	// fp memoises the fingerprint of Rows (see rowsFingerprint); a zoom
-	// into the region hands it on to the state it pushes.
+	// routed and node locate an engine-built region's rows: node node of
+	// its map's routing of the selection.
+	routed *store.Routing
+	node   int
+	// fp memoises the fingerprint of the region's rows (see
+	// rowsFingerprint); a zoom into the region hands it on to the state
+	// it pushes.
 	fp rowsFingerprint
 	// ClusterID is the sample-clustering cluster this (leaf) region
 	// describes (-1 for internal regions).
@@ -43,7 +52,23 @@ type Region struct {
 
 // Count returns the number of selection tuples in the region — the
 // quantity the map visualizes as leaf area (paper §2).
-func (r *Region) Count() int { return len(r.Rows) }
+func (r *Region) Count() int {
+	if r.routed != nil {
+		return r.routed.Count(r.node)
+	}
+	return len(r.Rows)
+}
+
+// RowIDs returns the absolute base-table row indices of the selection
+// falling in the region, ascending like State.Rows. An engine-built
+// region's rows are built on the first call and shared afterwards, so
+// callers must not modify them.
+func (r *Region) RowIDs() []int {
+	if r.routed != nil {
+		return r.routed.Rows(r.node)
+	}
+	return r.Rows
+}
 
 // IsLeaf reports whether the region has no children.
 func (r *Region) IsLeaf() bool { return len(r.Children) == 0 }

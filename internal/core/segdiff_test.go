@@ -67,7 +67,7 @@ func regionsEqual(a, b *Region) bool {
 	if !reflect.DeepEqual(a.Path, b.Path) ||
 		!reflect.DeepEqual(a.Split, b.Split) ||
 		!reflect.DeepEqual(a.Condition, b.Condition) ||
-		!reflect.DeepEqual(a.Rows, b.Rows) ||
+		!reflect.DeepEqual(a.RowIDs(), b.RowIDs()) ||
 		a.ClusterID != b.ClusterID {
 		return false
 	}
@@ -159,7 +159,7 @@ func TestSegmentBackedExplorerMatchesInMemory(t *testing.T) {
 	// Zoom into the first child region with enough rows on both.
 	root := em.CurrentMap().Root
 	for ci, child := range root.Children {
-		if len(child.Rows) < 50 {
+		if child.Count() < 50 {
 			continue
 		}
 		zm, errM := em.Zoom(ci)

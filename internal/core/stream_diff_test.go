@@ -45,7 +45,7 @@ func driveExplorer(t *testing.T, e *Explorer) []*Map {
 	}
 	root := e.CurrentMap().Root
 	for ci, child := range root.Children {
-		if len(child.Rows) < 50 {
+		if child.Count() < 50 {
 			continue
 		}
 		if m, err := e.Zoom(ci); err == nil {

@@ -126,7 +126,7 @@ func regionLabels(m *core.Map, n int) []int {
 		out[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			out[r] = l.ClusterID
 		}
 	}
@@ -145,7 +145,7 @@ func lowHoursHighIncomeLeaf(e *core.Explorer, m *core.Map) *core.Region {
 			continue
 		}
 		var h, inc float64
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			h += hours.Float(r)
 			inc += income.Float(r)
 		}

@@ -101,7 +101,7 @@ func runS1(cfg Config) (*Result, error) {
 			continue
 		}
 		sum := 0.0
-		for _, r := range l.Rows {
+		for _, r := range l.RowIDs() {
 			sum += prof.Float(r)
 		}
 		if mean := sum / float64(l.Count()); mean > bestMean {
@@ -162,7 +162,7 @@ func runS2(cfg Config) (*Result, error) {
 	names := ds.Table.ColumnByName("CountryName").(*store.StringColumn)
 	canadaIn, canadaAll := 0, 0
 	inTarget := make(map[int]bool, target.Count())
-	for _, r := range target.Rows {
+	for _, r := range target.RowIDs() {
 		inTarget[r] = true
 	}
 	for i := 0; i < ds.Table.NumRows(); i++ {

@@ -243,14 +243,19 @@ type Info struct {
 
 // Info snapshots the job under the pool lock.
 func (j *Job) Info() Info {
+	j.pool.mu.Lock()
+	defer j.pool.mu.Unlock()
+	return j.infoLocked()
+}
+
+// infoLocked is Info for a caller holding the pool lock.
+func (j *Job) infoLocked() Info {
 	stamp := func(t time.Time) string {
 		if t.IsZero() {
 			return ""
 		}
 		return t.UTC().Format(time.RFC3339Nano)
 	}
-	j.pool.mu.Lock()
-	defer j.pool.mu.Unlock()
 	out := Info{
 		ID:         j.id,
 		Session:    j.sess.name,

@@ -376,6 +376,43 @@ func TestSessionJobsInterleavedCancel(t *testing.T) {
 	check("all terminal")
 }
 
+// TestLiveJobsListsInFlightOnly: LiveJobs snapshots the running job and
+// the queued ones in submit order — not a job cancelled in the queue,
+// and nothing once every job is terminal.
+func TestLiveJobsListsInFlightOnly(t *testing.T) {
+	p := NewPoolConfig(Config{Workers: 1})
+	defer p.Close()
+	release, running := gate(t, p, "a")
+	var queued []*Job
+	for i := 0; i < 3; i++ {
+		j, err := p.Submit("a", "", "work", noop, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j)
+	}
+	queued[1].Cancel()
+	want := []*Job{running, queued[0], queued[2]}
+	got := p.LiveJobs("a")
+	if len(got) != len(want) {
+		t.Fatalf("LiveJobs lists %d jobs, want %d", len(got), len(want))
+	}
+	for i, info := range got {
+		if info.ID != want[i].ID() || info.Status.Terminal() {
+			t.Errorf("LiveJobs[%d] = %s (%s), want %s in flight", i, info.ID, info.Status, want[i].ID())
+		}
+	}
+	close(release)
+	for _, j := range want {
+		if err := j.Wait(waitCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.LiveJobs("a"); len(got) != 0 {
+		t.Errorf("LiveJobs lists %d jobs after all finished", len(got))
+	}
+}
+
 // TestRunTasksFromInsideJob: nested fan-out must complete even when the
 // single job worker is occupied by the very job doing the fan-out.
 func TestRunTasksFromInsideJob(t *testing.T) {

@@ -295,6 +295,27 @@ func (p *Pool) SessionJobs(session string) []*Job {
 	return out
 }
 
+// LiveJobs snapshots the session's running and queued jobs, in submit
+// order, under one lock: a job cannot turn terminal between being
+// listed and being snapshotted, and the retained terminal jobs are
+// never formatted.
+func (p *Pool) LiveJobs(session string) []Info {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.sessions[session]
+	if s == nil {
+		return nil
+	}
+	var out []Info
+	if s.running != nil { // older than every queued job: one at a time, FIFO
+		out = append(out, s.running.infoLocked())
+	}
+	for _, j := range s.queue {
+		out = append(out, j.infoLocked())
+	}
+	return out
+}
+
 // InFlight reports how many of the session's jobs are queued or
 // running. The session tier's idle evictor consults it so a session
 // with work in flight never counts as abandoned.

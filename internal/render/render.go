@@ -301,7 +301,7 @@ func SVGMap(m *core.Map, width, height float64) string {
 	return sb.String()
 }
 
-func escapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once: a Replacer is safe for concurrent use.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
+
+func escapeXML(s string) string { return xmlEscaper.Replace(s) }

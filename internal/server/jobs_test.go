@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -370,4 +371,39 @@ func TestCloseCancelsJobsOverWire(t *testing.T) {
 	// session, so just give the scheduler a moment and assert nothing
 	// hangs.
 	doJSON(t, "GET", base+"/jobs/"+jobID, nil, http.StatusNotFound)
+}
+
+// TestStateCostIndependentOfJobHistory: a state response lists only
+// in-flight jobs, and costs the same allocations whether the session
+// retains no terminal jobs or a full DefaultRetainPerSession of them.
+func TestStateCostIndependentOfJobHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 200, K: 3, Dims: 4, Sep: 8}, rng)
+	srv := NewWith(map[string]store.Relation{"blobs": ds.Table}, core.Options{Seed: 1, SampleSize: 200}, nil)
+	t.Cleanup(srv.Manager().Shutdown)
+	sess, err := srv.Manager().Open(ds.Table, core.Options{Seed: 1, SampleSize: 200}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() float64 { return testing.AllocsPerRun(20, func() { srv.stateJSON(sess) }) }
+	fresh := state()
+	for i := 0; i < jobs.DefaultRetainPerSession; i++ {
+		j, err := srv.Manager().Pool().Submit(sess.ID, "", "noop", func(context.Context, *jobs.Job) (any, error) { return nil, nil }, jobs.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(srv.Manager().Pool().SessionJobs(sess.ID)); got != jobs.DefaultRetainPerSession {
+		t.Fatalf("session retains %d jobs, want %d", got, jobs.DefaultRetainPerSession)
+	}
+	if st := srv.stateJSON(sess); len(st.Jobs) != 0 {
+		t.Errorf("state lists %d jobs, want none in flight", len(st.Jobs))
+	}
+	if retained := state(); retained > fresh {
+		t.Errorf("a state response allocates %.0f times with %d retained jobs, %.0f with none",
+			retained, jobs.DefaultRetainPerSession, fresh)
+	}
 }

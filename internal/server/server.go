@@ -286,14 +286,7 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 		}
 		return nil
 	})
-	for _, j := range s.manager.Pool().SessionJobs(sess.ID) {
-		// One snapshot per job: checking Status and then calling Info
-		// separately could race a job into the list with a terminal
-		// status.
-		if info := j.Info(); !info.Status.Terminal() {
-			out.Jobs = append(out.Jobs, info)
-		}
-	}
+	out.Jobs = s.manager.Pool().LiveJobs(sess.ID)
 	out.Scheduler = s.manager.Pool().SessionStats(sess.ID)
 	if out.Scheduler.Tenant == "" { // the pool has seen no submit of it yet
 		out.Scheduler.Tenant = sess.Tenant

@@ -400,7 +400,9 @@ func TestKernelsOnPagesLongerThanARun(t *testing.T) {
 			t.Fatalf("%s: row-set scan selects %d rows, want %d", p, len(got), len(want))
 		}
 		tree := SplitTree{{Split: p, No: 2}, {}, {}}
-		assertRouted(t, p.String(), RouteRows(seg, tree, rows), referenceRoute(mem, tree, rows))
+		want := referenceRoute(mem, tree, rows)
+		assertRouted(t, p.String()+", table", Route(mem, tree, rows), want)
+		assertRouted(t, p.String()+", segment", Route(seg, tree, rows), want)
 	}
 	for ci := 0; ci < mem.NumCols(); ci++ {
 		if got, want := StatsRows(seg.Column(ci), rows), referenceStats(mem.Column(ci).Gather(rows)); !sameStats(got, want) {

@@ -1,5 +1,7 @@
 package store
 
+import "sync"
+
 // Tree routing: a selection is pushed through a whole tree of split
 // predicates in one pass over its pages. This is stage 5 of the
 // paper's Fig. 3 pipeline (the description tree applied to the full
@@ -9,10 +11,10 @@ package store
 // runs of rows that share a page, each run descends the tree as a
 // selection vector through the batch kernels of kernel.go (every split
 // is a compiled predicate of the same family the scan evaluates), and
-// each needed column page is fetched once per build. The first pass
-// only records a one-byte leaf id per row and a count per node; a
-// second, memory-only pass fills row lists that were allocated at
-// their final size.
+// each needed column page is fetched once per build. The pass only
+// records a one-byte leaf id per row and a count per node: a node's
+// rows are collected from the leaf ids when something reads them,
+// which for a map is the one region the user zooms into or inspects.
 
 // SplitNode is one node of a SplitTree.
 type SplitNode struct {
@@ -42,41 +44,83 @@ func (t SplitTree) size(i int) int {
 // are routed by a further pass over their own rows.
 const maxRouteDepth = 8
 
-// RouteRows sends rows down the split tree t and returns, for every
-// node in t's order, the rows that reach it, in input order. Entry 0
-// is rows itself, the other lists are cut at their final size from
-// one allocation, and a node no row reaches gets nil. Any row
-// order is routed correctly; ascending rows — every selection the
-// engine holds — read each page of each split column once. Safe for
-// concurrent use over one relation: every call keeps its own page
-// cursors.
-func RouteRows(r Relation, t SplitTree, rows []int) [][]int {
-	out := make([][]int, len(t))
-	out[0] = rows
-	routeInto(r, t, rows, out)
-	return out
+// Routing is a selection sent down a split tree: the leaf id of every
+// row and the number of rows reaching every node. Leaf ids are
+// numbered in preorder, so the leaves under a node are one id range,
+// and a node's rows are one pass over the ids — made the first time
+// they are read and kept. Safe for concurrent use.
+type Routing struct {
+	rows   []int
+	leafOf []uint8 // per selection position
+	count  []int   // rows reaching each node
+	nodes  []routedNode
+	mu     sync.Mutex
+	lists  [][]int // per node, its rows once built (guarded by mu)
+}
+
+// routedNode is where a node's rows come from: the leaf ids [lo, hi)
+// of this routing or, under a node cut at maxRouteDepth, node i-off of
+// the routing of the cut node's rows.
+type routedNode struct {
+	lo, hi uint
+	sub    *Routing
+	off    int
+}
+
+// Route sends rows down the split tree t in one pass and returns the
+// routing. Any row order is routed correctly; ascending rows — every
+// selection the engine holds — read each page of each split column
+// once. Safe for concurrent use over one relation: every call keeps
+// its own page cursors.
+func Route(r Relation, t SplitTree, rows []int) *Routing {
+	rg := &Routing{rows: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), lists: make([][]int, len(t))}
+	if len(rows) == 0 || t[0].Split == nil {
+		rg.count[0] = len(rows)
+		return rg
+	}
+	rt := newRouter(r, t, rg)
+	rt.route(rows)
+	for _, i := range rt.cut {
+		sub := Route(r, t[i:i+t.size(i)], rg.Rows(i))
+		for j := 1; j < len(sub.count); j++ {
+			rg.nodes[i+j] = routedNode{sub: sub, off: i}
+			rg.count[i+j] = sub.count[j]
+		}
+	}
+	return rg
+}
+
+// Count returns how many rows reach node i.
+func (rg *Routing) Count(i int) int { return rg.count[i] }
+
+// Rows returns the rows reaching node i, in input order: node 0's are
+// the selection itself, every other node's are built at their exact
+// size on the first call and shared by every later one, so callers
+// must not modify them. A node no row reaches gets nil.
+func (rg *Routing) Rows(i int) []int {
+	nd := &rg.nodes[i]
+	switch {
+	case i == 0:
+		return rg.rows
+	case rg.count[i] == 0:
+		return nil
+	case nd.sub != nil:
+		return nd.sub.Rows(i - nd.off)
+	}
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	if rg.lists[i] == nil {
+		rg.lists[i] = make([]int, rg.count[i])
+		collectLeaves(rg.lists[i], rg.rows, rg.leafOf, nd.lo, nd.hi-nd.lo)
+	}
+	return rg.lists[i]
 }
 
 // PartitionRows splits rows into those matching p and those not,
-// preserving order: the one-split case of RouteRows, so both halves
-// come out of one allocation of len(rows).
+// preserving order: the one-split case of Route.
 func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
-	out := RouteRows(r, SplitTree{{Split: p, No: 2}, {}, {}}, rows)
-	return out[1], out[2]
-}
-
-// routeInto fills out[1:] for the tree t over out[0] == rows.
-func routeInto(r Relation, t SplitTree, rows []int, out [][]int) {
-	if len(rows) == 0 || t[0].Split == nil {
-		return
-	}
-	rt := newRouter(r, t, len(rows))
-	rt.route(rows)
-	rt.fill(rows, out)
-	for _, i := range rt.cut {
-		sub := t[i : i+t.size(i)]
-		routeInto(r, sub, out[i], out[i:i+len(sub)])
-	}
+	rg := Route(r, SplitTree{{Split: p, No: 2}, {}, {}}, rows)
+	return rg.Rows(1), rg.Rows(2)
 }
 
 // routeNode is the compiled form of one tree node.
@@ -86,30 +130,32 @@ type routeNode struct {
 	split predNode
 }
 
+// router is one pass's evaluation state; it writes the leaf ids, the
+// counts and the leaf ranges of out.
 type router struct {
 	evaluator
 	tree    SplitTree
 	nodes   []routeNode
+	out     *Routing
+	leaves  int        // leaf ids handed out so far
 	base    int        // first position in the selection of the run being routed
 	scratch [][]uint16 // one selection vector per split depth
 	match   []uint8    // one split's outcome per run offset
-	leafOf  []uint8    // per selection position
-	count   []int      // rows reaching each node; the fill's write cursors afterwards
-	paths   [][]int32  // per leaf id: the non-root nodes from the root down to the leaf
 	cut     []int      // leaves of this pass that still have a subtree
 }
 
-func newRouter(r Relation, t SplitTree, n int) *router {
+func newRouter(r Relation, t SplitTree, out *Routing) *router {
+	n := len(out.rows)
 	runCap := min(n, routeRun)
+	out.leafOf = make([]uint8, n)
 	rt := &router{
 		evaluator: evaluator{runCap: runCap},
 		tree:      t,
 		nodes:     make([]routeNode, len(t)),
-		count:     make([]int, len(t)),
-		leafOf:    make([]uint8, n),
+		out:       out,
 		match:     make([]uint8, runCap),
 	}
-	depth := rt.compileNode(r, 0, 0, nil)
+	depth := rt.compileNode(r, 0, 0)
 	buf := make([]uint16, depth*runCap)
 	rt.scratch = make([][]uint16, depth)
 	for d := range rt.scratch {
@@ -118,17 +164,16 @@ func newRouter(r Relation, t SplitTree, n int) *router {
 	return rt
 }
 
-// compileNode resolves the subtree under node i and returns the number
-// of split levels in it.
-func (rt *router) compileNode(r Relation, i, depth int, path []int32) int {
-	t, nd := rt.tree, &rt.nodes[i]
+// compileNode resolves the subtree under node i, numbering its leaves,
+// and returns the number of split levels in it.
+func (rt *router) compileNode(r Relation, i, depth int) int {
+	t, nd, span := rt.tree, &rt.nodes[i], &rt.out.nodes[i]
 	nd.depth = depth
-	if i > 0 {
-		path = append(path, int32(i))
-	}
+	span.lo = uint(rt.leaves)
 	if t[i].Split == nil || depth == maxRouteDepth {
-		nd.leaf = len(rt.paths)
-		rt.paths = append(rt.paths, append([]int32(nil), path...))
+		nd.leaf = rt.leaves
+		rt.leaves++
+		span.hi = span.lo + 1
 		if t[i].Split != nil {
 			rt.cut = append(rt.cut, i)
 		}
@@ -136,11 +181,13 @@ func (rt *router) compileNode(r Relation, i, depth int, path []int32) int {
 	}
 	nd.leaf = -1
 	nd.split = rt.compile(r, t[i].Split)
-	return 1 + max(rt.compileNode(r, i+1, depth+1, path), rt.compileNode(r, i+t[i].No, depth+1, path))
+	levels := 1 + max(rt.compileNode(r, i+1, depth+1), rt.compileNode(r, i+t[i].No, depth+1))
+	span.hi = uint(rt.leaves)
+	return levels
 }
 
-// route is the first pass: every run of the selection descends the
-// tree, leaving its rows' leaf ids and the per-node counts behind.
+// route is the pass: every run of the selection descends the tree,
+// leaving its rows' leaf ids and the per-node counts behind.
 func (rt *router) route(rows []int) {
 	rowRuns(rows, len(rows), routeRun, rt.rpp, func(off, page int, run []int) {
 		rt.base, rt.page, rt.run = off, page, run
@@ -158,9 +205,9 @@ func (rt *router) visit(i int, sel []uint16) {
 		return
 	}
 	nd := &rt.nodes[i]
-	rt.count[i] += len(sel)
+	rt.out.count[i] += len(sel)
 	if nd.leaf >= 0 {
-		markLeaf(rt.leafOf[rt.base:], sel, uint8(nd.leaf))
+		markLeaf(rt.out.leafOf[rt.base:], sel, uint8(nd.leaf))
 		return
 	}
 	m, out := rt.match[:len(sel)], rt.scratch[nd.depth][:len(sel)]
@@ -170,28 +217,6 @@ func (rt *router) visit(i int, sel []uint16) {
 	rt.visit(i+rt.tree[i].No, out[ny:])
 }
 
-// fill is the second pass: every non-root node reached gets its row
-// list, at its final size, out of one allocation for the whole call,
-// and one walk over the leaf ids copies each row into the lists on its
-// leaf's path.
-func (rt *router) fill(rows []int, out [][]int) {
-	total := 0
-	for _, n := range rt.count[1:] {
-		total += n
-	}
-	buf := make([]int, total)
-	off := 0
-	for i := 1; i < len(rt.count); i++ {
-		n := rt.count[i]
-		if n > 0 {
-			out[i] = buf[off : off+n : off+n]
-		}
-		rt.count[i] = off // from here on the node's write cursor
-		off += n
-	}
-	fillPaths(rows, rt.leafOf, rt.paths, buf, rt.count)
-}
-
 //blaeu:hot
 func markLeaf(leafOf []uint8, sel []uint16, leaf uint8) {
 	for _, s := range sel {
@@ -199,15 +224,17 @@ func markLeaf(leafOf []uint8, sel []uint16, leaf uint8) {
 	}
 }
 
-// fillPaths copies every row into the list of each node on its leaf's
-// path; pos holds the per-node write cursors into buf.
+// collectLeaves copies into dst, in order, the rows whose leaf id lies
+// in [lo, lo+span); dst holds exactly that many, so the loop ends at
+// the last match, and the write is unconditional — the id test only
+// advances the cursor.
 //
 //blaeu:hot
-func fillPaths(rows []int, leafOf []uint8, paths [][]int32, buf []int, pos []int) {
-	for p, row := range rows {
-		for _, nd := range paths[leafOf[p]] {
-			buf[pos[nd]] = row
-			pos[nd]++
+func collectLeaves(dst, rows []int, leafOf []uint8, lo, span uint) {
+	for p, k := 0, 0; k < len(dst); p++ {
+		dst[k] = rows[p]
+		if uint(leafOf[p])-lo < span {
+			k++
 		}
 	}
 }

@@ -20,13 +20,14 @@ func benchRoute(b *testing.B, r Relation) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = len(RouteRows(r, t, rows)[2])
+		benchSink = len(Route(r, t, rows).Rows(2))
 	}
 }
 
 // BenchmarkRouteRowsTable and BenchmarkRouteRowsSegment route the whole
-// benchmark table through a two-level tree on each backing: the region
-// stage's row-proportional work.
+// benchmark table through a two-level tree on each backing and read one
+// region's rows: the region stage's row-proportional work, plus the
+// first inspection of a region.
 func BenchmarkRouteRowsTable(b *testing.B)   { benchRoute(b, benchTable(100_000)) }
 func BenchmarkRouteRowsSegment(b *testing.B) { benchRoute(b, benchSegment(b)) }
 

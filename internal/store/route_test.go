@@ -103,14 +103,19 @@ func routeSelections(rng *rand.Rand, n int) map[string][]int {
 	}
 }
 
-func assertRouted(t *testing.T, what string, got, want [][]int) {
+// assertRouted compares every node's count and rows with the
+// reference lists; the rows are built here, on first read.
+func assertRouted(t *testing.T, what string, got *Routing, want [][]int) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d node lists, want %d", what, len(got), len(want))
+	if len(got.count) != len(want) {
+		t.Fatalf("%s: %d node counts, want %d", what, len(got.count), len(want))
 	}
 	for i := range want {
-		if !equalInts(got[i], want[i]) {
-			t.Fatalf("%s: node %d got %d rows %v, want %d rows %v", what, i, len(got[i]), got[i], len(want[i]), want[i])
+		if got.Count(i) != len(want[i]) {
+			t.Fatalf("%s: node %d counts %d rows, want %d", what, i, got.Count(i), len(want[i]))
+		}
+		if rows := got.Rows(i); !equalInts(rows, want[i]) {
+			t.Fatalf("%s: node %d got %d rows %v, want %d rows %v", what, i, len(rows), rows, len(want[i]), want[i])
 		}
 	}
 }
@@ -132,9 +137,9 @@ func TestRouteRowsMatchesReference(t *testing.T) {
 				r       Relation
 			}{{"table", mem}, {"segment", seg}} {
 				what := fmt.Sprintf("trial %d (%d nodes), %s selection, %s", trial, len(tree), name, b.backing)
-				got := RouteRows(b.r, tree, rows)
+				got := Route(b.r, tree, rows)
 				assertRouted(t, what, got, want)
-				if len(rows) > 0 && &got[0][0] != &rows[0] {
+				if len(rows) > 0 && &got.Rows(0)[0] != &rows[0] {
 					t.Fatalf("%s: root list is a copy, want the selection itself", what)
 				}
 			}
@@ -176,14 +181,14 @@ func TestRouteRowsDeepTree(t *testing.T) {
 
 	for name, tree := range map[string]SplitTree{"chain": chain, "full": full} {
 		want := referenceRoute(mem, tree, rows)
-		assertRouted(t, name+", table", RouteRows(mem, tree, rows), want)
-		assertRouted(t, name+", segment", RouteRows(seg, tree, rows), want)
+		assertRouted(t, name+", table", Route(mem, tree, rows), want)
+		assertRouted(t, name+", segment", Route(seg, tree, rows), want)
 	}
 }
 
 // TestPartitionRowsIsOneSplit: PartitionRows over every predicate
-// shape equals the reference on both backings, and an append to the
-// first half cannot run into the second, which shares its allocation.
+// shape equals the reference on both backings, and both halves are cut
+// at their length, so an append to one never writes into shared memory.
 func TestPartitionRowsIsOneSplit(t *testing.T) {
 	const n = 700
 	mem, seg := openBoth(t, n, 1<<20)
@@ -195,47 +200,54 @@ func TestPartitionRowsIsOneSplit(t *testing.T) {
 			if !equalInts(yes, want[1]) || !equalInts(no, want[2]) {
 				t.Fatalf("%s: PartitionRows = (%d, %d rows), want (%d, %d)", p, len(yes), len(no), len(want[1]), len(want[2]))
 			}
-			if cap(yes) != len(yes) {
-				t.Fatalf("%s: yes has cap %d beyond its %d rows: an append would run into no", p, cap(yes), len(yes))
+			if cap(yes) != len(yes) || cap(no) != len(no) {
+				t.Fatalf("%s: halves have caps %d/%d beyond their %d/%d rows", p, cap(yes), cap(no), len(yes), len(no))
 			}
 		}
 	}
 }
 
-// TestRouteRowsByteBudget: a region build over n rows and L non-root
-// levels allocates the final row lists (8 bytes per row and level),
-// one leaf id per row and a fixed amount of scratch — nothing that
-// grows by doubling.
+// TestRouteRowsByteBudget: a route over n rows allocates one leaf id
+// per row and a fixed amount of scratch — no row list; a node's rows
+// cost 8 bytes a row on the first read and nothing after.
 func TestRouteRowsByteBudget(t *testing.T) {
 	const n = 200_000
 	const slack = 64 << 10
 	tab := benchTable(n)
 	rows := rangeRows(0, n)
-	for name, c := range map[string]struct {
-		tree   SplitTree
-		levels int
-	}{
-		"one split":  {SplitTree{{Split: NumCmp{Col: "x", Op: Lt, Val: 50}, No: 2}, {}, {}}, 1},
-		"two levels": {benchRouteTree(), 2},
-	} {
-		RouteRows(tab, c.tree, rows) // warm the runtime's size classes
+	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := RouteRows(tab, c.tree, rows)
+		f()
 		runtime.ReadMemStats(&after)
-		got := after.TotalAlloc - before.TotalAlloc
-		budget := uint64(8*n*c.levels + n + slack)
-		if got > budget {
-			t.Errorf("%s: RouteRows allocated %d bytes for %d rows, budget %d", name, got, n, budget)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, tree := range map[string]SplitTree{
+		"one split":  {{Split: NumCmp{Col: "x", Op: Lt, Val: 50}, No: 2}, {}, {}},
+		"two levels": benchRouteTree(),
+	} {
+		Route(tab, tree, rows).Rows(1) // warm the runtime's size classes
+		var rt *Routing
+		if got := allocated(func() { rt = Route(tab, tree, rows) }); got > n+slack {
+			t.Errorf("%s: Route allocated %d bytes for %d rows, budget %d", name, got, n, n+slack)
 		}
-		runtime.KeepAlive(out)
+		for i := 1; i < len(tree); i++ {
+			budget := uint64(8*rt.Count(i) + 8<<10) // large objects are rounded up to 8 KiB pages
+			if got := allocated(func() { rt.Rows(i) }); got > budget {
+				t.Errorf("%s: first Rows(%d) allocated %d bytes for %d rows, budget %d", name, i, got, rt.Count(i), budget)
+			}
+			if got := allocated(func() { rt.Rows(i) }); got != 0 {
+				t.Errorf("%s: second Rows(%d) allocated %d bytes, want 0", name, i, got)
+			}
+		}
 	}
 }
 
 // TestRouteRowsConcurrent hammers one shared segment (and a pool far
-// smaller than it) with concurrent routes and gathers; every route
-// must equal the sequential result. Run under -race by `make
-// race-scan`.
+// smaller than it) with concurrent routes and gathers, and one shared
+// Routing with concurrent first reads of the same nodes; every route
+// must equal the sequential result, and every node is built once. Run
+// under -race by `make race-scan`.
 func TestRouteRowsConcurrent(t *testing.T) {
 	const n = 3000
 	mem, seg := openBoth(t, n, 8<<10)
@@ -249,16 +261,23 @@ func TestRouteRowsConcurrent(t *testing.T) {
 	for i, rows := range sels {
 		want[i] = referenceRoute(mem, tree, rows)
 	}
+	shared := Route(seg, tree, sels[0])
+	built := make([][][]int, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			built[g] = make([][]int, len(tree))
+			for k := range tree {
+				nd := (k + g) % len(tree)
+				built[g][nd] = shared.Rows(nd)
+			}
 			for it := 0; it < 10; it++ {
 				i := (g + it) % len(sels)
-				got := RouteRows(seg, tree, sels[i])
+				got := Route(seg, tree, sels[i])
 				for nd := range want[i] {
-					if !equalInts(got[nd], want[i][nd]) {
+					if !equalInts(got.Rows(nd), want[i][nd]) {
 						t.Errorf("goroutine %d: node %d differs from the sequential route", g, nd)
 						return
 					}
@@ -270,4 +289,14 @@ func TestRouteRowsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	for nd := range tree {
+		if !equalInts(built[0][nd], want[0][nd]) {
+			t.Fatalf("shared routing: node %d differs from the reference", nd)
+		}
+		for g := 1; g < len(built); g++ {
+			if len(built[g][nd]) > 0 && &built[g][nd][0] != &built[0][nd][0] {
+				t.Fatalf("shared routing: node %d was built more than once", nd)
+			}
+		}
+	}
 }

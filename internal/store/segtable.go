@@ -19,7 +19,7 @@ import (
 // (Filter, Gather of sorted rows) touch pages sequentially; point
 // accesses via the Column interface work but pay a pool round trip
 // per row, so hot paths should go through Filter / ScanRows /
-// RouteRows / StatsRows / RowFloats / Gather, which fetch a page once
+// Route / StatsRows / RowFloats / Gather, which fetch a page once
 // per run of rows on it.
 type SegmentTable struct {
 	columnSet

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Query is a parsed Select-Project query — the class of queries Blaeu's
@@ -23,35 +24,39 @@ type Query struct {
 
 // String renders the query back to SQL.
 func (q *Query) String() string {
-	cols := "*"
-	if len(q.Columns) > 0 {
-		cols = ""
-		for i, c := range q.Columns {
-			if i > 0 {
-				cols += ", "
-			}
-			cols += quoteIdent(c)
-		}
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if len(q.Columns) == 0 {
+		sb.WriteString("*")
 	}
-	out := fmt.Sprintf("SELECT %s FROM %s", cols, quoteIdent(q.Table))
+	for i, c := range q.Columns {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(quoteIdent(c))
+	}
+	sb.WriteString(" FROM ")
+	sb.WriteString(quoteIdent(q.Table))
 	if q.Where != nil {
-		out += " WHERE " + q.Where.String()
+		sb.WriteString(" WHERE ")
+		sb.WriteString(q.Where.String())
 	}
 	for i, k := range q.OrderBy {
 		if i == 0 {
-			out += " ORDER BY "
+			sb.WriteString(" ORDER BY ")
 		} else {
-			out += ", "
+			sb.WriteString(", ")
 		}
-		out += quoteIdent(k.Col)
+		sb.WriteString(quoteIdent(k.Col))
 		if k.Desc {
-			out += " DESC"
+			sb.WriteString(" DESC")
 		}
 	}
 	if q.Limit > 0 {
-		out += fmt.Sprintf(" LIMIT %d", q.Limit)
+		sb.WriteString(" LIMIT ")
+		sb.WriteString(strconv.Itoa(q.Limit))
 	}
-	return out
+	return sb.String()
 }
 
 // ParseQuery parses a Select-Project query:

@@ -350,7 +350,7 @@ func (g *grower) bestCategoricalSplit(col *store.StringColumn, rows []int, paren
 	return best, bestGain
 }
 
-// Splits returns the subtree under n as the split tree store.RouteRows
+// Splits returns the subtree under n as the split tree store.Route
 // routes through, with its nodes in the same (preorder) order.
 func (n *Node) Splits() (store.SplitTree, []*Node) {
 	var splits store.SplitTree
@@ -371,14 +371,15 @@ func (n *Node) Splits() (store.SplitTree, []*Node) {
 	return splits, nodes
 }
 
-// route sends rows of t down the tree in one store.RouteRows pass and
+// route sends rows of t down the tree in one store.Route pass and
 // calls leaf with every leaf some row reaches and the rows that reach
-// it, in input order.
+// it, in input order; only the leaves' row lists are built.
 func route(t *store.Table, n *Node, rows []int, leaf func(n *Node, rows []int)) {
 	splits, nodes := n.Splits()
-	for i, reached := range store.RouteRows(t, splits, rows) {
-		if nodes[i].IsLeaf() && len(reached) > 0 {
-			leaf(nodes[i], reached)
+	rt := store.Route(t, splits, rows)
+	for i, nd := range nodes {
+		if nd.IsLeaf() && rt.Count(i) > 0 {
+			leaf(nd, rt.Rows(i))
 		}
 	}
 }
