@@ -33,10 +33,10 @@ race-store:
 # concurrent scans (whole-relation, row-set, limited), tree routes and
 # column gathers hammering one shared segment through a pool that holds
 # a fraction of its pages, so the pool's single-flight loads and
-# evictions run under them, and first reads of one shared routing's
-# nodes.
+# evictions run under them, first reads of one shared routing's nodes,
+# and first fingerprints and run reads of one shared row set.
 race-scan:
-	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent' ./internal/store/
+	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent|TestRowSetConcurrent' ./internal/store/
 
 build:
 	go build ./...
@@ -74,13 +74,15 @@ fmt-check:
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
-# rendering, session open-options JSON, segment files) so the harnesses
-# and corpora don't bit-rot. Real fuzzing: raise -fuzztime and
-# let it run.
+# rendering, session open-options JSON, segment files) and over the row
+# set (random ascending ids against the []int reference) so the
+# harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime
+# and let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment
 	go test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/store/segment
@@ -98,8 +100,9 @@ bench:
 
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
 # storage-engine filter benchmarks, the scan benchmarks (limit pushdown,
-# sample gathers) and the kernels behind the filter and highlight clicks
-# (BenchmarkFilterKernel*, BenchmarkStatsRows*).
+# sample gathers), the kernels behind the filter and highlight clicks
+# (BenchmarkFilterKernel*, BenchmarkStatsRows*) and the row set's run
+# reads in each form (BenchmarkRowSetRuns).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' .
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store

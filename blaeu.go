@@ -86,7 +86,8 @@ type (
 	// the current selection under one theme.
 	Map = core.Map
 	// Region is one node of a data map: Count is its size, RowIDs its
-	// rows, built the first time they are read.
+	// rows — a row set (range, bitmap or list) built the first time they
+	// are read.
 	Region = core.Region
 	// Highlight is a read-only inspection of a column within a region.
 	Highlight = core.Highlight

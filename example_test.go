@@ -65,7 +65,7 @@ Upsilonia,8,31
 	if err := ex.Rollback(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("after rollback: %d tuples\n", len(ex.State().Rows))
+	fmt.Printf("after rollback: %d tuples\n", ex.State().Rows.Len())
 	// Output:
 	// clusters: 2
 	// region hours < 16.5: 10 tuples

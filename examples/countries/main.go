@@ -58,10 +58,10 @@ func main() {
 			continue
 		}
 		var h, inc float64
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			h += hours.Float(r)
 			inc += income.Float(r)
-		}
+		})
 		if score := inc/float64(l.Count()) - h/float64(l.Count()); score > bestScore {
 			bestScore, target = score, l
 		}
@@ -107,5 +107,5 @@ func main() {
 		steps++
 	}
 	fmt.Printf("\nRolled back %d steps; selection is the full table again (%d tuples)\n",
-		steps, len(ex.State().Rows))
+		steps, ex.State().Rows.Len())
 }

@@ -42,9 +42,9 @@ func main() {
 	prof := ds.Table.ColumnByName("Profitability")
 	for i, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			sum += prof.Float(r)
-		}
+		})
 		h, err := ex.Highlight("Genre", l.Path...)
 		if err != nil {
 			log.Fatal(err)
@@ -64,9 +64,9 @@ func main() {
 	bestMean := -1e18
 	for _, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			sum += prof.Float(r)
-		}
+		})
 		if mean := sum / float64(l.Count()); mean > bestMean {
 			bestMean, best = mean, l
 		}
@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nReviews of the most profitable films (%d selected):\n", len(ex.State().Rows))
+	fmt.Printf("\nReviews of the most profitable films (%d selected):\n", ex.State().Rows.Len())
 	fmt.Print(pm.Root.RenderTree())
 	h, err := ex.Highlight("RottenTomatoes")
 	if err != nil {

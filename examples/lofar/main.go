@@ -64,9 +64,9 @@ func main() {
 			continue
 		}
 		sum := 0.0
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			sum += ar.Float(r)
-		}
+		})
 		if mean := sum / float64(l.Count()); mean > worstMean {
 			worstMean, worst = mean, l
 		}

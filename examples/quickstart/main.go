@@ -89,5 +89,5 @@ func main() {
 	if err := ex.Rollback(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nAfter rollback: %d tuples selected again\n", len(ex.State().Rows))
+	fmt.Printf("\nAfter rollback: %d tuples selected again\n", ex.State().Rows.Len())
 }

@@ -165,7 +165,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("%v", err)
 			return true
 		}
-		fmt.Fprintf(r.out, "zoomed to %d tuples\n", len(e.State().Rows))
+		fmt.Fprintf(r.out, "zoomed to %d tuples\n", e.State().Rows.Len())
 		r.printMap(m)
 	case "highlight":
 		if len(args) < 1 {
@@ -241,7 +241,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("%v", err)
 			return true
 		}
-		fmt.Fprintf(r.out, "filtered to %d tuples\n", len(e.State().Rows))
+		fmt.Fprintf(r.out, "filtered to %d tuples\n", e.State().Rows.Len())
 	case "sql":
 		if len(args) == 0 {
 			r.errf("usage: sql SELECT ... FROM %s ...", e.Table().Name())
@@ -259,7 +259,7 @@ func (r *REPL) Execute(line string) bool {
 			return true
 		}
 		fmt.Fprintf(r.out, "rolled back to %d tuples (%s)\n",
-			len(e.State().Rows), e.State().Action)
+			e.State().Rows.Len(), e.State().Action)
 	case "query":
 		fmt.Fprintln(r.out, e.Query())
 	case "export":
@@ -271,7 +271,7 @@ func (r *REPL) Execute(line string) bool {
 		fmt.Fprintln(r.out, string(data))
 	case "state":
 		for i, s := range e.History() {
-			fmt.Fprintf(r.out, "%2d. %-13s %-44s %d tuples\n", i, s.Action, clipStr(s.Detail, 44), len(s.Rows))
+			fmt.Fprintf(r.out, "%2d. %-13s %-44s %d tuples\n", i, s.Action, clipStr(s.Detail, 44), s.Rows.Len())
 		}
 	default:
 		r.errf("unknown command %q (try help)", cmd)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/prep"
@@ -79,12 +78,11 @@ func (c *artifactCache) get(k artifactKey) *buildArtifact {
 // findDerivable scans the cache for the parent artifact whose sample
 // overlaps rows the most, returning it with the overlapping positions
 // (indices into the parent's sampleRows/vecs, ascending) when the
-// overlap reaches minNeeded — the derivation policy's floor. Both lists
-// are ascending (see State.Rows), so the overlap is an intersection of
-// sorted lists: each of the ≤ SampleSize sample rows is binary-searched
-// in what is left of rows, O(sample · log rows) per cached entry however
+// overlap reaches minNeeded — the derivation policy's floor. The
+// overlap is RowSet.Intersect of the sample: one membership test per
+// sample row, O(sample · log rows) at most per cached entry however
 // large the selection.
-func (c *artifactCache) findDerivable(theme int, cfg uint64, rows []int, minNeeded int) (*buildArtifact, []int) {
+func (c *artifactCache) findDerivable(theme int, cfg uint64, rows *store.RowSet, minNeeded int) (*buildArtifact, []int) {
 	var bestKey artifactKey
 	var bestArt *buildArtifact
 	var bestPos []int
@@ -95,19 +93,7 @@ func (c *artifactCache) findDerivable(theme int, cfg uint64, rows []int, minNeed
 		if len(art.sampleRows) <= len(bestPos) {
 			return true // cannot beat the current best
 		}
-		var pos []int
-		rest := rows
-		for p, r := range art.sampleRows {
-			if len(rest) == 0 {
-				break
-			}
-			at := sort.SearchInts(rest, r)
-			if at < len(rest) && rest[at] == r {
-				pos = append(pos, p)
-				at++
-			}
-			rest = rest[at:]
-		}
+		pos := rows.Intersect(art.sampleRows)
 		if len(pos) >= minNeeded && len(pos) > len(bestPos) {
 			bestKey, bestArt, bestPos = k, art, pos
 		}
@@ -137,8 +123,8 @@ func (c *artifactCache) put(k artifactKey, art *buildArtifact) { c.lru.put(k, ar
 // fewer than DerivedSampleMin rows. Because the parent's sample was
 // drawn uniformly from a superset of the child's rows, the overlap IS a
 // uniform sample of the child's selection — smaller, not biased.
-func (e *Explorer) derivedSampleFloor(rows []int) int {
-	target := len(rows)
+func (e *Explorer) derivedSampleFloor(rows *store.RowSet) int {
+	target := rows.Len()
 	if target > e.opts.SampleSize {
 		target = e.opts.SampleSize
 	}

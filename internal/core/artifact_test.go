@@ -278,9 +278,9 @@ func TestDerivedBuildDegeneratesToCold(t *testing.T) {
 	for _, leaf := range m.Root.Leaves() {
 		vals := make(map[string]bool)
 		col := tbl.ColumnByName("CountryName")
-		for _, r := range leaf.RowIDs() {
+		leaf.RowIDs().Each(func(r int) {
 			vals[col.StringAt(r)] = true
-		}
+		})
 		if len(vals) == 1 && leaf.Count() >= 5 {
 			path = leaf.Path
 			break

@@ -56,8 +56,7 @@ type MapBuild struct {
 	e      *Explorer
 	action ActionKind
 	detail string
-	rows   []int
-	fp     rowsFingerprint // of rows; set when a cache tier needed it
+	rows   *store.RowSet
 	theme  Theme
 	cond   store.And
 	rng    *rand.Rand
@@ -96,7 +95,7 @@ func (e *Explorer) prepareTheme(action ActionKind, themeID int) (*MapBuild, erro
 	cur := e.State()
 	return e.prepare(action,
 		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
-		cur.Rows, &cur.fp, e.themes[themeID], cur.Condition), nil
+		cur.Rows, e.themes[themeID], cur.Condition), nil
 }
 
 // PrepareZoom stages a Zoom build into the region at path.
@@ -113,7 +112,7 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 		return nil, fmt.Errorf("core: region %v is empty", path)
 	}
 	cond := append(append(store.And(nil), cur.Condition...), region.Condition...)
-	return e.prepare(ActionZoom, region.Describe(), region.RowIDs(), &region.fp, cur.Map.Theme, cond), nil
+	return e.prepare(ActionZoom, region.Describe(), region.RowIDs(), cur.Map.Theme, cond), nil
 }
 
 // noTheme is the theme of a filter staged before any theme was
@@ -137,7 +136,7 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 	}
 	cur := e.State()
 	rows := store.ScanRows(e.table, pred, cur.Rows)
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("core: predicate %s matches no tuples in the selection", pred)
 	}
 	theme := noTheme
@@ -145,7 +144,7 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 		theme = cur.Map.Theme
 	}
 	cond := append(append(store.And(nil), cur.Condition...), pred)
-	return e.prepare(ActionFilter, pred.String(), rows, new(rowsFingerprint), theme, cond), nil
+	return e.prepare(ActionFilter, pred.String(), rows, theme, cond), nil
 }
 
 // prepare snapshots the build inputs, derives the child RNG and resolves
@@ -155,12 +154,12 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 // largest usable sample overlap backs a derived build). The RNG draw
 // happens on every prepare — hit, derived or cold — so the explorer's
 // random stream advances identically either way and later navigation
-// does not depend on the caches' contents. fp is the fingerprint memo
-// of the State or Region that owns rows: the cache keys read it, so a
-// selection already fingerprinted — a revisit, a rollback followed by
-// the same zoom, a projection of a zoomed state — costs no pass over
-// its rows here; a filter's rows are new and pay the one pass.
-func (e *Explorer) prepare(action ActionKind, detail string, rows []int, fp *rowsFingerprint, theme Theme, cond store.And) *MapBuild {
+// does not depend on the caches' contents. The cache keys read the
+// fingerprint rows keeps, so a selection already fingerprinted — a
+// revisit, a rollback followed by the same zoom, a projection of a
+// zoomed state, all handed the same set — costs no pass over its rows
+// here; a filter's rows are new and pay the one pass.
+func (e *Explorer) prepare(action ActionKind, detail string, rows *store.RowSet, theme Theme, cond store.And) *MapBuild {
 	b := &MapBuild{
 		e:      e,
 		action: action,
@@ -175,17 +174,16 @@ func (e *Explorer) prepare(action ActionKind, detail string, rows []int, fp *row
 	if b.mapless() || (e.cache == nil && e.artifacts == nil) {
 		return b
 	}
-	sum := fp.of(rows)
-	b.fp = *fp
+	sum := rows.Fingerprint()
 	if e.cache != nil {
-		b.key = mapKey{rows: sum, n: len(rows), theme: theme.ID, config: e.cfg}
+		b.key = mapKey{rows: sum, n: rows.Len(), theme: theme.ID, config: e.cfg}
 		b.hit = e.cache.get(b.key)
 		if b.hit != nil {
 			b.reuse = ReuseMapHit
 		}
 	}
 	if e.artifacts != nil {
-		b.akey = artifactKey{rows: sum, n: len(rows), theme: theme.ID, config: e.acfg}
+		b.akey = artifactKey{rows: sum, n: rows.Len(), theme: theme.ID, config: e.acfg}
 		if b.hit != nil {
 			return b // map tier already answered; leave the artifact tier untouched
 		}
@@ -222,7 +220,7 @@ func (b *MapBuild) Cached() bool { return b.hit != nil }
 func (b *MapBuild) Reuse() ReuseLevel { return b.reuse }
 
 // Rows returns how many tuples the build's selection holds.
-func (b *MapBuild) Rows() int { return len(b.rows) }
+func (b *MapBuild) Rows() int { return b.rows.Len() }
 
 // Run executes the mapping pipeline on the prepared snapshot. It must
 // not be called under the session lock — that is the point: ctx cancels
@@ -307,7 +305,6 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 		Action:    b.action,
 		Detail:    b.detail,
 		Rows:      b.rows,
-		fp:        b.fp,
 		Map:       m,
 		Condition: b.cond,
 	})

@@ -333,8 +333,8 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	if !mapsEqual(m1, m2) {
 		t.Error("the revisited filter's map differs from the first one")
 	}
-	if st := e.State(); st.Action != ActionFilter || st.Detail != pred.String() || len(st.Rows) != m2.Root.Count() {
-		t.Errorf("state after the hit: %s %q over %d rows, map holds %d", st.Action, st.Detail, len(st.Rows), m2.Root.Count())
+	if st := e.State(); st.Action != ActionFilter || st.Detail != pred.String() || st.Rows.Len() != m2.Root.Count() {
+		t.Errorf("state after the hit: %s %q over %d rows, map holds %d", st.Action, st.Detail, st.Rows.Len(), m2.Root.Count())
 	}
 	s := e.ReuseStats()
 	if s.Map.Hits != 1 || s.Map.Hits+s.Map.Misses != 3 {

@@ -235,9 +235,9 @@ func TestSelectThemeBuildsMap(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range leaves {
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			pred[r] = l.ClusterID
-		}
+		})
 	}
 	if ari := eval.AdjustedRandIndex(labor, pred); ari < 0.7 {
 		t.Errorf("map regions vs planted labor clusters: ARI = %.3f", ari)
@@ -283,11 +283,11 @@ func TestZoomNarrowsSelection(t *testing.T) {
 	}
 	leaves := m.Root.Leaves()
 	target := leaves[0]
-	before := len(e.State().Rows)
+	before := e.State().Rows.Len()
 	if _, err := e.Zoom(target.Path...); err != nil {
 		t.Fatal(err)
 	}
-	after := len(e.State().Rows)
+	after := e.State().Rows.Len()
 	if after != target.Count() || after >= before {
 		t.Errorf("zoom rows = %d, want region count %d < %d", after, target.Count(), before)
 	}
@@ -350,12 +350,12 @@ func TestProjectKeepsRowsChangesColumns(t *testing.T) {
 	if _, err := e.Zoom(big.Path...); err != nil {
 		t.Fatal(err)
 	}
-	rowsBefore := len(e.State().Rows)
+	rowsBefore := e.State().Rows.Len()
 	pm, err := e.Project(unempID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.State().Rows) != rowsBefore {
+	if e.State().Rows.Len() != rowsBefore {
 		t.Error("project must keep the selection")
 	}
 	if pm.Theme.ID != unempID {
@@ -386,9 +386,9 @@ func TestHighlightRevealsCountries(t *testing.T) {
 	bestMean := -1.0
 	for _, l := range m.Root.Leaves() {
 		sum := 0.0
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			sum += income.Float(r)
-		}
+		})
 		if mean := sum / float64(l.Count()); mean > bestMean {
 			bestMean, best = mean, l
 		}
@@ -442,12 +442,12 @@ func TestRollbackRestoresState(t *testing.T) {
 	if _, err := e.Zoom(m.Root.Leaves()[0].Path...); err != nil {
 		t.Fatal(err)
 	}
-	zoomRows := len(e.State().Rows)
+	zoomRows := e.State().Rows.Len()
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.State().Rows) != 900 {
-		t.Errorf("rollback rows = %d, want 900", len(e.State().Rows))
+	if e.State().Rows.Len() != 900 {
+		t.Errorf("rollback rows = %d, want 900", e.State().Rows.Len())
 	}
 	if e.State().Map != m {
 		t.Error("rollback should restore the previous map")
@@ -492,6 +492,44 @@ func TestMaxHistoryBounded(t *testing.T) {
 	// The initial state survives trimming.
 	if e.History()[0].Action != ActionInit {
 		t.Error("initial state must survive history trimming")
+	}
+}
+
+// TestTinyHistoryKeepsCurrentState: a history of one or two states
+// still holds the initial state and the current one, so select → zoom →
+// rollback works — the map an action returns is the current state's,
+// and a rollback lands on the state before it in the kept history.
+func TestTinyHistoryKeepsCurrentState(t *testing.T) {
+	tab, _, _ := laborTable(600, 11)
+	for _, max := range []int{1, 2} {
+		e, err := NewExplorer(tab, Options{Seed: 11, MaxHistory: max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.SelectTheme(0)
+		if err != nil {
+			t.Fatalf("MaxHistory %d: select: %v", max, err)
+		}
+		if e.State().Map != m {
+			t.Fatalf("MaxHistory %d: the selected map is not the current state's", max)
+		}
+		zm, err := e.Zoom(largestLeaf(m)...)
+		if err != nil {
+			t.Fatalf("MaxHistory %d: zoom: %v", max, err)
+		}
+		if e.State().Map != zm || e.State().Action != ActionZoom {
+			t.Fatalf("MaxHistory %d: the zoomed map is not the current state's", max)
+		}
+		h := e.History()
+		if len(h) != 2 || h[0].Action != ActionInit {
+			t.Fatalf("MaxHistory %d: history of %d states, want the initial state and the zoom", max, len(h))
+		}
+		if err := e.Rollback(); err != nil {
+			t.Fatalf("MaxHistory %d: rollback: %v", max, err)
+		}
+		if e.State() != h[len(h)-2] {
+			t.Fatalf("MaxHistory %d: rollback did not return to the previous state", max)
+		}
 	}
 }
 
@@ -713,9 +751,9 @@ func TestCountriesEndToEnd(t *testing.T) {
 		predRows[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			predRows[r] = l.ClusterID
-		}
+		})
 	}
 	if ari := eval.AdjustedRandIndex(ds.Truth["labor"], predRows); ari < 0.5 {
 		t.Errorf("labor map ARI = %.3f, want >= 0.5", ari)

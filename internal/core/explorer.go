@@ -32,13 +32,11 @@ type State struct {
 	Action ActionKind
 	// Detail describes the action (e.g. the zoomed region's condition).
 	Detail string
-	// Rows is the active selection: absolute base-table row indices,
-	// ascending. Every producer keeps the order (NewExplorer's full
-	// table, store.ScanRows for filters, store.Route for regions),
-	// and the artifact tier's overlap search relies on it.
-	Rows []int
-	// fp memoises the fingerprint of Rows (see rowsFingerprint).
-	fp rowsFingerprint
+	// Rows is the active selection of base-table rows: the full table
+	// (store.All) at first, then what store.ScanRows (filters) and
+	// store.Route (regions) produce. Its fingerprint, the cache keys'
+	// selection part, is computed once per set.
+	Rows *store.RowSet
 	// Map is the active data map (nil before the first theme selection).
 	Map *Map
 	// Condition accumulates the predicates of all zooms so far — the
@@ -98,11 +96,7 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 	if err := e.detectThemes(); err != nil {
 		return nil, err
 	}
-	all := make([]int, t.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	e.states = []*State{{Action: ActionInit, Detail: "full table", Rows: all}}
+	e.states = []*State{{Action: ActionInit, Detail: "full table", Rows: store.All(t.NumRows())}}
 	return e, nil
 }
 
@@ -135,13 +129,15 @@ func (e *Explorer) History() []*State {
 func (e *Explorer) CurrentMap() *Map { return e.State().Map }
 
 // Selection materializes the current selection as a table.
-func (e *Explorer) Selection() *store.Table { return e.table.Gather(e.State().Rows) }
+func (e *Explorer) Selection() *store.Table { return e.table.Gather(e.State().Rows.AppendTo(nil)) }
 
 // Query renders the implicit Select-Project query of the current state,
 // e.g. `SELECT <theme columns> FROM t WHERE hours < 20 AND income >= 22`.
 // The string is valid input for ExecuteQuery / store.RunSQL.
-func (e *Explorer) Query() string {
-	s := e.State()
+func (e *Explorer) Query() string { return e.queryOf(e.State()) }
+
+// queryOf renders the implicit query of any state, current or not.
+func (e *Explorer) queryOf(s *State) string {
 	q := &store.Query{Table: e.table.Name()}
 	if s.Map != nil {
 		q.Columns = s.Map.Theme.Columns

@@ -61,7 +61,11 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	// until enough are seen.
 	want := min(MaxSampleValues, st.Count)
 	for lo := 0; len(h.SampleValues) < want; lo += 4 * MaxSampleValues {
-		sub := col.Gather(rows[lo:min(lo+4*MaxSampleValues, len(rows))])
+		pos := make([]int, 0, 4*MaxSampleValues)
+		for p := lo; p < min(lo+4*MaxSampleValues, rows.Len()); p++ {
+			pos = append(pos, p)
+		}
+		sub := col.Gather(rows.Pick(pos))
 		for i := 0; i < sub.Len() && len(h.SampleValues) < want; i++ {
 			if !sub.IsNull(i) {
 				h.SampleValues = append(h.SampleValues, sub.StringAt(i))

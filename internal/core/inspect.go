@@ -72,7 +72,7 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 		// rows: an inspection never advances e.rng (the next build would
 		// come out different), and a region shows the same points on
 		// every call.
-		rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(region.fp.of(rows))))
+		rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(rows.Fingerprint())))
 		idx := store.SampleIndices(len(xs), MaxScatterPoints, rng)
 		sd.X = make([]float64, len(idx))
 		sd.Y = make([]float64, len(idx))

@@ -111,12 +111,12 @@ func TestFilterExprNarrowsAndRollsBack(t *testing.T) {
 	if _, err := e.SelectTheme(id); err != nil {
 		t.Fatal(err)
 	}
-	before := len(e.State().Rows)
+	before := e.State().Rows.Len()
 	m, err := e.FilterExpr("WorkingLongHours < 20")
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := len(e.State().Rows)
+	after := e.State().Rows.Len()
 	if after >= before || after == 0 {
 		t.Fatalf("filter rows = %d (before %d)", after, before)
 	}
@@ -131,15 +131,15 @@ func TestFilterExprNarrowsAndRollsBack(t *testing.T) {
 	}
 	// Hours >= 20 tuples must be gone.
 	hours := tab.ColumnByName("WorkingLongHours")
-	for _, r := range e.State().Rows {
+	e.State().Rows.Each(func(r int) {
 		if hours.Float(r) >= 20 {
 			t.Fatal("filter leaked rows")
 		}
-	}
+	})
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.State().Rows) != before {
+	if e.State().Rows.Len() != before {
 		t.Error("rollback after filter broken")
 	}
 }
@@ -154,7 +154,7 @@ func TestFilterBeforeAnyMap(t *testing.T) {
 	if m != nil {
 		t.Error("no map should be built before a theme is selected")
 	}
-	if len(e.State().Rows) == 0 {
+	if e.State().Rows.Len() == 0 {
 		t.Error("filter should keep matching rows")
 	}
 }

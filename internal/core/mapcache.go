@@ -1,10 +1,5 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
-
 // DefaultMapCacheSize is the default capacity (entries) of the
 // zoom-aware map cache.
 const DefaultMapCacheSize = 16
@@ -15,7 +10,7 @@ const DefaultMapCacheSize = 16
 // keying rule of the zoom cache. The session dimension of the key is
 // implicit: every Explorer owns its own cache.
 type mapKey struct {
-	rows   uint64 // FNV-1a over the selection's row indices, canonical order
+	rows   uint64 // the selection's store.RowSet.Fingerprint
 	n      int    // row count, a cheap collision guard
 	theme  int    // Theme.ID (themes are immutable once detected)
 	config uint64 // fingerprint of the build-relevant Options
@@ -53,9 +48,9 @@ func (c *mapCache) put(k mapKey, m *Map) { c.lru.put(k, m) }
 // never share mutable regions, and annotations made on one state can
 // neither leak into a later re-zoom nor be mutated through it.
 // Annotations are dropped (a fresh build has none); the routing (so
-// every region's rows are built once across the original and all its
-// clones), the memoised fingerprints, Split and Condition are shared —
-// they are read-only once built.
+// every region's rows, and their fingerprint, are built once across the
+// original and all its clones), Split and Condition are shared — they
+// are read-only once built.
 func cloneForReuse(m *Map) *Map {
 	out := *m
 	out.Root = cloneRegion(m.Root)
@@ -72,52 +67,4 @@ func cloneRegion(r *Region) *Region {
 		}
 	}
 	return &out
-}
-
-// fingerprintRows hashes a selection's row indices (FNV-1a, 64 bit,
-// each index as eight little-endian bytes — the value hash/fnv gives).
-// The fingerprint is over the canonical (ascending) order, so the same
-// set of rows produced in a different order — a filter evaluated in
-// another sequence, a future merge of partial selections — still hits
-// the cache. Selections are ascending in practice (region rows preserve
-// the base-table order), so the common case is one pass; only
-// out-of-order input pays for a sorted copy.
-func fingerprintRows(rows []int) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	prev := math.MinInt
-	for _, r := range rows {
-		if r < prev {
-			sorted := append([]int(nil), rows...)
-			sort.Ints(sorted)
-			return fingerprintRows(sorted)
-		}
-		prev = r
-		v := uint64(r)
-		h = (h ^ v&0xff) * prime64
-		h = (h ^ v>>8&0xff) * prime64
-		h = (h ^ v>>16&0xff) * prime64
-		h = (h ^ v>>24&0xff) * prime64
-		h = (h ^ v>>32&0xff) * prime64
-		h = (h ^ v>>40&0xff) * prime64
-		h = (h ^ v>>48&0xff) * prime64
-		h = (h ^ v>>56) * prime64
-	}
-	return h
-}
-
-// rowsFingerprint memoises fingerprintRows on the State or Region that
-// owns the rows, so a selection is hashed at most once however often
-// it is zoomed into, projected or revisited.
-type rowsFingerprint struct {
-	sum uint64
-	ok  bool
-}
-
-// of returns the fingerprint of rows, the owner's row list.
-func (f *rowsFingerprint) of(rows []int) uint64 {
-	if !f.ok {
-		f.sum, f.ok = fingerprintRows(rows), true
-	}
-	return f.sum
 }

@@ -3,9 +3,42 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/store"
 )
+
+// fingerprintRows is the cache keys' selection hash as it was first
+// written, over a row list in any order: FNV-1a, 64 bit, each index as
+// eight little-endian bytes, over the canonical (ascending) order. It is
+// the oracle of store.RowSet.Fingerprint, which hashes a set that is
+// ascending by construction.
+func fingerprintRows(rows []int) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	prev := math.MinInt
+	for _, r := range rows {
+		if r < prev {
+			sorted := append([]int(nil), rows...)
+			sort.Ints(sorted)
+			return fingerprintRows(sorted)
+		}
+		prev = r
+		v := uint64(r)
+		h = (h ^ v&0xff) * prime64
+		h = (h ^ v>>8&0xff) * prime64
+		h = (h ^ v>>16&0xff) * prime64
+		h = (h ^ v>>24&0xff) * prime64
+		h = (h ^ v>>32&0xff) * prime64
+		h = (h ^ v>>40&0xff) * prime64
+		h = (h ^ v>>48&0xff) * prime64
+		h = (h ^ v>>56) * prime64
+	}
+	return h
+}
 
 // TestFingerprintRowsOrderInsensitive is the regression test for the
 // cache-key canonicalization bugfix: the same row set must fingerprint
@@ -35,6 +68,10 @@ func TestFingerprintRowsOrderInsensitive(t *testing.T) {
 	if asc[0] != 1 || asc[3] != 4 {
 		t.Error("fingerprintRows mutated its input")
 	}
+	// The engine's sets hash to the same key as any order of their rows.
+	if got := store.RowsOf([]int{3, 35, 65, 92, 1590}).Fingerprint(); got != fingerprintRows([]int{92, 3, 1590, 65, 35}) {
+		t.Errorf("RowSet fingerprint %x misses the canonical fingerprint", got)
+	}
 }
 
 // TestMapCacheHitAcrossRowOrder: a map cached under one ordering of the
@@ -62,16 +99,17 @@ func TestMapCacheHitAcrossRowOrder(t *testing.T) {
 	}
 }
 
-// TestFingerprintRowsIsFNV1a pins the inlined hash to the value
-// hash/fnv gives for the same bytes (each row as eight little-endian
-// bytes): cache keys keep their meaning.
+// TestFingerprintRowsIsFNV1a pins the inlined hash, and
+// store.RowSet.Fingerprint in each of its forms, to the value hash/fnv
+// gives for the same bytes (each row as eight little-endian bytes):
+// cache keys keep their meaning.
 func TestFingerprintRowsIsFNV1a(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 7, 1000} {
 		rows := make([]int, n)
 		row := 0
 		for i := range rows {
-			row += rng.Intn(1 << uint(rng.Intn(40)))
+			row += 1 + rng.Intn(1<<uint(rng.Intn(40)))
 			rows[i] = row
 		}
 		h := fnv.New64a()
@@ -83,16 +121,23 @@ func TestFingerprintRowsIsFNV1a(t *testing.T) {
 		if got, want := fingerprintRows(rows), h.Sum64(); got != want {
 			t.Errorf("%d rows: fingerprint %x, hash/fnv %x", n, got, want)
 		}
+		if got, want := store.RowsOf(rows).Fingerprint(), h.Sum64(); got != want {
+			t.Errorf("%d rows: RowSet fingerprint %x, hash/fnv %x", n, got, want)
+		}
+	}
+	// A range and a bitmap.
+	for _, rows := range [][]int{{5, 6, 7, 8}, {0, 2, 3, 5, 6, 7, 9, 10, 12}} {
+		if got, want := store.RowsOf(append([]int(nil), rows...)).Fingerprint(), fingerprintRows(rows); got != want {
+			t.Errorf("%v: RowSet fingerprint %x, want %x", rows, got, want)
+		}
 	}
 }
 
 // TestFingerprintOncePerSelection: a selection is hashed by the first
-// prepare that needs its cache key and never again — the region hands
-// its fingerprint to the state a zoom pushes, and a revisit, a
-// rollback-then-rezoom and a projection of the zoomed state reuse it.
-// The test overwrites the memoised rows between prepares: had any
-// later prepare hashed them again, its key would change and the map
-// cache would miss.
+// prepare that needs its cache key and never again — the fingerprint is
+// kept by the set, and the region's set is the very one the zoom's
+// state, a projection of it, a rollback-then-rezoom and every clone of
+// the cached map read, so each of them keys its lookup without a pass.
 func TestFingerprintOncePerSelection(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	if _, err := e.SelectTheme(0); err != nil {
@@ -102,55 +147,42 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if region.fp.ok {
-		t.Fatal("region fingerprinted before anything zoomed into it")
-	}
+	rows := region.RowIDs()
 	if _, err := e.Zoom(region.Path...); err != nil {
 		t.Fatal(err)
 	}
-	if want := fingerprintRows(region.RowIDs()); !region.fp.ok || region.fp.sum != want || e.State().fp != region.fp {
-		t.Fatalf("after the zoom: region memo %+v, state memo %+v, want both {%x true}", region.fp, e.State().fp, want)
+	if e.State().Rows != rows || region.RowIDs() != rows {
+		t.Fatal("the zoomed state does not hold the region's set")
 	}
-
-	scramble := func(rows []int) (restore func()) {
-		saved := append([]int(nil), rows...)
-		for i := range rows {
-			rows[i] = -1 - i
-		}
-		return func() { copy(rows, saved) }
+	if want := fingerprintRows(rows.AppendTo(nil)); rows.Fingerprint() != want {
+		t.Fatalf("fingerprint %x, want %x", rows.Fingerprint(), want)
 	}
-	// Project the zoomed state onto its own theme: the state's memo
-	// keys the lookup.
-	restore := scramble(e.State().Rows)
+	// Project the zoomed state onto its own theme: the state's set keys
+	// the lookup.
 	b, err := e.PrepareProject(e.CurrentMap().Theme.ID)
-	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() {
-		t.Error("projecting the zoomed state re-hashed its rows")
+	if !b.Cached() || b.rows != rows {
+		t.Error("projecting the zoomed state did not key on its set")
 	}
-	// Roll back and zoom into the same region again: the region's memo
+	// Roll back and zoom into the same region again: the region's set
 	// keys the lookup.
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	restore = scramble(region.RowIDs())
-	b, err = e.PrepareZoom(region.Path...)
-	restore()
-	if err != nil {
+	if b, err = e.PrepareZoom(region.Path...); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() {
-		t.Error("the revisit re-hashed the region's rows")
+	if !b.Cached() || b.rows != rows {
+		t.Error("the revisit did not key on the region's set")
 	}
-	// The memo survives cloneForReuse: the clone of a fingerprinted
-	// region needs no pass either.
+	// A clone of the cached map shares the set, memo and all.
 	clone, err := cloneForReuse(e.CurrentMap()).Root.Find(region.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clone == region || clone.fp != region.fp {
-		t.Error("cloneForReuse dropped the region's fingerprint")
+	if clone == region || clone.RowIDs() != rows {
+		t.Error("cloneForReuse does not share the region's set")
 	}
 }

@@ -38,7 +38,7 @@ type Map struct {
 }
 
 // buildMapStaged runs the mapping pipeline of Fig. 3 on the given
-// selection (absolute row indices) and the theme's columns:
+// selection and the theme's columns:
 //
 //  1. multi-scale sampling: cluster at most opts.SampleSize tuples;
 //  2. preprocessing: keys dropped, continuous variables normalized,
@@ -66,7 +66,7 @@ type Map struct {
 // skipped and the build resumes at cluster detection. The finished
 // artifact is returned alongside the map so ApplyBuild can feed the
 // artifact cache; it is nil when preprocessing degenerated.
-func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []int, theme Theme, art *buildArtifact, progress func(float64)) (*Map, *buildArtifact, error) {
+func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, progress func(float64)) (*Map, *buildArtifact, error) {
 	report := func(f float64) {
 		if progress != nil {
 			progress(f)
@@ -79,7 +79,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows []in
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: empty selection")
 	}
 	// Distance work is accounted as a before/after delta of the oracle's
@@ -177,17 +177,12 @@ func distEvals(art *buildArtifact) int64 {
 }
 
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of
-// the selection's rows, uniformly, in the selection's (ascending) order.
-func (e *Explorer) sampleStage(rng *rand.Rand, rows []int) []int {
-	if len(rows) <= e.opts.SampleSize {
-		return rows
+// the selection's rows, uniformly, ascending.
+func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
+	if rows.Len() <= e.opts.SampleSize {
+		return rows.AppendTo(nil)
 	}
-	pick := store.SampleIndices(len(rows), e.opts.SampleSize, rng)
-	sampleRows := make([]int, len(pick))
-	for i, p := range pick {
-		sampleRows[i] = rows[p]
-	}
-	return sampleRows
+	return rows.Pick(store.SampleIndices(rows.Len(), e.opts.SampleSize, rng))
 }
 
 // gatherSample materializes the build sample for one theme: only the
@@ -251,7 +246,7 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 
 // regionStage fits the description tree on the sample's original tuples
 // and mirrors it over the full selection (steps 4–5 of buildMapStaged).
-func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows []int, theme Theme, report func(float64)) (*Map, error) {
+func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}
 	if clustering.K < 2 {
@@ -294,7 +289,7 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 
 // wholeSelection is the one region of a map without structure: the
 // selection itself, as node 0 of a routing through no split.
-func (e *Explorer) wholeSelection(rows []int) *Region {
+func (e *Explorer) wholeSelection(rows *store.RowSet) *Region {
 	return &Region{routed: store.Route(e.table, store.SplitTree{{}}, rows), ClusterID: 0, Silhouette: math.NaN()}
 }
 

@@ -36,9 +36,9 @@ func TestMapWithMissingValues(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			pred[r] = l.ClusterID
-		}
+		})
 	}
 	if ari := eval.AdjustedRandIndex(ds.Truth["rows"], pred); ari < 0.7 {
 		t.Errorf("ARI with 15%% missing = %.3f, want >= 0.7", ari)
@@ -71,9 +71,9 @@ func TestMapWithMissingValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("executing %q: %v", e.Query(), err)
 	}
-	if res.NumRows() != len(e.State().Rows) {
+	if res.NumRows() != e.State().Rows.Len() {
 		t.Errorf("query rows %d != selection %d (query %q)",
-			res.NumRows(), len(e.State().Rows), e.Query())
+			res.NumRows(), e.State().Rows.Len(), e.Query())
 	}
 }
 
@@ -116,9 +116,9 @@ func TestMixedTypeMap(t *testing.T) {
 		pred[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			pred[r] = l.ClusterID
-		}
+		})
 	}
 	if ari := eval.AdjustedRandIndex(truth, pred); ari < 0.9 {
 		t.Errorf("mixed-type ARI = %.3f", ari)

@@ -96,7 +96,9 @@ type Options struct {
 	// would cluster, min(len(rows), SampleSize). 0 means the default
 	// (0.2). The larger of the two floors applies.
 	DerivedSampleFraction float64
-	// MaxHistory bounds the rollback stack (default 64).
+	// MaxHistory bounds the rollback stack (default 64). It counts the
+	// initial state, and at least 2 are kept: the initial state and the
+	// current one.
 	MaxHistory int
 }
 
@@ -228,6 +230,7 @@ func (o *Options) defaults() {
 	if o.MaxHistory <= 0 {
 		o.MaxHistory = d.MaxHistory
 	}
+	o.MaxHistory = max(o.MaxHistory, 2)
 }
 
 // newRNG builds the engine RNG from the seed.

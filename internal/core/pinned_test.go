@@ -84,12 +84,12 @@ func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom Re
 			t.Fatalf("%s: %v", step, err)
 		}
 		mapDigest(&sb, step, m)
-		assertAscending(t, step+" state", e.State().Rows)
+		assertAscending(t, step+" state", e.State().Rows.AppendTo(nil))
 		var walk func(r *Region)
 		walk = func(r *Region) {
-			assertAscending(t, fmt.Sprintf("%s region %v", step, r.Path), r.RowIDs())
-			if len(r.RowIDs()) != r.Count() {
-				t.Fatalf("%s region %v: %d rows, count %d", step, r.Path, len(r.RowIDs()), r.Count())
+			assertAscending(t, fmt.Sprintf("%s region %v", step, r.Path), r.RowIDs().AppendTo(nil))
+			if r.RowIDs().Len() != r.Count() {
+				t.Fatalf("%s region %v: %d rows, count %d", step, r.Path, r.RowIDs().Len(), r.Count())
 			}
 			for _, c := range r.Children {
 				walk(c)

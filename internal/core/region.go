@@ -13,8 +13,9 @@ import (
 // hierarchy of splits (Fig. 1b). An engine-built region holds its map's
 // routing of the selection and its node in it: its count is known at
 // once, its rows are built the first time RowIDs reads them — once per
-// map, shared by every clone of a cached map — since a user zooms into
-// or inspects one region of a map, not all of them.
+// map, shared by every clone of a cached map, at most span/8 bytes —
+// since a user zooms into or inspects one region of a map, not all of
+// them.
 type Region struct {
 	// Path addresses the region from the map root: Path[i] is the child
 	// index taken at depth i (empty for the root).
@@ -28,17 +29,14 @@ type Region struct {
 	// Children are the sub-regions (nil for leaves).
 	Children []*Region
 	// Rows are the rows of a hand-built region (one made outside the
-	// engine, as the click benchmark's layer probe does). The engine
-	// never sets it: read a region's rows with RowIDs.
+	// engine, as the click benchmark's layer probe does), strictly
+	// ascending. The engine never sets it: read a region's rows with
+	// RowIDs.
 	Rows []int
 	// routed and node locate an engine-built region's rows: node node of
 	// its map's routing of the selection.
 	routed *store.Routing
 	node   int
-	// fp memoises the fingerprint of the region's rows (see
-	// rowsFingerprint); a zoom into the region hands it on to the state
-	// it pushes.
-	fp rowsFingerprint
 	// ClusterID is the sample-clustering cluster this (leaf) region
 	// describes (-1 for internal regions).
 	ClusterID int
@@ -59,15 +57,15 @@ func (r *Region) Count() int {
 	return len(r.Rows)
 }
 
-// RowIDs returns the absolute base-table row indices of the selection
-// falling in the region, ascending like State.Rows. An engine-built
-// region's rows are built on the first call and shared afterwards, so
-// callers must not modify them.
-func (r *Region) RowIDs() []int {
+// RowIDs returns the base-table rows of the selection falling in the
+// region. An engine-built region's set is built on the first call and
+// shared afterwards — by every clone of its map, and by the state a zoom
+// into the region pushes, so its fingerprint is computed once.
+func (r *Region) RowIDs() *store.RowSet {
 	if r.routed != nil {
 		return r.routed.Rows(r.node)
 	}
-	return r.Rows
+	return store.RowsOf(r.Rows)
 }
 
 // IsLeaf reports whether the region has no children.

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // allocated returns the bytes f allocates.
@@ -32,17 +34,32 @@ func regionsOf(m *Map) []*Region {
 	return out
 }
 
-// assertRowsUnbuilt: the first read of every region's rows builds them
-// — at 8 bytes a row — so nothing built them before.
-func assertRowsUnbuilt(t *testing.T, what string, regions []*Region) {
+// regionReadSlack is what a region's first read may allocate beside its
+// set: the collect's scratch, and size-class rounding.
+const regionReadSlack = 16 << 10
+
+// assertRowsUnbuilt: the first read of every region's rows builds them,
+// so nothing built them before, and costs at most min(8 bytes a row,
+// span/8) — span the selection's — plus the collect's scratch.
+func assertRowsUnbuilt(t *testing.T, what string, regions []*Region, span int) {
 	t.Helper()
 	for _, r := range regions {
 		if n := r.Count(); n > 0 {
-			if got := allocated(func() { r.RowIDs() }); got < uint64(8*n) {
-				t.Errorf("%s: region %v (%d rows) was already built: its first read allocated %d bytes", what, r.Path, n, got)
+			got := allocated(func() { r.RowIDs() })
+			if got == 0 {
+				t.Errorf("%s: region %v (%d rows) was already built", what, r.Path, n)
+			}
+			if budget := uint64(min(8*n, (span+63)/64*8) + regionReadSlack); got > budget {
+				t.Errorf("%s: the first read of region %v (%d rows) allocated %d bytes, budget %d", what, r.Path, n, got, budget)
 			}
 		}
 	}
+}
+
+// spanOf is the width of the rows a set lies in.
+func spanOf(s *store.RowSet) int {
+	rows := s.AppendTo(nil)
+	return rows[len(rows)-1] - rows[0] + 1
 }
 
 // TestSelectAndZoomBuildNoRegionRows: a map's regions carry counts, not
@@ -54,9 +71,10 @@ func TestSelectAndZoomBuildNoRegionRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root := m.Root.RowIDs(); len(root) == 0 || &root[0] != &e.State().Rows[0] {
+	if m.Root.RowIDs() != e.State().Rows {
 		t.Fatal("the root region's rows are not the selection")
 	}
+	span := spanOf(e.State().Rows)
 	zoomed, err := m.Root.Find(largestLeaf(m))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +83,7 @@ func TestSelectAndZoomBuildNoRegionRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRowsUnbuilt(t, "zoom", regionsOf(zm)[1:])
+	assertRowsUnbuilt(t, "zoom", regionsOf(zm)[1:], spanOf(e.State().Rows))
 	// The zoom built the rows of the region it entered, and only those.
 	if got := allocated(func() { zoomed.RowIDs() }); got != 0 {
 		t.Errorf("the zoomed region's rows were not kept: reading them allocated %d bytes", got)
@@ -76,7 +94,7 @@ func TestSelectAndZoomBuildNoRegionRows(t *testing.T) {
 			others = append(others, r)
 		}
 	}
-	assertRowsUnbuilt(t, "select", others)
+	assertRowsUnbuilt(t, "select", others, span)
 }
 
 // TestMapCacheClonesShareRegionRows: a map-cache hit hands out a clone
@@ -107,21 +125,21 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 		return r
 	}
 	first := find(clone)
-	if got := allocated(func() { first.RowIDs() }); got < uint64(8*first.Count()) {
-		t.Fatalf("the clone's first read allocated %d bytes for %d rows", got, first.Count())
+	if got := allocated(func() { first.RowIDs() }); got == 0 {
+		t.Fatalf("the clone's first read of %d rows allocated nothing", first.Count())
 	}
 	for name, r := range map[string]*Region{"cached original": find(orig), "second clone": find(cloneForReuse(orig))} {
 		if got := allocated(func() { r.RowIDs() }); got != 0 {
 			t.Errorf("%s: reading the region's rows allocated %d bytes, want 0", name, got)
 		}
-		if &r.RowIDs()[0] != &first.RowIDs()[0] {
+		if r.RowIDs() != first.RowIDs() {
 			t.Errorf("%s: the region's rows are a second copy", name)
 		}
 	}
 
 	var want [][]int
 	for _, r := range regionsOf(orig) {
-		want = append(want, append([]int(nil), r.RowIDs()...))
+		want = append(want, r.RowIDs().AppendTo(nil))
 	}
 	fresh, err := NewExplorer(e.Table(), e.Options())
 	if err != nil {
@@ -139,7 +157,7 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 			regions := regionsOf(cloneForReuse(cold))
 			for k := range regions {
 				r := regions[(k+g)%len(regions)]
-				if !slices.Equal(r.RowIDs(), want[(k+g)%len(regions)]) {
+				if !slices.Equal(r.RowIDs().AppendTo(nil), want[(k+g)%len(regions)]) {
 					t.Errorf("goroutine %d: region %v rows differ from the original map's", g, r.Path)
 				}
 			}
@@ -189,5 +207,36 @@ func TestRegionStageByteBudget(t *testing.T) {
 	}
 	if len(m.Root.Children) == 0 {
 		t.Fatal("the map has no split: nothing was routed")
+	}
+}
+
+// TestOpenCostIndependentOfRows: a session's initial state is the whole
+// table at O(1) — no identity list — so opening a 2M-row table
+// allocates what opening a 200k-row one does, within 64 KB.
+func TestOpenCostIndependentOfRows(t *testing.T) {
+	table := func(n int) *store.Table {
+		tab := store.NewTable("open")
+		a, b, c := make([]bool, n), make([]bool, n), make([]bool, n)
+		for i := range a {
+			h := uint32(i) * 2654435761
+			a[i], b[i], c[i] = h>>31 == 1, h>>31 == 1 != (h>>7&15 == 0), h>>13&1 == 1
+		}
+		tab.MustAddColumn(store.NewBoolColumnFrom("a", a))
+		tab.MustAddColumn(store.NewBoolColumnFrom("b", b))
+		tab.MustAddColumn(store.NewBoolColumnFrom("c", c))
+		return tab
+	}
+	open := func(tab *store.Table) uint64 {
+		return allocated(func() {
+			if _, err := NewExplorer(tab, Options{Seed: 1, SampleSize: 500}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := table(200_000), table(2_000_000)
+	open(small) // warm the runtime's size classes
+	s, l := open(small), open(large)
+	if l > s+64<<10 {
+		t.Errorf("opening 2M rows allocated %d bytes, 200k rows %d: more than 64 KB apart", l, s)
 	}
 }

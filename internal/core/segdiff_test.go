@@ -67,7 +67,7 @@ func regionsEqual(a, b *Region) bool {
 	if !reflect.DeepEqual(a.Path, b.Path) ||
 		!reflect.DeepEqual(a.Split, b.Split) ||
 		!reflect.DeepEqual(a.Condition, b.Condition) ||
-		!reflect.DeepEqual(a.RowIDs(), b.RowIDs()) ||
+		!reflect.DeepEqual(a.RowIDs().AppendTo(nil), b.RowIDs().AppendTo(nil)) ||
 		a.ClusterID != b.ClusterID {
 		return false
 	}

@@ -71,8 +71,8 @@ func (e *Explorer) Snapshot() *Snapshot {
 		ss := SnapshotState{
 			Action: string(st.Action),
 			Detail: st.Detail,
-			Rows:   len(st.Rows),
-			Query:  e.queryFor(st),
+			Rows:   st.Rows.Len(),
+			Query:  e.queryOf(st),
 		}
 		if st.Map != nil {
 			ss.Map = snapshotMap(st.Map)
@@ -80,16 +80,6 @@ func (e *Explorer) Snapshot() *Snapshot {
 		s.History = append(s.History, ss)
 	}
 	return s
-}
-
-// queryFor renders the implicit query of an arbitrary (possibly
-// historical) state.
-func (e *Explorer) queryFor(st *State) string {
-	saved := e.states
-	e.states = []*State{st}
-	q := e.Query()
-	e.states = saved
-	return q
 }
 
 func snapshotMap(m *Map) *SnapshotMap {

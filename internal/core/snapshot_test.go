@@ -91,15 +91,31 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestSnapshotQueryForDoesNotMutate(t *testing.T) {
 	tab, _, _ := laborTable(300, 52)
 	e, _ := NewExplorer(tab, Options{Seed: 52})
-	if _, err := e.SelectTheme(0); err != nil {
+	m, err := e.SelectTheme(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Query()
-	_ = e.Snapshot()
+	if _, err := e.Zoom(largestLeaf(m)...); err != nil {
+		t.Fatal(err)
+	}
+	before, hist := e.Query(), e.History()
+	snap := e.Snapshot()
 	if e.Query() != before {
 		t.Error("snapshot changed the live state")
 	}
-	if len(e.History()) != 2 {
-		t.Error("snapshot changed the history")
+	after := e.History()
+	if len(after) != len(hist) {
+		t.Fatalf("snapshot changed the history: %d states, was %d", len(after), len(hist))
+	}
+	for i := range hist {
+		if after[i] != hist[i] {
+			t.Errorf("snapshot replaced history state %d", i)
+		}
+		if got, want := snap.History[i].Query, e.queryOf(hist[i]); got != want {
+			t.Errorf("state %d: snapshot query %q, want %q", i, got, want)
+		}
+	}
+	if snap.History[len(hist)-1].Query != before {
+		t.Errorf("the current state's snapshot query %q, want %q", snap.History[len(hist)-1].Query, before)
 	}
 }

@@ -126,9 +126,9 @@ func regionLabels(m *core.Map, n int) []int {
 		out[i] = -1
 	}
 	for _, l := range m.Root.Leaves() {
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			out[r] = l.ClusterID
-		}
+		})
 	}
 	return out
 }
@@ -145,10 +145,10 @@ func lowHoursHighIncomeLeaf(e *core.Explorer, m *core.Map) *core.Region {
 			continue
 		}
 		var h, inc float64
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			h += hours.Float(r)
 			inc += income.Float(r)
-		}
+		})
 		score := inc/float64(l.Count()) - h/float64(l.Count())
 		if score > bestScore {
 			bestScore, best = score, l
@@ -187,7 +187,7 @@ func runF1c(cfg Config) (*Result, error) {
 	ari := eval.AdjustedRandIndex(ds.Truth["labor_zoom"], pred)
 	res.note("paper: zooming subdivides the low-hours/high-income region; highlighting shows Switzerland, Norway, Canada")
 	res.note("measured: zoom re-clustered %d tuples into k=%d in %v; ARI vs planted sub-clusters = %.3f",
-		len(e.State().Rows), zm.K, elapsed.Round(time.Millisecond), ari)
+		e.State().Rows.Len(), zm.K, elapsed.Round(time.Millisecond), ari)
 	res.note("highlighted countries: %s", strings.Join(h.SampleValues, ", "))
 	res.note("implicit query: %s", e.Query())
 	found := map[string]bool{}
@@ -269,7 +269,7 @@ func runF1d(cfg Config) (*Result, error) {
 	}
 	res.note("paper: projecting unemployment indicators splits the selection near Unemployment = 8 and still shows Canada")
 	res.note("measured: projection kept %d tuples, split on unemployment-theme columns = %v, in %v",
-		len(e.State().Rows), splits, elapsed.Round(time.Millisecond))
+		e.State().Rows.Len(), splits, elapsed.Round(time.Millisecond))
 	res.note("highlighted countries: %s", strings.Join(h.SampleValues, ", "))
 	res.artifact("projected map", pm.Root.RenderTree())
 	return res, nil

@@ -101,9 +101,9 @@ func runS1(cfg Config) (*Result, error) {
 			continue
 		}
 		sum := 0.0
-		for _, r := range l.RowIDs() {
+		l.RowIDs().Each(func(r int) {
 			sum += prof.Float(r)
-		}
+		})
 		if mean := sum / float64(l.Count()); mean > bestMean {
 			bestMean, best = mean, l
 		}
@@ -118,7 +118,7 @@ func runS1(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.addRow("zoom most-profitable region",
-		fmt.Sprintf("%d tuples, mean profitability %.2f", len(e.State().Rows), bestMean),
+		fmt.Sprintf("%d tuples, mean profitability %.2f", e.State().Rows.Len(), bestMean),
 		zoomTime.Round(time.Millisecond).String())
 	res.addRow("highlight Genre", fmt.Sprintf("%v", h.SampleValues), "—")
 	res.note("paper: visitors discover which films are profitable and which fail through elementary queries")
@@ -162,9 +162,9 @@ func runS2(cfg Config) (*Result, error) {
 	names := ds.Table.ColumnByName("CountryName").(*store.StringColumn)
 	canadaIn, canadaAll := 0, 0
 	inTarget := make(map[int]bool, target.Count())
-	for _, r := range target.RowIDs() {
+	target.RowIDs().Each(func(r int) {
 		inTarget[r] = true
-	}
+	})
 	for i := 0; i < ds.Table.NumRows(); i++ {
 		if names.Value(i) == "Canada" {
 			canadaAll++
@@ -233,7 +233,7 @@ func runS3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.addRow("zoom largest region",
-		fmt.Sprintf("%d tuples re-mapped (k=%d)", len(e.State().Rows), zm.K),
+		fmt.Sprintf("%d tuples re-mapped (k=%d)", e.State().Rows.Len(), zm.K),
 		time.Since(start).Round(time.Millisecond).String())
 	res.note("paper: visitors 'experience Blaeu with a large, complex dataset' — interaction must stay fast at 100,000s of tuples")
 	res.note("measured: all actions run on a %d-tuple sample regardless of n (multi-scale sampling), keeping zoom latency interactive", 2000)

@@ -272,7 +272,7 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 		st := e.State()
 		out = stateJSON{
 			SessionID: sess.ID,
-			Rows:      len(st.Rows),
+			Rows:      st.Rows.Len(),
 			Query:     e.Query(),
 			Action:    string(st.Action),
 			Detail:    st.Detail,

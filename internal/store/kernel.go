@@ -8,14 +8,14 @@ import (
 // The typed column reader and its batch kernels: the one way the
 // store's row-proportional work reads a column. Every consumer — the
 // tree router (route.go), the scan (scan.go), the statistics and value
-// reads over a row list (stats.go) — cuts its rows into runs that share
-// a page, fetches each needed column page once per run, and works on a
-// run as a selection vector of uint16 offsets: values are decoded into
-// a small scratch by one loader per column kind and backing, and
-// predicates are evaluated on the scratch into one match byte per
-// offset. No kernel makes an indirect call per row; a predicate or
-// column implementation no kernel binds is evaluated row by row through
-// CompileMatcher, into the same match bytes.
+// reads over a row set (stats.go) — cuts its RowSet into runs that
+// share a page (RowSet.runs), fetches each needed column page once per
+// run, and works on a run as a selection vector of uint16 offsets:
+// values are decoded into a small scratch by one loader per column kind
+// and backing, and predicates are evaluated on the scratch into one
+// match byte per offset. No kernel makes an indirect call per row; a
+// predicate or column implementation no kernel binds is evaluated row
+// by row through CompileMatcher, into the same match bytes.
 
 const (
 	// routeRun bounds a run, so selection vectors are uint16 offsets
@@ -24,6 +24,11 @@ const (
 	// kernelChunk is how many values a loader decodes at a time: the
 	// scratch a comparison or an accumulator reads back is L1-resident.
 	kernelChunk = 1024
+	// readRun bounds the runs of the passes that read a set without
+	// evaluating a predicate — statistics, value reads, a routing node's
+	// collect — so the rows a range or bitmap decodes into, and the
+	// values or bytes beside them, stay a few KB however large the set.
+	readRun = 512
 )
 
 // routeIdentity is the selection vector of a whole run.
@@ -133,35 +138,6 @@ func (c *colReader) clearNulls(page int, run []int, sel []uint16, m []uint8) {
 func (c *colReader) notNull(page int, run []int, sel []uint16, m []uint8) {
 	fillBytes(m, 1)
 	c.clearNulls(page, run, sel, m)
-}
-
-// rowRuns cuts rows — or [0, n) when rows is nil — into runs of at most
-// limit rows that share a page of rpp rows, and hands each to fn with
-// its position in rows. Any row order is cut correctly; ascending rows
-// visit each page once.
-func rowRuns(rows []int, n, limit, rpp int, fn func(off, page int, run []int)) {
-	var seq []int
-	if rows == nil {
-		seq = make([]int, min(n, limit))
-	}
-	for p0 := 0; p0 < n; {
-		p1, page := min(p0+limit, n), 0
-		if rows == nil {
-			if rpp > 0 {
-				page = p0 / rpp
-				p1 = min(p1, (page+1)*rpp)
-			}
-			fillSeq(p0, p1, seq)
-			fn(p0, page, seq[:p1-p0])
-		} else {
-			if rpp > 0 {
-				page = rows[p0] / rpp
-				p1 = p0 + pageRun(rows[p0:p1], page*rpp, (page+1)*rpp)
-			}
-			fn(p0, page, rows[p0:p1])
-		}
-		p0 = p1
-	}
 }
 
 // predKind selects how a compiled predicate node is evaluated.
@@ -565,23 +541,12 @@ func splitSel(sel []uint16, m []uint8, out []uint16) int {
 	return ny
 }
 
-// pageRun returns how many leading rows lie in [lo, hi), at least one.
+// fillSeq writes lo, lo+1, … into dst.
 //
 //blaeu:hot
-func pageRun(rows []int, lo, hi int) int {
-	n := 1
-	for n < len(rows) && rows[n] >= lo && rows[n] < hi {
-		n++
-	}
-	return n
-}
-
-// fillSeq writes [lo, hi) into dst.
-//
-//blaeu:hot
-func fillSeq(lo, hi int, dst []int) {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = i
+func fillSeq(dst []int, lo int) {
+	for k := range dst {
+		dst[k] = lo + k
 	}
 }
 

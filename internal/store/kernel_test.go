@@ -158,7 +158,7 @@ func kernelPredicate(rng *rand.Rand, leaves []Predicate, depth int) Predicate {
 
 // TestKernelScanMatchesReference is the scan kernels' differential:
 // every leaf shape and random trees of them, on both backings, over
-// every row-set shape, against Predicate.Matches row by row.
+// every row-set shape and form, against Predicate.Matches row by row.
 // FilterLimit must be a prefix of Filter, and a whole-relation segment
 // scan must skip exactly the pages the zone maps exclude, once each.
 func TestKernelScanMatchesReference(t *testing.T) {
@@ -178,6 +178,7 @@ func TestKernelScanMatchesReference(t *testing.T) {
 		"empty":      {},
 		"one-page":   rangeRows(2*rpp, 3*rpp),
 		"straddling": rangeRows(rpp-4, rpp+6),
+		"sparse":     {3, 64, 190, 191, 400, 699},
 	}
 	leaves := kernelLeaves()
 	preds := append([]Predicate{True{}, And{}, Or{}}, leaves...)
@@ -193,9 +194,11 @@ func TestKernelScanMatchesReference(t *testing.T) {
 			want := referenceFilter(mem, p, cand)
 			for _, r := range []Relation{mem, seg} {
 				s0, k0 := scanned.Value(), skipped.Value()
-				got := ScanRows(r, p, rows)
+				var got []int
 				if rows == nil {
 					got = r.Filter(p)
+				} else {
+					got = ScanRows(r, p, RowsOf(rows)).AppendTo(nil)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s over %s rows of %T: %d rows %v, want %d rows %v", p, name, r, len(got), got, len(want), want)
@@ -299,20 +302,17 @@ func sameStats(a, b ColumnStats) bool {
 type foreignCol struct{ Column }
 
 // TestStatsRowsMatchGather: the statistics and the values read over a
-// row list in place equal those of the gathered copy, on every column
-// kind, both backings and a foreign column implementation, for row
-// lists in and out of order.
+// row set in place equal those of the gathered copy, on every column
+// kind, both backings and a foreign column implementation, for row sets
+// of every form.
 func TestStatsRowsMatchGather(t *testing.T) {
 	const n, rpp = 3000, 64
 	rng := rand.New(rand.NewSource(78))
 	mem := kernelTable(rng, n)
 	seg := segmentOf(t, mem, rpp)
-	shuffled := SampleIndices(n, n/4, rng)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	rowSets := map[string][]int{
-		"all": rangeRows(0, n), "subset": SampleIndices(n, n/2, rng), "nil": nil, "empty": {},
-		"one-page": rangeRows(rpp, 2*rpp), "straddling": rangeRows(rpp-4, rpp+6), "shuffled": shuffled,
-		"repeats": {5, 5, 70, 5, 64, 63, 64},
+		"all": rangeRows(0, n), "subset": SampleIndices(n, n/2, rng), "sparse": SampleIndices(n, 20, rng), "empty": {},
+		"one-page": rangeRows(rpp, 2*rpp), "straddling": rangeRows(rpp-4, rpp+6),
 	}
 	for ci := 0; ci < mem.NumCols(); ci++ {
 		for _, c := range []Column{mem.Column(ci), seg.Column(ci), foreignCol{seg.Column(ci)}} {
@@ -320,13 +320,13 @@ func TestStatsRowsMatchGather(t *testing.T) {
 				what := fmt.Sprintf("%s of %T, %s rows", c.Name(), c, name)
 				sub := mem.Column(ci).Gather(rows)
 				want := referenceStats(sub)
-				if got := StatsRows(c, rows); !sameStats(got, want) {
+				if got := StatsRows(c, RowsOf(rows)); !sameStats(got, want) {
 					t.Fatalf("%s: StatsRows = %+v, want %+v", what, got, want)
 				}
 				if got := ComputeStats(c.Gather(rows)); !sameStats(got, want) {
 					t.Fatalf("%s: ComputeStats of the gather = %+v, want %+v", what, got, want)
 				}
-				vals, present := RowFloats(c, rows)
+				vals, present := RowFloats(c, RowsOf(rows))
 				for k := range rows {
 					if (present[k] == 0) != sub.IsNull(k) || len(vals) != len(rows) {
 						t.Fatalf("%s: RowFloats presence differs at %d", what, k)
@@ -363,17 +363,18 @@ func TestKernelByteBudgets(t *testing.T) {
 	const n = 400_000
 	const slack = 64 << 10
 	tab := benchTable(n)
-	rows := SampleIndices(n, n/2, rand.New(rand.NewSource(4)))
+	ids := SampleIndices(n, n/2, rand.New(rand.NewSource(4)))
+	rows := RowsOf(ids)
 
-	table := uint64(8 * (3*min(len(rows), distinctCap)/2 + 1))
-	if got := allocated(func() { StatsRows(tab.ColumnByName("x"), rows) }); got > table+slack || table+slack >= uint64(8*len(rows)) {
-		t.Errorf("StatsRows over %d rows allocated %d bytes, budget %d (a copy is %d)", len(rows), got, table+slack, 8*len(rows))
+	table := uint64(8 * (3*min(len(ids), distinctCap)/2 + 1))
+	if got := allocated(func() { StatsRows(tab.ColumnByName("x"), rows) }); got > table+slack || table+slack >= uint64(8*len(ids)) {
+		t.Errorf("StatsRows over %d rows allocated %d bytes, budget %d (a copy is %d)", len(ids), got, table+slack, 8*len(ids))
 	}
 
 	p := benchScanPred()
-	m := len(ScanRows(tab, p, rows))
-	if got, budget := allocated(func() { ScanRows(tab, p, rows) }), uint64(8*m+len(rows)*9/8+slack); got > budget {
-		t.Errorf("ScanRows of %d candidates, %d matches allocated %d bytes, budget %d", len(rows), m, got, budget)
+	m := ScanRows(tab, p, rows).Len()
+	if got, budget := allocated(func() { ScanRows(tab, p, rows) }), uint64(8*m+len(ids)*9/8+slack); got > budget {
+		t.Errorf("ScanRows of %d candidates, %d matches allocated %d bytes, budget %d", len(ids), m, got, budget)
 	}
 	m = len(tab.Filter(p))
 	if got, budget := allocated(func() { tab.Filter(p) }), uint64(8*m+n*9/8+2*slack); got > budget {
@@ -390,22 +391,23 @@ func TestKernelsOnPagesLongerThanARun(t *testing.T) {
 	mem := kernelTable(rng, n)
 	seg := segmentOf(t, mem, rpp)
 	rows := SampleIndices(n, n/2, rng)
+	set := RowsOf(rows)
 	leaves := kernelLeaves()
 	for trial := 0; trial < 40; trial++ {
 		p := kernelPredicate(rng, leaves, 3)
 		if got, want := seg.Filter(p), referenceFilter(mem, p, rangeRows(0, n)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: scan selects %d rows, want %d", p, len(got), len(want))
 		}
-		if got, want := ScanRows(seg, p, rows), referenceFilter(mem, p, rows); !reflect.DeepEqual(got, want) {
+		if got, want := ScanRows(seg, p, set).AppendTo(nil), referenceFilter(mem, p, rows); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: row-set scan selects %d rows, want %d", p, len(got), len(want))
 		}
 		tree := SplitTree{{Split: p, No: 2}, {}, {}}
 		want := referenceRoute(mem, tree, rows)
-		assertRouted(t, p.String()+", table", Route(mem, tree, rows), want)
-		assertRouted(t, p.String()+", segment", Route(seg, tree, rows), want)
+		assertRouted(t, p.String()+", table", Route(mem, tree, set), want)
+		assertRouted(t, p.String()+", segment", Route(seg, tree, set), want)
 	}
 	for ci := 0; ci < mem.NumCols(); ci++ {
-		if got, want := StatsRows(seg.Column(ci), rows), referenceStats(mem.Column(ci).Gather(rows)); !sameStats(got, want) {
+		if got, want := StatsRows(seg.Column(ci), set), referenceStats(mem.Column(ci).Gather(rows)); !sameStats(got, want) {
 			t.Fatalf("StatsRows = %+v, want %+v", got, want)
 		}
 	}
@@ -449,7 +451,7 @@ func TestNeKeepsFloatPagesWithNaN(t *testing.T) {
 			if got := r.Filter(p); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s on %T: Filter = %v, Predicate.Matches gives %v", p, r, got, want)
 			}
-			if got := ScanRows(r, p, all[1:]); !reflect.DeepEqual(got, referenceFilter(mem, p, all[1:])) {
+			if got := ScanRows(r, p, RowsOf(all[1:])).AppendTo(nil); !reflect.DeepEqual(got, referenceFilter(mem, p, all[1:])) {
 				t.Fatalf("%s on %T: ScanRows = %v", p, r, got)
 			}
 		}

@@ -37,7 +37,7 @@ func FuzzParsePredicate(f *testing.F) {
 			if got := r.Filter(p); !reflect.DeepEqual(got, wantAll) {
 				t.Fatalf("%q (%s) on %T: Filter = %v, want %v", expr, p, r, got, wantAll)
 			}
-			if got := ScanRows(r, p, rows); !reflect.DeepEqual(got, wantRows) {
+			if got := ScanRows(r, p, RowsOf(rows)).AppendTo(nil); !reflect.DeepEqual(got, wantRows) {
 				t.Fatalf("%q (%s) on %T: ScanRows = %v, want %v", expr, p, r, got, wantRows)
 			}
 		}

@@ -162,7 +162,7 @@ func (t *columnSet) Head(n int) *Table {
 // per-page min/max and null-count stats skip pages that cannot contain
 // matches without reading them.
 func (t *columnSet) Filter(p Predicate) []int {
-	return scan(t, p, nil, 0)
+	return scan(t, p, All(t.numRows), 0).ints()
 }
 
 // Where returns a new materialized table of the rows matching the predicate.

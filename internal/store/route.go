@@ -50,12 +50,12 @@ const maxRouteDepth = 8
 // and a node's rows are one pass over the ids — made the first time
 // they are read and kept. Safe for concurrent use.
 type Routing struct {
-	rows   []int
+	sel    *RowSet
 	leafOf []uint8 // per selection position
 	count  []int   // rows reaching each node
 	nodes  []routedNode
 	mu     sync.Mutex
-	lists  [][]int // per node, its rows once built (guarded by mu)
+	sets   []*RowSet // per node, its rows once built (guarded by mu)
 }
 
 // routedNode is where a node's rows come from: the leaf ids [lo, hi)
@@ -67,15 +67,14 @@ type routedNode struct {
 	off    int
 }
 
-// Route sends rows down the split tree t in one pass and returns the
-// routing. Any row order is routed correctly; ascending rows — every
-// selection the engine holds — read each page of each split column
-// once. Safe for concurrent use over one relation: every call keeps
+// Route sends the selection rows down the split tree t in one pass —
+// each page of each split column is read once — and returns the
+// routing. Safe for concurrent use over one relation: every call keeps
 // its own page cursors.
-func Route(r Relation, t SplitTree, rows []int) *Routing {
-	rg := &Routing{rows: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), lists: make([][]int, len(t))}
-	if len(rows) == 0 || t[0].Split == nil {
-		rg.count[0] = len(rows)
+func Route(r Relation, t SplitTree, rows *RowSet) *Routing {
+	rg := &Routing{sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
+	if rows.Len() == 0 || t[0].Split == nil {
+		rg.count[0] = rows.Len()
 		return rg
 	}
 	rt := newRouter(r, t, rg)
@@ -93,34 +92,59 @@ func Route(r Relation, t SplitTree, rows []int) *Routing {
 // Count returns how many rows reach node i.
 func (rg *Routing) Count(i int) int { return rg.count[i] }
 
-// Rows returns the rows reaching node i, in input order: node 0's are
-// the selection itself, every other node's are built at their exact
-// size on the first call and shared by every later one, so callers
-// must not modify them. A node no row reaches gets nil.
-func (rg *Routing) Rows(i int) []int {
+// Rows returns the rows reaching node i: node 0's are the selection
+// itself, every other node's are built on the first call — at their
+// final size and form, so at most min(8·count, span/8) bytes — and
+// shared by every later one.
+func (rg *Routing) Rows(i int) *RowSet {
 	nd := &rg.nodes[i]
 	switch {
 	case i == 0:
-		return rg.rows
-	case rg.count[i] == 0:
-		return nil
+		return rg.sel
 	case nd.sub != nil:
 		return nd.sub.Rows(i - nd.off)
 	}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	if rg.lists[i] == nil {
-		rg.lists[i] = make([]int, rg.count[i])
-		collectLeaves(rg.lists[i], rg.rows, rg.leafOf, nd.lo, nd.hi-nd.lo)
+	if rg.sets[i] == nil {
+		// The rows at the node's first and last positions give its span,
+		// so the set is allocated once, in its smallest form.
+		ends := []int{0, -1}
+		if rg.count[i] > 0 {
+			ends = rg.sel.Pick(leafEnds(rg.leafOf, nd.lo, nd.hi-nd.lo))
+		}
+		b := newSetBuilder(rg.count[i], ends[0], ends[1]+1)
+		rg.collect(b, nd.lo, nd.hi-nd.lo)
+		rg.sets[i] = b.s
 	}
-	return rg.lists[i]
+	return rg.sets[i]
 }
 
-// PartitionRows splits rows into those matching p and those not,
-// preserving order: the one-split case of Route.
+// collect adds to b, in order, the rows whose leaf id lies in
+// [lo, lo+span), until b is done.
+func (rg *Routing) collect(b *setBuilder, lo, span uint) {
+	if b.done() {
+		return
+	}
+	m := make([]uint8, min(readRun, rg.sel.Len()))
+	rg.sel.runs(readRun, 0, func(off, _ int, run []int) bool {
+		mr := m[:len(run)]
+		b.add(run, mr, onLeaves(mr, rg.leafOf[off:off+len(run)], lo, span))
+		return !b.done()
+	})
+}
+
+// PartitionRows splits rows — strictly ascending — into those matching
+// p and those not: the one-split case of Route. The halves are lists
+// cut at their length.
 func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
-	rg := Route(r, SplitTree{{Split: p, No: 2}, {}, {}}, rows)
-	return rg.Rows(1), rg.Rows(2)
+	rg := Route(r, SplitTree{{Split: p, No: 2}, {}, {}}, listOf(rows))
+	list := func(i int) []int {
+		b := newListBuilder(rg.count[i])
+		rg.collect(b, rg.nodes[i].lo, rg.nodes[i].hi-rg.nodes[i].lo)
+		return b.s.ids
+	}
+	return list(1), list(2)
 }
 
 // routeNode is the compiled form of one tree node.
@@ -145,7 +169,7 @@ type router struct {
 }
 
 func newRouter(r Relation, t SplitTree, out *Routing) *router {
-	n := len(out.rows)
+	n := out.sel.Len()
 	runCap := min(n, routeRun)
 	out.leafOf = make([]uint8, n)
 	rt := &router{
@@ -188,10 +212,11 @@ func (rt *router) compileNode(r Relation, i, depth int) int {
 
 // route is the pass: every run of the selection descends the tree,
 // leaving its rows' leaf ids and the per-node counts behind.
-func (rt *router) route(rows []int) {
-	rowRuns(rows, len(rows), routeRun, rt.rpp, func(off, page int, run []int) {
+func (rt *router) route(rows *RowSet) {
+	rows.runs(routeRun, rt.rpp, func(off, page int, run []int) bool {
 		rt.base, rt.page, rt.run = off, page, run
 		rt.visit(0, routeIdentity[:len(run)])
+		return true
 	})
 }
 
@@ -224,17 +249,28 @@ func markLeaf(leafOf []uint8, sel []uint16, leaf uint8) {
 	}
 }
 
-// collectLeaves copies into dst, in order, the rows whose leaf id lies
-// in [lo, lo+span); dst holds exactly that many, so the loop ends at
-// the last match, and the write is unconditional — the id test only
-// advances the cursor.
+// onLeaves sets m[p] to whether leaf id leafOf[p] lies in [lo, lo+span)
+// and returns how many do.
 //
 //blaeu:hot
-func collectLeaves(dst, rows []int, leafOf []uint8, lo, span uint) {
-	for p, k := 0, 0; k < len(dst); p++ {
-		dst[k] = rows[p]
-		if uint(leafOf[p])-lo < span {
-			k++
-		}
+func onLeaves(m, leafOf []uint8, lo, span uint) int {
+	n := 0
+	for p, id := range leafOf {
+		m[p] = bit(uint(id)-lo < span)
+		n += int(m[p])
 	}
+	return n
+}
+
+// leafEnds returns the first and the last position whose leaf id lies
+// in [lo, lo+span); there is one.
+func leafEnds(leafOf []uint8, lo, span uint) []int {
+	first, last := 0, len(leafOf)-1
+	for uint(leafOf[first])-lo >= span {
+		first++
+	}
+	for uint(leafOf[last])-lo >= span {
+		last--
+	}
+	return []int{first, last}
 }

@@ -15,12 +15,12 @@ func benchRouteTree() SplitTree {
 }
 
 func benchRoute(b *testing.B, r Relation) {
-	rows := rangeRows(0, r.NumRows())
+	rows := All(r.NumRows())
 	t := benchRouteTree()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = len(Route(r, t, rows).Rows(2))
+		benchSink = Route(r, t, rows).Rows(2).Len()
 	}
 }
 

@@ -85,26 +85,23 @@ func randomSplitTree(rng *rand.Rand, maxDepth int) SplitTree {
 }
 
 // routeSelections are the selection shapes over n rows at 64 rows per
-// page.
+// page, in every form: ranges, bitmaps (sparse) and a list (scattered).
 func routeSelections(rng *rand.Rand, n int) map[string][]int {
-	sparse := SampleIndices(n, n/9, rng)
-	shuffled := append([]int(nil), sparse...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	return map[string][]int{
 		"full":        rangeRows(0, n),
-		"sparse":      sparse,
+		"sparse":      SampleIndices(n, n/9, rng),
+		"scattered":   SampleIndices(n, n/100, rng),
 		"single-page": rangeRows(130, 190),
 		"one-row":     {n - 1},
 		"empty":       {},
 		"straddling":  rangeRows(60, 70),
 		"tail-page":   rangeRows(n-70, n),
-		"shuffled":    shuffled,
-		"repeats":     {5, 5, 70, 5, 64, 63, 64},
 	}
 }
 
 // assertRouted compares every node's count and rows with the
-// reference lists; the rows are built here, on first read.
+// reference lists; the rows are built here, on first read, and must be
+// in their smallest form.
 func assertRouted(t *testing.T, what string, got *Routing, want [][]int) {
 	t.Helper()
 	if len(got.count) != len(want) {
@@ -114,15 +111,19 @@ func assertRouted(t *testing.T, what string, got *Routing, want [][]int) {
 		if got.Count(i) != len(want[i]) {
 			t.Fatalf("%s: node %d counts %d rows, want %d", what, i, got.Count(i), len(want[i]))
 		}
-		if rows := got.Rows(i); !equalInts(rows, want[i]) {
-			t.Fatalf("%s: node %d got %d rows %v, want %d rows %v", what, i, len(rows), rows, len(want[i]), want[i])
+		rows := got.Rows(i)
+		if ids := rows.AppendTo(nil); !equalInts(ids, want[i]) {
+			t.Fatalf("%s: node %d got %d rows %v, want %d rows %v", what, i, len(ids), ids, len(want[i]), want[i])
+		}
+		if f, want := formOf(rows), smallestForm(want[i]); f != want {
+			t.Fatalf("%s: node %d is a %s, want a %s", what, i, f, want)
 		}
 	}
 }
 
 // TestRouteRowsMatchesReference is the router's differential: random
-// pruned trees × both backings × every selection shape, leaf and
-// internal rows against the recursive Matches partition.
+// pruned trees × both backings × every selection shape and form, leaf
+// and internal rows against the recursive Matches partition.
 func TestRouteRowsMatchesReference(t *testing.T) {
 	const n = 700
 	mem, seg := openBoth(t, n, 1<<20)
@@ -137,10 +138,11 @@ func TestRouteRowsMatchesReference(t *testing.T) {
 				r       Relation
 			}{{"table", mem}, {"segment", seg}} {
 				what := fmt.Sprintf("trial %d (%d nodes), %s selection, %s", trial, len(tree), name, b.backing)
-				got := Route(b.r, tree, rows)
+				sel := RowsOf(rows)
+				got := Route(b.r, tree, sel)
 				assertRouted(t, what, got, want)
-				if len(rows) > 0 && &got.Rows(0)[0] != &rows[0] {
-					t.Fatalf("%s: root list is a copy, want the selection itself", what)
+				if got.Rows(0) != sel {
+					t.Fatalf("%s: root set is a copy, want the selection itself", what)
 				}
 			}
 		}
@@ -181,8 +183,8 @@ func TestRouteRowsDeepTree(t *testing.T) {
 
 	for name, tree := range map[string]SplitTree{"chain": chain, "full": full} {
 		want := referenceRoute(mem, tree, rows)
-		assertRouted(t, name+", table", Route(mem, tree, rows), want)
-		assertRouted(t, name+", segment", Route(seg, tree, rows), want)
+		assertRouted(t, name+", table", Route(mem, tree, All(n)), want)
+		assertRouted(t, name+", segment", Route(seg, tree, All(n)), want)
 	}
 }
 
@@ -207,14 +209,15 @@ func TestPartitionRowsIsOneSplit(t *testing.T) {
 	}
 }
 
-// TestRouteRowsByteBudget: a route over n rows allocates one leaf id
-// per row and a fixed amount of scratch — no row list; a node's rows
-// cost 8 bytes a row on the first read and nothing after.
+// TestRouteRowsByteBudget: a route over a selection of n rows — the
+// whole table, or a bitmap of a third of it — allocates one leaf id per
+// row and a fixed amount of scratch, no row list; a node's rows cost at
+// most min(8 bytes a row, span/8) on the first read, plus the collect's
+// scratch, and nothing after.
 func TestRouteRowsByteBudget(t *testing.T) {
 	const n = 200_000
-	const slack = 64 << 10
+	const slack = 128 << 10 // the router's scratch: selection vectors, match bytes and a decoded run
 	tab := benchTable(n)
-	rows := rangeRows(0, n)
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -226,18 +229,21 @@ func TestRouteRowsByteBudget(t *testing.T) {
 		"one split":  {{Split: NumCmp{Col: "x", Op: Lt, Val: 50}, No: 2}, {}, {}},
 		"two levels": benchRouteTree(),
 	} {
-		Route(tab, tree, rows).Rows(1) // warm the runtime's size classes
-		var rt *Routing
-		if got := allocated(func() { rt = Route(tab, tree, rows) }); got > n+slack {
-			t.Errorf("%s: Route allocated %d bytes for %d rows, budget %d", name, got, n, n+slack)
-		}
-		for i := 1; i < len(tree); i++ {
-			budget := uint64(8*rt.Count(i) + 8<<10) // large objects are rounded up to 8 KiB pages
-			if got := allocated(func() { rt.Rows(i) }); got > budget {
-				t.Errorf("%s: first Rows(%d) allocated %d bytes for %d rows, budget %d", name, i, got, rt.Count(i), budget)
+		for _, rows := range []*RowSet{All(n), RowsOf(SampleIndices(n, n/3, rand.New(rand.NewSource(3))))} {
+			what := fmt.Sprintf("%s over a %s of %d rows", name, formOf(rows), rows.Len())
+			Route(tab, tree, rows).Rows(1) // warm the runtime's size classes
+			var rt *Routing
+			if got := allocated(func() { rt = Route(tab, tree, rows) }); got > uint64(rows.Len()+slack) {
+				t.Errorf("%s: Route allocated %d bytes, budget %d", what, got, rows.Len()+slack)
 			}
-			if got := allocated(func() { rt.Rows(i) }); got != 0 {
-				t.Errorf("%s: second Rows(%d) allocated %d bytes, want 0", name, i, got)
+			for i := 1; i < len(tree); i++ {
+				budget := uint64(min(8*rt.Count(i), 8*bitmapWords(n)) + 16<<10) // scratch, and large objects rounded up to 8 KiB pages
+				if got := allocated(func() { rt.Rows(i) }); got > budget {
+					t.Errorf("%s: first Rows(%d) allocated %d bytes for %d rows, budget %d", what, i, got, rt.Count(i), budget)
+				}
+				if got := allocated(func() { rt.Rows(i) }); got != 0 {
+					t.Errorf("%s: second Rows(%d) allocated %d bytes, want 0", what, i, got)
+				}
 			}
 		}
 	}
@@ -256,19 +262,21 @@ func TestRouteRowsConcurrent(t *testing.T) {
 	for len(tree) < 7 {
 		tree = randomSplitTree(rng, 4)
 	}
-	sels := [][]int{rangeRows(0, n), SampleIndices(n, n/5, rng), rangeRows(1000, 1100)}
-	want := make([][][]int, len(sels))
-	for i, rows := range sels {
+	ids := [][]int{rangeRows(0, n), SampleIndices(n, n/5, rng), rangeRows(1000, 1100)}
+	want := make([][][]int, len(ids))
+	sels := make([]*RowSet, len(ids))
+	for i, rows := range ids {
 		want[i] = referenceRoute(mem, tree, rows)
+		sels[i] = RowsOf(rows)
 	}
 	shared := Route(seg, tree, sels[0])
-	built := make([][][]int, 8)
+	built := make([][]*RowSet, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			built[g] = make([][]int, len(tree))
+			built[g] = make([]*RowSet, len(tree))
 			for k := range tree {
 				nd := (k + g) % len(tree)
 				built[g][nd] = shared.Rows(nd)
@@ -277,24 +285,24 @@ func TestRouteRowsConcurrent(t *testing.T) {
 				i := (g + it) % len(sels)
 				got := Route(seg, tree, sels[i])
 				for nd := range want[i] {
-					if !equalInts(got.Rows(nd), want[i][nd]) {
+					if !equalInts(got.Rows(nd).AppendTo(nil), want[i][nd]) {
 						t.Errorf("goroutine %d: node %d differs from the sequential route", g, nd)
 						return
 					}
 				}
 				if it%3 == 0 {
-					seg.ColumnByName("x").Gather(sels[i])
+					seg.ColumnByName("x").Gather(ids[i])
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	for nd := range tree {
-		if !equalInts(built[0][nd], want[0][nd]) {
+		if !equalInts(built[0][nd].AppendTo(nil), want[0][nd]) {
 			t.Fatalf("shared routing: node %d differs from the reference", nd)
 		}
 		for g := 1; g < len(built); g++ {
-			if len(built[g][nd]) > 0 && &built[g][nd][0] != &built[0][nd][0] {
+			if built[g][nd] != built[0][nd] {
 				t.Fatalf("shared routing: node %d was built more than once", nd)
 			}
 		}

@@ -2,23 +2,24 @@ package store
 
 import "repro/internal/obs"
 
-// The scan: one pass over a relation's pages, in page order, on the
-// caller's goroutine. A page's candidates — an explicit ascending run
-// of the row set, or the whole page — are evaluated by the batch
-// kernels of kernel.go into one match byte each; the match bytes of
-// every page with matches are held to the end of the pass, so the
-// result is allocated once, at its final size. Scans are index-only:
-// values are materialized by gathering the rows a scan selected
-// (Column.Gather, ScanGather).
+// The scan: one pass over a row set's pages, in page order, on the
+// caller's goroutine. The candidates of a page — the set's run on it
+// (RowSet.runs) — are evaluated by the batch kernels of kernel.go into
+// one match byte each; the matches of every run that has some are held
+// to the end of the pass as one bit per candidate, with the number, the
+// first and the last of the matches, so the result is allocated once,
+// at its final size and form, and written by a second walk over the
+// set's runs. Scans are index-only: values are materialized by
+// gathering the rows a scan selected (Column.Gather, ScanGather).
 //
 // Three operators run on it — Relation.Filter (every row), FilterLimit
 // (the first limit matches) and ScanRows (a selection) — and two
 // pushdowns happen at the scan source instead of above it:
 //
-//   - predicate: segment-backed scans apply zone-map page skips, and an
-//     ascending row set narrows the scan further — pages holding no
-//     candidate rows are never fetched, so a filtered selection keeps
-//     its zone-map advantage;
+//   - predicate: segment-backed scans apply zone-map page skips, and a
+//     row set narrows the scan further — pages holding no candidate
+//     rows are never fetched, so a filtered selection keeps its
+//     zone-map advantage;
 //   - limit: the scan stops at the page that delivers the limit-th
 //     match, so Head-shaped calls never reach EOF.
 
@@ -59,180 +60,139 @@ func (m *ScanMetrics) add(scanned, skipped, batches int) {
 	}
 }
 
-// scanPlan is one scan resolved against one relation: what to match,
-// page geometry, zone-map skips and metrics sink.
-type scanPlan struct {
-	r       Relation
-	pred    Predicate // nil = every row
-	rows    []int     // ascending candidates; nil = the whole relation
-	limit   int       // stop after this many matches; 0 = all
-	rpp     int       // rows per page
-	np      int       // page count
-	n       int       // relation row count
-	skips   []func(pi int) bool
-	metrics *ScanMetrics
+// scanMatches is the outcome of a scan's pass: the runs of the row set
+// that hold matches, and how many matches there are and where the first
+// and the last lie.
+type scanMatches struct {
+	rows        *RowSet
+	runCap, rpp int // how the pass cut rows into runs
+	kept        []runMatch
+	count       int
+	first, last int
 }
 
-func newScanPlan(r Relation, p Predicate, rows []int, limit int) *scanPlan {
-	pl := &scanPlan{r: r, pred: p, rows: rows, limit: limit, n: r.NumRows(), rpp: defaultScanPageRows}
+// runMatch is one run with matches: its position in the row set, one
+// match bit per row of it and how many are set.
+type runMatch struct {
+	off, n int
+	bits   []uint64
+}
+
+// scan evaluates p over the candidate rows of r page by page, cut to
+// the first limit matches when limit is positive.
+func scan(r Relation, p Predicate, rows *RowSet, limit int) *scanMatches {
+	rpp, n := defaultScanPageRows, r.NumRows()
+	var skips []func(pi int) bool
+	var metrics *ScanMetrics
 	if cs, ok := r.(interface{ columns() *columnSet }); ok {
 		t := cs.columns()
-		pl.metrics = t.scanMetrics
+		metrics = t.scanMetrics
 		if t.pageRows > 0 {
-			pl.rpp = t.pageRows
+			rpp = t.pageRows
 			if p != nil {
-				pl.skips = t.pageSkips(p)
+				skips = t.pageSkips(p)
 			}
 		}
 	}
-	pl.np = (pl.n + pl.rpp - 1) / pl.rpp
-	return pl
-}
-
-// scan returns the rows of r matching p, ascending: of the candidates
-// rows (strictly ascending and in range — see scannable) or of the whole
-// relation when rows is nil, cut to the first limit matches when limit
-// is positive. nil when nothing matched.
-func scan(r Relation, p Predicate, rows []int, limit int) []int {
-	it := newScanPlan(r, p, rows, limit).newRangeIter()
-	var pages []pageMatch
-	for {
-		pm, ok := it.next()
-		if !ok {
-			break
-		}
-		pages = append(pages, pm)
-	}
-	it.pl.metrics.add(it.scanned, it.skipped, len(pages))
-	if it.emitted == 0 {
-		return nil
-	}
-	out := make([]int, it.emitted)
-	off := 0
-	for _, pm := range pages {
-		pm.fill(out[off : off+pm.n])
-		off += pm.n
-	}
-	return out
-}
-
-// scannable reports whether rows is a row set the scan accepts:
-// strictly ascending and within [0, n).
-func scannable(rows []int, n int) bool {
-	prev := -1
-	for _, i := range rows {
-		if i <= prev || i >= n {
+	sm := &scanMatches{rows: rows, runCap: min(rpp, routeRun), rpp: rpp}
+	ev := evaluator{runCap: sm.runCap}
+	pred := ev.compile(r, p)
+	m := make([]uint8, min(sm.runCap, rows.Len()))
+	// Every page up to the one that meets the limit is accounted once:
+	// skipped when it holds no candidate or a zone map excludes it,
+	// scanned otherwise. next is the first page not yet accounted.
+	next, skip, batch := 0, false, -1
+	scanned, skipped, batches := 0, 0, 0
+	full := func() bool { return limit > 0 && sm.count >= limit }
+	rows.runs(sm.runCap, rpp, func(off, page int, run []int) bool {
+		if full() {
 			return false
 		}
-		prev = i
-	}
-	return true
-}
-
-// pageMatch is the outcome of one scanned page: its candidates (cand,
-// or the rows from lo on when cand is nil), one match byte per
-// candidate and the number of matches wanted of it.
-type pageMatch struct {
-	cand []int
-	lo   int
-	m    []uint8
-	n    int
-}
-
-// fill writes the page's first len(dst) matches into dst.
-func (pm *pageMatch) fill(dst []int) {
-	if pm.cand != nil {
-		fillMatched(pm.cand, pm.m, dst)
-	} else {
-		fillMatchedSeq(pm.lo, pm.m, dst)
-	}
-}
-
-// rangeIter walks the plan's pages in order, producing the match bytes
-// of every page that yields matches.
-type rangeIter struct {
-	pl               *scanPlan
-	ev               evaluator
-	pred             predNode
-	seq              []int // the candidates of a whole page, when the scan has no row set
-	pi               int
-	rs               []int // remaining candidate rows
-	emitted          int
-	scanned, skipped int
-}
-
-func (pl *scanPlan) newRangeIter() *rangeIter {
-	it := &rangeIter{pl: pl, rs: pl.rows, ev: evaluator{runCap: min(pl.rpp, routeRun)}}
-	it.pred = it.ev.compile(pl.r, pl.pred)
-	if pl.rows == nil {
-		it.seq = make([]int, min(pl.rpp, pl.n))
-	}
-	return it
-}
-
-// next advances to the next page with matches, its count cut to what
-// the limit still admits.
-func (it *rangeIter) next() (pageMatch, bool) {
-	pl := it.pl
-	for it.pi < pl.np && (pl.limit <= 0 || it.emitted < pl.limit) {
-		pi := it.pi
-		it.pi++
-		pm, hi := pageMatch{lo: pi * pl.rpp}, min((pi+1)*pl.rpp, pl.n)
-		// Candidate rows of this page. The row set advances past the
-		// page before any skip, so zone-map skips cannot desync it.
-		if pl.rows != nil {
-			k := splitBefore(it.rs, hi)
-			pm.cand = it.rs[:k]
-			it.rs = it.rs[k:]
-			if k == 0 {
-				it.skipped++
-				continue
+		if page >= next {
+			skipped += page - next
+			next, skip = page+1, false
+			for _, f := range skips {
+				skip = skip || f(page)
+			}
+			if skip {
+				skipped++
+			} else {
+				scanned++
 			}
 		}
-		if it.zoneSkip(pi) {
-			it.skipped++
-			continue
-		}
-		it.scanned++
-		if it.match(pi, hi-pm.lo, &pm); pm.n == 0 {
-			continue
-		}
-		if pl.limit > 0 {
-			pm.n = min(pm.n, pl.limit-it.emitted) // limit tail
-		}
-		it.emitted += pm.n
-		return pm, true
-	}
-	return pageMatch{}, false
-}
-
-// match evaluates the predicate over the candidates of page pi — cand,
-// or its nc rows — into pm.m, a run at a time, and counts the matches
-// into pm.n.
-func (it *rangeIter) match(pi, nc int, pm *pageMatch) {
-	cand := pm.cand
-	if cand == nil {
-		cand = it.seq[:nc]
-		fillSeq(pm.lo, pm.lo+nc, cand)
-	}
-	pm.m = make([]uint8, len(cand))
-	it.ev.page = pi
-	for lo := 0; lo < len(cand); lo += it.ev.runCap {
-		hi := min(lo+it.ev.runCap, len(cand))
-		it.ev.run = cand[lo:hi]
-		it.ev.eval(&it.pred, routeIdentity[:hi-lo], pm.m[lo:hi])
-	}
-	pm.n = countBytes(pm.m)
-}
-
-// zoneSkip applies the plan's page-exclusion tests.
-func (it *rangeIter) zoneSkip(pi int) bool {
-	for _, skip := range it.pl.skips {
-		if skip(pi) {
+		if skip {
 			return true
 		}
+		ev.page, ev.run = page, run
+		mr := m[:len(run)]
+		ev.eval(&pred, routeIdentity[:len(run)], mr)
+		k := countBytes(mr)
+		if k == 0 {
+			return true
+		}
+		if page != batch {
+			batches++
+			batch = page
+		}
+		if sm.count == 0 {
+			sm.first = run[firstSet(mr)]
+		}
+		if limit > 0 {
+			// The run keeps all its match bits: only FilterLimit's list
+			// reads a cut run, and it takes the first k.
+			k = min(k, limit-sm.count)
+		}
+		sm.last = run[lastSet(mr)] // read by ScanRows, which has no limit
+		km := runMatch{off: off, n: k, bits: make([]uint64, bitmapWords(len(mr)))}
+		packBits(km.bits, mr)
+		sm.kept = append(sm.kept, km)
+		sm.count += k
+		return true
+	})
+	if !full() {
+		skipped += (n+rpp-1)/rpp - next
 	}
-	return false
+	metrics.add(scanned, skipped, batches)
+	return sm
+}
+
+// fill writes the matches into b, walking the row set's runs again up to
+// the last run with matches.
+func (sm *scanMatches) fill(b *setBuilder) {
+	if b.done() {
+		return
+	}
+	j, m := 0, make([]uint8, min(sm.runCap, sm.rows.Len()))
+	sm.rows.runs(sm.runCap, sm.rpp, func(off, _ int, run []int) bool {
+		if km := &sm.kept[j]; km.off == off {
+			mr := m[:len(run)]
+			unpackBits(mr, km.bits)
+			b.add(run, mr, km.n)
+			j++
+		}
+		return j < len(sm.kept)
+	})
+}
+
+// set returns the matches as a row set.
+func (sm *scanMatches) set() *RowSet {
+	if sm.count == 0 {
+		return &RowSet{}
+	}
+	b := newSetBuilder(sm.count, sm.first, sm.last+1)
+	sm.fill(b)
+	return b.s
+}
+
+// ints returns the matches as an ascending list, nil when nothing
+// matched.
+func (sm *scanMatches) ints() []int {
+	if sm.count == 0 {
+		return nil
+	}
+	b := newListBuilder(sm.count)
+	sm.fill(b)
+	return b.s.ids
 }
 
 // splitBefore returns the count of leading entries of rows below bound
@@ -266,13 +226,43 @@ func fillMatched(cand []int, m []uint8, dst []int) {
 	}
 }
 
-// fillMatchedSeq is fillMatched over the candidates lo, lo+1, ….
+// firstSet returns the index of the first 1 in m, which holds one.
 //
 //blaeu:hot
-func fillMatchedSeq(lo int, m []uint8, dst []int) {
-	for k, j := 0, 0; j < len(dst); k++ {
-		dst[j] = lo + k
-		j += int(m[k])
+func firstSet(m []uint8) int {
+	k := 0
+	for m[k] == 0 {
+		k++
+	}
+	return k
+}
+
+// lastSet returns the index of the last 1 in m, which holds one.
+//
+//blaeu:hot
+func lastSet(m []uint8) int {
+	k := len(m) - 1
+	for m[k] == 0 {
+		k--
+	}
+	return k
+}
+
+// packBits sets bit k of bits to m[k], a 0 or 1; bits starts zeroed.
+//
+//blaeu:hot
+func packBits(bits []uint64, m []uint8) {
+	for k, b := range m {
+		bits[k>>6] |= uint64(b) << (uint(k) & 63)
+	}
+}
+
+// unpackBits sets m[k] to bit k of bits.
+//
+//blaeu:hot
+func unpackBits(m []uint8, bits []uint64) {
+	for k := range m {
+		m[k] = uint8(bits[k>>6] >> (uint(k) & 63) & 1)
 	}
 }
 
@@ -284,21 +274,14 @@ func fillMatchedSeq(lo int, m []uint8, dst []int) {
 // soon as the quota is met instead of running to EOF (limit <= 0 keeps
 // Filter semantics).
 func FilterLimit(r Relation, p Predicate, limit int) []int {
-	return scan(r, p, nil, limit)
+	return scan(r, p, All(r.NumRows()), limit).ints()
 }
 
-// ScanRows is the row-set filter: the subset of rows matching p.
-// Ascending row sets — every selection the engine holds — go through
-// the scan, so pages outside the row set or excluded by zone maps are
-// never read. Any other row set is partitioned in input order by the
-// router instead.
-func ScanRows(r Relation, p Predicate, rows []int) []int {
-	if len(rows) == 0 {
-		return nil
+// ScanRows is the row-set filter: the subset of rows matching p. Pages
+// outside the row set or excluded by zone maps are never read.
+func ScanRows(r Relation, p Predicate, rows *RowSet) *RowSet {
+	if rows.Len() == 0 {
+		return rows
 	}
-	if !scannable(rows, r.NumRows()) {
-		out, _ := PartitionRows(r, p, rows)
-		return out
-	}
-	return scan(r, p, rows, 0)
+	return scan(r, p, rows, 0).set()
 }

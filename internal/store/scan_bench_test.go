@@ -64,11 +64,11 @@ func benchFilterKernel(b *testing.B, r Relation) {
 	for i := 0; i < r.NumRows(); i += 2 {
 		rows = append(rows, i)
 	}
-	p := NumCmp{Col: "x", Op: Ge, Val: 50}
+	set, p := RowsOf(rows), NumCmp{Col: "x", Op: Ge, Val: 50}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = len(ScanRows(r, p, rows))
+		benchSink = ScanRows(r, p, set).Len()
 	}
 }
 
@@ -82,10 +82,11 @@ func benchStatsRows(b *testing.B, r Relation) {
 	for i := 0; len(rows) < cap(rows); i += 3 {
 		rows = append(rows, i)
 	}
+	set := RowsOf(rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = StatsRows(r.ColumnByName("x"), rows).Count
+		benchSink = StatsRows(r.ColumnByName("x"), set).Count
 	}
 }
 

@@ -54,7 +54,7 @@ func TestScanRowSetPushdown(t *testing.T) {
 	}
 	for _, r := range []Relation{mem, seg} {
 		want := referenceFilter(r, scanTestPred(), rows)
-		if got := ScanRows(r, scanTestPred(), rows); !reflect.DeepEqual(got, want) {
+		if got := ScanRows(r, scanTestPred(), RowsOf(rows)).AppendTo(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T: ScanRows mismatch: %d vs %d rows", r, len(got), len(want))
 		}
 	}
@@ -106,24 +106,24 @@ func TestScanGatherProjection(t *testing.T) {
 	}
 }
 
+// TestScanSpecErrors: a row set is strictly ascending and non-negative
+// by construction — RowsOf refuses anything else, so no scan meets it —
+// and a gather of a missing column is an error.
 func TestScanSpecErrors(t *testing.T) {
+	for _, ids := range [][]int{{5, 3}, {3, 3}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RowsOf(%v) accepted a list that is not strictly ascending and non-negative", ids)
+				}
+			}()
+			RowsOf(ids)
+		}()
+	}
 	mem, seg := openBoth(t, 200, 1<<20)
 	for _, r := range []Relation{mem, seg} {
-		if scannable([]int{5, 3}, r.NumRows()) || scannable([]int{3, 3}, r.NumRows()) {
-			t.Fatalf("%T: row set that is not strictly ascending not rejected", r)
-		}
-		if scannable([]int{0, r.NumRows()}, r.NumRows()) || scannable([]int{-1, 0}, r.NumRows()) {
-			t.Fatalf("%T: out-of-range row not rejected", r)
-		}
 		if _, err := ScanGather(r, []int{0}, []string{"nope"}, 0); err == nil {
 			t.Fatalf("%T: ScanGather unknown column not rejected", r)
-		}
-		// ScanRows filters a row set the scan contract rejects row by
-		// row, in input order.
-		unsorted := []int{9, 1, 4}
-		want := referenceFilter(r, True{}, unsorted)
-		if got := ScanRows(r, True{}, unsorted); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%T: ScanRows fallback mismatch", r)
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestScanMetricsCounters(t *testing.T) {
 
 	// A two-row row set touches exactly its two pages; the rest skip.
 	s0, k0 := scanned.Value(), skipped.Value()
-	ScanRows(seg, True{}, []int{0, seg.NumRows() - 1})
+	ScanRows(seg, True{}, RowsOf([]int{0, seg.NumRows() - 1}))
 	if got := scanned.Value() - s0; got != 2 {
 		t.Fatalf("row-set scan visited %d pages, want 2", got)
 	}
@@ -183,7 +183,7 @@ func TestScanConcurrent(t *testing.T) {
 	for i := 5; i < 800; i += 11 {
 		sample = append(sample, i)
 	}
-	wantSubset := ScanRows(mem, pred, sample)
+	wantSubset := ScanRows(mem, pred, RowsOf(sample)).AppendTo(nil)
 	wantSample, err := mem.Gather(sample).Project("x", "count", "label")
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestScanConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d: filter diverged", g)
 					return
 				}
-				if got := ScanRows(seg, pred, sample); !reflect.DeepEqual(got, wantSubset) {
+				if got := ScanRows(seg, pred, RowsOf(sample)).AppendTo(nil); !reflect.DeepEqual(got, wantSubset) {
 					errs <- fmt.Errorf("goroutine %d: row-set scan diverged", g)
 					return
 				}

@@ -60,27 +60,22 @@ func Stats(t Relation, col string) ColumnStats {
 }
 
 // ComputeStats computes summary statistics for a column.
-func ComputeStats(c Column) ColumnStats { return statsOf(c, nil, c.Len()) }
+func ComputeStats(c Column) ColumnStats { return StatsRows(c, All(c.Len())) }
 
-// StatsRows computes the summary statistics of c over the given rows,
-// in their order: what ComputeStats(c.Gather(rows)) returns, without
-// the copy. The column is read run by run through the typed reader
-// (kernel.go), and the sums accumulate in row order in one accumulator,
-// so the moments are the same bits whatever the backing.
-func StatsRows(c Column, rows []int) ColumnStats { return statsOf(c, rows, len(rows)) }
-
-// statsOf is StatsRows over rows, or over [0, n) when rows is nil.
-func statsOf(c Column, rows []int, n int) ColumnStats {
+// StatsRows computes the summary statistics of c over the given rows:
+// what ComputeStats(c.Gather(rows)) returns, without the copy. The
+// column is read run by run through the typed reader (kernel.go), and
+// the sums accumulate in row order in one accumulator, so the moments
+// are the same bits whatever the backing.
+func StatsRows(c Column, rows *RowSet) ColumnStats {
 	s := ColumnStats{Name: c.Name(), Type: c.Type(), Min: math.NaN(), Max: math.NaN(),
 		Mean: math.NaN(), Std: math.NaN()}
+	n := rows.Len()
 	rd, ok := bindCol(c)
 	if !ok {
 		// A foreign Column implementation: its Gather yields one of the
 		// store's own.
-		if rows == nil {
-			rows = rangeRows(0, n)
-		}
-		c, rows = c.Gather(rows), nil
+		c, rows = c.Gather(rows.AppendTo(nil)), All(n)
 		rd, _ = bindCol(c)
 	}
 	// A string column's values are counted by dictionary code (entries
@@ -92,8 +87,8 @@ func statsOf(c Column, rows []int, n int) ColumnStats {
 	} else {
 		acc.distinct.slots = make([]uint64, 3*min(n, distinctCap)/2+1)
 	}
-	vals, present := make([]float64, min(n, kernelChunk)), make([]uint8, min(n, kernelChunk))
-	rowRuns(rows, n, kernelChunk, rd.rpp, func(_, page int, run []int) {
+	vals, present := make([]float64, min(n, readRun)), make([]uint8, min(n, readRun))
+	rows.runs(readRun, rd.rpp, func(_, page int, run []int) bool {
 		sel := routeIdentity[:len(run)]
 		rd.notNull(page, run, sel, present[:len(run)])
 		rd.loadFloats(page, run, sel, vals)
@@ -102,6 +97,7 @@ func statsOf(c Column, rows []int, n int) ColumnStats {
 		} else {
 			acc.add(vals[:len(run)], present)
 		}
+		return true
 	})
 	s.Count, s.Nulls, s.Distinct = acc.count, n-acc.count, acc.distinct.n
 	if counts != nil {
@@ -164,21 +160,22 @@ func countCodes(codes []float64, present []uint8, counts []int) int {
 }
 
 // RowFloats reads c at the given rows as Column.Float does, one page
-// fetch per page run: vals[k] is the value of row rows[k] (unspecified
+// fetch per page run: vals[k] is the value of the k-th row (unspecified
 // where the row is null) and present[k] is 0 where it is null, else 1.
-func RowFloats(c Column, rows []int) (vals []float64, present []uint8) {
-	vals, present = make([]float64, len(rows)), make([]uint8, len(rows))
+func RowFloats(c Column, rows *RowSet) (vals []float64, present []uint8) {
+	vals, present = make([]float64, rows.Len()), make([]uint8, rows.Len())
 	rd, ok := bindCol(c)
 	if !ok || c.Type() == String {
-		for k, r := range rows {
+		for k, r := range rows.AppendTo(nil) {
 			vals[k], present[k] = c.Float(r), bit(!c.IsNull(r))
 		}
 		return vals, present
 	}
-	rowRuns(rows, len(rows), kernelChunk, rd.rpp, func(off, page int, run []int) {
+	rows.runs(readRun, rd.rpp, func(off, page int, run []int) bool {
 		sel := routeIdentity[:len(run)]
 		rd.loadFloats(page, run, sel, vals[off:])
 		rd.notNull(page, run, sel, present[off:off+len(run)])
+		return true
 	})
 	return vals, present
 }

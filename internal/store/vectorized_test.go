@@ -125,7 +125,7 @@ func TestScanRowsAndPartitionRows(t *testing.T) {
 			wantNo = append(wantNo, r)
 		}
 	}
-	if got := ScanRows(tab, p, rows); !equalInts(got, wantYes) {
+	if got := ScanRows(tab, p, RowsOf(rows)).AppendTo(nil); !equalInts(got, wantYes) {
 		t.Fatalf("ScanRows = %v, want %v", got, wantYes)
 	}
 	yes, no := PartitionRows(tab, p, rows)

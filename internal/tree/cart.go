@@ -373,8 +373,8 @@ func (n *Node) Splits() (store.SplitTree, []*Node) {
 
 // route sends rows of t down the tree in one store.Route pass and
 // calls leaf with every leaf some row reaches and the rows that reach
-// it, in input order; only the leaves' row lists are built.
-func route(t *store.Table, n *Node, rows []int, leaf func(n *Node, rows []int)) {
+// it; only the leaves' rows are built.
+func route(t *store.Table, n *Node, rows *store.RowSet, leaf func(n *Node, rows *store.RowSet)) {
 	splits, nodes := n.Splits()
 	rt := store.Route(t, splits, rows)
 	for i, nd := range nodes {
@@ -387,21 +387,15 @@ func route(t *store.Table, n *Node, rows []int, leaf func(n *Node, rows []int)) 
 // Predict returns the predicted class for row i of t.
 func (tr *Tree) Predict(t *store.Table, i int) int {
 	class := 0
-	route(t, tr.Root, []int{i}, func(n *Node, _ []int) { class = n.Class })
+	route(t, tr.Root, store.RowsOf([]int{i}), func(n *Node, _ *store.RowSet) { class = n.Class })
 	return class
 }
 
 // PredictAll classifies every row of t.
 func (tr *Tree) PredictAll(t *store.Table) []int {
 	out := make([]int, t.NumRows())
-	rows := make([]int, len(out))
-	for i := range rows {
-		rows[i] = i
-	}
-	route(t, tr.Root, rows, func(n *Node, rows []int) {
-		for _, r := range rows {
-			out[r] = n.Class
-		}
+	route(t, tr.Root, store.All(t.NumRows()), func(n *Node, rows *store.RowSet) {
+		rows.Each(func(r int) { out[r] = n.Class })
 	})
 	return out
 }
@@ -419,12 +413,12 @@ func (tr *Tree) Accuracy(t *store.Table, labels []int) float64 {
 		return 0
 	}
 	hit := 0
-	route(t, tr.Root, rows, func(n *Node, rows []int) {
-		for _, r := range rows {
+	route(t, tr.Root, store.RowsOf(rows), func(n *Node, rows *store.RowSet) {
+		rows.Each(func(r int) {
 			if labels[r] == n.Class {
 				hit++
 			}
-		}
+		})
 	})
 	return float64(hit) / float64(len(rows))
 }
