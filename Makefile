@@ -16,9 +16,10 @@ race-jobs:
 # race detector (also a CI step): the core builds sharing cached
 # vectors/oracles, the cluster-layer subsets sharing a parent memo,
 # CLARA's per-sample runs subsetting one shared lazy parent, and map-cache
-# clones building their regions' rows in one shared routing.
+# clones building their regions' rows and highlight statistics in one
+# shared routing.
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent|ClonesShareRegionRows' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

@@ -263,6 +263,41 @@ func BenchmarkHighlightStats(b *testing.B) {
 	}
 }
 
+// BenchmarkHighlightRevisit is a repeat highlight click: the same column
+// of the same region of 100 000 tuples, on the clone a map-cache hit
+// serves. The statistics were computed by the first highlight, so B/op
+// is what a revisit's inspection costs beside them.
+func BenchmarkHighlightRevisit(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 100000, K: 4, Dims: 8, Sep: 6}, rng)
+	e, err := core.NewExplorer(ds.Table, core.Options{Seed: 1, SampleSize: 2000, DependencySampleRows: 500})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, err := e.AddTheme(ds.Table.ColumnNames())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := e.SelectTheme(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, path := ds.Table.ColumnNames()[0], m.Root.Leaves()[0].Path
+	if _, err := e.Highlight(col, path...); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.SelectTheme(id); err != nil || e.ReuseStats().Map.Hits == 0 {
+		b.Fatalf("reselecting the theme was not a map-cache hit (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Highlight(col, path...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSilhouetteMC(b *testing.B) {
 	for _, n := range []int{1000, 4000, 20000} {
 		vecs, labels := benchVectors(n, 6, 3)

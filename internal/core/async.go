@@ -39,7 +39,7 @@ const (
 //	err = e.ApplyBuild(b, m)           // cheap; under the session lock
 //
 // Prepare* validates the action and snapshots everything the build needs
-// (selection rows, theme, accumulated condition, a derived child RNG and
+// (selection rows, theme, accumulated condition, a child RNG's seed and
 // the two-tier cache lookup: finished map first, then build artifact).
 // Run touches only that snapshot plus immutable Explorer state (table,
 // options, metric), so concurrent Runs of one session cannot race as
@@ -59,7 +59,7 @@ type MapBuild struct {
 	rows   *store.RowSet
 	theme  Theme
 	cond   store.And
-	rng    *rand.Rand
+	seed   int64 // of the build's random source, made by Run past a map hit
 	base   *State
 	key    mapKey
 	hit    *Map
@@ -147,14 +147,15 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 	return e.prepare(ActionFilter, pred.String(), rows, theme, cond), nil
 }
 
-// prepare snapshots the build inputs, derives the child RNG and resolves
-// the two cache tiers: the map cache first (a hit serves the finished
-// map), then the artifact cache (an exact hit reuses the whole front
-// half of the pipeline; failing that, the cached artifact with the
-// largest usable sample overlap backs a derived build). The RNG draw
-// happens on every prepare — hit, derived or cold — so the explorer's
+// prepare snapshots the build inputs, draws the child RNG's seed and
+// resolves the two cache tiers: the map cache first (a hit serves the
+// finished map), then the artifact cache (an exact hit reuses the whole
+// front half of the pipeline; failing that, the cached artifact with the
+// largest usable sample overlap backs a derived build). The seed is
+// drawn on every prepare — hit, derived or cold — so the explorer's
 // random stream advances identically either way and later navigation
-// does not depend on the caches' contents. The cache keys read the
+// does not depend on the caches' contents; the RNG itself is made only
+// by a Run that builds. The cache keys read the
 // fingerprint rows keeps, so a selection already fingerprinted — a
 // revisit, a rollback followed by the same zoom, a projection of a
 // zoomed state, all handed the same set — costs no pass over its rows
@@ -167,7 +168,7 @@ func (e *Explorer) prepare(action ActionKind, detail string, rows *store.RowSet,
 		rows:   rows,
 		theme:  theme,
 		cond:   cond,
-		rng:    rand.New(rand.NewSource(e.rng.Int63())),
+		seed:   e.rng.Int63(),
 		base:   e.State(),
 		reuse:  ReuseCold,
 	}
@@ -246,10 +247,11 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		// never share mutable regions (annotations).
 		return cloneForReuse(b.hit), nil
 	}
+	rng := rand.New(rand.NewSource(b.seed))
 	art := b.parent
 	if art != nil && b.parentPos != nil {
 		sp := tr.Start("derive")
-		art = b.e.deriveArtifact(b.parent, b.parentPos, b.rng)
+		art = b.e.deriveArtifact(b.parent, b.parentPos, rng)
 		sp.End()
 		if constantVectors(art.vecs) {
 			// Prepare already rejected degenerate overlaps; this only
@@ -262,7 +264,7 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 			tr.SetAttr("reuse", string(ReuseCold))
 		}
 	}
-	m, built, err := b.e.buildMapStaged(ctx, b.rng, b.rows, b.theme, art, progress)
+	m, built, err := b.e.buildMapStaged(ctx, rng, b.rows, b.theme, art, progress)
 	if err != nil {
 		return nil, err
 	}

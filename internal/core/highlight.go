@@ -43,10 +43,9 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The statistics are computed over the region's rows in place: no
-	// copy of the column is made.
-	rows := region.RowIDs()
-	st := store.StatsRows(col, rows)
+	// The statistics are computed over the region's rows in place — no
+	// copy of the column is made — once per map and column.
+	st := region.Stats(col)
 	h := &Highlight{Column: column, Region: region.Describe(), Stats: st}
 	if len(st.TopValues) > 0 {
 		for _, tv := range st.TopValues {
@@ -59,6 +58,7 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	}
 	// The first values present, rendered: gathered a few rows at a time
 	// until enough are seen.
+	rows := region.RowIDs()
 	want := min(MaxSampleValues, st.Count)
 	for lo := 0; len(h.SampleValues) < want; lo += 4 * MaxSampleValues {
 		pos := make([]int, 0, 4*MaxSampleValues)

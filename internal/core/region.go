@@ -15,7 +15,7 @@ import (
 // once, its rows are built the first time RowIDs reads them — once per
 // map, shared by every clone of a cached map, at most span/8 bytes —
 // since a user zooms into or inspects one region of a map, not all of
-// them.
+// them; so are a column's statistics over them (Stats).
 type Region struct {
 	// Path addresses the region from the map root: Path[i] is the child
 	// index taken at depth i (empty for the root).
@@ -66,6 +66,17 @@ func (r *Region) RowIDs() *store.RowSet {
 		return r.routed.Rows(r.node)
 	}
 	return store.RowsOf(r.Rows)
+}
+
+// Stats returns the statistics of col — a column of the table the map
+// was built over — over the region's rows. An engine-built region's are
+// computed on the first call and shared afterwards, by every clone of
+// its map, like its rows.
+func (r *Region) Stats(col store.Column) store.ColumnStats {
+	if r.routed != nil {
+		return r.routed.Stats(r.node, col.Name())
+	}
+	return store.StatsRows(col, store.RowsOf(r.Rows))
 }
 
 // IsLeaf reports whether the region has no children.

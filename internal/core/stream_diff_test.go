@@ -1,7 +1,6 @@
 package core
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,12 +12,18 @@ import (
 // and a small-page segment (the two backings of every differential).
 func openLaborBoth(t *testing.T, n int, seed int64) (*store.Table, *store.SegmentTable) {
 	t.Helper()
-	csvPath := writeLaborCSV(t, n, seed)
+	return openBoth(t, writeLaborCSV(t, n, seed))
+}
+
+// openBoth reads a CSV as an in-memory table and converts it to a
+// small-page segment.
+func openBoth(t *testing.T, csvPath string) (*store.Table, *store.SegmentTable) {
+	t.Helper()
 	mem, err := store.ReadCSVFile(csvPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(filepath.Dir(csvPath), "labor.seg")
+	segPath := csvPath + ".seg"
 	if _, err := store.BuildSegment(csvPath, segPath, &store.SegmentBuildOptions{RowsPerPage: 128}); err != nil {
 		t.Fatal(err)
 	}

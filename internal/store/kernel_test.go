@@ -355,10 +355,11 @@ func allocated(fn func()) uint64 {
 }
 
 // TestKernelByteBudgets: a highlight's statistics over n rows allocate
-// the distinct-value table and fixed scratch — no 8-byte-per-row copy
-// of the column — and a filter of n candidates with m matches allocates
-// its result, one match byte per candidate (allocated page by page, so
-// up to an eighth more in size-class rounding) and fixed scratch.
+// the distinct-value table (sized for two values on a bool column) and
+// fixed scratch — no 8-byte-per-row copy of the column — and a filter
+// of n candidates with m matches allocates its result, one match byte
+// per candidate (allocated page by page, so up to an eighth more in
+// size-class rounding) and fixed scratch.
 func TestKernelByteBudgets(t *testing.T) {
 	const n = 400_000
 	const slack = 64 << 10
@@ -369,6 +370,15 @@ func TestKernelByteBudgets(t *testing.T) {
 	table := uint64(8 * (3*min(len(ids), distinctCap)/2 + 1))
 	if got := allocated(func() { StatsRows(tab.ColumnByName("x"), rows) }); got > table+slack || table+slack >= uint64(8*len(ids)) {
 		t.Errorf("StatsRows over %d rows allocated %d bytes, budget %d (a copy is %d)", len(ids), got, table+slack, 8*len(ids))
+	}
+	// A bool column has two values to tell apart: its table is 4 slots.
+	flags := make([]bool, n)
+	for i := range flags {
+		flags[i] = i%3 == 0
+	}
+	flag := NewBoolColumnFrom("flag", flags)
+	if got := allocated(func() { StatsRows(flag, rows) }); got > slack {
+		t.Errorf("StatsRows of a bool column over %d rows allocated %d bytes, budget %d", len(ids), got, slack)
 	}
 
 	p := benchScanPred()

@@ -1,6 +1,9 @@
 package store
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Tree routing: a selection is pushed through a whole tree of split
 // predicates in one pass over its pages. This is stage 5 of the
@@ -44,18 +47,27 @@ func (t SplitTree) size(i int) int {
 // are routed by a further pass over their own rows.
 const maxRouteDepth = 8
 
-// Routing is a selection sent down a split tree: the leaf id of every
-// row and the number of rows reaching every node. Leaf ids are
-// numbered in preorder, so the leaves under a node are one id range,
-// and a node's rows are one pass over the ids — made the first time
-// they are read and kept. Safe for concurrent use.
+// Routing is a selection of a relation sent down a split tree: the leaf
+// id of every row and the number of rows reaching every node. Leaf ids
+// are numbered in preorder, so the leaves under a node are one id
+// range, and a node's rows are one pass over the ids — made the first
+// time they are read and kept, as are the statistics of a column over
+// them. Safe for concurrent use.
 type Routing struct {
+	rel    Relation
 	sel    *RowSet
 	leafOf []uint8 // per selection position
 	count  []int   // rows reaching each node
 	nodes  []routedNode
 	mu     sync.Mutex
-	sets   []*RowSet // per node, its rows once built (guarded by mu)
+	sets   []*RowSet                // per node, its rows once built (guarded by mu)
+	stats  map[statsKey]ColumnStats // per node and column, once computed (guarded by mu)
+}
+
+// statsKey names a column of the routing's relation over a node's rows.
+type statsKey struct {
+	node   int
+	column string
 }
 
 // routedNode is where a node's rows come from: the leaf ids [lo, hi)
@@ -72,7 +84,7 @@ type routedNode struct {
 // routing. Safe for concurrent use over one relation: every call keeps
 // its own page cursors.
 func Route(r Relation, t SplitTree, rows *RowSet) *Routing {
-	rg := &Routing{sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
+	rg := &Routing{rel: r, sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
 	if rows.Len() == 0 || t[0].Split == nil {
 		rg.count[0] = rows.Len()
 		return rg
@@ -118,6 +130,36 @@ func (rg *Routing) Rows(i int) *RowSet {
 		rg.sets[i] = b.s
 	}
 	return rg.sets[i]
+}
+
+// Stats returns StatsRows of the named column of the routed relation
+// over the rows reaching node i (a zero-valued struct, as Stats gives,
+// when there is no such column). The value is computed on the first
+// call and kept for every later one; each caller gets its own
+// TopValues. It is computed outside the lock, so other nodes' reads do
+// not wait on a large region; two racing first calls compute the same
+// value. The memo is allocated on the first call and holds at most one
+// entry per node and column.
+func (rg *Routing) Stats(i int, column string) ColumnStats {
+	k := statsKey{i, column}
+	rg.mu.Lock()
+	s, ok := rg.stats[k]
+	rg.mu.Unlock()
+	if !ok {
+		c := rg.rel.ColumnByName(column)
+		if c == nil {
+			return ColumnStats{Name: column}
+		}
+		s = StatsRows(c, rg.Rows(i))
+		rg.mu.Lock()
+		if rg.stats == nil {
+			rg.stats = make(map[statsKey]ColumnStats)
+		}
+		rg.stats[k] = s
+		rg.mu.Unlock()
+	}
+	s.TopValues = slices.Clone(s.TopValues)
+	return s
 }
 
 // collect adds to b, in order, the rows whose leaf id lies in

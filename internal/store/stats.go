@@ -79,12 +79,16 @@ func StatsRows(c Column, rows *RowSet) ColumnStats {
 		rd, _ = bindCol(c)
 	}
 	// A string column's values are counted by dictionary code (entries
-	// are distinct), the others accumulated.
+	// are distinct), the others accumulated; a bool column has at most
+	// two values to tell apart.
 	var counts []int
 	acc := numAcc{min: math.Inf(1), max: math.Inf(-1)}
-	if c.Type() == String {
+	switch c.Type() {
+	case String:
 		counts = make([]int, len(rd.dict))
-	} else {
+	case Bool:
+		acc.distinct.slots = make([]uint64, 3*min(n, 2)/2+1)
+	default:
 		acc.distinct.slots = make([]uint64, 3*min(n, distinctCap)/2+1)
 	}
 	vals, present := make([]float64, min(n, readRun)), make([]uint8, min(n, readRun))
@@ -186,11 +190,11 @@ const distinctCap = 100001
 
 // floatSet counts distinct float64 values, up to distinctCap, in one
 // open-addressing table its user allocates once with half again as many
-// slots as values to add: a highlight runs ComputeStats on every click,
-// and growing a map[float64]struct{} from empty was most of what a warm
-// click allocated. Values are told apart as map keys are: -0 and +0 are one,
-// every NaN is its own. A slot holds a value's bits xor floatSetEmpty —
-// a NaN's bits, and NaNs are not stored, so 0 marks a free slot.
+// slots as values to add: growing a map[float64]struct{} from empty was
+// most of what a highlight allocated. Values are told apart as map keys
+// are: -0 and +0 are one, every NaN is its own. A slot holds a value's
+// bits xor floatSetEmpty — a NaN's bits, and NaNs are not stored, so 0
+// marks a free slot.
 type floatSet struct {
 	slots []uint64
 	n     int
