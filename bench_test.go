@@ -372,60 +372,49 @@ func BenchmarkPreprocess(b *testing.B) {
 }
 
 // BenchmarkMapBuild times one full mapping-pipeline pass (the latency of
-// a theme selection or zoom) per distance-oracle strategy, with the
-// sampling budget raised to the full input so the oracle choice is what
-// the benchmark measures. For the lazy and knn strategies at n=20000 the
+// a theme selection or zoom) over the oracle the engine chooses, with the
+// sampling budget raised to the full input so the oracle's size is what
+// the benchmark measures: a matrix at n=2000, lazy above. At n=20000 the
 // run also asserts the peak allocation stays far below the n(n-1)/2
-// condensed matrix those strategies exist to avoid.
+// condensed matrix (1.6 GB) the lazy oracle exists to avoid.
 func BenchmarkMapBuild(b *testing.B) {
-	strategies := []cluster.OracleStrategy{
-		cluster.OracleMaterialized, cluster.OracleLazy, cluster.OracleKNN,
-	}
 	for _, n := range []int{2000, 10000, 20000} {
 		rng := rand.New(rand.NewSource(9))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: 4, Dims: 8, Sep: 6}, rng)
-		for _, strat := range strategies {
-			if strat == cluster.OracleMaterialized && n > 10000 {
-				// The condensed matrix alone is n(n-1)/2 float64s (1.6 GB at
-				// n=20000) — the memory wall the other strategies remove.
-				continue
-			}
-			// MapCacheSize -1: the benchmark times real builds, and a
-			// select/rollback loop would otherwise hit the zoom cache
-			// from iteration 2 on.
-			e, err := core.NewExplorer(ds.Table, core.Options{
-				Seed: 1, SampleSize: n, DependencySampleRows: 500,
-				OracleStrategy: strat, MapCacheSize: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			id, err := e.AddTheme(ds.Table.ColumnNames())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("n=%d/oracle=%s", n, strat), func(b *testing.B) {
-				condensedBytes := uint64(n) * uint64(n-1) / 2 * 8
-				var before runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < b.N; i++ {
-					if _, err := e.SelectTheme(id); err != nil {
-						b.Fatal(err)
-					}
-					if err := e.Rollback(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var after runtime.MemStats
-				runtime.ReadMemStats(&after)
-				perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
-				b.ReportMetric(float64(perOp)/1e6, "MB/op")
-				if strat != cluster.OracleMaterialized && n >= 20000 && perOp >= condensedBytes/2 {
-					b.Fatalf("oracle=%s n=%d allocated %d B/op — quadratic-matrix scale (condensed = %d B)",
-						strat, n, perOp, condensedBytes)
-				}
-			})
+		// MapCacheSize -1: the benchmark times real builds, and a
+		// select/rollback loop would otherwise hit the zoom cache from
+		// iteration 2 on.
+		e, err := core.NewExplorer(ds.Table, core.Options{
+			Seed: 1, SampleSize: n, DependencySampleRows: 500, MapCacheSize: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
+		id, err := e.AddTheme(ds.Table.ColumnNames())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			condensedBytes := uint64(n) * uint64(n-1) / 2 * 8
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if _, err := e.SelectTheme(id); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Rollback(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+			b.ReportMetric(float64(perOp)/1e6, "MB/op")
+			if n >= 20000 && perOp >= condensedBytes/2 {
+				b.Fatalf("n=%d allocated %d B/op — quadratic-matrix scale (condensed = %d B)",
+					n, perOp, condensedBytes)
+			}
+		})
 	}
 }
 
@@ -510,9 +499,10 @@ func BenchmarkZoomCached(b *testing.B) {
 // sub-runs disable the map cache (every zoom is a map miss; that is the
 // scenario); the derived run keeps the artifact cache, so the zoom
 // derives its oracle (and skips sampling + prep) from the parent
-// selection's cached artifact via cluster.Oracle's Subset. The strategy
-// is materialized so the oracle stage — the O(m²) distance work the
-// derivation removes — dominates the gap. The acceptance bar of the
+// selection's cached artifact via cluster.Oracle's Subset. The sample of
+// 2000 is below cluster.DefaultMaterializeThreshold, so the engine
+// materializes a matrix and the oracle stage — the O(m²) distance work
+// the derivation removes — dominates the gap. The acceptance bar of the
 // staged-pipeline PR is ≥2× on the oracle stage; end to end the derived
 // zoom also wins because it clusters the (smaller, still uniform)
 // overlap sample.
@@ -525,9 +515,8 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 			artifactCache = 0 // engine default
 		}
 		e, err := core.NewExplorer(ds.Table, core.Options{
-			Seed: 1, SampleSize: 4000, DependencySampleRows: 500,
-			OracleStrategy: cluster.OracleMaterialized,
-			MapCacheSize:   -1, ArtifactCacheSize: artifactCache,
+			Seed: 1, SampleSize: 2000, DependencySampleRows: 500,
+			MapCacheSize: -1, ArtifactCacheSize: artifactCache,
 		})
 		if err != nil {
 			b.Fatal(err)

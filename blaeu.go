@@ -23,11 +23,11 @@
 // selects it.
 //
 // Distances flow through one contract (pairs, rows and subsets of an
-// oracle) with three storages behind it: Options.OracleStrategy picks a
-// materialized matrix for small samples, a lazy on-demand oracle for
-// large ones (no O(n²) allocation, byte-identical clusterings) or a
-// sparse k-NN-graph oracle (see the e6 experiment). This is what lets
-// the sampling budget default to 5000.
+// oracle) with two storages behind it, chosen by the engine from the
+// sample size alone: a materialized matrix for small samples, a lazy
+// on-demand oracle for large ones (no O(n²) allocation, byte-identical
+// clusterings; see the e6 experiment). No option selects between them.
+// This is what lets the sampling budget default to 5000.
 //
 // At the serving tiers, map builds run asynchronously: the session
 // manager schedules them on a bounded worker pool (internal/jobs) with

@@ -10,8 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// contractVecs returns n pinned-seed vectors in three loose groups, so a
-// k-NN graph over them has both exact neighborhoods and far pairs.
+// contractVecs returns n pinned-seed vectors in three loose groups.
 func contractVecs(n int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([][]float64, n)
@@ -127,7 +126,6 @@ func TestOracleContract(t *testing.T) {
 		{"matrix", cluster.ComputeDistMatrix(vecs, metric)},
 		{"lazy/cold", cluster.NewLazyOracle(vecs, metric)},
 		{"lazy/warm", warm},
-		{"knn", cluster.NewKNNOracle(vecs, metric, cluster.KNNOracleOptions{K: 8, Pivots: 4})},
 		{"graph", g.Oracle()},
 	}
 	// The condensed layout's edge sizes: no pairs, one pair, the first

@@ -129,95 +129,12 @@ func TestLazySubsetMemoBounded(t *testing.T) {
 	}
 }
 
-// TestKNNOracleSubsetBounds checks the contractual properties the
-// induced subgraph must preserve: answers never underestimate the true
-// distance, surviving neighborhood pairs stay exact, answers are
-// symmetric, and clustering over the derived oracle stays within the
-// documented ≤2% true-cost inflation bound of the oracle family.
-func TestKNNOracleSubsetBounds(t *testing.T) {
-	for _, g := range e5Datasets(t) {
-		if g.n > 2000 {
-			continue // the O(m²) verification below dominates the test
-		}
-		parent := NewKNNOracle(g.vecs, stats.Euclidean{}, KNNOracleOptions{})
-		var idx []int
-		for i := 0; i < g.n; i += 2 {
-			idx = append(idx, i)
-		}
-		derived := parent.Subset(idx).(*KNNOracle)
-		metric := stats.Euclidean{}
-		sub := gather(g.vecs, idx)
-		for i := range idx {
-			for j := range idx {
-				truth := metric.Dist(sub[i], sub[j])
-				got := derived.Dist(i, j)
-				if i == j {
-					if got != 0 {
-						t.Fatalf("n=%d: Dist(%d,%d) = %v, want 0", g.n, i, j, got)
-					}
-					continue
-				}
-				if got < truth-1e-9 {
-					t.Fatalf("n=%d: derived Dist(%d,%d) = %v underestimates true %v", g.n, i, j, got, truth)
-				}
-				if containsID(derived.adjIdx[i], int32(j)) && got != truth {
-					t.Fatalf("n=%d: surviving neighbor pair (%d,%d): %v != exact %v", g.n, i, j, got, truth)
-				}
-				if got != derived.Dist(j, i) {
-					t.Fatalf("n=%d: asymmetric answer for (%d,%d)", g.n, i, j)
-				}
-			}
-		}
-
-		// Golden inflation bound: PAM over the derived oracle, costed on
-		// the true metric, within 2% of PAM over the exact sub-matrix.
-		exact := ComputeDistMatrix(sub, stats.Euclidean{})
-		ce, err := PAM(exact, g.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cd, err := PAM(derived, g.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, trueCost := AssignToMedoids(exact, cd.Medoids)
-		if ratio := trueCost / ce.Cost; ratio > 1.02 {
-			t.Errorf("n=%d k=%d: derived knn cost inflation %.5f exceeds 1.02", g.n, g.k, ratio)
-		}
-	}
-}
-
-// TestKNNOracleSubsetUnsortedIdx covers the non-ascending idx path: the
-// induced adjacency must be re-sorted so binary search keeps working.
-func TestKNNOracleSubsetUnsortedIdx(t *testing.T) {
-	vecs, idx := deriveTestVecs(300, 3, 14)
-	// Reverse the subset order.
-	for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	parent := NewKNNOracle(vecs, stats.Euclidean{}, KNNOracleOptions{K: 16, Pivots: 4})
-	derived := parent.Subset(idx).(*KNNOracle)
-	metric := stats.Euclidean{}
-	for i := range idx {
-		if !int32sSorted(derived.adjIdx[i]) {
-			t.Fatalf("adjacency of %d not sorted after unsorted-idx derivation", i)
-		}
-		for j := range idx {
-			truth := metric.Dist(vecs[idx[i]], vecs[idx[j]])
-			if got := derived.Dist(i, j); i != j && got < truth-1e-9 {
-				t.Fatalf("Dist(%d,%d) = %v underestimates %v", i, j, got, truth)
-			}
-		}
-	}
-}
-
 // TestDerivedOraclesConcurrent hammers several derived oracles that
 // share one parent from concurrent goroutines — the cluster-layer half
 // of the concurrent-derived-builds guarantee (run under -race in CI).
 func TestDerivedOraclesConcurrent(t *testing.T) {
 	vecs, _ := deriveTestVecs(400, 4, 16)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
-	knnParent := NewKNNOracle(vecs, stats.Euclidean{}, KNNOracleOptions{K: 16, Pivots: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -228,12 +145,11 @@ func TestDerivedOraclesConcurrent(t *testing.T) {
 			for i := w % 3; i < len(vecs); i += 3 {
 				idx = append(idx, i)
 			}
-			for _, o := range []Oracle{parent.Subset(idx), knnParent.Subset(idx)} {
-				dst := make([]float64, len(idx))
-				for i := range idx {
-					o.RowInto(i, dst)
-					_ = o.Dist(i, (i+1)%len(idx))
-				}
+			o := parent.Subset(idx)
+			dst := make([]float64, len(idx))
+			for i := range idx {
+				o.RowInto(i, dst)
+				_ = o.Dist(i, (i+1)%len(idx))
 			}
 		}()
 	}

@@ -61,7 +61,6 @@ func TestRowLoopsMatchDistFork(t *testing.T) {
 		{"matrix", ComputeDistMatrix(vecs, metric)},
 		{"view", ComputeDistMatrix(vecs, metric).Subset(rand.New(rand.NewSource(32)).Perm(len(vecs))[:500])},
 		{"lazy", NewLazyOracle(vecs, metric)},
-		{"knn", NewKNNOracle(vecs, metric, KNNOracleOptions{K: 24, Pivots: 6})},
 	} {
 		fork := newDistFork(real.o)
 		n := real.o.N()

@@ -7,22 +7,18 @@
 // PAMClassic the textbook loop the tests hold it to.
 //
 // All algorithms are written against one distance contract, Oracle, and
-// every k-medoid loop is written once against it. Three storages
-// implement it, traded off per workload; each serves a subset of its
-// objects out of the same storage (an index view, re-sliced vectors
-// reading through the parent's memo, the induced subgraph):
+// every k-medoid loop is written once against it. Two storages implement
+// it, and both answer with the same bits; each serves a subset of its
+// objects out of its own storage (an index view, re-sliced vectors
+// reading through the parent's memo):
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
 //     repeated access, O(n²) memory, right for small samples;
 //   - LazyOracle computes distances on demand from the prepared vectors
 //     with a bounded per-row memo — no quadratic allocation, right when n
-//     outgrows the matrix;
-//   - KNNOracle answers in-neighborhood queries exactly from a
-//     precomputed k-nearest-neighbor graph and far pairs with a
-//     pivot-based upper bound — subquadratic memory with near-exact
-//     clusterings on separated data.
+//     outgrows the matrix.
 //
-// BuildOracle picks between them from an OracleStrategy.
+// BuildOracle chooses between them by the number of objects alone.
 //
 // AutoK is one sweep over k, and the ks share what cannot change a
 // result: on the exact path BUILD runs once, to the largest k — greedy,
@@ -34,19 +30,14 @@
 // medoids would be another algorithm.
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Oracle is the one distance contract of the cluster layer: pairwise
 // dissimilarities over n objects, served a pair at a time, a row at a
 // time, or over a subset of the objects. PAM "needs only pairwise
 // dissimilarities" (paper §3), so everything here — BUILD, SWAP, CLARA,
 // the silhouettes — is written against this interface and works
-// identically on prepared vectors, precomputed matrices and dependency
-// graphs.
+// identically over a precomputed matrix and over vectors read on demand.
 //
 // Dist is a dissimilarity: symmetric and zero on the diagonal. Two laws
 // tie the other methods to it, bit for bit, and TestOracleContract
@@ -60,9 +51,9 @@ import (
 // a few — without the result depending on the choice or on the storage.
 // What a row costs does depend on the storage: a read of stored cells on
 // a DistMatrix and its views, n-1 evaluations booked in DistEvals on a
-// LazyOracle that has not memoized it, a sweep over every pivot on a
-// KNNOracle. BUILD and SWAP take rows anywhere — that work is the
-// build's; the silhouettes only where they are reads (see silhouettes).
+// LazyOracle that has not memoized it. BUILD and SWAP take rows
+// anywhere — that work is the build's; the silhouettes only where they
+// are reads (see silhouettes).
 //
 // An oracle is read-only once built (LazyOracle's memo synchronizes
 // itself) and a subset shares its parent's storage, so oracles are safe
@@ -87,90 +78,43 @@ type Oracle interface {
 	// must not mutate it afterwards.
 	Subset(idx []int) Oracle
 	// DistEvals returns the cumulative number of exact metric
-	// evaluations embodied in the oracle's storage — matrix cells,
-	// materialized rows, k-NN graph edges and pivot rows; callers
-	// interested in one build take a before/after delta (see core's build
-	// trace). The count is storage-based, not call-based: fixed at
-	// construction (DistMatrix, KNNOracle) or kept under a lock the
-	// oracle already takes (LazyOracle's row memo), never by
-	// instrumenting the per-call Dist path, where a shared counter
-	// measurably slows PAM's hot loops. So LazyOracle's lock-free Dist
-	// goes uncounted, and a subset reports only evaluations of its own:
-	// reads through the parent's storage are reuse, not new work.
+	// evaluations embodied in the oracle's storage — matrix cells and
+	// materialized rows; callers interested in one build take a
+	// before/after delta (see core's build trace). The count is
+	// storage-based, not call-based: fixed at construction (DistMatrix)
+	// or kept under a lock the oracle already takes (LazyOracle's row
+	// memo), never by instrumenting the per-call Dist path, where a
+	// shared counter measurably slows PAM's hot loops. So LazyOracle's
+	// lock-free Dist goes uncounted, and a subset reports only
+	// evaluations of its own: reads through the parent's storage are
+	// reuse, not new work.
 	DistEvals() int64
 }
 
-// OracleStrategy selects which distance-oracle implementation the mapping
-// pipeline builds over a prepared sample.
+// OracleStrategy is ignored by BuildOracle; removed with ROADMAP 8(f).
 type OracleStrategy int
 
-const (
-	// OracleAuto (the default) materializes a DistMatrix below
-	// DefaultMaterializeThreshold objects and switches to a LazyOracle
-	// above it, trading repeated-access speed for bounded memory.
-	OracleAuto OracleStrategy = iota
-	// OracleMaterialized always precomputes the condensed matrix.
-	OracleMaterialized
-	// OracleLazy always computes distances on demand.
-	OracleLazy
-	// OracleKNN builds the k-NN graph oracle (exact near, bounded far).
-	OracleKNN
-)
+// OracleAuto is OracleStrategy's only value; removed with ROADMAP 8(f).
+const OracleAuto OracleStrategy = 0
 
-// DefaultMaterializeThreshold is the object count above which OracleAuto
+// KNNOracleOptions is ignored by BuildOracle; removed with ROADMAP 8(f).
+type KNNOracleOptions struct{}
+
+// DefaultMaterializeThreshold is the object count above which BuildOracle
 // stops materializing the condensed matrix (≈16 MB of distances).
 const DefaultMaterializeThreshold = 2048
 
-// String names the strategy (the wire format of the server API).
-func (s OracleStrategy) String() string {
-	switch s {
-	case OracleMaterialized:
-		return "matrix"
-	case OracleLazy:
-		return "lazy"
-	case OracleKNN:
-		return "knn"
-	default:
-		return "auto"
-	}
-}
-
-// ParseOracleStrategy parses the wire name of a strategy; the empty
-// string means OracleAuto.
-func ParseOracleStrategy(s string) (OracleStrategy, error) {
-	switch s {
-	case "", "auto":
-		return OracleAuto, nil
-	case "matrix", "materialized":
-		return OracleMaterialized, nil
-	case "lazy":
-		return OracleLazy, nil
-	case "knn":
-		return OracleKNN, nil
-	}
-	return OracleAuto, fmt.Errorf("cluster: unknown oracle strategy %q (want auto, matrix, lazy or knn)", s)
-}
-
-// BuildOracle constructs the distance oracle for the vectors under the
-// given strategy. materializeThreshold bounds the OracleAuto matrix size
-// (<= 0 uses DefaultMaterializeThreshold); knn tunes the OracleKNN graph
-// (zero values pick the defaults) and is ignored by the other
-// strategies.
-func BuildOracle(vecs [][]float64, metric stats.Distance, strategy OracleStrategy, materializeThreshold int, knn KNNOracleOptions) Oracle {
+// BuildOracle constructs the distance oracle for the vectors: a
+// DistMatrix for at most materializeThreshold objects (<= 0 uses
+// DefaultMaterializeThreshold), a LazyOracle above. The two answer with
+// the same bits, so the choice moves memory and speed, never a
+// clustering. The strategy and knn parameters are ignored.
+func BuildOracle(vecs [][]float64, metric stats.Distance, _ OracleStrategy, materializeThreshold int, _ KNNOracleOptions) Oracle {
 	if materializeThreshold <= 0 {
 		materializeThreshold = DefaultMaterializeThreshold
 	}
-	switch strategy {
-	case OracleMaterialized:
+	if len(vecs) <= materializeThreshold {
 		return ComputeDistMatrix(vecs, metric)
-	case OracleLazy:
-		return NewLazyOracle(vecs, metric)
-	case OracleKNN:
-		return NewKNNOracle(vecs, metric, knn)
-	default:
-		if len(vecs) <= materializeThreshold {
-			return ComputeDistMatrix(vecs, metric)
-		}
-		return NewLazyOracle(vecs, metric)
 	}
+	return NewLazyOracle(vecs, metric)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -124,74 +123,6 @@ func TestLazyOracleCacheBounded(t *testing.T) {
 	}
 }
 
-// TestKNNOracleBounds verifies the two contractual properties of the
-// k-NN oracle: neighborhood queries are exact, and far-pair answers never
-// underestimate the true distance (they are pivot-routed upper bounds).
-func TestKNNOracleBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vecs := make([][]float64, 400)
-	for i := range vecs {
-		vecs[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64()}
-	}
-	metric := stats.Euclidean{}
-	knn := NewKNNOracle(vecs, metric, KNNOracleOptions{K: 20, Pivots: 8})
-	row := make([]float64, len(vecs))
-	for i := range vecs {
-		knn.RowInto(i, row)
-		for j := range vecs {
-			truth := metric.Dist(vecs[i], vecs[j])
-			got := knn.Dist(i, j)
-			if got != row[j] {
-				t.Fatalf("RowInto(%d)[%d] = %v, Dist = %v", i, j, row[j], got)
-			}
-			if i == j {
-				if got != 0 {
-					t.Fatalf("Dist(%d,%d) = %v, want 0", i, j, got)
-				}
-				continue
-			}
-			if got < truth-1e-9 {
-				t.Fatalf("Dist(%d,%d) = %v underestimates true %v", i, j, got, truth)
-			}
-			if containsID(knn.adjIdx[i], int32(j)) && math.Abs(got-truth) > 1e-12 {
-				t.Fatalf("neighbor pair (%d,%d): %v != exact %v", i, j, got, truth)
-			}
-		}
-	}
-	// Symmetry of the answers.
-	for trial := 0; trial < 2000; trial++ {
-		i, j := rng.Intn(len(vecs)), rng.Intn(len(vecs))
-		if knn.Dist(i, j) != knn.Dist(j, i) {
-			t.Fatalf("asymmetric answer for (%d,%d)", i, j)
-		}
-	}
-}
-
-// TestKNNOracleCostInflation is the golden bound of the sparse oracle:
-// on the e5 datasets, clustering over the k-NN graph must cost (measured
-// exactly, on the true metric) within 2% of clustering over the exact
-// matrix.
-func TestKNNOracleCostInflation(t *testing.T) {
-	for _, g := range e5Datasets(t) {
-		exact := ComputeDistMatrix(g.vecs, stats.Euclidean{})
-		knn := NewKNNOracle(g.vecs, stats.Euclidean{}, KNNOracleOptions{})
-
-		ce, err := PAM(exact, g.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := PAM(knn, g.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, trueCost := AssignToMedoids(exact, ck.Medoids)
-		if ratio := trueCost / ce.Cost; ratio > 1.02 {
-			t.Errorf("n=%d k=%d: knn cost inflation %.5f exceeds 1.02 (exact %.4f, knn %.4f)",
-				g.n, g.k, ratio, ce.Cost, trueCost)
-		}
-	}
-}
-
 // TestNewDistMatrixDegenerate covers the n < 2 guard: degenerate
 // selections must get a valid empty matrix, not a zero-length-slice edge
 // case.
@@ -220,24 +151,8 @@ func TestNewDistMatrixDegenerate(t *testing.T) {
 	}
 }
 
-// TestOracleStrategyParseRoundTrip pins the wire names.
-func TestOracleStrategyParseRoundTrip(t *testing.T) {
-	for _, s := range []OracleStrategy{OracleAuto, OracleMaterialized, OracleLazy, OracleKNN} {
-		got, err := ParseOracleStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip %v: got %v, err %v", s, got, err)
-		}
-	}
-	if got, err := ParseOracleStrategy(""); err != nil || got != OracleAuto {
-		t.Errorf("empty string: %v, %v", got, err)
-	}
-	if _, err := ParseOracleStrategy("quantum"); err == nil {
-		t.Error("bad strategy accepted")
-	}
-}
-
-// TestBuildOracleSelectsImplementation checks the auto threshold and the
-// explicit strategies.
+// TestBuildOracleSelectsImplementation checks both sides of the
+// materialization threshold.
 func TestBuildOracleSelectsImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	small := make([][]float64, 50)
@@ -245,23 +160,10 @@ func TestBuildOracleSelectsImplementation(t *testing.T) {
 		small[i] = []float64{rng.Float64()}
 	}
 	metric := stats.Euclidean{}
-	if _, ok := BuildOracle(small, metric, OracleAuto, 100, KNNOracleOptions{}).(*DistMatrix); !ok {
-		t.Error("auto below threshold should materialize")
+	if _, ok := BuildOracle(small, metric, OracleAuto, 50, KNNOracleOptions{}).(*DistMatrix); !ok {
+		t.Error("at the threshold the oracle should materialize")
 	}
-	if _, ok := BuildOracle(small, metric, OracleAuto, 10, KNNOracleOptions{}).(*LazyOracle); !ok {
-		t.Error("auto above threshold should go lazy")
-	}
-	if _, ok := BuildOracle(small, metric, OracleMaterialized, 10, KNNOracleOptions{}).(*DistMatrix); !ok {
-		t.Error("matrix strategy ignored")
-	}
-	if _, ok := BuildOracle(small, metric, OracleLazy, 0, KNNOracleOptions{}).(*LazyOracle); !ok {
-		t.Error("lazy strategy ignored")
-	}
-	knn, ok := BuildOracle(small, metric, OracleKNN, 0, KNNOracleOptions{K: 5, Pivots: 3}).(*KNNOracle)
-	if !ok {
-		t.Fatal("knn strategy ignored")
-	}
-	if len(knn.pivotD) != 3 {
-		t.Errorf("knn options not threaded: %d pivots, want 3", len(knn.pivotD))
+	if _, ok := BuildOracle(small, metric, OracleAuto, 49, KNNOracleOptions{}).(*LazyOracle); !ok {
+		t.Error("above the threshold the oracle should go lazy")
 	}
 }

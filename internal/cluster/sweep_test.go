@@ -37,8 +37,7 @@ func sweepVecs(n, dup int, seed int64) [][]float64 {
 }
 
 // sweepOracles returns the storages over vecs: the matrix, an ascending
-// view of a matrix over twice the objects, the lazy oracle and a k-NN
-// oracle small enough to answer far pairs by estimate.
+// view of a matrix over twice the objects and the lazy oracle.
 func sweepOracles(vecs [][]float64, seed int64) []struct {
 	name string
 	o    Oracle
@@ -59,7 +58,6 @@ func sweepOracles(vecs [][]float64, seed int64) []struct {
 		{"matrix", ComputeDistMatrix(vecs, metric)},
 		{"view", ComputeDistMatrix(parent, metric).Subset(idx)},
 		{"lazy", NewLazyOracle(vecs, metric)},
-		{"knn", NewKNNOracle(vecs, metric, KNNOracleOptions{K: 12, Pivots: 5})},
 	}
 }
 
@@ -241,8 +239,8 @@ func plantedVecs() [][]float64 {
 	return vecs
 }
 
-// TestRowKernelLeavesOraclesUnchanged: the matrix fill, the lazy rows
-// and the k-NN build hold the same bits whether the metric is called a
+// TestRowKernelLeavesOraclesUnchanged: the matrix fill and the lazy rows
+// hold the same bits whether the metric is called a
 // row at a time or a cell at a time, NaN cells included — and the matrix
 // holds them at every worker count, one worker or more than it has rows
 // to deal evenly.
@@ -258,8 +256,6 @@ func TestRowKernelLeavesOraclesUnchanged(t *testing.T) {
 		assertOracleByteIdentical(t, fmt.Sprintf("matrix/%d workers", workers), ComputeDistMatrix(vecs, row), want)
 	}
 	assertOracleByteIdentical(t, "lazy", NewLazyOracle(vecs, row), NewLazyOracle(vecs, cell))
-	knn := KNNOracleOptions{K: 10, Pivots: 6}
-	assertOracleByteIdentical(t, "knn", NewKNNOracle(vecs, row, knn), NewKNNOracle(vecs, cell, knn))
 	// The matrix is the metric, cell by cell.
 	for i := range vecs {
 		for j := range vecs {

@@ -36,6 +36,7 @@ type buildArtifact struct {
 	pipe       *prep.Pipeline
 	vecs       [][]float64
 	oracle     cluster.Oracle
+	storage    string // the oracle's storage, "matrix" or "lazy" (the build trace's oracle attr)
 }
 
 // artifactKey identifies the selection an artifact was built from: row
@@ -157,6 +158,7 @@ func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Ra
 		pipe:       parent.pipe,
 		vecs:       make([][]float64, len(pos)),
 		oracle:     parent.oracle.Subset(pos),
+		storage:    parent.storage,
 	}
 	for i, p := range pos {
 		art.sampleRows[i] = parent.sampleRows[p]

@@ -227,8 +227,8 @@ func (b *MapBuild) Rows() int { return b.rows.Len() }
 // not be called under the session lock — that is the point: ctx cancels
 // the build between pipeline stages and candidate k values, and progress
 // (may be nil) receives monotone fractions in [0, 1]. Derived builds
-// construct their artifact here (oracle subgraph induction is cheap but
-// not free), off the lock; the shared parent artifact is read-only, so
+// construct their artifact here (an oracle subset is cheap but not
+// free), off the lock; the shared parent artifact is read-only, so
 // concurrent derived Runs against the same parent are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse tier on the build trace, if one rides the

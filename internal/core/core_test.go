@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -112,44 +115,117 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 		t.Errorf("Options() = sample %d threshold %d, want defaults %d / %d",
 			got.SampleSize, got.PAMThreshold, want.SampleSize, want.PAMThreshold)
 	}
+}
 
-	e2, err := NewExplorer(tab, Options{Seed: 1, OracleStrategy: cluster.OracleLazy})
-	if err != nil {
-		t.Fatal(err)
+// TestBuildTraceRecordsOracle: the engine chooses the oracle's storage
+// by sample size, and every build that clusters says which on its trace
+// — a cold build its own, a derived zoom its parent's — while a map hit
+// clusters nothing and says nothing.
+func TestBuildTraceRecordsOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		opts Options
+		want string
+	}{
+		{"matrix", 900, Options{Seed: 3}, "matrix"},
+		{"lazy", 3000, Options{Seed: 11, SampleSize: 2500}, "lazy"},
 	}
-	if e2.Options().OracleStrategy != cluster.OracleLazy {
-		t.Error("explicit OracleStrategy not reported back")
-	}
-	if got.OracleStrategy != cluster.OracleAuto {
-		t.Errorf("default strategy = %v, want auto", got.OracleStrategy)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewExplorer(pinnedTable(tc.n, 19).Table, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(b *MapBuild, err error, wantReuse ReuseLevel, wantOracle string) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := obs.NewTrace(obs.ClockAt(func() time.Time { return time.Time{} }))
+				m, err := b.Run(obs.WithTrace(context.Background(), tr), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.ApplyBuild(b, m); err != nil {
+					t.Fatal(err)
+				}
+				attrs := tr.Snapshot().Attrs
+				if attrs["reuse"] != string(wantReuse) || attrs["oracle"] != wantOracle {
+					t.Fatalf("trace attrs %v, want reuse %q and oracle %q", attrs, wantReuse, wantOracle)
+				}
+			}
+			b, err := e.PrepareSelect(0)
+			run(b, err, ReuseCold, tc.want)
+			if sample := e.CurrentMap().SampleSize; (sample > cluster.DefaultMaterializeThreshold) != (tc.want == "lazy") {
+				t.Fatalf("sample of %d objects clustered over a %s oracle", sample, tc.want)
+			}
+			leaf := largestLeaf(e.CurrentMap())
+			b, err = e.PrepareZoom(leaf...)
+			run(b, err, ReuseOracleDerived, tc.want)
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			b, err = e.PrepareZoom(leaf...)
+			run(b, err, ReuseMapHit, "")
+		})
 	}
 }
 
 // TestLazyStrategyMatchesMaterializedMaps is the end-to-end differential
-// of the oracle layer: two explorers over the same table and seed, one
-// forced onto the materialized matrix and one onto the lazy oracle, must
-// build byte-identical maps (same k, silhouette, tree and region counts)
-// — the lazy oracle changes memory behavior, never results.
+// of the oracle layer: the same prepared sample, clustered and described
+// once over the matrix the engine chose and once over a lazy oracle,
+// must give identical maps (same k, silhouette, tree and region counts)
+// — the storage changes memory behavior, never results.
 func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 	tab, _, _ := laborTable(900, 3)
-	build := func(strategy cluster.OracleStrategy) *Map {
-		e, err := NewExplorer(tab, Options{Seed: 7, OracleStrategy: strategy})
+	e, err := NewExplorer(tab, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := findThemeWith(e, "WorkingLongHours")
+	var theme Theme
+	for _, th := range e.Themes() {
+		if th.ID == id {
+			theme = th
+		}
+	}
+	ctx, rows := context.Background(), e.State().Rows
+	sampleRows := e.sampleStage(rand.New(rand.NewSource(7)), rows)
+	sample, err := e.gatherSample(sampleRows, theme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := e.prepStage(sample, sampleRows, theme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.oracleStage(mat)
+	if mat.storage != "matrix" {
+		t.Fatalf("engine chose %q storage for %d objects, want matrix", mat.storage, len(mat.vecs))
+	}
+	lazy := *mat
+	lazy.oracle, lazy.storage = cluster.NewLazyOracle(mat.vecs, e.metric), "lazy"
+	build := func(art *buildArtifact) *Map {
+		cl, err := e.clusterStage(ctx, art, rand.New(rand.NewSource(7)), func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.SelectTheme(findThemeWith(e, "WorkingLongHours"))
+		m, err := e.regionStage(ctx, art, sample, cl, rows, theme, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	mat := build(cluster.OracleMaterialized)
-	lazy := build(cluster.OracleLazy)
-	if mat.K != lazy.K || mat.Silhouette != lazy.Silhouette || mat.TreeAccuracy != lazy.TreeAccuracy {
-		t.Fatalf("maps diverge: matrix k=%d sil=%v acc=%v, lazy k=%d sil=%v acc=%v",
-			mat.K, mat.Silhouette, mat.TreeAccuracy, lazy.K, lazy.Silhouette, lazy.TreeAccuracy)
+	mm, lm := build(mat), build(&lazy)
+	if mm.K < 2 {
+		t.Fatalf("matrix map has k=%d: nothing to compare", mm.K)
 	}
-	ml, ll := mat.Root.Leaves(), lazy.Root.Leaves()
+	if mm.K != lm.K || mm.Silhouette != lm.Silhouette || mm.TreeAccuracy != lm.TreeAccuracy {
+		t.Fatalf("maps diverge: matrix k=%d sil=%v acc=%v, lazy k=%d sil=%v acc=%v",
+			mm.K, mm.Silhouette, mm.TreeAccuracy, lm.K, lm.Silhouette, lm.TreeAccuracy)
+	}
+	ml, ll := mm.Root.Leaves(), lm.Root.Leaves()
 	if len(ml) != len(ll) {
 		t.Fatalf("leaf counts diverge: %d vs %d", len(ml), len(ll))
 	}
@@ -158,35 +234,6 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 			t.Fatalf("leaf %d diverges: %d/%d vs %d/%d", i,
 				ml[i].Count(), ml[i].ClusterID, ll[i].Count(), ll[i].ClusterID)
 		}
-	}
-}
-
-// TestKNNStrategyBuildsUsableMaps: the sparse oracle must recover the
-// planted structure when clusters are on the scale of its neighborhoods
-// (its intended regime — see the KNNOracle doc on model-selection bias
-// when clusters dwarf the neighborhood size).
-func TestKNNStrategyBuildsUsableMaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 1600, K: 8, Dims: 6, Sep: 8}, rng)
-	e, err := NewExplorer(ds.Table, Options{
-		Seed: 2, OracleStrategy: cluster.OracleKNN, DependencySampleRows: 400, MapKMax: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := e.AddTheme(ds.Table.ColumnNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.SelectTheme(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.K != 8 {
-		t.Errorf("knn map k = %d, want 8 (planted)", m.K)
-	}
-	if m.Silhouette < 0.5 {
-		t.Errorf("knn map silhouette = %v, want strong separation", m.Silhouette)
 	}
 }
 

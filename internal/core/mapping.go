@@ -137,6 +137,9 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 			return nil, nil, err
 		}
 	}
+	// The storage the engine chose for this build's oracle — a derived
+	// build's is its parent's.
+	tr.SetAttr("oracle", art.storage)
 	report(0.15)
 
 	// Stage 2b: cluster detection with automatic k.
@@ -208,12 +211,16 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 }
 
 // oracleStage attaches the distance oracle for the artifact's vectors
-// under the engine's OracleStrategy: auto materializes a matrix for
-// small samples (fast repeated access by PAM) and goes lazy above
-// cluster.DefaultMaterializeThreshold; explicit strategies (matrix,
-// lazy, knn) override the size heuristic.
+// and records which storage it is. The engine chooses by size alone: a
+// matrix for small samples (fast repeated access by PAM), lazy above
+// cluster.DefaultMaterializeThreshold. Both answer with the same bits,
+// so the choice moves memory and speed, never the map.
 func (e *Explorer) oracleStage(art *buildArtifact) {
-	art.oracle = cluster.BuildOracle(art.vecs, e.metric, e.opts.OracleStrategy, 0, cluster.KNNOracleOptions{})
+	art.oracle = cluster.BuildOracle(art.vecs, e.metric, cluster.OracleAuto, 0, cluster.KNNOracleOptions{})
+	art.storage = "lazy"
+	if _, ok := art.oracle.(*cluster.DistMatrix); ok {
+		art.storage = "matrix"
+	}
 }
 
 // clusterStage runs cluster detection with automatic k over the

@@ -5,13 +5,13 @@
 // and exposes the four navigational actions: zoom, highlight, project and
 // rollback (paper §2–3).
 //
-// Map construction runs on one distance contract, cluster.Oracle, with
-// three storages behind it: Options.OracleStrategy selects between a
-// materialized distance matrix, a lazy on-demand oracle and a sparse
-// k-NN-graph oracle (see internal/cluster). The default (auto)
-// materializes below cluster.DefaultMaterializeThreshold objects and goes
-// lazy above it, which is what lets the sampling budget default to 5000
-// tuples without quadratic memory. A zoom inside an already-clustered
+// Map construction runs on one distance contract, cluster.Oracle, and
+// the engine chooses its storage by sample size alone (see
+// internal/cluster): a materialized distance matrix up to
+// cluster.DefaultMaterializeThreshold objects, a lazy on-demand oracle
+// above it, which is what lets the sampling budget default to 5000
+// tuples without quadratic memory. Both answer with the same bits, so
+// the choice never changes a map. A zoom inside an already-clustered
 // selection asks the cached oracle for a Subset instead of building a new
 // one.
 package core
@@ -34,9 +34,9 @@ type Options struct {
 	// SampleSize is the multi-scale sampling budget: after each action
 	// Blaeu clusters at most this many tuples (paper §3: "After each
 	// zoom, Blaeu only takes a few thousand samples"). Default 5000 —
-	// raised from the paper-era 2000 now that the oracle layer no longer
-	// materializes the O(n²) distance matrix above
-	// cluster.DefaultMaterializeThreshold objects.
+	// raised from the paper-era 2000 because a sample above
+	// cluster.DefaultMaterializeThreshold objects is clustered over a
+	// lazy oracle, never the O(n²) distance matrix.
 	SampleSize int
 	// MapKMin / MapKMax bound the number of clusters per data map
 	// (defaults 2 and 6).
@@ -52,12 +52,6 @@ type Options struct {
 	DependencySampleRows int
 	// Prep configures preprocessing (default prep.NewOptions()).
 	Prep prep.Options
-	// OracleStrategy selects the distance-oracle implementation maps are
-	// clustered over (default cluster.OracleAuto: a materialized matrix
-	// up to cluster.DefaultMaterializeThreshold objects, a lazy on-demand
-	// oracle above it; cluster.OracleKNN opts into the k-NN-graph
-	// oracle).
-	OracleStrategy cluster.OracleStrategy
 	// PAMThreshold is the sample size above which clustering switches
 	// from exact PAM to CLARA, and silhouettes switch to the
 	// Monte-Carlo estimator (paper §3: "when the data is too large,
@@ -125,11 +119,10 @@ const (
 // built, not which map (results are byte-identical at every setting),
 // or when it never reaches buildMap at all.
 var optionTiers = map[string]cacheTier{
-	// Which sample is drawn, how it becomes vectors, and what the oracle
-	// over them answers.
-	"SampleSize":     mapTier | artifactTier,
-	"Prep":           mapTier | artifactTier,
-	"OracleStrategy": mapTier | artifactTier,
+	// Which sample is drawn and how it becomes vectors: the oracle over
+	// them follows from the vectors alone.
+	"SampleSize": mapTier | artifactTier,
+	"Prep":       mapTier | artifactTier,
 	// Model selection and description over a given artifact: two builds
 	// that differ only here still share sample, vectors and oracle.
 	"MapKMin":      mapTier,

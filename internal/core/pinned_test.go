@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 )
 
@@ -148,13 +147,15 @@ func TestPinnedNavigationDigests(t *testing.T) {
 		{"pam", 900, 11, cold(Options{Seed: 3}), ReuseCold, "0d4ac904dfc2f18b"},
 		// Sample above PAMThreshold: CLARA + Monte-Carlo silhouettes.
 		{"clara", 3000, 12, cold(Options{Seed: 4, SampleSize: 1500, PAMThreshold: 400}), ReuseCold, "838acf4c66ecba67"},
-		{"lazy", 900, 13, cold(Options{Seed: 5, OracleStrategy: cluster.OracleLazy}), ReuseCold, "2b6fa3f402622eb1"},
-		{"knn", 900, 14, cold(Options{Seed: 6, OracleStrategy: cluster.OracleKNN}), ReuseCold, "affc3dba716ac90d"},
+		{"pam-seed5", 900, 13, cold(Options{Seed: 5}), ReuseCold, "2b6fa3f402622eb1"},
+		// A 2500-object sample: the engine clusters it over a lazy oracle,
+		// and CLARA's samples subset it.
+		{"lazy", 3000, 19, cold(Options{Seed: 11, SampleSize: 2500}), ReuseCold, "a8350c62cc2b31c9"},
 		// Zooms derived from the select's artifact, one per storage;
 		// derived-clara subsets a derived view again (CLARA's samples).
 		{"derived-matrix", 900, 15, Options{Seed: 7}, ReuseOracleDerived, "34c9d163be80c8c3"},
-		{"derived-lazy", 900, 16, Options{Seed: 8, OracleStrategy: cluster.OracleLazy}, ReuseOracleDerived, "4482722ac80a598d"},
-		{"derived-knn", 900, 17, Options{Seed: 9, OracleStrategy: cluster.OracleKNN}, ReuseOracleDerived, "ba1f3ed33f2113f7"},
+		{"derived-matrix-seed8", 900, 16, Options{Seed: 8}, ReuseOracleDerived, "4482722ac80a598d"},
+		{"derived-lazy", 3000, 20, Options{Seed: 12, SampleSize: 2500}, ReuseOracleDerived, "14e7b45a6a04961e"},
 		{"derived-clara", 3000, 18, Options{Seed: 10, SampleSize: 1500, PAMThreshold: 400}, ReuseOracleDerived, "6faddfa95f8ef9cf"},
 	}
 	for _, tc := range cases {

@@ -69,15 +69,10 @@ func TestIDsComplete(t *testing.T) {
 }
 
 // TestE6ProductTable checks e6's oracle table rather than archiving it:
-// 2 sizes × 3 oracles rows, each true-cost ratio (against the matrix
-// cell of its size) inside the bound the cluster tests pin for its
-// oracle — exactly 1 for the exact ones (TestLazyOracleMatchesDistMatrix)
-// and at most 1.02 for the k-NN oracle (TestKNNOracleCostInflation).
-// Scale 0.05 is the smoke scale and the smallest at which the bound means
-// something: both sizes (100 and 250 rows) exceed the 32 neighbours the
-// k-NN oracle stores, so its far-pair upper bounds are in play. It holds
-// at every smaller scale down to the 10-row floor, where the oracle is
-// exact.
+// 2 sizes × 2 oracles rows, each true-cost ratio (against the matrix
+// cell of its size) exactly 1, the bound the cluster tests pin for both
+// storages (TestLazyOracleMatchesDistMatrix). Scale 0.05 is the smoke
+// scale.
 func TestE6ProductTable(t *testing.T) {
 	res, err := Run("e6", Config{Seed: 1, Scale: 0.05})
 	if err != nil {
@@ -100,16 +95,12 @@ func TestE6ProductTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("row %v: %v", row, err)
 		}
-		if oracle == "knn" {
-			if ratio <= 0 || ratio > 1.02 {
-				t.Errorf("n=%s knn: cost ratio %v outside (0, 1.02]", row[col["n"]], ratio)
-			}
-		} else if ratio != 1 {
+		if ratio != 1 {
 			t.Errorf("n=%s %s: cost ratio %v, want exactly 1 for an exact oracle", row[col["n"]], oracle, ratio)
 		}
 	}
-	if len(res.Rows) != 6 || len(cells) != 6 {
-		t.Errorf("e6 has %d rows over %d distinct (n, oracle) cells, want 2×3 = 6", len(res.Rows), len(cells))
+	if len(res.Rows) != 4 || len(cells) != 4 {
+		t.Errorf("e6 has %d rows over %d distinct (n, oracle) cells, want 2×2 = 4", len(res.Rows), len(cells))
 	}
 }
 

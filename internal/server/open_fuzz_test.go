@@ -4,16 +4,15 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
 // FuzzOpenOptions drives the session open-options validation — the
 // other untrusted-input parser — with arbitrary JSON: decoding plus
-// apply() must never panic, and whenever apply accepts, the resulting
-// engine options must be within validated bounds. The dataset is taken
-// larger than the sampling budget, so a forced matrix is always over
-// its limit.
+// apply() must never panic, a retired key (the engine chooses the
+// oracle, the SWAP algorithm and the seeding itself) must never decode,
+// and whenever apply accepts, the resulting engine options must be
+// within validated bounds.
 func FuzzOpenOptions(f *testing.F) {
 	f.Add(`{"oracle":"sparse","seeding":"lab"}`)
 	f.Add(`{"oracle":"lazy","mapCacheSize":4,"artifactCacheSize":2}`)
@@ -29,13 +28,18 @@ func FuzzOpenOptions(f *testing.F) {
 		if err := json.Unmarshal([]byte(raw), &c); err != nil {
 			return
 		}
+		var keys map[string]json.RawMessage
+		if json.Unmarshal([]byte(raw), &keys) == nil {
+			for _, retired := range []string{"oracle", "algorithm", "seeding"} {
+				if _, ok := keys[retired]; ok {
+					t.Fatalf("the retired key %q decoded (input %q)", retired, raw)
+				}
+			}
+		}
 		opts := core.DefaultOptions()
 		base := opts
-		if err := c.apply(&opts, 2*opts.SampleSize); err != nil {
+		if err := c.apply(&opts); err != nil {
 			return
-		}
-		if opts.OracleStrategy == cluster.OracleMaterialized {
-			t.Fatalf("apply accepted a %d-object matrix oracle (input %q)", opts.SampleSize, raw)
 		}
 		for name, v := range map[string]int{
 			"mapCacheSize":      opts.MapCacheSize,

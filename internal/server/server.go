@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/render"
@@ -130,15 +129,14 @@ type mapJSON struct {
 }
 
 type stateJSON struct {
-	SessionID string                `json:"sessionId"`
-	Rows      int                   `json:"rows"`
-	Query     string                `json:"query"`
-	Action    string                `json:"action"`
-	Detail    string                `json:"detail"`
-	Themes    []themeJSON           `json:"themes"`
-	Map       *mapJSON              `json:"map,omitempty"`
-	Depth     int                   `json:"historyDepth"`
-	Cluster   session.ClusterConfig `json:"cluster"`
+	SessionID string      `json:"sessionId"`
+	Rows      int         `json:"rows"`
+	Query     string      `json:"query"`
+	Action    string      `json:"action"`
+	Detail    string      `json:"detail"`
+	Themes    []themeJSON `json:"themes"`
+	Map       *mapJSON    `json:"map,omitempty"`
+	Depth     int         `json:"historyDepth"`
 	// Jobs lists the session's in-flight (queued or running)
 	// asynchronous builds, so clients polling state see what is coming.
 	Jobs []jobs.Info `json:"jobs,omitempty"`
@@ -151,14 +149,12 @@ type stateJSON struct {
 	Cache core.ReuseStats `json:"cache"`
 }
 
-// clusterOptionsJSON is the optional clustering block of the open
-// request: per-session overrides of the server-wide engine options, so
-// remote clients can request differential matrix-vs-lazy-vs-sparse
-// runs. Empty fields keep the server defaults; unknown keys are
-// rejected, so a misspelt or retired option is a 400 rather than a
-// silently ignored one.
+// clusterOptionsJSON is the optional options block of the open request:
+// per-session overrides of the server-wide cache sizes. Empty fields
+// keep the server defaults; unknown keys are rejected, so a misspelt or
+// retired option (algorithm, seeding, oracle — the engine chooses those
+// itself) is a 400 rather than a silently ignored one.
 type clusterOptionsJSON struct {
-	Oracle string `json:"oracle"`
 	// MapCacheSize / ArtifactCacheSize bound the session's two reuse
 	// tiers (entries). Omitted or 0 keeps the server default; -1
 	// disables the tier; larger values are capped by validation (the
@@ -187,27 +183,8 @@ func validateCacheSize(name string, v int) error {
 	return nil
 }
 
-// apply validates the overrides for a session over a dataset of rows
-// tuples and writes them into opts.
-func (c *clusterOptionsJSON) apply(opts *core.Options, rows int) error {
-	oracle, err := cluster.ParseOracleStrategy(c.Oracle)
-	if err != nil {
-		return err
-	}
-	if c.Oracle != "" {
-		// A forced matrix is quadratic in the largest sample a build can
-		// draw and stays pinned per cached artifact — the allocation
-		// OracleAuto's threshold exists to refuse.
-		budget := opts.SampleSize
-		if budget <= 0 {
-			budget = core.DefaultOptions().SampleSize
-		}
-		if n := min(budget, rows); oracle == cluster.OracleMaterialized && n > cluster.DefaultMaterializeThreshold {
-			return fmt.Errorf("oracle %q would materialize a %d-object distance matrix; the limit is %d objects (use auto or lazy)",
-				c.Oracle, n, cluster.DefaultMaterializeThreshold)
-		}
-		opts.OracleStrategy = oracle
-	}
+// apply validates the overrides and writes them into opts.
+func (c *clusterOptionsJSON) apply(opts *core.Options) error {
 	if c.MapCacheSize != nil {
 		if err := validateCacheSize("mapCacheSize", *c.MapCacheSize); err != nil {
 			return err
@@ -278,7 +255,6 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 			Detail:    st.Detail,
 			Map:       mapToJSON(st.Map),
 			Depth:     len(e.History()),
-			Cluster:   session.DescribeCluster(e.Options()),
 			Cache:     e.ReuseStats(),
 		}
 		for _, t := range e.Themes() {
@@ -384,7 +360,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.opts
 	if req.Options != nil {
-		if err := req.Options.apply(&opts, t.NumRows()); err != nil {
+		if err := req.Options.apply(&opts); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}

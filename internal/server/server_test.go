@@ -380,41 +380,42 @@ func TestExportEndpoint(t *testing.T) {
 }
 
 // TestOpenClusterOptions is the table-driven contract of the open
-// request's options block: a valid oracle name creates a session whose
-// state echoes the chosen strategy; bad values, unknown keys and retired
-// ones are rejected with 400 before any session is created.
+// request's options block: the two cache sizes create a session; bad
+// values, unknown keys and retired ones are rejected with 400 and no
+// session is created.
 func TestOpenClusterOptions(t *testing.T) {
 	cases := []struct {
 		name       string
 		dataset    string
 		options    map[string]any
 		wantStatus int
-		wantOracle string // the echoed cluster.oracle
 	}{
-		{"defaults", "blobs", nil, http.StatusCreated, "auto"},
-		{"lazy oracle", "blobs", map[string]any{"oracle": "lazy"}, http.StatusCreated, "lazy"},
-		{"knn oracle", "blobs", map[string]any{"oracle": "knn"}, http.StatusCreated, "knn"},
-		{"both", "blobs", map[string]any{"oracle": "matrix", "mapCacheSize": 2}, http.StatusCreated, "matrix"},
-		// The PAM SWAP algorithm and the seeding scheme left the option
-		// surface: a retired key is rejected like any unknown one, not
-		// silently ignored, whatever value it carries.
-		{"retired algorithm", "blobs", map[string]any{"algorithm": "classic"}, http.StatusBadRequest, ""},
-		{"retired algorithm default", "blobs", map[string]any{"algorithm": "fasterpam"}, http.StatusBadRequest, ""},
-		{"kmeans++ seeding", "blobs", map[string]any{"seeding": "kmeans++"}, http.StatusBadRequest, ""},
-		{"retired seeding default", "blobs", map[string]any{"seeding": "auto"}, http.StatusBadRequest, ""},
-		{"bad seeding", "blobs", map[string]any{"seeding": "astrology"}, http.StatusBadRequest, ""},
-		{"unknown key", "blobs", map[string]any{"oracel": "lazy"}, http.StatusBadRequest, ""},
-		{"bad oracle", "blobs", map[string]any{"oracle": "quantum"}, http.StatusBadRequest, ""},
-		{"bad alongside good", "blobs", map[string]any{"mapCacheSize": 2, "oracle": "nope"}, http.StatusBadRequest, ""},
-		// A forced matrix is bounded by what a build can sample: 400 rows
-		// fit ("both" above), min(4096-tuple budget, 2100 rows) does not.
-		{"matrix over the limit", "wide", map[string]any{"oracle": "matrix"}, http.StatusBadRequest, ""},
-		{"lazy over the limit", "wide", map[string]any{"oracle": "lazy"}, http.StatusCreated, "lazy"},
+		{"defaults", "blobs", nil, http.StatusCreated},
+		{"both", "blobs", map[string]any{"mapCacheSize": 2, "artifactCacheSize": 1}, http.StatusCreated},
+		// The PAM SWAP algorithm, the seeding scheme and the distance
+		// oracle left the option surface — the engine chooses them: a
+		// retired key is rejected like any unknown one, not silently
+		// ignored, whatever value it carries and however large the
+		// dataset.
+		{"retired algorithm", "blobs", map[string]any{"algorithm": "classic"}, http.StatusBadRequest},
+		{"retired algorithm default", "blobs", map[string]any{"algorithm": "fasterpam"}, http.StatusBadRequest},
+		{"kmeans++ seeding", "blobs", map[string]any{"seeding": "kmeans++"}, http.StatusBadRequest},
+		{"retired seeding default", "blobs", map[string]any{"seeding": "auto"}, http.StatusBadRequest},
+		{"bad seeding", "blobs", map[string]any{"seeding": "astrology"}, http.StatusBadRequest},
+		{"retired oracle default", "blobs", map[string]any{"oracle": "auto"}, http.StatusBadRequest},
+		{"lazy oracle", "blobs", map[string]any{"oracle": "lazy"}, http.StatusBadRequest},
+		{"knn oracle", "blobs", map[string]any{"oracle": "knn"}, http.StatusBadRequest},
+		{"matrix oracle", "blobs", map[string]any{"oracle": "matrix", "mapCacheSize": 2}, http.StatusBadRequest},
+		{"bad oracle", "blobs", map[string]any{"oracle": "quantum"}, http.StatusBadRequest},
+		{"matrix over the limit", "wide", map[string]any{"oracle": "matrix"}, http.StatusBadRequest},
+		{"lazy over the limit", "wide", map[string]any{"oracle": "lazy"}, http.StatusBadRequest},
+		{"unknown key", "blobs", map[string]any{"oracel": "lazy"}, http.StatusBadRequest},
+		{"bad alongside good", "blobs", map[string]any{"mapCacheSize": 2, "artifactCacheSize": 99999}, http.StatusBadRequest},
 	}
 	small := testServer(t)
 	wide := datagen.PlantedBlobs(datagen.BlobSpec{N: 2100, K: 3, Dims: 4, Sep: 8}, rand.New(rand.NewSource(3)))
-	big := httptest.NewServer(NewWith(map[string]store.Relation{"wide": wide.Table},
-		core.Options{Seed: 1, SampleSize: 4096}, nil))
+	bigSrv := NewWith(map[string]store.Relation{"wide": wide.Table}, core.Options{Seed: 1, SampleSize: 4096}, nil)
+	big := httptest.NewServer(bigSrv)
 	t.Cleanup(big.Close)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -431,36 +432,40 @@ func TestOpenClusterOptions(t *testing.T) {
 				if msg, ok := st["error"].(string); !ok || msg == "" {
 					t.Errorf("error response has no message: %v", st)
 				}
+				if _, ok := st["sessionId"]; ok {
+					t.Errorf("a rejected open answered with a session: %v", st)
+				}
 				return
 			}
-			echo, _ := st["cluster"].(map[string]any)
-			if echo == nil {
-				t.Fatalf("no cluster block in state: %v", st)
-			}
-			if echo["oracle"] != tc.wantOracle {
-				t.Errorf("cluster.oracle = %v, want %q", echo["oracle"], tc.wantOracle)
+			if _, ok := st["cluster"]; ok {
+				t.Errorf("state still carries a cluster block: %v", st["cluster"])
 			}
 		})
 	}
+	if n := bigSrv.Manager().Len(); n != 0 {
+		t.Errorf("rejected opens left %d sessions", n)
+	}
 }
 
-// TestOpenClusterOptionsDrivesClustering: a session opened with an
-// explicit strategy must still navigate end to end (the option actually
-// reaches the mapping pipeline).
+// TestOpenClusterOptionsDrivesClustering: a session opened with both
+// cache options must still navigate end to end, with the overrides in
+// force.
 func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 	ts := testServer(t)
 	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
-		"options": map[string]string{"oracle": "lazy"},
+		"options": map[string]int{"mapCacheSize": 2, "artifactCacheSize": 1},
 	}, http.StatusCreated)
 	id, _ := st["sessionId"].(string)
 	st = doJSON(t, "POST", ts.URL+"/api/sessions/"+id+"/select", map[string]int{"theme": 0}, http.StatusOK)
 	if mp, _ := st["map"].(map[string]any); mp == nil || int(mp["k"].(float64)) < 2 {
-		t.Fatalf("no usable map under explicit cluster options: %v", st["map"])
+		t.Fatalf("no usable map under explicit options: %v", st["map"])
 	}
-	echo, _ := st["cluster"].(map[string]any)
-	if echo["oracle"] != "lazy" {
-		t.Errorf("cluster block not echoed after actions: %v", echo)
+	cache, _ := st["cache"].(map[string]any)
+	mapTier, _ := cache["map"].(map[string]any)
+	artTier, _ := cache["artifact"].(map[string]any)
+	if mapTier["capacity"] != 2.0 || artTier["capacity"] != 1.0 {
+		t.Errorf("cache capacities %v / %v, want the overrides 2 / 1", mapTier["capacity"], artTier["capacity"])
 	}
 }
 
@@ -500,7 +505,7 @@ func TestStateEndpointShape(t *testing.T) {
 	ts := testServer(t)
 	id, _ := openSession(t, ts, "blobs")
 	st := doJSON(t, "GET", ts.URL+"/api/sessions/"+id, nil, http.StatusOK)
-	for _, key := range []string{"sessionId", "rows", "query", "action", "themes", "historyDepth", "cluster"} {
+	for _, key := range []string{"sessionId", "rows", "query", "action", "themes", "historyDepth"} {
 		if _, ok := st[key]; !ok {
 			t.Errorf("state missing %q: %v", key, st)
 		}

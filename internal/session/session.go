@@ -56,22 +56,6 @@ func (s *Session) Do(f func(e *core.Explorer) error) error {
 	return f(s.Explorer)
 }
 
-// ClusterConfig names the clustering configuration a session runs with —
-// the distance-oracle strategy. Remote clients set it in the open
-// request and the server echoes it back in every state response, so
-// differential (matrix-vs-lazy-vs-sparse) runs can be requested and
-// audited over the wire.
-type ClusterConfig struct {
-	Oracle string `json:"oracle"`
-}
-
-// DescribeCluster renders the clustering knobs of effective engine
-// options in their wire form. Callers already inside a Session.Do pass
-// e.Options() directly (the session mutex is not reentrant).
-func DescribeCluster(o core.Options) ClusterConfig {
-	return ClusterConfig{Oracle: o.OracleStrategy.String()}
-}
-
 // Manager is a registry of sessions plus the job scheduler their
 // asynchronous map builds run on.
 type Manager struct {

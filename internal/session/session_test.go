@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/jobs"
@@ -138,39 +137,6 @@ func TestConcurrentOpen(t *testing.T) {
 			t.Fatalf("duplicate ID %s", id)
 		}
 		seen[id] = true
-	}
-}
-
-// TestClusterConfigEcho: a session must report the effective clustering
-// configuration (defaults applied) in wire form.
-func TestClusterConfigEcho(t *testing.T) {
-	m := NewManagerObs(jobs.Config{}, nil)
-	config := func(s *Session) ClusterConfig {
-		var cfg ClusterConfig
-		_ = s.Do(func(e *core.Explorer) error {
-			cfg = DescribeCluster(e.Options())
-			return nil
-		})
-		return cfg
-	}
-	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ClusterConfig{Oracle: "auto"}
-	if cfg := config(s); cfg != want {
-		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
-	}
-	s2, err := m.Open(smallTable(), core.Options{
-		Seed:           1,
-		OracleStrategy: cluster.OracleKNN,
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = ClusterConfig{Oracle: "knn"}
-	if cfg := config(s2); cfg != want {
-		t.Errorf("ClusterConfig = %+v, want %+v", cfg, want)
 	}
 }
 
