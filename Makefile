@@ -12,14 +12,14 @@ race-jobs:
 	go test -race ./internal/jobs/... ./internal/session/...
 	go test -race -count=3 -run 'Overload' ./internal/jobs/...
 
-# Concurrent derived builds against one shared parent artifact under the
-# race detector (also a CI step): the core builds sharing cached
-# vectors/oracles, the cluster-layer subsets sharing a parent memo,
-# CLARA's per-sample runs subsetting one shared lazy parent, and map-cache
-# clones building their regions' rows and highlight statistics in one
-# shared routing.
+# Concurrent builds on one explorer under the race detector (also a CI
+# step): derived builds sharing one cached parent's vectors, cold builds
+# contending for the explorer's one scratch matrix, the cluster-layer
+# subsets of one lazy parent, CLARA's per-sample runs subsetting one
+# shared lazy parent, and map-cache clones building their regions' rows
+# and highlight statistics in one shared routing.
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

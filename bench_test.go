@@ -184,7 +184,9 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 
 // The four benchmarks below are the cluster stage's distance kernels at
 // the sizes of an explore_mem click (bench/load): a 1100-tuple sample in
-// 40 prepared dimensions, and the 668 of them a derived zoom keeps.
+// 40 prepared dimensions, and a 668-object index view of it. A derived
+// zoom keeps about that many but clusters them over a dense matrix of
+// its own; views serve CLARA's samples and the Monte-Carlo silhouette.
 
 func BenchmarkDistMatrixBuild(b *testing.B) {
 	vecs, _ := benchVectors(1100, 40, 4)
@@ -498,14 +500,12 @@ func BenchmarkZoomCached(b *testing.B) {
 // selection — against the same zoom built entirely from scratch. Both
 // sub-runs disable the map cache (every zoom is a map miss; that is the
 // scenario); the derived run keeps the artifact cache, so the zoom
-// derives its oracle (and skips sampling + prep) from the parent
-// selection's cached artifact via cluster.Oracle's Subset. The sample of
-// 2000 is below cluster.DefaultMaterializeThreshold, so the engine
-// materializes a matrix and the oracle stage — the O(m²) distance work
-// the derivation removes — dominates the gap. The acceptance bar of the
-// staged-pipeline PR is ≥2× on the oracle stage; end to end the derived
-// zoom also wins because it clusters the (smaller, still uniform)
-// overlap sample.
+// re-slices the parent's cached sample and vectors (skipping sampling
+// and prep) and clusters the overlap, a smaller and still uniform
+// sample, over a matrix of its own. The sample of 2000 is below
+// cluster.DefaultMaterializeThreshold, so every build materializes, and
+// each computes its matrix on the storage of the last build's: B/op is
+// reported, and a zoom that allocates its matrix's bytes fails the run.
 func BenchmarkZoomColdDerived(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 40000, K: 4, Dims: 8, Sep: 6}, rng)
@@ -540,15 +540,30 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 			path = m.Root.Leaves()[0].Path
 		}
 		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sample := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Zoom(path...); err != nil {
+				zm, err := e.Zoom(path...)
+				if err != nil {
 					b.Fatal(err)
 				}
+				sample = zm.SampleSize
 				if err := e.Rollback(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			// The parent build left its matrix in the explorer's scratch
+			// slot, and every zoom computes its own no larger one on that
+			// storage: a zoom that allocates its matrix's bytes has
+			// allocated the matrix.
+			perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+			if matrix := uint64(sample*(sample-1)/2) * 8; perOp >= matrix {
+				b.Fatalf("a %s zoom over %d sampled objects allocated %d B, its matrix is %d B", mode, sample, perOp, matrix)
+			}
 			s := e.ReuseStats()
 			if mode == "derived" && s.Artifact.Derived < b.N {
 				b.Fatalf("only %d of %d zooms derived their oracle: %+v", s.Artifact.Derived, b.N, s.Artifact)

@@ -99,7 +99,7 @@ func main() {
 	noBuiltin := flag.Bool("no-builtin", false, "do not load the built-in demo datasets")
 	sessionTTL := flag.Duration("session-ttl", time.Hour, "evict sessions idle for longer than this (0 disables)")
 	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries (0 = engine default, -1 disables)")
-	artifactCache := flag.Int("artifact-cache", 0, "per-session build-artifact cache entries — the oracle-reuse tier below the map cache (0 = engine default, -1 disables)")
+	artifactCache := flag.Int("artifact-cache", 0, "per-session build-artifact cache entries — the sample/vector-reuse tier below the map cache (0 = engine default, -1 disables)")
 	maxQueued := flag.Int("max-queued", 1024, "total queued-job cap; submissions beyond it get 429 (0 = unbounded)")
 	sessionQueue := flag.Int("max-queued-per-session", 16, "per-session queued-job cap; beyond it 429 (0 = unbounded)")
 	tenantWeights := flag.String("tenant-weights", "", "weighted-round-robin weights per tenant, e.g. gold=4,free=1 (unlisted tenants weigh 1)")

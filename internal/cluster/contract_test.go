@@ -43,8 +43,8 @@ func randomMatrix(n int, seed int64) *cluster.DistMatrix {
 func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 	t.Helper()
 	n := o.N()
-	// Subsets first: o has materialized no row yet, so a lazy subset
-	// computes from the vectors unless the caller warmed o's memo.
+	// Subsets first: o has materialized no row yet unless the caller
+	// warmed its memo, which a lazy subset never reads.
 	if depth > 0 && n >= 2 {
 		var ascending []int
 		for i := 0; i < n; i += 2 {
@@ -101,7 +101,8 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 // two levels of subsets of each (a view, a view of the view, with
 // ascending and unsorted idx — so both row loops of a matrix view, and
 // an ascending view of an unsorted one), to the two laws written on the
-// interface.
+// interface. A matrix NewOracle built on a larger spent one's storage,
+// whose cells held other distances, is held to them too.
 func TestOracleContract(t *testing.T) {
 	vecs := contractVecs(90, 21)
 	metric := stats.Euclidean{}
@@ -109,8 +110,9 @@ func TestOracleContract(t *testing.T) {
 	warm := cluster.NewLazyOracle(vecs, metric)
 	buf := make([]float64, len(vecs))
 	for i := range vecs {
-		warm.RowInto(i, buf) // subsets then gather out of this memo
+		warm.RowInto(i, buf) // rows are then read out of the memo
 	}
+	reused := cluster.NewOracle(vecs, metric, randomMatrix(len(vecs)+30, 23))
 	g := graph.New([]string{"a", "b", "c", "d", "e", "f", "g"})
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < g.N(); i++ {
@@ -124,6 +126,7 @@ func TestOracleContract(t *testing.T) {
 		o    cluster.Oracle
 	}{
 		{"matrix", cluster.ComputeDistMatrix(vecs, metric)},
+		{"matrix/reused", reused},
 		{"lazy/cold", cluster.NewLazyOracle(vecs, metric)},
 		{"lazy/warm", warm},
 		{"graph", g.Oracle()},

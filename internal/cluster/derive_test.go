@@ -27,14 +27,6 @@ func deriveTestVecs(n, dims int, seed int64) ([][]float64, []int) {
 	return vecs, idx
 }
 
-func gather(vecs [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, p := range idx {
-		out[i] = vecs[p]
-	}
-	return out
-}
-
 // assertOracleByteIdentical compares every pair and every RowInto row of
 // the two oracles for exact (bit-level) float equality.
 func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
@@ -64,59 +56,9 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 	}
 }
 
-// TestDistMatrixSubsetByteIdentical pins the matrix derivation: a Subset
-// view over the parent's condensed storage must answer bit-identically
-// to a matrix freshly computed over the subset's vectors, and PAM over
-// both must produce the same clustering.
-func TestDistMatrixSubsetByteIdentical(t *testing.T) {
-	vecs, idx := deriveTestVecs(600, 5, 11)
-	parent := ComputeDistMatrix(vecs, stats.Euclidean{})
-	derived := parent.Subset(idx)
-	fresh := ComputeDistMatrix(gather(vecs, idx), stats.Euclidean{})
-	assertOracleByteIdentical(t, "matrix", derived, fresh)
-
-	cd, err := PAM(derived, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, err := PAM(fresh, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalClustering(t, "matrix-subset", len(idx), cd, cf)
-}
-
-// TestLazyOracleSubsetByteIdentical pins the lazy derivation on both
-// RowInto paths: with the parent memo cold (distances computed from the
-// vectors) and warmed (rows gathered out of the parent's memo).
-func TestLazyOracleSubsetByteIdentical(t *testing.T) {
-	vecs, idx := deriveTestVecs(500, 4, 12)
-	for _, warm := range []bool{false, true} {
-		parent := NewLazyOracle(vecs, stats.Euclidean{})
-		if warm {
-			buf := make([]float64, len(vecs))
-			for _, p := range idx {
-				parent.RowInto(p, buf) // memoize the exact rows Subset will gather
-			}
-		}
-		derived := parent.Subset(idx)
-		fresh := NewLazyOracle(gather(vecs, idx), stats.Euclidean{})
-		assertOracleByteIdentical(t, "lazy", derived, fresh)
-
-		cd, err := PAM(derived, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, err := PAM(fresh, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalClustering(t, "lazy-subset", len(idx), cd, cf)
-	}
-}
-
-// TestLazySubsetMemoBounded asserts the derived oracle's own memo obeys
-// the same bound as its parent's.
+// TestLazySubsetMemoBounded asserts a lazy subset's own memo obeys the
+// same bound as its parent's. (That a subset answers like its parent is
+// the subset law TestOracleContract holds every storage to.)
 func TestLazySubsetMemoBounded(t *testing.T) {
 	vecs, idx := deriveTestVecs(4*lazyCacheRows, 2, 13)
 	derived := NewLazyOracle(vecs, stats.Euclidean{}).Subset(idx).(*LazyOracle)
@@ -129,9 +71,9 @@ func TestLazySubsetMemoBounded(t *testing.T) {
 	}
 }
 
-// TestDerivedOraclesConcurrent hammers several derived oracles that
-// share one parent from concurrent goroutines — the cluster-layer half
-// of the concurrent-derived-builds guarantee (run under -race in CI).
+// TestDerivedOraclesConcurrent hammers several subsets of one lazy
+// parent from concurrent goroutines, each filling its own memo, as
+// CLARA's fan-out does (run under -race in CI).
 func TestDerivedOraclesConcurrent(t *testing.T) {
 	vecs, _ := deriveTestVecs(400, 4, 16)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
@@ -157,11 +99,9 @@ func TestDerivedOraclesConcurrent(t *testing.T) {
 }
 
 // TestDerivedOraclesConcurrentCLARA: CLARA's per-sample runs each subset
-// the one oracle they were handed, concurrently. Over a lazy parent the
-// subsets read through its row memo — here while another goroutine
-// fills that memo, as a PAM run sharing the parent would — and the
-// clustering must still be the sequential, cold-memo one (run under
-// -race in CI).
+// the one oracle they were handed, concurrently — here while another
+// goroutine fills the lazy parent's memo — and the clustering must
+// still be the sequential, cold-memo one (run under -race in CI).
 func TestDerivedOraclesConcurrentCLARA(t *testing.T) {
 	vecs, _ := deriveTestVecs(1200, 4, 17)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})

@@ -23,22 +23,40 @@ type DistMatrix struct {
 // empty selections) yield a valid matrix with no stored pairs rather
 // than a zero-length-slice edge case.
 func NewDistMatrix(n int) *DistMatrix {
-	n = max(n, 0)
-	m := &DistMatrix{n: n, data: make([]float64, n*max(n-1, 0)/2), rowOff: make([]int, n)}
+	return (*DistMatrix)(nil).reuse(max(n, 0))
+}
+
+// reuse returns a matrix over n objects on m's storage when m (which may
+// be nil) has room for its cells and row offsets, and a new matrix
+// otherwise. A reused matrix's cells hold whatever m's held: the caller
+// writes every one.
+func (m *DistMatrix) reuse(n int) *DistMatrix {
+	cells := n * max(n-1, 0) / 2
+	if m == nil || cap(m.data) < cells || cap(m.rowOff) < n {
+		m = &DistMatrix{data: make([]float64, cells), rowOff: make([]int, n)}
+	}
+	m.n, m.data, m.rowOff = n, m.data[:cells], m.rowOff[:n]
 	for i := range m.rowOff {
 		m.rowOff[i] = i*(2*n-i-1)/2 - i - 1
 	}
 	return m
 }
 
-// ComputeDistMatrix fills a matrix with pairwise distances of the
-// vectors, one metric row call per matrix row, the rows dealt round-robin
-// so that the triangle's long and short rows spread evenly over the
-// workers. Rows are disjoint slices of the condensed storage: nothing to
-// synchronize, and the same matrix at every worker count.
+// ComputeDistMatrix fills a new matrix with pairwise distances of the
+// vectors: NewOracle's matrix, with no spent storage to reuse.
 func ComputeDistMatrix(vecs [][]float64, d stats.Distance) *DistMatrix {
+	return computeDistMatrix(vecs, d, nil)
+}
+
+// computeDistMatrix fills the matrix scratch.reuse returns with pairwise
+// distances of the vectors, one metric row call per matrix row, the rows
+// dealt round-robin so that the triangle's long and short rows spread
+// evenly over the workers. Rows are disjoint slices of the condensed
+// storage: nothing to synchronize, the same matrix at every worker
+// count, and every cell written, so reused storage needs no zeroing.
+func computeDistMatrix(vecs [][]float64, d stats.Distance, scratch *DistMatrix) *DistMatrix {
 	n := len(vecs)
-	m := NewDistMatrix(n)
+	m := scratch.reuse(n)
 	workers := rangeWorkers(n)
 	parallelChunks(workers, workers, func(w, _, _ int) {
 		for i := w; i < n; i += workers {
@@ -109,8 +127,10 @@ func (m *DistMatrix) Subset(idx []int) Oracle {
 // matrixView is a DistMatrix restricted to a subset of its objects.
 // Every answer is read from the matrix's condensed storage, so the view
 // is byte-identical to a matrix freshly computed over the subset's
-// vectors. It stays a view: a private square copy would serve rows by
-// memcpy, and cost a derived build megabytes the matrix already holds.
+// vectors. Its clients are CLARA's per-sample PAM runs and the
+// Monte-Carlo silhouette's rounds: a few hundred objects each, read for
+// one run and dropped, where copying the cells out would cost more than
+// the index indirection it saves.
 type matrixView struct {
 	m   *DistMatrix
 	idx []int // view object -> matrix object

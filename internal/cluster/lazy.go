@@ -28,12 +28,6 @@ type LazyOracle struct {
 	vecs   [][]float64
 	metric stats.Distance
 
-	// parent and idx are set on a subset: vecs[a] is parent.vecs[idx[a]],
-	// and rows the parent has memoized are gathered through idx instead
-	// of recomputed.
-	parent *LazyOracle
-	idx    []int
-
 	mu   sync.Mutex
 	rows map[int][]float64
 	// evals counts metric evaluations made by RowInto materializations
@@ -61,10 +55,10 @@ func (o *LazyOracle) Dist(i, j int) float64 {
 }
 
 // RowInto implements Oracle with a bounded per-row memo: rows already
-// materialized are copied out of the cache (a subset gathers them out of
-// its parent's when its own misses); fresh rows are computed outside the
-// lock (so concurrent misses on different rows proceed in parallel) and
-// stored while the cache has room.
+// materialized are copied out of the cache; fresh rows are computed
+// outside the lock (so concurrent misses on different rows proceed in
+// parallel) — len(vecs)-1 evaluations in two row calls, the diagonal set
+// to 0, not evaluated — and stored while the cache has room.
 //
 //blaeu:hot
 func (o *LazyOracle) RowInto(i int, dst []float64) {
@@ -72,29 +66,11 @@ func (o *LazyOracle) RowInto(i int, dst []float64) {
 	if o.memoized(i, dst) {
 		return
 	}
-	computed := int64(0)
-	//blaeu:nolint hotpath one parent-memo lookup amortized over the O(n) row
-	if prow := o.parentRow(i); prow != nil {
-		for j, pj := range o.idx {
-			dst[j] = prow[pj]
-		}
-	} else {
-		metricRow(o.metric, o.vecs, i, dst)
-		computed = int64(len(o.vecs) - 1)
-	}
-	//blaeu:nolint hotpath one memo store (a lock, at most one row copy) amortized over the O(n) row
-	o.memoize(i, dst, computed)
-}
-
-// metricRow fills dst with object i's exact distances to all of vecs —
-// len(vecs)-1 evaluations in two row calls, the diagonal set to 0, not
-// evaluated.
-//
-//blaeu:hot
-func metricRow(metric stats.Distance, vecs [][]float64, i int, dst []float64) {
-	metric.DistRow(vecs[i], vecs[:i], dst[:i])
+	o.metric.DistRow(o.vecs[i], o.vecs[:i], dst[:i])
 	dst[i] = 0
-	metric.DistRow(vecs[i], vecs[i+1:], dst[i+1:])
+	o.metric.DistRow(o.vecs[i], o.vecs[i+1:], dst[i+1:])
+	//blaeu:nolint hotpath one memo store (a lock, at most one row copy) amortized over the O(n) row
+	o.memoize(i, dst)
 }
 
 // memoized copies row i out of the memo, reporting whether it was there.
@@ -108,25 +84,12 @@ func (o *LazyOracle) memoized(i int, dst []float64) bool {
 	return ok
 }
 
-// parentRow returns the parent's memoized row for subset object i, or
-// nil (always nil on an oracle that is not a subset). Memoized rows are
-// immutable once stored, so the caller reads the slice without the lock.
-func (o *LazyOracle) parentRow(i int) []float64 {
-	p := o.parent
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rows[o.idx[i]]
-}
-
 // memoize books the evaluations a fresh row cost and keeps a copy of the
 // row while the memo has room.
-func (o *LazyOracle) memoize(i int, row []float64, computed int64) {
+func (o *LazyOracle) memoize(i int, row []float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.evals += computed
+	o.evals += int64(len(o.vecs) - 1)
 	if len(o.rows) >= lazyCacheRows {
 		return
 	}
@@ -138,26 +101,25 @@ func (o *LazyOracle) memoize(i int, row []float64, computed int64) {
 	}
 }
 
-// Subset implements Oracle: the subset is a LazyOracle over the
-// re-sliced vectors (slice headers are shared; no vector data is copied)
-// that reads through this oracle's row memo, so distance work a build
-// already paid for is never recomputed. Answers are byte-identical to a
-// fresh LazyOracle over the subset's vectors: both make the same metric
-// calls on the same float slices. The subset keeps its own bounded memo
-// of subset-sized rows.
+// Subset implements Oracle: a LazyOracle over the re-sliced vectors
+// (slice headers are shared; no vector data is copied) with a bounded
+// memo of its own. It makes this oracle's metric calls on the same float
+// slices, so it answers with the same bits. It does not read this
+// oracle's memo: the pipeline takes subsets (CLARA's samples, the
+// Monte-Carlo silhouette's rounds) of lazy oracles it reads by pairs,
+// whose memo is empty.
 func (o *LazyOracle) Subset(idx []int) Oracle {
 	vecs := make([][]float64, len(idx))
 	for a, i := range idx {
 		vecs[a] = o.vecs[i]
 	}
-	return &LazyOracle{vecs: vecs, metric: o.metric, parent: o, idx: idx}
+	return NewLazyOracle(vecs, o.metric)
 }
 
 // DistEvals implements Oracle: metric evaluations performed by RowInto
 // materializations (whether or not the row was retained by the bounded
-// memo). Rows a subset gathers out of its parent's memo are reuse, not
-// evaluation, and direct Dist calls compute lock-free and are not
-// individually counted.
+// memo). Direct Dist calls compute lock-free and are not individually
+// counted.
 func (o *LazyOracle) DistEvals() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()

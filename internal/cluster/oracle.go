@@ -9,8 +9,8 @@
 // All algorithms are written against one distance contract, Oracle, and
 // every k-medoid loop is written once against it. Two storages implement
 // it, and both answer with the same bits; each serves a subset of its
-// objects out of its own storage (an index view, re-sliced vectors
-// reading through the parent's memo):
+// objects out of its own storage (an index view over the cells, a lazy
+// oracle over the re-sliced vectors):
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
 //     repeated access, O(n²) memory, right for small samples;
@@ -18,7 +18,8 @@
 //     with a bounded per-row memo — no quadratic allocation, right when n
 //     outgrows the matrix.
 //
-// BuildOracle chooses between them by the number of objects alone.
+// NewOracle chooses between them by the number of objects alone, and
+// builds a matrix on the storage of a spent one when it is handed one.
 //
 // AutoK is one sweep over k, and the ks share what cannot change a
 // result: on the exact path BUILD runs once, to the largest k — greedy,
@@ -56,9 +57,9 @@ import "repro/internal/stats"
 // are reads (see silhouettes).
 //
 // An oracle is read-only once built (LazyOracle's memo synchronizes
-// itself) and a subset shares its parent's storage, so oracles are safe
-// for concurrent use and several subsets of one parent (CLARA's samples,
-// concurrent derived builds) may be used at once.
+// itself) and a subset only reads its parent's storage, so oracles are
+// safe for concurrent use and several subsets of one parent (CLARA's
+// samples) may be used at once.
 type Oracle interface {
 	// N returns the number of objects.
 	N() int
@@ -70,12 +71,12 @@ type Oracle interface {
 	// storage instead of n interface calls and index computations.
 	RowInto(i int, dst []float64)
 	// Subset returns an oracle over the objects idx, re-indexed densely:
-	// its object a is this oracle's object idx[a]. It reuses this
-	// oracle's storage instead of recomputing distances — which is what
-	// lets a zoom whose rows fall inside an already-clustered selection
-	// skip a fresh oracle build (see core's artifact cache). Entries of
-	// idx must be distinct, valid indices; idx is retained, so callers
-	// must not mutate it afterwards.
+	// its object a is this oracle's object idx[a]. A matrix serves it as
+	// an index view over its cells, a lazy oracle as a lazy oracle over
+	// the re-sliced vectors. Its clients are CLARA's per-sample PAM runs
+	// and the Monte-Carlo silhouette's rounds. Entries of idx must be
+	// distinct, valid indices; idx is retained, so callers must not
+	// mutate it afterwards.
 	Subset(idx []int) Oracle
 	// DistEvals returns the cumulative number of exact metric
 	// evaluations embodied in the oracle's storage — matrix cells and
@@ -86,8 +87,8 @@ type Oracle interface {
 	// memo), never by instrumenting the per-call Dist path, where a
 	// shared counter measurably slows PAM's hot loops. So LazyOracle's
 	// lock-free Dist goes uncounted, and a subset reports only
-	// evaluations of its own: reads through the parent's storage are
-	// reuse, not new work.
+	// evaluations of its own: a view's reads of the matrix are reuse,
+	// not new work.
 	DistEvals() int64
 }
 
@@ -100,21 +101,26 @@ const OracleAuto OracleStrategy = 0
 // KNNOracleOptions is ignored by BuildOracle; removed with ROADMAP 8(f).
 type KNNOracleOptions struct{}
 
-// DefaultMaterializeThreshold is the object count above which BuildOracle
+// DefaultMaterializeThreshold is the object count above which NewOracle
 // stops materializing the condensed matrix (≈16 MB of distances).
 const DefaultMaterializeThreshold = 2048
 
-// BuildOracle constructs the distance oracle for the vectors: a
-// DistMatrix for at most materializeThreshold objects (<= 0 uses
-// DefaultMaterializeThreshold), a LazyOracle above. The two answer with
-// the same bits, so the choice moves memory and speed, never a
-// clustering. The strategy and knn parameters are ignored.
-func BuildOracle(vecs [][]float64, metric stats.Distance, _ OracleStrategy, materializeThreshold int, _ KNNOracleOptions) Oracle {
-	if materializeThreshold <= 0 {
-		materializeThreshold = DefaultMaterializeThreshold
+// NewOracle builds the distance oracle for the vectors: a DistMatrix for
+// at most DefaultMaterializeThreshold objects, a LazyOracle above. The
+// two answer with the same bits, so the choice moves memory and speed,
+// never a clustering. scratch, which may be nil, is a matrix its owner is
+// done with: the new matrix takes over its storage when that has room
+// for n objects, and allocates its own otherwise. A caller that hands
+// each build's matrix to the next allocates the triangle once.
+func NewOracle(vecs [][]float64, metric stats.Distance, scratch *DistMatrix) Oracle {
+	if len(vecs) > DefaultMaterializeThreshold {
+		return NewLazyOracle(vecs, metric)
 	}
-	if len(vecs) <= materializeThreshold {
-		return ComputeDistMatrix(vecs, metric)
-	}
-	return NewLazyOracle(vecs, metric)
+	return computeDistMatrix(vecs, metric, scratch)
+}
+
+// BuildOracle is NewOracle with no storage to reuse; its last three
+// parameters are ignored. Removed with ROADMAP 8(f).
+func BuildOracle(vecs [][]float64, metric stats.Distance, _ OracleStrategy, _ int, _ KNNOracleOptions) Oracle {
+	return NewOracle(vecs, metric, nil)
 }

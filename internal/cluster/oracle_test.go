@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,19 +152,50 @@ func TestNewDistMatrixDegenerate(t *testing.T) {
 	}
 }
 
-// TestBuildOracleSelectsImplementation checks both sides of the
-// materialization threshold.
+// TestBuildOracleSelectsImplementation checks both sides of
+// DefaultMaterializeThreshold, through NewOracle and through the
+// BuildOracle wrapper, whose threshold argument is ignored.
 func TestBuildOracleSelectsImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	small := make([][]float64, 50)
-	for i := range small {
-		small[i] = []float64{rng.Float64()}
+	vecs := make([][]float64, DefaultMaterializeThreshold+1)
+	for i := range vecs {
+		vecs[i] = []float64{rng.Float64()}
 	}
-	metric := stats.Euclidean{}
-	if _, ok := BuildOracle(small, metric, OracleAuto, 50, KNNOracleOptions{}).(*DistMatrix); !ok {
+	at, metric := vecs[:DefaultMaterializeThreshold], stats.Euclidean{}
+	if _, ok := NewOracle(at, metric, nil).(*DistMatrix); !ok {
 		t.Error("at the threshold the oracle should materialize")
 	}
-	if _, ok := BuildOracle(small, metric, OracleAuto, 49, KNNOracleOptions{}).(*LazyOracle); !ok {
+	if _, ok := NewOracle(vecs, metric, nil).(*LazyOracle); !ok {
 		t.Error("above the threshold the oracle should go lazy")
 	}
+	if _, ok := BuildOracle(vecs[:50], metric, OracleAuto, 49, KNNOracleOptions{}).(*DistMatrix); !ok {
+		t.Error("BuildOracle should decide by DefaultMaterializeThreshold alone")
+	}
+}
+
+// TestNewOracleReusesScratch: a matrix built on a spent matrix's storage
+// takes it over when it has room — every cell rewritten, so the spent
+// matrix's cells leave no trace — and leaves a spent matrix too small
+// alone.
+func TestNewOracleReusesScratch(t *testing.T) {
+	vecs, _ := deriveTestVecs(60, 3, 24)
+	metric := stats.Euclidean{}
+	want := ComputeDistMatrix(vecs, metric)
+
+	spent := NewDistMatrix(len(vecs) + 20)
+	for i := range spent.data {
+		spent.data[i] = math.NaN()
+	}
+	cells := &spent.data[0]
+	got, ok := NewOracle(vecs, metric, spent).(*DistMatrix)
+	if !ok || got != spent || &got.data[0] != cells {
+		t.Fatal("a large enough spent matrix was not reused")
+	}
+	assertOracleByteIdentical(t, "reused", got, want)
+
+	small := NewDistMatrix(10)
+	if got := NewOracle(vecs, metric, small); got == Oracle(small) || small.N() != 10 {
+		t.Fatal("a spent matrix too small was reused or reshaped")
+	}
+	assertOracleByteIdentical(t, "fresh", NewOracle(vecs, metric, small), want)
 }

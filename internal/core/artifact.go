@@ -3,17 +3,15 @@ package core
 import (
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/prep"
 	"repro/internal/store"
 )
 
 // DefaultArtifactCacheSize is the default capacity (entries) of the
-// build-artifact cache — the reuse tier below the map cache. It is
-// deliberately smaller than DefaultMapCacheSize: an artifact pins the
-// fitted sample vectors plus a distance oracle (a materialized matrix
-// can reach tens of megabytes), where a cached map is only a region
-// tree.
+// build-artifact cache — the reuse tier below the map cache. An artifact
+// pins the sample's rows and fitted vectors (about 0.3 MB for 1 100
+// tuples in 33 prepared dimensions) and no distances: every build
+// computes its own oracle.
 const DefaultArtifactCacheSize = 4
 
 // Derivation policy defaults (see Options.DerivedSampleMin /
@@ -24,24 +22,21 @@ const (
 )
 
 // buildArtifact is the cacheable product of the front half of the
-// mapping pipeline — everything a build pays for before clustering
-// starts: the sampled rows, the fitted preprocessing pipeline with the
-// sample's vectors, and the distance oracle over them. Artifacts are
-// immutable once built (the lazy oracle's internal memo is
-// self-synchronized), so one cached artifact can back several concurrent
-// derived builds.
+// mapping pipeline: the sampled rows and the fitted preprocessing
+// pipeline with the sample's vectors. It holds no distances — the
+// oracle over the vectors is build scratch (see oracleStage), so a
+// cached artifact never pins a matrix. Artifacts are immutable once
+// built, so one cached artifact can back several concurrent builds.
 type buildArtifact struct {
 	theme      int
 	sampleRows []int // absolute base-table rows actually clustered, ascending
 	pipe       *prep.Pipeline
 	vecs       [][]float64
-	oracle     cluster.Oracle
-	storage    string // the oracle's storage, "matrix" or "lazy" (the build trace's oracle attr)
 }
 
 // artifactKey identifies the selection an artifact was built from: row
 // fingerprint + count (same canonical hashing as the map tier), theme,
-// and the prep/oracle-relevant configuration. The config dimension is
+// and the sample/prep-relevant configuration. The config dimension is
 // constant within one Explorer (options are immutable after open) but
 // keeps keys self-describing.
 type artifactKey struct {
@@ -54,10 +49,10 @@ type artifactKey struct {
 // artifactCache is a small LRU of build artifacts, owned by one Explorer
 // and accessed only under the lock that guards the Explorer (the session
 // mutex at the server tier). It answers two kinds of lookups: exact
-// (same selection → reuse the whole artifact, skipping sample, prep and
-// oracle stages) and derivable (the new selection overlaps a cached
-// parent's sample enough that the child's oracle can be derived instead
-// of rebuilt).
+// (same selection → reuse the whole artifact, skipping the sample and
+// prep stages) and derivable (the new selection overlaps a cached
+// parent's sample enough that the child's sample and vectors can be
+// re-sliced out of the parent's instead of drawn and fitted).
 type artifactCache struct {
 	lru *lruCache[artifactKey, *buildArtifact]
 
@@ -138,11 +133,11 @@ func (e *Explorer) derivedSampleFloor(rows *store.RowSet) int {
 
 // deriveArtifact builds the child artifact from a cached parent: the
 // overlapping rows become the child's sample (subsampled with the
-// build's RNG when the overlap exceeds the sampling budget), the fitted
-// vectors are shared slice headers into the parent's, and the oracle is
-// derived through the cluster layer's Subset API instead of recomputed.
-// pos holds ascending indices into the parent's sample (from
-// findDerivable). Runs off the session lock (see MapBuild.Run).
+// build's RNG when the overlap exceeds the sampling budget) and the
+// parent's vectors are re-sliced — shared slice headers, no copy. The
+// build then computes its own oracle over them. pos holds ascending
+// indices into the parent's sample (from findDerivable). Runs off the
+// session lock (see MapBuild.Run).
 func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Rand) *buildArtifact {
 	if len(pos) > e.opts.SampleSize {
 		pick := store.SampleIndices(len(pos), e.opts.SampleSize, rng)
@@ -157,8 +152,6 @@ func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Ra
 		sampleRows: make([]int, len(pos)),
 		pipe:       parent.pipe,
 		vecs:       make([][]float64, len(pos)),
-		oracle:     parent.oracle.Subset(pos),
-		storage:    parent.storage,
 	}
 	for i, p := range pos {
 		art.sampleRows[i] = parent.sampleRows[p]
@@ -209,8 +202,9 @@ type TierStats struct {
 	// Hits counts exact reuses: a finished map served as-is (map tier)
 	// or a whole artifact reused without a rebuild (artifact tier).
 	Hits int `json:"hits"`
-	// Derived counts partial reuses — builds whose oracle was derived
-	// from a cached parent artifact. Always 0 on the map tier.
+	// Derived counts partial reuses — builds whose sample and vectors
+	// were derived from a cached parent artifact. Always 0 on the map
+	// tier.
 	Derived int `json:"derived,omitempty"`
 	Misses  int `json:"misses"`
 	// Entries and Capacity describe current occupancy; Evictions counts
@@ -222,7 +216,7 @@ type TierStats struct {
 
 // ReuseStats is the two-tier cache breakdown: the map tier (finished
 // region trees, keyed by selection + theme + config) above the artifact
-// tier (fitted vectors + oracle handles, reused exactly or by
+// tier (sample rows and fitted vectors, reused exactly or by
 // derivation). See Explorer.ReuseStats.
 type ReuseStats struct {
 	Map      TierStats `json:"map"`

@@ -14,12 +14,13 @@ import (
 //
 //   - ReuseMapHit: the finished map itself was cached (map tier); Run
 //     returns a clone without rebuilding anything.
-//   - ReuseOracleDerived: the map must be rebuilt, but the expensive
-//     front half is reused from the artifact tier — either the whole
-//     artifact (same selection: sample, vectors and oracle reused
-//     as-is) or by derivation (the selection's rows overlap a cached
-//     parent's sample, so the child's oracle is derived through the
-//     cluster layer's Subset API instead of recomputed).
+//   - ReuseOracleDerived: the map must be rebuilt, but the front half
+//     is reused from the artifact tier — either the whole artifact
+//     (same selection: sample and vectors reused as-is) or by
+//     derivation (the selection's rows overlap a cached parent's
+//     sample, so the child's sample and vectors are re-sliced out of
+//     the parent's). The build still computes its own oracle; the name
+//     predates that and stays, being wire and metric-label surface.
 //   - ReuseCold: nothing reusable was cached; the full pipeline runs.
 type ReuseLevel string
 
@@ -41,12 +42,13 @@ const (
 // Prepare* validates the action and snapshots everything the build needs
 // (selection rows, theme, accumulated condition, a child RNG's seed and
 // the two-tier cache lookup: finished map first, then build artifact).
-// Run touches only that snapshot plus immutable Explorer state (table,
-// options, metric), so concurrent Runs of one session cannot race as
-// long as applies are serialized — which the jobs pool guarantees by
-// running a session's jobs one at a time. ApplyBuild refuses to fire if
-// the navigation state moved since Prepare (e.g. a rollback slipped in
-// between), so a stale build can never corrupt the history stack.
+// Run touches only that snapshot, immutable Explorer state (table,
+// options, metric) and the atomic scratch slot, so concurrent Runs of
+// one session cannot race as long as applies are serialized — which the
+// jobs pool guarantees by running a session's jobs one at a time.
+// ApplyBuild refuses to fire if the navigation state moved since Prepare
+// (e.g. a rollback slipped in between), so a stale build can never
+// corrupt the history stack.
 //
 // The synchronous SelectTheme, Zoom, Project and Filter run exactly
 // these three steps inline (runAndApply): every map is built by
@@ -227,9 +229,10 @@ func (b *MapBuild) Rows() int { return b.rows.Len() }
 // not be called under the session lock — that is the point: ctx cancels
 // the build between pipeline stages and candidate k values, and progress
 // (may be nil) receives monotone fractions in [0, 1]. Derived builds
-// construct their artifact here (an oracle subset is cheap but not
-// free), off the lock; the shared parent artifact is read-only, so
-// concurrent derived Runs against the same parent are safe.
+// re-slice their artifact out of the parent's here, off the lock, and
+// every build that clusters computes its own oracle; the shared parent
+// artifact is read-only and the explorer's scratch matrix is taken by
+// one build at a time, so concurrent Runs on one explorer are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse tier on the build trace, if one rides the
 	// context. Run (not prepare) owns the attribute because it can still
@@ -290,10 +293,10 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 	if e.cache != nil && b.hit == nil && m != nil {
 		e.cache.put(b.key, m)
 	}
-	// Only cold builds enter the artifact cache: a derived artifact is a
-	// view into its parent's storage, so caching it would pin the parent
-	// while adding nothing the map tier (exact re-visits) or the parent
-	// entry itself (further derivations) does not already provide.
+	// Only cold builds enter the artifact cache: a derived artifact's
+	// vectors are its parent's, re-sliced, so caching it would add
+	// nothing the map tier (exact re-visits) or the parent entry itself
+	// (further derivations) does not already provide.
 	if e.artifacts != nil && b.parentPos != nil && b.reuse == ReuseCold {
 		// Run demoted the derivation to a cold build (degenerate
 		// overlap): account it as a miss, not a derived reuse.
@@ -327,7 +330,7 @@ func (e *Explorer) runAndApply(b *MapBuild) (*Map, error) {
 
 // ReuseStats reports the two-tier reuse-cache counters: hits, misses,
 // occupancy and evictions per tier, plus — on the artifact tier — how
-// many builds derived their oracle from a cached parent. All zeros for
+// many builds derived their sample from a cached parent. All zeros for
 // a disabled tier.
 func (e *Explorer) ReuseStats() ReuseStats {
 	var s ReuseStats

@@ -118,18 +118,21 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 }
 
 // TestBuildTraceRecordsOracle: the engine chooses the oracle's storage
-// by sample size, and every build that clusters says which on its trace
-// — a cold build its own, a derived zoom its parent's — while a map hit
-// clusters nothing and says nothing.
+// by sample size, and every build that clusters builds its own oracle
+// and says which on its trace — a derived zoom its own too, whatever its
+// parent's was — with an oracle span and, over a matrix, the matrix's
+// cells as its distance work; a map hit clusters nothing and says
+// nothing. The lazy case's cold build clusters 2500 objects, and its
+// derived zoom an overlap within cluster.DefaultMaterializeThreshold.
 func TestBuildTraceRecordsOracle(t *testing.T) {
 	cases := []struct {
-		name string
-		n    int
-		opts Options
-		want string
+		name       string
+		n          int
+		opts       Options
+		cold, zoom string
 	}{
-		{"matrix", 900, Options{Seed: 3}, "matrix"},
-		{"lazy", 3000, Options{Seed: 11, SampleSize: 2500}, "lazy"},
+		{"matrix", 900, Options{Seed: 3}, "matrix", "matrix"},
+		{"lazy", 3000, Options{Seed: 11, SampleSize: 2500}, "lazy", "matrix"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,19 +153,37 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 				if err := e.ApplyBuild(b, m); err != nil {
 					t.Fatal(err)
 				}
-				attrs := tr.Snapshot().Attrs
-				if attrs["reuse"] != string(wantReuse) || attrs["oracle"] != wantOracle {
-					t.Fatalf("trace attrs %v, want reuse %q and oracle %q", attrs, wantReuse, wantOracle)
+				snap := tr.Snapshot()
+				if snap.Attrs["reuse"] != string(wantReuse) || snap.Attrs["oracle"] != wantOracle {
+					t.Fatalf("trace attrs %v, want reuse %q and oracle %q", snap.Attrs, wantReuse, wantOracle)
+				}
+				spans := 0
+				for _, sp := range snap.Spans {
+					if sp.Name == "oracle" {
+						spans++
+					}
+				}
+				if wantOracle == "" {
+					if spans != 0 {
+						t.Fatalf("a map hit has %d oracle spans", spans)
+					}
+					return
+				}
+				if spans != 1 {
+					t.Fatalf("%d oracle spans, want 1", spans)
+				}
+				if (m.SampleSize > cluster.DefaultMaterializeThreshold) != (wantOracle == "lazy") {
+					t.Fatalf("sample of %d objects clustered over a %s oracle", m.SampleSize, wantOracle)
+				}
+				if n := int64(m.SampleSize); wantOracle == "matrix" && snap.Counters["oracleDistEvals"] != n*(n-1)/2 {
+					t.Fatalf("oracleDistEvals %d, want the %d cells of this build's own matrix", snap.Counters["oracleDistEvals"], n*(n-1)/2)
 				}
 			}
 			b, err := e.PrepareSelect(0)
-			run(b, err, ReuseCold, tc.want)
-			if sample := e.CurrentMap().SampleSize; (sample > cluster.DefaultMaterializeThreshold) != (tc.want == "lazy") {
-				t.Fatalf("sample of %d objects clustered over a %s oracle", sample, tc.want)
-			}
+			run(b, err, ReuseCold, tc.cold)
 			leaf := largestLeaf(e.CurrentMap())
 			b, err = e.PrepareZoom(leaf...)
-			run(b, err, ReuseOracleDerived, tc.want)
+			run(b, err, ReuseOracleDerived, tc.zoom)
 			if err := e.Rollback(); err != nil {
 				t.Fatal(err)
 			}
@@ -196,28 +217,26 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := e.prepStage(sample, sampleRows, theme)
+	art, err := e.prepStage(sample, sampleRows, theme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.oracleStage(mat)
-	if mat.storage != "matrix" {
-		t.Fatalf("engine chose %q storage for %d objects, want matrix", mat.storage, len(mat.vecs))
+	mat, matrix := e.oracleStage(art.vecs)
+	if matrix == nil {
+		t.Fatalf("engine chose lazy storage for %d objects, want matrix", len(art.vecs))
 	}
-	lazy := *mat
-	lazy.oracle, lazy.storage = cluster.NewLazyOracle(mat.vecs, e.metric), "lazy"
-	build := func(art *buildArtifact) *Map {
-		cl, err := e.clusterStage(ctx, art, rand.New(rand.NewSource(7)), func(float64) {})
+	build := func(o cluster.Oracle) *Map {
+		cl, err := e.clusterStage(ctx, o, rand.New(rand.NewSource(7)), func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.regionStage(ctx, art, sample, cl, rows, theme, func(float64) {})
+		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	mm, lm := build(mat), build(&lazy)
+	mm, lm := build(mat), build(cluster.NewLazyOracle(art.vecs, e.metric))
 	if mm.K < 2 {
 		t.Fatalf("matrix map has k=%d: nothing to compare", mm.K)
 	}

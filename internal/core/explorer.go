@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
+	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -46,9 +48,9 @@ type State struct {
 
 // Explorer is a Blaeu exploration session over one table. It is not safe
 // for concurrent use; wrap it in a session manager for serving. The
-// exception is MapBuild.Run, which only reads immutable fields and may
-// execute on a scheduler worker while the owner's lock is released (see
-// MapBuild).
+// exception is MapBuild.Run, which only reads immutable fields and the
+// atomic scratch slot, and may execute on a scheduler worker while the
+// owner's lock is released (see MapBuild).
 type Explorer struct {
 	table store.Relation
 	opts  Options
@@ -67,11 +69,18 @@ type Explorer struct {
 	cfg   uint64
 
 	// artifacts is the build-artifact cache — the reuse tier below the
-	// map cache, holding fitted sample vectors plus a reusable oracle
-	// handle per recently built selection (nil when disabled); acfg is
-	// the prep/oracle-relevant options fingerprint in its keys.
+	// map cache, holding the sample rows and fitted vectors of recently
+	// built selections (nil when disabled); acfg is the
+	// sample/prep-relevant options fingerprint in its keys.
 	artifacts *artifactCache
 	acfg      uint64
+
+	// scratch holds the last build's distance matrix once the build is
+	// done with it, so the next build computes its own on that storage
+	// instead of allocating (see oracleStage). A session's builds are
+	// serialized, so one slot serves them all; one per explorer, not per
+	// process, so a closed session's matrix goes with it.
+	scratch atomic.Pointer[cluster.DistMatrix]
 }
 
 // NewExplorer opens an exploration session: it detects the themes of the

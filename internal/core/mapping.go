@@ -59,13 +59,16 @@ type Map struct {
 // which is what makes lock-free execution safe.
 //
 // Each stage produces an explicit intermediate — sample rows, a
-// buildArtifact (fitted vectors + oracle), a clustering, the region
-// tree — and the expensive front half is cacheable: when art is non-nil
-// (an exact artifact-cache hit, or an artifact derived from a cached
-// parent via deriveArtifact) the sample, prep and oracle stages are
-// skipped and the build resumes at cluster detection. The finished
-// artifact is returned alongside the map so ApplyBuild can feed the
-// artifact cache; it is nil when preprocessing degenerated.
+// buildArtifact (sample rows, fitted pipeline, vectors), the build's
+// distance oracle, a clustering, the region tree — and the artifact is
+// cacheable: when art is non-nil (an exact artifact-cache hit, or an
+// artifact derived from a cached parent via deriveArtifact) the sample
+// and prep stages are skipped. The oracle is never cached: every build
+// that clusters builds its own over its own vectors, a matrix on the
+// storage of the explorer's spent one (see oracleStage), so nothing a
+// cache holds outlives the build's distances. The finished artifact is
+// returned alongside the map so ApplyBuild can feed the artifact cache;
+// it is nil when preprocessing degenerated.
 func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, progress func(float64)) (*Map, *buildArtifact, error) {
 	report := func(f float64) {
 		if progress != nil {
@@ -82,12 +85,6 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	if rows.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: empty selection")
 	}
-	// Distance work is accounted as a before/after delta of the oracle's
-	// own evaluation count (cluster.Oracle's DistEvals) — storage-based
-	// and free, where wrapping the per-call Dist path costs several
-	// percent of a build. A reused artifact starts at its accumulated
-	// count, so the delta is exactly this build's new evaluations.
-	evalsBefore := distEvals(art)
 
 	var sample *store.Table
 	if art == nil {
@@ -119,16 +116,11 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 				Root:       e.wholeSelection(rows),
 			}, nil, nil
 		}
-
-		// Stage 2a: the distance oracle over the prepared vectors.
-		sp = tr.Start("oracle")
-		e.oracleStage(art)
-		sp.End()
 	} else {
 		// Reused artifact (exact hit or derived): the sample is already
-		// chosen, prepped and backed by an oracle; only the description
-		// stage still needs the raw tuples. The gather is this path's
-		// whole sampling work, so it books under the sample span.
+		// chosen and prepped; only the description stage still needs the
+		// raw tuples. The gather is this path's whole sampling work, so
+		// it books under the sample span.
 		sp := tr.Start("sample")
 		var err error
 		sample, err = e.gatherSample(art.sampleRows, theme)
@@ -137,46 +129,61 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 			return nil, nil, err
 		}
 	}
-	// The storage the engine chose for this build's oracle — a derived
-	// build's is its parent's.
-	tr.SetAttr("oracle", art.storage)
+
+	// Stage 2a: the distance oracle over the prepared vectors, and the
+	// storage the engine chose for it.
+	sp := tr.Start("oracle")
+	oracle, matrix := e.oracleStage(art.vecs)
+	sp.End()
+	storage := "lazy"
+	if matrix != nil {
+		storage = "matrix"
+	}
+	tr.SetAttr("oracle", storage)
 	report(0.15)
 
+	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, report)
+	// The matrix goes back to the slot on return, error or not, and only
+	// then: a panic unwinds past the CLARA fan-out's wait for its tasks,
+	// so one of them may still be reading it.
+	if matrix != nil {
+		e.scratch.CompareAndSwap(nil, matrix)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Distance work is the oracle's own evaluation count (cluster.Oracle's
+	// DistEvals) — storage-based and free, where wrapping the per-call
+	// Dist path costs several percent of a build. The oracle is this
+	// build's alone, so its count is exactly this build's evaluations.
+	if d := oracle.DistEvals(); tr != nil && d > 0 {
+		tr.Int("oracleDistEvals").Add(d)
+	}
+	return m, art, nil
+}
+
+// mapOver runs cluster detection and description over the build's
+// oracle (stages 2b–4 of buildMapStaged).
+func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, report func(float64)) (*Map, error) {
+	tr := obs.TraceFrom(ctx)
 	// Stage 2b: cluster detection with automatic k.
 	sp := tr.Start("cluster")
-	clustering, err := e.clusterStage(ctx, art, rng, report)
+	clustering, err := e.clusterStage(ctx, oracle, rng, report)
 	sp.End()
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, nil, ctxErr
+			return nil, ctxErr
 		}
-		return nil, nil, fmt.Errorf("core: clustering theme %d: %w", theme.ID, err)
+		return nil, fmt.Errorf("core: clustering theme %d: %w", theme.ID, err)
 	}
 	report(0.85)
 
 	// Stages 3–4: cluster description and extension to the full
 	// selection.
 	sp = tr.Start("region")
-	m, err := e.regionStage(ctx, art, sample, clustering, rows, theme, report)
+	m, err := e.regionStage(ctx, oracle, art, sample, clustering, rows, theme, report)
 	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	if tr != nil {
-		if d := distEvals(art) - evalsBefore; d > 0 {
-			tr.Int("oracleDistEvals").Add(d)
-		}
-	}
-	return m, art, nil
-}
-
-// distEvals reads the cumulative metric-evaluation count of the
-// artifact's oracle; 0 for a nil artifact (cold build not yet prepped).
-func distEvals(art *buildArtifact) int64 {
-	if art == nil || art.oracle == nil {
-		return 0
-	}
-	return art.oracle.DistEvals()
+	return m, err
 }
 
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of
@@ -199,9 +206,8 @@ func (e *Explorer) gatherSample(rows []int, theme Theme) (*store.Table, error) {
 }
 
 // prepStage fits the preprocessing pipeline on the gathered sample and
-// wraps the result in a build artifact (oracle not yet attached). The
-// error return marks a degenerate sample — constant or key-only on the
-// theme's columns.
+// wraps the result in a build artifact. The error return marks a
+// degenerate sample — constant or key-only on the theme's columns.
 func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme) (*buildArtifact, error) {
 	pipe, vecs, err := prep.FitTransform(sample, theme.Columns, e.opts.Prep)
 	if err != nil {
@@ -210,31 +216,37 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 	return &buildArtifact{theme: theme.ID, sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
 }
 
-// oracleStage attaches the distance oracle for the artifact's vectors
-// and records which storage it is. The engine chooses by size alone: a
-// matrix for small samples (fast repeated access by PAM), lazy above
-// cluster.DefaultMaterializeThreshold. Both answer with the same bits,
-// so the choice moves memory and speed, never the map.
-func (e *Explorer) oracleStage(art *buildArtifact) {
-	art.oracle = cluster.BuildOracle(art.vecs, e.metric, cluster.OracleAuto, 0, cluster.KNNOracleOptions{})
-	art.storage = "lazy"
-	if _, ok := art.oracle.(*cluster.DistMatrix); ok {
-		art.storage = "matrix"
+// oracleStage builds the distance oracle over the vectors and returns
+// it, with the matrix it is when the engine materialized one (nil when
+// it went lazy). cluster.NewOracle chooses by size alone — a matrix for
+// small samples (fast repeated access by PAM), lazy above
+// cluster.DefaultMaterializeThreshold — and both answer with the same
+// bits, so the choice moves memory and speed, never the map. A matrix is
+// built on the storage of the explorer's spent one: the slot is emptied
+// by the swap, so two concurrent builds never share it (the second
+// allocates), and a build that goes lazy puts the spent matrix back.
+func (e *Explorer) oracleStage(vecs [][]float64) (cluster.Oracle, *cluster.DistMatrix) {
+	spent := e.scratch.Swap(nil)
+	o := cluster.NewOracle(vecs, e.metric, spent)
+	m, _ := o.(*cluster.DistMatrix)
+	if m == nil && spent != nil {
+		e.scratch.CompareAndSwap(nil, spent)
 	}
+	return o, m
 }
 
-// clusterStage runs cluster detection with automatic k over the
-// artifact's oracle. Model selection dominates the build, so its
-// progress is mapped onto the [0.15, 0.85] band.
-func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *rand.Rand, report func(float64)) (*cluster.Clustering, error) {
+// clusterStage runs cluster detection with automatic k over the build's
+// oracle. Model selection dominates the build, so its progress is mapped
+// onto the [0.15, 0.85] band.
+func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng *rand.Rand, report func(float64)) (*cluster.Clustering, error) {
 	kMax := e.opts.MapKMax
-	if kMax >= len(art.vecs) {
-		kMax = len(art.vecs) - 1
+	if kMax >= oracle.N() {
+		kMax = oracle.N() - 1
 	}
 	if kMax < e.opts.MapKMin {
-		return &cluster.Clustering{K: 1, Labels: make([]int, len(art.vecs)), Silhouette: 0}, nil
+		return &cluster.Clustering{K: 1, Labels: make([]int, oracle.N()), Silhouette: 0}, nil
 	}
-	return cluster.AutoK(art.oracle, cluster.AutoKOptions{
+	return cluster.AutoK(oracle, cluster.AutoKOptions{
 		KMin:                  e.opts.MapKMin,
 		KMax:                  kMax,
 		LargeThreshold:        e.opts.PAMThreshold,
@@ -253,7 +265,7 @@ func (e *Explorer) clusterStage(ctx context.Context, art *buildArtifact, rng *ra
 
 // regionStage fits the description tree on the sample's original tuples
 // and mirrors it over the full selection (steps 4–5 of buildMapStaged).
-func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, report func(float64)) (*Map, error) {
+func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}
 	if clustering.K < 2 {
@@ -282,7 +294,7 @@ func (e *Explorer) regionStage(ctx context.Context, art *buildArtifact, sample *
 	// the clustering, the Monte-Carlo one costs one more O(n²) pass.
 	perCluster := clustering.ClusterSilhouettes
 	if perCluster == nil {
-		perCluster = cluster.SilhouettePerCluster(art.oracle, clustering.Labels, clustering.K)
+		perCluster = cluster.SilhouettePerCluster(oracle, clustering.Labels, clustering.K)
 	}
 
 	// One pass over the selection's pages routes it through the whole

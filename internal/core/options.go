@@ -11,9 +11,11 @@
 // cluster.DefaultMaterializeThreshold objects, a lazy on-demand oracle
 // above it, which is what lets the sampling budget default to 5000
 // tuples without quadratic memory. Both answer with the same bits, so
-// the choice never changes a map. A zoom inside an already-clustered
-// selection asks the cached oracle for a Subset instead of building a new
-// one.
+// the choice never changes a map. The oracle lives for one build: a
+// zoom inside an already-clustered selection re-slices the cached
+// sample's vectors instead of drawing and fitting a new sample, then
+// computes its own distances over them, and a session's builds compute
+// their matrices on one recycled buffer.
 package core
 
 import (
@@ -72,12 +74,12 @@ type Options struct {
 	// DefaultMapCacheSize; negative disables the cache.
 	MapCacheSize int
 	// ArtifactCacheSize bounds the build-artifact cache, the reuse tier
-	// below the map cache: finished builds' fitted vectors + distance
-	// oracle are kept keyed by (row-set fingerprint, theme, prep+oracle
+	// below the map cache: finished builds' sample rows and fitted
+	// vectors are kept keyed by (row-set fingerprint, theme, sample+prep
 	// config), so a map-cache miss whose rows overlap a cached parent's
-	// sample derives its oracle instead of rebuilding it (see
-	// cluster.Oracle's Subset). 0 means DefaultArtifactCacheSize;
-	// negative disables the tier.
+	// sample re-slices the parent's vectors instead of sampling and
+	// fitting anew. 0 means DefaultArtifactCacheSize; negative disables
+	// the tier.
 	ArtifactCacheSize int
 	// DerivedSampleMin is the smallest overlap (rows of a new selection
 	// found in a cached parent's sample) a derived build accepts as its
@@ -103,8 +105,8 @@ const (
 	// mapTier: the field changes which map a build produces for a given
 	// (rows, theme).
 	mapTier cacheTier = 1 << iota
-	// artifactTier: the field changes what the sample, prep or oracle
-	// stage produces — the front half a build artifact caches. Whatever
+	// artifactTier: the field changes what the sample or prep stage
+	// produces — the front half a build artifact caches. Whatever
 	// changes the artifact changes the map built from it, so these
 	// fields enter both keys.
 	artifactTier
@@ -124,7 +126,7 @@ var optionTiers = map[string]cacheTier{
 	"SampleSize": mapTier | artifactTier,
 	"Prep":       mapTier | artifactTier,
 	// Model selection and description over a given artifact: two builds
-	// that differ only here still share sample, vectors and oracle.
+	// that differ only here still share sample and vectors.
 	"MapKMin":      mapTier,
 	"MapKMax":      mapTier,
 	"TreeMaxDepth": mapTier,

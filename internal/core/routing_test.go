@@ -188,13 +188,13 @@ func TestRegionStageByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.oracleStage(art)
-	cl, err := e.clusterStage(ctx, art, rng, func(float64) {})
+	oracle, _ := e.oracleStage(art.vecs)
+	cl, err := e.clusterStage(ctx, oracle, rng, func(float64) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() *Map {
-		m, err := e.regionStage(ctx, art, sample, cl, rows, theme, func(float64) {})
+		m, err := e.regionStage(ctx, oracle, art, sample, cl, rows, theme, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,7 +173,7 @@ func (c *clusterOptionsJSON) UnmarshalJSON(b []byte) error {
 
 // maxCacheEntries bounds the per-session cache sizes a client may
 // request: beyond it a cache stops being a working set and starts being
-// a memory grab (each artifact entry can pin a materialized oracle).
+// a memory grab (each artifact entry pins a sample's fitted vectors).
 const maxCacheEntries = 1024
 
 func validateCacheSize(name string, v int) error {

@@ -149,7 +149,7 @@ func TestCacheHitMetadata(t *testing.T) {
 
 // TestReuseLevelMetadata walks the reuse ladder over the wire-visible
 // job metadata: a first selection is cold, a zoom inside it derives its
-// oracle from the cached artifact, and a re-zoom after rollback is a
+// sample from the cached artifact, and a re-zoom after rollback is a
 // map hit.
 func TestReuseLevelMetadata(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
