@@ -25,7 +25,7 @@ race-derived:
 # detector (also a CI step): concurrent readers through one pool,
 # eviction under pinning, single-flight load dedup — plus the counter
 # conservation laws (hits+misses == lookups, evictions <= inserts) on
-# the buffer pool's registry mirrors and the core cache tiers.
+# the buffer pool's registry mirrors and the core reuse cache.
 race-store:
 	go test -race -count=3 -run 'Pool|Concurrent' ./internal/store/...
 	go test -race -count=2 -run 'Conservation' ./internal/core/...

@@ -495,11 +495,12 @@ func BenchmarkZoomCached(b *testing.B) {
 	}
 }
 
-// BenchmarkZoomColdDerived measures the artifact tier on a cold zoom —
-// a map-cache miss whose rows are a subset of an already-built parent
-// selection — against the same zoom built entirely from scratch. Both
-// sub-runs disable the map cache (every zoom is a map miss; that is the
-// scenario); the derived run keeps the artifact cache, so the zoom
+// BenchmarkZoomColdDerived measures derivation on a cold zoom — a
+// map-cache miss whose rows are a subset of an already-built parent
+// selection — against the same zoom built entirely from scratch. Each
+// iteration prepares and runs the zoom without applying it, so the zoom
+// never enters the cache and every iteration is a miss (that is the
+// scenario); the cold run switches derivation off, the derived one
 // re-slices the parent's cached sample and vectors (skipping sampling
 // and prep) and clusters the overlap, a smaller and still uniform
 // sample, over a matrix of its own. The sample of 2000 is below
@@ -510,13 +511,13 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 40000, K: 4, Dims: 8, Sep: 6}, rng)
 	for _, mode := range []string{"cold", "derived"} {
-		artifactCache := -1
+		derivedMin := -1
 		if mode == "derived" {
-			artifactCache = 0 // engine default
+			derivedMin = 0 // engine default
 		}
 		e, err := core.NewExplorer(ds.Table, core.Options{
 			Seed: 1, SampleSize: 2000, DependencySampleRows: 500,
-			MapCacheSize: -1, ArtifactCacheSize: artifactCache,
+			DerivedSampleMin: derivedMin,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -525,7 +526,7 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := e.SelectTheme(id) // the parent build (fills the artifact cache)
+		m, err := e.SelectTheme(id) // the parent build (caches its artifact)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -545,14 +546,15 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			sample := 0
 			for i := 0; i < b.N; i++ {
-				zm, err := e.Zoom(path...)
+				zb, err := e.PrepareZoom(path...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				zm, err := zb.Run(context.Background(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				sample = zm.SampleSize
-				if err := e.Rollback(); err != nil {
-					b.Fatal(err)
-				}
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
@@ -564,12 +566,12 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 			if matrix := uint64(sample*(sample-1)/2) * 8; perOp >= matrix {
 				b.Fatalf("a %s zoom over %d sampled objects allocated %d B, its matrix is %d B", mode, sample, perOp, matrix)
 			}
-			s := e.ReuseStats()
-			if mode == "derived" && s.Artifact.Derived < b.N {
-				b.Fatalf("only %d of %d zooms derived their oracle: %+v", s.Artifact.Derived, b.N, s.Artifact)
+			s := e.ReuseStats().Map
+			if mode == "derived" && s.Derived < b.N {
+				b.Fatalf("only %d of %d zooms derived their sample: %+v", s.Derived, b.N, s)
 			}
-			if mode == "cold" && (s.Artifact.Derived != 0 || s.Artifact.Hits != 0) {
-				b.Fatalf("cold run reused artifacts: %+v", s.Artifact)
+			if mode == "cold" && (s.Derived != 0 || s.Hits != 0) {
+				b.Fatalf("cold run reused the cache: %+v", s)
 			}
 		})
 	}

@@ -16,13 +16,13 @@
 //	blaeud [-addr :8080] [-seed 1] [-sample 2000] [-lofar-n 200000] [-no-builtin]
 //	       [-session-ttl 1h]
 //	       [-max-queued 1024] [-max-queued-per-session 16]
-//	       [-map-cache 0] [-artifact-cache 0]
+//	       [-map-cache 0]
 //	       [-tenant-weights gold=4,free=1] [-tenant-max-in-flight 0]
 //	       [-page-budget-mb 256] [-pprof-addr ""] [-slow-build-ms 1000]
 //	       [file.csv | file.seg ...]
 //
 // Telemetry: GET /metrics serves the Prometheus-format registry (the
-// scheduler, cache tiers, buffer pool and build-stage histograms), each
+// scheduler, reuse cache, buffer pool and build-stage histograms), each
 // build job records a per-stage trace at
 // GET /api/sessions/{id}/jobs/{jobID}/trace, builds slower than
 // -slow-build-ms are logged to stderr as JSON with their stage
@@ -98,8 +98,7 @@ func main() {
 	lofarN := flag.Int("lofar-n", 200000, "rows in the synthetic LOFAR catalogue (0 disables)")
 	noBuiltin := flag.Bool("no-builtin", false, "do not load the built-in demo datasets")
 	sessionTTL := flag.Duration("session-ttl", time.Hour, "evict sessions idle for longer than this (0 disables)")
-	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries (0 = engine default, -1 disables)")
-	artifactCache := flag.Int("artifact-cache", 0, "per-session build-artifact cache entries — the sample/vector-reuse tier below the map cache (0 = engine default, -1 disables)")
+	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries; cold entries also keep their sample vectors for derived zooms (0 = engine default, -1 disables)")
 	maxQueued := flag.Int("max-queued", 1024, "total queued-job cap; submissions beyond it get 429 (0 = unbounded)")
 	sessionQueue := flag.Int("max-queued-per-session", 16, "per-session queued-job cap; beyond it 429 (0 = unbounded)")
 	tenantWeights := flag.String("tenant-weights", "", "weighted-round-robin weights per tenant, e.g. gold=4,free=1 (unlisted tenants weigh 1)")
@@ -170,7 +169,7 @@ func main() {
 	}, tel)
 	srv := server.NewWith(datasets, core.Options{
 		Seed: *seed, SampleSize: *sample,
-		MapCacheSize: *mapCache, ArtifactCacheSize: *artifactCache,
+		MapCacheSize: *mapCache,
 	}, manager)
 	if *sessionTTL > 0 {
 		// Sweep at a quarter of the TTL: abandoned sessions (and their

@@ -8,31 +8,37 @@ import (
 )
 
 // derivingExplorer returns an explorer tuned so small-region zooms pass
-// the derivation policy (the test tables are only a few hundred rows),
-// with the map tier disabled so every navigation exercises the artifact
-// tier.
+// the derivation policy (the test tables are only a few hundred rows).
 func derivingExplorer(t *testing.T, opts Options) *Explorer {
 	t.Helper()
-	if opts.MapCacheSize == 0 {
-		opts.MapCacheSize = -1
-	}
 	if opts.DerivedSampleMin == 0 {
 		opts.DerivedSampleMin = 10
 	}
 	return asyncExplorer(t, opts)
 }
 
+// cachedArtifacts counts the cache entries that carry an artifact.
+func cachedArtifacts(e *Explorer) int {
+	n := 0
+	for el := e.cache.order.Front(); el != nil; el = el.Next() {
+		if el.Value.(*cacheEntry).art != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestZoomDerivesOracle: a cold zoom (map-cache miss) whose rows sit
 // inside the previous selection's sample must resolve as oracleDerived
-// — oracle reused through derivation — and still produce a valid map
-// over exactly the region's rows.
+// — sample and vectors re-sliced from the cached parent — and still
+// produce a valid map over exactly the region's rows.
 func TestZoomDerivesOracle(t *testing.T) {
 	e := derivingExplorer(t, Options{Seed: 1})
-	if _, err := e.SelectTheme(0); err != nil { // cold: fills the artifact cache
+	if _, err := e.SelectTheme(0); err != nil { // cold: caches its artifact
 		t.Fatal(err)
 	}
-	if s := e.ReuseStats(); s.Artifact.Misses != 1 || s.Artifact.Entries != 1 {
-		t.Fatalf("after select: artifact stats %+v, want 1 miss / 1 entry", s.Artifact)
+	if s := e.ReuseStats().Map; s.Misses != 1 || s.Entries != 1 || cachedArtifacts(e) != 1 {
+		t.Fatalf("after select: stats %+v with %d artifacts, want 1 miss / 1 entry / 1 artifact", s, cachedArtifacts(e))
 	}
 	path := leafPath(t, e)
 	b, err := e.PrepareZoom(path...)
@@ -62,48 +68,74 @@ func TestZoomDerivesOracle(t *testing.T) {
 	if m.SampleSize > region.Count() || m.SampleSize < 10 {
 		t.Errorf("derived sample size %d out of range (region %d rows)", m.SampleSize, region.Count())
 	}
-	s := e.ReuseStats()
-	if s.Artifact.Derived != 1 {
-		t.Errorf("derived counter = %d, want 1", s.Artifact.Derived)
+	s := e.ReuseStats().Map
+	if s.Derived != 1 || s.Misses != 2 || s.Entries != 2 {
+		t.Errorf("stats %+v, want 1 derived of 2 misses, 2 entries", s)
 	}
-	if s.Artifact.Entries != 1 {
-		t.Errorf("artifact entries = %d, want 1 (derived artifacts must not be cached)", s.Artifact.Entries)
+	if n := cachedArtifacts(e); n != 1 {
+		t.Errorf("%d cached artifacts, want 1 (derived artifacts must not be cached)", n)
 	}
 }
 
-// TestExactArtifactReuse: rebuilding a map for a selection whose
-// artifact is still cached (here: re-selecting the same theme after a
-// rollback, with the map tier off) reuses the whole artifact — same
-// sample, no re-derivation — and reports oracleDerived.
-func TestExactArtifactReuse(t *testing.T) {
-	e := derivingExplorer(t, Options{Seed: 2})
-	m1, err := e.SelectTheme(0)
+// TestArtifactLeavesWithItsMap: an artifact lives in its map's cache
+// entry, so evicting the map takes the artifact with it. With room for
+// one entry, the derived zoom's put evicts the select, and a sibling
+// zoom after rollback finds no parent to derive from.
+func TestArtifactLeavesWithItsMap(t *testing.T) {
+	e := derivingExplorer(t, Options{Seed: 1, MapCacheSize: 1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	var paths [][]int
+	for _, leaf := range e.CurrentMap().Root.Leaves() {
+		if leaf.Count() >= 10 { // clears the derivation floor
+			paths = append(paths, leaf.Path)
+		}
+	}
+	if len(paths) < 2 {
+		t.Fatal("need two leaf regions that clear the derivation floor")
+	}
+	b, err := e.PrepareZoom(paths[0]...)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseOracleDerived {
+		t.Fatalf("first zoom reuse = %q, want %q", b.Reuse(), ReuseOracleDerived)
+	}
+	if _, err := e.runAndApply(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareSelect(0)
+	if b, err = e.PrepareZoom(paths[1]...); err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("sibling zoom after the select's eviction: reuse = %q, want %q", b.Reuse(), ReuseCold)
+	}
+}
+
+// TestCacheDisabledDerivesNothing: a negative MapCacheSize turns off
+// the one reuse cache, derivation included — a zoom builds cold and the
+// counters stay zero.
+func TestCacheDisabledDerivesNothing(t *testing.T) {
+	e := derivingExplorer(t, Options{Seed: 5, MapCacheSize: -1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.PrepareZoom(leafPath(t, e)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Reuse() != ReuseOracleDerived {
-		t.Fatalf("re-select reuse = %q, want %q", b.Reuse(), ReuseOracleDerived)
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("cache disabled but zoom reuse = %q", b.Reuse())
 	}
-	m2, err := b.Run(context.Background(), nil)
-	if err != nil {
+	if _, err := e.runAndApply(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyBuild(b, m2); err != nil {
-		t.Fatal(err)
-	}
-	if m2.SampleSize != m1.SampleSize {
-		t.Errorf("exact reuse changed the sample: %d vs %d", m2.SampleSize, m1.SampleSize)
-	}
-	s := e.ReuseStats()
-	if s.Artifact.Hits != 1 || s.Artifact.Derived != 0 {
-		t.Errorf("artifact stats %+v, want exactly 1 exact hit", s.Artifact)
+	if s := e.ReuseStats(); s != (ReuseStats{}) {
+		t.Errorf("disabled cache has stats %+v", s)
 	}
 }
 
@@ -112,7 +144,7 @@ func TestExactArtifactReuse(t *testing.T) {
 func TestDerivationPolicyFloor(t *testing.T) {
 	// DerivedSampleMin stays at its 128 default; the 240-row table's
 	// leaf regions are smaller, so every zoom misses the floor.
-	e := asyncExplorer(t, Options{Seed: 3, MapCacheSize: -1})
+	e := asyncExplorer(t, Options{Seed: 3})
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +159,14 @@ func TestDerivationPolicyFloor(t *testing.T) {
 	if _, err := e.Zoom(path...); err != nil {
 		t.Fatal(err)
 	}
-	s := e.ReuseStats()
-	if s.Artifact.Derived != 0 || s.Artifact.Misses < 2 {
-		t.Errorf("artifact stats %+v, want 0 derived and >= 2 misses", s.Artifact)
+	s := e.ReuseStats().Map
+	if s.Derived != 0 || s.Misses < 2 {
+		t.Errorf("stats %+v, want 0 derived and >= 2 misses", s)
 	}
 }
 
 // TestDerivationDisabled: DerivedSampleMin < 0 switches derivation off;
-// the artifact tier then only answers exact hits.
+// the cache then only serves finished maps.
 func TestDerivationDisabled(t *testing.T) {
 	e := derivingExplorer(t, Options{Seed: 4, DerivedSampleMin: -1})
 	if _, err := e.SelectTheme(0); err != nil {
@@ -149,42 +181,9 @@ func TestDerivationDisabled(t *testing.T) {
 	}
 }
 
-// TestArtifactTierDisabled: a negative ArtifactCacheSize disables the
-// tier entirely; stats stay zero.
-func TestArtifactTierDisabled(t *testing.T) {
-	e := asyncExplorer(t, Options{Seed: 5, ArtifactCacheSize: -1})
-	if _, err := e.SelectTheme(0); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.ReuseStats(); s.Artifact != (TierStats{}) {
-		t.Errorf("disabled artifact tier has stats %+v", s.Artifact)
-	}
-}
-
-// TestArtifactCacheEviction: capacity-1 artifact cache evicts the older
-// cold artifact and counts it.
-func TestArtifactCacheEviction(t *testing.T) {
-	e := derivingExplorer(t, Options{Seed: 6, ArtifactCacheSize: 1})
-	if _, err := e.SelectTheme(0); err != nil {
-		t.Fatal(err)
-	}
-	// A second theme gives a second cold selection artifact under the
-	// same rows but another theme — a distinct key.
-	if len(e.Themes()) < 2 {
-		t.Skip("need two themes")
-	}
-	if _, err := e.Project(1); err != nil {
-		t.Fatal(err)
-	}
-	s := e.ReuseStats()
-	if s.Artifact.Entries != 1 || s.Artifact.Evictions != 1 {
-		t.Errorf("artifact stats %+v, want 1 entry / 1 eviction", s.Artifact)
-	}
-}
-
-// TestMapCacheEvictionCounter covers the new map-tier eviction counter.
+// TestMapCacheEvictionCounter covers the cache's eviction counter.
 func TestMapCacheEvictionCounter(t *testing.T) {
-	e := asyncExplorer(t, Options{Seed: 7, MapCacheSize: 1, ArtifactCacheSize: -1})
+	e := asyncExplorer(t, Options{Seed: 7, MapCacheSize: 1})
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestMapCacheEvictionCounter(t *testing.T) {
 	}
 	s := e.ReuseStats()
 	if s.Map.Entries != 1 || s.Map.Evictions != 1 || s.Map.Capacity != 1 {
-		t.Errorf("map tier stats %+v, want 1 entry / 1 eviction / capacity 1", s.Map)
+		t.Errorf("cache stats %+v, want 1 entry / 1 eviction / capacity 1", s.Map)
 	}
 }
 
@@ -259,9 +258,7 @@ func TestConcurrentDerivedBuilds(t *testing.T) {
 // single-region map exactly like a from-scratch build.
 func TestDerivedBuildDegeneratesToCold(t *testing.T) {
 	tbl, _, _ := laborTable(240, 7)
-	e, err := NewExplorer(tbl, Options{
-		Seed: 9, MapCacheSize: -1, DerivedSampleMin: 5, DerivedSampleFraction: 0.01,
-	})
+	e, err := NewExplorer(tbl, Options{Seed: 9, DerivedSampleMin: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +304,7 @@ func TestDerivedBuildDegeneratesToCold(t *testing.T) {
 	if err := e.ApplyBuild(b, zm); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.ReuseStats(); s.Artifact.Derived != 0 {
-		t.Errorf("derived counter = %d, want 0 (rejected overlap must count as a miss)", s.Artifact.Derived)
+	if s := e.ReuseStats(); s.Map.Derived != 0 {
+		t.Errorf("derived counter = %d, want 0 (rejected overlap must count as a miss)", s.Map.Derived)
 	}
 }

@@ -12,15 +12,14 @@ import (
 // ReuseLevel names how much prior work a prepared build reuses — the
 // reuse ladder resolved at prepare time and surfaced in job metadata:
 //
-//   - ReuseMapHit: the finished map itself was cached (map tier); Run
-//     returns a clone without rebuilding anything.
-//   - ReuseOracleDerived: the map must be rebuilt, but the front half
-//     is reused from the artifact tier — either the whole artifact
-//     (same selection: sample and vectors reused as-is) or by
-//     derivation (the selection's rows overlap a cached parent's
-//     sample, so the child's sample and vectors are re-sliced out of
-//     the parent's). The build still computes its own oracle; the name
-//     predates that and stays, being wire and metric-label surface.
+//   - ReuseMapHit: the finished map itself was cached; Run returns a
+//     clone without rebuilding anything.
+//   - ReuseOracleDerived: the map must be rebuilt, but the selection's
+//     rows overlap the sample of a cold build whose artifact is cached,
+//     so the child's sample and vectors are re-sliced out of the
+//     parent's instead of drawn and fitted. The build still computes
+//     its own oracle; the name predates that and stays, being wire and
+//     metric-label surface.
 //   - ReuseCold: nothing reusable was cached; the full pipeline runs.
 type ReuseLevel string
 
@@ -41,7 +40,7 @@ const (
 //
 // Prepare* validates the action and snapshots everything the build needs
 // (selection rows, theme, accumulated condition, a child RNG's seed and
-// the two-tier cache lookup: finished map first, then build artifact).
+// the cache lookup: a finished map, failing that a parent artifact).
 // Run touches only that snapshot, immutable Explorer state (table,
 // options, metric) and the atomic scratch slot, so concurrent Runs of
 // one session cannot race as long as applies are serialized — which the
@@ -66,13 +65,12 @@ type MapBuild struct {
 	key    mapKey
 	hit    *Map
 
-	// Artifact-tier resolution (set at prepare): reuse names the level,
-	// parent the cached artifact backing it, parentPos — nil for an
-	// exact hit — the overlap positions a derived build samples from.
-	// artifact is the build's finished artifact, set by Run and cached
-	// by ApplyBuild.
+	// Derivation (set at prepare): reuse names the level, parent the
+	// cached artifact a derived build re-slices and parentPos the
+	// overlap positions it samples from. artifact is a cold build's
+	// finished artifact, set by Run and cached beside its map by
+	// ApplyBuild.
 	reuse     ReuseLevel
-	akey      artifactKey
 	parent    *buildArtifact
 	parentPos []int
 	artifact  *buildArtifact
@@ -118,8 +116,8 @@ func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
 }
 
 // noTheme is the theme of a filter staged before any theme was
-// selected: there is no map to rebuild, so the build resolves no cache
-// tier, Run returns a nil map at once and ApplyBuild pushes a map-less
+// selected: there is no map to rebuild, so the build consults no
+// cache, Run returns a nil map at once and ApplyBuild pushes a map-less
 // state.
 var noTheme = Theme{ID: -1}
 
@@ -127,7 +125,7 @@ func (b *MapBuild) mapless() bool { return b.theme.ID == noTheme.ID }
 
 // PrepareFilter stages a Filter build: the current selection narrowed
 // to the rows matching pred, mapped under the current map's theme. The
-// scan runs here, before the cache lookup, because both cache keys are
+// scan runs here, before the cache lookup, because the cache key is
 // over the result rows; it keeps the zone-map advantage on segment
 // backings even though it runs over a selection — pages holding no
 // selected rows, or excluded by the predicate's page stats, are never
@@ -150,14 +148,12 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 }
 
 // prepare snapshots the build inputs, draws the child RNG's seed and
-// resolves the two cache tiers: the map cache first (a hit serves the
-// finished map), then the artifact cache (an exact hit reuses the whole
-// front half of the pipeline; failing that, the cached artifact with the
-// largest usable sample overlap backs a derived build). The seed is
-// drawn on every prepare — hit, derived or cold — so the explorer's
-// random stream advances identically either way and later navigation
-// does not depend on the caches' contents; the RNG itself is made only
-// by a Run that builds. The cache keys read the
+// consults the cache: a hit serves the finished map; failing that, the
+// cached artifact with the largest usable sample overlap backs a derived
+// build. The seed is drawn on every prepare — hit, derived or cold — so
+// the explorer's random stream advances identically either way and
+// later navigation does not depend on the cache's contents; the RNG
+// itself is made only by a Run that builds. The cache key reads the
 // fingerprint rows keeps, so a selection already fingerprinted — a
 // revisit, a rollback followed by the same zoom, a projection of a
 // zoomed state, all handed the same set — costs no pass over its rows
@@ -174,42 +170,26 @@ func (e *Explorer) prepare(action ActionKind, detail string, rows *store.RowSet,
 		base:   e.State(),
 		reuse:  ReuseCold,
 	}
-	if b.mapless() || (e.cache == nil && e.artifacts == nil) {
+	if b.mapless() || e.cache == nil {
 		return b
 	}
-	sum := rows.Fingerprint()
-	if e.cache != nil {
-		b.key = mapKey{rows: sum, n: rows.Len(), theme: theme.ID, config: e.cfg}
-		b.hit = e.cache.get(b.key)
-		if b.hit != nil {
-			b.reuse = ReuseMapHit
-		}
+	b.key = mapKey{rows: rows.Fingerprint(), n: rows.Len(), theme: theme.ID, config: e.cfg}
+	if b.hit = e.cache.get(b.key); b.hit != nil {
+		b.reuse = ReuseMapHit
+		return b
 	}
-	if e.artifacts != nil {
-		b.akey = artifactKey{rows: sum, n: rows.Len(), theme: theme.ID, config: e.acfg}
-		if b.hit != nil {
-			return b // map tier already answered; leave the artifact tier untouched
-		}
-		if art := e.artifacts.get(b.akey); art != nil {
-			b.parent = art
-			b.reuse = ReuseOracleDerived
-			e.artifacts.hits++
-		} else if e.opts.DerivedSampleMin >= 0 {
-			parent, pos := e.artifacts.findDerivable(theme.ID, e.acfg, rows, e.derivedSampleFloor(rows))
-			// A degenerate overlap (identical on every used column) must
-			// build cold so prep can refit and degrade to a single
-			// region; checking here keeps the counters exact even if the
-			// build is later cancelled.
-			if parent != nil && !constantAt(parent.vecs, pos) {
-				b.parent, b.parentPos = parent, pos
-				b.reuse = ReuseOracleDerived
-				e.artifacts.derived++
-			} else {
-				e.artifacts.misses++
-			}
-		} else {
-			e.artifacts.misses++
-		}
+	if e.opts.DerivedSampleMin < 0 {
+		return b
+	}
+	parent, pos := e.cache.findDerivable(theme.ID, rows, e.derivedSampleFloor(rows))
+	// A degenerate overlap (identical on every used column) must build
+	// cold so prep can refit and degrade to a single region; checking
+	// here keeps the counters exact even if the build is later
+	// cancelled.
+	if parent != nil && !constantAt(parent.vecs, pos) {
+		b.parent, b.parentPos = parent, pos
+		b.reuse = ReuseOracleDerived
+		e.cache.derived++
 	}
 	return b
 }
@@ -234,7 +214,7 @@ func (b *MapBuild) Rows() int { return b.rows.Len() }
 // artifact is read-only and the explorer's scratch matrix is taken by
 // one build at a time, so concurrent Runs on one explorer are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
-	// Record the reuse tier on the build trace, if one rides the
+	// Record the reuse level on the build trace, if one rides the
 	// context. Run (not prepare) owns the attribute because it can still
 	// demote a derivation to a cold build below.
 	tr := obs.TraceFrom(ctx)
@@ -251,8 +231,8 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		return cloneForReuse(b.hit), nil
 	}
 	rng := rand.New(rand.NewSource(b.seed))
-	art := b.parent
-	if art != nil && b.parentPos != nil {
+	var art *buildArtifact
+	if b.parent != nil {
 		sp := tr.Start("derive")
 		art = b.e.deriveArtifact(b.parent, b.parentPos, rng)
 		sp.End()
@@ -271,15 +251,19 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 	if err != nil {
 		return nil, err
 	}
-	b.artifact = built
+	if b.reuse == ReuseCold {
+		// A derived artifact re-slices its parent's vectors: only a cold
+		// build has one worth keeping.
+		b.artifact = built
+	}
 	return m, nil
 }
 
 // ApplyBuild pushes the finished map as the new navigation state and
-// feeds both cache tiers (a noTheme build has no map and feeds neither).
-// It fails if the build belongs to another explorer or if the navigation
-// state changed since Prepare, so stale results are dropped instead of
-// corrupting the history.
+// caches it, with a cold build's artifact beside it (a noTheme build
+// has no map and caches nothing). It fails if the build belongs to
+// another explorer or if the navigation state changed since Prepare, so
+// stale results are dropped instead of corrupting the history.
 func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 	if b.e != e {
 		return fmt.Errorf("core: build belongs to a different explorer")
@@ -291,20 +275,12 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 		return fmt.Errorf("core: state changed since the %s build was prepared; navigate again", b.action)
 	}
 	if e.cache != nil && b.hit == nil && m != nil {
-		e.cache.put(b.key, m)
-	}
-	// Only cold builds enter the artifact cache: a derived artifact's
-	// vectors are its parent's, re-sliced, so caching it would add
-	// nothing the map tier (exact re-visits) or the parent entry itself
-	// (further derivations) does not already provide.
-	if e.artifacts != nil && b.parentPos != nil && b.reuse == ReuseCold {
-		// Run demoted the derivation to a cold build (degenerate
-		// overlap): account it as a miss, not a derived reuse.
-		e.artifacts.derived--
-		e.artifacts.misses++
-	}
-	if e.artifacts != nil && b.artifact != nil && b.reuse == ReuseCold {
-		e.artifacts.put(b.akey, b.artifact)
+		if b.parent != nil && b.reuse == ReuseCold {
+			// Run demoted the derivation to a cold build (degenerate
+			// overlap): a plain miss, not a derived one.
+			e.cache.derived--
+		}
+		e.cache.put(b.key, m, b.artifact)
 	}
 	e.push(&State{
 		Action:    b.action,
@@ -328,30 +304,21 @@ func (e *Explorer) runAndApply(b *MapBuild) (*Map, error) {
 	return m, nil
 }
 
-// ReuseStats reports the two-tier reuse-cache counters: hits, misses,
-// occupancy and evictions per tier, plus — on the artifact tier — how
-// many builds derived their sample from a cached parent. All zeros for
-// a disabled tier.
+// ReuseStats reports the reuse-cache counters: hits, misses and — among
+// the misses — how many builds derived their sample from a cached
+// parent, plus occupancy and evictions. All zeros when the cache is
+// disabled.
 func (e *Explorer) ReuseStats() ReuseStats {
-	var s ReuseStats
-	if e.cache != nil {
-		s.Map = TierStats{
-			Hits:      e.cache.hits,
-			Misses:    e.cache.misses,
-			Entries:   e.cache.lru.len(),
-			Capacity:  e.cache.lru.cap,
-			Evictions: e.cache.lru.evictions,
-		}
+	c := e.cache
+	if c == nil {
+		return ReuseStats{}
 	}
-	if e.artifacts != nil {
-		s.Artifact = TierStats{
-			Hits:      e.artifacts.hits,
-			Derived:   e.artifacts.derived,
-			Misses:    e.artifacts.misses,
-			Entries:   e.artifacts.lru.len(),
-			Capacity:  e.artifacts.lru.cap,
-			Evictions: e.artifacts.lru.evictions,
-		}
-	}
-	return s
+	return ReuseStats{Map: TierStats{
+		Hits:      c.hits,
+		Derived:   c.derived,
+		Misses:    c.misses,
+		Entries:   c.order.Len(),
+		Capacity:  c.cap,
+		Evictions: c.evictions,
+	}}
 }

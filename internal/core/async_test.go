@@ -301,7 +301,7 @@ func medianFilter(t *testing.T, e *Explorer) store.Predicate {
 
 // TestFilterRevisitHitsMapCache: a filter is a prepared build like the
 // other three actions, so select → filter → rollback → the same filter
-// resolves from the map tier, serves an equal (cloned) map, and the tier
+// resolves from the map cache, serves an equal (cloned) map, and the
 // counters obey their conservation laws with the filters counted.
 func TestFilterRevisitHitsMapCache(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
@@ -338,16 +338,16 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	}
 	s := e.ReuseStats()
 	if s.Map.Hits != 1 || s.Map.Hits+s.Map.Misses != 3 {
-		t.Errorf("map tier %+v, want 1 hit of 3 lookups (select, filter, filter)", s.Map)
+		t.Errorf("cache %+v, want 1 hit of 3 lookups (select, filter, filter)", s.Map)
 	}
-	if got := s.Artifact.Hits + s.Artifact.Derived + s.Artifact.Misses; got != s.Map.Misses {
-		t.Errorf("artifact tier %+v answers %d lookups, want %d (map misses)", s.Artifact, got, s.Map.Misses)
+	if s.Map.Derived > s.Map.Misses {
+		t.Errorf("cache %+v derived more builds than it missed", s.Map)
 	}
 }
 
 // TestFilterInsideZoomDerivesOracle: a filter's rows inside a zoomed
 // region sit inside the root selection's cached sample, so when the
-// overlap clears the floor the build derives its oracle from that
+// overlap clears the floor the build derives its sample from that
 // artifact instead of running cold.
 func TestFilterInsideZoomDerivesOracle(t *testing.T) {
 	e := derivingExplorer(t, Options{Seed: 1})
@@ -371,8 +371,9 @@ func TestFilterInsideZoomDerivesOracle(t *testing.T) {
 	if b.Reuse() != ReuseOracleDerived || m.Root.Count() != b.Rows() || m.SampleSize > b.Rows() {
 		t.Errorf("derived filter map: reuse %q, %d rows of %d, sample %d", b.Reuse(), m.Root.Count(), b.Rows(), m.SampleSize)
 	}
-	if s := e.ReuseStats().Artifact; s.Derived != 2 || s.Entries != 1 {
-		t.Errorf("artifact tier %+v, want 2 derivations (zoom, filter) off 1 cached parent", s)
+	if s := e.ReuseStats().Map; s.Derived != 2 || s.Misses != 3 || cachedArtifacts(e) != 1 {
+		t.Errorf("cache %+v with %d artifacts, want 2 derivations (zoom, filter) off 1 cached parent",
+			s, cachedArtifacts(e))
 	}
 }
 

@@ -63,17 +63,11 @@ type Explorer struct {
 	themes []Theme
 	states []*State // states[len-1] is current
 
-	// cache is the zoom-aware map cache (nil when disabled); cfg is the
-	// build-relevant options fingerprint baked into its keys.
+	// cache is the zoom-aware map cache, whose cold entries also hold
+	// their builds' artifacts for derivation (nil when disabled); cfg is
+	// the build-relevant options fingerprint baked into its keys.
 	cache *mapCache
 	cfg   uint64
-
-	// artifacts is the build-artifact cache — the reuse tier below the
-	// map cache, holding the sample rows and fitted vectors of recently
-	// built selections (nil when disabled); acfg is the
-	// sample/prep-relevant options fingerprint in its keys.
-	artifacts *artifactCache
-	acfg      uint64
 
 	// scratch holds the last build's distance matrix once the build is
 	// done with it, so the next build computes its own on that storage
@@ -96,11 +90,7 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 	e := &Explorer{table: t, opts: opts, rng: opts.newRNG(), metric: stats.Euclidean{}}
 	if opts.MapCacheSize > 0 {
 		e.cache = newMapCache(opts.MapCacheSize)
-		e.cfg = optionsFingerprint(opts, mapTier)
-	}
-	if opts.ArtifactCacheSize > 0 {
-		e.artifacts = newArtifactCache(opts.ArtifactCacheSize)
-		e.acfg = optionsFingerprint(opts, artifactTier)
+		e.cfg = optionsFingerprint(opts)
 	}
 	if err := e.detectThemes(); err != nil {
 		return nil, err

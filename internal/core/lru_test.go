@@ -2,32 +2,32 @@ package core
 
 import "testing"
 
-// The generic LRU backs both reuse tiers (map cache and artifact
-// cache); both report its eviction counter over the wire but only
-// exercise it incidentally. These tests pin the semantics directly:
-// non-positive capacities, eviction order under access and
-// re-insertion, and counter accuracy.
+// The map cache's LRU mechanics, pinned directly: non-positive
+// capacities, eviction order under access and re-insertion, and the
+// eviction counter the wire reports. Entry i is keyed mapKey{n: i}.
 
-func lruKeys(c *lruCache[string, int]) []string {
-	var out []string
-	c.each(func(k string, _ int) bool {
-		out = append(out, k)
-		return true
-	})
+func lruKey(i int) mapKey { return mapKey{n: i} }
+
+// lruKeys lists the cached entries' ids, most recently used first.
+func lruKeys(c *mapCache) []int {
+	var out []int
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*cacheEntry).key.n)
+	}
 	return out
 }
 
 func TestLRUZeroCapacityStoresNothing(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		c := newLRU[string, int](capacity)
-		for i, k := range []string{"a", "b", "c"} {
-			c.put(k, i)
-			if _, ok := c.get(k); ok {
-				t.Fatalf("cap %d: get(%q) hit; a non-positive capacity must cache nothing", capacity, k)
+		c := newMapCache(capacity)
+		for i := 0; i < 3; i++ {
+			c.put(lruKey(i), &Map{}, nil)
+			if c.get(lruKey(i)) != nil {
+				t.Fatalf("cap %d: get(%d) hit; a non-positive capacity must cache nothing", capacity, i)
 			}
 		}
-		if c.len() != 0 {
-			t.Fatalf("cap %d: len = %d, want 0", capacity, c.len())
+		if c.order.Len() != 0 {
+			t.Fatalf("cap %d: len = %d, want 0", capacity, c.order.Len())
 		}
 		if c.evictions != 3 {
 			t.Fatalf("cap %d: evictions = %d, want 3 (each insert immediately evicted)", capacity, c.evictions)
@@ -36,21 +36,22 @@ func TestLRUZeroCapacityStoresNothing(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newLRU[string, int](3)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("c", 3)
-	// Touch a: it becomes most recently used, so b is now the victim.
-	if v, ok := c.get("a"); !ok || v != 1 {
-		t.Fatalf("get(a) = %d,%v", v, ok)
+	c := newMapCache(3)
+	maps := []*Map{{K: 1}, {K: 2}, {K: 3}, {K: 4}}
+	for i := 0; i < 3; i++ {
+		c.put(lruKey(i), maps[i], nil)
 	}
-	c.put("d", 4)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived; LRU should have evicted it after a was touched")
+	// Touch 0: it becomes most recently used, so 1 is now the victim.
+	if got := c.get(lruKey(0)); got != maps[0] {
+		t.Fatalf("get(0) = %v", got)
 	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("%q evicted; want it retained", k)
+	c.put(lruKey(3), maps[3], nil)
+	if c.get(lruKey(1)) != nil {
+		t.Fatal("1 survived; LRU should have evicted it after 0 was touched")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if c.get(lruKey(i)) == nil {
+			t.Fatalf("%d evicted; want it retained", i)
 		}
 	}
 	if got := c.evictions; got != 1 {
@@ -59,27 +60,28 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUReinsertMovesToFrontWithoutEviction(t *testing.T) {
-	c := newLRU[string, int](3)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("c", 3)
+	c := newMapCache(3)
+	for i := 0; i < 3; i++ {
+		c.put(lruKey(i), &Map{K: i}, nil)
+	}
 	// Re-inserting an existing key replaces in place: no eviction, new
 	// value, bumped to most recently used.
-	c.put("a", 10)
-	if c.len() != 3 || c.evictions != 0 {
-		t.Fatalf("len=%d evictions=%d after re-insert, want 3 and 0", c.len(), c.evictions)
+	again := &Map{K: 10}
+	c.put(lruKey(0), again, nil)
+	if c.order.Len() != 3 || c.evictions != 0 {
+		t.Fatalf("len=%d evictions=%d after re-insert, want 3 and 0", c.order.Len(), c.evictions)
 	}
-	if v, _ := c.get("a"); v != 10 {
-		t.Fatalf("a = %d after re-insert, want 10", v)
+	if got := lruKeys(c); got[0] != 0 {
+		t.Fatalf("MRU order after re-insert = %v, want 0 first", got)
 	}
-	if got := lruKeys(c); got[0] != "a" {
-		t.Fatalf("MRU order after re-insert = %v, want a first", got)
+	if got := c.get(lruKey(0)); got != again {
+		t.Fatalf("entry 0 = %v after re-insert, want the new map", got)
 	}
-	// b is now least recently used (a was re-inserted, then read; c sits
-	// between): inserting d must evict b.
-	c.put("d", 4)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived; re-insertion of a should have left b as the victim")
+	// 1 is now least recently used (0 was re-inserted, then read; 2 sits
+	// between): inserting 3 must evict 1.
+	c.put(lruKey(3), &Map{}, nil)
+	if c.get(lruKey(1)) != nil {
+		t.Fatal("1 survived; re-insertion of 0 should have left 1 as the victim")
 	}
 	if c.evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", c.evictions)
@@ -87,27 +89,18 @@ func TestLRUReinsertMovesToFrontWithoutEviction(t *testing.T) {
 }
 
 func TestLRUEvictionCounterAccumulates(t *testing.T) {
-	c := newLRU[int, int](2)
+	c := newMapCache(2)
 	for i := 0; i < 10; i++ {
-		c.put(i, i)
+		c.put(lruKey(i), &Map{}, nil)
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.order.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.order.Len())
 	}
 	if c.evictions != 8 {
 		t.Fatalf("evictions = %d, want 8 (10 inserts into a 2-slot cache)", c.evictions)
 	}
 	// The survivors are the two most recent inserts, newest first.
-	if got := lruKeys2(c); got[0] != 9 || got[1] != 8 {
+	if got := lruKeys(c); got[0] != 9 || got[1] != 8 {
 		t.Fatalf("surviving keys = %v, want [9 8]", got)
 	}
-}
-
-func lruKeys2(c *lruCache[int, int]) []int {
-	var out []int
-	c.each(func(k int, _ int) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }

@@ -84,7 +84,7 @@ func TestMapCacheHitAcrossRowOrder(t *testing.T) {
 		return mapKey{rows: fingerprintRows(r), n: len(r), theme: 1, config: 42}
 	}
 	m := &Map{K: 2, Root: &Region{}}
-	c.put(key(rows), m)
+	c.put(key(rows), m, nil)
 	if got := c.get(key([]int{2, 4, 7, 9})); got != m {
 		t.Fatal("same selection in ascending order missed the cache")
 	}

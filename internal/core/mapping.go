@@ -61,14 +61,14 @@ type Map struct {
 // Each stage produces an explicit intermediate — sample rows, a
 // buildArtifact (sample rows, fitted pipeline, vectors), the build's
 // distance oracle, a clustering, the region tree — and the artifact is
-// cacheable: when art is non-nil (an exact artifact-cache hit, or an
-// artifact derived from a cached parent via deriveArtifact) the sample
-// and prep stages are skipped. The oracle is never cached: every build
-// that clusters builds its own over its own vectors, a matrix on the
-// storage of the explorer's spent one (see oracleStage), so nothing a
-// cache holds outlives the build's distances. The finished artifact is
-// returned alongside the map so ApplyBuild can feed the artifact cache;
-// it is nil when preprocessing degenerated.
+// cacheable: when art is non-nil (derived from a cached parent via
+// deriveArtifact) the sample and prep stages are skipped. The oracle is
+// never cached: every build that clusters builds its own over its own
+// vectors, a matrix on the storage of the explorer's spent one (see
+// oracleStage), so nothing a cache holds outlives the build's
+// distances. The finished artifact is returned alongside the map so a
+// cold build's can be kept in its map-cache entry; it is nil when
+// preprocessing degenerated.
 func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, progress func(float64)) (*Map, *buildArtifact, error) {
 	report := func(f float64) {
 		if progress != nil {
@@ -117,10 +117,10 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 			}, nil, nil
 		}
 	} else {
-		// Reused artifact (exact hit or derived): the sample is already
-		// chosen and prepped; only the description stage still needs the
-		// raw tuples. The gather is this path's whole sampling work, so
-		// it books under the sample span.
+		// Derived artifact: the sample is already chosen and prepped;
+		// only the description stage still needs the raw tuples. The
+		// gather is this path's whole sampling work, so it books under
+		// the sample span.
 		sp := tr.Start("sample")
 		var err error
 		sample, err = e.gatherSample(art.sampleRows, theme)
@@ -213,7 +213,7 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 	if err != nil {
 		return nil, err
 	}
-	return &buildArtifact{theme: theme.ID, sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
+	return &buildArtifact{sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
 }
 
 // oracleStage builds the distance oracle over the vectors and returns

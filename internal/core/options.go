@@ -67,95 +67,68 @@ type Options struct {
 	// external worker pool instead of Parallelism plain goroutines; the
 	// session tier installs its job scheduler (internal/jobs.Pool) here.
 	Runner cluster.TaskRunner
-	// MapCacheSize bounds the zoom-aware map cache: finished maps are
+	// MapCacheSize bounds the session's reuse cache: finished maps are
 	// keyed by (row-set fingerprint, theme, clustering config) and
 	// reused when navigation revisits a selection, e.g. rollback
-	// followed by a re-zoom into the same region. 0 means
-	// DefaultMapCacheSize; negative disables the cache.
+	// followed by a re-zoom into the same region. A cold build's entry
+	// also keeps its sample rows and fitted vectors, so a miss whose
+	// rows overlap that sample re-slices the parent's vectors instead of
+	// sampling and fitting anew. 0 means DefaultMapCacheSize; negative
+	// disables the cache, derivation included.
 	MapCacheSize int
-	// ArtifactCacheSize bounds the build-artifact cache, the reuse tier
-	// below the map cache: finished builds' sample rows and fitted
-	// vectors are kept keyed by (row-set fingerprint, theme, sample+prep
-	// config), so a map-cache miss whose rows overlap a cached parent's
-	// sample re-slices the parent's vectors instead of sampling and
-	// fitting anew. 0 means DefaultArtifactCacheSize; negative disables
-	// the tier.
-	ArtifactCacheSize int
 	// DerivedSampleMin is the smallest overlap (rows of a new selection
 	// found in a cached parent's sample) a derived build accepts as its
-	// clustering sample; below it the build runs cold. 0 means the
-	// default (128); negative disables derivation entirely (the
-	// artifact tier then only serves exact hits).
+	// clustering sample; below it, or below a fifth of what a cold build
+	// would cluster (min(len(rows), SampleSize)), the build runs cold.
+	// 0 means the default (128); negative disables derivation.
 	DerivedSampleMin int
-	// DerivedSampleFraction is the relative form of DerivedSampleMin:
-	// the overlap must also reach this fraction of what a cold build
-	// would cluster, min(len(rows), SampleSize). 0 means the default
-	// (0.2). The larger of the two floors applies.
-	DerivedSampleFraction float64
 	// MaxHistory bounds the rollback stack (default 64). It counts the
 	// initial state, and at least 2 are kept: the initial state and the
 	// current one.
 	MaxHistory int
 }
 
-// cacheTier names a reuse tier whose keys carry an options fingerprint.
-type cacheTier uint8
-
-const (
-	// mapTier: the field changes which map a build produces for a given
-	// (rows, theme).
-	mapTier cacheTier = 1 << iota
-	// artifactTier: the field changes what the sample or prep stage
-	// produces — the front half a build artifact caches. Whatever
-	// changes the artifact changes the map built from it, so these
-	// fields enter both keys.
-	artifactTier
-)
-
-// optionTiers classifies every field of Options by the cache keys it
-// enters; optionsFingerprint hashes exactly the fields listed for a
-// tier, so a key cannot drift from this table, and
+// optionInKey classifies every field of Options as in the cache key
+// (true: the field changes which map a build produces for a given rows
+// and theme) or not; optionsFingerprint hashes exactly the fields marked
+// true, so the key cannot drift from this table, and
 // TestEveryOptionIsClassified fails for a field that is missing from it
-// or whose change does not move exactly the fingerprints listed. A
-// field is left out of both keys (0) when it changes how fast a map is
-// built, not which map (results are byte-identical at every setting),
-// or when it never reaches buildMap at all.
-var optionTiers = map[string]cacheTier{
-	// Which sample is drawn and how it becomes vectors: the oracle over
-	// them follows from the vectors alone.
-	"SampleSize": mapTier | artifactTier,
-	"Prep":       mapTier | artifactTier,
-	// Model selection and description over a given artifact: two builds
-	// that differ only here still share sample and vectors.
-	"MapKMin":      mapTier,
-	"MapKMax":      mapTier,
-	"TreeMaxDepth": mapTier,
-	"TreeMinLeaf":  mapTier,
-	"PAMThreshold": mapTier,
+// or whose change does not move the fingerprint as marked. A field is
+// left out (false) when it changes how fast a map is built, not which
+// map (results are byte-identical at every setting), or when it never
+// reaches buildMap at all.
+var optionInKey = map[string]bool{
+	// Which sample is drawn and how it becomes vectors, then model
+	// selection and description over them.
+	"SampleSize":   true,
+	"Prep":         true,
+	"MapKMin":      true,
+	"MapKMax":      true,
+	"TreeMaxDepth": true,
+	"TreeMinLeaf":  true,
+	"PAMThreshold": true,
 	// The engine's random stream: fixed when the Explorer opens, and a
 	// cache never outlives its Explorer.
-	"Seed": 0,
+	"Seed": false,
 	// Theme detection: a different partition gives different theme IDs,
-	// which the keys carry themselves.
-	"DependencySampleRows": 0,
+	// which the key carries itself.
+	"DependencySampleRows": false,
 	// How fast, never which map.
-	"Parallelism": 0,
-	"Runner":      0,
-	// The caches' own sizes and reuse policy, and the rollback stack.
-	"MapCacheSize":          0,
-	"ArtifactCacheSize":     0,
-	"DerivedSampleMin":      0,
-	"DerivedSampleFraction": 0,
-	"MaxHistory":            0,
+	"Parallelism": false,
+	"Runner":      false,
+	// The cache's own size and reuse policy, and the rollback stack.
+	"MapCacheSize":     false,
+	"DerivedSampleMin": false,
+	"MaxHistory":       false,
 }
 
 // optionsFingerprint hashes, in declaration order, the fields of o that
-// optionTiers lists for the tier.
-func optionsFingerprint(o Options, tier cacheTier) uint64 {
+// optionInKey marks as in the cache key.
+func optionsFingerprint(o Options) uint64 {
 	h := fnv.New64a()
 	v := reflect.ValueOf(o)
 	for i := 0; i < v.NumField(); i++ {
-		if optionTiers[v.Type().Field(i).Name]&tier != 0 {
+		if optionInKey[v.Type().Field(i).Name] {
 			fmt.Fprintf(h, "%v|", v.Field(i).Interface())
 		}
 	}
@@ -165,19 +138,17 @@ func optionsFingerprint(o Options, tier cacheTier) uint64 {
 // DefaultOptions returns the engine defaults described in the paper.
 func DefaultOptions() Options {
 	return Options{
-		SampleSize:            5000,
-		MapKMin:               2,
-		MapKMax:               6,
-		TreeMaxDepth:          3,
-		TreeMinLeaf:           8,
-		Prep:                  prep.NewOptions(),
-		PAMThreshold:          1024,
-		Parallelism:           runtime.NumCPU(),
-		MapCacheSize:          DefaultMapCacheSize,
-		ArtifactCacheSize:     DefaultArtifactCacheSize,
-		DerivedSampleMin:      defaultDerivedSampleMin,
-		DerivedSampleFraction: defaultDerivedSampleFraction,
-		MaxHistory:            64,
+		SampleSize:       5000,
+		MapKMin:          2,
+		MapKMax:          6,
+		TreeMaxDepth:     3,
+		TreeMinLeaf:      8,
+		Prep:             prep.NewOptions(),
+		PAMThreshold:     1024,
+		Parallelism:      runtime.NumCPU(),
+		MapCacheSize:     DefaultMapCacheSize,
+		DerivedSampleMin: defaultDerivedSampleMin,
+		MaxHistory:       64,
 	}
 }
 
@@ -213,14 +184,8 @@ func (o *Options) defaults() {
 	if o.MapCacheSize == 0 {
 		o.MapCacheSize = d.MapCacheSize
 	}
-	if o.ArtifactCacheSize == 0 {
-		o.ArtifactCacheSize = d.ArtifactCacheSize
-	}
 	if o.DerivedSampleMin == 0 {
 		o.DerivedSampleMin = d.DerivedSampleMin
-	}
-	if o.DerivedSampleFraction <= 0 {
-		o.DerivedSampleFraction = d.DerivedSampleFraction
 	}
 	if o.MaxHistory <= 0 {
 		o.MaxHistory = d.MaxHistory

@@ -38,39 +38,35 @@ func bumpLeaves(t *testing.T, v reflect.Value, path string, visit func(path stri
 }
 
 // TestEveryOptionIsClassified: every field of Options is listed in
-// optionTiers, nothing else is, and changing a field moves exactly the
-// fingerprints its entry names — so a new option cannot silently miss a
-// cache key it belongs in, nor enter one it does not.
+// optionInKey, nothing else is, and changing a field moves the cache
+// key's fingerprint exactly when its entry says it is in the key — so a
+// new option cannot silently miss the key it belongs in, nor enter it
+// when it does not.
 func TestEveryOptionIsClassified(t *testing.T) {
 	typ := reflect.TypeOf(Options{})
 	fields := map[string]bool{}
 	for i := 0; i < typ.NumField(); i++ {
 		fields[typ.Field(i).Name] = true
 	}
-	for name := range optionTiers {
+	for name := range optionInKey {
 		if !fields[name] {
-			t.Errorf("optionTiers lists %q, which is not a field of Options", name)
+			t.Errorf("optionInKey lists %q, which is not a field of Options", name)
 		}
 	}
 
 	opts := DefaultOptions()
-	baseMap, baseArt := optionsFingerprint(opts, mapTier), optionsFingerprint(opts, artifactTier)
+	base := optionsFingerprint(opts)
 	v := reflect.ValueOf(&opts).Elem()
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		tiers, ok := optionTiers[name]
+		inKey, ok := optionInKey[name]
 		if !ok {
-			t.Errorf("Options.%s is not classified in optionTiers: say which cache keys it enters (0 for neither) and why", name)
+			t.Errorf("Options.%s is not classified in optionInKey: say whether it enters the cache key and why", name)
 			continue
 		}
 		bumpLeaves(t, v.Field(i), name, func(path string) {
-			movedMap := optionsFingerprint(opts, mapTier) != baseMap
-			movedArt := optionsFingerprint(opts, artifactTier) != baseArt
-			if want := tiers&mapTier != 0; movedMap != want {
-				t.Errorf("changing %s: map fingerprint moved = %v, optionTiers says %v", path, movedMap, want)
-			}
-			if want := tiers&artifactTier != 0; movedArt != want {
-				t.Errorf("changing %s: artifact fingerprint moved = %v, optionTiers says %v", path, movedArt, want)
+			if moved := optionsFingerprint(opts) != base; moved != inKey {
+				t.Errorf("changing %s: fingerprint moved = %v, optionInKey says %v", path, moved, inKey)
 			}
 		})
 	}

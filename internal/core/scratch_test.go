@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// coldExplorer opens an explorer over a pinned table with both cache
-// tiers off, so that every build is cold and computes its own matrix.
+// coldExplorer opens an explorer over a pinned table with the cache
+// off, so that every build is cold and computes its own matrix.
 func coldExplorer(t *testing.T, n int, opts Options) *Explorer {
 	t.Helper()
-	opts.MapCacheSize, opts.ArtifactCacheSize = -1, -1
+	opts.MapCacheSize = -1
 	e, err := NewExplorer(pinnedTable(n, 21).Table, opts)
 	if err != nil {
 		t.Fatal(err)

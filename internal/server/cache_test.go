@@ -6,36 +6,35 @@ import (
 	"testing"
 )
 
-// TestOpenCacheSizeOptions: the open request's mapCacheSize /
-// artifactCacheSize overrides must validate, apply, and surface as the
-// tier capacities in the state response's cache block.
+// TestOpenCacheSizeOptions: the open request's mapCacheSize override
+// must validate, apply, and surface as the capacity in the state
+// response's cache block, which carries no other tier.
 func TestOpenCacheSizeOptions(t *testing.T) {
 	ts := testServer(t)
 	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
-		"options": map[string]any{"mapCacheSize": 4, "artifactCacheSize": 2},
+		"options": map[string]any{"mapCacheSize": 4},
 	}, http.StatusCreated)
 	cache, ok := st["cache"].(map[string]any)
 	if !ok {
 		t.Fatalf("state response has no cache block: %v", st)
 	}
 	mapTier, _ := cache["map"].(map[string]any)
-	artTier, _ := cache["artifact"].(map[string]any)
 	if got := mapTier["capacity"]; got != float64(4) {
-		t.Errorf("map tier capacity = %v, want 4", got)
+		t.Errorf("map cache capacity = %v, want 4", got)
 	}
-	if got := artTier["capacity"]; got != float64(2) {
-		t.Errorf("artifact tier capacity = %v, want 2", got)
+	if len(cache) != 1 {
+		t.Errorf("cache block %v, want the map block alone", cache)
 	}
 
-	// -1 disables a tier: capacity 0 in the stats.
+	// -1 disables the cache: capacity 0 in the stats.
 	st = doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
 		"options": map[string]any{"mapCacheSize": -1},
 	}, http.StatusCreated)
 	cache = st["cache"].(map[string]any)
 	if got := cache["map"].(map[string]any)["capacity"]; got != float64(0) {
-		t.Errorf("disabled map tier capacity = %v, want 0", got)
+		t.Errorf("disabled map cache capacity = %v, want 0", got)
 	}
 }
 
@@ -44,9 +43,7 @@ func TestOpenCacheSizeValidation(t *testing.T) {
 	ts := testServer(t)
 	for _, bad := range []map[string]any{
 		{"mapCacheSize": -2},
-		{"artifactCacheSize": -7},
 		{"mapCacheSize": 100000},
-		{"artifactCacheSize": 99999},
 	} {
 		res := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 			"dataset": "blobs", "options": bad,
@@ -92,11 +89,8 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	var out struct {
 		Sessions map[string]struct {
 			Map struct {
-				Hits, Misses, Entries, Capacity int
-			} `json:"map"`
-			Artifact struct {
 				Hits, Derived, Misses, Entries, Capacity int
-			} `json:"artifact"`
+			} `json:"map"`
 		} `json:"sessions"`
 		Totals json.RawMessage `json:"totals"`
 	}
@@ -113,11 +107,14 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	if s.Map.Misses < 2 {
 		t.Errorf("map misses = %d, want >= 2", s.Map.Misses)
 	}
-	if s.Map.Capacity == 0 || s.Artifact.Capacity == 0 {
-		t.Errorf("default capacities should be non-zero: map %d, artifact %d", s.Map.Capacity, s.Artifact.Capacity)
+	if s.Map.Capacity == 0 {
+		t.Error("default capacity should be non-zero")
 	}
-	if s.Artifact.Entries < 1 {
-		t.Errorf("artifact entries = %d, want >= 1 (cold select cached)", s.Artifact.Entries)
+	if s.Map.Derived > s.Map.Misses {
+		t.Errorf("derived %d > misses %d (only a miss derives)", s.Map.Derived, s.Map.Misses)
+	}
+	if s.Map.Entries < 2 {
+		t.Errorf("entries = %d, want >= 2 (the select and the zoom)", s.Map.Entries)
 	}
 	if len(out.Totals) == 0 {
 		t.Error("no totals block")

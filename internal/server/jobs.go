@@ -124,21 +124,10 @@ func (s *Server) handleJobStats(w http.ResponseWriter, _ *http.Request) {
 
 // cacheStatsJSON is the wire shape of GET /api/cache/stats: the
 // reuse-cache counters of every open session plus their sum — the
-// jobs/stats counterpart for the two-tier build cache.
+// jobs/stats counterpart for the build cache.
 type cacheStatsJSON struct {
 	Sessions map[string]core.ReuseStats `json:"sessions"`
 	Totals   core.ReuseStats            `json:"totals"`
-}
-
-func addTier(a, b core.TierStats) core.TierStats {
-	return core.TierStats{
-		Hits:      a.Hits + b.Hits,
-		Derived:   a.Derived + b.Derived,
-		Misses:    a.Misses + b.Misses,
-		Entries:   a.Entries + b.Entries,
-		Capacity:  a.Capacity + b.Capacity,
-		Evictions: a.Evictions + b.Evictions,
-	}
 }
 
 // collectCacheStats sums the reuse-cache counters of every open
@@ -158,15 +147,20 @@ func (s *Server) collectCacheStats() cacheStatsJSON {
 			return nil
 		})
 		out.Sessions[id] = rs
-		out.Totals.Map = addTier(out.Totals.Map, rs.Map)
-		out.Totals.Artifact = addTier(out.Totals.Artifact, rs.Artifact)
+		sum := &out.Totals.Map
+		sum.Hits += rs.Map.Hits
+		sum.Derived += rs.Map.Derived
+		sum.Misses += rs.Map.Misses
+		sum.Entries += rs.Map.Entries
+		sum.Capacity += rs.Map.Capacity
+		sum.Evictions += rs.Map.Evictions
 	}
 	return out
 }
 
 // handleCacheStats serves the per-session and aggregate reuse-cache
-// counters: map-tier hits, artifact-tier exact hits and derivations,
-// misses, occupancy and evictions.
+// counters: hits, misses and the derivations among them, occupancy and
+// evictions.
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.collectCacheStats())
 }

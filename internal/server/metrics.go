@@ -8,7 +8,7 @@ package server
 // /metrics serves the manager's registry: scheduler counters and
 // histograms (internal/jobs), build-stage histograms (internal/session),
 // buffer-pool counters (internal/store/segment when blaeud wires a
-// registry-backed pool), and the cache-tier gauges registered below —
+// registry-backed pool), and the reuse-cache gauges registered below —
 // so /api/jobs/stats and /api/cache/stats are views over the same
 // source of truth a scraper reads.
 
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -49,40 +48,29 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // registerCacheGauges mirrors the aggregate reuse-cache counters into
-// the registry as blaeu_cache_*{tier} gauges, refreshed per scrape.
-// Gauges, not counters: the aggregate sums live sessions, so values
-// drop when a session closes.
+// the registry as blaeu_cache_*{tier="map"} gauges, refreshed per
+// scrape (the label keeps the series scrapers already query). Gauges,
+// not counters: the aggregate sums live sessions, so values drop when a
+// session closes.
 func (s *Server) registerCacheGauges() {
 	reg := s.manager.Telemetry().Reg()
 	if reg == nil {
 		return
 	}
-	type tierGauges struct {
-		hits, derived, misses, entries, capacity, evictions *obs.Gauge
-	}
-	mk := func(tier string) tierGauges {
-		l := obs.Labels{"tier": tier}
-		return tierGauges{
-			hits:      reg.Gauge("blaeu_cache_hits", "Reuse-cache hits summed over open sessions.", l),
-			derived:   reg.Gauge("blaeu_cache_derived", "Artifact-tier derivations summed over open sessions.", l),
-			misses:    reg.Gauge("blaeu_cache_misses", "Reuse-cache misses summed over open sessions.", l),
-			entries:   reg.Gauge("blaeu_cache_entries", "Cached entries summed over open sessions.", l),
-			capacity:  reg.Gauge("blaeu_cache_capacity", "Configured cache capacity summed over open sessions.", l),
-			evictions: reg.Gauge("blaeu_cache_evictions", "Cache evictions summed over open sessions.", l),
-		}
-	}
-	set := func(g tierGauges, t core.TierStats) {
-		g.hits.Set(float64(t.Hits))
-		g.derived.Set(float64(t.Derived))
-		g.misses.Set(float64(t.Misses))
-		g.entries.Set(float64(t.Entries))
-		g.capacity.Set(float64(t.Capacity))
-		g.evictions.Set(float64(t.Evictions))
-	}
-	mapTier, artTier := mk("map"), mk("artifact")
+	l := obs.Labels{"tier": "map"}
+	hits := reg.Gauge("blaeu_cache_hits", "Reuse-cache hits summed over open sessions.", l)
+	derived := reg.Gauge("blaeu_cache_derived", "Reuse-cache misses derived from a cached parent, summed over open sessions.", l)
+	misses := reg.Gauge("blaeu_cache_misses", "Reuse-cache misses summed over open sessions.", l)
+	entries := reg.Gauge("blaeu_cache_entries", "Cached entries summed over open sessions.", l)
+	capacity := reg.Gauge("blaeu_cache_capacity", "Configured cache capacity summed over open sessions.", l)
+	evictions := reg.Gauge("blaeu_cache_evictions", "Cache evictions summed over open sessions.", l)
 	reg.RegisterCollector(func() {
-		totals := s.collectCacheStats().Totals
-		set(mapTier, totals.Map)
-		set(artTier, totals.Artifact)
+		t := s.collectCacheStats().Totals.Map
+		hits.Set(float64(t.Hits))
+		derived.Set(float64(t.Derived))
+		misses.Set(float64(t.Misses))
+		entries.Set(float64(t.Entries))
+		capacity.Set(float64(t.Capacity))
+		evictions.Set(float64(t.Evictions))
 	})
 }

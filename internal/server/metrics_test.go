@@ -158,8 +158,8 @@ func hasSeries(series map[string]float64, prefix string) bool {
 }
 
 // TestMetricsScrape drives a build and asserts /metrics is a valid,
-// duplicate-free Prometheus exposition carrying the scheduler, both
-// cache tiers, the buffer pool, and the build-stage histograms.
+// duplicate-free Prometheus exposition carrying the scheduler, the
+// reuse cache, the buffer pool, and the build-stage histograms.
 func TestMetricsScrape(t *testing.T) {
 	ts := metricsTestServer(t)
 	id, _ := openSession(t, ts, "seg")
@@ -183,9 +183,9 @@ func TestMetricsScrape(t *testing.T) {
 		`blaeu_build_stage_seconds_bucket{stage="cluster"`,
 		`blaeu_build_stage_seconds_bucket{stage="region"`,
 		`blaeu_build_seconds_bucket{action="select"`,
-		// cache tiers
+		// reuse cache
 		`blaeu_cache_hits{tier="map"}`,
-		`blaeu_cache_hits{tier="artifact"}`,
+		`blaeu_cache_derived{tier="map"}`,
 		`blaeu_cache_misses{tier="map"}`,
 		// buffer pool
 		"blaeu_pagepool_hits_total",

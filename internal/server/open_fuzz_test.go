@@ -10,7 +10,8 @@ import (
 // FuzzOpenOptions drives the session open-options validation — the
 // other untrusted-input parser — with arbitrary JSON: decoding plus
 // apply() must never panic, a retired key (the engine chooses the
-// oracle, the SWAP algorithm and the seeding itself) must never decode,
+// oracle, the SWAP algorithm and the seeding itself, and the artifact
+// cache merged into the map cache) must never decode,
 // and whenever apply accepts, the resulting engine options must be
 // within validated bounds.
 func FuzzOpenOptions(f *testing.F) {
@@ -30,7 +31,7 @@ func FuzzOpenOptions(f *testing.F) {
 		}
 		var keys map[string]json.RawMessage
 		if json.Unmarshal([]byte(raw), &keys) == nil {
-			for _, retired := range []string{"oracle", "algorithm", "seeding"} {
+			for _, retired := range []string{"oracle", "algorithm", "seeding", "artifactCacheSize"} {
 				if _, ok := keys[retired]; ok {
 					t.Fatalf("the retired key %q decoded (input %q)", retired, raw)
 				}
@@ -41,20 +42,12 @@ func FuzzOpenOptions(f *testing.F) {
 		if err := c.apply(&opts); err != nil {
 			return
 		}
-		for name, v := range map[string]int{
-			"mapCacheSize":      opts.MapCacheSize,
-			"artifactCacheSize": opts.ArtifactCacheSize,
-		} {
-			if v < -1 || v > maxCacheEntries {
-				t.Fatalf("apply accepted %s=%d outside [-1,%d] (input %q)", name, v, maxCacheEntries, raw)
-			}
+		if v := opts.MapCacheSize; v < -1 || v > maxCacheEntries {
+			t.Fatalf("apply accepted mapCacheSize=%d outside [-1,%d] (input %q)", v, maxCacheEntries, raw)
 		}
 		// A zero override must keep the server default, not zero the cache.
 		if c.MapCacheSize != nil && *c.MapCacheSize == 0 && opts.MapCacheSize != base.MapCacheSize {
 			t.Fatalf("mapCacheSize=0 overrode the default: %d", opts.MapCacheSize)
-		}
-		if c.ArtifactCacheSize != nil && *c.ArtifactCacheSize == 0 && opts.ArtifactCacheSize != base.ArtifactCacheSize {
-			t.Fatalf("artifactCacheSize=0 overrode the default: %d", opts.ArtifactCacheSize)
 		}
 	})
 }

@@ -143,24 +143,24 @@ type stateJSON struct {
 	// Scheduler is the scheduler's view of this session: tenant, queue
 	// depth against the per-session cap, running job count.
 	Scheduler jobs.SessionStats `json:"scheduler"`
-	// Cache is the session's two-tier reuse-cache breakdown (map tier
-	// over artifact tier: hits, derivations, misses, occupancy,
-	// evictions), so build reuse is observable over the wire.
+	// Cache is the session's reuse-cache breakdown (hits, misses and
+	// the derivations among them, occupancy, evictions), so build reuse
+	// is observable over the wire.
 	Cache core.ReuseStats `json:"cache"`
 }
 
 // clusterOptionsJSON is the optional options block of the open request:
-// per-session overrides of the server-wide cache sizes. Empty fields
-// keep the server defaults; unknown keys are rejected, so a misspelt or
+// a per-session override of the server-wide cache size. An empty field
+// keeps the server default; unknown keys are rejected, so a misspelt or
 // retired option (algorithm, seeding, oracle — the engine chooses those
-// itself) is a 400 rather than a silently ignored one.
+// itself — and artifactCacheSize, whose cache merged into the map
+// cache) is a 400 rather than a silently ignored one.
 type clusterOptionsJSON struct {
-	// MapCacheSize / ArtifactCacheSize bound the session's two reuse
-	// tiers (entries). Omitted or 0 keeps the server default; -1
-	// disables the tier; larger values are capped by validation (the
-	// caches pin maps and oracles in server memory).
-	MapCacheSize      *int `json:"mapCacheSize"`
-	ArtifactCacheSize *int `json:"artifactCacheSize"`
+	// MapCacheSize bounds the session's reuse cache (entries). Omitted
+	// or 0 keeps the server default; -1 disables the cache; larger
+	// values are capped by validation (the cache pins maps and sample
+	// vectors in server memory).
+	MapCacheSize *int `json:"mapCacheSize"`
 }
 
 // UnmarshalJSON decodes the block strictly.
@@ -171,35 +171,21 @@ func (c *clusterOptionsJSON) UnmarshalJSON(b []byte) error {
 	return dec.Decode((*plain)(c))
 }
 
-// maxCacheEntries bounds the per-session cache sizes a client may
-// request: beyond it a cache stops being a working set and starts being
-// a memory grab (each artifact entry pins a sample's fitted vectors).
+// maxCacheEntries bounds the per-session cache size a client may
+// request: beyond it the cache stops being a working set and starts
+// being a memory grab (each cold entry pins a sample's fitted vectors).
 const maxCacheEntries = 1024
 
-func validateCacheSize(name string, v int) error {
-	if v < -1 || v > maxCacheEntries {
-		return fmt.Errorf("%s must be between -1 (disabled) and %d entries, got %d", name, maxCacheEntries, v)
-	}
-	return nil
-}
-
-// apply validates the overrides and writes them into opts.
+// apply validates the override and writes it into opts.
 func (c *clusterOptionsJSON) apply(opts *core.Options) error {
-	if c.MapCacheSize != nil {
-		if err := validateCacheSize("mapCacheSize", *c.MapCacheSize); err != nil {
-			return err
-		}
-		if *c.MapCacheSize != 0 {
-			opts.MapCacheSize = *c.MapCacheSize
-		}
+	if c.MapCacheSize == nil {
+		return nil
 	}
-	if c.ArtifactCacheSize != nil {
-		if err := validateCacheSize("artifactCacheSize", *c.ArtifactCacheSize); err != nil {
-			return err
-		}
-		if *c.ArtifactCacheSize != 0 {
-			opts.ArtifactCacheSize = *c.ArtifactCacheSize
-		}
+	if v := *c.MapCacheSize; v < -1 || v > maxCacheEntries {
+		return fmt.Errorf("mapCacheSize must be between -1 (disabled) and %d entries, got %d", maxCacheEntries, v)
+	}
+	if *c.MapCacheSize != 0 {
+		opts.MapCacheSize = *c.MapCacheSize
 	}
 	return nil
 }

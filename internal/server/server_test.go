@@ -380,7 +380,7 @@ func TestExportEndpoint(t *testing.T) {
 }
 
 // TestOpenClusterOptions is the table-driven contract of the open
-// request's options block: the two cache sizes create a session; bad
+// request's options block: the cache size creates a session; bad
 // values, unknown keys and retired ones are rejected with 400 and no
 // session is created.
 func TestOpenClusterOptions(t *testing.T) {
@@ -391,7 +391,7 @@ func TestOpenClusterOptions(t *testing.T) {
 		wantStatus int
 	}{
 		{"defaults", "blobs", nil, http.StatusCreated},
-		{"both", "blobs", map[string]any{"mapCacheSize": 2, "artifactCacheSize": 1}, http.StatusCreated},
+		{"map cache size", "blobs", map[string]any{"mapCacheSize": 2}, http.StatusCreated},
 		// The PAM SWAP algorithm, the seeding scheme and the distance
 		// oracle left the option surface — the engine chooses them: a
 		// retired key is rejected like any unknown one, not silently
@@ -409,6 +409,9 @@ func TestOpenClusterOptions(t *testing.T) {
 		{"bad oracle", "blobs", map[string]any{"oracle": "quantum"}, http.StatusBadRequest},
 		{"matrix over the limit", "wide", map[string]any{"oracle": "matrix"}, http.StatusBadRequest},
 		{"lazy over the limit", "wide", map[string]any{"oracle": "lazy"}, http.StatusBadRequest},
+		// The artifact cache merged into the map cache: its size is
+		// retired too.
+		{"retired artifact cache size", "blobs", map[string]any{"artifactCacheSize": 4}, http.StatusBadRequest},
 		{"unknown key", "blobs", map[string]any{"oracel": "lazy"}, http.StatusBadRequest},
 		{"bad alongside good", "blobs", map[string]any{"mapCacheSize": 2, "artifactCacheSize": 99999}, http.StatusBadRequest},
 	}
@@ -447,14 +450,14 @@ func TestOpenClusterOptions(t *testing.T) {
 	}
 }
 
-// TestOpenClusterOptionsDrivesClustering: a session opened with both
-// cache options must still navigate end to end, with the overrides in
+// TestOpenClusterOptionsDrivesClustering: a session opened with the
+// cache option must still navigate end to end, with the override in
 // force.
 func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 	ts := testServer(t)
 	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
 		"dataset": "blobs",
-		"options": map[string]int{"mapCacheSize": 2, "artifactCacheSize": 1},
+		"options": map[string]int{"mapCacheSize": 2},
 	}, http.StatusCreated)
 	id, _ := st["sessionId"].(string)
 	st = doJSON(t, "POST", ts.URL+"/api/sessions/"+id+"/select", map[string]int{"theme": 0}, http.StatusOK)
@@ -463,9 +466,8 @@ func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
 	}
 	cache, _ := st["cache"].(map[string]any)
 	mapTier, _ := cache["map"].(map[string]any)
-	artTier, _ := cache["artifact"].(map[string]any)
-	if mapTier["capacity"] != 2.0 || artTier["capacity"] != 1.0 {
-		t.Errorf("cache capacities %v / %v, want the overrides 2 / 1", mapTier["capacity"], artTier["capacity"])
+	if mapTier["capacity"] != 2.0 {
+		t.Errorf("cache capacity %v, want the override 2", mapTier["capacity"])
 	}
 }
 

@@ -94,8 +94,8 @@ type poolStatser interface {
 // metadata and complete without rebuilding oracle, clustering or tree.
 // Every build job additionally reports its reuse level ({"reuse":
 // "mapHit" | "oracleDerived" | "cold"}, see core.ReuseLevel): whether it
-// was served from the map tier, rebuilt over a sample and vectors reused
-// or derived from the artifact tier, or built entirely from scratch.
+// was served from the map cache, rebuilt over a sample and vectors
+// derived from a cached parent's, or built entirely from scratch.
 //
 // The job function records an obs.Trace (stage spans, distance-evaluation
 // and page-read counters, the reuse tier) retrievable through the job
