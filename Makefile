@@ -3,13 +3,14 @@
 
 .PHONY: build test race bench bench-smoke bench-click bench-ab loc vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
-# The scheduler subsystem under the race detector (also a CI step) —
-# the policy-against-model test (TestSchedAgainstModel) and the
-# dispatch-order regression (TestDrainedTenantDoesNotSkipNext) are in
-# the packages named — plus extra iterations of the backpressure
-# overload stress (TestSchedulerOverloadStress).
+# The scheduler subsystem and the cores budget its jobs' fan-out borrows
+# from, under the race detector (also a CI step) — the policy-against-
+# model test (TestSchedAgainstModel) and the dispatch-order regression
+# (TestDrainedTenantDoesNotSkipNext) are in the packages named — plus
+# extra iterations of the backpressure overload stress
+# (TestSchedulerOverloadStress).
 race-jobs:
-	go test -race ./internal/jobs/... ./internal/session/...
+	go test -race ./internal/jobs/... ./internal/session/... ./internal/cores/...
 	go test -race -count=3 -run 'Overload' ./internal/jobs/...
 
 # Concurrent builds on one explorer under the race detector (also a CI
@@ -52,8 +53,9 @@ vet:
 	go vet ./...
 
 # The repo's own analyzer suite (internal/analysis, driven by
-# cmd/blaeu-lint): determinism over the algorithmic core, lockcheck over
-# the concurrent tiers, ctxcheck over the request stack, plus the
+# cmd/blaeu-lint): determinism over the algorithmic core, fanout over
+# the build packages, lockcheck over the concurrent tiers, ctxcheck over
+# the request stack, plus the
 # interprocedural analyzers (blockcheck, hotpath, metricscheck) with
 # cross-package facts. A clean exit is a CI gate; suppress individual
 # findings only with a reasoned `//blaeu:nolint <analyzer> <reason>`

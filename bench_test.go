@@ -131,32 +131,6 @@ func BenchmarkCLARA(b *testing.B) {
 	}
 }
 
-// BenchmarkCLARAParallel measures the per-sample fan-out of CLARA at
-// n=10000 across worker counts (the PR 3 scheduler acceptance bar is
-// ≥2× wall-clock at 4 workers on a ≥4-core machine). The sample count
-// and size are raised so each sample is a meaningful unit of work; the
-// clustering is identical at every workers setting, so the sub-runs are
-// directly comparable.
-func BenchmarkCLARAParallel(b *testing.B) {
-	vecs, _ := benchVectors(10000, 6, 4)
-	o := cluster.NewLazyOracle(vecs, stats.Euclidean{})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("n=10000/workers=%d", workers), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.CLARA(o, 4, cluster.CLARAOptions{
-					Samples:     8,
-					SampleSize:  500,
-					Parallelism: workers,
-					Rand:        rng,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSQLExecute(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.LOFAR(datagen.LOFAROptions{N: 50000}, rng)

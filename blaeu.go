@@ -17,7 +17,7 @@
 // is the engine's hottest path. There is one k-medoid engine: BUILD
 // seeds it, then a FasterPAM-style eager-swap loop (Schubert &
 // Rousseeuw's removal-loss decomposition, O(n²) per pass instead of the
-// textbook O(k·n²)) with candidate scoring parallelized across CPUs. The
+// textbook O(k·n²)) with candidate scoring spread over the free cores. The
 // textbook Kaufman & Rousseeuw loop survives only as the reference the
 // differential tests and the e5 experiment call directly; no option
 // selects it.
@@ -32,9 +32,10 @@
 // At the serving tiers, map builds run asynchronously: the session
 // manager schedules them on a bounded worker pool (internal/jobs) with
 // per-session FIFO fairness, progress reporting, cancellation and a
-// zoom-aware result cache, and CLARA's per-sample PAM runs fan out
-// across the same pool with results identical to sequential execution
-// (Options.Parallelism / Options.Runner). Library users get the same
+// zoom-aware result cache. A build's data-parallel loops (the distance
+// matrix, BUILD, the SWAP blocks, CLARA's per-sample runs) fan out over
+// the cores no running job holds (internal/cores), with results identical
+// to sequential execution. Library users get the same
 // machinery through Explorer.PrepareZoom / MapBuild.Run /
 // Explorer.ApplyBuild; the plain Zoom / SelectTheme / Project run those
 // three steps inline.

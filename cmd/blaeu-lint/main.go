@@ -1,6 +1,7 @@
 // Command blaeu-lint runs the repo's custom analyzer suite
-// (internal/analysis): determinism over the algorithmic core, lockcheck
-// over the concurrent tiers, ctxcheck over the request stack, plus the
+// (internal/analysis): determinism over the algorithmic core, fanout
+// over the build packages, lockcheck over the concurrent tiers, ctxcheck
+// over the request stack, plus the
 // interprocedural analyzers — blockcheck (may-block facts up the call
 // graph), hotpath (//blaeu:hot allocation/lock freedom) and
 // metricscheck (metrics contract and README catalog sync).
@@ -53,9 +54,10 @@ func main() {
 	for _, a := range args {
 		if a == "-V=full" || a == "-V" {
 			// The go command hashes this line into its build cache key;
-			// v3 marks the interprocedural facts protocol (module
-			// packages only — std units carry no facts).
-			fmt.Println("blaeu-lint version v3")
+			// v3 marked the interprocedural facts protocol (module
+			// packages only — std units carry no facts), v4 the fanout
+			// analyzer.
+			fmt.Println("blaeu-lint version v4")
 			return
 		}
 		if a == "-flags" {

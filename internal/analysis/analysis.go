@@ -1,6 +1,7 @@
 // Package analysis implements blaeu-lint: a suite of project-specific
 // static analyzers that enforce the invariants everything in this repo
-// rests on — pinned-seed determinism in the algorithmic core, lock
+// rests on — pinned-seed determinism in the algorithmic core, fan-out
+// only through the cores budget in the build packages, lock
 // discipline in the scheduler and session tiers, context/deadline
 // propagation through the request stack, interprocedural blocking
 // discipline, hot-path allocation/lock freedom, and the metrics
@@ -438,5 +439,5 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 
 // All returns the blaeu-lint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Lockcheck, Ctxcheck, Blockcheck, Hotpath, Metricscheck}
+	return []*Analyzer{Determinism, Fanout, Lockcheck, Ctxcheck, Blockcheck, Hotpath, Metricscheck}
 }

@@ -90,6 +90,10 @@ func TestDeterminism(t *testing.T) {
 	runAnalyzerTest(t, Determinism, filepath.Join("testdata", "determinism"))
 }
 
+func TestFanout(t *testing.T) {
+	runAnalyzerTest(t, Fanout, filepath.Join("testdata", "fanout"))
+}
+
 func TestLockcheck(t *testing.T) {
 	runAnalyzerTest(t, Lockcheck, filepath.Join("testdata", "lockcheck"))
 }
@@ -108,6 +112,10 @@ func TestAppliesTo(t *testing.T) {
 		{Determinism, "repro/internal/store", true},
 		{Determinism, "repro/internal/store/segment", true},
 		{Determinism, "repro/internal/server", false},
+		{Fanout, "repro/internal/tree", true},
+		{Fanout, "repro/internal/store/segment", true},
+		{Fanout, "repro/internal/store/csvdec", false},
+		{Fanout, "repro/internal/cores", false},
 		{Lockcheck, "repro/internal/jobs", true},
 		{Lockcheck, "repro/internal/graph", false},
 		{Ctxcheck, "repro/internal/server", true},

@@ -6,18 +6,9 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/cores"
 	"repro/internal/store"
 )
-
-// TaskRunner schedules a batch of independent tasks and returns when all
-// of them have finished. The session tier's job scheduler
-// (internal/jobs.Pool) implements it, so CLARA's per-sample fan-out can
-// share the server's worker budget instead of spawning unbounded
-// goroutines; when no runner is supplied the fan-out falls back to
-// CLARAOptions.Parallelism plain goroutines.
-type TaskRunner interface {
-	RunTasks(tasks []func())
-}
 
 // CLARAOptions tunes the CLARA run.
 type CLARAOptions struct {
@@ -29,13 +20,8 @@ type CLARAOptions struct {
 	// because the eager SWAP made the per-sample runs cheap enough to
 	// afford the quality gain of larger samples.
 	SampleSize int
-	// Parallelism is how many per-sample runs execute concurrently when
-	// Runner is nil (<= 1 runs them sequentially). The clustering is
-	// identical at every setting — see the determinism note on CLARA.
+	// Parallelism is ignored; removed with ROADMAP 8(f).
 	Parallelism int
-	// Runner, when set, schedules the per-sample runs on an external
-	// worker pool and takes precedence over Parallelism.
-	Runner TaskRunner
 	// Context cancels the run at per-sample granularity; nil never
 	// cancels.
 	Context context.Context
@@ -67,9 +53,9 @@ func ctxErr(ctx context.Context) error {
 // "when the data is too large" (paper §3) to keep map construction
 // interactive.
 //
-// The per-sample runs are embarrassingly parallel and fan out across
-// Parallelism workers (or the external Runner). Results are exactly the
-// same at every parallelism level: each sample's row set is drawn from
+// The per-sample runs are embarrassingly parallel and fan out through
+// cores.Run over whatever cores are free. Results are exactly the same
+// however many run at once: each sample's row set is drawn from
 // Rand up front in sample order, every sample is clustered
 // independently, and the winner is chosen by lowest full-data cost with
 // ties broken toward the earliest sample. This independence
@@ -113,29 +99,25 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		opts.Rand.Int63()
 	}
 
-	tasks := make([]func(), len(runs))
-	for s := range runs {
+	cores.Run(len(runs), func(s int) {
 		r := runs[s]
-		tasks[s] = func() {
-			if r.err = ctxErr(opts.Context); r.err != nil {
-				return
-			}
-			c, err := PAM(o.Subset(r.idx), k)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.medoids = make([]int, len(c.Medoids))
-			for i, m := range c.Medoids {
-				r.medoids[i] = r.idx[m]
-			}
-			// Extend the sample clustering to the full dataset — the
-			// expensive O(n·k) half of a sample's work, also parallelized
-			// by the fan-out.
-			r.labels, r.cost = AssignToMedoids(o, r.medoids)
+		if r.err = ctxErr(opts.Context); r.err != nil {
+			return
 		}
-	}
-	runTasks(opts.Runner, opts.Parallelism, tasks)
+		c, err := PAM(o.Subset(r.idx), k)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.medoids = make([]int, len(c.Medoids))
+		for i, m := range c.Medoids {
+			r.medoids[i] = r.idx[m]
+		}
+		// Extend the sample clustering to the full dataset — the
+		// expensive O(n·k) half of a sample's work, also parallelized
+		// by the fan-out.
+		r.labels, r.cost = AssignToMedoids(o, r.medoids)
+	})
 
 	var best *sampleRun
 	for _, r := range runs {
@@ -149,28 +131,4 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		}
 	}
 	return &Clustering{K: k, Labels: best.labels, Medoids: best.medoids, Cost: best.cost, Silhouette: math.NaN()}, nil
-}
-
-// runTasks executes the tasks via the runner when one is set, via
-// workers bounded goroutines otherwise, or inline when neither asks for
-// concurrency.
-func runTasks(runner TaskRunner, workers int, tasks []func()) {
-	if len(tasks) > 1 && runner != nil {
-		runner.RunTasks(tasks)
-		return
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	parallelChunks(len(tasks), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tasks[i]()
-		}
-	})
 }

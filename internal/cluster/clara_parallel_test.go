@@ -2,10 +2,11 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
+	"repro/internal/cores"
 	"repro/internal/stats"
 )
 
@@ -18,67 +19,44 @@ func claraFixture(t testing.TB, n int) Oracle {
 	return NewLazyOracle(vecs, stats.Euclidean{})
 }
 
+// inline runs f with the whole cores budget held, so that every fan-out
+// inside it — CLARA's per-sample runs included — runs on the caller, in
+// index order.
+func inline(f func()) {
+	var releases []func()
+	for range cores.Width() {
+		releases = append(releases, cores.Hold())
+	}
+	defer func() {
+		for _, r := range releases {
+			r()
+		}
+	}()
+	f()
+}
+
 // TestCLARAParallelMatchesSequential is the differential contract of the
-// fan-out: under a pinned seed, every parallelism level (and the
-// external-runner path) must return byte-identical assignments, medoids
-// and cost.
+// fan-out: under a pinned seed, a run with every fan-out inline and one
+// chunk per loop, and runs fanned out over the free cores at every chunk
+// width, return byte-identical assignments, medoids and cost.
 func TestCLARAParallelMatchesSequential(t *testing.T) {
+	old := maxWorkers
+	defer func() { maxWorkers = old }()
 	o := claraFixture(t, 2000)
-	run := func(par int, runner TaskRunner) *Clustering {
-		c, err := CLARA(o, 3, CLARAOptions{
-			Samples:     6,
-			Parallelism: par,
-			Runner:      runner,
-			Rand:        rand.New(rand.NewSource(42)),
-		})
+	run := func() *Clustering {
+		c, err := CLARA(o, 3, CLARAOptions{Samples: 6, Rand: rand.New(rand.NewSource(42))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	want := run(1, nil)
-	for _, par := range []int{2, 4, 8} {
-		got := run(par, nil)
-		if got.Cost != want.Cost {
-			t.Fatalf("parallelism %d: cost %g, want %g", par, got.Cost, want.Cost)
-		}
-		for i := range want.Medoids {
-			if got.Medoids[i] != want.Medoids[i] {
-				t.Fatalf("parallelism %d: medoids %v, want %v", par, got.Medoids, want.Medoids)
-			}
-		}
-		for i := range want.Labels {
-			if got.Labels[i] != want.Labels[i] {
-				t.Fatalf("parallelism %d: label[%d] = %d, want %d", par, i, got.Labels[i], want.Labels[i])
-			}
-		}
+	maxWorkers = 1
+	var want *Clustering
+	inline(func() { want = run() })
+	for _, workers := range []int{1, 2, 4, 8} {
+		maxWorkers = workers
+		assertIdenticalClustering(t, fmt.Sprintf("width %d", workers), o.N(), run(), want)
 	}
-	// The scheduler-hook path must agree too.
-	got := run(1, goRunner{})
-	if got.Cost != want.Cost {
-		t.Fatalf("runner path: cost %g, want %g", got.Cost, want.Cost)
-	}
-	for i := range want.Labels {
-		if got.Labels[i] != want.Labels[i] {
-			t.Fatalf("runner path: label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
-		}
-	}
-}
-
-// goRunner is a maximally concurrent TaskRunner: every task on its own
-// goroutine, the worst case for ordering assumptions.
-type goRunner struct{}
-
-func (goRunner) RunTasks(tasks []func()) {
-	var wg sync.WaitGroup
-	for _, task := range tasks {
-		wg.Add(1)
-		go func(task func()) {
-			defer wg.Done()
-			task()
-		}(task)
-	}
-	wg.Wait()
 }
 
 // TestCLARACancelled: a cancelled context must surface as the context's
@@ -101,7 +79,7 @@ func TestCLARAParallelQualityAtScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vecs, truth := blobs(rng, 3, 1500, 4, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	c, err := CLARA(o, 3, CLARAOptions{Parallelism: 4, Rand: rng})
+	c, err := CLARA(o, 3, CLARAOptions{Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"math"
-	"runtime"
-	"sync"
+
+	"repro/internal/cores"
 )
 
 // swapBlock is the number of candidates evaluated per parallel batch of
@@ -16,14 +16,14 @@ const swapBlock = 64
 // run sequentially; goroutine overhead dominates under it.
 const parallelThreshold = 128
 
-// maxWorkers caps the fan-out of the parallel helpers. A variable (not a
-// call site constant) so tests can force the parallel code paths on
-// single-CPU machines and the race detector can see them.
-var maxWorkers = runtime.NumCPU()
+// maxWorkers is the chunk count of the parallel helpers: the cores
+// budget's width. A variable so that tests can force more chunks than
+// the machine has cores, and the race detector can see them.
+var maxWorkers = cores.Width()
 
-// rangeWorkers returns how many workers an n-item parallel job should
-// fan out to: 1 (sequential) below parallelThreshold, else up to
-// maxWorkers capped at n.
+// rangeWorkers returns how many chunks an n-item parallel job splits
+// into: 1 (sequential) below parallelThreshold, else up to maxWorkers
+// capped at n.
 func rangeWorkers(n int) int {
 	if n < parallelThreshold || maxWorkers <= 1 {
 		return 1
@@ -31,30 +31,23 @@ func rangeWorkers(n int) int {
 	return min(maxWorkers, n)
 }
 
-// parallelChunks is the one worker-pool idiom every parallel helper here
-// builds on: it splits [0,n) into one contiguous chunk per worker and
-// runs fn(worker, lo, hi) concurrently. Worker indices are dense in
-// [0, workers) and chunk w covers lower indices than chunk w+1, which
-// reductions rely on for deterministic tie-breaking. workers <= 1 runs
-// inline.
+// parallelChunks is the one fan-out idiom every parallel helper here
+// builds on: it splits [0,n) into contiguous chunks, at most workers of
+// them, and runs fn(chunk, lo, hi) for each through cores.Run, on
+// whatever cores are free. Chunk indices are dense from 0 and chunk w
+// covers lower indices than chunk w+1, which reductions rely on for
+// deterministic tie-breaking; each chunk runs on one goroutine, so it
+// may use scratch indexed by w. workers <= 1 or n <= 1 runs inline.
 func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 {
+	if workers <= 1 || n <= 1 {
 		fn(0, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
+	cores.Run((n+chunk-1)/chunk, func(w int) {
+		lo := w * chunk
+		fn(w, lo, min(lo+chunk, n))
+	})
 }
 
 // newRowScratch allocates the distance-row scratch of one k-medoid run
@@ -108,7 +101,7 @@ func argMinScore(n int, rows [][]float64, score func(i int, row []float64) float
 }
 
 // parallelRange splits [0,n) into contiguous chunks and runs fn on each
-// across CPUs; sequential below parallelThreshold.
+// through cores.Run; sequential below parallelThreshold.
 func parallelRange(n int, fn func(lo, hi int)) {
 	parallelChunks(n, rangeWorkers(n), func(_, lo, hi int) { fn(lo, hi) })
 }

@@ -184,7 +184,7 @@ func TestAutoKMatchesPerKReference(t *testing.T) {
 			for _, th := range []struct{ large, mc int }{{1000, 1000}, {1000, 120}, {120, 120}, {120, 1000}} {
 				checkSweep(t, fmt.Sprintf("%s dup=%d large=%d mc=%d", tc.name, dup, th.large, th.mc), tc.o,
 					AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: th.large,
-						MCSilhouetteThreshold: th.mc, CLARA: CLARAOptions{Parallelism: 2}})
+						MCSilhouetteThreshold: th.mc})
 			}
 		}
 	}

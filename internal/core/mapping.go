@@ -143,9 +143,9 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	report(0.15)
 
 	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, report)
-	// The matrix goes back to the slot on return, error or not, and only
-	// then: a panic unwinds past the CLARA fan-out's wait for its tasks,
-	// so one of them may still be reading it.
+	// The matrix goes back to the slot on return, error or not. A panic
+	// skips this and drops it: the next build allocates afresh rather
+	// than trust storage a failed build was writing.
 	if matrix != nil {
 		e.scratch.CompareAndSwap(nil, matrix)
 	}
@@ -254,10 +254,6 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 		Context:               ctx,
 		Progress: func(done, total int) {
 			report(0.15 + 0.7*float64(done)/float64(total))
-		},
-		CLARA: cluster.CLARAOptions{
-			Parallelism: e.opts.Parallelism,
-			Runner:      e.opts.Runner,
 		},
 		Rand: rng,
 	})

@@ -23,9 +23,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
-	"runtime"
 
-	"repro/internal/cluster"
 	"repro/internal/prep"
 )
 
@@ -59,14 +57,8 @@ type Options struct {
 	// Monte-Carlo estimator (paper §3: "when the data is too large,
 	// Blaeu creates the maps with CLARA"). Default 1024.
 	PAMThreshold int
-	// Parallelism bounds how many of CLARA's per-sample PAM runs execute
-	// concurrently during map builds (default runtime.NumCPU()). The
-	// clustering is identical at every setting — see cluster.CLARA.
+	// Parallelism is ignored; removed with ROADMAP 8(f).
 	Parallelism int
-	// Runner, when set, schedules CLARA's per-sample fan-out on an
-	// external worker pool instead of Parallelism plain goroutines; the
-	// session tier installs its job scheduler (internal/jobs.Pool) here.
-	Runner cluster.TaskRunner
 	// MapCacheSize bounds the session's reuse cache: finished maps are
 	// keyed by (row-set fingerprint, theme, clustering config) and
 	// reused when navigation revisits a selection, e.g. rollback
@@ -113,9 +105,8 @@ var optionInKey = map[string]bool{
 	// Theme detection: a different partition gives different theme IDs,
 	// which the key carries itself.
 	"DependencySampleRows": false,
-	// How fast, never which map.
+	// Ignored.
 	"Parallelism": false,
-	"Runner":      false,
 	// The cache's own size and reuse policy, and the rollback stack.
 	"MapCacheSize":     false,
 	"DerivedSampleMin": false,
@@ -145,7 +136,6 @@ func DefaultOptions() Options {
 		TreeMinLeaf:      8,
 		Prep:             prep.NewOptions(),
 		PAMThreshold:     1024,
-		Parallelism:      runtime.NumCPU(),
 		MapCacheSize:     DefaultMapCacheSize,
 		DerivedSampleMin: defaultDerivedSampleMin,
 		MaxHistory:       64,
@@ -177,9 +167,6 @@ func (o *Options) defaults() {
 	}
 	if o.PAMThreshold <= 0 {
 		o.PAMThreshold = d.PAMThreshold
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = d.Parallelism
 	}
 	if o.MapCacheSize == 0 {
 		o.MapCacheSize = d.MapCacheSize

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // coldExplorer opens an explorer over a pinned table with the cache
@@ -43,32 +45,35 @@ func TestColdBuildReusesScratchMatrix(t *testing.T) {
 	}
 }
 
-// panicRunner runs CLARA's per-sample tasks inline; armed, it panics
-// partway through the batch, as a task that panics would.
-type panicRunner struct{ armed atomic.Bool }
-
-func (r *panicRunner) RunTasks(tasks []func()) {
-	for i, task := range tasks {
-		if i == 1 && r.armed.Load() {
-			panic("per-sample task panicked")
-		}
-		task()
-	}
+// panicMetric is Euclidean until armed; armed, it panics, as a metric
+// meeting a vector it cannot handle would.
+type panicMetric struct {
+	stats.Euclidean
+	armed atomic.Bool
 }
 
-// TestPanickingBuildLeavesScratchEmpty: a build that panics inside the
-// CLARA fan-out drops its matrix instead of returning it to the slot —
-// a task of the fan-out may still be reading it.
+func (m *panicMetric) DistRow(a []float64, bs [][]float64, dst []float64) {
+	if m.armed.Load() {
+		panic("distance row panicked")
+	}
+	m.Euclidean.DistRow(a, bs, dst)
+}
+
+// TestPanickingBuildLeavesScratchEmpty: a build whose metric panics
+// inside the matrix fill's fan-out panics on the build's own goroutine,
+// where a recover can catch it, and drops its matrix instead of
+// returning it to the slot.
 func TestPanickingBuildLeavesScratchEmpty(t *testing.T) {
-	runner := &panicRunner{}
-	e := coldExplorer(t, 600, Options{Seed: 2, PAMThreshold: 200, Runner: runner})
+	metric := &panicMetric{}
+	e := coldExplorer(t, 600, Options{Seed: 2})
+	e.metric = metric
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
 	if e.scratch.Load() == nil {
 		t.Fatal("a finished build left the slot empty")
 	}
-	runner.armed.Store(true)
+	metric.armed.Store(true)
 	b, err := e.PrepareSelect(0)
 	if err != nil {
 		t.Fatal(err)

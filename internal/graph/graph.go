@@ -7,11 +7,10 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/cores"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -180,45 +179,14 @@ func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptio
 			disc[i] = stats.DiscretizeColumn(c, opts.Bins)
 		}
 		// O(cols²) NMI computations are independent: spread rows of the
-		// upper triangle across CPUs (disjoint writes per row i).
-		parallelRows(len(cols), func(i int) {
+		// upper triangle over the free cores (disjoint writes per row i).
+		cores.Run(len(cols), func(i int) {
 			for j := i + 1; j < len(cols); j++ {
 				g.SetWeight(i, j, stats.NormalizedMI(disc[i], disc[j]))
 			}
 		})
 	}
 	return g, nil
-}
-
-// parallelRows runs f(i) for i in [0,n) across CPUs. f must only touch
-// state owned by its row.
-func parallelRows(n int, f func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 16 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Oracle returns the graph as a cluster.Oracle where dissimilarity is

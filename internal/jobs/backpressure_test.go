@@ -394,40 +394,6 @@ func TestCancelSessionCounts(t *testing.T) {
 	}
 }
 
-// TestRunTasksCallerRunsWhenLanesFull: with every compute slot occupied,
-// RunTasks must still complete all tasks on the caller's goroutine
-// rather than blocking for a slot.
-func TestRunTasksCallerRunsWhenLanesFull(t *testing.T) {
-	p := NewPoolConfig(Config{Workers: 2})
-	defer p.Close()
-	for i := 0; i < p.Workers(); i++ { // exhaust the compute lane
-		p.compute <- struct{}{}
-	}
-	defer func() {
-		for i := 0; i < p.Workers(); i++ {
-			<-p.compute
-		}
-	}()
-	var n int32
-	tasks := make([]func(), 32)
-	for i := range tasks {
-		tasks[i] = func() { atomic.AddInt32(&n, 1) }
-	}
-	done := make(chan struct{})
-	go func() {
-		p.RunTasks(tasks)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunTasks blocked with full compute lanes (caller-runs broken)")
-	}
-	if n != 32 {
-		t.Errorf("ran %d tasks, want 32", n)
-	}
-}
-
 func TestStatsSnapshot(t *testing.T) {
 	p := NewPoolConfig(Config{Workers: 1, MaxQueued: 50, MaxQueuedPerSession: 10})
 	defer p.Close()

@@ -39,11 +39,6 @@
 // by the dispatcher (StatusShed, never occupying a worker), which keeps
 // sync submit-and-wait requests from computing maps nobody is waiting
 // for. Pool.Stats exposes queue depths and the shed/rejected counters.
-//
-// The pool also doubles as a compute lane for data-parallel fan-out
-// inside a job (RunTasks): CLARA's per-sample PAM runs are scheduled
-// through it with a caller-runs fallback, so nested parallelism can
-// never deadlock the job workers.
 package jobs
 
 import (

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cores"
 )
 
 func waitCtx(t *testing.T) context.Context {
@@ -64,22 +68,58 @@ func TestFailedJob(t *testing.T) {
 	}
 }
 
+// TestPanicBecomesFailure: a job that panics — on its own goroutine, or
+// in a task its fan-out ran on a helper — ends failed, and the session's
+// next job runs. The one-worker pool leaves a two-core budget a free
+// core, so the fan-out does run on helpers there.
 func TestPanicBecomesFailure(t *testing.T) {
-	p := NewPoolConfig(Config{Workers: 1})
+	for name, fn := range map[string]Func{
+		"job": func(ctx context.Context, j *Job) (any, error) {
+			panic("kaboom")
+		},
+		"fan-out task": func(ctx context.Context, j *Job) (any, error) {
+			cores.Run(4, func(int) { panic("kaboom") })
+			return nil, nil
+		},
+	} {
+		p := NewPoolConfig(Config{Workers: 1})
+		j, _ := p.Submit("s1", "", "work", fn, SubmitOptions{})
+		if err := j.Wait(waitCtx(t)); err == nil {
+			t.Fatalf("%s: panicking job should fail", name)
+		}
+		if j.Status() != StatusFailed {
+			t.Errorf("%s: status = %s", name, j.Status())
+		}
+		// The worker survived the panic.
+		j2, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil }, SubmitOptions{})
+		if err := j2.Wait(waitCtx(t)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p.Close()
+	}
+}
+
+// TestFanOutInlineWhenWorkersBusy: with every worker of a pool as wide
+// as the cores budget running a job, no core is free, so a job's fan-out
+// runs inline and starts no goroutine.
+func TestFanOutInlineWhenWorkersBusy(t *testing.T) {
+	p := NewPoolConfig(Config{})
 	defer p.Close()
-	j, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) {
-		panic("kaboom")
+	for i := 1; i < p.Workers(); i++ {
+		release, _ := gate(t, p, fmt.Sprintf("busy%d", i))
+		defer close(release)
+	}
+	j, _ := p.Submit("fan", "", "fanout", func(ctx context.Context, j *Job) (any, error) {
+		before := runtime.NumGoroutine()
+		seen := make([]int, 16)
+		cores.Run(len(seen), func(i int) { seen[i] = runtime.NumGoroutine() - before })
+		return slices.Max(seen), nil
 	}, SubmitOptions{})
-	if err := j.Wait(waitCtx(t)); err == nil {
-		t.Fatal("panicking job should fail")
-	}
-	if j.Status() != StatusFailed {
-		t.Errorf("status = %s", j.Status())
-	}
-	// The worker survived the panic.
-	j2, _ := p.Submit("s1", "", "work", func(ctx context.Context, j *Job) (any, error) { return "ok", nil }, SubmitOptions{})
-	if err := j2.Wait(waitCtx(t)); err != nil {
+	if err := j.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
+	}
+	if extra := j.Result(); extra != 0 {
+		t.Errorf("with every worker busy, the fan-out started %v goroutines", extra)
 	}
 }
 
@@ -410,28 +450,6 @@ func TestLiveJobsListsInFlightOnly(t *testing.T) {
 	}
 	if got := p.LiveJobs("a"); len(got) != 0 {
 		t.Errorf("LiveJobs lists %d jobs after all finished", len(got))
-	}
-}
-
-// TestRunTasksFromInsideJob: nested fan-out must complete even when the
-// single job worker is occupied by the very job doing the fan-out.
-func TestRunTasksFromInsideJob(t *testing.T) {
-	p := NewPoolConfig(Config{Workers: 1})
-	defer p.Close()
-	j, _ := p.Submit("a", "", "fanout", func(ctx context.Context, j *Job) (any, error) {
-		var n int32
-		tasks := make([]func(), 16)
-		for i := range tasks {
-			tasks[i] = func() { atomic.AddInt32(&n, 1) }
-		}
-		p.RunTasks(tasks)
-		return int(n), nil
-	}, SubmitOptions{})
-	if err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if j.Result() != 16 {
-		t.Errorf("ran %v tasks, want 16", j.Result())
 	}
 }
 

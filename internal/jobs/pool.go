@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/cores"
 	"repro/internal/obs"
 )
 
@@ -48,10 +48,11 @@ func (e *QueueFullError) Unwrap() error { return ErrQueueFull }
 
 // Config tunes the scheduler: worker width, admission control (queue
 // caps), tenant weights and the per-tenant concurrency quota. The zero
-// value is one worker per CPU, unbounded queues, every tenant at weight
-// 1. Which tenant a session belongs to is said at Submit, not here.
+// value is one worker per core of the cores budget, unbounded queues,
+// every tenant at weight 1. Which tenant a session belongs to is said at
+// Submit, not here.
 type Config struct {
-	// Workers is the number of job workers (<= 0 means runtime.NumCPU()).
+	// Workers is the number of job workers (<= 0 means cores.Width()).
 	Workers int
 	// MaxQueued caps the total number of queued jobs across all sessions;
 	// Submit beyond it fails with a pool-scoped QueueFullError
@@ -131,16 +132,15 @@ type Pool struct {
 	nextID             int
 	closed             bool
 
-	wg      sync.WaitGroup
-	compute chan struct{} // fan-out lane for RunTasks
+	wg sync.WaitGroup
 }
 
 // NewPoolConfig starts a pool under the given scheduling configuration;
-// the zero Config means runtime.NumCPU() job workers and no backpressure
+// the zero Config means cores.Width() job workers and no backpressure
 // limits.
 func NewPoolConfig(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
+		cfg.Workers = cores.Width()
 	}
 	p := &Pool{
 		cfg:      cfg,
@@ -149,7 +149,6 @@ func NewPoolConfig(cfg Config) *Pool {
 		tenants:  make(map[string]*tenantState),
 		jobs:     make(map[string]*Job),
 		outcome:  make(outcomeCounters),
-		compute:  make(chan struct{}, cfg.Workers),
 	}
 	reg := cfg.Obs
 	for _, o := range outcomeLabels {
@@ -390,33 +389,6 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// RunTasks executes a batch of independent tasks, fanning them out over
-// the pool's compute lane, and returns when all are done. It implements
-// cluster.TaskRunner, so CLARA's per-sample PAM runs share the pool's
-// worker budget. Tasks that cannot grab a compute slot run on the
-// caller's goroutine (caller-runs), which guarantees progress even when
-// every slot is busy — nested fan-out from inside a job can never
-// deadlock.
-func (p *Pool) RunTasks(tasks []func()) {
-	var wg sync.WaitGroup
-	for _, task := range tasks {
-		select {
-		case p.compute <- struct{}{}:
-			wg.Add(1)
-			go func(task func()) {
-				defer func() {
-					<-p.compute
-					wg.Done()
-				}()
-				task()
-			}(task)
-		default:
-			task()
-		}
-	}
-	wg.Wait()
-}
-
 // TenantStats is one tenant's slice of a Stats snapshot.
 type TenantStats struct {
 	Weight      int    `json:"weight"`
@@ -545,7 +517,11 @@ func (p *Pool) worker() {
 		j.started = time.Now()
 		p.mu.Unlock()
 
+		// The job's core is busy while it runs, so its build's fan-out
+		// borrows only the cores no other job holds.
+		release := cores.Hold()
 		res, err := runJob(j)
+		release()
 
 		p.mu.Lock()
 		p.sched.finished(j)

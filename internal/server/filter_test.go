@@ -15,22 +15,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/store"
 )
 
-// gateRunner is a cluster.TaskRunner that, once armed, parks every batch
-// it is handed until the gate opens — a build held inside its cluster
-// stage for as long as a test needs, without sleeping on durations.
-// Unarmed or open it runs the tasks inline.
-type gateRunner struct {
+// gateClock is an obs.Clock that, once armed, parks every read until the
+// gate opens. A build job's first read is the start of its trace, inside
+// the running job and before it takes the session lock, and no state
+// route reads the clock: a job held running for as long as a test needs,
+// without sleeping on durations. Unarmed or open it reads the wall clock.
+type gateClock struct {
 	armed   atomic.Bool
-	parked  chan struct{} // one token per parked batch
+	parked  chan struct{} // one token per parked read
 	release chan struct{}
 	once    sync.Once
 }
 
-func (g *gateRunner) RunTasks(tasks []func()) {
+func (g *gateClock) Now() time.Time {
 	if g.armed.Load() {
 		select {
 		case g.parked <- struct{}{}:
@@ -38,14 +40,12 @@ func (g *gateRunner) RunTasks(tasks []func()) {
 		}
 		<-g.release
 	}
-	for _, task := range tasks {
-		task()
-	}
+	return time.Now()
 }
 
-func (g *gateRunner) open() { g.once.Do(func() { close(g.release) }) }
+func (g *gateClock) open() { g.once.Do(func() { close(g.release) }) }
 
-func (g *gateRunner) waitParked(t *testing.T) {
+func (g *gateClock) waitParked(t *testing.T) {
 	t.Helper()
 	select {
 	case <-g.parked:
@@ -54,18 +54,17 @@ func (g *gateRunner) waitParked(t *testing.T) {
 	}
 }
 
-// gatedServer serves the blobs dataset with the gate as every session's
-// CLARA runner and a PAM threshold low enough that every build of the
-// tests below fans out through it. returned receives a token whenever a
-// POST …/filter handler has returned.
-func gatedServer(t *testing.T, cfg jobs.Config) (ts *httptest.Server, gate *gateRunner, returned chan struct{}) {
+// gatedServer serves the blobs dataset with the gate as the clock of
+// every build's trace. returned receives a token whenever a POST …/filter
+// handler has returned.
+func gatedServer(t *testing.T, cfg jobs.Config) (ts *httptest.Server, gate *gateClock, returned chan struct{}) {
 	t.Helper()
-	gate = &gateRunner{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	gate = &gateClock{parked: make(chan struct{}, 1), release: make(chan struct{})}
 	returned = make(chan struct{}, 1)
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 400, K: 3, Dims: 4, Sep: 8}, rand.New(rand.NewSource(1)))
 	srv := NewWith(map[string]store.Relation{"blobs": ds.Table},
-		core.Options{Seed: 1, SampleSize: 400, PAMThreshold: 64, Runner: gate},
-		session.NewManagerObs(cfg, nil))
+		core.Options{Seed: 1, SampleSize: 400},
+		session.NewManagerObs(cfg, &obs.Telemetry{Registry: obs.NewRegistry(), Clock: gate}))
 	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.ServeHTTP(w, r)
 		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/filter") {
@@ -131,7 +130,7 @@ func TestStateAnswersWhileFilterBuilds(t *testing.T) {
 	gate.waitParked(t)
 
 	var st map[string]any
-	getJSON(t, base, &st) // times out if the build holds the session lock
+	getJSON(t, base, &st) // answered while the filter job runs
 	if st["action"] != "select-theme" || int(st["historyDepth"].(float64)) != 2 {
 		t.Errorf("state during the build: action %v depth %v, want the select's", st["action"], st["historyDepth"])
 	}

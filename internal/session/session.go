@@ -70,7 +70,7 @@ type Manager struct {
 // NewManagerObs returns an empty session registry whose scheduler runs
 // under the given configuration — queue caps, tenant weights and
 // in-flight quotas (see jobs.Config); the zero Config runs one job
-// worker per CPU with no backpressure limits. Tenant attribution is the
+// worker per core (cores.Width()) with no backpressure limits. Tenant attribution is the
 // tenant argument of Open: every job of the session is submitted under it.
 //
 // tel is the telemetry plane: the scheduler's counters land in its
@@ -98,19 +98,15 @@ func (m *Manager) Pool() *jobs.Pool { return m.pool }
 // *obs.Telemetry accessors tolerate that).
 func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 
-// Open creates a session exploring the given table. Unless the caller
-// supplied its own, the scheduler is installed as the explorer's CLARA
-// fan-out runner, so per-sample PAM runs share the server's worker
-// budget instead of spawning free goroutines. A non-empty tenant label
+// Open creates a session exploring the given table. Its builds run on
+// the manager's job workers, and their fan-out borrows only the cores no
+// running job holds (internal/cores). A non-empty tenant label
 // schedules the session's jobs (weighted fairness, in-flight quotas,
 // per-tenant accounting) under that tenant; with an empty one the
 // session stands alone as its own tenant. This is where a deployment
 // that derives the tenant server-side (from an authenticated identity)
 // hands it in.
 func (m *Manager) Open(t store.Relation, opts core.Options, tenant string) (*Session, error) {
-	if opts.Runner == nil {
-		opts.Runner = m.pool
-	}
 	e, err := core.NewExplorer(t, opts)
 	if err != nil {
 		return nil, err
