@@ -53,13 +53,13 @@ vet:
 	go vet ./...
 
 # The repo's own analyzer suite (internal/analysis, driven by
-# cmd/blaeu-lint): determinism over the algorithmic core, fanout over
-# the build packages, lockcheck over the concurrent tiers, ctxcheck over
-# the request stack, plus the
-# interprocedural analyzers (blockcheck, hotpath, metricscheck) with
-# cross-package facts. A clean exit is a CI gate; suppress individual
-# findings only with a reasoned `//blaeu:nolint <analyzer> <reason>`
-# comment.
+# cmd/blaeu-lint over every package in one process): determinism over
+# the algorithmic core, fanout over the build packages, ctxcheck over
+# the request stack, and the interprocedural analyzers with
+# cross-package facts — lockcheck (may-block facts) over the concurrent
+# tiers, hotpath and metricscheck everywhere. A clean exit is a CI gate;
+# suppress individual findings only with a reasoned
+# `//blaeu:nolint <analyzer> <reason>` comment.
 lint:
 	go run ./cmd/blaeu-lint ./...
 

@@ -3,7 +3,10 @@ package blaeu
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // TestDocsNameRealMakeTargets: every `make <target>` the prose quotes,
@@ -50,5 +53,41 @@ func TestDocsNameRealMakeTargets(t *testing.T) {
 	check("Makefile .PHONY", regexp.MustCompile(`([A-Za-z0-9_-]+)`).FindAllStringSubmatch(phony[1], -1))
 	if cited < len(targets) {
 		t.Errorf("only %d citations found for %d targets: the patterns no longer match how targets are cited", cited, len(targets))
+	}
+}
+
+// TestCodeHealthTableNamesTheSuite: README's Code health table has one
+// row per analyzer of analysis.All(), no other, and each row's scope is
+// the analyzer's Scope (its internal/ packages, or "every package").
+func TestCodeHealthTableNamesTheSuite(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(b), "\n## Code health\n")
+	if i < 0 {
+		t.Fatal("README has no Code health section")
+	}
+	rows := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\| ([^|]+) \\|").FindAllStringSubmatch(string(b[i:]), -1) {
+		rows[m[1]] = m[2]
+	}
+	for _, a := range analysis.All() {
+		want := "every package"
+		if len(a.Scope) > 0 {
+			want = strings.ReplaceAll(strings.Join(a.Scope, ", "), "internal/", "")
+		}
+		got, ok := rows[a.Name]
+		if !ok {
+			t.Errorf("README's Code health table has no row for analyzer %s", a.Name)
+			continue
+		}
+		if got != want {
+			t.Errorf("README gives %s the scope %q; the analyzer's Scope is %q", a.Name, got, want)
+		}
+		delete(rows, a.Name)
+	}
+	for name := range rows {
+		t.Errorf("README's Code health table names %s, which analysis.All() does not", name)
 	}
 }

@@ -2,26 +2,30 @@
 // static analyzers that enforce the invariants everything in this repo
 // rests on — pinned-seed determinism in the algorithmic core, fan-out
 // only through the cores budget in the build packages, lock
-// discipline in the scheduler and session tiers, context/deadline
-// propagation through the request stack, interprocedural blocking
-// discipline, hot-path allocation/lock freedom, and the metrics
-// catalog contract. No stock linter checks these; -race and reviewer
-// vigilance were the only guards before this suite.
+// discipline in the concurrent tiers (nothing that may block, however
+// many calls away, runs under a held mutex), context/deadline
+// propagation through the request stack, hot-path allocation/lock
+// freedom, and the metrics catalog contract. No stock linter checks
+// these; -race and reviewer vigilance were the only guards before this
+// suite.
 //
 // The framework is a deliberately small, dependency-free analogue of
 // golang.org/x/tools/go/analysis (that module is not vendored here):
 // an Analyzer holds a Run function over a type-checked Pass, packages
 // are loaded through `go list -export` plus the standard library's
 // gc-export-data importer (see load.go), and cmd/blaeu-lint drives the
-// suite standalone or as a `go vet -vettool`.
+// suite over every package in one process.
 //
 // Interprocedural analysis rests on package facts: an analyzer can
-// export serialized facts about its package's objects (ExportFact,
-// keyed by ObjPath) and import the facts it exported when it ran over
-// a dependency (ImportFact). `go list -deps` hands the loader packages
-// in dependency order, so by the time a package is analyzed every
-// fact of everything it imports is available — the same bottom-up
-// model go/analysis facts use, with JSON in place of gob.
+// export facts about its package's objects (ExportFact, keyed by
+// ObjPath) and import the facts it exported when it ran over a
+// dependency (ImportFact). `go list -deps` hands the loader packages in
+// dependency order, so by the time a package is analyzed every fact of
+// everything it imports is available — the same bottom-up model
+// go/analysis facts use. A fact is the Go value the analyzer exported;
+// its key is a path string, not an object, because each package is
+// type-checked against export data and so sees its own copy of every
+// imported object.
 //
 // Suppression: a finding can be silenced with
 //
@@ -35,7 +39,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -62,11 +65,10 @@ type Analyzer struct {
 	Facts bool
 	// Run reports findings on the pass via Pass.Reportf.
 	Run func(*Pass) error
-	// Finish, when set, runs once after every package has been analyzed
-	// (standalone driver only; the vet-tool protocol has no
-	// whole-program moment) with the accumulated facts of every package
-	// — the hook for global reconciliation such as metricscheck's
-	// README catalog check. Finish diagnostics are not suppressible.
+	// Finish, when set, runs once after every package has been analyzed,
+	// with the accumulated facts of every package — the hook for global
+	// reconciliation such as metricscheck's README catalog check. Finish
+	// diagnostics are not suppressible.
 	Finish func(fc *FinishContext) []Diagnostic
 }
 
@@ -83,9 +85,9 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 	return false
 }
 
-// FactSet is one analyzer's serialized facts about one package, keyed
-// by object path (see ObjPath) or any other stable analyzer-chosen key.
-type FactSet map[string]json.RawMessage
+// FactSet is one analyzer's facts about one package, keyed by object
+// path (see ObjPath) or any other stable analyzer-chosen key.
+type FactSet map[string]any
 
 // PackageFacts maps analyzer name → that analyzer's FactSet for one
 // package.
@@ -93,8 +95,8 @@ type PackageFacts map[string]FactSet
 
 // FinishContext is the whole-program view an Analyzer.Finish hook sees.
 type FinishContext struct {
-	// RepoRoot is the directory the standalone driver resolved as the
-	// module root — where README.md lives.
+	// RepoRoot is the directory the driver resolved as the module root —
+	// where README.md lives.
 	RepoRoot string
 	// Facts maps package import path → the facts every analyzer
 	// exported for it.
@@ -119,29 +121,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(pos, fmt.Sprintf(format, args...))
 }
 
-// ExportFact serializes v as this analyzer's fact under key (usually an
+// ExportFact records v as this analyzer's fact under key (usually an
 // ObjPath) so packages that import this one can read it via ImportFact.
 func (p *Pass) ExportFact(key string, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// Facts are analyzer-authored structs; a marshal failure is a
-		// bug in the analyzer, not in the analyzed code.
-		panic(fmt.Sprintf("analysis: marshaling %s fact %q: %v", p.Analyzer.Name, key, err))
-	}
 	if p.exported == nil {
 		p.exported = FactSet{}
 	}
-	p.exported[key] = b
+	p.exported[key] = v
 }
 
-// ImportFact decodes into out the fact this same analyzer exported
-// under key when it ran over pkgPath, reporting whether one was found.
-func (p *Pass) ImportFact(pkgPath, key string, out any) bool {
-	raw, ok := p.imported[pkgPath][p.Analyzer.Name][key]
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, out) == nil
+// ImportFact returns the fact this same analyzer exported under key
+// when it ran over pkgPath, reporting whether one was found.
+func (p *Pass) ImportFact(pkgPath, key string) (any, bool) {
+	v, ok := p.imported[pkgPath][p.Analyzer.Name][key]
+	return v, ok
 }
 
 // Analyzed reports whether pkgPath was analyzed earlier in this run —
@@ -292,20 +285,20 @@ func stmtStartLine(fset *token.FileSet, files []*ast.File, pos token.Pos) int {
 // //blaeu:nolint suppressions, reports unused ones, and returns the
 // diagnostics sorted by position — suppressed findings included, marked
 // with Suppressed. Analyzer scope is NOT consulted here — the caller
-// filters (the drivers respect Scope, the tests bypass it). No facts
-// are threaded; interprocedural callers use RunPackageFacts.
+// filters (RunPackages respects Scope, the tests bypass it). No facts
+// are threaded; interprocedural callers use RunPackages.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunPackageFacts(pkg, analyzers, nil, nil)
+	diags, _, err := runPackageFacts(pkg, analyzers, nil, nil)
 	return diags, err
 }
 
-// RunPackageFacts is RunPackage with the interprocedural plumbing:
+// runPackageFacts is RunPackage with the interprocedural plumbing:
 // imported carries the facts of already-analyzed dependencies (keyed by
 // import path), and silent names analyzers that run for their facts
-// only — reporting disabled, the mode the drivers use outside an
+// only — reporting disabled, the mode RunPackages uses outside an
 // analyzer's Scope. It returns the diagnostics plus the facts the
 // analyzers exported for this package.
-func RunPackageFacts(pkg *Package, analyzers []*Analyzer, silent map[string]bool, imported map[string]PackageFacts) ([]Diagnostic, PackageFacts, error) {
+func runPackageFacts(pkg *Package, analyzers []*Analyzer, silent map[string]bool, imported map[string]PackageFacts) ([]Diagnostic, PackageFacts, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -385,7 +378,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, map[stri
 		if len(run) == 0 {
 			continue
 		}
-		diags, fs, err := RunPackageFacts(pkg, run, silent, facts)
+		diags, fs, err := runPackageFacts(pkg, run, silent, facts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -399,8 +392,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, map[stri
 }
 
 // RunFinish invokes the analyzers' Finish hooks over the accumulated
-// facts — the whole-program reconciliation step of the standalone
-// driver (the vet-tool path never sees all packages at once).
+// facts — the driver's whole-program reconciliation step.
 func RunFinish(analyzers []*Analyzer, fc *FinishContext) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -439,5 +431,5 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 
 // All returns the blaeu-lint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Fanout, Lockcheck, Ctxcheck, Blockcheck, Hotpath, Metricscheck}
+	return []*Analyzer{Determinism, Fanout, Lockcheck, Ctxcheck, Hotpath, Metricscheck}
 }

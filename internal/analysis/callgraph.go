@@ -6,7 +6,7 @@ import (
 )
 
 // This file builds the approximate per-package call graph the
-// interprocedural analyzers (blockcheck, hotpath) share. Resolution is
+// interprocedural analyzers (lockcheck, hotpath) share. Resolution is
 // deliberately simple and syntax-directed:
 //
 //   - static calls (package functions, concrete methods) resolve to

@@ -47,9 +47,9 @@ const hotMarker = "blaeu:hot"
 // may call it freely; Allocates/Locks carry transitive dirtiness
 // witnesses consulted when hot code calls a non-hot function.
 type hotpathFact struct {
-	Hot       bool   `json:"hot,omitempty"`
-	Allocates string `json:"allocates,omitempty"`
-	Locks     string `json:"locks,omitempty"`
+	Hot       bool
+	Allocates string
+	Locks     string
 }
 
 // summary is the locally computed form of a function's dirtiness.
@@ -313,8 +313,8 @@ func calleeSummary(pass *Pass, sums map[*types.Func]*summary, hotFns map[*types.
 	if hotStdClean[pkg.Path()] {
 		return nil
 	}
-	var fact hotpathFact
-	if pass.ImportFact(pkg.Path(), ObjPath(fn), &fact) {
+	if v, ok := pass.ImportFact(pkg.Path(), ObjPath(fn)); ok {
+		fact := v.(hotpathFact)
 		if fact.Hot {
 			return nil
 		}

@@ -8,7 +8,7 @@ import (
 
 // TestWriteJSONSchema pins the -json wire shape byte for byte: editor
 // and CI integrations parse these field names, so any change here must
-// be deliberate (and versioned in the tool's -V string).
+// be deliberate.
 func TestWriteJSONSchema(t *testing.T) {
 	diags := []Diagnostic{
 		{

@@ -234,15 +234,6 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 	return c.std.Import(path)
 }
 
-// TypecheckFiles type-checks already-parsed files as one package,
-// resolving imports through the given export-data lookup — the entry
-// point for the vet-tool protocol, where the go command hands the
-// driver file lists and export-data locations via a .cfg file.
-func TypecheckFiles(fset *token.FileSet, importPath, dir string, files []*ast.File, lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	return typecheckFiles(fset, imp, importPath, dir, files)
-}
-
 // exportImporter returns a gc-export-data importer resolving import
 // paths through the given path → export-file map.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {

@@ -1,11 +1,6 @@
 package analysis
 
 import (
-	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,27 +62,5 @@ func TestLoadTypeCheckFailure(t *testing.T) {
 	_, err := Load(dir, ".")
 	if err == nil {
 		t.Fatal("Load of a non-compiling package: want error, got nil")
-	}
-}
-
-// TestTypecheckMissingExportData: the vet-tool entry point must surface
-// a lookup failure (no export data for an import) as a type-check
-// error naming the package.
-func TestTypecheckMissingExportData(t *testing.T) {
-	fset := token.NewFileSet()
-	src := "package p\n\nimport \"fmt\"\n\nfunc f() { fmt.Println() }\n"
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		return nil, errors.New("export data withheld for " + path)
-	}
-	_, err = TypecheckFiles(fset, "example/p", "", []*ast.File{f}, lookup)
-	if err == nil {
-		t.Fatal("type-checking with no export data: want error, got nil")
-	}
-	if !strings.Contains(err.Error(), "type-checking example/p") {
-		t.Errorf("error = %v, want it to name the package being checked", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Lockcheck enforces mutex discipline in the concurrent tiers — the
@@ -14,31 +13,51 @@ import (
 //   - a Lock()/RLock() must be paired with a defer Unlock() or an
 //     unlock on every path out of the enclosing block (early returns
 //     that unlock first are fine; returns that don't are reported);
-//   - blocking operations (channel send/receive, select without
-//     default, calls named Submit/Wait/Sleep/Acquire) while
-//     the mutex is held are reported. sync.Cond.Wait is exempt — it
-//     releases the lock itself and is the sanctioned wait shape.
+//   - nothing that may block runs while the mutex is held: no blocking
+//     shape (channel send or receive, select without default, range
+//     over a channel) and no call to a may-block function.
 //
-// The scan is a per-block forward walk: it follows the statement list
-// from the Lock to the first unconditional release. A lock at the end
-// of a loop body wraps once around the loop (the worker handoff
-// pattern: unlock at the top of the next iteration), and an infinite
-// `for {}` that cannot fall through ends the outer scan — the loop body
-// manages the lock and is checked on its own.
+// May-block is a fact per function, computed bottom-up: seeded by the
+// blocking shapes in the function's own body and by the blocking
+// standard-library calls (time.Sleep, sync waits, file and network IO),
+// then propagated up the approximate call graph and across package
+// boundaries through exported facts — so a blocking operation two
+// packages away behind an innocently named helper is still found, with
+// its witness chain. sync.Cond.Wait is exempt at its direct call site
+// (it releases the lock itself and is the sanctioned wait shape), but a
+// function that waits on a cond does carry the fact: a caller holding a
+// *different* mutex has no such guarantee. Dynamic calls (func values)
+// are unknown callees and are ignored.
+//
+// The region walk is a per-block forward scan: it follows the statement
+// list from the Lock to the first unconditional release, and within a
+// compound statement each nested statement list stops being held at its
+// own unlock. A lock at the end of a loop body wraps once around the
+// loop (the worker handoff pattern: unlock at the top of the next
+// iteration), and an infinite `for {}` that cannot fall through ends the
+// outer scan — the loop body manages the lock and is checked on its own.
 var Lockcheck = &Analyzer{
-	Name:  "lockcheck",
-	Doc:   "require unlock on every path and forbid blocking operations while a mutex is held",
-	Scope: []string{"internal/jobs", "internal/session", "internal/core", "internal/obs"},
+	Name: "lockcheck",
+	Doc:  "require unlock on every path and forbid blocking operations and calls to may-block functions while a mutex is held",
+	Scope: []string{
+		"internal/jobs", "internal/session", "internal/server",
+		"internal/core", "internal/obs", "internal/store/segment",
+	},
+	Facts: true,
 	Run:   runLockcheck,
 }
 
-// blockingNames are call names treated as potentially blocking when they
-// appear while a mutex is held.
-var blockingNames = map[string]bool{
-	"Submit": true, "Wait": true, "Sleep": true, "Acquire": true,
+// mayBlockFact is lockcheck's exported fact: the function can block,
+// directly or transitively, with a human-readable witness chain.
+type mayBlockFact struct {
+	Why string
 }
 
 func runLockcheck(pass *Pass) error {
+	may := mayBlock(pass)
+	for fn, why := range may {
+		pass.ExportFact(ObjPath(fn), mayBlockFact{Why: why})
+	}
 	for _, f := range pass.Files {
 		loopBodies := map[*ast.BlockStmt]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,14 +76,186 @@ func runLockcheck(pass *Pass) error {
 			}
 			for i, stmt := range block.List {
 				if recv, lockName, ok := lockStmt(pass, stmt); ok {
-					held := func(s ast.Stmt) { reportBlocking(pass, s, recv) }
-					scanLock(pass, block, i, recv, lockName, loopBodies[block], held, true)
+					scanLock(pass, may, block, i, recv, lockName, loopBodies[block])
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// mayBlock computes the may-block witness of every function the package
+// declares: the first blocking shape of its own body, else — by fixpoint
+// over the call graph — a call to a may-block function (same package,
+// imported fact, or blocking std call).
+func mayBlock(pass *Pass) map[*types.Func]string {
+	graph := packageGraph(pass)
+	may := map[*types.Func]string{}
+	for fn, node := range graph {
+		why := ""
+		inPlace(node.decl.Body, func(n ast.Node) bool {
+			if s, ok := blockingShape(pass, n); ok && why == "" {
+				why = s.does
+			}
+			return why == ""
+		})
+		if why != "" {
+			may[fn] = why
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for fn, node := range graph {
+			if _, done := may[fn]; done {
+				continue
+			}
+			for _, cs := range node.calls {
+				if why, tgt := callBlocks(pass, may, cs.targets); why != "" {
+					may[fn] = "calls " + funcLabel(pass, tgt.fn) + ", which " + why
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return may
+}
+
+// shape is one syntactic blocking shape: the operation, as a held-lock
+// finding names it, and what a function containing it does, as a
+// may-block witness says it.
+type shape struct{ op, does string }
+
+// blockingShape is the one classifier of the syntactic blocking shapes,
+// shared by the may-block seed and the held-lock check.
+func blockingShape(pass *Pass, n ast.Node) (shape, bool) {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return shape{"channel send", "sends on a channel"}, true
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return shape{"channel receive", "receives from a channel"}, true
+		}
+	case *ast.RangeStmt:
+		if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return shape{"ranging over a channel", "ranges over a channel"}, true
+			}
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(n) {
+			return shape{"select without default", "selects without a default case"}, true
+		}
+	}
+	return shape{}, false
+}
+
+// inPlace walks the nodes of root that run where root runs, calling
+// visit on each and descending only where visit returns true. Function
+// literals run when invoked and go statements on their own goroutine
+// (only the go call's arguments are evaluated here); a select's comm
+// operations block, or not, as the select itself, so of a comm clause
+// only the body is walked.
+func inPlace(root ast.Node, visit func(ast.Node) bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case nil, *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			for _, arg := range n.Call.Args {
+				inPlace(arg, visit)
+			}
+			return false
+		case *ast.CommClause:
+			if visit(n) {
+				for _, s := range n.Body {
+					inPlace(s, visit)
+				}
+			}
+			return false
+		}
+		return visit(n)
+	})
+}
+
+// callBlocks reports why (and through which target) a resolved call may
+// block: a may-block function of the same package, an imported
+// mayBlockFact, or a blocking standard-library call.
+func callBlocks(pass *Pass, may map[*types.Func]string, targets []callTarget) (string, callTarget) {
+	for _, tgt := range targets {
+		if why := funcBlocks(pass, may, tgt.fn); why != "" {
+			return why, tgt
+		}
+	}
+	return "", callTarget{}
+}
+
+// funcBlocks resolves one callee's may-block witness, or "".
+func funcBlocks(pass *Pass, may map[*types.Func]string, fn *types.Func) string {
+	if fn.Pkg() == pass.Pkg {
+		return may[fn]
+	}
+	if why := stdBlocking(fn); why != "" {
+		return why
+	}
+	if fn.Pkg() != nil {
+		if fact, ok := pass.ImportFact(fn.Pkg().Path(), ObjPath(fn)); ok {
+			return fact.(mayBlockFact).Why
+		}
+	}
+	return ""
+}
+
+// stdBlocking classifies blocking standard-library callees: sleeps,
+// sync waits, process waits, and the file/network IO syscall surface.
+// The net package blocks wholesale; os and os/exec by a curated list.
+func stdBlocking(fn *types.Func) string {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return ""
+	}
+	name := fn.Name()
+	switch pkg.Path() {
+	case "time":
+		if name == "Sleep" {
+			return "sleeps (time.Sleep)"
+		}
+	case "sync":
+		if name == "Wait" {
+			return "waits (sync." + recvTypeName(fn) + ".Wait)"
+		}
+	case "net", "net/http":
+		return "performs network IO (" + pkg.Path() + "." + ObjPath(fn) + ")"
+	case "os":
+		switch name {
+		case "Open", "Create", "OpenFile", "ReadFile", "WriteFile", "ReadDir", "Pipe",
+			"Read", "ReadAt", "Write", "WriteAt", "Sync", "Close":
+			return "performs file IO (os." + ObjPath(fn) + ")"
+		}
+	case "os/exec":
+		switch name {
+		case "Run", "Wait", "Output", "CombinedOutput", "Start":
+			return "waits on a subprocess (exec." + ObjPath(fn) + ")"
+		}
+	}
+	return ""
+}
+
+// recvTypeName names a method's receiver type ("WaitGroup", "Cond").
+func recvTypeName(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // lockStmt matches a bare `x.Lock()` / `x.RLock()` statement on a sync
@@ -100,17 +291,23 @@ func syncLockCall(pass *Pass, call *ast.CallExpr, names ...string) (string, stri
 	return "", "", false
 }
 
+// lockRegion is one Lock whose held statements are being checked.
+type lockRegion struct {
+	pass             *Pass
+	may              map[*types.Func]string
+	recv, unlockName string
+}
+
 // scanLock follows the block's statement list from the Lock at index i,
-// invoking held for every statement that executes while the lock is
-// held. When reportLockBugs is set it additionally reports the
-// unlock-discipline findings (return-without-unlock, missing release) —
-// lockcheck's rule; blockcheck reuses the same region walk with its own
-// held callback and the discipline reports off.
-func scanLock(pass *Pass, block *ast.BlockStmt, i int, recv, lockName string, isLoopBody bool, held func(ast.Stmt), reportLockBugs bool) {
+// checking every statement that executes while the lock is held and
+// reporting the unlock-discipline findings (return without unlock,
+// missing release).
+func scanLock(pass *Pass, may map[*types.Func]string, block *ast.BlockStmt, i int, recv, lockName string, isLoopBody bool) {
 	unlockName := "Unlock"
 	if lockName == "RLock" {
 		unlockName = "RUnlock"
 	}
+	r := &lockRegion{pass: pass, may: may, recv: recv, unlockName: unlockName}
 	lockPos := block.List[i].Pos()
 	list := append([]ast.Stmt{}, block.List[i+1:]...)
 	if isLoopBody {
@@ -120,16 +317,16 @@ func scanLock(pass *Pass, block *ast.BlockStmt, i int, recv, lockName string, is
 	}
 	deferSeen := false
 	for _, stmt := range list {
-		if deferUnlocks(pass, stmt, recv, unlockName) {
+		if ds, ok := stmt.(*ast.DeferStmt); ok && r.unlocking(ds.Call) {
 			deferSeen = true
 			continue
 		}
-		held(stmt)
+		r.held(stmt)
 		if deferSeen {
 			continue // released at return; keep auditing blocking ops only
 		}
-		hasUnlock := containsUnlock(pass, stmt, recv, unlockName)
-		hasReturn := containsReturn(stmt)
+		hasUnlock := r.containsUnlock(stmt)
+		hasReturn := firstReturn(stmt) != nil
 		if infiniteFor(stmt) {
 			// Control cannot fall past; the loop body owns the lock
 			// lifecycle and is scanned as its own block.
@@ -141,51 +338,98 @@ func scanLock(pass *Pass, block *ast.BlockStmt, i int, recv, lockName string, is
 		case hasUnlock && hasReturn:
 			continue // an early-exit path that releases; fall-through still holds
 		case hasReturn:
-			if reportLockBugs {
-				pass.Reportf(firstReturn(stmt).Pos(), "return while holding %s (%s at line %d) without %s",
-					recv, lockName, pass.Fset.Position(lockPos).Line, unlockName)
-			}
+			pass.Reportf(firstReturn(stmt).Pos(), "return while holding %s (%s at line %d) without %s",
+				recv, lockName, pass.Fset.Position(lockPos).Line, unlockName)
 			return
 		}
 	}
-	if !deferSeen && reportLockBugs {
+	if !deferSeen {
 		pass.Reportf(lockPos, "%s.%s() is not released on the fall-through path: pair it with defer %s.%s() or an explicit unlock",
 			recv, lockName, recv, unlockName)
 	}
 }
 
-// deferUnlocks matches `defer recv.Unlock()`.
-func deferUnlocks(pass *Pass, stmt ast.Stmt, recv, unlockName string) bool {
-	ds, ok := stmt.(*ast.DeferStmt)
+// held reports what root runs while the lock is held: every blocking
+// shape, and every call to a may-block function. A statement list
+// nested in root stops being held at its own unlock, so what follows
+// an unlock inside a branch is not checked.
+func (r *lockRegion) held(root ast.Node) {
+	pass := r.pass
+	inPlace(root, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				r.held(e)
+			}
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		case *ast.CallExpr:
+			r.call(n)
+			return true
+		default:
+			if s, ok := blockingShape(pass, n); ok {
+				pass.Reportf(n.Pos(), "%s while holding %s can block the lock indefinitely", s.op, r.recv)
+			}
+			return true
+		}
+		for _, s := range list {
+			if es, ok := s.(*ast.ExprStmt); ok && r.unlocking(es.X) {
+				break
+			}
+			r.held(s)
+		}
+		return false
+	})
+}
+
+// unlocking reports whether x is a call of recv's unlock.
+func (r *lockRegion) unlocking(x ast.Node) bool {
+	call, ok := x.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	r, _, ok := syncLockCall(pass, ds.Call, unlockName)
-	return ok && r == recv
+	recv, _, ok := syncLockCall(r.pass, call, r.unlockName)
+	return ok && recv == r.recv
 }
 
-// containsUnlock reports whether a matching non-deferred unlock call
-// appears anywhere within the statement.
-func containsUnlock(pass *Pass, stmt ast.Stmt, recv, unlockName string) bool {
+// call reports a call to a may-block function. sync.Cond.Wait is exempt
+// here: it releases the lock itself.
+func (r *lockRegion) call(call *ast.CallExpr) {
+	pass := r.pass
+	targets := resolveCallees(pass, call)
+	for _, tgt := range targets {
+		if fn := tgt.fn; fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" && recvTypeName(fn) == "Cond" {
+			return
+		}
+	}
+	why, tgt := callBlocks(pass, r.may, targets)
+	if why == "" {
+		return
+	}
+	label := funcLabel(pass, tgt.fn)
+	if tgt.viaIface != nil {
+		label += " (via " + funcLabel(pass, tgt.viaIface) + ")"
+	}
+	pass.Reportf(call.Pos(), "call to %s while holding %s may block the lock: it %s", label, r.recv, why)
+}
+
+// containsUnlock reports whether an unlock of recv appears anywhere
+// within the statement outside a closure.
+func (r *lockRegion) containsUnlock(stmt ast.Stmt) bool {
 	found := false
 	ast.Inspect(stmt, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a closure's unlock runs on its own schedule
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if r, _, ok := syncLockCall(pass, call, unlockName); ok && r == recv {
-				found = true
-			}
-		}
+		found = found || r.unlocking(n)
 		return !found
 	})
 	return found
 }
-
-func containsReturn(stmt ast.Stmt) bool { return firstReturn(stmt) != nil }
 
 func firstReturn(stmt ast.Stmt) *ast.ReturnStmt {
 	var ret *ast.ReturnStmt
@@ -222,42 +466,6 @@ func infiniteFor(stmt ast.Stmt) bool {
 	return !hasBreak
 }
 
-// reportBlocking flags blocking operations within stmt (the mutex is
-// held when it executes). Closure bodies are skipped: they run when
-// invoked, not necessarily under the lock.
-func reportBlocking(pass *Pass, stmt ast.Stmt, recv string) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send while holding %s can block the lock indefinitely", recv)
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				pass.Reportf(n.Pos(), "channel receive while holding %s can block the lock indefinitely", recv)
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				pass.Reportf(n.Pos(), "select without default while holding %s can block the lock indefinitely", recv)
-			}
-			// A select's own cases block (or not) as a unit; don't also
-			// report each comm clause.
-			return false
-		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					pass.Reportf(n.Pos(), "ranging over a channel while holding %s can block the lock indefinitely", recv)
-				}
-			}
-		case *ast.CallExpr:
-			if name, ok := blockingCall(pass, n); ok {
-				pass.Reportf(n.Pos(), "%s while holding %s can block the lock indefinitely", name, recv)
-			}
-		}
-		return true
-	})
-}
-
 func selectHasDefault(s *ast.SelectStmt) bool {
 	for _, c := range s.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -265,20 +473,4 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// blockingCall matches calls whose name suggests waiting (Submit, Wait,
-// Sleep, ...). sync.Cond.Wait is exempt: it releases the lock itself.
-func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || !blockingNames[fn.Name()] {
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type().String()
-		if strings.Contains(rt, "sync.Cond") {
-			return "", false
-		}
-	}
-	return "call to " + fn.Name(), true
 }

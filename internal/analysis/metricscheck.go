@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/constant"
@@ -25,9 +24,8 @@ const metricscheckName = "metricscheck"
 // Every registration exports a fact; the Finish hook reconciles the
 // union of registered series against the catalog table in README's
 // Observability section and reports drift in both directions, so the
-// hand-written catalog cannot rot. The README check runs only in the
-// standalone driver (`make lint`) — the vet-tool protocol has no
-// whole-program moment.
+// hand-written catalog cannot rot. The README check runs when the
+// driver lints the whole tree (`make lint`).
 var Metricscheck = &Analyzer{
 	Name:   metricscheckName,
 	Doc:    "enforce blaeu_-prefixed constant metric names, constant label keys, fmt-free label values, and README catalog sync",
@@ -38,9 +36,9 @@ var Metricscheck = &Analyzer{
 
 // metricFact records one registration site of a metric family.
 type metricFact struct {
-	Name string `json:"name"`
-	File string `json:"file"`
-	Line int    `json:"line"`
+	Name string
+	File string
+	Line int
 }
 
 func runMetricscheck(pass *Pass) error {
@@ -203,10 +201,7 @@ func finishMetricscheck(fc *FinishContext) []Diagnostic {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			var site metricFact
-			if err := json.Unmarshal(fs[k], &site); err != nil {
-				continue
-			}
+			site := fs[k].(metricFact)
 			prev, ok := registered[site.Name]
 			if !ok || site.File < prev.File || (site.File == prev.File && site.Line < prev.Line) {
 				registered[site.Name] = site

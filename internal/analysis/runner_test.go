@@ -117,6 +117,9 @@ func TestAppliesTo(t *testing.T) {
 		{Fanout, "repro/internal/store/csvdec", false},
 		{Fanout, "repro/internal/cores", false},
 		{Lockcheck, "repro/internal/jobs", true},
+		{Lockcheck, "repro/internal/server", true},
+		{Lockcheck, "repro/internal/store/segment", true},
+		{Lockcheck, "repro/internal/store", false},
 		{Lockcheck, "repro/internal/graph", false},
 		{Ctxcheck, "repro/internal/server", true},
 		{Ctxcheck, "repro/internal/cluster", false},

@@ -1,6 +1,6 @@
-// Package blockcheck is analyzer testdata: may-block facts propagating
+// Package blockcheck is lockcheck testdata: may-block facts propagating
 // up the call graph, and calls to may-block functions under a held
-// mutex. `want` comments assert the diagnostics blockcheck must (and
+// mutex. `want` comments assert the diagnostics lockcheck must (and
 // must not) produce.
 package blockcheck
 

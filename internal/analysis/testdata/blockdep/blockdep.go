@@ -1,4 +1,4 @@
-// Package blockdep is the dependency half of blockcheck's
+// Package blockdep is the dependency half of lockcheck's
 // cross-package fact test: Tidy blocks transitively through Settle, and
 // nothing in this package holds a lock, so the package itself is clean
 // — the may-block facts are what it exports.

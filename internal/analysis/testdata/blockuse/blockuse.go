@@ -1,8 +1,7 @@
-// Package blockuse is the consumer half of blockcheck's cross-package
+// Package blockuse is the consumer half of lockcheck's cross-package
 // fact test: it calls blockdep.Tidy — whose may-block fact was exported
-// when blockdep was analyzed — while holding a mutex. Lockcheck's
-// name-based rule cannot see this (Tidy is not a blocking name); the
-// fact propagation is what catches it.
+// when blockdep was analyzed — while holding a mutex. Nothing at the
+// call site looks blocking; the fact propagation is what catches it.
 package blockuse
 
 import (

@@ -112,14 +112,16 @@ func (g *guarded) WaitCond(c *sync.Cond) {
 	}
 }
 
-type pool struct{}
+// pool's Submit hands work to a worker over a channel: it may block,
+// and that fact, not the name, is what makes a held-lock call a finding.
+type pool struct{ work chan func() }
 
-func (p *pool) Submit(f func()) {}
+func (p *pool) Submit(f func()) { p.work <- f }
 
 func (g *guarded) SubmitWhileLocked(p *pool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	p.Submit(func() {}) // want `call to Submit while holding g.mu`
+	p.Submit(func() {}) // want `call to \(\*pool\)\.Submit while holding g\.mu may block the lock: it sends on a channel`
 }
 
 // SubmitSuppressed is a negative example: the finding is silenced by a
@@ -129,6 +131,46 @@ func (g *guarded) SubmitSuppressed(p *pool) {
 	defer g.mu.Unlock()
 	//blaeu:nolint lockcheck submitting under the lock closes a submit/close race
 	p.Submit(func() {})
+}
+
+// inline's Submit runs the work on the caller: nothing in it blocks.
+type inline struct{ done int }
+
+func (p *inline) Submit(f func()) {
+	f()
+	p.done++
+}
+
+// SubmitInline is a negative example: a method named Submit that
+// cannot block is no finding under the lock.
+func (g *guarded) SubmitInline(p *inline) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p.Submit(func() {})
+}
+
+// InnerUnlock is a negative example: the hit branch releases the lock
+// before it waits and returns, so the receive is not under the lock.
+func (g *guarded) InnerUnlock(hit bool) {
+	g.mu.Lock()
+	if hit {
+		g.items = nil
+		g.mu.Unlock()
+		<-g.ch
+		return
+	}
+	g.items = append(g.items, 1)
+	g.mu.Unlock()
+}
+
+func (g *guarded) BlockBeforeInnerUnlock(hit bool) {
+	g.mu.Lock()
+	if hit {
+		<-g.ch // want `channel receive while holding g.mu`
+		g.mu.Unlock()
+		return
+	}
+	g.mu.Unlock()
 }
 
 // Worker is a negative example: the scheduler's lock-handoff loop. The

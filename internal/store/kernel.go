@@ -15,7 +15,7 @@ import (
 // and backing, and predicates are evaluated on the scratch into one
 // match byte per offset. No kernel makes an indirect call per row; a
 // predicate or column implementation no kernel binds is evaluated row
-// by row through CompileMatcher, into the same match bytes.
+// by row through its own Predicate.Matches, into the same match bytes.
 
 const (
 	// routeRun bounds a run, so selection vectors are uint16 offsets
@@ -144,7 +144,7 @@ func (c *colReader) notNull(page int, run []int, sel []uint16, m []uint8) {
 type predKind uint8
 
 const (
-	predMatcher predKind = iota // anything no kernel binds, row by row through CompileMatcher
+	predMatcher predKind = iota // anything no kernel binds, row by row through Predicate.Matches
 	predAll                     // every row
 	predNum                     // NumCmp over float64, int64 or bool values; StrEq over dictionary codes
 	predCodeIn                  // a set of dictionary codes: StrIn, NumCmp over a string column
@@ -203,7 +203,7 @@ func (ev *evaluator) bind(c Column) (int, bool) {
 
 // compile resolves p over r: every shape over the column types both
 // backings store gets a kernel, the rest — a leaf on a missing column,
-// which matches nothing, among them — the compiled matcher.
+// which matches nothing, among them — its own Matches.
 func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 	// leaf binds a leaf's column: ok if it exists and kernels read it,
 	// str if they read it as dictionary codes.
@@ -272,7 +272,7 @@ func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 			return predNode{kind: predOrNull, col: col, subs: ev.compileAll(r, []Predicate{p.P}), m: make([]uint8, ev.runCap)}
 		}
 	}
-	return predNode{kind: predMatcher, match: CompileMatcher(r, p)}
+	return predNode{kind: predMatcher, match: func(i int) bool { return p.Matches(r, i) }}
 }
 
 func (ev *evaluator) compileAll(r Relation, ps []Predicate) []predNode {

@@ -9,7 +9,7 @@ import (
 )
 
 // randomTable builds a table with numeric, string and bool columns,
-// nulls sprinkled in each, for property testing the compiled matchers.
+// nulls sprinkled in each.
 func randomTable(rng *rand.Rand, rows int) *Table {
 	t := NewTable("rand")
 	f := NewFloatColumn("f")
@@ -44,72 +44,6 @@ func randomTable(rng *rand.Rand, rows int) *Table {
 	t.MustAddColumn(s)
 	t.MustAddColumn(b)
 	return t
-}
-
-// randomPredicate generates a random predicate tree over randomTable's
-// schema, depth-bounded.
-func randomPredicate(rng *rand.Rand, depth int) Predicate {
-	cols := []string{"f", "i", "s", "b", "nope"}
-	col := cols[rng.Intn(len(cols))]
-	if depth > 0 && rng.Intn(2) == 0 {
-		switch rng.Intn(4) {
-		case 0:
-			n := rng.Intn(3)
-			and := make(And, n)
-			for j := range and {
-				and[j] = randomPredicate(rng, depth-1)
-			}
-			return and
-		case 1:
-			n := rng.Intn(3)
-			or := make(Or, n)
-			for j := range or {
-				or[j] = randomPredicate(rng, depth-1)
-			}
-			return or
-		case 2:
-			return Not{P: randomPredicate(rng, depth-1)}
-		default:
-			return OrNull{P: randomPredicate(rng, depth-1), Col: col}
-		}
-	}
-	switch rng.Intn(5) {
-	case 0:
-		ops := []CmpOp{Lt, Le, Gt, Ge, Eq, Ne}
-		return NumCmp{Col: col, Op: ops[rng.Intn(len(ops))], Val: float64(rng.Intn(10) - 5)}
-	case 1:
-		vals := []string{"u", "v", "w", "x", "absent"}
-		return StrEq{Col: col, Val: vals[rng.Intn(len(vals))], Neq: rng.Intn(2) == 0}
-	case 2:
-		vals := []string{"u", "v", "w", "x", "absent"}
-		k := rng.Intn(3)
-		in := StrIn{Col: col, Vals: make([]string, k)}
-		for j := range in.Vals {
-			in.Vals[j] = vals[rng.Intn(len(vals))]
-		}
-		return in
-	case 3:
-		return IsNull{Col: col, Not: rng.Intn(2) == 0}
-	default:
-		return True{}
-	}
-}
-
-// TestCompileMatcherEquivalence is the vectorized-path property test:
-// for random tables and random predicate trees, the compiled matcher
-// must agree with the reference Predicate.Matches on every row.
-func TestCompileMatcherEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		tab := randomTable(rng, 50)
-		p := randomPredicate(rng, 3)
-		m := CompileMatcher(tab, p)
-		for i := 0; i < tab.NumRows(); i++ {
-			if got, want := m(i), p.Matches(tab, i); got != want {
-				t.Fatalf("trial %d row %d: compiled=%v reference=%v for %s", trial, i, got, want, p)
-			}
-		}
-	}
 }
 
 func TestScanRowsAndPartitionRows(t *testing.T) {
@@ -190,24 +124,6 @@ func BenchmarkFilterNaive(b *testing.B) {
 		n := 0
 		for r := 0; r < tab.NumRows(); r++ {
 			if p.Matches(tab, r) {
-				n++
-			}
-		}
-		benchSink = n
-	}
-}
-
-// BenchmarkFilterCompiled is the resolve-once vectorized path used by
-// Table.Filter.
-func BenchmarkFilterCompiled(b *testing.B) {
-	tab := benchTable(100_000)
-	p := And{NumCmp{Col: "x", Op: Gt, Val: 50}, StrEq{Col: "label", Val: "c"}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := CompileMatcher(tab, p)
-		n := 0
-		for r := 0; r < tab.NumRows(); r++ {
-			if m(r) {
 				n++
 			}
 		}
