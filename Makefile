@@ -97,17 +97,20 @@ vuln:
 	command -v govulncheck >/dev/null 2>&1 || go install golang.org/x/vuln/cmd/govulncheck@latest
 	govulncheck ./...
 
-# Full benchmark pass (minutes).
+# Full benchmark pass (minutes): the root package's and the PAM pair in
+# internal/cluster.
 bench:
-	go test -bench=. -benchmem -run '^$$' .
+	go test -bench=. -benchmem -run '^$$' . ./internal/cluster
 
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
-# storage-engine filter benchmarks, the scan benchmarks (limit pushdown,
-# sample gathers), the kernels behind the filter and highlight clicks
-# (BenchmarkFilterKernel*, BenchmarkStatsRows*) and the row set's run
-# reads in each form (BenchmarkRowSetRuns).
+# PAM engine beside the textbook SWAP it is held to (BenchmarkPAM,
+# BenchmarkPAMClassic in internal/cluster), the storage-engine filter
+# benchmarks, the scan benchmarks (limit pushdown, sample gathers), the
+# kernels behind the filter and highlight clicks (BenchmarkFilterKernel*,
+# BenchmarkStatsRows*) and the row set's run reads in each form
+# (BenchmarkRowSetRuns).
 bench-smoke:
-	go test -bench=. -benchtime=1x -run '^$$' .
+	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store
 
 # The click ledger (bench/README.md): every workload of BENCHMARK.json

@@ -69,8 +69,6 @@ func BenchmarkE1Sampling(b *testing.B)     { benchExperiment(b, "e1", 0.1) }
 func BenchmarkE2ClaraVsPam(b *testing.B)   { benchExperiment(b, "e2", 0.25) }
 func BenchmarkE3MCSilhouette(b *testing.B) { benchExperiment(b, "e3", 0.25) }
 func BenchmarkE4AutoK(b *testing.B)        { benchExperiment(b, "e4", 0.5) }
-func BenchmarkE5SwapEngines(b *testing.B)  { benchExperiment(b, "e5", 0.25) }
-func BenchmarkE6OracleLayer(b *testing.B)  { benchExperiment(b, "e6", 0.25) }
 
 // --- Ablations ---
 
@@ -83,38 +81,12 @@ func BenchmarkA4DepSampling(b *testing.B) { benchExperiment(b, "a4", 0.25) }
 func benchVectors(n, dims, k int) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: k, Dims: dims, Sep: 6}, rng)
-	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 	if err != nil {
 		panic(err)
 	}
 	return vecs, ds.Truth["rows"]
 }
-
-// pamBenchSizes is the shared grid of BenchmarkPAM (the engine) and
-// BenchmarkPAMClassic (the textbook SWAP loop), so the two benchmarks are
-// directly comparable; the headline comparison of the FasterPAM PR is
-// n=1000, k=8.
-var pamBenchSizes = []struct{ n, k int }{
-	{200, 4}, {500, 4}, {1000, 4}, {1000, 8},
-}
-
-func benchPAMImpl(b *testing.B, pam func(cluster.Oracle, int) (*cluster.Clustering, error)) {
-	b.Helper()
-	for _, sz := range pamBenchSizes {
-		vecs, _ := benchVectors(sz.n, 6, sz.k)
-		m := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
-		b.Run(fmt.Sprintf("n=%d/k=%d", sz.n, sz.k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pam(m, sz.k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkPAM(b *testing.B)        { benchPAMImpl(b, cluster.PAM) }
-func BenchmarkPAMClassic(b *testing.B) { benchPAMImpl(b, cluster.PAMClassic) }
 
 func BenchmarkCLARA(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
@@ -164,8 +136,8 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 
 func BenchmarkDistMatrixBuild(b *testing.B) {
 	vecs, _ := benchVectors(1100, 40, 4)
-	// The same vectors with one value in eight missing, as ImputeNone
-	// leaves them: the fill's fallback to one Dist per cell.
+	// The same vectors with one value in eight missing, as a -Inf cell
+	// becomes once z-scored: the fill's fallback to one Dist per cell.
 	rng := rand.New(rand.NewSource(10))
 	holed := make([][]float64, len(vecs))
 	for i, v := range vecs {
@@ -281,7 +253,7 @@ func BenchmarkSilhouetteMC(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				cluster.MCSilhouette(o, labels, 3, cluster.MCSilhouetteOptions{Rand: rng})
+				cluster.MCSilhouette(o, labels, 3, rng)
 			}
 		})
 	}
@@ -341,7 +313,7 @@ func BenchmarkPreprocess(b *testing.B) {
 	ds := datagen.Hollywood(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := prep.FitTransform(ds.Table, nil, prep.NewOptions()); err != nil {
+		if _, _, err := prep.FitTransform(ds.Table, nil, prep.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

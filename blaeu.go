@@ -18,15 +18,14 @@
 // seeds it, then a FasterPAM-style eager-swap loop (Schubert &
 // Rousseeuw's removal-loss decomposition, O(n²) per pass instead of the
 // textbook O(k·n²)) with candidate scoring spread over the free cores. The
-// textbook Kaufman & Rousseeuw loop survives only as the reference the
-// differential tests and the e5 experiment call directly; no option
-// selects it.
+// textbook Kaufman & Rousseeuw loop lives only in the tests, as the
+// reference PAM is held to.
 //
 // Distances flow through one contract (pairs, rows and subsets of an
 // oracle) with two storages behind it, chosen by the engine from the
 // sample size alone: a materialized matrix for small samples, a lazy
 // on-demand oracle for large ones (no O(n²) allocation, byte-identical
-// clusterings; see the e6 experiment). No option selects between them.
+// clusterings). No option selects between them.
 // This is what lets the sampling budget default to 5000.
 //
 // At the serving tiers, map builds run asynchronously: the session
@@ -79,7 +78,7 @@ type (
 	// Explorer is an exploration session over one table.
 	Explorer = core.Explorer
 	// Options tunes the exploration engine (sampling budget, k ranges,
-	// tree depth, preprocessing).
+	// tree depth, reuse cache).
 	Options = core.Options
 	// Theme is a group of mutually dependent columns.
 	Theme = core.Theme

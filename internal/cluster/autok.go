@@ -47,33 +47,22 @@ func (o *AutoKOptions) defaults() {
 	}
 }
 
-// ClusterK clusters with a fixed k: exact PAM up to LargeThreshold
-// objects, CLARA above it — the one-k case of AutoK's sweep.
-func ClusterK(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
-	opts.defaults()
-	var out *Clustering
-	err := sweepK(o, k, k, opts, func(c *Clustering) { out = c })
-	return out, err
-}
-
-// sweepK clusters o once for every k in [kMin, kMax], in k order, and
-// hands each clustering to visit; the context is read before every k.
-// Above LargeThreshold a k is a CLARA run of its own; below it the ks
-// share one BUILD to kMax and one row scratch, each k's SWAP starting
-// from seeds[:k] (the package comment says why), and the ks BUILD's
-// prefix does not serve — 1, and k >= n — are plain PAM runs.
+// sweepK clusters o once for every k in [kMin, kMax], 2 <= kMin <= kMax <
+// n, in k order, and hands each clustering to visit; the context is read
+// before every k. Above LargeThreshold a k is a CLARA run of its own;
+// below it the ks share one BUILD to kMax and one row scratch, each k's
+// SWAP starting from seeds[:k] (the package comment says why).
 func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
 	n := o.N()
-	run := func(k int) (*Clustering, error) { return PAM(o, k) }
-	switch {
-	case n > opts.LargeThreshold:
+	var run func(k int) (*Clustering, error)
+	if n > opts.LargeThreshold {
 		co := opts.CLARA
 		co.Rand = opts.Rand
 		if co.Context == nil {
 			co.Context = opts.Context
 		}
 		run = func(k int) (*Clustering, error) { return CLARA(o, k, co) }
-	case kMin > 1 && kMax < n:
+	} else {
 		if err := ctxErr(opts.Context); err != nil {
 			return err
 		}
@@ -123,7 +112,7 @@ func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	done := 0
 	err := sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
 		if n > opts.MCSilhouetteThreshold {
-			c.Silhouette = MCSilhouette(o, c.Labels, c.K, MCSilhouetteOptions{Rand: opts.Rand})
+			c.Silhouette = MCSilhouette(o, c.Labels, c.K, opts.Rand)
 		} else {
 			c.Silhouette, c.ClusterSilhouettes = silhouettes(o, c.Labels, c.K)
 		}

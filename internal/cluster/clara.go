@@ -12,14 +12,6 @@ import (
 
 // CLARAOptions tunes the CLARA run.
 type CLARAOptions struct {
-	// Samples is the number of random sub-samples to cluster
-	// (Kaufman & Rousseeuw recommend 5).
-	Samples int
-	// SampleSize is the size of each sub-sample. Kaufman & Rousseeuw's
-	// classic heuristic is 40 + 2k; the default is twice that (80 + 4k)
-	// because the eager SWAP made the per-sample runs cheap enough to
-	// afford the quality gain of larger samples.
-	SampleSize int
 	// Parallelism is ignored; removed with ROADMAP 8(f).
 	Parallelism int
 	// Context cancels the run at per-sample granularity; nil never
@@ -29,14 +21,15 @@ type CLARAOptions struct {
 	Rand *rand.Rand
 }
 
-func (o *CLARAOptions) defaults(k int) {
-	if o.Samples <= 0 {
-		o.Samples = 5
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 80 + 4*k
-	}
-}
+// claraSamples is the number of random sub-samples CLARA clusters
+// (Kaufman & Rousseeuw recommend 5).
+const claraSamples = 5
+
+// claraSampleSize is the size of each sub-sample for k clusters. Kaufman
+// & Rousseeuw's classic heuristic is 40 + 2k; this is twice that because
+// the eager SWAP made the per-sample runs cheap enough to afford the
+// quality gain of larger samples.
+func claraSampleSize(k int) int { return 80 + 4*k }
 
 // ctxErr reports the context's cancellation error, tolerating nil.
 func ctxErr(ctx context.Context) error {
@@ -60,19 +53,18 @@ func ctxErr(ctx context.Context) error {
 // independently, and the winner is chosen by lowest full-data cost with
 // ties broken toward the earliest sample. This independence
 // drops the textbook carry-over of the current best medoids into later
-// samples — the price of a deterministic fan-out; multi-sample runs
-// still never lose to single-sample ones, because sample 0 is always
-// among the candidates.
+// samples — the price of a deterministic fan-out; the winner still never
+// loses to the first sample alone, which is always among the candidates.
 func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	n := o.N()
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("cluster: CLARA requires a random source")
 	}
-	opts.defaults(k)
 	if err := ctxErr(opts.Context); err != nil {
 		return nil, err
 	}
-	if n <= opts.SampleSize || n <= k {
+	size := claraSampleSize(k)
+	if n <= size || n <= k {
 		return PAM(o, k)
 	}
 
@@ -85,10 +77,10 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		cost    float64
 		err     error
 	}
-	runs := make([]*sampleRun, opts.Samples)
+	runs := make([]*sampleRun, claraSamples)
 	for s := range runs {
 		runs[s] = &sampleRun{
-			idx:  store.SampleIndices(n, opts.SampleSize, opts.Rand),
+			idx:  store.SampleIndices(n, size, opts.Rand),
 			cost: math.Inf(1),
 		}
 		// Seeds nothing — BUILD is deterministic — but every later draw

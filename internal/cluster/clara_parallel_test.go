@@ -44,7 +44,7 @@ func TestCLARAParallelMatchesSequential(t *testing.T) {
 	defer func() { maxWorkers = old }()
 	o := claraFixture(t, 2000)
 	run := func() *Clustering {
-		c, err := CLARA(o, 3, CLARAOptions{Samples: 6, Rand: rand.New(rand.NewSource(42))})
+		c, err := CLARA(o, 3, CLARAOptions{Rand: rand.New(rand.NewSource(42))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // blobs generates k well-separated Gaussian clusters of size each in dim
@@ -231,7 +232,7 @@ func TestCLARAFallsBackToPAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vecs, _ := blobs(rng, 2, 10, 2, 6)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	c, err := CLARA(o, 2, CLARAOptions{SampleSize: 100, Rand: rng})
+	c, err := CLARA(o, 2, CLARAOptions{Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +249,28 @@ func TestCLARARequiresRand(t *testing.T) {
 	}
 }
 
+// TestCLARACostNeverWorseThanSingleSample: the winner is never worse
+// than CLARA's first sample alone — PAM on that sample, drawn from the
+// same seed, extended to every object — since it is always a candidate.
 func TestCLARACostNeverWorseThanSingleSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vecs, _ := blobs(rng, 4, 500, 3, 6)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	multi, err := CLARA(o, 4, CLARAOptions{Samples: 5, Rand: rand.New(rand.NewSource(1))})
+	multi, err := CLARA(o, 4, CLARAOptions{Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := CLARA(o, 4, CLARAOptions{Samples: 1, Rand: rand.New(rand.NewSource(1))})
+	idx := store.SampleIndices(o.N(), claraSampleSize(4), rand.New(rand.NewSource(1)))
+	first, err := PAM(o.Subset(idx), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Cost > single.Cost+1e-9 {
-		t.Errorf("5-sample cost %g worse than 1-sample cost %g", multi.Cost, single.Cost)
+	medoids := make([]int, len(first.Medoids))
+	for i, m := range first.Medoids {
+		medoids[i] = idx[m]
+	}
+	if _, single := AssignToMedoids(o, medoids); multi.Cost > single+1e-9 {
+		t.Errorf("%d-sample cost %g worse than the first sample's %g", claraSamples, multi.Cost, single)
 	}
 }
 
@@ -323,7 +332,7 @@ func TestMCSilhouetteApproximatesExact(t *testing.T) {
 	vecs, truth := blobs(rng, 3, 400, 3, 8)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
 	exact := Silhouette(o, truth, 3)
-	mc := MCSilhouette(o, truth, 3, MCSilhouetteOptions{Rounds: 6, SampleSize: 200, Rand: rng})
+	mc := MCSilhouette(o, truth, 3, rng)
 	if math.Abs(exact-mc) > 0.1 {
 		t.Errorf("MC silhouette = %g, exact = %g: diff too large", mc, exact)
 	}
@@ -334,7 +343,7 @@ func TestMCSilhouetteSmallInputIsExact(t *testing.T) {
 	vecs, truth := blobs(rng, 2, 20, 2, 8)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
 	exact := Silhouette(o, truth, 2)
-	mc := MCSilhouette(o, truth, 2, MCSilhouetteOptions{SampleSize: 1000, Rand: rng})
+	mc := MCSilhouette(o, truth, 2, rng)
 	if exact != mc {
 		t.Error("MC on small input should be exact")
 	}
@@ -392,17 +401,17 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	// Above the threshold ClusterK must not try O(n²) PAM: CLARA only
-	// ever materializes rows of its samples, never of the full set.
-	c, err := ClusterK(o, 2, AutoKOptions{LargeThreshold: 500, Rand: rng})
+	// Above the threshold a one-k sweep must not try O(n²) PAM: CLARA
+	// only ever materializes rows of its samples, never of the full set.
+	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 2, LargeThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Labels) != o.N() || c.K != 2 {
-		t.Error("ClusterK result malformed")
+		t.Error("one-k sweep result malformed")
 	}
 	if got := o.cachedRows(); got != 0 {
-		t.Errorf("ClusterK above the threshold materialized %d full-set rows: it ran PAM, not CLARA", got)
+		t.Errorf("a one-k sweep above the threshold materialized %d full-set rows: it ran PAM, not CLARA", got)
 	}
 }
 

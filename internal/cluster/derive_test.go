@@ -106,7 +106,7 @@ func TestDerivedOraclesConcurrentCLARA(t *testing.T) {
 	vecs, _ := deriveTestVecs(1200, 4, 17)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
 	run := func() *Clustering {
-		c, err := CLARA(parent, 4, CLARAOptions{Samples: 8, Rand: rand.New(rand.NewSource(5))})
+		c, err := CLARA(parent, 4, CLARAOptions{Rand: rand.New(rand.NewSource(5))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,9 +123,8 @@ func updateNearest(o Oracle, nearest, row []float64, m int) {
 // as the first medoid, then greedily add the object that most reduces the
 // total dissimilarity. Candidate scoring is spread across the workers of
 // rows (the run's scratch, see newRowScratch); the result is identical to
-// the sequential scan (ties break to the lowest index). Shared by PAM
-// and PAMClassic, so both start from the same seed medoids — the
-// property differential tests rely on.
+// the sequential scan (ties break to the lowest index). PAM and the
+// textbook reference the tests hold it to both start from its seeds.
 func pamBuild(o Oracle, k int, rows [][]float64) []int {
 	n := o.N()
 	medoids := make([]int, 0, k)
@@ -375,8 +374,8 @@ func fasterPAMFrom(o Oracle, k int, seeds []int, rows [][]float64) (*Clustering,
 			})
 			best := -1
 			for bi := range cands {
-				// Same numeric guard as the classic loop so FP noise never
-				// causes swap cycles; ties keep the lowest candidate index.
+				// The textbook loop's numeric guard, so FP noise never causes
+				// swap cycles; ties keep the lowest candidate index.
 				if out[bi].delta < -1e-12 && (best < 0 || out[bi].delta < out[best].delta) {
 					best = bi
 				}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,6 +18,98 @@ var bothAlgorithms = []struct {
 	name string
 	run  func(Oracle, int) (*Clustering, error)
 }{{"pam", PAM}, {"classic", PAMClassic}}
+
+// PAMClassic is the textbook PAM of Kaufman & Rousseeuw (1990): a BUILD
+// phase greedily seeds k medoids, then a SWAP phase repeatedly exchanges
+// the single best (medoid, candidate) pair whenever that lowers the total
+// dissimilarity, until no improving swap exists. Each SWAP iteration costs
+// O(k·n²). It is the reference the differential tests hold PAM to.
+func PAMClassic(o Oracle, k int) (*Clustering, error) {
+	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
+		return c, err
+	}
+	return pamClassicFrom(o, k, pamBuild(o, k, newRowScratch(o.N())))
+}
+
+// pamClassicFrom runs the textbook SWAP loop from the given seed medoids
+// (which it copies, not mutates). Preconditions (1 <= k < n) are the
+// caller's responsibility.
+func pamClassicFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
+	n := o.N()
+
+	medoids := append([]int(nil), seeds...)
+	// nearest[i] = distance to closest medoid, second[i] = to 2nd closest.
+	nearest := make([]float64, n)
+	second := make([]float64, n)
+	labels := make([]int, n)
+	assign := func() float64 {
+		total := 0.0
+		for i := 0; i < n; i++ {
+			d1, d2, l := math.Inf(1), math.Inf(1), -1
+			for mi, m := range medoids {
+				d := o.Dist(i, m)
+				if d < d1 {
+					d2 = d1
+					d1 = d
+					l = mi
+				} else if d < d2 {
+					d2 = d
+				}
+			}
+			nearest[i], second[i], labels[i] = d1, d2, l
+			total += d1
+		}
+		return total
+	}
+	cost := assign()
+
+	isMedoid := make([]bool, n)
+	for _, m := range medoids {
+		isMedoid[m] = true
+	}
+
+	for iter := 0; iter < maxSwapIters; iter++ {
+		bestDelta := 0.0
+		bestM, bestH := -1, -1
+		for mi := range medoids {
+			for h := 0; h < n; h++ {
+				if isMedoid[h] {
+					continue
+				}
+				// Cost change of swapping medoid mi with candidate h
+				// (standard PAM T_mh computation).
+				delta := 0.0
+				for j := 0; j < n; j++ {
+					if j == h {
+						delta -= nearest[j] // h becomes a medoid: cost 0
+						continue
+					}
+					djh := o.Dist(j, h)
+					if labels[j] == mi {
+						// j loses its medoid m; moves to h or to its
+						// second-best medoid.
+						delta += math.Min(djh, second[j]) - nearest[j]
+					} else if djh < nearest[j] {
+						// j defects to the new medoid h.
+						delta += djh - nearest[j]
+					}
+				}
+				if delta < bestDelta-1e-12 {
+					bestDelta, bestM, bestH = delta, mi, h
+				}
+			}
+		}
+		if bestM < 0 {
+			break // no improving swap: local optimum
+		}
+		isMedoid[medoids[bestM]] = false
+		isMedoid[bestH] = true
+		medoids[bestM] = bestH
+		cost = assign()
+	}
+
+	return &Clustering{K: k, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
+}
 
 // TestPAMKGreaterEqualN is the regression test for the k >= n degenerate
 // case: the effective K must be n (not the requested k), every object its
@@ -126,7 +219,7 @@ func TestFasterPAMMatchesClassicOnGoldenDatasets(t *testing.T) {
 	cases = append(cases, golden{name: "countries", ds: datagen.Countries(rng), k: 2, cap: 600})
 
 	for _, g := range cases {
-		_, vecs, err := prep.FitTransform(g.ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(g.ds.Table, nil, prep.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
@@ -343,7 +436,7 @@ func TestPAMRunK1(t *testing.T) {
 func TestPAMClassicFromSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 250, K: 3, Dims: 4, Sep: 6}, rng)
-	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,3 +453,33 @@ func TestPAMClassicFromSeeds(t *testing.T) {
 		t.Fatalf("classic from random seeds: cost %.4f vs BUILD %.4f", got.Cost, want.Cost)
 	}
 }
+
+// pamBenchSizes is the shared grid of BenchmarkPAM (the engine) and
+// BenchmarkPAMClassic (the textbook SWAP loop), so the two benchmarks are
+// directly comparable; the headline comparison is n=1000, k=8.
+var pamBenchSizes = []struct{ n, k int }{
+	{200, 4}, {500, 4}, {1000, 4}, {1000, 8},
+}
+
+func benchPAMImpl(b *testing.B, pam func(Oracle, int) (*Clustering, error)) {
+	b.Helper()
+	for _, sz := range pamBenchSizes {
+		rng := rand.New(rand.NewSource(9))
+		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: sz.n, K: sz.k, Dims: 6, Sep: 6}, rng)
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := ComputeDistMatrix(vecs, stats.Euclidean{})
+		b.Run(fmt.Sprintf("n=%d/k=%d", sz.n, sz.k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := pam(m, sz.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkPAM(b *testing.B)        { benchPAMImpl(b, PAM) }
+func BenchmarkPAMClassic(b *testing.B) { benchPAMImpl(b, PAMClassic) }

@@ -3,8 +3,8 @@
 // silhouette coefficient (exact and Monte-Carlo) and automatic selection
 // of the number of clusters. PAM and CLARA follow Kaufman & Rousseeuw,
 // "Finding Groups in Data" (1990), the reference the paper cites; PAM is
-// the one k-medoid engine (BUILD, then FasterPAM's eager SWAP) and
-// PAMClassic the textbook loop the tests hold it to.
+// the one k-medoid engine (BUILD, then FasterPAM's eager SWAP), and the
+// textbook SWAP loop lives in the tests as the reference PAM is held to.
 //
 // All algorithms are written against one distance contract, Oracle, and
 // every k-medoid loop is written once against it. Two storages implement

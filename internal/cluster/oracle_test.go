@@ -10,10 +10,9 @@ import (
 	"repro/internal/stats"
 )
 
-// e5Datasets are the planted-blob configurations of the e5 experiment —
-// the golden inputs the SWAP-engine comparison runs on, reused here to
-// pin the oracle layer against the same workloads.
-func e5Datasets(t *testing.T) []struct {
+// blobDatasets are planted-blob inputs from 500 to 4000 objects, the
+// golden workloads the oracle layer is pinned on.
+func blobDatasets(t *testing.T) []struct {
 	n, k int
 	vecs [][]float64
 } {
@@ -25,7 +24,7 @@ func e5Datasets(t *testing.T) []struct {
 	for _, sz := range []struct{ n, k int }{{500, 4}, {1000, 8}, {2000, 8}, {4000, 8}} {
 		rng := rand.New(rand.NewSource(1 + int64(sz.n)))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: sz.n, K: sz.k, Dims: 6, Sep: 6}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +40,7 @@ func e5Datasets(t *testing.T) []struct {
 // the lazy oracle: PAM must produce byte-identical clusterings whether
 // distances come from the materialized matrix or are computed on demand.
 func TestLazyOracleMatchesDistMatrix(t *testing.T) {
-	for _, g := range e5Datasets(t) {
+	for _, g := range blobDatasets(t) {
 		matrix := ComputeDistMatrix(g.vecs, stats.Euclidean{})
 		lazy := NewLazyOracle(g.vecs, stats.Euclidean{})
 

@@ -38,8 +38,8 @@ func (c *Clustering) Sizes() []int {
 	return out
 }
 
-// maxSwapIters bounds PAM's SWAP phase; Kaufman & Rousseeuw's algorithm
-// converges quickly in practice, this is a safety net.
+// maxSwapIters bounds PAM's SWAP passes; the eager SWAP converges
+// quickly in practice, this is a safety net.
 const maxSwapIters = 100
 
 // checkPAMArgs validates common PAM preconditions and, when k >= n,
@@ -73,9 +73,10 @@ func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
 // (Schubert & Rousseeuw 2021) makes repeated passes over the non-medoids,
 // scoring each candidate against all k medoids at once and applying the
 // best improving swap of every block immediately instead of waiting for
-// the pass to finish, as the classic steepest-descent loop does. It
-// converges when a complete pass yields no improving swap — a local
-// optimum of exactly the swap neighborhood PAMClassic uses.
+// the pass to finish, as the textbook steepest-descent loop of Kaufman &
+// Rousseeuw does. It converges when a complete pass yields no improving
+// swap — a local optimum of exactly the textbook loop's swap
+// neighborhood, which the differential tests keep as PAM's reference.
 //
 // PAM is the paper's clustering algorithm of choice for both theme
 // detection (on the dependency graph) and map construction (§3), because
@@ -94,100 +95,6 @@ func PAM(o Oracle, k int) (*Clustering, error) {
 		return &Clustering{K: 1, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
 	}
 	return fasterPAMFrom(o, k, pamBuild(o, k, rows), rows)
-}
-
-// PAMClassic is the textbook PAM of Kaufman & Rousseeuw (1990): a BUILD
-// phase greedily seeds k medoids, then a SWAP phase repeatedly exchanges
-// the single best (medoid, candidate) pair whenever that lowers the total
-// dissimilarity, until no improving swap exists. Each SWAP iteration costs
-// O(k·n²). It is the reference implementation only: the differential
-// tests of PAM and the e5 experiment call it directly, and no option
-// reaches it.
-func PAMClassic(o Oracle, k int) (*Clustering, error) {
-	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
-		return c, err
-	}
-	return pamClassicFrom(o, k, pamBuild(o, k, newRowScratch(o.N())))
-}
-
-// pamClassicFrom runs the textbook SWAP loop from the given seed medoids
-// (which it copies, not mutates). Preconditions (1 <= k < n) are the
-// caller's responsibility.
-func pamClassicFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
-	n := o.N()
-
-	medoids := append([]int(nil), seeds...)
-	// nearest[i] = distance to closest medoid, second[i] = to 2nd closest.
-	nearest := make([]float64, n)
-	second := make([]float64, n)
-	labels := make([]int, n)
-	assign := func() float64 {
-		total := 0.0
-		for i := 0; i < n; i++ {
-			d1, d2, l := math.Inf(1), math.Inf(1), -1
-			for mi, m := range medoids {
-				d := o.Dist(i, m)
-				if d < d1 {
-					d2 = d1
-					d1 = d
-					l = mi
-				} else if d < d2 {
-					d2 = d
-				}
-			}
-			nearest[i], second[i], labels[i] = d1, d2, l
-			total += d1
-		}
-		return total
-	}
-	cost := assign()
-
-	isMedoid := make([]bool, n)
-	for _, m := range medoids {
-		isMedoid[m] = true
-	}
-
-	for iter := 0; iter < maxSwapIters; iter++ {
-		bestDelta := 0.0
-		bestM, bestH := -1, -1
-		for mi := range medoids {
-			for h := 0; h < n; h++ {
-				if isMedoid[h] {
-					continue
-				}
-				// Cost change of swapping medoid mi with candidate h
-				// (standard PAM T_mh computation).
-				delta := 0.0
-				for j := 0; j < n; j++ {
-					if j == h {
-						delta -= nearest[j] // h becomes a medoid: cost 0
-						continue
-					}
-					djh := o.Dist(j, h)
-					if labels[j] == mi {
-						// j loses its medoid m; moves to h or to its
-						// second-best medoid.
-						delta += math.Min(djh, second[j]) - nearest[j]
-					} else if djh < nearest[j] {
-						// j defects to the new medoid h.
-						delta += djh - nearest[j]
-					}
-				}
-				if delta < bestDelta-1e-12 {
-					bestDelta, bestM, bestH = delta, mi, h
-				}
-			}
-		}
-		if bestM < 0 {
-			break // no improving swap: local optimum
-		}
-		isMedoid[medoids[bestM]] = false
-		isMedoid[bestH] = true
-		medoids[bestM] = bestH
-		cost = assign()
-	}
-
-	return &Clustering{K: k, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
 }
 
 // AssignToMedoids labels every object of the oracle with its nearest

@@ -86,7 +86,7 @@ func TestCLARACostConsistencyProperty(t *testing.T) {
 			vecs[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
 		o := NewLazyOracle(vecs, stats.Euclidean{})
-		c, err := CLARA(o, 3, CLARAOptions{SampleSize: 60, Rand: rng})
+		c, err := CLARA(o, 3, CLARAOptions{Rand: rng})
 		if err != nil {
 			return false
 		}

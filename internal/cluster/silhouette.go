@@ -124,43 +124,31 @@ func silhouetteKernel(o Oracle, labels, sizes []int, row, sums, perCluster []flo
 	return total
 }
 
-// MCSilhouetteOptions tunes the Monte-Carlo silhouette estimator.
-type MCSilhouetteOptions struct {
-	// Rounds is the number of sub-samples to average over.
-	Rounds int
-	// SampleSize is the number of objects per sub-sample.
-	SampleSize int
-	// Rand is the randomness source (required).
-	Rand *rand.Rand
-}
-
-func (o *MCSilhouetteOptions) defaults() {
-	if o.Rounds <= 0 {
-		o.Rounds = 4
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 256
-	}
-}
+// The Monte-Carlo silhouette averages mcRounds sub-samples of
+// mcSampleSize objects each.
+const (
+	mcRounds     = 4
+	mcSampleSize = 256
+)
 
 // MCSilhouette estimates the average silhouette width by averaging the
 // exact silhouette of several random sub-samples, the Monte-Carlo scheme
 // the paper describes (§3, "Sampling"): "it extracts a few sub-samples
 // from the user's selection, computes the clustering quality of those, and
 // averages the results". It reduces the O(n²) exact cost to
-// O(rounds · s²) for sample size s.
-func MCSilhouette(o Oracle, labels []int, k int, opts MCSilhouetteOptions) float64 {
-	if opts.Rand == nil {
+// O(rounds · s²) for sample size s, and is exact when n is at most s. rng
+// is the randomness source (required).
+func MCSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
+	if rng == nil {
 		panic("cluster: MCSilhouette requires a random source")
 	}
-	opts.defaults()
 	n := o.N()
-	if n <= opts.SampleSize {
+	if n <= mcSampleSize {
 		return Silhouette(o, labels, k)
 	}
 	total := 0.0
-	for r := 0; r < opts.Rounds; r++ {
-		idx := store.SampleIndices(n, opts.SampleSize, opts.Rand)
+	for r := 0; r < mcRounds; r++ {
+		idx := store.SampleIndices(n, mcSampleSize, rng)
 		sub := o.Subset(idx)
 		subLabels := make([]int, len(idx))
 		for i, gi := range idx {
@@ -168,7 +156,7 @@ func MCSilhouette(o Oracle, labels []int, k int, opts MCSilhouetteOptions) float
 		}
 		total += Silhouette(sub, subLabels, k)
 	}
-	return total / float64(opts.Rounds)
+	return total / mcRounds
 }
 
 // SilhouettePerCluster returns the mean silhouette width of each cluster,

@@ -85,7 +85,7 @@ func TestBuildPrefixLaw(t *testing.T) {
 	}
 }
 
-// clusterKReference and autoKReference are ClusterK and AutoK as they
+// clusterKReference and autoKReference are one k's run and AutoK as they
 // were before the sweep: one full run per k, nothing shared between ks.
 func clusterKReference(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
 	if o.N() <= opts.LargeThreshold {
@@ -104,7 +104,7 @@ func autoKReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
 			return nil, err
 		}
 		if o.N() > opts.MCSilhouetteThreshold {
-			c.Silhouette = MCSilhouette(o, c.Labels, c.K, MCSilhouetteOptions{Rand: opts.Rand})
+			c.Silhouette = MCSilhouette(o, c.Labels, c.K, opts.Rand)
 		} else {
 			c.Silhouette = Silhouette(o, c.Labels, c.K)
 		}
@@ -198,33 +198,22 @@ func TestAutoKMatchesPerKReference(t *testing.T) {
 	}
 }
 
-// TestClusterKMatchesPerKReference: ClusterK is the sweep's one-k case,
-// including the ks the shared BUILD does not serve (1, and k >= n).
+// TestClusterKMatchesPerKReference: a one-k sweep (KMin == KMax) is the
+// per-k reference's run of that k, at both ends of the range BUILD's
+// prefix serves (2 and n-1) and between, on both sides of LargeThreshold.
 func TestClusterKMatchesPerKReference(t *testing.T) {
 	const n = 140
 	o := ComputeDistMatrix(sweepVecs(n, 2, 51), stats.Euclidean{})
 	for _, large := range []int{1000, 100} {
-		for _, k := range []int{1, 2, 5, n, n + 3} {
-			opts := AutoKOptions{LargeThreshold: large, Rand: rand.New(rand.NewSource(3))}
-			ref := AutoKOptions{LargeThreshold: large, Rand: rand.New(rand.NewSource(3))}
-			got, err := ClusterK(o, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := clusterKReference(o, k, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRun(t, fmt.Sprintf("large=%d k=%d", large, k), got, want, opts.Rand, ref.Rand)
+		for _, k := range []int{2, 5, n - 1} {
+			checkSweep(t, fmt.Sprintf("large=%d k=%d", large, k), o,
+				AutoKOptions{KMin: k, KMax: k, LargeThreshold: large, MCSilhouetteThreshold: 1000})
 		}
-	}
-	if _, err := ClusterK(o, 0, AutoKOptions{}); err == nil {
-		t.Error("ClusterK accepted k = 0")
 	}
 }
 
 // plantedVecs has what the row kernel must not be thrown by: missing
-// values (as prep's ImputeNone leaves them), an infinity, exact
+// values (as a -Inf cell becomes once z-scored), an infinity, exact
 // duplicates, and a count that is no multiple of four.
 func plantedVecs() [][]float64 {
 	vecs := sweepVecs(203, 1, 61)

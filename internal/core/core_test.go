@@ -546,14 +546,15 @@ func TestHistoryTrail(t *testing.T) {
 
 func TestMaxHistoryBounded(t *testing.T) {
 	tab, _, _ := laborTable(600, 11)
-	e, _ := NewExplorer(tab, Options{Seed: 11, MaxHistory: 4})
-	for i := 0; i < 10; i++ {
+	e, _ := NewExplorer(tab, Options{Seed: 11})
+	// Past the first two builds every select is a map-cache hit.
+	for i := 0; i < historyLimit+6; i++ {
 		if _, err := e.SelectTheme(i % 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(e.History()) > 4 {
-		t.Errorf("history = %d states, want <= 4", len(e.History()))
+	if len(e.History()) != historyLimit {
+		t.Errorf("history = %d states, want %d", len(e.History()), historyLimit)
 	}
 	// The initial state survives trimming.
 	if e.History()[0].Action != ActionInit {
@@ -561,41 +562,41 @@ func TestMaxHistoryBounded(t *testing.T) {
 	}
 }
 
-// TestTinyHistoryKeepsCurrentState: a history of one or two states
-// still holds the initial state and the current one, so select → zoom →
-// rollback works — the map an action returns is the current state's,
-// and a rollback lands on the state before it in the kept history.
+// TestTinyHistoryKeepsCurrentState: a full history still holds the
+// initial state and the current one, so select → zoom → rollback works
+// at the limit — the map an action returns is the current state's, and
+// a rollback lands on the state before it in the kept history.
 func TestTinyHistoryKeepsCurrentState(t *testing.T) {
 	tab, _, _ := laborTable(600, 11)
-	for _, max := range []int{1, 2} {
-		e, err := NewExplorer(tab, Options{Seed: 11, MaxHistory: max})
-		if err != nil {
-			t.Fatal(err)
+	e, err := NewExplorer(tab, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *Map
+	for len(e.History()) < historyLimit {
+		if m, err = e.SelectTheme(0); err != nil {
+			t.Fatalf("select: %v", err)
 		}
-		m, err := e.SelectTheme(0)
-		if err != nil {
-			t.Fatalf("MaxHistory %d: select: %v", max, err)
-		}
-		if e.State().Map != m {
-			t.Fatalf("MaxHistory %d: the selected map is not the current state's", max)
-		}
-		zm, err := e.Zoom(largestLeaf(m)...)
-		if err != nil {
-			t.Fatalf("MaxHistory %d: zoom: %v", max, err)
-		}
-		if e.State().Map != zm || e.State().Action != ActionZoom {
-			t.Fatalf("MaxHistory %d: the zoomed map is not the current state's", max)
-		}
-		h := e.History()
-		if len(h) != 2 || h[0].Action != ActionInit {
-			t.Fatalf("MaxHistory %d: history of %d states, want the initial state and the zoom", max, len(h))
-		}
-		if err := e.Rollback(); err != nil {
-			t.Fatalf("MaxHistory %d: rollback: %v", max, err)
-		}
-		if e.State() != h[len(h)-2] {
-			t.Fatalf("MaxHistory %d: rollback did not return to the previous state", max)
-		}
+	}
+	if e.State().Map != m {
+		t.Fatal("the selected map is not the current state's")
+	}
+	zm, err := e.Zoom(largestLeaf(m)...)
+	if err != nil {
+		t.Fatalf("zoom: %v", err)
+	}
+	if e.State().Map != zm || e.State().Action != ActionZoom {
+		t.Fatal("the zoomed map is not the current state's")
+	}
+	h := e.History()
+	if len(h) != historyLimit || h[0].Action != ActionInit {
+		t.Fatalf("history of %d states starting %s, want %d starting with the initial state", len(h), h[0].Action, historyLimit)
+	}
+	if err := e.Rollback(); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	if e.State() != h[len(h)-2] {
+		t.Fatal("rollback did not return to the previous state")
 	}
 }
 
@@ -703,6 +704,11 @@ func TestAddThemeValidation(t *testing.T) {
 	}
 	if _, err := e.AddTheme([]string{"zzz"}); err == nil {
 		t.Error("unknown column should fail")
+	}
+	// A repeated column would pass here and fail every build of the theme
+	// at the gather ("store: duplicate column").
+	if _, err := e.AddTheme([]string{"AverageIncome", "AverageIncome"}); err == nil {
+		t.Error("a column named twice should fail")
 	}
 	before := len(e.Themes())
 	id, err := e.AddTheme([]string{"AverageIncome", "WorkingLongHours"})

@@ -149,7 +149,7 @@ func (e *Explorer) queryOf(s *State) string {
 
 func (e *Explorer) push(s *State) {
 	e.states = append(e.states, s)
-	if len(e.states) > e.opts.MaxHistory {
+	if len(e.states) > historyLimit {
 		// Drop the oldest non-initial state.
 		copy(e.states[1:], e.states[2:])
 		e.states = e.states[:len(e.states)-1]

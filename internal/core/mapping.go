@@ -209,7 +209,7 @@ func (e *Explorer) gatherSample(rows []int, theme Theme) (*store.Table, error) {
 // wraps the result in a build artifact. The error return marks a
 // degenerate sample — constant or key-only on the theme's columns.
 func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme) (*buildArtifact, error) {
-	pipe, vecs, err := prep.FitTransform(sample, theme.Columns, e.opts.Prep)
+	pipe, vecs, err := prep.FitTransform(sample, theme.Columns, prep.Options{})
 	if err != nil {
 		return nil, err
 	}

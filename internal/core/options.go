@@ -23,8 +23,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
-
-	"repro/internal/prep"
 )
 
 // Options tunes the exploration engine.
@@ -50,8 +48,6 @@ type Options struct {
 	// DependencySampleRows caps rows used for the dependency graph
 	// (default = SampleSize; themes only need statistical estimates).
 	DependencySampleRows int
-	// Prep configures preprocessing (default prep.NewOptions()).
-	Prep prep.Options
 	// PAMThreshold is the sample size above which clustering switches
 	// from exact PAM to CLARA, and silhouettes switch to the
 	// Monte-Carlo estimator (paper §3: "when the data is too large,
@@ -74,11 +70,11 @@ type Options struct {
 	// would cluster (min(len(rows), SampleSize)), the build runs cold.
 	// 0 means the default (128); negative disables derivation.
 	DerivedSampleMin int
-	// MaxHistory bounds the rollback stack (default 64). It counts the
-	// initial state, and at least 2 are kept: the initial state and the
-	// current one.
-	MaxHistory int
 }
+
+// historyLimit bounds the rollback stack. It counts the initial state,
+// which trimming never drops.
+const historyLimit = 64
 
 // optionInKey classifies every field of Options as in the cache key
 // (true: the field changes which map a build produces for a given rows
@@ -93,7 +89,6 @@ var optionInKey = map[string]bool{
 	// Which sample is drawn and how it becomes vectors, then model
 	// selection and description over them.
 	"SampleSize":   true,
-	"Prep":         true,
 	"MapKMin":      true,
 	"MapKMax":      true,
 	"TreeMaxDepth": true,
@@ -107,10 +102,9 @@ var optionInKey = map[string]bool{
 	"DependencySampleRows": false,
 	// Ignored.
 	"Parallelism": false,
-	// The cache's own size and reuse policy, and the rollback stack.
+	// The cache's own size and reuse policy.
 	"MapCacheSize":     false,
 	"DerivedSampleMin": false,
-	"MaxHistory":       false,
 }
 
 // optionsFingerprint hashes, in declaration order, the fields of o that
@@ -134,11 +128,9 @@ func DefaultOptions() Options {
 		MapKMax:          6,
 		TreeMaxDepth:     3,
 		TreeMinLeaf:      8,
-		Prep:             prep.NewOptions(),
 		PAMThreshold:     1024,
 		MapCacheSize:     DefaultMapCacheSize,
 		DerivedSampleMin: defaultDerivedSampleMin,
-		MaxHistory:       64,
 	}
 }
 
@@ -162,9 +154,6 @@ func (o *Options) defaults() {
 	if o.DependencySampleRows <= 0 {
 		o.DependencySampleRows = o.SampleSize
 	}
-	if o.Prep.MaxDummyLevels == 0 && o.Prep.MaxCardinalityRatio == 0 {
-		o.Prep = d.Prep
-	}
 	if o.PAMThreshold <= 0 {
 		o.PAMThreshold = d.PAMThreshold
 	}
@@ -174,10 +163,6 @@ func (o *Options) defaults() {
 	if o.DerivedSampleMin == 0 {
 		o.DerivedSampleMin = d.DerivedSampleMin
 	}
-	if o.MaxHistory <= 0 {
-		o.MaxHistory = d.MaxHistory
-	}
-	o.MaxHistory = max(o.MaxHistory, 2)
 }
 
 // newRNG builds the engine RNG from the seed.

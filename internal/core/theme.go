@@ -104,14 +104,21 @@ func (e *Explorer) detectThemes() error {
 // its ID. Blaeu's theme view lets users "browse and edit the themes"
 // (paper §4.1, Fig. 5); this is the programmatic form. Cohesion is
 // computed from the dependency graph where the columns are known to it.
+// A column named twice is an error: a build gathers each theme column
+// once, so such a theme could never be mapped.
 func (e *Explorer) AddTheme(cols []string) (int, error) {
 	if len(cols) == 0 {
 		return 0, fmt.Errorf("core: empty theme")
 	}
+	seen := make(map[string]bool, len(cols))
 	for _, c := range cols {
 		if e.table.ColumnByName(c) == nil {
 			return 0, fmt.Errorf("core: no column %q", c)
 		}
+		if seen[c] {
+			return 0, fmt.Errorf("core: column %q named twice", c)
+		}
+		seen[c] = true
 	}
 	th := Theme{
 		ID:      len(e.themes),

@@ -22,8 +22,6 @@ func init() {
 	register("e2", "§3 CLARA vs PAM — quality/runtime crossover", runE2)
 	register("e3", "§3 Monte-Carlo silhouette — error and speedup vs exact", runE3)
 	register("e4", "§3 auto-k — silhouette-chosen k vs planted k", runE4)
-	register("e5", "SWAP engines — PAM's eager swap vs classic PAM, speedup at equal cost", runE5)
-	register("e6", "distance oracles — matrix vs lazy under the same PAM run", runE6)
 	register("a1", "ablation — MI vs Pearson dependency for theme detection", runA1)
 	register("a2", "ablation — tree depth vs description fidelity", runA2)
 	register("a4", "ablation — dependency-graph sample size vs theme recovery", runA4)
@@ -86,7 +84,7 @@ func runF3(cfg Config) (*Result, error) {
 		for _, noise := range []float64{0.5, 1.0, 2.0} {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(k*100) + int64(noise*10)))
 			ds := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: k, Dims: 6, Sep: 6, Noise: noise}, rng)
-			_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+			_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +155,7 @@ func runE2(cfg Config) (*Result, error) {
 		nn := cfg.scaled(n)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: nn, K: 4, Dims: 6, Sep: 6}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +187,7 @@ func runE2(cfg Config) (*Result, error) {
 		nn := cfg.scaled(n)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: nn, K: 4, Dims: 6, Sep: 6}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -208,108 +206,6 @@ func runE2(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runE5 benchmarks PAM's eager-swap SWAP phase (FasterPAM) against the
-// classic Kaufman & Rousseeuw loop on identical inputs. Interactivity is
-// the paper's core constraint — PAM runs twice per user action (themes
-// and maps, §3) — so the SWAP engine is the hottest path in the system.
-// The removal-loss decomposition evaluates each candidate against all k
-// medoids in one O(n) pass, cutting an iteration from O(k·n²) to O(n²);
-// on planted data both engines settle in the same optimum, so the
-// speedup is free of any quality loss.
-func runE5(cfg Config) (*Result, error) {
-	res := &Result{ID: "e5", Title: "FasterPAM vs classic PAM SWAP (removal-loss decomposition)",
-		Headers: []string{"n", "k", "classic time", "fasterpam time", "speedup", "cost ratio", "ARI classic", "ARI fasterpam"}}
-	for _, sz := range []struct{ n, k int }{
-		{500, 4}, {1000, 8}, {2000, 8}, {4000, 8},
-	} {
-		nn := cfg.scaled(sz.n)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(sz.n)))
-		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: nn, K: sz.k, Dims: 6, Sep: 6}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
-		if err != nil {
-			return nil, err
-		}
-		oracle := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
-
-		start := time.Now()
-		classic, err := cluster.PAMClassic(oracle, sz.k)
-		if err != nil {
-			return nil, err
-		}
-		classicTime := time.Since(start)
-
-		start = time.Now()
-		faster, err := cluster.PAM(oracle, sz.k)
-		if err != nil {
-			return nil, err
-		}
-		fasterTime := time.Since(start)
-
-		speedup := float64(classicTime) / math.Max(float64(fasterTime), 1)
-		res.addRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", sz.k),
-			classicTime.Round(time.Millisecond).String(),
-			fasterTime.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", speedup),
-			fmt.Sprintf("%.6f", faster.Cost/classic.Cost),
-			fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["rows"], classic.Labels)),
-			fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["rows"], faster.Labels)))
-	}
-	res.note("FasterPAM: removal-loss decomposition + eager swaps (Schubert & Rousseeuw 2021); classic: one O(k·n²) steepest-descent swap per iteration")
-	res.note("expectation: ≥3x speedup at n=1000, k=8, growing with n and k; cost ratio 1.000000 (same local optimum) on planted data")
-	return res, nil
-}
-
-// runE6 measures the two oracle storages: the same PAM run over each.
-// The lazy oracle answers the same queries without the n(n-1)/2
-// materialization, trading per-query cost for O(n) memory. The cost
-// ratio is each oracle's medoids costed exactly on the matrix against
-// the matrix's own.
-func runE6(cfg Config) (*Result, error) {
-	res := &Result{ID: "e6", Title: "Distance oracles under PAM (oracle layer)",
-		Headers: []string{"n", "k", "oracle", "oracle build", "pam time", "cost ratio"}}
-	for _, sz := range []struct{ n, k int }{{2000, 8}, {5000, 8}} {
-		nn := cfg.scaled(sz.n)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(sz.n)))
-		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: nn, K: sz.k, Dims: 6, Sep: 6}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
-		if err != nil {
-			return nil, err
-		}
-		var matrix cluster.Oracle // the first oracle built: exact costs
-		baseCost := 0.0           // its medoids' cost
-		for _, storage := range []struct {
-			name  string
-			build func() cluster.Oracle
-		}{
-			{"matrix", func() cluster.Oracle { return cluster.ComputeDistMatrix(vecs, stats.Euclidean{}) }},
-			{"lazy", func() cluster.Oracle { return cluster.NewLazyOracle(vecs, stats.Euclidean{}) }},
-		} {
-			start := time.Now()
-			o := storage.build()
-			oracleBuild := time.Since(start)
-			if matrix == nil {
-				matrix = o
-			}
-			start = time.Now()
-			c, err := cluster.PAM(o, sz.k)
-			if err != nil {
-				return nil, err
-			}
-			pamTime := time.Since(start)
-			_, trueCost := cluster.AssignToMedoids(matrix, c.Medoids)
-			if baseCost == 0 {
-				baseCost = trueCost
-			}
-			res.addRow(fmt.Sprintf("%d", nn), fmt.Sprintf("%d", sz.k), storage.name,
-				oracleBuild.Round(time.Millisecond).String(),
-				pamTime.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.6f", trueCost/baseCost))
-		}
-	}
-	res.note("oracles: lazy answers without the n(n-1)/2 matrix and with the same bits (ratio 1); the engine materializes up to %d objects, lazy above", cluster.DefaultMaterializeThreshold)
-	return res, nil
-}
-
 // runE3 compares the Monte-Carlo silhouette estimator against the exact
 // O(n²) computation.
 func runE3(cfg Config) (*Result, error) {
@@ -319,7 +215,7 @@ func runE3(cfg Config) (*Result, error) {
 		nn := cfg.scaled(n)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: nn, K: 3, Dims: 6, Sep: 5}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -331,8 +227,7 @@ func runE3(cfg Config) (*Result, error) {
 		exactTime := time.Since(start)
 
 		start = time.Now()
-		mc := cluster.MCSilhouette(oracle, labels, 3,
-			cluster.MCSilhouetteOptions{Rounds: 4, SampleSize: 256, Rand: rng})
+		mc := cluster.MCSilhouette(oracle, labels, 3, rng)
 		mcTime := time.Since(start)
 
 		speedup := float64(exactTime) / math.Max(float64(mcTime), 1)
@@ -356,7 +251,7 @@ func runE4(cfg Config) (*Result, error) {
 	for _, k := range kRange {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
 		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: cfg.scaled(600), K: k, Dims: 6, Sep: 10}, rng)
-		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+		_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +335,7 @@ func runA2(cfg Config) (*Result, error) {
 		Headers: []string{"max depth", "fidelity", "end-to-end ARI", "leaves"}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: cfg.scaled(3000), K: 4, Dims: 6, Sep: 4, Noise: 1.5}, rng)
-	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.NewOptions())
+	_, vecs, err := prep.FitTransform(ds.Table, nil, prep.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -94,9 +94,6 @@ type DependencyOptions struct {
 	// dependency (0 = all rows). The paper keeps latency low by
 	// estimating statistics on samples (§3).
 	SampleRows int
-	// Bins is the discretization granularity for continuous columns
-	// (default stats.DefaultBins).
-	Bins int
 	// Measure selects the dependency measure (default MeasureNMI).
 	Measure Measure
 	// Rand is required when SampleRows > 0.
@@ -129,9 +126,6 @@ func (m Measure) String() string {
 func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptions) (*Graph, error) {
 	if names == nil {
 		names = t.ColumnNames()
-	}
-	if opts.Bins <= 0 {
-		opts.Bins = stats.DefaultBins
 	}
 	cols := make([]store.Column, len(names))
 	for i, n := range names {
@@ -176,7 +170,7 @@ func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptio
 	default:
 		disc := make([][]int, len(cols))
 		for i, c := range cols {
-			disc[i] = stats.DiscretizeColumn(c, opts.Bins)
+			disc[i] = stats.DiscretizeColumn(c, stats.DefaultBins)
 		}
 		// O(cols²) NMI computations are independent: spread rows of the
 		// upper triangle over the free cores (disjoint writes per row i).

@@ -4,6 +4,12 @@
 // variables (one per category), and handles missing values. The result of
 // fitting and applying a pipeline is "a set of vectors, where each vector
 // represents a tuple in the database".
+//
+// The stage has one form and no settings: probable keys are dropped,
+// numeric columns are z-scored with nulls imputed by the column mean,
+// booleans pass through (a null sits at 0.5), and a categorical column
+// becomes one 0/1 dummy per level for its 20 most frequent levels, or is
+// dropped when it is constant or identifier-like.
 package prep
 
 import (
@@ -15,64 +21,23 @@ import (
 	"repro/internal/store"
 )
 
-// Imputation selects how missing numeric values are filled.
-type Imputation int
-
 const (
-	// ImputeMean fills missing values with the column mean (default).
-	ImputeMean Imputation = iota
-	// ImputeMedian fills with the column median.
-	ImputeMedian
-	// ImputeNone keeps NaNs; downstream distances must then handle them
-	// (the stats metrics do, via pairwise deletion).
-	ImputeNone
+	// maxDummyLevels caps the number of dummy variables per categorical
+	// column; less frequent levels share no dummy (all-zero row).
+	maxDummyLevels = 20
+	// maxCardinalityRatio drops categorical columns whose distinct-value
+	// ratio exceeds this bound (free-text / identifier columns carry no
+	// cluster structure).
+	maxCardinalityRatio = 0.5
 )
 
-// Options tunes the preprocessing pipeline.
-type Options struct {
-	// DropKeys removes probable primary-key columns (default true via
-	// NewOptions; zero value keeps them).
-	DropKeys bool
-	// Normalization rescales continuous variables (default ZScore).
-	Normalization stats.Normalization
-	// Imputation fills missing numeric values (default ImputeMean).
-	Imputation Imputation
-	// MaxDummyLevels caps the number of dummy variables per categorical
-	// column; less frequent levels share no dummy (all-zero row).
-	// Default 20.
-	MaxDummyLevels int
-	// DummyWeight scales dummy variables so a categorical mismatch is
-	// comparable to a normalized numeric gap (default 1).
-	DummyWeight float64
-	// MaxCardinalityRatio drops categorical columns whose distinct-value
-	// ratio exceeds this bound (free-text / identifier columns carry no
-	// cluster structure). Default 0.5.
-	MaxCardinalityRatio float64
-}
+// Options is empty: the pipeline has no settings. It and NewOptions exist
+// only so that FitTransform's existing callers compile; removed with
+// ROADMAP 8(f).
+type Options struct{}
 
-// NewOptions returns the default pipeline configuration.
-func NewOptions() Options {
-	return Options{
-		DropKeys:            true,
-		Normalization:       stats.ZScore,
-		Imputation:          ImputeMean,
-		MaxDummyLevels:      20,
-		DummyWeight:         1,
-		MaxCardinalityRatio: 0.5,
-	}
-}
-
-func (o *Options) defaults() {
-	if o.MaxDummyLevels <= 0 {
-		o.MaxDummyLevels = 20
-	}
-	if o.DummyWeight <= 0 {
-		o.DummyWeight = 1
-	}
-	if o.MaxCardinalityRatio <= 0 {
-		o.MaxCardinalityRatio = 0.5
-	}
-}
+// NewOptions returns the empty Options; removed with ROADMAP 8(f).
+func NewOptions() Options { return Options{} }
 
 // featureKind tags how one input column maps to output dimensions.
 type featureKind int
@@ -87,33 +52,31 @@ type feature struct {
 	col    string
 	kind   featureKind
 	scaler stats.Scaler
-	fill   float64  // imputation value for numeric
+	fill   float64  // imputation value for numeric: the column mean
 	levels []string // dummy levels for categorical
 }
 
 // Pipeline is a fitted preprocessing transform. Fit on one selection, it
 // can vectorize the same or compatible tables (same column names/types).
 type Pipeline struct {
-	opts     Options
 	features []feature
-	names    []string // output dimension names
+	names    []string // output dimension names (dummies are "column=level")
 	dropped  []string // columns removed (keys, high-cardinality, constant)
 }
 
 // Fit learns a preprocessing pipeline on the given columns of t (all
 // columns when cols is nil).
-func Fit(t *store.Table, cols []string, opts Options) (*Pipeline, error) {
-	opts.defaults()
+func Fit(t *store.Table, cols []string) (*Pipeline, error) {
 	if cols == nil {
 		cols = t.ColumnNames()
 	}
-	p := &Pipeline{opts: opts}
+	p := &Pipeline{}
 	for _, name := range cols {
 		c := t.ColumnByName(name)
 		if c == nil {
 			return nil, fmt.Errorf("prep: no column %q", name)
 		}
-		if opts.DropKeys && store.IsLikelyKey(c) {
+		if store.IsLikelyKey(c) {
 			p.dropped = append(p.dropped, name)
 			continue
 		}
@@ -123,20 +86,11 @@ func Fit(t *store.Table, cols []string, opts Options) (*Pipeline, error) {
 			for i := range vals {
 				vals[i] = c.Float(i)
 			}
-			sc := stats.FitScaler(vals, opts.Normalization)
-			var fill float64
-			switch opts.Imputation {
-			case ImputeMedian:
-				fill = stats.Median(vals)
-			case ImputeNone:
-				fill = math.NaN()
-			default:
-				fill = stats.Mean(vals)
-			}
-			if math.IsNaN(fill) && opts.Imputation != ImputeNone {
+			fill := stats.Mean(vals)
+			if math.IsNaN(fill) {
 				fill = 0 // all-null column
 			}
-			p.features = append(p.features, feature{col: name, kind: kindNumeric, scaler: sc, fill: fill})
+			p.features = append(p.features, feature{col: name, kind: kindNumeric, scaler: stats.FitScaler(vals), fill: fill})
 			p.names = append(p.names, name)
 		case store.Bool:
 			p.features = append(p.features, feature{col: name, kind: kindBool})
@@ -144,11 +98,11 @@ func Fit(t *store.Table, cols []string, opts Options) (*Pipeline, error) {
 		case store.String:
 			sc := c.(*store.StringColumn)
 			nonNull := c.Len() - c.NullCount()
-			if nonNull > 0 && float64(sc.Cardinality())/float64(nonNull) > opts.MaxCardinalityRatio && sc.Cardinality() > opts.MaxDummyLevels {
+			if nonNull > 0 && float64(sc.Cardinality())/float64(nonNull) > maxCardinalityRatio && sc.Cardinality() > maxDummyLevels {
 				p.dropped = append(p.dropped, name)
 				continue
 			}
-			levels := topLevels(sc, opts.MaxDummyLevels)
+			levels := topLevels(sc, maxDummyLevels)
 			if len(levels) < 2 {
 				p.dropped = append(p.dropped, name) // constant: no signal
 				continue
@@ -192,10 +146,6 @@ func topLevels(c *store.StringColumn, max int) []string {
 // Dim returns the output vector dimensionality.
 func (p *Pipeline) Dim() int { return len(p.names) }
 
-// FeatureNames returns the output dimension names (dummies are
-// "column=level").
-func (p *Pipeline) FeatureNames() []string { return p.names }
-
 // Dropped returns the input columns the pipeline removed and why they
 // carry no cluster signal (keys, constants, identifier-like text).
 func (p *Pipeline) Dropped() []string { return p.dropped }
@@ -231,16 +181,16 @@ func (p *Pipeline) Transform(t *store.Table) ([][]float64, error) {
 				x := c.Float(r)
 				if math.IsNaN(x) {
 					// Impute on the original scale, then normalize, so the
-					// fill lands where the column mean/median lands.
+					// fill lands where the column mean lands.
 					x = f.fill
 				}
-				v = append(v, f.scaler.Apply(x)) // NaN (ImputeNone) passes through
+				v = append(v, f.scaler.Apply(x))
 			case kindBool:
 				x := c.Float(r)
 				if math.IsNaN(x) {
 					x = 0.5 // unknown boolean sits between the classes
 				}
-				v = append(v, x*p.opts.DummyWeight)
+				v = append(v, x)
 			case kindDummy:
 				val := ""
 				null := c.IsNull(r)
@@ -249,7 +199,7 @@ func (p *Pipeline) Transform(t *store.Table) ([][]float64, error) {
 				}
 				for _, lv := range f.levels {
 					if !null && val == lv {
-						v = append(v, p.opts.DummyWeight)
+						v = append(v, 1)
 					} else {
 						v = append(v, 0)
 					}
@@ -261,9 +211,10 @@ func (p *Pipeline) Transform(t *store.Table) ([][]float64, error) {
 	return out, nil
 }
 
-// FitTransform fits a pipeline and vectorizes in one call.
-func FitTransform(t *store.Table, cols []string, opts Options) (*Pipeline, [][]float64, error) {
-	p, err := Fit(t, cols, opts)
+// FitTransform fits a pipeline and vectorizes in one call. Its Options
+// argument is ignored; removed with ROADMAP 8(f).
+func FitTransform(t *store.Table, cols []string, _ Options) (*Pipeline, [][]float64, error) {
+	p, err := Fit(t, cols)
 	if err != nil {
 		return nil, nil, err
 	}

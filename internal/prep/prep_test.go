@@ -1,6 +1,7 @@
 package prep
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func mixedTable() *store.Table {
 
 func TestFitDropsKeys(t *testing.T) {
 	tab := mixedTable()
-	p, err := Fit(tab, nil, NewOptions())
+	p, err := Fit(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,39 +42,20 @@ func TestFitDropsKeys(t *testing.T) {
 	t.Errorf("id should be dropped as a key; dropped = %v", p.Dropped())
 }
 
-func TestFitKeepsKeysWhenDisabled(t *testing.T) {
-	tab := mixedTable()
-	opts := NewOptions()
-	opts.DropKeys = false
-	p, err := Fit(tab, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, u := range p.UsedColumns() {
-		if u == "id" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("id should survive when DropKeys is off")
-	}
-}
-
 func TestTransformShapeAndNames(t *testing.T) {
 	tab := mixedTable()
-	p, vecs, err := FitTransform(tab, nil, NewOptions())
+	p, vecs, err := FitTransform(tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// income (1) + band dummies (3) + flag (1) = 5 dims.
 	if p.Dim() != 5 {
-		t.Fatalf("dim = %d, want 5; names = %v", p.Dim(), p.FeatureNames())
+		t.Fatalf("dim = %d, want 5; names = %v", p.Dim(), p.names)
 	}
 	if len(vecs) != 100 || len(vecs[0]) != 5 {
 		t.Fatalf("vecs shape = %dx%d", len(vecs), len(vecs[0]))
 	}
-	names := p.FeatureNames()
+	names := p.names
 	wantNames := map[string]bool{"income": true, "band=high": true, "band=low": true, "band=mid": true, "flag": true}
 	for _, n := range names {
 		if !wantNames[n] {
@@ -84,7 +66,7 @@ func TestTransformShapeAndNames(t *testing.T) {
 
 func TestTransformNormalizes(t *testing.T) {
 	tab := mixedTable()
-	p, vecs, err := FitTransform(tab, []string{"income"}, NewOptions())
+	p, vecs, err := FitTransform(tab, []string{"income"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +88,7 @@ func TestTransformNormalizes(t *testing.T) {
 
 func TestDummyEncoding(t *testing.T) {
 	tab := mixedTable()
-	p, vecs, err := FitTransform(tab, []string{"band"}, NewOptions())
+	p, vecs, err := FitTransform(tab, []string{"band"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,35 +114,19 @@ func TestMissingValueImputation(t *testing.T) {
 	c.AppendNull()
 	tab.MustAddColumn(c)
 
-	opts := NewOptions()
-	opts.Normalization = stats.NoNormalization
-	p, vecs, err := FitTransform(tab, nil, opts)
+	p, vecs, err := FitTransform(tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Dim() != 1 {
 		t.Fatal("dim wrong")
 	}
-	if vecs[2][0] != 5 { // mean of {0,10}
-		t.Errorf("imputed = %g, want mean 5", vecs[2][0])
+	// z-scored over {0, 10}: mean 5, deviation 5. The null takes the mean.
+	if vecs[0][0] != -1 || vecs[1][0] != 1 {
+		t.Errorf("scaled = %g, %g, want -1, 1", vecs[0][0], vecs[1][0])
 	}
-
-	opts.Imputation = ImputeMedian
-	_, vecs, err = FitTransform(tab, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecs[2][0] != 5 {
-		t.Errorf("median imputed = %g", vecs[2][0])
-	}
-
-	opts.Imputation = ImputeNone
-	_, vecs, err = FitTransform(tab, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(vecs[2][0]) {
-		t.Errorf("ImputeNone should keep NaN, got %g", vecs[2][0])
+	if vecs[2][0] != 0 {
+		t.Errorf("imputed = %g, want the mean's 0", vecs[2][0])
 	}
 }
 
@@ -173,7 +139,7 @@ func TestImputationNormalizedScale(t *testing.T) {
 	}
 	c.AppendNull()
 	tab.MustAddColumn(c)
-	_, vecs, err := FitTransform(tab, nil, NewOptions())
+	_, vecs, err := FitTransform(tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +157,7 @@ func TestNullCategoricalAllZero(t *testing.T) {
 	c.Append("a")
 	c.Append("b")
 	tab.MustAddColumn(c)
-	_, vecs, err := FitTransform(tab, nil, NewOptions())
+	_, vecs, err := FitTransform(tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +173,17 @@ func TestHighCardinalityDropped(t *testing.T) {
 	vals := make([]string, 100)
 	keep := make([]string, 100)
 	for i := range vals {
-		vals[i] = "user-" + string(rune('a'+i%26)) + string(rune('0'+i/26)) + string(rune('0'+i%10))
+		// 80 distinct values: too many levels to dummy-encode, yet
+		// repeated, so the column is no key.
+		vals[i] = fmt.Sprintf("user-%d", i%80)
 		keep[i] = []string{"x", "y"}[i%2]
 	}
 	tab.MustAddColumn(store.NewStringColumnFrom("freetext", vals))
 	tab.MustAddColumn(store.NewStringColumnFrom("cat", keep))
-	opts := NewOptions()
-	opts.DropKeys = false
-	p, err := Fit(tab, nil, opts)
+	if store.IsLikelyKey(tab.ColumnByName("freetext")) {
+		t.Fatal("fixture: freetext must not be a key")
+	}
+	p, err := Fit(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +201,7 @@ func TestConstantCategoricalDropped(t *testing.T) {
 	tab := store.NewTable("t")
 	tab.MustAddColumn(store.NewStringColumnFrom("const", []string{"a", "a", "a", "a"}))
 	tab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{1, 2, 3, 4}))
-	p, err := Fit(tab, nil, NewOptions())
+	p, err := Fit(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +217,18 @@ func TestMaxDummyLevels(t *testing.T) {
 		vals[i] = string(rune('a' + i%30)) // 30 levels
 	}
 	tab.MustAddColumn(store.NewStringColumnFrom("c", vals))
-	opts := NewOptions()
-	opts.MaxDummyLevels = 5
-	p, err := Fit(tab, nil, opts)
+	p, err := Fit(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dim() != 5 {
-		t.Errorf("dim = %d, want capped 5", p.Dim())
+	if p.Dim() != maxDummyLevels {
+		t.Errorf("dim = %d, want capped %d", p.Dim(), maxDummyLevels)
 	}
 }
 
 func TestErrors(t *testing.T) {
 	tab := mixedTable()
-	if _, err := Fit(tab, []string{"zzz"}, NewOptions()); err == nil {
+	if _, err := Fit(tab, []string{"zzz"}); err == nil {
 		t.Error("unknown column should fail")
 	}
 	only := store.NewTable("keys")
@@ -270,10 +237,10 @@ func TestErrors(t *testing.T) {
 		ids[i] = int64(i)
 	}
 	only.MustAddColumn(store.NewIntColumnFrom("id", ids))
-	if _, err := Fit(only, nil, NewOptions()); err == nil {
+	if _, err := Fit(only, nil); err == nil {
 		t.Error("table with only a key column should fail")
 	}
-	p, _ := Fit(tab, []string{"income"}, NewOptions())
+	p, _ := Fit(tab, []string{"income"})
 	other := store.NewTable("other")
 	other.MustAddColumn(store.NewFloatColumnFrom("different", []float64{1}))
 	if _, err := p.Transform(other); err == nil {
@@ -287,10 +254,8 @@ func TestTransformOnNewRows(t *testing.T) {
 	fitTab := store.NewTable("fit")
 	fitTab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{0, 10}))
 	newTab := store.NewTable("new")
-	newTab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{5}))
-	opts := NewOptions()
-	opts.Normalization = stats.MinMax
-	p, err := Fit(fitTab, nil, opts)
+	newTab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{5, 15}))
+	p, err := Fit(fitTab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +263,8 @@ func TestTransformOnNewRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vecs[0][0] != 0.5 {
-		t.Errorf("transform = %g, want 0.5 on fitted [0,10] scale", vecs[0][0])
+	if vecs[0][0] != 0 || vecs[1][0] != 2 {
+		t.Errorf("transform = %g, %g, want 0, 2 on the fitted mean 5, deviation 5", vecs[0][0], vecs[1][0])
 	}
 }
 
@@ -311,13 +276,13 @@ func TestBoolNullMidpoint(t *testing.T) {
 	c.AppendNull()
 	tab.MustAddColumn(c)
 	tab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{1, 2, 3}))
-	_, vecs, err := FitTransform(tab, nil, NewOptions())
+	_, vecs, err := FitTransform(tab, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bi := -1
-	p, _ := Fit(tab, nil, NewOptions())
-	for i, n := range p.FeatureNames() {
+	p, _ := Fit(tab, nil)
+	for i, n := range p.names {
 		if n == "b" {
 			bi = i
 		}

@@ -115,22 +115,3 @@ func StdDev(vals []float64) float64 {
 	}
 	return math.Sqrt(sum / float64(n))
 }
-
-// Median returns the median of the non-NaN values (NaN when none).
-func Median(vals []float64) float64 {
-	clean := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	if len(clean) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(clean)
-	mid := len(clean) / 2
-	if len(clean)%2 == 1 {
-		return clean[mid]
-	}
-	return (clean[mid-1] + clean[mid]) / 2
-}

@@ -1,7 +1,8 @@
 // Package stats provides the statistical primitives Blaeu's mapping engine
 // is built on: discretization, entropy and mutual information (the
 // dependency measure used for theme detection), correlation baselines,
-// normalization, and the missing-value-aware Euclidean distance.
+// the z-score scaler prep normalizes continuous variables with, and the
+// missing-value-aware Euclidean distance.
 package stats
 
 import (

@@ -332,7 +332,7 @@ func TestRanksTies(t *testing.T) {
 	}
 }
 
-func TestMeanStdMedian(t *testing.T) {
+func TestMeanStd(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, math.NaN()}
 	if m := Mean(vals); !almost(m, 2.5, 1e-12) {
 		t.Errorf("mean = %g", m)
@@ -340,34 +340,26 @@ func TestMeanStdMedian(t *testing.T) {
 	if s := StdDev(vals); !almost(s, math.Sqrt(1.25), 1e-12) {
 		t.Errorf("std = %g", s)
 	}
-	if m := Median(vals); !almost(m, 2.5, 1e-12) {
-		t.Errorf("median = %g", m)
-	}
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median = %g", m)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev(nil)) {
 		t.Error("empty aggregates should be NaN")
 	}
 }
 
 func TestScalers(t *testing.T) {
 	vals := []float64{0, 5, 10}
-	z := FitScaler(vals, ZScore)
+	z := FitScaler(vals)
 	if !almost(z.Apply(5), 0, 1e-12) {
 		t.Errorf("zscore center = %g", z.Apply(5))
 	}
-	mm := FitScaler(vals, MinMax)
-	if mm.Apply(0) != 0 || mm.Apply(10) != 1 || !almost(mm.Apply(5), 0.5, 1e-12) {
-		t.Error("minmax wrong")
+	if !almost(z.Apply(10), math.Sqrt(1.5), 1e-12) {
+		t.Errorf("zscore of the max = %g, want sqrt(1.5)", z.Apply(10))
 	}
-	no := FitScaler(vals, NoNormalization)
-	if no.Apply(3) != 3 {
-		t.Error("no-normalization should be identity")
-	}
-	con := FitScaler([]float64{7, 7}, ZScore)
+	con := FitScaler([]float64{7, 7})
 	if con.Apply(7) != 0 || math.IsNaN(con.Apply(8)) {
 		t.Error("constant input must stay finite")
+	}
+	if empty := FitScaler([]float64{math.NaN()}); empty.Apply(3) != 3 {
+		t.Error("an all-NaN input must fit the identity")
 	}
 	if !math.IsNaN(z.Apply(math.NaN())) {
 		t.Error("NaN should pass through")
@@ -384,14 +376,9 @@ func TestScalerRoundTripProperty(t *testing.T) {
 				return true
 			}
 		}
-		for _, m := range []Normalization{ZScore, MinMax} {
-			s := FitScaler(vals, m)
-			got := s.Apply(probe)*s.Scale + s.Center
-			if math.Abs(got-probe) > 1e-6*(1+math.Abs(probe)) {
-				return false
-			}
-		}
-		return true
+		s := FitScaler(vals)
+		got := s.Apply(probe)*s.Scale + s.Center
+		return math.Abs(got-probe) <= 1e-6*(1+math.Abs(probe))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

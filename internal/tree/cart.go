@@ -20,14 +20,16 @@ type Options struct {
 	MaxDepth int
 	// MinLeaf is the minimum number of tuples in a leaf (default 5).
 	MinLeaf int
-	// MinImpurityDecrease skips splits whose weighted Gini gain falls
-	// below this value (default 1e-7).
-	MinImpurityDecrease float64
-	// MaxCategories bounds how many distinct levels of a categorical
-	// column are tried as one-vs-rest splits (most frequent first;
-	// default 16).
-	MaxCategories int
 }
+
+const (
+	// minImpurityDecrease is the weighted Gini gain below which a split
+	// is not made.
+	minImpurityDecrease = 1e-7
+	// maxCategories bounds how many distinct levels of a categorical
+	// column are tried as one-vs-rest splits, most frequent first.
+	maxCategories = 16
+)
 
 func (o *Options) defaults() {
 	if o.MaxDepth <= 0 {
@@ -35,12 +37,6 @@ func (o *Options) defaults() {
 	}
 	if o.MinLeaf <= 0 {
 		o.MinLeaf = 5
-	}
-	if o.MinImpurityDecrease <= 0 {
-		o.MinImpurityDecrease = 1e-7
-	}
-	if o.MaxCategories <= 0 {
-		o.MaxCategories = 16
 	}
 }
 
@@ -175,7 +171,7 @@ func (g *grower) grow(rows []int, depth int) *Node {
 		return node
 	}
 	split, gain := g.bestSplit(rows, node.Impurity)
-	if split == nil || gain < g.opts.MinImpurityDecrease {
+	if split == nil || gain < minImpurityDecrease {
 		return node
 	}
 	left, right := store.PartitionRows(g.t, split, rows)
@@ -319,8 +315,8 @@ func (g *grower) bestCategoricalSplit(col *store.StringColumn, rows []int, paren
 		}
 		return levels[i] < levels[j]
 	})
-	if len(levels) > g.opts.MaxCategories {
-		levels = levels[:g.opts.MaxCategories]
+	if len(levels) > maxCategories {
+		levels = levels[:maxCategories]
 	}
 	total := len(rows)
 	var best store.Predicate

@@ -10,8 +10,8 @@ import (
 
 // TestTreeInvariantsProperty grows trees on random mixed data and checks
 // structural invariants: counts are conserved down the tree, every row
-// matches exactly one rule, rule classes agree with predictions, depth
-// and leaf bounds hold.
+// matches exactly one leaf's condition path, path classes agree with
+// predictions, depth and leaf bounds hold.
 func TestTreeInvariantsProperty(t *testing.T) {
 	f := func(seed int64, kRaw, depthRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -59,17 +59,17 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		// Rules partition all rows and agree with predictions.
-		rules := tr.Rules()
-		if len(rules) != tr.NumLeaves() {
+		// Leaf paths partition all rows and agree with predictions.
+		paths := leafPaths(tr)
+		if len(paths) != tr.NumLeaves() {
 			return false
 		}
 		for i := 0; i < n; i++ {
 			matches, cls := 0, -1
-			for _, r := range rules {
-				if r.Conditions.Matches(tab, i) {
+			for _, p := range paths {
+				if p.cond.Matches(tab, i) {
 					matches++
-					cls = r.Class
+					cls = p.class
 				}
 			}
 			if matches != 1 || cls != tr.Predict(tab, i) {

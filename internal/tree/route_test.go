@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -66,9 +68,27 @@ func TestFitWithNullsPinned(t *testing.T) {
           yes: => cluster 1 (n=14)
           no:  => cluster 0 (n=31)
 `
-	if got := tr.Render(); got != want {
+	if got := render(tr); got != want {
 		t.Fatalf("tree over null-bearing columns moved:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// render draws the tree as indented text, a node per line: a split and
+// its yes/no children, or a leaf's cluster and training count.
+func render(tr *Tree) string {
+	var sb strings.Builder
+	var walk func(n *Node, prefix, label string)
+	walk = func(n *Node, prefix, label string) {
+		if n.IsLeaf() {
+			fmt.Fprintf(&sb, "%s%s=> cluster %d (n=%d)\n", prefix, label, n.Class, n.N)
+			return
+		}
+		fmt.Fprintf(&sb, "%s%s[%s]\n", prefix, label, n.Split)
+		walk(n.Left, prefix+"  ", "yes: ")
+		walk(n.Right, prefix+"  ", "no:  ")
+	}
+	walk(tr.Root, "", "")
+	return sb.String()
 }
 
 // referencePredict routes row i by the reference semantics: the

@@ -1,56 +1,11 @@
 package tree
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/store"
-)
-
-// Rule is a conjunction of predicates describing one leaf: the
-// human-readable form of a data-map region.
-type Rule struct {
-	// Conditions is the path of predicates from root to leaf.
-	Conditions store.And
-	// Class is the predicted class (cluster ID in Blaeu's use).
-	Class int
-	// N is the number of training tuples covered.
-	N int
-	// Purity is the fraction of covered tuples whose label matches Class.
-	Purity float64
-}
-
-// String renders the rule SQL-style.
-func (r Rule) String() string {
-	return fmt.Sprintf("WHERE %s => cluster %d (n=%d, purity %.2f)",
-		r.Conditions.String(), r.Class, r.N, r.Purity)
-}
-
-// Rules extracts one rule per leaf, in left-to-right order.
-func (tr *Tree) Rules() []Rule {
-	var out []Rule
-	var walk func(n *Node, path store.And)
-	walk = func(n *Node, path store.And) {
-		if n.IsLeaf() {
-			purity := 0.0
-			if n.N > 0 {
-				purity = float64(n.Counts[n.Class]) / float64(n.N)
-			}
-			cp := make(store.And, len(path))
-			copy(cp, path)
-			out = append(out, Rule{Conditions: cp, Class: n.Class, N: n.N, Purity: purity})
-			return
-		}
-		walk(n.Left, append(path, n.Split))
-		walk(n.Right, append(path, Complement(n.Split, n.SplitMissing)))
-	}
-	walk(tr.Root, nil)
-	return out
-}
+import "repro/internal/store"
 
 // Complement builds the right-branch predicate: the logical complement of
 // the split. When the fitted node saw missing values (which route right),
-// the complement also matches nulls, so rules partition the data exactly.
+// the complement also matches nulls, so the condition paths of a tree's
+// leaves (a data map's regions) partition the data exactly.
 func Complement(p store.Predicate, missing bool) store.Predicate {
 	var neg store.Predicate
 	switch q := p.(type) {
@@ -86,22 +41,4 @@ func (tr *Tree) Prune() int {
 	}
 	walk(tr.Root)
 	return collapsed
-}
-
-// Render draws the tree as indented text, the textual analogue of the data
-// map's hierarchy (paper Fig. 1b).
-func (tr *Tree) Render() string {
-	var sb strings.Builder
-	var walk func(n *Node, prefix string, label string)
-	walk = func(n *Node, prefix, label string) {
-		if n.IsLeaf() {
-			fmt.Fprintf(&sb, "%s%s=> cluster %d (n=%d)\n", prefix, label, n.Class, n.N)
-			return
-		}
-		fmt.Fprintf(&sb, "%s%s[%s]\n", prefix, label, n.Split)
-		walk(n.Left, prefix+"  ", "yes: ")
-		walk(n.Right, prefix+"  ", "no:  ")
-	}
-	walk(tr.Root, "", "")
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -169,6 +168,29 @@ func TestMissingValuesRouteRight(t *testing.T) {
 	}
 }
 
+// leafPath is one leaf's condition path from the root: each node's Split
+// on the way left, its Complement on the way right — how a data map
+// spells a region's condition.
+type leafPath struct {
+	cond  store.And
+	class int
+}
+
+func leafPaths(tr *Tree) []leafPath {
+	var out []leafPath
+	var walk func(n *Node, path store.And)
+	walk = func(n *Node, path store.And) {
+		if n.IsLeaf() {
+			out = append(out, leafPath{append(store.And(nil), path...), n.Class})
+			return
+		}
+		walk(n.Left, append(path, n.Split))
+		walk(n.Right, append(path, Complement(n.Split, n.SplitMissing)))
+	}
+	walk(tr.Root, nil)
+	return out
+}
+
 func TestRulesPartitionSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tab, labels := axisData(800, rng)
@@ -176,38 +198,27 @@ func TestRulesPartitionSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := tr.Rules()
-	if len(rules) != tr.NumLeaves() {
-		t.Fatalf("%d rules for %d leaves", len(rules), tr.NumLeaves())
+	paths := leafPaths(tr)
+	if len(paths) != tr.NumLeaves() {
+		t.Fatalf("%d paths for %d leaves", len(paths), tr.NumLeaves())
 	}
-	// Every row must match exactly one rule, and that rule's class must
-	// equal the tree's prediction.
+	// Every row must match exactly one leaf's path, and that leaf's class
+	// must equal the tree's prediction.
 	for i := 0; i < tab.NumRows(); i++ {
 		matches := 0
 		var cls int
-		for _, r := range rules {
-			if r.Conditions.Matches(tab, i) {
+		for _, p := range paths {
+			if p.cond.Matches(tab, i) {
 				matches++
-				cls = r.Class
+				cls = p.class
 			}
 		}
 		if matches != 1 {
-			t.Fatalf("row %d matches %d rules, want exactly 1", i, matches)
+			t.Fatalf("row %d matches %d paths, want exactly 1", i, matches)
 		}
 		if cls != tr.Predict(tab, i) {
-			t.Fatalf("rule class disagrees with prediction at row %d", i)
+			t.Fatalf("path class disagrees with prediction at row %d", i)
 		}
-	}
-}
-
-func TestRuleString(t *testing.T) {
-	r := Rule{
-		Conditions: store.And{store.NumCmp{Col: "hours", Op: store.Ge, Val: 20}},
-		Class:      1, N: 42, Purity: 0.9,
-	}
-	s := r.String()
-	if !strings.Contains(s, "hours >= 20") || !strings.Contains(s, "cluster 1") {
-		t.Errorf("rule string = %q", s)
 	}
 }
 
@@ -255,19 +266,6 @@ func TestPruneCascades(t *testing.T) {
 	}
 	if !tr.Root.IsLeaf() {
 		t.Error("tree should collapse to a single leaf")
-	}
-}
-
-func TestRender(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab, labels := axisData(300, rng)
-	tr, err := Fit(tab, []string{"x", "y"}, labels, 3, Options{MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tr.Render()
-	if !strings.Contains(out, "cluster") || !strings.Contains(out, "yes:") {
-		t.Errorf("render output:\n%s", out)
 	}
 }
 
