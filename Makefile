@@ -77,7 +77,8 @@ fmt-check:
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
-# rendering, session open-options JSON, segment files) and over the row
+# rendering, session open-options JSON, action bodies staged by
+# core.Prepare on an explorer with a map, segment files) and over the row
 # set (random ascending ids against the []int reference) so the
 # harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime
 # and let it run.
@@ -87,6 +88,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
+	go test -run='^$$' -fuzz=FuzzPrepareAction -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment
 	go test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/store/segment
 

@@ -492,7 +492,7 @@ func BenchmarkZoomColdDerived(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			sample := 0
 			for i := 0; i < b.N; i++ {
-				zb, err := e.PrepareZoom(path...)
+				zb, err := e.Prepare(core.Action{Kind: core.ActionZoom, Path: path})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -35,7 +35,7 @@
 // matrix, BUILD, the SWAP blocks, CLARA's per-sample runs) fan out over
 // the cores no running job holds (internal/cores), with results identical
 // to sequential execution. Library users get the same
-// machinery through Explorer.PrepareZoom / MapBuild.Run /
+// machinery through Explorer.Prepare / MapBuild.Run /
 // Explorer.ApplyBuild; the plain Zoom / SelectTheme / Project run those
 // three steps inline.
 //

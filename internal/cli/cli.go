@@ -155,7 +155,7 @@ func (r *REPL) Execute(line string) bool {
 		}
 		fmt.Fprintf(r.out, "added theme %d: %s\n", id, e.Themes()[id].Label())
 	case "zoom":
-		path, err := parsePath(args)
+		path, err := pathOf(args)
 		if err != nil {
 			r.errf("%v", err)
 			return true
@@ -172,7 +172,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("usage: highlight COL [path]")
 			return true
 		}
-		path, err := parsePath(args[1:])
+		path, err := pathOf(args[1:])
 		if err != nil {
 			r.errf("%v", err)
 			return true
@@ -188,7 +188,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("usage: hist COL [path]")
 			return true
 		}
-		path, err := parsePath(args[1:])
+		path, err := pathOf(args[1:])
 		if err != nil {
 			r.errf("%v", err)
 			return true
@@ -204,7 +204,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("usage: scatter X Y [path]")
 			return true
 		}
-		path, err := parsePath(args[2:])
+		path, err := pathOf(args[2:])
 		if err != nil {
 			r.errf("%v", err)
 			return true
@@ -222,7 +222,7 @@ func (r *REPL) Execute(line string) bool {
 			r.errf("usage: annotate P[,P...] text")
 			return true
 		}
-		path, err := parsePath(args[:1])
+		path, err := pathOf(args[:1])
 		if err != nil {
 			r.errf("%v", err)
 			return true
@@ -259,7 +259,7 @@ func (r *REPL) Execute(line string) bool {
 			return true
 		}
 		fmt.Fprintf(r.out, "rolled back to %d tuples (%s)\n",
-			e.State().Rows.Len(), e.State().Action)
+			e.State().Rows.Len(), e.State().Action.Kind)
 	case "query":
 		fmt.Fprintln(r.out, e.Query())
 	case "export":
@@ -271,7 +271,7 @@ func (r *REPL) Execute(line string) bool {
 		fmt.Fprintln(r.out, string(data))
 	case "state":
 		for i, s := range e.History() {
-			fmt.Fprintf(r.out, "%2d. %-13s %-44s %d tuples\n", i, s.Action, clipStr(s.Detail, 44), s.Rows.Len())
+			fmt.Fprintf(r.out, "%2d. %-13s %-44s %d tuples\n", i, s.Action.Kind, clipStr(s.Detail, 44), s.Rows.Len())
 		}
 	default:
 		r.errf("unknown command %q (try help)", cmd)
@@ -320,24 +320,12 @@ func (r *REPL) printHighlight(h *core.Highlight) {
 	}
 }
 
-func parsePath(args []string) ([]int, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	parts := strings.Split(strings.Join(args, ","), ",")
-	var out []int
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad path element %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+// pathOf reads a region path given as arguments: "zoom 0,1" and
+// "zoom 0 1" address the same region. The arguments are joined with
+// commas and parsed by core.ParsePath, so an empty element ("0,,1") is
+// an error here as over HTTP.
+func pathOf(args []string) ([]int, error) {
+	return core.ParsePath(strings.Join(args, ","))
 }
 
 func splitList(s string) []string {

@@ -132,7 +132,7 @@ func TestREPLGraphAndExport(t *testing.T) {
 	if !strings.Contains(got, "Dependency graph") {
 		t.Errorf("graph output missing:\n%s", got)
 	}
-	if !strings.Contains(got, `"history"`) || !strings.Contains(got, `"select-theme"`) {
+	if !strings.Contains(got, `"history"`) || !strings.Contains(got, `"select"`) {
 		t.Errorf("export output missing:\n%s", got[:min(len(got), 2000)])
 	}
 }
@@ -183,15 +183,25 @@ func TestExecuteReturnsFalseOnQuit(t *testing.T) {
 }
 
 func TestParsePathHelper(t *testing.T) {
-	p, err := parsePath([]string{"1,0", "2"})
+	p, err := pathOf([]string{"1,0", "2"})
 	if err != nil || len(p) != 3 || p[0] != 1 || p[2] != 2 {
-		t.Errorf("parsePath = %v, %v", p, err)
+		t.Errorf("pathOf = %v, %v", p, err)
 	}
-	if _, err := parsePath([]string{"x"}); err == nil {
+	if _, err := pathOf([]string{"x"}); err == nil {
 		t.Error("bad path should fail")
 	}
-	if p, _ := parsePath(nil); p != nil {
+	if p, _ := pathOf(nil); p != nil {
 		t.Error("empty path should be nil")
+	}
+	// An empty element is an error, as over HTTP; the zoom it would have
+	// driven does not happen.
+	if _, err := pathOf([]string{"0,,1"}); err == nil {
+		t.Error("empty path element should fail")
+	}
+	r, out := newREPL(t, "map 0\nzoom 0,,1\nstate\nquit")
+	r.Run()
+	if got := out.String(); !strings.Contains(got, `error: bad path element ""`) || strings.Contains(got, "zoomed to") {
+		t.Errorf("zoom 0,,1:\n%s", got)
 	}
 }
 

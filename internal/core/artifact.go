@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/prep"
 	"repro/internal/store"
 )
@@ -49,21 +47,13 @@ func (e *Explorer) derivedSampleFloor(rows *store.RowSet) int {
 }
 
 // deriveArtifact builds the child artifact from a cached parent: the
-// overlapping rows become the child's sample (subsampled with the
-// build's RNG when the overlap exceeds the sampling budget) and the
-// parent's vectors are re-sliced — shared slice headers, no copy. The
-// build then computes its own oracle over them. pos holds ascending
-// indices into the parent's sample (from findDerivable). Runs off the
-// session lock (see MapBuild.Run).
-func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Rand) *buildArtifact {
-	if len(pos) > e.opts.SampleSize {
-		pick := store.SampleIndices(len(pos), e.opts.SampleSize, rng)
-		sub := make([]int, len(pick))
-		for i, p := range pick {
-			sub[i] = pos[p]
-		}
-		pos = sub
-	}
+// overlapping rows become the child's sample and the parent's vectors
+// are re-sliced — shared slice headers, no copy. The build then
+// computes its own oracle over them. pos holds ascending indices into
+// the parent's sample (from findDerivable); only a cold build's
+// artifact is cached, so the overlap never exceeds the sampling budget.
+// Runs off the session lock (see MapBuild.Run).
+func deriveArtifact(parent *buildArtifact, pos []int) *buildArtifact {
 	art := &buildArtifact{
 		sampleRows: make([]int, len(pos)),
 		pipe:       parent.pipe,
@@ -76,27 +66,12 @@ func (e *Explorer) deriveArtifact(parent *buildArtifact, pos []int, rng *rand.Ra
 	return art
 }
 
-// constantVectors reports whether every vector is identical — a derived
-// sample with no structure the parent's preprocessing can express. A
+// constantAt reports whether the vectors at pos are all identical — an
+// overlap with no structure the parent's preprocessing can express. A
 // cold build of such a selection refits the pipeline, finds only
-// constant columns and degrades to a single-region map; derived builds
-// must take the same road instead of clustering zero-distance data.
-// Non-degenerate data exits at the first differing float, so the common
-// case is near-free.
-func constantVectors(vecs [][]float64) bool {
-	for i := 1; i < len(vecs); i++ {
-		for j, v := range vecs[i] {
-			if v != vecs[0][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// constantAt is constantVectors over vecs restricted to pos, so the
-// degenerate-overlap check can run at prepare time, before any
-// derivation work.
+// constant columns and degrades to a single-region map, so prepare
+// builds it cold instead of deriving. Non-degenerate data exits at the
+// first differing float, so the common case is near-free.
 func constantAt(vecs [][]float64, pos []int) bool {
 	if len(pos) == 0 {
 		return true

@@ -41,7 +41,7 @@ func TestZoomDerivesOracle(t *testing.T) {
 		t.Fatalf("after select: stats %+v with %d artifacts, want 1 miss / 1 entry / 1 artifact", s, cachedArtifacts(e))
 	}
 	path := leafPath(t, e)
-	b, err := e.PrepareZoom(path...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +95,20 @@ func TestArtifactLeavesWithItsMap(t *testing.T) {
 	if len(paths) < 2 {
 		t.Fatal("need two leaf regions that clear the derivation floor")
 	}
-	b, err := e.PrepareZoom(paths[0]...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: paths[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Reuse() != ReuseOracleDerived {
 		t.Fatalf("first zoom reuse = %q, want %q", b.Reuse(), ReuseOracleDerived)
 	}
-	if _, err := e.runAndApply(b); err != nil {
+	if _, err := e.runAndApply(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = e.PrepareZoom(paths[1]...); err != nil {
+	if b, err = e.Prepare(Action{Kind: ActionZoom, Path: paths[1]}); err != nil {
 		t.Fatal(err)
 	}
 	if b.Reuse() != ReuseCold {
@@ -124,14 +124,14 @@ func TestCacheDisabledDerivesNothing(t *testing.T) {
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareZoom(leafPath(t, e)...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: leafPath(t, e)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Reuse() != ReuseCold {
 		t.Fatalf("cache disabled but zoom reuse = %q", b.Reuse())
 	}
-	if _, err := e.runAndApply(b); err != nil {
+	if _, err := e.runAndApply(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.ReuseStats(); s != (ReuseStats{}) {
@@ -149,7 +149,7 @@ func TestDerivationPolicyFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := leafPath(t, e)
-	b, err := e.PrepareZoom(path...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDerivationDisabled(t *testing.T) {
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareZoom(leafPath(t, e)...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: leafPath(t, e)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,11 @@ func TestConcurrentDerivedBuilds(t *testing.T) {
 	if len(leaves) < 2 {
 		t.Fatal("need two leaf regions")
 	}
-	b1, err := e.PrepareZoom(leaves[0].Path...)
+	b1, err := e.Prepare(Action{Kind: ActionZoom, Path: leaves[0].Path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := e.PrepareZoom(leaves[1].Path...)
+	b2, err := e.Prepare(Action{Kind: ActionZoom, Path: leaves[1].Path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestDerivedBuildDegeneratesToCold(t *testing.T) {
 	if path == nil {
 		t.Skip("no constant leaf region in this map")
 	}
-	b, err := e.PrepareZoom(path...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,11 @@ const (
 // navigational action, split out so the expensive clustering can run on
 // a scheduler worker while the session lock stays free:
 //
-//	b, err := e.PrepareZoom(path...)   // cheap; under the session lock
-//	m, err := b.Run(ctx, progress)     // expensive; NO lock required
-//	err = e.ApplyBuild(b, m)           // cheap; under the session lock
+//	b, err := e.Prepare(action)    // cheap; under the session lock
+//	m, err := b.Run(ctx, progress) // expensive; NO lock required
+//	err = e.ApplyBuild(b, m)       // cheap; under the session lock
 //
-// Prepare* validates the action and snapshots everything the build needs
+// Prepare validates the action and snapshots everything the build needs
 // (selection rows, theme, accumulated condition, a child RNG's seed and
 // the cache lookup: a finished map, failing that a parent artifact).
 // Run touches only that snapshot, immutable Explorer state (table,
@@ -49,21 +49,18 @@ const (
 // (e.g. a rollback slipped in between), so a stale build can never
 // corrupt the history stack.
 //
-// The synchronous SelectTheme, Zoom, Project and Filter run exactly
-// these three steps inline (runAndApply): every map is built by
+// The synchronous SelectTheme, Zoom, Project, Filter and FilterExpr run
+// exactly these three steps inline (runAndApply): every map is built by
 // MapBuild.Run, and every action draws from the explorer's random stream
 // once, in prepare.
 type MapBuild struct {
-	e      *Explorer
-	action ActionKind
-	detail string
-	rows   *store.RowSet
-	theme  Theme
-	cond   store.And
-	seed   int64 // of the build's random source, made by Run past a map hit
-	base   *State
-	key    mapKey
-	hit    *Map
+	e     *Explorer
+	next  *State // the state ApplyBuild pushes, given Run's map
+	theme Theme
+	seed  int64 // of the build's random source, made by Run past a map hit
+	base  *State
+	key   mapKey
+	hit   *Map
 
 	// Derivation (set at prepare): reuse names the level, parent the
 	// cached artifact a derived build re-slices and parentPos the
@@ -76,43 +73,45 @@ type MapBuild struct {
 	artifact  *buildArtifact
 }
 
-// PrepareSelect stages a SelectTheme build.
-func (e *Explorer) PrepareSelect(themeID int) (*MapBuild, error) {
-	return e.prepareTheme(ActionSelect, themeID)
-}
-
-// PrepareProject stages a Project build.
-func (e *Explorer) PrepareProject(themeID int) (*MapBuild, error) {
-	return e.prepareTheme(ActionProject, themeID)
-}
-
-// prepareTheme stages the build of a theme's map over the current
-// selection: select and project differ only in the action they record.
-func (e *Explorer) prepareTheme(action ActionKind, themeID int) (*MapBuild, error) {
-	if themeID < 0 || themeID >= len(e.themes) {
-		return nil, fmt.Errorf("core: no theme %d (have %d)", themeID, len(e.themes))
-	}
+// Prepare stages the build of a map-building action (see
+// ActionKind.Builds): select and project map a theme over the current
+// selection, zoom narrows it to a region of the current map, and filter
+// to the rows matching Expr, parsed here. The state the build pushes
+// records the action in its canonical form: only the argument its kind
+// reads, a zoom's path as the region's own.
+func (e *Explorer) Prepare(a Action) (*MapBuild, error) {
 	cur := e.State()
-	return e.prepare(action,
-		fmt.Sprintf("theme %d: %s", themeID, e.themes[themeID].Label()),
-		cur.Rows, e.themes[themeID], cur.Condition), nil
-}
-
-// PrepareZoom stages a Zoom build into the region at path.
-func (e *Explorer) PrepareZoom(path ...int) (*MapBuild, error) {
-	cur := e.State()
-	if cur.Map == nil {
-		return nil, fmt.Errorf("core: no active map to zoom (select a theme first)")
+	switch a.Kind {
+	case ActionSelect, ActionProject:
+		if a.Theme < 0 || a.Theme >= len(e.themes) {
+			return nil, fmt.Errorf("core: no theme %d (have %d)", a.Theme, len(e.themes))
+		}
+		th := e.themes[a.Theme]
+		return e.prepare(&State{Action: Action{Kind: a.Kind, Theme: a.Theme},
+			Detail: fmt.Sprintf("theme %d: %s", a.Theme, th.Label()),
+			Rows:   cur.Rows, Condition: cur.Condition}, th), nil
+	case ActionZoom:
+		if cur.Map == nil {
+			return nil, fmt.Errorf("core: no active map to zoom (select a theme first)")
+		}
+		region, err := cur.Map.Root.Find(a.Path)
+		if err != nil {
+			return nil, err
+		}
+		if region.Count() == 0 {
+			return nil, fmt.Errorf("core: region %v is empty", a.Path)
+		}
+		cond := append(append(store.And(nil), cur.Condition...), region.Condition...)
+		return e.prepare(&State{Action: Action{Kind: ActionZoom, Path: region.Path},
+			Detail: region.Describe(), Rows: region.RowIDs(), Condition: cond}, cur.Map.Theme), nil
+	case ActionFilter:
+		pred, err := store.ParsePredicate(a.Expr)
+		if err != nil {
+			return nil, err
+		}
+		return e.prepareFilter(pred)
 	}
-	region, err := cur.Map.Root.Find(path)
-	if err != nil {
-		return nil, err
-	}
-	if region.Count() == 0 {
-		return nil, fmt.Errorf("core: region %v is empty", path)
-	}
-	cond := append(append(store.And(nil), cur.Condition...), region.Condition...)
-	return e.prepare(ActionZoom, region.Describe(), region.RowIDs(), cur.Map.Theme, cond), nil
+	return nil, fmt.Errorf("core: unknown action %q (want one of %v)", a.Kind, buildKinds)
 }
 
 // noTheme is the theme of a filter staged before any theme was
@@ -123,14 +122,14 @@ var noTheme = Theme{ID: -1}
 
 func (b *MapBuild) mapless() bool { return b.theme.ID == noTheme.ID }
 
-// PrepareFilter stages a Filter build: the current selection narrowed
+// prepareFilter stages a Filter build: the current selection narrowed
 // to the rows matching pred, mapped under the current map's theme. The
 // scan runs here, before the cache lookup, because the cache key is
 // over the result rows; it keeps the zone-map advantage on segment
 // backings even though it runs over a selection — pages holding no
 // selected rows, or excluded by the predicate's page stats, are never
 // read.
-func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
+func (e *Explorer) prepareFilter(pred store.Predicate) (*MapBuild, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("core: nil predicate")
 	}
@@ -144,7 +143,9 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 		theme = cur.Map.Theme
 	}
 	cond := append(append(store.And(nil), cur.Condition...), pred)
-	return e.prepare(ActionFilter, pred.String(), rows, theme, cond), nil
+	expr := pred.String()
+	return e.prepare(&State{Action: Action{Kind: ActionFilter, Expr: expr},
+		Detail: expr, Rows: rows, Condition: cond}, theme), nil
 }
 
 // prepare snapshots the build inputs, draws the child RNG's seed and
@@ -158,18 +159,9 @@ func (e *Explorer) PrepareFilter(pred store.Predicate) (*MapBuild, error) {
 // revisit, a rollback followed by the same zoom, a projection of a
 // zoomed state, all handed the same set — costs no pass over its rows
 // here; a filter's rows are new and pay the one pass.
-func (e *Explorer) prepare(action ActionKind, detail string, rows *store.RowSet, theme Theme, cond store.And) *MapBuild {
-	b := &MapBuild{
-		e:      e,
-		action: action,
-		detail: detail,
-		rows:   rows,
-		theme:  theme,
-		cond:   cond,
-		seed:   e.rng.Int63(),
-		base:   e.State(),
-		reuse:  ReuseCold,
-	}
+func (e *Explorer) prepare(next *State, theme Theme) *MapBuild {
+	b := &MapBuild{e: e, next: next, theme: theme, seed: e.rng.Int63(), base: e.State(), reuse: ReuseCold}
+	rows := next.Rows
 	if b.mapless() || e.cache == nil {
 		return b
 	}
@@ -203,7 +195,7 @@ func (b *MapBuild) Cached() bool { return b.hit != nil }
 func (b *MapBuild) Reuse() ReuseLevel { return b.reuse }
 
 // Rows returns how many tuples the build's selection holds.
-func (b *MapBuild) Rows() int { return b.rows.Len() }
+func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
 
 // Run executes the mapping pipeline on the prepared snapshot. It must
 // not be called under the session lock — that is the point: ctx cancels
@@ -215,8 +207,7 @@ func (b *MapBuild) Rows() int { return b.rows.Len() }
 // one build at a time, so concurrent Runs on one explorer are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse level on the build trace, if one rides the
-	// context. Run (not prepare) owns the attribute because it can still
-	// demote a derivation to a cold build below.
+	// context.
 	tr := obs.TraceFrom(ctx)
 	tr.SetAttr("reuse", string(b.reuse))
 	if b.mapless() {
@@ -234,20 +225,10 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 	var art *buildArtifact
 	if b.parent != nil {
 		sp := tr.Start("derive")
-		art = b.e.deriveArtifact(b.parent, b.parentPos, rng)
+		art = deriveArtifact(b.parent, b.parentPos)
 		sp.End()
-		if constantVectors(art.vecs) {
-			// Prepare already rejected degenerate overlaps; this only
-			// fires in the pathological case where the derivation's
-			// subsample of a non-constant overlap came out constant.
-			// Build cold like prepare would have (ApplyBuild reconciles
-			// the derivation counter).
-			art = nil
-			b.reuse = ReuseCold
-			tr.SetAttr("reuse", string(ReuseCold))
-		}
 	}
-	m, built, err := b.e.buildMapStaged(ctx, rng, b.rows, b.theme, art, progress)
+	m, built, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, art, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -272,28 +253,22 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 		return fmt.Errorf("core: nil map")
 	}
 	if e.State() != b.base {
-		return fmt.Errorf("core: state changed since the %s build was prepared; navigate again", b.action)
+		return fmt.Errorf("core: state changed since the %s build was prepared; navigate again", b.next.Action.Kind)
 	}
 	if e.cache != nil && b.hit == nil && m != nil {
-		if b.parent != nil && b.reuse == ReuseCold {
-			// Run demoted the derivation to a cold build (degenerate
-			// overlap): a plain miss, not a derived one.
-			e.cache.derived--
-		}
 		e.cache.put(b.key, m, b.artifact)
 	}
-	e.push(&State{
-		Action:    b.action,
-		Detail:    b.detail,
-		Rows:      b.rows,
-		Map:       m,
-		Condition: b.cond,
-	})
+	b.next.Map = m
+	e.push(b.next)
 	return nil
 }
 
-// runAndApply is the synchronous path over the prepared build.
-func (e *Explorer) runAndApply(b *MapBuild) (*Map, error) {
+// runAndApply is the synchronous path over a prepared build, taking
+// Prepare's results as they come.
+func (e *Explorer) runAndApply(b *MapBuild, err error) (*Map, error) {
+	if err != nil {
+		return nil, err
+	}
 	m, err := b.Run(context.Background(), nil)
 	if err != nil {
 		return nil, err

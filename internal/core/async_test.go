@@ -200,7 +200,7 @@ func TestPrepareRunApplyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := async.PrepareSelect(0)
+	b, err := async.Prepare(Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestApplyBuildStale(t *testing.T) {
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareZoom(leafPath(t, e)...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: leafPath(t, e)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestApplyBuildStale(t *testing.T) {
 func TestApplyBuildWrongExplorer(t *testing.T) {
 	a := asyncExplorer(t, Options{Seed: 1})
 	b2 := asyncExplorer(t, Options{Seed: 1})
-	build, err := a.PrepareSelect(0)
+	build, err := a.Prepare(Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestApplyBuildWrongExplorer(t *testing.T) {
 // context's error.
 func TestRunCancelled(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
-	b, err := e.PrepareSelect(0)
+	b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +316,14 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareFilter(pred)
+	b, err := e.prepareFilter(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Cached() || b.Reuse() != ReuseMapHit {
 		t.Fatalf("repeated filter: cached=%v reuse=%q, want a %q", b.Cached(), b.Reuse(), ReuseMapHit)
 	}
-	m2, err := e.runAndApply(b)
+	m2, err := e.runAndApply(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +333,8 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	if !mapsEqual(m1, m2) {
 		t.Error("the revisited filter's map differs from the first one")
 	}
-	if st := e.State(); st.Action != ActionFilter || st.Detail != pred.String() || st.Rows.Len() != m2.Root.Count() {
-		t.Errorf("state after the hit: %s %q over %d rows, map holds %d", st.Action, st.Detail, st.Rows.Len(), m2.Root.Count())
+	if st := e.State(); st.Action.Kind != ActionFilter || st.Detail != pred.String() || st.Rows.Len() != m2.Root.Count() {
+		t.Errorf("state after the hit: %s %q over %d rows, map holds %d", st.Action.Kind, st.Detail, st.Rows.Len(), m2.Root.Count())
 	}
 	s := e.ReuseStats()
 	if s.Map.Hits != 1 || s.Map.Hits+s.Map.Misses != 3 {
@@ -357,14 +357,14 @@ func TestFilterInsideZoomDerivesOracle(t *testing.T) {
 	if _, err := e.Zoom(leafPath(t, e)...); err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareFilter(medianFilter(t, e))
+	b, err := e.prepareFilter(medianFilter(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Rows() < 10 || b.Reuse() != ReuseOracleDerived {
 		t.Fatalf("filter of %d rows inside a zoom: reuse = %q, want %q", b.Rows(), b.Reuse(), ReuseOracleDerived)
 	}
-	m, err := e.runAndApply(b)
+	m, err := e.runAndApply(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 //
 //   - every prepared build consults the cache exactly once, so
 //     Hits + Misses == builds prepared;
-//   - only a miss can derive, so Derived <= Misses (the
-//     degenerate-overlap demotion takes a build out of Derived, never
-//     out of Misses);
+//   - only a miss can derive, so Derived <= Misses (a degenerate
+//     overlap builds cold: a miss, not a derivation);
 //   - entries only follow misses, so Evictions <= Misses, and
 //     Entries <= Capacity.
 func TestCacheTierCounterConservation(t *testing.T) {

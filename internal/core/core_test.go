@@ -179,15 +179,15 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 					t.Fatalf("oracleDistEvals %d, want the %d cells of this build's own matrix", snap.Counters["oracleDistEvals"], n*(n-1)/2)
 				}
 			}
-			b, err := e.PrepareSelect(0)
+			b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
 			run(b, err, ReuseCold, tc.cold)
 			leaf := largestLeaf(e.CurrentMap())
-			b, err = e.PrepareZoom(leaf...)
+			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
 			run(b, err, ReuseOracleDerived, tc.zoom)
 			if err := e.Rollback(); err != nil {
 				t.Fatal(err)
 			}
-			b, err = e.PrepareZoom(leaf...)
+			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
 			run(b, err, ReuseMapHit, "")
 		})
 	}
@@ -357,7 +357,7 @@ func TestZoomNarrowsSelection(t *testing.T) {
 	if after != target.Count() || after >= before {
 		t.Errorf("zoom rows = %d, want region count %d < %d", after, target.Count(), before)
 	}
-	if e.State().Action != ActionZoom {
+	if e.State().Action.Kind != ActionZoom {
 		t.Error("state action should be zoom")
 	}
 	// The zoom condition must include the region's predicates.
@@ -539,8 +539,8 @@ func TestHistoryTrail(t *testing.T) {
 	if len(h) != 3 {
 		t.Fatalf("history = %d states, want 3", len(h))
 	}
-	if h[0].Action != ActionInit || h[1].Action != ActionSelect || h[2].Action != ActionZoom {
-		t.Errorf("actions = %v %v %v", h[0].Action, h[1].Action, h[2].Action)
+	if h[0].Action.Kind != ActionInit || h[1].Action.Kind != ActionSelect || h[2].Action.Kind != ActionZoom {
+		t.Errorf("actions = %v %v %v", h[0].Action.Kind, h[1].Action.Kind, h[2].Action.Kind)
 	}
 }
 
@@ -557,7 +557,7 @@ func TestMaxHistoryBounded(t *testing.T) {
 		t.Errorf("history = %d states, want %d", len(e.History()), historyLimit)
 	}
 	// The initial state survives trimming.
-	if e.History()[0].Action != ActionInit {
+	if e.History()[0].Action.Kind != ActionInit {
 		t.Error("initial state must survive history trimming")
 	}
 }
@@ -585,12 +585,12 @@ func TestTinyHistoryKeepsCurrentState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zoom: %v", err)
 	}
-	if e.State().Map != zm || e.State().Action != ActionZoom {
+	if e.State().Map != zm || e.State().Action.Kind != ActionZoom {
 		t.Fatal("the zoomed map is not the current state's")
 	}
 	h := e.History()
-	if len(h) != historyLimit || h[0].Action != ActionInit {
-		t.Fatalf("history of %d states starting %s, want %d starting with the initial state", len(h), h[0].Action, historyLimit)
+	if len(h) != historyLimit || h[0].Action.Kind != ActionInit {
+		t.Fatalf("history of %d states starting %s, want %d starting with the initial state", len(h), h[0].Action.Kind, historyLimit)
 	}
 	if err := e.Rollback(); err != nil {
 		t.Fatalf("rollback: %v", err)

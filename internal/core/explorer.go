@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -11,13 +12,14 @@ import (
 	"repro/internal/store"
 )
 
-// ActionKind identifies a navigational action (paper §2).
+// ActionKind identifies a navigational action (paper §2). Its values
+// are the wire names: the server's routes and the job body's "action".
 type ActionKind string
 
 // The navigational actions.
 const (
 	ActionInit    ActionKind = "init"
-	ActionSelect  ActionKind = "select-theme"
+	ActionSelect  ActionKind = "select"
 	ActionZoom    ActionKind = "zoom"
 	ActionProject ActionKind = "project"
 	// ActionFilter is the explicit-predicate extension (see
@@ -25,13 +27,33 @@ const (
 	ActionFilter ActionKind = "filter"
 )
 
+// buildKinds are the actions that build a map, the ones Prepare takes.
+var buildKinds = []ActionKind{ActionSelect, ActionZoom, ActionProject, ActionFilter}
+
+// BuildKinds returns the map-building actions.
+func BuildKinds() []ActionKind { return slices.Clone(buildKinds) }
+
+// Builds reports whether the kind builds a map, so Prepare takes it.
+func (k ActionKind) Builds() bool { return slices.Contains(buildKinds, k) }
+
+// Action is one navigational action and its argument: Theme for select
+// and project, Path (the region's, from the map root) for zoom, Expr (a
+// SQL-style predicate) for filter. Its JSON form is the body of the
+// server's job and action routes.
+type Action struct {
+	Kind  ActionKind `json:"action"`
+	Path  []int      `json:"path,omitempty"`
+	Theme int        `json:"theme,omitempty"`
+	Expr  string     `json:"expr,omitempty"`
+}
+
 // State is one navigation state: an active selection of rows, an active
 // theme, and the data map summarizing it. Every action pushes a new state;
 // rollback pops it (paper §2: "the users can always go back to a previous
 // state of the system").
 type State struct {
 	// Action is the action that produced the state.
-	Action ActionKind
+	Action Action
 	// Detail describes the action (e.g. the zoomed region's condition).
 	Detail string
 	// Rows is the active selection of base-table rows: the full table
@@ -95,7 +117,7 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 	if err := e.detectThemes(); err != nil {
 		return nil, err
 	}
-	e.states = []*State{{Action: ActionInit, Detail: "full table", Rows: store.All(t.NumRows())}}
+	e.states = []*State{{Action: Action{Kind: ActionInit}, Detail: "full table", Rows: store.All(t.NumRows())}}
 	return e, nil
 }
 
@@ -158,38 +180,25 @@ func (e *Explorer) push(s *State) {
 
 // SelectTheme builds (and activates) the data map of the given theme over
 // the current selection — the first navigational step of §2. It runs the
-// prepare → run → apply path of MapBuild inline; PrepareSelect is the
+// prepare → run → apply path of MapBuild inline; Prepare is the
 // asynchronous counterpart.
 func (e *Explorer) SelectTheme(themeID int) (*Map, error) {
-	b, err := e.PrepareSelect(themeID)
-	if err != nil {
-		return nil, err
-	}
-	return e.runAndApply(b)
+	return e.runAndApply(e.Prepare(Action{Kind: ActionSelect, Theme: themeID}))
 }
 
 // Zoom drills into the region at the given path of the current map: the
 // selection narrows to the region's tuples and a fresh map is built on
 // them with the same theme (paper §2, Fig. 1c). Revisited selections are
-// served from the zoom cache (see MapBuild.Cached); PrepareZoom is the
-// asynchronous counterpart.
+// served from the zoom cache (see MapBuild.Cached).
 func (e *Explorer) Zoom(path ...int) (*Map, error) {
-	b, err := e.PrepareZoom(path...)
-	if err != nil {
-		return nil, err
-	}
-	return e.runAndApply(b)
+	return e.runAndApply(e.Prepare(Action{Kind: ActionZoom, Path: path}))
 }
 
 // Project re-maps the current selection with another theme's columns,
 // keeping the tuples (paper §2, Fig. 1d): an alternative "aspect" of the
-// same data. PrepareProject is the asynchronous counterpart.
+// same data.
 func (e *Explorer) Project(themeID int) (*Map, error) {
-	b, err := e.PrepareProject(themeID)
-	if err != nil {
-		return nil, err
-	}
-	return e.runAndApply(b)
+	return e.runAndApply(e.Prepare(Action{Kind: ActionProject, Theme: themeID}))
 }
 
 // ExecuteQuery parses and runs the current implicit query against the

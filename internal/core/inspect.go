@@ -104,27 +104,18 @@ func (e *Explorer) Annotate(text string, path ...int) error {
 
 // Filter narrows the current selection with an explicit predicate and
 // rebuilds the active map (when one exists) over the filtered rows; it
-// returns a nil map when no theme has been selected yet. PrepareFilter
-// is the asynchronous counterpart.
+// returns a nil map when no theme has been selected yet.
 //
 // This is an extension beyond the paper's four actions: Blaeu
 // deliberately quantizes the query space to cluster boundaries, but the
 // journal version's power users still need an escape hatch for exact
 // thresholds. Filter is reversible like every other action.
 func (e *Explorer) Filter(pred store.Predicate) (*Map, error) {
-	b, err := e.PrepareFilter(pred)
-	if err != nil {
-		return nil, err
-	}
-	return e.runAndApply(b)
+	return e.runAndApply(e.prepareFilter(pred))
 }
 
 // FilterExpr parses a SQL-style predicate ("hours >= 20 AND name = 'CA'")
 // and applies Filter.
 func (e *Explorer) FilterExpr(expr string) (*Map, error) {
-	pred, err := store.ParsePredicate(expr)
-	if err != nil {
-		return nil, err
-	}
-	return e.Filter(pred)
+	return e.runAndApply(e.Prepare(Action{Kind: ActionFilter, Expr: expr}))
 }

@@ -123,7 +123,7 @@ func TestFilterExprNarrowsAndRollsBack(t *testing.T) {
 	if m == nil {
 		t.Fatal("filter should rebuild the active map")
 	}
-	if e.State().Action != ActionFilter {
+	if e.State().Action.Kind != ActionFilter {
 		t.Error("action should be filter")
 	}
 	if !strings.Contains(e.Query(), "WorkingLongHours < 20") {

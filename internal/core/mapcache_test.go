@@ -159,11 +159,11 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	}
 	// Project the zoomed state onto its own theme: the state's set keys
 	// the lookup.
-	b, err := e.PrepareProject(e.CurrentMap().Theme.ID)
+	b, err := e.Prepare(Action{Kind: ActionProject, Theme: e.CurrentMap().Theme.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() || b.rows != rows {
+	if !b.Cached() || b.next.Rows != rows {
 		t.Error("projecting the zoomed state did not key on its set")
 	}
 	// Roll back and zoom into the same region again: the region's set
@@ -171,10 +171,10 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = e.PrepareZoom(region.Path...); err != nil {
+	if b, err = e.Prepare(Action{Kind: ActionZoom, Path: region.Path}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() || b.rows != rows {
+	if !b.Cached() || b.next.Rows != rows {
 		t.Error("the revisit did not key on the region's set")
 	}
 	// A clone of the cached map shares the set, memo and all.

@@ -99,14 +99,14 @@ func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom Re
 	m, err := e.SelectTheme(0)
 	record("select", m, err)
 
-	b, err := e.PrepareZoom(largestLeaf(m)...)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: largestLeaf(m)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Reuse() != wantZoom {
 		t.Fatalf("first zoom resolved as %q, want %q", b.Reuse(), wantZoom)
 	}
-	m, err = e.runAndApply(b)
+	m, err = e.runAndApply(b, nil)
 	record("zoom", m, err)
 
 	m, err = e.Project(1)

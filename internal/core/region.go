@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/store"
@@ -106,6 +107,25 @@ func (r *Region) Find(path []int) (*Region, error) {
 		cur = cur.Children[idx]
 	}
 	return cur, nil
+}
+
+// ParsePath parses the text form of a region path, comma-separated child
+// indices such as "0,1" ("" is the root). An element that is not an
+// integer, an empty one included, is an error.
+func ParsePath(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad path element %q", p)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Describe renders the region's condition, e.g.

@@ -108,7 +108,7 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.PrepareSelect(0)
+	b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
 	if err != nil || !b.Cached() {
 		t.Fatalf("reselecting the theme: cached %v, err %v", b != nil && b.Cached(), err)
 	}

@@ -74,7 +74,7 @@ func TestPanickingBuildLeavesScratchEmpty(t *testing.T) {
 		t.Fatal("a finished build left the slot empty")
 	}
 	metric.armed.Store(true)
-	b, err := e.PrepareSelect(0)
+	b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 		}
 		builds := make([]*MapBuild, 2)
 		for i := range builds {
-			b, err := e.PrepareSelect(i)
+			b, err := e.Prepare(Action{Kind: ActionSelect, Theme: i})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			mapDigest(&sb, builds[i].detail, m)
+			mapDigest(&sb, builds[i].next.Detail, m)
 		}
 		if e.scratch.Load() == nil {
 			t.Fatal("neither build returned its matrix to the slot")

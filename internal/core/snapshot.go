@@ -5,54 +5,106 @@ import (
 	"math"
 )
 
+// ThemeView, MapView and RegionView are the one wire form of themes and
+// data maps: the server's state response, its export and the CLI's
+// export all write them. They are plain structs, not Marshalers, so
+// encoding/json writes them straight into the response buffer.
+type ThemeView struct {
+	ID       int      `json:"id"`
+	Label    string   `json:"label"`
+	Medoid   string   `json:"medoid"`
+	Columns  []string `json:"columns"`
+	Cohesion float64  `json:"cohesion"`
+}
+
+// MapView is a data map's wire form.
+type MapView struct {
+	ThemeID      int        `json:"themeId"`
+	ThemeLabel   string     `json:"themeLabel"`
+	K            int        `json:"k"`
+	Silhouette   float64    `json:"silhouette"`
+	TreeAccuracy float64    `json:"treeAccuracy"`
+	SampleSize   int        `json:"sampleSize"`
+	Root         RegionView `json:"root"`
+}
+
+// RegionView is a region's wire form; Annotations is absent unless the
+// region was annotated.
+type RegionView struct {
+	Path        []int        `json:"path"`
+	Condition   string       `json:"condition"`
+	Count       int          `json:"count"`
+	ClusterID   int          `json:"clusterId"`
+	Silhouette  *float64     `json:"silhouette,omitempty"`
+	Split       string       `json:"split,omitempty"`
+	Annotations []string     `json:"annotations,omitempty"`
+	Children    []RegionView `json:"children,omitempty"`
+}
+
+// View returns the theme's wire form.
+func (t Theme) View() ThemeView {
+	return ThemeView{ID: t.ID, Label: t.Label(), Medoid: t.Medoid, Columns: t.Columns, Cohesion: t.Cohesion}
+}
+
+// View returns the map's wire form (nil for a nil map).
+func (m *Map) View() *MapView {
+	if m == nil {
+		return nil
+	}
+	return &MapView{
+		ThemeID:      m.Theme.ID,
+		ThemeLabel:   m.Theme.Label(),
+		K:            m.K,
+		Silhouette:   m.Silhouette,
+		TreeAccuracy: m.TreeAccuracy,
+		SampleSize:   m.SampleSize,
+		Root:         m.Root.view(),
+	}
+}
+
+func (r *Region) view() RegionView {
+	out := RegionView{
+		Path:        r.Path,
+		Condition:   r.Describe(),
+		Count:       r.Count(),
+		ClusterID:   r.ClusterID,
+		Annotations: r.Annotations,
+	}
+	if !math.IsNaN(r.Silhouette) {
+		v := r.Silhouette
+		out.Silhouette = &v
+	}
+	if r.Split != nil {
+		out.Split = r.Split.String()
+	}
+	// Sized once (a leaf's is empty and, like nil, omitted).
+	out.Children = make([]RegionView, len(r.Children))
+	for i, c := range r.Children {
+		out.Children[i] = c.view()
+	}
+	return out
+}
+
 // Snapshot is a serializable record of an exploration session: the themes,
-// every navigation state with its implicit query, and the data maps with
-// their annotations. It is what a Blaeu user takes away from a session —
-// the provenance of an insight.
+// every navigation state with the action that reached it and its implicit
+// query, and the data maps with their annotations. It is what a Blaeu user
+// takes away from a session — the provenance of an insight.
 type Snapshot struct {
 	Table   string          `json:"table"`
 	Rows    int             `json:"rows"`
 	Cols    int             `json:"cols"`
-	Themes  []SnapshotTheme `json:"themes"`
+	Themes  []ThemeView     `json:"themes"`
 	History []SnapshotState `json:"history"`
 }
 
-// SnapshotTheme summarizes one theme.
-type SnapshotTheme struct {
-	ID       int      `json:"id"`
-	Columns  []string `json:"columns"`
-	Medoid   string   `json:"medoid"`
-	Cohesion float64  `json:"cohesion"`
-}
-
-// SnapshotState records one navigation state.
+// SnapshotState records one navigation state: the action that produced
+// it, inline, then its description, size, query and map.
 type SnapshotState struct {
-	Action string       `json:"action"`
-	Detail string       `json:"detail"`
-	Rows   int          `json:"rows"`
-	Query  string       `json:"query"`
-	Map    *SnapshotMap `json:"map,omitempty"`
-}
-
-// SnapshotMap records a data map.
-type SnapshotMap struct {
-	ThemeID      int            `json:"themeId"`
-	Columns      []string       `json:"columns"`
-	K            int            `json:"k"`
-	Silhouette   float64        `json:"silhouette"`
-	TreeAccuracy float64        `json:"treeAccuracy"`
-	SampleSize   int            `json:"sampleSize"`
-	Root         SnapshotRegion `json:"root"`
-}
-
-// SnapshotRegion records one region of a map.
-type SnapshotRegion struct {
-	Condition   string           `json:"condition"`
-	Count       int              `json:"count"`
-	ClusterID   int              `json:"clusterId"`
-	Silhouette  *float64         `json:"silhouette,omitempty"`
-	Annotations []string         `json:"annotations,omitempty"`
-	Children    []SnapshotRegion `json:"children,omitempty"`
+	Action
+	Detail string   `json:"detail"`
+	Rows   int      `json:"rows"`
+	Query  string   `json:"query"`
+	Map    *MapView `json:"map,omitempty"`
 }
 
 // Snapshot captures the session's current trail.
@@ -63,52 +115,18 @@ func (e *Explorer) Snapshot() *Snapshot {
 		Cols:  e.table.NumCols(),
 	}
 	for _, th := range e.themes {
-		s.Themes = append(s.Themes, SnapshotTheme{
-			ID: th.ID, Columns: th.Columns, Medoid: th.Medoid, Cohesion: th.Cohesion,
-		})
+		s.Themes = append(s.Themes, th.View())
 	}
 	for _, st := range e.states {
-		ss := SnapshotState{
-			Action: string(st.Action),
+		s.History = append(s.History, SnapshotState{
+			Action: st.Action,
 			Detail: st.Detail,
 			Rows:   st.Rows.Len(),
 			Query:  e.queryOf(st),
-		}
-		if st.Map != nil {
-			ss.Map = snapshotMap(st.Map)
-		}
-		s.History = append(s.History, ss)
+			Map:    st.Map.View(),
+		})
 	}
 	return s
-}
-
-func snapshotMap(m *Map) *SnapshotMap {
-	return &SnapshotMap{
-		ThemeID:      m.Theme.ID,
-		Columns:      m.Theme.Columns,
-		K:            m.K,
-		Silhouette:   m.Silhouette,
-		TreeAccuracy: m.TreeAccuracy,
-		SampleSize:   m.SampleSize,
-		Root:         snapshotRegion(m.Root),
-	}
-}
-
-func snapshotRegion(r *Region) SnapshotRegion {
-	out := SnapshotRegion{
-		Condition:   r.Describe(),
-		Count:       r.Count(),
-		ClusterID:   r.ClusterID,
-		Annotations: r.Annotations,
-	}
-	if !math.IsNaN(r.Silhouette) {
-		v := r.Silhouette
-		out.Silhouette = &v
-	}
-	for _, c := range r.Children {
-		out.Children = append(out.Children, snapshotRegion(c))
-	}
-	return out
 }
 
 // MarshalIndentJSON renders the snapshot as pretty-printed JSON.

@@ -35,8 +35,8 @@ func TestSnapshotCapturesTrail(t *testing.T) {
 	if len(snap.History) != 3 { // init, select, zoom
 		t.Fatalf("history = %d", len(snap.History))
 	}
-	if snap.History[0].Action != "init" || snap.History[2].Action != "zoom" {
-		t.Errorf("actions = %v, %v", snap.History[0].Action, snap.History[2].Action)
+	if snap.History[0].Action.Kind != "init" || snap.History[2].Action.Kind != "zoom" {
+		t.Errorf("actions = %v, %v", snap.History[0].Action.Kind, snap.History[2].Action.Kind)
 	}
 	// Every state records an executable query; the zoom state's has a WHERE.
 	if !strings.Contains(snap.History[2].Query, "WHERE") {
@@ -48,8 +48,8 @@ func TestSnapshotCapturesTrail(t *testing.T) {
 		t.Fatal("select state lost its map")
 	}
 	found := false
-	var walk func(r SnapshotRegion)
-	walk = func(r SnapshotRegion) {
+	var walk func(r RegionView)
+	walk = func(r RegionView) {
 		for _, a := range r.Annotations {
 			if a == "promising" {
 				found = true

@@ -72,15 +72,15 @@ func TestIDsComplete(t *testing.T) {
 // claimSeeds are the seeds the claim tests run each experiment under.
 var claimSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 
-// claimRows runs experiment id at scale 0.25 under every claim seed and
-// hands check each row with the named columns parsed as numbers; a row
-// whose cell in any of them is not a number (e2's CLARA-only "—") is
+// claimRows runs experiment id at the given scale under every claim seed
+// and hands check each row with the named columns parsed as numbers; a
+// row whose cell in any of them is not a number (e2's CLARA-only "—") is
 // skipped. It returns how many rows were checked.
-func claimRows(t *testing.T, id string, cols []string, check func(seed int64, v []float64)) int {
+func claimRows(t *testing.T, id string, scale float64, cols []string, check func(seed int64, v []float64)) int {
 	t.Helper()
 	checked := 0
 	for _, seed := range claimSeeds {
-		res, err := Run(id, Config{Seed: seed, Scale: 0.25})
+		res, err := Run(id, Config{Seed: seed, Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +108,36 @@ func claimRows(t *testing.T, id string, cols []string, check func(seed int64, v 
 	return checked
 }
 
+// TestE1SamplingKeepsAccuracy holds e1's claim: a map built from a few
+// hundred sampled tuples is about as accurate against the planted truth
+// as one built from thousands. At scale 0.05 the table has 5000 rows, so
+// every sample size that runs (250 to 4000; 8000 is skipped) is a real
+// sample of it; each is held to the largest one's ARI.
+func TestE1SamplingKeepsAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are heavy")
+	}
+	const margin = 0.08 // worst measured over claimSeeds: 0.034
+	aris := map[int64][]float64{}
+	rows := claimRows(t, "e1", 0.05, []string{"sample size", "ARI vs planted"}, func(seed int64, v []float64) {
+		if v[0] >= 5000 {
+			t.Fatalf("seed %d: sample size %v is not below the table's 5000 rows", seed, v[0])
+		}
+		aris[seed] = append(aris[seed], v[1]) // ascending sample size
+	})
+	if want := 5 * len(claimSeeds); rows != want {
+		t.Fatalf("checked %d rows, want %d", rows, want)
+	}
+	for seed, a := range aris {
+		largest := a[len(a)-1]
+		for i, ari := range a[:len(a)-1] {
+			if ari < largest-margin {
+				t.Errorf("seed %d: ARI %v at the %d-th sample size, %v at the largest; margin %v", seed, ari, i+1, largest, margin)
+			}
+		}
+	}
+}
+
 // TestE2ClaraTracksPAM holds e2's claim: CLARA's full-data cost stays
 // within a few percent of exact PAM's. At scale 0.25 every compared n
 // (125 to 1000) is above CLARA's sub-sample of 80 + 4k = 96 objects, so
@@ -117,7 +147,7 @@ func TestE2ClaraTracksPAM(t *testing.T) {
 		t.Skip("experiments are heavy")
 	}
 	const bound = 1.08 // worst measured over claimSeeds: 1.055
-	rows := claimRows(t, "e2", []string{"n", "cost CLARA/PAM"}, func(seed int64, v []float64) {
+	rows := claimRows(t, "e2", 0.25, []string{"n", "cost CLARA/PAM"}, func(seed int64, v []float64) {
 		if v[0] <= 96 {
 			t.Fatalf("seed %d: n=%v does not exceed CLARA's sub-sample", seed, v[0])
 		}
@@ -139,7 +169,7 @@ func TestE3MonteCarloTracksExact(t *testing.T) {
 		t.Skip("experiments are heavy")
 	}
 	const bound = 0.02 // worst measured over claimSeeds: 0.0083
-	rows := claimRows(t, "e3", []string{"n", "abs err"}, func(seed int64, v []float64) {
+	rows := claimRows(t, "e3", 0.25, []string{"n", "abs err"}, func(seed int64, v []float64) {
 		if v[0] <= 256 {
 			t.Fatalf("seed %d: n=%v does not exceed the Monte-Carlo sub-sample", seed, v[0])
 		}
@@ -149,6 +179,27 @@ func TestE3MonteCarloTracksExact(t *testing.T) {
 	})
 	if want := 3 * len(claimSeeds); rows != want {
 		t.Fatalf("checked %d rows, want %d", rows, want)
+	}
+}
+
+// TestE4AutoKFindsPlantedK holds e4's claim: the silhouette sweep
+// recovers the planted number of clusters. Every row (planted k 2 to 8
+// on 150 tuples at scale 0.25) is a real sweep over k = 2..9.
+func TestE4AutoKFindsPlantedK(t *testing.T) {
+	const atLeast = 6 // of 7 per seed; worst measured over claimSeeds: 7
+	exact := map[int64]int{}
+	rows := claimRows(t, "e4", 0.25, []string{"planted k", "chosen k"}, func(seed int64, v []float64) {
+		if v[0] == v[1] {
+			exact[seed]++
+		}
+	})
+	if want := 7 * len(claimSeeds); rows != want {
+		t.Fatalf("checked %d rows, want %d", rows, want)
+	}
+	for _, seed := range claimSeeds {
+		if exact[seed] < atLeast {
+			t.Errorf("seed %d: %d of 7 planted k recovered, want at least %d", seed, exact[seed], atLeast)
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func TestStateAnswersWhileFilterBuilds(t *testing.T) {
 
 	var st map[string]any
 	getJSON(t, base, &st) // answered while the filter job runs
-	if st["action"] != "select-theme" || int(st["historyDepth"].(float64)) != 2 {
+	if st["action"] != "select" || int(st["historyDepth"].(float64)) != 2 {
 		t.Errorf("state during the build: action %v depth %v, want the select's", st["action"], st["historyDepth"])
 	}
 	inflight, _ := st["jobs"].([]any)
@@ -232,7 +232,7 @@ func TestFilterClientDisconnectCancelsBuild(t *testing.T) {
 	}
 	var st map[string]any
 	getJSON(t, base, &st)
-	if st["action"] != "select-theme" || int(st["historyDepth"].(float64)) != 2 {
+	if st["action"] != "select" || int(st["historyDepth"].(float64)) != 2 {
 		t.Errorf("abandoned filter moved the session: action %v depth %v", st["action"], st["historyDepth"])
 	}
 }

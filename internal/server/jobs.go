@@ -53,7 +53,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // writeSubmitErr maps a submit error onto the wire: 429 with Retry-After
 // when the scheduler refused for backpressure (a queue cap was reached),
-// 404 when the session vanished mid-request, 400 otherwise (bad action).
+// 404 when the session vanished mid-request, 400 otherwise (a
+// session.ErrBadAction, or an action Prepare refused).
 func (s *Server) writeSubmitErr(w http.ResponseWriter, sess *session.Session, err error) {
 	if errors.Is(err, jobs.ErrQueueFull) {
 		w.Header().Set("Retry-After", retryAfterSeconds)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -405,5 +406,24 @@ func TestStateCostIndependentOfJobHistory(t *testing.T) {
 	if retained := state(); retained > fresh {
 		t.Errorf("a state response allocates %.0f times with %d retained jobs, %.0f with none",
 			retained, jobs.DefaultRetainPerSession, fresh)
+	}
+}
+
+// TestSubmitOverflowingDeadlineIs400: a deadlineMs whose duration
+// overflows a time.Duration used to wrap to a deadline already past, so
+// the scheduler shed the job at its first pop. It is refused at submit
+// instead; the largest deadline that fits still builds.
+func TestSubmitOverflowingDeadlineIs400(t *testing.T) {
+	ts := testServer(t)
+	id, _ := openSession(t, ts, "blobs")
+	base := ts.URL + "/api/sessions/" + id
+	for _, ms := range []int64{9300000000000, 1 << 62} {
+		doJSON(t, "POST", base+"/jobs", map[string]any{"action": "select", "deadlineMs": ms}, http.StatusBadRequest)
+		doJSON(t, "POST", base+"/select", map[string]any{"deadlineMs": ms}, http.StatusBadRequest)
+	}
+	info := doJSON(t, "POST", base+"/jobs",
+		map[string]any{"action": "select", "deadlineMs": math.MaxInt64 / int64(time.Millisecond)}, http.StatusAccepted)
+	if final := pollJob(t, base, info["id"].(string)); final["status"] != "done" {
+		t.Errorf("job with the longest deadline = %v", final)
 	}
 }

@@ -10,11 +10,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -55,8 +52,8 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 	s.mux.HandleFunc("POST /api/sessions", s.handleOpen)
 	s.mux.HandleFunc("GET /api/sessions/{id}", s.handleState)
 	s.mux.HandleFunc("DELETE /api/sessions/{id}", s.handleClose)
-	for _, kind := range []string{session.ActionSelect, session.ActionZoom, session.ActionProject, session.ActionFilter} {
-		s.mux.HandleFunc("POST /api/sessions/{id}/"+kind, s.handleAction(kind))
+	for _, kind := range core.BuildKinds() {
+		s.mux.HandleFunc("POST /api/sessions/{id}/"+string(kind), s.handleAction(kind))
 	}
 	s.mux.HandleFunc("POST /api/sessions/{id}/rollback", s.handleRollback)
 	s.mux.HandleFunc("GET /api/jobs/stats", s.handleJobStats)
@@ -100,43 +97,15 @@ func (s *Server) Manager() *Manager { return s.manager }
 
 // --- wire types ---
 
-type themeJSON struct {
-	ID       int      `json:"id"`
-	Label    string   `json:"label"`
-	Medoid   string   `json:"medoid"`
-	Columns  []string `json:"columns"`
-	Cohesion float64  `json:"cohesion"`
-}
-
-type regionJSON struct {
-	Path       []int        `json:"path"`
-	Condition  string       `json:"condition"`
-	Count      int          `json:"count"`
-	ClusterID  int          `json:"clusterId"`
-	Silhouette *float64     `json:"silhouette,omitempty"`
-	Split      string       `json:"split,omitempty"`
-	Children   []regionJSON `json:"children,omitempty"`
-}
-
-type mapJSON struct {
-	ThemeID      int        `json:"themeId"`
-	ThemeLabel   string     `json:"themeLabel"`
-	K            int        `json:"k"`
-	Silhouette   float64    `json:"silhouette"`
-	TreeAccuracy float64    `json:"treeAccuracy"`
-	SampleSize   int        `json:"sampleSize"`
-	Root         regionJSON `json:"root"`
-}
-
 type stateJSON struct {
-	SessionID string      `json:"sessionId"`
-	Rows      int         `json:"rows"`
-	Query     string      `json:"query"`
-	Action    string      `json:"action"`
-	Detail    string      `json:"detail"`
-	Themes    []themeJSON `json:"themes"`
-	Map       *mapJSON    `json:"map,omitempty"`
-	Depth     int         `json:"historyDepth"`
+	SessionID string           `json:"sessionId"`
+	Rows      int              `json:"rows"`
+	Query     string           `json:"query"`
+	Action    core.ActionKind  `json:"action"`
+	Detail    string           `json:"detail"`
+	Themes    []core.ThemeView `json:"themes"`
+	Map       *core.MapView    `json:"map,omitempty"`
+	Depth     int              `json:"historyDepth"`
 	// Jobs lists the session's in-flight (queued or running)
 	// asynchronous builds, so clients polling state see what is coming.
 	Jobs []jobs.Info `json:"jobs,omitempty"`
@@ -190,45 +159,6 @@ func (c *clusterOptionsJSON) apply(opts *core.Options) error {
 	return nil
 }
 
-func themeToJSON(t core.Theme) themeJSON {
-	return themeJSON{ID: t.ID, Label: t.Label(), Medoid: t.Medoid, Columns: t.Columns, Cohesion: t.Cohesion}
-}
-
-func regionToJSON(r *core.Region) regionJSON {
-	out := regionJSON{
-		Path:      r.Path,
-		Condition: r.Describe(),
-		Count:     r.Count(),
-		ClusterID: r.ClusterID,
-	}
-	if !math.IsNaN(r.Silhouette) {
-		v := r.Silhouette
-		out.Silhouette = &v
-	}
-	if r.Split != nil {
-		out.Split = r.Split.String()
-	}
-	for _, c := range r.Children {
-		out.Children = append(out.Children, regionToJSON(c))
-	}
-	return out
-}
-
-func mapToJSON(m *core.Map) *mapJSON {
-	if m == nil {
-		return nil
-	}
-	return &mapJSON{
-		ThemeID:      m.Theme.ID,
-		ThemeLabel:   m.Theme.Label(),
-		K:            m.K,
-		Silhouette:   m.Silhouette,
-		TreeAccuracy: m.TreeAccuracy,
-		SampleSize:   m.SampleSize,
-		Root:         regionToJSON(m.Root),
-	}
-}
-
 func (s *Server) stateJSON(sess *session.Session) stateJSON {
 	var out stateJSON
 	_ = sess.Do(func(e *core.Explorer) error {
@@ -237,14 +167,14 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 			SessionID: sess.ID,
 			Rows:      st.Rows.Len(),
 			Query:     e.Query(),
-			Action:    string(st.Action),
+			Action:    st.Action.Kind,
 			Detail:    st.Detail,
-			Map:       mapToJSON(st.Map),
+			Map:       st.Map.View(),
 			Depth:     len(e.History()),
 			Cache:     e.ReuseStats(),
 		}
 		for _, t := range e.Themes() {
-			out.Themes = append(out.Themes, themeToJSON(t))
+			out.Themes = append(out.Themes, t.View())
 		}
 		return nil
 	})
@@ -386,7 +316,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 // kind — select, zoom, project, filter. The body decodes straight into a
 // session.Action, whose JSON keys (theme, path, expr) are the routes'
 // bodies; the kind is the route's, whatever the body says.
-func (s *Server) handleAction(kind string) http.HandlerFunc {
+func (s *Server) handleAction(kind core.ActionKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sess := s.session(w, r)
 		if sess == nil {
@@ -419,7 +349,7 @@ func (s *Server) handleHighlight(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	column := r.URL.Query().Get("column")
-	path, err := parsePath(r.URL.Query().Get("path"))
+	path, err := core.ParsePath(r.URL.Query().Get("path"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -442,7 +372,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	path, err := parsePath(q.Get("path"))
+	path, err := core.ParsePath(q.Get("path"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -504,22 +434,6 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
 	_, _ = w.Write([]byte(svg))
-}
-
-func parsePath(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad path element %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {

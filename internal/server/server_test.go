@@ -263,10 +263,13 @@ func TestHighlightBadPath(t *testing.T) {
 	id, _ := openSession(t, ts, "blobs")
 	base := ts.URL + "/api/sessions/" + id
 	doJSON(t, "POST", base+"/select", map[string]int{"theme": 0}, http.StatusOK)
-	res, _ := http.Get(base + "/highlight?column=v0&path=abc")
-	res.Body.Close()
-	if res.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad path status %d", res.StatusCode)
+	// An empty element is an error, as in the CLI.
+	for _, path := range []string{"abc", "0,,1"} {
+		res, _ := http.Get(base + "/highlight?column=v0&path=" + path)
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad path %q status %d", path, res.StatusCode)
+		}
 	}
 }
 
@@ -374,8 +377,50 @@ func TestExportEndpoint(t *testing.T) {
 		t.Errorf("export history = %d states", len(hist))
 	}
 	last := hist[1].(map[string]any)
-	if last["action"] != "select-theme" || last["map"] == nil {
+	if last["action"] != "select" || last["map"] == nil {
 		t.Errorf("export last state = %v", last)
+	}
+}
+
+// TestExportHistoryCarriesActions: after select → zoom → annotate, the
+// export's last history entry records the zoom's action — kind and path
+// — and its map is encoded byte for byte as the state response's, the
+// annotation included: one map encoding serves both routes.
+func TestExportHistoryCarriesActions(t *testing.T) {
+	ts := testServer(t)
+	id, _ := openSession(t, ts, "blobs")
+	base := ts.URL + "/api/sessions/" + id
+	doJSON(t, "POST", base+"/select", map[string]int{"theme": 0}, http.StatusOK)
+	path := []int{0}
+	doJSON(t, "POST", base+"/zoom", map[string]any{"path": path}, http.StatusOK)
+	doJSON(t, "POST", base+"/annotate", map[string]any{"path": []int{0}, "text": "note"}, http.StatusOK)
+
+	var state struct {
+		Map json.RawMessage `json:"map"`
+	}
+	getJSON(t, base, &state)
+	var export struct {
+		History []struct {
+			core.Action
+			Map json.RawMessage `json:"map"`
+		} `json:"history"`
+	}
+	getJSON(t, base+"/export", &export)
+	if len(export.History) != 3 {
+		t.Fatalf("export history = %d states, want 3", len(export.History))
+	}
+	last := export.History[2]
+	if last.Kind != core.ActionZoom || !reflect.DeepEqual(last.Path, path) {
+		t.Errorf("last history action = %+v, want zoom into %v", last.Action, path)
+	}
+	if !bytes.Equal(last.Map, state.Map) {
+		t.Errorf("export map differs from the state map:\n%s\nvs\n%s", last.Map, state.Map)
+	}
+	if !bytes.Contains(state.Map, []byte(`"annotations":["note"]`)) {
+		t.Errorf("state map lost the annotation: %s", state.Map)
+	}
+	if first := export.History[1]; first.Kind != core.ActionSelect || first.Theme != 0 {
+		t.Errorf("select history action = %+v", first.Action)
 	}
 }
 

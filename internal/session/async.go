@@ -2,36 +2,25 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/store/segment"
 )
 
-// The action kinds a job can carry — the map-building navigational
-// actions. Cheap actions (rollback, state reads, highlights) stay
+// Action is one map-build request against a session — the wire shape
+// of POST /api/sessions/{id}/jobs, and, without the kind, the body of
+// the synchronous route named after it: a core.Action plus its queue
+// deadline. Cheap actions (rollback, state reads, highlights) stay
 // synchronous on the session lock.
-const (
-	ActionZoom    = "zoom"
-	ActionSelect  = "select"
-	ActionProject = "project"
-	ActionFilter  = "filter"
-)
-
-// Action describes one map-build request against a session — the wire
-// shape of POST /api/sessions/{id}/jobs, and, without the kind, the
-// body of the synchronous route named after it. Path is used by zoom,
-// Theme by select and project, Expr by filter.
 type Action struct {
-	Kind  string `json:"action"`
-	Path  []int  `json:"path,omitempty"`
-	Theme int    `json:"theme,omitempty"`
-	Expr  string `json:"expr,omitempty"`
+	core.Action
 	// DeadlineMS, when positive, gives the job a queue deadline that many
 	// milliseconds from submission: if no worker has picked it up by
 	// then, the scheduler sheds it (jobs.StatusShed) instead of building
@@ -42,6 +31,26 @@ type Action struct {
 	// submit-and-wait endpoints, so a client timeout sheds the queued
 	// build. Not part of the wire shape.
 	Deadline time.Time `json:"-"`
+}
+
+// ErrBadAction marks a submission refused before queueing: an action
+// kind that builds no map, or a deadlineMs past what a time.Duration
+// holds. The HTTP tier answers it with 400.
+var ErrBadAction = errors.New("session: bad action")
+
+// maxDeadlineMS is the largest DeadlineMS whose duration does not
+// overflow; a larger one would wrap to a deadline already past.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// validate refuses what the job could never run as asked.
+func (a Action) validate() error {
+	if !a.Kind.Builds() {
+		return fmt.Errorf("%w: unknown action %q (want one of %v)", ErrBadAction, a.Kind, core.BuildKinds())
+	}
+	if a.DeadlineMS > maxDeadlineMS {
+		return fmt.Errorf("%w: deadlineMs %d exceeds %d", ErrBadAction, a.DeadlineMS, maxDeadlineMS)
+	}
+	return nil
 }
 
 // deadline resolves the action's queue deadline (zero = none).
@@ -102,16 +111,13 @@ type poolStatser interface {
 // handle, feeds the telemetry plane's build histograms, and emits the
 // slow-build log.
 func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
-	switch act.Kind {
-	case ActionZoom, ActionSelect, ActionProject, ActionFilter:
-	default:
-		return nil, fmt.Errorf("session: unknown action %q (want %s, %s, %s or %s)",
-			act.Kind, ActionZoom, ActionSelect, ActionProject, ActionFilter)
+	if err := act.validate(); err != nil {
+		return nil, err
 	}
 	tel := m.tel
-	return m.pool.Submit(s.ID, s.Tenant, act.Kind, func(ctx context.Context, j *jobs.Job) (any, error) {
+	return m.pool.Submit(s.ID, s.Tenant, string(act.Kind), func(ctx context.Context, j *jobs.Job) (any, error) {
 		tr := obs.NewTrace(tel.Time())
-		tr.SetAttr("action", act.Kind)
+		tr.SetAttr("action", string(act.Kind))
 		j.SetTrace(tr)
 		ctx = obs.WithTrace(ctx, tr)
 		// Page-read accounting is a before/after delta of the shared
@@ -127,7 +133,7 @@ func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
 			before = pages.PoolStats()
 		}
 
-		res, err := s.runBuild(ctx, j, act)
+		res, err := s.runBuild(ctx, j, act.Action)
 
 		if pages != nil {
 			after := pages.PoolStats()
@@ -137,30 +143,17 @@ func (m *Manager) enqueue(s *Session, act Action) (*jobs.Job, error) {
 			}
 		}
 		tr.Finish()
-		recordBuild(tel, j, tr, act.Kind, err)
+		recordBuild(tel, j, tr, string(act.Kind), err)
 		return res, err
 	}, jobs.SubmitOptions{Deadline: act.deadline()})
 }
 
 // runBuild is the prepare → run → apply job body (see Submit's doc
 // comment for the protocol).
-func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act Action) (any, error) {
+func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act core.Action) (any, error) {
 	var build *core.MapBuild
-	if err := s.Do(func(e *core.Explorer) error {
-		var err error
-		switch act.Kind {
-		case ActionZoom:
-			build, err = e.PrepareZoom(act.Path...)
-		case ActionSelect:
-			build, err = e.PrepareSelect(act.Theme)
-		case ActionProject:
-			build, err = e.PrepareProject(act.Theme)
-		default:
-			var pred store.Predicate
-			if pred, err = store.ParsePredicate(act.Expr); err == nil {
-				build, err = e.PrepareFilter(pred)
-			}
-		}
+	if err := s.Do(func(e *core.Explorer) (err error) {
+		build, err = e.Prepare(act)
 		return err
 	}); err != nil {
 		return nil, err
@@ -172,8 +165,6 @@ func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act Action) (any, e
 	if err != nil {
 		return nil, err
 	}
-	// After Run, not before: a derived build that hits a degenerate
-	// overlap demotes itself to cold mid-run.
 	j.SetMeta("reuse", string(build.Reuse()))
 	// A cancellation that lands after the last in-build checkpoint
 	// must still win: a cancelled job never applies its result.

@@ -33,7 +33,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0})
+	j, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 		path = leaves[0].Path
 		return nil
 	})
-	j2, err := m.Submit(s.ID, Action{Kind: ActionZoom, Path: path})
+	j2, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 	if err := m.Close(s.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0}); err == nil {
+	if _, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}}); err == nil {
 		t.Fatal("submit to a closed session should fail")
 	}
 	// And a live one still works through the same path.
 	s2, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
-	j, err := m.Submit(s2.ID, Action{Kind: ActionSelect, Theme: 0})
+	j, err := m.Submit(s2.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,14 @@ func TestSubmitUnknownAction(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	if _, err := m.Submit(s.ID, Action{Kind: "teleport"}); err == nil {
-		t.Fatal("unknown action should be rejected before queueing")
+	if _, err := m.Submit(s.ID, Action{Action: core.Action{Kind: "teleport"}}); !errors.Is(err, ErrBadAction) {
+		t.Fatalf("unknown action: %v, want ErrBadAction before queueing", err)
+	}
+	// A deadline whose duration overflows would wrap into the past and
+	// shed the job at once.
+	overflow := Action{Action: core.Action{Kind: core.ActionSelect}, DeadlineMS: maxDeadlineMS + 1}
+	if _, err := m.Submit(s.ID, overflow); !errors.Is(err, ErrBadAction) {
+		t.Fatalf("overflowing deadline: %v, want ErrBadAction before queueing", err)
 	}
 }
 
@@ -104,7 +110,7 @@ func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	j, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 99})
+	j, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestCacheHitMetadata(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	if err := waitJob(t, mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})); err != nil {
+	if err := waitJob(t, mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})); err != nil {
 		t.Fatal(err)
 	}
 	var path []int
@@ -130,7 +136,7 @@ func TestCacheHitMetadata(t *testing.T) {
 		path = e.CurrentMap().Root.Leaves()[0].Path
 		return nil
 	})
-	first := mustSubmit(t, s, m, Action{Kind: ActionZoom, Path: path})
+	first := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 	if err := waitJob(t, first); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestCacheHitMetadata(t *testing.T) {
 		t.Error("first zoom should not hit the cache")
 	}
 	_ = s.Do(func(e *core.Explorer) error { return e.Rollback() })
-	second := mustSubmit(t, s, m, Action{Kind: ActionZoom, Path: path})
+	second := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 	if err := waitJob(t, second); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +163,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 	// The 200-row test table needs a lower derivation floor than the
 	// production default of 128 rows.
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10}, "")
-	sel := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
+	sel := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := waitJob(t, sel); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +175,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 		path = e.CurrentMap().Root.Leaves()[0].Path
 		return nil
 	})
-	zoom := mustSubmit(t, s, m, Action{Kind: ActionZoom, Path: path})
+	zoom := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 	if err := waitJob(t, zoom); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 		t.Errorf("first zoom reuse = %v, want oracleDerived", got)
 	}
 	_ = s.Do(func(e *core.Explorer) error { return e.Rollback() })
-	re := mustSubmit(t, s, m, Action{Kind: ActionZoom, Path: path})
+	re := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 	if err := waitJob(t, re); err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +225,10 @@ func TestManagerQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0}); err != nil {
+	if _, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}}); err != nil {
 		t.Fatalf("submit filling the queue slot: %v", err)
 	}
-	_, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0})
+	_, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if !errors.Is(err, jobs.ErrQueueFull) {
 		t.Fatalf("over-cap submit err = %v, want jobs.ErrQueueFull", err)
 	}
@@ -247,7 +253,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	doomed, err := m.Submit(s.ID, Action{Kind: ActionSelect, Theme: 0, DeadlineMS: 5})
+	doomed, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect}, DeadlineMS: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ func TestOpenTenantAttribution(t *testing.T) {
 	if s.Tenant != "gold" {
 		t.Errorf("session tenant = %q", s.Tenant)
 	}
-	j := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
+	j := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if j.Tenant() != "gold" {
 		t.Errorf("job tenant = %q, want gold", j.Tenant())
 	}
@@ -300,7 +306,7 @@ func TestCloseReleasesRetainedJobs(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
 	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	j := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
+	j := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := waitJob(t, j); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +338,7 @@ func TestCloseCancelsSessionJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	queued := mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})
+	queued := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := m.Close(s.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +439,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := waitJob(t, mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})); err != nil {
+	if err := waitJob(t, mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -445,11 +451,11 @@ func TestConcurrentSessionStress(t *testing.T) {
 		for i := 0; i < actions; i++ {
 			switch rng.Intn(4) {
 			case 0: // async select/project
-				kind := ActionSelect
+				kind := core.ActionSelect
 				if rng.Intn(2) == 0 {
-					kind = ActionProject
+					kind = core.ActionProject
 				}
-				j, err := m.Submit(s.ID, Action{Kind: kind, Theme: 0})
+				j, err := m.Submit(s.ID, Action{Action: core.Action{Kind: kind, Theme: 0}})
 				if err != nil {
 					continue
 				}
@@ -471,7 +477,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 				if path == nil {
 					continue
 				}
-				j, err := m.Submit(s.ID, Action{Kind: ActionZoom, Path: path})
+				j, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})
 				if err != nil {
 					continue
 				}
@@ -499,7 +505,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 	wg.Wait()
 
 	// The session must still work.
-	if err := waitJob(t, mustSubmit(t, s, m, Action{Kind: ActionSelect, Theme: 0})); err != nil {
+	if err := waitJob(t, mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})); err != nil {
 		t.Fatalf("session broken after stress: %v", err)
 	}
 	t.Logf("stress: %d jobs done, %d failed benignly", done, failed)
