@@ -78,15 +78,17 @@ fmt-check:
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
 # rendering, session open-options JSON, action bodies staged by
-# core.Prepare on an explorer with a map, segment files) and over the row
-# set (random ascending ids against the []int reference) so the
-# harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime
+# core.Prepare on an explorer with a map, segment files), over the row
+# set (random ascending ids against the []int reference) and over the
+# router (random split trees and selections against the row-by-row
+# reference route) so the harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime
 # and let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzRoute -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzPrepareAction -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment

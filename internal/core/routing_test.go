@@ -167,9 +167,10 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 }
 
 // TestRegionStageByteBudget: mirroring the description tree over a
-// selection of n rows, with no region inspected, allocates one leaf id
-// per row and what does not grow with n (the tree fit on the sample,
-// the router's scratch) — not a row list per region.
+// selection of n rows, with no region inspected, allocates the rows'
+// leaf ids — at most 3 bits a row, for the at most 8 leaves of a
+// depth-3 tree — and what does not grow with n (the tree fit on the
+// sample, the router's scratch): not a row list per region.
 func TestRegionStageByteBudget(t *testing.T) {
 	const n = 120_000
 	const fixed = 256 << 10
@@ -202,8 +203,8 @@ func TestRegionStageByteBudget(t *testing.T) {
 	}
 	run() // warm the runtime's size classes
 	var m *Map
-	if got := allocated(func() { m = run() }); got > 2*n+fixed {
-		t.Errorf("region stage over %d rows allocated %d bytes, budget %d", n, got, 2*n+fixed)
+	if got := allocated(func() { m = run() }); got > 3*n/8+fixed {
+		t.Errorf("region stage over %d rows allocated %d bytes, budget %d", n, got, 3*n/8+fixed)
 	}
 	if len(m.Root.Children) == 0 {
 		t.Fatal("the map has no split: nothing was routed")

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -15,9 +16,10 @@ import (
 // selection vector through the batch kernels of kernel.go (every split
 // is a compiled predicate of the same family the scan evaluates), and
 // each needed column page is fetched once per build. The pass only
-// records a one-byte leaf id per row and a count per node: a node's
-// rows are collected from the leaf ids when something reads them,
-// which for a map is the one region the user zooms into or inspects.
+// records a leaf id per row, in the ⌈log₂ L⌉ bits that name the L
+// leaves of the tree, and a count per node: a node's rows are collected
+// from the leaf ids when something reads them, which for a map is the
+// one region the user zooms into or inspects.
 
 // SplitNode is one node of a SplitTree.
 type SplitNode struct {
@@ -43,8 +45,8 @@ func (t SplitTree) size(i int) int {
 }
 
 // maxRouteDepth bounds the splits one pass descends: at most 256
-// leaves, which is what the one-byte leaf id can name. Deeper subtrees
-// are routed by a further pass over their own rows.
+// leaves, so a leaf id is at most 8 bits wide. Deeper subtrees are
+// routed by a further pass over their own rows.
 const maxRouteDepth = 8
 
 // Routing is a selection of a relation sent down a split tree: the leaf
@@ -52,12 +54,15 @@ const maxRouteDepth = 8
 // are numbered in preorder, so the leaves under a node are one id
 // range, and a node's rows are one pass over the ids — made the first
 // time they are read and kept, as are the statistics of a column over
-// them. Safe for concurrent use.
+// them. The ids are stored as bit-planes, one bitmap over the selection
+// positions per bit of an id, so a route through L leaves keeps
+// ⌈log₂ L⌉ bits a row and tests 64 rows' ids against a range at once.
+// Safe for concurrent use.
 type Routing struct {
 	rel    Relation
 	sel    *RowSet
-	leafOf []uint8 // per selection position
-	count  []int   // rows reaching each node
+	planes [][]uint64 // bit j of position p's leaf id is bit p of planes[j]
+	count  []int      // rows reaching each node
 	nodes  []routedNode
 	mu     sync.Mutex
 	sets   []*RowSet                // per node, its rows once built (guarded by mu)
@@ -123,10 +128,10 @@ func (rg *Routing) Rows(i int) *RowSet {
 		// so the set is allocated once, in its smallest form.
 		ends := []int{0, -1}
 		if rg.count[i] > 0 {
-			ends = rg.sel.Pick(leafEnds(rg.leafOf, nd.lo, nd.hi-nd.lo))
+			ends = rg.sel.Pick(rg.leafEnds(nd.lo, nd.hi))
 		}
 		b := newSetBuilder(rg.count[i], ends[0], ends[1]+1)
-		rg.collect(b, nd.lo, nd.hi-nd.lo)
+		rg.collect(b, nd.lo, nd.hi)
 		rg.sets[i] = b.s
 	}
 	return rg.sets[i]
@@ -162,16 +167,16 @@ func (rg *Routing) Stats(i int, column string) ColumnStats {
 	return s
 }
 
-// collect adds to b, in order, the rows whose leaf id lies in
-// [lo, lo+span), until b is done.
-func (rg *Routing) collect(b *setBuilder, lo, span uint) {
+// collect adds to b, in order, the rows whose leaf id lies in [lo, hi),
+// until b is done.
+func (rg *Routing) collect(b *setBuilder, lo, hi uint) {
 	if b.done() {
 		return
 	}
 	m := make([]uint8, min(readRun, rg.sel.Len()))
 	rg.sel.runs(readRun, 0, func(off, _ int, run []int) bool {
 		mr := m[:len(run)]
-		b.add(run, mr, onLeaves(mr, rg.leafOf[off:off+len(run)], lo, span))
+		b.add(run, mr, onLeaves(mr, rg.planes, off, lo, hi))
 		return !b.done()
 	})
 }
@@ -183,7 +188,7 @@ func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
 	rg := Route(r, SplitTree{{Split: p, No: 2}, {}, {}}, listOf(rows))
 	list := func(i int) []int {
 		b := newListBuilder(rg.count[i])
-		rg.collect(b, rg.nodes[i].lo, rg.nodes[i].hi-rg.nodes[i].lo)
+		rg.collect(b, rg.nodes[i].lo, rg.nodes[i].hi)
 		return b.s.ids
 	}
 	return list(1), list(2)
@@ -204,24 +209,30 @@ type router struct {
 	nodes   []routeNode
 	out     *Routing
 	leaves  int        // leaf ids handed out so far
-	base    int        // first position in the selection of the run being routed
 	scratch [][]uint16 // one selection vector per split depth
 	match   []uint8    // one split's outcome per run offset
+	leafIDs []uint8    // the leaf id of every offset of the run being routed
 	cut     []int      // leaves of this pass that still have a subtree
 }
 
 func newRouter(r Relation, t SplitTree, out *Routing) *router {
 	n := out.sel.Len()
 	runCap := min(n, routeRun)
-	out.leafOf = make([]uint8, n)
 	rt := &router{
 		evaluator: evaluator{runCap: runCap},
 		tree:      t,
 		nodes:     make([]routeNode, len(t)),
 		out:       out,
 		match:     make([]uint8, runCap),
+		leafIDs:   make([]uint8, runCap),
 	}
 	depth := rt.compileNode(r, 0, 0)
+	words := bitmapWords(n)
+	out.planes = make([][]uint64, bits.Len(uint(rt.leaves-1)))
+	planes := make([]uint64, len(out.planes)*words)
+	for j := range out.planes {
+		out.planes[j] = planes[j*words : (j+1)*words]
+	}
 	buf := make([]uint16, depth*runCap)
 	rt.scratch = make([][]uint16, depth)
 	for d := range rt.scratch {
@@ -253,11 +264,13 @@ func (rt *router) compileNode(r Relation, i, depth int) int {
 }
 
 // route is the pass: every run of the selection descends the tree,
-// leaving its rows' leaf ids and the per-node counts behind.
+// leaving its rows' leaf ids and the per-node counts behind. A run's ids
+// are written a byte per offset, then packed into the bit-planes.
 func (rt *router) route(rows *RowSet) {
 	rows.runs(routeRun, rt.rpp, func(off, page int, run []int) bool {
-		rt.base, rt.page, rt.run = off, page, run
+		rt.page, rt.run = page, run
 		rt.visit(0, routeIdentity[:len(run)])
+		packLeaves(rt.out.planes, off, rt.leafIDs[:len(run)])
 		return true
 	})
 }
@@ -274,45 +287,161 @@ func (rt *router) visit(i int, sel []uint16) {
 	nd := &rt.nodes[i]
 	rt.out.count[i] += len(sel)
 	if nd.leaf >= 0 {
-		markLeaf(rt.out.leafOf[rt.base:], sel, uint8(nd.leaf))
+		markLeaf(rt.leafIDs, sel, uint8(nd.leaf))
 		return
 	}
 	m, out := rt.match[:len(sel)], rt.scratch[nd.depth][:len(sel)]
 	rt.eval(&nd.split, sel, m)
+	yes, no := i+1, i+rt.tree[i].No
+	if leaf := rt.nodes[no].leaf; leaf >= 0 && rt.nodes[yes].leaf >= 0 {
+		// Two leaves, numbered leaf-1 and leaf: the match bytes give the
+		// ids, so the bottom split skips its partition and the leaves'
+		// passes, which saves more than packing the ids costs.
+		ny := markSplit(rt.leafIDs, sel, m, uint8(leaf))
+		rt.out.count[yes] += ny
+		rt.out.count[no] += len(sel) - ny
+		return
+	}
 	ny := splitSel(sel, m, out)
-	rt.visit(i+1, out[:ny])
-	rt.visit(i+rt.tree[i].No, out[ny:])
+	rt.visit(yes, out[:ny])
+	rt.visit(no, out[ny:])
 }
 
 //blaeu:hot
-func markLeaf(leafOf []uint8, sel []uint16, leaf uint8) {
+func markLeaf(leafIDs []uint8, sel []uint16, leaf uint8) {
 	for _, s := range sel {
-		leafOf[s] = leaf
+		leafIDs[s] = leaf
 	}
 }
 
-// onLeaves sets m[p] to whether leaf id leafOf[p] lies in [lo, lo+span)
-// and returns how many do.
+// markSplit writes the ids of a split into leaves no-1 (matched) and
+// no, and returns how many matched.
 //
 //blaeu:hot
-func onLeaves(m, leafOf []uint8, lo, span uint) int {
+func markSplit(leafIDs []uint8, sel []uint16, m []uint8, no uint8) int {
+	ny := 0
+	for k, s := range sel {
+		leafIDs[s] = no - m[k]
+		ny += int(m[k])
+	}
+	return ny
+}
+
+// packLeaves adds ids, one a byte, to the bit-planes as the leaf ids
+// of the selection positions from off on, whose bits are still zero.
+// Each plane word is assembled in a register and written once.
+//
+//blaeu:hot
+func packLeaves(planes [][]uint64, off int, ids []uint8) {
+	for len(ids) > 0 {
+		at := off & 63
+		k := min(len(ids), 64-at)
+		for j, plane := range planes {
+			plane[off>>6] |= bitOf(ids[:k], uint(j)) << at
+		}
+		ids, off = ids[k:], off+k
+	}
+}
+
+// bitOf returns bit j of each of ids — at most 64 — as one word: bit i
+// is ids[i]'s. Eight ids are read as one word and their bits gathered
+// into its top byte by one multiply (every partial product lands on its
+// own bit, so nothing carries); the bytes enter w from the top, and a
+// shift of 64 or more clears a word.
+//
+//blaeu:hot
+func bitOf(ids []uint8, j uint) uint64 {
+	j &= 7 // an id has 8 bits; the mask spares each shift a range check
+	var w uint64
+	i := 0
+	for ; i+8 <= len(ids); i += 8 {
+		b := ids[i : i+8 : i+8]
+		x := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		w = w>>8 | (x>>j&0x0101010101010101)*0x0102040810204080&0xff00000000000000
+	}
+	w >>= 64 - i
+	for ; i < len(ids); i++ {
+		w |= uint64(ids[i]>>j&1) << i
+	}
+	return w
+}
+
+// onLeaves sets m[k] to whether the leaf id of selection position off+k
+// lies in [lo, hi) and returns how many do. Eight positions' bits are
+// spread to eight bytes at once: copied to every byte, each byte keeps
+// its own bit, and adding 0x7f carries any set bit to the byte's top.
+//
+//blaeu:hot
+func onLeaves(m []uint8, planes [][]uint64, off int, lo, hi uint) int {
 	n := 0
-	for p, id := range leafOf {
-		m[p] = bit(uint(id)-lo < span)
-		n += int(m[p])
+	for len(m) > 0 {
+		at := off & 63
+		k := min(len(m), 64-at)
+		x := leavesIn(planes, off>>6, lo, hi) >> at & (1<<k - 1) // 1<<64 is 0
+		n += bits.OnesCount64(x)
+		p := 0
+		for ; p+8 <= k; p += 8 {
+			v := (uint64(uint8(x))*0x0101010101010101&0x8040201008040201 + 0x7f7f7f7f7f7f7f7f) >> 7 & 0x0101010101010101
+			b := m[p : p+8 : p+8]
+			b[0], b[1], b[2], b[3] = uint8(v), uint8(v>>8), uint8(v>>16), uint8(v>>24)
+			b[4], b[5], b[6], b[7] = uint8(v>>32), uint8(v>>40), uint8(v>>48), uint8(v>>56)
+			x >>= 8
+		}
+		for ; p < k; p++ {
+			m[p] = uint8(x & 1)
+			x >>= 1
+		}
+		m, off = m[k:], off+k
 	}
 	return n
 }
 
+// leavesIn returns the positions of plane word q whose leaf id lies in
+// [lo, hi), as a bitmap.
+//
+//blaeu:hot
+func leavesIn(planes [][]uint64, q int, lo, hi uint) uint64 {
+	return below(planes, q, hi) &^ below(planes, q, lo)
+}
+
+// below returns the positions of plane word q whose leaf id is below c:
+// a comparison of every position's id with c, bit by bit from the top,
+// 64 positions at a time.
+//
+//blaeu:hot
+func below(planes [][]uint64, q int, c uint) uint64 {
+	if c>>len(planes) != 0 {
+		return ^uint64(0)
+	}
+	lt, eq := uint64(0), ^uint64(0)
+	for j := len(planes) - 1; j >= 0; j-- {
+		b := planes[j][q]
+		if c>>j&1 != 0 {
+			lt |= eq &^ b
+			eq &= b
+		} else {
+			eq &^= b
+		}
+	}
+	return lt
+}
+
 // leafEnds returns the first and the last position whose leaf id lies
-// in [lo, lo+span); there is one.
-func leafEnds(leafOf []uint8, lo, span uint) []int {
-	first, last := 0, len(leafOf)-1
-	for uint(leafOf[first])-lo >= span {
-		first++
+// in [lo, hi); there is one. The bits past the last position are zero,
+// id 0, so the last word is cut at it.
+func (rg *Routing) leafEnds(lo, hi uint) []int {
+	q := 0
+	for leavesIn(rg.planes, q, lo, hi) == 0 {
+		q++
 	}
-	for uint(leafOf[last])-lo >= span {
-		last--
+	first := q<<6 + bits.TrailingZeros64(leavesIn(rg.planes, q, lo, hi))
+	n := rg.sel.Len()
+	q = (n - 1) >> 6
+	x := leavesIn(rg.planes, q, lo, hi) & (^uint64(0) >> (63 - uint(n-1)&63))
+	for x == 0 {
+		q--
+		x = leavesIn(rg.planes, q, lo, hi)
 	}
-	return []int{first, last}
+	return []int{first, q<<6 + 63 - bits.LeadingZeros64(x)}
 }

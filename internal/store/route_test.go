@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -188,6 +189,107 @@ func TestRouteRowsDeepTree(t *testing.T) {
 	}
 }
 
+// leafTree draws a balanced tree of exactly leaves leaves. Its splits
+// cut count's range in proportion to the leaves on each side, so rows
+// reach every leaf id, except one in four, drawn from routeSplits.
+func leafTree(rng *rand.Rand, leaves int) SplitTree {
+	splits := routeSplits()
+	var t SplitTree
+	var grow func(leaves int, lo, hi float64)
+	grow = func(leaves int, lo, hi float64) {
+		i := len(t)
+		t = append(t, SplitNode{})
+		if leaves == 1 {
+			return
+		}
+		yes := leaves / 2
+		mid := lo + (hi-lo)*float64(yes)/float64(leaves)
+		var p Predicate = NumCmp{Col: "count", Op: Lt, Val: mid}
+		if rng.Intn(4) == 0 {
+			p = splits[rng.Intn(len(splits))]
+		}
+		grow(yes, lo, mid)
+		t[i] = SplitNode{Split: p, No: len(t) - i}
+		grow(leaves-yes, mid, hi)
+	}
+	grow(leaves, -500, 500)
+	return t
+}
+
+// TestRouteLeafIDWidths routes trees of every leaf-id width — 1, 2, 3,
+// 4, 5, 16, 17 and 256 leaves, one bit-plane to eight, and 300, whose
+// depth-8 nodes are routed by sub-routes — on both backings against the
+// reference. The selections are not multiples of 64 rows, and their
+// page runs start mid-word; the first and last selected rows reach a
+// node at every level, so leafEnds meets both ends of the planes.
+func TestRouteLeafIDWidths(t *testing.T) {
+	const n = 1500
+	mem, seg := openBoth(t, n, 1<<20)
+	everyKth := func(from, k int) []int {
+		var rows []int
+		for r := from; r < n; r += k {
+			rows = append(rows, r)
+		}
+		return rows
+	}
+	sels := map[string][]int{
+		"the table":       rangeRows(0, n),
+		"a range":         rangeRows(3, 706), // 703 rows: 63 past a word
+		"65 rows":         rangeRows(n-65, n),
+		"a bitmap":        everyKth(37, 2),
+		"a sparse bitmap": everyKth(5, 7),
+		"a list":          everyKth(41, 97),
+		"one row":         {n - 1},
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, leaves := range []int{1, 2, 3, 4, 5, 16, 17, 256, 300} {
+		for trial := 0; trial < 3; trial++ {
+			tree := leafTree(rng, leaves)
+			for name, rows := range sels {
+				want := referenceRoute(mem, tree, rows)
+				for _, b := range []struct {
+					backing string
+					r       Relation
+				}{{"table", mem}, {"segment", seg}} {
+					what := fmt.Sprintf("%d leaves (trial %d), %s (%s), %s", leaves, trial, name, formOf(RowsOf(rows)), b.backing)
+					got := Route(b.r, tree, RowsOf(rows))
+					if planes := bits.Len(uint(min(leaves, 256) - 1)); len(got.planes) != planes {
+						t.Fatalf("%s: %d bit-planes, want %d", what, len(got.planes), planes)
+					}
+					assertRouted(t, what, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRoute: a random split tree — up to ten levels, so past one
+// pass's depth — and an ascending selection drawn from the fuzz input
+// route on both backings as the reference does, and no input panics.
+// The gaps between selected rows run from 0, a range, to 255, a list.
+func FuzzRoute(f *testing.F) {
+	const n = 700
+	mem, seg := openBoth(f, n, 1<<20)
+	f.Add(int64(1), uint8(3), []byte{0, 0, 0, 5, 0, 0})
+	f.Add(int64(9), uint8(10), []byte{63, 1, 64, 200, 1})
+	f.Add(int64(16), uint8(2), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8, gaps []byte) {
+		tree := randomSplitTree(rand.New(rand.NewSource(seed)), int(depth%11))
+		var rows []int
+		r := 0
+		for _, g := range gaps {
+			if r += int(g); r >= n {
+				break
+			}
+			rows = append(rows, r)
+			r++
+		}
+		want := referenceRoute(mem, tree, rows)
+		assertRouted(t, "table", Route(mem, tree, RowsOf(rows)), want)
+		assertRouted(t, "segment", Route(seg, tree, RowsOf(rows)), want)
+	})
+}
+
 // TestPartitionRowsIsOneSplit: PartitionRows over every predicate
 // shape equals the reference on both backings, and both halves are cut
 // at their length, so an append to one never writes into shared memory.
@@ -210,13 +312,14 @@ func TestPartitionRowsIsOneSplit(t *testing.T) {
 }
 
 // TestRouteRowsByteBudget: a route over a selection of n rows — the
-// whole table, or a bitmap of a third of it — allocates one leaf id per
-// row and a fixed amount of scratch, no row list; a node's rows cost at
-// most min(8 bytes a row, span/8) on the first read, plus the collect's
-// scratch, and nothing after.
+// whole table, or a bitmap of a third of it — through L leaves
+// allocates ⌈log₂ L⌉ bit-planes of n bits (n/8 bytes for one split, n/4
+// for the four leaves of benchRouteTree) and a fixed amount of scratch,
+// no row list; a node's rows cost at most min(8 bytes a row, span/8) on
+// the first read, plus the collect's scratch, and nothing after.
 func TestRouteRowsByteBudget(t *testing.T) {
 	const n = 200_000
-	const slack = 128 << 10 // the router's scratch: selection vectors, match bytes and a decoded run
+	const slack = 136 << 10 // the router's scratch: selection vectors, match bytes, a run's leaf ids and a decoded run
 	tab := benchTable(n)
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -229,12 +332,19 @@ func TestRouteRowsByteBudget(t *testing.T) {
 		"one split":  {{Split: NumCmp{Col: "x", Op: Lt, Val: 50}, No: 2}, {}, {}},
 		"two levels": benchRouteTree(),
 	} {
+		leaves := 0
+		for _, nd := range tree {
+			if nd.Split == nil {
+				leaves++
+			}
+		}
 		for _, rows := range []*RowSet{All(n), RowsOf(SampleIndices(n, n/3, rand.New(rand.NewSource(3))))} {
 			what := fmt.Sprintf("%s over a %s of %d rows", name, formOf(rows), rows.Len())
 			Route(tab, tree, rows).Rows(1) // warm the runtime's size classes
 			var rt *Routing
-			if got := allocated(func() { rt = Route(tab, tree, rows) }); got > uint64(rows.Len()+slack) {
-				t.Errorf("%s: Route allocated %d bytes, budget %d", what, got, rows.Len()+slack)
+			routeBudget := uint64(bits.Len(uint(leaves-1))*8*bitmapWords(rows.Len()) + slack)
+			if got := allocated(func() { rt = Route(tab, tree, rows) }); got > routeBudget {
+				t.Errorf("%s: Route allocated %d bytes, budget %d", what, got, routeBudget)
 			}
 			for i := 1; i < len(tree); i++ {
 				budget := uint64(min(8*rt.Count(i), 8*bitmapWords(n)) + 16<<10) // scratch, and large objects rounded up to 8 KiB pages

@@ -14,7 +14,7 @@ import (
 
 // writeTestCSV renders a deterministic CSV exercising every inferred
 // type, nulls in every column, and enough rows to span several pages.
-func writeTestCSV(t *testing.T, rows int) string {
+func writeTestCSV(t testing.TB, rows int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	var b strings.Builder
@@ -60,7 +60,7 @@ func writeTestCSV(t *testing.T, rows int) string {
 // openBoth converts the CSV both ways: in-memory ReadCSV and the
 // streaming segment path, with a small page size so multiple pages and
 // a partial tail page are exercised.
-func openBoth(t *testing.T, rows int, pageBudget int64) (*Table, *SegmentTable) {
+func openBoth(t testing.TB, rows int, pageBudget int64) (*Table, *SegmentTable) {
 	t.Helper()
 	csvPath := writeTestCSV(t, rows)
 	mem, err := ReadCSVFile(csvPath, nil)

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -363,6 +366,85 @@ func TestSampleIndicesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSampleIndices is SampleIndices' specification: Floyd's
+// algorithm with the taken set in a map, sorted at the end.
+func referenceSampleIndices(n, k int, rng *rand.Rand) []int {
+	if k >= n {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	chosen := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		v := rng.Intn(j + 1)
+		if chosen[v] {
+			v = j
+		}
+		chosen[v] = true
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestSampleIndicesMatchesReference: over random (n, k, seed) — k
+// from 0 past n, so both the bitmap and the sorted-insertion taken set
+// and the whole-range case are drawn — SampleIndices returns the
+// reference's rows, and leaves the source where the reference does.
+func TestSampleIndicesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(1 << uint(rng.Intn(15)))
+		k := 0
+		switch trial % 4 {
+		case 0:
+			k = rng.Intn(n + 3)
+		case 1:
+			k = rng.Intn(n/64 + 2)
+		case 2:
+			k = max(0, n-rng.Intn(3))
+		}
+		seed := rng.Int63()
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := SampleIndices(n, k, gotRng), referenceSampleIndices(n, k, wantRng)
+		what := fmt.Sprintf("n=%d k=%d seed=%d", n, k, seed)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: SampleIndices = %v, want %v", what, got, want)
+		}
+		if len(got) != min(k, n) {
+			t.Fatalf("%s: %d rows", what, len(got))
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Fatalf("%s: the source advanced differently from the reference", what)
+		}
+	}
+}
+
+// TestSampleIndicesBytes: a draw allocates less than the reference's
+// map did, whichever taken set it keeps — the result itself, sorted, or
+// a bitmap over [0, n).
+func TestSampleIndicesBytes(t *testing.T) {
+	allocated := func(f func(int, int, *rand.Rand) []int, n, k int) uint64 {
+		rng := rand.New(rand.NewSource(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			f(n, k, rng)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	for _, c := range []struct{ n, k int }{{100_000, 1100}, {1_600_000, 300}, {1_600_000, 5000}, {1100, 256}, {5000, 2000}} {
+		got, ref := allocated(SampleIndices, c.n, c.k), allocated(referenceSampleIndices, c.n, c.k)
+		if got >= ref {
+			t.Errorf("SampleIndices(%d, %d) allocated %d bytes, the reference %d", c.n, c.k, got, ref)
+		}
 	}
 }
 

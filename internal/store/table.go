@@ -3,7 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Field describes one column of a schema.
@@ -110,17 +110,33 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 		}
 		return out
 	}
-	// Floyd's algorithm: k iterations, no O(n) shuffle.
-	chosen := make(map[int]bool, k)
+	// Floyd's algorithm: k draws, no O(n) shuffle. Draw j picks v in
+	// [0, j], or j itself when v is taken. The taken set is a bitmap over
+	// [0, n) while that costs at most four words a draw, no more than a
+	// map entry; else it is the result itself, kept sorted: j exceeds
+	// every earlier pick, so taking it is an append, and a fresh v is one
+	// insertion (k²/4 moves in all, at most, where k < n/256).
 	out := make([]int, 0, k)
+	if words := bitmapWords(n); words <= 4*k {
+		taken := make([]uint64, words)
+		for j := n - k; j < n; j++ {
+			v := rng.Intn(j + 1)
+			if taken[v>>6]>>(v&63)&1 != 0 {
+				v = j
+			}
+			taken[v>>6] |= 1 << (v & 63)
+		}
+		out = out[:k]
+		decodeBits(out, taken, 0, n, 0, taken[0])
+		return out
+	}
 	for j := n - k; j < n; j++ {
 		v := rng.Intn(j + 1)
-		if chosen[v] {
-			v = j
+		if at, found := slices.BinarySearch(out, v); found {
+			out = append(out, j)
+		} else {
+			out = slices.Insert(out, at, v)
 		}
-		chosen[v] = true
-		out = append(out, v)
 	}
-	sort.Ints(out)
 	return out
 }
