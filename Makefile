@@ -31,12 +31,13 @@ race-store:
 	go test -race -count=3 -run 'Pool|Concurrent' ./internal/store/...
 	go test -race -count=2 -run 'Conservation' ./internal/core/...
 
-# The scan and the router under the race detector (also a CI step):
-# concurrent scans (whole-relation, row-set, limited), tree routes and
-# column gathers hammering one shared segment through a pool that holds
-# a fraction of its pages, so the pool's single-flight loads and
-# evictions run under them, first reads of one shared routing's nodes,
-# and first fingerprints and run reads of one shared row set.
+# The router under the race detector (also a CI step): concurrent
+# scans (whole-relation, row-set and limited, all one-split routes),
+# tree routes and column gathers hammering one shared segment through a
+# pool that holds a fraction of its pages, so the pool's single-flight
+# loads and evictions run under them, first reads of one shared
+# routing's nodes, and first fingerprints and run reads of one shared
+# row set.
 race-scan:
 	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent|TestRowSetConcurrent' ./internal/store/
 
@@ -77,16 +78,19 @@ fmt-check:
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
-# rendering, session open-options JSON, action bodies staged by
+# rendering, then executed on both backings and held to each other,
+# session open-options JSON, action bodies staged by
 # core.Prepare on an explorer with a map, segment files), over the row
 # set (random ascending ids against the []int reference) and over the
 # router (random split trees and selections against the row-by-row
-# reference route) so the harnesses and corpora don't bit-rot. Real fuzzing: raise -fuzztime
-# and let it run.
+# reference route, and its one-split case, the scan operators, against
+# the reference filter) so the harnesses and corpora don't bit-rot.
+# Real fuzzing: raise -fuzztime and let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzExecute -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRoute -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server

@@ -91,3 +91,15 @@ func TestCodeHealthTableNamesTheSuite(t *testing.T) {
 		t.Errorf("README's Code health table names %s, which analysis.All() does not", name)
 	}
 }
+
+// TestReadmeUnder600Lines: README describes the tree as it is, in under
+// 600 lines; the history of how it got there lives in CHANGES.md.
+func TestReadmeUnder600Lines(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n >= 600 {
+		t.Errorf("README.md is %d lines, want under 600", n)
+	}
+}

@@ -7,13 +7,15 @@ import (
 
 // The typed column reader and its batch kernels: the one way the
 // store's row-proportional work reads a column. Every consumer — the
-// tree router (route.go), the scan (scan.go), the statistics and value
-// reads over a row set (stats.go) — cuts its RowSet into runs that
-// share a page (RowSet.runs), fetches each needed column page once per
-// run, and works on a run as a selection vector of uint16 offsets:
-// values are decoded into a small scratch by one loader per column kind
-// and backing, and predicates are evaluated on the scratch into one
-// match byte per offset. No kernel makes an indirect call per row; a
+// tree router (route.go) and the scan operators, its one-split case
+// (scan.go), the statistics and value reads over a row set (stats.go)
+// — cuts its RowSet into runs that share a page (RowSet.runs), fetches
+// each needed column page once per run, and works on a run as a
+// selection vector of uint16 offsets: values are decoded into a small
+// scratch by one loader per column kind and backing, and predicates are
+// evaluated on the scratch into one match byte per offset. A predicate
+// node whose segment page the zone map excludes matches nothing on it
+// and fetches nothing. No kernel makes an indirect call per row; a
 // predicate or column implementation no kernel binds is evaluated row
 // by row through its own Predicate.Matches, into the same match bytes.
 
@@ -167,6 +169,11 @@ type predNode struct {
 	subs  []predNode
 	m     []uint8  // predOr, predOrNull: the match bytes of one operand
 	sel   []uint16 // predAnd: the offsets still matching, then their positions
+	// zone is set on the nodes a segment page's zone map can exclude: a
+	// comparison or null test over a segment column, but not x <> v
+	// over a float column (page stats cannot see a NaN cell, which
+	// differs from every value), and an And with such a conjunct.
+	zone bool
 }
 
 // evaluator compiles predicates over one relation and evaluates them
@@ -220,7 +227,8 @@ func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 	case NumCmp:
 		col, str, ok := leaf(p.Col)
 		if ok && !str {
-			return predNode{kind: predNum, col: col, op: p.Op, val: p.Val}
+			zone := ev.cols[col].seg != nil && (p.Op != Ne || ev.cols[col].kind != Float64)
+			return predNode{kind: predNum, col: col, op: p.Op, val: p.Val, zone: zone}
 		}
 		if ok {
 			// Each dictionary entry parses once; unparseable ones are NaN,
@@ -238,7 +246,7 @@ func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 	case StrEq:
 		if col, str, ok := leaf(p.Col); ok && str {
 			// A comparison of codes; -1 is the code of no row.
-			nd := predNode{kind: predNum, col: col, op: Eq, val: -1}
+			nd := predNode{kind: predNum, col: col, op: Eq, val: -1, zone: ev.cols[col].seg != nil}
 			if p.Neq {
 				nd.op = Ne
 			}
@@ -259,10 +267,14 @@ func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 		}
 	case IsNull:
 		if col, _, ok := leaf(p.Col); ok {
-			return predNode{kind: predNull, col: col, neg: p.Not}
+			return predNode{kind: predNull, col: col, neg: p.Not, zone: ev.cols[col].seg != nil}
 		}
 	case And:
-		return predNode{kind: predAnd, subs: ev.compileAll(r, p), sel: make([]uint16, 2*ev.runCap)}
+		nd := predNode{kind: predAnd, subs: ev.compileAll(r, p), sel: make([]uint16, 2*ev.runCap)}
+		for i := range nd.subs {
+			nd.zone = nd.zone || nd.subs[i].zone
+		}
+		return nd
 	case Or:
 		return predNode{kind: predOr, subs: ev.compileAll(r, p), m: make([]uint8, ev.runCap)}
 	case Not:
@@ -283,11 +295,55 @@ func (ev *evaluator) compileAll(r Relation, ps []Predicate) []predNode {
 	return subs
 }
 
+// excluded reports whether the zone map of the current page proves
+// that no row of it matches nd, a zone node, from the op and the value
+// or code the node compares with: a segment page's min and max bound its
+// non-null values (dictionary codes on a string page, so a string absent
+// from the dictionary, code -1, lies below every page), and its null
+// count tells a page that is all null or has none. An And is excluded
+// when any conjunct is.
+func (ev *evaluator) excluded(nd *predNode) bool {
+	if nd.kind == predAnd {
+		for i := range nd.subs {
+			if sub := &nd.subs[i]; sub.zone && ev.excluded(sub) {
+				return true
+			}
+		}
+		return false
+	}
+	pg := &ev.cols[nd.col].seg.meta.Pages[ev.page]
+	switch {
+	case nd.kind == predNull:
+		return nd.neg && pg.NullCount == pg.Rows || !nd.neg && pg.NullCount == 0
+	case pg.NullCount == pg.Rows:
+		return true // a comparison matches no null
+	case nd.op == Lt:
+		return pg.Min >= nd.val
+	case nd.op == Le:
+		return pg.Min > nd.val
+	case nd.op == Gt:
+		return pg.Max <= nd.val
+	case nd.op == Ge:
+		return pg.Max < nd.val
+	case nd.op == Eq:
+		return nd.val < pg.Min || nd.val > pg.Max
+	case nd.op == Ne:
+		return pg.Min == nd.val && pg.Max == nd.val
+	}
+	return false
+}
+
 // eval sets m[k] to whether the row at offset sel[k] of the current run
 // matches nd, as 0 or 1. Comparisons are evaluated on every selected
 // row and the nulls cleared from the outcome afterwards, so nulls fail
-// every comparison whatever their slot decodes to.
+// every comparison whatever their slot decodes to. A node the zone map
+// excludes matches no row and fetches no page; an And tests every
+// conjunct's zone map before it loads anything.
 func (ev *evaluator) eval(nd *predNode, sel []uint16, m []uint8) {
+	if nd.zone && ev.excluded(nd) {
+		fillBytes(m[:len(sel)], 0)
+		return
+	}
 	switch nd.kind {
 	case predMatcher:
 		evalMatcher(nd.match, ev.run, sel, m)

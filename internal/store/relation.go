@@ -56,8 +56,8 @@ type columnSet struct {
 	cols    []Column
 	colIdx  map[string]int
 	numRows int
-	// pageRows is the backing's native page size, the scan's
-	// granularity; 0 (in-memory tables) means defaultScanPageRows.
+	// pageRows is the backing's native page size, the scan counters'
+	// page; 0 (in-memory tables) means defaultScanPageRows.
 	pageRows int
 	// scanMetrics, when attached, receives the relation's scan counters
 	// (see SetScanMetrics).
@@ -155,14 +155,13 @@ func (t *columnSet) Head(n int) *Table {
 }
 
 // Filter returns the indices of rows matching the predicate, in order.
-// It is the whole-relation scan (scan.go): the predicate is compiled
-// once into batch kernels (columns resolved, string constants mapped to
-// dictionary codes), every page is evaluated into match bytes and the
-// result allocated once at its final size, and on a segment backing
-// per-page min/max and null-count stats skip pages that cannot contain
-// matches without reading them.
+// It is the whole-relation scan (scan.go), the one-split case of Route:
+// the predicate is compiled once into batch kernels (columns resolved,
+// string constants mapped to dictionary codes, zone maps consulted per
+// page on a segment backing), and the result is allocated once, as a
+// list of its final size.
 func (t *columnSet) Filter(p Predicate) []int {
-	return scan(t, p, All(t.numRows), 0).ints()
+	return scan(t, p, All(t.numRows), t.numRows).list(1)
 }
 
 // Where returns a new materialized table of the rows matching the predicate.

@@ -14,8 +14,9 @@ import (
 // unit of work is the page, not the row: the selection is cut into
 // runs of rows that share a page, each run descends the tree as a
 // selection vector through the batch kernels of kernel.go (every split
-// is a compiled predicate of the same family the scan evaluates), and
-// each needed column page is fetched once per build. The pass only
+// is a compiled predicate, whose zone maps skip the pages it cannot
+// match), and each needed column page is fetched once per build. The
+// scan operators (scan.go) are its one-split case. The pass only
 // records a leaf id per row, in the ⌈log₂ L⌉ bits that name the L
 // leaves of the tree, and a count per node: a node's rows are collected
 // from the leaf ids when something reads them, which for a map is the
@@ -88,14 +89,20 @@ type routedNode struct {
 // each page of each split column is read once — and returns the
 // routing. Safe for concurrent use over one relation: every call keeps
 // its own page cursors.
-func Route(r Relation, t SplitTree, rows *RowSet) *Routing {
+func Route(r Relation, t SplitTree, rows *RowSet) *Routing { return route(r, t, rows, nil) }
+
+// route is Route that, when tally is not nil, hands it every run of the
+// pass with the root split's match bytes — all the match bytes of a
+// one-split tree — and whether the run's page is one the root's zone
+// map excludes.
+func route(r Relation, t SplitTree, rows *RowSet, tally func(run []int, m []uint8, excluded bool)) *Routing {
 	rg := &Routing{rel: r, sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
 	if rows.Len() == 0 || t[0].Split == nil {
 		rg.count[0] = rows.Len()
 		return rg
 	}
 	rt := newRouter(r, t, rg)
-	rt.route(rows)
+	rt.pass(rows, tally)
 	for _, i := range rt.cut {
 		sub := Route(r, t[i:i+t.size(i)], rg.Rows(i))
 		for j := 1; j < len(sub.count); j++ {
@@ -168,7 +175,7 @@ func (rg *Routing) Stats(i int, column string) ColumnStats {
 }
 
 // collect adds to b, in order, the rows whose leaf id lies in [lo, hi),
-// until b is done.
+// until b is done: a list with room for fewer gets the first of them.
 func (rg *Routing) collect(b *setBuilder, lo, hi uint) {
 	if b.done() {
 		return
@@ -176,9 +183,21 @@ func (rg *Routing) collect(b *setBuilder, lo, hi uint) {
 	m := make([]uint8, min(readRun, rg.sel.Len()))
 	rg.sel.runs(readRun, 0, func(off, _ int, run []int) bool {
 		mr := m[:len(run)]
-		b.add(run, mr, onLeaves(mr, rg.planes, off, lo, hi))
+		b.add(run, mr, min(onLeaves(mr, rg.planes, off, lo, hi), b.s.n-b.k))
 		return !b.done()
 	})
+}
+
+// list returns the rows reaching node i as a list cut at its length,
+// nil when there are none: what the one-split operators hand back,
+// never built as a set only to be decoded.
+func (rg *Routing) list(i int) []int {
+	if rg.count[i] == 0 {
+		return nil
+	}
+	b := newListBuilder(rg.count[i])
+	rg.collect(b, rg.nodes[i].lo, rg.nodes[i].hi)
+	return b.s.ids
 }
 
 // PartitionRows splits rows — strictly ascending — into those matching
@@ -186,12 +205,7 @@ func (rg *Routing) collect(b *setBuilder, lo, hi uint) {
 // cut at their length.
 func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
 	rg := Route(r, SplitTree{{Split: p, No: 2}, {}, {}}, listOf(rows))
-	list := func(i int) []int {
-		b := newListBuilder(rg.count[i])
-		rg.collect(b, rg.nodes[i].lo, rg.nodes[i].hi)
-		return b.s.ids
-	}
-	return list(1), list(2)
+	return rg.list(1), rg.list(2)
 }
 
 // routeNode is the compiled form of one tree node.
@@ -263,14 +277,19 @@ func (rt *router) compileNode(r Relation, i, depth int) int {
 	return levels
 }
 
-// route is the pass: every run of the selection descends the tree,
-// leaving its rows' leaf ids and the per-node counts behind. A run's ids
-// are written a byte per offset, then packed into the bit-planes.
-func (rt *router) route(rows *RowSet) {
+// pass routes the selection: every run descends the tree, leaving its
+// rows' leaf ids and the per-node counts behind, and then goes to tally
+// (see route). A run's ids are written a byte per offset, then packed
+// into the bit-planes.
+func (rt *router) pass(rows *RowSet, tally func(run []int, m []uint8, excluded bool)) {
 	rows.runs(routeRun, rt.rpp, func(off, page int, run []int) bool {
 		rt.page, rt.run = page, run
 		rt.visit(0, routeIdentity[:len(run)])
 		packLeaves(rt.out.planes, off, rt.leafIDs[:len(run)])
+		if tally != nil {
+			root := &rt.nodes[0].split
+			tally(run, rt.match[:len(run)], root.zone && rt.excluded(root))
+		}
 		return true
 	})
 }

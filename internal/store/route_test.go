@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -267,6 +268,9 @@ func TestRouteLeafIDWidths(t *testing.T) {
 // pass's depth — and an ascending selection drawn from the fuzz input
 // route on both backings as the reference does, and no input panics.
 // The gaps between selected rows run from 0, a range, to 255, a list.
+// The scan operators, the one-split case, are held to the reference on
+// the root's split: ScanRows over the selection, and FilterLimit a
+// prefix of Filter.
 func FuzzRoute(f *testing.F) {
 	const n = 700
 	mem, seg := openBoth(f, n, 1<<20)
@@ -287,7 +291,69 @@ func FuzzRoute(f *testing.F) {
 		want := referenceRoute(mem, tree, rows)
 		assertRouted(t, "table", Route(mem, tree, RowsOf(rows)), want)
 		assertRouted(t, "segment", Route(seg, tree, RowsOf(rows)), want)
+		p := tree[0].Split
+		if p == nil {
+			return
+		}
+		matched, all := referenceFilter(mem, p, rows), referenceFilter(mem, p, rangeRows(0, n))
+		for _, r := range []Relation{mem, seg} {
+			if got := ScanRows(r, p, RowsOf(rows)).AppendTo(nil); !equalInts(got, matched) {
+				t.Fatalf("%s on %T: ScanRows selects %d rows, want %d", p, r, len(got), len(matched))
+			}
+			limit := len(gaps) % 80
+			if got := FilterLimit(r, p, limit); !equalInts(got, all[:min(limit, len(all))]) || !equalInts(r.Filter(p), all) {
+				t.Fatalf("%s on %T: FilterLimit(%d) is no prefix of Filter's %d rows", p, r, limit, len(all))
+			}
+		}
 	})
+}
+
+// TestRouteSkipsZoneMappedPages: a split over a sorted column of a
+// segment reads, once each, the pages of the selection its zone map does
+// not exclude and no other — per column it reads — and routes as the
+// reference does.
+func TestRouteSkipsZoneMappedPages(t *testing.T) {
+	const n, rpp = 640, 64
+	mem := NewTable("sorted")
+	v, w := NewIntColumn("v"), NewFloatColumn("w")
+	for r := 0; r < n; r++ {
+		v.Append(int64(r))
+		w.Append(float64(r % 7))
+	}
+	mem.MustAddColumn(v)
+	mem.MustAddColumn(w)
+	seg := segmentOf(t, mem, rpp)
+	reads := func() uint64 { s := seg.PoolStats(); return s.Hits + s.Misses }
+	for _, c := range []struct {
+		p    Predicate
+		cols int // the columns it reads on a page it does not exclude
+	}{
+		{NumCmp{Col: "v", Op: Lt, Val: 200}, 1},
+		{NumCmp{Col: "v", Op: Ge, Val: 1000}, 1},
+		{And{NumCmp{Col: "v", Op: Ge, Val: 128}, NumCmp{Col: "v", Op: Lt, Val: 300}}, 1},
+		{And{NumCmp{Col: "v", Op: Ge, Val: 448}, NumCmp{Col: "w", Op: Gt, Val: 3}}, 2},
+	} {
+		skips := referencePageSkips(seg, c.p)
+		for _, rows := range [][]int{rangeRows(0, n), append(rangeRows(100, 250), rangeRows(520, 530)...)} {
+			want := uint64(0)
+			for pi := 0; pi < n/rpp; pi++ {
+				excluded := !slices.ContainsFunc(rows, func(r int) bool { return r/rpp == pi })
+				for _, skip := range skips {
+					excluded = excluded || skip(pi)
+				}
+				if !excluded {
+					want += uint64(c.cols)
+				}
+			}
+			tree := SplitTree{{Split: c.p, No: 2}, {}, {}}
+			before := reads()
+			rg := Route(seg, tree, RowsOf(rows))
+			if got := reads() - before; got != want {
+				t.Errorf("%s over %d rows: %d page reads, want %d", c.p, len(rows), got, want)
+			}
+			assertRouted(t, c.p.String(), rg, referenceRoute(mem, tree, rows))
+		}
+	}
 }
 
 // TestPartitionRowsIsOneSplit: PartitionRows over every predicate

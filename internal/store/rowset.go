@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -235,9 +236,9 @@ func (s *RowSet) runs(limit, rpp int, fn func(off, page int, run []int) bool) {
 }
 
 // setBuilder writes a set whose size and span are known before the first
-// row is: the producers that know them — a routing node's collect, the
-// scan's result — allocate the set at its final size and form, then add
-// its rows a run at a time, ascending.
+// row is: its producer — a routing node's collect, which the scan
+// operators' results are too — allocates the set at its final size and
+// form, then adds its rows a run at a time, ascending.
 type setBuilder struct {
 	s *RowSet
 	k int // rows added
@@ -274,10 +275,41 @@ func (b *setBuilder) add(run []int, m []uint8, nm int) {
 		fillMatched(run, m, s.ids[b.k:b.k+nm])
 	case s.words != nil && nm > 0:
 		// Only the rows from the first match to the last lie in the span.
-		i, j := firstSet(m), lastSet(m)+1
+		i, j := bytes.IndexByte(m, 1), bytes.LastIndexByte(m, 1)+1
 		setBits(s.words, s.lo, run[i:j], m[i:j])
 	}
 	b.k += nm
+}
+
+// fillMatched writes the first len(dst) candidates whose match byte is
+// set into dst; cand holds at least that many. Every candidate is
+// stored and the write position advances only past a match, so the
+// loop carries no data-dependent branch.
+//
+//blaeu:hot
+func fillMatched(cand []int, m []uint8, dst []int) {
+	for k, j := 0, 0; j < len(dst); k++ {
+		dst[j] = cand[k]
+		j += int(m[k])
+	}
+}
+
+// splitBefore returns the count of leading entries of rows below bound
+// (rows ascending) — the boundary used to slice a row set at a page
+// edge.
+//
+//blaeu:hot
+func splitBefore(rows []int, bound int) int {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid] < bound {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // decodeBits writes into dst, from bit w of words[wi] on (w holds the

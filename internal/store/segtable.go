@@ -106,102 +106,6 @@ func (t *SegmentTable) PoolStats() segment.PoolStats {
 	return segment.PoolStats{}
 }
 
-// pageSkips collects page-exclusion tests from the top-level
-// conjuncts of p: a page skips when the conjunct provably matches no
-// row of it. Non-conjunctive shapes contribute no skip (they still
-// evaluate row-wise).
-func (t *columnSet) pageSkips(p Predicate) []func(pi int) bool {
-	var out []func(int) bool
-	switch p := p.(type) {
-	case And:
-		for _, q := range p {
-			out = append(out, t.pageSkips(q)...)
-		}
-	case NumCmp:
-		if skip := t.numCmpSkip(p); skip != nil {
-			out = append(out, skip)
-		}
-	case StrEq:
-		if skip := t.strEqSkip(p); skip != nil {
-			out = append(out, skip)
-		}
-	case IsNull:
-		if c, ok := t.ColumnByName(p.Col).(*segCol); ok {
-			pages := c.meta.Pages
-			if p.Not {
-				out = append(out, func(pi int) bool { return pages[pi].NullCount == pages[pi].Rows })
-			} else {
-				out = append(out, func(pi int) bool { return pages[pi].NullCount == 0 })
-			}
-		}
-	}
-	return out
-}
-
-// numCmpSkip builds the zone-map test for a numeric comparison: page
-// stats bound the non-null values, and comparisons never match nulls.
-func (t *columnSet) numCmpSkip(p NumCmp) func(pi int) bool {
-	c, ok := t.ColumnByName(p.Col).(*segCol)
-	if !ok || c.typ == String {
-		// String page stats are dictionary codes, unrelated to the
-		// numeric parse NumCmp applies; no skip.
-		return nil
-	}
-	if p.Op == Ne && c.typ == Float64 {
-		// Page stats do not see NaN cells, and a NaN differs from every
-		// value: min == max == val does not prove the page matchless.
-		return nil
-	}
-	return numSkipFunc(c.meta.Pages, p.Op, p.Val)
-}
-
-func numSkipFunc(pages []segment.PageInfo, op CmpOp, val float64) func(pi int) bool {
-	return func(pi int) bool {
-		pg := &pages[pi]
-		if pg.NullCount == pg.Rows {
-			return true // all null: a comparison matches nothing
-		}
-		switch op {
-		case Lt:
-			return pg.Min >= val
-		case Le:
-			return pg.Min > val
-		case Gt:
-			return pg.Max <= val
-		case Ge:
-			return pg.Max < val
-		case Eq:
-			return val < pg.Min || val > pg.Max
-		case Ne:
-			return pg.Min == val && pg.Max == val
-		}
-		return false
-	}
-}
-
-// strEqSkip builds the zone-map test for string equality: the constant
-// resolves to a dictionary code once, and page stats bound the codes.
-func (t *columnSet) strEqSkip(p StrEq) func(pi int) bool {
-	c, ok := t.ColumnByName(p.Col).(*segCol)
-	if !ok || c.typ != String {
-		return nil
-	}
-	pages := c.meta.Pages
-	code, present := c.index[p.Val]
-	if !present {
-		if p.Neq {
-			// Matches every non-null row: only all-null pages skip.
-			return func(pi int) bool { return pages[pi].NullCount == pages[pi].Rows }
-		}
-		return func(int) bool { return true }
-	}
-	want := float64(code)
-	if p.Neq {
-		return numSkipFunc(pages, Ne, want)
-	}
-	return numSkipFunc(pages, Eq, want)
-}
-
 // ---------------------------------------------------------------------------
 // Segment-backed columns
 
@@ -209,7 +113,7 @@ func (t *columnSet) strEqSkip(p StrEq) func(pi int) bool {
 // strings, the dictionary. typ selects how a page slot decodes; every
 // access goes through a page cursor, so a Gather of sorted rows
 // fetches each page once. The batch kernels (kernel.go) read its pages
-// through fetch, and the scan planner reads its page directory.
+// through fetch, and its page directory's zone maps before they do.
 type segCol struct {
 	seg   *segment.Segment
 	ci    int

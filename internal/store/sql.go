@@ -18,8 +18,9 @@ type Query struct {
 	Where Predicate
 	// OrderBy sorts the result.
 	OrderBy []SortKey
-	// Limit caps the result rows (0 = no limit).
-	Limit int
+	// Limit caps the result rows; nil means no LIMIT, and LIMIT 0
+	// returns none.
+	Limit *int
 }
 
 // String renders the query back to SQL.
@@ -52,9 +53,9 @@ func (q *Query) String() string {
 			sb.WriteString(" DESC")
 		}
 	}
-	if q.Limit > 0 {
+	if q.Limit != nil {
 		sb.WriteString(" LIMIT ")
-		sb.WriteString(strconv.Itoa(q.Limit))
+		sb.WriteString(strconv.Itoa(*q.Limit))
 	}
 	return sb.String()
 }
@@ -130,7 +131,7 @@ func ParseQuery(input string) (*Query, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("store: bad LIMIT value")
 		}
-		q.Limit = n
+		q.Limit = &n
 	}
 	if !p.eof() {
 		return nil, fmt.Errorf("store: unexpected %q after query", p.peek().text)
@@ -170,19 +171,14 @@ func Execute(q *Query, cat Catalog) (*Table, error) {
 	noOrder := len(q.OrderBy) == 0
 	var rows []int
 	switch {
-	case q.Where != nil && noOrder && q.Limit > 0:
-		rows = FilterLimit(t, q.Where, q.Limit)
+	case q.Where != nil && noOrder && q.Limit != nil:
+		rows = FilterLimit(t, q.Where, *q.Limit)
 	case q.Where != nil:
 		rows = t.Filter(q.Where)
+	case noOrder && q.Limit != nil:
+		rows = rangeRows(0, min(t.NumRows(), *q.Limit))
 	default:
-		n := t.NumRows()
-		if noOrder && q.Limit > 0 && q.Limit < n {
-			n = q.Limit
-		}
-		rows = make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
+		rows = rangeRows(0, t.NumRows())
 	}
 	result := t.Gather(rows)
 	// Order.
@@ -194,8 +190,8 @@ func Execute(q *Query, cat Catalog) (*Table, error) {
 		}
 	}
 	// Limit.
-	if q.Limit > 0 && q.Limit < result.NumRows() {
-		result = result.Head(q.Limit)
+	if q.Limit != nil && *q.Limit < result.NumRows() {
+		result = result.Head(*q.Limit)
 	}
 	// Projection (last, so ORDER BY may use unprojected columns).
 	if len(q.Columns) > 0 {

@@ -109,7 +109,7 @@ func TestParseQueryRoundTrip(t *testing.T) {
 	if q2.String() != s {
 		t.Errorf("round trip: %q vs %q", s, q2.String())
 	}
-	if len(q2.Columns) != 2 || q2.Limit != 10 || len(q2.OrderBy) != 2 || !q2.OrderBy[0].Desc {
+	if len(q2.Columns) != 2 || q2.Limit == nil || *q2.Limit != 10 || len(q2.OrderBy) != 2 || !q2.OrderBy[0].Desc {
 		t.Errorf("parsed = %+v", q2)
 	}
 }
@@ -186,5 +186,39 @@ func TestRunSQLLimitZeroMeansAll(t *testing.T) {
 	}
 	if res.NumRows() != 6 {
 		t.Errorf("rows = %d", res.NumRows())
+	}
+}
+
+// TestRunSQLLimitZero: LIMIT 0 returns no rows, with the projected
+// schema, on both backings, with and without WHERE and ORDER BY, and
+// survives its rendering.
+func TestRunSQLLimitZero(t *testing.T) {
+	mem, seg := openBoth(t, 1000, 1<<20)
+	for _, q := range []string{
+		"SELECT * FROM bench LIMIT 0",
+		"SELECT x, label FROM bench WHERE x > 50 LIMIT 0",
+		"SELECT label FROM bench ORDER BY x DESC LIMIT 0",
+		"SELECT x FROM bench WHERE x > 50 ORDER BY label LIMIT 0",
+	} {
+		parsed, err := ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := parsed.String(); got != q {
+			t.Errorf("%q renders as %q", q, got)
+		}
+		full, err := RunSQL(strings.TrimSuffix(q, " LIMIT 0"), MapCatalog{"bench": mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Relation{mem, seg} {
+			res, err := RunSQL(q, MapCatalog{"bench": r})
+			if err != nil {
+				t.Fatalf("%q on %T: %v", q, r, err)
+			}
+			if res.NumRows() != 0 || res.Schema().String() != full.Schema().String() {
+				t.Errorf("%q on %T: %d rows of %s, want none of %s", q, r, res.NumRows(), res.Schema(), full.Schema())
+			}
+		}
 	}
 }
