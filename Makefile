@@ -17,10 +17,12 @@ race-jobs:
 # step): derived builds sharing one cached parent's vectors, cold builds
 # contending for the explorer's one scratch matrix, the cluster-layer
 # subsets of one lazy parent, CLARA's per-sample runs subsetting one
-# shared lazy parent, and map-cache clones building their regions' rows
-# and highlight statistics in one shared routing.
+# shared lazy parent, map-cache clones building their regions' rows
+# and highlight statistics in one shared routing, and sessions opened at
+# once on one Dataset, each adding a theme and building a map over the
+# shared dependency graph and themes (TestDatasetConcurrentOpens).
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
@@ -79,8 +81,10 @@ fmt-check:
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
 # rendering, then executed on both backings and held to each other,
-# session open-options JSON, action bodies staged by
-# core.Prepare on an explorer with a map, segment files), over the row
+# session open-options JSON, filter expressions posted to a session
+# with a map at the HTTP edge (status, JSON body, rollback), action
+# bodies staged by core.Prepare on an explorer with a map, segment
+# files), over the row
 # set (random ascending ids against the []int reference) and over the
 # router (random split trees and selections against the row-by-row
 # reference route, and its one-split case, the scan operators, against
@@ -94,6 +98,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRoute -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
+	go test -run='^$$' -fuzz=FuzzFilterExpr -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzPrepareAction -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment
 	go test -run='^$$' -fuzz=FuzzSegmentOpen -fuzztime=10s ./internal/store/segment

@@ -319,6 +319,37 @@ func BenchmarkPreprocess(b *testing.B) {
 	}
 }
 
+// BenchmarkOpen is the engine's half of opening a session on the
+// explore_mem workload's table (bench/load: LOFAR, 100 000 rows, sample
+// 1100, seed 1). cold opens the way a session on a table of its own
+// does, detecting the themes (core.NewExplorer); shared opens on a
+// Dataset whose themes are already detected, the way a server's every
+// open after a dataset's first does.
+func BenchmarkOpen(b *testing.B) {
+	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
+	opts := core.Options{Seed: 1, SampleSize: 1100}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.NewExplorer(ds.Table, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	d, err := core.NewDataset(ds.Table, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Open(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkMapBuild times one full mapping-pipeline pass (the latency of
 // a theme selection or zoom) over the oracle the engine chooses, with the
 // sampling budget raised to the full input so the oracle's size is what

@@ -68,6 +68,61 @@ type State struct {
 	Condition store.And
 }
 
+// Dataset is the per-table half of an exploration: the relation, the
+// dependency graph over its clusterable columns (Fig. 2) and the themes
+// partitioned from it (Fig. 1a). It is immutable once built, and every
+// session opened on it (Open) shares its graph and themes read-only.
+type Dataset struct {
+	table  store.Relation
+	opts   Options
+	graph  *graph.Graph
+	themes []Theme
+	// draws is how many values detection took from the seed's stream;
+	// Open starts each session's stream past them.
+	draws int
+}
+
+// NewDataset detects the themes of the table, an in-memory *store.Table
+// or a segment-backed *store.SegmentTable.
+func NewDataset(t store.Relation, opts Options) (*Dataset, error) {
+	opts.defaults()
+	if t.NumRows() == 0 {
+		return nil, fmt.Errorf("core: table %q is empty", t.Name())
+	}
+	src := &countingSource{Source64: opts.newRNG()}
+	g, themes, err := detectThemes(t, opts.DependencySampleRows, rand.New(src))
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{table: t, opts: opts, graph: g, themes: themes, draws: src.n}, nil
+}
+
+// Open opens an exploration session on the dataset, at the full
+// selection. opts may differ from the dataset's in every field but the
+// two detection read, Seed and DependencySampleRows.
+func (d *Dataset) Open(opts Options) (*Explorer, error) {
+	opts.defaults()
+	if opts.Seed != d.opts.Seed || opts.DependencySampleRows != d.opts.DependencySampleRows {
+		return nil, fmt.Errorf("core: session options (Seed %d, DependencySampleRows %d) differ from the dataset's (%d, %d)",
+			opts.Seed, opts.DependencySampleRows, d.opts.Seed, d.opts.DependencySampleRows)
+	}
+	// The session stream continues where detection left the seed's
+	// stream, so a session's n-th build draws the seed it drew when
+	// every open detected themes itself. ROADMAP item 2's seed fix
+	// deletes this skip together with e.rng.
+	rng := opts.newRNG()
+	for range d.draws {
+		rng.Uint64()
+	}
+	e := &Explorer{table: d.table, opts: opts, rng: rng, metric: stats.Euclidean{}, graph: d.graph, themes: d.themes}
+	if opts.MapCacheSize > 0 {
+		e.cache = newMapCache(opts.MapCacheSize)
+		e.cfg = optionsFingerprint(opts)
+	}
+	e.states = []*State{{Action: Action{Kind: ActionInit}, Detail: "full table", Rows: store.All(d.table.NumRows())}}
+	return e, nil
+}
+
 // Explorer is a Blaeu exploration session over one table. It is not safe
 // for concurrent use; wrap it in a session manager for serving. The
 // exception is MapBuild.Run, which only reads immutable fields and the
@@ -76,9 +131,10 @@ type State struct {
 type Explorer struct {
 	table store.Relation
 	opts  Options
-	// rng is the session stream. Only detectThemes and prepare (which
-	// seeds each build from it) draw from it — inspections never do, so
-	// reads cannot change the next map.
+	// rng is the session stream, started past theme detection's draws
+	// (Dataset.Open). Only prepare (which seeds each build from it)
+	// draws from it — inspections never do, so reads cannot change the
+	// next map.
 	rng    *rand.Rand
 	metric stats.Distance
 	graph  *graph.Graph
@@ -99,26 +155,14 @@ type Explorer struct {
 	scratch atomic.Pointer[cluster.DistMatrix]
 }
 
-// NewExplorer opens an exploration session: it detects the themes of the
-// table and initializes the state to the full selection. The relation
-// may be an in-memory *store.Table or a segment-backed
-// *store.SegmentTable — the pipeline samples, filters and gathers
-// through the Relation seam either way.
+// NewExplorer opens an exploration session on a Dataset of its own.
+// Sessions that share a table open on one Dataset instead.
 func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
-	opts.defaults()
-	if t.NumRows() == 0 {
-		return nil, fmt.Errorf("core: table %q is empty", t.Name())
-	}
-	e := &Explorer{table: t, opts: opts, rng: opts.newRNG(), metric: stats.Euclidean{}}
-	if opts.MapCacheSize > 0 {
-		e.cache = newMapCache(opts.MapCacheSize)
-		e.cfg = optionsFingerprint(opts)
-	}
-	if err := e.detectThemes(); err != nil {
+	d, err := NewDataset(t, opts)
+	if err != nil {
 		return nil, err
 	}
-	e.states = []*State{{Action: Action{Kind: ActionInit}, Detail: "full table", Rows: store.All(t.NumRows())}}
-	return e, nil
+	return d.Open(opts)
 }
 
 // Table returns the underlying relation.
@@ -127,11 +171,14 @@ func (e *Explorer) Table() store.Relation { return e.table }
 // Options returns the effective engine options (defaults applied).
 func (e *Explorer) Options() Options { return e.opts }
 
-// Themes returns the detected themes, most cohesive first (Fig. 1a).
+// Themes returns the detected themes, most cohesive first (Fig. 1a),
+// then the session's own AddTheme themes. The detected ones are the
+// Dataset's, shared by every session on it: read-only.
 func (e *Explorer) Themes() []Theme { return e.themes }
 
 // DependencyGraph returns the dependency graph themes were derived from
-// (Fig. 2).
+// (Fig. 2). It is the Dataset's, shared by every session on it:
+// read-only.
 func (e *Explorer) DependencyGraph() *graph.Graph { return e.graph }
 
 // State returns the current navigation state.

@@ -94,11 +94,11 @@ var optionInKey = map[string]bool{
 	"TreeMaxDepth": true,
 	"TreeMinLeaf":  true,
 	"PAMThreshold": true,
-	// The engine's random stream: fixed when the Explorer opens, and a
-	// cache never outlives its Explorer.
+	// The engine's random stream: fixed by the Dataset the Explorer
+	// opens on, and a cache never outlives its Explorer.
 	"Seed": false,
-	// Theme detection: a different partition gives different theme IDs,
-	// which the key carries itself.
+	// Theme detection: fixed by the Dataset (Open rejects another
+	// value), and a partition's theme IDs are in the key.
 	"DependencySampleRows": false,
 	// Ignored.
 	"Parallelism": false,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,31 +44,36 @@ func (t Theme) Label() string {
 // vertical clustering, capped by the column count.
 const themeKMin, themeKMax = 2, 8
 
+// countingSource counts the values theme detection takes from the
+// seed's stream: each Int63 or Uint64 call steps the source once.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (s *countingSource) Int63() int64   { s.n++; return s.Source64.Int63() }
+func (s *countingSource) Uint64() uint64 { s.n++; return s.Source64.Uint64() }
+
 // detectThemes builds the dependency graph over the clusterable columns
-// and partitions it, choosing the number of themes by silhouette.
-func (e *Explorer) detectThemes() error {
-	cols := clusterableColumns(e.table)
+// of t, on at most sampleRows rows, and partitions it, choosing the
+// number of themes by silhouette.
+func detectThemes(t store.Relation, sampleRows int, rng *rand.Rand) (*graph.Graph, []Theme, error) {
+	cols := clusterableColumns(t)
 	if len(cols) == 0 {
-		return fmt.Errorf("core: table %q has no clusterable columns", e.table.Name())
+		return nil, nil, fmt.Errorf("core: table %q has no clusterable columns", t.Name())
 	}
 	if len(cols) == 1 {
-		e.graph = graph.New(cols)
-		e.themes = []Theme{{ID: 0, Columns: cols, Medoid: cols[0], Cohesion: 1}}
-		return nil
+		return graph.New(cols), []Theme{{ID: 0, Columns: cols, Medoid: cols[0], Cohesion: 1}}, nil
 	}
-	g, err := graph.BuildDependencyGraph(e.table, cols, graph.DependencyOptions{
-		SampleRows: e.opts.DependencySampleRows,
-		Rand:       e.rng,
-	})
+	g, err := graph.BuildDependencyGraph(t, cols, graph.DependencyOptions{SampleRows: sampleRows, Rand: rng})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	e.graph = g
 
 	kMax := min(themeKMax, len(cols)-1)
-	c, err := g.AutoPartition(min(themeKMin, kMax), kMax, e.rng)
+	c, err := g.AutoPartition(min(themeKMin, kMax), kMax, rng)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	themes := make([]Theme, c.K)
@@ -96,8 +103,7 @@ func (e *Explorer) detectThemes() error {
 	for i := range themes {
 		themes[i].ID = i
 	}
-	e.themes = themes
-	return nil
+	return g, themes, nil
 }
 
 // AddTheme appends a user-defined theme over the given columns and returns
@@ -105,7 +111,8 @@ func (e *Explorer) detectThemes() error {
 // (paper §4.1, Fig. 5); this is the programmatic form. Cohesion is
 // computed from the dependency graph where the columns are known to it.
 // A column named twice is an error: a build gathers each theme column
-// once, so such a theme could never be mapped.
+// once, so such a theme could never be mapped. The theme is the
+// session's own: it never lands in the list other sessions share.
 func (e *Explorer) AddTheme(cols []string) (int, error) {
 	if len(cols) == 0 {
 		return 0, fmt.Errorf("core: empty theme")
@@ -137,7 +144,7 @@ func (e *Explorer) AddTheme(cols []string) (int, error) {
 		sortByCentrality(e.graph, th.Columns)
 		th.Medoid = th.Columns[0]
 	}
-	e.themes = append(e.themes, th)
+	e.themes = append(slices.Clip(e.themes), th)
 	return th.ID, nil
 }
 

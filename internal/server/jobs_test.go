@@ -382,7 +382,11 @@ func TestStateCostIndependentOfJobHistory(t *testing.T) {
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 200, K: 3, Dims: 4, Sep: 8}, rng)
 	srv := NewWith(map[string]store.Relation{"blobs": ds.Table}, core.Options{Seed: 1, SampleSize: 200}, nil)
 	t.Cleanup(srv.Manager().Shutdown)
-	sess, err := srv.Manager().Open(ds.Table, core.Options{Seed: 1, SampleSize: 200}, "")
+	d, err := core.NewDataset(ds.Table, core.Options{Seed: 1, SampleSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.Manager().Open(d, core.Options{Seed: 1, SampleSize: 200}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

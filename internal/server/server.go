@@ -25,8 +25,48 @@ import (
 type Server struct {
 	manager  *Manager
 	mux      *http.ServeMux
-	datasets map[string]store.Relation
+	datasets map[string]*dataset
 	opts     core.Options
+}
+
+// dataset is one entry of the server's dataset table: a relation and
+// the core.Dataset its first open detects with the server's options,
+// shared by every session on it (request options only set MapCacheSize).
+type dataset struct {
+	rel store.Relation
+
+	mu       sync.Mutex
+	detected *core.Dataset // nil until a detection succeeds
+	busy     chan struct{} // closed when the detection in flight ends
+}
+
+// open returns the shared core.Dataset, detecting it on the first call.
+// Concurrent first opens wait for that one detection, with no lock held.
+// A detection that fails or panics is not kept, so the next open retries
+// it: one failed page read does not poison the dataset for good.
+func (ds *dataset) open(opts core.Options) (d *core.Dataset, err error) {
+	for {
+		ds.mu.Lock()
+		done, busy := ds.detected, ds.busy
+		if done == nil && busy == nil {
+			ds.busy = make(chan struct{})
+		}
+		ds.mu.Unlock()
+		if done != nil {
+			return done, nil
+		}
+		if busy == nil {
+			break
+		}
+		<-busy
+	}
+	defer func() {
+		ds.mu.Lock()
+		close(ds.busy)
+		ds.detected, ds.busy = d, nil
+		ds.mu.Unlock()
+	}()
+	return core.NewDataset(ds.rel, opts)
 }
 
 // Manager aliases the session registry (kept narrow for testability).
@@ -44,8 +84,11 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 	s := &Server{
 		manager:  m,
 		mux:      http.NewServeMux(),
-		datasets: datasets,
+		datasets: make(map[string]*dataset, len(datasets)),
 		opts:     opts,
+	}
+	for name, rel := range datasets {
+		s.datasets[name] = &dataset{rel: rel}
 	}
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	s.mux.HandleFunc("GET /api/datasets", s.handleDatasets)
@@ -80,8 +123,8 @@ func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) 
 func (s *Server) attachScanMetrics() {
 	sm := store.NewScanMetrics(s.manager.Telemetry().Reg())
 	type setter interface{ SetScanMetrics(*store.ScanMetrics) }
-	for _, r := range s.datasets {
-		if t, ok := r.(setter); ok {
+	for _, ds := range s.datasets {
+		if t, ok := ds.rel.(setter); ok {
 			t.SetScanMetrics(sm)
 		}
 	}
@@ -241,8 +284,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 		Cols int    `json:"cols"`
 	}
 	var out []ds
-	for name, t := range s.datasets {
-		out = append(out, ds{Name: name, Rows: t.NumRows(), Cols: t.NumCols()})
+	for name, d := range s.datasets {
+		out = append(out, ds{Name: name, Rows: d.rel.NumRows(), Cols: d.rel.NumCols()})
 	}
 	// Sorted by name: ranging over the dataset map would otherwise leak
 	// map iteration order into the payload, so the same server would
@@ -269,7 +312,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	t, ok := s.datasets[req.Dataset]
+	ds, ok := s.datasets[req.Dataset]
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no dataset %q", req.Dataset))
 		return
@@ -281,7 +324,12 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sess, err := s.manager.Open(t, opts, req.Tenant)
+	d, err := ds.open(s.opts)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	sess, err := s.manager.Open(d, opts, req.Tenant)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

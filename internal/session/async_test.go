@@ -29,7 +29,7 @@ func waitJob(t *testing.T, j *jobs.Job) error {
 func TestSubmitSelectAndZoomAsync(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 2}, nil)
 	defer m.Shutdown()
-	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, err := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSubmitSelectAndZoomAsync(t *testing.T) {
 func TestManagerSubmitClosedSession(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	if err := m.Close(s.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 		t.Fatal("submit to a closed session should fail")
 	}
 	// And a live one still works through the same path.
-	s2, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
+	s2, _ := openTable(m, smallTable(), core.Options{Seed: 2}, "")
 	j, err := m.Submit(s2.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestManagerSubmitClosedSession(t *testing.T) {
 func TestSubmitUnknownAction(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	if _, err := m.Submit(s.ID, Action{Action: core.Action{Kind: "teleport"}}); !errors.Is(err, ErrBadAction) {
 		t.Fatalf("unknown action: %v, want ErrBadAction before queueing", err)
 	}
@@ -109,7 +109,7 @@ func TestSubmitUnknownAction(t *testing.T) {
 func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	j, err := m.Submit(s.ID, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 99}})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSubmitInvalidThemeFailsJob(t *testing.T) {
 func TestCacheHitMetadata(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	if err := waitJob(t, mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReuseLevelMetadata(t *testing.T) {
 	defer m.Shutdown()
 	// The 200-row test table needs a lower derivation floor than the
 	// production default of 128 rows.
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10}, "")
 	sel := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := waitJob(t, sel); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func mustSubmit(t *testing.T, s *Session, m *Manager, act Action) *jobs.Job {
 func TestManagerQueueFull(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1, MaxQueuedPerSession: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -239,7 +239,7 @@ func TestManagerQueueFull(t *testing.T) {
 func TestActionDeadlineSheds(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	release := make(chan struct{})
 	if _, err := m.Pool().Submit(s.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
@@ -278,7 +278,7 @@ func TestActionDeadlineSheds(t *testing.T) {
 func TestOpenTenantAttribution(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "gold")
+	s, err := openTable(m, smallTable(), core.Options{Seed: 1}, "gold")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestOpenTenantAttribution(t *testing.T) {
 func TestCloseReleasesRetainedJobs(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	j := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := waitJob(t, j); err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestCloseReleasesRetainedJobs(t *testing.T) {
 func TestCloseCancelsSessionJobs(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	started := make(chan struct{})
 	running, err := m.Pool().Submit(s.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
@@ -365,9 +365,9 @@ func TestEvictIdle(t *testing.T) {
 	defer m.Shutdown()
 	now := time.Now()
 	m.now = func() time.Time { return now }
-	building, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	fresh, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
-	stale, _ := m.Open(smallTable(), core.Options{Seed: 3}, "")
+	building, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
+	fresh, _ := openTable(m, smallTable(), core.Options{Seed: 2}, "")
+	stale, _ := openTable(m, smallTable(), core.Options{Seed: 3}, "")
 	started := make(chan struct{})
 	blocked, _ := m.Pool().Submit(building.ID, "", "block", func(ctx context.Context, j *jobs.Job) (any, error) {
 		close(started)
@@ -412,7 +412,7 @@ func TestEvictIdle(t *testing.T) {
 func TestStartEvictor(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	s, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	s.lastUsed.Store(time.Now().Add(-2 * time.Hour).UnixNano())
 	stop := m.StartEvictor(time.Hour, time.Millisecond)
 	defer stop()
@@ -435,7 +435,7 @@ func TestStartEvictor(t *testing.T) {
 func TestConcurrentSessionStress(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 4}, nil)
 	defer m.Shutdown()
-	s, err := m.Open(smallTable(), core.Options{Seed: 3}, "")
+	s, err := openTable(m, smallTable(), core.Options{Seed: 3}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

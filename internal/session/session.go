@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Session is one user's exploration session.
@@ -98,16 +97,17 @@ func (m *Manager) Pool() *jobs.Pool { return m.pool }
 // *obs.Telemetry accessors tolerate that).
 func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 
-// Open creates a session exploring the given table. Its builds run on
-// the manager's job workers, and their fan-out borrows only the cores no
+// Open creates a session exploring the given dataset, whose themes it
+// shares (see core.Dataset.Open for opts). Its builds run on the
+// manager's job workers, and their fan-out borrows only the cores no
 // running job holds (internal/cores). A non-empty tenant label
 // schedules the session's jobs (weighted fairness, in-flight quotas,
 // per-tenant accounting) under that tenant; with an empty one the
 // session stands alone as its own tenant. This is where a deployment
 // that derives the tenant server-side (from an authenticated identity)
 // hands it in.
-func (m *Manager) Open(t store.Relation, opts core.Options, tenant string) (*Session, error) {
-	e, err := core.NewExplorer(t, opts)
+func (m *Manager) Open(d *core.Dataset, opts core.Options, tenant string) (*Session, error) {
+	e, err := d.Open(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,18 @@ func smallTable() *store.Table {
 	return ds.Table
 }
 
+// openTable opens a session on a Dataset of its own over t.
+func openTable(m *Manager, t store.Relation, opts core.Options, tenant string) (*Session, error) {
+	d, err := core.NewDataset(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.Open(d, opts, tenant)
+}
+
 func TestOpenGetClose(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
-	s, err := m.Open(smallTable(), core.Options{Seed: 1}, "")
+	s, err := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +59,14 @@ func TestOpenInvalidTable(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
 	empty := store.NewTable("empty")
 	empty.MustAddColumn(store.NewFloatColumn("x"))
-	if _, err := m.Open(empty, core.Options{}, ""); err == nil {
+	if _, err := openTable(m, empty, core.Options{}, ""); err == nil {
 		t.Error("empty table should fail to open")
 	}
 }
 
 func TestDoSerializesAccess(t *testing.T) {
 	m := NewManagerObs(jobs.Config{}, nil)
-	s, err := m.Open(smallTable(), core.Options{Seed: 2}, "")
+	s, err := openTable(m, smallTable(), core.Options{Seed: 2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +109,7 @@ func TestList(t *testing.T) {
 	m.nextID = 9998
 	var want []string
 	for seed := int64(3); seed < 6; seed++ {
-		s, err := m.Open(smallTable(), core.Options{Seed: seed}, "")
+		s, err := openTable(m, smallTable(), core.Options{Seed: seed}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +130,7 @@ func TestConcurrentOpen(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			if _, err := m.Open(smallTable(), core.Options{Seed: seed}, ""); err != nil {
+			if _, err := openTable(m, smallTable(), core.Options{Seed: seed}, ""); err != nil {
 				t.Error(err)
 			}
 		}(int64(i))
@@ -147,8 +156,8 @@ func TestConcurrentOpen(t *testing.T) {
 func TestEvictIdleDoesNotStallRegistry(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	busy, _ := m.Open(smallTable(), core.Options{Seed: 1}, "")
-	other, _ := m.Open(smallTable(), core.Options{Seed: 2}, "")
+	busy, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
+	other, _ := openTable(m, smallTable(), core.Options{Seed: 2}, "")
 
 	held, release := make(chan struct{}), make(chan struct{})
 	clicked := make(chan error, 1)
