@@ -38,8 +38,8 @@ race-store:
 # tree routes and column gathers hammering one shared segment through a
 # pool that holds a fraction of its pages, so the pool's single-flight
 # loads and evictions run under them, first reads of one shared
-# routing's nodes, and first fingerprints and run reads of one shared
-# row set.
+# routing's nodes, and fingerprints and run reads of one shared row
+# set.
 race-scan:
 	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent|TestRowSetConcurrent' ./internal/store/
 
@@ -120,8 +120,8 @@ bench:
 # BenchmarkPAMClassic in internal/cluster), the storage-engine filter
 # benchmarks, the scan benchmarks (limit pushdown, sample gathers), the
 # kernels behind the filter and highlight clicks (BenchmarkFilterKernel*,
-# BenchmarkStatsRows*) and the row set's run reads in each form
-# (BenchmarkRowSetRuns).
+# BenchmarkStatsRows*) and the row set's run reads and fingerprint in
+# each form (BenchmarkRowSetRuns, BenchmarkRowSetFingerprint).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store

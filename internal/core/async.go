@@ -154,18 +154,17 @@ func (e *Explorer) prepareFilter(pred store.Predicate) (*MapBuild, error) {
 // build. The seed is drawn on every prepare — hit, derived or cold — so
 // the explorer's random stream advances identically either way and
 // later navigation does not depend on the cache's contents; the RNG
-// itself is made only by a Run that builds. The cache key reads the
-// fingerprint rows keeps, so a selection already fingerprinted — a
-// revisit, a rollback followed by the same zoom, a projection of a
-// zoomed state, all handed the same set — costs no pass over its rows
-// here; a filter's rows are new and pay the one pass.
+// itself is made only by a Run that builds. The cache key hashes the
+// form the rows are kept in (store.RowSet.Fingerprint), not the rows:
+// O(1) for a range such as the whole table, at most span/64 mixes for
+// a bitmap or a list.
 func (e *Explorer) prepare(next *State, theme Theme) *MapBuild {
 	b := &MapBuild{e: e, next: next, theme: theme, seed: e.rng.Int63(), base: e.State(), reuse: ReuseCold}
 	rows := next.Rows
 	if b.mapless() || e.cache == nil {
 		return b
 	}
-	b.key = mapKey{rows: rows.Fingerprint(), n: rows.Len(), theme: theme.ID, config: e.cfg}
+	b.key = mapKey{rows: rows.Fingerprint(), n: rows.Len(), theme: theme.ID}
 	if b.hit = e.cache.get(b.key); b.hit != nil {
 		b.reuse = ReuseMapHit
 		return b

@@ -58,8 +58,8 @@ type State struct {
 	Detail string
 	// Rows is the active selection of base-table rows: the full table
 	// (store.All) at first, then what store.ScanRows (filters) and
-	// store.Route (regions) produce. Its fingerprint, the cache keys'
-	// selection part, is computed once per set.
+	// store.Route (regions) produce, each in its smallest form, so its
+	// fingerprint, the cache keys' selection part, names the set.
 	Rows *store.RowSet
 	// Map is the active data map (nil before the first theme selection).
 	Map *Map
@@ -117,7 +117,6 @@ func (d *Dataset) Open(opts Options) (*Explorer, error) {
 	e := &Explorer{table: d.table, opts: opts, rng: rng, metric: stats.Euclidean{}, graph: d.graph, themes: d.themes}
 	if opts.MapCacheSize > 0 {
 		e.cache = newMapCache(opts.MapCacheSize)
-		e.cfg = optionsFingerprint(opts)
 	}
 	e.states = []*State{{Action: Action{Kind: ActionInit}, Detail: "full table", Rows: store.All(d.table.NumRows())}}
 	return e, nil
@@ -142,10 +141,8 @@ type Explorer struct {
 	states []*State // states[len-1] is current
 
 	// cache is the zoom-aware map cache, whose cold entries also hold
-	// their builds' artifacts for derivation (nil when disabled); cfg is
-	// the build-relevant options fingerprint baked into its keys.
+	// their builds' artifacts for derivation (nil when disabled).
 	cache *mapCache
-	cfg   uint64
 
 	// scratch holds the last build's distance matrix once the build is
 	// done with it, so the next build computes its own on that storage

@@ -11,15 +11,15 @@ import (
 const DefaultMapCacheSize = 16
 
 // mapKey identifies one cached map build. Two builds share an entry iff
-// they cluster the same selection (row fingerprint + count), under the
-// same theme, with the same effective clustering configuration — the
-// keying rule of the zoom cache. The session dimension of the key is
-// implicit: every Explorer owns its own cache.
+// they cluster the same selection (row fingerprint + count) under the
+// same theme — the keying rule of the zoom cache. The session and its
+// options are implicit: every Explorer owns its own cache, and its
+// options are fixed when it opens (Dataset.Open), before the cache
+// exists.
 type mapKey struct {
-	rows   uint64 // the selection's store.RowSet.Fingerprint
-	n      int    // row count, a cheap collision guard
-	theme  int    // Theme.ID (themes are immutable once detected)
-	config uint64 // fingerprint of the build-relevant Options
+	rows  uint64 // the selection's store.RowSet.Fingerprint
+	n     int    // row count, a cheap collision guard
+	theme int    // Theme.ID (themes are immutable once detected)
 }
 
 // mapCache is the session's one reuse cache: a small LRU of finished
@@ -142,9 +142,9 @@ type ReuseStats struct {
 // never share mutable regions, and annotations made on one state can
 // neither leak into a later re-zoom nor be mutated through it.
 // Annotations are dropped (a fresh build has none); the routing (so
-// every region's rows, and their fingerprint, are built once across the
-// original and all its clones), Split and Condition are shared — they
-// are read-only once built.
+// every region's rows are built once across the original and all its
+// clones), Split and Condition are shared — they are read-only once
+// built.
 func cloneForReuse(m *Map) *Map {
 	out := *m
 	out.Root = cloneRegion(m.Root)

@@ -18,12 +18,7 @@
 // their matrices on one recycled buffer.
 package core
 
-import (
-	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"reflect"
-)
+import "math/rand"
 
 // Options tunes the exploration engine.
 type Options struct {
@@ -56,13 +51,14 @@ type Options struct {
 	// Parallelism is ignored; removed with ROADMAP 8(f).
 	Parallelism int
 	// MapCacheSize bounds the session's reuse cache: finished maps are
-	// keyed by (row-set fingerprint, theme, clustering config) and
-	// reused when navigation revisits a selection, e.g. rollback
-	// followed by a re-zoom into the same region. A cold build's entry
-	// also keeps its sample rows and fitted vectors, so a miss whose
-	// rows overlap that sample re-slices the parent's vectors instead of
-	// sampling and fitting anew. 0 means DefaultMapCacheSize; negative
-	// disables the cache, derivation included.
+	// keyed by (row-set fingerprint, row count, theme) and reused when
+	// navigation revisits a selection, e.g. rollback followed by a
+	// re-zoom into the same region. The options are not in the key: they
+	// are fixed when the session opens, before its cache exists. A cold
+	// build's entry also keeps its sample rows and fitted vectors, so a
+	// miss whose rows overlap that sample re-slices the parent's vectors
+	// instead of sampling and fitting anew. 0 means DefaultMapCacheSize;
+	// negative disables the cache, derivation included.
 	MapCacheSize int
 	// DerivedSampleMin is the smallest overlap (rows of a new selection
 	// found in a cached parent's sample) a derived build accepts as its
@@ -75,50 +71,6 @@ type Options struct {
 // historyLimit bounds the rollback stack. It counts the initial state,
 // which trimming never drops.
 const historyLimit = 64
-
-// optionInKey classifies every field of Options as in the cache key
-// (true: the field changes which map a build produces for a given rows
-// and theme) or not; optionsFingerprint hashes exactly the fields marked
-// true, so the key cannot drift from this table, and
-// TestEveryOptionIsClassified fails for a field that is missing from it
-// or whose change does not move the fingerprint as marked. A field is
-// left out (false) when it changes how fast a map is built, not which
-// map (results are byte-identical at every setting), or when it never
-// reaches buildMap at all.
-var optionInKey = map[string]bool{
-	// Which sample is drawn and how it becomes vectors, then model
-	// selection and description over them.
-	"SampleSize":   true,
-	"MapKMin":      true,
-	"MapKMax":      true,
-	"TreeMaxDepth": true,
-	"TreeMinLeaf":  true,
-	"PAMThreshold": true,
-	// The engine's random stream: fixed by the Dataset the Explorer
-	// opens on, and a cache never outlives its Explorer.
-	"Seed": false,
-	// Theme detection: fixed by the Dataset (Open rejects another
-	// value), and a partition's theme IDs are in the key.
-	"DependencySampleRows": false,
-	// Ignored.
-	"Parallelism": false,
-	// The cache's own size and reuse policy.
-	"MapCacheSize":     false,
-	"DerivedSampleMin": false,
-}
-
-// optionsFingerprint hashes, in declaration order, the fields of o that
-// optionInKey marks as in the cache key.
-func optionsFingerprint(o Options) uint64 {
-	h := fnv.New64a()
-	v := reflect.ValueOf(o)
-	for i := 0; i < v.NumField(); i++ {
-		if optionInKey[v.Type().Field(i).Name] {
-			fmt.Fprintf(h, "%v|", v.Field(i).Interface())
-		}
-	}
-	return h.Sum64()
-}
 
 // DefaultOptions returns the engine defaults described in the paper.
 func DefaultOptions() Options {

@@ -61,7 +61,7 @@ func (r *Region) Count() int {
 // RowIDs returns the base-table rows of the selection falling in the
 // region. An engine-built region's set is built on the first call and
 // shared afterwards — by every clone of its map, and by the state a zoom
-// into the region pushes, so its fingerprint is computed once.
+// into the region pushes, so its rows are collected once.
 func (r *Region) RowIDs() *store.RowSet {
 	if r.routed != nil {
 		return r.routed.Rows(r.node)

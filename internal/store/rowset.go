@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // RowSet is a set of row ids — immutable, ascending, duplicate-free —
@@ -27,8 +26,6 @@ type RowSet struct {
 	n      int      // cardinality
 	words  []uint64 // the bitmap form: bit i is row lo+i
 	ids    []int    // the list form
-	fpOnce sync.Once
-	fp     uint64
 }
 
 // All returns the rows [0, n): the whole of an n-row relation, at no
@@ -78,21 +75,44 @@ func bitmapWins(n, span int) bool { return bitmapWords(span) < n }
 // Len returns how many rows the set holds.
 func (s *RowSet) Len() int { return s.n }
 
-// Fingerprint hashes the rows, ascending (FNV-1a, 64 bit, each row as
-// eight little-endian bytes — the value hash/fnv gives): the selection
-// part of the engine's cache keys. It is computed on the first call and
-// kept; concurrent first calls are safe.
+// Fingerprint hashes the set's form, seeded with its size: a range by
+// its bounds, a bitmap by its first row and its words, a list by its
+// ids, one 64-bit mix a word. So a range costs O(1) and any other set at
+// most span/64 mixes, with no memo. It is the selection part of the
+// engine's cache keys, and equal sets hash equal because every set that
+// reaches a key is in its smallest form: All, RowsOf and the routing
+// nodes' sets (Routing.Rows, and ScanRows through it) pick the form from
+// (n, span), and an empty set is the range {0, 0, 0}. Only listOf keeps
+// a list whatever the span, and its sets (PartitionRows') never reach a
+// key.
 func (s *RowSet) Fingerprint() uint64 {
-	s.fpOnce.Do(func() {
-		const offset64 = 14695981039346656037
-		h := uint64(offset64)
-		s.runs(kernelChunk, 0, func(_, _ int, run []int) bool {
-			h = fnvRows(h, run)
-			return true
-		})
-		s.fp = h
-	})
-	return s.fp
+	h := mix64(uint64(s.n))
+	switch {
+	case s.ids != nil:
+		return mixAll(h, s.ids)
+	case s.words != nil:
+		return mixAll(mix64(h^uint64(s.lo)), s.words)
+	}
+	return mix64(mix64(h^uint64(s.lo)) ^ uint64(s.hi))
+}
+
+// mixAll folds xs into h, one mix64 a word, in four interleaved chains
+// so that consecutive mixes overlap in the pipeline, then joins them.
+func mixAll[T int | uint64](h uint64, xs []T) uint64 {
+	c := [4]uint64{h, h + 1, h + 2, h + 3}
+	for i, x := range xs {
+		c[i&3] = mix64(c[i&3] ^ uint64(x))
+	}
+	return mix64(mix64(mix64(c[0]^c[1])^c[2]) ^ c[3])
+}
+
+// mix64 is one splitmix64 step (the golden-ratio increment, then the
+// finalizer): a bijection that spreads every input bit over the output.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Each calls fn with every row, ascending.
@@ -367,24 +387,4 @@ func setBits(words []uint64, base int, run []int, m []uint8) {
 		acc |= uint64(m[k]) << (d & 63)
 	}
 	words[wi] |= acc
-}
-
-// fnvRows folds rows into the FNV-1a hash h, eight little-endian bytes a
-// row.
-//
-//blaeu:hot
-func fnvRows(h uint64, rows []int) uint64 {
-	const prime64 = 1099511628211
-	for _, r := range rows {
-		v := uint64(r)
-		h = (h ^ v&0xff) * prime64
-		h = (h ^ v>>8&0xff) * prime64
-		h = (h ^ v>>16&0xff) * prime64
-		h = (h ^ v>>24&0xff) * prime64
-		h = (h ^ v>>32&0xff) * prime64
-		h = (h ^ v>>40&0xff) * prime64
-		h = (h ^ v>>48&0xff) * prime64
-		h = (h ^ v>>56) * prime64
-	}
-	return h
 }

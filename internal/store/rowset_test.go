@@ -1,26 +1,17 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// fingerprintRows is the specification of RowSet.Fingerprint: hash/fnv's
-// FNV-1a over the ascending rows, each as eight little-endian bytes.
-func fingerprintRows(rows []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, r := range rows {
-		binary.LittleEndian.PutUint64(buf[:], uint64(r))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// fingerprintOf is the fingerprint of the set of ids as RowsOf builds
+// it: what every other construction of the same rows must hash to.
+func fingerprintOf(ids []int) uint64 { return RowsOf(slices.Clone(ids)).Fingerprint() }
 
 // formOf names the form a set took.
 func formOf(s *RowSet) string {
@@ -68,7 +59,8 @@ func rowSetShapes(rng *rand.Rand, n, rpp int) map[string][]int {
 }
 
 // assertRowSet holds s against its reference ids: form, size, rows,
-// positions, intersection, fingerprint and the kernels' runs.
+// positions, intersection, the kernels' runs, and a fingerprint equal to
+// RowsOf's set of the same ids.
 func assertRowSet(t *testing.T, what string, s *RowSet, ids []int, rng *rand.Rand) {
 	t.Helper()
 	if f, want := formOf(s), smallestForm(ids); f != want {
@@ -111,7 +103,7 @@ func assertRowSet(t *testing.T, what string, s *RowSet, ids []int, rng *rand.Ran
 	if got := s.Intersect(probe); !equalInts(got, want) {
 		t.Fatalf("%s: Intersect = %v, want %v", what, got, want)
 	}
-	if got, want := s.Fingerprint(), fingerprintRows(ids); got != want {
+	if got, want := s.Fingerprint(), fingerprintOf(ids); got != want {
 		t.Fatalf("%s: Fingerprint %x, want %x", what, got, want)
 	}
 	for _, limit := range []int{1, 5, 64, 1000} {
@@ -143,8 +135,10 @@ func assertRuns(t *testing.T, what string, s *RowSet, ids []int, limit, rpp int)
 
 // TestRowSetMatchesReference is RowSet's property test: every shape,
 // built by RowsOf and by the two producers that build sets (a routing
-// node, the scan) over both backings, is in its smallest form and reads
-// as its reference list through every method and the kernels' runs.
+// node, the scan) over both backings, is in its smallest form, reads as
+// its reference list through every method and the kernels' runs, and
+// fingerprints as RowsOf's set of its rows does — so a region and a
+// filter selecting the same rows share a cache key.
 func TestRowSetMatchesReference(t *testing.T) {
 	const n = 2000
 	mem, seg := openBoth(t, n, 1<<20)
@@ -164,12 +158,15 @@ func TestRowSetMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if s := All(n); formOf(s) != "range" || s.Len() != n || s.Fingerprint() != fingerprintRows(rangeRows(0, n)) {
+	if s := All(n); formOf(s) != "range" || s.Len() != n || s.Fingerprint() != fingerprintOf(rangeRows(0, n)) {
 		t.Fatalf("All(%d) is a %s of %d rows", n, formOf(s), s.Len())
 	}
 }
 
-// FuzzRowSet holds random ascending ids against the []int reference.
+// FuzzRowSet holds random ascending ids against the []int reference,
+// and holds the identity law: the scan's set of the same ids (a routing
+// node's, built from (n, span) as RowsOf's is) fingerprints equal, and
+// dropping an id or adding one past the last changes the fingerprint.
 func FuzzRowSet(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1}, uint16(0))
 	f.Add([]byte{63, 1, 64, 200, 1}, uint16(5))
@@ -182,16 +179,30 @@ func FuzzRowSet(f *testing.F) {
 			r += 1 + int(g)%67
 		}
 		assertRowSet(t, fmt.Sprintf("%v", ids), RowsOf(append([]int(nil), ids...)), ids, rand.New(rand.NewSource(int64(len(ids)))))
+
+		want := fingerprintOf(ids)
+		tab := NewTable("fuzz")
+		tab.MustAddColumn(NewIntColumnFrom("x", make([]int64, r)))
+		if got := ScanRows(tab, True{}, RowsOf(slices.Clone(ids))).Fingerprint(); got != want {
+			t.Fatalf("%v: the scan's set fingerprints %x, RowsOf's %x", ids, got, want)
+		}
+		if len(ids) > 0 {
+			if k := len(ids) / 2; fingerprintOf(slices.Delete(slices.Clone(ids), k, k+1)) == want {
+				t.Fatalf("%v: dropping row %d keeps the fingerprint", ids, ids[k])
+			}
+		}
+		if fingerprintOf(append(slices.Clone(ids), r)) == want {
+			t.Fatalf("%v: adding row %d keeps the fingerprint", ids, r)
+		}
 	})
 }
 
-// TestRowSetConcurrent: goroutines take a shared set's first
-// Fingerprint at once, and read its runs at once. Run under -race by
-// `make race-scan`.
+// TestRowSetConcurrent: goroutines take a shared set's Fingerprint at
+// once, and read its runs at once. Run under -race by `make race-scan`.
 func TestRowSetConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for name, ids := range rowSetShapes(rng, 5000, 64) {
-		s, want := RowsOf(append([]int(nil), ids...)), fingerprintRows(ids)
+		s, want := RowsOf(append([]int(nil), ids...)), fingerprintOf(ids)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -234,6 +245,31 @@ func BenchmarkRowSetRuns(b *testing.B) {
 					return true
 				})
 				benchSink = sum
+			}
+		})
+	}
+}
+
+// BenchmarkRowSetFingerprint names a 1.6M-row selection in each form —
+// every row (a range), every third (a bitmap), every hundredth (a list).
+// Each iteration hashes a fresh header over the same storage, so no
+// value kept from an earlier call is what gets timed.
+func BenchmarkRowSetFingerprint(b *testing.B) {
+	const n = 1_600_000
+	for _, step := range []int{1, 3, 100} {
+		s := All(n)
+		if step > 1 {
+			var ids []int
+			for r := 0; r < n; r += step {
+				ids = append(ids, r)
+			}
+			s = RowsOf(ids)
+		}
+		b.Run(formOf(s), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := &RowSet{lo: s.lo, hi: s.hi, n: s.n, words: s.words, ids: s.ids}
+				benchSink = int(h.Fingerprint())
 			}
 		})
 	}
