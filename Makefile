@@ -15,7 +15,8 @@ race-jobs:
 
 # Concurrent builds on one explorer under the race detector (also a CI
 # step): derived builds sharing one cached parent's vectors, cold builds
-# contending for the explorer's one scratch matrix, the cluster-layer
+# on one explorer and on sessions of one Dataset contending for the
+# dataset's spent matrices (TestConcurrentColdBuilds*), the cluster-layer
 # subsets of one lazy parent, CLARA's per-sample runs subsetting one
 # shared lazy parent, map-cache clones building their regions' rows
 # and highlight statistics in one shared routing, and sessions opened at
@@ -26,7 +27,8 @@ race-derived:
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
-# eviction under pinning, single-flight load dedup — plus the counter
+# eviction under pinning, single-flight load dedup, the first string
+# predicates over a column building its value -> code map — plus the counter
 # conservation laws (hits+misses == lookups, evictions <= inserts) on
 # the buffer pool's registry mirrors and the core reuse cache.
 race-store:
@@ -120,8 +122,11 @@ bench:
 # BenchmarkPAMClassic in internal/cluster), the storage-engine filter
 # benchmarks, the scan benchmarks (limit pushdown, sample gathers), the
 # kernels behind the filter and highlight clicks (BenchmarkFilterKernel*,
-# BenchmarkStatsRows*) and the row set's run reads and fingerprint in
-# each form (BenchmarkRowSetRuns, BenchmarkRowSetFingerprint).
+# BenchmarkStatsRows*), the row set's run reads and fingerprint in
+# each form (BenchmarkRowSetRuns, BenchmarkRowSetFingerprint), a string
+# equality's compile, first and later (BenchmarkCompileStrEq), a string
+# filter click and LIMIT query (BenchmarkFilterStrEq) and a new
+# session's first map on a shared Dataset (BenchmarkSessionFirstBuild).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store

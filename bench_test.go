@@ -350,6 +350,82 @@ func BenchmarkOpen(b *testing.B) {
 	})
 }
 
+// BenchmarkSessionFirstBuild is a new session's first map on the
+// explore_mem workload's table (bench/load: LOFAR, 100 000 rows, sample
+// 1100, seed 1): open on a shared Dataset, select the first theme. Each
+// session's cache starts empty, so every build is cold. An earlier
+// session's build has left its distance matrix to the dataset, so the
+// one a build computes (4.84 MB at n=1100) is no part of B/op.
+func BenchmarkSessionFirstBuild(b *testing.B) {
+	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
+	opts := core.Options{Seed: 1, SampleSize: 1100}
+	d, err := core.NewDataset(ds.Table, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	first := func() {
+		e, err := d.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.SelectTheme(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	first()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first()
+	}
+}
+
+// BenchmarkFilterStrEq is a string equality on the explore_mem
+// workload's table (bench/load: LOFAR, 100 000 rows, sample 1100, seed
+// 1) over SourceID, whose 100 000 values are all distinct, against its
+// last dictionary entry: the slowest lookup a compile's dictionary scan
+// makes. click is a session's filter click and its rollback, on a map
+// the session's cache holds after the first run, so each run pays the
+// parse, the compile and the scan, not a build; sql-limit is a LIMIT
+// query over a value no row holds, which routes every row range of the
+// limit's pushdown.
+func BenchmarkFilterStrEq(b *testing.B) {
+	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
+	b.Run("click", func(b *testing.B) {
+		e, err := core.NewExplorer(ds.Table, core.Options{Seed: 1, SampleSize: 1100})
+		if err != nil {
+			b.Fatal(err)
+		}
+		click := func() {
+			if _, err := e.FilterExpr("SourceID <> 'LOFAR-0099999'"); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Rollback(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		click()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			click()
+		}
+	})
+	b.Run("sql-limit", func(b *testing.B) {
+		cat := store.MapCatalog{"lofar": ds.Table}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := store.RunSQL("SELECT SourceID FROM lofar WHERE SourceID = 'LOFAR-9999999' LIMIT 10", cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.NumRows() != 0 {
+				b.Fatalf("%d rows hold an absent value", res.NumRows())
+			}
+		}
+	})
+}
+
 // BenchmarkMapBuild times one full mapping-pipeline pass (the latency of
 // a theme selection or zoom) over the oracle the engine chooses, with the
 // sampling budget raised to the full input so the oracle's size is what

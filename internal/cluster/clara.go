@@ -73,7 +73,6 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	type sampleRun struct {
 		idx     []int
 		medoids []int
-		labels  []int
 		cost    float64
 		err     error
 	}
@@ -105,10 +104,10 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		for i, m := range c.Medoids {
 			r.medoids[i] = r.idx[m]
 		}
-		// Extend the sample clustering to the full dataset — the
+		// Cost the sample's medoids over the full dataset — the
 		// expensive O(n·k) half of a sample's work, also parallelized
-		// by the fan-out.
-		r.labels, r.cost = AssignToMedoids(o, r.medoids)
+		// by the fan-out. Only the winner is labelled, below.
+		r.cost = assignInto(o, r.medoids, nil)
 	})
 
 	var best *sampleRun
@@ -122,5 +121,6 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 			best = r
 		}
 	}
-	return &Clustering{K: k, Labels: best.labels, Medoids: best.medoids, Cost: best.cost, Silhouette: math.NaN()}, nil
+	labels, _ := AssignToMedoids(o, best.medoids)
+	return &Clustering{K: k, Labels: labels, Medoids: best.medoids, Cost: best.cost, Silhouette: math.NaN()}, nil
 }

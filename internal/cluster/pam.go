@@ -101,18 +101,26 @@ func PAM(o Oracle, k int) (*Clustering, error) {
 // medoid (by position in the medoids slice) and returns labels plus the
 // total cost. Used by CLARA to extend a sample clustering to the full set.
 func AssignToMedoids(o Oracle, medoids []int) ([]int, float64) {
-	n := o.N()
-	labels := make([]int, n)
+	labels := make([]int, o.N())
+	return labels, assignInto(o, medoids, labels)
+}
+
+// assignInto is AssignToMedoids writing the labels into labels, or only
+// summing the cost when labels is nil: one loop, so the cost is the same
+// float sum either way.
+func assignInto(o Oracle, medoids []int, labels []int) float64 {
 	total := 0.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < o.N(); i++ {
 		dBest, l := math.Inf(1), -1
 		for mi, m := range medoids {
 			if d := o.Dist(i, m); d < dBest {
 				dBest, l = d, mi
 			}
 		}
-		labels[i] = l
+		if labels != nil {
+			labels[i] = l
+		}
 		total += dBest
 	}
-	return labels, total
+	return total
 }

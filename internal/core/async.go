@@ -42,7 +42,8 @@ const (
 // (selection rows, theme, accumulated condition, a child RNG's seed and
 // the cache lookup: a finished map, failing that a parent artifact).
 // Run touches only that snapshot, immutable Explorer state (table,
-// options, metric) and the atomic scratch slot, so concurrent Runs of
+// options, metric) and the dataset's free list of spent matrices, which
+// is safe for concurrent use, so concurrent Runs of
 // one session cannot race as long as applies are serialized — which the
 // jobs pool guarantees by running a session's jobs one at a time.
 // ApplyBuild refuses to fire if the navigation state moved since Prepare
@@ -134,7 +135,7 @@ func (e *Explorer) prepareFilter(pred store.Predicate) (*MapBuild, error) {
 		return nil, fmt.Errorf("core: nil predicate")
 	}
 	cur := e.State()
-	rows := store.ScanRows(e.table, pred, cur.Rows)
+	rows := store.ScanRows(e.data.table, pred, cur.Rows)
 	if rows.Len() == 0 {
 		return nil, fmt.Errorf("core: predicate %s matches no tuples in the selection", pred)
 	}
@@ -202,8 +203,9 @@ func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
 // (may be nil) receives monotone fractions in [0, 1]. Derived builds
 // re-slice their artifact out of the parent's here, off the lock, and
 // every build that clusters computes its own oracle; the shared parent
-// artifact is read-only and the explorer's scratch matrix is taken by
-// one build at a time, so concurrent Runs on one explorer are safe.
+// artifact is read-only and a spent matrix off the dataset's free list
+// is taken by one build at a time, so concurrent Runs on one explorer,
+// or on sessions of one dataset, are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse level on the build trace, if one rides the
 	// context.

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/cores"
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -72,6 +72,8 @@ type State struct {
 // dependency graph over its clusterable columns (Fig. 2) and the themes
 // partitioned from it (Fig. 1a). It is immutable once built, and every
 // session opened on it (Open) shares its graph and themes read-only.
+// Its one mutable part is build scratch: the spent distance matrices
+// of its sessions' finished builds.
 type Dataset struct {
 	table  store.Relation
 	opts   Options
@@ -80,6 +82,17 @@ type Dataset struct {
 	// draws is how many values detection took from the seed's stream;
 	// Open starts each session's stream past them.
 	draws int
+
+	// spent holds matrices finished builds are done with, so that a
+	// later build of any session computes its own on that storage
+	// instead of allocating (see oracleStage). It is a free list, not
+	// one slot per session: at most cores.Width() builds run at once (a
+	// job worker holds a core), so that many matrices per dataset serve
+	// every concurrent build, where one per session grew with the
+	// sessions open. A session's first map reuses what an earlier
+	// session paid for, and a closed session leaves its matrix to them
+	// until Release.
+	spent chan *cluster.DistMatrix
 }
 
 // NewDataset detects the themes of the table, an in-memory *store.Table
@@ -94,7 +107,36 @@ func NewDataset(t store.Relation, opts Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{table: t, opts: opts, graph: g, themes: themes, draws: src.n}, nil
+	return &Dataset{table: t, opts: opts, graph: g, themes: themes, draws: src.n,
+		spent: make(chan *cluster.DistMatrix, cores.Width())}, nil
+}
+
+// takeMatrix returns a spent matrix off the free list, or nil when none
+// is free.
+func (d *Dataset) takeMatrix() *cluster.DistMatrix {
+	select {
+	case m := <-d.spent:
+		return m
+	default:
+		return nil
+	}
+}
+
+// putMatrix returns a matrix to the free list, or drops it when the
+// list is full.
+func (d *Dataset) putMatrix(m *cluster.DistMatrix) {
+	select {
+	case d.spent <- m:
+	default:
+	}
+}
+
+// Release drops the dataset's spent matrices, for a dataset no session
+// is open on: the next build allocates its own. A build still running
+// returns its matrix afterwards.
+func (d *Dataset) Release() {
+	for d.takeMatrix() != nil {
+	}
 }
 
 // Open opens an exploration session on the dataset, at the full
@@ -114,7 +156,7 @@ func (d *Dataset) Open(opts Options) (*Explorer, error) {
 	for range d.draws {
 		rng.Uint64()
 	}
-	e := &Explorer{table: d.table, opts: opts, rng: rng, metric: stats.Euclidean{}, graph: d.graph, themes: d.themes}
+	e := &Explorer{data: d, opts: opts, rng: rng, metric: stats.Euclidean{}, themes: d.themes}
 	if opts.MapCacheSize > 0 {
 		e.cache = newMapCache(opts.MapCacheSize)
 	}
@@ -125,31 +167,25 @@ func (d *Dataset) Open(opts Options) (*Explorer, error) {
 // Explorer is a Blaeu exploration session over one table. It is not safe
 // for concurrent use; wrap it in a session manager for serving. The
 // exception is MapBuild.Run, which only reads immutable fields and the
-// atomic scratch slot, and may execute on a scheduler worker while the
-// owner's lock is released (see MapBuild).
+// dataset's free list of spent matrices, and may execute on a scheduler
+// worker while the owner's lock is released (see MapBuild).
 type Explorer struct {
-	table store.Relation
-	opts  Options
+	// data is the dataset the session was opened on: its relation,
+	// dependency graph and spent matrices.
+	data *Dataset
+	opts Options
 	// rng is the session stream, started past theme detection's draws
 	// (Dataset.Open). Only prepare (which seeds each build from it)
 	// draws from it — inspections never do, so reads cannot change the
 	// next map.
 	rng    *rand.Rand
 	metric stats.Distance
-	graph  *graph.Graph
 	themes []Theme
 	states []*State // states[len-1] is current
 
 	// cache is the zoom-aware map cache, whose cold entries also hold
 	// their builds' artifacts for derivation (nil when disabled).
 	cache *mapCache
-
-	// scratch holds the last build's distance matrix once the build is
-	// done with it, so the next build computes its own on that storage
-	// instead of allocating (see oracleStage). A session's builds are
-	// serialized, so one slot serves them all; one per explorer, not per
-	// process, so a closed session's matrix goes with it.
-	scratch atomic.Pointer[cluster.DistMatrix]
 }
 
 // NewExplorer opens an exploration session on a Dataset of its own.
@@ -163,7 +199,7 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 }
 
 // Table returns the underlying relation.
-func (e *Explorer) Table() store.Relation { return e.table }
+func (e *Explorer) Table() store.Relation { return e.data.table }
 
 // Options returns the effective engine options (defaults applied).
 func (e *Explorer) Options() Options { return e.opts }
@@ -176,7 +212,7 @@ func (e *Explorer) Themes() []Theme { return e.themes }
 // DependencyGraph returns the dependency graph themes were derived from
 // (Fig. 2). It is the Dataset's, shared by every session on it:
 // read-only.
-func (e *Explorer) DependencyGraph() *graph.Graph { return e.graph }
+func (e *Explorer) DependencyGraph() *graph.Graph { return e.data.graph }
 
 // State returns the current navigation state.
 func (e *Explorer) State() *State { return e.states[len(e.states)-1] }
@@ -194,7 +230,7 @@ func (e *Explorer) History() []*State {
 func (e *Explorer) CurrentMap() *Map { return e.State().Map }
 
 // Selection materializes the current selection as a table.
-func (e *Explorer) Selection() *store.Table { return e.table.Gather(e.State().Rows.AppendTo(nil)) }
+func (e *Explorer) Selection() *store.Table { return e.data.table.Gather(e.State().Rows.AppendTo(nil)) }
 
 // Query renders the implicit Select-Project query of the current state,
 // e.g. `SELECT <theme columns> FROM t WHERE hours < 20 AND income >= 22`.
@@ -203,7 +239,7 @@ func (e *Explorer) Query() string { return e.queryOf(e.State()) }
 
 // queryOf renders the implicit query of any state, current or not.
 func (e *Explorer) queryOf(s *State) string {
-	q := &store.Query{Table: e.table.Name()}
+	q := &store.Query{Table: e.data.table.Name()}
 	if s.Map != nil {
 		q.Columns = s.Map.Theme.Columns
 	}
@@ -251,14 +287,14 @@ func (e *Explorer) Project(themeID int) (*Map, error) {
 // executable. The result holds the same tuples as Selection(), projected
 // onto the active theme's columns.
 func (e *Explorer) ExecuteQuery() (*store.Table, error) {
-	return store.RunSQL(e.Query(), store.MapCatalog{e.table.Name(): e.table})
+	return store.RunSQL(e.Query(), store.MapCatalog{e.data.table.Name(): e.data.table})
 }
 
 // RunSQL executes an arbitrary Select-Project query against the base
 // table (the escape hatch for users who outgrow the quantized query
 // space).
 func (e *Explorer) RunSQL(query string) (*store.Table, error) {
-	return store.RunSQL(query, store.MapCatalog{e.table.Name(): e.table})
+	return store.RunSQL(query, store.MapCatalog{e.data.table.Name(): e.data.table})
 }
 
 // Rollback reverts to the previous state (paper §2: every action is

@@ -35,7 +35,7 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	if cur.Map == nil {
 		return nil, fmt.Errorf("core: no active map to highlight (select a theme first)")
 	}
-	col := e.table.ColumnByName(column)
+	col := e.data.table.ColumnByName(column)
 	if col == nil {
 		return nil, fmt.Errorf("core: no column %q", column)
 	}
@@ -92,7 +92,7 @@ func (e *Explorer) RegionHistogram(column string, bins int, path ...int) (*Histo
 	if cur.Map == nil {
 		return nil, fmt.Errorf("core: no active map")
 	}
-	col := e.table.ColumnByName(column)
+	col := e.data.table.ColumnByName(column)
 	if col == nil {
 		return nil, fmt.Errorf("core: no column %q", column)
 	}

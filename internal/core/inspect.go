@@ -34,8 +34,8 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 	if cur.Map == nil {
 		return nil, fmt.Errorf("core: no active map")
 	}
-	cx := e.table.ColumnByName(xCol)
-	cy := e.table.ColumnByName(yCol)
+	cx := e.data.table.ColumnByName(xCol)
+	cy := e.data.table.ColumnByName(yCol)
 	if cx == nil || cy == nil {
 		return nil, fmt.Errorf("core: unknown column %q or %q", xCol, yCol)
 	}

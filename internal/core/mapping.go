@@ -143,11 +143,11 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	report(0.15)
 
 	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, report)
-	// The matrix goes back to the slot on return, error or not. A panic
-	// skips this and drops it: the next build allocates afresh rather
-	// than trust storage a failed build was writing.
+	// The matrix goes back to the dataset's free list on return, error
+	// or not. A panic skips this and drops it: a later build allocates
+	// afresh rather than trust storage a failed build was writing.
 	if matrix != nil {
-		e.scratch.CompareAndSwap(nil, matrix)
+		e.data.putMatrix(matrix)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -202,7 +202,7 @@ func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
 // over a segment touches only the pages of those columns it actually
 // draws from. A theme column missing from the table is an error.
 func (e *Explorer) gatherSample(rows []int, theme Theme) (*store.Table, error) {
-	return store.ScanGather(e.table, rows, theme.Columns, 0)
+	return store.ScanGather(e.data.table, rows, theme.Columns, 0)
 }
 
 // prepStage fits the preprocessing pipeline on the gathered sample and
@@ -222,15 +222,16 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 // small samples (fast repeated access by PAM), lazy above
 // cluster.DefaultMaterializeThreshold — and both answer with the same
 // bits, so the choice moves memory and speed, never the map. A matrix is
-// built on the storage of the explorer's spent one: the slot is emptied
-// by the swap, so two concurrent builds never share it (the second
-// allocates), and a build that goes lazy puts the spent matrix back.
+// built on the storage of a spent one taken off the dataset's free list:
+// a taken matrix is one build's alone, so concurrent builds never share
+// one (a build that finds the list empty allocates), and a build that
+// goes lazy puts the spent matrix back.
 func (e *Explorer) oracleStage(vecs [][]float64) (cluster.Oracle, *cluster.DistMatrix) {
-	spent := e.scratch.Swap(nil)
+	spent := e.data.takeMatrix()
 	o := cluster.NewOracle(vecs, e.metric, spent)
 	m, _ := o.(*cluster.DistMatrix)
 	if m == nil && spent != nil {
-		e.scratch.CompareAndSwap(nil, spent)
+		e.data.putMatrix(spent)
 	}
 	return o, m
 }
@@ -297,7 +298,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 	// tree; the regions mirror the tree over the routing, and build their
 	// rows only when read.
 	splits, nodes := tr.Root.Splits()
-	m.Root = regionsFromTree(nodes, splits, store.Route(e.table, splits, rows), 0, nil, nil, perCluster)
+	m.Root = regionsFromTree(nodes, splits, store.Route(e.data.table, splits, rows), 0, nil, nil, perCluster)
 	report(1)
 	return m, nil
 }
@@ -305,7 +306,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 // wholeSelection is the one region of a map without structure: the
 // selection itself, as node 0 of a routing through no split.
 func (e *Explorer) wholeSelection(rows *store.RowSet) *Region {
-	return &Region{routed: store.Route(e.table, store.SplitTree{{}}, rows), ClusterID: 0, Silhouette: math.NaN()}
+	return &Region{routed: store.Route(e.data.table, store.SplitTree{{}}, rows), ClusterID: 0, Silhouette: math.NaN()}
 }
 
 // regionsFromTree mirrors the fitted description tree over the routed

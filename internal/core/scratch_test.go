@@ -7,15 +7,28 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cores"
 	"repro/internal/stats"
 )
 
-// coldExplorer opens an explorer over a pinned table with the cache
-// off, so that every build is cold and computes its own matrix.
-func coldExplorer(t *testing.T, n int, opts Options) *Explorer {
+// coldDataset detects the themes of a pinned table under options with
+// the cache off, so that every build of a session opened on it is cold
+// and computes its own matrix.
+func coldDataset(t *testing.T, n int, opts Options) (*Dataset, Options) {
 	t.Helper()
 	opts.MapCacheSize = -1
-	e, err := NewExplorer(pinnedTable(n, 21).Table, opts)
+	d, err := NewDataset(pinnedTable(n, 21).Table, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, opts
+}
+
+// coldExplorer opens an explorer on a cold dataset of its own.
+func coldExplorer(t *testing.T, n int, opts Options) *Explorer {
+	t.Helper()
+	d, opts := coldDataset(t, n, opts)
+	e, err := d.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +45,8 @@ func TestColdBuildReusesScratchMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.SampleSize != n || e.scratch.Load() == nil {
-		t.Fatalf("first build clustered %d objects and left the slot %v", first.SampleSize, e.scratch.Load())
+	if first.SampleSize != n || len(e.data.spent) != 1 {
+		t.Fatalf("first build clustered %d objects and left %d spent matrices", first.SampleSize, len(e.data.spent))
 	}
 	got := allocated(func() {
 		if _, err := e.SelectTheme(0); err != nil {
@@ -42,6 +55,35 @@ func TestColdBuildReusesScratchMatrix(t *testing.T) {
 	})
 	if matrix := uint64(n*(n-1)/2) * 8; got >= matrix/2 {
 		t.Errorf("second cold build allocated %d bytes, one matrix is %d", got, matrix)
+	}
+}
+
+// TestSessionFirstBuildReusesScratchMatrix: the spent matrices belong to
+// the dataset, so a session's first cold build computes its matrix on
+// the storage an earlier session's build left, and allocates less than
+// half of one matrix all told.
+func TestSessionFirstBuildReusesScratchMatrix(t *testing.T) {
+	const n = 1500
+	d, opts := coldDataset(t, n, Options{Seed: 1})
+	first, err := d.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *Map
+	got := allocated(func() {
+		if m, err = second.SelectTheme(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if matrix := uint64(n*(n-1)/2) * 8; m.SampleSize != n || got >= matrix/2 {
+		t.Errorf("a new session's first cold build over %d objects allocated %d bytes, one matrix is %d", m.SampleSize, got, matrix)
 	}
 }
 
@@ -62,7 +104,7 @@ func (m *panicMetric) DistRow(a []float64, bs [][]float64, dst []float64) {
 // TestPanickingBuildLeavesScratchEmpty: a build whose metric panics
 // inside the matrix fill's fan-out panics on the build's own goroutine,
 // where a recover can catch it, and drops its matrix instead of
-// returning it to the slot.
+// returning it to the dataset's free list.
 func TestPanickingBuildLeavesScratchEmpty(t *testing.T) {
 	metric := &panicMetric{}
 	e := coldExplorer(t, 600, Options{Seed: 2})
@@ -70,8 +112,8 @@ func TestPanickingBuildLeavesScratchEmpty(t *testing.T) {
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	if e.scratch.Load() == nil {
-		t.Fatal("a finished build left the slot empty")
+	if len(e.data.spent) != 1 {
+		t.Fatalf("a finished build left %d spent matrices, want 1", len(e.data.spent))
 	}
 	metric.armed.Store(true)
 	b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
@@ -86,19 +128,19 @@ func TestPanickingBuildLeavesScratchEmpty(t *testing.T) {
 		}()
 		_, _ = b.Run(context.Background(), nil)
 	}()
-	if m := e.scratch.Load(); m != nil {
-		t.Fatalf("a panicked build returned its %d-object matrix to the slot", m.N())
+	if n := len(e.data.spent); n != 0 {
+		t.Fatalf("a panicked build returned its matrix to the free list: %d spent", n)
 	}
 }
 
 // TestConcurrentColdBuildsScratch: two cold builds prepared on one
-// explorer and run at once contend for its one scratch slot — one takes
-// the spent matrix, the other allocates — and both give the maps serial
+// explorer and run at once contend for the dataset's one spent matrix —
+// one takes it, the other allocates — and both give the maps serial
 // runs give (run under -race in CI).
 func TestConcurrentColdBuildsScratch(t *testing.T) {
 	digests := func(concurrent bool) string {
 		e := coldExplorer(t, 300, Options{Seed: 4})
-		if _, err := e.SelectTheme(0); err != nil { // fills the slot
+		if _, err := e.SelectTheme(0); err != nil { // leaves one spent matrix
 			t.Fatal(err)
 		}
 		builds := make([]*MapBuild, 2)
@@ -132,8 +174,8 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 			}
 			mapDigest(&sb, builds[i].next.Detail, m)
 		}
-		if e.scratch.Load() == nil {
-			t.Fatal("neither build returned its matrix to the slot")
+		if n := len(e.data.spent); n == 0 || n > min(2, cores.Width()) {
+			t.Fatalf("the builds left %d spent matrices, want 1 to %d", n, min(2, cores.Width()))
 		}
 		return sb.String()
 	}
@@ -141,6 +183,59 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		if got := digests(true); got != want {
 			t.Fatalf("round %d: concurrent builds gave\n%s\nserial runs\n%s", round, got, want)
+		}
+	}
+}
+
+// TestConcurrentColdBuildsAcrossSessions: cores.Width()+1 sessions on
+// one dataset, each building a cold map at once, contend for the
+// dataset's free list of spent matrices. Their maps are the ones serial
+// runs give, and afterwards the dataset holds at most cores.Width()
+// matrices, not one per session (run under -race in CI).
+func TestConcurrentColdBuildsAcrossSessions(t *testing.T) {
+	sessions := cores.Width() + 1
+	digests := func(concurrent bool) string {
+		d, opts := coldDataset(t, 300, Options{Seed: 4})
+		explorers := make([]*Explorer, sessions)
+		for i := range explorers {
+			e, err := d.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explorers[i] = e
+		}
+		maps := make([]*Map, sessions)
+		errs := make([]error, sessions)
+		var wg sync.WaitGroup
+		for i, e := range explorers {
+			run := func() { maps[i], errs[i] = e.SelectTheme(i % len(d.themes)) }
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		for i, m := range maps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			mapDigest(&sb, explorers[i].State().Detail, m)
+		}
+		if n := len(d.spent); n == 0 || n > cores.Width() {
+			t.Fatalf("%d sessions' builds left %d spent matrices, want 1 to %d", sessions, n, cores.Width())
+		}
+		return sb.String()
+	}
+	want := digests(false)
+	for round := 0; round < 3; round++ {
+		if got := digests(true); got != want {
+			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
 		}
 	}
 }

@@ -110,9 +110,9 @@ type SnapshotState struct {
 // Snapshot captures the session's current trail.
 func (e *Explorer) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Table: e.table.Name(),
-		Rows:  e.table.NumRows(),
-		Cols:  e.table.NumCols(),
+		Table: e.data.table.Name(),
+		Rows:  e.data.table.NumRows(),
+		Cols:  e.data.table.NumCols(),
 	}
 	for _, th := range e.themes {
 		s.Themes = append(s.Themes, th.View())

@@ -119,7 +119,7 @@ func (e *Explorer) AddTheme(cols []string) (int, error) {
 	}
 	seen := make(map[string]bool, len(cols))
 	for _, c := range cols {
-		if e.table.ColumnByName(c) == nil {
+		if e.data.table.ColumnByName(c) == nil {
 			return 0, fmt.Errorf("core: no column %q", c)
 		}
 		if seen[c] {
@@ -134,14 +134,14 @@ func (e *Explorer) AddTheme(cols []string) (int, error) {
 	}
 	known := true
 	for _, c := range cols {
-		if e.graph.Index(c) < 0 {
+		if e.data.graph.Index(c) < 0 {
 			known = false
 			break
 		}
 	}
 	if known {
-		th.Cohesion = themeCohesion(e.graph, th.Columns)
-		sortByCentrality(e.graph, th.Columns)
+		th.Cohesion = themeCohesion(e.data.graph, th.Columns)
+		sortByCentrality(e.data.graph, th.Columns)
 		th.Medoid = th.Columns[0]
 	}
 	e.themes = append(slices.Clip(e.themes), th)

@@ -33,7 +33,8 @@ type Session struct {
 	// Created is the open time.
 	Created time.Time
 
-	seq int // creation order; ID is its formatted form
+	seq  int           // creation order; ID is its formatted form
+	data *core.Dataset // the dataset the session was opened on
 	// lastUsed is the latest Do in Unix nanoseconds — atomic, not under
 	// mu: the idle sweep reads it holding the registry lock and must not
 	// wait there for a click in flight (a filter's scan runs inside Do).
@@ -60,6 +61,9 @@ func (s *Session) Do(f func(e *core.Explorer) error) error {
 type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
+	// datasets are the datasets sessions were opened on since a sweep
+	// last released them (see EvictIdle).
+	datasets map[*core.Dataset]bool
 	nextID   int
 	now      func() time.Time
 	pool     *jobs.Pool
@@ -84,6 +88,7 @@ func NewManagerObs(cfg jobs.Config, tel *obs.Telemetry) *Manager {
 	cfg.Obs = tel.Reg()
 	return &Manager{
 		sessions: make(map[string]*Session),
+		datasets: make(map[*core.Dataset]bool),
 		now:      time.Now,
 		pool:     jobs.NewPoolConfig(cfg),
 		tel:      tel,
@@ -120,9 +125,11 @@ func (m *Manager) Open(d *core.Dataset, opts core.Options, tenant string) (*Sess
 		Explorer: e,
 		Created:  m.now(),
 		seq:      m.nextID,
+		data:     d,
 	}
 	s.lastUsed.Store(s.Created.UnixNano())
 	m.sessions[s.ID] = s
+	m.datasets[d] = true
 	return s, nil
 }
 
@@ -198,6 +205,11 @@ func (m *Manager) Len() int {
 // Jobs submitted in the race window between the check and the removal
 // are still cancelled on the way out. The sweep takes no session's lock,
 // so a click in flight never parks the registry behind itself.
+//
+// The sweep then releases the spent distance matrices of every dataset
+// left with no open session, evicted or closed (core.Dataset.Release),
+// so an idle server gives them back; between sweeps a dataset's next
+// session reuses them.
 func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 	m.mu.Lock()
 	cutoff := m.now().Add(-maxIdle)
@@ -208,9 +220,23 @@ func (m *Manager) EvictIdle(maxIdle time.Duration) int {
 			evicted = append(evicted, id)
 		}
 	}
+	open := make(map[*core.Dataset]bool, len(m.datasets))
+	for _, s := range m.sessions {
+		open[s.data] = true
+	}
+	var idle []*core.Dataset
+	for d := range m.datasets {
+		if !open[d] {
+			delete(m.datasets, d)
+			idle = append(idle, d)
+		}
+	}
 	m.mu.Unlock()
 	for _, id := range evicted {
 		m.releaseSession(id)
+	}
+	for _, d := range idle {
+		d.Release()
 	}
 	return len(evicted)
 }

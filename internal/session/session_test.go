@@ -3,6 +3,7 @@ package session
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -192,5 +193,51 @@ func TestEvictIdleDoesNotStallRegistry(t *testing.T) {
 	}
 	if n := <-swept; n != 0 {
 		t.Errorf("sweep evicted %d fresh sessions", n)
+	}
+}
+
+// TestEvictIdleReleasesSpentMatrices: a dataset's spent distance
+// matrices outlive its sessions, so the next session's first build
+// reuses one, until a sweep finds the dataset with no open session and
+// releases them: the first build after it allocates a whole matrix.
+func TestEvictIdleReleasesSpentMatrices(t *testing.T) {
+	const n = 1500
+	m := NewManagerObs(jobs.Config{}, nil)
+	defer m.Shutdown()
+	rng := rand.New(rand.NewSource(3))
+	tab := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: 3, Dims: 4, Sep: 6}, rng).Table
+	opts := core.Options{Seed: 1, SampleSize: n, MapCacheSize: -1}
+	d, err := core.NewDataset(tab, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// session opens a session on d, builds its first map, closes it and
+	// returns the bytes the build allocated.
+	session := func() uint64 {
+		s, err := m.Open(d, opts, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Do(func(e *core.Explorer) error { _, err := e.SelectTheme(0); return err }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := m.Close(s.ID); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	matrix := uint64(n*(n-1)/2) * 8
+	session()
+	if got := session(); got >= matrix/2 {
+		t.Fatalf("a session's first build after another's allocated %d bytes, one matrix is %d", got, matrix)
+	}
+	if evicted := m.EvictIdle(time.Hour); evicted != 0 {
+		t.Fatalf("the sweep evicted %d sessions, none is open", evicted)
+	}
+	if got := session(); got < matrix {
+		t.Fatalf("the first build after a sweep allocated %d bytes, less than its %d-byte matrix", got, matrix)
 	}
 }

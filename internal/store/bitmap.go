@@ -7,7 +7,9 @@ package store
 import "math/bits"
 
 // Bitmap is a dense bitset used for null masks and row selections.
-// The zero value is an empty bitmap.
+// The zero value is an empty bitmap. A column's null bitmap is empty or
+// covers the column: a column with no null may hold no words at all,
+// since bits past the end read as clear.
 type Bitmap struct {
 	words []uint64
 	n     int // logical length in bits

@@ -276,21 +276,27 @@ func (c *IntColumn) Slice(lo, hi int) Column {
 // StringColumn is a nullable, dictionary-encoded vector of strings.
 type StringColumn struct {
 	name  string
-	codes []int32 // index into dict; -1 reserved unused (nulls via bitmap)
-	dict  []string
+	codes []int32  // index into dict; -1 reserved unused (nulls via bitmap)
+	dict  []string // each distinct value once
+	// index is Append's value -> code cache, built from dict on its
+	// first use. A column a table holds keeps none (Table.AddColumn
+	// drops it).
 	index map[string]int32
-	nulls *Bitmap
+	// lookup is the string predicates' value -> code map (kernel.go),
+	// built by the first one compiled over the column.
+	lookup valueIndex
+	nulls  *Bitmap
 }
 
 // NewStringColumn returns an empty string column with the given name.
 func NewStringColumn(name string) *StringColumn {
-	return &StringColumn{name: name, index: make(map[string]int32), nulls: NewBitmap(0)}
+	return &StringColumn{name: name, nulls: NewBitmap(0)}
 }
 
 // newStringColumnCap is NewStringColumn with room for n rows (the
 // dictionary still grows with the distinct values met).
 func newStringColumnCap(name string, n int) *StringColumn {
-	return &StringColumn{name: name, codes: make([]int32, 0, n), index: make(map[string]int32), nulls: newBitmapCap(n)}
+	return &StringColumn{name: name, codes: make([]int32, 0, n), nulls: newBitmapCap(n)}
 }
 
 // NewStringColumnFrom builds a string column from values ("" stays a value,
@@ -318,13 +324,27 @@ func (c *StringColumn) IsNull(i int) bool { return c.nulls.Get(i) }
 // NullCount implements Column.
 func (c *StringColumn) NullCount() int { return c.nulls.Count() }
 
+// cache returns Append's value -> code cache, built from dict on its
+// first use.
+func (c *StringColumn) cache() map[string]int32 {
+	if c.index == nil {
+		c.index = make(map[string]int32, len(c.dict))
+		for code, d := range c.dict {
+			c.index[d] = int32(code)
+		}
+	}
+	return c.index
+}
+
 // Append appends a non-null value.
 func (c *StringColumn) Append(v string) {
-	code, ok := c.index[v]
+	index := c.cache()
+	code, ok := index[v]
 	if !ok {
 		code = int32(len(c.dict))
 		c.dict = append(c.dict, v)
-		c.index[v] = code
+		index[v] = code
+		c.lookup.drop()
 	}
 	c.codes = append(c.codes, code)
 	c.nulls.Resize(len(c.codes))

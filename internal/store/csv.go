@@ -149,20 +149,22 @@ func (s *memSink) Consume(c *csvdec.Chunk) error {
 
 func (s *memSink) Abort() { s.chunks, s.codes = nil, nil }
 
-// encode maps cells to dictionary codes in order (0 at nulls). A value
-// new to the dictionary is copied, so the column never aliases the
-// block the cell was cut from.
+// encode maps cells to dictionary codes in order (0 at nulls), through
+// Append's cache, which the table the column joins drops. A value new
+// to the dictionary is copied, so the column never aliases the block
+// the cell was cut from.
 func (c *StringColumn) encode(cells []string, nulls []bool) []int32 {
+	index := c.cache()
 	codes := make([]int32, len(cells))
 	for i, v := range cells {
 		if nulls != nil && nulls[i] {
 			continue
 		}
-		code, ok := c.index[v]
+		code, ok := index[v]
 		if !ok {
 			code, v = int32(len(c.dict)), strings.Clone(v)
 			c.dict = append(c.dict, v)
-			c.index[v] = code
+			index[v] = code
 		}
 		codes[i] = code
 	}
@@ -184,11 +186,15 @@ func concat[T any](s *memSink, j int, cells func(ci int, c *segment.Cells) *[]T)
 func (s *memSink) table(name string) (*Table, error) {
 	t := NewTable(name)
 	for j, colName := range s.names {
-		nulls := NewBitmap(s.rows)
+		// A column with no null keeps an empty null bitmap.
+		nulls := NewBitmap(0)
 		base := 0
 		for _, c := range s.chunks {
 			for i, null := range c.Cols[j].Nulls {
 				if null {
+					if nulls.Len() == 0 {
+						nulls = NewBitmap(s.rows)
+					}
 					nulls.Set(base + i)
 				}
 			}

@@ -274,7 +274,7 @@ func TestReadCSVFileLeavesOptionsAlone(t *testing.T) {
 // TestReadCSVDoesNotPinInput: a table must retain its own data, not the
 // input. One unique key column and one wide constant column make the
 // difference two orders of magnitude: the file is ~400 B a row, the
-// table ~100 B a row (key, dictionary entry, index entry, two codes).
+// table well under that (key, dictionary entry, two codes).
 func TestReadCSVDoesNotPinInput(t *testing.T) {
 	const rows = 20000
 	var b bytes.Buffer

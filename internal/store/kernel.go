@@ -3,6 +3,7 @@ package store
 import (
 	"math"
 	"strconv"
+	"sync/atomic"
 )
 
 // The typed column reader and its batch kernels: the one way the
@@ -53,12 +54,44 @@ type colReader struct {
 	bits   []uint64
 	nulls  []uint64 // nil when the column has no nulls
 
-	dict  []string         // string columns: distinct values by code
-	index map[string]int32 // string columns: value -> code
+	dict  []string    // string columns: distinct values by code
+	index *valueIndex // string columns: the column's value -> code map
 
 	seg             *segCol
 	rpp, pi         int    // rpp is the page size (0 in memory: runs are cut by length only)
 	data, pageNulls []byte // pageNulls is nil when the page has no nulls
+}
+
+// valueIndex is a dictionary's value -> code map for the string
+// predicates compiled over its column. The first compile that needs it
+// builds it, and it is kept: a column no string predicate names holds
+// none, and one a click filters on pays the build once. A value that
+// repeats in a dictionary maps to its first code. Safe for concurrent
+// use.
+type valueIndex struct {
+	m atomic.Pointer[map[string]int32]
+}
+
+// of returns the map over dict, building it on the first call.
+func (x *valueIndex) of(dict []string) map[string]int32 {
+	if m := x.m.Load(); m != nil {
+		return *m
+	}
+	m := make(map[string]int32, len(dict))
+	for code, v := range dict {
+		if _, dup := m[v]; !dup {
+			m[v] = int32(code)
+		}
+	}
+	x.m.CompareAndSwap(nil, &m) // a racing build made the same map
+	return m
+}
+
+// drop forgets the map of a dictionary that grew.
+func (x *valueIndex) drop() {
+	if x.m.Load() != nil {
+		x.m.Store(nil)
+	}
 }
 
 // bindCol resolves the storage of c; it reports false for a column
@@ -74,11 +107,9 @@ func bindCol(c Column) (colReader, bool) {
 	case *BoolColumn:
 		rd.bits, nulls = c.vals.words, c.nulls
 	case *StringColumn:
-		rd.codes, nulls = c.codes, c.nulls
-		rd.dict, rd.index = c.dict, c.index
+		rd.codes, rd.dict, rd.index, nulls = c.codes, c.dict, &c.lookup, c.nulls
 	case *segCol:
-		rd.seg, rd.rpp = c, c.rpp
-		rd.dict, rd.index = c.dict, c.index
+		rd.seg, rd.rpp, rd.dict, rd.index = c, c.rpp, c.dict, &c.lookup
 	default:
 		return rd, false
 	}
@@ -250,16 +281,17 @@ func (ev *evaluator) compile(r Relation, p Predicate) predNode {
 			if p.Neq {
 				nd.op = Ne
 			}
-			if code, ok := ev.cols[col].index[p.Val]; ok {
+			if code, ok := ev.cols[col].index.of(ev.cols[col].dict)[p.Val]; ok {
 				nd.val = float64(code)
 			}
 			return nd
 		}
 	case StrIn:
 		if col, str, ok := leaf(p.Col); ok && str {
+			index := ev.cols[col].index.of(ev.cols[col].dict)
 			in := make([]bool, len(ev.cols[col].dict))
 			for _, v := range p.Vals {
-				if code, ok := ev.cols[col].index[v]; ok {
+				if code, ok := index[v]; ok {
 					in[code] = true
 				}
 			}

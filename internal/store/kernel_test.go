@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -200,7 +204,8 @@ func referencePageSkips(t *SegmentTable, p Predicate) []func(pi int) bool {
 	case StrEq:
 		if c, ok := t.ColumnByName(p.Col).(*segCol); ok && c.typ == String {
 			pages := c.meta.Pages
-			code, present := c.index[p.Val]
+			code := slices.Index(c.dict, p.Val)
+			present := code >= 0
 			switch {
 			case present && p.Neq:
 				out = append(out, numSkip(pages, Ne, float64(code)))
@@ -542,5 +547,149 @@ func TestNeKeepsFloatPagesWithNaN(t *testing.T) {
 	seg.Filter(NumCmp{Col: "i", Op: Ne, Val: 7})
 	if got := skipped.Value() - k0; got != 3 {
 		t.Fatalf("i <> 7 skipped %d of 3 constant int pages", got)
+	}
+}
+
+// TestKernelStringLeavesOverIngest: string equality, its negation and
+// set membership find their codes in a map the first compile builds
+// from the dictionary, so they are held to the reference over string
+// columns ingest built, which hold no such map until then — a
+// ReadCSV table and the segment BuildSegment writes from the same file
+// — with nulls (a whole page of them in s), a repeated-level column and
+// a near-unique one, for values present and absent.
+func TestKernelStringLeavesOverIngest(t *testing.T) {
+	const n, rpp = 600, 64
+	rng := rand.New(rand.NewSource(79))
+	var b strings.Builder
+	b.WriteString("s,key\n")
+	levels := []string{"u", "v", "w", "1", "x y"}
+	for r := 0; r < n; r++ {
+		if r/rpp != 2 && rng.Intn(8) != 0 {
+			b.WriteString(levels[rng.Intn(len(levels))])
+		}
+		b.WriteByte(',')
+		if rng.Intn(10) != 0 {
+			fmt.Fprintf(&b, "k%d", rng.Intn(n))
+		}
+		b.WriteByte('\n')
+	}
+	dir := t.TempDir()
+	csvPath, segPath := filepath.Join(dir, "str.csv"), filepath.Join(dir, "str.seg")
+	if err := os.WriteFile(csvPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := ReadCSVFile(csvPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildSegment(csvPath, segPath, &SegmentBuildOptions{RowsPerPage: rpp}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegmentTableWith(segPath, segment.NewPoolObs(1<<20, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	for _, col := range []string{"s", "key"} {
+		if mem.ColumnByName(col).Type() != String || mem.ColumnByName(col).NullCount() == 0 {
+			t.Fatalf("column %s is not a string column with nulls", col)
+		}
+	}
+
+	var preds []Predicate
+	for _, col := range []string{"s", "key"} {
+		for _, val := range []string{"u", "x y", "k3", "k599", "", "absent"} {
+			preds = append(preds, StrEq{Col: col, Val: val}, StrEq{Col: col, Val: val, Neq: true})
+		}
+		preds = append(preds,
+			StrIn{Col: col, Vals: []string{"v", "absent", "1", "k7"}}, StrIn{Col: col, Vals: []string{"absent"}},
+			StrIn{Col: col, Vals: []string{"w", "w"}}, StrIn{Col: col})
+	}
+	subset := SampleIndices(n, n/3, rng)
+	for _, p := range preds {
+		for _, rows := range [][]int{rangeRows(0, n), subset} {
+			want := referenceFilter(mem, p, rows)
+			for _, r := range []Relation{mem, seg} {
+				if ref := referenceFilter(r, p, rows); !reflect.DeepEqual(ref, want) {
+					t.Fatalf("%s: the reference differs between the backings", p)
+				}
+				if got := ScanRows(r, p, RowsOf(rows)).AppendTo(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s over %d rows of %T: %v, want %v", p, len(rows), r, got, want)
+				}
+			}
+		}
+		for _, r := range []Relation{mem, seg} {
+			if got, want := r.Filter(p), referenceFilter(mem, p, rangeRows(0, n)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Filter of %T = %v, want %v", p, r, got, want)
+			}
+		}
+	}
+}
+
+// TestStringLookupFollowsAppend: the string predicates' value -> code
+// map is built by the first compile over a column and kept, and a value
+// an Append adds to the dictionary afterwards is found by the next.
+func TestStringLookupFollowsAppend(t *testing.T) {
+	c := NewStringColumnFrom("s", []string{"a", "b", "a"})
+	tab := func() *Table {
+		t := NewTable("t")
+		t.MustAddColumn(c)
+		return t
+	}
+	first := tab()
+	if c.lookup.m.Load() != nil {
+		t.Fatal("a column no predicate was compiled over holds a lookup")
+	}
+	if got := first.Filter(StrEq{Col: "s", Val: "b"}); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("s = 'b' matched %v", got)
+	}
+	if c.lookup.m.Load() == nil {
+		t.Fatal("a compiled string equality left no lookup")
+	}
+	c.Append("z")
+	c.Append("b")
+	grown := tab()
+	for _, tc := range []struct {
+		p    Predicate
+		want []int
+	}{
+		{StrEq{Col: "s", Val: "z"}, []int{3}},
+		{StrEq{Col: "s", Val: "z", Neq: true}, []int{0, 1, 2, 4}},
+		{StrIn{Col: "s", Vals: []string{"b", "z"}}, []int{1, 3, 4}},
+	} {
+		if got := grown.Filter(tc.p); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("after the Appends, %s matched %v, want %v", tc.p, got, tc.want)
+		}
+	}
+}
+
+// TestConcurrentStringLookups: the first string predicates compiled
+// over a column, on both backings, build its lookup from several
+// goroutines at once and match what the reference does (run under
+// -race by make race-store).
+func TestConcurrentStringLookups(t *testing.T) {
+	const n = 500
+	mem, seg := openBoth(t, n, 1<<20)
+	preds := []Predicate{
+		StrEq{Col: "label", Val: "gamma"}, StrEq{Col: "label", Val: "beta", Neq: true},
+		StrIn{Col: "label", Vals: []string{"alpha", "absent", "delta"}}, StrEq{Col: "label", Val: "absent"},
+	}
+	for _, r := range []Relation{mem, seg} {
+		var wg sync.WaitGroup
+		got := make([][]int, 4*len(preds))
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = r.Filter(preds[i%len(preds)])
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			p := preds[i%len(preds)]
+			if want := referenceFilter(mem, p, rangeRows(0, n)); !reflect.DeepEqual(g, want) {
+				t.Fatalf("%s over %T matched %v, want %v", p, r, g, want)
+			}
+		}
 	}
 }

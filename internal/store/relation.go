@@ -161,7 +161,7 @@ func (t *columnSet) Head(n int) *Table {
 // page on a segment backing), and the result is allocated once, as a
 // list of its final size.
 func (t *columnSet) Filter(p Predicate) []int {
-	return scan(t, p, All(t.numRows), t.numRows).list(1)
+	return scan(scanRouter(t, p, t.numRows), All(t.numRows), t.numRows).list(1)
 }
 
 // Where returns a new materialized table of the rows matching the predicate.

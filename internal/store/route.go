@@ -96,21 +96,17 @@ func Route(r Relation, t SplitTree, rows *RowSet) *Routing { return route(r, t, 
 // one-split tree — and whether the run's page is one the root's zone
 // map excludes.
 func route(r Relation, t SplitTree, rows *RowSet, tally func(run []int, m []uint8, excluded bool)) *Routing {
-	rg := &Routing{rel: r, sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
 	if rows.Len() == 0 || t[0].Split == nil {
+		rg := newRouting(r, t, rows)
 		rg.count[0] = rows.Len()
 		return rg
 	}
-	rt := newRouter(r, t, rg)
-	rt.pass(rows, tally)
-	for _, i := range rt.cut {
-		sub := Route(r, t[i:i+t.size(i)], rg.Rows(i))
-		for j := 1; j < len(sub.count); j++ {
-			rg.nodes[i+j] = routedNode{sub: sub, off: i}
-			rg.count[i+j] = sub.count[j]
-		}
-	}
-	return rg
+	return newRouter(r, t, rows.Len()).route(rows, tally)
+}
+
+// newRouting is a routing of rows through t with nothing routed yet.
+func newRouting(r Relation, t SplitTree, rows *RowSet) *Routing {
+	return &Routing{rel: r, sel: rows, count: make([]int, len(t)), nodes: make([]routedNode, len(t)), sets: make([]*RowSet, len(t))}
 }
 
 // Count returns how many rows reach node i.
@@ -210,43 +206,44 @@ func PartitionRows(r Relation, p Predicate, rows []int) (yes, no []int) {
 
 // routeNode is the compiled form of one tree node.
 type routeNode struct {
-	leaf  int // leaf id, or -1 for a node that splits in this pass
-	depth int
-	split predNode
+	leaf   int  // leaf id, or -1 for a node that splits in this pass
+	lo, hi uint // the leaf ids under the node
+	depth  int
+	split  predNode
 }
 
-// router is one pass's evaluation state; it writes the leaf ids, the
-// counts and the leaf ranges of out.
+// router is a split tree compiled over a relation, and the evaluation
+// state of its passes; each pass writes the leaf ids, the counts and
+// the leaf ranges of its own Routing. Compiling resolves every split —
+// a numeric comparison over a string column parses its whole dictionary
+// — so a caller routing several selections through one tree
+// (FilterLimit) compiles it once.
 type router struct {
 	evaluator
+	rel     Relation
 	tree    SplitTree
 	nodes   []routeNode
-	out     *Routing
-	leaves  int        // leaf ids handed out so far
+	out     *Routing   // the routing the current pass writes
+	leaves  int        // leaf ids handed out at compile
 	scratch [][]uint16 // one selection vector per split depth
 	match   []uint8    // one split's outcome per run offset
 	leafIDs []uint8    // the leaf id of every offset of the run being routed
-	cut     []int      // leaves of this pass that still have a subtree
+	cut     []int      // leaves of a pass that still have a subtree
 }
 
-func newRouter(r Relation, t SplitTree, out *Routing) *router {
-	n := out.sel.Len()
+// newRouter compiles t, whose root splits, over r for selections of at
+// most n rows.
+func newRouter(r Relation, t SplitTree, n int) *router {
 	runCap := min(n, routeRun)
 	rt := &router{
 		evaluator: evaluator{runCap: runCap},
+		rel:       r,
 		tree:      t,
 		nodes:     make([]routeNode, len(t)),
-		out:       out,
 		match:     make([]uint8, runCap),
 		leafIDs:   make([]uint8, runCap),
 	}
 	depth := rt.compileNode(r, 0, 0)
-	words := bitmapWords(n)
-	out.planes = make([][]uint64, bits.Len(uint(rt.leaves-1)))
-	planes := make([]uint64, len(out.planes)*words)
-	for j := range out.planes {
-		out.planes[j] = planes[j*words : (j+1)*words]
-	}
 	buf := make([]uint16, depth*runCap)
 	rt.scratch = make([][]uint16, depth)
 	for d := range rt.scratch {
@@ -255,16 +252,41 @@ func newRouter(r Relation, t SplitTree, out *Routing) *router {
 	return rt
 }
 
+// route sends rows, at most the router's n, down the tree in one pass,
+// and the rows of the subtrees cut at maxRouteDepth by further passes.
+func (rt *router) route(rows *RowSet, tally func(run []int, m []uint8, excluded bool)) *Routing {
+	rg := newRouting(rt.rel, rt.tree, rows)
+	for i, nd := range rt.nodes {
+		rg.nodes[i].lo, rg.nodes[i].hi = nd.lo, nd.hi
+	}
+	words := bitmapWords(rows.Len())
+	rg.planes = make([][]uint64, bits.Len(uint(rt.leaves-1)))
+	planes := make([]uint64, len(rg.planes)*words)
+	for j := range rg.planes {
+		rg.planes[j] = planes[j*words : (j+1)*words]
+	}
+	rt.out = rg
+	rt.pass(rows, tally)
+	for _, i := range rt.cut {
+		sub := Route(rt.rel, rt.tree[i:i+rt.tree.size(i)], rg.Rows(i))
+		for j := 1; j < len(sub.count); j++ {
+			rg.nodes[i+j] = routedNode{sub: sub, off: i}
+			rg.count[i+j] = sub.count[j]
+		}
+	}
+	return rg
+}
+
 // compileNode resolves the subtree under node i, numbering its leaves,
 // and returns the number of split levels in it.
 func (rt *router) compileNode(r Relation, i, depth int) int {
-	t, nd, span := rt.tree, &rt.nodes[i], &rt.out.nodes[i]
+	t, nd := rt.tree, &rt.nodes[i]
 	nd.depth = depth
-	span.lo = uint(rt.leaves)
+	nd.lo = uint(rt.leaves)
 	if t[i].Split == nil || depth == maxRouteDepth {
 		nd.leaf = rt.leaves
 		rt.leaves++
-		span.hi = span.lo + 1
+		nd.hi = nd.lo + 1
 		if t[i].Split != nil {
 			rt.cut = append(rt.cut, i)
 		}
@@ -273,7 +295,7 @@ func (rt *router) compileNode(r Relation, i, depth int) int {
 	nd.leaf = -1
 	nd.split = rt.compile(r, t[i].Split)
 	levels := 1 + max(rt.compileNode(r, i+1, depth+1), rt.compileNode(r, i+t[i].No, depth+1))
-	span.hi = uint(rt.leaves)
+	nd.hi = uint(rt.leaves)
 	return levels
 }
 

@@ -59,21 +59,17 @@ func scanPages(r Relation) (rpp int, m *ScanMetrics) {
 }
 
 // scan routes rows — a selection within the span rows of r from a page
-// start — through the one-split tree of p, and counts the span's pages
-// into r's scan counters: a page is scanned when it holds a candidate
-// that no zone map excludes, skipped otherwise, and a batch when it
-// holds a match.
-func scan(r Relation, p Predicate, rows *RowSet, span int) *Routing {
-	if p == nil {
-		p = True{}
-	}
-	t := SplitTree{{Split: p, No: 2}, {}, {}}
-	rpp, metrics := scanPages(r)
+// start — through rt, the one-split tree of a predicate compiled over r
+// (scanRouter), and counts the span's pages into r's scan counters: a
+// page is scanned when it holds a candidate that no zone map excludes,
+// skipped otherwise, and a batch when it holds a match.
+func scan(rt *router, rows *RowSet, span int) *Routing {
+	rpp, metrics := scanPages(rt.rel)
 	if metrics == nil {
-		return route(r, t, rows, nil)
+		return rt.route(rows, nil)
 	}
 	scanned, batches, last, batch := 0, 0, -1, -1
-	rg := route(r, t, rows, func(run []int, m []uint8, excluded bool) {
+	rg := rt.route(rows, func(run []int, m []uint8, excluded bool) {
 		// A run is cut at the pages of the evaluator, which has none in
 		// memory or when p binds no column: split it at the relation's.
 		for len(run) > 0 {
@@ -95,18 +91,32 @@ func scan(r Relation, p Predicate, rows *RowSet, span int) *Routing {
 	return rg
 }
 
+// scanRouter compiles the one-split tree of p (nil is TRUE) over r for
+// selections of at most n rows.
+func scanRouter(r Relation, p Predicate, n int) *router {
+	if p == nil {
+		p = True{}
+	}
+	return newRouter(r, SplitTree{{Split: p, No: 2}, {}, {}}, n)
+}
+
 // FilterLimit returns the first limit row indices matching p, in
 // ascending order, and none when limit <= 0 — Filter with the limit
 // pushed down: it routes the relation's rows a page, then twice as
 // many, and so on, and stops at the range that brings the limit-th
-// match.
+// match. The predicate is compiled once for every range.
 func FilterLimit(r Relation, p Predicate, limit int) []int {
+	n := r.NumRows()
+	if limit <= 0 || n == 0 {
+		return nil
+	}
 	rpp, _ := scanPages(r)
+	rt := scanRouter(r, p, n) // compiled once, for every range
 	var parts []*Routing
-	got, n := 0, r.NumRows()
+	got := 0
 	for lo, span := 0, rpp; lo < n && got < limit; lo, span = lo+span, 2*span {
 		hi := min(lo+span, n)
-		rg := scan(r, p, &RowSet{lo: lo, hi: hi, n: hi - lo}, hi-lo)
+		rg := scan(rt, &RowSet{lo: lo, hi: hi, n: hi - lo}, hi-lo)
 		parts = append(parts, rg)
 		got += rg.Count(1)
 	}
@@ -123,5 +133,5 @@ func FilterLimit(r Relation, p Predicate, limit int) []int {
 // ScanRows is the row-set filter: the subset of rows matching p. Pages
 // outside the row set or excluded by zone maps are never read.
 func ScanRows(r Relation, p Predicate, rows *RowSet) *RowSet {
-	return scan(r, p, rows, r.NumRows()).Rows(1)
+	return scan(scanRouter(r, p, rows.Len()), rows, r.NumRows()).Rows(1)
 }

@@ -1,6 +1,9 @@
 package store
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // benchScanPred is the filter the scan benchmarks share with
 // BenchmarkSegmentFilter (the whole-relation scan): a zone-mappable
@@ -92,3 +95,30 @@ func benchStatsRows(b *testing.B, r Relation) {
 
 func BenchmarkStatsRowsMem(b *testing.B) { benchStatsRows(b, benchTable(100_000)) }
 func BenchmarkStatsRowsSeg(b *testing.B) { benchStatsRows(b, benchSegment(b)) }
+
+// BenchmarkCompileStrEq is a StrEq compiled over a column of 100 000
+// distinct values, for the last value in the dictionary. first is the
+// column's first string predicate, which builds the value -> code map
+// the column keeps; later is every compile after it.
+func BenchmarkCompileStrEq(b *testing.B) {
+	const n = 100_000
+	c := NewStringColumn("id")
+	for i := 0; i < n; i++ {
+		c.Append(fmt.Sprintf("src%06d", i))
+	}
+	t := NewTable("ids")
+	t.MustAddColumn(c)
+	p := StrEq{Col: "id", Val: fmt.Sprintf("src%06d", n-1)}
+	for _, run := range []string{"first", "later"} {
+		b.Run(run, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if run == "first" {
+					c.lookup.drop()
+				}
+				ev := evaluator{runCap: routeRun}
+				benchSink = int(ev.compile(t, p).val)
+			}
+		})
+	}
+}

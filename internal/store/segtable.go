@@ -72,12 +72,6 @@ func newSegmentTable(seg *segment.Segment, path string) (*SegmentTable, error) {
 			if col.dict, err = seg.Dict(ci); err != nil {
 				return nil, err
 			}
-			col.index = make(map[string]int32, len(col.dict))
-			for code, v := range col.dict {
-				if _, dup := col.index[v]; !dup {
-					col.index[v] = int32(code)
-				}
-			}
 		default:
 			return nil, fmt.Errorf("store: segment %s: column %q has unsupported kind", path, meta.Name)
 		}
@@ -115,14 +109,16 @@ func (t *SegmentTable) PoolStats() segment.PoolStats {
 // fetches each page once. The batch kernels (kernel.go) read its pages
 // through fetch, and its page directory's zone maps before they do.
 type segCol struct {
-	seg   *segment.Segment
-	ci    int
-	meta  *segment.ColumnMeta
-	rpp   int
-	n     int
-	typ   Type
-	dict  []string         // String only: distinct values by code
-	index map[string]int32 // String only: value -> code
+	seg  *segment.Segment
+	ci   int
+	meta *segment.ColumnMeta
+	rpp  int
+	n    int
+	typ  Type
+	dict []string // String only: distinct values by code
+	// lookup is the string predicates' value -> code map (kernel.go),
+	// built by the first one compiled over the column.
+	lookup valueIndex
 }
 
 func (c *segCol) Name() string   { return c.meta.Name }

@@ -36,7 +36,8 @@ func NewTable(name string) *Table {
 }
 
 // AddColumn appends a column. All columns must have equal length; the first
-// column fixes the row count.
+// column fixes the row count. A string column's Append cache is dropped:
+// the table's reads never use it.
 func (t *Table) AddColumn(c Column) error {
 	if _, dup := t.colIdx[c.Name()]; dup {
 		return fmt.Errorf("store: duplicate column %q in table %q", c.Name(), t.name)
@@ -47,6 +48,11 @@ func (t *Table) AddColumn(c Column) error {
 	}
 	if len(t.cols) == 0 {
 		t.numRows = c.Len()
+	}
+	// Tested first: a column another table already holds (Project
+	// shares them) has none, and is not written.
+	if sc, ok := c.(*StringColumn); ok && sc.index != nil {
+		sc.index = nil
 	}
 	t.colIdx[c.Name()] = len(t.cols)
 	t.cols = append(t.cols, c)
