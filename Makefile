@@ -16,14 +16,17 @@ race-jobs:
 # Concurrent builds on one explorer under the race detector (also a CI
 # step): derived builds sharing one cached parent's vectors, cold builds
 # on one explorer and on sessions of one Dataset contending for the
-# dataset's spent matrices (TestConcurrentColdBuilds*), the cluster-layer
-# subsets of one lazy parent, CLARA's per-sample runs subsetting one
-# shared lazy parent, map-cache clones building their regions' rows
-# and highlight statistics in one shared routing, and sessions opened at
-# once on one Dataset, each adding a theme and building a map over the
-# shared dependency graph and themes (TestDatasetConcurrentOpens).
+# dataset's build scratch (TestConcurrentColdBuilds*), cold and derived
+# builds of sessions on one Dataset gathering their samples into the
+# slabs of that scratch as other builds hand them back
+# (TestConcurrentBuildsShareSlabs), the cluster-layer subsets of one
+# lazy parent, CLARA's per-sample runs subsetting one shared lazy
+# parent, map-cache clones building their regions' rows and highlight
+# statistics in one shared routing, and sessions opened at once on one
+# Dataset, each adding a theme and building a map over the shared
+# dependency graph and themes (TestDatasetConcurrentOpens).
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
@@ -40,10 +43,12 @@ race-store:
 # tree routes and column gathers hammering one shared segment through a
 # pool that holds a fraction of its pages, so the pool's single-flight
 # loads and evictions run under them, first reads of one shared
-# routing's nodes, and fingerprints and run reads of one shared row
-# set.
+# routing's nodes, fingerprints and run reads of one shared row set,
+# and concurrent routes through trees deeper than one pass descends,
+# whose further passes take run scratch from the pool every route
+# shares (TestRouteDeepConcurrent).
 race-scan:
-	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent|TestRowSetConcurrent' ./internal/store/
+	go test -race -count=2 -run 'TestScanConcurrent|TestRouteRowsConcurrent|TestRowSetConcurrent|TestRouteDeepConcurrent' ./internal/store/
 
 build:
 	go build ./...

@@ -42,7 +42,7 @@ const (
 // (selection rows, theme, accumulated condition, a child RNG's seed and
 // the cache lookup: a finished map, failing that a parent artifact).
 // Run touches only that snapshot, immutable Explorer state (table,
-// options, metric) and the dataset's free list of spent matrices, which
+// options, metric) and the dataset's free list of build scratch, which
 // is safe for concurrent use, so concurrent Runs of
 // one session cannot race as long as applies are serialized — which the
 // jobs pool guarantees by running a session's jobs one at a time.
@@ -203,9 +203,9 @@ func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
 // (may be nil) receives monotone fractions in [0, 1]. Derived builds
 // re-slice their artifact out of the parent's here, off the lock, and
 // every build that clusters computes its own oracle; the shared parent
-// artifact is read-only and a spent matrix off the dataset's free list
-// is taken by one build at a time, so concurrent Runs on one explorer,
-// or on sessions of one dataset, are safe.
+// artifact is read-only and a scratch off the dataset's free list is
+// taken by one build at a time, so concurrent Runs on one explorer, or
+// on sessions of one dataset, are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse level on the build trace, if one rides the
 	// context.
@@ -229,7 +229,13 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		art = deriveArtifact(b.parent, b.parentPos)
 		sp.End()
 	}
-	m, built, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, art, progress)
+	// The build gathers its sample and computes its matrix in a scratch
+	// off the dataset's free list, and gives it back on return, error or
+	// not. A panic skips this and drops it: a later build allocates
+	// afresh rather than trust storage a failed build was writing.
+	sc := b.e.data.takeScratch()
+	m, built, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, art, sc, progress)
+	b.e.data.putScratch(sc)
 	if err != nil {
 		return nil, err
 	}

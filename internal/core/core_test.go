@@ -213,7 +213,7 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 	}
 	ctx, rows := context.Background(), e.State().Rows
 	sampleRows := e.sampleStage(rand.New(rand.NewSource(7)), rows)
-	sample, err := e.gatherSample(sampleRows, theme)
+	sample, err := e.gatherSample(sampleRows, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,8 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, matrix := e.oracleStage(art.vecs)
-	if matrix == nil {
+	mat := e.oracleStage(art.vecs, &buildScratch{})
+	if _, ok := mat.(*cluster.DistMatrix); !ok {
 		t.Fatalf("engine chose lazy storage for %d objects, want matrix", len(art.vecs))
 	}
 	build := func(o cluster.Oracle) *Map {

@@ -72,8 +72,8 @@ type State struct {
 // dependency graph over its clusterable columns (Fig. 2) and the themes
 // partitioned from it (Fig. 1a). It is immutable once built, and every
 // session opened on it (Open) shares its graph and themes read-only.
-// Its one mutable part is build scratch: the spent distance matrices
-// of its sessions' finished builds.
+// Its one mutable part is build scratch: the distance matrices and
+// sample slabs its sessions' finished builds are done with.
 type Dataset struct {
 	table  store.Relation
 	opts   Options
@@ -83,16 +83,28 @@ type Dataset struct {
 	// Open starts each session's stream past them.
 	draws int
 
-	// spent holds matrices finished builds are done with, so that a
-	// later build of any session computes its own on that storage
-	// instead of allocating (see oracleStage). It is a free list, not
-	// one slot per session: at most cores.Width() builds run at once (a
-	// job worker holds a core), so that many matrices per dataset serve
-	// every concurrent build, where one per session grew with the
-	// sessions open. A session's first map reuses what an earlier
-	// session paid for, and a closed session leaves its matrix to them
-	// until Release.
-	spent chan *cluster.DistMatrix
+	// spent holds the scratch finished builds are done with, so that a
+	// later build of any session works on that storage instead of
+	// allocating (see MapBuild.Run). It is a free list, not one slot per
+	// session: at most cores.Width() builds run at once (a job worker
+	// holds a core), so that many scratches per dataset serve every
+	// concurrent build, where one per session grew with the sessions
+	// open. A session's first map reuses what an earlier session paid
+	// for, and a closed session leaves its scratch to them until
+	// Release.
+	spent chan *buildScratch
+}
+
+// buildScratch is the storage a build works in and leaves behind: the
+// matrix it computed its distances in (nil until a build materializes
+// one) and the slab its sample's float columns were gathered into. The
+// map and the artifact a build returns reference neither — the sample
+// table dies with the build, and the artifact holds the sample rows,
+// the fitted pipeline and the vectors — so the next build may overwrite
+// both.
+type buildScratch struct {
+	matrix *cluster.DistMatrix
+	floats []float64
 }
 
 // NewDataset detects the themes of the table, an in-memory *store.Table
@@ -108,34 +120,40 @@ func NewDataset(t store.Relation, opts Options) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{table: t, opts: opts, graph: g, themes: themes, draws: src.n,
-		spent: make(chan *cluster.DistMatrix, cores.Width())}, nil
+		spent: make(chan *buildScratch, cores.Width())}, nil
 }
 
-// takeMatrix returns a spent matrix off the free list, or nil when none
-// is free.
-func (d *Dataset) takeMatrix() *cluster.DistMatrix {
+// takeScratch returns a spent scratch off the free list, or an empty
+// one when none is free. The scratch is the caller's alone until it
+// puts it back.
+func (d *Dataset) takeScratch() *buildScratch {
 	select {
-	case m := <-d.spent:
-		return m
+	case sc := <-d.spent:
+		return sc
 	default:
-		return nil
+		return &buildScratch{}
 	}
 }
 
-// putMatrix returns a matrix to the free list, or drops it when the
+// putScratch returns a scratch to the free list, or drops it when the
 // list is full.
-func (d *Dataset) putMatrix(m *cluster.DistMatrix) {
+func (d *Dataset) putScratch(sc *buildScratch) {
 	select {
-	case d.spent <- m:
+	case d.spent <- sc:
 	default:
 	}
 }
 
-// Release drops the dataset's spent matrices, for a dataset no session
+// Release drops the dataset's spent scratch, for a dataset no session
 // is open on: the next build allocates its own. A build still running
-// returns its matrix afterwards.
+// returns its scratch afterwards.
 func (d *Dataset) Release() {
-	for d.takeMatrix() != nil {
+	for {
+		select {
+		case <-d.spent:
+		default:
+			return
+		}
 	}
 }
 
@@ -167,11 +185,11 @@ func (d *Dataset) Open(opts Options) (*Explorer, error) {
 // Explorer is a Blaeu exploration session over one table. It is not safe
 // for concurrent use; wrap it in a session manager for serving. The
 // exception is MapBuild.Run, which only reads immutable fields and the
-// dataset's free list of spent matrices, and may execute on a scheduler
+// dataset's free list of build scratch, and may execute on a scheduler
 // worker while the owner's lock is released (see MapBuild).
 type Explorer struct {
 	// data is the dataset the session was opened on: its relation,
-	// dependency graph and spent matrices.
+	// dependency graph and build scratch.
 	data *Dataset
 	opts Options
 	// rng is the session stream, started past theme detection's draws

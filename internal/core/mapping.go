@@ -62,14 +62,15 @@ type Map struct {
 // buildArtifact (sample rows, fitted pipeline, vectors), the build's
 // distance oracle, a clustering, the region tree — and the artifact is
 // cacheable: when art is non-nil (derived from a cached parent via
-// deriveArtifact) the sample and prep stages are skipped. The oracle is
-// never cached: every build that clusters builds its own over its own
-// vectors, a matrix on the storage of the explorer's spent one (see
-// oracleStage), so nothing a cache holds outlives the build's
-// distances. The finished artifact is returned alongside the map so a
-// cold build's can be kept in its map-cache entry; it is nil when
-// preprocessing degenerated.
-func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, progress func(float64)) (*Map, *buildArtifact, error) {
+// deriveArtifact) the sample and prep stages are skipped. The sample
+// table and the oracle are never cached: every build gathers its sample
+// into the slab of sc, its scratch, and builds its own oracle over its
+// own vectors, a matrix on the storage of the scratch's (see
+// oracleStage), so nothing a cache holds outlives the build's scratch.
+// The finished artifact is returned alongside the map so a cold build's
+// can be kept in its map-cache entry; it is nil when preprocessing
+// degenerated.
+func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, sc *buildScratch, progress func(float64)) (*Map, *buildArtifact, error) {
 	report := func(f float64) {
 		if progress != nil {
 			progress(f)
@@ -94,7 +95,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 		sp := tr.Start("sample")
 		sampleRows := e.sampleStage(rng, rows)
 		var err error
-		sample, err = e.gatherSample(sampleRows, theme)
+		sample, err = e.gatherSample(sampleRows, theme, sc)
 		sp.End()
 		if err != nil {
 			return nil, nil, err
@@ -123,7 +124,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 		// the sample span.
 		sp := tr.Start("sample")
 		var err error
-		sample, err = e.gatherSample(art.sampleRows, theme)
+		sample, err = e.gatherSample(art.sampleRows, theme, sc)
 		sp.End()
 		if err != nil {
 			return nil, nil, err
@@ -133,22 +134,16 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	// Stage 2a: the distance oracle over the prepared vectors, and the
 	// storage the engine chose for it.
 	sp := tr.Start("oracle")
-	oracle, matrix := e.oracleStage(art.vecs)
+	oracle := e.oracleStage(art.vecs, sc)
 	sp.End()
 	storage := "lazy"
-	if matrix != nil {
+	if _, ok := oracle.(*cluster.DistMatrix); ok {
 		storage = "matrix"
 	}
 	tr.SetAttr("oracle", storage)
 	report(0.15)
 
 	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, report)
-	// The matrix goes back to the dataset's free list on return, error
-	// or not. A panic skips this and drops it: a later build allocates
-	// afresh rather than trust storage a failed build was writing.
-	if matrix != nil {
-		e.data.putMatrix(matrix)
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,13 +191,17 @@ func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
 }
 
 // gatherSample materializes the build sample for one theme: only the
-// theme's columns are gathered (projection pushdown — prep, tree
-// fitting and accuracy never read outside them, since the tree's
-// features are pipe.UsedColumns() ⊆ theme.Columns), so a sparse sample
-// over a segment touches only the pages of those columns it actually
-// draws from. A theme column missing from the table is an error.
-func (e *Explorer) gatherSample(rows []int, theme Theme) (*store.Table, error) {
-	return store.ScanGather(e.data.table, rows, theme.Columns, 0)
+// theme's columns are gathered (projection pushdown — prep and tree
+// fitting never read outside them, since the tree's features are
+// pipe.UsedColumns() ⊆ theme.Columns), so a sparse sample over a
+// segment touches only the pages of those columns it actually draws
+// from. Its float columns are windows of the scratch's slab, which
+// grows to the largest sample gathered into it. A theme column missing
+// from the table is an error.
+func (e *Explorer) gatherSample(rows []int, theme Theme, sc *buildScratch) (*store.Table, error) {
+	sample, floats, err := store.GatherInto(e.data.table, rows, theme.Columns, sc.floats)
+	sc.floats = floats
+	return sample, err
 }
 
 // prepStage fits the preprocessing pipeline on the gathered sample and
@@ -216,24 +215,20 @@ func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme)
 	return &buildArtifact{sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
 }
 
-// oracleStage builds the distance oracle over the vectors and returns
-// it, with the matrix it is when the engine materialized one (nil when
-// it went lazy). cluster.NewOracle chooses by size alone — a matrix for
-// small samples (fast repeated access by PAM), lazy above
+// oracleStage builds the distance oracle over the vectors.
+// cluster.NewOracle chooses by size alone — a matrix for small samples
+// (fast repeated access by PAM), lazy above
 // cluster.DefaultMaterializeThreshold — and both answer with the same
 // bits, so the choice moves memory and speed, never the map. A matrix is
-// built on the storage of a spent one taken off the dataset's free list:
-// a taken matrix is one build's alone, so concurrent builds never share
-// one (a build that finds the list empty allocates), and a build that
-// goes lazy puts the spent matrix back.
-func (e *Explorer) oracleStage(vecs [][]float64) (cluster.Oracle, *cluster.DistMatrix) {
-	spent := e.data.takeMatrix()
-	o := cluster.NewOracle(vecs, e.metric, spent)
-	m, _ := o.(*cluster.DistMatrix)
-	if m == nil && spent != nil {
-		e.data.putMatrix(spent)
+// built on the storage of the scratch's, which is one build's alone, so
+// concurrent builds never share one, and it becomes the scratch's
+// matrix; a build that goes lazy leaves the scratch's matrix as it was.
+func (e *Explorer) oracleStage(vecs [][]float64, sc *buildScratch) cluster.Oracle {
+	o := cluster.NewOracle(vecs, e.metric, sc.matrix)
+	if m, ok := o.(*cluster.DistMatrix); ok {
+		sc.matrix = m
 	}
-	return o, m
+	return o
 }
 
 // clusterStage runs cluster detection with automatic k over the build's
@@ -284,7 +279,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 	}
 	tr.Prune()
 	m.Tree = tr
-	m.TreeAccuracy = tr.Accuracy(sample, clustering.Labels)
+	m.TreeAccuracy = tr.FitAccuracy()
 	report(0.92)
 
 	// Per-cluster quality for leaf annotation; the exact scorer left it on

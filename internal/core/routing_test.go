@@ -181,7 +181,7 @@ func TestRegionStageByteBudget(t *testing.T) {
 	}
 	ctx, rng, theme, rows := context.Background(), rand.New(rand.NewSource(1)), e.Themes()[0], e.State().Rows
 	sampleRows := e.sampleStage(rng, rows)
-	sample, err := e.gatherSample(sampleRows, theme)
+	sample, err := e.gatherSample(sampleRows, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRegionStageByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _ := e.oracleStage(art.vecs)
+	oracle := e.oracleStage(art.vecs, &buildScratch{})
 	cl, err := e.clusterStage(ctx, oracle, rng, func(float64) {})
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cores"
+	"repro/internal/datagen"
+	"repro/internal/prep"
 	"repro/internal/stats"
 )
 
@@ -55,6 +58,111 @@ func TestColdBuildReusesScratchMatrix(t *testing.T) {
 	})
 	if matrix := uint64(n*(n-1)/2) * 8; got >= matrix/2 {
 		t.Errorf("second cold build allocated %d bytes, one matrix is %d", got, matrix)
+	}
+}
+
+// scratchSlack is what a build may allocate beyond its steady state
+// when a GC empties the store's run-scratch pool mid-test: a route's
+// and a run read's buffers at these sizes, with room to spare.
+const scratchSlack = 64 << 10
+
+// TestColdBuildReusesSampleSlab: a session's second cold build of a
+// theme at the sample size of its first, on the same seed, gathers its
+// sample into the slab the first left and computes its matrix on the
+// first's storage: it allocates at least a matrix and a sample gather
+// (n·|theme|·8 bytes) less than the first build did.
+func TestColdBuildReusesSampleSlab(t *testing.T) {
+	const n = 1500
+	tab := datagen.PlantedThemes(n, []datagen.ThemeSpec{
+		{Name: "wide", Cols: 24, K: 3},
+		{Name: "narrow", Cols: 3, K: 2, Sep: 5},
+	}, rand.New(rand.NewSource(5))).Table
+	d, err := NewDataset(tab, Options{Seed: 1, MapCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := d.Open(Options{Seed: 1, MapCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := 0
+	for i, th := range e.Themes() {
+		if len(th.Columns) > len(e.Themes()[wide].Columns) {
+			wide = i
+		}
+	}
+	prepare := func() *MapBuild {
+		b, err := e.Prepare(Action{Kind: ActionSelect, Theme: wide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	run := func(b *MapBuild) uint64 {
+		var m *Map
+		var err error
+		got := allocated(func() {
+			if m, err = b.Run(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if m.SampleSize != n {
+			t.Fatalf("the build clustered %d objects, want %d", m.SampleSize, n)
+		}
+		return got
+	}
+	b1, b2 := prepare(), prepare()
+	b2.seed = b1.seed // the same draws: the same clustering and tree
+	first, second := run(b1), run(b2)
+	matrix := uint64(n*(n-1)/2) * 8
+	gather := uint64(n*len(e.Themes()[wide].Columns)) * 8
+	if second+matrix+gather > first+scratchSlack {
+		t.Errorf("second cold build allocated %d bytes, first %d: want at most first − matrix (%d) − gather (%d) + %d",
+			second, first, matrix, gather, scratchSlack)
+	}
+}
+
+// TestPrepFitBytesFlatInRows: prep.Fit reads its numeric columns in
+// place, so what it allocates does not grow with the sample.
+func TestPrepFitBytesFlatInRows(t *testing.T) {
+	fitBytes := func(n int) uint64 {
+		tab := pinnedTable(n, 21).Table
+		prep.Fit(tab, nil) // warm the runtime's size classes
+		return allocated(func() {
+			if _, err := prep.Fit(tab, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := fitBytes(1000), fitBytes(10000)
+	if large > small+1<<10 {
+		t.Errorf("prep.Fit allocated %d bytes over 1 000 rows and %d over 10 000", small, large)
+	}
+}
+
+// TestReleaseEmptiesScratch: Release drops every scratch on the
+// dataset's free list, and a build after it starts one afresh.
+func TestReleaseEmptiesScratch(t *testing.T) {
+	d, opts := coldDataset(t, 300, Options{Seed: 3})
+	e, err := d.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.spent) != 1 {
+		t.Fatalf("a finished build left %d scratches, want 1", len(d.spent))
+	}
+	d.Release()
+	if n := len(d.spent); n != 0 {
+		t.Fatalf("Release left %d scratches", n)
+	}
+	if _, err := e.SelectTheme(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.spent) != 1 {
+		t.Fatalf("a build after Release left %d scratches, want 1", len(d.spent))
 	}
 }
 
@@ -229,6 +337,71 @@ func TestConcurrentColdBuildsAcrossSessions(t *testing.T) {
 		}
 		if n := len(d.spent); n == 0 || n > cores.Width() {
 			t.Fatalf("%d sessions' builds left %d spent matrices, want 1 to %d", sessions, n, cores.Width())
+		}
+		return sb.String()
+	}
+	want := digests(false)
+	for round := 0; round < 3; round++ {
+		if got := digests(true); got != want {
+			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
+		}
+	}
+}
+
+// TestConcurrentBuildsShareSlabs: sessions on one dataset select a
+// theme and zoom into its largest region at once, the zooms derived
+// from the cached select, so cold and derived builds of different
+// sample sizes and theme widths gather into the slabs of the dataset's
+// free list as other builds hand them back. Their maps are the ones
+// serial runs give (run under -race in CI).
+func TestConcurrentBuildsShareSlabs(t *testing.T) {
+	sessions := cores.Width() + 2
+	opts := Options{Seed: 6, SampleSize: 300, DerivedSampleMin: 10}
+	digests := func(concurrent bool) string {
+		d, err := NewDataset(pinnedTable(700, 21).Table, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explorers := make([]*Explorer, sessions)
+		for i := range explorers {
+			if explorers[i], err = d.Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make([]error, sessions)
+		var wg sync.WaitGroup
+		for i, e := range explorers {
+			run := func() {
+				m, err := e.SelectTheme(i % len(d.themes))
+				if err == nil {
+					_, err = e.Zoom(largestLeaf(m)...)
+				}
+				errs[i] = err
+			}
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		derived := 0
+		for i, e := range explorers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			for _, st := range e.History()[1:] {
+				mapDigest(&sb, st.Detail, st.Map)
+			}
+			derived += e.ReuseStats().Map.Derived
+		}
+		if derived == 0 {
+			t.Fatal("no zoom derived from its session's cached select")
 		}
 		return sb.String()
 	}

@@ -82,15 +82,10 @@ func Fit(t *store.Table, cols []string) (*Pipeline, error) {
 		}
 		switch c.Type() {
 		case store.Float64, store.Int64:
-			vals := make([]float64, c.Len())
-			for i := range vals {
-				vals[i] = c.Float(i)
-			}
-			fill := stats.Mean(vals)
-			if math.IsNaN(fill) {
-				fill = 0 // all-null column
-			}
-			p.features = append(p.features, feature{col: name, kind: kindNumeric, scaler: stats.FitScaler(vals), fill: fill})
+			sc := stats.FitScaler(c)
+			// The fill is the column mean, 0 for an all-null column: the
+			// scaler's center.
+			p.features = append(p.features, feature{col: name, kind: kindNumeric, scaler: sc, fill: sc.Center})
 			p.names = append(p.names, name)
 		case store.Bool:
 			p.features = append(p.features, feature{col: name, kind: kindBool})

@@ -3,6 +3,7 @@ package prep
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
@@ -60,6 +61,57 @@ func TestTransformShapeAndNames(t *testing.T) {
 	for _, n := range names {
 		if !wantNames[n] {
 			t.Errorf("unexpected feature name %q", n)
+		}
+	}
+}
+
+// TestFitScalerMatchesStats: the scaler Fit learns over a numeric
+// column with stats.FitScaler, read in place, carries the bits
+// stats.Mean and stats.StdDev give over a copy of the column, with Center 0 for an all-null column
+// and Scale 1 for a constant one; Apply inverts through Center and
+// Scale, and passes NaN through.
+func TestFitScalerMatchesStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 300 {
+		n := 1 + rng.Intn(200)
+		vals := make([]float64, n)
+		ints := make([]int64, n)
+		for i := range vals {
+			switch {
+			case trial%5 == 0:
+				vals[i] = 3.25 // constant
+			case trial%7 == 0 || rng.Intn(6) == 0:
+				vals[i] = math.NaN() // all-null, or a null
+			default:
+				vals[i] = rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-4)) + float64(rng.Intn(100))
+			}
+			ints[i] = int64(rng.Intn(1000) - 500)
+		}
+		intCol := store.NewIntColumnFrom("i", ints)
+		for _, c := range []store.Column{store.NewFloatColumnFrom("f", vals), intCol} {
+			copied := make([]float64, c.Len())
+			for i := range copied {
+				copied[i] = c.Float(i)
+			}
+			want := stats.Scaler{Center: stats.Mean(copied), Scale: 1}
+			if math.IsNaN(want.Center) {
+				want.Center = 0
+			}
+			if sd := stats.StdDev(copied); sd > 0 {
+				want.Scale = sd
+			}
+			got := stats.FitScaler(c)
+			if math.Float64bits(got.Center) != math.Float64bits(want.Center) || math.Float64bits(got.Scale) != math.Float64bits(want.Scale) {
+				t.Fatalf("trial %d, column %s: fit %+v, stats give %+v", trial, c.Name(), got, want)
+			}
+			for _, probe := range []float64{-7.5, 0, 42} {
+				if back := got.Apply(probe)*got.Scale + got.Center; math.Abs(back-probe) > 1e-9*(1+math.Abs(probe)) {
+					t.Fatalf("trial %d: %g round-trips to %g", trial, probe, back)
+				}
+			}
+			if !math.IsNaN(got.Apply(math.NaN())) {
+				t.Fatal("NaN should pass through")
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/store"
+)
 
 // Scaler holds the fitted z-score parameters of one continuous variable
 // (paper §3: "it normalizes the continuous variables").
@@ -9,16 +13,32 @@ type Scaler struct {
 	Center, Scale float64
 }
 
-// FitScaler learns z-score parameters — the mean and the population
-// standard deviation — from the non-NaN values. Degenerate
-// (constant/empty) variables get Center 0 or Scale 1 so the transform is
-// well defined.
-func FitScaler(vals []float64) Scaler {
-	s := Scaler{Center: Mean(vals), Scale: 1}
-	if math.IsNaN(s.Center) {
-		s.Center = 0
+// FitScaler learns the z-score parameters of a numeric column — the
+// mean and the population standard deviation of its non-null values —
+// in two passes over c.Float, in row order, so they carry the bits Mean
+// and StdDev give over a copy of the column, without the copy. An
+// all-null column gets Center 0 and a constant one Scale 1, so the
+// transform is defined.
+func FitScaler(c store.Column) Scaler {
+	sum, n := 0.0, 0
+	for i := range c.Len() {
+		if v := c.Float(i); !math.IsNaN(v) {
+			sum += v
+			n++
+		}
 	}
-	if sd := StdDev(vals); !math.IsNaN(sd) && sd > 0 {
+	if n == 0 {
+		return Scaler{Center: 0, Scale: 1}
+	}
+	s := Scaler{Center: sum / float64(n), Scale: 1}
+	ss := 0.0
+	for i := range c.Len() {
+		if v := c.Float(i); !math.IsNaN(v) {
+			d := v - s.Center
+			ss += d * d
+		}
+	}
+	if sd := math.Sqrt(ss / float64(n)); sd > 0 {
 		s.Scale = sd
 	}
 	return s

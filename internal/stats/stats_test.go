@@ -347,18 +347,18 @@ func TestMeanStd(t *testing.T) {
 
 func TestScalers(t *testing.T) {
 	vals := []float64{0, 5, 10}
-	z := FitScaler(vals)
+	z := FitScaler(store.NewFloatColumnFrom("v", vals))
 	if !almost(z.Apply(5), 0, 1e-12) {
 		t.Errorf("zscore center = %g", z.Apply(5))
 	}
 	if !almost(z.Apply(10), math.Sqrt(1.5), 1e-12) {
 		t.Errorf("zscore of the max = %g, want sqrt(1.5)", z.Apply(10))
 	}
-	con := FitScaler([]float64{7, 7})
+	con := FitScaler(store.NewFloatColumnFrom("v", []float64{7, 7}))
 	if con.Apply(7) != 0 || math.IsNaN(con.Apply(8)) {
 		t.Error("constant input must stay finite")
 	}
-	if empty := FitScaler([]float64{math.NaN()}); empty.Apply(3) != 3 {
+	if empty := FitScaler(store.NewFloatColumnFrom("v", []float64{math.NaN()})); empty.Apply(3) != 3 {
 		t.Error("an all-NaN input must fit the identity")
 	}
 	if !math.IsNaN(z.Apply(math.NaN())) {
@@ -376,7 +376,7 @@ func TestScalerRoundTripProperty(t *testing.T) {
 				return true
 			}
 		}
-		s := FitScaler(vals)
+		s := FitScaler(store.NewFloatColumnFrom("v", vals))
 		got := s.Apply(probe)*s.Scale + s.Center
 		return math.Abs(got-probe) <= 1e-6*(1+math.Abs(probe))
 	}

@@ -79,10 +79,14 @@ func NewFloatColumn(name string) *FloatColumn {
 	return &FloatColumn{name: name, nulls: NewBitmap(0)}
 }
 
-// newFloatColumnCap is NewFloatColumn with room for n rows, so a gather
-// of known length never regrows its storage.
-func newFloatColumnCap(name string, n int) *FloatColumn {
-	return &FloatColumn{name: name, vals: make([]float64, 0, n), nulls: newBitmapCap(n)}
+// newFloatColumnIn is NewFloatColumn with room for n rows, so a gather
+// of known length never regrows its storage: its values are written
+// into buf, or into a new slice when buf has less room.
+func newFloatColumnIn(name string, buf []float64, n int) *FloatColumn {
+	if cap(buf) < n {
+		buf = make([]float64, 0, n)
+	}
+	return &FloatColumn{name: name, vals: buf[:0], nulls: newBitmapCap(n)}
 }
 
 // NewFloatColumnFrom builds a float column from values; NaNs become nulls.
@@ -146,8 +150,11 @@ func (c *FloatColumn) StringAt(i int) string {
 }
 
 // Gather implements Column.
-func (c *FloatColumn) Gather(rows []int) Column {
-	out := newFloatColumnCap(c.name, len(rows))
+func (c *FloatColumn) Gather(rows []int) Column { return c.gatherIn(rows, nil) }
+
+// gatherIn is Gather writing the values into buf (see newFloatColumnIn).
+func (c *FloatColumn) gatherIn(rows []int, buf []float64) Column {
+	out := newFloatColumnIn(c.name, buf, len(rows))
 	for _, r := range rows {
 		if c.IsNull(r) {
 			out.AppendNull()
@@ -160,7 +167,7 @@ func (c *FloatColumn) Gather(rows []int) Column {
 
 // Slice implements Column.
 func (c *FloatColumn) Slice(lo, hi int) Column {
-	out := newFloatColumnCap(c.name, max(hi-lo, 0))
+	out := newFloatColumnIn(c.name, nil, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
 		if c.IsNull(i) {
 			out.AppendNull()

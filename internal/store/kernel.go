@@ -3,6 +3,7 @@ package store
 import (
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 )
 
@@ -41,6 +42,39 @@ var routeIdentity = func() (id [routeRun]uint16) {
 	}
 	return id
 }()
+
+// runScratch is the run-sized buffers of one pass over a row set: the
+// rows a range or a bitmap decodes a run into (RowSet.runs), and a
+// router's match bytes, leaf ids and per-depth selection vectors. A
+// pass takes them from runScratchPool and gives them back when it
+// returns, so routes, filters, scans and statistics reads of every
+// session share them, and a warm pool serves a pass without
+// allocating. Each buffer grows to the largest pass that used it.
+type runScratch struct {
+	ids     []int
+	match   []uint8
+	leafIDs []uint8
+	sel     []uint16
+}
+
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// takeRunScratch returns a scratch that is the caller's alone until it
+// releases it.
+func takeRunScratch() *runScratch { return runScratchPool.Get().(*runScratch) }
+
+// release gives the scratch back to the pool; its buffers must no
+// longer be read or written.
+func (sc *runScratch) release() { runScratchPool.Put(sc) }
+
+// resize returns buf at length n, on its own storage when it has room
+// (keeping stale values), else on new storage.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
 // colReader is the storage one column is read from: the whole column
 // of an in-memory table, or the current page of a segment column.

@@ -176,7 +176,10 @@ func (rg *Routing) collect(b *setBuilder, lo, hi uint) {
 	if b.done() {
 		return
 	}
-	m := make([]uint8, min(readRun, rg.sel.Len()))
+	sc := takeRunScratch()
+	defer sc.release()
+	sc.match = resize(sc.match, min(readRun, rg.sel.Len()))
+	m := sc.match
 	rg.sel.runs(readRun, 0, func(off, _ int, run []int) bool {
 		mr := m[:len(run)]
 		b.add(run, mr, min(onLeaves(mr, rg.planes, off, lo, hi), b.s.n-b.k))
@@ -220,35 +223,30 @@ type routeNode struct {
 // (FilterLimit) compiles it once.
 type router struct {
 	evaluator
-	rel     Relation
-	tree    SplitTree
-	nodes   []routeNode
-	out     *Routing   // the routing the current pass writes
-	leaves  int        // leaf ids handed out at compile
-	scratch [][]uint16 // one selection vector per split depth
-	match   []uint8    // one split's outcome per run offset
-	leafIDs []uint8    // the leaf id of every offset of the run being routed
-	cut     []int      // leaves of a pass that still have a subtree
+	rel    Relation
+	tree   SplitTree
+	nodes  []routeNode
+	depth  int      // split levels in one pass
+	out    *Routing // the routing the current pass writes
+	leaves int      // leaf ids handed out at compile
+	cut    []int    // leaves of a pass that still have a subtree
+	// sc is the current pass's scratch (see runScratch): match holds one
+	// split's outcome per run offset, leafIDs the leaf id of every
+	// offset of the run being routed, and sel one selection vector of
+	// runCap offsets per split depth.
+	sc *runScratch
 }
 
 // newRouter compiles t, whose root splits, over r for selections of at
 // most n rows.
 func newRouter(r Relation, t SplitTree, n int) *router {
-	runCap := min(n, routeRun)
 	rt := &router{
-		evaluator: evaluator{runCap: runCap},
+		evaluator: evaluator{runCap: min(n, routeRun)},
 		rel:       r,
 		tree:      t,
 		nodes:     make([]routeNode, len(t)),
-		match:     make([]uint8, runCap),
-		leafIDs:   make([]uint8, runCap),
 	}
-	depth := rt.compileNode(r, 0, 0)
-	buf := make([]uint16, depth*runCap)
-	rt.scratch = make([][]uint16, depth)
-	for d := range rt.scratch {
-		rt.scratch[d] = buf[d*runCap : (d+1)*runCap]
-	}
+	rt.depth = rt.compileNode(r, 0, 0)
 	return rt
 }
 
@@ -304,13 +302,21 @@ func (rt *router) compileNode(r Relation, i, depth int) int {
 // (see route). A run's ids are written a byte per offset, then packed
 // into the bit-planes.
 func (rt *router) pass(rows *RowSet, tally func(run []int, m []uint8, excluded bool)) {
+	rt.sc = takeRunScratch()
+	defer func() {
+		rt.sc.release()
+		rt.sc = nil
+	}()
+	rt.sc.match = resize(rt.sc.match, rt.runCap)
+	rt.sc.leafIDs = resize(rt.sc.leafIDs, rt.runCap)
+	rt.sc.sel = resize(rt.sc.sel, rt.depth*rt.runCap)
 	rows.runs(routeRun, rt.rpp, func(off, page int, run []int) bool {
 		rt.page, rt.run = page, run
 		rt.visit(0, routeIdentity[:len(run)])
-		packLeaves(rt.out.planes, off, rt.leafIDs[:len(run)])
+		packLeaves(rt.out.planes, off, rt.sc.leafIDs[:len(run)])
 		if tally != nil {
 			root := &rt.nodes[0].split
-			tally(run, rt.match[:len(run)], root.zone && rt.excluded(root))
+			tally(run, rt.sc.match[:len(run)], root.zone && rt.excluded(root))
 		}
 		return true
 	})
@@ -328,17 +334,17 @@ func (rt *router) visit(i int, sel []uint16) {
 	nd := &rt.nodes[i]
 	rt.out.count[i] += len(sel)
 	if nd.leaf >= 0 {
-		markLeaf(rt.leafIDs, sel, uint8(nd.leaf))
+		markLeaf(rt.sc.leafIDs, sel, uint8(nd.leaf))
 		return
 	}
-	m, out := rt.match[:len(sel)], rt.scratch[nd.depth][:len(sel)]
+	m, out := rt.sc.match[:len(sel)], rt.sc.sel[nd.depth*rt.runCap:][:len(sel)]
 	rt.eval(&nd.split, sel, m)
 	yes, no := i+1, i+rt.tree[i].No
 	if leaf := rt.nodes[no].leaf; leaf >= 0 && rt.nodes[yes].leaf >= 0 {
 		// Two leaves, numbered leaf-1 and leaf: the match bytes give the
 		// ids, so the bottom split skips its partition and the leaves'
 		// passes, which saves more than packing the ids costs.
-		ny := markSplit(rt.leafIDs, sel, m, uint8(leaf))
+		ny := markSplit(rt.sc.leafIDs, sel, m, uint8(leaf))
 		rt.out.count[yes] += ny
 		rt.out.count[no] += len(sel) - ny
 		return

@@ -151,14 +151,10 @@ func TestRouteRowsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouteRowsDeepTree routes through more split levels than one pass
-// descends (and more leaves than a leaf id names): a left-leaning chain
-// of thresholds and a full tree of depth 9.
-func TestRouteRowsDeepTree(t *testing.T) {
-	const n = 700
-	mem, seg := openBoth(t, n, 1<<20)
-	rows := rangeRows(0, n)
-
+// deepTrees are trees with more split levels than one pass descends
+// (and more leaves than a leaf id names): a left-leaning chain of
+// thresholds and a full tree of depth 9.
+func deepTrees() map[string]SplitTree {
 	// depth nested thresholds: node d's yes-child is node d+1, and the
 	// no-leaves close the chain in reverse after the innermost leaf.
 	const depth = 2*maxRouteDepth + 3
@@ -182,12 +178,66 @@ func TestRouteRowsDeepTree(t *testing.T) {
 		grow(depth + 1)
 	}
 	grow(0)
+	return map[string]SplitTree{"chain": chain, "full": full}
+}
 
-	for name, tree := range map[string]SplitTree{"chain": chain, "full": full} {
+// TestRouteRowsDeepTree routes through the deep trees, whose subtrees
+// cut at maxRouteDepth are routed by further passes.
+func TestRouteRowsDeepTree(t *testing.T) {
+	const n = 700
+	mem, seg := openBoth(t, n, 1<<20)
+	rows := rangeRows(0, n)
+	for name, tree := range deepTrees() {
 		want := referenceRoute(mem, tree, rows)
 		assertRouted(t, name+", table", Route(mem, tree, All(n)), want)
 		assertRouted(t, name+", segment", Route(seg, tree, All(n)), want)
 	}
+}
+
+// TestRouteDeepConcurrent: concurrent routes through the deep trees,
+// over one shared segment (through a pool far smaller than it) and the
+// table, so every route's passes — its own and the further ones over
+// its cut subtrees — and the collects between them take run scratch
+// from the one pool and give it back while other routes do. Every node
+// must equal the reference. Run under -race by `make race-scan`.
+func TestRouteDeepConcurrent(t *testing.T) {
+	const n = 3000
+	mem, seg := openBoth(t, n, 8<<10)
+	rng := rand.New(rand.NewSource(23))
+	type job struct {
+		name string
+		tree SplitTree
+		rows []int
+		want [][]int
+	}
+	var jobs []job
+	for name, tree := range deepTrees() {
+		for _, rows := range [][]int{rangeRows(0, n), SampleIndices(n, n/5, rng)} {
+			jobs = append(jobs, job{name, tree, rows, referenceRoute(mem, tree, rows)})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 6; it++ {
+				j := jobs[(g+it)%len(jobs)]
+				r := Relation(seg)
+				if (g+it)%3 == 0 {
+					r = mem
+				}
+				got := Route(r, j.tree, RowsOf(j.rows))
+				for nd := range j.want {
+					if !equalInts(got.Rows(nd).AppendTo(nil), j.want[nd]) {
+						t.Errorf("goroutine %d, %s over %d rows: node %d differs from the reference", g, j.name, len(j.rows), nd)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // leafTree draws a balanced tree of exactly leaves leaves. Its splits

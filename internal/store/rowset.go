@@ -204,12 +204,15 @@ func (s *RowSet) has(r int) bool {
 // most limit rows that share a page of rpp rows (rpp 0: no page bound)
 // and hands each to fn, in order, with its position in the set and its
 // page, until fn returns false. A list's runs are sub-slices of it; a
-// range's and a bitmap's are decoded into one scratch per pass. Either
-// way fn must neither keep nor modify run.
+// range's and a bitmap's are decoded into one pooled scratch per pass
+// (runScratch). Either way fn must neither keep nor modify run.
 func (s *RowSet) runs(limit, rpp int, fn func(off, page int, run []int) bool) {
 	var buf []int
 	if s.ids == nil {
-		buf = make([]int, min(limit, s.n))
+		sc := takeRunScratch()
+		defer sc.release()
+		sc.ids = resize(sc.ids, min(limit, s.n))
+		buf = sc.ids
 	}
 	wi, w := 0, uint64(0) // the bitmap cursor: w holds the unread bits of words[wi]
 	if s.words != nil {

@@ -262,11 +262,15 @@ func (c *segCol) StringAt(i int) string {
 
 // Gather implements Column: the result is the in-memory column type
 // of the same kind.
-func (c *segCol) Gather(rows []int) Column {
+func (c *segCol) Gather(rows []int) Column { return c.gatherIn(rows, nil) }
+
+// gatherIn is Gather writing a Float64 column's values into buf (see
+// newFloatColumnIn).
+func (c *segCol) gatherIn(rows []int, buf []float64) Column {
 	name := c.meta.Name
 	switch c.typ {
 	case Float64:
-		return gatherSeg(c, rows, newFloatColumnCap(name, len(rows)), segment.Float64At)
+		return gatherSeg(c, rows, newFloatColumnIn(name, buf, len(rows)), segment.Float64At)
 	case Int64:
 		return gatherSeg(c, rows, newIntColumnCap(name, len(rows)), segment.Int64At)
 	case Bool:

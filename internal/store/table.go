@@ -83,27 +83,65 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	return out, nil
 }
 
-// ScanGather materializes the named columns of the given rows of r into
+// ScanGather is GatherInto with no slab to reuse. workers is unused; it
+// stays in the signature because the frozen click benchmark (bench/load)
+// passes it.
+func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, error) {
+	t, _, err := GatherInto(r, rows, cols, nil)
+	return t, err
+}
+
+// GatherInto materializes the named columns of the given rows of r into
 // an in-memory table — Gather with projection pushdown: only the
 // requested columns are decoded, and on a segment backing an ascending
 // row set reads each of their pages once, through the column's page
-// cursor. workers is unused; it stays in the signature because the
-// frozen click benchmark (bench/load) passes it.
-func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, error) {
-	out := NewTable(r.Name())
+// cursor. The values of the Float64 columns are written into slab,
+// len(rows) a column in column order; a slab with too little room is
+// replaced by one just large enough, and the slab written is returned.
+// The table aliases it: a caller reusing the slab must be done with the
+// table first.
+func GatherInto(r Relation, rows []int, cols []string, slab []float64) (*Table, []float64, error) {
+	need := 0
 	for _, name := range cols {
 		c := r.ColumnByName(name)
 		if c == nil {
-			return nil, fmt.Errorf("store: gather of %s: no column %q", r.Name(), name)
+			return nil, slab, fmt.Errorf("store: gather of %s: no column %q", r.Name(), name)
 		}
-		if err := out.AddColumn(c.Gather(rows)); err != nil {
-			return nil, err
+		if c.Type() == Float64 {
+			need += len(rows)
+		}
+	}
+	if cap(slab) < need {
+		slab = make([]float64, need)
+	}
+	out := NewTable(r.Name())
+	free := slab[:need]
+	for _, name := range cols {
+		c := r.ColumnByName(name)
+		var buf []float64
+		if c.Type() == Float64 {
+			buf, free = free[:len(rows):len(rows)], free[len(rows):]
+		}
+		if err := out.AddColumn(gatherIn(c, rows, buf)); err != nil {
+			return nil, slab, err
 		}
 	}
 	if len(cols) == 0 {
 		out.numRows = len(rows)
 	}
-	return out, nil
+	return out, slab, nil
+}
+
+// gatherIn is c.Gather(rows), writing a Float64 column's values into
+// buf when the column is one of the store's own.
+func gatherIn(c Column, rows []int, buf []float64) Column {
+	switch c := c.(type) {
+	case *FloatColumn:
+		return c.gatherIn(rows, buf)
+	case *segCol:
+		return c.gatherIn(rows, buf)
+	}
+	return c.Gather(rows)
 }
 
 // SampleIndices draws up to k of the integers [0,n) uniformly without

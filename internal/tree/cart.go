@@ -6,8 +6,10 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/store"
@@ -247,7 +249,9 @@ func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity f
 	if len(pts) < 2*g.opts.MinLeaf {
 		return nil, 0
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].v < pts[j].v })
+	// Equal values may land in any order: the sweep never cuts between
+	// them, so the counts at every cut are the same.
+	slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.v, b.v) })
 
 	for _, p := range pts {
 		rightCounts[p.l]++
@@ -417,6 +421,25 @@ func (tr *Tree) Accuracy(t *store.Table, labels []int) float64 {
 		})
 	})
 	return float64(hit) / float64(len(rows))
+}
+
+// FitAccuracy is Accuracy on the training rows, read off the tree: a
+// leaf's training rows are the rows it routes, so it predicts the
+// Counts[Class] of them that carry its class. It takes no pass over
+// any rows.
+func (tr *Tree) FitAccuracy() float64 {
+	hit := 0
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.IsLeaf() {
+			hit += n.Counts[n.Class]
+			return
+		}
+		walk(n.Left)
+		walk(n.Right)
+	}
+	walk(tr.Root)
+	return float64(hit) / float64(tr.Root.N)
 }
 
 // NumLeaves returns the number of leaves.

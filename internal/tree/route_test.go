@@ -142,3 +142,47 @@ func TestRoutingMatchesReference(t *testing.T) {
 		t.Fatalf("Accuracy = %v, reference %v", got, want)
 	}
 }
+
+// TestFitAccuracyMatchesAccuracy: the training accuracy read off the
+// tree is the one routing the training rows again gives, bit for bit,
+// over random fits — float columns with nulls and ties, a string
+// column, every MinLeaf from 1 to 5 and depth from 1 to 6, pruned and
+// not.
+func TestFitAccuracyMatchesAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 240 {
+		n := 20 + rng.Intn(300)
+		k := 2 + rng.Intn(4)
+		tab := store.NewTable("fit")
+		x, y, s := store.NewFloatColumn("x"), store.NewFloatColumn("y"), store.NewStringColumn("s")
+		labels := make([]int, n)
+		for i := range labels {
+			l := rng.Intn(k)
+			labels[i] = l
+			if rng.Float64() < 0.1 {
+				x.AppendNull()
+			} else {
+				x.Append(float64(l)*2 + rng.NormFloat64()*2)
+			}
+			if rng.Float64() < 0.2 {
+				y.AppendNull()
+			} else {
+				y.Append(float64(rng.Intn(8) + l)) // ties
+			}
+			s.Append(fmt.Sprintf("v%d", (l+rng.Intn(3))%5))
+		}
+		tab.MustAddColumn(x)
+		tab.MustAddColumn(y)
+		tab.MustAddColumn(s)
+		tr, err := Fit(tab, []string{"x", "y", "s"}, labels, k, Options{MaxDepth: 1 + trial%6, MinLeaf: 1 + rng.Intn(5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 1 {
+			tr.Prune()
+		}
+		if got, want := tr.FitAccuracy(), tr.Accuracy(tab, labels); got != want {
+			t.Fatalf("trial %d: FitAccuracy %v, Accuracy %v\n%s", trial, got, want, render(tr))
+		}
+	}
+}
