@@ -21,12 +21,14 @@ race-jobs:
 # slabs of that scratch as other builds hand them back
 # (TestConcurrentBuildsShareSlabs), the cluster-layer subsets of one
 # lazy parent, CLARA's per-sample runs subsetting one shared lazy
-# parent, map-cache clones building their regions' rows and highlight
-# statistics in one shared routing, and sessions opened at once on one
-# Dataset, each adding a theme and building a map over the shared
-# dependency graph and themes (TestDatasetConcurrentOpens).
+# parent, the states holding one cached map building its regions' rows
+# and highlight statistics in its one routing, a map-cache hit running
+# while its cached map's state is annotated (TestAnnotateDuringHitBuild),
+# and sessions opened at once on one Dataset, each adding a theme and
+# building a map over the shared dependency graph and themes
+# (TestDatasetConcurrentOpens).
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|DerivedOraclesConcurrent|ClonesShareRegionRows|HighlightConcurrent|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

@@ -212,7 +212,7 @@ func BenchmarkHighlightStats(b *testing.B) {
 }
 
 // BenchmarkHighlightRevisit is a repeat highlight click: the same column
-// of the same region of 100 000 tuples, on the clone a map-cache hit
+// of the same region of 100 000 tuples, on the cached map a map-cache hit
 // serves. The statistics were computed by the first highlight, so B/op
 // is what a revisit's inspection costs beside them.
 func BenchmarkHighlightRevisit(b *testing.B) {

@@ -12,8 +12,8 @@ import (
 // ReuseLevel names how much prior work a prepared build reuses — the
 // reuse ladder resolved at prepare time and surfaced in job metadata:
 //
-//   - ReuseMapHit: the finished map itself was cached; Run returns a
-//     clone without rebuilding anything.
+//   - ReuseMapHit: the finished map itself was cached; Run returns it
+//     without rebuilding anything.
 //   - ReuseOracleDerived: the map must be rebuilt, but the selection's
 //     rows overlap the sample of a cold build whose artifact is cached,
 //     so the child's sample and vectors are re-sliced out of the
@@ -186,11 +186,6 @@ func (e *Explorer) prepare(next *State, theme Theme) *MapBuild {
 	return b
 }
 
-// Cached reports whether Prepare resolved the build from the zoom cache,
-// in which case Run returns instantly without rebuilding oracle,
-// clustering or tree.
-func (b *MapBuild) Cached() bool { return b.hit != nil }
-
 // Reuse reports how much prior work the build reuses (see ReuseLevel).
 func (b *MapBuild) Reuse() ReuseLevel { return b.reuse }
 
@@ -218,9 +213,7 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		if progress != nil {
 			progress(1)
 		}
-		// Hand out a fresh region tree, not the cached one: states must
-		// never share mutable regions (annotations).
-		return cloneForReuse(b.hit), nil
+		return b.hit, nil
 	}
 	rng := rand.New(rand.NewSource(b.seed))
 	var art *buildArtifact

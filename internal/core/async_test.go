@@ -34,8 +34,8 @@ func leafPath(t *testing.T, e *Explorer) []int {
 
 // TestZoomCacheHitOnRevisit: zoom → rollback → same zoom must be served
 // from the cache — identical clustering, no rebuild, counters
-// observable. The served map is a fresh clone, never the cached object
-// itself (states must not share mutable regions).
+// observable. The served map is the cached map itself: a map is not
+// changed after its build, so states share it.
 func TestZoomCacheHitOnRevisit(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	if _, err := e.SelectTheme(0); err != nil {
@@ -60,9 +60,9 @@ func TestZoomCacheHitOnRevisit(t *testing.T) {
 	if misses < 2 { // the theme selection and the first zoom at least
 		t.Errorf("cache misses = %d, want >= 2", misses)
 	}
-	// Cached result: same clustering, distinct region objects.
-	if m1 == m2 || m1.Root == m2.Root {
-		t.Error("cache hit must serve a cloned map, not the cached object")
+	// Cached result: the very map the first zoom built.
+	if m1 != m2 {
+		t.Error("cache hit must serve the cached map, not a copy")
 	}
 	if m1.K != m2.K || m1.Silhouette != m2.Silhouette || m1.SampleSize != m2.SampleSize {
 		t.Errorf("cached map differs: K %d/%d sil %g/%g", m1.K, m2.K, m1.Silhouette, m2.Silhouette)
@@ -91,7 +91,8 @@ func TestSelectThenProjectSameThemeHitsCache(t *testing.T) {
 
 // TestCacheHitDoesNotLeakAnnotations: annotations attached to one
 // navigation state must not appear on (or be mutable through) a later
-// cache-served build — the pre-cache behavior of a fresh build.
+// cache-served build of the same map — the pre-cache behavior of a
+// fresh build.
 func TestCacheHitDoesNotLeakAnnotations(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	if _, err := e.SelectTheme(0); err != nil {
@@ -102,6 +103,7 @@ func TestCacheHitDoesNotLeakAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := e.State()
 	sub := m1.Root.Leaves()[0].Path
 	if err := e.Annotate("note on first visit", sub...); err != nil {
 		t.Fatal(err)
@@ -117,8 +119,8 @@ func TestCacheHitDoesNotLeakAnnotations(t *testing.T) {
 		t.Fatalf("expected a cache hit, got %d", hits)
 	}
 	for _, leaf := range m2.Root.Leaves() {
-		if len(leaf.Annotations) != 0 {
-			t.Fatalf("cache-served map arrived pre-annotated: %v", leaf.Annotations)
+		if notes := e.State().Annotations(leaf); len(notes) != 0 {
+			t.Fatalf("cache-served map arrived pre-annotated: %v", notes)
 		}
 	}
 	// And annotating the new state must not touch the old one.
@@ -129,8 +131,8 @@ func TestCacheHitDoesNotLeakAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Annotations) != 1 || r1.Annotations[0] != "note on first visit" {
-		t.Errorf("revisit annotation bled into the earlier state: %v", r1.Annotations)
+	if notes := first.Annotations(r1); len(notes) != 1 || notes[0] != "note on first visit" {
+		t.Errorf("revisit annotation bled into the earlier state: %v", notes)
 	}
 }
 
@@ -301,7 +303,7 @@ func medianFilter(t *testing.T, e *Explorer) store.Predicate {
 
 // TestFilterRevisitHitsMapCache: a filter is a prepared build like the
 // other three actions, so select → filter → rollback → the same filter
-// resolves from the map cache, serves an equal (cloned) map, and the
+// resolves from the map cache, serves the first filter's map, and the
 // counters obey their conservation laws with the filters counted.
 func TestFilterRevisitHitsMapCache(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
@@ -320,15 +322,15 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() || b.Reuse() != ReuseMapHit {
-		t.Fatalf("repeated filter: cached=%v reuse=%q, want a %q", b.Cached(), b.Reuse(), ReuseMapHit)
+	if b.Reuse() != ReuseMapHit {
+		t.Fatalf("repeated filter: reuse=%q, want a %q", b.Reuse(), ReuseMapHit)
 	}
 	m2, err := e.runAndApply(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2 == m1 || m2.Root == m1.Root {
-		t.Error("the hit must serve a fresh clone, not the first filter's map")
+	if m2 != m1 {
+		t.Error("the hit must serve the first filter's map, not a copy")
 	}
 	if !mapsEqual(m1, m2) {
 		t.Error("the revisited filter's map differs from the first one")

@@ -66,6 +66,10 @@ type State struct {
 	// Condition accumulates the predicates of all zooms so far — the
 	// implicit Select-Project query the exploration has built.
 	Condition store.And
+	// notes are the annotations of Map's regions (Explorer.Annotate):
+	// they belong to this state, so a map shared with other states stays
+	// as it was built.
+	notes map[*Region][]string
 }
 
 // Dataset is the per-table half of an exploration: the relation, the

@@ -45,7 +45,7 @@ func writeMixedCSV(t *testing.T, n int, seed int64) string {
 
 // mixedMap opens an explorer over r and selects the theme of its four
 // non-string columns.
-func mixedMap(t *testing.T, r store.Relation) *Map {
+func mixedMap(t *testing.T, r store.Relation) (*Explorer, *Map) {
 	t.Helper()
 	e, err := NewExplorer(r, Options{Seed: 5})
 	if err != nil {
@@ -62,7 +62,7 @@ func mixedMap(t *testing.T, r store.Relation) *Map {
 	if len(m.Root.Children) == 0 {
 		t.Fatal("the map has no split")
 	}
-	return m
+	return e, m
 }
 
 // columnsOf lists the columns of r.
@@ -91,19 +91,23 @@ func sameStats(a, b store.ColumnStats) bool {
 
 // TestRegionStatsMatchStatsRows: on both backings, for every region of a
 // map and every column kind, Region.Stats is StatsRows over the region's
-// rows — on the first call, on the second (the memo), through a
-// map-cache clone and for a hand-built region of the same rows.
+// rows — on the first call, on the second (the memo), through the map a
+// revisit is served and for a hand-built region of the same rows.
 func TestRegionStatsMatchStatsRows(t *testing.T) {
 	mem, seg := openBoth(t, writeMixedCSV(t, 1500, 3))
 	for _, r := range []store.Relation{mem, seg} {
-		m := mixedMap(t, r)
-		regions, clones := regionsOf(m), regionsOf(cloneForReuse(m))
+		e, m := mixedMap(t, r)
+		revisit, err := e.SelectTheme(m.Theme.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions, revisits := regionsOf(m), regionsOf(revisit)
 		for k, reg := range regions {
 			for _, col := range columnsOf(r) {
 				want := store.StatsRows(col, reg.RowIDs())
 				hand := &Region{Rows: reg.RowIDs().AppendTo(nil)}
 				for name, got := range map[string]store.ColumnStats{
-					"first": reg.Stats(col), "second": reg.Stats(col), "clone": clones[k].Stats(col), "hand-built": hand.Stats(col),
+					"first": reg.Stats(col), "second": reg.Stats(col), "revisit": revisits[k].Stats(col), "hand-built": hand.Stats(col),
 				} {
 					if !sameStats(got, want) {
 						t.Fatalf("%T, region %v, %s (%s call): Stats = %+v, StatsRows = %+v", r, reg.Path, col.Name(), name, got, want)
@@ -116,7 +120,7 @@ func TestRegionStatsMatchStatsRows(t *testing.T) {
 
 // TestHighlightRevisitAllocates: a highlight of a region of more than
 // 100 000 rows allocates the distinct-value table once; highlighting it
-// again on the map-cache clone a revisit serves allocates under 16 KB.
+// again on the cached map a revisit serves allocates under 16 KB.
 func TestHighlightRevisitAllocates(t *testing.T) {
 	tbl, _, _ := laborTable(330_000, 4)
 	e, err := NewExplorer(tbl, Options{Seed: 1, SampleSize: 500})
@@ -146,7 +150,7 @@ func TestHighlightRevisitAllocates(t *testing.T) {
 		t.Fatalf("reselecting the theme was not a map-cache hit (err %v)", err)
 	}
 	if got := allocated(highlight); got >= 16<<10 {
-		t.Errorf("highlighting the region again on the clone allocated %d bytes, want under 16 KB", got)
+		t.Errorf("highlighting the region again on the revisit allocated %d bytes, want under 16 KB", got)
 	}
 }
 
@@ -173,16 +177,16 @@ func TestHighlightStatsNotAliased(t *testing.T) {
 	}
 }
 
-// TestHighlightConcurrentClones: goroutines reading a highlight's
-// statistics on clones of one map — pairs on the same region and column
-// at once, the pairs on different regions — all get StatsRows' answer.
-// Run under -race by `make race-derived`.
-func TestHighlightConcurrentClones(t *testing.T) {
+// TestHighlightConcurrentSharedMap: goroutines reading a highlight's
+// statistics on one shared map — pairs on the same region and column at
+// once, the pairs on different regions — all get StatsRows' answer. Run
+// under -race by `make race-derived`.
+func TestHighlightConcurrentSharedMap(t *testing.T) {
 	mem, err := store.ReadCSVFile(writeMixedCSV(t, 1500, 6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := mixedMap(t, mem)
+	_, orig := mixedMap(t, mem)
 	cols := columnsOf(mem)
 	var want [][]store.ColumnStats
 	for _, r := range regionsOf(orig) {
@@ -192,13 +196,13 @@ func TestHighlightConcurrentClones(t *testing.T) {
 		}
 		want = append(want, row)
 	}
-	cold := mixedMap(t, mem)
+	_, cold := mixedMap(t, mem)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(off int) {
 			defer wg.Done()
-			regions := regionsOf(cloneForReuse(cold))
+			regions := regionsOf(cold)
 			for k := range regions {
 				i := (k + off) % len(regions)
 				for c, col := range cols {

@@ -87,8 +87,9 @@ func (e *Explorer) RegionScatter(xCol, yCol string, path ...int) (*ScatterData, 
 
 // Annotate attaches a free-text note to the region at path of the current
 // map (the paper's abstract: maps provide "facilities to inspect their
-// content and annotate them"). Annotations live on the map and survive
-// rollback to the state holding that map.
+// content and annotate them"). Annotations live on the state and
+// survive rollback to it; another state holding the same map does not
+// show them.
 func (e *Explorer) Annotate(text string, path ...int) error {
 	cur := e.State()
 	if cur.Map == nil {
@@ -98,9 +99,16 @@ func (e *Explorer) Annotate(text string, path ...int) error {
 	if err != nil {
 		return err
 	}
-	region.Annotations = append(region.Annotations, text)
+	if cur.notes == nil {
+		cur.notes = make(map[*Region][]string)
+	}
+	cur.notes[region] = append(cur.notes[region], text)
 	return nil
 }
+
+// Annotations returns the notes Annotate attached to region r of the
+// state's map, oldest first.
+func (s *State) Annotations(r *Region) []string { return s.notes[r] }
 
 // Filter narrows the current selection with an explicit predicate and
 // rebuilds the active map (when one exists) over the filtered rows; it

@@ -85,13 +85,13 @@ func TestAnnotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := m.Root.Find(leaf.Path)
-	if len(got.Annotations) != 2 || got.Annotations[0] != "best work conditions" {
-		t.Errorf("annotations = %v", got.Annotations)
+	if notes := e.State().Annotations(got); len(notes) != 2 || notes[0] != "best work conditions" {
+		t.Errorf("annotations = %v", notes)
 	}
 	if err := e.Annotate("x", 99, 99); err == nil {
 		t.Error("bad path should fail")
 	}
-	// Annotations survive zoom + rollback (they live on the map).
+	// Annotations survive zoom + rollback (they live on the state).
 	if _, err := e.Zoom(leaf.Path...); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAnnotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = e.CurrentMap().Root.Find(leaf.Path)
-	if len(got.Annotations) != 2 {
+	if len(e.State().Annotations(got)) != 2 {
 		t.Error("annotations lost across zoom/rollback")
 	}
 }

@@ -23,9 +23,9 @@ type mapKey struct {
 }
 
 // mapCache is the session's one reuse cache: a small LRU of finished
-// maps, each cold one beside the artifact its build fitted, so a miss
-// can derive its sample and vectors from a cached parent's (see
-// findDerivable). An artifact is evicted together with its map. The
+// maps, which a hit serves by reference (see Map), each cold one beside
+// the artifact its build fitted, so a miss can derive its sample and
+// vectors from a cached parent's (see findDerivable). An artifact is evicted together with its map. The
 // cache is owned by one Explorer and accessed only under whatever lock
 // guards the Explorer (the session mutex at the server tier), so it
 // needs no locking of its own.
@@ -135,30 +135,4 @@ type TierStats struct {
 // Explorer.ReuseStats.
 type ReuseStats struct {
 	Map TierStats `json:"map"`
-}
-
-// cloneForReuse returns a copy of a cached map with a fresh region
-// tree, so a cache hit behaves like a fresh build: navigation states
-// never share mutable regions, and annotations made on one state can
-// neither leak into a later re-zoom nor be mutated through it.
-// Annotations are dropped (a fresh build has none); the routing (so
-// every region's rows are built once across the original and all its
-// clones), Split and Condition are shared — they are read-only once
-// built.
-func cloneForReuse(m *Map) *Map {
-	out := *m
-	out.Root = cloneRegion(m.Root)
-	return &out
-}
-
-func cloneRegion(r *Region) *Region {
-	out := *r
-	out.Annotations = nil
-	if len(r.Children) > 0 {
-		out.Children = make([]*Region, len(r.Children))
-		for i, c := range r.Children {
-			out.Children[i] = cloneRegion(c)
-		}
-	}
-	return &out
 }

@@ -63,10 +63,10 @@ func TestMapCacheHitAcrossRowOrder(t *testing.T) {
 }
 
 // TestFingerprintOncePerSelection: a region's set is collected once and
-// is the very one the zoom's state, a projection of it, a
-// rollback-then-rezoom and every clone of the cached map read, so each
-// of them keys its lookup on that set; its fingerprint is the one any
-// construction of the same rows gives.
+// is the very one the zoom's state, a projection of it and a
+// rollback-then-rezoom read, so each of them keys its lookup on that
+// set and the revisit is served the zoom's cached map; its fingerprint
+// is the one any construction of the same rows gives.
 func TestFingerprintOncePerSelection(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	if _, err := e.SelectTheme(0); err != nil {
@@ -77,7 +77,8 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := region.RowIDs()
-	if _, err := e.Zoom(region.Path...); err != nil {
+	zoomed, err := e.Zoom(region.Path...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.State().Rows != rows || region.RowIDs() != rows {
@@ -92,7 +93,7 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() || b.next.Rows != rows {
+	if b.Reuse() != ReuseMapHit || b.next.Rows != rows {
 		t.Error("projecting the zoomed state did not key on its set")
 	}
 	// Roll back and zoom into the same region again: the region's set
@@ -103,16 +104,15 @@ func TestFingerprintOncePerSelection(t *testing.T) {
 	if b, err = e.Prepare(Action{Kind: ActionZoom, Path: region.Path}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Cached() || b.next.Rows != rows {
+	if b.Reuse() != ReuseMapHit || b.next.Rows != rows {
 		t.Error("the revisit did not key on the region's set")
 	}
-	// A clone of the cached map shares the set.
-	clone, err := cloneForReuse(e.CurrentMap()).Root.Find(region.Path)
-	if err != nil {
+	// The revisit is served the zoom's map, over the region's set.
+	if _, err := e.runAndApply(b, nil); err != nil {
 		t.Fatal(err)
 	}
-	if clone == region || clone.RowIDs() != rows {
-		t.Error("cloneForReuse does not share the region's set")
+	if e.CurrentMap() != zoomed || e.State().Rows != rows {
+		t.Error("the revisit does not hold the cached map over the region's set")
 	}
 }
 
@@ -145,7 +145,7 @@ func TestRegionAndFilterShareEntry(t *testing.T) {
 	if b.next.Rows == region.RowIDs() {
 		t.Fatal("the filter was handed the region's set, not a scan's")
 	}
-	if !b.Cached() {
+	if b.Reuse() != ReuseMapHit {
 		t.Errorf("filter %q missed the entry its region's zoom cached", region.Describe())
 	}
 }

@@ -17,7 +17,9 @@ import (
 // in the current selection under one theme's columns (paper §2). It is
 // built by the three-stage pipeline of Fig. 3 — preprocessing, cluster
 // detection, cluster description — and doubles as output (a summary of
-// the data) and input (regions the user can zoom into).
+// the data) and input (regions the user can zoom into). A map is not
+// changed once MapBuild.Run returns it, so the map cache and every state
+// holding it share one; a state's annotations live on the State.
 type Map struct {
 	// Theme is the theme whose columns the map clusters on.
 	Theme Theme

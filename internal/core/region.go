@@ -11,12 +11,14 @@ import (
 // Region is one node of a data map: a subset of the current selection
 // described by an interpretable predicate path (paper §2). Leaf regions
 // are the clusters the user can zoom into; internal regions show the
-// hierarchy of splits (Fig. 1b). An engine-built region holds its map's
-// routing of the selection and its node in it: its count is known at
-// once, its rows are built the first time RowIDs reads them — once per
-// map, shared by every clone of a cached map, at most span/8 bytes —
-// since a user zooms into or inspects one region of a map, not all of
-// them; so are a column's statistics over them (Stats).
+// hierarchy of splits (Fig. 1b). A region is never copied or changed
+// once its map is built: every state holding the map reads the same
+// regions, and a state's annotations name them by pointer. An
+// engine-built region holds its map's routing of the selection and its
+// node in it: its count is known at once, its rows are built the first
+// time RowIDs reads them — once per map, at most span/8 bytes — since a
+// user zooms into or inspects one region of a map, not all of them; so
+// are a column's statistics over them (Stats).
 type Region struct {
 	// Path addresses the region from the map root: Path[i] is the child
 	// index taken at depth i (empty for the root).
@@ -44,9 +46,6 @@ type Region struct {
 	// Silhouette is the mean silhouette width of the region's cluster on
 	// the clustered sample (leaf regions; NaN when unavailable).
 	Silhouette float64
-	// Annotations are user notes attached via Explorer.Annotate (the
-	// paper's abstract: maps offer facilities to "annotate" clusters).
-	Annotations []string
 }
 
 // Count returns the number of selection tuples in the region — the
@@ -60,8 +59,8 @@ func (r *Region) Count() int {
 
 // RowIDs returns the base-table rows of the selection falling in the
 // region. An engine-built region's set is built on the first call and
-// shared afterwards — by every clone of its map, and by the state a zoom
-// into the region pushes, so its rows are collected once.
+// shared afterwards — by every state holding its map, and by the state
+// a zoom into the region pushes, so its rows are collected once.
 func (r *Region) RowIDs() *store.RowSet {
 	if r.routed != nil {
 		return r.routed.Rows(r.node)
@@ -71,8 +70,8 @@ func (r *Region) RowIDs() *store.RowSet {
 
 // Stats returns the statistics of col — a column of the table the map
 // was built over — over the region's rows. An engine-built region's are
-// computed on the first call and shared afterwards, by every clone of
-// its map, like its rows.
+// computed on the first call and shared afterwards, by every state
+// holding its map, like its rows.
 func (r *Region) Stats(col store.Column) store.ColumnStats {
 	if r.routed != nil {
 		return r.routed.Stats(r.node, col.Name())

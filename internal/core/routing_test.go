@@ -97,23 +97,32 @@ func TestSelectAndZoomBuildNoRegionRows(t *testing.T) {
 	assertRowsUnbuilt(t, "select", others, span)
 }
 
-// TestMapCacheClonesShareRegionRows: a map-cache hit hands out a clone
-// that shares the cached map's routing, so a region's rows are built
-// once — on whichever copy reads them first — and read for free on the
-// original and every other clone, also when clones read concurrently.
-// Run under -race by `make race-derived`.
-func TestMapCacheClonesShareRegionRows(t *testing.T) {
+// TestMapCacheHitSharesRegionRows: a map-cache hit hands out the cached
+// map itself, so a region's rows are built once — through whichever
+// state reads them first — and read for free through every other state
+// holding the map, also when they read concurrently. Run under -race by
+// `make race-derived`.
+func TestMapCacheHitSharesRegionRows(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	orig, err := e.SelectTheme(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
-	if err != nil || !b.Cached() {
-		t.Fatalf("reselecting the theme: cached %v, err %v", b != nil && b.Cached(), err)
-	}
-	clone, err := b.Run(context.Background(), nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseMapHit {
+		t.Fatalf("reselecting the theme: reuse %q, want %q", b.Reuse(), ReuseMapHit)
+	}
+	hit, err := b.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != orig {
+		t.Fatal("the hit served a copy, not the cached map")
+	}
+	if err := e.ApplyBuild(b, hit); err != nil {
 		t.Fatal(err)
 	}
 	path := largestLeaf(orig)
@@ -124,11 +133,11 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 		}
 		return r
 	}
-	first := find(clone)
+	first := find(e.CurrentMap())
 	if got := allocated(func() { first.RowIDs() }); got == 0 {
-		t.Fatalf("the clone's first read of %d rows allocated nothing", first.Count())
+		t.Fatalf("the hit's first read of %d rows allocated nothing", first.Count())
 	}
-	for name, r := range map[string]*Region{"cached original": find(orig), "second clone": find(cloneForReuse(orig))} {
+	for name, r := range map[string]*Region{"select state": find(e.History()[1].Map), "hit state": find(e.CurrentMap())} {
 		if got := allocated(func() { r.RowIDs() }); got != 0 {
 			t.Errorf("%s: reading the region's rows allocated %d bytes, want 0", name, got)
 		}
@@ -154,7 +163,7 @@ func TestMapCacheClonesShareRegionRows(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			regions := regionsOf(cloneForReuse(cold))
+			regions := regionsOf(cold)
 			for k := range regions {
 				r := regions[(k+g)%len(regions)]
 				if !slices.Equal(r.RowIDs().AppendTo(nil), want[(k+g)%len(regions)]) {

@@ -46,8 +46,10 @@ func (t Theme) View() ThemeView {
 	return ThemeView{ID: t.ID, Label: t.Label(), Medoid: t.Medoid, Columns: t.Columns, Cohesion: t.Cohesion}
 }
 
-// View returns the map's wire form (nil for a nil map).
-func (m *Map) View() *MapView {
+// MapView returns the wire form of the state's map with the state's
+// annotations (nil for a state with no map).
+func (s *State) MapView() *MapView {
+	m := s.Map
 	if m == nil {
 		return nil
 	}
@@ -58,17 +60,17 @@ func (m *Map) View() *MapView {
 		Silhouette:   m.Silhouette,
 		TreeAccuracy: m.TreeAccuracy,
 		SampleSize:   m.SampleSize,
-		Root:         m.Root.view(),
+		Root:         m.Root.view(s.notes),
 	}
 }
 
-func (r *Region) view() RegionView {
+func (r *Region) view(notes map[*Region][]string) RegionView {
 	out := RegionView{
 		Path:        r.Path,
 		Condition:   r.Describe(),
 		Count:       r.Count(),
 		ClusterID:   r.ClusterID,
-		Annotations: r.Annotations,
+		Annotations: notes[r],
 	}
 	if !math.IsNaN(r.Silhouette) {
 		v := r.Silhouette
@@ -80,7 +82,7 @@ func (r *Region) view() RegionView {
 	// Sized once (a leaf's is empty and, like nil, omitted).
 	out.Children = make([]RegionView, len(r.Children))
 	for i, c := range r.Children {
-		out.Children[i] = c.view()
+		out.Children[i] = c.view(notes)
 	}
 	return out
 }
@@ -123,7 +125,7 @@ func (e *Explorer) Snapshot() *Snapshot {
 			Detail: st.Detail,
 			Rows:   st.Rows.Len(),
 			Query:  e.queryOf(st),
-			Map:    st.Map.View(),
+			Map:    st.MapView(),
 		})
 	}
 	return s

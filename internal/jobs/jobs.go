@@ -150,8 +150,8 @@ func (j *Job) SetProgress(f float64) {
 	j.pool.mu.Unlock()
 }
 
-// SetMeta attaches an observable key/value to the job (e.g. the zoom
-// cache reporting "cacheHit": true). Safe to call from inside Func.
+// SetMeta attaches an observable key/value to the job (e.g. a build
+// reporting its reuse level). Safe to call from inside Func.
 func (j *Job) SetMeta(key string, value any) {
 	j.pool.mu.Lock()
 	j.meta[key] = value

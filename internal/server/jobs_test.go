@@ -229,8 +229,8 @@ func TestZoomCacheHitOverWire(t *testing.T) {
 		t.Fatalf("re-zoom job = %v", final)
 	}
 	meta, _ := final["meta"].(map[string]any)
-	if meta == nil || meta["cacheHit"] != true {
-		t.Errorf("re-zoom should report cacheHit, got meta %v", meta)
+	if meta == nil || meta["reuse"] != "mapHit" {
+		t.Errorf("re-zoom should report reuse mapHit, got meta %v", meta)
 	}
 	st = doJSON(t, "GET", base, nil, http.StatusOK)
 	if st["action"] != "zoom" {

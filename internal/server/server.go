@@ -212,7 +212,7 @@ func (s *Server) stateJSON(sess *session.Session) stateJSON {
 			Query:     e.Query(),
 			Action:    st.Action.Kind,
 			Detail:    st.Detail,
-			Map:       st.Map.View(),
+			Map:       st.MapView(),
 			Depth:     len(e.History()),
 			Cache:     e.ReuseStats(),
 		}

@@ -99,12 +99,11 @@ type poolStatser interface {
 // in between surfaces as a "state changed" job failure, never as
 // corrupted history.
 //
-// Jobs resolved by the zoom cache report {"cacheHit": true} in their
-// metadata and complete without rebuilding oracle, clustering or tree.
-// Every build job additionally reports its reuse level ({"reuse":
+// Every build job reports its reuse level in its metadata ({"reuse":
 // "mapHit" | "oracleDerived" | "cold"}, see core.ReuseLevel): whether it
-// was served from the map cache, rebuilt over a sample and vectors
-// derived from a cached parent's, or built entirely from scratch.
+// was served from the map cache without rebuilding oracle, clustering or
+// tree, rebuilt over a sample and vectors derived from a cached
+// parent's, or built entirely from scratch.
 //
 // The job function records an obs.Trace (stage spans, distance-evaluation
 // and page-read counters, the reuse tier) retrievable through the job
@@ -157,9 +156,6 @@ func (s *Session) runBuild(ctx context.Context, j *jobs.Job, act core.Action) (a
 		return err
 	}); err != nil {
 		return nil, err
-	}
-	if build.Cached() {
-		j.SetMeta("cacheHit", true)
 	}
 	m, err := build.Run(ctx, j.SetProgress)
 	if err != nil {

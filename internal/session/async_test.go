@@ -140,7 +140,7 @@ func TestCacheHitMetadata(t *testing.T) {
 	if err := waitJob(t, first); err != nil {
 		t.Fatal(err)
 	}
-	if first.Info().Meta["cacheHit"] == true {
+	if first.Info().Meta["reuse"] == "mapHit" {
 		t.Error("first zoom should not hit the cache")
 	}
 	_ = s.Do(func(e *core.Explorer) error { return e.Rollback() })
@@ -148,8 +148,8 @@ func TestCacheHitMetadata(t *testing.T) {
 	if err := waitJob(t, second); err != nil {
 		t.Fatal(err)
 	}
-	if second.Info().Meta["cacheHit"] != true {
-		t.Error("re-zoom into a visited selection should report cacheHit")
+	if got := second.Info().Meta["reuse"]; got != "mapHit" {
+		t.Errorf("re-zoom into a visited selection reports reuse %v, want mapHit", got)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestReuseLevelMetadata(t *testing.T) {
 	if got := re.Info().Meta["reuse"]; got != "mapHit" {
 		t.Errorf("re-zoom reuse = %v, want mapHit", got)
 	}
-	if re.Info().Meta["cacheHit"] != true {
-		t.Error("mapHit job should keep the legacy cacheHit metadata")
+	if _, ok := re.Info().Meta["cacheHit"]; ok {
+		t.Error("a mapHit job reports the retired cacheHit metadata; reuse is the one signal")
 	}
 }
 

@@ -7,8 +7,8 @@ package store
 // so a dataset can be backed by Go slices or by paged segments on disk
 // without the exploration pipeline noticing.
 //
-// Gather and Where materialize their result as an in-memory *Table:
-// Blaeu's pipeline always narrows to a sample or a region before doing
+// Gather materializes its result as an in-memory *Table: Blaeu's
+// pipeline always narrows to a sample or a region before doing
 // per-value work, so materialized results are small even when the
 // backing relation is not.
 type Relation interface {
@@ -34,9 +34,6 @@ type Relation interface {
 	// Filter returns the indices of rows matching the predicate, in
 	// ascending order.
 	Filter(p Predicate) []int
-	// Where returns a new materialized table of the rows matching the
-	// predicate.
-	Where(p Predicate) *Table
 	// Row renders row i as strings in schema order (nulls render "").
 	Row(i int) []string
 }
@@ -162,11 +159,6 @@ func (t *columnSet) Head(n int) *Table {
 // list of its final size.
 func (t *columnSet) Filter(p Predicate) []int {
 	return scan(scanRouter(t, p, t.numRows), All(t.numRows), t.numRows).list(1)
-}
-
-// Where returns a new materialized table of the rows matching the predicate.
-func (t *columnSet) Where(p Predicate) *Table {
-	return t.Gather(t.Filter(p))
 }
 
 // Row renders row i as strings in schema order (nulls render as "").

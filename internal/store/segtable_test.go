@@ -215,7 +215,7 @@ func TestSegmentGatherAndWhere(t *testing.T) {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	assertRelationsEqual(t, mem.Gather(shuffled), seg.Gather(shuffled))
 	p := And{NumCmp{Col: "x", Op: Gt, Val: 0}, StrEq{Col: "label", Val: "alpha", Neq: true}}
-	assertRelationsEqual(t, mem.Where(p), seg.Where(p))
+	assertRelationsEqual(t, mem.Gather(mem.Filter(p)), seg.Gather(seg.Filter(p)))
 	assertRelationsEqual(t, mem.Head(13), seg.Head(13))
 }
 

@@ -265,10 +265,10 @@ func TestTableFilterWhere(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("filter rows = %v", rows)
 	}
-	w := tab.Where(And{
+	w := tab.Gather(tab.Filter(And{
 		NumCmp{Col: "hours", Op: Lt, Val: 20},
 		NumCmp{Col: "income", Op: Ge, Val: 30},
-	})
+	}))
 	if w.NumRows() != 3 {
 		t.Fatalf("where rows = %d, want 3 (CH, NO, CA)", w.NumRows())
 	}

@@ -69,8 +69,9 @@ func TestScanRowsAndPartitionRows(t *testing.T) {
 }
 
 // TestZeroColumnRowCounts is the regression suite for row-count loss
-// on zero-column tables: Head, Gather, Where, Clone and Slice-based
-// paths must all preserve numRows when no columns exist to carry it.
+// on zero-column tables: Head, Gather, Gather(Filter), Clone and
+// Slice-based paths must all preserve numRows when no columns exist to
+// carry it.
 func TestZeroColumnRowCounts(t *testing.T) {
 	tab := NewTable("empty")
 	tab.numRows = 10
@@ -87,11 +88,11 @@ func TestZeroColumnRowCounts(t *testing.T) {
 	if got := tab.Gather([]int{1, 3, 5}).NumRows(); got != 3 {
 		t.Errorf("Gather on zero-column table: %d rows, want 3", got)
 	}
-	if got := tab.Where(True{}).NumRows(); got != 10 {
-		t.Errorf("Where(True) on zero-column table: %d rows, want 10", got)
+	if got := tab.Gather(tab.Filter(True{})).NumRows(); got != 10 {
+		t.Errorf("Gather(Filter(True)) on zero-column table: %d rows, want 10", got)
 	}
-	if got := tab.Where(IsNull{Col: "ghost"}).NumRows(); got != 0 {
-		t.Errorf("Where(impossible) on zero-column table: %d rows, want 0", got)
+	if got := tab.Gather(tab.Filter(IsNull{Col: "ghost"})).NumRows(); got != 0 {
+		t.Errorf("Gather(Filter(impossible)) on zero-column table: %d rows, want 0", got)
 	}
 }
 
