@@ -19,7 +19,10 @@ race-jobs:
 # dataset's build scratch (TestConcurrentColdBuilds*), cold and derived
 # builds of sessions on one Dataset gathering their samples into the
 # slabs of that scratch as other builds hand them back
-# (TestConcurrentBuildsShareSlabs), the cluster-layer subsets of one
+# (TestConcurrentBuildsShareSlabs), builds over themes of different
+# widths fitting their description trees in that scratch's presorted
+# lists, regrowing them while another build holds the other scratch
+# (TestConcurrentFitsShareTreeScratch), the cluster-layer subsets of one
 # lazy parent, CLARA's per-sample runs subsetting one shared lazy
 # parent, the states holding one cached map building its regions' rows
 # and highlight statistics in its one routing, a map-cache hit running
@@ -28,7 +31,7 @@ race-jobs:
 # building a map over the shared dependency graph and themes
 # (TestDatasetConcurrentOpens).
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

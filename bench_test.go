@@ -292,19 +292,35 @@ func BenchmarkDependencyGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkCARTFit grows a depth-3 description tree on planted blobs:
+// n=1000 and n=5000 over 6 columns, and explore_mem over 33 (the shape
+// of that workload's select: a 1 100-row sample of its widest theme).
+// Each fits in a
+// fresh tree.Scratch, the way tree.Fit does; reuse fits in one Scratch
+// carried across iterations, the way a build on a dataset's scratch
+// does, and allocates only the tree's nodes.
 func BenchmarkCARTFit(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
+	for _, c := range []struct {
+		name    string
+		n, dims int
+	}{{"n=1000", 1000, 6}, {"n=5000", 5000, 6}, {"explore_mem", 1100, 33}} {
 		rng := rand.New(rand.NewSource(9))
-		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: n, K: 4, Dims: 6, Sep: 6}, rng)
-		labels := ds.Truth["rows"]
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		ds := datagen.PlantedBlobs(datagen.BlobSpec{N: c.n, K: 4, Dims: c.dims, Sep: 6}, rng)
+		features, labels := ds.Table.ColumnNames(), ds.Truth["rows"]
+		fit := func(b *testing.B, reused *tree.Scratch) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tree.Fit(ds.Table, ds.Table.ColumnNames(), labels, 4,
-					tree.Options{MaxDepth: 3, MinLeaf: 8}); err != nil {
+				sc := reused
+				if sc == nil {
+					sc = new(tree.Scratch)
+				}
+				if _, err := sc.Fit(ds.Table, features, labels, 4, tree.Options{MaxDepth: 3, MinLeaf: 8}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
+		b.Run(c.name, func(b *testing.B) { fit(b, nil) })
+		b.Run(c.name+"/reuse", func(b *testing.B) { fit(b, new(tree.Scratch)) })
 	}
 }
 

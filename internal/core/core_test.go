@@ -230,7 +230,7 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, func(float64) {})
+		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, &buildScratch{}, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}

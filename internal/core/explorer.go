@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/tree"
 )
 
 // ActionKind identifies a navigational action (paper §2). Its values
@@ -101,14 +102,19 @@ type Dataset struct {
 
 // buildScratch is the storage a build works in and leaves behind: the
 // matrix it computed its distances in (nil until a build materializes
-// one) and the slab its sample's float columns were gathered into. The
-// map and the artifact a build returns reference neither — the sample
-// table dies with the build, and the artifact holds the sample rows,
-// the fitted pipeline and the vectors — so the next build may overwrite
-// both.
+// one), the slab its sample's float columns were gathered into, and the
+// buffers its description tree was fitted in (tree.Scratch): the
+// sample's row ids presorted per numeric feature, plus one list in row
+// order (4 B a row each), a side byte per row, and the presort's and
+// partition's temps. The map and the
+// artifact a build returns reference none of them — the sample table
+// dies with the build, the tree holds only its nodes, and the artifact
+// holds the sample rows, the fitted pipeline and the vectors — so the
+// next build may overwrite them all.
 type buildScratch struct {
 	matrix *cluster.DistMatrix
 	floats []float64
+	tree   tree.Scratch
 }
 
 // NewDataset detects the themes of the table, an in-memory *store.Table

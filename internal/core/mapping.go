@@ -145,7 +145,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	tr.SetAttr("oracle", storage)
 	report(0.15)
 
-	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, report)
+	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, sc, report)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +161,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 
 // mapOver runs cluster detection and description over the build's
 // oracle (stages 2b–4 of buildMapStaged).
-func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, report func(float64)) (*Map, error) {
+func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, sc *buildScratch, report func(float64)) (*Map, error) {
 	tr := obs.TraceFrom(ctx)
 	// Stage 2b: cluster detection with automatic k.
 	sp := tr.Start("cluster")
@@ -178,7 +178,7 @@ func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buil
 	// Stages 3–4: cluster description and extension to the full
 	// selection.
 	sp = tr.Start("region")
-	m, err := e.regionStage(ctx, oracle, art, sample, clustering, rows, theme, report)
+	m, err := e.regionStage(ctx, oracle, art, sample, clustering, rows, theme, sc, report)
 	sp.End()
 	return m, err
 }
@@ -257,9 +257,10 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 	})
 }
 
-// regionStage fits the description tree on the sample's original tuples
-// and mirrors it over the full selection (steps 4–5 of buildMapStaged).
-func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, report func(float64)) (*Map, error) {
+// regionStage fits the description tree on the sample's original tuples,
+// in the tree buffers of sc, and mirrors it over the full selection
+// (steps 4–5 of buildMapStaged).
+func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, sc *buildScratch, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}
 	if clustering.K < 2 {
@@ -272,7 +273,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 		return nil, err
 	}
 	features := art.pipe.UsedColumns()
-	tr, err := tree.Fit(sample, features, clustering.Labels, clustering.K, tree.Options{
+	tr, err := sc.tree.Fit(sample, features, clustering.Labels, clustering.K, tree.Options{
 		MaxDepth: e.opts.TreeMaxDepth,
 		MinLeaf:  e.opts.TreeMinLeaf,
 	})

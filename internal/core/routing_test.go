@@ -178,8 +178,9 @@ func TestMapCacheHitSharesRegionRows(t *testing.T) {
 // TestRegionStageByteBudget: mirroring the description tree over a
 // selection of n rows, with no region inspected, allocates the rows'
 // leaf ids — at most 3 bits a row, for the at most 8 leaves of a
-// depth-3 tree — and what does not grow with n (the tree fit on the
-// sample, the router's scratch): not a row list per region.
+// depth-3 tree — and what does not grow with n (the tree's nodes, fit
+// in the build scratch the warm-up run grew; the router's scratch): not
+// a row list per region.
 func TestRegionStageByteBudget(t *testing.T) {
 	const n = 120_000
 	const fixed = 256 << 10
@@ -203,8 +204,9 @@ func TestRegionStageByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := &buildScratch{}
 	run := func() *Map {
-		m, err := e.regionStage(ctx, oracle, art, sample, cl, rows, theme, func(float64) {})
+		m, err := e.regionStage(ctx, oracle, art, sample, cl, rows, theme, sc, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -412,3 +412,75 @@ func TestConcurrentBuildsShareSlabs(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentFitsShareTreeScratch: sessions on one dataset map themes
+// of different widths at once, each session walking the themes from its
+// own start, so a build fits its description tree in presorted lists a
+// build over another width sized, and regrows them while another build
+// holds the dataset's other scratch. Their maps are the ones serial runs
+// give (run under -race in CI).
+func TestConcurrentFitsShareTreeScratch(t *testing.T) {
+	ds := datagen.PlantedThemes(600, []datagen.ThemeSpec{
+		{Name: "narrow", Cols: 2, K: 3},
+		{Name: "wide", Cols: 7, K: 3, Sep: 5},
+		{Name: "mid", Cols: 4, K: 2},
+	}, rand.New(rand.NewSource(3)))
+	opts := Options{Seed: 4, SampleSize: 250}
+	sessions := 2*cores.Width() + 1
+	digests := func(concurrent bool) string {
+		d, err := NewDataset(ds.Table, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths := map[int]bool{}
+		for _, th := range d.themes {
+			widths[len(th.Columns)] = true
+		}
+		if len(widths) < 2 {
+			t.Fatalf("themes %v: want at least two widths", d.themes)
+		}
+		explorers := make([]*Explorer, sessions)
+		for i := range explorers {
+			if explorers[i], err = d.Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make([]error, sessions)
+		var wg sync.WaitGroup
+		for i, e := range explorers {
+			run := func() {
+				_, err := e.SelectTheme(i % len(d.themes))
+				for j := 1; j < len(d.themes) && err == nil; j++ {
+					_, err = e.Project((i + j) % len(d.themes))
+				}
+				errs[i] = err
+			}
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		for i, e := range explorers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			for _, st := range e.History()[1:] {
+				mapDigest(&sb, st.Detail, st.Map)
+			}
+		}
+		return sb.String()
+	}
+	want := digests(false)
+	for round := 0; round < 3; round++ {
+		if got := digests(true); got != want {
+			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 // Tree routing: a selection is pushed through a whole tree of split
 // predicates in one pass over its pages. This is stage 5 of the
 // paper's Fig. 3 pipeline (the description tree applied to the full
-// selection) and, with a single split, CART's own partition step; it
+// selection) and, with a single split, PartitionRows; it
 // is the only part of a click whose cost grows with the table, so the
 // unit of work is the page, not the row: the selection is cut into
 // runs of rows that share a page, each run descends the tree as a

@@ -31,8 +31,8 @@ func benchRoute(b *testing.B, r Relation) {
 func BenchmarkRouteRowsTable(b *testing.B)   { benchRoute(b, benchTable(100_000)) }
 func BenchmarkRouteRowsSegment(b *testing.B) { benchRoute(b, benchSegment(b)) }
 
-// BenchmarkPartitionRows is the one-split case, as CART and the click
-// benchmark's layer probe call it.
+// BenchmarkPartitionRows is the one-split case, as the click
+// benchmark's layer probe calls it.
 func BenchmarkPartitionRows(b *testing.B) {
 	st := benchSegment(b)
 	rows := rangeRows(0, st.NumRows())

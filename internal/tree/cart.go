@@ -6,11 +6,10 @@
 package tree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/store"
 )
@@ -80,64 +79,392 @@ type Tree struct {
 // integer labels (0..numClasses-1; negative labels are ignored). Numeric
 // and boolean columns get threshold splits, categorical columns get
 // one-vs-rest equality splits. Missing values route to the right child
-// (predicates never match nulls).
+// (predicates never match nulls). It is a fit in a fresh Scratch.
 func Fit(t *store.Table, features []string, labels []int, numClasses int, opts Options) (*Tree, error) {
+	return new(Scratch).Fit(t, features, labels, numClasses, opts)
+}
+
+// Scratch is the storage fits work in, kept for the next fit: SLIQ's
+// presorted attribute lists (Mehta, Agrawal & Rissanen 1996). Every
+// numeric feature's labeled rows are sorted by value once per fit, and
+// each split stably partitions every feature's list, so a node's rows
+// sit in one segment of each list, in the feature's order. A fitted
+// tree references none of it, so a fit allocates only its nodes once
+// the scratch has grown to the largest fit made in it. The zero value
+// is ready; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	// ids holds one list of the m labeled rows per numeric feature,
+	// ids[i*m:(i+1)*m] for list i: list 0 in row order, feature list
+	// i > 0 in ascending value with its missing rows (null or NaN) in a
+	// tail. A node's rows are positions [lo, hi) of every list.
+	ids []int32
+	// side holds, per row, whether the split being made sends it left;
+	// tmp is the stable partition's buffer for the rows sent right.
+	side []bool
+	tmp  []int32
+	// keys is the presort's buffer: one feature's values and rows.
+	keys []key
+	// left and right are a sweep's per-class counts.
+	left, right []int
+	// slots maps a categorical feature's dictionary code to its entry
+	// in levels, whose per-class counts are counts[slot*k:(slot+1)*k].
+	slots  map[int32]int
+	levels []level
+	counts []int
+	feats  []feature
+}
+
+// feature is a feature column resolved for one fit.
+type feature struct {
+	col store.Column
+	// fc is col when it is a *store.FloatColumn, read without the
+	// interface call; str is col when it is categorical.
+	fc  *store.FloatColumn
+	str *store.StringColumn
+	// list is a numeric feature's presorted list in Scratch.ids.
+	list int
+}
+
+// value returns row r of a numeric feature as Column.Float reads it:
+// NaN for a null.
+func (f *feature) value(r int32) float64 {
+	if f.fc != nil {
+		return f.fc.Value(int(r))
+	}
+	return f.col.Float(int(r))
+}
+
+// key is a row and its value, as the presort sorts them.
+type key struct {
+	v float64
+	r int32
+}
+
+// level is one value of a categorical feature at a node: its dictionary
+// code, its slot in Scratch.counts and its row count.
+type level struct {
+	code int32
+	slot int
+	n    int
+}
+
+// Fit is the package-level Fit, grown in the scratch's storage.
+func (s *Scratch) Fit(t *store.Table, features []string, labels []int, numClasses int, opts Options) (*Tree, error) {
 	opts.defaults()
 	if t.NumRows() != len(labels) {
 		return nil, fmt.Errorf("tree: %d rows but %d labels", t.NumRows(), len(labels))
 	}
+	if t.NumRows() > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d rows exceed the int32 row ids", t.NumRows())
+	}
 	if numClasses < 1 {
 		return nil, fmt.Errorf("tree: numClasses = %d", numClasses)
 	}
-	for _, f := range features {
-		if t.ColumnByName(f) == nil {
-			return nil, fmt.Errorf("tree: feature %q not in table", f)
+	// The features hold the table's columns: the fit drops them, so the
+	// scratch keeps no table alive.
+	s.feats = s.feats[:0]
+	defer func() { clear(s.feats) }()
+	lists := 1
+	for _, name := range features {
+		col := t.ColumnByName(name)
+		if col == nil {
+			return nil, fmt.Errorf("tree: feature %q not in table", name)
 		}
+		f := feature{col: col}
+		if col.Type() == store.String {
+			str, ok := col.(*store.StringColumn)
+			if !ok {
+				return nil, fmt.Errorf("tree: string feature %q is not a dictionary column", name)
+			}
+			f.str = str
+		} else {
+			f.fc, _ = col.(*store.FloatColumn)
+			f.list = lists
+			lists++
+		}
+		s.feats = append(s.feats, f)
 	}
-	rows := make([]int, 0, len(labels))
-	for i, l := range labels {
+	m := 0
+	for _, l := range labels {
 		if l >= 0 && l < numClasses {
-			rows = append(rows, i)
+			m++
 		}
 	}
-	if len(rows) == 0 {
+	if m == 0 {
 		return nil, fmt.Errorf("tree: no labeled rows")
 	}
-	g := &grower{t: t, features: features, labels: labels, k: numClasses, opts: opts,
-		left: make([]int, numClasses), right: make([]int, numClasses), missing: make([]int, numClasses)}
-	root := g.grow(rows, 0)
+	s.grow(lists*m, t.NumRows(), numClasses)
+	rows := s.ids[:0]
+	for i, l := range labels {
+		if l >= 0 && l < numClasses {
+			rows = append(rows, int32(i))
+		}
+	}
+	g := &grower{Scratch: s, labels: labels, k: numClasses, opts: opts, m: m}
+	for i := range s.feats {
+		if s.feats[i].str == nil {
+			g.presort(&s.feats[i], rows)
+		}
+	}
+	root := g.node(0, m, 0)
 	return &Tree{Root: root, NumClasses: numClasses, Features: features}, nil
 }
 
-type grower struct {
-	t        *store.Table
-	features []string
-	labels   []int
-	k        int
-	opts     Options
-
-	// Scratch of bestNumericSplit, reused across features and nodes:
-	// the (value, label) points of the feature under test and the
-	// per-class counts of the threshold sweep.
-	pts                  []point
-	left, right, missing []int
-}
-
-// point is one non-null value of the feature under test with its row's
-// label.
-type point struct {
-	v float64
-	l int
-}
-
-func (g *grower) counts(rows []int) []int {
-	c := make([]int, g.k)
-	for _, r := range rows {
-		c[g.labels[r]]++
+// grow sizes the scratch for a fit of ids list entries over n rows and
+// k classes.
+func (s *Scratch) grow(ids, n, k int) {
+	s.ids, s.side, s.tmp, s.keys = resize(s.ids, ids), resize(s.side, n), resize(s.tmp, n), resize(s.keys, n)
+	s.left, s.right = resize(s.left, k), resize(s.right, k)
+	if s.slots == nil {
+		s.slots = make(map[int32]int)
 	}
-	return c
 }
 
+// resize returns buf at length n, reallocated only when it is too small.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// grower is one fit in a Scratch.
+type grower struct {
+	*Scratch
+	labels []int
+	k      int
+	opts   Options
+	m      int // labeled rows: the length of every list
+}
+
+// list returns positions [lo, hi) of list i.
+func (g *grower) list(i, lo, hi int) []int32 {
+	return g.ids[i*g.m+lo : i*g.m+hi]
+}
+
+// presort fills f's list with rows, ascending by value, the rows
+// missing a value (null or NaN) in a tail in row order. The values are
+// read once, into the keys the sort moves.
+func (g *grower) presort(f *feature, rows []int32) {
+	list := g.list(f.list, 0, g.m)
+	keys, tail := g.keys[:0], g.tmp[:0]
+	for _, r := range rows {
+		if v := f.value(r); math.IsNaN(v) {
+			tail = append(tail, r)
+		} else {
+			keys = append(keys, key{v, r})
+		}
+	}
+	// Equal values may land in any order: the sweep never cuts between
+	// them, so the counts at every cut are the same. No key is NaN.
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+	for i, k := range keys {
+		list[i] = k.r
+	}
+	copy(list[len(keys):], tail)
+}
+
+// split is a node's best split found so far; f is nil until one is.
+type split struct {
+	f      *feature
+	gain   float64
+	thresh float64 // a numeric split's: value < thresh goes left
+	code   int32   // a categorical split's: this level goes left
+	nulls  int     // rows at the node missing the feature's value
+}
+
+// predicate returns the split as the predicate routing rows left.
+func (sp *split) predicate() store.Predicate {
+	if sp.f.str != nil {
+		return store.StrEq{Col: sp.f.col.Name(), Val: sp.f.str.Dict()[sp.code]}
+	}
+	return store.NumCmp{Col: sp.f.col.Name(), Op: store.Lt, Val: sp.thresh}
+}
+
+// node grows the subtree over positions [lo, hi) of the lists.
+func (g *grower) node(lo, hi, depth int) *Node {
+	rows := g.list(0, lo, hi)
+	counts := make([]int, g.k)
+	for _, r := range rows {
+		counts[g.labels[r]]++
+	}
+	node := &Node{
+		Class:    majority(counts),
+		N:        len(rows),
+		Counts:   counts,
+		Impurity: gini(counts, len(rows)),
+	}
+	if depth >= g.opts.MaxDepth || len(rows) < 2*g.opts.MinLeaf || node.Impurity == 0 {
+		return node
+	}
+	var best split
+	for i := range g.feats {
+		if f := &g.feats[i]; f.str != nil {
+			g.bestCategorical(f, rows, node, &best)
+		} else {
+			g.bestNumeric(f, lo, hi, node, &best)
+		}
+	}
+	if best.f == nil || best.gain < minImpurityDecrease {
+		return node
+	}
+	nLeft := g.mark(&best, rows)
+	if nLeft < g.opts.MinLeaf || len(rows)-nLeft < g.opts.MinLeaf {
+		return node
+	}
+	node.Split = best.predicate()
+	node.SplitMissing = best.nulls > 0
+	for i := range len(g.ids) / g.m {
+		g.partition(g.list(i, lo, hi))
+	}
+	node.Left = g.node(lo, lo+nLeft, depth+1)
+	node.Right = g.node(lo+nLeft, hi, depth+1)
+	return node
+}
+
+// mark sets the side of every row at the node to whether the split
+// sends it left, the way store.Route evaluates the split's predicate,
+// and returns how many go left.
+func (g *grower) mark(sp *split, rows []int32) int {
+	n := 0
+	for _, r := range rows {
+		var left bool
+		if sp.f.str != nil {
+			left = sp.f.str.Code(int(r)) == sp.code
+		} else {
+			left = sp.f.value(r) < sp.thresh // false for a null's NaN
+		}
+		g.side[r] = left
+		if left {
+			n++
+		}
+	}
+	return n
+}
+
+// partition moves the rows of seg going left to its front, and the
+// rest behind them, each in its order.
+func (g *grower) partition(seg []int32) {
+	n, right := 0, g.tmp[:0]
+	for _, r := range seg {
+		if g.side[r] {
+			seg[n] = r
+			n++
+		} else {
+			right = append(right, r)
+		}
+	}
+	copy(seg[n:], right)
+}
+
+// bestNumeric sweeps f's presorted segment at the node for the
+// threshold minimizing weighted child impurity, and makes it best when
+// it gains more. Missing rows (null or NaN) fail every threshold, so
+// they count right at every cut.
+func (g *grower) bestNumeric(f *feature, lo, hi int, node *Node, best *split) {
+	seg := g.list(f.list, lo, hi)
+	end, nulls := len(seg), 0
+	for ; end > 0 && math.IsNaN(f.value(seg[end-1])); end-- {
+		if f.col.IsNull(int(seg[end-1])) {
+			nulls++
+		}
+	}
+	if end < 2*g.opts.MinLeaf {
+		return
+	}
+	left, right := g.left, g.right
+	clear(left)
+	copy(right, node.Counts)
+	total := len(seg)
+	gain, thresh := 0.0, math.NaN()
+	v := f.value(seg[0])
+	for i := 0; i < end-1; i++ {
+		l := g.labels[seg[i]]
+		left[l]++
+		right[l]--
+		next := f.value(seg[i+1])
+		if v == next {
+			continue // can't cut between equal values
+		}
+		nLeft := i + 1
+		nRight := total - nLeft
+		w := node.Impurity - (float64(nLeft)*gini(left, nLeft)+float64(nRight)*gini(right, nRight))/float64(total)
+		if w > gain {
+			gain, thresh = w, (v+next)/2
+		}
+		v = next
+	}
+	if !math.IsNaN(thresh) && gain > best.gain {
+		*best = split{f: f, gain: gain, thresh: thresh, nulls: nulls}
+	}
+}
+
+// bestCategorical tries one-vs-rest equality splits on the most
+// frequent levels of f at the node, and makes the best one best when it
+// gains more. The per-class counts of every level come from one pass.
+func (g *grower) bestCategorical(f *feature, rows []int32, node *Node, best *split) {
+	clear(g.slots)
+	levels, counts, nulls := g.levels[:0], g.counts[:0], 0
+	for _, r := range rows {
+		code := f.str.Code(int(r))
+		if code < 0 {
+			nulls++
+			continue
+		}
+		slot, ok := g.slots[code]
+		if !ok {
+			slot = len(levels)
+			g.slots[code] = slot
+			levels = append(levels, level{code: code, slot: slot})
+			for range g.k {
+				counts = append(counts, 0)
+			}
+		}
+		levels[slot].n++
+		counts[slot*g.k+g.labels[r]]++
+	}
+	g.levels, g.counts = levels, counts
+	if len(levels) < 2 {
+		return
+	}
+	dict := f.str.Dict()
+	slices.SortFunc(levels, func(a, b level) int {
+		if a.n != b.n {
+			return b.n - a.n
+		}
+		return strings.Compare(dict[a.code], dict[b.code])
+	})
+	if len(levels) > maxCategories {
+		levels = levels[:maxCategories]
+	}
+	total := len(rows)
+	right := g.right
+	gain, code := 0.0, int32(-1)
+	for _, lv := range levels {
+		left := counts[lv.slot*g.k : (lv.slot+1)*g.k]
+		for c := range right {
+			right[c] = node.Counts[c] - left[c]
+		}
+		nLeft, nRight := lv.n, total-lv.n // both > 0: two or more levels, each with a row
+		w := node.Impurity - (float64(nLeft)*gini(left, nLeft)+float64(nRight)*gini(right, nRight))/float64(total)
+		if w > gain {
+			gain, code = w, lv.code
+		}
+	}
+	if code >= 0 && gain > best.gain {
+		*best = split{f: f, gain: gain, code: code, nulls: nulls}
+	}
+}
+
+// gini is the Gini impurity of a node with the per-class counts.
 func gini(counts []int, n int) float64 {
 	if n == 0 {
 		return 0
@@ -161,39 +488,6 @@ func majority(counts []int) int {
 	return best
 }
 
-func (g *grower) grow(rows []int, depth int) *Node {
-	counts := g.counts(rows)
-	node := &Node{
-		Class:    majority(counts),
-		N:        len(rows),
-		Counts:   counts,
-		Impurity: gini(counts, len(rows)),
-	}
-	if depth >= g.opts.MaxDepth || len(rows) < 2*g.opts.MinLeaf || node.Impurity == 0 {
-		return node
-	}
-	split, gain := g.bestSplit(rows, node.Impurity)
-	if split == nil || gain < minImpurityDecrease {
-		return node
-	}
-	left, right := store.PartitionRows(g.t, split, rows)
-	if len(left) < g.opts.MinLeaf || len(right) < g.opts.MinLeaf {
-		return node
-	}
-	node.Split = split
-	if col := g.t.ColumnByName(splitColumn(split)); col != nil {
-		for _, r := range rows {
-			if col.IsNull(r) {
-				node.SplitMissing = true
-				break
-			}
-		}
-	}
-	node.Left = g.grow(left, depth+1)
-	node.Right = g.grow(right, depth+1)
-	return node
-}
-
 // splitColumn returns the column a split predicate tests.
 func splitColumn(p store.Predicate) string {
 	switch q := p.(type) {
@@ -204,150 +498,6 @@ func splitColumn(p store.Predicate) string {
 	default:
 		return ""
 	}
-}
-
-// bestSplit scans every feature for the split with maximal Gini gain.
-func (g *grower) bestSplit(rows []int, parentImpurity float64) (store.Predicate, float64) {
-	var best store.Predicate
-	bestGain := 0.0
-	for _, f := range g.features {
-		col := g.t.ColumnByName(f)
-		var p store.Predicate
-		var gain float64
-		if col.Type() == store.String {
-			p, gain = g.bestCategoricalSplit(col.(*store.StringColumn), rows, parentImpurity)
-		} else {
-			p, gain = g.bestNumericSplit(col, rows, parentImpurity)
-		}
-		if p != nil && gain > bestGain {
-			best, bestGain = p, gain
-		}
-	}
-	return best, bestGain
-}
-
-// bestNumericSplit finds the threshold minimizing weighted child impurity
-// in one sorted sweep.
-func (g *grower) bestNumericSplit(col store.Column, rows []int, parentImpurity float64) (store.Predicate, float64) {
-	leftCounts, rightCounts, missingCounts := g.left, g.right, g.missing
-	clear(leftCounts)
-	clear(rightCounts)
-	clear(missingCounts)
-	pts := g.pts[:0]
-	// Missing rows go right at every threshold (they fail predicates),
-	// so their per-class counts are taken once, here, not in the sweep.
-	missing := 0
-	for _, r := range rows {
-		if col.IsNull(r) {
-			missingCounts[g.labels[r]]++
-			missing++
-			continue
-		}
-		pts = append(pts, point{col.Float(r), g.labels[r]})
-	}
-	g.pts = pts
-	if len(pts) < 2*g.opts.MinLeaf {
-		return nil, 0
-	}
-	// Equal values may land in any order: the sweep never cuts between
-	// them, so the counts at every cut are the same.
-	slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.v, b.v) })
-
-	for _, p := range pts {
-		rightCounts[p.l]++
-	}
-	total := len(rows)
-	nLeft := 0
-	nRight := len(pts)
-	bestGain, bestThresh := 0.0, math.NaN()
-	for i := 0; i < len(pts)-1; i++ {
-		leftCounts[pts[i].l]++
-		rightCounts[pts[i].l]--
-		nLeft++
-		nRight--
-		if pts[i].v == pts[i+1].v {
-			continue // can't cut between equal values
-		}
-		// Weighted impurity; missing rows go right (they fail predicates).
-		gl := gini(leftCounts, nLeft)
-		gr := giniWithExtra(rightCounts, nRight, missing, missingCounts)
-		w := parentImpurity - (float64(nLeft)*gl+float64(nRight+missing)*gr)/float64(total)
-		if w > bestGain {
-			bestGain = w
-			bestThresh = (pts[i].v + pts[i+1].v) / 2
-		}
-	}
-	if math.IsNaN(bestThresh) {
-		return nil, 0
-	}
-	return store.NumCmp{Col: col.Name(), Op: store.Lt, Val: bestThresh}, bestGain
-}
-
-// giniWithExtra is gini over counts[i]+extra[i] and n+extraN.
-func giniWithExtra(counts []int, n, extraN int, extra []int) float64 {
-	if extraN == 0 {
-		return gini(counts, n)
-	}
-	sum := 0.0
-	fn := float64(n + extraN)
-	for i, c := range counts {
-		p := float64(c+extra[i]) / fn
-		sum += p * p
-	}
-	return 1 - sum
-}
-
-// bestCategoricalSplit tries one-vs-rest equality splits on the most
-// frequent levels.
-func (g *grower) bestCategoricalSplit(col *store.StringColumn, rows []int, parentImpurity float64) (store.Predicate, float64) {
-	freq := make(map[string]int)
-	for _, r := range rows {
-		if !col.IsNull(r) {
-			freq[col.Value(r)]++
-		}
-	}
-	if len(freq) < 2 {
-		return nil, 0
-	}
-	levels := make([]string, 0, len(freq))
-	for v := range freq {
-		levels = append(levels, v)
-	}
-	sort.Slice(levels, func(i, j int) bool {
-		if freq[levels[i]] != freq[levels[j]] {
-			return freq[levels[i]] > freq[levels[j]]
-		}
-		return levels[i] < levels[j]
-	})
-	if len(levels) > maxCategories {
-		levels = levels[:maxCategories]
-	}
-	total := len(rows)
-	var best store.Predicate
-	bestGain := 0.0
-	for _, lv := range levels {
-		leftCounts := make([]int, g.k)
-		rightCounts := make([]int, g.k)
-		nLeft, nRight := 0, 0
-		for _, r := range rows {
-			if !col.IsNull(r) && col.Value(r) == lv {
-				leftCounts[g.labels[r]]++
-				nLeft++
-			} else {
-				rightCounts[g.labels[r]]++
-				nRight++
-			}
-		}
-		if nLeft == 0 || nRight == 0 {
-			continue
-		}
-		w := parentImpurity - (float64(nLeft)*gini(leftCounts, nLeft)+float64(nRight)*gini(rightCounts, nRight))/float64(total)
-		if w > bestGain {
-			bestGain = w
-			best = store.StrEq{Col: col.Name(), Val: lv}
-		}
-	}
-	return best, bestGain
 }
 
 // Splits returns the subtree under n as the split tree store.Route

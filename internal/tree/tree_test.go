@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -165,6 +166,46 @@ func TestMissingValuesRouteRight(t *testing.T) {
 	}
 	if acc := tr.Accuracy(tab, labels); acc < 0.9 {
 		t.Errorf("accuracy with missing = %.3f", acc)
+	}
+}
+
+// TestNaNCountsRight: a non-null NaN (a CSV "NAN" cell) fails x < v, so
+// the threshold sweep counts it with the rows that go right, as it does
+// a null. x < 5 then routes every row correctly and beats y, whose best
+// cut misplaces 12 of 105 rows; a sweep that sorted the NaNs first and
+// counted them left scored x < 5 below it.
+func TestNaNCountsRight(t *testing.T) {
+	x, y := store.NewFloatColumn("x"), store.NewFloatColumn("y")
+	var labels []int
+	add := func(n, label int, xv float64, yBelow int) {
+		for i := 0; i < n; i++ {
+			x.Append(xv)
+			if i < yBelow {
+				y.Append(float64(i % 4))
+			} else {
+				y.Append(float64(4 + i%4))
+			}
+			labels = append(labels, label)
+		}
+	}
+	add(40, 0, 0, 36)
+	add(40, 1, 10, 4)
+	add(25, 1, math.NaN(), 4)
+	tab := store.NewTable("nan")
+	tab.MustAddColumn(x)
+	tab.MustAddColumn(y)
+	tr, err := Fit(tab, []string{"x", "y"}, labels, 2, Options{MaxDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (store.NumCmp{Col: "x", Op: store.Lt, Val: 5}); tr.Root.Split != want {
+		t.Fatalf("root split = %v, want %v", tr.Root.Split, want)
+	}
+	if tr.Root.SplitMissing {
+		t.Error("SplitMissing set by NaN cells, want nulls only")
+	}
+	if acc := tr.FitAccuracy(); acc != 1 {
+		t.Errorf("FitAccuracy = %g, want 1", acc)
 	}
 }
 
