@@ -93,14 +93,13 @@ fmt-check:
 # filter expressions — parsed, then scanned by the batch kernels against
 # the reference — Select-Project queries, parsed and held to their own
 # rendering, then executed on both backings and held to each other,
-# session open-options JSON, filter expressions posted to a session
-# with a map at the HTTP edge (status, JSON body, rollback), action
-# bodies staged by core.Prepare on an explorer with a map, segment
-# files), over the row
-# set (random ascending ids against the []int reference) and over the
-# router (random split trees and selections against the row-by-row
-# reference route, and its one-split case, the scan operators, against
-# the reference filter) so the harnesses and corpora don't bit-rot.
+# filter expressions posted to a session with a map at the HTTP edge
+# (status, JSON body, rollback), action bodies staged by core.Prepare
+# on an explorer with a map, segment files), over the row set (random
+# ascending ids against the []int reference) and over the router
+# (random split trees and selections against the row-by-row reference
+# route, and its one-split case, the scan operators, against the
+# reference filter) so the harnesses and corpora don't bit-rot.
 # Real fuzzing: raise -fuzztime and let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
@@ -109,7 +108,6 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzExecute -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRowSet -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzRoute -fuzztime=10s ./internal/store
-	go test -run='^$$' -fuzz=FuzzOpenOptions -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzFilterExpr -fuzztime=10s ./internal/server
 	go test -run='^$$' -fuzz=FuzzPrepareAction -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzSegmentFooter -fuzztime=10s ./internal/store/segment

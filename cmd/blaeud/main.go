@@ -7,8 +7,7 @@
 // The job scheduler ships with backpressure on: queue caps answer 429
 // with Retry-After once reached (tunable with -max-queued /
 // -max-queued-per-session, 0 disables), sessions opened with a "tenant"
-// label share weighted-round-robin dispatch (-tenant-weights) and
-// optional in-flight quotas (-tenant-max-in-flight), and GET
+// label share round-robin dispatch with the other tenants, and GET
 // /api/jobs/stats exposes the scheduler counters.
 //
 // Usage:
@@ -17,7 +16,6 @@
 //	       [-session-ttl 1h]
 //	       [-max-queued 1024] [-max-queued-per-session 16]
 //	       [-map-cache 0]
-//	       [-tenant-weights gold=4,free=1] [-tenant-max-in-flight 0]
 //	       [-page-budget-mb 256] [-pprof-addr ""] [-slow-build-ms 1000]
 //	       [file.csv | file.seg ...]
 //
@@ -45,7 +43,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -58,27 +55,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/segment"
 )
-
-// parseWeights parses a "name=weight,name=weight" flag into a tenant
-// weight map.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad tenant weight %q (want name=weight)", pair)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad tenant weight %q: weight must be a positive integer", pair)
-		}
-		out[name] = w
-	}
-	return out, nil
-}
 
 // ingestRate renders the time since t0 and the MB/s that makes of the
 // file at path, for the per-dataset load line.
@@ -101,17 +77,10 @@ func main() {
 	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries; cold entries also keep their sample vectors for derived zooms (0 = engine default, -1 disables)")
 	maxQueued := flag.Int("max-queued", 1024, "total queued-job cap; submissions beyond it get 429 (0 = unbounded)")
 	sessionQueue := flag.Int("max-queued-per-session", 16, "per-session queued-job cap; beyond it 429 (0 = unbounded)")
-	tenantWeights := flag.String("tenant-weights", "", "weighted-round-robin weights per tenant, e.g. gold=4,free=1 (unlisted tenants weigh 1)")
-	tenantInFlight := flag.Int("tenant-max-in-flight", 0, "max concurrently running jobs per tenant (0 = unbounded)")
 	pageBudgetMB := flag.Int64("page-budget-mb", 256, "buffer-pool byte budget (MiB) shared by all .seg datasets")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 	slowBuildMS := flag.Int64("slow-build-ms", 1000, "log builds slower than this with their stage breakdown (0 disables)")
 	flag.Parse()
-
-	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		log.Fatalf("-tenant-weights: %v", err)
-	}
 
 	datasets := make(map[string]store.Relation)
 	if !*noBuiltin {
@@ -164,8 +133,6 @@ func main() {
 	manager := session.NewManagerObs(jobs.Config{
 		MaxQueued:           *maxQueued,
 		MaxQueuedPerSession: *sessionQueue,
-		Weights:             weights,
-		DefaultMaxInFlight:  *tenantInFlight,
 	}, tel)
 	srv := server.NewWith(datasets, core.Options{
 		Seed: *seed, SampleSize: *sample,

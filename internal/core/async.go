@@ -144,9 +144,8 @@ func (e *Explorer) prepareFilter(pred store.Predicate) (*MapBuild, error) {
 		theme = cur.Map.Theme
 	}
 	cond := append(append(store.And(nil), cur.Condition...), pred)
-	expr := pred.String()
-	return e.prepare(&State{Action: Action{Kind: ActionFilter, Expr: expr},
-		Detail: expr, Rows: rows, Condition: cond}, theme), nil
+	return e.prepare(&State{Action: Action{Kind: ActionFilter, Expr: store.ExactString(pred)},
+		Detail: pred.String(), Rows: rows, Condition: cond}, theme), nil
 }
 
 // prepare snapshots the build inputs, draws the child RNG's seed and

@@ -296,8 +296,8 @@ func (e *Explorer) SelectTheme(themeID int) (*Map, error) {
 
 // Zoom drills into the region at the given path of the current map: the
 // selection narrows to the region's tuples and a fresh map is built on
-// them with the same theme (paper §2, Fig. 1c). Revisited selections are
-// served from the zoom cache (see MapBuild.Cached).
+// them with the same theme (paper §2, Fig. 1c). A revisited selection
+// is served from the session's map cache (see Prepare).
 func (e *Explorer) Zoom(path ...int) (*Map, error) {
 	return e.runAndApply(e.Prepare(Action{Kind: ActionZoom, Path: path}))
 }

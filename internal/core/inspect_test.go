@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,6 +243,62 @@ func TestImplicitQueryExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkImplicitQuery(t, e, "after filter")
+}
+
+// TestImplicitQueryExact: thresholds that need more than six
+// significant digits must survive being written down. Two 200-row
+// groups of x 8e-6 apart split at a midpoint whose six-digit form lies
+// above both, so a query written with it selects all 400 rows for one
+// leaf and none for the other; a filter recorded with it replays as a
+// different selection. On both backings, every leaf's query must
+// return exactly the zoomed selection, and a filter's recorded Expr
+// must re-parse to the predicate that was typed.
+func TestImplicitQueryExact(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("x\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, "%s\n%s\n", strconv.FormatFloat(1.234561+float64(i)*1e-9, 'g', -1, 64),
+			strconv.FormatFloat(1.234569+float64(i)*1e-9, 'g', -1, 64))
+	}
+	csvPath := filepath.Join(t.TempDir(), "close.csv")
+	if err := os.WriteFile(csvPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mem, seg := openBoth(t, csvPath)
+	for _, rel := range []store.Relation{mem, seg} {
+		e, err := NewExplorer(rel, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := e.AddTheme([]string{"x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.SelectTheme(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Root.IsLeaf() {
+			t.Fatal("the map did not split the two groups")
+		}
+		for _, leaf := range m.Root.Leaves() {
+			if _, err := e.Zoom(leaf.Path...); err != nil {
+				t.Fatal(err)
+			}
+			checkImplicitQuery(t, e, fmt.Sprintf("%T, leaf %v", rel, leaf.Path))
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		typed := store.NumCmp{Col: "x", Op: store.Lt, Val: 1.2345655}
+		if _, err := e.FilterExpr(typed.Col + " < 1.2345655"); err != nil {
+			t.Fatal(err)
+		}
+		expr := e.State().Action.Expr
+		if got, err := store.ParsePredicate(expr); err != nil || got != typed {
+			t.Errorf("%T: recorded filter %q re-parses to %v (%v), want %v", rel, expr, got, err, typed)
+		}
+	}
 }
 
 // TestImplicitQueryQuotesOddNames: the query stays executable over a

@@ -14,8 +14,9 @@
 // the choice never changes a map. The oracle lives for one build: a
 // zoom inside an already-clustered selection re-slices the cached
 // sample's vectors instead of drawing and fitting a new sample, then
-// computes its own distances over them, and a session's builds compute
-// their matrices on one recycled buffer.
+// computes its own distances over them, and builds compute their
+// matrices in build scratch off the dataset's free list, which every
+// session on the dataset shares.
 package core
 
 import "math/rand"

@@ -55,7 +55,7 @@ func largestLeaf(m *Map) []int {
 }
 
 // assertAscending checks the ordering contract of State.Rows and
-// Region.RowIDs that findDerivable's merge relies on.
+// Region.RowIDs that findDerivable's RowSet.Intersect relies on.
 func assertAscending(t *testing.T, what string, rows []int) {
 	t.Helper()
 	if !sort.IntsAreSorted(rows) {

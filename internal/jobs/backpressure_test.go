@@ -99,114 +99,6 @@ func TestQueueFullGlobal(t *testing.T) {
 	}
 }
 
-// TestWeightedFairness: under contention a weight-2 tenant must complete
-// ~2× the jobs of a weight-1 tenant, and the weight-1 tenant must not
-// starve.
-func TestWeightedFairness(t *testing.T) {
-	p := NewPoolConfig(Config{
-		Workers: 1,
-		Weights: map[string]int{"a": 2, "b": 1},
-	})
-	defer p.Close()
-	release, g := gateTenant(t, p, "a-s1", "a")
-
-	var mu sync.Mutex
-	var order []string
-	mark := func(tenant string) Func {
-		return func(ctx context.Context, j *Job) (any, error) {
-			mu.Lock()
-			order = append(order, tenant)
-			mu.Unlock()
-			return nil, nil
-		}
-	}
-	var all []*Job
-	for i := 0; i < 20; i++ {
-		ja, err := p.Submit("a-s1", "a", "work", mark("a"), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := p.Submit("b-s1", "b", "work", mark("b"), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, ja, jb)
-	}
-	close(release)
-	if err := g.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range all {
-		if err := j.Wait(waitCtx(t)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every window of 6 completions must hold ~4 a's and ~2 b's (one WRR
-	// round is a,a,b): 2:1 throughput with no starvation.
-	for end := 6; end <= 30; end += 6 {
-		na := 0
-		for _, s := range order[:end] {
-			if s == "a" {
-				na++
-			}
-		}
-		nb := end - na
-		if na < 2*end/3-1 || na > 2*end/3+1 {
-			t.Fatalf("after %d completions: a=%d b=%d, want ~2:1 (order %v)", end, na, nb, order[:end])
-		}
-		if nb == 0 {
-			t.Fatalf("weight-1 tenant starved in the first %d completions: %v", end, order[:end])
-		}
-	}
-}
-
-// TestMaxInFlightQuota: a tenant at an in-flight quota of 1 never runs
-// two jobs at once even with idle workers and multiple sessions, and
-// other tenants keep dispatching past it.
-func TestMaxInFlightQuota(t *testing.T) {
-	p := NewPoolConfig(Config{
-		Workers:            4,
-		DefaultMaxInFlight: 1,
-	})
-	defer p.Close()
-	var active, maxActive int32
-	var all []*Job
-	for i := 0; i < 6; i++ {
-		j, err := p.Submit(fmt.Sprintf("a-s%d", i), "a", "work", func(ctx context.Context, j *Job) (any, error) {
-			n := atomic.AddInt32(&active, 1)
-			for {
-				m := atomic.LoadInt32(&maxActive)
-				if n <= m || atomic.CompareAndSwapInt32(&maxActive, m, n) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			atomic.AddInt32(&active, -1)
-			return nil, nil
-		}, SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, j)
-	}
-	// Tenant b is not held back by a's quota.
-	jb, err := p.Submit("b-s1", "b", "work", noop, SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jb.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range all {
-		if err := j.Wait(waitCtx(t)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if maxActive != 1 {
-		t.Errorf("max concurrent jobs of quota-1 tenant = %d, want 1", maxActive)
-	}
-}
-
 // TestDeadlineShed: a queued job whose deadline expires is shed by the
 // dispatcher — StatusShed, context.DeadlineExceeded, never run — while
 // jobs without deadlines still run.
@@ -430,8 +322,6 @@ func TestSchedulerOverloadStress(t *testing.T) {
 		Workers:             2,
 		MaxQueued:           32,
 		MaxQueuedPerSession: 4,
-		Weights:             map[string]int{"t0": 3, "t1": 2},
-		DefaultMaxInFlight:  1,
 	})
 	defer p.Close()
 

@@ -1,5 +1,5 @@
 // Package jobs implements the asynchronous job scheduler of the session
-// tier: a bounded worker pool with weighted fairness and admission
+// tier: a bounded worker pool with round-robin fairness and admission
 // control, typed job handles carrying status, progress and results, and
 // cooperative cancellation through context.Context.
 //
@@ -19,16 +19,13 @@
 //     (per-session serialization — what makes the prepare/apply protocol
 //     of core.MapBuild safe without holding the session lock);
 //   - sessions roll up to tenants (named at Submit; a session is its
-//     own tenant by default) and dispatch across tenants is weighted
-//     round-robin: a tenant of weight w is offered up to w consecutive
-//     dispatches per round (Config.Weights), so under contention it
-//     completes ~w× the work of a weight-1 tenant and nobody starves;
+//     own tenant by default) and dispatch across tenants is round-robin:
+//     the turn passes after every dispatch, so under contention tenants
+//     complete equal work and nobody starves;
 //   - a tenant that gets queued work joins the back of the round, and one
 //     whose queue a dispatch drains hands the turn to the tenant behind
 //     it — so single-job tenants run in arrival order;
 //   - within a tenant, dispatch is round-robin over its sessions;
-//   - a tenant never runs more than its in-flight quota concurrently
-//     (Config.DefaultMaxInFlight);
 //   - at most Workers jobs run at once.
 //
 // Backpressure: Submit fails with ErrQueueFull once a queue cap —
@@ -114,7 +111,7 @@ func (j *Job) ID() string { return j.id }
 // (the session ID at the HTTP tier).
 func (j *Job) Session() string { return j.sess.name }
 
-// Tenant returns the fairness/quota key the job is accounted under —
+// Tenant returns the fairness key the job is accounted under —
 // the session itself unless its first Submit named a tenant.
 func (j *Job) Tenant() string { return j.sess.tenant.name }
 

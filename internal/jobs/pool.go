@@ -46,11 +46,10 @@ func (e *QueueFullError) Error() string {
 // Unwrap makes errors.Is(err, ErrQueueFull) match.
 func (e *QueueFullError) Unwrap() error { return ErrQueueFull }
 
-// Config tunes the scheduler: worker width, admission control (queue
-// caps), tenant weights and the per-tenant concurrency quota. The zero
-// value is one worker per core of the cores budget, unbounded queues,
-// every tenant at weight 1. Which tenant a session belongs to is said at
-// Submit, not here.
+// Config tunes the scheduler: worker width and admission control (queue
+// caps). The zero value is one worker per core of the cores budget and
+// unbounded queues. Which tenant a session belongs to is said at Submit,
+// not here.
 type Config struct {
 	// Workers is the number of job workers (<= 0 means cores.Width()).
 	Workers int
@@ -61,15 +60,6 @@ type Config struct {
 	// MaxQueuedPerSession caps the queued jobs of one session; Submit
 	// beyond it fails with a session-scoped QueueFullError (0 = unbounded).
 	MaxQueuedPerSession int
-	// Weights assigns weighted-round-robin dispatch weights per tenant: a
-	// weight-w tenant is offered up to w dispatches per scheduling round,
-	// so under contention it completes ~w× the jobs of a weight-1 tenant.
-	// Tenants not listed (or listed at <= 0) get weight 1.
-	Weights map[string]int
-	// DefaultMaxInFlight caps how many jobs of one tenant run
-	// concurrently (<= 0 means unbounded); queued jobs beyond the cap
-	// wait without blocking other tenants' dispatch.
-	DefaultMaxInFlight int
 	// Obs receives the scheduler's metrics (outcome counters, queue
 	// depth gauges, queue-wait and run-time histograms). nil is valid:
 	// the pool then counts into detached handles, so Stats keeps
@@ -108,12 +98,12 @@ const outcomeRejected Status = "rejected"
 
 var outcomeLabels = []Status{StatusDone, StatusFailed, StatusCancelled, StatusShed, outcomeRejected}
 
-// Pool is a bounded worker pool dispatching jobs FIFO per session, with
-// weighted round-robin fairness across tenants and round-robin across a
-// tenant's sessions (see the package comment for the full scheduling
-// contract, including backpressure and deadline shedding). The pool is
-// the mechanism — workers, cancellation, retention, accounting; which
-// job runs next is sched's decision.
+// Pool is a bounded worker pool dispatching jobs FIFO per session,
+// round-robin across tenants and round-robin across a tenant's sessions
+// (see the package comment for the full scheduling contract, including
+// backpressure and deadline shedding). The pool is the mechanism —
+// workers, cancellation, retention, accounting; which job runs next is
+// sched's decision.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -181,9 +171,9 @@ func (p *Pool) Workers() int { return p.cfg.Workers }
 
 // Submit queues fn as a job under the given session key and returns its
 // handle immediately. Jobs of one session run FIFO, one at a time. tenant
-// is the session's fairness and quota group ("" = the session is its own
-// tenant); the session's first submit fixes it. Under overload (a queue
-// cap reached) Submit fails with ErrQueueFull instead of queueing
+// is the session's fairness group ("" = the session is its own tenant);
+// the session's first submit fixes it. Under overload (a queue cap
+// reached) Submit fails with ErrQueueFull instead of queueing
 // unboundedly. opts carries the per-job scheduling options (deadline).
 func (p *Pool) Submit(session, tenant, kind string, fn Func, opts SubmitOptions) (*Job, error) {
 	p.mu.Lock()
@@ -230,12 +220,7 @@ func (p *Pool) sessionFor(session, tenant string) *sessionState {
 	}
 	t := p.tenants[tenant]
 	if t == nil {
-		t = &tenantState{
-			name:        tenant,
-			weight:      max(p.cfg.Weights[tenant], 1),
-			maxInFlight: max(p.cfg.DefaultMaxInFlight, 0),
-			outcome:     make(outcomeCounters),
-		}
+		t = &tenantState{name: tenant, outcome: make(outcomeCounters)}
 		for _, o := range outcomeLabels {
 			t.outcome[o] = p.cfg.Obs.Counter("blaeu_tenant_jobs_total", "Jobs by tenant and terminal outcome.",
 				obs.Labels{"tenant": tenant, "outcome": string(o)})
@@ -391,15 +376,13 @@ func (p *Pool) Close() {
 
 // TenantStats is one tenant's slice of a Stats snapshot.
 type TenantStats struct {
-	Weight      int    `json:"weight"`
-	MaxInFlight int    `json:"maxInFlight,omitempty"`
-	Queued      int    `json:"queued"`
-	InFlight    int    `json:"inFlight"`
-	Done        uint64 `json:"done"`
-	Failed      uint64 `json:"failed"`
-	Cancelled   uint64 `json:"cancelled"`
-	Shed        uint64 `json:"shed"`
-	Rejected    uint64 `json:"rejected"`
+	Queued    int    `json:"queued"`
+	InFlight  int    `json:"inFlight"`
+	Done      uint64 `json:"done"`
+	Failed    uint64 `json:"failed"`
+	Cancelled uint64 `json:"cancelled"`
+	Shed      uint64 `json:"shed"`
+	Rejected  uint64 `json:"rejected"`
 }
 
 // Stats is a point-in-time snapshot of the scheduler: queue depths,
@@ -454,15 +437,13 @@ func (p *Pool) Stats() Stats {
 	}
 	for name, t := range p.tenants {
 		st.Tenants[name] = TenantStats{
-			Weight:      t.weight,
-			MaxInFlight: t.maxInFlight,
-			Queued:      t.queued,
-			InFlight:    t.inFlight,
-			Done:        t.outcome[StatusDone].Value(),
-			Failed:      t.outcome[StatusFailed].Value(),
-			Cancelled:   t.outcome[StatusCancelled].Value(),
-			Shed:        t.outcome[StatusShed].Value(),
-			Rejected:    t.outcome[outcomeRejected].Value(),
+			Queued:    t.queued,
+			InFlight:  t.inFlight,
+			Done:      t.outcome[StatusDone].Value(),
+			Failed:    t.outcome[StatusFailed].Value(),
+			Cancelled: t.outcome[StatusCancelled].Value(),
+			Shed:      t.outcome[StatusShed].Value(),
+			Rejected:  t.outcome[outcomeRejected].Value(),
 		}
 	}
 	return st
@@ -532,8 +513,7 @@ func (p *Pool) worker() {
 			status = StatusFailed
 		}
 		p.finishLocked(j, status, res, err)
-		// Finishing may unblock the session's next queued job — or a
-		// tenant that was at its in-flight cap.
+		// Finishing may unblock the session's next queued job.
 		p.cond.Broadcast()
 	}
 }

@@ -52,29 +52,25 @@ func (r *ring[T]) remove(x T) {
 // tenantState is one tenant's scheduling and accounting state, kept by
 // the pool while a session record points at it (see dropIfDrainedLocked).
 type tenantState struct {
-	name        string
-	weight      int                 // WRR weight (>= 1)
-	maxInFlight int                 // concurrent-running cap (0 = unbounded)
-	sessions    ring[*sessionState] // sessions with queued work
-	burst       int                 // dispatches consumed in the current WRR visit
-	queued      int                 // queued jobs across the tenant's sessions
-	inFlight    int                 // running jobs
-	live        int                 // session records of this tenant (the pool's)
-	outcome     outcomeCounters     // blaeu_tenant_jobs_total (the pool's)
+	name     string
+	sessions ring[*sessionState] // sessions with queued work
+	queued   int                 // queued jobs across the tenant's sessions
+	inFlight int                 // running jobs
+	live     int                 // session records of this tenant (the pool's)
+	outcome  outcomeCounters     // blaeu_tenant_jobs_total (the pool's)
 }
 
 // sched is the scheduling policy — who runs next — as a plain data
-// structure: weighted round-robin over the tenants with queued work,
-// round-robin over a tenant's sessions, FIFO within a session, the
-// in-flight quota, both queue caps and the queue deadlines. It starts
-// nothing, locks nothing and never reads the clock: the pool calls it
-// under its own lock and hands it the time, and a test can drive it
-// single-threaded. A queued job leaves its queue through take only.
+// structure: round-robin over the tenants with queued work, round-robin
+// over a tenant's sessions, FIFO within a session, both queue caps and
+// the queue deadlines. It starts nothing, locks nothing and never reads
+// the clock: the pool calls it under its own lock and hands it the
+// time, and a test can drive it single-threaded. A queued job leaves its queue through take only.
 type sched struct {
 	maxQueued           int // cap on queued (0 = unbounded)
 	maxQueuedPerSession int // cap on one session's queue (0 = unbounded)
 
-	tenants ring[*tenantState] // tenants with queued work, WRR order
+	tenants ring[*tenantState] // tenants with queued work, round-robin order
 	queued  int                // queued jobs across all sessions
 	running int                // jobs popped and not yet finished
 }
@@ -101,33 +97,25 @@ func (sc *sched) push(j *Job) error {
 	return nil
 }
 
-// pop dequeues the next dispatchable job under the weighted round-robin
-// contract: visit the tenant at the cursor; if it is under its in-flight
-// quota, take the FIFO head of its next eligible session; let the tenant
-// keep the cursor for up to weight consecutive dispatches (its burst)
-// before advancing. Tenants with nothing dispatchable are skipped without
-// spending burst; a tenant the dispatch drains leaves the ring, and its
-// successor is served next. Queue heads whose deadline passed come back
-// in expired — out of their queues, never dispatched. The returned job
-// is its session's running job, and counts against its tenant's quota,
-// until finished is called.
+// pop dequeues the next dispatchable job under the round-robin
+// contract: visit the tenant at the cursor, take the FIFO head of its
+// next eligible session and advance the cursor past it. Tenants with
+// nothing dispatchable are skipped; a tenant the dispatch drains leaves
+// the ring, and its successor is served next. Queue heads whose deadline
+// passed come back in expired — out of their queues, never dispatched.
+// The returned job is its session's running job until finished is
+// called.
 func (sc *sched) pop(now time.Time) (next *Job, expired []*Job) {
 	for misses := 0; misses < len(sc.tenants.items); {
 		t := sc.tenants.cur()
-		if t.maxInFlight <= 0 || t.inFlight < t.maxInFlight {
-			next, expired = sc.popTenant(t, now, expired)
-		}
+		next, expired = sc.popTenant(t, now, expired)
 		if next != nil {
 			next.sess.running = next
 			t.inFlight++
 			sc.running++
-			if t.burst++; t.burst >= t.weight || t.queued == 0 {
-				t.burst = 0
-				sc.tenants.advance(t)
-			}
+			sc.tenants.advance(t)
 			return next, expired
 		}
-		t.burst = 0
 		if sc.tenants.advance(t) { // false: shedding emptied t out of the ring
 			misses++
 		}
@@ -165,7 +153,7 @@ func (sc *sched) popTenant(t *tenantState, now time.Time, expired []*Job) (*Job,
 
 // take cuts queue[i:k] out of the session's queue and settles the books:
 // a session with nothing queued leaves its tenant's subring, a tenant
-// with nothing queued leaves the ring and forfeits the rest of its burst.
+// with nothing queued leaves the ring.
 func (sc *sched) take(s *sessionState, i, k int) {
 	t := s.tenant
 	if i == 0 { // the dispatch path: drop the head without moving the tail
@@ -181,7 +169,6 @@ func (sc *sched) take(s *sessionState, i, k int) {
 		t.sessions.remove(s)
 	}
 	if t.queued == 0 {
-		t.burst = 0
 		sc.tenants.remove(t)
 	}
 }
@@ -211,7 +198,7 @@ func (sc *sched) drain() []*Job {
 }
 
 // finished tells the policy that a job pop handed out has returned: its
-// session may dispatch again and its tenant regains the quota slot.
+// session may dispatch again.
 func (sc *sched) finished(j *Job) {
 	j.sess.running = nil
 	j.sess.tenant.inFlight--

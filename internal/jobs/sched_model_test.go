@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -30,12 +31,11 @@ type msess struct {
 }
 
 type model struct {
-	weight                          map[string]int
-	quota, maxQueued, maxPerSession int
-	sess                            []*msess
-	round                           []string            // tenants with queued work; round[0] is visited next
-	sub                             map[string][]*msess // per tenant: sessions with queued work, same convention
-	burst                           map[string]int
+	tenants                  []string
+	maxQueued, maxPerSession int
+	sess                     []*msess
+	round                    []string            // tenants with queued work; round[0] is visited next
+	sub                      map[string][]*msess // per tenant: sessions with queued work, same convention
 }
 
 func (m *model) queuedOf(tenant string) (n int) {
@@ -47,26 +47,13 @@ func (m *model) queuedOf(tenant string) (n int) {
 	return n
 }
 
-func (m *model) runningOf(tenant string) (n int) {
-	for _, s := range m.sess {
-		if s.tenant == tenant && s.running != nil {
-			n++
-		}
-	}
-	return n
-}
-
 func rotate[T any](xs []T) []T { return append(xs[1:], xs[0]) }
 
 // settle drops what has nothing queued from the rounds, keeping the
-// order (so whoever followed a dropped head is the new head); a tenant
-// out of the round has no burst to keep.
+// order (so whoever followed a dropped head is the new head).
 func (m *model) settle() {
-	for t := range m.weight {
+	for _, t := range m.tenants {
 		m.sub[t] = slices.DeleteFunc(m.sub[t], func(s *msess) bool { return len(s.queue) == 0 })
-		if m.queuedOf(t) == 0 {
-			m.burst[t] = 0
-		}
 	}
 	m.round = slices.DeleteFunc(m.round, func(t string) bool { return m.queuedOf(t) == 0 })
 }
@@ -77,7 +64,7 @@ func (m *model) push(j *mjob) error {
 		return &QueueFullError{Scope: ScopeSession, Key: s.name, Limit: m.maxPerSession}
 	}
 	total := 0
-	for t := range m.weight {
+	for _, t := range m.tenants {
 		total += m.queuedOf(t)
 	}
 	if m.maxQueued > 0 && total >= m.maxQueued {
@@ -96,25 +83,17 @@ func (m *model) push(j *mjob) error {
 func (m *model) pop(now int) (next *mjob, expired []*mjob) {
 	for skipped := 0; skipped < len(m.round); {
 		t := m.round[0]
-		if m.quota == 0 || m.runningOf(t) < m.quota {
-			next, expired = m.popTenant(t, now, expired)
-		}
-		if next != nil {
-			m.burst[t]++
-		}
+		next, expired = m.popTenant(t, now, expired)
 		m.settle()
 		still := len(m.round) > 0 && m.round[0] == t
-		if next != nil {
-			next.sess.running = next
-			if still && m.burst[t] >= m.weight[t] {
-				m.burst[t] = 0
-				m.round = rotate(m.round)
-			}
-			return next, expired
-		}
-		m.burst[t] = 0 // a skipped tenant spends no burst
 		if still {
 			m.round = rotate(m.round)
+		}
+		if next != nil {
+			next.sess.running = next
+			return next, expired
+		}
+		if still {
 			skipped++
 		}
 	}
@@ -166,15 +145,11 @@ func newWorld(t *testing.T, seed int64) *world {
 	rng := rand.New(rand.NewSource(seed))
 	w := &world{t: t, rng: rng, jobs: map[int]*Job{}, mjobs: map[int]*mjob{}, now: 1}
 	w.sc = &sched{maxQueued: []int{0, 5, 12}[rng.Intn(3)], maxQueuedPerSession: []int{0, 2, 4}[rng.Intn(3)]}
-	w.m = &model{
-		weight: map[string]int{}, quota: rng.Intn(3),
-		maxQueued: w.sc.maxQueued, maxPerSession: w.sc.maxQueuedPerSession,
-		sub: map[string][]*msess{}, burst: map[string]int{},
-	}
+	w.m = &model{maxQueued: w.sc.maxQueued, maxPerSession: w.sc.maxQueuedPerSession, sub: map[string][]*msess{}}
 	for ti, n := 0, 1+rng.Intn(4); ti < n; ti++ {
-		ts := &tenantState{name: fmt.Sprintf("t%d", ti), weight: 1 + rng.Intn(4), maxInFlight: w.m.quota}
+		ts := &tenantState{name: fmt.Sprintf("t%d", ti)}
 		w.tenants = append(w.tenants, ts)
-		w.m.weight[ts.name] = ts.weight
+		w.m.tenants = append(w.m.tenants, ts.name)
 		for si, k := 0, 1+rng.Intn(3); si < k; si++ {
 			s := &sessionState{name: fmt.Sprintf("%s-s%d", ts.name, si), tenant: ts}
 			w.sess = append(w.sess, s)
@@ -324,9 +299,6 @@ func (w *world) check() {
 		if ts.queued != q || ts.inFlight != run {
 			w.failf("tenant %s: books say queued=%d inFlight=%d, recount %d/%d", ts.name, ts.queued, ts.inFlight, q, run)
 		}
-		if ts.maxInFlight > 0 && run > ts.maxInFlight {
-			w.failf("tenant %s: %d running over quota %d", ts.name, run, ts.maxInFlight)
-		}
 		if slices.Contains(w.sc.tenants.items, ts) != (q > 0) {
 			w.failf("tenant %s: %d queued, ring membership wrong", ts.name, q)
 		}
@@ -359,10 +331,10 @@ func ringNames(ss []*sessionState) []string {
 
 // TestSchedAgainstModel drives the policy single-threaded through seeded
 // random sequences of push / pop / finish / remove / removeSession /
-// clock-advance over 1–4 tenants (weights 1–4, quota 0–2, both caps,
-// deadlines), and after every operation holds it to the model's answer
-// and to the recounted books (see step and check). No goroutine, no
-// sleep: the properties TestSchedulerOverloadStress can only sample.
+// clock-advance over 1–4 tenants (both caps, deadlines), and after every
+// operation holds it to the model's answer and to the recounted books
+// (see step and check). No goroutine, no sleep: the properties
+// TestSchedulerOverloadStress can only sample.
 func TestSchedAgainstModel(t *testing.T) {
 	worlds := 2000
 	if testing.Short() {
@@ -389,47 +361,70 @@ func TestSchedAgainstModel(t *testing.T) {
 	}
 }
 
-// TestSchedWeightedShare: while every tenant stays backlogged and nothing
-// is skipped, any window of consecutive dispatches splits by weight to
-// within one burst — per tenant, dispatches/weight differ by at most 1
-// between any two tenants.
-func TestSchedWeightedShare(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
+// TestSchedDispatchOrderPinned pins the order the policy hands out
+// work: seeded random sequences of submit, pop, finish, cancel (one job
+// or a whole session) and clock moves over 1–4 tenants of 1–3 sessions,
+// with both queue caps and deadlines, hashed event by event — every
+// refusal, dispatch and shed in the order it happens. A policy change
+// that moves any one of them changes the digest.
+func TestSchedDispatchOrderPinned(t *testing.T) {
+	h := fnv.New64a()
+	for seed := int64(1); seed <= 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sc := &sched{}
-		var tenants []*tenantState
-		const dispatches = 60
-		for ti, n := 0, 2+rng.Intn(3); ti < n; ti++ {
-			ts := &tenantState{name: fmt.Sprintf("t%d", ti), weight: 1 + rng.Intn(4)}
-			tenants = append(tenants, ts)
+		sc := &sched{maxQueued: []int{0, 6}[rng.Intn(2)], maxQueuedPerSession: []int{0, 3}[rng.Intn(2)]}
+		var sess []*sessionState
+		for ti, n := 0, 1+rng.Intn(4); ti < n; ti++ {
+			ts := &tenantState{name: fmt.Sprintf("t%d", ti)}
 			for si, k := 0, 1+rng.Intn(3); si < k; si++ {
-				s := &sessionState{name: fmt.Sprintf("%s-s%d", ts.name, si), tenant: ts}
-				for q := 0; q <= dispatches; q++ { // deeper than the run: never drains
-					if err := sc.push(&Job{sess: s}); err != nil {
-						t.Fatal(err)
-					}
-				}
+				sess = append(sess, &sessionState{name: fmt.Sprintf("%s-s%d", ts.name, si), tenant: ts})
 			}
 		}
-		var order []*tenantState
-		for len(order) < dispatches {
-			j, _ := sc.pop(time.Time{})
-			sc.finished(j)
-			order = append(order, j.sess.tenant)
-		}
-		for lo := 0; lo < len(order); lo++ {
-			count := map[*tenantState]float64{}
-			for hi := lo; hi < len(order); hi++ {
-				count[order[hi]]++
-				least, most := float64(dispatches), 0.0
-				for _, ts := range tenants {
-					share := count[ts] / float64(ts.weight)
-					least, most = min(least, share), max(most, share)
-				}
-				if most-least > 1+1e-9 {
-					t.Fatalf("seed %d: window [%d,%d] shares spread %.2f..%.2f rounds", seed, lo, hi, least, most)
+		now, seq := 1, 0
+		for op := 0; op < 60; op++ {
+			var queued, running []*Job
+			for _, s := range sess {
+				queued = append(queued, s.queue...)
+				if s.running != nil {
+					running = append(running, s.running)
 				}
 			}
+			switch r := rng.Intn(100); {
+			case r < 40:
+				seq++
+				j := &Job{seq: seq, sess: sess[rng.Intn(len(sess))]}
+				if rng.Intn(3) == 0 {
+					j.deadline = time.Unix(int64(now+rng.Intn(4)), 0)
+				}
+				if err := sc.push(j); err != nil {
+					fmt.Fprintf(h, "r%d:%s;", seq, err)
+				}
+			case r < 75:
+				j, expired := sc.pop(time.Unix(int64(now), 0))
+				for _, x := range expired {
+					fmt.Fprintf(h, "x%d;", x.seq)
+				}
+				if j != nil {
+					fmt.Fprintf(h, "d%d;", j.seq)
+				}
+			case r < 88:
+				if len(running) > 0 {
+					sc.finished(running[rng.Intn(len(running))])
+				}
+			case r < 94:
+				if len(queued) > 0 {
+					sc.remove(queued[rng.Intn(len(queued))])
+				}
+			case r < 96:
+				for _, j := range sc.removeSession(sess[rng.Intn(len(sess))]) {
+					fmt.Fprintf(h, "c%d;", j.seq)
+				}
+			default:
+				now += 1 + rng.Intn(3)
+			}
 		}
+		fmt.Fprintf(h, "|")
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "427e6bf0ad8f0fa6"; got != want {
+		t.Errorf("dispatch digest %s, want %s", got, want)
 	}
 }

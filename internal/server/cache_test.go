@@ -2,54 +2,37 @@ package server
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/store"
 )
 
-// TestOpenCacheSizeOptions: the open request's mapCacheSize override
-// must validate, apply, and surface as the capacity in the state
-// response's cache block, which carries no other tier.
+// TestOpenCacheSizeOptions: the server's options size every session's
+// reuse cache (blaeud -map-cache), and the state response's cache block
+// surfaces that capacity under map, with no other tier; -1 disables the
+// cache (capacity 0).
 func TestOpenCacheSizeOptions(t *testing.T) {
-	ts := testServer(t)
-	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
-		"dataset": "blobs",
-		"options": map[string]any{"mapCacheSize": 4},
-	}, http.StatusCreated)
-	cache, ok := st["cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("state response has no cache block: %v", st)
-	}
-	mapTier, _ := cache["map"].(map[string]any)
-	if got := mapTier["capacity"]; got != float64(4) {
-		t.Errorf("map cache capacity = %v, want 4", got)
-	}
-	if len(cache) != 1 {
-		t.Errorf("cache block %v, want the map block alone", cache)
-	}
-
-	// -1 disables the cache: capacity 0 in the stats.
-	st = doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
-		"dataset": "blobs",
-		"options": map[string]any{"mapCacheSize": -1},
-	}, http.StatusCreated)
-	cache = st["cache"].(map[string]any)
-	if got := cache["map"].(map[string]any)["capacity"]; got != float64(0) {
-		t.Errorf("disabled map cache capacity = %v, want 0", got)
-	}
-}
-
-// TestOpenCacheSizeValidation rejects out-of-range cache sizes with 400.
-func TestOpenCacheSizeValidation(t *testing.T) {
-	ts := testServer(t)
-	for _, bad := range []map[string]any{
-		{"mapCacheSize": -2},
-		{"mapCacheSize": 100000},
-	} {
-		res := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
-			"dataset": "blobs", "options": bad,
-		}, http.StatusBadRequest)
-		if res["error"] == "" {
-			t.Errorf("options %v: want an error body", bad)
+	rel := datagen.PlantedBlobs(datagen.BlobSpec{N: 400, K: 3, Dims: 4, Sep: 8}, rand.New(rand.NewSource(1))).Table
+	for _, tc := range []struct{ size, want int }{{4, 4}, {-1, 0}} {
+		ts := httptest.NewServer(NewWith(map[string]store.Relation{"blobs": rel},
+			core.Options{Seed: 1, SampleSize: 400, MapCacheSize: tc.size}, nil))
+		st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{"dataset": "blobs"}, http.StatusCreated)
+		ts.Close()
+		cache, ok := st["cache"].(map[string]any)
+		if !ok {
+			t.Fatalf("state response has no cache block: %v", st)
+		}
+		mapTier, _ := cache["map"].(map[string]any)
+		if got := mapTier["capacity"]; got != float64(tc.want) {
+			t.Errorf("MapCacheSize %d: map cache capacity = %v, want %d", tc.size, got, tc.want)
+		}
+		if len(cache) != 1 {
+			t.Errorf("cache block %v, want the map block alone", cache)
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Server struct {
 
 // dataset is one entry of the server's dataset table: a relation and
 // the core.Dataset its first open detects with the server's options,
-// shared by every session on it (request options only set MapCacheSize).
+// shared by every session on it.
 type dataset struct {
 	rel store.Relation
 
@@ -75,7 +75,7 @@ type Manager = session.Manager
 // NewWith builds a server over a registry of named datasets. opts
 // configures every explorer the server opens. m is the session manager
 // whose scheduler carries the deployment's backpressure policy (queue
-// caps, tenant weights, in-flight quotas — see session.NewManagerObs);
+// caps — see session.NewManagerObs);
 // nil means a default manager without backpressure limits.
 func NewWith(datasets map[string]store.Relation, opts core.Options, m *Manager) *Server {
 	if m == nil {
@@ -159,47 +159,6 @@ type stateJSON struct {
 	// the derivations among them, occupancy, evictions), so build reuse
 	// is observable over the wire.
 	Cache core.ReuseStats `json:"cache"`
-}
-
-// clusterOptionsJSON is the optional options block of the open request:
-// a per-session override of the server-wide cache size. An empty field
-// keeps the server default; unknown keys are rejected, so a misspelt or
-// retired option (algorithm, seeding, oracle — the engine chooses those
-// itself — and artifactCacheSize, whose cache merged into the map
-// cache) is a 400 rather than a silently ignored one.
-type clusterOptionsJSON struct {
-	// MapCacheSize bounds the session's reuse cache (entries). Omitted
-	// or 0 keeps the server default; -1 disables the cache; larger
-	// values are capped by validation (the cache pins maps and sample
-	// vectors in server memory).
-	MapCacheSize *int `json:"mapCacheSize"`
-}
-
-// UnmarshalJSON decodes the block strictly.
-func (c *clusterOptionsJSON) UnmarshalJSON(b []byte) error {
-	type plain clusterOptionsJSON
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode((*plain)(c))
-}
-
-// maxCacheEntries bounds the per-session cache size a client may
-// request: beyond it the cache stops being a working set and starts
-// being a memory grab (each cold entry pins a sample's fitted vectors).
-const maxCacheEntries = 1024
-
-// apply validates the override and writes it into opts.
-func (c *clusterOptionsJSON) apply(opts *core.Options) error {
-	if c.MapCacheSize == nil {
-		return nil
-	}
-	if v := *c.MapCacheSize; v < -1 || v > maxCacheEntries {
-		return fmt.Errorf("mapCacheSize must be between -1 (disabled) and %d entries, got %d", maxCacheEntries, v)
-	}
-	if *c.MapCacheSize != 0 {
-		opts.MapCacheSize = *c.MapCacheSize
-	}
-	return nil
 }
 
 func (s *Server) stateJSON(sess *session.Session) stateJSON {
@@ -296,20 +255,28 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Dataset string              `json:"dataset"`
-		Options *clusterOptionsJSON `json:"options"`
-		// Tenant groups the session for scheduling: weighted fairness,
-		// in-flight quotas and per-tenant accounting apply to all of a
-		// tenant's sessions together. Empty = the session stands alone.
-		// The label is client-asserted — this server has no auth layer —
-		// so weights/quotas keyed on it isolate cooperative workloads,
-		// not adversaries; deployments that must enforce isolation should
-		// derive the tenant server-side (reverse proxy, or the
-		// authenticated identity passed as Manager.Open's tenant
-		// argument) instead of trusting this field.
+		Dataset string `json:"dataset"`
+		// Options is the retired per-session override: every session
+		// runs under the server's options (-map-cache sets the cache
+		// size), and a request still carrying the block is refused
+		// rather than silently ignored.
+		Options json.RawMessage `json:"options"`
+		// Tenant groups the session for scheduling: round-robin dispatch
+		// and per-tenant accounting apply to all of a tenant's sessions
+		// together. Empty = the session stands alone. The label is
+		// client-asserted — this server has no auth layer — so a tenant
+		// shares dispatch among cooperative workloads, not adversaries;
+		// deployments that must enforce isolation should derive the
+		// tenant server-side (reverse proxy, or the authenticated
+		// identity passed as Manager.Open's tenant argument) instead of
+		// trusting this field.
 		Tenant string `json:"tenant"`
 	}
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Options != nil {
+		writeErr(w, http.StatusBadRequest, errors.New("the open request takes no options block: every session runs under the server's options"))
 		return
 	}
 	ds, ok := s.datasets[req.Dataset]
@@ -317,19 +284,12 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no dataset %q", req.Dataset))
 		return
 	}
-	opts := s.opts
-	if req.Options != nil {
-		if err := req.Options.apply(&opts); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
 	d, err := ds.open(s.opts)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	sess, err := s.manager.Open(d, opts, req.Tenant)
+	sess, err := s.manager.Open(d, s.opts, req.Tenant)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -8,10 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -424,24 +421,23 @@ func TestExportHistoryCarriesActions(t *testing.T) {
 	}
 }
 
-// TestOpenClusterOptions is the table-driven contract of the open
-// request's options block: the cache size creates a session; bad
-// values, unknown keys and retired ones are rejected with 400 and no
-// session is created.
+// TestOpenClusterOptions: the open request has no options block — every
+// session runs under the server's options, and -map-cache is the one
+// cache-size setting. An open without the block creates a session; any
+// block, the once-valid mapCacheSize and the retired keys included, is
+// a 400 with an error body that creates no session, whatever the
+// dataset.
 func TestOpenClusterOptions(t *testing.T) {
 	cases := []struct {
 		name       string
 		dataset    string
-		options    map[string]any
+		options    any // nil: no block
 		wantStatus int
 	}{
 		{"defaults", "blobs", nil, http.StatusCreated},
-		{"map cache size", "blobs", map[string]any{"mapCacheSize": 2}, http.StatusCreated},
-		// The PAM SWAP algorithm, the seeding scheme and the distance
-		// oracle left the option surface — the engine chooses them: a
-		// retired key is rejected like any unknown one, not silently
-		// ignored, whatever value it carries and however large the
-		// dataset.
+		{"map cache size", "blobs", map[string]any{"mapCacheSize": 2}, http.StatusBadRequest},
+		{"empty block", "blobs", map[string]any{}, http.StatusBadRequest},
+		{"null block", "blobs", json.RawMessage("null"), http.StatusBadRequest},
 		{"retired algorithm", "blobs", map[string]any{"algorithm": "classic"}, http.StatusBadRequest},
 		{"retired algorithm default", "blobs", map[string]any{"algorithm": "fasterpam"}, http.StatusBadRequest},
 		{"kmeans++ seeding", "blobs", map[string]any{"seeding": "kmeans++"}, http.StatusBadRequest},
@@ -454,8 +450,6 @@ func TestOpenClusterOptions(t *testing.T) {
 		{"bad oracle", "blobs", map[string]any{"oracle": "quantum"}, http.StatusBadRequest},
 		{"matrix over the limit", "wide", map[string]any{"oracle": "matrix"}, http.StatusBadRequest},
 		{"lazy over the limit", "wide", map[string]any{"oracle": "lazy"}, http.StatusBadRequest},
-		// The artifact cache merged into the map cache: its size is
-		// retired too.
 		{"retired artifact cache size", "blobs", map[string]any{"artifactCacheSize": 4}, http.StatusBadRequest},
 		{"unknown key", "blobs", map[string]any{"oracel": "lazy"}, http.StatusBadRequest},
 		{"bad alongside good", "blobs", map[string]any{"mapCacheSize": 2, "artifactCacheSize": 99999}, http.StatusBadRequest},
@@ -490,61 +484,11 @@ func TestOpenClusterOptions(t *testing.T) {
 			}
 		})
 	}
+	if n := small.Config.Handler.(*Server).Manager().Len(); n != 1 {
+		t.Errorf("%d sessions after one accepted open", n)
+	}
 	if n := bigSrv.Manager().Len(); n != 0 {
 		t.Errorf("rejected opens left %d sessions", n)
-	}
-}
-
-// TestOpenClusterOptionsDrivesClustering: a session opened with the
-// cache option must still navigate end to end, with the override in
-// force.
-func TestOpenClusterOptionsDrivesClustering(t *testing.T) {
-	ts := testServer(t)
-	st := doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
-		"dataset": "blobs",
-		"options": map[string]int{"mapCacheSize": 2},
-	}, http.StatusCreated)
-	id, _ := st["sessionId"].(string)
-	st = doJSON(t, "POST", ts.URL+"/api/sessions/"+id+"/select", map[string]int{"theme": 0}, http.StatusOK)
-	if mp, _ := st["map"].(map[string]any); mp == nil || int(mp["k"].(float64)) < 2 {
-		t.Fatalf("no usable map under explicit options: %v", st["map"])
-	}
-	cache, _ := st["cache"].(map[string]any)
-	mapTier, _ := cache["map"].(map[string]any)
-	if mapTier["capacity"] != 2.0 {
-		t.Errorf("cache capacity %v, want the override 2", mapTier["capacity"])
-	}
-}
-
-// TestOpenOptionsTableMatchesWire: the keys of README's open-request
-// options table are exactly the JSON keys clusterOptionsJSON decodes —
-// what keeps a retired option from surviving in the documentation and a
-// new one from hiding from it.
-func TestOpenOptionsTableMatchesWire(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, after, ok := strings.Cut(string(readme), "The open request's `options` block has")
-	if !ok {
-		t.Fatal("README no longer introduces the open request's options table")
-	}
-	_, table, _ := strings.Cut(after, "\n|")
-	table, _, _ = strings.Cut(table, "\n\n")
-	var documented []string
-	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
-		documented = append(documented, m[1])
-	}
-	var wire []string
-	typ := reflect.TypeOf(clusterOptionsJSON{})
-	for i := 0; i < typ.NumField(); i++ {
-		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
-		wire = append(wire, key)
-	}
-	sort.Strings(documented)
-	sort.Strings(wire)
-	if !reflect.DeepEqual(documented, wire) {
-		t.Errorf("README documents the option keys %q, the open request decodes %q", documented, wire)
 	}
 }
 

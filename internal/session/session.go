@@ -24,8 +24,8 @@ import (
 type Session struct {
 	// ID is the registry key.
 	ID string
-	// Tenant is the fairness/quota key the session's jobs are scheduled
-	// under ("" = the session is its own tenant). Set at open time.
+	// Tenant is the fairness key the session's jobs are scheduled under
+	// ("" = the session is its own tenant). Set at open time.
 	Tenant string
 	// Explorer is the underlying exploration engine. Callers must hold
 	// the session lock (Do) for any interaction.
@@ -71,9 +71,9 @@ type Manager struct {
 }
 
 // NewManagerObs returns an empty session registry whose scheduler runs
-// under the given configuration — queue caps, tenant weights and
-// in-flight quotas (see jobs.Config); the zero Config runs one job
-// worker per core (cores.Width()) with no backpressure limits. Tenant attribution is the
+// under the given configuration — worker width and queue caps (see
+// jobs.Config); the zero Config runs one job worker per core
+// (cores.Width()) with no backpressure limits. Tenant attribution is the
 // tenant argument of Open: every job of the session is submitted under it.
 //
 // tel is the telemetry plane: the scheduler's counters land in its
@@ -106,11 +106,10 @@ func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 // shares (see core.Dataset.Open for opts). Its builds run on the
 // manager's job workers, and their fan-out borrows only the cores no
 // running job holds (internal/cores). A non-empty tenant label
-// schedules the session's jobs (weighted fairness, in-flight quotas,
-// per-tenant accounting) under that tenant; with an empty one the
-// session stands alone as its own tenant. This is where a deployment
-// that derives the tenant server-side (from an authenticated identity)
-// hands it in.
+// schedules the session's jobs (round-robin dispatch, per-tenant
+// accounting) under that tenant; with an empty one the session stands
+// alone as its own tenant. This is where a deployment that derives the
+// tenant server-side (from an authenticated identity) hands it in.
 func (m *Manager) Open(d *core.Dataset, opts core.Options, tenant string) (*Session, error) {
 	e, err := d.Open(opts)
 	if err != nil {

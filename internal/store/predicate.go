@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -102,12 +103,10 @@ func (p NumCmp) Matches(t Relation, i int) bool {
 	return p.Op.holds(c.Float(i), p.Val)
 }
 
-// String implements Predicate.
-func (p NumCmp) String() string {
-	// Six significant digits: thresholds come from data midpoints and
-	// full float64 precision only obscures the map labels.
-	return fmt.Sprintf("%s %s %.6g", quoteIdent(p.Col), p.Op, p.Val)
-}
+// String implements Predicate. The threshold has six significant
+// digits: it comes from a data midpoint, and full float64 precision
+// only obscures the map labels. ExactString keeps every digit.
+func (p NumCmp) String() string { return text(p, false) }
 
 // StrEq compares a string column against a constant.
 type StrEq struct {
@@ -208,22 +207,7 @@ func (ps And) Matches(t Relation, i int) bool {
 }
 
 // String implements Predicate.
-func (ps And) String() string {
-	if len(ps) == 0 {
-		return "TRUE"
-	}
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		// OR binds looser than AND: nested disjunctions need parentheses
-		// to re-parse with the same meaning.
-		if _, isOr := p.(Or); isOr {
-			parts[i] = "(" + p.String() + ")"
-		} else {
-			parts[i] = p.String()
-		}
-	}
-	return strings.Join(parts, " AND ")
-}
+func (ps And) String() string { return text(ps, false) }
 
 // Or is the disjunction of predicates. An empty Or matches nothing.
 type Or []Predicate
@@ -239,16 +223,7 @@ func (ps Or) Matches(t Relation, i int) bool {
 }
 
 // String implements Predicate.
-func (ps Or) String() string {
-	if len(ps) == 0 {
-		return "FALSE"
-	}
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = "(" + p.String() + ")"
-	}
-	return strings.Join(parts, " OR ")
-}
+func (ps Or) String() string { return text(ps, false) }
 
 // Not negates a predicate.
 type Not struct{ P Predicate }
@@ -257,7 +232,7 @@ type Not struct{ P Predicate }
 func (p Not) Matches(t Relation, i int) bool { return !p.P.Matches(t, i) }
 
 // String implements Predicate.
-func (p Not) String() string { return "NOT (" + p.P.String() + ")" }
+func (p Not) String() string { return text(p, false) }
 
 // OrNull matches rows satisfying P or whose Col is missing. It is the
 // exact complement of a threshold predicate under SQL-style semantics
@@ -280,9 +255,7 @@ func (p OrNull) Matches(t Relation, i int) bool {
 
 // String implements Predicate: valid SQL, parenthesized so it embeds in
 // conjunctions without precedence surprises.
-func (p OrNull) String() string {
-	return "(" + p.P.String() + " OR " + quoteIdent(p.Col) + " IS NULL)"
-}
+func (p OrNull) String() string { return text(p, false) }
 
 // True matches every row.
 type True struct{}
@@ -292,6 +265,79 @@ func (True) Matches(Relation, int) bool { return true }
 
 // String implements Predicate.
 func (True) String() string { return "TRUE" }
+
+// ExactString renders p as String does, but with every numeric
+// constant in shortest round-trip form, so ParsePredicate reads it back
+// to the same thresholds: the text of a query or a filter that must
+// select what p selects, where String's six digits may not.
+func ExactString(p Predicate) string { return text(p, true) }
+
+// text is render into a string of its own.
+func text(p Predicate, exact bool) string {
+	var sb strings.Builder
+	render(&sb, p, exact)
+	return sb.String()
+}
+
+// render is the one writer of the predicate grammar ParsePredicate
+// reads. exact picks the numeric constants' form: shortest round-trip
+// digits, or the six significant digits of a label. Predicates without
+// numbers or children write their String.
+func render(sb *strings.Builder, p Predicate, exact bool) {
+	switch p := p.(type) {
+	case NumCmp:
+		prec := 6
+		if exact {
+			prec = -1
+		}
+		var num [32]byte
+		sb.WriteString(quoteIdent(p.Col))
+		sb.WriteByte(' ')
+		sb.WriteString(p.Op.String())
+		sb.WriteByte(' ')
+		sb.Write(strconv.AppendFloat(num[:0], p.Val, 'g', prec, 64))
+	case And:
+		if len(p) == 0 {
+			sb.WriteString("TRUE")
+		}
+		for i, q := range p {
+			if i > 0 {
+				sb.WriteString(" AND ")
+			}
+			// OR binds looser than AND: nested disjunctions need
+			// parentheses to re-parse with the same meaning.
+			if _, isOr := q.(Or); isOr {
+				sb.WriteByte('(')
+				render(sb, q, exact)
+				sb.WriteByte(')')
+			} else {
+				render(sb, q, exact)
+			}
+		}
+	case Or:
+		if len(p) == 0 {
+			sb.WriteString("FALSE")
+		}
+		for i, q := range p {
+			if i > 0 {
+				sb.WriteString(" OR ")
+			}
+			sb.WriteByte('(')
+			render(sb, q, exact)
+			sb.WriteByte(')')
+		}
+	case Not:
+		sb.WriteString("NOT (")
+		render(sb, p.P, exact)
+		sb.WriteByte(')')
+	case OrNull:
+		sb.WriteByte('(')
+		render(sb, p.P, exact)
+		sb.WriteString(" OR " + quoteIdent(p.Col) + " IS NULL)")
+	default:
+		sb.WriteString(p.String())
+	}
+}
 
 // quoteString renders s as a string literal, an embedded quote doubled —
 // the form the tokenizer reads back.

@@ -23,7 +23,8 @@ type Query struct {
 	Limit *int
 }
 
-// String renders the query back to SQL.
+// String renders the query back to SQL, its WHERE clause exact (see
+// ExactString): the text runs back to the rows the query selects.
 func (q *Query) String() string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -40,7 +41,7 @@ func (q *Query) String() string {
 	sb.WriteString(quoteIdent(q.Table))
 	if q.Where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(q.Where.String())
+		render(&sb, q.Where, true)
 	}
 	for i, k := range q.OrderBy {
 		if i == 0 {

@@ -398,13 +398,26 @@ func (g *grower) bestNumeric(f *feature, lo, hi int, node *Node, best *split) {
 		nRight := total - nLeft
 		w := node.Impurity - (float64(nLeft)*gini(left, nLeft)+float64(nRight)*gini(right, nRight))/float64(total)
 		if w > gain {
-			gain, thresh = w, (v+next)/2
+			gain, thresh = w, cut(v, next)
 		}
 		v = next
 	}
 	if !math.IsNaN(thresh) && gain > best.gain {
 		*best = split{f: f, gain: gain, thresh: thresh, nulls: nulls}
 	}
+}
+
+// cut is the threshold x < cut that separates neighbouring values
+// v < next as the sweep scored them: their midpoint when it lies
+// strictly above v and not above next, else next. The midpoint fails
+// that for an infinite v (it is -Inf, or NaN against +Inf), for
+// adjacent floats (it rounds onto v) and for a sum that overflows (it
+// is +Inf).
+func cut(v, next float64) float64 {
+	if m := (v + next) / 2; v < m && m <= next {
+		return m
+	}
+	return next
 }
 
 // bestCategorical tries one-vs-rest equality splits on the most

@@ -176,8 +176,12 @@ func (g *refGrower) bestNumericSplit(col store.Column, rows []int, parentImpurit
 		gr := refGiniWithExtra(rightCounts, nRight, missing, missingCounts)
 		w := parentImpurity - (float64(nLeft)*gl+float64(nRight+missing)*gr)/float64(total)
 		if w > bestGain {
+			// x < bestThresh must put pts[i] left and pts[i+1] right.
 			bestGain = w
 			bestThresh = (pts[i].v + pts[i+1].v) / 2
+			if !(pts[i].v < bestThresh && bestThresh <= pts[i+1].v) {
+				bestThresh = pts[i+1].v
+			}
 		}
 	}
 	if math.IsNaN(bestThresh) {

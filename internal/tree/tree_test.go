@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/store"
@@ -206,6 +207,52 @@ func TestNaNCountsRight(t *testing.T) {
 	}
 	if acc := tr.FitAccuracy(); acc != 1 {
 		t.Errorf("FitAccuracy = %g, want 1", acc)
+	}
+}
+
+// TestCutRoutesAsScored: a cut between neighbouring values v < next
+// must route v left and next right, as the sweep counted them. The
+// plain midpoint does not when v is -Inf (x < -Inf matches nothing),
+// when both are infinite (NaN drops the feature), when the values are
+// adjacent floats (it rounds onto v) or when their sum overflows (+Inf
+// takes next left too).
+func TestCutRoutesAsScored(t *testing.T) {
+	rep := func(v float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	cases := []struct {
+		name        string
+		left, right []float64
+	}{
+		{"-Inf against 0..9", rep(math.Inf(-1), 10), []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"-Inf against +Inf", rep(math.Inf(-1), 4), rep(math.Inf(1), 4)},
+		{"adjacent floats", rep(1, 4), rep(math.Nextafter(1, 2), 4)},
+		{"overflowing sum", rep(1e308, 4), rep(1.7e308, 4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := store.NewFloatColumnFrom("x", append(slices.Clone(tc.left), tc.right...))
+			labels := make([]int, x.Len())
+			for i := len(tc.left); i < len(labels); i++ {
+				labels[i] = 1
+			}
+			tab := store.NewTable("cut")
+			tab.MustAddColumn(x)
+			tr, err := Fit(tab, []string{"x"}, labels, 2, Options{MaxDepth: 1, MinLeaf: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Root.IsLeaf() {
+				t.Fatal("the root did not split")
+			}
+			if acc := tr.Accuracy(tab, labels); acc != 1 {
+				t.Errorf("root split %v: accuracy %g, want 1", tr.Root.Split, acc)
+			}
+		})
 	}
 }
 
