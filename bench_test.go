@@ -359,9 +359,7 @@ func BenchmarkOpen(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Open(opts); err != nil {
-				b.Fatal(err)
-			}
+			d.Open()
 		}
 	})
 }
@@ -380,11 +378,7 @@ func BenchmarkSessionFirstBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	first := func() {
-		e, err := d.Open(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.SelectTheme(0); err != nil {
+		if _, err := d.Open().SelectTheme(0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,6 +39,11 @@
 // Explorer.ApplyBuild; the plain Zoom / SelectTheme / Project run those
 // three steps inline.
 //
+// Options are fixed per dataset: Open detects a table's themes under
+// them, and the session runs under the same options from then on. At the
+// serving tier every session on one table shares its dataset's options;
+// no session sets its own.
+//
 // Quickstart:
 //
 //	table, _ := blaeu.ReadCSVFile("countries.csv", nil)
@@ -75,10 +80,12 @@ type (
 	SegmentTable = store.SegmentTable
 	// Column is one typed, nullable column of a Table.
 	Column = store.Column
-	// Explorer is an exploration session over one table.
+	// Explorer is an exploration session over one table, running under
+	// the options its table's themes were detected with.
 	Explorer = core.Explorer
 	// Options tunes the exploration engine (sampling budget, k ranges,
-	// tree depth, reuse cache).
+	// tree depth, reuse cache). They are fixed per dataset: the sessions
+	// on one table share them.
 	Options = core.Options
 	// Theme is a group of mutually dependent columns.
 	Theme = core.Theme
@@ -105,14 +112,11 @@ type CSVOptions = store.CSVOptions
 // [2,6], description trees of depth 3).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// Open starts an exploration session: it detects the table's themes and
-// initializes the selection to the full table.
-func Open(t *Table, opts Options) (*Explorer, error) { return core.NewExplorer(t, opts) }
-
-// OpenRelation starts an exploration session over any relation —
-// in-memory or segment-backed. Results are identical across backings
-// on the same data and seed.
-func OpenRelation(t Relation, opts Options) (*Explorer, error) { return core.NewExplorer(t, opts) }
+// Open starts an exploration session over a relation, an in-memory
+// Table or a SegmentTable: it detects the relation's themes and
+// initializes the selection to the full table. Results are identical
+// across backings on the same data and seed.
+func Open(t Relation, opts Options) (*Explorer, error) { return core.NewExplorer(t, opts) }
 
 // BuildSegment streams a CSV file into an on-disk segment file with
 // memory bounded by columns × rows-per-page. Type inference matches

@@ -1,7 +1,9 @@
 package blaeu
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -54,6 +56,112 @@ func TestDocsNameRealMakeTargets(t *testing.T) {
 	if cited < len(targets) {
 		t.Errorf("only %d citations found for %d targets: the patterns no longer match how targets are cited", cited, len(targets))
 	}
+}
+
+// TestMakefileSelectorsNameRealTests: every top-level `|` alternative of
+// a Makefile `-run '<re>'` and every `-fuzz=<re>` matches at least one
+// Test or Fuzz function in the packages its line names, so a renamed or
+// deleted test cannot turn a CI step into a silent "no tests to run".
+// A `-run '^$'` selects nothing on purpose and is skipped.
+func TestMakefileSelectorsNameRealTests(t *testing.T) {
+	b, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile := strings.ReplaceAll(string(b), "$$", "$")
+	selector := regexp.MustCompile(`-(run|fuzz)[= ]'?([^' ]+)'?`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	checked := 0
+	for _, line := range strings.Split(makefile, "\n") {
+		if !strings.Contains(line, "go test") {
+			continue
+		}
+		var funcs []string
+		for _, arg := range strings.Fields(line) {
+			if arg == "." || strings.HasPrefix(arg, "./") {
+				funcs = append(funcs, testFuncs(t, arg, testFunc)...)
+			}
+		}
+		for _, m := range selector.FindAllStringSubmatch(line, -1) {
+			flag, re := m[1], m[2]
+			if flag == "run" && re == "^$" {
+				continue
+			}
+			// go test matches a -run pattern's first '/'-level against
+			// top-level names; the levels after it name subtests.
+			for _, alt := range topLevel(topLevel(re, '/')[0], '|') {
+				checked++
+				alt := regexp.MustCompile(alt)
+				found := false
+				for _, f := range funcs {
+					if alt.MatchString(f) && (flag == "run" || strings.HasPrefix(f, "Fuzz")) {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("Makefile line %q: -%s alternative %q matches no function in its packages", strings.TrimSpace(line), flag, alt)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run or -fuzz selectors parsed from Makefile")
+	}
+}
+
+// topLevel splits re at every sep outside brackets and parentheses.
+func topLevel(re string, sep rune) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i, r := range re {
+		switch r {
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				parts = append(parts, re[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, re[start:])
+}
+
+// testFuncs lists the Test and Fuzz functions of the packages a go test
+// pattern names: one directory, or a tree with a trailing "/...".
+func testFuncs(t *testing.T, pattern string, testFunc *regexp.Regexp) []string {
+	t.Helper()
+	root, tree := strings.CutSuffix(strings.TrimSuffix(pattern, "/"), "/...")
+	var funcs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && (!tree || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(b), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(funcs) == 0 {
+		t.Errorf("Makefile names package %s, which has no test functions", pattern)
+	}
+	return funcs
 }
 
 // TestCodeHealthTableNamesTheSuite: README's Code health table has one

@@ -36,10 +36,10 @@ type buildArtifact struct {
 // uniform sample of the child's selection — smaller, not biased.
 func (e *Explorer) derivedSampleFloor(rows *store.RowSet) int {
 	target := rows.Len()
-	if target > e.opts.SampleSize {
-		target = e.opts.SampleSize
+	if target > e.data.opts.SampleSize {
+		target = e.data.opts.SampleSize
 	}
-	min := e.opts.DerivedSampleMin
+	min := e.data.opts.DerivedSampleMin
 	if frac := int(derivedSampleFraction * float64(target)); frac > min {
 		min = frac
 	}

@@ -169,7 +169,7 @@ func (e *Explorer) prepare(next *State, theme Theme) *MapBuild {
 		b.reuse = ReuseMapHit
 		return b
 	}
-	if e.opts.DerivedSampleMin < 0 {
+	if e.data.opts.DerivedSampleMin < 0 {
 		return b
 	}
 	parent, pos := e.cache.findDerivable(theme.ID, rows, e.derivedSampleFloor(rows))

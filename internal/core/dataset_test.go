@@ -49,11 +49,7 @@ func TestDatasetConcurrentOpens(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			e, err := d.Open(opts)
-			if err != nil {
-				errs <- err
-				return
-			}
+			e := d.Open()
 			id, err := e.AddTheme(themeCols(i))
 			if err != nil {
 				errs <- err
@@ -113,22 +109,4 @@ func sameSet(a, b []string) bool {
 	slices.Sort(a)
 	slices.Sort(b)
 	return slices.Equal(a, b)
-}
-
-// TestDatasetOpenChecksDetectionOptions: a session may set every option
-// but the two detection read, Seed and DependencySampleRows, the latter
-// also through its SampleSize default.
-func TestDatasetOpenChecksDetectionOptions(t *testing.T) {
-	d, err := NewDataset(pinnedTable(300, 32).Table, Options{Seed: 2, SampleSize: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Open(Options{Seed: 2, SampleSize: 300, DependencySampleRows: 300, MapCacheSize: -1, TreeMaxDepth: 2}); err != nil {
-		t.Errorf("options detection does not read were refused: %v", err)
-	}
-	for _, o := range []Options{{Seed: 3, SampleSize: 300}, {Seed: 2, SampleSize: 300, DependencySampleRows: 200}, {Seed: 2, SampleSize: 400}} {
-		if _, err := d.Open(o); err == nil {
-			t.Errorf("Open(%+v) on a dataset detected with Seed 2 over 300 rows succeeded", o)
-		}
-	}
 }

@@ -74,9 +74,10 @@ type State struct {
 }
 
 // Dataset is the per-table half of an exploration: the relation, the
-// dependency graph over its clusterable columns (Fig. 2) and the themes
-// partitioned from it (Fig. 1a). It is immutable once built, and every
-// session opened on it (Open) shares its graph and themes read-only.
+// engine options (defaults applied), the dependency graph over its
+// clusterable columns (Fig. 2) and the themes partitioned from it
+// (Fig. 1a). It is immutable once built, and every session opened on it
+// (Open) shares its options, graph and themes read-only.
 // Its one mutable part is build scratch: the distance matrices and
 // sample slabs its sessions' finished builds are done with.
 type Dataset struct {
@@ -168,28 +169,23 @@ func (d *Dataset) Release() {
 }
 
 // Open opens an exploration session on the dataset, at the full
-// selection. opts may differ from the dataset's in every field but the
-// two detection read, Seed and DependencySampleRows.
-func (d *Dataset) Open(opts Options) (*Explorer, error) {
-	opts.defaults()
-	if opts.Seed != d.opts.Seed || opts.DependencySampleRows != d.opts.DependencySampleRows {
-		return nil, fmt.Errorf("core: session options (Seed %d, DependencySampleRows %d) differ from the dataset's (%d, %d)",
-			opts.Seed, opts.DependencySampleRows, d.opts.Seed, d.opts.DependencySampleRows)
-	}
+// selection. The session runs on the dataset's options: every session
+// on one table shares them.
+func (d *Dataset) Open() *Explorer {
 	// The session stream continues where detection left the seed's
 	// stream, so a session's n-th build draws the seed it drew when
 	// every open detected themes itself. ROADMAP item 2's seed fix
 	// deletes this skip together with e.rng.
-	rng := opts.newRNG()
+	rng := d.opts.newRNG()
 	for range d.draws {
 		rng.Uint64()
 	}
-	e := &Explorer{data: d, opts: opts, rng: rng, metric: stats.Euclidean{}, themes: d.themes}
-	if opts.MapCacheSize > 0 {
-		e.cache = newMapCache(opts.MapCacheSize)
+	e := &Explorer{data: d, rng: rng, metric: stats.Euclidean{}, themes: d.themes}
+	if d.opts.MapCacheSize > 0 {
+		e.cache = newMapCache(d.opts.MapCacheSize)
 	}
 	e.states = []*State{{Action: Action{Kind: ActionInit}, Detail: "full table", Rows: store.All(d.table.NumRows())}}
-	return e, nil
+	return e
 }
 
 // Explorer is a Blaeu exploration session over one table. It is not safe
@@ -199,11 +195,10 @@ func (d *Dataset) Open(opts Options) (*Explorer, error) {
 // worker while the owner's lock is released (see MapBuild).
 type Explorer struct {
 	// data is the dataset the session was opened on: its relation,
-	// dependency graph and build scratch.
+	// options, dependency graph and build scratch.
 	data *Dataset
-	opts Options
 	// rng is the session stream, started past theme detection's draws
-	// (Dataset.Open). Only prepare (which seeds each build from it)
+	// (see Dataset.Open). Only prepare (which seeds each build from it)
 	// draws from it — inspections never do, so reads cannot change the
 	// next map.
 	rng    *rand.Rand
@@ -223,14 +218,15 @@ func NewExplorer(t store.Relation, opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.Open(opts)
+	return d.Open(), nil
 }
 
 // Table returns the underlying relation.
 func (e *Explorer) Table() store.Relation { return e.data.table }
 
-// Options returns the effective engine options (defaults applied).
-func (e *Explorer) Options() Options { return e.opts }
+// Options returns the effective engine options (defaults applied): the
+// dataset's, which every session on it shares.
+func (e *Explorer) Options() Options { return e.data.opts }
 
 // Themes returns the detected themes, most cohesive first (Fig. 1a),
 // then the session's own AddTheme themes. The detected ones are the

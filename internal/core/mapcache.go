@@ -12,10 +12,9 @@ const DefaultMapCacheSize = 16
 
 // mapKey identifies one cached map build. Two builds share an entry iff
 // they cluster the same selection (row fingerprint + count) under the
-// same theme — the keying rule of the zoom cache. The session and its
-// options are implicit: every Explorer owns its own cache, and its
-// options are fixed when it opens (Dataset.Open), before the cache
-// exists.
+// same theme — the keying rule of the zoom cache. The session and the
+// options are implicit: every Explorer owns its own cache, and the
+// options are its dataset's, fixed before any session opens.
 type mapKey struct {
 	rows  uint64 // the selection's store.RowSet.Fingerprint
 	n     int    // row count, a cheap collision guard

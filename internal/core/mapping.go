@@ -186,10 +186,10 @@ func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buil
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of
 // the selection's rows, uniformly, ascending.
 func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
-	if rows.Len() <= e.opts.SampleSize {
+	if rows.Len() <= e.data.opts.SampleSize {
 		return rows.AppendTo(nil)
 	}
-	return rows.Pick(store.SampleIndices(rows.Len(), e.opts.SampleSize, rng))
+	return rows.Pick(store.SampleIndices(rows.Len(), e.data.opts.SampleSize, rng))
 }
 
 // gatherSample materializes the build sample for one theme: only the
@@ -237,18 +237,18 @@ func (e *Explorer) oracleStage(vecs [][]float64, sc *buildScratch) cluster.Oracl
 // oracle. Model selection dominates the build, so its progress is mapped
 // onto the [0.15, 0.85] band.
 func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng *rand.Rand, report func(float64)) (*cluster.Clustering, error) {
-	kMax := e.opts.MapKMax
+	kMax := e.data.opts.MapKMax
 	if kMax >= oracle.N() {
 		kMax = oracle.N() - 1
 	}
-	if kMax < e.opts.MapKMin {
+	if kMax < e.data.opts.MapKMin {
 		return &cluster.Clustering{K: 1, Labels: make([]int, oracle.N()), Silhouette: 0}, nil
 	}
 	return cluster.AutoK(oracle, cluster.AutoKOptions{
-		KMin:                  e.opts.MapKMin,
+		KMin:                  e.data.opts.MapKMin,
 		KMax:                  kMax,
-		LargeThreshold:        e.opts.PAMThreshold,
-		MCSilhouetteThreshold: e.opts.PAMThreshold,
+		LargeThreshold:        e.data.opts.PAMThreshold,
+		MCSilhouetteThreshold: e.data.opts.PAMThreshold,
 		Context:               ctx,
 		Progress: func(done, total int) {
 			report(0.15 + 0.7*float64(done)/float64(total))
@@ -274,8 +274,8 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 	}
 	features := art.pipe.UsedColumns()
 	tr, err := sc.tree.Fit(sample, features, clustering.Labels, clustering.K, tree.Options{
-		MaxDepth: e.opts.TreeMaxDepth,
-		MinLeaf:  e.opts.TreeMinLeaf,
+		MaxDepth: e.data.opts.TreeMaxDepth,
+		MinLeaf:  e.data.opts.TreeMinLeaf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: describing theme %d: %w", theme.ID, err)

@@ -21,7 +21,9 @@ package core
 
 import "math/rand"
 
-// Options tunes the exploration engine.
+// Options tunes the exploration engine. They belong to a Dataset
+// (NewDataset applies the defaults once): every session opened on it
+// runs with them.
 type Options struct {
 	// Seed initializes the engine's deterministic randomness.
 	Seed int64
@@ -55,7 +57,7 @@ type Options struct {
 	// keyed by (row-set fingerprint, row count, theme) and reused when
 	// navigation revisits a selection, e.g. rollback followed by a
 	// re-zoom into the same region. The options are not in the key: they
-	// are fixed when the session opens, before its cache exists. A cold
+	// are the dataset's, fixed before any session opens. A cold
 	// build's entry also keeps its sample rows and fitted vectors, so a
 	// miss whose rows overlap that sample re-slices the parent's vectors
 	// instead of sampling and fitting anew. 0 means DefaultMapCacheSize;

@@ -87,18 +87,10 @@ func openPinned(t *testing.T, table store.Relation, opts Options, open string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Open(opts)
-	if err != nil {
+	if _, err := d.Open().SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.SelectTheme(0); err != nil {
-		t.Fatal(err)
-	}
-	e, err := d.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return d.Open()
 }
 
 // pinnedNavigation opens a session the given way, drives select → zoom →

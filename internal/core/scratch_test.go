@@ -17,25 +17,20 @@ import (
 // coldDataset detects the themes of a pinned table under options with
 // the cache off, so that every build of a session opened on it is cold
 // and computes its own matrix.
-func coldDataset(t *testing.T, n int, opts Options) (*Dataset, Options) {
+func coldDataset(t *testing.T, n int, opts Options) *Dataset {
 	t.Helper()
 	opts.MapCacheSize = -1
 	d, err := NewDataset(pinnedTable(n, 21).Table, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, opts
+	return d
 }
 
 // coldExplorer opens an explorer on a cold dataset of its own.
 func coldExplorer(t *testing.T, n int, opts Options) *Explorer {
 	t.Helper()
-	d, opts := coldDataset(t, n, opts)
-	e, err := d.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return coldDataset(t, n, opts).Open()
 }
 
 // TestColdBuildReusesScratchMatrix: a session's second cold build at the
@@ -81,10 +76,7 @@ func TestColdBuildReusesSampleSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.Open(Options{Seed: 1, MapCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := d.Open()
 	wide := 0
 	for i, th := range e.Themes() {
 		if len(th.Columns) > len(e.Themes()[wide].Columns) {
@@ -143,11 +135,8 @@ func TestPrepFitBytesFlatInRows(t *testing.T) {
 // TestReleaseEmptiesScratch: Release drops every scratch on the
 // dataset's free list, and a build after it starts one afresh.
 func TestReleaseEmptiesScratch(t *testing.T) {
-	d, opts := coldDataset(t, 300, Options{Seed: 3})
-	e, err := d.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := coldDataset(t, 300, Options{Seed: 3})
+	e := d.Open()
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +161,13 @@ func TestReleaseEmptiesScratch(t *testing.T) {
 // half of one matrix all told.
 func TestSessionFirstBuildReusesScratchMatrix(t *testing.T) {
 	const n = 1500
-	d, opts := coldDataset(t, n, Options{Seed: 1})
-	first, err := d.Open(opts)
-	if err != nil {
+	d := coldDataset(t, n, Options{Seed: 1})
+	if _, err := d.Open().SelectTheme(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.SelectTheme(0); err != nil {
-		t.Fatal(err)
-	}
-	second, err := d.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := d.Open()
 	var m *Map
+	var err error
 	got := allocated(func() {
 		if m, err = second.SelectTheme(0); err != nil {
 			t.Fatal(err)
@@ -303,14 +286,10 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 func TestConcurrentColdBuildsAcrossSessions(t *testing.T) {
 	sessions := cores.Width() + 1
 	digests := func(concurrent bool) string {
-		d, opts := coldDataset(t, 300, Options{Seed: 4})
+		d := coldDataset(t, 300, Options{Seed: 4})
 		explorers := make([]*Explorer, sessions)
 		for i := range explorers {
-			e, err := d.Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			explorers[i] = e
+			explorers[i] = d.Open()
 		}
 		maps := make([]*Map, sessions)
 		errs := make([]error, sessions)
@@ -364,9 +343,7 @@ func TestConcurrentBuildsShareSlabs(t *testing.T) {
 		}
 		explorers := make([]*Explorer, sessions)
 		for i := range explorers {
-			if explorers[i], err = d.Open(opts); err != nil {
-				t.Fatal(err)
-			}
+			explorers[i] = d.Open()
 		}
 		errs := make([]error, sessions)
 		var wg sync.WaitGroup
@@ -441,9 +418,7 @@ func TestConcurrentFitsShareTreeScratch(t *testing.T) {
 		}
 		explorers := make([]*Explorer, sessions)
 		for i := range explorers {
-			if explorers[i], err = d.Open(opts); err != nil {
-				t.Fatal(err)
-			}
+			explorers[i] = d.Open()
 		}
 		errs := make([]error, sessions)
 		var wg sync.WaitGroup

@@ -386,10 +386,7 @@ func TestStateCostIndependentOfJobHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := srv.Manager().Open(d, core.Options{Seed: 1, SampleSize: 200}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := srv.Manager().Open(d, "")
 	state := func() float64 { return testing.AllocsPerRun(20, func() { srv.stateJSON(sess) }) }
 	fresh := state()
 	for i := 0; i < jobs.DefaultRetainPerSession; i++ {

@@ -72,8 +72,9 @@ func (ds *dataset) open(opts core.Options) (d *core.Dataset, err error) {
 // Manager aliases the session registry (kept narrow for testability).
 type Manager = session.Manager
 
-// NewWith builds a server over a registry of named datasets. opts
-// configures every explorer the server opens. m is the session manager
+// NewWith builds a server over a registry of named datasets. opts are
+// the engine options each dataset is detected with on its first open,
+// and every session on it shares them. m is the session manager
 // whose scheduler carries the deployment's backpressure policy (queue
 // caps — see session.NewManagerObs);
 // nil means a default manager without backpressure limits.
@@ -289,12 +290,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	sess, err := s.manager.Open(d, s.opts, req.Tenant)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, s.stateJSON(sess))
+	writeJSON(w, http.StatusCreated, s.stateJSON(s.manager.Open(d, req.Tenant)))
 }
 
 func (s *Server) session(w http.ResponseWriter, r *http.Request) *session.Session {

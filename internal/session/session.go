@@ -102,19 +102,16 @@ func (m *Manager) Pool() *jobs.Pool { return m.pool }
 // *obs.Telemetry accessors tolerate that).
 func (m *Manager) Telemetry() *obs.Telemetry { return m.tel }
 
-// Open creates a session exploring the given dataset, whose themes it
-// shares (see core.Dataset.Open for opts). Its builds run on the
+// Open creates a session exploring the given dataset, whose options and
+// themes it shares (core.Dataset.Open). Its builds run on the
 // manager's job workers, and their fan-out borrows only the cores no
 // running job holds (internal/cores). A non-empty tenant label
 // schedules the session's jobs (round-robin dispatch, per-tenant
 // accounting) under that tenant; with an empty one the session stands
 // alone as its own tenant. This is where a deployment that derives the
 // tenant server-side (from an authenticated identity) hands it in.
-func (m *Manager) Open(d *core.Dataset, opts core.Options, tenant string) (*Session, error) {
-	e, err := d.Open(opts)
-	if err != nil {
-		return nil, err
-	}
+func (m *Manager) Open(d *core.Dataset, tenant string) *Session {
+	e := d.Open()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
@@ -129,7 +126,7 @@ func (m *Manager) Open(d *core.Dataset, opts core.Options, tenant string) (*Sess
 	s.lastUsed.Store(s.Created.UnixNano())
 	m.sessions[s.ID] = s
 	m.datasets[d] = true
-	return s, nil
+	return s
 }
 
 // Get returns the session with the given ID.

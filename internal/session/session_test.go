@@ -20,13 +20,14 @@ func smallTable() *store.Table {
 	return ds.Table
 }
 
-// openTable opens a session on a Dataset of its own over t.
+// openTable opens a session on a Dataset of its own over t, detected
+// with opts.
 func openTable(m *Manager, t store.Relation, opts core.Options, tenant string) (*Session, error) {
 	d, err := core.NewDataset(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.Open(d, opts, tenant)
+	return m.Open(d, tenant), nil
 }
 
 func TestOpenGetClose(t *testing.T) {
@@ -214,10 +215,7 @@ func TestEvictIdleReleasesSpentMatrices(t *testing.T) {
 	// session opens a session on d, builds its first map, closes it and
 	// returns the bytes the build allocated.
 	session := func() uint64 {
-		s, err := m.Open(d, opts, "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.Open(d, "")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := s.Do(func(e *core.Explorer) error { _, err := e.SelectTheme(0); return err }); err != nil {
