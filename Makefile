@@ -22,7 +22,10 @@ race-jobs:
 # (TestConcurrentBuildsShareSlabs), builds over themes of different
 # widths fitting their description trees in that scratch's presorted
 # lists, regrowing them while another build holds the other scratch
-# (TestConcurrentFitsShareTreeScratch), the cluster-layer subsets of one
+# (TestConcurrentFitsShareTreeScratch), selects through CLARA and zooms
+# through exact PAM sweeping in that scratch's cluster buffers, regrowing
+# them while another build holds the other scratch
+# (TestConcurrentClusterScratch), the cluster-layer subsets of one
 # lazy parent, CLARA's per-sample runs subsetting one shared lazy
 # parent, the states holding one cached map building its regions' rows
 # and highlight statistics in its one routing, a map-cache hit running
@@ -31,7 +34,7 @@ race-jobs:
 # building a map over the shared dependency graph and themes
 # (TestDatasetConcurrentOpens).
 race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
@@ -133,8 +136,10 @@ bench:
 # BenchmarkStatsRows*), the row set's run reads and fingerprint in
 # each form (BenchmarkRowSetRuns, BenchmarkRowSetFingerprint), a string
 # equality's compile, first and later (BenchmarkCompileStrEq), a string
-# filter click and LIMIT query (BenchmarkFilterStrEq) and a new
-# session's first map on a shared Dataset (BenchmarkSessionFirstBuild).
+# filter click and LIMIT query (BenchmarkFilterStrEq), a new
+# session's first map on a shared Dataset (BenchmarkSessionFirstBuild),
+# AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK) and a
+# cold select at the engine's default sample (BenchmarkColdSelectDefault).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
 	go test -bench=. -benchtime=1x -run '^$$' ./internal/store

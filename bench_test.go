@@ -181,6 +181,41 @@ func BenchmarkAutoKExactView(b *testing.B) {
 	}
 }
 
+// BenchmarkAutoK is the cluster stage's model selection at explore_mem's
+// shape (a select's 1 100-row sample of a 33-column theme, core's
+// thresholds, so CLARA with Monte-Carlo silhouettes) over a distance
+// matrix. fresh sweeps in a new cluster.Scratch, the way cluster.AutoK
+// does; reuse sweeps in one Scratch carried across iterations, the way a
+// build on a dataset's scratch does, and allocates only what the
+// clustering keeps — watch its B/op.
+func BenchmarkAutoK(b *testing.B) {
+	vecs, _ := benchVectors(1100, 33, 4)
+	o := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
+	d := core.DefaultOptions()
+	rng := rand.New(rand.NewSource(1))
+	run := func(b *testing.B, sc *cluster.Scratch) {
+		if _, err := sc.AutoK(o, cluster.AutoKOptions{KMin: d.MapKMin, KMax: d.MapKMax,
+			LargeThreshold: d.PAMThreshold, MCSilhouetteThreshold: d.PAMThreshold, Rand: rng}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, new(cluster.Scratch))
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		sc := new(cluster.Scratch)
+		run(b, sc) // the scratch a dataset's earlier build left
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, sc)
+		}
+	})
+}
+
 func BenchmarkViewRowInto(b *testing.B) {
 	for _, order := range []string{"ascending", "shuffled"} {
 		view := benchView(order == "shuffled")
@@ -387,6 +422,35 @@ func BenchmarkSessionFirstBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		first()
+	}
+}
+
+// BenchmarkColdSelectDefault is a cold map at the engine's default
+// sample: LOFAR, 100 000 rows, SampleSize 5 000 (DefaultOptions'), the
+// map cache off, one select of the widest theme in a new session. Above
+// cluster.DefaultMaterializeThreshold the build clusters over a lazy
+// oracle, which no ledger workload reaches; this is the baseline a
+// change to that path is read against.
+func BenchmarkColdSelectDefault(b *testing.B) {
+	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
+	d, err := core.NewDataset(ds.Table, core.Options{Seed: 1, SampleSize: core.DefaultOptions().SampleSize,
+		DependencySampleRows: 1100, MapCacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wide := 0
+	themes := d.Open().Themes()
+	for i, th := range themes {
+		if len(th.Columns) > len(themes[wide].Columns) {
+			wide = i
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Open().SelectTheme(wide); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

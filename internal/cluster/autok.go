@@ -50,9 +50,9 @@ func (o *AutoKOptions) defaults() {
 // sweepK clusters o once for every k in [kMin, kMax], 2 <= kMin <= kMax <
 // n, in k order, and hands each clustering to visit; the context is read
 // before every k. Above LargeThreshold a k is a CLARA run of its own;
-// below it the ks share one BUILD to kMax and one row scratch, each k's
-// SWAP starting from seeds[:k] (the package comment says why).
-func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
+// below it the ks share one BUILD to kMax and the scratch's one run, each
+// k's SWAP starting from seeds[:k] (the package comment says why).
+func (s *Scratch) sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
 	n := o.N()
 	var run func(k int) (*Clustering, error)
 	if n > opts.LargeThreshold {
@@ -61,14 +61,19 @@ func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)
 		if co.Context == nil {
 			co.Context = opts.Context
 		}
-		run = func(k int) (*Clustering, error) { return CLARA(o, k, co) }
+		run = func(k int) (*Clustering, error) { return s.clara(o, k, co) }
 	} else {
 		if err := ctxErr(opts.Context); err != nil {
 			return err
 		}
-		rows := newRowScratch(n)
-		seeds := pamBuild(o, kMax, rows)
-		run = func(k int) (*Clustering, error) { return fasterPAMFrom(o, k, seeds[:k], rows) }
+		seeds, err := s.run.build(o, kMax)
+		if err != nil {
+			return err
+		}
+		run = func(k int) (*Clustering, error) {
+			s.run.swap(o, seeds[:k])
+			return s.result(k), nil
+		}
 	}
 	for k := kMin; k <= kMax; k++ {
 		if err := ctxErr(opts.Context); err != nil {
@@ -88,8 +93,15 @@ func sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)
 // clustering with the best score — the model-selection scheme of paper §3:
 // "we generate several partitionings with different numbers of clusters,
 // and keep the one with the best score." The winner carries the exact
-// scorer's per-cluster means too (ClusterSilhouettes).
+// scorer's per-cluster means too (ClusterSilhouettes). It sweeps in a
+// Scratch of its own.
 func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
+	return new(Scratch).AutoK(o, opts)
+}
+
+// AutoK is the package's AutoK in the scratch: the winner's Labels and
+// ClusterSilhouettes are the scratch's, valid until its next sweep.
+func (s *Scratch) AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	opts.defaults()
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("cluster: AutoK requires a random source")
@@ -104,20 +116,24 @@ func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	}
 	if kMax < opts.KMin {
 		// Too few objects to split: one cluster.
-		labels := make([]int, n)
+		labels := s.labels(n)
+		clear(labels)
 		return &Clustering{K: 1, Labels: labels, Medoids: []int{0}, Silhouette: 0}, nil
 	}
 
 	var best *Clustering
 	done := 0
-	err := sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
+	err := s.sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
 		if n > opts.MCSilhouetteThreshold {
-			c.Silhouette = MCSilhouette(o, c.Labels, c.K, opts.Rand)
+			c.Silhouette = s.mcSilhouette(o, c.Labels, c.K, opts.Rand)
 		} else {
-			c.Silhouette, c.ClusterSilhouettes = silhouettes(o, c.Labels, c.K)
+			c.ClusterSilhouettes = s.perCluster(c.K)
+			c.Silhouette = s.sil.silhouettes(o, c.Labels, c.K, c.ClusterSilhouettes)
 		}
 		if best == nil || c.Silhouette > best.Silhouette {
+			// c keeps its buffers; the next k takes the other pair.
 			best = c
+			s.cur ^= 1
 		}
 		if done++; opts.Progress != nil {
 			opts.Progress(done, kMax-opts.KMin+1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cores"
 	"repro/internal/store"
@@ -56,6 +57,26 @@ func ctxErr(ctx context.Context) error {
 // samples — the price of a deterministic fan-out; the winner still never
 // loses to the first sample alone, which is always among the candidates.
 func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
+	return new(Scratch).clara(o, k, opts)
+}
+
+// claraSample is one CLARA sample's slot in a Scratch: its ids, the
+// bitmap they were drawn through, the view over them, its PAM run and
+// that run's medoids as ids of the full set with their full-data cost.
+// Only the sample's own task writes it.
+type claraSample struct {
+	ids     []int
+	taken   []uint64
+	view    matrixView
+	run     pamRun
+	medoids []int
+	cost    float64
+	err     error
+}
+
+// clara is CLARA in s: each sample in its slot, the winner's labels in
+// the current k's buffer.
+func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	n := o.N()
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("cluster: CLARA requires a random source")
@@ -65,23 +86,15 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	}
 	size := claraSampleSize(k)
 	if n <= size || n <= k {
-		return PAM(o, k)
+		return s.pam(o, k)
 	}
 
 	// Draw every sample up front, in sample order, so the runs below are
 	// independent of execution order and of each other.
-	type sampleRun struct {
-		idx     []int
-		medoids []int
-		cost    float64
-		err     error
-	}
-	runs := make([]*sampleRun, claraSamples)
-	for s := range runs {
-		runs[s] = &sampleRun{
-			idx:  store.SampleIndices(n, size, opts.Rand),
-			cost: math.Inf(1),
-		}
+	for i := range s.samples {
+		sm := &s.samples[i]
+		sm.ids, sm.taken = store.SampleIndicesInto(n, size, opts.Rand, sm.ids, sm.taken)
+		sm.cost, sm.err = math.Inf(1), nil
 		// Seeds nothing — BUILD is deterministic — but every later draw
 		// from the shared Rand (the next sample, Monte-Carlo silhouettes,
 		// the next k) sits one position further for it, and the pinned
@@ -90,37 +103,41 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 		opts.Rand.Int63()
 	}
 
-	cores.Run(len(runs), func(s int) {
-		r := runs[s]
-		if r.err = ctxErr(opts.Context); r.err != nil {
+	cores.Run(len(s.samples), func(i int) {
+		sm := &s.samples[i]
+		if sm.err = ctxErr(opts.Context); sm.err != nil {
 			return
 		}
-		c, err := PAM(o.Subset(r.idx), k)
-		if err != nil {
-			r.err = err
+		sub := subsetIn(&sm.view, o, sm.ids)
+		if _, sm.err = checkPAMArgs(sub, k); sm.err == nil {
+			sm.err = sm.run.pam(sub, k)
+		}
+		if sm.err != nil {
 			return
 		}
-		r.medoids = make([]int, len(c.Medoids))
-		for i, m := range c.Medoids {
-			r.medoids[i] = r.idx[m]
+		sm.medoids = grow(sm.medoids, len(sm.run.medoids))
+		for j, m := range sm.run.medoids {
+			sm.medoids[j] = sm.ids[m]
 		}
 		// Cost the sample's medoids over the full dataset — the
 		// expensive O(n·k) half of a sample's work, also parallelized
 		// by the fan-out. Only the winner is labelled, below.
-		r.cost = assignInto(o, r.medoids, nil)
+		sm.cost = assignInto(o, sm.medoids, nil)
 	})
 
-	var best *sampleRun
-	for _, r := range runs {
-		if r.err != nil {
+	var best *claraSample
+	for i := range s.samples {
+		sm := &s.samples[i]
+		if sm.err != nil {
 			// First error in sample order wins, so failures are as
 			// deterministic as results.
-			return nil, r.err
+			return nil, sm.err
 		}
-		if best == nil || r.cost < best.cost {
-			best = r
+		if best == nil || sm.cost < best.cost {
+			best = sm
 		}
 	}
-	labels, _ := AssignToMedoids(o, best.medoids)
-	return &Clustering{K: k, Labels: labels, Medoids: best.medoids, Cost: best.cost, Silhouette: math.NaN()}, nil
+	labels := s.labels(n)
+	assignInto(o, best.medoids, labels)
+	return &Clustering{K: k, Labels: labels, Medoids: slices.Clone(best.medoids), Cost: best.cost, Silhouette: math.NaN()}, nil
 }

@@ -141,11 +141,17 @@ type matrixView struct {
 }
 
 func newMatrixView(m *DistMatrix, idx []int) *matrixView {
-	v := &matrixView{m: m, idx: idx, ascending: true}
+	v := new(matrixView)
+	v.over(m, idx)
+	return v
+}
+
+// over points v at the objects idx of m.
+func (v *matrixView) over(m *DistMatrix, idx []int) {
+	v.m, v.idx, v.ascending = m, idx, true
 	for a := 1; a < len(idx) && v.ascending; a++ {
 		v.ascending = idx[a-1] < idx[a]
 	}
-	return v
 }
 
 // N implements Oracle.

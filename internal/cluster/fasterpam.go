@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/cores"
@@ -50,35 +51,85 @@ func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 	})
 }
 
-// newRowScratch allocates the distance-row scratch of one k-medoid run
-// over n objects, one n-sized buffer per worker it can fan out to. The
-// run owns it: BUILD's scoring and nearest updates and SWAP's candidate
-// evaluation all materialize rows into the same buffers.
-func newRowScratch(n int) [][]float64 {
-	rows := make([][]float64, rangeWorkers(n))
-	for w := range rows {
-		rows[w] = make([]float64, n)
+// ErrNoFiniteDistance is BUILD's error when no object it may pick scores
+// a finite total distance: every candidate's sum holds a +Inf or a NaN
+// distance, as it does when one prepared vector holds an infinite
+// coordinate. PAM, CLARA and AutoK return it rather than pick a medoid
+// at random.
+var ErrNoFiniteDistance = errors.New("cluster: BUILD found no object with a finite distance score")
+
+// pamRun is the storage one k-medoid run works in, BUILD's and SWAP's
+// alike, kept for the next run: a run over n objects regrows only what
+// is shorter than n (or k), and writes every cell it reads. After a run
+// its medoids are in medoids, its labels in n1 and its cost in cost.
+type pamRun struct {
+	swapState
+	// rows holds one n-sized distance-row buffer per worker a run over
+	// n objects fans out to (rangeWorkers): BUILD's scoring and nearest
+	// updates and SWAP's candidate evaluation all materialize rows in
+	// them.
+	rows [][]float64
+	// BUILD: each worker's best candidate, each object's distance to
+	// its nearest seed, the seeds so far as a set and in order.
+	results []argMin
+	nearest []float64
+	chosen  []bool
+	seeds   []int
+	// SWAP: one block's candidates and their verdicts, and each worker's
+	// k-sized removal-loss buffer.
+	cands    []int
+	verdicts []verdict
+	losses   [][]float64
+}
+
+// argMin is one worker's best candidate in argMinScore.
+type argMin struct {
+	idx int
+	val float64
+}
+
+// verdict is SWAP's best delta for one candidate and the medoid slot it
+// replaces.
+type verdict struct {
+	delta float64
+	slot  int
+}
+
+// grow returns buf resliced to length n, reallocated when its capacity
+// is short. Its contents are stale: the caller writes every cell it
+// reads.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return rows
+	return buf[:n]
+}
+
+// sizeRows readies one n-sized row buffer per worker of a run over n
+// objects.
+func (r *pamRun) sizeRows(n int) {
+	r.rows = grow(r.rows, rangeWorkers(n))
+	for w := range r.rows {
+		r.rows[w] = grow(r.rows[w], n)
+	}
 }
 
 // argMinScore evaluates score(i) for every i in [0,n) across one worker
-// per row buffer and returns the argmin and its value. Each worker hands
-// score its own buffer of rows, to materialize distance rows into. Exact
-// ties resolve to the lowest index, so the result is identical to a
-// sequential first-wins scan regardless of core count.
-func argMinScore(n int, rows [][]float64, score func(i int, row []float64) float64) (int, float64) {
-	type result struct {
-		idx int
-		val float64
-	}
-	results := make([]result, len(rows))
+// per row buffer and returns the argmin and its value, or −1 when no
+// score is below +Inf. Each worker hands score its own buffer of rows,
+// to materialize distance rows into. Exact ties resolve to the lowest
+// index, so the result is identical to a sequential first-wins scan
+// regardless of core count.
+func (r *pamRun) argMinScore(n int, score func(i int, row []float64) float64) (int, float64) {
+	rows := r.rows
+	results := grow(r.results, len(rows))
+	r.results = results
 	for w := range results {
 		// parallelChunks may launch fewer chunks than workers (chunk size
 		// is rounded up); unwritten slots must lose every comparison, not
 		// sit at the zero value {idx: 0, val: 0} pretending object 0
 		// scored 0.
-		results[w] = result{-1, math.Inf(1)}
+		results[w] = argMin{-1, math.Inf(1)}
 	}
 	parallelChunks(n, len(rows), func(w, lo, hi int) {
 		best, bestV := -1, math.Inf(1)
@@ -87,14 +138,14 @@ func argMinScore(n int, rows [][]float64, score func(i int, row []float64) float
 				best, bestV = i, v
 			}
 		}
-		results[w] = result{best, bestV}
+		results[w] = argMin{best, bestV}
 	})
 	best, bestV := -1, math.Inf(1)
 	// Chunks are in ascending index order, so a strict < keeps the lowest
 	// index on ties.
-	for _, r := range results {
-		if r.idx >= 0 && r.val < bestV {
-			best, bestV = r.idx, r.val
+	for _, res := range results {
+		if res.idx >= 0 && res.val < bestV {
+			best, bestV = res.idx, res.val
 		}
 	}
 	return best, bestV
@@ -119,19 +170,21 @@ func updateNearest(o Oracle, nearest, row []float64, m int) {
 	}
 }
 
-// pamBuild is PAM's BUILD phase: pick the object minimizing total distance
+// build is PAM's BUILD phase: pick the object minimizing total distance
 // as the first medoid, then greedily add the object that most reduces the
 // total dissimilarity. Candidate scoring is spread across the workers of
-// rows (the run's scratch, see newRowScratch); the result is identical to
-// the sequential scan (ties break to the lowest index). PAM and the
-// textbook reference the tests hold it to both start from its seeds.
-func pamBuild(o Oracle, k int, rows [][]float64) []int {
+// r's rows; the result is identical to the sequential scan (ties break
+// to the lowest index). PAM and the textbook reference the tests hold it
+// to both start from its seeds, which it returns in r.seeds. A step
+// where no candidate scores below +Inf is ErrNoFiniteDistance.
+func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 	n := o.N()
-	medoids := make([]int, 0, k)
+	r.sizeRows(n)
+	medoids := grow(r.seeds, k)[:0]
 
 	// First medoid: the most central object.
 	//blaeu:hot
-	first, _ := argMinScore(n, rows, func(i int, row []float64) float64 {
+	first, _ := r.argMinScore(n, func(i int, row []float64) float64 {
 		o.RowInto(i, row)
 		sum := 0.0
 		for _, d := range row {
@@ -139,41 +192,52 @@ func pamBuild(o Oracle, k int, rows [][]float64) []int {
 		}
 		return sum
 	})
+	if first < 0 {
+		return nil, ErrNoFiniteDistance
+	}
 	medoids = append(medoids, first)
 
-	nearest := make([]float64, n)
+	nearest := grow(r.nearest, n)
+	r.nearest = nearest
 	for j := range nearest {
 		nearest[j] = math.Inf(1)
 	}
-	updateNearest(o, nearest, rows[0], first)
-	chosen := make([]bool, n)
+	updateNearest(o, nearest, r.rows[0], first)
+	chosen := grow(r.chosen, n)
+	r.chosen = chosen
+	clear(chosen)
 	chosen[first] = true
 
+	// Greedy addition: maximize the total distance reduction (argmin of
+	// the negated gain).
+	//blaeu:hot
+	negGain := func(i int, row []float64) float64 {
+		if chosen[i] {
+			return math.Inf(1)
+		}
+		o.RowInto(i, row)
+		gain := 0.0
+		for j, d := range row {
+			if chosen[j] || j == i {
+				continue
+			}
+			if d < nearest[j] {
+				gain += nearest[j] - d
+			}
+		}
+		return -gain
+	}
 	for len(medoids) < k {
-		// Greedy addition: maximize the total distance reduction (argmin
-		// of the negated gain).
-		//blaeu:hot
-		bestI, _ := argMinScore(n, rows, func(i int, row []float64) float64 {
-			if chosen[i] {
-				return math.Inf(1)
-			}
-			o.RowInto(i, row)
-			gain := 0.0
-			for j, d := range row {
-				if chosen[j] || j == i {
-					continue
-				}
-				if d < nearest[j] {
-					gain += nearest[j] - d
-				}
-			}
-			return -gain
-		})
+		bestI, _ := r.argMinScore(n, negGain)
+		if bestI < 0 {
+			return nil, ErrNoFiniteDistance
+		}
 		chosen[bestI] = true
 		medoids = append(medoids, bestI)
-		updateNearest(o, nearest, rows[0], bestI)
+		updateNearest(o, nearest, r.rows[0], bestI)
 	}
-	return medoids
+	r.seeds = medoids
+	return medoids, nil
 }
 
 // swapState is the incremental bookkeeping of the FasterPAM SWAP phase:
@@ -190,16 +254,18 @@ type swapState struct {
 	cost     float64
 }
 
-func newSwapState(o Oracle, medoids []int) *swapState {
+// reset readies s for a SWAP over o from the seed medoids, which it
+// copies into its own buffer, regrowing its buffers as needed.
+func (s *swapState) reset(o Oracle, seeds []int) {
 	n := o.N()
-	s := &swapState{
-		o: o, n: n, k: len(medoids), medoids: medoids,
-		isMedoid: make([]bool, n),
-		n1:       make([]int, n), n2: make([]int, n),
-		dn: make([]float64, n), ds: make([]float64, n),
-		loss: make([]float64, len(medoids)),
-	}
-	for _, m := range medoids {
+	s.o, s.n, s.k = o, n, len(seeds)
+	s.medoids = append(s.medoids[:0], seeds...)
+	s.isMedoid = grow(s.isMedoid, n)
+	clear(s.isMedoid)
+	s.n1, s.n2 = grow(s.n1, n), grow(s.n2, n)
+	s.dn, s.ds = grow(s.dn, n), grow(s.ds, n)
+	s.loss = grow(s.loss, s.k)
+	for _, m := range s.medoids {
 		s.isMedoid[m] = true
 	}
 	parallelRange(n, func(lo, hi int) {
@@ -208,7 +274,6 @@ func newSwapState(o Oracle, medoids []int) *swapState {
 		}
 	})
 	s.refresh()
-	return s
 }
 
 // reassign recomputes object j's nearest and second-nearest medoid with a
@@ -327,28 +392,31 @@ func (s *swapState) applySwap(slot, c int, row []float64) {
 	s.refresh()
 }
 
-// fasterPAMFrom runs the eager removal-loss SWAP phase from the given
-// seed medoids (which it copies, not mutates), materializing candidate
-// rows into the run's scratch. Preconditions (1 < k < n) are the
-// caller's responsibility.
-func fasterPAMFrom(o Oracle, k int, seeds []int, rows [][]float64) (*Clustering, error) {
+// swap runs the eager removal-loss SWAP phase over o from the seed
+// medoids (which it copies, not mutates), in r's storage.
+// Preconditions (1 < k < n) are the caller's responsibility.
+func (r *pamRun) swap(o Oracle, seeds []int) {
 	n := o.N()
-	medoids := append([]int(nil), seeds...)
-
-	s := newSwapState(o, medoids)
-	type verdict struct {
-		delta float64
-		slot  int
-	}
-	cands := make([]int, 0, swapBlock)
-	out := make([]verdict, swapBlock)
-	// Per-worker removal-loss scratch, allocated once for the whole run
-	// like the rows: the SWAP loop evaluates blocks constantly and
-	// per-block buffers would be pure GC churn on its hottest path.
+	r.sizeRows(n)
+	s := &r.swapState
+	s.reset(o, seeds)
+	cands := grow(r.cands, swapBlock)[:0]
+	out := grow(r.verdicts, swapBlock)
+	rows := r.rows
+	// Per-worker removal-loss scratch, kept like the rows: the SWAP loop
+	// evaluates blocks constantly and per-block buffers would be pure GC
+	// churn on its hottest path.
 	blockWorkers := min(len(rows), swapBlock)
-	scratchBufs := make([][]float64, blockWorkers)
-	for w := range scratchBufs {
-		scratchBufs[w] = make([]float64, s.k)
+	r.losses = grow(r.losses, blockWorkers)
+	for w := range r.losses {
+		r.losses[w] = grow(r.losses[w], s.k)
+	}
+	scratchBufs := r.losses
+	// One closure for the whole run: it reads the block through cands.
+	eval := func(w, lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			out[bi].delta, out[bi].slot = s.evalCandidate(cands[bi], scratchBufs[w], rows[w])
+		}
 	}
 
 	for pass := 0; pass < maxSwapIters; pass++ {
@@ -367,11 +435,7 @@ func fasterPAMFrom(o Oracle, k int, seeds []int, rows [][]float64) (*Clustering,
 			// Each candidate costs O(n), so parallelism pays off even for
 			// a partial block once n is long enough — which rangeWorkers
 			// decided when rows was sized.
-			parallelChunks(len(cands), min(blockWorkers, len(cands)), func(w, lo, hi int) {
-				for bi := lo; bi < hi; bi++ {
-					out[bi].delta, out[bi].slot = s.evalCandidate(cands[bi], scratchBufs[w], rows[w])
-				}
-			})
+			parallelChunks(len(cands), min(blockWorkers, len(cands)), eval)
 			best := -1
 			for bi := range cands {
 				// The textbook loop's numeric guard, so FP noise never causes
@@ -389,6 +453,8 @@ func fasterPAMFrom(o Oracle, k int, seeds []int, rows [][]float64) (*Clustering,
 			break
 		}
 	}
-
-	return &Clustering{K: k, Labels: s.n1, Medoids: s.medoids, Cost: s.cost, Silhouette: math.NaN()}, nil
+	r.cands, r.verdicts = cands, out
+	// The run keeps its buffers, not the oracle: a kept scratch must not
+	// hold a lazy oracle's memo alive.
+	s.o = nil
 }

@@ -28,7 +28,11 @@ func PAMClassic(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
-	return pamClassicFrom(o, k, pamBuild(o, k, newRowScratch(o.N())))
+	seeds, err := new(pamRun).build(o, k)
+	if err != nil {
+		return nil, err
+	}
+	return pamClassicFrom(o, k, seeds)
 }
 
 // pamClassicFrom runs the textbook SWAP loop from the given seed medoids

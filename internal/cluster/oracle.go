@@ -24,11 +24,18 @@
 // AutoK is one sweep over k, and the ks share what cannot change a
 // result: on the exact path BUILD runs once, to the largest k — greedy,
 // ties to the lowest index, so its seeds for k are the first k of its
-// seeds for any larger k — every SWAP uses one row scratch, and the
-// winner carries the per-cluster silhouette means the pass that scored it
-// produced. Nothing else is shared: CLARA's samples (sized by k) draw
-// from the one Rand in k order, and starting k+1 from k's converged
-// medoids would be another algorithm.
+// seeds for any larger k — and the winner carries the per-cluster
+// silhouette means the pass that scored it produced. Every k sweeps in
+// one Scratch: SWAP's and BUILD's state, the row and block buffers, a
+// slot per CLARA sample, the Monte-Carlo rounds' and the silhouette
+// kernel's buffers and the labels of the k being scored and of the best.
+// Storage cannot change a result either: every cell is written before
+// it is read, so a scratch a larger or smaller sweep left gives the
+// bits a new one gives, and a caller that keeps one (core keeps one per
+// build scratch) allocates only the clusterings it is handed. Nothing
+// else is shared: CLARA's samples (sized by k) draw from the one Rand in
+// k order, and starting k+1 from k's converged medoids would be another
+// algorithm.
 package cluster
 
 import "repro/internal/stats"

@@ -86,20 +86,36 @@ func PAM(o Oracle, k int) (*Clustering, error) {
 	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
 		return c, err
 	}
-	rows := newRowScratch(o.N())
+	r := new(pamRun)
+	if err := r.pam(o, k); err != nil {
+		return nil, err
+	}
+	return &Clustering{K: k, Labels: r.n1, Medoids: r.medoids, Cost: r.cost, Silhouette: math.NaN()}, nil
+}
+
+// pam is PAM over o, 1 <= k < n, in r's storage: the medoids are left
+// in r.medoids, the labels in r.n1 and the cost in r.cost.
+func (r *pamRun) pam(o Oracle, k int) error {
+	seeds, err := r.build(o, k)
+	if err != nil {
+		return err
+	}
 	if k == 1 {
 		// BUILD's first medoid is already the global optimum for k=1 (it
 		// minimizes the total distance), so SWAP has nothing to do.
-		medoids := pamBuild(o, 1, rows)
-		labels, cost := AssignToMedoids(o, medoids)
-		return &Clustering{K: 1, Labels: labels, Medoids: medoids, Cost: cost, Silhouette: math.NaN()}, nil
+		r.medoids = append(r.medoids[:0], seeds...)
+		r.n1 = grow(r.n1, o.N())
+		r.cost = assignInto(o, r.medoids, r.n1)
+		return nil
 	}
-	return fasterPAMFrom(o, k, pamBuild(o, k, rows), rows)
+	r.swap(o, seeds)
+	return nil
 }
 
 // AssignToMedoids labels every object of the oracle with its nearest
 // medoid (by position in the medoids slice) and returns labels plus the
-// total cost. Used by CLARA to extend a sample clustering to the full set.
+// total cost: the assignment CLARA extends a sample clustering to the
+// full set with.
 func AssignToMedoids(o Oracle, medoids []int) ([]int, float64) {
 	labels := make([]int, o.N())
 	return labels, assignInto(o, medoids, labels)

@@ -18,21 +18,31 @@ import (
 // to the user and as the criterion for choosing the number of clusters k
 // (paper §3, "Number of clusters").
 func Silhouette(o Oracle, labels []int, k int) float64 {
-	avg, _ := silhouettes(o, labels, k)
-	return avg
+	var sc silScratch
+	return sc.silhouettes(o, labels, k, make([]float64, k))
+}
+
+// silScratch is the storage of the silhouette kernel: the cluster sizes
+// and counts, the per-object sums and the row buffer.
+type silScratch struct {
+	sizes, cnt []int
+	sums, row  []float64
 }
 
 // silhouettes runs the one O(n²) silhouette kernel both results come
-// from — the average width and each cluster's mean width — so a caller
-// that needs both (AutoK, for the k it keeps) pays for one pass. The two
-// are accumulated apart, not derived from each other, so each keeps its
-// own summation order.
-func silhouettes(o Oracle, labels []int, k int) (avg float64, perCluster []float64) {
-	perCluster = make([]float64, k)
+// from — the average width, returned, and each cluster's mean width,
+// written into the k-sized perCluster — so a caller that needs both
+// (AutoK, for the k it keeps) pays for one pass. The two are accumulated
+// apart, not derived from each other, so each keeps its own summation
+// order.
+func (sc *silScratch) silhouettes(o Oracle, labels []int, k int, perCluster []float64) (avg float64) {
+	clear(perCluster)
 	if o.N() == 0 || k < 2 {
-		return 0, perCluster
+		return 0
 	}
-	sizes := make([]int, k)
+	sizes := grow(sc.sizes, k)
+	sc.sizes = sizes
+	clear(sizes)
 	for _, l := range labels {
 		if l >= 0 && l < k {
 			sizes[l]++
@@ -45,10 +55,14 @@ func silhouettes(o Oracle, labels []int, k int) (avg float64, perCluster []float
 	var row []float64
 	switch o.(type) {
 	case *DistMatrix, *matrixView:
-		row = make([]float64, o.N())
+		sc.row = grow(sc.row, o.N())
+		row = sc.row
 	}
-	cnt := make([]int, k)
-	total := silhouetteKernel(o, labels, sizes, row, make([]float64, k), perCluster, cnt)
+	cnt := grow(sc.cnt, k)
+	sc.cnt = cnt
+	clear(cnt)
+	sc.sums = grow(sc.sums, k)
+	total := silhouetteKernel(o, labels, sizes, row, sc.sums, perCluster, cnt)
 	counted := 0
 	for c, m := range cnt {
 		counted += m
@@ -59,7 +73,7 @@ func silhouettes(o Oracle, labels []int, k int) (avg float64, perCluster []float
 	if counted > 0 {
 		avg = total / float64(counted)
 	}
-	return avg, perCluster
+	return avg
 }
 
 // silhouetteKernel computes s(i) for every validly labelled object and
@@ -139,22 +153,39 @@ const (
 // O(rounds · s²) for sample size s, and is exact when n is at most s. rng
 // is the randomness source (required).
 func MCSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
+	return new(Scratch).mcSilhouette(o, labels, k, rng)
+}
+
+// mcRound is the storage of one Monte-Carlo silhouette round: the
+// sample's ids and the bitmap they were drawn through, their labels and
+// the view over them.
+type mcRound struct {
+	ids    []int
+	taken  []uint64
+	labels []int
+	view   matrixView
+}
+
+// mcSilhouette is MCSilhouette in s: each round in s.mc, its kernel in
+// s.sil. The per-cluster means it computes along the way are dropped.
+func (s *Scratch) mcSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
 	if rng == nil {
 		panic("cluster: MCSilhouette requires a random source")
 	}
 	n := o.N()
 	if n <= mcSampleSize {
-		return Silhouette(o, labels, k)
+		return s.sil.silhouettes(o, labels, k, s.perCluster(k))
 	}
+	m := &s.mc
 	total := 0.0
 	for r := 0; r < mcRounds; r++ {
-		idx := store.SampleIndices(n, mcSampleSize, rng)
-		sub := o.Subset(idx)
-		subLabels := make([]int, len(idx))
-		for i, gi := range idx {
-			subLabels[i] = labels[gi]
+		m.ids, m.taken = store.SampleIndicesInto(n, mcSampleSize, rng, m.ids, m.taken)
+		sub := subsetIn(&m.view, o, m.ids)
+		m.labels = grow(m.labels, len(m.ids))
+		for i, gi := range m.ids {
+			m.labels[i] = labels[gi]
 		}
-		total += Silhouette(sub, subLabels, k)
+		total += s.sil.silhouettes(sub, m.labels, k, s.perCluster(k))
 	}
 	return total / mcRounds
 }
@@ -162,6 +193,15 @@ func MCSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
 // SilhouettePerCluster returns the mean silhouette width of each cluster,
 // the per-region quality signal Blaeu surfaces to users.
 func SilhouettePerCluster(o Oracle, labels []int, k int) []float64 {
-	_, perCluster := silhouettes(o, labels, k)
-	return perCluster
+	return new(Scratch).SilhouettePerCluster(o, labels, k)
+}
+
+// SilhouettePerCluster is the package's SilhouettePerCluster in the
+// scratch's buffers. The slice it returns is the scratch's, valid until
+// its next AutoK or SilhouettePerCluster; labels may be the scratch's
+// own, the Labels of the clustering its last AutoK returned.
+func (s *Scratch) SilhouettePerCluster(o Oracle, labels []int, k int) []float64 {
+	per := s.perCluster(k)
+	s.sil.silhouettes(o, labels, k, per)
+	return per
 }

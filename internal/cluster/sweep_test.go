@@ -73,9 +73,15 @@ func TestBuildPrefixLaw(t *testing.T) {
 		for _, tc := range sweepOracles(sweepVecs(n, dup, 31), 31) {
 			for _, workers := range []int{1, 3} {
 				maxWorkers = workers
-				full := pamBuild(tc.o, kMax, newRowScratch(n))
+				full, err := new(pamRun).build(tc.o, kMax)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for k := 1; k <= kMax; k++ {
-					got := pamBuild(tc.o, k, newRowScratch(n))
+					got, err := new(pamRun).build(tc.o, k)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if fmt.Sprint(got) != fmt.Sprint(full[:k]) {
 						t.Fatalf("%s dup=%d workers=%d: BUILD to %d = %v, BUILD to %d starts %v", tc.name, dup, workers, k, got, kMax, full[:k])
 					}

@@ -226,11 +226,12 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 		t.Fatalf("engine chose lazy storage for %d objects, want matrix", len(art.vecs))
 	}
 	build := func(o cluster.Oracle) *Map {
-		cl, err := e.clusterStage(ctx, o, rand.New(rand.NewSource(7)), func(float64) {})
+		sc := &buildScratch{}
+		cl, err := e.clusterStage(ctx, o, rand.New(rand.NewSource(7)), sc, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, &buildScratch{}, func(float64) {})
+		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, sc, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}

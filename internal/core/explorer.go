@@ -103,19 +103,24 @@ type Dataset struct {
 
 // buildScratch is the storage a build works in and leaves behind: the
 // matrix it computed its distances in (nil until a build materializes
-// one), the slab its sample's float columns were gathered into, and the
+// one), the slab its sample's float columns were gathered into, the
+// buffers its clustering swept in (cluster.Scratch): SWAP's and BUILD's
+// state, the row and block buffers, one slot per CLARA sample, the
+// Monte-Carlo rounds' ids, labels and view, the silhouette kernel's
+// buffers and the labels of the k being scored and of the best, and the
 // buffers its description tree was fitted in (tree.Scratch): the
 // sample's row ids presorted per numeric feature, plus one list in row
 // order (4 B a row each), a side byte per row, and the presort's and
-// partition's temps. The map and the
-// artifact a build returns reference none of them — the sample table
-// dies with the build, the tree holds only its nodes, and the artifact
-// holds the sample rows, the fitted pipeline and the vectors — so the
-// next build may overwrite them all.
+// partition's temps. The map and the artifact a build returns reference
+// none of them — the sample table and the clustering die with the
+// build, the tree holds only its nodes, and the artifact holds the
+// sample rows, the fitted pipeline and the vectors — so the next build
+// may overwrite them all.
 type buildScratch struct {
-	matrix *cluster.DistMatrix
-	floats []float64
-	tree   tree.Scratch
+	matrix  *cluster.DistMatrix
+	floats  []float64
+	cluster cluster.Scratch
+	tree    tree.Scratch
 }
 
 // NewDataset detects the themes of the table, an in-memory *store.Table

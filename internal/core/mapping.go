@@ -165,7 +165,7 @@ func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buil
 	tr := obs.TraceFrom(ctx)
 	// Stage 2b: cluster detection with automatic k.
 	sp := tr.Start("cluster")
-	clustering, err := e.clusterStage(ctx, oracle, rng, report)
+	clustering, err := e.clusterStage(ctx, oracle, rng, sc, report)
 	sp.End()
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -234,9 +234,11 @@ func (e *Explorer) oracleStage(vecs [][]float64, sc *buildScratch) cluster.Oracl
 }
 
 // clusterStage runs cluster detection with automatic k over the build's
-// oracle. Model selection dominates the build, so its progress is mapped
-// onto the [0.15, 0.85] band.
-func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng *rand.Rand, report func(float64)) (*cluster.Clustering, error) {
+// oracle, in the cluster buffers of sc: the clustering's labels are the
+// scratch's, read by the region stage and dropped with the build. Model
+// selection dominates the build, so its progress is mapped onto the
+// [0.15, 0.85] band.
+func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng *rand.Rand, sc *buildScratch, report func(float64)) (*cluster.Clustering, error) {
 	kMax := e.data.opts.MapKMax
 	if kMax >= oracle.N() {
 		kMax = oracle.N() - 1
@@ -244,7 +246,7 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 	if kMax < e.data.opts.MapKMin {
 		return &cluster.Clustering{K: 1, Labels: make([]int, oracle.N()), Silhouette: 0}, nil
 	}
-	return cluster.AutoK(oracle, cluster.AutoKOptions{
+	return sc.cluster.AutoK(oracle, cluster.AutoKOptions{
 		KMin:                  e.data.opts.MapKMin,
 		KMax:                  kMax,
 		LargeThreshold:        e.data.opts.PAMThreshold,
@@ -258,8 +260,9 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 }
 
 // regionStage fits the description tree on the sample's original tuples,
-// in the tree buffers of sc, and mirrors it over the full selection
-// (steps 4–5 of buildMapStaged).
+// in the tree buffers of sc, scores each cluster in its cluster buffers
+// when the sweep left no per-cluster means, and mirrors the tree over
+// the full selection (steps 4–5 of buildMapStaged).
 func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, sc *buildScratch, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
 		SampleSize: len(art.sampleRows)}
@@ -289,7 +292,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 	// the clustering, the Monte-Carlo one costs one more O(n²) pass.
 	perCluster := clustering.ClusterSilhouettes
 	if perCluster == nil {
-		perCluster = cluster.SilhouettePerCluster(oracle, clustering.Labels, clustering.K)
+		perCluster = sc.cluster.SilhouettePerCluster(oracle, clustering.Labels, clustering.K)
 	}
 
 	// One pass over the selection's pages routes it through the whole

@@ -200,7 +200,7 @@ func TestRegionStageByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := e.oracleStage(art.vecs, &buildScratch{})
-	cl, err := e.clusterStage(ctx, oracle, rng, func(float64) {})
+	cl, err := e.clusterStage(ctx, oracle, rng, &buildScratch{}, func(float64) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -459,3 +459,71 @@ func TestConcurrentFitsShareTreeScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentClusterScratch: two sessions on one cache-off dataset
+// run cold selects, clustered through CLARA over a 300-row sample, and
+// cold zooms into their largest region, clustered over its 155 or 210
+// rows, at once, so a build sweeps in cluster buffers a build of
+// another size left, and regrows them while the other build holds the
+// dataset's second scratch. Their maps are the ones serial runs give
+// (run under -race in CI).
+func TestConcurrentClusterScratch(t *testing.T) {
+	opts := Options{Seed: 8, SampleSize: 300, PAMThreshold: 200, MapCacheSize: -1}
+	digests := func(concurrent bool) string {
+		d, err := NewDataset(pinnedTable(400, 23).Table, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const sessions = 2
+		out := make([]strings.Builder, sessions)
+		errs := make([]error, sessions)
+		var wg sync.WaitGroup
+		for i := range sessions {
+			e := d.Open()
+			run := func() {
+				for round := range 3 {
+					m, err := e.SelectTheme((i + round) % len(d.themes))
+					if err == nil {
+						mapDigest(&out[i], "select", m)
+						m, err = e.Zoom(largestLeaf(m)...)
+					}
+					if err == nil {
+						mapDigest(&out[i], "zoom", m)
+						err = e.Rollback()
+					}
+					if err != nil {
+						errs[i] = err
+						return
+					}
+				}
+			}
+			if !concurrent {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		for i := range out {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			sb.WriteString(out[i].String())
+		}
+		return sb.String()
+	}
+	want := digests(false)
+	if !strings.Contains(want, "select k=3 sample=300") || !strings.Contains(want, "zoom k=3 sample=155") {
+		t.Fatalf("want a select through CLARA over 300 rows and a zoom through exact PAM over 155:\n%s", want)
+	}
+	for round := 0; round < 3; round++ {
+		if got := digests(true); got != want {
+			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
+		}
+	}
+}

@@ -147,12 +147,21 @@ func gatherIn(c Column, rows []int, buf []float64) Column {
 // SampleIndices draws up to k of the integers [0,n) uniformly without
 // replacement, returned sorted ascending. When k >= n it returns all rows.
 func SampleIndices(n, k int, rng *rand.Rand) []int {
+	out, _ := SampleIndicesInto(n, k, rng, nil, nil)
+	return out
+}
+
+// SampleIndicesInto is SampleIndices in the caller's storage: the ids go
+// into out's array and the draws' taken set, when it is a bitmap, into
+// taken's; each is reallocated only when short, and both are returned
+// for the next call. It makes SampleIndices' draws from rng, in order.
+func SampleIndicesInto(n, k int, rng *rand.Rand, out []int, taken []uint64) ([]int, []uint64) {
 	if k >= n {
-		out := make([]int, n)
+		out = grown(out, n)
 		for i := range out {
 			out[i] = i
 		}
-		return out
+		return out, taken
 	}
 	// Floyd's algorithm: k draws, no O(n) shuffle. Draw j picks v in
 	// [0, j], or j itself when v is taken. The taken set is a bitmap over
@@ -160,9 +169,10 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 	// map entry; else it is the result itself, kept sorted: j exceeds
 	// every earlier pick, so taking it is an append, and a fresh v is one
 	// insertion (k²/4 moves in all, at most, where k < n/256).
-	out := make([]int, 0, k)
+	out = grown(out, k)
 	if words := bitmapWords(n); words <= 4*k {
-		taken := make([]uint64, words)
+		taken = grown(taken, words)
+		clear(taken)
 		for j := n - k; j < n; j++ {
 			v := rng.Intn(j + 1)
 			if taken[v>>6]>>(v&63)&1 != 0 {
@@ -170,10 +180,10 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 			}
 			taken[v>>6] |= 1 << (v & 63)
 		}
-		out = out[:k]
 		decodeBits(out, taken, 0, n, 0, taken[0])
-		return out
+		return out, taken
 	}
+	out = out[:0]
 	for j := n - k; j < n; j++ {
 		v := rng.Intn(j + 1)
 		if at, found := slices.BinarySearch(out, v); found {
@@ -182,5 +192,14 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 			out = slices.Insert(out, at, v)
 		}
 	}
-	return out
+	return out, taken
+}
+
+// grown returns buf resliced to length n, reallocated when its capacity
+// is short; its contents are the caller's to write.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
