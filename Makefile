@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-click bench-ab loc vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
+.PHONY: build test race bench bench-smoke bench-click bench-ab loc quality vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
 # The scheduler subsystem and the cores budget its jobs' fan-out borrows
 # from, under the race detector (also a CI step) — the policy-against-
@@ -174,6 +174,14 @@ loc:
 	@echo "non-test lines, internal/jobs:    $$(ls internal/jobs/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "non-test lines, internal/session: $$(ls internal/session/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "core.Options fields:              $$(awk '/^type Options struct/{on=1;next} on&&/^}/{exit} on&&!/^\t\/\//&&NF{n+=gsub(/,/,",")+1} END{print n}' internal/core/options.go)"
+
+# The paper's claims at full scale: every experiment of blaeu-bench at
+# scale 1 under seeds 1-10, the table the claim tests' reduced-scale
+# bounds (internal/experiments) stand in for. Not a CI step: it takes
+# minutes.
+quality:
+	@for seed in 1 2 3 4 5 6 7 8 9 10; do \
+		go run ./cmd/blaeu-bench -exp all -scale 1 -seed $$seed || exit 1; done
 
 # Scrape-validity gate (also a CI step): starts an in-process server,
 # runs a build, fetches /metrics and fails on unparseable lines,

@@ -1,19 +1,13 @@
 package blaeu
 
-// Benchmark harness: one testing.B benchmark per figure, demonstration
-// scenario and performance claim of the paper (the demo paper has no
-// numeric tables; its "evaluation" is Figures 1–4, the three §4.2
-// scenarios, and the §3 performance claims — `blaeu-bench -list` is the
-// index).
+// Kernel benchmarks: the algorithms under the maps, timed at fixed sizes.
 // Run with: go test -bench=. -benchmem (`make bench`); CI runs every
 // benchmark once (`make bench-smoke`).
 //
 // This file and internal/store's benchmarks answer questions about a
 // kernel; questions about a click are the ledger's (bench/load,
-// `make bench-click`). The figure-level benchmarks execute the same
-// runners as the blaeu-bench command at reduced scale so a full -bench=.
-// pass stays in minutes; the micro-benchmarks below time the individual
-// algorithms at fixed sizes.
+// `make bench-click`), and the paper's figures and claims are the
+// experiments' (internal/experiments, each held by a claim test).
 
 import (
 	"context"
@@ -29,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/prep"
@@ -37,46 +30,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/tree"
 )
-
-func benchExperiment(b *testing.B, id string, scale float64) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Config{Seed: 1, Scale: scale}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure reproductions ---
-
-func BenchmarkF1aThemes(b *testing.B)         { benchExperiment(b, "f1a", 0.25) }
-func BenchmarkF1bMap(b *testing.B)            { benchExperiment(b, "f1b", 0.25) }
-func BenchmarkF1cZoom(b *testing.B)           { benchExperiment(b, "f1c", 0.25) }
-func BenchmarkF1dProject(b *testing.B)        { benchExperiment(b, "f1d", 0.25) }
-func BenchmarkF2DependencyGraph(b *testing.B) { benchExperiment(b, "f2", 0.5) }
-func BenchmarkF3Pipeline(b *testing.B)        { benchExperiment(b, "f3", 0.25) }
-func BenchmarkF4Architecture(b *testing.B)    { benchExperiment(b, "f4", 0.5) }
-
-// --- Demonstration scenarios (§4.2) ---
-
-func BenchmarkS1Hollywood(b *testing.B) { benchExperiment(b, "s1", 1) }
-func BenchmarkS2Countries(b *testing.B) { benchExperiment(b, "s2", 0.25) }
-func BenchmarkS3LOFAR(b *testing.B)     { benchExperiment(b, "s3", 0.1) }
-
-// --- Performance claims (§3) ---
-
-func BenchmarkE1Sampling(b *testing.B)     { benchExperiment(b, "e1", 0.1) }
-func BenchmarkE2ClaraVsPam(b *testing.B)   { benchExperiment(b, "e2", 0.25) }
-func BenchmarkE3MCSilhouette(b *testing.B) { benchExperiment(b, "e3", 0.25) }
-func BenchmarkE4AutoK(b *testing.B)        { benchExperiment(b, "e4", 0.5) }
-
-// --- Ablations ---
-
-func BenchmarkA1MIvsCorr(b *testing.B)    { benchExperiment(b, "a1", 0.5) }
-func BenchmarkA2TreeDepth(b *testing.B)   { benchExperiment(b, "a2", 0.25) }
-func BenchmarkA4DepSampling(b *testing.B) { benchExperiment(b, "a4", 0.25) }
-
-// --- Micro-benchmarks: the algorithms under the maps ---
 
 func benchVectors(n, dims, k int) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(9))

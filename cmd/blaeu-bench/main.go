@@ -4,7 +4,7 @@
 // Usage:
 //
 //	blaeu-bench -list
-//	blaeu-bench -exp f1b            # one experiment
+//	blaeu-bench -exp s2             # one experiment
 //	blaeu-bench -exp all            # everything (minutes at scale 1)
 //	blaeu-bench -exp e2 -scale 0.2  # reduced scale
 package main
@@ -22,7 +22,6 @@ func main() {
 	exp := flag.String("exp", "", "experiment id (or 'all')")
 	seed := flag.Int64("seed", 1, "random seed")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-shaped)")
-	verbose := flag.Bool("v", false, "include rendered maps in the output")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 
@@ -37,7 +36,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Verbose: *verbose}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

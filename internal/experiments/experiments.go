@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction harness: one runner per
 // figure, demonstration scenario and performance claim of the paper
-// (`blaeu-bench -list` prints the index). The same runners back the
-// blaeu-bench command and the root-level testing.B benchmarks.
+// (`blaeu-bench -list` prints the index). Each runner's paper claim is held
+// by a test over several seeds in experiments_test.go.
 package experiments
 
 import (
@@ -17,8 +17,6 @@ type Config struct {
 	// Scale shrinks the heavy experiments for quick runs: 1.0 is the
 	// full paper-shaped run, 0.1 a smoke test (default 1.0).
 	Scale float64
-	// Verbose adds rendered maps and extra notes to the results.
-	Verbose bool
 }
 
 func (c *Config) defaults() {

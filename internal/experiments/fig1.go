@@ -3,120 +3,177 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/graph"
-	"repro/internal/render"
 	"repro/internal/store"
 )
 
-// countriesCache shares the (expensive, read-only) Countries dataset
-// across experiments keyed by seed.
-var countriesCache sync.Map
-
-func countriesFor(seed int64) *datagen.Dataset {
-	if v, ok := countriesCache.Load(seed); ok {
-		return v.(*datagen.Dataset)
-	}
-	ds := datagen.Countries(rand.New(rand.NewSource(seed)))
-	countriesCache.Store(seed, ds)
-	return ds
-}
-
 func init() {
-	register("f1a", "Fig.1a — theme list on the Countries data", runF1a)
-	register("f1b", "Fig.1b — labor data map (hours/income hierarchy)", runF1b)
-	register("f1c", "Fig.1c — zoom into low-hours/high-income + highlight", runF1c)
-	register("f1d", "Fig.1d — projection onto unemployment + highlight", runF1d)
+	register("s2", "§4.2 scenario 2 — Countries and Work (6,823×378), walked as Fig.1a–1d", runCountries)
 	register("f2", "Fig.2 — dependency graph with two MI communities", runF2)
 }
 
-// countriesExplorer builds the shared Countries setup: generated dataset,
-// explorer, and a curated Fig.-1 labor theme (the demo user works with the
-// named labor columns; theme editing is part of the UI, Fig. 5).
-func countriesExplorer(cfg Config) (*datagen.Dataset, *core.Explorer, int, error) {
-	ds := countriesFor(cfg.Seed)
+// The Fig. 1 columns the walk reads by name.
+const (
+	hoursCol  = "PctEmployeesWorkingLongHours"
+	incomeCol = "AverageIncome"
+)
+
+// runCountries walks the demo's Countries and Work scenario (§4.2) the way
+// Fig. 1 shows it, on one explorer: the detected themes (1a), the map of a
+// curated labor theme (1b; the demo user works with the named labor
+// columns, and theme editing is part of the UI, Fig. 5), a zoom into its
+// low-hours/high-income region with the countries there highlighted (1c),
+// and a projection of that selection onto the unemployment theme (1d).
+// The first column of every row names the figure panel it reproduces.
+func runCountries(cfg Config) (*Result, error) {
+	ds := datagen.Countries(rand.New(rand.NewSource(cfg.Seed)))
+	start := time.Now()
 	e, err := core.NewExplorer(ds.Table, core.Options{
 		Seed:                 cfg.Seed,
 		SampleSize:           cfg.scaled(2000),
 		DependencySampleRows: cfg.scaled(1000),
 	})
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	laborID, err := e.AddTheme([]string{
-		"PctEmployeesWorkingLongHours", "AverageIncome", "TimeDedicatedToLeisure",
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ds, e, laborID, nil
-}
-
-func runF1a(cfg Config) (*Result, error) {
-	start := time.Now()
-	ds, e, _, err := countriesExplorer(cfg)
-	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: "f1a", Title: "Theme list on the Countries data (paper Fig. 1a)",
-		Headers: []string{"theme", "leading columns", "#cols", "cohesion"}}
-	detected := e.Themes()
+	detectTime := time.Since(start)
+	res := &Result{ID: "s2", Title: "Countries and Work: 6,823 × 378, the walk of Fig. 1 (paper §4.2, Fig. 1a–1d)",
+		Headers: []string{"item", "detail", "value"}}
+
+	// Fig. 1a: the theme list.
 	var pred [][]string
-	for _, th := range detected {
-		if th.ID == len(detected)-1 {
-			continue // skip the curated theme added for F1b
-		}
+	for _, th := range e.Themes() {
 		pred = append(pred, th.Columns)
-		res.addRow(fmt.Sprintf("%d", th.ID), th.Label(), fmt.Sprintf("%d", len(th.Columns)),
+		res.addRow(fmt.Sprintf("1a theme %d", th.ID), th.Label(),
 			fmt.Sprintf("%.3f", th.Cohesion))
 	}
-	rec := eval.SetRecovery(ds.Themes, pred)
-	res.note("paper: Blaeu lists themes such as unemployment, health and labor statistics")
-	res.note("measured: %d themes detected over 376 indicators; planted-theme recovery (weighted Jaccard) = %.3f", len(pred), rec)
-	res.note("theme detection took %v on %d sampled rows", time.Since(start).Round(time.Millisecond), cfg.scaled(1000))
-	return res, nil
-}
+	res.addRow("1a theme recovery", fmt.Sprintf("weighted Jaccard vs %d planted themes; detected on %d rows in %v",
+		len(ds.Themes), cfg.scaled(1000), detectTime.Round(time.Millisecond)),
+		fmt.Sprintf("%.3f", eval.SetRecovery(ds.Themes, pred)))
 
-func runF1b(cfg Config) (*Result, error) {
-	ds, e, laborID, err := countriesExplorer(cfg)
+	// Fig. 1b: the labor map.
+	laborID, err := e.AddTheme([]string{hoursCol, incomeCol, "TimeDedicatedToLeisure"})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	start = time.Now()
 	m, err := e.SelectTheme(laborID)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	res := &Result{ID: "f1b", Title: "Labor data map (paper Fig. 1b)",
-		Headers: []string{"region", "condition", "tuples", "share"}}
-	total := 0
+	regionRows(res, "1b", m)
+	res.addRow("1b labor map ARI", fmt.Sprintf("vs planted labor clusters; k=%d from %d samples in %v (tree fidelity %.3f)",
+		m.K, m.SampleSize, time.Since(start).Round(time.Millisecond), m.TreeAccuracy),
+		fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["labor"], regionLabels(m, ds.Table.NumRows()))))
+	split := map[string]bool{}
 	for _, l := range m.Root.Leaves() {
-		total += l.Count()
+		for _, p := range l.Condition {
+			if c, ok := p.(store.NumCmp); ok {
+				split[c.Col] = true
+			}
+		}
 	}
-	for i, l := range m.Root.Leaves() {
-		res.addRow(fmt.Sprintf("%d", i), l.Describe(), fmt.Sprintf("%d", l.Count()),
-			fmt.Sprintf("%.1f%%", 100*float64(l.Count())/float64(total)))
+	res.addRow("1b splits on hours and income", "1 when the map splits on both "+hoursCol+" and "+incomeCol,
+		oneIf(split[hoursCol] && split[incomeCol]))
+
+	// §4.2: "why working in Canada is generally a good idea" — the region
+	// Fig. 1c zooms into holds Canada's regions.
+	target := lowHoursHighIncomeLeaf(e, m)
+	names := ds.Table.ColumnByName("CountryName").(*store.StringColumn)
+	canadaIn, canadaAll := 0, 0
+	target.RowIDs().Each(func(r int) {
+		if names.Value(r) == "Canada" {
+			canadaIn++
+		}
+	})
+	for i := range ds.Table.NumRows() {
+		if names.Value(i) == "Canada" {
+			canadaAll++
+		}
 	}
-	pred := regionLabels(m, ds.Table.NumRows())
-	ari := eval.AdjustedRandIndex(ds.Truth["labor"], pred)
-	splitsHours := strings.Contains(m.Root.RenderTree(), "PctEmployeesWorkingLongHours")
-	splitsIncome := strings.Contains(m.Root.RenderTree(), "AverageIncome")
-	res.note("paper: three clusters in a hierarchy — split on working long hours (~20), then average income (~22)")
-	res.note("measured: k=%d, splits on hours=%v income=%v, ARI vs planted labor clusters = %.3f", m.K, splitsHours, splitsIncome, ari)
-	res.note("map built in %v from %d samples (tree fidelity %.3f, silhouette %.3f)",
-		elapsed.Round(time.Millisecond), m.SampleSize, m.TreeAccuracy, m.Silhouette)
-	res.artifact("map", m.Root.RenderTree())
-	if cfg.Verbose {
-		res.artifact("treemap", render.ASCIIMap(m, 78, 18))
+	res.addRow("4.2 Canada in low-hours/high-income", fmt.Sprintf("%d of %d Canadian regions in %s", canadaIn, canadaAll, target.Describe()),
+		fmt.Sprintf("%.3f", float64(canadaIn)/float64(canadaAll)))
+
+	// Fig. 1c: zoom into that region and highlight the countries.
+	start = time.Now()
+	zm, err := e.Zoom(target.Path...)
+	if err != nil {
+		return nil, err
 	}
+	zoomTime := time.Since(start)
+	regionRows(res, "1c", zm)
+	res.addRow("1c zoom ARI", fmt.Sprintf("vs planted sub-clusters; %d tuples re-clustered into k=%d in %v",
+		e.State().Rows.Len(), zm.K, zoomTime.Round(time.Millisecond)),
+		fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["labor_zoom"], regionLabels(zm, ds.Table.NumRows()))))
+	h, err := e.Highlight("CountryName")
+	if err != nil {
+		return nil, err
+	}
+	hit := 0
+	for _, want := range []string{"Switzerland", "Norway", "Canada"} {
+		if slices.Contains(h.SampleValues, want) {
+			hit++
+		}
+	}
+	res.addRow("1c Switzerland/Norway/Canada highlighted", strings.Join(h.SampleValues, ", "), fmt.Sprintf("%d", hit))
+	zoomQuery := e.Query()
+
+	// Fig. 1d: project the selection onto the detected theme holding
+	// Unemployment, or curate it as a user would if detection put it
+	// elsewhere.
+	unempID := slices.IndexFunc(e.Themes(), func(th core.Theme) bool { return slices.Contains(th.Columns, "Unemployment") })
+	if unempID < 0 {
+		if unempID, err = e.AddTheme([]string{"Unemployment", "LongTermUnemployment", "FemaleUnemployment"}); err != nil {
+			return nil, err
+		}
+	}
+	start = time.Now()
+	pm, err := e.Project(unempID)
+	if err != nil {
+		return nil, err
+	}
+	projectTime := time.Since(start)
+	regionRows(res, "1d", pm)
+	if h, err = e.Highlight("CountryName"); err != nil {
+		return nil, err
+	}
+	res.addRow("1d projection ARI", fmt.Sprintf("vs planted unemployment clusters; %d tuples mapped on theme %d in %v",
+		e.State().Rows.Len(), unempID, projectTime.Round(time.Millisecond)),
+		fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["unemployment"], regionLabels(pm, ds.Table.NumRows()))))
+	res.addRow("1d Canada highlighted", strings.Join(h.SampleValues, ", "), oneIf(slices.Contains(h.SampleValues, "Canada")))
+
+	res.note("paper Fig. 1a: Blaeu lists themes such as unemployment, health and labor statistics")
+	res.note("paper Fig. 1b: three clusters in a hierarchy — split on working long hours (~20), then average income (~22)")
+	res.note("paper Fig. 1c: zooming subdivides the low-hours/high-income region; highlighting shows Switzerland, Norway, Canada")
+	res.note("paper Fig. 1d: projecting unemployment indicators splits the selection near Unemployment = 8 and still shows Canada")
+	res.note("paper §4.2: 'our users will discover why working in Canada is generally a good idea'")
+	res.note("implicit query after the zoom: %s", zoomQuery)
+	res.artifact("labor map", m.Root.RenderTree())
+	res.artifact("zoomed map", zm.Root.RenderTree())
+	res.artifact("projected map", pm.Root.RenderTree())
 	return res, nil
+}
+
+// oneIf renders a yes/no claim as a table value: 1 or 0.
+func oneIf(ok bool) string {
+	if ok {
+		return "1"
+	}
+	return "0"
+}
+
+// regionRows adds one row per leaf region of m: its condition and tuples.
+func regionRows(res *Result, panel string, m *core.Map) {
+	for i, l := range m.Root.Leaves() {
+		res.addRow(fmt.Sprintf("%s region %d", panel, i), l.Describe(), fmt.Sprintf("%d", l.Count()))
+	}
 }
 
 // regionLabels flattens a map's leaf regions into per-row cluster labels.
@@ -136,8 +193,8 @@ func regionLabels(m *core.Map, n int) []int {
 // lowHoursHighIncomeLeaf finds the map leaf with the lowest mean working
 // hours and highest income — the region the demo zooms into (Fig. 1c).
 func lowHoursHighIncomeLeaf(e *core.Explorer, m *core.Map) *core.Region {
-	hours := e.Table().ColumnByName("PctEmployeesWorkingLongHours")
-	income := e.Table().ColumnByName("AverageIncome")
+	hours := e.Table().ColumnByName(hoursCol)
+	income := e.Table().ColumnByName(incomeCol)
 	var best *core.Region
 	bestScore := -1e18
 	for _, l := range m.Root.Leaves() {
@@ -155,124 +212,6 @@ func lowHoursHighIncomeLeaf(e *core.Explorer, m *core.Map) *core.Region {
 		}
 	}
 	return best
-}
-
-func runF1c(cfg Config) (*Result, error) {
-	ds, e, laborID, err := countriesExplorer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := e.SelectTheme(laborID)
-	if err != nil {
-		return nil, err
-	}
-	target := lowHoursHighIncomeLeaf(e, m)
-	start := time.Now()
-	zm, err := e.Zoom(target.Path...)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	res := &Result{ID: "f1c", Title: "Zoom + highlight (paper Fig. 1c)",
-		Headers: []string{"sub-region", "condition", "tuples"}}
-	for i, l := range zm.Root.Leaves() {
-		res.addRow(fmt.Sprintf("%d", i), l.Describe(), fmt.Sprintf("%d", l.Count()))
-	}
-	h, err := e.Highlight("CountryName")
-	if err != nil {
-		return nil, err
-	}
-	// Score the zoom sub-map against the planted sub-structure.
-	pred := regionLabels(zm, ds.Table.NumRows())
-	ari := eval.AdjustedRandIndex(ds.Truth["labor_zoom"], pred)
-	res.note("paper: zooming subdivides the low-hours/high-income region; highlighting shows Switzerland, Norway, Canada")
-	res.note("measured: zoom re-clustered %d tuples into k=%d in %v; ARI vs planted sub-clusters = %.3f",
-		e.State().Rows.Len(), zm.K, elapsed.Round(time.Millisecond), ari)
-	res.note("highlighted countries: %s", strings.Join(h.SampleValues, ", "))
-	res.note("implicit query: %s", e.Query())
-	found := map[string]bool{}
-	for _, v := range h.SampleValues {
-		found[v] = true
-	}
-	hit := 0
-	for _, want := range []string{"Switzerland", "Norway", "Canada"} {
-		if found[want] {
-			hit++
-		}
-	}
-	res.note("Switzerland/Norway/Canada present in highlight: %d/3", hit)
-	res.artifact("zoomed map", zm.Root.RenderTree())
-	return res, nil
-}
-
-func runF1d(cfg Config) (*Result, error) {
-	_, e, laborID, err := countriesExplorer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := e.SelectTheme(laborID)
-	if err != nil {
-		return nil, err
-	}
-	target := lowHoursHighIncomeLeaf(e, m)
-	if _, err := e.Zoom(target.Path...); err != nil {
-		return nil, err
-	}
-	// Project onto the detected theme containing Unemployment.
-	unempID := -1
-	for _, th := range e.Themes() {
-		for _, c := range th.Columns {
-			if c == "Unemployment" {
-				unempID = th.ID
-				break
-			}
-		}
-	}
-	if unempID < 0 {
-		// Theme detection placed it elsewhere: curate it, as a user would.
-		unempID, err = e.AddTheme([]string{"Unemployment", "LongTermUnemployment", "FemaleUnemployment"})
-		if err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	pm, err := e.Project(unempID)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	res := &Result{ID: "f1d", Title: "Projection onto unemployment + highlight (paper Fig. 1d)",
-		Headers: []string{"region", "condition", "tuples"}}
-	for i, l := range pm.Root.Leaves() {
-		res.addRow(fmt.Sprintf("%d", i), l.Describe(), fmt.Sprintf("%d", l.Count()))
-	}
-	h, err := e.Highlight("CountryName")
-	if err != nil {
-		return nil, err
-	}
-	// Every split of the projected map must use a column of the
-	// unemployment theme (named or filler indicator).
-	splits := true
-	for _, l := range pm.Root.Leaves() {
-		for _, p := range l.Condition {
-			inTheme := false
-			for _, c := range e.Themes()[unempID].Columns {
-				if strings.Contains(p.String(), c) {
-					inTheme = true
-					break
-				}
-			}
-			if !inTheme {
-				splits = false
-			}
-		}
-	}
-	res.note("paper: projecting unemployment indicators splits the selection near Unemployment = 8 and still shows Canada")
-	res.note("measured: projection kept %d tuples, split on unemployment-theme columns = %v, in %v",
-		e.State().Rows.Len(), splits, elapsed.Round(time.Millisecond))
-	res.note("highlighted countries: %s", strings.Join(h.SampleValues, ", "))
-	res.artifact("projected map", pm.Root.RenderTree())
-	return res, nil
 }
 
 func runF2(cfg Config) (*Result, error) {
@@ -305,26 +244,26 @@ func runF2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: "f2", Title: "Dependency graph (paper Fig. 2)",
-		Headers: []string{"column A", "column B", "NMI weight"}}
-	for _, edge := range g.Edges(0.05) {
-		res.addRow(g.Names()[edge.I], g.Names()[edge.J], fmt.Sprintf("%.3f", edge.Weight))
-	}
 	c, err := g.Partition(2)
 	if err != nil {
 		return nil, err
 	}
-	groups := make([][]string, 2)
-	for vi, l := range c.Labels {
-		groups[l] = append(groups[l], g.Names()[vi])
+	// Every column pair, heaviest first: whether the planted structure
+	// (the first three columns derive from one latent, the last three
+	// from another) and the PAM partition put its columns together.
+	res := &Result{ID: "f2", Title: "Dependency graph (paper Fig. 2)",
+		Headers: []string{"column A", "column B", "NMI weight", "planted", "PAM"}}
+	together := func(same bool) string {
+		if same {
+			return "together"
+		}
+		return "apart"
 	}
-	rec := eval.SetRecovery([][]string{
-		{"Unemployment", "LongTermUnemployment", "FemaleUnemployment"},
-		{"HealthInsurance", "LifeExpectancy", "HealthSpending"},
-	}, groups)
+	for _, edge := range g.Edges(-1) {
+		res.addRow(g.Names()[edge.I], g.Names()[edge.J], fmt.Sprintf("%.3f", edge.Weight),
+			together(edge.I/3 == edge.J/3), together(c.Labels[edge.I] == c.Labels[edge.J]))
+	}
 	res.note("paper: the graph shows two communities — unemployment columns and health columns")
-	res.note("measured: PAM partition = %v | %v; community recovery = %.3f",
-		groups[0], groups[1], rec)
 	var mst strings.Builder
 	for _, edge := range g.MaximumSpanningTree() {
 		fmt.Fprintf(&mst, "%s —(%.2f)— %s\n", g.Names()[edge.I], edge.Weight, g.Names()[edge.J])

@@ -309,19 +309,25 @@ func runA1(cfg Config) (*Result, error) {
 	t.MustAddColumn(store.NewFloatColumnFrom("noise", noise))
 	t.MustAddColumn(store.NewStringColumnFrom("category", cats))
 
-	gm, err := graph.BuildDependencyGraph(t, nil, graph.DependencyOptions{Measure: graph.MeasureNMI})
+	g, err := graph.BuildDependencyGraph(t, nil, graph.DependencyOptions{})
 	if err != nil {
 		return nil, err
 	}
-	gp, err := graph.BuildDependencyGraph(t, nil, graph.DependencyOptions{Measure: graph.MeasureAbsPearson})
-	if err != nil {
-		return nil, err
+	// |Pearson| is the baseline the paper argues against; on the
+	// categorical column it sees no numbers (NaN) and so weighs 0.
+	floats := func(name string) []float64 {
+		c := t.ColumnByName(name)
+		v := make([]float64, c.Len())
+		for r := range v {
+			v[r] = c.Float(r)
+		}
+		return v
 	}
-	xi := gm.Index("x")
+	xi := g.Index("x")
 	for _, pair := range []string{"linear", "quadratic", "sine", "noise", "category"} {
 		res.addRow("x ↔ "+pair,
-			fmt.Sprintf("%.3f", gm.Weight(xi, gm.Index(pair))),
-			fmt.Sprintf("%.3f", gp.Weight(xi, gp.Index(pair))))
+			fmt.Sprintf("%.3f", g.Weight(xi, g.Index(pair))),
+			fmt.Sprintf("%.3f", math.Abs(stats.Pearson(xs, floats(pair)))))
 	}
 	res.note("paper: MI was chosen because 'it copes with mixed values and it is sensitive to non-linear relationships'")
 	res.note("expectation: both measures catch the linear pair; only NMI catches quadratic, sine and the categorical column; both reject noise")

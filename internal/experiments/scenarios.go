@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -18,14 +19,13 @@ import (
 
 func init() {
 	register("s1", "§4.2 scenario 1 — Hollywood (900×12)", runS1)
-	register("s2", "§4.2 scenario 2 — Countries and Work (6,823×378)", runS2)
 	register("s3", "§4.2 scenario 3 — LOFAR (~200k×40)", runS3)
 	register("f4", "Fig.4 — architecture: end-to-end HTTP session", runF4)
 }
 
 // newBlobExplorer opens an explorer over a planted-blob dataset with one
-// curated theme covering every column, bypassing theme auto-detection
-// (blob data has a single planted theme by construction).
+// curated theme covering every column (blob data has a single planted
+// theme by construction); blobTheme names it.
 func newBlobExplorer(ds *datagen.Dataset, seed int64, sampleSize int) (*core.Explorer, error) {
 	e, err := core.NewExplorer(ds.Table, core.Options{
 		Seed:                 seed,
@@ -35,14 +35,8 @@ func newBlobExplorer(ds *datagen.Dataset, seed int64, sampleSize int) (*core.Exp
 	if err != nil {
 		return nil, err
 	}
-	id, err := e.AddTheme(ds.Table.ColumnNames())
-	if err != nil {
-		return nil, err
-	}
-	// Make the curated theme the explorer's theme 0 semantics: callers
-	// SelectTheme(0) expect the full-column theme, so select by id here.
-	_ = id
-	return e, nil
+	_, err = e.AddTheme(ds.Table.ColumnNames())
+	return e, err
 }
 
 // blobTheme returns the ID of the curated all-columns theme added by
@@ -60,24 +54,15 @@ func runS1(cfg Config) (*Result, error) {
 	themeTime := time.Since(start)
 
 	res := &Result{ID: "s1", Title: "Hollywood scenario: 900 movies × 12 columns (paper §4.2)",
-		Headers: []string{"step", "outcome", "latency"}}
-	res.addRow("theme detection", fmt.Sprintf("%d themes", len(e.Themes())),
+		Headers: []string{"step", "outcome", "value", "latency"}}
+	res.addRow("theme detection", "themes", fmt.Sprintf("%d", len(e.Themes())),
 		themeTime.Round(time.Millisecond).String())
 
 	// The demo asks: which films are profitable, which fail? Map the
 	// money theme (the one containing Profitability).
-	moneyID := -1
-	for _, th := range e.Themes() {
-		for _, c := range th.Columns {
-			if c == "Profitability" {
-				moneyID = th.ID
-			}
-		}
-	}
+	moneyID := slices.IndexFunc(e.Themes(), func(th core.Theme) bool { return slices.Contains(th.Columns, "Profitability") })
 	if moneyID < 0 {
-		var err error
-		moneyID, err = e.AddTheme([]string{"Budget", "WorldwideGross", "Profitability", "RottenTomatoes"})
-		if err != nil {
+		if moneyID, err = e.AddTheme([]string{"Budget", "WorldwideGross", "Profitability", "RottenTomatoes"}); err != nil {
 			return nil, err
 		}
 	}
@@ -88,24 +73,24 @@ func runS1(cfg Config) (*Result, error) {
 	}
 	mapTime := time.Since(start)
 	pred := regionLabels(m, ds.Table.NumRows())
-	ari := eval.AdjustedRandIndex(ds.Truth["rows"], pred)
-	res.addRow("map on money theme", fmt.Sprintf("k=%d, ARI vs planted archetypes %.3f", m.K, ari),
-		mapTime.Round(time.Millisecond).String())
+	res.addRow("map on money theme", fmt.Sprintf("k=%d, ARI vs planted archetypes", m.K),
+		fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["rows"], pred)), mapTime.Round(time.Millisecond).String())
 
 	// Zoom into the most profitable region and highlight genres.
 	prof := ds.Table.ColumnByName("Profitability")
+	mean := func(r *core.Region) float64 {
+		sum := 0.0
+		r.RowIDs().Each(func(i int) { sum += prof.Float(i) })
+		return sum / float64(r.Count())
+	}
 	var best *core.Region
 	bestMean := -1.0
 	for _, l := range m.Root.Leaves() {
 		if l.Count() == 0 {
 			continue
 		}
-		sum := 0.0
-		l.RowIDs().Each(func(r int) {
-			sum += prof.Float(r)
-		})
-		if mean := sum / float64(l.Count()); mean > bestMean {
-			bestMean, best = mean, l
+		if v := mean(l); v > bestMean {
+			bestMean, best = v, l
 		}
 	}
 	start = time.Now()
@@ -117,66 +102,12 @@ func runS1(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.addRow("zoom most-profitable region",
-		fmt.Sprintf("%d tuples, mean profitability %.2f", e.State().Rows.Len(), bestMean),
-		zoomTime.Round(time.Millisecond).String())
-	res.addRow("highlight Genre", fmt.Sprintf("%v", h.SampleValues), "—")
+	res.addRow("zoom most-profitable region", fmt.Sprintf("%d tuples; mean profitability over all films' mean",
+		e.State().Rows.Len()), fmt.Sprintf("%.3f", bestMean/mean(m.Root)), zoomTime.Round(time.Millisecond).String())
+	res.addRow("highlight Genre", fmt.Sprintf("%v", h.SampleValues), "—", "—")
 	res.note("paper: visitors discover which films are profitable and which fail through elementary queries")
 	res.note("implicit query: %s", e.Query())
 	res.artifact("map", m.Root.RenderTree())
-	return res, nil
-}
-
-func runS2(cfg Config) (*Result, error) {
-	ds, e, laborID, err := countriesExplorer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "s2", Title: "Countries and Work: 6,823 × 378 (paper §4.2)",
-		Headers: []string{"metric", "value"}}
-
-	var pred [][]string
-	for _, th := range e.Themes() {
-		if th.ID == laborID {
-			continue
-		}
-		pred = append(pred, th.Columns)
-	}
-	res.addRow("rows × cols", fmt.Sprintf("%d × %d", ds.Table.NumRows(), ds.Table.NumCols()))
-	res.addRow("themes detected", fmt.Sprintf("%d (planted 8)", len(pred)))
-	res.addRow("theme recovery (weighted Jaccard)", fmt.Sprintf("%.3f", eval.SetRecovery(ds.Themes, pred)))
-
-	start := time.Now()
-	m, err := e.SelectTheme(laborID)
-	if err != nil {
-		return nil, err
-	}
-	mapTime := time.Since(start)
-	labels := regionLabels(m, ds.Table.NumRows())
-	res.addRow("labor map", fmt.Sprintf("k=%d in %v", m.K, mapTime.Round(time.Millisecond)))
-	res.addRow("labor map ARI vs planted", fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["labor"], labels)))
-
-	// "Why working in Canada is generally a good idea": highlight Canada's
-	// region membership.
-	target := lowHoursHighIncomeLeaf(e, m)
-	names := ds.Table.ColumnByName("CountryName").(*store.StringColumn)
-	canadaIn, canadaAll := 0, 0
-	inTarget := make(map[int]bool, target.Count())
-	target.RowIDs().Each(func(r int) {
-		inTarget[r] = true
-	})
-	for i := 0; i < ds.Table.NumRows(); i++ {
-		if names.Value(i) == "Canada" {
-			canadaAll++
-			if inTarget[i] {
-				canadaIn++
-			}
-		}
-	}
-	res.addRow("Canada rows in low-hours/high-income region",
-		fmt.Sprintf("%d/%d (%.0f%%)", canadaIn, canadaAll, 100*float64(canadaIn)/float64(canadaAll)))
-	res.note("paper: 'our users will discover why working in Canada is generally a good idea'")
-	res.note("measured: the region zoomed in Fig. 1c contains most Canadian regions — the map surfaces the claim directly")
 	return res, nil
 }
 
@@ -188,19 +119,20 @@ func runS3(cfg Config) (*Result, error) {
 	genTime := time.Since(genStart)
 
 	res := &Result{ID: "s3", Title: fmt.Sprintf("LOFAR scenario: %d sources × 40 columns (paper §4.2)", n),
-		Headers: []string{"step", "outcome", "latency"}}
-	res.addRow("generate catalogue", fmt.Sprintf("%d rows", n), genTime.Round(time.Millisecond).String())
+		Headers: []string{"step", "outcome", "value", "latency"}}
+	res.addRow("generate catalogue", "rows", fmt.Sprintf("%d", n), genTime.Round(time.Millisecond).String())
 
+	const sampleSize = 2000
 	start := time.Now()
 	e, err := core.NewExplorer(ds.Table, core.Options{
 		Seed:                 cfg.Seed,
-		SampleSize:           2000,
+		SampleSize:           sampleSize,
 		DependencySampleRows: 1000,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.addRow("theme detection", fmt.Sprintf("%d themes", len(e.Themes())),
+	res.addRow("theme detection", "themes", fmt.Sprintf("%d", len(e.Themes())),
 		time.Since(start).Round(time.Millisecond).String())
 
 	// Map the flux/shape theme (population signature lives there).
@@ -214,11 +146,9 @@ func runS3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	mapTime := time.Since(start)
-	pred := regionLabels(m, n)
-	ari := eval.AdjustedRandIndex(ds.Truth["rows"], pred)
-	res.addRow("map physical-properties theme",
-		fmt.Sprintf("k=%d, ARI vs planted populations %.3f", m.K, ari),
-		mapTime.Round(time.Millisecond).String())
+	res.addRow("map physical-properties theme", fmt.Sprintf("k=%d, ARI vs planted populations", m.K),
+		fmt.Sprintf("%.3f", eval.AdjustedRandIndex(ds.Truth["rows"], regionLabels(m, n))), mapTime.Round(time.Millisecond).String())
+	res.addRow("map sample", fmt.Sprintf("tuples clustered of %d", n), fmt.Sprintf("%d", m.SampleSize), "—")
 
 	// Zoom into the largest region at full scale.
 	var biggest *core.Region
@@ -232,11 +162,10 @@ func runS3(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.addRow("zoom largest region",
-		fmt.Sprintf("%d tuples re-mapped (k=%d)", e.State().Rows.Len(), zm.K),
-		time.Since(start).Round(time.Millisecond).String())
+	res.addRow("zoom largest region", fmt.Sprintf("k=%d; tuples clustered of %d", zm.K, e.State().Rows.Len()),
+		fmt.Sprintf("%d", zm.SampleSize), time.Since(start).Round(time.Millisecond).String())
 	res.note("paper: visitors 'experience Blaeu with a large, complex dataset' — interaction must stay fast at 100,000s of tuples")
-	res.note("measured: all actions run on a %d-tuple sample regardless of n (multi-scale sampling), keeping zoom latency interactive", 2000)
+	res.note("measured: every action clusters a sample of at most %d tuples regardless of n (multi-scale sampling)", sampleSize)
 	return res, nil
 }
 

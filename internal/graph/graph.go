@@ -94,35 +94,14 @@ type DependencyOptions struct {
 	// dependency (0 = all rows). The paper keeps latency low by
 	// estimating statistics on samples (§3).
 	SampleRows int
-	// Measure selects the dependency measure (default MeasureNMI).
-	Measure Measure
 	// Rand is required when SampleRows > 0.
 	Rand *rand.Rand
 }
 
-// Measure selects the pairwise dependency statistic.
-type Measure int
-
-const (
-	// MeasureNMI is normalized mutual information — the paper's choice:
-	// "it copes with mixed values and it is sensitive to non-linear
-	// relationships" (§3).
-	MeasureNMI Measure = iota
-	// MeasureAbsPearson is |Pearson correlation|, the ablation baseline.
-	MeasureAbsPearson
-)
-
-// String names the measure.
-func (m Measure) String() string {
-	if m == MeasureAbsPearson {
-		return "abs-pearson"
-	}
-	return "nmi"
-}
-
-// BuildDependencyGraph computes the pairwise dependency between every pair
-// of the given columns of t (all columns when names is nil) and returns
-// the weighted graph.
+// BuildDependencyGraph computes the normalized mutual information between
+// every pair of the given columns of t (all columns when names is nil) and
+// returns the weighted graph. MI is the paper's choice: "it copes with
+// mixed values and it is sensitive to non-linear relationships" (§3).
 func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptions) (*Graph, error) {
 	if names == nil {
 		names = t.ColumnNames()
@@ -148,38 +127,17 @@ func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptio
 	}
 
 	g := New(names)
-	switch opts.Measure {
-	case MeasureAbsPearson:
-		vals := make([][]float64, len(cols))
-		for i, c := range cols {
-			v := make([]float64, c.Len())
-			for r := 0; r < c.Len(); r++ {
-				v[r] = c.Float(r)
-			}
-			vals[i] = v
-		}
-		for i := range cols {
-			for j := i + 1; j < len(cols); j++ {
-				r := stats.Pearson(vals[i], vals[j])
-				if r < 0 {
-					r = -r
-				}
-				g.SetWeight(i, j, r)
-			}
-		}
-	default:
-		disc := make([][]int, len(cols))
-		for i, c := range cols {
-			disc[i] = stats.DiscretizeColumn(c, stats.DefaultBins)
-		}
-		// O(cols²) NMI computations are independent: spread rows of the
-		// upper triangle over the free cores (disjoint writes per row i).
-		cores.Run(len(cols), func(i int) {
-			for j := i + 1; j < len(cols); j++ {
-				g.SetWeight(i, j, stats.NormalizedMI(disc[i], disc[j]))
-			}
-		})
+	disc := make([][]int, len(cols))
+	for i, c := range cols {
+		disc[i] = stats.DiscretizeColumn(c, stats.DefaultBins)
 	}
+	// O(cols²) NMI computations are independent: spread rows of the
+	// upper triangle over the free cores (disjoint writes per row i).
+	cores.Run(len(cols), func(i int) {
+		for j := i + 1; j < len(cols); j++ {
+			g.SetWeight(i, j, stats.NormalizedMI(disc[i], disc[j]))
+		}
+	})
 	return g, nil
 }
 

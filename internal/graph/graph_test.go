@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -155,22 +157,15 @@ func TestMeasurePearsonMissesNonLinear(t *testing.T) {
 	tab.MustAddColumn(store.NewFloatColumnFrom("x", xs))
 	tab.MustAddColumn(store.NewFloatColumnFrom("y", ys))
 
-	gp, err := BuildDependencyGraph(tab, nil, DependencyOptions{Measure: MeasureAbsPearson})
+	g, err := BuildDependencyGraph(tab, nil, DependencyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := BuildDependencyGraph(tab, nil, DependencyOptions{Measure: MeasureNMI})
-	if err != nil {
-		t.Fatal(err)
+	if r := math.Abs(stats.Pearson(xs, ys)); r > 0.15 {
+		t.Errorf("|pearson| = %.3f, expected near 0", r)
 	}
-	if gp.Weight(0, 1) > 0.15 {
-		t.Errorf("pearson weight = %.3f, expected near 0", gp.Weight(0, 1))
-	}
-	if gm.Weight(0, 1) < 0.3 {
-		t.Errorf("NMI weight = %.3f, expected high", gm.Weight(0, 1))
-	}
-	if MeasureNMI.String() != "nmi" || MeasureAbsPearson.String() != "abs-pearson" {
-		t.Error("measure names wrong")
+	if g.Weight(0, 1) < 0.3 {
+		t.Errorf("NMI weight = %.3f, expected high", g.Weight(0, 1))
 	}
 }
 
