@@ -61,13 +61,13 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 }
 
 // claraSample is one CLARA sample's slot in a Scratch: its ids, the
-// bitmap they were drawn through, the view over them, its PAM run and
+// bitmap they were drawn through, its subset's storage, its PAM run and
 // that run's medoids as ids of the full set with their full-data cost.
 // Only the sample's own task writes it.
 type claraSample struct {
 	ids     []int
 	taken   []uint64
-	view    matrixView
+	sub     subsetStore
 	run     pamRun
 	medoids []int
 	cost    float64
@@ -108,7 +108,7 @@ func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error)
 		if sm.err = ctxErr(opts.Context); sm.err != nil {
 			return
 		}
-		sub := subsetIn(&sm.view, o, sm.ids)
+		sub := subsetIn(&sm.sub, o, sm.ids)
 		if _, sm.err = checkPAMArgs(sub, k); sm.err == nil {
 			sm.err = sm.run.pam(sub, k)
 		}

@@ -401,8 +401,10 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	// Above the threshold a one-k sweep must not try O(n²) PAM: CLARA
-	// only ever materializes rows of its samples, never of the full set.
+	// Above the threshold a one-k sweep must not try O(n²) PAM: its whole
+	// distance work is CLARA's five sample matrices of 80+4k = 88 objects
+	// and the Monte-Carlo silhouette's four rounds of 256, where PAM's
+	// rows alone would cost at least C(2400, 2) evaluations.
 	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 2, LargeThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +412,8 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	if len(c.Labels) != o.N() || c.K != 2 {
 		t.Error("one-k sweep result malformed")
 	}
-	if got := o.cachedRows(); got != 0 {
-		t.Errorf("a one-k sweep above the threshold materialized %d full-set rows: it ran PAM, not CLARA", got)
+	if got, want := o.DistEvals(), int64(5*88*87/2+4*256*255/2); got != want {
+		t.Errorf("a one-k sweep above the threshold made %d evaluations, want CLARA's and the Monte-Carlo rounds' %d", got, want)
 	}
 }
 

@@ -38,13 +38,12 @@ func randomMatrix(n int, seed int64) *cluster.DistMatrix {
 // depth lasts, Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]) for an
 // ascending, a scrambled and an all-but-ascending idx, each subset being
 // held to the same contract in turn; then Dist is symmetric with a zero diagonal and
-// RowInto(i)[j] == Dist(i, j) (twice, so the second pass reads whatever
-// the first memoized).
+// RowInto(i)[j] == Dist(i, j), twice.
 func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 	t.Helper()
 	n := o.N()
-	// Subsets first: o has materialized no row yet unless the caller
-	// warmed its memo, which a lazy subset never reads.
+	// Subsets first: o has answered no row yet unless the caller warmed
+	// it.
 	if depth > 0 && n >= 2 {
 		var ascending []int
 		for i := 0; i < n; i += 2 {
@@ -110,7 +109,7 @@ func TestOracleContract(t *testing.T) {
 	warm := cluster.NewLazyOracle(vecs, metric)
 	buf := make([]float64, len(vecs))
 	for i := range vecs {
-		warm.RowInto(i, buf) // rows are then read out of the memo
+		warm.RowInto(i, buf) // an oracle that has answered every row
 	}
 	reused := cluster.NewOracle(vecs, metric, randomMatrix(len(vecs)+30, 23))
 	g := graph.New([]string{"a", "b", "c", "d", "e", "f", "g"})

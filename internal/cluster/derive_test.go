@@ -8,9 +8,8 @@ import (
 	"repro/internal/stats"
 )
 
-// deriveTestVecs returns pinned-seed vectors plus a deterministic
-// every-other-object subset.
-func deriveTestVecs(n, dims int, seed int64) ([][]float64, []int) {
+// deriveTestVecs returns pinned-seed vectors.
+func deriveTestVecs(n, dims int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([][]float64, n)
 	for i := range vecs {
@@ -20,11 +19,7 @@ func deriveTestVecs(n, dims int, seed int64) ([][]float64, []int) {
 		}
 		vecs[i] = v
 	}
-	var idx []int
-	for i := 0; i < n; i += 2 {
-		idx = append(idx, i)
-	}
-	return vecs, idx
+	return vecs
 }
 
 // assertOracleByteIdentical compares every pair and every RowInto row of
@@ -43,7 +38,7 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 		}
 	}
 	g, w := make([]float64, n), make([]float64, n)
-	for pass := 0; pass < 2; pass++ { // second pass exercises the memos
+	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
 			got.RowInto(i, g)
 			want.RowInto(i, w)
@@ -56,37 +51,24 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 	}
 }
 
-// TestLazySubsetMemoBounded asserts a lazy subset's own memo obeys the
-// same bound as its parent's. (That a subset answers like its parent is
-// the subset law TestOracleContract holds every storage to.)
-func TestLazySubsetMemoBounded(t *testing.T) {
-	vecs, idx := deriveTestVecs(4*lazyCacheRows, 2, 13)
-	derived := NewLazyOracle(vecs, stats.Euclidean{}).Subset(idx).(*LazyOracle)
-	dst := make([]float64, len(idx))
-	for i := range idx {
-		derived.RowInto(i, dst)
-	}
-	if got := derived.cachedRows(); got > lazyCacheRows {
-		t.Fatalf("derived memo holds %d rows, cap is %d", got, lazyCacheRows)
-	}
-}
-
 // TestDerivedOraclesConcurrent hammers several subsets of one lazy
-// parent from concurrent goroutines, each filling its own memo, as
-// CLARA's fan-out does (run under -race in CI).
+// parent from concurrent goroutines, each building its subset matrix
+// and adding its cells to the parent's one count, as CLARA's fan-out
+// does (run under -race in CI). The count ends at the sum of the cells.
 func TestDerivedOraclesConcurrent(t *testing.T) {
-	vecs, _ := deriveTestVecs(400, 4, 16)
+	vecs := deriveTestVecs(400, 4, 16)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
 	var wg sync.WaitGroup
+	var want int64
 	for w := 0; w < 8; w++ {
-		w := w
+		var idx []int
+		for i := w % 3; i < len(vecs); i += 3 {
+			idx = append(idx, i)
+		}
+		want += int64(len(idx) * (len(idx) - 1) / 2)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var idx []int
-			for i := w % 3; i < len(vecs); i += 3 {
-				idx = append(idx, i)
-			}
 			o := parent.Subset(idx)
 			dst := make([]float64, len(idx))
 			for i := range idx {
@@ -96,14 +78,18 @@ func TestDerivedOraclesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := parent.DistEvals(); got != want {
+		t.Fatalf("parent counted %d evaluations, want its subsets' %d cells", got, want)
+	}
 }
 
 // TestDerivedOraclesConcurrentCLARA: CLARA's per-sample runs each subset
 // the one oracle they were handed, concurrently — here while another
-// goroutine fills the lazy parent's memo — and the clustering must
-// still be the sequential, cold-memo one (run under -race in CI).
+// goroutine reads rows of the lazy parent, so that subset-matrix builds
+// and row reads add to its one count at once — and the clustering must
+// still be the sequential one (run under -race in CI).
 func TestDerivedOraclesConcurrentCLARA(t *testing.T) {
-	vecs, _ := deriveTestVecs(1200, 4, 17)
+	vecs := deriveTestVecs(1200, 4, 17)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
 	run := func() *Clustering {
 		c, err := CLARA(parent, 4, CLARAOptions{Rand: rand.New(rand.NewSource(5))})
@@ -119,7 +105,7 @@ func TestDerivedOraclesConcurrentCLARA(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		row := make([]float64, len(vecs))
-		for i := 0; i < 2*lazyCacheRows; i++ {
+		for i := range vecs {
 			parent.RowInto(i, row)
 		}
 	}()

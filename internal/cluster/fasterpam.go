@@ -455,6 +455,6 @@ func (r *pamRun) swap(o Oracle, seeds []int) {
 	}
 	r.cands, r.verdicts = cands, out
 	// The run keeps its buffers, not the oracle: a kept scratch must not
-	// hold a lazy oracle's memo alive.
+	// hold a lazy oracle's vectors alive.
 	s.o = nil
 }

@@ -7,16 +7,18 @@
 // textbook SWAP loop lives in the tests as the reference PAM is held to.
 //
 // All algorithms are written against one distance contract, Oracle, and
-// every k-medoid loop is written once against it. Two storages implement
-// it, and both answer with the same bits; each serves a subset of its
-// objects out of its own storage (an index view over the cells, a lazy
-// oracle over the re-sliced vectors):
+// every k-medoid loop and the silhouettes are written once against it,
+// taking a row per object on every storage. Two storages implement it,
+// and both answer with the same bits:
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
-//     repeated access, O(n²) memory, right for small samples;
-//   - LazyOracle computes distances on demand from the prepared vectors
-//     with a bounded per-row memo — no quadratic allocation, right when n
-//     outgrows the matrix.
+//     repeated access, O(n²) memory, right for small samples; its subset
+//     is an index view over its cells;
+//   - LazyOracle is the prepared vectors and the metric, computing every
+//     distance and every row on demand with no memo — no quadratic
+//     allocation, right when n outgrows the matrix; its subset is the
+//     oracle NewOracle builds over the re-sliced vectors, a matrix for
+//     the few hundred objects of a CLARA sample or a Monte-Carlo round.
 //
 // NewOracle chooses between them by the number of objects alone, and
 // builds a matrix on the storage of a spent one when it is handed one.
@@ -59,14 +61,12 @@ import "repro/internal/stats"
 // a few — without the result depending on the choice or on the storage.
 // What a row costs does depend on the storage: a read of stored cells on
 // a DistMatrix and its views, n-1 evaluations booked in DistEvals on a
-// LazyOracle that has not memoized it. BUILD and SWAP take rows
-// anywhere — that work is the build's; the silhouettes only where they
-// are reads (see silhouettes).
+// LazyOracle. BUILD, SWAP and the silhouettes take rows on every storage.
 //
-// An oracle is read-only once built (LazyOracle's memo synchronizes
-// itself) and a subset only reads its parent's storage, so oracles are
-// safe for concurrent use and several subsets of one parent (CLARA's
-// samples) may be used at once.
+// An oracle's distances are fixed once it is built (LazyOracle's count
+// is atomic) and a subset only reads its parent's storage or vectors,
+// so oracles are safe for concurrent use and several subsets of one
+// parent (CLARA's samples) may be built and used at once.
 type Oracle interface {
 	// N returns the number of objects.
 	N() int
@@ -74,28 +74,27 @@ type Oracle interface {
 	Dist(i, j int) float64
 	// RowInto fills dst[j] = Dist(i, j) for all j; dst must have length
 	// N(). Loops that scan a whole row per step (BUILD scoring, SWAP's
-	// candidate evaluation) use it: one sequential pass over the backing
-	// storage instead of n interface calls and index computations.
+	// candidate evaluation, the silhouettes) use it: one sequential pass
+	// over the backing storage, or one metric row call, instead of n
+	// interface calls.
 	RowInto(i int, dst []float64)
 	// Subset returns an oracle over the objects idx, re-indexed densely:
 	// its object a is this oracle's object idx[a]. A matrix serves it as
-	// an index view over its cells, a lazy oracle as a lazy oracle over
-	// the re-sliced vectors. Its clients are CLARA's per-sample PAM runs
-	// and the Monte-Carlo silhouette's rounds. Entries of idx must be
-	// distinct, valid indices; idx is retained, so callers must not
-	// mutate it afterwards.
+	// an index view over its cells, a lazy oracle as the oracle
+	// NewOracle builds over the re-sliced vectors. Its clients are
+	// CLARA's per-sample PAM runs and the Monte-Carlo silhouette's
+	// rounds. Entries of idx must be distinct, valid indices; idx may be
+	// retained, so callers must not mutate it afterwards.
 	Subset(idx []int) Oracle
 	// DistEvals returns the cumulative number of exact metric
-	// evaluations embodied in the oracle's storage — matrix cells and
-	// materialized rows; callers interested in one build take a
-	// before/after delta (see core's build trace). The count is
-	// storage-based, not call-based: fixed at construction (DistMatrix)
-	// or kept under a lock the oracle already takes (LazyOracle's row
-	// memo), never by instrumenting the per-call Dist path, where a
-	// shared counter measurably slows PAM's hot loops. So LazyOracle's
-	// lock-free Dist goes uncounted, and a subset reports only
-	// evaluations of its own: a view's reads of the matrix are reuse,
-	// not new work.
+	// evaluations the oracle has made: a matrix's cells, fixed at
+	// construction; a lazy oracle's rows, n-1 each, and the cells of
+	// every subset matrix it built, in one atomic count. Callers
+	// interested in one build take a before/after delta (see core's
+	// build trace). The per-call Dist path is never counted, because a
+	// shared counter there measurably slows PAM's hot loops, so a lazy
+	// oracle's pairs go uncounted. A view reports no evaluations of its
+	// own: its reads of the matrix are reuse, not new work.
 	DistEvals() int64
 }
 

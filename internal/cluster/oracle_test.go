@@ -77,7 +77,7 @@ func assertIdenticalClustering(t *testing.T, label string, n int, a, b *Clusteri
 }
 
 // TestLazyOracleRowsExact pins RowInto and Dist of the lazy oracle to the
-// materialized matrix, including repeated calls that hit the memo.
+// materialized matrix, on repeated calls too.
 func TestLazyOracleRowsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vecs := make([][]float64, 300)
@@ -88,7 +88,7 @@ func TestLazyOracleRowsExact(t *testing.T) {
 	lazy := NewLazyOracle(vecs, stats.Euclidean{})
 	want := make([]float64, len(vecs))
 	got := make([]float64, len(vecs))
-	for pass := 0; pass < 2; pass++ { // second pass reads the memo
+	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < len(vecs); i += 7 {
 			matrix.RowInto(i, want)
 			lazy.RowInto(i, got)
@@ -101,25 +101,6 @@ func TestLazyOracleRowsExact(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLazyOracleCacheBounded asserts the row memo never exceeds its cap —
-// the whole point of the lazy oracle is that memory stays O(n), not
-// O(n²), no matter how many rows the SWAP loop touches.
-func TestLazyOracleCacheBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vecs := make([][]float64, 2*lazyCacheRows)
-	for i := range vecs {
-		vecs[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	lazy := NewLazyOracle(vecs, stats.Euclidean{})
-	dst := make([]float64, len(vecs))
-	for i := range vecs {
-		lazy.RowInto(i, dst)
-	}
-	if got := lazy.cachedRows(); got > lazyCacheRows {
-		t.Fatalf("memo holds %d rows, cap is %d", got, lazyCacheRows)
 	}
 }
 
@@ -177,7 +158,7 @@ func TestBuildOracleSelectsImplementation(t *testing.T) {
 // matrix's cells leave no trace — and leaves a spent matrix too small
 // alone.
 func TestNewOracleReusesScratch(t *testing.T) {
-	vecs, _ := deriveTestVecs(60, 3, 24)
+	vecs := deriveTestVecs(60, 3, 24)
 	metric := stats.Euclidean{}
 	want := ComputeDistMatrix(vecs, metric)
 

@@ -7,15 +7,15 @@ import (
 
 // Scratch is the storage an AutoK sweep works in, kept for the next
 // sweep: the exact path's PAM run (SWAP's state, BUILD's, the row and
-// block buffers), one slot per CLARA sample (its ids and its PAM run),
-// the Monte-Carlo round's ids, labels and view, the silhouette kernel's
-// buffers, and two label buffers, one for the k being scored and one
-// for the best so far. A sweep regrows only what is too short for its
-// n and k, and writes every cell it reads, so a warm scratch gives the
-// bits a fresh one gives: the same calls, in the same order, with the
-// same draws. What a sweep allocates is what its result keeps — the
-// Clustering headers and medoids — plus CLARA's and the fan-out's
-// bookkeeping.
+// block buffers), one slot per CLARA sample (its ids, its subset's
+// storage and its PAM run), the Monte-Carlo round's ids, labels and
+// subset storage, the silhouette kernel's buffers, and two label
+// buffers, one for the k being scored and one for the best so far. A
+// sweep regrows only what is too short for its n and k, and writes every
+// cell it reads, so a warm scratch gives the bits a fresh one gives: the
+// same calls, in the same order, with the same draws. What a sweep
+// allocates is what its result keeps — the Clustering headers and
+// medoids — plus CLARA's and the fan-out's bookkeeping.
 //
 // The winner's Labels and ClusterSilhouettes, and the slice
 // SilhouettePerCluster returns, belong to the scratch: they stay valid
@@ -73,14 +73,36 @@ func (s *Scratch) result(k int) *Clustering {
 	return &Clustering{K: k, Labels: labels, Medoids: slices.Clone(s.run.medoids), Cost: s.run.cost, Silhouette: math.NaN()}
 }
 
-// subsetIn is o.Subset(idx) with a matrix's view built in v, the
-// caller's storage, so that it allocates nothing; other oracles make
-// their subset as Subset does. The subset is read only while idx and v
-// hold still: it is used for one CLARA sample or one Monte-Carlo round.
-func subsetIn(v *matrixView, o Oracle, idx []int) Oracle {
-	if m, ok := o.(*DistMatrix); ok {
-		v.over(m, idx)
-		return v
+// subsetStore is the storage of the subset one CLARA sample or one
+// Monte-Carlo round reads: a matrix's index view, or a lazy oracle's
+// re-sliced vectors and the matrix built over them.
+type subsetStore struct {
+	view   matrixView
+	vecs   [][]float64
+	matrix *DistMatrix
+}
+
+// subsetIn is o.Subset(idx) built in st, so that it allocates nothing
+// once st is warm: a matrix's view in st.view, and a lazy oracle's small
+// subset as a matrix on the storage of st.matrix, the one the last
+// subset left. Other oracles make their subset as Subset does. The
+// subset is read only while idx and st hold still: it is used for one
+// CLARA sample or one Monte-Carlo round.
+func subsetIn(st *subsetStore, o Oracle, idx []int) Oracle {
+	switch p := o.(type) {
+	case *DistMatrix:
+		st.view.over(p, idx)
+		return &st.view
+	case *LazyOracle:
+		st.vecs = grow(st.vecs, len(idx))
+		sub := p.subsetOver(idx, st.vecs, st.matrix)
+		if m, ok := sub.(*DistMatrix); ok {
+			// The cells are computed: the store keeps the matrix for the
+			// next subset, and none of the parent's vectors.
+			st.matrix = m
+			clear(st.vecs)
+		}
+		return sub
 	}
 	return o.Subset(idx)
 }

@@ -118,15 +118,20 @@ const sweepSlack = 32 << 10
 // a sweep in a warm Scratch allocates at most sweepSlack, on CLARA with
 // Monte-Carlo silhouettes at explore_mem's n = 1 100 and on the exact
 // path at explore_seg's n = 300, where a fresh sweep allocates its
-// buffers anew (about 0.3 MB).
+// buffers anew (about 0.3 MB), and on CLARA with Monte-Carlo silhouettes
+// over a lazy oracle, whose sample and round matrices the scratch keeps.
 func TestWarmAutoKAllocatesOnlyWhatItKeeps(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n         int
 		threshold int
-	}{{"clara", 1100, 1024}, {"exact", 300, 1024}} {
+		lazy      bool
+	}{{"clara", 1100, 1024, false}, {"exact", 300, 1024, false}, {"clara/lazy", 1100, 1024, true}} {
 		vecs := sweepVecs(tc.n, 1, 61)
-		o := ComputeDistMatrix(vecs, stats.Euclidean{})
+		var o Oracle = ComputeDistMatrix(vecs, stats.Euclidean{})
+		if tc.lazy {
+			o = NewLazyOracle(vecs, stats.Euclidean{})
+		}
 		opts := func() AutoKOptions {
 			return AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: tc.threshold,
 				MCSilhouetteThreshold: tc.threshold, Rand: rand.New(rand.NewSource(1))}

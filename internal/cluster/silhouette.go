@@ -48,21 +48,12 @@ func (sc *silScratch) silhouettes(o Oracle, labels []int, k int, perCluster []fl
 			sizes[l]++
 		}
 	}
-	// Where a row is a read of stored cells the kernel takes a row per
-	// object. Elsewhere it reads pairs through Dist, never rows:
-	// LazyOracle counts row materializations as evaluations, so this keeps
-	// scoring a clustering out of the build's distance-work account.
-	var row []float64
-	switch o.(type) {
-	case *DistMatrix, *matrixView:
-		sc.row = grow(sc.row, o.N())
-		row = sc.row
-	}
+	sc.row = grow(sc.row, o.N())
 	cnt := grow(sc.cnt, k)
 	sc.cnt = cnt
 	clear(cnt)
 	sc.sums = grow(sc.sums, k)
-	total := silhouetteKernel(o, labels, sizes, row, sc.sums, perCluster, cnt)
+	total := silhouetteKernel(o, labels, sizes, sc.row, sc.sums, perCluster, cnt)
 	counted := 0
 	for c, m := range cnt {
 		counted += m
@@ -81,8 +72,7 @@ func (sc *silScratch) silhouettes(o Oracle, labels []int, k int, perCluster []fl
 // cluster's sum in perCluster, counting the object in cnt. Objects in
 // singleton clusters, or with no other cluster to compare against, count
 // with s(i) = 0. All buffers are the caller's: sums is the k-sized
-// per-object scratch; row, n-sized, takes each object's distances, or is
-// nil to read pairs — the same cells added in the same order either way.
+// per-object scratch; row, n-sized, takes each object's distances.
 //
 //blaeu:hot
 func silhouetteKernel(o Oracle, labels, sizes []int, row, sums, perCluster []float64, cnt []int) float64 {
@@ -100,21 +90,12 @@ func silhouetteKernel(o Oracle, labels, sizes []int, row, sums, perCluster []flo
 		for c := range sums {
 			sums[c] = 0
 		}
-		if row != nil {
-			o.RowInto(i, row)
-			for j, lj := range labels[:n] {
-				if j == i || lj < 0 || lj >= k {
-					continue
-				}
-				sums[lj] += row[j]
+		o.RowInto(i, row)
+		for j, lj := range labels[:n] {
+			if j == i || lj < 0 || lj >= k {
+				continue
 			}
-		} else {
-			for j, lj := range labels[:n] {
-				if j == i || lj < 0 || lj >= k {
-					continue
-				}
-				sums[lj] += o.Dist(i, j)
-			}
+			sums[lj] += row[j]
 		}
 		a := sums[li] / float64(sizes[li]-1)
 		b := math.Inf(1)
@@ -158,12 +139,12 @@ func MCSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
 
 // mcRound is the storage of one Monte-Carlo silhouette round: the
 // sample's ids and the bitmap they were drawn through, their labels and
-// the view over them.
+// the storage of the subset over them.
 type mcRound struct {
 	ids    []int
 	taken  []uint64
 	labels []int
-	view   matrixView
+	sub    subsetStore
 }
 
 // mcSilhouette is MCSilhouette in s: each round in s.mc, its kernel in
@@ -180,7 +161,7 @@ func (s *Scratch) mcSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) fl
 	total := 0.0
 	for r := 0; r < mcRounds; r++ {
 		m.ids, m.taken = store.SampleIndicesInto(n, mcSampleSize, rng, m.ids, m.taken)
-		sub := subsetIn(&m.view, o, m.ids)
+		sub := subsetIn(&m.sub, o, m.ids)
 		m.labels = grow(m.labels, len(m.ids))
 		for i, gi := range m.ids {
 			m.labels[i] = labels[gi]

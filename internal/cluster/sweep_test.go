@@ -261,11 +261,48 @@ func TestRowKernelLeavesOraclesUnchanged(t *testing.T) {
 	}
 }
 
-// TestSilhouetteRowAndPairFormsAgree runs the silhouette kernel in both
-// of its forms — a row per object, a pair per cell — over every storage,
-// with unlabelled objects and a singleton cluster in the labelling: same
+// pairSilhouette is the silhouette kernel's reference: s(i) for every
+// validly labelled object, each cell read through Dist, added in object
+// order to the total and to its cluster's sum, the object counted in
+// its cluster — the kernel's conventions for singletons and unlabelled
+// objects, and its summation order.
+func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perCluster []float64, cnt []int) {
+	perCluster, cnt = make([]float64, k), make([]int, k)
+	sums := make([]float64, k)
+	for i, li := range labels {
+		if li < 0 || li >= k {
+			continue
+		}
+		cnt[li]++
+		if sizes[li] <= 1 {
+			continue
+		}
+		clear(sums)
+		for j, lj := range labels {
+			if j != i && lj >= 0 && lj < k {
+				sums[lj] += o.Dist(i, j)
+			}
+		}
+		a, b := sums[li]/float64(sizes[li]-1), math.Inf(1)
+		for c := range sums {
+			if v := sums[c] / float64(sizes[c]); c != li && sizes[c] > 0 && v < b {
+				b = v
+			}
+		}
+		if den := math.Max(a, b); !math.IsInf(b, 1) && den > 0 {
+			total += (b - a) / den
+			perCluster[li] += (b - a) / den
+		}
+	}
+	return total, perCluster, cnt
+}
+
+// TestSilhouetteKernelMatchesPairReference runs the silhouette kernel,
+// which takes a row per object, against the pairwise reference over a
+// matrix, a view, a lazy oracle and a lazy oracle's subset, with
+// unlabelled objects and a singleton cluster in the labelling: same
 // total, same per-cluster sums, same counts, bit for bit.
-func TestSilhouetteRowAndPairFormsAgree(t *testing.T) {
+func TestSilhouetteKernelMatchesPairReference(t *testing.T) {
 	const n, k = 180, 5
 	rng := rand.New(rand.NewSource(71))
 	labels := make([]int, n)
@@ -279,19 +316,28 @@ func TestSilhouetteRowAndPairFormsAgree(t *testing.T) {
 			sizes[l]++
 		}
 	}
-	for _, tc := range sweepOracles(sweepVecs(n, 2, 72), 72) {
-		run := func(row []float64) (float64, []float64, []int) {
-			per, cnt := make([]float64, k), make([]int, k)
-			return silhouetteKernel(tc.o, labels, sizes, row, make([]float64, k), per, cnt), per, cnt
+	vecs := sweepVecs(n, 2, 72)
+	oracles := sweepOracles(vecs, 72)
+	// The lazy subset's parent interleaves vecs with as many others.
+	parent, idx := make([][]float64, 0, 2*n), make([]int, n)
+	for i, other := range sweepVecs(n, 1, 73) {
+		idx[i] = len(parent)
+		parent = append(parent, other, vecs[i])
+	}
+	oracles = append(oracles, struct {
+		name string
+		o    Oracle
+	}{"lazy subset", NewLazyOracle(parent, stats.Euclidean{}).Subset(idx)})
+	for _, tc := range oracles {
+		per, cnt := make([]float64, k), make([]int, k)
+		total := silhouetteKernel(tc.o, labels, sizes, make([]float64, n), make([]float64, k), per, cnt)
+		wantTotal, wantPer, wantCnt := pairSilhouette(tc.o, labels, sizes, k)
+		if !sameBits(total, wantTotal) || fmt.Sprint(cnt) != fmt.Sprint(wantCnt) {
+			t.Fatalf("%s: kernel total %v counts %v, reference total %v counts %v", tc.name, total, cnt, wantTotal, wantCnt)
 		}
-		rt, rp, rc := run(make([]float64, n))
-		pt, pp, pc := run(nil)
-		if !sameBits(rt, pt) || fmt.Sprint(rc) != fmt.Sprint(pc) {
-			t.Fatalf("%s: rows total %v counts %v, pairs total %v counts %v", tc.name, rt, rc, pt, pc)
-		}
-		for c := range rp {
-			if !sameBits(rp[c], pp[c]) {
-				t.Fatalf("%s: cluster %d sums to %v by rows, %v by pairs", tc.name, c, rp[c], pp[c])
+		for c := range per {
+			if !sameBits(per[c], wantPer[c]) {
+				t.Fatalf("%s: cluster %d sums to %v in the kernel, %v in the reference", tc.name, c, per[c], wantPer[c])
 			}
 		}
 	}

@@ -123,7 +123,9 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 // parent's was — with an oracle span and, over a matrix, the matrix's
 // cells as its distance work; a map hit clusters nothing and says
 // nothing. The lazy case's cold build clusters 2500 objects, and its
-// derived zoom an overlap within cluster.DefaultMaterializeThreshold.
+// derived zoom an overlap within cluster.DefaultMaterializeThreshold;
+// the cold build's distance work is its lazy oracle's rows and subset
+// matrices, more than none and the same in a second same-seed build.
 func TestBuildTraceRecordsOracle(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -140,7 +142,8 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(b *MapBuild, err error, wantReuse ReuseLevel, wantOracle string) {
+			// traced runs b and returns its map and its trace.
+			traced := func(b *MapBuild, err error) (*Map, obs.TraceSnapshot) {
 				t.Helper()
 				if err != nil {
 					t.Fatal(err)
@@ -150,10 +153,15 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				return m, tr.Snapshot()
+			}
+			// run applies b and returns its distance work.
+			run := func(b *MapBuild, err error, wantReuse ReuseLevel, wantOracle string) int64 {
+				t.Helper()
+				m, snap := traced(b, err)
 				if err := e.ApplyBuild(b, m); err != nil {
 					t.Fatal(err)
 				}
-				snap := tr.Snapshot()
 				if snap.Attrs["reuse"] != string(wantReuse) || snap.Attrs["oracle"] != wantOracle {
 					t.Fatalf("trace attrs %v, want reuse %q and oracle %q", snap.Attrs, wantReuse, wantOracle)
 				}
@@ -167,7 +175,7 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 					if spans != 0 {
 						t.Fatalf("a map hit has %d oracle spans", spans)
 					}
-					return
+					return 0
 				}
 				if spans != 1 {
 					t.Fatalf("%d oracle spans, want 1", spans)
@@ -178,9 +186,20 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 				if n := int64(m.SampleSize); wantOracle == "matrix" && snap.Counters["oracleDistEvals"] != n*(n-1)/2 {
 					t.Fatalf("oracleDistEvals %d, want the %d cells of this build's own matrix", snap.Counters["oracleDistEvals"], n*(n-1)/2)
 				}
+				return snap.Counters["oracleDistEvals"]
 			}
 			b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
-			run(b, err, ReuseCold, tc.cold)
+			cold := run(b, err, ReuseCold, tc.cold)
+			if tc.cold == "lazy" {
+				again, err := NewExplorer(pinnedTable(tc.n, 19).Table, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, snap := traced(again.Prepare(Action{Kind: ActionSelect, Theme: 0}))
+				if n := snap.Counters["oracleDistEvals"]; cold <= 0 || n != cold {
+					t.Fatalf("cold lazy builds booked %d and %d oracleDistEvals, want the same count above 0", cold, n)
+				}
+			}
 			leaf := largestLeaf(e.CurrentMap())
 			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
 			run(b, err, ReuseOracleDerived, tc.zoom)

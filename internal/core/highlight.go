@@ -23,8 +23,9 @@ type Highlight struct {
 	SampleValues []string
 }
 
-// MaxSampleValues bounds the values a highlight returns.
-const MaxSampleValues = 12
+// MaxSampleValues bounds the values a highlight returns: the top values
+// the region's statistics keep, for a categorical column.
+const MaxSampleValues = store.MaxTopValues
 
 // Highlight inspects the values of the named column inside the region at
 // the given path of the current map. Any column of the table may be
@@ -49,9 +50,6 @@ func (e *Explorer) Highlight(column string, path ...int) (*Highlight, error) {
 	h := &Highlight{Column: column, Region: region.Describe(), Stats: st}
 	if len(st.TopValues) > 0 {
 		for _, tv := range st.TopValues {
-			if len(h.SampleValues) >= MaxSampleValues {
-				break
-			}
 			h.SampleValues = append(h.SampleValues, tv.Value)
 		}
 		return h, nil

@@ -150,9 +150,10 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 		return nil, nil, err
 	}
 	// Distance work is the oracle's own evaluation count (cluster.Oracle's
-	// DistEvals) — storage-based and free, where wrapping the per-call
-	// Dist path costs several percent of a build. The oracle is this
-	// build's alone, so its count is exactly this build's evaluations.
+	// DistEvals): a matrix's cells, a lazy oracle's rows and subset
+	// matrices, never a per-call Dist, where a counter costs several
+	// percent of a build. The oracle is this build's alone, so its count
+	// is exactly this build's counted evaluations.
 	if d := oracle.DistEvals(); tr != nil && d > 0 {
 		tr.Int("oracleDistEvals").Add(d)
 	}

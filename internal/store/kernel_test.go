@@ -321,7 +321,7 @@ func referenceStats(c Column) ColumnStats {
 			dict, byCode = append(dict, v), append(byCode, n)
 		}
 		s.Nulls = c.Len() - s.Count
-		s.TopValues, s.Distinct = topK(dict, byCode, 10)
+		s.TopValues, s.Distinct = topK(dict, byCode, MaxTopValues)
 		return s
 	}
 	var sum, sumsq float64

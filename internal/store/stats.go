@@ -17,10 +17,14 @@ type ColumnStats struct {
 	Distinct  int
 	Min, Max  float64 // numeric columns only (NaN otherwise)
 	Mean, Std float64 // numeric columns only
-	// TopValues holds the most frequent values, most frequent first
-	// (categorical columns only).
+	// TopValues holds up to MaxTopValues of the most frequent values,
+	// most frequent first (categorical columns only).
 	TopValues []ValueCount
 }
+
+// MaxTopValues is the number of most frequent values ColumnStats keeps
+// for a categorical column.
+const MaxTopValues = 12
 
 // MarshalJSON renders the stats under the struct's own field names and
 // order, with the moments of a column that has none (non-numeric, or no
@@ -105,7 +109,7 @@ func StatsRows(c Column, rows *RowSet) ColumnStats {
 	})
 	s.Count, s.Nulls, s.Distinct = acc.count, n-acc.count, acc.distinct.n
 	if counts != nil {
-		s.TopValues, s.Distinct = topK(rd.dict, counts, 10)
+		s.TopValues, s.Distinct = topK(rd.dict, counts, MaxTopValues)
 	} else if s.Count > 0 {
 		s.Min, s.Max = acc.min, acc.max
 		s.Mean = acc.sum / float64(s.Count)
