@@ -93,8 +93,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Short fuzz passes over the untrusted-input parsers (CSV ingestion,
-# filter expressions — parsed, then scanned by the batch kernels against
-# the reference — Select-Project queries, parsed and held to their own
+# its float cells held to strconv bit for bit, filter expressions —
+# parsed, then scanned by the batch kernels against the reference —
+# Select-Project queries, parsed and held to their own
 # rendering, then executed on both backings and held to each other,
 # filter expressions posted to a session with a map at the HTTP edge
 # (status, JSON body, rollback), action bodies staged by core.Prepare
@@ -106,6 +107,7 @@ fmt-check:
 # Real fuzzing: raise -fuzztime and let it run.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/store
+	go test -run='^$$' -fuzz=FuzzParseFloat -fuzztime=10s ./internal/store/csvdec
 	go test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=10s ./internal/store
 	go test -run='^$$' -fuzz=FuzzExecute -fuzztime=10s ./internal/store
@@ -138,11 +140,13 @@ bench:
 # equality's compile, first and later (BenchmarkCompileStrEq), a string
 # filter click and LIMIT query (BenchmarkFilterStrEq), a new
 # session's first map on a shared Dataset (BenchmarkSessionFirstBuild),
-# AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK) and a
-# cold select at the engine's default sample (BenchmarkColdSelectDefault).
+# AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK), a
+# cold select at the engine's default sample (BenchmarkColdSelectDefault),
+# the ingest decoder on the ledger's inputs (BenchmarkReadCSV,
+# BenchmarkBuildSegment) and one float cell (BenchmarkParseFloat).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
-	go test -bench=. -benchtime=1x -run '^$$' ./internal/store
+	go test -bench=. -benchtime=1x -run '^$$' ./internal/store ./internal/store/csvdec
 
 # The click ledger (bench/README.md): every workload of BENCHMARK.json
 # once, over HTTP, with the end-to-end metrics the acceptance gate reads.

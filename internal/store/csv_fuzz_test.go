@@ -22,6 +22,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(",,\n,,\n"))
 	f.Add([]byte("h\n\xff\xfe\n"))
 	f.Add([]byte("a;b\n1;2\n"))
+	f.Add([]byte("\xef\xbb\xbf\"a\",b\n1,2.5\n"))
 	for _, tc := range ingestCases {
 		if tc.opts == nil {
 			f.Add([]byte(tc.data))

@@ -215,7 +215,7 @@ func (b *blockDecoder) cell(j int, s string) bool {
 	case segment.KindFloat64:
 		v := math.NaN()
 		if !null {
-			v, err = strconv.ParseFloat(s, 64)
+			v, err = parseFloat(s)
 		}
 		c.Floats = append(c.Floats, v)
 	case segment.KindBool:

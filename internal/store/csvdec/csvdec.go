@@ -10,6 +10,16 @@
 // record containing a quote go through encoding/csv, so RFC 4180
 // quoting and its errors stay the standard library's.
 //
+// A FLOAT cell is parseFloat's, for the sniffer and the decoder alike,
+// and parseFloat is strconv.ParseFloat(s, 64) bit for bit and error for
+// error. It first tries Clinger's fast path: a plain decimal is scanned
+// once into an integer mantissa m and a decimal exponent k, and when
+// m ≤ 2^53 and |k| ≤ 22 the value is float64(m) times or divided by
+// 10^|k|. Both operands are exact float64s, so the one IEEE rounding of
+// that product or quotient is the correctly rounded value, which is what
+// strconv returns. Every other cell (longer mantissas, infinities, hex,
+// underscores, bad input) goes to strconv unchanged.
+//
 // Types are speculated, then checked: the start of the input is
 // sniffed, everything is decoded under that candidate schema with the
 // sniffer's own predicates as the per-cell check, and only if a later
@@ -132,16 +142,28 @@ func Decode(open Source, o Options, blockSize int, newSink func(names []string, 
 	return err
 }
 
-// sniffPrefix reads the header and sniffs the rows the schema is
-// speculated from: the first MaxInferRows rows, or else the first
-// block.
+// utf8BOM is the byte order mark some writers, Excel among them, put
+// before the header. It is not part of the first column's name.
+const utf8BOM = "\xef\xbb\xbf"
+
+// sniffPrefix drops a leading byte order mark, reads the header and
+// sniffs the rows the schema is speculated from: the first MaxInferRows
+// rows, or else the first block.
 func (d *decoder) sniffPrefix() ([]typeSniffer, error) {
 	r, err := d.open()
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	br := blockReader{r: r, sep: []byte(d.sep)}
+	head := make([]byte, len(utf8BOM))
+	n, err := io.ReadFull(r, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("store: reading CSV header: %w", err)
+	}
+	br := blockReader{r: r, sep: []byte(d.sep), buf: head[:n]}
+	if string(br.buf) == utf8BOM {
+		br.buf, d.skip = nil, int64(n)
+	}
 	var sniff []typeSniffer
 	for rows, lines := 0, 0; sniff == nil || d.strict && rows < d.opts.MaxInferRows; {
 		block, err := br.next(d.blockSize)

@@ -37,7 +37,7 @@ func (ts *typeSniffer) observe(s string) {
 		ts.canInt = err == nil
 	}
 	if ts.canFloat {
-		_, err := strconv.ParseFloat(s, 64)
+		_, err := parseFloat(s)
 		ts.canFloat = err == nil
 	}
 	if ts.canBool {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -95,8 +96,14 @@ func refKindOf(t Type) segment.Kind {
 	}
 }
 
+// refCSVReader drops a leading UTF-8 byte order mark before encoding/csv
+// sees the header, as the decoder does.
 func refCSVReader(r io.Reader, opts *CSVOptions) *csv.Reader {
-	cr := csv.NewReader(r)
+	br := bufio.NewReader(r)
+	if bom, _ := br.Peek(3); string(bom) == "\xef\xbb\xbf" {
+		br.Discard(len(bom)) // the bytes Peek holds: cannot fail
+	}
+	cr := csv.NewReader(br)
 	if opts.Comma != 0 {
 		cr.Comma = opts.Comma
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,4 +343,57 @@ func (s *failingSink) Consume(c *csvdec.Chunk) error {
 		return s.err
 	}
 	return s.segSink.Consume(c)
+}
+
+// TestIngestStripsBOM: a UTF-8 byte order mark before the header, as
+// Excel writes it, is not part of the first column's name, on either
+// sink, in a bare or a quoted name, and when a contradiction makes the
+// decoder reread the file past the header: a turns from INTEGER to FLOAT
+// in its last row, beyond the first block at block sizes 1 and 16.
+func TestIngestStripsBOM(t *testing.T) {
+	var rows strings.Builder
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&rows, "%d,x%d\n", i, i)
+	}
+	rows.WriteString("20.5,y\n")
+	for _, header := range []string{"a,b\n", "\"a\",b\n"} {
+		data := []byte("\xef\xbb\xbf" + header + rows.String())
+		for _, blockSize := range []int{1, 16, 4 << 20} {
+			withIngest(t, blockSize, 2, func() {
+				checkAgainstReference(t, data, nil, 4)
+				path := filepath.Join(t.TempDir(), "in.csv")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				segPath := filepath.Join(t.TempDir(), "out.seg")
+				if _, err := BuildSegment(path, segPath, nil); err != nil {
+					t.Fatal(err)
+				}
+				seg, err := OpenSegmentTableWith(segPath, segment.NewPoolObs(1<<20, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer seg.Close()
+				mem, err := ReadCSV(bytes.NewReader(data), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ParsePredicate("a > 1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range []Relation{mem, seg} {
+					if got := r.ColumnNames(); !slices.Equal(got, []string{"a", "b"}) {
+						t.Fatalf("%T from %q at block size %d: columns %q", r, data[:8], blockSize, got)
+					}
+					if typ := r.Column(0).Type(); typ != Float64 {
+						t.Fatalf("%T: column a is %v, want FLOAT", r, typ)
+					}
+					if n := len(r.Filter(p)); n != 19 {
+						t.Fatalf("%T: a > 1 matches %d rows, want 19", r, n)
+					}
+				}
+			})
+		}
+	}
 }
