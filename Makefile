@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-click bench-ab loc quality vet race-jobs race-derived race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
+.PHONY: build test race bench bench-smoke bench-click bench-ab loc quality vet race-jobs race-build race-store race-scan lint lint-self fmt-check fuzz-smoke metrics-smoke vuln
 
 # The scheduler subsystem and the cores budget its jobs' fan-out borrows
 # from, under the race detector (also a CI step) — the policy-against-
@@ -13,12 +13,11 @@ race-jobs:
 	go test -race ./internal/jobs/... ./internal/session/... ./internal/cores/...
 	go test -race -count=3 -run 'Overload' ./internal/jobs/...
 
-# Concurrent builds on one explorer under the race detector (also a CI
-# step): derived builds sharing one cached parent's vectors, cold builds
-# on one explorer and on sessions of one Dataset contending for the
-# dataset's build scratch (TestConcurrentColdBuilds*), cold and derived
-# builds of sessions on one Dataset gathering their samples into the
-# slabs of that scratch as other builds hand them back
+# Concurrent builds under the race detector (also a CI step): builds on
+# one explorer and on sessions of one Dataset contending for the
+# dataset's build scratch (TestConcurrentColdBuilds*), builds of
+# sessions on one Dataset gathering their samples and transforming their
+# vectors into the slabs of that scratch as other builds hand them back
 # (TestConcurrentBuildsShareSlabs), builds over themes of different
 # widths fitting their description trees in that scratch's presorted
 # lists, regrowing them while another build holds the other scratch
@@ -33,8 +32,8 @@ race-jobs:
 # and sessions opened at once on one Dataset, each adding a theme and
 # building a map over the shared dependency graph and themes
 # (TestDatasetConcurrentOpens).
-race-derived:
-	go test -race -count=2 -run 'ConcurrentDerived|ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+race-build:
+	go test -race -count=2 -run 'ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

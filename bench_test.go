@@ -83,9 +83,8 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 
 // The four benchmarks below are the cluster stage's distance kernels at
 // the sizes of an explore_mem click (bench/load): a 1100-tuple sample in
-// 40 prepared dimensions, and a 668-object index view of it. A derived
-// zoom keeps about that many but clusters them over a dense matrix of
-// its own; views serve CLARA's samples and the Monte-Carlo silhouette.
+// 40 prepared dimensions, and a 668-object index view of it; views
+// serve CLARA's samples and the Monte-Carlo silhouette.
 
 func BenchmarkDistMatrixBuild(b *testing.B) {
 	vecs, _ := benchVectors(1100, 40, 4)
@@ -575,85 +574,70 @@ func BenchmarkZoomCached(b *testing.B) {
 	}
 }
 
-// BenchmarkZoomColdDerived measures derivation on a cold zoom — a
-// map-cache miss whose rows are a subset of an already-built parent
-// selection — against the same zoom built entirely from scratch. Each
-// iteration prepares and runs the zoom without applying it, so the zoom
-// never enters the cache and every iteration is a miss (that is the
-// scenario); the cold run switches derivation off, the derived one
-// re-slices the parent's cached sample and vectors (skipping sampling
-// and prep) and clusters the overlap, a smaller and still uniform
-// sample, over a matrix of its own. The sample of 2000 is below
-// cluster.DefaultMaterializeThreshold, so every build materializes, and
-// each computes its matrix on the storage of the last build's: B/op is
-// reported, and a zoom that allocates its matrix's bytes fails the run.
-func BenchmarkZoomColdDerived(b *testing.B) {
+// BenchmarkZoomCold measures a cold zoom — a map-cache miss whose rows
+// are a subset of an already-built parent selection. Each iteration
+// prepares and runs the zoom without applying it, so the zoom never
+// enters the cache and every iteration is a miss (that is the
+// scenario): it draws its own sample of the region, fits and transforms
+// it and clusters it over a matrix of its own. The sample of 2000 is
+// below cluster.DefaultMaterializeThreshold, so every build
+// materializes, and each computes its matrix on the storage of the last
+// build's: B/op is reported, and a zoom that allocates its matrix's
+// bytes fails the run.
+func BenchmarkZoomCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 40000, K: 4, Dims: 8, Sep: 6}, rng)
-	for _, mode := range []string{"cold", "derived"} {
-		derivedMin := -1
-		if mode == "derived" {
-			derivedMin = 0 // engine default
+	e, err := core.NewExplorer(ds.Table, core.Options{
+		Seed: 1, SampleSize: 2000, DependencySampleRows: 500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, err := e.AddTheme(ds.Table.ColumnNames())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := e.SelectTheme(id) // the parent build
+	if err != nil {
+		b.Fatal(err)
+	}
+	var path []int
+	for _, leaf := range m.Root.Leaves() {
+		if leaf.Count() >= 10000 { // the n≥10k acceptance scenario
+			path = leaf.Path
+			break
 		}
-		e, err := core.NewExplorer(ds.Table, core.Options{
-			Seed: 1, SampleSize: 2000, DependencySampleRows: 500,
-			DerivedSampleMin: derivedMin,
-		})
+	}
+	if path == nil {
+		path = m.Root.Leaves()[0].Path
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sample := 0
+	for i := 0; i < b.N; i++ {
+		zb, err := e.Prepare(core.Action{Kind: core.ActionZoom, Path: path})
 		if err != nil {
 			b.Fatal(err)
 		}
-		id, err := e.AddTheme(ds.Table.ColumnNames())
+		zm, err := zb.Run(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := e.SelectTheme(id) // the parent build (caches its artifact)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var path []int
-		for _, leaf := range m.Root.Leaves() {
-			if leaf.Count() >= 10000 { // the n≥10k acceptance scenario
-				path = leaf.Path
-				break
-			}
-		}
-		if path == nil {
-			path = m.Root.Leaves()[0].Path
-		}
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			sample := 0
-			for i := 0; i < b.N; i++ {
-				zb, err := e.Prepare(core.Action{Kind: core.ActionZoom, Path: path})
-				if err != nil {
-					b.Fatal(err)
-				}
-				zm, err := zb.Run(context.Background(), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sample = zm.SampleSize
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			// The parent build left its matrix in the explorer's scratch
-			// slot, and every zoom computes its own no larger one on that
-			// storage: a zoom that allocates its matrix's bytes has
-			// allocated the matrix.
-			perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
-			if matrix := uint64(sample*(sample-1)/2) * 8; perOp >= matrix {
-				b.Fatalf("a %s zoom over %d sampled objects allocated %d B, its matrix is %d B", mode, sample, perOp, matrix)
-			}
-			s := e.ReuseStats().Map
-			if mode == "derived" && s.Derived < b.N {
-				b.Fatalf("only %d of %d zooms derived their sample: %+v", s.Derived, b.N, s)
-			}
-			if mode == "cold" && (s.Derived != 0 || s.Hits != 0) {
-				b.Fatalf("cold run reused the cache: %+v", s)
-			}
-		})
+		sample = zm.SampleSize
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	// The parent build left its matrix in the dataset's build scratch,
+	// and every zoom computes its own no larger one on that storage: a
+	// zoom that allocates its matrix's bytes has allocated the matrix.
+	perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+	if matrix := uint64(sample*(sample-1)/2) * 8; perOp >= matrix {
+		b.Fatalf("a cold zoom over %d sampled objects allocated %d B, its matrix is %d B", sample, perOp, matrix)
+	}
+	if s := e.ReuseStats().Map; s.Hits != 0 {
+		b.Fatalf("a cold zoom hit the cache: %+v", s)
 	}
 }
 

@@ -74,7 +74,7 @@ func main() {
 	lofarN := flag.Int("lofar-n", 200000, "rows in the synthetic LOFAR catalogue (0 disables)")
 	noBuiltin := flag.Bool("no-builtin", false, "do not load the built-in demo datasets")
 	sessionTTL := flag.Duration("session-ttl", time.Hour, "evict sessions idle for longer than this (0 disables)")
-	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries; cold entries also keep their sample vectors for derived zooms (0 = engine default, -1 disables)")
+	mapCache := flag.Int("map-cache", 0, "per-session map-cache entries, each one finished map; a miss builds cold (0 = engine default, -1 disables)")
 	maxQueued := flag.Int("max-queued", 1024, "total queued-job cap; submissions beyond it get 429 (0 = unbounded)")
 	sessionQueue := flag.Int("max-queued-per-session", 16, "per-session queued-job cap; beyond it 429 (0 = unbounded)")
 	pageBudgetMB := flag.Int64("page-budget-mb", 256, "buffer-pool byte budget (MiB) shared by all .seg datasets")

@@ -73,7 +73,7 @@ func TestExportPinnedWithAnnotations(t *testing.T) {
 // lock, reads nothing Annotate writes, so the current state can be
 // annotated while a hit of its own map runs. The hit is served the
 // cached map and arrives with no notes. Run under -race by
-// `make race-derived`.
+// `make race-build`.
 func TestAnnotateDuringHitBuild(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	m, err := e.SelectTheme(0)

@@ -9,25 +9,18 @@ import (
 	"repro/internal/store"
 )
 
-// ReuseLevel names how much prior work a prepared build reuses — the
-// reuse ladder resolved at prepare time and surfaced in job metadata:
+// ReuseLevel names how much prior work a prepared build reuses,
+// resolved at prepare time and surfaced in job metadata:
 //
 //   - ReuseMapHit: the finished map itself was cached; Run returns it
 //     without rebuilding anything.
-//   - ReuseOracleDerived: the map must be rebuilt, but the selection's
-//     rows overlap the sample of a cold build whose artifact is cached,
-//     so the child's sample and vectors are re-sliced out of the
-//     parent's instead of drawn and fitted. The build still computes
-//     its own oracle; the name predates that and stays, being wire and
-//     metric-label surface.
-//   - ReuseCold: nothing reusable was cached; the full pipeline runs.
+//   - ReuseCold: the map was not cached; the full pipeline runs.
 type ReuseLevel string
 
-// The reuse levels, coldest last.
+// The reuse levels.
 const (
-	ReuseMapHit        ReuseLevel = "mapHit"
-	ReuseOracleDerived ReuseLevel = "oracleDerived"
-	ReuseCold          ReuseLevel = "cold"
+	ReuseMapHit ReuseLevel = "mapHit"
+	ReuseCold   ReuseLevel = "cold"
 )
 
 // MapBuild is one prepared map construction — the detachable middle of a
@@ -40,7 +33,7 @@ const (
 //
 // Prepare validates the action and snapshots everything the build needs
 // (selection rows, theme, accumulated condition, a child RNG's seed and
-// the cache lookup: a finished map, failing that a parent artifact).
+// the cache lookup's finished map, if any).
 // Run touches only that snapshot, immutable Explorer state (table,
 // options, metric) and the dataset's free list of build scratch, which
 // is safe for concurrent use, so concurrent Runs of
@@ -62,16 +55,6 @@ type MapBuild struct {
 	base  *State
 	key   mapKey
 	hit   *Map
-
-	// Derivation (set at prepare): reuse names the level, parent the
-	// cached artifact a derived build re-slices and parentPos the
-	// overlap positions it samples from. artifact is a cold build's
-	// finished artifact, set by Run and cached beside its map by
-	// ApplyBuild.
-	reuse     ReuseLevel
-	parent    *buildArtifact
-	parentPos []int
-	artifact  *buildArtifact
 }
 
 // Prepare stages the build of a map-building action (see
@@ -149,44 +132,31 @@ func (e *Explorer) prepareFilter(pred store.Predicate) (*MapBuild, error) {
 }
 
 // prepare snapshots the build inputs, draws the child RNG's seed and
-// consults the cache: a hit serves the finished map; failing that, the
-// cached artifact with the largest usable sample overlap backs a derived
-// build. The seed is drawn on every prepare — hit, derived or cold — so
-// the explorer's random stream advances identically either way and
-// later navigation does not depend on the cache's contents; the RNG
-// itself is made only by a Run that builds. The cache key hashes the
-// form the rows are kept in (store.RowSet.Fingerprint), not the rows:
-// O(1) for a range such as the whole table, at most span/64 mixes for
-// a bitmap or a list.
+// consults the cache: a hit serves the finished map, a miss builds cold.
+// The seed is drawn on every prepare — hit or cold — so the explorer's
+// random stream advances identically either way and later navigation
+// does not depend on the cache's contents; the RNG itself is made only
+// by a Run that builds. The cache key hashes the form the rows are kept
+// in (store.RowSet.Fingerprint), not the rows: O(1) for a range such as
+// the whole table, at most span/64 mixes for a bitmap or a list.
 func (e *Explorer) prepare(next *State, theme Theme) *MapBuild {
-	b := &MapBuild{e: e, next: next, theme: theme, seed: e.rng.Int63(), base: e.State(), reuse: ReuseCold}
-	rows := next.Rows
+	b := &MapBuild{e: e, next: next, theme: theme, seed: e.rng.Int63(), base: e.State()}
 	if b.mapless() || e.cache == nil {
 		return b
 	}
+	rows := next.Rows
 	b.key = mapKey{rows: rows.Fingerprint(), n: rows.Len(), theme: theme.ID}
-	if b.hit = e.cache.get(b.key); b.hit != nil {
-		b.reuse = ReuseMapHit
-		return b
-	}
-	if e.data.opts.DerivedSampleMin < 0 {
-		return b
-	}
-	parent, pos := e.cache.findDerivable(theme.ID, rows, e.derivedSampleFloor(rows))
-	// A degenerate overlap (identical on every used column) must build
-	// cold so prep can refit and degrade to a single region; checking
-	// here keeps the counters exact even if the build is later
-	// cancelled.
-	if parent != nil && !constantAt(parent.vecs, pos) {
-		b.parent, b.parentPos = parent, pos
-		b.reuse = ReuseOracleDerived
-		e.cache.derived++
-	}
+	b.hit = e.cache.get(b.key)
 	return b
 }
 
 // Reuse reports how much prior work the build reuses (see ReuseLevel).
-func (b *MapBuild) Reuse() ReuseLevel { return b.reuse }
+func (b *MapBuild) Reuse() ReuseLevel {
+	if b.hit != nil {
+		return ReuseMapHit
+	}
+	return ReuseCold
+}
 
 // Rows returns how many tuples the build's selection holds.
 func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
@@ -194,17 +164,16 @@ func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
 // Run executes the mapping pipeline on the prepared snapshot. It must
 // not be called under the session lock — that is the point: ctx cancels
 // the build between pipeline stages and candidate k values, and progress
-// (may be nil) receives monotone fractions in [0, 1]. Derived builds
-// re-slice their artifact out of the parent's here, off the lock, and
-// every build that clusters computes its own oracle; the shared parent
-// artifact is read-only and a scratch off the dataset's free list is
-// taken by one build at a time, so concurrent Runs on one explorer, or
-// on sessions of one dataset, are safe.
+// (may be nil) receives monotone fractions in [0, 1]. Every build that
+// clusters draws its own sample and computes its own vectors and oracle
+// in a scratch off the dataset's free list, which one build takes at a
+// time, so concurrent Runs on one explorer, or on sessions of one
+// dataset, are safe.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse level on the build trace, if one rides the
 	// context.
 	tr := obs.TraceFrom(ctx)
-	tr.SetAttr("reuse", string(b.reuse))
+	tr.SetAttr("reuse", string(b.Reuse()))
 	if b.mapless() {
 		return nil, nil
 	}
@@ -215,35 +184,22 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		return b.hit, nil
 	}
 	rng := rand.New(rand.NewSource(b.seed))
-	var art *buildArtifact
-	if b.parent != nil {
-		sp := tr.Start("derive")
-		art = deriveArtifact(b.parent, b.parentPos)
-		sp.End()
-	}
-	// The build gathers its sample and computes its matrix in a scratch
-	// off the dataset's free list, and gives it back on return, error or
-	// not. A panic skips this and drops it: a later build allocates
-	// afresh rather than trust storage a failed build was writing.
+	// The build gathers its sample, computes its vectors and its matrix
+	// in a scratch off the dataset's free list, and gives it back on
+	// return, error or not. A panic skips this and drops it: a later
+	// build allocates afresh rather than trust storage a failed build was
+	// writing.
 	sc := b.e.data.takeScratch()
-	m, built, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, art, sc, progress)
+	m, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, sc, progress)
 	b.e.data.putScratch(sc)
-	if err != nil {
-		return nil, err
-	}
-	if b.reuse == ReuseCold {
-		// A derived artifact re-slices its parent's vectors: only a cold
-		// build has one worth keeping.
-		b.artifact = built
-	}
-	return m, nil
+	return m, err
 }
 
 // ApplyBuild pushes the finished map as the new navigation state and
-// caches it, with a cold build's artifact beside it (a noTheme build
-// has no map and caches nothing). It fails if the build belongs to
-// another explorer or if the navigation state changed since Prepare, so
-// stale results are dropped instead of corrupting the history.
+// caches it (a noTheme build has no map and caches nothing). It fails
+// if the build belongs to another explorer or if the navigation state
+// changed since Prepare, so stale results are dropped instead of
+// corrupting the history.
 func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 	if b.e != e {
 		return fmt.Errorf("core: build belongs to a different explorer")
@@ -255,7 +211,7 @@ func (e *Explorer) ApplyBuild(b *MapBuild, m *Map) error {
 		return fmt.Errorf("core: state changed since the %s build was prepared; navigate again", b.next.Action.Kind)
 	}
 	if e.cache != nil && b.hit == nil && m != nil {
-		e.cache.put(b.key, m, b.artifact)
+		e.cache.put(b.key, m)
 	}
 	b.next.Map = m
 	e.push(b.next)
@@ -278,10 +234,8 @@ func (e *Explorer) runAndApply(b *MapBuild, err error) (*Map, error) {
 	return m, nil
 }
 
-// ReuseStats reports the reuse-cache counters: hits, misses and — among
-// the misses — how many builds derived their sample from a cached
-// parent, plus occupancy and evictions. All zeros when the cache is
-// disabled.
+// ReuseStats reports the reuse-cache counters: hits and misses, plus
+// occupancy and evictions. All zeros when the cache is disabled.
 func (e *Explorer) ReuseStats() ReuseStats {
 	c := e.cache
 	if c == nil {
@@ -289,7 +243,6 @@ func (e *Explorer) ReuseStats() ReuseStats {
 	}
 	return ReuseStats{Map: TierStats{
 		Hits:      c.hits,
-		Derived:   c.derived,
 		Misses:    c.misses,
 		Entries:   c.order.Len(),
 		Capacity:  c.cap,

@@ -342,41 +342,6 @@ func TestFilterRevisitHitsMapCache(t *testing.T) {
 	if s.Map.Hits != 1 || s.Map.Hits+s.Map.Misses != 3 {
 		t.Errorf("cache %+v, want 1 hit of 3 lookups (select, filter, filter)", s.Map)
 	}
-	if s.Map.Derived > s.Map.Misses {
-		t.Errorf("cache %+v derived more builds than it missed", s.Map)
-	}
-}
-
-// TestFilterInsideZoomDerivesOracle: a filter's rows inside a zoomed
-// region sit inside the root selection's cached sample, so when the
-// overlap clears the floor the build derives its sample from that
-// artifact instead of running cold.
-func TestFilterInsideZoomDerivesOracle(t *testing.T) {
-	e := derivingExplorer(t, Options{Seed: 1})
-	if _, err := e.SelectTheme(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Zoom(leafPath(t, e)...); err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.prepareFilter(medianFilter(t, e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rows() < 10 || b.Reuse() != ReuseOracleDerived {
-		t.Fatalf("filter of %d rows inside a zoom: reuse = %q, want %q", b.Rows(), b.Reuse(), ReuseOracleDerived)
-	}
-	m, err := e.runAndApply(b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Reuse() != ReuseOracleDerived || m.Root.Count() != b.Rows() || m.SampleSize > b.Rows() {
-		t.Errorf("derived filter map: reuse %q, %d rows of %d, sample %d", b.Reuse(), m.Root.Count(), b.Rows(), m.SampleSize)
-	}
-	if s := e.ReuseStats().Map; s.Derived != 2 || s.Misses != 3 || cachedArtifacts(e) != 1 {
-		t.Errorf("cache %+v with %d artifacts, want 2 derivations (zoom, filter) off 1 cached parent",
-			s, cachedArtifacts(e))
-	}
 }
 
 // TestFilterDrawsOnceFromTheSessionStream: like every other action a

@@ -119,13 +119,13 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 
 // TestBuildTraceRecordsOracle: the engine chooses the oracle's storage
 // by sample size, and every build that clusters builds its own oracle
-// and says which on its trace — a derived zoom its own too, whatever its
+// and says which on its trace — a zoom its own too, whatever its
 // parent's was — with an oracle span and, over a matrix, the matrix's
 // cells as its distance work; a map hit clusters nothing and says
-// nothing. The lazy case's cold build clusters 2500 objects, and its
-// derived zoom an overlap within cluster.DefaultMaterializeThreshold;
-// the cold build's distance work is its lazy oracle's rows and subset
-// matrices, more than none and the same in a second same-seed build.
+// nothing. The lazy case's select clusters 2500 objects, and its zoom
+// a region within cluster.DefaultMaterializeThreshold; the select's
+// distance work is its lazy oracle's rows and subset matrices, more
+// than none and the same in a second same-seed build.
 func TestBuildTraceRecordsOracle(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -202,7 +202,7 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 			}
 			leaf := largestLeaf(e.CurrentMap())
 			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
-			run(b, err, ReuseOracleDerived, tc.zoom)
+			run(b, err, ReuseCold, tc.zoom)
 			if err := e.Rollback(); err != nil {
 				t.Fatal(err)
 			}
@@ -236,13 +236,13 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := e.prepStage(sample, sampleRows, theme)
+	pipe, vecs, err := e.prepStage(sample, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := e.oracleStage(art.vecs, &buildScratch{})
+	mat := e.oracleStage(vecs, &buildScratch{})
 	if _, ok := mat.(*cluster.DistMatrix); !ok {
-		t.Fatalf("engine chose lazy storage for %d objects, want matrix", len(art.vecs))
+		t.Fatalf("engine chose lazy storage for %d objects, want matrix", len(vecs))
 	}
 	build := func(o cluster.Oracle) *Map {
 		sc := &buildScratch{}
@@ -250,13 +250,13 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.regionStage(ctx, o, art, sample, cl, rows, theme, sc, func(float64) {})
+		m, err := e.regionStage(ctx, o, pipe, sample, cl, rows, theme, sc, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	mm, lm := build(mat), build(cluster.NewLazyOracle(art.vecs, e.metric))
+	mm, lm := build(mat), build(cluster.NewLazyOracle(vecs, e.metric))
 	if mm.K < 2 {
 		t.Fatalf("matrix map has k=%d: nothing to compare", mm.K)
 	}

@@ -78,8 +78,8 @@ type State struct {
 // clusterable columns (Fig. 2) and the themes partitioned from it
 // (Fig. 1a). It is immutable once built, and every session opened on it
 // (Open) shares its options, graph and themes read-only.
-// Its one mutable part is build scratch: the distance matrices and
-// sample slabs its sessions' finished builds are done with.
+// Its one mutable part is build scratch: the distance matrices, sample
+// and vector slabs its sessions' finished builds are done with.
 type Dataset struct {
 	table  store.Relation
 	opts   Options
@@ -104,21 +104,23 @@ type Dataset struct {
 // buildScratch is the storage a build works in and leaves behind: the
 // matrix it computed its distances in (nil until a build materializes
 // one), the slab its sample's float columns were gathered into, the
-// buffers its clustering swept in (cluster.Scratch): SWAP's and BUILD's
-// state, the row and block buffers, one slot per CLARA sample, the
-// Monte-Carlo rounds' ids, labels and view, the silhouette kernel's
-// buffers and the labels of the k being scored and of the best, and the
-// buffers its description tree was fitted in (tree.Scratch): the
-// sample's row ids presorted per numeric feature, plus one list in row
-// order (4 B a row each), a side byte per row, and the presort's and
-// partition's temps. The map and the artifact a build returns reference
-// none of them — the sample table and the clustering die with the
-// build, the tree holds only its nodes, and the artifact holds the
-// sample rows, the fitted pipeline and the vectors — so the next build
-// may overwrite them all.
+// headers and slab its sample's vectors were transformed into (one
+// Dim-capped window of vecSlab per sampled row), the buffers its
+// clustering swept in (cluster.Scratch): SWAP's and BUILD's state, the
+// row and block buffers, one slot per CLARA sample, the Monte-Carlo
+// rounds' ids, labels and view, the silhouette kernel's buffers and the
+// labels of the k being scored and of the best, and the buffers its
+// description tree was fitted in (tree.Scratch): the sample's row ids
+// presorted per numeric feature, plus one list in row order (4 B a row
+// each), a side byte per row, and the presort's and partition's temps.
+// The map a build returns references none of them — the sample table,
+// the vectors and the clustering die with the build, the tree holds
+// only its nodes — so the next build may overwrite them all.
 type buildScratch struct {
 	matrix  *cluster.DistMatrix
 	floats  []float64
+	vecs    [][]float64
+	vecSlab []float64
 	cluster cluster.Scratch
 	tree    tree.Scratch
 }
@@ -211,8 +213,8 @@ type Explorer struct {
 	themes []Theme
 	states []*State // states[len-1] is current
 
-	// cache is the zoom-aware map cache, whose cold entries also hold
-	// their builds' artifacts for derivation (nil when disabled).
+	// cache is the zoom-aware map cache of finished maps (nil when
+	// disabled).
 	cache *mapCache
 }
 

@@ -180,7 +180,7 @@ func TestHighlightStatsNotAliased(t *testing.T) {
 // TestHighlightConcurrentSharedMap: goroutines reading a highlight's
 // statistics on one shared map — pairs on the same region and column at
 // once, the pairs on different regions — all get StatsRows' answer. Run
-// under -race by `make race-derived`.
+// under -race by `make race-build`.
 func TestHighlightConcurrentSharedMap(t *testing.T) {
 	mem, err := store.ReadCSVFile(writeMixedCSV(t, 1500, 6), nil)
 	if err != nil {

@@ -21,7 +21,7 @@ func TestLRUZeroCapacityStoresNothing(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := newMapCache(capacity)
 		for i := 0; i < 3; i++ {
-			c.put(lruKey(i), &Map{}, nil)
+			c.put(lruKey(i), &Map{})
 			if c.get(lruKey(i)) != nil {
 				t.Fatalf("cap %d: get(%d) hit; a non-positive capacity must cache nothing", capacity, i)
 			}
@@ -39,13 +39,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c := newMapCache(3)
 	maps := []*Map{{K: 1}, {K: 2}, {K: 3}, {K: 4}}
 	for i := 0; i < 3; i++ {
-		c.put(lruKey(i), maps[i], nil)
+		c.put(lruKey(i), maps[i])
 	}
 	// Touch 0: it becomes most recently used, so 1 is now the victim.
 	if got := c.get(lruKey(0)); got != maps[0] {
 		t.Fatalf("get(0) = %v", got)
 	}
-	c.put(lruKey(3), maps[3], nil)
+	c.put(lruKey(3), maps[3])
 	if c.get(lruKey(1)) != nil {
 		t.Fatal("1 survived; LRU should have evicted it after 0 was touched")
 	}
@@ -62,12 +62,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRUReinsertMovesToFrontWithoutEviction(t *testing.T) {
 	c := newMapCache(3)
 	for i := 0; i < 3; i++ {
-		c.put(lruKey(i), &Map{K: i}, nil)
+		c.put(lruKey(i), &Map{K: i})
 	}
 	// Re-inserting an existing key replaces in place: no eviction, new
 	// value, bumped to most recently used.
 	again := &Map{K: 10}
-	c.put(lruKey(0), again, nil)
+	c.put(lruKey(0), again)
 	if c.order.Len() != 3 || c.evictions != 0 {
 		t.Fatalf("len=%d evictions=%d after re-insert, want 3 and 0", c.order.Len(), c.evictions)
 	}
@@ -79,7 +79,7 @@ func TestLRUReinsertMovesToFrontWithoutEviction(t *testing.T) {
 	}
 	// 1 is now least recently used (0 was re-inserted, then read; 2 sits
 	// between): inserting 3 must evict 1.
-	c.put(lruKey(3), &Map{}, nil)
+	c.put(lruKey(3), &Map{})
 	if c.get(lruKey(1)) != nil {
 		t.Fatal("1 survived; re-insertion of 0 should have left 1 as the victim")
 	}
@@ -91,7 +91,7 @@ func TestLRUReinsertMovesToFrontWithoutEviction(t *testing.T) {
 func TestLRUEvictionCounterAccumulates(t *testing.T) {
 	c := newMapCache(2)
 	for i := 0; i < 10; i++ {
-		c.put(lruKey(i), &Map{}, nil)
+		c.put(lruKey(i), &Map{})
 	}
 	if c.order.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.order.Len())

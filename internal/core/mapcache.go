@@ -1,10 +1,6 @@
 package core
 
-import (
-	"container/list"
-
-	"repro/internal/store"
-)
+import "container/list"
 
 // DefaultMapCacheSize is the default capacity (entries) of the
 // zoom-aware map cache.
@@ -22,30 +18,23 @@ type mapKey struct {
 }
 
 // mapCache is the session's one reuse cache: a small LRU of finished
-// maps, which a hit serves by reference (see Map), each cold one beside
-// the artifact its build fitted, so a miss can derive its sample and
-// vectors from a cached parent's (see findDerivable). An artifact is evicted together with its map. The
-// cache is owned by one Explorer and accessed only under whatever lock
-// guards the Explorer (the session mutex at the server tier), so it
+// maps, which a hit serves by reference (see Map). An entry holds only
+// its map — never its build's sample or vectors — so a miss builds cold.
+// The cache is owned by one Explorer and accessed only under whatever
+// lock guards the Explorer (the session mutex at the server tier), so it
 // needs no locking of its own.
 type mapCache struct {
 	cap   int
 	order *list.List // of *cacheEntry, front = most recently used
 	byKey map[mapKey]*list.Element
 
-	// derived counts the misses that derived their sample from a cached
-	// parent: a subset of misses.
-	hits, derived, misses, evictions int
+	hits, misses, evictions int
 }
 
-// cacheEntry is one cached build: its map and, for a cold build that
-// fitted a pipeline, its artifact (nil otherwise — a derived artifact
-// re-slices its parent's vectors, so keeping it would add nothing the
-// parent entry does not already provide).
+// cacheEntry is one cached map under its key.
 type cacheEntry struct {
 	key mapKey
 	m   *Map
-	art *buildArtifact
 }
 
 func newMapCache(capacity int) *mapCache {
@@ -65,10 +54,10 @@ func (c *mapCache) get(k mapKey) *Map {
 	return el.Value.(*cacheEntry).m
 }
 
-// put stores (or replaces) a finished map with its artifact, evicting
-// least recently used entries beyond capacity.
-func (c *mapCache) put(k mapKey, m *Map, art *buildArtifact) {
-	ent := &cacheEntry{key: k, m: m, art: art}
+// put stores (or replaces) a finished map, evicting least recently used
+// entries beyond capacity.
+func (c *mapCache) put(k mapKey, m *Map) {
+	ent := &cacheEntry{key: k, m: m}
 	if el, ok := c.byKey[k]; ok {
 		el.Value = ent
 		c.order.MoveToFront(el)
@@ -86,41 +75,11 @@ func (c *mapCache) put(k mapKey, m *Map, art *buildArtifact) {
 	}
 }
 
-// findDerivable scans the cached artifacts of the theme for the one
-// whose sample overlaps rows the most, returning it with the overlapping
-// positions (indices into the parent's sampleRows/vecs, ascending) when
-// the overlap reaches minNeeded — the derivation policy's floor — and
-// bumping its entry to most recently used. The overlap is
-// RowSet.Intersect of the sample: one membership test per sample row,
-// O(sample · log rows) at most per cached artifact however large the
-// selection.
-func (c *mapCache) findDerivable(theme int, rows *store.RowSet, minNeeded int) (*buildArtifact, []int) {
-	var best *list.Element
-	var bestPos []int
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		if ent.art == nil || ent.key.theme != theme || len(ent.art.sampleRows) <= len(bestPos) {
-			continue // no artifact, another theme, or cannot beat the current best
-		}
-		if pos := rows.Intersect(ent.art.sampleRows); len(pos) >= minNeeded && len(pos) > len(bestPos) {
-			best, bestPos = el, pos
-		}
-	}
-	if best == nil {
-		return nil, nil
-	}
-	c.order.MoveToFront(best)
-	return best.Value.(*cacheEntry).art, bestPos
-}
-
 // TierStats describes the reuse cache (counters are lifetime totals for
 // the owning Explorer).
 type TierStats struct {
 	// Hits counts finished maps served as-is.
 	Hits int `json:"hits"`
-	// Derived counts the misses whose sample and vectors were derived
-	// from a cached parent artifact.
-	Derived int `json:"derived,omitempty"`
 	// Misses counts every build that was not a hit.
 	Misses int `json:"misses"`
 	// Entries and Capacity describe current occupancy; Evictions counts

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -47,7 +49,7 @@ func TestMapCacheHitAcrossRowOrder(t *testing.T) {
 	c := newMapCache(4)
 	rows := []int{9, 4, 7, 2}
 	m := &Map{K: 2, Root: &Region{}}
-	c.put(rowsKey(rows, 1), m, nil)
+	c.put(rowsKey(rows, 1), m)
 	if got := c.get(rowsKey([]int{2, 4, 7, 9}, 1)); got != m {
 		t.Fatal("same selection in ascending order missed the cache")
 	}
@@ -147,5 +149,193 @@ func TestRegionAndFilterShareEntry(t *testing.T) {
 	}
 	if b.Reuse() != ReuseMapHit {
 		t.Errorf("filter %q missed the entry its region's zoom cached", region.Describe())
+	}
+}
+
+// TestCacheDisabledDerivesNothing: a negative MapCacheSize turns off
+// the one reuse cache — a zoom builds cold and the counters stay zero.
+func TestCacheDisabledDerivesNothing(t *testing.T) {
+	e := asyncExplorer(t, Options{Seed: 5, MapCacheSize: -1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: leafPath(t, e)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("cache disabled but zoom reuse = %q", b.Reuse())
+	}
+	if _, err := e.runAndApply(b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.ReuseStats(); s != (ReuseStats{}) {
+		t.Errorf("disabled cache has stats %+v", s)
+	}
+}
+
+// TestDerivationDisabled: no miss reuses a cached build's sample or
+// vectors — a cache entry holds only its map — so a zoom inside a cached
+// select builds cold, and its map is the one a session without a cache
+// builds.
+func TestDerivationDisabled(t *testing.T) {
+	e := asyncExplorer(t, Options{Seed: 4})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	path := leafPath(t, e)
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("zoom inside a cached select: reuse = %q, want %q", b.Reuse(), ReuseCold)
+	}
+	m, err := e.runAndApply(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.ReuseStats().Map; s.Misses != 2 || s.Hits != 0 || s.Entries != 2 {
+		t.Errorf("stats %+v, want 2 misses, no hit, 2 entries", s)
+	}
+	off := asyncExplorer(t, Options{Seed: 4, MapCacheSize: -1})
+	if _, err := off.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := off.Zoom(path...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapsEqual(m, want) {
+		t.Error("a zoom inside a cached select differs from the same zoom without a cache")
+	}
+}
+
+// TestMapCacheEvictionCounter covers the cache's eviction counter.
+func TestMapCacheEvictionCounter(t *testing.T) {
+	e := asyncExplorer(t, Options{Seed: 7, MapCacheSize: 1})
+	if _, err := e.SelectTheme(0); err != nil {
+		t.Fatal(err)
+	}
+	path := leafPath(t, e)
+	if _, err := e.Zoom(path...); err != nil { // evicts the select's map
+		t.Fatal(err)
+	}
+	s := e.ReuseStats()
+	if s.Map.Entries != 1 || s.Map.Evictions != 1 || s.Map.Capacity != 1 {
+		t.Errorf("cache stats %+v, want 1 entry / 1 eviction / capacity 1", s.Map)
+	}
+}
+
+// TestDerivedBuildDegeneratesToCold: a zoom into a region that is
+// constant on the theme columns builds cold, refits the pipeline, finds
+// no usable column and degrades to a single-region map.
+func TestDerivedBuildDegeneratesToCold(t *testing.T) {
+	tbl, _, _ := laborTable(240, 7)
+	e, err := NewExplorer(tbl, Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.AddTheme([]string{"CountryName"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.SelectTheme(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find a leaf whose rows are constant on CountryName (a pure split).
+	var path []int
+	for _, leaf := range m.Root.Leaves() {
+		vals := make(map[string]bool)
+		col := tbl.ColumnByName("CountryName")
+		leaf.RowIDs().Each(func(r int) {
+			vals[col.StringAt(r)] = true
+		})
+		if len(vals) == 1 && leaf.Count() >= 5 {
+			path = leaf.Path
+			break
+		}
+	}
+	if path == nil {
+		t.Skip("no constant leaf region in this map")
+	}
+	b, err := e.Prepare(Action{Kind: ActionZoom, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("constant-region zoom reuse = %q, want %q", b.Reuse(), ReuseCold)
+	}
+	zm, err := b.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zm.K != 1 || !zm.Root.IsLeaf() {
+		t.Errorf("constant region should degrade to K=1, got K=%d", zm.K)
+	}
+	if err := e.ApplyBuild(b, zm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheSizeLeavesMapsAlone: the reuse cache serves maps and changes
+// none. One walk — select → zoom → filter → rollback to the select →
+// the same zoom again — gives the same digests with the cache off, with
+// room for one map (the re-zoom misses and rebuilds) and at the default
+// (it hits), in memory and through a segment. Exact PAM over the whole
+// 900-row table maps alike under any seed, so a rebuild is the map a hit
+// serves.
+func TestCacheSizeLeavesMapsAlone(t *testing.T) {
+	tab := pinnedTable(900, 15).Table
+	backings := []struct {
+		name string
+		rel  func() store.Relation
+	}{
+		{"memory", func() store.Relation { return tab }},
+		{"segment", func() store.Relation { return lawSegment(t, tab) }},
+	}
+	for _, b := range backings {
+		t.Run(b.name, func(t *testing.T) {
+			rel := b.rel()
+			var want string
+			for _, size := range []int{-1, 1, 0} {
+				e, err := NewExplorer(rel, Options{Seed: 7, MapCacheSize: size})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				record := func(step string, m *Map, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("cache size %d, %s: %v", size, step, err)
+					}
+					mapDigest(&sb, step, m)
+				}
+				m, err := e.SelectTheme(0)
+				record("select", m, err)
+				path := largestLeaf(m)
+				m, err = e.Zoom(path...)
+				record("zoom", m, err)
+				split := m.Root.Split
+				if split == nil {
+					t.Fatal("the zoom's map has no split to filter on")
+				}
+				m, err = e.Filter(split)
+				record("filter", m, err)
+				for range 2 {
+					if err := e.Rollback(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m, err = e.Zoom(path...)
+				record("rezoom", m, err)
+				if size == -1 {
+					want = sb.String()
+				} else if got := sb.String(); got != want {
+					t.Errorf("cache size %d gave\n%s\nthe cache off gave\n%s", size, got, want)
+				}
+			}
+		})
 	}
 }

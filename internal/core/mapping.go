@@ -60,19 +60,14 @@ type Map struct {
 // method only reads immutable Explorer state (table, options, metric),
 // which is what makes lock-free execution safe.
 //
-// Each stage produces an explicit intermediate — sample rows, a
-// buildArtifact (sample rows, fitted pipeline, vectors), the build's
-// distance oracle, a clustering, the region tree — and the artifact is
-// cacheable: when art is non-nil (derived from a cached parent via
-// deriveArtifact) the sample and prep stages are skipped. The sample
-// table and the oracle are never cached: every build gathers its sample
-// into the slab of sc, its scratch, and builds its own oracle over its
-// own vectors, a matrix on the storage of the scratch's (see
-// oracleStage), so nothing a cache holds outlives the build's scratch.
-// The finished artifact is returned alongside the map so a cold build's
-// can be kept in its map-cache entry; it is nil when preprocessing
-// degenerated.
-func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, art *buildArtifact, sc *buildScratch, progress func(float64)) (*Map, *buildArtifact, error) {
+// Each stage produces an explicit intermediate — sample rows, the
+// sample table, the fitted pipeline and the sample's vectors, the
+// build's distance oracle, a clustering, the region tree — and every
+// one but the tree lives in sc, the build's scratch: the sample's float
+// columns in its slab, the vectors in its vector slab, a matrix oracle
+// on the storage of its matrix (see oracleStage). Nothing the map keeps
+// references them, so the next build may overwrite them all.
+func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, sc *buildScratch, progress func(float64)) (*Map, error) {
 	report := func(f float64) {
 		if progress != nil {
 			progress(f)
@@ -83,60 +78,44 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	// injected clock — core itself never touches the wall clock.
 	tr := obs.TraceFrom(ctx)
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if rows.Len() == 0 {
-		return nil, nil, fmt.Errorf("core: empty selection")
+		return nil, fmt.Errorf("core: empty selection")
 	}
 
-	var sample *store.Table
-	if art == nil {
-		// Stage 0: multi-scale sampling. The sample indices are drawn
-		// first (index math only), then materialized by a gather
-		// projected onto the theme's columns.
-		sp := tr.Start("sample")
-		sampleRows := e.sampleStage(rng, rows)
-		var err error
-		sample, err = e.gatherSample(sampleRows, theme, sc)
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		report(0.05)
+	// Stage 0: multi-scale sampling. The sample indices are drawn first
+	// (index math only), then materialized by a gather projected onto
+	// the theme's columns.
+	sp := tr.Start("sample")
+	sampleRows := e.sampleStage(rng, rows)
+	sample, err := e.gatherSample(sampleRows, theme, sc)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	report(0.05)
 
-		// Stage 1: preprocessing. A selection that is constant (or
-		// key-only) on the theme's columns has no cluster structure left:
-		// degrade to a single-region map instead of failing, so users can
-		// zoom to the bottom of any region and still roll back.
-		sp = tr.Start("prep")
-		art, err = e.prepStage(sample, sampleRows, theme)
-		sp.End()
-		if err != nil {
-			report(1)
-			return &Map{
-				Theme: theme, K: 1, Silhouette: 0, TreeAccuracy: 1,
-				SampleSize: len(sampleRows),
-				Root:       e.wholeSelection(rows),
-			}, nil, nil
-		}
-	} else {
-		// Derived artifact: the sample is already chosen and prepped;
-		// only the description stage still needs the raw tuples. The
-		// gather is this path's whole sampling work, so it books under
-		// the sample span.
-		sp := tr.Start("sample")
-		var err error
-		sample, err = e.gatherSample(art.sampleRows, theme, sc)
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
+	// Stage 1: preprocessing. A selection that is constant (or key-only)
+	// on the theme's columns has no cluster structure left: degrade to a
+	// single-region map instead of failing, so users can zoom to the
+	// bottom of any region and still roll back.
+	sp = tr.Start("prep")
+	pipe, vecs, err := e.prepStage(sample, theme, sc)
+	sp.End()
+	if err != nil {
+		report(1)
+		return &Map{
+			Theme: theme, K: 1, Silhouette: 0, TreeAccuracy: 1,
+			SampleSize: len(sampleRows),
+			Root:       e.wholeSelection(rows),
+		}, nil
 	}
 
 	// Stage 2a: the distance oracle over the prepared vectors, and the
 	// storage the engine chose for it.
-	sp := tr.Start("oracle")
-	oracle := e.oracleStage(art.vecs, sc)
+	sp = tr.Start("oracle")
+	oracle := e.oracleStage(vecs, sc)
 	sp.End()
 	storage := "lazy"
 	if _, ok := oracle.(*cluster.DistMatrix); ok {
@@ -145,9 +124,9 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	tr.SetAttr("oracle", storage)
 	report(0.15)
 
-	m, err := e.mapOver(ctx, oracle, art, sample, rows, theme, rng, sc, report)
+	m, err := e.mapOver(ctx, oracle, pipe, sample, rows, theme, rng, sc, report)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Distance work is the oracle's own evaluation count (cluster.Oracle's
 	// DistEvals): a matrix's cells, a lazy oracle's rows and subset
@@ -157,12 +136,12 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	if d := oracle.DistEvals(); tr != nil && d > 0 {
 		tr.Int("oracleDistEvals").Add(d)
 	}
-	return m, art, nil
+	return m, nil
 }
 
 // mapOver runs cluster detection and description over the build's
 // oracle (stages 2b–4 of buildMapStaged).
-func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, sc *buildScratch, report func(float64)) (*Map, error) {
+func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, pipe *prep.Pipeline, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, sc *buildScratch, report func(float64)) (*Map, error) {
 	tr := obs.TraceFrom(ctx)
 	// Stage 2b: cluster detection with automatic k.
 	sp := tr.Start("cluster")
@@ -179,7 +158,7 @@ func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, art *buil
 	// Stages 3–4: cluster description and extension to the full
 	// selection.
 	sp = tr.Start("region")
-	m, err := e.regionStage(ctx, oracle, art, sample, clustering, rows, theme, sc, report)
+	m, err := e.regionStage(ctx, oracle, pipe, sample, clustering, rows, theme, sc, report)
 	sp.End()
 	return m, err
 }
@@ -208,14 +187,17 @@ func (e *Explorer) gatherSample(rows []int, theme Theme, sc *buildScratch) (*sto
 }
 
 // prepStage fits the preprocessing pipeline on the gathered sample and
-// wraps the result in a build artifact. The error return marks a
-// degenerate sample — constant or key-only on the theme's columns.
-func (e *Explorer) prepStage(sample *store.Table, sampleRows []int, theme Theme) (*buildArtifact, error) {
-	pipe, vecs, err := prep.FitTransform(sample, theme.Columns, prep.Options{})
+// vectorizes it into the vector slab of sc: one header per sample row,
+// each a window of one float slab. The error return marks a degenerate
+// sample — constant or key-only on the theme's columns.
+func (e *Explorer) prepStage(sample *store.Table, theme Theme, sc *buildScratch) (*prep.Pipeline, [][]float64, error) {
+	pipe, err := prep.Fit(sample, theme.Columns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &buildArtifact{sampleRows: sampleRows, pipe: pipe, vecs: vecs}, nil
+	vecs, slab, err := pipe.Transform(sample, sc.vecs, sc.vecSlab)
+	sc.vecs, sc.vecSlab = vecs, slab
+	return pipe, vecs, err
 }
 
 // oracleStage builds the distance oracle over the vectors.
@@ -264,9 +246,9 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 // in the tree buffers of sc, scores each cluster in its cluster buffers
 // when the sweep left no per-cluster means, and mirrors the tree over
 // the full selection (steps 4–5 of buildMapStaged).
-func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *buildArtifact, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, sc *buildScratch, report func(float64)) (*Map, error) {
+func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, pipe *prep.Pipeline, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, sc *buildScratch, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
-		SampleSize: len(art.sampleRows)}
+		SampleSize: oracle.N()}
 	if clustering.K < 2 {
 		m.Root = e.wholeSelection(rows)
 		m.TreeAccuracy = 1
@@ -276,7 +258,7 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, art *
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	features := art.pipe.UsedColumns()
+	features := pipe.UsedColumns()
 	tr, err := sc.tree.Fit(sample, features, clustering.Labels, clustering.K, tree.Options{
 		MaxDepth: e.data.opts.TreeMaxDepth,
 		MinLeaf:  e.data.opts.TreeMinLeaf,

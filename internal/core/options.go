@@ -11,12 +11,12 @@
 // cluster.DefaultMaterializeThreshold objects, a lazy on-demand oracle
 // above it, which is what lets the sampling budget default to 5000
 // tuples without quadratic memory. Both answer with the same bits, so
-// the choice never changes a map. The oracle lives for one build: a
-// zoom inside an already-clustered selection re-slices the cached
-// sample's vectors instead of drawing and fitting a new sample, then
-// computes its own distances over them, and builds compute their
-// matrices in build scratch off the dataset's free list, which every
-// session on the dataset shares.
+// the choice never changes a map. Every build that clusters draws its
+// own sample, as the paper's zoom does ("After each zoom, Blaeu only
+// takes a few thousand samples", §3), and its sample, vectors and oracle
+// live for that build alone, in build scratch off the dataset's free
+// list, which every session on the dataset shares. A session's reuse
+// cache keeps finished maps only.
 package core
 
 import "math/rand"
@@ -57,18 +57,10 @@ type Options struct {
 	// keyed by (row-set fingerprint, row count, theme) and reused when
 	// navigation revisits a selection, e.g. rollback followed by a
 	// re-zoom into the same region. The options are not in the key: they
-	// are the dataset's, fixed before any session opens. A cold
-	// build's entry also keeps its sample rows and fitted vectors, so a
-	// miss whose rows overlap that sample re-slices the parent's vectors
-	// instead of sampling and fitting anew. 0 means DefaultMapCacheSize;
-	// negative disables the cache, derivation included.
+	// are the dataset's, fixed before any session opens. An entry holds
+	// only its map; every miss builds cold, drawing and fitting its own
+	// sample. 0 means DefaultMapCacheSize; negative disables the cache.
 	MapCacheSize int
-	// DerivedSampleMin is the smallest overlap (rows of a new selection
-	// found in a cached parent's sample) a derived build accepts as its
-	// clustering sample; below it, or below a fifth of what a cold build
-	// would cluster (min(len(rows), SampleSize)), the build runs cold.
-	// 0 means the default (128); negative disables derivation.
-	DerivedSampleMin int
 }
 
 // historyLimit bounds the rollback stack. It counts the initial state,
@@ -78,14 +70,13 @@ const historyLimit = 64
 // DefaultOptions returns the engine defaults described in the paper.
 func DefaultOptions() Options {
 	return Options{
-		SampleSize:       5000,
-		MapKMin:          2,
-		MapKMax:          6,
-		TreeMaxDepth:     3,
-		TreeMinLeaf:      8,
-		PAMThreshold:     1024,
-		MapCacheSize:     DefaultMapCacheSize,
-		DerivedSampleMin: defaultDerivedSampleMin,
+		SampleSize:   5000,
+		MapKMin:      2,
+		MapKMax:      6,
+		TreeMaxDepth: 3,
+		TreeMinLeaf:  8,
+		PAMThreshold: 1024,
+		MapCacheSize: DefaultMapCacheSize,
 	}
 }
 
@@ -114,9 +105,6 @@ func (o *Options) defaults() {
 	}
 	if o.MapCacheSize == 0 {
 		o.MapCacheSize = d.MapCacheSize
-	}
-	if o.DerivedSampleMin == 0 {
-		o.DerivedSampleMin = d.DerivedSampleMin
 	}
 }
 

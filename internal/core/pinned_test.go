@@ -55,7 +55,7 @@ func largestLeaf(m *Map) []int {
 }
 
 // assertAscending checks the ordering contract of State.Rows and
-// Region.RowIDs that findDerivable's RowSet.Intersect relies on.
+// Region.RowIDs: a selection is read in base-table row order.
 func assertAscending(t *testing.T, what string, rows []int) {
 	t.Helper()
 	if !sort.IntsAreSorted(rows) {
@@ -97,9 +97,8 @@ func openPinned(t *testing.T, table store.Relation, opts Options, open string) *
 // project → rollback → zoom → filter and returns the textual digest of
 // every map on the way, asserting on the way that every state's and
 // region's rows are ascending (a region's read through RowIDs, as many
-// as it counts). wantZoom is the reuse level the first zoom must
-// resolve to.
-func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom ReuseLevel, open string) string {
+// as it counts), and that the first zoom builds cold.
+func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, open string) string {
 	t.Helper()
 	e := openPinned(t, pinnedTable(n, seed).Table, opts, open)
 	if len(e.Themes()) < 2 {
@@ -132,8 +131,8 @@ func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Reuse() != wantZoom {
-		t.Fatalf("first zoom resolved as %q, want %q", b.Reuse(), wantZoom)
+	if b.Reuse() != ReuseCold {
+		t.Fatalf("first zoom resolved as %q, want %q", b.Reuse(), ReuseCold)
 	}
 	m, err = e.runAndApply(b, nil)
 	record("zoom", m, err)
@@ -169,35 +168,34 @@ func pinnedNavigation(t *testing.T, n int, seed int64, opts Options, wantZoom Re
 // the seed's stream, the four cases whose maps depend on the stream
 // (clara, lazy, derived-lazy, derived-clara) fail on both ways; exact
 // PAM over the whole table maps alike under any stream.
+//
+// Every case runs with the map cache on, so the re-zoom after the
+// rollback is a hit and every other build is cold.
 func TestPinnedNavigationDigests(t *testing.T) {
-	cold := func(o Options) Options { o.DerivedSampleMin = -1; return o }
 	cases := []struct {
 		name string
 		n    int
 		seed int64
 		opts Options
-		zoom ReuseLevel
 		want string
 	}{
-		// Exact PAM over a materialized matrix, every build cold.
-		{"pam", 900, 11, cold(Options{Seed: 3}), ReuseCold, "0d4ac904dfc2f18b"},
+		// Exact PAM over a materialized matrix.
+		{"pam", 900, 11, Options{Seed: 3}, "0d4ac904dfc2f18b"},
 		// Sample above PAMThreshold: CLARA + Monte-Carlo silhouettes.
-		{"clara", 3000, 12, cold(Options{Seed: 4, SampleSize: 1500, PAMThreshold: 400}), ReuseCold, "838acf4c66ecba67"},
-		{"pam-seed5", 900, 13, cold(Options{Seed: 5}), ReuseCold, "2b6fa3f402622eb1"},
+		{"clara", 3000, 12, Options{Seed: 4, SampleSize: 1500, PAMThreshold: 400}, "838acf4c66ecba67"},
+		{"pam-seed5", 900, 13, Options{Seed: 5}, "2b6fa3f402622eb1"},
 		// A 2500-object sample: the engine clusters it over a lazy oracle,
 		// and CLARA's samples subset it.
-		{"lazy", 3000, 19, cold(Options{Seed: 11, SampleSize: 2500}), ReuseCold, "a8350c62cc2b31c9"},
-		// Zooms derived from the select's artifact, one per storage;
-		// derived-clara subsets a derived view again (CLARA's samples).
-		{"derived-matrix", 900, 15, Options{Seed: 7}, ReuseOracleDerived, "34c9d163be80c8c3"},
-		{"derived-matrix-seed8", 900, 16, Options{Seed: 8}, ReuseOracleDerived, "4482722ac80a598d"},
-		{"derived-lazy", 3000, 20, Options{Seed: 12, SampleSize: 2500}, ReuseOracleDerived, "14e7b45a6a04961e"},
-		{"derived-clara", 3000, 18, Options{Seed: 10, SampleSize: 1500, PAMThreshold: 400}, ReuseOracleDerived, "6faddfa95f8ef9cf"},
+		{"lazy", 3000, 19, Options{Seed: 11, SampleSize: 2500}, "a8350c62cc2b31c9"},
+		{"derived-matrix", 900, 15, Options{Seed: 7}, "074c7a9cdf426897"},
+		{"derived-matrix-seed8", 900, 16, Options{Seed: 8}, "fcd0058c793c9816"},
+		{"derived-lazy", 3000, 20, Options{Seed: 12, SampleSize: 2500}, "7af66680d7c5d17b"},
+		{"derived-clara", 3000, 18, Options{Seed: 10, SampleSize: 1500, PAMThreshold: 400}, "c37ce6cacb42cd06"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, open := range []string{openOwn, openShared} {
-				text := pinnedNavigation(t, tc.n, tc.seed, tc.opts, tc.zoom, open)
+				text := pinnedNavigation(t, tc.n, tc.seed, tc.opts, open)
 				h := fnv.New64a()
 				h.Write([]byte(text))
 				if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {

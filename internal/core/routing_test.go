@@ -101,7 +101,7 @@ func TestSelectAndZoomBuildNoRegionRows(t *testing.T) {
 // map itself, so a region's rows are built once — through whichever
 // state reads them first — and read for free through every other state
 // holding the map, also when they read concurrently. Run under -race by
-// `make race-derived`.
+// `make race-build`.
 func TestMapCacheHitSharesRegionRows(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 1})
 	orig, err := e.SelectTheme(0)
@@ -195,18 +195,18 @@ func TestRegionStageByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := e.prepStage(sample, sampleRows, theme)
+	pipe, vecs, err := e.prepStage(sample, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := e.oracleStage(art.vecs, &buildScratch{})
+	oracle := e.oracleStage(vecs, &buildScratch{})
 	cl, err := e.clusterStage(ctx, oracle, rng, &buildScratch{}, func(float64) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &buildScratch{}
 	run := func() *Map {
-		m, err := e.regionStage(ctx, oracle, art, sample, cl, rows, theme, sc, func(float64) {})
+		m, err := e.regionStage(ctx, oracle, pipe, sample, cl, rows, theme, sc, func(float64) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func (t *Trace) Int(name string) *atomic.Int64 {
 	return c
 }
 
-// SetAttr attaches a string attribute (e.g. reuse="oracleDerived").
+// SetAttr attaches a string attribute (e.g. reuse="cold").
 // Nil-safe.
 func (t *Trace) SetAttr(key, value string) {
 	if t == nil {

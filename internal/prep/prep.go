@@ -154,21 +154,33 @@ func (p *Pipeline) UsedColumns() []string {
 	return out
 }
 
-// Transform vectorizes every row of t. The table must contain the fitted
+// Transform vectorizes every row of t into the given storage: vecs's
+// headers and one float slab, each reallocated only when too short. Row
+// r's vector is a window of the slab, capped at Dim, so an append to
+// one never writes into the next. It returns the vectors and the slab,
+// to be passed back in by the next call once those vectors are dead;
+// nil storage allocates both. The table must contain the fitted
 // columns.
-func (p *Pipeline) Transform(t *store.Table) ([][]float64, error) {
-	n := t.NumRows()
+func (p *Pipeline) Transform(t *store.Table, vecs [][]float64, slab []float64) ([][]float64, []float64, error) {
+	n, dim := t.NumRows(), p.Dim()
 	cols := make([]store.Column, len(p.features))
 	for i, f := range p.features {
 		c := t.ColumnByName(f.col)
 		if c == nil {
-			return nil, fmt.Errorf("prep: transform table lacks column %q", f.col)
+			return vecs, slab, fmt.Errorf("prep: transform table lacks column %q", f.col)
 		}
 		cols[i] = c
 	}
-	out := make([][]float64, n)
+	if cap(vecs) < n {
+		vecs = make([][]float64, n)
+	}
+	vecs = vecs[:n]
+	if cap(slab) < n*dim {
+		slab = make([]float64, n*dim)
+	}
+	slab = slab[:n*dim]
 	for r := 0; r < n; r++ {
-		v := make([]float64, 0, p.Dim())
+		v := slab[r*dim : r*dim : (r+1)*dim]
 		for fi, f := range p.features {
 			c := cols[fi]
 			switch f.kind {
@@ -201,9 +213,9 @@ func (p *Pipeline) Transform(t *store.Table) ([][]float64, error) {
 				}
 			}
 		}
-		out[r] = v
+		vecs[r] = v
 	}
-	return out, nil
+	return vecs, slab, nil
 }
 
 // FitTransform fits a pipeline and vectorizes in one call. Its Options
@@ -213,7 +225,7 @@ func FitTransform(t *store.Table, cols []string, _ Options) (*Pipeline, [][]floa
 	if err != nil {
 		return nil, nil, err
 	}
-	vecs, err := p.Transform(t)
+	vecs, _, err := p.Transform(t, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

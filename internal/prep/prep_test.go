@@ -295,7 +295,7 @@ func TestErrors(t *testing.T) {
 	p, _ := Fit(tab, []string{"income"})
 	other := store.NewTable("other")
 	other.MustAddColumn(store.NewFloatColumnFrom("different", []float64{1}))
-	if _, err := p.Transform(other); err == nil {
+	if _, _, err := p.Transform(other, nil, nil); err == nil {
 		t.Error("transform on incompatible table should fail")
 	}
 }
@@ -311,12 +311,51 @@ func TestTransformOnNewRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs, err := p.Transform(newTab)
+	vecs, _, err := p.Transform(newTab, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vecs[0][0] != 0 || vecs[1][0] != 2 {
 		t.Errorf("transform = %g, %g, want 0, 2 on the fitted mean 5, deviation 5", vecs[0][0], vecs[1][0])
+	}
+}
+
+// TestTransformIntoStorage: Transform writes into the storage it is
+// handed — every row a Dim-capped window of the one slab — gives the
+// vectors a fresh call gives, and a later call on no more rows reuses
+// that storage instead of allocating.
+func TestTransformIntoStorage(t *testing.T) {
+	tab := store.NewTable("t")
+	tab.MustAddColumn(store.NewFloatColumnFrom("x", []float64{1, 2, 3, 4}))
+	tab.MustAddColumn(store.NewStringColumnFrom("s", []string{"a", "b", "a", "b"}))
+	p, err := Fit(tab, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := p.Transform(tab, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs, slab, err := p.Transform(tab, make([][]float64, 0, 8), make([]float64, 0, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, v := range vecs {
+		if cap(v) != p.Dim() || &v[0] != &slab[r*p.Dim()] {
+			t.Fatalf("row %d: cap %d, not the slab's window %d", r, cap(v), r)
+		}
+		for j := range v {
+			if v[j] != want[r][j] {
+				t.Fatalf("row %d: %v, want %v", r, v, want[r])
+			}
+		}
+	}
+	again, slab2, err := p.Transform(tab, vecs, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &vecs[0] || &slab2[0] != &slab[0] {
+		t.Error("a second transform into the first's storage reallocated it")
 	}
 }
 

@@ -72,7 +72,7 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	var out struct {
 		Sessions map[string]struct {
 			Map struct {
-				Hits, Derived, Misses, Entries, Capacity int
+				Hits, Misses, Entries, Capacity int
 			} `json:"map"`
 		} `json:"sessions"`
 		Totals json.RawMessage `json:"totals"`
@@ -92,9 +92,6 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	}
 	if s.Map.Capacity == 0 {
 		t.Error("default capacity should be non-zero")
-	}
-	if s.Map.Derived > s.Map.Misses {
-		t.Errorf("derived %d > misses %d (only a miss derives)", s.Map.Derived, s.Map.Misses)
 	}
 	if s.Map.Entries < 2 {
 		t.Errorf("entries = %d, want >= 2 (the select and the zoom)", s.Map.Entries)

@@ -150,7 +150,6 @@ func (s *Server) collectCacheStats() cacheStatsJSON {
 		out.Sessions[id] = rs
 		sum := &out.Totals.Map
 		sum.Hits += rs.Map.Hits
-		sum.Derived += rs.Map.Derived
 		sum.Misses += rs.Map.Misses
 		sum.Entries += rs.Map.Entries
 		sum.Capacity += rs.Map.Capacity
@@ -160,8 +159,7 @@ func (s *Server) collectCacheStats() cacheStatsJSON {
 }
 
 // handleCacheStats serves the per-session and aggregate reuse-cache
-// counters: hits, misses and the derivations among them, occupancy and
-// evictions.
+// counters: hits, misses, occupancy and evictions.
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.collectCacheStats())
 }

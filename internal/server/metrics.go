@@ -30,7 +30,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves the per-build stage trace: span durations for
-// sample/prep/oracle/cluster/region (and derive), distance-evaluation and
+// sample/prep/oracle/cluster/region, distance-evaluation and
 // page-read counters, and the reuse-ladder outcome. The trace exists
 // once the job has started running; a still-queued job 404s.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
@@ -59,7 +59,6 @@ func (s *Server) registerCacheGauges() {
 	}
 	l := obs.Labels{"tier": "map"}
 	hits := reg.Gauge("blaeu_cache_hits", "Reuse-cache hits summed over open sessions.", l)
-	derived := reg.Gauge("blaeu_cache_derived", "Reuse-cache misses derived from a cached parent, summed over open sessions.", l)
 	misses := reg.Gauge("blaeu_cache_misses", "Reuse-cache misses summed over open sessions.", l)
 	entries := reg.Gauge("blaeu_cache_entries", "Cached entries summed over open sessions.", l)
 	capacity := reg.Gauge("blaeu_cache_capacity", "Configured cache capacity summed over open sessions.", l)
@@ -67,7 +66,6 @@ func (s *Server) registerCacheGauges() {
 	reg.RegisterCollector(func() {
 		t := s.collectCacheStats().Totals.Map
 		hits.Set(float64(t.Hits))
-		derived.Set(float64(t.Derived))
 		misses.Set(float64(t.Misses))
 		entries.Set(float64(t.Entries))
 		capacity.Set(float64(t.Capacity))

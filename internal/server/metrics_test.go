@@ -185,7 +185,6 @@ func TestMetricsScrape(t *testing.T) {
 		`blaeu_build_seconds_bucket{action="select"`,
 		// reuse cache
 		`blaeu_cache_hits{tier="map"}`,
-		`blaeu_cache_derived{tier="map"}`,
 		`blaeu_cache_misses{tier="map"}`,
 		// buffer pool
 		"blaeu_pagepool_hits_total",
@@ -332,7 +331,7 @@ func TestJobTraceRoundTrip(t *testing.T) {
 
 	attrs, _ := tr["attrs"].(map[string]any)
 	switch attrs["reuse"] {
-	case string(core.ReuseMapHit), string(core.ReuseOracleDerived), string(core.ReuseCold):
+	case string(core.ReuseMapHit), string(core.ReuseCold):
 	default:
 		t.Errorf("trace attrs.reuse = %v, want a reuse tier", attrs["reuse"])
 	}

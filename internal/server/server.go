@@ -156,9 +156,8 @@ type stateJSON struct {
 	// Scheduler is the scheduler's view of this session: tenant, queue
 	// depth against the per-session cap, running job count.
 	Scheduler jobs.SessionStats `json:"scheduler"`
-	// Cache is the session's reuse-cache breakdown (hits, misses and
-	// the derivations among them, occupancy, evictions), so build reuse
-	// is observable over the wire.
+	// Cache is the session's reuse-cache breakdown (hits, misses,
+	// occupancy, evictions), so build reuse is observable over the wire.
 	Cache core.ReuseStats `json:"cache"`
 }
 

@@ -100,10 +100,9 @@ type poolStatser interface {
 // corrupted history.
 //
 // Every build job reports its reuse level in its metadata ({"reuse":
-// "mapHit" | "oracleDerived" | "cold"}, see core.ReuseLevel): whether it
-// was served from the map cache without rebuilding oracle, clustering or
-// tree, rebuilt over a sample and vectors derived from a cached
-// parent's, or built entirely from scratch.
+// "mapHit" | "cold"}, see core.ReuseLevel): whether it was served from
+// the map cache without rebuilding oracle, clustering or tree, or built
+// from a sample of its own.
 //
 // The job function records an obs.Trace (stage spans, distance-evaluation
 // and page-read counters, the reuse tier) retrievable through the job

@@ -153,16 +153,14 @@ func TestCacheHitMetadata(t *testing.T) {
 	}
 }
 
-// TestReuseLevelMetadata walks the reuse ladder over the wire-visible
-// job metadata: a first selection is cold, a zoom inside it derives its
-// sample from the cached artifact, and a re-zoom after rollback is a
+// TestReuseLevelMetadata walks the reuse levels over the wire-visible
+// job metadata: a first selection is cold, a zoom inside it is cold too
+// (a cache entry holds only its map), and a re-zoom after rollback is a
 // map hit.
 func TestReuseLevelMetadata(t *testing.T) {
 	m := NewManagerObs(jobs.Config{Workers: 1}, nil)
 	defer m.Shutdown()
-	// The 200-row test table needs a lower derivation floor than the
-	// production default of 128 rows.
-	s, _ := openTable(m, smallTable(), core.Options{Seed: 1, DerivedSampleMin: 10}, "")
+	s, _ := openTable(m, smallTable(), core.Options{Seed: 1}, "")
 	sel := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionSelect, Theme: 0}})
 	if err := waitJob(t, sel); err != nil {
 		t.Fatal(err)
@@ -179,8 +177,8 @@ func TestReuseLevelMetadata(t *testing.T) {
 	if err := waitJob(t, zoom); err != nil {
 		t.Fatal(err)
 	}
-	if got := zoom.Info().Meta["reuse"]; got != "oracleDerived" {
-		t.Errorf("first zoom reuse = %v, want oracleDerived", got)
+	if got := zoom.Info().Meta["reuse"]; got != "cold" {
+		t.Errorf("first zoom reuse = %v, want cold", got)
 	}
 	_ = s.Do(func(e *core.Explorer) error { return e.Rollback() })
 	re := mustSubmit(t, s, m, Action{Action: core.Action{Kind: core.ActionZoom, Path: path}})

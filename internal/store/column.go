@@ -60,8 +60,6 @@ type Column interface {
 	AppendNull()
 	// Gather returns a new column containing the given rows, in order.
 	Gather(rows []int) Column
-	// Slice returns a new column with rows [lo, hi).
-	Slice(lo, hi int) Column
 }
 
 // ---------------------------------------------------------------------------
@@ -165,19 +163,6 @@ func (c *FloatColumn) gatherIn(rows []int, buf []float64) Column {
 	return out
 }
 
-// Slice implements Column.
-func (c *FloatColumn) Slice(lo, hi int) Column {
-	out := newFloatColumnIn(c.name, nil, max(hi-lo, 0))
-	for i := lo; i < hi; i++ {
-		if c.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.Append(c.vals[i])
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Int column
 
@@ -259,19 +244,6 @@ func (c *IntColumn) Gather(rows []int) Column {
 			out.AppendNull()
 		} else {
 			out.Append(c.vals[r])
-		}
-	}
-	return out
-}
-
-// Slice implements Column.
-func (c *IntColumn) Slice(lo, hi int) Column {
-	out := newIntColumnCap(c.name, max(hi-lo, 0))
-	for i := lo; i < hi; i++ {
-		if c.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.Append(c.vals[i])
 		}
 	}
 	return out
@@ -414,19 +386,6 @@ func (c *StringColumn) Gather(rows []int) Column {
 	return out
 }
 
-// Slice implements Column.
-func (c *StringColumn) Slice(lo, hi int) Column {
-	out := newStringColumnCap(c.name, max(hi-lo, 0))
-	for i := lo; i < hi; i++ {
-		if c.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.Append(c.Value(i))
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Bool column
 
@@ -517,19 +476,6 @@ func (c *BoolColumn) Gather(rows []int) Column {
 			out.AppendNull()
 		} else {
 			out.Append(c.vals.Get(r))
-		}
-	}
-	return out
-}
-
-// Slice implements Column.
-func (c *BoolColumn) Slice(lo, hi int) Column {
-	out := newBoolColumnCap(c.name, max(hi-lo, 0))
-	for i := lo; i < hi; i++ {
-		if c.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.Append(c.vals.Get(i))
 		}
 	}
 	return out

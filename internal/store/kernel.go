@@ -614,17 +614,6 @@ func orBytes(m, other []uint8) {
 	}
 }
 
-// countBytes returns how many bytes of m are 1.
-//
-//blaeu:hot
-func countBytes(m []uint8) int {
-	n := 0
-	for _, b := range m {
-		n += int(b)
-	}
-	return n
-}
-
 // keepSel writes the offsets of sel whose match byte is set, and their
 // positions, to the front of out and outPos, in order, and returns how
 // many; the outputs may be the inputs.

@@ -142,8 +142,9 @@ func (t *columnSet) Head(n int) *Table {
 		n = 0
 	}
 	out := NewTable(t.name)
+	rows := rangeRows(0, n)
 	for _, c := range t.cols {
-		out.MustAddColumn(c.Slice(0, n))
+		out.MustAddColumn(c.Gather(rows))
 	}
 	if len(t.cols) == 0 {
 		out.numRows = n

@@ -18,7 +18,7 @@ import (
 //   - a bitmap over its span [lo, hi), at span/8 bytes;
 //   - an ascending list, at 8 bytes a row.
 //
-// Readers never ask which: Len, Each, AppendTo, Pick, Intersect and
+// Readers never ask which: Len, Each, AppendTo, Pick and
 // Fingerprint read any form, and the kernels read a set as page runs
 // (runs). Safe for concurrent use.
 type RowSet struct {
@@ -170,34 +170,6 @@ func (s *RowSet) Pick(pos []int) []int {
 		}
 	}
 	return pos
-}
-
-// Intersect returns the positions in ids of the ids the set holds,
-// ascending: a sorted intersection at one membership test per id (a
-// binary search in a list), however large the set.
-func (s *RowSet) Intersect(ids []int) []int {
-	var pos []int
-	for p, r := range ids {
-		if s.has(r) {
-			pos = append(pos, p)
-		}
-	}
-	return pos
-}
-
-// has reports whether row r is in the set.
-func (s *RowSet) has(r int) bool {
-	d := uint(r - s.lo)
-	switch {
-	case d >= uint(s.hi-s.lo):
-		return false
-	case s.ids != nil:
-		at := splitBefore(s.ids, r)
-		return s.ids[at] == r
-	case s.words != nil:
-		return s.words[d>>6]>>(d&63)&1 != 0
-	}
-	return true
 }
 
 // runs is how the kernels read a set: it cuts the set into runs of at

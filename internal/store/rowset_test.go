@@ -87,22 +87,6 @@ func assertRowSet(t *testing.T, what string, s *RowSet, ids []int, rng *rand.Ran
 			t.Fatalf("%s: Pick(%v) = %v, want %v", what, pos, got, want)
 		}
 	}
-	// Intersect against a probe that mixes members, non-members and rows
-	// outside the span.
-	in := map[int]bool{}
-	for _, r := range ids {
-		in[r] = true
-	}
-	var probe, want []int
-	for r := 0; r < 2100; r += 1 + rng.Intn(5) {
-		if in[r] {
-			want = append(want, len(probe))
-		}
-		probe = append(probe, r)
-	}
-	if got := s.Intersect(probe); !equalInts(got, want) {
-		t.Fatalf("%s: Intersect = %v, want %v", what, got, want)
-	}
 	if got, want := s.Fingerprint(), fingerprintOf(ids); got != want {
 		t.Fatalf("%s: Fingerprint %x, want %x", what, got, want)
 	}

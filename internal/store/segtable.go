@@ -299,9 +299,8 @@ func gatherSeg[T any, C interface {
 	return out
 }
 
-// Slice implements Column.
-func (c *segCol) Slice(lo, hi int) Column { return c.Gather(rangeRows(lo, hi)) }
-
+// rangeRows returns the rows [lo, hi), ascending: a range as a gather's
+// row list.
 func rangeRows(lo, hi int) []int {
 	if hi < lo {
 		hi = lo

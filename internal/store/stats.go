@@ -276,7 +276,7 @@ func IsLikelyKey(c Column) bool {
 	limit := min(n, maxKeyScanRows)
 	if seg, ok := c.(*segCol); ok {
 		// One cursor pass over the prefix, not a pool round trip per row.
-		c = seg.Slice(0, limit)
+		c = seg.Gather(rangeRows(0, limit))
 	}
 	// repeated reports whether row i's value occurred before it.
 	var repeated func(i int) bool

@@ -187,9 +187,9 @@ func TestColumnGatherSlice(t *testing.T) {
 		if g.StringAt(0) != c.StringAt(4) || g.StringAt(2) != c.StringAt(2) {
 			t.Errorf("%s gather order wrong", c.Name())
 		}
-		sl := c.Slice(1, 4)
+		sl := c.Gather(rangeRows(1, 4))
 		if sl.Len() != 3 || sl.StringAt(0) != c.StringAt(1) {
-			t.Errorf("%s slice wrong", c.Name())
+			t.Errorf("%s range gather wrong", c.Name())
 		}
 	}
 }
@@ -773,7 +773,7 @@ func likelyKeyByStats(c Column) bool {
 		return false
 	}
 	if c.Len() > maxKeyScanRows {
-		c = c.Slice(0, maxKeyScanRows)
+		c = c.Gather(rangeRows(0, maxKeyScanRows))
 	}
 	s := ComputeStats(c)
 	if s.Nulls > 0 || s.Count == 0 {
