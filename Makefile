@@ -24,16 +24,18 @@ race-jobs:
 # (TestConcurrentFitsShareTreeScratch), selects through CLARA and zooms
 # through exact PAM sweeping in that scratch's cluster buffers, regrowing
 # them while another build holds the other scratch
-# (TestConcurrentClusterScratch), the cluster-layer subsets of one
-# lazy parent, CLARA's per-sample runs subsetting one shared lazy
-# parent, the states holding one cached map building its regions' rows
-# and highlight statistics in its one routing, a map-cache hit running
+# (TestConcurrentClusterScratch), subsets of one lazy oracle built and
+# read at once, and CLARA's per-sample runs subsetting one shared lazy
+# oracle and reading its rows for their assignments
+# (TestLazySubsetsConcurrent*), the states holding one cached map
+# building its regions' rows and highlight statistics in its one
+# routing, a map-cache hit running
 # while its cached map's state is annotated (TestAnnotateDuringHitBuild),
 # and sessions opened at once on one Dataset, each adding a theme and
 # building a map over the shared dependency graph and themes
 # (TestDatasetConcurrentOpens).
 race-build:
-	go test -race -count=2 -run 'ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|DerivedOraclesConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|LazySubsetsConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,

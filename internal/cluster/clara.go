@@ -61,8 +61,9 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 }
 
 // claraSample is one CLARA sample's slot in a Scratch: its ids, the
-// bitmap they were drawn through, its subset's storage, its PAM run and
-// that run's medoids as ids of the full set with their full-data cost.
+// bitmap they were drawn through, its subset's storage, its PAM run,
+// that run's medoids as ids of the full set with their full-data cost,
+// and assignInto's buffers.
 // Only the sample's own task writes it.
 type claraSample struct {
 	ids     []int
@@ -72,6 +73,8 @@ type claraSample struct {
 	medoids []int
 	cost    float64
 	err     error
+	row     []float64
+	best    []float64
 }
 
 // clara is CLARA in s: each sample in its slot, the winner's labels in
@@ -122,7 +125,8 @@ func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error)
 		// Cost the sample's medoids over the full dataset — the
 		// expensive O(n·k) half of a sample's work, also parallelized
 		// by the fan-out. Only the winner is labelled, below.
-		sm.cost = assignInto(o, sm.medoids, nil)
+		sm.row, sm.best = grow(sm.row, n), grow(sm.best, n)
+		sm.cost = assignInto(o, sm.medoids, nil, sm.row, sm.best)
 	})
 
 	var best *claraSample
@@ -138,6 +142,6 @@ func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error)
 		}
 	}
 	labels := s.labels(n)
-	assignInto(o, best.medoids, labels)
+	assignInto(o, best.medoids, labels, best.row, best.best)
 	return &Clustering{K: k, Labels: labels, Medoids: slices.Clone(best.medoids), Cost: best.cost, Silhouette: math.NaN()}, nil
 }

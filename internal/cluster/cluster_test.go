@@ -67,6 +67,34 @@ func agree(a, b []int) float64 {
 	return float64(match) / float64(len(a))
 }
 
+// pairMatrix is o's distances as a DistMatrix read from its rows, for
+// tests that query pairs one at a time: an Oracle serves only rows and
+// subsets. A matrix is its own. Over a lazy oracle it books n rows of
+// evaluations.
+func pairMatrix(o Oracle) *DistMatrix {
+	if m, ok := o.(*DistMatrix); ok {
+		return m
+	}
+	n := o.N()
+	m := NewDistMatrix(n)
+	row := make([]float64, n)
+	for i := 0; i < n; i++ {
+		o.RowInto(i, row)
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, row[j])
+		}
+	}
+	return m
+}
+
+// assign is assignInto in buffers of its own: every object's nearest
+// medoid and the total cost.
+func assign(o Oracle, medoids []int) ([]int, float64) {
+	n := o.N()
+	labels := make([]int, n)
+	return labels, assignInto(o, medoids, labels, make([]float64, n), make([]float64, n))
+}
+
 func TestDistMatrix(t *testing.T) {
 	m := NewDistMatrix(4)
 	m.Set(0, 1, 1)
@@ -96,7 +124,7 @@ func TestComputeDistMatrixMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vecs, _ := blobs(rng, 2, 10, 3, 5)
 	m := ComputeDistMatrix(vecs, stats.Euclidean{})
-	o := NewLazyOracle(vecs, stats.Euclidean{})
+	o := pairMatrix(NewLazyOracle(vecs, stats.Euclidean{}))
 	for i := 0; i < len(vecs); i++ {
 		for j := 0; j < len(vecs); j++ {
 			if math.Abs(m.Dist(i, j)-o.Dist(i, j)) > 1e-12 {
@@ -200,18 +228,24 @@ func TestPAMDeterministic(t *testing.T) {
 	}
 }
 
+// TestAssignToMedoids: CLARA's assignment labels each object with its
+// nearest medoid, an equidistant one with the earlier medoid, and sums
+// the distances.
 func TestAssignToMedoids(t *testing.T) {
-	vecs := [][]float64{{0}, {1}, {9}, {10}}
+	vecs := [][]float64{{0}, {1}, {9}, {10}, {5}}
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	labels, cost := AssignToMedoids(o, []int{0, 3})
-	want := []int{0, 0, 1, 1}
+	labels, cost := assign(o, []int{0, 3})
+	want := []int{0, 0, 1, 1, 0}
 	for i := range want {
 		if labels[i] != want[i] {
 			t.Fatalf("labels = %v, want %v", labels, want)
 		}
 	}
-	if cost != 2 {
-		t.Errorf("cost = %g, want 2", cost)
+	if cost != 7 {
+		t.Errorf("cost = %g, want 7", cost)
+	}
+	if got := o.DistEvals(); got != 2*4 {
+		t.Errorf("the assignment made %d evaluations, want its two medoid rows' 8", got)
 	}
 }
 
@@ -269,7 +303,7 @@ func TestCLARACostNeverWorseThanSingleSample(t *testing.T) {
 	for i, m := range first.Medoids {
 		medoids[i] = idx[m]
 	}
-	if _, single := AssignToMedoids(o, medoids); multi.Cost > single+1e-9 {
+	if _, single := assign(o, medoids); multi.Cost > single+1e-9 {
 		t.Errorf("%d-sample cost %g worse than the first sample's %g", claraSamples, multi.Cost, single)
 	}
 }
@@ -402,9 +436,11 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
 	// Above the threshold a one-k sweep must not try O(n²) PAM: its whole
-	// distance work is CLARA's five sample matrices of 80+4k = 88 objects
-	// and the Monte-Carlo silhouette's four rounds of 256, where PAM's
-	// rows alone would cost at least C(2400, 2) evaluations.
+	// distance work is CLARA's five sample matrices of 80+4k = 88 objects,
+	// the Monte-Carlo silhouette's four rounds of 256, and two medoid rows
+	// of 2 399 evaluations for each of the five samples' full-data costs
+	// and the winner's labels, where PAM's rows alone would cost at least
+	// C(2400, 2) evaluations.
 	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 2, LargeThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +448,8 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	if len(c.Labels) != o.N() || c.K != 2 {
 		t.Error("one-k sweep result malformed")
 	}
-	if got, want := o.DistEvals(), int64(5*88*87/2+4*256*255/2); got != want {
-		t.Errorf("a one-k sweep above the threshold made %d evaluations, want CLARA's and the Monte-Carlo rounds' %d", got, want)
+	if got, want := o.DistEvals(), int64(5*88*87/2+4*256*255/2+6*2*2399); got != want {
+		t.Errorf("a one-k sweep above the threshold made %d evaluations, want CLARA's, its assignments' and the Monte-Carlo rounds' %d", got, want)
 	}
 }
 

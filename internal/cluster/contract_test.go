@@ -34,73 +34,82 @@ func randomMatrix(n int, seed int64) *cluster.DistMatrix {
 	return m
 }
 
-// checkOracle asserts the Oracle contract on o, bit for bit: while
-// depth lasts, Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]) for an
-// ascending, a scrambled and an all-but-ascending idx, each subset being
-// held to the same contract in turn; then Dist is symmetric with a zero diagonal and
-// RowInto(i)[j] == Dist(i, j), twice.
+// rowsOf reads every row of o into an n×n table.
+func rowsOf(o cluster.Oracle) [][]float64 {
+	rows := make([][]float64, o.N())
+	for i := range rows {
+		rows[i] = make([]float64, o.N())
+		o.RowInto(i, rows[i])
+	}
+	return rows
+}
+
+// checkOracle asserts the Oracle contract on o, bit for bit: its rows
+// are symmetric with a zero diagonal, and read again give the same bits;
+// while depth lasts, row a of Subset(idx) at b is row idx[a] at idx[b]
+// for an ascending, a scrambled and an all-but-ascending idx, each
+// subset being held to the same contract in turn.
 func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 	t.Helper()
 	n := o.N()
-	// Subsets first: o has answered no row yet unless the caller warmed
-	// it.
-	if depth > 0 && n >= 2 {
-		var ascending []int
-		for i := 0; i < n; i += 2 {
-			ascending = append(ascending, i)
+	rows := rowsOf(o)
+	again := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if rows[i][i] != 0 {
+			t.Fatalf("%s: row %d at %d = %v, want 0", name, i, i, rows[i][i])
 		}
-		scrambled := rand.New(rand.NewSource(int64(n))).Perm(n)[:(2*n+2)/3]
-		// Ascending up to its last pair: a view must not take it for
-		// ascending, nor a scrambled view's ascending subset (composed
-		// over the view's own idx) for one.
-		lastSwapped := append([]int(nil), ascending...)
-		if m := len(lastSwapped); m >= 2 {
-			lastSwapped[m-2], lastSwapped[m-1] = lastSwapped[m-1], lastSwapped[m-2]
+		for j := 0; j < n; j++ {
+			if back := rows[j][i]; back != rows[i][j] {
+				t.Fatalf("%s: row %d at %d = %v but row %d at %d = %v", name, i, j, rows[i][j], j, i, back)
+			}
 		}
-		for _, sub := range []struct {
-			name string
-			idx  []int
-		}{{"ascending", ascending}, {"scrambled", scrambled}, {"lastSwapped", lastSwapped}} {
-			label := fmt.Sprintf("%s/%s", name, sub.name)
-			s := o.Subset(sub.idx)
-			if s.N() != len(sub.idx) {
-				t.Fatalf("%s: N = %d, want %d", label, s.N(), len(sub.idx))
+		o.RowInto(i, again)
+		for j, d := range again {
+			if d != rows[i][j] {
+				t.Fatalf("%s: row %d at %d read again = %v, was %v", name, i, j, d, rows[i][j])
 			}
-			for a, i := range sub.idx {
-				for b, j := range sub.idx {
-					if got, want := s.Dist(a, b), o.Dist(i, j); got != want {
-						t.Fatalf("%s: Dist(%d,%d) = %v, parent Dist(%d,%d) = %v", label, a, b, got, i, j, want)
-					}
-				}
-			}
-			checkOracle(t, label, s, depth-1)
 		}
 	}
-	row := make([]float64, n)
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < n; i++ {
-			o.RowInto(i, row)
-			for j := 0; j < n; j++ {
-				d := o.Dist(i, j)
-				if row[j] != d {
-					t.Fatalf("%s pass %d: RowInto(%d)[%d] = %v, Dist = %v", name, pass, i, j, row[j], d)
+	if depth == 0 || n < 2 {
+		return
+	}
+	var ascending []int
+	for i := 0; i < n; i += 2 {
+		ascending = append(ascending, i)
+	}
+	scrambled := rand.New(rand.NewSource(int64(n))).Perm(n)[:(2*n+2)/3]
+	// Ascending up to its last pair: a view must not take it for
+	// ascending, nor a scrambled view's ascending subset (composed over
+	// the view's own idx) for one.
+	lastSwapped := append([]int(nil), ascending...)
+	if m := len(lastSwapped); m >= 2 {
+		lastSwapped[m-2], lastSwapped[m-1] = lastSwapped[m-1], lastSwapped[m-2]
+	}
+	for _, sub := range []struct {
+		name string
+		idx  []int
+	}{{"ascending", ascending}, {"scrambled", scrambled}, {"lastSwapped", lastSwapped}} {
+		label := fmt.Sprintf("%s/%s", name, sub.name)
+		s := o.Subset(sub.idx)
+		if s.N() != len(sub.idx) {
+			t.Fatalf("%s: N = %d, want %d", label, s.N(), len(sub.idx))
+		}
+		for a, row := range rowsOf(s) {
+			for b, d := range row {
+				if want := rows[sub.idx[a]][sub.idx[b]]; d != want {
+					t.Fatalf("%s: row %d at %d = %v, parent row %d at %d = %v", label, a, b, d, sub.idx[a], sub.idx[b], want)
 				}
-				if back := o.Dist(j, i); back != d {
-					t.Fatalf("%s: Dist(%d,%d) = %v but Dist(%d,%d) = %v", name, i, j, d, j, i, back)
-				}
-			}
-			if row[i] != 0 {
-				t.Fatalf("%s: Dist(%d,%d) = %v, want 0", name, i, i, row[i])
 			}
 		}
+		checkOracle(t, label, s, depth-1)
 	}
 }
 
 // TestOracleContract holds every implementation of cluster.Oracle, and
 // two levels of subsets of each (a view, a view of the view, with
 // ascending and unsorted idx — so both row loops of a matrix view, and
-// an ascending view of an unsorted one), to the two laws written on the
-// interface. A matrix NewOracle built on a larger spent one's storage,
+// an ascending view of an unsorted one), to the three laws written on
+// the interface. A matrix NewOracle built on a larger spent one's storage,
 // whose cells held other distances, is held to them too.
 func TestOracleContract(t *testing.T) {
 	vecs := contractVecs(90, 21)

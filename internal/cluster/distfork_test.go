@@ -9,14 +9,15 @@ import (
 
 // distForkOracle is the half of every k-medoid loop that the one-contract
 // Oracle deleted, kept as a test double: an oracle with no row or subset
-// code of its own. RowInto is a loop of pair queries in the argument
+// code of its own. Its pairs are the wrapped oracle's, read once into a
+// matrix (pairMatrix); RowInto is a loop of pair queries in the argument
 // order the deleted loops used (Dist(j, i), object first, medoid or
 // candidate second), and Subset is a plain re-indexing wrapper.
 // Whatever a k-medoid loop computes over a real storage's rows and
 // views it must also compute over this.
 type distForkOracle struct {
-	o   Oracle
-	idx []int // fork object -> object of o
+	pairs *DistMatrix
+	idx   []int // fork object -> object of pairs
 }
 
 func newDistFork(o Oracle) distForkOracle {
@@ -24,12 +25,12 @@ func newDistFork(o Oracle) distForkOracle {
 	for i := range idx {
 		idx[i] = i
 	}
-	return distForkOracle{o: o, idx: idx}
+	return distForkOracle{pairs: pairMatrix(o), idx: idx}
 }
 
 func (f distForkOracle) N() int { return len(f.idx) }
 
-func (f distForkOracle) Dist(i, j int) float64 { return f.o.Dist(f.idx[i], f.idx[j]) }
+func (f distForkOracle) Dist(i, j int) float64 { return f.pairs.Dist(f.idx[i], f.idx[j]) }
 
 func (f distForkOracle) RowInto(i int, dst []float64) {
 	for j := range dst {
@@ -42,7 +43,7 @@ func (f distForkOracle) Subset(idx []int) Oracle {
 	for a, i := range idx {
 		composed[a] = f.idx[i]
 	}
-	return distForkOracle{o: f.o, idx: composed}
+	return distForkOracle{pairs: f.pairs, idx: composed}
 }
 
 func (f distForkOracle) DistEvals() int64 { return 0 }

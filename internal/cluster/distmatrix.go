@@ -77,7 +77,8 @@ func (m *DistMatrix) idx(i, j int) int {
 // N implements Oracle.
 func (m *DistMatrix) N() int { return m.n }
 
-// Dist implements Oracle.
+// Dist returns the distance between i and j, for callers that hold the
+// matrix itself: one cell, where an Oracle serves rows.
 //
 //blaeu:hot
 func (m *DistMatrix) Dist(i, j int) float64 {
@@ -157,13 +158,6 @@ func (v *matrixView) over(m *DistMatrix, idx []int) {
 // N implements Oracle.
 func (v *matrixView) N() int { return len(v.idx) }
 
-// Dist implements Oracle.
-//
-//blaeu:hot
-func (v *matrixView) Dist(i, j int) float64 {
-	return v.m.Dist(v.idx[i], v.idx[j])
-}
-
 // RowInto implements Oracle. Over an ascending idx the cells left of
 // the diagonal sit in column pi of their own rows and the cells right of
 // it in row pi: two gathers with no test per cell. Any other idx takes
@@ -190,7 +184,7 @@ func (v *matrixView) RowInto(i int, dst []float64) {
 
 // Subset implements Oracle: a view of a view is a view of the matrix
 // under the composed index, so nesting never adds an indirection to
-// Dist.
+// RowInto.
 func (v *matrixView) Subset(idx []int) Oracle {
 	composed := make([]int, len(idx))
 	for a, i := range idx {

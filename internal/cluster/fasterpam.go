@@ -53,9 +53,9 @@ func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 
 // ErrNoFiniteDistance is BUILD's error when no object it may pick scores
 // a finite total distance: every candidate's sum holds a +Inf or a NaN
-// distance, as it does when one prepared vector holds an infinite
-// coordinate. PAM, CLARA and AutoK return it rather than pick a medoid
-// at random.
+// distance, as it does when one vector holds an infinite coordinate
+// (prep imputes infinite cells). PAM, CLARA and AutoK return it rather
+// than pick a medoid at random.
 var ErrNoFiniteDistance = errors.New("cluster: BUILD found no object with a finite distance score")
 
 // pamRun is the storage one k-medoid run works in, BUILD's and SWAP's
@@ -157,8 +157,8 @@ func parallelRange(n int, fn func(lo, hi int)) {
 	parallelChunks(n, rangeWorkers(n), func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// updateNearest lowers nearest[j] to Dist(m, j) wherever medoid m's row
-// improves it. row is an n-sized buffer m's row is materialized into.
+// updateNearest lowers each nearest[j] that medoid m's row improves.
+// row is an n-sized buffer m's row is materialized into.
 //
 //blaeu:hot
 func updateNearest(o Oracle, nearest, row []float64, m int) {
@@ -244,29 +244,35 @@ func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 // for every object the slot (position in medoids) and distance of its
 // nearest and second-nearest medoid, plus the per-medoid removal losses.
 type swapState struct {
-	o        Oracle
-	n, k     int
-	medoids  []int
-	isMedoid []bool
-	n1, n2   []int     // slot of nearest / second-nearest medoid
-	dn, ds   []float64 // distance to nearest / second-nearest medoid
-	loss     []float64 // removal loss ΔTD⁻ per medoid slot
-	cost     float64
+	o          Oracle
+	n, k       int
+	medoids    []int
+	medoidRows [][]float64 // medoidRows[slot]: the row of medoids[slot]
+	isMedoid   []bool
+	n1, n2     []int     // slot of nearest / second-nearest medoid
+	dn, ds     []float64 // distance to nearest / second-nearest medoid
+	loss       []float64 // removal loss ΔTD⁻ per medoid slot
+	cost       float64
 }
 
 // reset readies s for a SWAP over o from the seed medoids, which it
-// copies into its own buffer, regrowing its buffers as needed.
+// copies into its own buffer with their rows, regrowing as needed.
 func (s *swapState) reset(o Oracle, seeds []int) {
 	n := o.N()
 	s.o, s.n, s.k = o, n, len(seeds)
 	s.medoids = append(s.medoids[:0], seeds...)
+	if len(s.medoidRows) < s.k { // keep the rows a smaller k grew
+		s.medoidRows = append(s.medoidRows, make([][]float64, s.k-len(s.medoidRows))...)
+	}
 	s.isMedoid = grow(s.isMedoid, n)
 	clear(s.isMedoid)
 	s.n1, s.n2 = grow(s.n1, n), grow(s.n2, n)
 	s.dn, s.ds = grow(s.dn, n), grow(s.ds, n)
 	s.loss = grow(s.loss, s.k)
-	for _, m := range s.medoids {
+	for slot, m := range s.medoids {
 		s.isMedoid[m] = true
+		s.medoidRows[slot] = grow(s.medoidRows[slot], n)
+		o.RowInto(m, s.medoidRows[slot])
 	}
 	parallelRange(n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -283,8 +289,8 @@ func (s *swapState) reset(o Oracle, seeds []int) {
 func (s *swapState) reassign(j int) {
 	d1, d2 := math.Inf(1), math.Inf(1)
 	i1, i2 := -1, -1
-	for slot, m := range s.medoids {
-		d := s.o.Dist(j, m)
+	for slot, row := range s.medoidRows[:s.k] {
+		d := row[j]
 		if d < d1 {
 			d2, i2 = d1, i1
 			d1, i1 = d, slot
@@ -347,15 +353,16 @@ func (s *swapState) evalCandidate(c int, scratch, row []float64) (float64, int) 
 	return acc + scratch[bestSlot], bestSlot
 }
 
-// applySwap installs candidate c in the given medoid slot and repairs the
-// nearest/second bookkeeping incrementally from c's distance row: most
-// objects need O(1) work, only those whose nearest or second was the
-// replaced medoid fall back to an O(k) rescan. Classic PAM instead re-ran
-// a full O(n·k) assignment after every swap.
-func (s *swapState) applySwap(slot, c int, row []float64) {
+// applySwap installs candidate c and its row in the given medoid slot
+// and repairs the nearest/second bookkeeping incrementally from that
+// row: most objects need O(1) work, only those whose nearest or second
+// was the replaced medoid fall back to an O(k) rescan. Classic PAM
+// instead re-ran a full O(n·k) assignment after every swap.
+func (s *swapState) applySwap(slot, c int) {
 	s.isMedoid[s.medoids[slot]] = false
 	s.isMedoid[c] = true
 	s.medoids[slot] = c
+	row := s.medoidRows[slot]
 	s.o.RowInto(c, row)
 	parallelRange(s.n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -445,7 +452,7 @@ func (r *pamRun) swap(o Oracle, seeds []int) {
 				}
 			}
 			if best >= 0 {
-				s.applySwap(out[best].slot, cands[best], rows[0])
+				s.applySwap(out[best].slot, cands[best])
 				improved = true
 			}
 		}

@@ -40,6 +40,7 @@ func PAMClassic(o Oracle, k int) (*Clustering, error) {
 // caller's responsibility.
 func pamClassicFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 	n := o.N()
+	pairs := pairMatrix(o)
 
 	medoids := append([]int(nil), seeds...)
 	// nearest[i] = distance to closest medoid, second[i] = to 2nd closest.
@@ -51,7 +52,7 @@ func pamClassicFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 		for i := 0; i < n; i++ {
 			d1, d2, l := math.Inf(1), math.Inf(1), -1
 			for mi, m := range medoids {
-				d := o.Dist(i, m)
+				d := pairs.Dist(i, m)
 				if d < d1 {
 					d2 = d1
 					d1 = d
@@ -88,7 +89,7 @@ func pamClassicFrom(o Oracle, k int, seeds []int) (*Clustering, error) {
 						delta -= nearest[j] // h becomes a medoid: cost 0
 						continue
 					}
-					djh := o.Dist(j, h)
+					djh := pairs.Dist(j, h)
 					if labels[j] == mi {
 						// j loses its medoid m; moves to h or to its
 						// second-best medoid.

@@ -30,17 +30,6 @@ func NewLazyOracle(vecs [][]float64, metric stats.Distance) *LazyOracle {
 // N implements Oracle.
 func (o *LazyOracle) N() int { return len(o.vecs) }
 
-// Dist implements Oracle. It computes the metric directly and is not
-// counted (see Oracle.DistEvals).
-//
-//blaeu:hot
-func (o *LazyOracle) Dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	return o.metric.Dist(o.vecs[i], o.vecs[j])
-}
-
 // RowInto implements Oracle: len(vecs)-1 evaluations in two row calls,
 // the diagonal set to 0, not evaluated, and the evaluations added to
 // the count.
@@ -76,6 +65,5 @@ func (o *LazyOracle) subsetOver(idx []int, vecs [][]float64, scratch *DistMatrix
 }
 
 // DistEvals implements Oracle: the evaluations of every row RowInto
-// computed and the cells of every subset matrix Subset built. Dist calls
-// are not counted.
+// computed and the cells of every subset matrix Subset built.
 func (o *LazyOracle) DistEvals() int64 { return o.evals.Load() }

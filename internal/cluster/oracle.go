@@ -6,19 +6,19 @@
 // the one k-medoid engine (BUILD, then FasterPAM's eager SWAP), and the
 // textbook SWAP loop lives in the tests as the reference PAM is held to.
 //
-// All algorithms are written against one distance contract, Oracle, and
-// every k-medoid loop and the silhouettes are written once against it,
-// taking a row per object on every storage. Two storages implement it,
-// and both answer with the same bits:
+// All algorithms are written against one distance contract, Oracle: the
+// objects' distance rows. Every k-medoid loop and the silhouettes are
+// written once against it and read distances a row at a time on every
+// storage. Two storages implement it, and both answer with the same bits:
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
 //     repeated access, O(n²) memory, right for small samples; its subset
 //     is an index view over its cells;
 //   - LazyOracle is the prepared vectors and the metric, computing every
-//     distance and every row on demand with no memo — no quadratic
-//     allocation, right when n outgrows the matrix; its subset is the
-//     oracle NewOracle builds over the re-sliced vectors, a matrix for
-//     the few hundred objects of a CLARA sample or a Monte-Carlo round.
+//     row on demand with no memo — no quadratic allocation, right when n
+//     outgrows the matrix; its subset is the oracle NewOracle builds over
+//     the re-sliced vectors, a matrix for the few hundred objects of a
+//     CLARA sample or a Monte-Carlo round.
 //
 // NewOracle chooses between them by the number of objects alone, and
 // builds a matrix on the storage of a spent one when it is handed one.
@@ -43,25 +43,23 @@ package cluster
 import "repro/internal/stats"
 
 // Oracle is the one distance contract of the cluster layer: pairwise
-// dissimilarities over n objects, served a pair at a time, a row at a
-// time, or over a subset of the objects. PAM "needs only pairwise
-// dissimilarities" (paper §3), so everything here — BUILD, SWAP, CLARA,
-// the silhouettes — is written against this interface and works
+// dissimilarities over n objects, served a row at a time or over a
+// subset of the objects. PAM "needs only pairwise dissimilarities"
+// (paper §3), so everything here — BUILD, SWAP, CLARA, the silhouettes —
+// is written against this interface, reads whole rows, and works
 // identically over a precomputed matrix and over vectors read on demand.
 //
-// Dist is a dissimilarity: symmetric and zero on the diagonal. Two laws
-// tie the other methods to it, bit for bit, and TestOracleContract
-// enforces them on every implementation:
+// Three laws hold bit for bit, and TestOracleContract enforces them on
+// every implementation:
 //
-//   - rows: after RowInto(i, dst), dst[j] == Dist(i, j) for every j;
-//   - subsets: Subset(idx).Dist(a, b) == Dist(idx[a], idx[b]).
+//   - symmetry: RowInto(i)[j] == RowInto(j)[i];
+//   - a zero diagonal: RowInto(i)[i] == 0;
+//   - subsets: row a of Subset(idx) at b equals row idx[a] at idx[b].
 //
-// The laws are what let every loop pick the cheapest access — a row
-// where it scans all of one object's distances, a pair where it touches
-// a few — without the result depending on the choice or on the storage.
-// What a row costs does depend on the storage: a read of stored cells on
-// a DistMatrix and its views, n-1 evaluations booked in DistEvals on a
-// LazyOracle. BUILD, SWAP and the silhouettes take rows on every storage.
+// So no result depends on the storage, or on whose row a loop reads a
+// pair from. What a row costs does: a read of stored cells on a
+// DistMatrix and its views, n-1 evaluations booked in DistEvals on a
+// LazyOracle.
 //
 // An oracle's distances are fixed once it is built (LazyOracle's count
 // is atomic) and a subset only reads its parent's storage or vectors,
@@ -70,13 +68,9 @@ import "repro/internal/stats"
 type Oracle interface {
 	// N returns the number of objects.
 	N() int
-	// Dist returns the dissimilarity between objects i and j.
-	Dist(i, j int) float64
-	// RowInto fills dst[j] = Dist(i, j) for all j; dst must have length
-	// N(). Loops that scan a whole row per step (BUILD scoring, SWAP's
-	// candidate evaluation, the silhouettes) use it: one sequential pass
-	// over the backing storage, or one metric row call, instead of n
-	// interface calls.
+	// RowInto fills dst[j] with the dissimilarity between objects i
+	// and j, for all j; dst must have length N(). It is one sequential
+	// pass over the backing storage, or one metric row call.
 	RowInto(i int, dst []float64)
 	// Subset returns an oracle over the objects idx, re-indexed densely:
 	// its object a is this oracle's object idx[a]. A matrix serves it as
@@ -89,12 +83,10 @@ type Oracle interface {
 	// DistEvals returns the cumulative number of exact metric
 	// evaluations the oracle has made: a matrix's cells, fixed at
 	// construction; a lazy oracle's rows, n-1 each, and the cells of
-	// every subset matrix it built, in one atomic count. Callers
-	// interested in one build take a before/after delta (see core's
-	// build trace). The per-call Dist path is never counted, because a
-	// shared counter there measurably slows PAM's hot loops, so a lazy
-	// oracle's pairs go uncounted. A view reports no evaluations of its
-	// own: its reads of the matrix are reuse, not new work.
+	// every subset matrix it built, in one atomic count: every
+	// evaluation. Callers interested in one build take a before/after
+	// delta (see core's build trace). A view reports no evaluations of
+	// its own: its reads of the matrix are reuse, not new work.
 	DistEvals() int64
 }
 

@@ -102,41 +102,51 @@ func (r *pamRun) pam(o Oracle, k int) error {
 	}
 	if k == 1 {
 		// BUILD's first medoid is already the global optimum for k=1 (it
-		// minimizes the total distance), so SWAP has nothing to do.
+		// minimizes the total distance), so SWAP has nothing to do. Its
+		// row sum is finite, so BUILD's nearest is that row: every label
+		// is 0 and the cost is its sum in object order, as assignInto's.
 		r.medoids = append(r.medoids[:0], seeds...)
 		r.n1 = grow(r.n1, o.N())
-		r.cost = assignInto(o, r.medoids, r.n1)
+		clear(r.n1)
+		r.cost = 0
+		for _, d := range r.nearest {
+			r.cost += d
+		}
 		return nil
 	}
 	r.swap(o, seeds)
 	return nil
 }
 
-// AssignToMedoids labels every object of the oracle with its nearest
-// medoid (by position in the medoids slice) and returns labels plus the
-// total cost: the assignment CLARA extends a sample clustering to the
-// full set with.
-func AssignToMedoids(o Oracle, medoids []int) ([]int, float64) {
-	labels := make([]int, o.N())
-	return labels, assignInto(o, medoids, labels)
-}
-
-// assignInto is AssignToMedoids writing the labels into labels, or only
-// summing the cost when labels is nil: one loop, so the cost is the same
-// float sum either way.
-func assignInto(o Oracle, medoids []int, labels []int) float64 {
-	total := 0.0
-	for i := 0; i < o.N(); i++ {
-		dBest, l := math.Inf(1), -1
-		for mi, m := range medoids {
-			if d := o.Dist(i, m); d < dBest {
-				dBest, l = d, mi
+// assignInto labels every object with its nearest medoid (by position in
+// medoids; ties to the earliest, −1 at cost +Inf with none below +Inf)
+// and returns the total cost, summed in object order: CLARA's extension
+// of a sample's medoids to the full set. It reads one medoid row at a
+// time into row, keeping each object's running minimum in best (both
+// n-sized). labels may be nil, to only sum the cost.
+//
+//blaeu:hot
+func assignInto(o Oracle, medoids, labels []int, row, best []float64) float64 {
+	for j := range best {
+		best[j] = math.Inf(1)
+	}
+	for j := range labels {
+		labels[j] = -1
+	}
+	for mi, m := range medoids {
+		o.RowInto(m, row)
+		for j, d := range row {
+			if d < best[j] {
+				best[j] = d
+				if labels != nil {
+					labels[j] = mi
+				}
 			}
 		}
-		if labels != nil {
-			labels[i] = l
-		}
-		total += dBest
+	}
+	total := 0.0
+	for _, d := range best {
+		total += d
 	}
 	return total
 }

@@ -61,7 +61,7 @@ func TestPAMInvariantsProperty(t *testing.T) {
 				}
 				trial := append([]int(nil), c.Medoids...)
 				trial[mi] = h
-				_, swapCost := AssignToMedoids(m, trial)
+				_, swapCost := assign(m, trial)
 				if swapCost < c.Cost-1e-9 {
 					return false
 				}
@@ -90,14 +90,15 @@ func TestCLARACostConsistencyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		labels, cost := AssignToMedoids(o, c.Medoids)
+		labels, cost := assign(o, c.Medoids)
 		if diff := cost - c.Cost; diff > 1e-9 || diff < -1e-9 {
 			return false
 		}
+		pairs := pairMatrix(o)
 		for i := range labels {
 			// Same-cost ties may break either way; compare distances.
-			a := o.Dist(i, c.Medoids[labels[i]])
-			b := o.Dist(i, c.Medoids[c.Labels[i]])
+			a := pairs.Dist(i, c.Medoids[labels[i]])
+			b := pairs.Dist(i, c.Medoids[c.Labels[i]])
 			if a < b-1e-12 {
 				return false
 			}

@@ -8,14 +8,15 @@ import (
 // Scratch is the storage an AutoK sweep works in, kept for the next
 // sweep: the exact path's PAM run (SWAP's state, BUILD's, the row and
 // block buffers), one slot per CLARA sample (its ids, its subset's
-// storage and its PAM run), the Monte-Carlo round's ids, labels and
-// subset storage, the silhouette kernel's buffers, and two label
-// buffers, one for the k being scored and one for the best so far. A
-// sweep regrows only what is too short for its n and k, and writes every
-// cell it reads, so a warm scratch gives the bits a fresh one gives: the
-// same calls, in the same order, with the same draws. What a sweep
-// allocates is what its result keeps — the Clustering headers and
-// medoids — plus CLARA's and the fan-out's bookkeeping.
+// storage, its PAM run and its assignment's rows), the Monte-Carlo
+// round's ids, labels and subset storage, the silhouette kernel's
+// buffers, and two label buffers, one for the k being scored and one
+// for the best so far. A sweep regrows only what is too short for its n
+// and k, and writes every cell it reads, so a warm scratch gives the
+// bits a fresh one gives: the same calls, in the same order, with the
+// same draws. What a sweep allocates is what its result keeps — the
+// Clustering headers and medoids — plus CLARA's and the fan-out's
+// bookkeeping.
 //
 // The winner's Labels and ClusterSilhouettes, and the slice
 // SilhouettePerCluster returns, belong to the scratch: they stay valid

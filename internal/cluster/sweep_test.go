@@ -262,13 +262,14 @@ func TestRowKernelLeavesOraclesUnchanged(t *testing.T) {
 }
 
 // pairSilhouette is the silhouette kernel's reference: s(i) for every
-// validly labelled object, each cell read through Dist, added in object
-// order to the total and to its cluster's sum, the object counted in
-// its cluster — the kernel's conventions for singletons and unlabelled
-// objects, and its summation order.
+// validly labelled object, each cell read as a pair of o's pairMatrix,
+// added in object order to the total and to its cluster's sum, the
+// object counted in its cluster — the kernel's conventions for
+// singletons and unlabelled objects, and its summation order.
 func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perCluster []float64, cnt []int) {
 	perCluster, cnt = make([]float64, k), make([]int, k)
 	sums := make([]float64, k)
+	pairs := pairMatrix(o)
 	for i, li := range labels {
 		if li < 0 || li >= k {
 			continue
@@ -280,7 +281,7 @@ func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perClu
 		clear(sums)
 		for j, lj := range labels {
 			if j != i && lj >= 0 && lj < k {
-				sums[lj] += o.Dist(i, j)
+				sums[lj] += pairs.Dist(i, j)
 			}
 		}
 		a, b := sums[li]/float64(sizes[li]-1), math.Inf(1)

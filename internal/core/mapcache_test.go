@@ -152,9 +152,9 @@ func TestRegionAndFilterShareEntry(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledDerivesNothing: a negative MapCacheSize turns off
-// the one reuse cache — a zoom builds cold and the counters stay zero.
-func TestCacheDisabledDerivesNothing(t *testing.T) {
+// TestCacheDisabledBuildsCold: a negative MapCacheSize turns off the
+// one reuse cache — a zoom builds cold and the counters stay zero.
+func TestCacheDisabledBuildsCold(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 5, MapCacheSize: -1})
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
@@ -174,11 +174,11 @@ func TestCacheDisabledDerivesNothing(t *testing.T) {
 	}
 }
 
-// TestDerivationDisabled: no miss reuses a cached build's sample or
-// vectors — a cache entry holds only its map — so a zoom inside a cached
-// select builds cold, and its map is the one a session without a cache
-// builds.
-func TestDerivationDisabled(t *testing.T) {
+// TestZoomInsideCachedSelectBuildsCold: no miss reuses a cached build's
+// sample or vectors — a cache entry holds only its map — so a zoom
+// inside a cached select builds cold, and its map is the one a session
+// without a cache builds.
+func TestZoomInsideCachedSelectBuildsCold(t *testing.T) {
 	e := asyncExplorer(t, Options{Seed: 4})
 	if _, err := e.SelectTheme(0); err != nil {
 		t.Fatal(err)
@@ -227,10 +227,10 @@ func TestMapCacheEvictionCounter(t *testing.T) {
 	}
 }
 
-// TestDerivedBuildDegeneratesToCold: a zoom into a region that is
+// TestConstantRegionZoomDegrades: a zoom into a region that is
 // constant on the theme columns builds cold, refits the pipeline, finds
 // no usable column and degrades to a single-region map.
-func TestDerivedBuildDegeneratesToCold(t *testing.T) {
+func TestConstantRegionZoomDegrades(t *testing.T) {
 	tbl, _, _ := laborTable(240, 7)
 	e, err := NewExplorer(tbl, Options{Seed: 9})
 	if err != nil {

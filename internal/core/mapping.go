@@ -124,27 +124,8 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	tr.SetAttr("oracle", storage)
 	report(0.15)
 
-	m, err := e.mapOver(ctx, oracle, pipe, sample, rows, theme, rng, sc, report)
-	if err != nil {
-		return nil, err
-	}
-	// Distance work is the oracle's own evaluation count (cluster.Oracle's
-	// DistEvals): a matrix's cells, a lazy oracle's rows and subset
-	// matrices, never a per-call Dist, where a counter costs several
-	// percent of a build. The oracle is this build's alone, so its count
-	// is exactly this build's counted evaluations.
-	if d := oracle.DistEvals(); tr != nil && d > 0 {
-		tr.Int("oracleDistEvals").Add(d)
-	}
-	return m, nil
-}
-
-// mapOver runs cluster detection and description over the build's
-// oracle (stages 2b–4 of buildMapStaged).
-func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, pipe *prep.Pipeline, sample *store.Table, rows *store.RowSet, theme Theme, rng *rand.Rand, sc *buildScratch, report func(float64)) (*Map, error) {
-	tr := obs.TraceFrom(ctx)
 	// Stage 2b: cluster detection with automatic k.
-	sp := tr.Start("cluster")
+	sp = tr.Start("cluster")
 	clustering, err := e.clusterStage(ctx, oracle, rng, sc, report)
 	sp.End()
 	if err != nil {
@@ -160,7 +141,17 @@ func (e *Explorer) mapOver(ctx context.Context, oracle cluster.Oracle, pipe *pre
 	sp = tr.Start("region")
 	m, err := e.regionStage(ctx, oracle, pipe, sample, clustering, rows, theme, sc, report)
 	sp.End()
-	return m, err
+	if err != nil {
+		return nil, err
+	}
+	// Distance work is the oracle's own evaluation count (cluster.Oracle's
+	// DistEvals): a matrix's cells, a lazy oracle's rows and subset
+	// matrices, every distance the build evaluated. The oracle is this
+	// build's alone, so its count is exactly this build's evaluations.
+	if d := oracle.DistEvals(); tr != nil && d > 0 {
+		tr.Int("oracleDistEvals").Add(d)
+	}
+	return m, nil
 }
 
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of

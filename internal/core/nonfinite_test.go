@@ -1,23 +1,20 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/store"
 )
 
 // infTable is 120 rows in three groups over columns a, b and c, the
 // first group highest on each, with +Inf in a on row 9 and in b on row
-// 12, both of the first group. One infinite cell alone maps: prep makes
-// it NaN and every other cell of its column −Inf, so its row keeps a
-// finite distance to every row. Two in different columns leave no row
-// with a finite distance sum, and BUILD has no medoid to pick.
+// 12, both of the first group. Before prep treated an infinite cell as
+// missing, one such cell made every other cell of its column −Inf and
+// their distances NaN, and two in different columns left no row with a
+// finite distance sum, so BUILD had no medoid to pick.
 func infTable() *store.Table {
 	rng := rand.New(rand.NewSource(5))
 	tab := store.NewTable("inf")
@@ -52,46 +49,52 @@ func infExplorer(t *testing.T, sample int) (*Explorer, int) {
 	return e, th
 }
 
-// TestNoFiniteDistanceFailsTheBuild: a map over a sample holding both
-// infinite cells fails with cluster.ErrNoFiniteDistance inside core's
-// clustering error — a select whose sample is the whole table, and a
-// zoom into the region holding both rows from a select whose sample
-// held at most one — and the session keeps its state.
-func TestNoFiniteDistanceFailsTheBuild(t *testing.T) {
-	assertNoFinite := func(what string, err error) {
+// TestInfiniteCellsMap: a theme with infinite cells in two of its
+// columns maps like any other — a select whose sample is the whole
+// table, and a zoom into the region holding row 9 from a select over a
+// 45-row sample — with a finite silhouette, and the leaves of each map
+// partition its selection. The description tree still sees the raw
+// +Inf: both rows stay in their group's region.
+func TestInfiniteCellsMap(t *testing.T) {
+	assertMaps := func(what string, m *Map, err error, rows int) {
 		t.Helper()
-		if !errors.Is(err, cluster.ErrNoFiniteDistance) {
-			t.Fatalf("%s: err = %v, want cluster.ErrNoFiniteDistance", what, err)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		if want := "core: clustering theme"; len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
-			t.Fatalf("%s: err = %q, want it inside core's clustering error", what, err)
+		if m.K < 2 || math.IsNaN(m.Silhouette) || math.IsInf(m.Silhouette, 0) {
+			t.Fatalf("%s: K = %d, silhouette %v, want a finite map of at least two clusters", what, m.K, m.Silhouette)
 		}
+		total := 0
+		for _, l := range m.Root.Leaves() {
+			total += l.Count()
+		}
+		if total != rows {
+			t.Fatalf("%s: leaves hold %d rows, want the selection's %d", what, total, rows)
+		}
+	}
+	leafOf := func(m *Map, row int) *Region {
+		for _, l := range m.Root.Leaves() {
+			if slices.Contains(l.RowIDs().AppendTo(nil), row) {
+				return l
+			}
+		}
+		t.Fatalf("no leaf holds row %d", row)
+		return nil
 	}
 
 	e, th := infExplorer(t, 200)
-	_, err := e.SelectTheme(th)
-	assertNoFinite("select", err)
-	if len(e.History()) != 1 {
-		t.Fatalf("a failed select left %d states", len(e.History()))
+	m, err := e.SelectTheme(th)
+	assertMaps("select", m, err, 120)
+	for _, row := range []int{9, 12} {
+		if l := leafOf(m, row); !slices.Contains(l.RowIDs().AppendTo(nil), 0) {
+			t.Errorf("row %d's leaf %s does not hold row 0 of its group", row, l.Describe())
+		}
 	}
 
 	e, th = infExplorer(t, 45)
-	m, err := e.SelectTheme(th)
-	if err != nil {
-		t.Fatalf("select over a 45-row sample: %v", err)
-	}
-	var both *Region
-	for _, l := range m.Root.Leaves() {
-		if ids := l.RowIDs().AppendTo(nil); slices.Contains(ids, 9) && slices.Contains(ids, 12) {
-			both = l
-		}
-	}
-	if both == nil || both.Count() > 45 {
-		t.Fatalf("no region of at most 45 rows holds rows 9 and 12: %s", fmt.Sprint(m.Root.Leaves()))
-	}
-	_, err = e.Zoom(both.Path...)
-	assertNoFinite("zoom", err)
-	if e.CurrentMap() != m {
-		t.Fatal("a failed zoom moved the session")
-	}
+	m, err = e.SelectTheme(th)
+	assertMaps("select over 45 rows", m, err, 120)
+	l := leafOf(m, 9)
+	z, err := e.Zoom(l.Path...)
+	assertMaps("zoom", z, err, l.Count())
 }

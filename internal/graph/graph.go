@@ -141,10 +141,10 @@ func BuildDependencyGraph(t store.Relation, names []string, opts DependencyOptio
 	return g, nil
 }
 
-// Oracle returns the graph as a cluster.Oracle where dissimilarity is
+// Oracle returns the graph as a cluster oracle where dissimilarity is
 // 1 - weight (clamped at 0), suitable for PAM partitioning: a small
 // distance matrix, one cell per column pair.
-func (g *Graph) Oracle() cluster.Oracle {
+func (g *Graph) Oracle() *cluster.DistMatrix {
 	m := cluster.NewDistMatrix(g.N())
 	for i, row := range g.weight {
 		for j := i + 1; j < len(row); j++ {

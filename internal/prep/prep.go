@@ -10,6 +10,16 @@
 // booleans pass through (a null sits at 0.5), and a categorical column
 // becomes one 0/1 dummy per level for its 20 most frequent levels, or is
 // dropped when it is constant or identifier-like.
+//
+// Non-finite values stop here: prep treats ±Inf in a numeric column as
+// missing, like a null. The scaler is fitted on the column's finite
+// values and an infinite cell is imputed with their mean, so no infinite
+// cell makes a prepared value, or a distance, infinite or NaN. The
+// alternative, a z-score over the infinite value, makes the column's
+// center infinite: every other cell then prepares to −Inf and the
+// infinite one to NaN, and the distance between two −Inf cells is NaN.
+// The raw value stays in the table, where the description tree and the
+// queries see it.
 package prep
 
 import (
@@ -83,8 +93,8 @@ func Fit(t *store.Table, cols []string) (*Pipeline, error) {
 		switch c.Type() {
 		case store.Float64, store.Int64:
 			sc := stats.FitScaler(c)
-			// The fill is the column mean, 0 for an all-null column: the
-			// scaler's center.
+			// The fill is the mean of the column's finite values, 0 when
+			// it has none: the scaler's center.
 			p.features = append(p.features, feature{col: name, kind: kindNumeric, scaler: sc, fill: sc.Center})
 			p.names = append(p.names, name)
 		case store.Bool:
@@ -186,9 +196,10 @@ func (p *Pipeline) Transform(t *store.Table, vecs [][]float64, slab []float64) (
 			switch f.kind {
 			case kindNumeric:
 				x := c.Float(r)
-				if math.IsNaN(x) {
-					// Impute on the original scale, then normalize, so the
-					// fill lands where the column mean lands.
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					// Impute a null or an infinite value (see the package
+					// comment) on the original scale, then normalize, so
+					// the fill lands where the column mean lands.
 					x = f.fill
 				}
 				v = append(v, f.scaler.Apply(x))

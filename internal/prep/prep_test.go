@@ -182,6 +182,57 @@ func TestMissingValueImputation(t *testing.T) {
 	}
 }
 
+// TestInfiniteCellIsMissing: an infinite cell of a numeric column
+// prepares exactly as a null there would — left out of the scaler's fit
+// and imputed with the finite mean — so every distance between prepared
+// rows is finite. A z-score over the +Inf made every other cell of its
+// column −Inf, and the distance between rows 0 and 1 NaN.
+func TestInfiniteCellIsMissing(t *testing.T) {
+	a := []float64{1.5, 2, 4.25, 0, 3, 5}
+	b := []float64{0.5, 1, 0.75, 2, 1.25, 0}
+	table := func(cell func(c *store.FloatColumn)) *store.Table {
+		tab := store.NewTable("inf")
+		ca, cb := store.NewFloatColumn("a"), store.NewFloatColumn("b")
+		for i := range a {
+			if i == 3 {
+				cell(ca)
+			} else {
+				ca.Append(a[i])
+			}
+			cb.Append(b[i])
+		}
+		tab.MustAddColumn(ca)
+		tab.MustAddColumn(cb)
+		return tab
+	}
+	_, want, err := FitTransform(table((*store.FloatColumn).AppendNull), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		tab := table(func(c *store.FloatColumn) { c.Append(inf) })
+		_, vecs, err := FitTransform(tab, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vecs {
+			for j := i + 1; j < len(vecs); j++ {
+				if d := (stats.Euclidean{}).Dist(vecs[i], vecs[j]); math.IsNaN(d) || math.IsInf(d, 0) {
+					t.Fatalf("%v cell: d(%d,%d) = %v, want finite", inf, i, j, d)
+				}
+			}
+			for d, x := range vecs[i] {
+				if math.Float64bits(x) != math.Float64bits(want[i][d]) {
+					t.Fatalf("%v cell: row %d dim %d prepares to %v, a null there to %v", inf, i, d, x, want[i][d])
+				}
+			}
+		}
+		if got := tab.ColumnByName("a").Float(3); got != inf {
+			t.Fatalf("the table's cell holds %v after prep, want the raw %v", got, inf)
+		}
+	}
+}
+
 func TestImputationNormalizedScale(t *testing.T) {
 	// With z-score normalization, an imputed mean must land at 0.
 	tab := store.NewTable("t")

@@ -14,15 +14,17 @@ type Scaler struct {
 }
 
 // FitScaler learns the z-score parameters of a numeric column — the
-// mean and the population standard deviation of its non-null values —
+// mean and the population standard deviation of its finite values —
 // in two passes over c.Float, in row order, so they carry the bits Mean
-// and StdDev give over a copy of the column, without the copy. An
-// all-null column gets Center 0 and a constant one Scale 1, so the
-// transform is defined.
+// and StdDev give over a copy of the column's finite values, without
+// the copy. Nulls and ±Inf are left out alike: one infinite value would
+// make the center infinite and every other value's z-score −Inf or NaN.
+// A column with no finite value gets Center 0 and a constant one
+// Scale 1, so the transform is defined.
 func FitScaler(c store.Column) Scaler {
 	sum, n := 0.0, 0
 	for i := range c.Len() {
-		if v := c.Float(i); !math.IsNaN(v) {
+		if v := c.Float(i); isFinite(v) {
 			sum += v
 			n++
 		}
@@ -33,7 +35,7 @@ func FitScaler(c store.Column) Scaler {
 	s := Scaler{Center: sum / float64(n), Scale: 1}
 	ss := 0.0
 	for i := range c.Len() {
-		if v := c.Float(i); !math.IsNaN(v) {
+		if v := c.Float(i); isFinite(v) {
 			d := v - s.Center
 			ss += d * d
 		}
@@ -43,6 +45,9 @@ func FitScaler(c store.Column) Scaler {
 	}
 	return s
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Apply transforms one value (NaN passes through).
 func (s Scaler) Apply(v float64) float64 {
