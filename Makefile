@@ -144,10 +144,11 @@ bench:
 # AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK), a
 # cold select at the engine's default sample (BenchmarkColdSelectDefault),
 # the ingest decoder on the ledger's inputs (BenchmarkReadCSV,
-# BenchmarkBuildSegment) and one float cell (BenchmarkParseFloat).
+# BenchmarkBuildSegment), one float cell (BenchmarkParseFloat) and one
+# buffer-pool hit and miss (BenchmarkPoolGet).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' . ./internal/cluster
-	go test -bench=. -benchtime=1x -run '^$$' ./internal/store ./internal/store/csvdec
+	go test -bench=. -benchtime=1x -run '^$$' ./internal/store ./internal/store/csvdec ./internal/store/segment
 
 # The click ledger (bench/README.md): every workload of BENCHMARK.json
 # once, over HTTP, with the end-to-end metrics the acceptance gate reads.

@@ -62,8 +62,8 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 
 // claraSample is one CLARA sample's slot in a Scratch: its ids, the
 // bitmap they were drawn through, its subset's storage, its PAM run,
-// that run's medoids as ids of the full set with their full-data cost,
-// and assignInto's buffers.
+// that run's medoids as ids of the full set with their full-data cost
+// and labels, and assignInto's buffers.
 // Only the sample's own task writes it.
 type claraSample struct {
 	ids     []int
@@ -72,6 +72,7 @@ type claraSample struct {
 	run     pamRun
 	medoids []int
 	cost    float64
+	labels  []int
 	err     error
 	row     []float64
 	best    []float64
@@ -122,11 +123,12 @@ func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error)
 		for j, m := range sm.run.medoids {
 			sm.medoids[j] = sm.ids[m]
 		}
-		// Cost the sample's medoids over the full dataset — the
-		// expensive O(n·k) half of a sample's work, also parallelized
-		// by the fan-out. Only the winner is labelled, below.
-		sm.row, sm.best = grow(sm.row, n), grow(sm.best, n)
-		sm.cost = assignInto(o, sm.medoids, nil, sm.row, sm.best)
+		// Cost and label the sample's medoids over the full dataset —
+		// the expensive O(n·k) half of a sample's work, also
+		// parallelized by the fan-out. The winner's labels are kept,
+		// below.
+		sm.row, sm.best, sm.labels = grow(sm.row, n), grow(sm.best, n), grow(sm.labels, n)
+		sm.cost = assignInto(o, sm.medoids, sm.labels, sm.row, sm.best)
 	})
 
 	var best *claraSample
@@ -142,6 +144,6 @@ func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error)
 		}
 	}
 	labels := s.labels(n)
-	assignInto(o, best.medoids, labels, best.row, best.best)
+	copy(labels, best.labels)
 	return &Clustering{K: k, Labels: labels, Medoids: slices.Clone(best.medoids), Cost: best.cost, Silhouette: math.NaN()}, nil
 }

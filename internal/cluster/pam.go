@@ -122,8 +122,8 @@ func (r *pamRun) pam(o Oracle, k int) error {
 // medoids; ties to the earliest, −1 at cost +Inf with none below +Inf)
 // and returns the total cost, summed in object order: CLARA's extension
 // of a sample's medoids to the full set. It reads one medoid row at a
-// time into row, keeping each object's running minimum in best (both
-// n-sized). labels may be nil, to only sum the cost.
+// time into row, keeping each object's running minimum in best (all
+// three n-sized).
 //
 //blaeu:hot
 func assignInto(o Oracle, medoids, labels []int, row, best []float64) float64 {
@@ -138,9 +138,7 @@ func assignInto(o Oracle, medoids, labels []int, row, best []float64) float64 {
 		for j, d := range row {
 			if d < best[j] {
 				best[j] = d
-				if labels != nil {
-					labels[j] = mi
-				}
+				labels[j] = mi
 			}
 		}
 	}

@@ -31,17 +31,19 @@ type PoolStats struct {
 	Entries, Pinned int
 }
 
-// entry is one resident page. Loading is coordinated through the done
-// channel: the loader closes it after filling bytes/err, so concurrent
-// readers of the same page wait instead of loading twice.
+// entry is one resident page. While loading is set the loader is
+// filling bytes/err outside the lock, and readers of the same page wait
+// on the pool's loaded condition instead of loading twice. A spent
+// entry — out of the map and unpinned — goes back on the pool's free
+// list, so a miss reuses one rather than allocating.
 type entry struct {
 	key        Key
 	bytes      []byte
 	size       int64
 	pins       int
-	done       chan struct{}
+	loading    bool
 	err        error
-	prev, next *entry // LRU list, head = most recent
+	prev, next *entry // LRU list, head = most recent; free list via next
 }
 
 // Pool is a byte-budgeted LRU page cache with pinning. It is safe for
@@ -55,10 +57,12 @@ type entry struct {
 // stay correct, not crash — the PR 6 LRU lesson).
 type Pool struct {
 	mu         sync.Mutex
+	loaded     sync.Cond // on mu; broadcast when a load finishes
 	budget     int64
 	used       int64
 	entries    map[Key]*entry
 	head, tail *entry
+	free       *entry // spent entries, linked through next
 	hits       uint64
 	misses     uint64
 	evictions  uint64
@@ -77,6 +81,7 @@ type Pool struct {
 // registry would double-count.
 func NewPoolObs(budget int64, reg *obs.Registry) *Pool {
 	p := &Pool{budget: budget, entries: make(map[Key]*entry)}
+	p.loaded.L = &p.mu
 	p.mHits = reg.Counter("blaeu_pagepool_hits_total", "Page reads served from the buffer pool.", nil)
 	p.mMisses = reg.Counter("blaeu_pagepool_misses_total", "Page reads that loaded from storage.", nil)
 	p.mEvictions = reg.Counter("blaeu_pagepool_evictions_total", "Pages evicted to stay under budget.", nil)
@@ -96,10 +101,13 @@ func NewPoolObs(budget int64, reg *obs.Registry) *Pool {
 	return p
 }
 
-// Handle is a pinned page. Bytes stays valid after Release — releasing
-// only returns the page to the eviction candidate set (the slice is
-// kept alive by the caller's reference, or by the segment mapping) —
-// but callers must not retain it past the owning segment's Close.
+// Handle is a pinned page, held by value. It carries its own byte
+// slice, so Bytes stays valid after Release — releasing only returns
+// the page to the eviction candidate set, and the slice is kept alive
+// by the caller's reference or by the segment mapping — but callers
+// must not retain it past the owning segment's Close. Do not copy a
+// pinned handle: release it once, through the variable Get filled. The
+// zero Handle holds nothing and its Release is a no-op.
 type Handle struct {
 	p *Pool
 	e *entry
@@ -107,34 +115,28 @@ type Handle struct {
 }
 
 // Bytes returns the page payload. Callers must not mutate it.
-func (h *Handle) Bytes() []byte {
-	if h.e != nil {
-		return h.e.bytes
-	}
-	return h.b
-}
+func (h *Handle) Bytes() []byte { return h.b }
 
-// Release unpins the page. Releasing a nil or already-released handle
-// is a no-op.
+// Release unpins the page. Releasing the zero handle, or one already
+// released, is a no-op.
 func (h *Handle) Release() {
-	if h == nil || h.e == nil {
+	e := h.e
+	if e == nil {
 		return
 	}
-	e := h.e
 	h.e = nil
 	p := h.p
 	p.mu.Lock()
-	e.pins--
-	if e.pins == 0 && p.used > p.budget {
-		p.evictLocked()
-	}
+	p.unpinLocked(e)
 	p.mu.Unlock()
 }
 
 // Get returns the page for key, pinned, loading it via load on a miss.
 // Concurrent Gets for the same key perform one load. On load failure
-// the entry is dropped and the error returned to every waiter.
-func (p *Pool) Get(key Key, load func() ([]byte, error)) (*Handle, error) {
+// the entry is dropped and the error returned to every waiter. Neither
+// a hit nor a miss allocates: a miss takes its entry from the free
+// list when one is there.
+func (p *Pool) Get(key Key, load func() ([]byte, error)) (Handle, error) {
 	p.mu.Lock()
 	if p.budget <= 0 {
 		p.misses++
@@ -142,29 +144,37 @@ func (p *Pool) Get(key Key, load func() ([]byte, error)) (*Handle, error) {
 		p.mu.Unlock()
 		b, err := load()
 		if err != nil {
-			return nil, err
+			return Handle{}, err
 		}
-		return &Handle{b: b}, nil
+		return Handle{b: b}, nil
 	}
 	if e, ok := p.entries[key]; ok {
 		p.hits++
 		p.mHits.Inc()
 		e.pins++
 		p.moveToFrontLocked(e)
-		p.mu.Unlock()
-		<-e.done
+		for e.loading {
+			p.loaded.Wait()
+		}
 		if e.err != nil {
 			err := e.err
-			p.mu.Lock()
-			e.pins--
+			p.unpinLocked(e)
 			p.mu.Unlock()
-			return nil, err
+			return Handle{}, err
 		}
-		return &Handle{p: p, e: e}, nil
+		h := Handle{p: p, e: e, b: e.bytes}
+		p.mu.Unlock()
+		return h, nil
 	}
 	p.misses++
 	p.mMisses.Inc()
-	e := &entry{key: key, pins: 1, done: make(chan struct{})}
+	e := p.free
+	if e != nil {
+		p.free = e.next
+	} else {
+		e = new(entry)
+	}
+	e.key, e.pins, e.loading = key, 1, true
 	p.entries[key] = e
 	p.pushFrontLocked(e)
 	p.mu.Unlock()
@@ -172,13 +182,16 @@ func (p *Pool) Get(key Key, load func() ([]byte, error)) (*Handle, error) {
 	b, err := load()
 
 	p.mu.Lock()
+	e.loading = false
+	p.loaded.Broadcast()
 	if err != nil {
+		// Out of the map now; the entry is recycled once the last
+		// waiter has read err and unpinned it.
 		e.err = err
-		e.pins--
 		p.removeLocked(e)
+		p.unpinLocked(e)
 		p.mu.Unlock()
-		close(e.done)
-		return nil, err
+		return Handle{}, err
 	}
 	e.bytes = b
 	e.size = int64(len(b))
@@ -187,8 +200,29 @@ func (p *Pool) Get(key Key, load func() ([]byte, error)) (*Handle, error) {
 		p.evictLocked()
 	}
 	p.mu.Unlock()
-	close(e.done)
-	return &Handle{p: p, e: e}, nil
+	return Handle{p: p, e: e, b: b}, nil
+}
+
+// unpinLocked drops one pin of e. A failed load's entry, already out of
+// the map, is recycled with its last pin; a resident page's last pin
+// lets the pool trim back under budget. Caller holds mu.
+func (p *Pool) unpinLocked(e *entry) {
+	e.pins--
+	if e.pins > 0 {
+		return
+	}
+	if e.err != nil {
+		p.recycleLocked(e)
+	} else if p.used > p.budget {
+		p.evictLocked()
+	}
+}
+
+// recycleLocked puts a spent entry — out of the map and unpinned — on
+// the free list, dropping its page and error. Caller holds mu.
+func (p *Pool) recycleLocked(e *entry) {
+	*e = entry{next: p.free}
+	p.free = e
 }
 
 // Stats returns a snapshot of the counters.
@@ -216,6 +250,7 @@ func (p *Pool) Invalidate(seg uint64) {
 		if k.Seg == seg && e.pins == 0 {
 			p.removeLocked(e)
 			p.used -= e.size
+			p.recycleLocked(e)
 		}
 	}
 }
@@ -231,6 +266,7 @@ func (p *Pool) evictLocked() {
 			p.used -= e.size
 			p.evictions++
 			p.mEvictions.Inc()
+			p.recycleLocked(e)
 		}
 		e = prev
 	}

@@ -1,8 +1,11 @@
 package segment
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -281,5 +284,231 @@ func TestPoolConcurrentSingleFlight(t *testing.T) {
 	wg.Wait()
 	if loads != 1 {
 		t.Fatalf("loads = %d, want 1 (single flight)", loads)
+	}
+}
+
+// cyclingGets returns a Get/Release cycle over pages pages of size
+// bytes each, in order, through loaders that hand back preallocated
+// bytes, so whatever the cycle allocates is the pool's own.
+func cyclingGets(tb testing.TB, p *Pool, pages, size int) func() {
+	loads := make([]func() ([]byte, error), pages)
+	for i := range loads {
+		b := bytes.Repeat([]byte{byte(i)}, size)
+		loads[i] = func() ([]byte, error) { return b, nil }
+	}
+	next := 0
+	return func() {
+		h, err := p.Get(Key{1, next}, loads[next])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if b := h.Bytes(); len(b) != size || b[0] != byte(next) {
+			tb.Fatalf("page %d: wrong bytes", next)
+		}
+		h.Release()
+		next = (next + 1) % pages
+	}
+}
+
+// TestPoolMissAllocatesNothing: once the pool has spent entries to
+// reuse, a miss (load, insert, evict) and a hit allocate nothing.
+func TestPoolMissAllocatesNothing(t *testing.T) {
+	const pages, size = 8, 64
+	for _, c := range []struct {
+		name     string
+		budget   int64
+		hit      bool
+		perCycle float64
+	}{
+		// Room for half the pages: every Get of the cycle misses.
+		{"miss", pages / 2 * size, false, 0},
+		// Room for all of them: every Get after the first round hits.
+		{"hit", pages * size, true, 0},
+	} {
+		p := NewPoolObs(c.budget, nil)
+		cycle := cyclingGets(t, p, pages, size)
+		for i := 0; i < pages; i++ {
+			cycle()
+		}
+		before := p.Stats()
+		if got := testing.AllocsPerRun(100, cycle); got != c.perCycle {
+			t.Errorf("%s: %v allocations per Get/Release, want %v", c.name, got, c.perCycle)
+		}
+		s := p.Stats()
+		if hits := s.Hits - before.Hits; (hits == 0) == c.hit || (s.Misses-before.Misses == 0) != c.hit {
+			t.Fatalf("%s: %d hits, %d misses: the cycle is not the case it names", c.name, hits, s.Misses-before.Misses)
+		}
+	}
+}
+
+// freeLen counts the pool's spent entries.
+func freeLen(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for e := p.free; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
+// resident returns the entry holding key (nil when none does).
+func resident(p *Pool, key Key) *entry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.entries[key]
+}
+
+// TestPoolRecyclesOnlyReleasedEntries: an entry is reused only once it
+// is out of the map and unpinned — a failed load's after its last
+// waiter, an evicted or invalidated page's at once, a pinned page's
+// never — and a handle's bytes outlive the reuse of its entry.
+func TestPoolRecyclesOnlyReleasedEntries(t *testing.T) {
+	const size = 100
+	p := NewPoolObs(size, nil) // room for one unpinned page
+
+	// Sixteen readers of one page whose load fails: one load, sixteen
+	// errors, and the entry is spent only after the last of them.
+	boom := fmt.Errorf("disk gone")
+	gate, started := make(chan struct{}), make(chan struct{})
+	var loads atomic.Int32
+	var wg sync.WaitGroup
+	errs := make([]error, 16)
+	get := func(w int) {
+		defer wg.Done()
+		_, errs[w] = p.Get(Key{1, 0}, func() ([]byte, error) {
+			if loads.Add(1) == 1 {
+				close(started)
+			}
+			<-gate
+			return nil, boom
+		})
+	}
+	wg.Add(1)
+	go get(0)
+	<-started
+	for w := 1; w < 16; w++ {
+		wg.Add(1)
+		go get(w)
+	}
+	for p.Stats().Hits < 15 { // every other reader is waiting on the load
+		runtime.Gosched()
+	}
+	close(gate)
+	wg.Wait()
+	for w, err := range errs {
+		if err != boom {
+			t.Fatalf("reader %d: err = %v, want %v", w, err, boom)
+		}
+	}
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("%d loads, want 1", n)
+	}
+	if s := p.Stats(); s.Entries != 0 || s.Pinned != 0 || s.Used != 0 {
+		t.Fatalf("failed load left %+v", s)
+	}
+	if n := freeLen(p); n != 1 {
+		t.Fatalf("%d spent entries after the failed load, want 1", n)
+	}
+
+	// The next miss reuses that entry, with the right bytes.
+	spent := p.free
+	h1, err := p.Get(Key{1, 1}, fixedLoad(1, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident(p, Key{1, 1}) != spent || freeLen(p) != 0 {
+		t.Fatal("a miss allocated an entry while a spent one was free")
+	}
+	b1 := h1.Bytes()
+	if !bytes.Equal(b1, bytes.Repeat([]byte{1}, size)) {
+		t.Fatal("reused entry served wrong bytes")
+	}
+	h1.Release()
+
+	// Page 2, kept pinned, evicts page 1, whose entry is spent at once;
+	// page 3 takes it. The released handle's bytes are still page 1's,
+	// and releasing it again touches nothing of page 3.
+	h2, err := p.Get(Key{1, 2}, fixedLoad(2, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident(p, Key{1, 1}) != nil || freeLen(p) != 1 || p.free != spent {
+		t.Fatal("the evicted page's entry was not spent at once")
+	}
+	h3, err := p.Get(Key{1, 3}, fixedLoad(3, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident(p, Key{1, 3}) != spent {
+		t.Fatal("the spent entry was not reused")
+	}
+	if !bytes.Equal(h1.Bytes(), bytes.Repeat([]byte{1}, size)) || !bytes.Equal(h3.Bytes(), bytes.Repeat([]byte{3}, size)) {
+		t.Fatal("a handle's bytes changed when its entry was reused")
+	}
+	h1.Release()
+	if s := p.Stats(); s.Pinned != 2 {
+		t.Fatalf("a second Release of a released handle unpinned another page: %+v", s)
+	}
+	h3.Release()
+
+	// Page 2 stays pinned through evictions and an Invalidate of its
+	// segment: its entry is never handed to another page.
+	pinned := resident(p, Key{1, 2})
+	for pg := 4; pg < 6; pg++ {
+		h, err := p.Get(Key{1, pg}, fixedLoad(byte(pg), size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	p.Invalidate(1)
+	for pg := 6; pg < 9; pg++ {
+		h, err := p.Get(Key{1, pg}, fixedLoad(byte(pg), size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resident(p, Key{1, pg}) == pinned {
+			t.Fatalf("page %d took the entry of pinned page 2", pg)
+		}
+		h.Release()
+	}
+	h, err := p.Get(Key{1, 2}, func() ([]byte, error) {
+		return nil, fmt.Errorf("pinned page 2 was dropped")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(h.Bytes(), bytes.Repeat([]byte{2}, size)) {
+		t.Fatal("pinned page 2 serves wrong bytes")
+	}
+	h.Release()
+	h2.Release()
+	if s := p.Stats(); s.Pinned != 0 || s.Used > s.Budget {
+		t.Fatalf("after every release: %+v", s)
+	}
+}
+
+// BenchmarkPoolGet times one Get/Release of a 4 KB page on a warm pool
+// whose loader hands back preallocated bytes: hit on a pool holding
+// every page, miss (load, insert, evict) on one holding half of them.
+func BenchmarkPoolGet(b *testing.B) {
+	const pages, size = 64, 4096
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"hit", pages * size}, {"miss", pages / 2 * size}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := NewPoolObs(c.budget, nil)
+			cycle := cyclingGets(b, p, pages, size)
+			for i := 0; i < pages; i++ {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

@@ -260,25 +260,25 @@ func (s *Segment) load(off, length int64) ([]byte, error) {
 }
 
 // page fetches a page through the pool, pinned.
-func (s *Segment) page(id int, off, length int64) (*Handle, error) {
+func (s *Segment) page(id int, off, length int64) (Handle, error) {
 	return s.pool.Get(Key{Seg: s.id, Page: id}, func() ([]byte, error) {
 		return s.load(off, length)
 	})
 }
 
 // DataPage returns the pinned payload of data page pi of column ci.
-func (s *Segment) DataPage(ci, pi int) (*Handle, error) {
+func (s *Segment) DataPage(ci, pi int) (Handle, error) {
 	p := &s.footer.Cols[ci].Pages[pi]
 	return s.page(s.dataBase[ci]+pi, p.Off, p.Len)
 }
 
 // NullPage returns the pinned null bitmap of page pi of column ci, or
-// (nil, nil) when the page has no nulls (a nil Handle is safe to
-// Release).
-func (s *Segment) NullPage(ci, pi int) (*Handle, error) {
+// the zero Handle (nil Bytes, a no-op Release) when the page has no
+// nulls.
+func (s *Segment) NullPage(ci, pi int) (Handle, error) {
 	p := &s.footer.Cols[ci].Pages[pi]
 	if p.NullCount == 0 {
-		return nil, nil
+		return Handle{}, nil
 	}
 	return s.page(s.nullBase[ci]+pi, p.NullOff, p.NullLen)
 }

@@ -94,7 +94,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nh.Release()
-		if nh != nil && BitAt(nh.Bytes(), j) {
+		if nh.Bytes() != nil && BitAt(nh.Bytes(), j) {
 			return 0, false
 		}
 		switch s.Footer().Cols[ci].Kind {
@@ -396,4 +396,65 @@ func TestAppendRowsMatchesRowAtATime(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("column-wise file (%d bytes) differs from the row-at-a-time one (%d bytes)", len(got), len(want))
 	}
+}
+
+// TestWriterReplacesAtomically: a writer over an existing segment's
+// path leaves that segment servable until it finishes — when it is
+// aborted, and when it is abandoned mid-file — and a finished writer
+// replaces it whole, leaving no temporary file behind.
+func TestWriterReplacesAtomically(t *testing.T) {
+	path, _ := buildTestSegment(t, 200, 32)
+	schema := []ColumnSpec{{Name: "x", Kind: KindInt64}}
+	opts := &WriterOptions{RowsPerPage: 8}
+	start := func(rows int) *Writer {
+		t.Helper()
+		w, err := NewWriter(path, schema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			w.AppendInt(0, int64(r))
+			if err := w.EndRow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	wantRows := func(when string, rows int64) {
+		t.Helper()
+		s, err := Open(path, NewPoolObs(1<<20, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		defer s.Close()
+		if s.NumRows() != rows {
+			t.Fatalf("%s: %d rows at the path, want %d", when, s.NumRows(), rows)
+		}
+	}
+	onlySegment := func(when string) {
+		t.Helper()
+		names, err := os.ReadDir(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 1 || names[0].Name() != filepath.Base(path) {
+			t.Fatalf("%s: directory holds %v, want only %s", when, names, filepath.Base(path))
+		}
+	}
+
+	start(100).Abort()
+	wantRows("after an aborted rewrite", 200)
+	onlySegment("after an aborted rewrite")
+
+	abandoned := start(1 << 17) // past the write buffer: bytes reach the disk
+	wantRows("during an abandoned rewrite", 200)
+	abandoned.Abort()
+	onlySegment("after aborting the abandoned rewrite")
+
+	w := start(10)
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wantRows("after a finished rewrite", 10)
+	onlySegment("after a finished rewrite")
 }

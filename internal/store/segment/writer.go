@@ -3,10 +3,14 @@ package segment
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 )
 
 // ColumnSpec declares one column of a segment under construction.
@@ -29,10 +33,17 @@ type WriterOptions struct {
 // Usage: append exactly one value (or null) per column, then EndRow —
 // or whole runs of rows column-wise with AppendRows; Finish seals the
 // file. Abort discards a partial file.
+//
+// The file is written beside its path under a temporary name and
+// renamed onto the path only once it is complete and on disk, so the
+// path holds the previous segment or the new one, never part of one:
+// an aborted, failed or abandoned writer leaves the previous file in
+// place (an abandoned one leaves its temporary file too).
 type Writer struct {
 	f    *os.File
 	w    *bufio.Writer
-	path string
+	path string // the segment's path
+	tmp  string // the file being written, renamed onto path by Finish
 	off  int64
 	rpp  int
 	rows int64
@@ -58,7 +69,8 @@ type colWriter struct {
 	index map[string]int32
 }
 
-// NewWriter creates path and returns a writer for the given schema.
+// NewWriter returns a writer of a segment at path for the given
+// schema; the path itself is written only by Finish.
 func NewWriter(path string, schema []ColumnSpec, opts *WriterOptions) (*Writer, error) {
 	rpp := DefaultRowsPerPage
 	if opts != nil && opts.RowsPerPage > 0 {
@@ -74,7 +86,7 @@ func NewWriter(path string, schema []ColumnSpec, opts *WriterOptions) (*Writer, 
 		}
 		seen[s.Name] = true
 	}
-	f, err := os.Create(path)
+	f, tmp, err := createTemp(path)
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +94,7 @@ func NewWriter(path string, schema []ColumnSpec, opts *WriterOptions) (*Writer, 
 		f:    f,
 		w:    bufio.NewWriterSize(f, 1<<20),
 		path: path,
+		tmp:  tmp,
 		rpp:  rpp,
 	}
 	for _, s := range schema {
@@ -92,11 +105,25 @@ func NewWriter(path string, schema []ColumnSpec, opts *WriterOptions) (*Writer, 
 		w.cols = append(w.cols, cw)
 	}
 	if err := w.write([]byte(Magic)); err != nil {
-		f.Close()
-		os.Remove(path)
+		w.abort()
 		return nil, err
 	}
 	return w, nil
+}
+
+// tmpSeq numbers the temporary files of this process's writers.
+var tmpSeq atomic.Uint64
+
+// createTemp creates a new file beside path, named after it, with the
+// permissions os.Create would give path.
+func createTemp(path string) (*os.File, string, error) {
+	for {
+		tmp := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
+		f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, tmp, err
+		}
+	}
 }
 
 func (w *Writer) write(b []byte) error {
@@ -411,14 +438,39 @@ func (w *Writer) Finish() (*Footer, error) {
 		w.abort()
 		return nil, err
 	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.path)
+	if err := w.f.Sync(); err != nil {
+		w.abort()
 		return nil, err
+	}
+	if err := w.f.Close(); err != nil {
+		os.Remove(w.tmp)
+		return nil, err
+	}
+	if err := os.Rename(w.tmp, w.path); err != nil {
+		os.Remove(w.tmp)
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
+		return nil, fmt.Errorf("segment: %s written but its directory not synced: %w", w.path, err)
 	}
 	return footer, nil
 }
 
-// Abort discards the partial file. Safe to call after Finish (no-op).
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Abort discards the partial file, leaving whatever was at the path
+// before. Safe to call after Finish (no-op).
 func (w *Writer) Abort() {
 	if w.done {
 		return
@@ -429,5 +481,5 @@ func (w *Writer) Abort() {
 
 func (w *Writer) abort() {
 	w.f.Close()
-	os.Remove(w.path)
+	os.Remove(w.tmp)
 }

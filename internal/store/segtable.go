@@ -132,10 +132,11 @@ func (c *segCol) AppendNull() {
 }
 
 // fetch returns the data and null payloads of page pi (nulls is nil
-// when the page has none). The pool handles are released before
-// returning: the byte slices stay valid (see segment.Handle.Bytes) and
-// the pages simply become evictable again, so cursors can hold the
-// bytes without pinning pool budget.
+// when the page has none). Both handles, values that carry their
+// pages' bytes, are released before returning: the slices stay valid
+// (see segment.Handle) and the pages simply become evictable again, so
+// cursors can hold the bytes without pinning pool budget. On the mmap
+// path a fetch allocates nothing, hit or miss.
 func (c *segCol) fetch(pi int) (data, nulls []byte) {
 	h, err := c.seg.DataPage(c.ci, pi)
 	if err != nil {
@@ -147,10 +148,8 @@ func (c *segCol) fetch(pi int) (data, nulls []byte) {
 	if err != nil {
 		panic(fmt.Sprintf("store: segment column %q null page %d: %v", c.meta.Name, pi, err))
 	}
-	if nh != nil {
-		nulls = nh.Bytes()
-		nh.Release()
-	}
+	nulls = nh.Bytes()
+	nh.Release()
 	return data, nulls
 }
 
