@@ -21,13 +21,17 @@ race-jobs:
 # (TestConcurrentBuildsShareSlabs), builds over themes of different
 # widths fitting their description trees in that scratch's presorted
 # lists, regrowing them while another build holds the other scratch
-# (TestConcurrentFitsShareTreeScratch), selects through CLARA and zooms
-# through exact PAM sweeping in that scratch's cluster buffers, regrowing
-# them while another build holds the other scratch
-# (TestConcurrentClusterScratch), subsets of one lazy oracle built and
-# read at once, and CLARA's per-sample runs subsetting one shared lazy
-# oracle and reading its rows for their assignments
-# (TestLazySubsetsConcurrent*), the states holding one cached map
+# (TestConcurrentFitsShareTreeScratch), two sessions' selects through
+# CLARA over lazy oracles (their samples above the dataset's
+# PAMThreshold), each sweep drawing its shared CLARA samples and
+# Monte-Carlo rounds into its own scratch's slots, and zooms through
+# exact PAM over a matrix, regrowing those buffers while another build
+# holds the other scratch (TestConcurrentClusterScratch), two sweeps
+# over one lazy oracle, each in its own cluster.Scratch
+# (TestConcurrentSweepsShareLazyOracle), subsets of one lazy oracle
+# built and read at once, and CLARA's samples building their matrices
+# from one shared lazy oracle and reading its rows for their
+# assignments (TestLazySubsetsConcurrent*), the states holding one cached map
 # building its regions' rows and highlight statistics in its one
 # routing, a map-cache hit running
 # while its cached map's state is annotated (TestAnnotateDuringHitBuild),
@@ -35,7 +39,7 @@ race-jobs:
 # building a map over the shared dependency graph and themes
 # (TestDatasetConcurrentOpens).
 race-build:
-	go test -race -count=2 -run 'ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|LazySubsetsConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
+	go test -race -count=2 -run 'ConcurrentColdBuilds|ConcurrentBuildsShareSlabs|ConcurrentFitsShareTreeScratch|ConcurrentClusterScratch|ConcurrentSweepsShareLazyOracle|LazySubsetsConcurrent|HitSharesRegionRows|HighlightConcurrent|AnnotateDuringHitBuild|DatasetConcurrentOpens' ./internal/core/... ./internal/cluster/...
 
 # The storage engine's buffer pool and segment scans under the race
 # detector (also a CI step): concurrent readers through one pool,
@@ -141,8 +145,10 @@ bench:
 # equality's compile, first and later (BenchmarkCompileStrEq), a string
 # filter click and LIMIT query (BenchmarkFilterStrEq), a new
 # session's first map on a shared Dataset (BenchmarkSessionFirstBuild),
-# AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK), a
-# cold select at the engine's default sample (BenchmarkColdSelectDefault),
+# AutoK in a fresh and in a reused cluster.Scratch (BenchmarkAutoK), the
+# exact and the CLARA sweep at the sample sizes below the crossover
+# (BenchmarkCrossover), a cold select at the engine's default sample
+# (BenchmarkColdSelectDefault),
 # the ingest decoder on the ledger's inputs (BenchmarkReadCSV,
 # BenchmarkBuildSegment), one float cell (BenchmarkParseFloat) and one
 # buffer-pool hit and miss (BenchmarkPoolGet).

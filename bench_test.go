@@ -81,10 +81,9 @@ func BenchmarkSilhouetteExact(b *testing.B) {
 	}
 }
 
-// The four benchmarks below are the cluster stage's distance kernels at
-// the sizes of an explore_mem click (bench/load): a 1100-tuple sample in
-// 40 prepared dimensions, and a 668-object index view of it; views
-// serve CLARA's samples and the Monte-Carlo silhouette.
+// The benchmarks below are the cluster stage's distance kernels at the
+// sizes of an explore_mem click (bench/load): a 1100-tuple sample in 40
+// prepared dimensions.
 
 func BenchmarkDistMatrixBuild(b *testing.B) {
 	vecs, _ := benchVectors(1100, 40, 4)
@@ -112,38 +111,17 @@ func BenchmarkDistMatrixBuild(b *testing.B) {
 	}
 }
 
-// benchView returns a 668-of-1100 view of one matrix, over an ascending
-// idx or the same idx shuffled, as the ascending view's contract allows.
-func benchView(shuffled bool) cluster.Oracle {
-	vecs, _ := benchVectors(1100, 40, 4)
-	rng := rand.New(rand.NewSource(11))
-	idx := store.SampleIndices(len(vecs), 668, rng)
-	if shuffled {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	}
-	return cluster.ComputeDistMatrix(vecs, stats.Euclidean{}).Subset(idx)
-}
-
-func BenchmarkAutoKExactView(b *testing.B) {
-	view := benchView(false)
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.AutoK(view, cluster.AutoKOptions{KMin: 2, KMax: 6, Rand: rand.New(rand.NewSource(1))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAutoK is the cluster stage's model selection at explore_mem's
 // shape (a select's 1 100-row sample of a 33-column theme, core's
-// thresholds, so CLARA with Monte-Carlo silhouettes) over a distance
-// matrix. fresh sweeps in a new cluster.Scratch, the way cluster.AutoK
-// does; reuse sweeps in one Scratch carried across iterations, the way a
-// build on a dataset's scratch does, and allocates only what the
-// clustering keeps — watch its B/op.
+// thresholds, so CLARA with Monte-Carlo silhouettes) over the oracle the
+// engine picks there, a lazy one. fresh sweeps in a new cluster.Scratch,
+// the way cluster.AutoK does; reuse sweeps in one Scratch carried across
+// iterations, the way a build on a dataset's scratch does, and allocates
+// only what the clustering keeps — watch its B/op.
 func BenchmarkAutoK(b *testing.B) {
 	vecs, _ := benchVectors(1100, 33, 4)
-	o := cluster.ComputeDistMatrix(vecs, stats.Euclidean{})
 	d := core.DefaultOptions()
+	o := cluster.NewOracle(vecs, stats.Euclidean{}, d.PAMThreshold, nil)
 	rng := rand.New(rand.NewSource(1))
 	run := func(b *testing.B, sc *cluster.Scratch) {
 		if _, err := sc.AutoK(o, cluster.AutoKOptions{KMin: d.MapKMin, KMax: d.MapKMax,
@@ -166,20 +144,6 @@ func BenchmarkAutoK(b *testing.B) {
 			run(b, sc)
 		}
 	})
-}
-
-func BenchmarkViewRowInto(b *testing.B) {
-	for _, order := range []string{"ascending", "shuffled"} {
-		view := benchView(order == "shuffled")
-		row := make([]float64, view.N())
-		b.Run(order, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for r := range row {
-					view.RowInto(r, row)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkHighlightStats is the store call behind a highlight click on
@@ -379,10 +343,10 @@ func BenchmarkSessionFirstBuild(b *testing.B) {
 
 // BenchmarkColdSelectDefault is a cold map at the engine's default
 // sample: LOFAR, 100 000 rows, SampleSize 5 000 (DefaultOptions'), the
-// map cache off, one select of the widest theme in a new session. Above
-// cluster.DefaultMaterializeThreshold the build clusters over a lazy
-// oracle, which no ledger workload reaches; this is the baseline a
-// change to that path is read against.
+// map cache off, one select of the widest theme in a new session. The
+// build is CLARA with Monte-Carlo silhouettes over a lazy oracle, at a
+// sample no ledger workload reaches; this is the baseline a change to
+// that path is read against.
 func BenchmarkColdSelectDefault(b *testing.B) {
 	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
 	d, err := core.NewDataset(ds.Table, core.Options{Seed: 1, SampleSize: core.DefaultOptions().SampleSize,
@@ -579,11 +543,10 @@ func BenchmarkZoomCached(b *testing.B) {
 // prepares and runs the zoom without applying it, so the zoom never
 // enters the cache and every iteration is a miss (that is the
 // scenario): it draws its own sample of the region, fits and transforms
-// it and clusters it over a matrix of its own. The sample of 2000 is
-// below cluster.DefaultMaterializeThreshold, so every build
-// materializes, and each computes its matrix on the storage of the last
-// build's: B/op is reported, and a zoom that allocates its matrix's
-// bytes fails the run.
+// it and clusters it. The sample of 2000 is above the engine's
+// PAMThreshold, so every build is CLARA over a lazy oracle and no
+// matrix over the sample exists: B/op is reported, and a zoom that
+// allocates a matrix's bytes fails the run.
 func BenchmarkZoomCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ds := datagen.PlantedBlobs(datagen.BlobSpec{N: 40000, K: 4, Dims: 8, Sep: 6}, rng)
@@ -629,9 +592,8 @@ func BenchmarkZoomCold(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	// The parent build left its matrix in the dataset's build scratch,
-	// and every zoom computes its own no larger one on that storage: a
-	// zoom that allocates its matrix's bytes has allocated the matrix.
+	// A zoom that allocates the bytes of a matrix over its sample has
+	// built one above the crossover.
 	perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
 	if matrix := uint64(sample*(sample-1)/2) * 8; perOp >= matrix {
 		b.Fatalf("a cold zoom over %d sampled objects allocated %d B, its matrix is %d B", sample, perOp, matrix)

@@ -13,12 +13,12 @@ type AutoKOptions struct {
 	// (defaults 2 and 8).
 	KMin, KMax int
 	// LargeThreshold is the object count above which clustering switches
-	// from exact PAM to CLARA (default 2000).
+	// from exact PAM to CLARA; 0 keeps every sweep exact.
 	LargeThreshold int
 	// CLARA tunes the CLARA runs (Rand is shared with silhouettes).
 	CLARA CLARAOptions
-	// MCSilhouette switches silhouette scoring to the Monte-Carlo
-	// estimator above this object count (default 2000; 0 keeps default).
+	// MCSilhouetteThreshold is the object count above which silhouettes
+	// switch to the Monte-Carlo estimator; 0 keeps them exact.
 	MCSilhouetteThreshold int
 	// Context cancels the model-selection sweep between candidate k
 	// values and is forwarded to CLARA's per-sample runs; nil never
@@ -39,33 +39,28 @@ func (o *AutoKOptions) defaults() {
 	if o.KMax < o.KMin {
 		o.KMax = o.KMin + 6
 	}
-	if o.LargeThreshold <= 0 {
-		o.LargeThreshold = 2000
-	}
-	if o.MCSilhouetteThreshold <= 0 {
-		o.MCSilhouetteThreshold = 2000
-	}
 }
+
+// above reports whether n objects are past threshold, where 0 is no
+// threshold.
+func above(n, threshold int) bool { return threshold > 0 && n > threshold }
 
 // sweepK clusters o once for every k in [kMin, kMax], 2 <= kMin <= kMax <
 // n, in k order, and hands each clustering to visit; the context is read
-// before every k. Above LargeThreshold a k is a CLARA run of its own;
-// below it the ks share one BUILD to kMax and the scratch's one run, each
-// k's SWAP starting from seeds[:k] (the package comment says why).
+// before every k. Above LargeThreshold each k is CLARA on the samples
+// drawn once for the sweep, at kMax's sample size; below it the ks share
+// one BUILD to kMax and the scratch's one run, each k's SWAP starting
+// from seeds[:k] (the package comment says why).
 func (s *Scratch) sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
 	n := o.N()
 	var run func(k int) (*Clustering, error)
-	if n > opts.LargeThreshold {
-		co := opts.CLARA
-		co.Rand = opts.Rand
-		if co.Context == nil {
-			co.Context = opts.Context
+	if above(n, opts.LargeThreshold) {
+		ctx := opts.CLARA.Context
+		if ctx == nil {
+			ctx = opts.Context
 		}
-		run = func(k int) (*Clustering, error) { return s.clara(o, k, co) }
+		run = func(k int) (*Clustering, error) { return s.clara(o, k, ctx) }
 	} else {
-		if err := ctxErr(opts.Context); err != nil {
-			return err
-		}
 		seeds, err := s.run.build(o, kMax)
 		if err != nil {
 			return err
@@ -92,9 +87,13 @@ func (s *Scratch) sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func
 // partitioning with the (possibly Monte-Carlo) silhouette, and returns the
 // clustering with the best score — the model-selection scheme of paper §3:
 // "we generate several partitionings with different numbers of clusters,
-// and keep the one with the best score." The winner carries the exact
-// scorer's per-cluster means too (ClusterSilhouettes). It sweeps in a
-// Scratch of its own.
+// and keep the one with the best score." Every k is clustered and scored
+// on the same draws — CLARA's samples and the Monte-Carlo rounds, each
+// drawn once, in that order, before the first k — so the ks are compared
+// paired. The winner carries its per-cluster means (ClusterSilhouettes):
+// the exact scorer's, or the Monte-Carlo rounds', with a cluster whose
+// widths the rounds measure too rarely scored exactly over its own rows.
+// It sweeps in a Scratch of its own.
 func AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	return new(Scratch).AutoK(o, opts)
 }
@@ -120,19 +119,34 @@ func (s *Scratch) AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 		clear(labels)
 		return &Clustering{K: 1, Labels: labels, Medoids: []int{0}, Silhouette: 0}, nil
 	}
+	if err := ctxErr(opts.Context); err != nil {
+		return nil, err
+	}
+
+	// The sweep's draws: CLARA's samples when some k reads them, then
+	// the Monte-Carlo rounds.
+	if above(n, opts.LargeThreshold) && n > claraSampleSize(opts.KMin) {
+		s.drawSamples(o, claraSampleSize(kMax), opts.Rand)
+	}
+	mc := above(n, opts.MCSilhouetteThreshold) && n > mcSampleSize
+	if mc {
+		s.drawRounds(o, opts.Rand)
+	}
 
 	var best *Clustering
+	var bestCounts []int
 	done := 0
 	err := s.sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
-		if n > opts.MCSilhouetteThreshold {
-			c.Silhouette = s.mcSilhouette(o, c.Labels, c.K, opts.Rand)
+		per, counts := s.perCluster(c.K)
+		if mc {
+			c.Silhouette = s.mcScore(c.Labels, c.K, per, counts)
 		} else {
-			c.ClusterSilhouettes = s.perCluster(c.K)
-			c.Silhouette = s.sil.silhouettes(o, c.Labels, c.K, c.ClusterSilhouettes)
+			c.Silhouette = s.sil.silhouettes(o, c.Labels, c.K, per)
 		}
+		c.ClusterSilhouettes = per
 		if best == nil || c.Silhouette > best.Silhouette {
-			// c keeps its buffers; the next k takes the other pair.
-			best = c
+			// c keeps its buffers; the next k takes the other set.
+			best, bestCounts = c, counts
 			s.cur ^= 1
 		}
 		if done++; opts.Progress != nil {
@@ -144,6 +158,9 @@ func (s *Scratch) AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	}
 	if best == nil || math.IsNaN(best.Silhouette) {
 		return nil, fmt.Errorf("cluster: AutoK found no valid clustering")
+	}
+	if mc {
+		s.roundMeans(o, best.Labels, best.ClusterSilhouettes, bestCounts)
 	}
 	return best, nil
 }

@@ -56,19 +56,32 @@ func ctxErr(ctx context.Context) error {
 // drops the textbook carry-over of the current best medoids into later
 // samples — the price of a deterministic fan-out; the winner still never
 // loses to the first sample alone, which is always among the candidates.
+// CLARA is one k's run; AutoK's sweep draws its samples once for every
+// k (see the package comment).
 func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
-	return new(Scratch).clara(o, k, opts)
+	if opts.Rand == nil {
+		return nil, fmt.Errorf("cluster: CLARA requires a random source")
+	}
+	if err := ctxErr(opts.Context); err != nil {
+		return nil, err
+	}
+	s := new(Scratch)
+	if size := claraSampleSize(k); o.N() > size {
+		s.drawSamples(o, size, opts.Rand)
+	}
+	return s.clara(o, k, opts.Context)
 }
 
-// claraSample is one CLARA sample's slot in a Scratch: its ids, the
-// bitmap they were drawn through, its subset's storage, its PAM run,
-// that run's medoids as ids of the full set with their full-data cost
-// and labels, and assignInto's buffers.
-// Only the sample's own task writes it.
+// claraSample is one CLARA sample's slot in a Scratch: its ids in the
+// order drawn, the bitmap they were drawn through, its matrix's storage
+// and the leading block of it one k reads, its PAM run, that run's
+// medoids as ids of the full set with their full-data cost and labels,
+// and assignInto's buffers. Only the sample's own task writes it.
 type claraSample struct {
 	ids     []int
 	taken   []uint64
 	sub     subsetStore
+	lead    DistMatrix
 	run     pamRun
 	medoids []int
 	cost    float64
@@ -78,41 +91,43 @@ type claraSample struct {
 	best    []float64
 }
 
-// clara is CLARA in s: each sample in its slot, the winner's labels in
-// the current k's buffer.
-func (s *Scratch) clara(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
+// drawSamples draws CLARA's samples from rng, in sample order, each of
+// min(size, n) objects of o in a uniformly random order — a uniform
+// sample, then a shuffle of it — and fills each one's matrix over its
+// ids in that order. Every k whose sample size is below n clusters the
+// leading claraSampleSize(k) objects of each sample, themselves a
+// uniform sample, so size is the largest k's.
+func (s *Scratch) drawSamples(o Oracle, size int, rng *rand.Rand) {
 	n := o.N()
-	if opts.Rand == nil {
-		return nil, fmt.Errorf("cluster: CLARA requires a random source")
+	for i := range s.samples {
+		sm := &s.samples[i]
+		sm.ids, sm.taken = store.SampleIndicesInto(n, min(size, n), rng, sm.ids, sm.taken)
+		ids := sm.ids
+		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 	}
-	if err := ctxErr(opts.Context); err != nil {
-		return nil, err
-	}
+	cores.Run(len(s.samples), func(i int) {
+		sm := &s.samples[i]
+		sm.sub.over(o, sm.ids)
+	})
+}
+
+// clara is CLARA in s for k clusters over the samples drawSamples drew:
+// each sample's PAM on the leading block of its matrix, in its slot, the
+// winner's labels in the current k's buffer. At most claraSampleSize(k)
+// objects is PAM on o itself.
+func (s *Scratch) clara(o Oracle, k int, ctx context.Context) (*Clustering, error) {
+	n := o.N()
 	size := claraSampleSize(k)
 	if n <= size || n <= k {
 		return s.pam(o, k)
 	}
-
-	// Draw every sample up front, in sample order, so the runs below are
-	// independent of execution order and of each other.
-	for i := range s.samples {
-		sm := &s.samples[i]
-		sm.ids, sm.taken = store.SampleIndicesInto(n, size, opts.Rand, sm.ids, sm.taken)
-		sm.cost, sm.err = math.Inf(1), nil
-		// Seeds nothing — BUILD is deterministic — but every later draw
-		// from the shared Rand (the next sample, Monte-Carlo silhouettes,
-		// the next k) sits one position further for it, and the pinned
-		// navigation digests are CLARA builds. It goes with the first
-		// change that re-pins them (ROADMAP item 4(d)).
-		opts.Rand.Int63()
-	}
-
 	cores.Run(len(s.samples), func(i int) {
 		sm := &s.samples[i]
-		if sm.err = ctxErr(opts.Context); sm.err != nil {
+		sm.cost = math.Inf(1)
+		if sm.err = ctxErr(ctx); sm.err != nil {
 			return
 		}
-		sub := subsetIn(&sm.sub, o, sm.ids)
+		sub := sm.sub.matrix.lead(size, &sm.lead)
 		if _, sm.err = checkPAMArgs(sub, k); sm.err == nil {
 			sm.err = sm.run.pam(sub, k)
 		}

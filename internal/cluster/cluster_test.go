@@ -431,25 +431,29 @@ func TestAutoKTinyInput(t *testing.T) {
 	}
 }
 
+// TestClusterKMethodSwitch: above the thresholds a sweep must not try
+// O(n²) PAM or the exact silhouette, and its ks share one set of draws.
+// A two-k sweep's whole distance work is CLARA's five sample matrices,
+// drawn once at the larger k's 80+4·3 = 92 objects (k = 2 reads their
+// leading 88), the Monte-Carlo silhouette's four rounds of 256, drawn
+// once, and k medoid rows of 2 399 evaluations for each k's five
+// full-data costs and labels: 5·C(92,2) + 4·C(256,2) + 5·(2+3)·2 399,
+// where PAM's rows alone would cost at least C(2400, 2). Two blobs of
+// 1 200 put hundreds of each cluster's objects in the rounds, so no
+// cluster's silhouette is taken over its own rows.
 func TestClusterKMethodSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	// Above the threshold a one-k sweep must not try O(n²) PAM: its whole
-	// distance work is CLARA's five sample matrices of 80+4k = 88 objects,
-	// the Monte-Carlo silhouette's four rounds of 256, and two medoid rows
-	// of 2 399 evaluations for each of the five samples' full-data costs
-	// and labels, where PAM's rows alone would cost at least C(2400, 2)
-	// evaluations.
-	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 2, LargeThreshold: 500, Rand: rng})
+	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 3, LargeThreshold: 500, MCSilhouetteThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Labels) != o.N() || c.K != 2 {
-		t.Error("one-k sweep result malformed")
+		t.Error("two-k sweep result malformed")
 	}
-	if got, want := o.DistEvals(), int64(5*88*87/2+4*256*255/2+5*2*2399); got != want {
-		t.Errorf("a one-k sweep above the threshold made %d evaluations, want CLARA's, its assignments' and the Monte-Carlo rounds' %d", got, want)
+	if got, want := o.DistEvals(), int64(5*92*91/2+4*256*255/2+5*(2+3)*2399); got != want {
+		t.Errorf("a two-k sweep above the thresholds made %d evaluations, want CLARA's, its assignments' and the Monte-Carlo rounds' %d", got, want)
 	}
 }
 

@@ -78,9 +78,8 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 		ascending = append(ascending, i)
 	}
 	scrambled := rand.New(rand.NewSource(int64(n))).Perm(n)[:(2*n+2)/3]
-	// Ascending up to its last pair: a view must not take it for
-	// ascending, nor a scrambled view's ascending subset (composed over
-	// the view's own idx) for one.
+	// Ascending up to its last pair, and the ascending subset of a
+	// scrambled one: orders a subset's cells must follow, not assume.
 	lastSwapped := append([]int(nil), ascending...)
 	if m := len(lastSwapped); m >= 2 {
 		lastSwapped[m-2], lastSwapped[m-1] = lastSwapped[m-1], lastSwapped[m-2]
@@ -106,10 +105,9 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 }
 
 // TestOracleContract holds every implementation of cluster.Oracle, and
-// two levels of subsets of each (a view, a view of the view, with
-// ascending and unsorted idx — so both row loops of a matrix view, and
-// an ascending view of an unsorted one), to the three laws written on
-// the interface. A matrix NewOracle built on a larger spent one's storage,
+// two levels of subsets of each (a subset, and a subset of the subset,
+// with ascending and unsorted idx), to the three laws written on the
+// interface. A matrix NewOracle built on a larger spent one's storage,
 // whose cells held other distances, is held to them too.
 func TestOracleContract(t *testing.T) {
 	vecs := contractVecs(90, 21)
@@ -120,7 +118,7 @@ func TestOracleContract(t *testing.T) {
 	for i := range vecs {
 		warm.RowInto(i, buf) // an oracle that has answered every row
 	}
-	reused := cluster.NewOracle(vecs, metric, randomMatrix(len(vecs)+30, 23))
+	reused := cluster.NewOracle(vecs, metric, len(vecs), randomMatrix(len(vecs)+30, 23))
 	g := graph.New([]string{"a", "b", "c", "d", "e", "f", "g"})
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < g.N(); i++ {

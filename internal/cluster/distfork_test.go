@@ -14,7 +14,7 @@ import (
 // order the deleted loops used (Dist(j, i), object first, medoid or
 // candidate second), and Subset is a plain re-indexing wrapper.
 // Whatever a k-medoid loop computes over a real storage's rows and
-// views it must also compute over this.
+// subsets it must also compute over this.
 type distForkOracle struct {
 	pairs *DistMatrix
 	idx   []int // fork object -> object of pairs
@@ -60,7 +60,7 @@ func TestRowLoopsMatchDistFork(t *testing.T) {
 		o    Oracle
 	}{
 		{"matrix", ComputeDistMatrix(vecs, metric)},
-		{"view", ComputeDistMatrix(vecs, metric).Subset(rand.New(rand.NewSource(32)).Perm(len(vecs))[:500])},
+		{"subset", ComputeDistMatrix(vecs, metric).Subset(rand.New(rand.NewSource(32)).Perm(len(vecs))[:500])},
 		{"lazy", NewLazyOracle(vecs, metric)},
 	} {
 		fork := newDistFork(real.o)

@@ -66,6 +66,16 @@ func computeDistMatrix(vecs [][]float64, d stats.Distance, scratch *DistMatrix) 
 	return m
 }
 
+// lead writes into v, and returns, m's leading principal block over its
+// first n objects: the same cells read through the same row offsets, so
+// every row v serves is the one a matrix computed over those n objects
+// alone would serve. It is how the ks of a CLARA sweep share one matrix
+// per sample. v reads m's storage and is valid while m is.
+func (m *DistMatrix) lead(n int, v *DistMatrix) *DistMatrix {
+	*v = DistMatrix{n: n, data: m.data, rowOff: m.rowOff[:n]}
+	return v
+}
+
 // idx is the position of pair (i, j), i != j, in data.
 func (m *DistMatrix) idx(i, j int) int {
 	if i > j {
@@ -119,80 +129,9 @@ func (m *DistMatrix) DistEvals() int64 {
 	return n * (n - 1) / 2
 }
 
-// Subset implements Oracle: an index view over the condensed storage —
-// no distance is recomputed and nothing is copied, not even idx.
+// Subset implements Oracle: a matrix over the objects idx, its cells
+// copied out of this one's — no distance is recomputed.
 func (m *DistMatrix) Subset(idx []int) Oracle {
-	return newMatrixView(m, idx)
+	var st subsetStore
+	return st.over(m, idx)
 }
-
-// matrixView is a DistMatrix restricted to a subset of its objects.
-// Every answer is read from the matrix's condensed storage, so the view
-// is byte-identical to a matrix freshly computed over the subset's
-// vectors. Its clients are CLARA's per-sample PAM runs and the
-// Monte-Carlo silhouette's rounds: a few hundred objects each, read for
-// one run and dropped, where copying the cells out would cost more than
-// the index indirection it saves.
-type matrixView struct {
-	m   *DistMatrix
-	idx []int // view object -> matrix object
-	// ascending: idx is strictly increasing, as every subset the pipeline
-	// makes is (sorted samples, intersections of sorted row lists), so
-	// RowInto knows each cell's side of the diagonal without comparing.
-	ascending bool
-}
-
-func newMatrixView(m *DistMatrix, idx []int) *matrixView {
-	v := new(matrixView)
-	v.over(m, idx)
-	return v
-}
-
-// over points v at the objects idx of m.
-func (v *matrixView) over(m *DistMatrix, idx []int) {
-	v.m, v.idx, v.ascending = m, idx, true
-	for a := 1; a < len(idx) && v.ascending; a++ {
-		v.ascending = idx[a-1] < idx[a]
-	}
-}
-
-// N implements Oracle.
-func (v *matrixView) N() int { return len(v.idx) }
-
-// RowInto implements Oracle. Over an ascending idx the cells left of
-// the diagonal sit in column pi of their own rows and the cells right of
-// it in row pi: two gathers with no test per cell. Any other idx takes
-// the loop that orders each pair.
-//
-//blaeu:hot
-func (v *matrixView) RowInto(i int, dst []float64) {
-	pi, data, rowOff := v.idx[i], v.m.data, v.m.rowOff
-	if !v.ascending {
-		for j, pj := range v.idx {
-			dst[j] = v.m.Dist(pi, pj)
-		}
-		return
-	}
-	for j, pj := range v.idx[:i] {
-		dst[j] = data[rowOff[pj]+pi]
-	}
-	dst[i] = 0
-	off, right := rowOff[pi], dst[i+1:]
-	for j, pj := range v.idx[i+1:] {
-		right[j] = data[off+pj]
-	}
-}
-
-// Subset implements Oracle: a view of a view is a view of the matrix
-// under the composed index, so nesting never adds an indirection to
-// RowInto.
-func (v *matrixView) Subset(idx []int) Oracle {
-	composed := make([]int, len(idx))
-	for a, i := range idx {
-		composed[a] = v.idx[i]
-	}
-	return newMatrixView(v.m, composed)
-}
-
-// DistEvals implements Oracle: a view reads the matrix's storage and
-// never evaluates the metric.
-func (v *matrixView) DistEvals() int64 { return 0 }

@@ -42,24 +42,23 @@ func (o *LazyOracle) RowInto(i int, dst []float64) {
 	o.evals.Add(int64(len(o.vecs) - 1))
 }
 
-// Subset implements Oracle: the oracle NewOracle builds over the
-// re-sliced vectors (slice headers are shared; no vector data is
-// copied) — a matrix for at most DefaultMaterializeThreshold objects, a
-// lazy oracle above. Either makes this oracle's metric calls on the
-// same float slices, so it answers with the same bits. A subset matrix's
-// cells are computed on this oracle's behalf and added to its count.
+// Subset implements Oracle: a matrix over the re-sliced vectors (slice
+// headers are shared; no vector data is copied), made by this oracle's
+// metric calls on the same float slices, so it answers with the same
+// bits. Its cells are computed on this oracle's behalf and added to its
+// count.
 func (o *LazyOracle) Subset(idx []int) Oracle {
 	return o.subsetOver(idx, make([][]float64, len(idx)), nil)
 }
 
 // subsetOver is Subset with the re-sliced vectors written into vecs,
-// len(idx) long, and a subset matrix built on the storage of scratch,
-// which may be nil (see NewOracle).
-func (o *LazyOracle) subsetOver(idx []int, vecs [][]float64, scratch *DistMatrix) Oracle {
+// len(idx) long, and the matrix built on the storage of scratch, which
+// may be nil (see NewOracle).
+func (o *LazyOracle) subsetOver(idx []int, vecs [][]float64, scratch *DistMatrix) *DistMatrix {
 	for a, i := range idx {
 		vecs[a] = o.vecs[i]
 	}
-	sub := NewOracle(vecs, o.metric, scratch)
+	sub := computeDistMatrix(vecs, o.metric, scratch)
 	o.evals.Add(sub.DistEvals())
 	return sub
 }

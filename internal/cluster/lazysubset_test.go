@@ -76,12 +76,13 @@ func TestLazySubsetsConcurrent(t *testing.T) {
 	}
 }
 
-// TestLazySubsetsConcurrentCLARA: CLARA's per-sample runs each subset
-// the one oracle they were handed and read its rows for their
-// assignments, concurrently — here while another goroutine reads rows
-// of the lazy parent, so that subset-matrix builds and row reads add to
-// its one count at once — and the clustering must still be the
-// sequential one (run under -race in CI).
+// TestLazySubsetsConcurrentCLARA: CLARA's samples each build their
+// matrix from the one oracle they were handed, and its per-sample runs
+// read its rows for their assignments, concurrently — here while
+// another goroutine reads rows of the lazy parent, so that
+// subset-matrix builds and row reads add to its one count at once — and
+// the clustering must still be the sequential one (run under -race in
+// CI).
 func TestLazySubsetsConcurrentCLARA(t *testing.T) {
 	vecs := normalVecs(1200, 4, 17)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
@@ -106,4 +107,58 @@ func TestLazySubsetsConcurrentCLARA(t *testing.T) {
 	got := run()
 	wg.Wait()
 	assertIdenticalClustering(t, "clara over a shared lazy parent", len(vecs), got, want)
+}
+
+// TestConcurrentSweepsShareLazyOracle: two sweeps over one lazy oracle,
+// each in its own Scratch, run at once on the CLARA path with
+// Monte-Carlo silhouettes, each drawing its samples and rounds and
+// building their matrices in its own slots while the other does. Each
+// gives, bit for bit, what it gives alone, and the oracle's one count is
+// the two sweeps' evaluations (run under -race in CI).
+func TestConcurrentSweepsShareLazyOracle(t *testing.T) {
+	vecs := normalVecs(1500, 4, 18)
+	opts := func(seed int64) AutoKOptions {
+		return AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: DefaultPAMThreshold,
+			MCSilhouetteThreshold: DefaultPAMThreshold, Rand: rand.New(rand.NewSource(seed))}
+	}
+	alone := make([]*Clustering, 2)
+	var evals int64
+	for i := range alone {
+		o := NewLazyOracle(vecs, stats.Euclidean{})
+		c, err := AutoK(o, opts(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = c
+		evals += o.DistEvals()
+	}
+	shared := NewLazyOracle(vecs, stats.Euclidean{})
+	got := make([]*Clustering, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = new(Scratch).AutoK(shared, opts(int64(i)))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		assertIdenticalClustering(t, "concurrent sweep", len(vecs), got[i], alone[i])
+		if !sameBits(got[i].Silhouette, alone[i].Silhouette) {
+			t.Fatalf("sweep %d: silhouette %v at once, %v alone", i, got[i].Silhouette, alone[i].Silhouette)
+		}
+		for c, w := range alone[i].ClusterSilhouettes {
+			if !sameBits(got[i].ClusterSilhouettes[c], w) {
+				t.Fatalf("sweep %d: cluster %d silhouette %v at once, %v alone", i, c, got[i].ClusterSilhouettes[c], w)
+			}
+		}
+	}
+	if n := shared.DistEvals(); n != evals {
+		t.Fatalf("the shared oracle counted %d evaluations, the sweeps alone %d", n, evals)
+	}
 }

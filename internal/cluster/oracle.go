@@ -12,32 +12,39 @@
 // storage. Two storages implement it, and both answer with the same bits:
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
-//     repeated access, O(n²) memory, right for small samples; its subset
-//     is an index view over its cells;
+//     repeated access, O(n²) memory — and is the oracle of exact PAM,
+//     whose BUILD and SWAP read every pair many times;
 //   - LazyOracle is the prepared vectors and the metric, computing every
-//     row on demand with no memo — no quadratic allocation, right when n
-//     outgrows the matrix; its subset is the oracle NewOracle builds over
-//     the re-sliced vectors, a matrix for the few hundred objects of a
-//     CLARA sample or a Monte-Carlo round.
+//     row on demand with no memo — no quadratic allocation — and is the
+//     oracle of CLARA, which reads only its samples' and Monte-Carlo
+//     rounds' small matrices and k medoid rows per sample.
 //
-// NewOracle chooses between them by the number of objects alone, and
-// builds a matrix on the storage of a spent one when it is handed one.
+// NewOracle chooses between them at the one crossover, the object count
+// above which AutoK leaves exact PAM for CLARA, and builds a matrix on
+// the storage of a spent one when it is handed one.
 //
-// AutoK is one sweep over k, and the ks share what cannot change a
-// result: on the exact path BUILD runs once, to the largest k — greedy,
-// ties to the lowest index, so its seeds for k are the first k of its
-// seeds for any larger k — and the winner carries the per-cluster
-// silhouette means the pass that scored it produced. Every k sweeps in
-// one Scratch: SWAP's and BUILD's state, the row and block buffers, a
-// slot per CLARA sample, the Monte-Carlo rounds' and the silhouette
-// kernel's buffers and the labels of the k being scored and of the best.
-// Storage cannot change a result either: every cell is written before
-// it is read, so a scratch a larger or smaller sweep left gives the
-// bits a new one gives, and a caller that keeps one (core keeps one per
-// build scratch) allocates only the clusterings it is handed. Nothing
-// else is shared: CLARA's samples (sized by k) draw from the one Rand in
-// k order, and starting k+1 from k's converged medoids would be another
-// algorithm.
+// AutoK is one sweep over k, and the ks share one set of draws and what
+// cannot change a result. On the exact path BUILD runs once, to the
+// largest k — greedy, ties to the lowest index, so its seeds for k are
+// the first k of its seeds for any larger k — and the winner carries the
+// per-cluster silhouette means the pass that scored it produced. On the
+// CLARA path the sweep draws CLARA's five samples once, at the largest
+// k's size, each in the order drawn, and every k clusters the leading
+// objects of each: a prefix of a uniformly ordered sample is a uniform
+// sample, and its matrix is the leading principal block of the sample's
+// one matrix. The Monte-Carlo silhouette's rounds are drawn once too,
+// and every k is scored on the same rounds, so "k = 3 beats k = 4" is a
+// paired comparison (common random numbers), each subset's distances
+// are computed once per sweep, and the winner's per-cluster means come
+// from the same rounds. Every k sweeps in one Scratch: SWAP's and
+// BUILD's state, the row and block buffers, a slot per CLARA sample, the
+// Monte-Carlo rounds' and the silhouette kernel's buffers and the labels
+// of the k being scored and of the best. Storage cannot change a result
+// either: every cell is written before it is read, so a scratch a larger
+// or smaller sweep left gives the bits a new one gives, and a caller
+// that keeps one (core keeps one per build scratch) allocates only the
+// clusterings it is handed. Starting k+1 from k's converged medoids
+// would be another algorithm.
 package cluster
 
 import "repro/internal/stats"
@@ -58,7 +65,7 @@ import "repro/internal/stats"
 //
 // So no result depends on the storage, or on whose row a loop reads a
 // pair from. What a row costs does: a read of stored cells on a
-// DistMatrix and its views, n-1 evaluations booked in DistEvals on a
+// DistMatrix, n-1 evaluations booked in DistEvals on a
 // LazyOracle.
 //
 // An oracle's distances are fixed once it is built (LazyOracle's count
@@ -74,10 +81,10 @@ type Oracle interface {
 	RowInto(i int, dst []float64)
 	// Subset returns an oracle over the objects idx, re-indexed densely:
 	// its object a is this oracle's object idx[a]. A matrix serves it as
-	// an index view over its cells, a lazy oracle as the oracle
-	// NewOracle builds over the re-sliced vectors. Its clients are
-	// CLARA's per-sample PAM runs and the Monte-Carlo silhouette's
-	// rounds. Entries of idx must be distinct, valid indices; idx may be
+	// a matrix of its cells copied out, a lazy oracle as a matrix over
+	// the re-sliced vectors. The cluster layer's own samples and rounds
+	// are such matrices, filled in its Scratch (see subsetStore).
+	// Entries of idx must be distinct, valid indices; idx may be
 	// retained, so callers must not mutate it afterwards.
 	Subset(idx []int) Oracle
 	// DistEvals returns the cumulative number of exact metric
@@ -85,8 +92,8 @@ type Oracle interface {
 	// construction; a lazy oracle's rows, n-1 each, and the cells of
 	// every subset matrix it built, in one atomic count: every
 	// evaluation. Callers interested in one build take a before/after
-	// delta (see core's build trace). A view reports no evaluations of
-	// its own: its reads of the matrix are reuse, not new work.
+	// delta (see core's build trace). A matrix subset of a matrix counts
+	// its copied cells as its own; no build's count reads one.
 	DistEvals() int64
 }
 
@@ -99,26 +106,32 @@ const OracleAuto OracleStrategy = 0
 // KNNOracleOptions is ignored by BuildOracle; removed with ROADMAP 8(f).
 type KNNOracleOptions struct{}
 
-// DefaultMaterializeThreshold is the object count above which NewOracle
-// stops materializing the condensed matrix (≈16 MB of distances).
-const DefaultMaterializeThreshold = 2048
+// DefaultPAMThreshold is the engine's default crossover: the object
+// count above which a map build leaves exact PAM for CLARA with
+// Monte-Carlo silhouettes (AutoKOptions.LargeThreshold and
+// MCSilhouetteThreshold), and so above which its oracle is lazy.
+const DefaultPAMThreshold = 1024
 
-// NewOracle builds the distance oracle for the vectors: a DistMatrix for
-// at most DefaultMaterializeThreshold objects, a LazyOracle above. The
-// two answer with the same bits, so the choice moves memory and speed,
-// never a clustering. scratch, which may be nil, is a matrix its owner is
-// done with: the new matrix takes over its storage when that has room
-// for n objects, and allocates its own otherwise. A caller that hands
-// each build's matrix to the next allocates the triangle once.
-func NewOracle(vecs [][]float64, metric stats.Distance, scratch *DistMatrix) Oracle {
-	if len(vecs) > DefaultMaterializeThreshold {
+// NewOracle builds the distance oracle a sweep whose crossover is
+// pamThreshold clusters: a DistMatrix for at most pamThreshold objects,
+// where AutoK runs exact PAM, and a LazyOracle above, where it runs
+// CLARA, which reads no full matrix. The two answer with the same bits,
+// so the choice moves memory and speed, never a clustering. scratch,
+// which may be nil, is a matrix its owner is done with: the new matrix
+// takes over its storage when that has room for n objects, and
+// allocates its own otherwise. A caller that hands each build's matrix
+// to the next allocates the triangle once, and never holds one above
+// the crossover.
+func NewOracle(vecs [][]float64, metric stats.Distance, pamThreshold int, scratch *DistMatrix) Oracle {
+	if len(vecs) > pamThreshold {
 		return NewLazyOracle(vecs, metric)
 	}
 	return computeDistMatrix(vecs, metric, scratch)
 }
 
-// BuildOracle is NewOracle with no storage to reuse; its last three
-// parameters are ignored. Removed with ROADMAP 8(f).
+// BuildOracle is NewOracle at DefaultPAMThreshold with no storage to
+// reuse; its last three parameters are ignored. Removed with ROADMAP
+// 8(f).
 func BuildOracle(vecs [][]float64, metric stats.Distance, _ OracleStrategy, _ int, _ KNNOracleOptions) Oracle {
-	return NewOracle(vecs, metric, nil)
+	return NewOracle(vecs, metric, DefaultPAMThreshold, nil)
 }

@@ -129,24 +129,27 @@ func TestNewDistMatrixDegenerate(t *testing.T) {
 	}
 }
 
-// TestBuildOracleSelectsImplementation checks both sides of
-// DefaultMaterializeThreshold, through NewOracle and through the
-// BuildOracle wrapper, whose threshold argument is ignored.
+// TestBuildOracleSelectsImplementation checks both sides of the
+// crossover NewOracle is handed, and that the BuildOracle wrapper, whose
+// threshold argument is ignored, decides at DefaultPAMThreshold.
 func TestBuildOracleSelectsImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	vecs := make([][]float64, DefaultMaterializeThreshold+1)
+	vecs := make([][]float64, DefaultPAMThreshold+1)
 	for i := range vecs {
 		vecs[i] = []float64{rng.Float64()}
 	}
-	at, metric := vecs[:DefaultMaterializeThreshold], stats.Euclidean{}
-	if _, ok := NewOracle(at, metric, nil).(*DistMatrix); !ok {
+	metric := stats.Euclidean{}
+	if _, ok := NewOracle(vecs[:50], metric, 50, nil).(*DistMatrix); !ok {
 		t.Error("at the threshold the oracle should materialize")
 	}
-	if _, ok := NewOracle(vecs, metric, nil).(*LazyOracle); !ok {
+	if _, ok := NewOracle(vecs[:51], metric, 50, nil).(*LazyOracle); !ok {
 		t.Error("above the threshold the oracle should go lazy")
 	}
-	if _, ok := BuildOracle(vecs[:50], metric, OracleAuto, 49, KNNOracleOptions{}).(*DistMatrix); !ok {
-		t.Error("BuildOracle should decide by DefaultMaterializeThreshold alone")
+	if _, ok := BuildOracle(vecs[:DefaultPAMThreshold], metric, OracleAuto, 49, KNNOracleOptions{}).(*DistMatrix); !ok {
+		t.Error("BuildOracle should materialize at DefaultPAMThreshold")
+	}
+	if _, ok := BuildOracle(vecs, metric, OracleAuto, 1<<20, KNNOracleOptions{}).(*LazyOracle); !ok {
+		t.Error("BuildOracle should go lazy above DefaultPAMThreshold")
 	}
 }
 
@@ -164,15 +167,15 @@ func TestNewOracleReusesScratch(t *testing.T) {
 		spent.data[i] = math.NaN()
 	}
 	cells := &spent.data[0]
-	got, ok := NewOracle(vecs, metric, spent).(*DistMatrix)
+	got, ok := NewOracle(vecs, metric, len(vecs), spent).(*DistMatrix)
 	if !ok || got != spent || &got.data[0] != cells {
 		t.Fatal("a large enough spent matrix was not reused")
 	}
 	assertOracleByteIdentical(t, "reused", got, want)
 
 	small := NewDistMatrix(10)
-	if got := NewOracle(vecs, metric, small); got == Oracle(small) || small.N() != 10 {
+	if got := NewOracle(vecs, metric, len(vecs), small); got == Oracle(small) || small.N() != 10 {
 		t.Fatal("a spent matrix too small was reused or reshaped")
 	}
-	assertOracleByteIdentical(t, "fresh", NewOracle(vecs, metric, small), want)
+	assertOracleByteIdentical(t, "fresh", NewOracle(vecs, metric, len(vecs), small), want)
 }

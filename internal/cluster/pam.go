@@ -21,9 +21,11 @@ type Clustering struct {
 	// Silhouette is the average silhouette width if it was computed
 	// (NaN otherwise).
 	Silhouette float64
-	// ClusterSilhouettes is the mean silhouette width of each cluster —
-	// what SilhouettePerCluster returns — when the pass that computed
-	// Silhouette produced it too (AutoK's exact scorer); nil otherwise.
+	// ClusterSilhouettes is the mean silhouette width of each cluster,
+	// from the pass that computed Silhouette: on AutoK's winner, what
+	// SilhouettePerCluster returns under the exact scorer, the
+	// Monte-Carlo rounds' means under that one (see AutoK); nil where
+	// no silhouette was computed.
 	ClusterSilhouettes []float64
 }
 

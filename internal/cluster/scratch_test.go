@@ -72,14 +72,6 @@ func TestDirtyScratchMatchesFresh(t *testing.T) {
 						t.Fatalf("%s: cluster %d silhouette %v, want %v", label, c, got.ClusterSilhouettes[c], want.ClusterSilhouettes[c])
 					}
 				}
-				// The scratch's per-cluster pass over the winner's own
-				// labels gives the package function's bits.
-				per := sc.SilhouettePerCluster(o, got.Labels, got.K)
-				for c, w := range SilhouettePerCluster(o, want.Labels, want.K) {
-					if !sameBits(per[c], w) {
-						t.Fatalf("%s: scratch per-cluster silhouette %d = %v, want %v", label, c, per[c], w)
-					}
-				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // perCellMetric is the Euclidean metric as the oracles called it before
@@ -36,15 +37,15 @@ func sweepVecs(n, dup int, seed int64) [][]float64 {
 	return vecs
 }
 
-// sweepOracles returns the storages over vecs: the matrix, an ascending
-// view of a matrix over twice the objects and the lazy oracle.
+// sweepOracles returns the storages over vecs: the matrix, the subset
+// of a matrix over twice the objects and the lazy oracle.
 func sweepOracles(vecs [][]float64, seed int64) []struct {
 	name string
 	o    Oracle
 } {
 	metric := stats.Euclidean{}
 	n := len(vecs)
-	// The view's parent interleaves vecs with as many other vectors.
+	// The subset's parent interleaves vecs with as many other vectors.
 	parent := make([][]float64, 0, 2*n)
 	idx := make([]int, n)
 	for i, other := range sweepVecs(n, 1, seed+100) {
@@ -56,7 +57,7 @@ func sweepOracles(vecs [][]float64, seed int64) []struct {
 		o    Oracle
 	}{
 		{"matrix", ComputeDistMatrix(vecs, metric)},
-		{"view", ComputeDistMatrix(parent, metric).Subset(idx)},
+		{"subset", ComputeDistMatrix(parent, metric).Subset(idx)},
 		{"lazy", NewLazyOracle(vecs, metric)},
 	}
 }
@@ -91,25 +92,25 @@ func TestBuildPrefixLaw(t *testing.T) {
 	}
 }
 
-// clusterKReference and autoKReference are one k's run and AutoK as they
-// were before the sweep: one full run per k, nothing shared between ks.
-func clusterKReference(o Oracle, k int, opts AutoKOptions) (*Clustering, error) {
-	if o.N() <= opts.LargeThreshold {
-		return PAM(o, k)
-	}
-	co := opts.CLARA
-	co.Rand, co.Context = opts.Rand, opts.Context
-	return CLARA(o, k, co)
-}
-
-func autoKReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
+// perKDrawReference is AutoK as it was before the sweep shared its
+// draws: one full run per k, each CLARA run drawing its own samples and
+// each Monte-Carlo score its own rounds, nothing shared between ks. It
+// is the unpaired baseline TestPairedKChoiceIsSteadier measures the
+// sweep against.
+func perKDrawReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	var best *Clustering
 	for k := opts.KMin; k <= min(opts.KMax, o.N()-1); k++ {
-		c, err := clusterKReference(o, k, opts)
+		var c *Clustering
+		var err error
+		if above(o.N(), opts.LargeThreshold) {
+			c, err = CLARA(o, k, CLARAOptions{Rand: opts.Rand})
+		} else {
+			c, err = PAM(o, k)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if o.N() > opts.MCSilhouetteThreshold {
+		if above(o.N(), opts.MCSilhouetteThreshold) {
 			c.Silhouette = MCSilhouette(o, c.Labels, c.K, opts.Rand)
 		} else {
 			c.Silhouette = Silhouette(o, c.Labels, c.K)
@@ -119,6 +120,101 @@ func autoKReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
 		}
 	}
 	return best, nil
+}
+
+// sharedDrawReference is AutoK as its contract states it, with nothing
+// kept between ks but the draws, each drawn once before the first k:
+// CLARA's samples, at the largest k's size, each shuffled, whose leading
+// claraSampleSize(k) objects k's PAM runs on through Subset; then the
+// Monte-Carlo rounds, on whose Subsets every k is scored. The winner's
+// per-cluster means are the rounds' (each cluster's widths added up in
+// round order, over its measured ones), or SilhouettePerCluster's for a
+// cluster the rounds measure fewer than mcMinMembers times — how many
+// took that fallback is returned — or on the exact scorer.
+func sharedDrawReference(o Oracle, opts AutoKOptions) (_ *Clustering, fallbacks int, _ error) {
+	n, rng := o.N(), opts.Rand
+	kMax := min(opts.KMax, n-1)
+	clara := above(n, opts.LargeThreshold)
+	var samples [][]int
+	if clara && n > claraSampleSize(opts.KMin) {
+		for range claraSamples {
+			ids := store.SampleIndices(n, min(claraSampleSize(kMax), n), rng)
+			rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+			samples = append(samples, ids)
+		}
+	}
+	var rounds [][]int
+	if above(n, opts.MCSilhouetteThreshold) && n > mcSampleSize {
+		for range mcRounds {
+			rounds = append(rounds, store.SampleIndices(n, mcSampleSize, rng))
+		}
+	}
+	roundLabels := func(r []int, labels []int) []int {
+		out := make([]int, len(r))
+		for a, i := range r {
+			out[a] = labels[i]
+		}
+		return out
+	}
+	var best *Clustering
+	for k := opts.KMin; k <= kMax; k++ {
+		var c *Clustering
+		if !clara || n <= claraSampleSize(k) {
+			var err error
+			if c, err = PAM(o, k); err != nil {
+				return nil, 0, err
+			}
+		} else {
+			for _, ids := range samples {
+				lead := ids[:claraSampleSize(k)]
+				p, err := PAM(o.Subset(lead), k)
+				if err != nil {
+					return nil, 0, err
+				}
+				medoids := make([]int, len(p.Medoids))
+				for j, m := range p.Medoids {
+					medoids[j] = lead[m]
+				}
+				labels, cost := assign(o, medoids)
+				if c == nil || cost < c.Cost {
+					c = &Clustering{K: k, Labels: labels, Medoids: medoids, Cost: cost}
+				}
+			}
+		}
+		if rounds != nil {
+			sum := 0.0
+			for _, r := range rounds {
+				sum += Silhouette(o.Subset(r), roundLabels(r, c.Labels), c.K)
+			}
+			c.Silhouette = sum / mcRounds
+		} else {
+			c.Silhouette = Silhouette(o, c.Labels, c.K)
+		}
+		if best == nil || c.Silhouette > best.Silhouette {
+			best = c
+		}
+	}
+	exact := SilhouettePerCluster(o, best.Labels, best.K)
+	best.ClusterSilhouettes = exact
+	if rounds == nil {
+		return best, 0, nil
+	}
+	sums, counts := make([]float64, best.K), make([]int, best.K)
+	for _, r := range rounds {
+		sub, labels := o.Subset(r), roundLabels(r, best.Labels)
+		sizes := sizesInto(nil, labels, best.K)
+		addWidths(pairWidths(sub, labels, sizes, best.K), labels, sizes, 0, sums, counts)
+	}
+	best.ClusterSilhouettes = make([]float64, best.K)
+	for c := range sums {
+		best.ClusterSilhouettes[c] = exact[c]
+		if counts[c] >= mcMinMembers {
+			best.ClusterSilhouettes[c] = sums[c] / float64(counts[c])
+		} else {
+			fallbacks++
+		}
+	}
+	return best, fallbacks, nil
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -137,11 +233,12 @@ func assertSameRun(t *testing.T, label string, got, want *Clustering, gotRand, w
 	}
 }
 
-// checkSweep runs AutoK and the per-k reference from identically seeded
-// sources and holds AutoK to the reference: same winner bit for bit, the
-// same draws taken from Rand, progress once per scored k, and — where
-// the exact scorer ran — per-cluster means that are SilhouettePerCluster's.
-func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) {
+// checkSweep runs AutoK and the shared-draw reference from identically
+// seeded sources and holds AutoK to the reference, bit for bit: the same
+// winner, the same draws taken from Rand, progress once per scored k,
+// and the same per-cluster means. It returns how many of the winner's
+// clusters the reference scored exactly for being rare in the rounds.
+func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) (fallbacks int) {
 	t.Helper()
 	scored, total := 0, opts.KMax-opts.KMin+1
 	opts.Progress = func(done, of int) {
@@ -155,7 +252,7 @@ func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := autoKReference(o, ref)
+	want, fallbacks, err := sharedDrawReference(o, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,27 +260,21 @@ func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) {
 	if scored != total {
 		t.Fatalf("%s: progress fired %d times, want %d", label, scored, total)
 	}
-	if o.N() > opts.MCSilhouetteThreshold {
-		if got.ClusterSilhouettes != nil {
-			t.Fatalf("%s: per-cluster means carried from a Monte-Carlo score", label)
-		}
-		return
+	if len(got.ClusterSilhouettes) != len(want.ClusterSilhouettes) {
+		t.Fatalf("%s: carries %d per-cluster means, want %d", label, len(got.ClusterSilhouettes), len(want.ClusterSilhouettes))
 	}
-	per := SilhouettePerCluster(o, got.Labels, got.K)
-	if len(got.ClusterSilhouettes) != len(per) {
-		t.Fatalf("%s: carries %d per-cluster means, want %d", label, len(got.ClusterSilhouettes), len(per))
-	}
-	for c := range per {
-		if !sameBits(got.ClusterSilhouettes[c], per[c]) {
-			t.Fatalf("%s: cluster %d carries %v, SilhouettePerCluster says %v", label, c, got.ClusterSilhouettes[c], per[c])
+	for c, w := range want.ClusterSilhouettes {
+		if g := got.ClusterSilhouettes[c]; !sameBits(g, w) {
+			t.Fatalf("%s: cluster %d carries %v, the reference says %v", label, c, g, w)
 		}
 	}
+	return fallbacks
 }
 
-// TestAutoKMatchesPerKReference holds the sweep to the per-k loop it
-// replaced on every storage, on both sides of LargeThreshold and of
-// MCSilhouetteThreshold, on random data and on data with duplicated
-// points.
+// TestAutoKMatchesPerKReference holds the sweep to the shared-draw
+// reference on every storage, on both sides of LargeThreshold and of
+// MCSilhouetteThreshold, on random data, on data with duplicated points
+// and on data with a rare cluster.
 func TestAutoKMatchesPerKReference(t *testing.T) {
 	for _, dup := range []int{1, 2} {
 		for _, tc := range sweepOracles(sweepVecs(150, dup, 41), 41) {
@@ -194,18 +285,29 @@ func TestAutoKMatchesPerKReference(t *testing.T) {
 			}
 		}
 	}
-	// Past 256 objects the Monte-Carlo scorer draws its sub-samples from
-	// Rand between one k's clustering and the next's.
+	// Past 256 objects the Monte-Carlo scorer draws its rounds from Rand,
+	// once, after CLARA's samples.
 	for _, tc := range sweepOracles(sweepVecs(270, 1, 43), 43)[:2] {
 		for _, large := range []int{1000, 200} {
 			checkSweep(t, fmt.Sprintf("%s n=270 large=%d mc=200", tc.name, large), tc.o,
 				AutoKOptions{KMin: 2, KMax: 5, LargeThreshold: large, MCSilhouetteThreshold: 200})
 		}
 	}
+	// At the engine's crossovers, ten far-off objects among 2 000 are a
+	// cluster of the winner's that the rounds measure too rarely: it
+	// carries its exact mean.
+	vecs := sweepVecs(2000, 1, 45)
+	for i := range 10 {
+		vecs[i*197] = []float64{100 + float64(i)/4, -100, 0, 20}
+	}
+	if checkSweep(t, "lazy n=2000 planted", NewLazyOracle(vecs, stats.Euclidean{}),
+		AutoKOptions{KMin: 2, KMax: 8, LargeThreshold: DefaultPAMThreshold, MCSilhouetteThreshold: DefaultPAMThreshold}) == 0 {
+		t.Fatal("n=2000 planted: no cluster of the winner was rare in the rounds, so the exact fallback went unchecked")
+	}
 }
 
 // TestClusterKMatchesPerKReference: a one-k sweep (KMin == KMax) is the
-// per-k reference's run of that k, at both ends of the range BUILD's
+// reference's run of that k, at both ends of the range BUILD's
 // prefix serves (2 and n-1) and between, on both sides of LargeThreshold.
 func TestClusterKMatchesPerKReference(t *testing.T) {
 	const n = 140
@@ -261,21 +363,18 @@ func TestRowKernelLeavesOraclesUnchanged(t *testing.T) {
 	}
 }
 
-// pairSilhouette is the silhouette kernel's reference: s(i) for every
-// validly labelled object, each cell read as a pair of o's pairMatrix,
-// added in object order to the total and to its cluster's sum, the
-// object counted in its cluster — the kernel's conventions for
-// singletons and unlabelled objects, and its summation order.
-func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perCluster []float64, cnt []int) {
-	perCluster, cnt = make([]float64, k), make([]int, k)
-	sums := make([]float64, k)
+// pairWidths is the silhouette kernel's reference, object by object:
+// s(i) for every validly labelled object i (NaN for the others), each
+// cell read as a pair of o's pairMatrix, by the kernel's conventions —
+// 0 for a lone member or with no other cluster to compare against.
+func pairWidths(o Oracle, labels, sizes []int, k int) []float64 {
+	widths, sums := make([]float64, len(labels)), make([]float64, k)
 	pairs := pairMatrix(o)
 	for i, li := range labels {
-		if li < 0 || li >= k {
+		if widths[i] = math.NaN(); li < 0 || li >= k {
 			continue
 		}
-		cnt[li]++
-		if sizes[li] <= 1 {
+		if widths[i] = 0; sizes[li] <= 1 {
 			continue
 		}
 		clear(sums)
@@ -291,18 +390,43 @@ func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perClu
 			}
 		}
 		if den := math.Max(a, b); !math.IsInf(b, 1) && den > 0 {
-			total += (b - a) / den
-			perCluster[li] += (b - a) / den
+			widths[i] = (b - a) / den
 		}
 	}
+	return widths
+}
+
+// addWidths adds pairWidths' widths, in object order, to the total and
+// to each cluster's sum in perCluster, and counts in cnt the objects of
+// a cluster with another member — the kernel's summation order and its
+// counting.
+func addWidths(widths []float64, labels, sizes []int, total float64, perCluster []float64, cnt []int) float64 {
+	for i, w := range widths {
+		if li := labels[i]; !math.IsNaN(w) {
+			total += w
+			perCluster[li] += w
+			if sizes[li] > 1 {
+				cnt[li]++
+			}
+		}
+	}
+	return total
+}
+
+// pairSilhouette is the kernel's reference over one labelling: the total
+// of the widths, each cluster's sum and its count of measured widths.
+func pairSilhouette(o Oracle, labels, sizes []int, k int) (total float64, perCluster []float64, cnt []int) {
+	perCluster, cnt = make([]float64, k), make([]int, k)
+	total = addWidths(pairWidths(o, labels, sizes, k), labels, sizes, 0, perCluster, cnt)
 	return total, perCluster, cnt
 }
 
 // TestSilhouetteKernelMatchesPairReference runs the silhouette kernel,
 // which takes a row per object, against the pairwise reference over a
-// matrix, a view, a lazy oracle and a lazy oracle's subset, with
+// matrix, a matrix's subset, a lazy oracle and a lazy oracle's subset, with
 // unlabelled objects and a singleton cluster in the labelling: same
-// total, same per-cluster sums, same counts, bit for bit.
+// total over the same objects, same per-cluster sums, the same counts of
+// measured widths (none for the singleton), bit for bit.
 func TestSilhouetteKernelMatchesPairReference(t *testing.T) {
 	const n, k = 180, 5
 	rng := rand.New(rand.NewSource(71))
@@ -331,10 +455,16 @@ func TestSilhouetteKernelMatchesPairReference(t *testing.T) {
 	}{"lazy subset", NewLazyOracle(parent, stats.Euclidean{}).Subset(idx)})
 	for _, tc := range oracles {
 		per, cnt := make([]float64, k), make([]int, k)
-		total := silhouetteKernel(tc.o, labels, sizes, make([]float64, n), make([]float64, k), per, cnt)
+		total, counted := silhouetteKernel(tc.o, labels, sizes, make([]float64, n), make([]float64, k), per, cnt)
 		wantTotal, wantPer, wantCnt := pairSilhouette(tc.o, labels, sizes, k)
-		if !sameBits(total, wantTotal) || fmt.Sprint(cnt) != fmt.Sprint(wantCnt) {
-			t.Fatalf("%s: kernel total %v counts %v, reference total %v counts %v", tc.name, total, cnt, wantTotal, wantCnt)
+		wantCounted := 0
+		for _, l := range labels {
+			if l >= 0 && l < k {
+				wantCounted++
+			}
+		}
+		if !sameBits(total, wantTotal) || fmt.Sprint(cnt) != fmt.Sprint(wantCnt) || counted != wantCounted {
+			t.Fatalf("%s: kernel total %v over %d counts %v, reference total %v over %d counts %v", tc.name, total, counted, cnt, wantTotal, wantCounted, wantCnt)
 		}
 		for c := range per {
 			if !sameBits(per[c], wantPer[c]) {

@@ -123,7 +123,7 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 // parent's was — with an oracle span and, over a matrix, the matrix's
 // cells as its distance work; a map hit clusters nothing and says
 // nothing. The lazy case's select clusters 2500 objects, and its zoom
-// a region within cluster.DefaultMaterializeThreshold; the select's
+// a region within PAMThreshold; the select's
 // distance work is its lazy oracle's rows and subset matrices, more
 // than none and the same in a second same-seed build.
 func TestBuildTraceRecordsOracle(t *testing.T) {
@@ -180,7 +180,7 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 				if spans != 1 {
 					t.Fatalf("%d oracle spans, want 1", spans)
 				}
-				if (m.SampleSize > cluster.DefaultMaterializeThreshold) != (wantOracle == "lazy") {
+				if (m.SampleSize > e.Options().PAMThreshold) != (wantOracle == "lazy") {
 					t.Fatalf("sample of %d objects clustered over a %s oracle", m.SampleSize, wantOracle)
 				}
 				if n := int64(m.SampleSize); wantOracle == "matrix" && snap.Counters["oracleDistEvals"] != n*(n-1)/2 {

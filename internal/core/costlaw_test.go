@@ -79,3 +79,55 @@ func TestReuseIsFree(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildWorkIsLinear is the cost model's linear-work law at the
+// build: above PAMThreshold a cold select is CLARA over a lazy oracle,
+// whose samples and Monte-Carlo rounds are drawn once per sweep and
+// sized by k alone, whose full-data assignments read k medoid rows per
+// sample, and whose per-cluster silhouettes come from the same rounds,
+// so the distances the build evaluates (its trace's oracleDistEvals)
+// grow linearly in the sample. At SampleSize 2 500, 5 000 and 10 000,
+// on both backings, doubling the sample may at most multiply the count
+// by 2.2. Every distance an oracle serves is counted, so an O(n²) pass
+// anywhere in the build — a matrix oracle above the crossover, or the
+// exact per-cluster silhouette pass — breaks the law (a ratio near 4).
+func TestBuildWorkIsLinear(t *testing.T) {
+	mem, seg := openLaborBoth(t, 12000, 43)
+	for _, tc := range []struct {
+		name string
+		rel  store.Relation
+	}{{"table", mem}, {"segment", seg}} {
+		t.Run(tc.name, func(t *testing.T) {
+			evals := func(sample int) int64 {
+				t.Helper()
+				e, err := NewExplorer(tc.rel, Options{Seed: 43, SampleSize: sample, DependencySampleRows: 1000, MapCacheSize: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := obs.NewTrace(obs.ClockAt(func() time.Time { return time.Time{} }))
+				m, err := b.Run(obs.WithTrace(context.Background(), tr), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := tr.Snapshot()
+				if m.SampleSize != sample || snap.Attrs["oracle"] != "lazy" {
+					t.Fatalf("sample %d: clustered %d objects over a %q oracle, want %d over a lazy one", sample, m.SampleSize, snap.Attrs["oracle"], sample)
+				}
+				return snap.Counters["oracleDistEvals"]
+			}
+			prev := evals(2500)
+			for _, n := range []int{5000, 10000} {
+				got := evals(n)
+				t.Logf("sample %d: %d evaluations (sample %d: %d)", n, got, n/2, prev)
+				if float64(got) > 2.2*float64(prev) {
+					t.Errorf("sample %d: a cold select made %d evaluations, %.2f× the %d at sample %d; the law allows 2.2×", n, got, float64(got)/float64(prev), prev, n/2)
+				}
+				prev = got
+			}
+		})
+	}
+}

@@ -142,7 +142,7 @@ func TestHighlightRevisitAllocates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, table := allocated(highlight), uint64(8*(3*min(n, 100_001)/2+1)); got < table {
+	if got, table := allocated(highlight), uint64(8*(min(n, 100_001)*5/4+1)); got < table {
 		t.Errorf("the first highlight of %d rows allocated %d bytes, less than its table (%d)", n, got, table)
 	}
 	hits := e.ReuseStats().Map.Hits

@@ -191,16 +191,18 @@ func (e *Explorer) prepStage(sample *store.Table, theme Theme, sc *buildScratch)
 	return pipe, vecs, err
 }
 
-// oracleStage builds the distance oracle over the vectors.
-// cluster.NewOracle chooses by size alone — a matrix for small samples
-// (fast repeated access by PAM), lazy above
-// cluster.DefaultMaterializeThreshold — and both answer with the same
-// bits, so the choice moves memory and speed, never the map. A matrix is
-// built on the storage of the scratch's, which is one build's alone, so
-// concurrent builds never share one, and it becomes the scratch's
-// matrix; a build that goes lazy leaves the scratch's matrix as it was.
+// oracleStage builds the distance oracle over the vectors at the
+// dataset's one crossover, PAMThreshold: a matrix exactly when the
+// cluster stage runs exact PAM, whose BUILD and SWAP read every pair
+// many times, and a lazy oracle above it, where CLARA reads only its
+// samples' and rounds' small matrices and k medoid rows per sample. Both
+// answer with the same bits. A matrix is built on the storage of the
+// scratch's, which is one build's alone, so concurrent builds never
+// share one, and it becomes the scratch's matrix; a build that goes lazy
+// leaves the scratch's matrix as it was, so no matrix above the
+// crossover is ever built or kept.
 func (e *Explorer) oracleStage(vecs [][]float64, sc *buildScratch) cluster.Oracle {
-	o := cluster.NewOracle(vecs, e.metric, sc.matrix)
+	o := cluster.NewOracle(vecs, e.metric, e.data.opts.PAMThreshold, sc.matrix)
 	if m, ok := o.(*cluster.DistMatrix); ok {
 		sc.matrix = m
 	}
@@ -234,8 +236,8 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 }
 
 // regionStage fits the description tree on the sample's original tuples,
-// in the tree buffers of sc, scores each cluster in its cluster buffers
-// when the sweep left no per-cluster means, and mirrors the tree over
+// in the tree buffers of sc, annotates each leaf with its cluster's mean
+// silhouette the sweep left on the clustering, and mirrors the tree over
 // the full selection (steps 4–5 of buildMapStaged).
 func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, pipe *prep.Pipeline, sample *store.Table, clustering *cluster.Clustering, rows *store.RowSet, theme Theme, sc *buildScratch, report func(float64)) (*Map, error) {
 	m := &Map{Theme: theme, K: clustering.K, Silhouette: clustering.Silhouette,
@@ -262,18 +264,11 @@ func (e *Explorer) regionStage(ctx context.Context, oracle cluster.Oracle, pipe 
 	m.TreeAccuracy = tr.FitAccuracy()
 	report(0.92)
 
-	// Per-cluster quality for leaf annotation; the exact scorer left it on
-	// the clustering, the Monte-Carlo one costs one more O(n²) pass.
-	perCluster := clustering.ClusterSilhouettes
-	if perCluster == nil {
-		perCluster = sc.cluster.SilhouettePerCluster(oracle, clustering.Labels, clustering.K)
-	}
-
 	// One pass over the selection's pages routes it through the whole
 	// tree; the regions mirror the tree over the routing, and build their
 	// rows only when read.
 	splits, nodes := tr.Root.Splits()
-	m.Root = regionsFromTree(nodes, splits, store.Route(e.data.table, splits, rows), 0, nil, nil, perCluster)
+	m.Root = regionsFromTree(nodes, splits, store.Route(e.data.table, splits, rows), 0, nil, nil, clustering.ClusterSilhouettes)
 	report(1)
 	return m, nil
 }
@@ -297,6 +292,9 @@ func regionsFromTree(nodes []*tree.Node, splits store.SplitTree, routed *store.R
 		ClusterID:  -1,
 		Silhouette: math.NaN(),
 	}
+	if len(cond) > 0 {
+		r.desc = r.Condition.String()
+	}
 	if node.IsLeaf() {
 		r.ClusterID = node.Class
 		if node.Class >= 0 && node.Class < len(perCluster) {
@@ -304,7 +302,7 @@ func regionsFromTree(nodes []*tree.Node, splits store.SplitTree, routed *store.R
 		}
 		return r
 	}
-	r.Split = node.Split
+	r.Split, r.split = node.Split, node.Split.String()
 	neg := tree.Complement(node.Split, node.SplitMissing)
 	r.Children = []*Region{
 		regionsFromTree(nodes, splits, routed, i+1, append(path, 0), append(cond, node.Split), perCluster),

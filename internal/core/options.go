@@ -6,12 +6,13 @@
 // rollback (paper §2–3).
 //
 // Map construction runs on one distance contract, cluster.Oracle, and
-// the engine chooses its storage by sample size alone (see
-// internal/cluster): a materialized distance matrix up to
-// cluster.DefaultMaterializeThreshold objects, a lazy on-demand oracle
-// above it, which is what lets the sampling budget default to 5000
-// tuples without quadratic memory. Both answer with the same bits, so
-// the choice never changes a map. Every build that clusters draws its
+// the engine chooses its storage at the one crossover, PAMThreshold
+// (see internal/cluster): a materialized distance matrix where the
+// build runs exact PAM, a lazy on-demand oracle where it runs CLARA,
+// whose samples, Monte-Carlo rounds and per-cluster silhouettes are
+// drawn once per build, so its distance work grows linearly in the
+// sample. Both storages answer with the same bits, so the choice never
+// changes a map. Every build that clusters draws its
 // own sample, as the paper's zoom does ("After each zoom, Blaeu only
 // takes a few thousand samples", §3), and its sample, vectors and oracle
 // live for that build alone, in build scratch off the dataset's free
@@ -19,7 +20,11 @@
 // cache keeps finished maps only.
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/cluster"
+)
 
 // Options tunes the exploration engine. They belong to a Dataset
 // (NewDataset applies the defaults once): every session opened on it
@@ -29,10 +34,11 @@ type Options struct {
 	Seed int64
 	// SampleSize is the multi-scale sampling budget: after each action
 	// Blaeu clusters at most this many tuples (paper §3: "After each
-	// zoom, Blaeu only takes a few thousand samples"). Default 5000 —
-	// raised from the paper-era 2000 because a sample above
-	// cluster.DefaultMaterializeThreshold objects is clustered over a
-	// lazy oracle, never the O(n²) distance matrix.
+	// zoom, Blaeu only takes a few thousand samples"). Default 5000: a
+	// sample above PAMThreshold is clustered through CLARA over a lazy
+	// oracle, with work linear in the sample (TestBuildWorkIsLinear), and
+	// a cold select at 5000 on LOFAR's widest theme takes ~0.1 s on two
+	// cores (BenchmarkColdSelectDefault).
 	SampleSize int
 	// MapKMin / MapKMax bound the number of clusters per data map
 	// (defaults 2 and 6).
@@ -47,9 +53,10 @@ type Options struct {
 	// (default = SampleSize; themes only need statistical estimates).
 	DependencySampleRows int
 	// PAMThreshold is the sample size above which clustering switches
-	// from exact PAM to CLARA, and silhouettes switch to the
-	// Monte-Carlo estimator (paper §3: "when the data is too large,
-	// Blaeu creates the maps with CLARA"). Default 1024.
+	// from exact PAM to CLARA, silhouettes switch to the Monte-Carlo
+	// estimator and the oracle goes lazy (paper §3: "when the data is
+	// too large, Blaeu creates the maps with CLARA"). Default
+	// cluster.DefaultPAMThreshold (1024).
 	PAMThreshold int
 	// Parallelism is ignored; removed with ROADMAP 8(f).
 	Parallelism int
@@ -75,7 +82,7 @@ func DefaultOptions() Options {
 		MapKMax:      6,
 		TreeMaxDepth: 3,
 		TreeMinLeaf:  8,
-		PAMThreshold: 1024,
+		PAMThreshold: cluster.DefaultPAMThreshold,
 		MapCacheSize: DefaultMapCacheSize,
 	}
 }

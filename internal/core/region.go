@@ -46,6 +46,10 @@ type Region struct {
 	// Silhouette is the mean silhouette width of the region's cluster on
 	// the clustered sample (leaf regions; NaN when unavailable).
 	Silhouette float64
+	// desc and split are an engine-built region's Describe() and its
+	// split's String(), rendered once when its map is built: a map is
+	// viewed on every click that returns it, and never changes.
+	desc, split string
 }
 
 // Count returns the number of selection tuples in the region — the
@@ -130,6 +134,9 @@ func ParsePath(s string) ([]int, error) {
 // Describe renders the region's condition, e.g.
 // "PctEmployeesWorkingLongHours < 20 AND AverageIncome >= 22".
 func (r *Region) Describe() string {
+	if r.desc != "" {
+		return r.desc
+	}
 	if len(r.Condition) == 0 {
 		return "all tuples"
 	}

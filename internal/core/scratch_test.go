@@ -69,9 +69,10 @@ const scratchSlack = 64 << 10
 // first's storage: it allocates at least a matrix and a sample gather
 // (n·|theme|·8 bytes) less than the first build did, and less than its
 // n×Dim vectors with their headers all told. Every column of the wide
-// theme is a float feature, so Dim is |theme|.
+// theme is a float feature, so Dim is |theme|. The sample is within
+// PAMThreshold, so the build runs exact PAM over a matrix.
 func TestColdBuildReusesSampleSlab(t *testing.T) {
-	const n = 1500
+	const n = 1000
 	tab := datagen.PlantedThemes(n, []datagen.ThemeSpec{
 		{Name: "wide", Cols: 24, K: 3},
 		{Name: "narrow", Cols: 3, K: 2, Sep: 5},
@@ -463,12 +464,15 @@ func TestConcurrentFitsShareTreeScratch(t *testing.T) {
 }
 
 // TestConcurrentClusterScratch: two sessions on one cache-off dataset
-// run cold selects, clustered through CLARA over a 300-row sample, and
-// cold zooms into their largest region, clustered over its 155 or 210
-// rows, at once, so a build sweeps in cluster buffers a build of
-// another size left, and regrows them while the other build holds the
-// dataset's second scratch. Their maps are the ones serial runs give
-// (run under -race in CI).
+// run cold selects, clustered through CLARA over a lazy oracle on a
+// 300-row sample (above the dataset's PAMThreshold of 200), each sweep
+// drawing its CLARA samples and Monte-Carlo rounds once and building
+// their matrices in its own scratch, and cold zooms into their largest
+// region, clustered by exact PAM over a matrix of its 155 or 210 rows,
+// at once, so a build sweeps in cluster buffers a build of another size
+// left, and regrows them while the other build holds the dataset's
+// second scratch. Their maps are the ones serial runs give (run under
+// -race in CI).
 func TestConcurrentClusterScratch(t *testing.T) {
 	opts := Options{Seed: 8, SampleSize: 300, PAMThreshold: 200, MapCacheSize: -1}
 	digests := func(concurrent bool) string {

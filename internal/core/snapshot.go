@@ -76,7 +76,7 @@ func (r *Region) view(notes map[*Region][]string) RegionView {
 		v := r.Silhouette
 		out.Silhouette = &v
 	}
-	if r.Split != nil {
+	if out.Split = r.split; out.Split == "" && r.Split != nil {
 		out.Split = r.Split.String()
 	}
 	// Sized once (a leaf's is empty and, like nil, omitted).

@@ -200,9 +200,11 @@ func TestEvictIdleDoesNotStallRegistry(t *testing.T) {
 // TestEvictIdleReleasesSpentMatrices: a dataset's spent distance
 // matrices outlive its sessions, so the next session's first build
 // reuses one, until a sweep finds the dataset with no open session and
-// releases them: the first build after it allocates a whole matrix.
+// releases them: the first build after it allocates a whole matrix. The
+// sample is within PAMThreshold, so its build runs exact PAM over a
+// matrix.
 func TestEvictIdleReleasesSpentMatrices(t *testing.T) {
-	const n = 1500
+	const n = 1000
 	m := NewManagerObs(jobs.Config{}, nil)
 	defer m.Shutdown()
 	rng := rand.New(rand.NewSource(3))

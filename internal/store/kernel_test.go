@@ -441,11 +441,11 @@ func TestKernelByteBudgets(t *testing.T) {
 	ids := SampleIndices(n, n/2, rand.New(rand.NewSource(4)))
 	rows := RowsOf(ids)
 
-	table := uint64(8 * (3*min(len(ids), distinctCap)/2 + 1))
+	table := uint64(8 * (min(len(ids), distinctCap)*5/4 + 1))
 	if got := allocated(func() { StatsRows(tab.ColumnByName("x"), rows) }); got > table+slack || table+slack >= uint64(8*len(ids)) {
 		t.Errorf("StatsRows over %d rows allocated %d bytes, budget %d (a copy is %d)", len(ids), got, table+slack, 8*len(ids))
 	}
-	// A bool column has two values to tell apart: its table is 4 slots.
+	// A bool column has two values to tell apart: its table is 3 slots.
 	flags := make([]bool, n)
 	for i := range flags {
 		flags[i] = i%3 == 0

@@ -91,9 +91,9 @@ func StatsRows(c Column, rows *RowSet) ColumnStats {
 	case String:
 		counts = make([]int, len(rd.dict))
 	case Bool:
-		acc.distinct.slots = make([]uint64, 3*min(n, 2)/2+1)
+		acc.distinct.slots = make([]uint64, min(n, 2)*5/4+1)
 	default:
-		acc.distinct.slots = make([]uint64, 3*min(n, distinctCap)/2+1)
+		acc.distinct.slots = make([]uint64, min(n, distinctCap)*5/4+1)
 	}
 	vals, present := make([]float64, min(n, readRun)), make([]uint8, min(n, readRun))
 	rows.runs(readRun, rd.rpp, func(_, page int, run []int) bool {
@@ -193,9 +193,11 @@ func RowFloats(c Column, rows *RowSet) (vals []float64, present []uint8) {
 const distinctCap = 100001
 
 // floatSet counts distinct float64 values, up to distinctCap, in one
-// open-addressing table its user allocates once with half again as many
-// slots as values to add: growing a map[float64]struct{} from empty was
-// most of what a highlight allocated. Values are told apart as map keys
+// open-addressing table its user allocates once with a quarter again as
+// many slots as values to add, so linear probing never fills it past
+// 0.8: growing a map[float64]struct{} from empty was most of what a
+// highlight allocated, and the table is still the largest allocation of
+// a highlight click (10 B per row of the region). Values are told apart as map keys
 // are: -0 and +0 are one, every NaN is its own. A slot holds a value's
 // bits xor floatSetEmpty — a NaN's bits, and NaNs are not stored, so 0
 // marks a free slot.
