@@ -24,14 +24,16 @@ race-jobs:
 # (TestConcurrentFitsShareTreeScratch), two sessions' selects through
 # CLARA over lazy oracles (their samples above the dataset's
 # PAMThreshold), each sweep drawing its shared CLARA samples and
-# Monte-Carlo rounds into its own scratch's slots, and zooms through
-# exact PAM over a matrix, regrowing those buffers while another build
-# holds the other scratch (TestConcurrentClusterScratch), two sweeps
-# over one lazy oracle, each in its own cluster.Scratch
-# (TestConcurrentSweepsShareLazyOracle), subsets of one lazy oracle
-# built and read at once, and CLARA's samples building their matrices
-# from one shared lazy oracle and reading its rows for their
-# assignments (TestLazySubsetsConcurrent*), the states holding one cached map
+# Monte-Carlo rounds into its own scratch's slots and filling their
+# matrices in one fan-out, and zooms through exact PAM over the
+# scratch's matrix, regrowing those buffers while another build holds
+# the other scratch (TestConcurrentClusterScratch), two sweeps over one
+# lazy oracle, each in its own cluster.Scratch, each filling its nine
+# matrices from it in one fan-out (TestConcurrentSweepsShareLazyOracle),
+# subset matrices of one lazy oracle filled and read at once, and
+# CLARA's samples filling their matrices from one shared lazy oracle
+# and reading its rows for their assignments
+# (TestLazySubsetsConcurrent*), the states holding one cached map
 # building its regions' rows and highlight statistics in its one
 # routing, a map-cache hit running
 # while its cached map's state is annotated (TestAnnotateDuringHitBuild),

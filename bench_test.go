@@ -121,11 +121,11 @@ func BenchmarkDistMatrixBuild(b *testing.B) {
 func BenchmarkAutoK(b *testing.B) {
 	vecs, _ := benchVectors(1100, 33, 4)
 	d := core.DefaultOptions()
-	o := cluster.NewOracle(vecs, stats.Euclidean{}, d.PAMThreshold, nil)
+	o := new(cluster.Scratch).Oracle(vecs, stats.Euclidean{}, d.PAMThreshold)
 	rng := rand.New(rand.NewSource(1))
 	run := func(b *testing.B, sc *cluster.Scratch) {
 		if _, err := sc.AutoK(o, cluster.AutoKOptions{KMin: d.MapKMin, KMax: d.MapKMax,
-			LargeThreshold: d.PAMThreshold, MCSilhouetteThreshold: d.PAMThreshold, Rand: rng}); err != nil {
+			LargeThreshold: d.PAMThreshold, Rand: rng}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,17 +12,19 @@ type AutoKOptions struct {
 	// KMin and KMax bound the candidate numbers of clusters
 	// (defaults 2 and 8).
 	KMin, KMax int
-	// LargeThreshold is the object count above which clustering switches
-	// from exact PAM to CLARA; 0 keeps every sweep exact.
+	// LargeThreshold is the sweep's one crossover: the object count
+	// above which clustering switches from exact PAM over a matrix to
+	// CLARA, and silhouettes past mcSampleSize objects to the
+	// Monte-Carlo estimator; 0 keeps every sweep exact.
 	LargeThreshold int
-	// CLARA tunes the CLARA runs (Rand is shared with silhouettes).
+	// CLARA is ignored: CLARA's runs take Rand and Context from these
+	// options. Removed with ROADMAP 8(f).
 	CLARA CLARAOptions
-	// MCSilhouetteThreshold is the object count above which silhouettes
-	// switch to the Monte-Carlo estimator; 0 keeps them exact.
+	// MCSilhouetteThreshold is ignored: LargeThreshold decides the
+	// scorer too. Removed with ROADMAP 8(f).
 	MCSilhouetteThreshold int
 	// Context cancels the model-selection sweep between candidate k
-	// values and is forwarded to CLARA's per-sample runs; nil never
-	// cancels.
+	// values and CLARA's per-sample runs; nil never cancels.
 	Context context.Context
 	// Progress, when set, is called after each scored candidate k with
 	// (done, total) counts — the hook asynchronous map builds report
@@ -44,44 +46,6 @@ func (o *AutoKOptions) defaults() {
 // above reports whether n objects are past threshold, where 0 is no
 // threshold.
 func above(n, threshold int) bool { return threshold > 0 && n > threshold }
-
-// sweepK clusters o once for every k in [kMin, kMax], 2 <= kMin <= kMax <
-// n, in k order, and hands each clustering to visit; the context is read
-// before every k. Above LargeThreshold each k is CLARA on the samples
-// drawn once for the sweep, at kMax's sample size; below it the ks share
-// one BUILD to kMax and the scratch's one run, each k's SWAP starting
-// from seeds[:k] (the package comment says why).
-func (s *Scratch) sweepK(o Oracle, kMin, kMax int, opts AutoKOptions, visit func(*Clustering)) error {
-	n := o.N()
-	var run func(k int) (*Clustering, error)
-	if above(n, opts.LargeThreshold) {
-		ctx := opts.CLARA.Context
-		if ctx == nil {
-			ctx = opts.Context
-		}
-		run = func(k int) (*Clustering, error) { return s.clara(o, k, ctx) }
-	} else {
-		seeds, err := s.run.build(o, kMax)
-		if err != nil {
-			return err
-		}
-		run = func(k int) (*Clustering, error) {
-			s.run.swap(o, seeds[:k])
-			return s.result(k), nil
-		}
-	}
-	for k := kMin; k <= kMax; k++ {
-		if err := ctxErr(opts.Context); err != nil {
-			return err
-		}
-		c, err := run(k)
-		if err != nil {
-			return err
-		}
-		visit(c)
-	}
-	return nil
-}
 
 // AutoK clusters the oracle for every k in [KMin, KMax], scores each
 // partitioning with the (possibly Monte-Carlo) silhouette, and returns the
@@ -123,20 +87,47 @@ func (s *Scratch) AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 		return nil, err
 	}
 
-	// The sweep's draws: CLARA's samples when some k reads them, then
-	// the Monte-Carlo rounds.
-	if above(n, opts.LargeThreshold) && n > claraSampleSize(opts.KMin) {
-		s.drawSamples(o, claraSampleSize(kMax), opts.Rand)
-	}
-	mc := above(n, opts.MCSilhouetteThreshold) && n > mcSampleSize
-	if mc {
-		s.drawRounds(o, opts.Rand)
+	// Below the crossover every k clusters one matrix — o's own, or its
+	// vectors' in the scratch — sharing one BUILD to kMax and the
+	// scratch's one run, each k's SWAP starting from seeds[:k] (the
+	// package comment says why). Above it each k is CLARA on the sweep's
+	// draws: CLARA's samples, at kMax's size, when some k reads them,
+	// then the Monte-Carlo rounds, all filled in one fan-out.
+	run := func(k int) (*Clustering, error) { return s.clara(o, k, opts.Context) }
+	mc := above(n, opts.LargeThreshold) && n > mcSampleSize
+	if above(n, opts.LargeThreshold) {
+		samples, rounds := 0, 0
+		if n > claraSampleSize(opts.KMin) {
+			s.drawSamples(n, claraSampleSize(kMax), opts.Rand)
+			samples = claraSamples
+		}
+		if mc {
+			s.drawRounds(n, opts.Rand)
+			rounds = mcRounds
+		}
+		s.fill(o, samples, rounds)
+	} else {
+		m := s.exact(o)
+		seeds, err := s.run.build(m, kMax)
+		if err != nil {
+			return nil, err
+		}
+		o, run = m, func(k int) (*Clustering, error) {
+			s.run.swap(m, seeds[:k])
+			return s.result(k), nil
+		}
 	}
 
 	var best *Clustering
 	var bestCounts []int
-	done := 0
-	err := s.sweepK(o, opts.KMin, kMax, opts, func(c *Clustering) {
+	for k := opts.KMin; k <= kMax; k++ {
+		if err := ctxErr(opts.Context); err != nil {
+			return nil, err
+		}
+		c, err := run(k)
+		if err != nil {
+			return nil, err
+		}
 		per, counts := s.perCluster(c.K)
 		if mc {
 			c.Silhouette = s.mcScore(c.Labels, c.K, per, counts)
@@ -149,12 +140,9 @@ func (s *Scratch) AutoK(o Oracle, opts AutoKOptions) (*Clustering, error) {
 			best, bestCounts = c, counts
 			s.cur ^= 1
 		}
-		if done++; opts.Progress != nil {
-			opts.Progress(done, kMax-opts.KMin+1)
+		if opts.Progress != nil {
+			opts.Progress(k-opts.KMin+1, kMax-opts.KMin+1)
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	if best == nil || math.IsNaN(best.Silhouette) {
 		return nil, fmt.Errorf("cluster: AutoK found no valid clustering")

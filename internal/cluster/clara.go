@@ -67,7 +67,8 @@ func CLARA(o Oracle, k int, opts CLARAOptions) (*Clustering, error) {
 	}
 	s := new(Scratch)
 	if size := claraSampleSize(k); o.N() > size {
-		s.drawSamples(o, size, opts.Rand)
+		s.drawSamples(o.N(), size, opts.Rand)
+		s.fill(o, claraSamples, 0)
 	}
 	return s.clara(o, k, opts.Context)
 }
@@ -91,35 +92,30 @@ type claraSample struct {
 	best    []float64
 }
 
-// drawSamples draws CLARA's samples from rng, in sample order, each of
-// min(size, n) objects of o in a uniformly random order — a uniform
-// sample, then a shuffle of it — and fills each one's matrix over its
-// ids in that order. Every k whose sample size is below n clusters the
+// drawSamples draws CLARA's sample ids from rng, in sample order, each
+// min(size, n) of n objects in a uniformly random order — a uniform
+// sample, then a shuffle of it; fill fills their matrices over the ids
+// in that order. Every k whose sample size is below n clusters the
 // leading claraSampleSize(k) objects of each sample, themselves a
 // uniform sample, so size is the largest k's.
-func (s *Scratch) drawSamples(o Oracle, size int, rng *rand.Rand) {
-	n := o.N()
+func (s *Scratch) drawSamples(n, size int, rng *rand.Rand) {
 	for i := range s.samples {
 		sm := &s.samples[i]
 		sm.ids, sm.taken = store.SampleIndicesInto(n, min(size, n), rng, sm.ids, sm.taken)
 		ids := sm.ids
 		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 	}
-	cores.Run(len(s.samples), func(i int) {
-		sm := &s.samples[i]
-		sm.sub.over(o, sm.ids)
-	})
 }
 
-// clara is CLARA in s for k clusters over the samples drawSamples drew:
-// each sample's PAM on the leading block of its matrix, in its slot, the
-// winner's labels in the current k's buffer. At most claraSampleSize(k)
-// objects is PAM on o itself.
+// clara is CLARA in s for k clusters over the samples drawSamples drew
+// and fill filled: each sample's PAM on the leading block of its matrix,
+// in its slot, the winner's labels in the current k's buffer. At most
+// claraSampleSize(k) objects is PAM on o's matrix itself.
 func (s *Scratch) clara(o Oracle, k int, ctx context.Context) (*Clustering, error) {
 	n := o.N()
 	size := claraSampleSize(k)
 	if n <= size || n <= k {
-		return s.pam(o, k)
+		return s.pam(s.exact(o), k)
 	}
 	cores.Run(len(s.samples), func(i int) {
 		sm := &s.samples[i]

@@ -68,20 +68,31 @@ func agree(a, b []int) float64 {
 }
 
 // pairMatrix is o's distances as a DistMatrix read from its rows, for
-// tests that query pairs one at a time: an Oracle serves only rows and
-// subsets. A matrix is its own. Over a lazy oracle it books n rows of
+// PAM and for tests that query pairs one at a time: an Oracle serves
+// only rows. A matrix is its own. Over a lazy oracle it books n rows of
 // evaluations.
 func pairMatrix(o Oracle) *DistMatrix {
 	if m, ok := o.(*DistMatrix); ok {
 		return m
 	}
-	n := o.N()
-	m := NewDistMatrix(n)
-	row := make([]float64, n)
-	for i := 0; i < n; i++ {
+	idx := make([]int, o.N())
+	for i := range idx {
+		idx[i] = i
+	}
+	return subMatrix(o, idx)
+}
+
+// subMatrix is o's distances among the objects idx, in idx's order, as
+// a DistMatrix read from o's rows — the sub-matrices of the reference
+// implementations, built apart from the fill the Scratch runs. Over a
+// lazy oracle it books len(idx) rows of evaluations.
+func subMatrix(o Oracle, idx []int) *DistMatrix {
+	m := NewDistMatrix(len(idx))
+	row := make([]float64, o.N())
+	for a, i := range idx {
 		o.RowInto(i, row)
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, row[j])
+		for b := a + 1; b < len(idx); b++ {
+			m.Set(a, b, row[idx[b]])
 		}
 	}
 	return m
@@ -270,7 +281,7 @@ func TestCLARAFallsBackToPAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := PAM(o, 2)
+	p, _ := PAM(pairMatrix(o), 2)
 	if math.Abs(c.Cost-p.Cost) > 1e-9 {
 		t.Error("small-input CLARA should equal PAM")
 	}
@@ -295,7 +306,7 @@ func TestCLARACostNeverWorseThanSingleSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := store.SampleIndices(o.N(), claraSampleSize(4), rand.New(rand.NewSource(1)))
-	first, err := PAM(o.Subset(idx), 4)
+	first, err := PAM(subMatrix(o, idx), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +456,7 @@ func TestClusterKMethodSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	vecs, _ := blobs(rng, 2, 1200, 2, 10)
 	o := NewLazyOracle(vecs, stats.Euclidean{})
-	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 3, LargeThreshold: 500, MCSilhouetteThreshold: 500, Rand: rng})
+	c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: 3, LargeThreshold: 500, Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,10 @@ func rowsOf(o cluster.Oracle) [][]float64 {
 
 // checkOracle asserts the Oracle contract on o, bit for bit: its rows
 // are symmetric with a zero diagonal, and read again give the same bits;
-// while depth lasts, row a of Subset(idx) at b is row idx[a] at idx[b]
-// for an ascending, a scrambled and an all-but-ascending idx, each
-// subset being held to the same contract in turn.
+// while depth lasts, the subset store's law: row a of the matrix o fills
+// over idx, at b, is row idx[a] at idx[b], for an ascending, a scrambled
+// and an all-but-ascending idx, each filled matrix being held to the
+// same contract in turn.
 func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 	t.Helper()
 	n := o.N()
@@ -89,7 +90,7 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 		idx  []int
 	}{{"ascending", ascending}, {"scrambled", scrambled}, {"lastSwapped", lastSwapped}} {
 		label := fmt.Sprintf("%s/%s", name, sub.name)
-		s := o.Subset(sub.idx)
+		s := cluster.FilledSubset(o, sub.idx)
 		if s.N() != len(sub.idx) {
 			t.Fatalf("%s: N = %d, want %d", label, s.N(), len(sub.idx))
 		}
@@ -104,11 +105,12 @@ func checkOracle(t *testing.T, name string, o cluster.Oracle, depth int) {
 	}
 }
 
-// TestOracleContract holds every implementation of cluster.Oracle, and
-// two levels of subsets of each (a subset, and a subset of the subset,
-// with ascending and unsorted idx), to the three laws written on the
-// interface. A matrix NewOracle built on a larger spent one's storage,
-// whose cells held other distances, is held to them too.
+// TestOracleContract holds both implementations of cluster.Oracle, and
+// two levels of the matrices filled from each (a subset's, and a subset
+// of the subset's, with ascending and unsorted idx), to the two row laws
+// and the subset store's law written on the interface. A scratch's
+// matrix built on a larger spent one's storage, whose cells held other
+// distances, is held to them too.
 func TestOracleContract(t *testing.T) {
 	vecs := contractVecs(90, 21)
 	metric := stats.Euclidean{}
@@ -118,7 +120,9 @@ func TestOracleContract(t *testing.T) {
 	for i := range vecs {
 		warm.RowInto(i, buf) // an oracle that has answered every row
 	}
-	reused := cluster.NewOracle(vecs, metric, len(vecs), randomMatrix(len(vecs)+30, 23))
+	var sc cluster.Scratch
+	sc.Oracle(contractVecs(len(vecs)+30, 23), metric, 0)
+	reused := sc.Oracle(vecs, metric, 0)
 	g := graph.New([]string{"a", "b", "c", "d", "e", "f", "g"})
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < g.N(); i++ {

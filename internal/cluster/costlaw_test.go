@@ -30,8 +30,8 @@ func TestAutoKWorkIsLinear(t *testing.T) {
 		var sc cluster.Scratch
 		if _, err := sc.AutoK(o, cluster.AutoKOptions{
 			KMin: opts.MapKMin, KMax: opts.MapKMax,
-			LargeThreshold: opts.PAMThreshold, MCSilhouetteThreshold: opts.PAMThreshold,
-			Rand: rand.New(rand.NewSource(1)),
+			LargeThreshold: opts.PAMThreshold,
+			Rand:           rand.New(rand.NewSource(1)),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -26,14 +26,10 @@ func BenchmarkCrossover(b *testing.B) {
 		}{{"exact", n}, {"clara", n - 1}} {
 			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
 				var sc Scratch
-				var matrix *DistMatrix
 				sweep := func(seed int64) {
-					o := NewOracle(vecs, stats.Euclidean{}, path.threshold, matrix)
-					if m, ok := o.(*DistMatrix); ok {
-						matrix = m
-					}
+					o := sc.Oracle(vecs, stats.Euclidean{}, path.threshold)
 					if _, err := sc.AutoK(o, AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: path.threshold,
-						MCSilhouetteThreshold: path.threshold, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+						Rand: rand.New(rand.NewSource(seed))}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -43,27 +43,30 @@ func (m *DistMatrix) reuse(n int) *DistMatrix {
 }
 
 // ComputeDistMatrix fills a new matrix with pairwise distances of the
-// vectors: NewOracle's matrix, with no spent storage to reuse.
+// vectors: Scratch.Oracle's matrix, on storage of its own.
 func ComputeDistMatrix(vecs [][]float64, d stats.Distance) *DistMatrix {
 	return computeDistMatrix(vecs, d, nil)
 }
 
 // computeDistMatrix fills the matrix scratch.reuse returns with pairwise
-// distances of the vectors, one metric row call per matrix row, the rows
-// dealt round-robin so that the triangle's long and short rows spread
-// evenly over the workers. Rows are disjoint slices of the condensed
-// storage: nothing to synchronize, the same matrix at every worker
-// count, and every cell written, so reused storage needs no zeroing.
+// distances of the vectors, its rows dealt round-robin so that the
+// triangle's long and short rows spread evenly over the workers. Rows
+// are disjoint slices of the condensed storage: nothing to synchronize,
+// the same matrix at every worker count, and every cell written, so
+// reused storage needs no zeroing.
 func computeDistMatrix(vecs [][]float64, d stats.Distance, scratch *DistMatrix) *DistMatrix {
-	n := len(vecs)
-	m := scratch.reuse(n)
-	workers := rangeWorkers(n)
-	parallelChunks(workers, workers, func(w, _, _ int) {
-		for i := w; i < n; i += workers {
-			d.DistRow(vecs[i], vecs[i+1:], m.data[m.rowOff[i]+i+1:m.rowOff[i]+n])
-		}
-	})
+	m := scratch.reuse(len(vecs))
+	workers := rangeWorkers(m.n)
+	parallelChunks(workers, workers, func(w, _, _ int) { m.fillRows(vecs, d, w, workers) })
 	return m
+}
+
+// fillRows writes rows w, w+workers, w+2·workers, … of m with the
+// distances among vecs, one metric row call per matrix row.
+func (m *DistMatrix) fillRows(vecs [][]float64, d stats.Distance, w, workers int) {
+	for i := w; i < m.n; i += workers {
+		d.DistRow(vecs[i], vecs[i+1:], m.data[m.rowOff[i]+i+1:m.rowOff[i]+m.n])
+	}
 }
 
 // lead writes into v, and returns, m's leading principal block over its
@@ -120,7 +123,8 @@ func (m *DistMatrix) RowInto(i int, dst []float64) {
 }
 
 // DistEvals implements Oracle: the condensed matrix holds every pair
-// exactly once, all computed at construction.
+// exactly once, all computed at construction. A matrix filled from
+// another matrix's cells counts them too; no build's count reads one.
 func (m *DistMatrix) DistEvals() int64 {
 	n := int64(m.n)
 	if n < 2 {
@@ -129,9 +133,15 @@ func (m *DistMatrix) DistEvals() int64 {
 	return n * (n - 1) / 2
 }
 
-// Subset implements Oracle: a matrix over the objects idx, its cells
-// copied out of this one's — no distance is recomputed.
-func (m *DistMatrix) Subset(idx []int) Oracle {
-	var st subsetStore
-	return st.over(m, idx)
+// fillSubset implements Oracle: the cells among idx copied out of this
+// matrix — no distance is recomputed.
+func (m *DistMatrix) fillSubset(idx []int, st *subsetStore) {
+	sub := st.matrix.reuse(len(idx))
+	for a, pa := range idx {
+		row := sub.data[sub.rowOff[a]+a+1 : sub.rowOff[a]+sub.n]
+		for b, pb := range idx[a+1:] {
+			row[b] = m.Dist(pa, pb)
+		}
+	}
+	st.matrix = sub
 }

@@ -157,12 +157,12 @@ func parallelRange(n int, fn func(lo, hi int)) {
 	parallelChunks(n, rangeWorkers(n), func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// updateNearest lowers each nearest[j] that medoid m's row improves.
-// row is an n-sized buffer m's row is materialized into.
+// updateNearest lowers each nearest[j] that medoid med's row of m
+// improves. row is an n-sized buffer the row is materialized into.
 //
 //blaeu:hot
-func updateNearest(o Oracle, nearest, row []float64, m int) {
-	o.RowInto(m, row)
+func updateNearest(m *DistMatrix, nearest, row []float64, med int) {
+	m.RowInto(med, row)
 	for j, d := range row {
 		if d < nearest[j] {
 			nearest[j] = d
@@ -177,15 +177,15 @@ func updateNearest(o Oracle, nearest, row []float64, m int) {
 // to the lowest index). PAM and the textbook reference the tests hold it
 // to both start from its seeds, which it returns in r.seeds. A step
 // where no candidate scores below +Inf is ErrNoFiniteDistance.
-func (r *pamRun) build(o Oracle, k int) ([]int, error) {
-	n := o.N()
+func (r *pamRun) build(m *DistMatrix, k int) ([]int, error) {
+	n := m.N()
 	r.sizeRows(n)
 	medoids := grow(r.seeds, k)[:0]
 
 	// First medoid: the most central object.
 	//blaeu:hot
 	first, _ := r.argMinScore(n, func(i int, row []float64) float64 {
-		o.RowInto(i, row)
+		m.RowInto(i, row)
 		sum := 0.0
 		for _, d := range row {
 			sum += d
@@ -202,7 +202,7 @@ func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 	for j := range nearest {
 		nearest[j] = math.Inf(1)
 	}
-	updateNearest(o, nearest, r.rows[0], first)
+	updateNearest(m, nearest, r.rows[0], first)
 	chosen := grow(r.chosen, n)
 	r.chosen = chosen
 	clear(chosen)
@@ -215,7 +215,7 @@ func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 		if chosen[i] {
 			return math.Inf(1)
 		}
-		o.RowInto(i, row)
+		m.RowInto(i, row)
 		gain := 0.0
 		for j, d := range row {
 			if chosen[j] || j == i {
@@ -234,7 +234,7 @@ func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 		}
 		chosen[bestI] = true
 		medoids = append(medoids, bestI)
-		updateNearest(o, nearest, r.rows[0], bestI)
+		updateNearest(m, nearest, r.rows[0], bestI)
 	}
 	r.seeds = medoids
 	return medoids, nil
@@ -244,7 +244,7 @@ func (r *pamRun) build(o Oracle, k int) ([]int, error) {
 // for every object the slot (position in medoids) and distance of its
 // nearest and second-nearest medoid, plus the per-medoid removal losses.
 type swapState struct {
-	o          Oracle
+	m          *DistMatrix
 	n, k       int
 	medoids    []int
 	medoidRows [][]float64 // medoidRows[slot]: the row of medoids[slot]
@@ -255,11 +255,11 @@ type swapState struct {
 	cost       float64
 }
 
-// reset readies s for a SWAP over o from the seed medoids, which it
+// reset readies s for a SWAP over m from the seed medoids, which it
 // copies into its own buffer with their rows, regrowing as needed.
-func (s *swapState) reset(o Oracle, seeds []int) {
-	n := o.N()
-	s.o, s.n, s.k = o, n, len(seeds)
+func (s *swapState) reset(m *DistMatrix, seeds []int) {
+	n := m.N()
+	s.m, s.n, s.k = m, n, len(seeds)
 	s.medoids = append(s.medoids[:0], seeds...)
 	if len(s.medoidRows) < s.k { // keep the rows a smaller k grew
 		s.medoidRows = append(s.medoidRows, make([][]float64, s.k-len(s.medoidRows))...)
@@ -269,10 +269,10 @@ func (s *swapState) reset(o Oracle, seeds []int) {
 	s.n1, s.n2 = grow(s.n1, n), grow(s.n2, n)
 	s.dn, s.ds = grow(s.dn, n), grow(s.ds, n)
 	s.loss = grow(s.loss, s.k)
-	for slot, m := range s.medoids {
-		s.isMedoid[m] = true
+	for slot, med := range s.medoids {
+		s.isMedoid[med] = true
 		s.medoidRows[slot] = grow(s.medoidRows[slot], n)
-		o.RowInto(m, s.medoidRows[slot])
+		m.RowInto(med, s.medoidRows[slot])
 	}
 	parallelRange(n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -330,7 +330,7 @@ func (s *swapState) refresh() {
 func (s *swapState) evalCandidate(c int, scratch, row []float64) (float64, int) {
 	copy(scratch, s.loss)
 	acc := 0.0
-	s.o.RowInto(c, row)
+	s.m.RowInto(c, row)
 	for j, d := range row {
 		if d < s.dn[j] {
 			// j switches to c regardless of the removed medoid; cancel
@@ -363,7 +363,7 @@ func (s *swapState) applySwap(slot, c int) {
 	s.isMedoid[c] = true
 	s.medoids[slot] = c
 	row := s.medoidRows[slot]
-	s.o.RowInto(c, row)
+	s.m.RowInto(c, row)
 	parallelRange(s.n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			d := row[j]
@@ -399,14 +399,14 @@ func (s *swapState) applySwap(slot, c int) {
 	s.refresh()
 }
 
-// swap runs the eager removal-loss SWAP phase over o from the seed
+// swap runs the eager removal-loss SWAP phase over m from the seed
 // medoids (which it copies, not mutates), in r's storage.
 // Preconditions (1 < k < n) are the caller's responsibility.
-func (r *pamRun) swap(o Oracle, seeds []int) {
-	n := o.N()
+func (r *pamRun) swap(m *DistMatrix, seeds []int) {
+	n := m.N()
 	r.sizeRows(n)
 	s := &r.swapState
-	s.reset(o, seeds)
+	s.reset(m, seeds)
 	cands := grow(r.cands, swapBlock)[:0]
 	out := grow(r.verdicts, swapBlock)
 	rows := r.rows
@@ -461,7 +461,7 @@ func (r *pamRun) swap(o Oracle, seeds []int) {
 		}
 	}
 	r.cands, r.verdicts = cands, out
-	// The run keeps its buffers, not the oracle: a kept scratch must not
-	// hold a lazy oracle's vectors alive.
-	s.o = nil
+	// The run keeps its buffers, not the matrix: a kept scratch must
+	// not hold a caller's matrix alive.
+	s.m = nil
 }

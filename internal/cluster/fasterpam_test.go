@@ -16,7 +16,7 @@ import (
 // the production PAM (FasterPAM's eager SWAP) and the classic reference.
 var bothAlgorithms = []struct {
 	name string
-	run  func(Oracle, int) (*Clustering, error)
+	run  func(*DistMatrix, int) (*Clustering, error)
 }{{"pam", PAM}, {"classic", PAMClassic}}
 
 // PAMClassic is the textbook PAM of Kaufman & Rousseeuw (1990): a BUILD
@@ -24,15 +24,15 @@ var bothAlgorithms = []struct {
 // the single best (medoid, candidate) pair whenever that lowers the total
 // dissimilarity, until no improving swap exists. Each SWAP iteration costs
 // O(k·n²). It is the reference the differential tests hold PAM to.
-func PAMClassic(o Oracle, k int) (*Clustering, error) {
-	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
+func PAMClassic(m *DistMatrix, k int) (*Clustering, error) {
+	if c, err := checkPAMArgs(m, k); c != nil || err != nil {
 		return c, err
 	}
-	seeds, err := new(pamRun).build(o, k)
+	seeds, err := new(pamRun).build(m, k)
 	if err != nil {
 		return nil, err
 	}
-	return pamClassicFrom(o, k, seeds)
+	return pamClassicFrom(m, k, seeds)
 }
 
 // pamClassicFrom runs the textbook SWAP loop from the given seed medoids
@@ -241,7 +241,7 @@ func TestFasterPAMMatchesClassicOnGoldenDatasets(t *testing.T) {
 	}
 }
 
-func assertSameCost(t *testing.T, o Oracle, k int, label string, seed int64) {
+func assertSameCost(t *testing.T, o *DistMatrix, k int, label string, seed int64) {
 	t.Helper()
 	f, err := PAM(o, k)
 	if err != nil {
@@ -466,7 +466,7 @@ var pamBenchSizes = []struct{ n, k int }{
 	{200, 4}, {500, 4}, {1000, 4}, {1000, 8},
 }
 
-func benchPAMImpl(b *testing.B, pam func(Oracle, int) (*Clustering, error)) {
+func benchPAMImpl(b *testing.B, pam func(*DistMatrix, int) (*Clustering, error)) {
 	b.Helper()
 	for _, sz := range pamBenchSizes {
 		rng := rand.New(rand.NewSource(9))

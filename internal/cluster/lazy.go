@@ -15,7 +15,7 @@ import (
 //
 // It is its vectors and its metric: every row is computed afresh, and
 // the one other field is the atomic count of the evaluations its rows
-// and its subset matrices cost (see DistEvals).
+// and the matrices filled from it cost (see DistEvals).
 type LazyOracle struct {
 	vecs   [][]float64
 	metric stats.Distance
@@ -42,27 +42,22 @@ func (o *LazyOracle) RowInto(i int, dst []float64) {
 	o.evals.Add(int64(len(o.vecs) - 1))
 }
 
-// Subset implements Oracle: a matrix over the re-sliced vectors (slice
-// headers are shared; no vector data is copied), made by this oracle's
-// metric calls on the same float slices, so it answers with the same
-// bits. Its cells are computed on this oracle's behalf and added to its
-// count.
-func (o *LazyOracle) Subset(idx []int) Oracle {
-	return o.subsetOver(idx, make([][]float64, len(idx)), nil)
-}
-
-// subsetOver is Subset with the re-sliced vectors written into vecs,
-// len(idx) long, and the matrix built on the storage of scratch, which
-// may be nil (see NewOracle).
-func (o *LazyOracle) subsetOver(idx []int, vecs [][]float64, scratch *DistMatrix) *DistMatrix {
+// fillSubset implements Oracle: the matrix over the re-sliced vectors
+// (slice headers are shared; no vector data is copied), made by this
+// oracle's metric calls on the same float slices, so it answers with
+// the same bits. Its cells are computed on this oracle's behalf and
+// added to its count.
+func (o *LazyOracle) fillSubset(idx []int, st *subsetStore) {
+	st.vecs = grow(st.vecs, len(idx))
 	for a, i := range idx {
-		vecs[a] = o.vecs[i]
+		st.vecs[a] = o.vecs[i]
 	}
-	sub := computeDistMatrix(vecs, o.metric, scratch)
-	o.evals.Add(sub.DistEvals())
-	return sub
+	st.matrix = st.matrix.reuse(len(idx))
+	st.matrix.fillRows(st.vecs, o.metric, 0, 1)
+	clear(st.vecs) // keep none of the oracle's vectors
+	o.evals.Add(st.matrix.DistEvals())
 }
 
 // DistEvals implements Oracle: the evaluations of every row RowInto
-// computed and the cells of every subset matrix Subset built.
+// computed and the cells of every matrix filled from the oracle.
 func (o *LazyOracle) DistEvals() int64 { return o.evals.Load() }

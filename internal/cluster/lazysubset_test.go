@@ -22,6 +22,14 @@ func normalVecs(n, dims int, seed int64) [][]float64 {
 	return vecs
 }
 
+// filledSubset is the matrix a sweep's fan-out fills over the objects
+// idx of o (Oracle.fillSubset), in a store of its own.
+func filledSubset(o Oracle, idx []int) *DistMatrix {
+	var st subsetStore
+	o.fillSubset(idx, &st)
+	return st.matrix
+}
+
 // assertOracleByteIdentical compares every RowInto row of the two
 // oracles, and so every pair, for exact (bit-level) float equality,
 // twice.
@@ -46,9 +54,10 @@ func assertOracleByteIdentical(t *testing.T, label string, got, want Oracle) {
 }
 
 // TestLazySubsetsConcurrent hammers several subsets of one lazy parent
-// from concurrent goroutines, each building its subset matrix and adding
-// its cells to the parent's one count, as CLARA's fan-out does (run
-// under -race in CI). The count ends at the sum of the cells.
+// from concurrent goroutines, each filling its matrix in a store of its
+// own and adding its cells to the parent's one count, as a sweep's
+// fan-out does (run under -race in CI). The count ends at the sum of
+// the cells.
 func TestLazySubsetsConcurrent(t *testing.T) {
 	vecs := normalVecs(400, 4, 16)
 	parent := NewLazyOracle(vecs, stats.Euclidean{})
@@ -63,7 +72,7 @@ func TestLazySubsetsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o := parent.Subset(idx)
+			o := filledSubset(parent, idx)
 			dst := make([]float64, len(idx))
 			for i := range idx {
 				o.RowInto(i, dst)
@@ -119,7 +128,7 @@ func TestConcurrentSweepsShareLazyOracle(t *testing.T) {
 	vecs := normalVecs(1500, 4, 18)
 	opts := func(seed int64) AutoKOptions {
 		return AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: DefaultPAMThreshold,
-			MCSilhouetteThreshold: DefaultPAMThreshold, Rand: rand.New(rand.NewSource(seed))}
+			Rand: rand.New(rand.NewSource(seed))}
 	}
 	alone := make([]*Clustering, 2)
 	var evals int64

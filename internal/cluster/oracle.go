@@ -6,22 +6,23 @@
 // the one k-medoid engine (BUILD, then FasterPAM's eager SWAP), and the
 // textbook SWAP loop lives in the tests as the reference PAM is held to.
 //
-// All algorithms are written against one distance contract, Oracle: the
-// objects' distance rows. Every k-medoid loop and the silhouettes are
-// written once against it and read distances a row at a time on every
-// storage. Two storages implement it, and both answer with the same bits:
+// PAM's BUILD and SWAP read a DistMatrix, the condensed triangle, with
+// no interface call, and every matrix a sweep reads is its Scratch's.
+// The objects' distances are stored one of two ways, which answer with
+// the same bits, behind one row contract, Oracle:
 //
 //   - DistMatrix materializes all n(n-1)/2 pairs up front — fastest
-//     repeated access, O(n²) memory — and is the oracle of exact PAM,
-//     whose BUILD and SWAP read every pair many times;
+//     repeated access, O(n²) memory — and is exact PAM's: its BUILD,
+//     SWAP and silhouettes read every pair many times;
 //   - LazyOracle is the prepared vectors and the metric, computing every
-//     row on demand with no memo — no quadratic allocation — and is the
-//     oracle of CLARA, which reads only its samples' and Monte-Carlo
-//     rounds' small matrices and k medoid rows per sample.
+//     row on demand with no memo — no quadratic allocation — and is
+//     CLARA's, which reads only its samples' and Monte-Carlo rounds'
+//     small matrices, filled from the vectors in the Scratch, and k
+//     medoid rows per sample.
 //
-// NewOracle chooses between them at the one crossover, the object count
-// above which AutoK leaves exact PAM for CLARA, and builds a matrix on
-// the storage of a spent one when it is handed one.
+// Scratch.Oracle chooses between them at the one crossover, the object
+// count above which AutoK leaves exact PAM for CLARA, and builds the
+// matrix on the scratch's own storage.
 //
 // AutoK is one sweep over k, and the ks share one set of draws and what
 // cannot change a result. On the exact path BUILD runs once, to the
@@ -34,10 +35,10 @@
 // sample, and its matrix is the leading principal block of the sample's
 // one matrix. The Monte-Carlo silhouette's rounds are drawn once too,
 // and every k is scored on the same rounds, so "k = 3 beats k = 4" is a
-// paired comparison (common random numbers), each subset's distances
-// are computed once per sweep, and the winner's per-cluster means come
-// from the same rounds. Every k sweeps in one Scratch: SWAP's and
-// BUILD's state, the row and block buffers, a slot per CLARA sample, the
+// paired comparison (common random numbers), the samples' and rounds'
+// matrices are filled once per sweep, all in one fan-out, and the
+// winner's per-cluster means come from the same rounds. Every k sweeps
+// in one Scratch: the exact path's matrix, SWAP's and BUILD's state, the row and block buffers, a slot per CLARA sample, the
 // Monte-Carlo rounds' and the silhouette kernel's buffers and the labels
 // of the k being scored and of the best. Storage cannot change a result
 // either: every cell is written before it is read, so a scratch a larger
@@ -49,29 +50,33 @@ package cluster
 
 import "repro/internal/stats"
 
-// Oracle is the one distance contract of the cluster layer: pairwise
-// dissimilarities over n objects, served a row at a time or over a
-// subset of the objects. PAM "needs only pairwise dissimilarities"
-// (paper §3), so everything here — BUILD, SWAP, CLARA, the silhouettes —
-// is written against this interface, reads whole rows, and works
-// identically over a precomputed matrix and over vectors read on demand.
+// Oracle is the cluster layer's row contract: pairwise dissimilarities
+// over n objects, served a row at a time. PAM "needs only pairwise
+// dissimilarities" (paper §3); its BUILD and SWAP read a DistMatrix,
+// and what reads an Oracle reads rows of either storage: the silhouette
+// kernel (the exact Silhouette over lazy vectors, a rare cluster's
+// exact mean after the Monte-Carlo rounds, SilhouettePerCluster) and
+// CLARA's full-data assignment.
 //
-// Three laws hold bit for bit, and TestOracleContract enforces them on
-// every implementation:
+// Two row laws hold bit for bit, and TestOracleContract enforces them on
+// both storages:
 //
 //   - symmetry: RowInto(i)[j] == RowInto(j)[i];
-//   - a zero diagonal: RowInto(i)[i] == 0;
-//   - subsets: row a of Subset(idx) at b equals row idx[a] at idx[b].
+//   - a zero diagonal: RowInto(i)[i] == 0.
 //
 // So no result depends on the storage, or on whose row a loop reads a
 // pair from. What a row costs does: a read of stored cells on a
-// DistMatrix, n-1 evaluations booked in DistEvals on a
-// LazyOracle.
+// DistMatrix, n-1 evaluations booked in DistEvals on a LazyOracle. The
+// subset store's law joins them: the matrix a CLARA sample or a
+// Monte-Carlo round is filled into over the objects idx holds at (a, b)
+// row idx[a] at idx[b], whichever storage filled it.
 //
-// An oracle's distances are fixed once it is built (LazyOracle's count
-// is atomic) and a subset only reads its parent's storage or vectors,
-// so oracles are safe for concurrent use and several subsets of one
-// parent (CLARA's samples) may be built and used at once.
+// The interface is sealed: only DistMatrix and LazyOracle fill those
+// matrices, each by its own code (a copy of cells, or metric rows over
+// the re-sliced vectors). An oracle's distances are fixed once it is
+// built (LazyOracle's count is atomic) and a fill only reads its
+// storage or vectors, so oracles are safe for concurrent use and
+// several of a sweep's matrices may be filled from one at once.
 type Oracle interface {
 	// N returns the number of objects.
 	N() int
@@ -79,22 +84,17 @@ type Oracle interface {
 	// and j, for all j; dst must have length N(). It is one sequential
 	// pass over the backing storage, or one metric row call.
 	RowInto(i int, dst []float64)
-	// Subset returns an oracle over the objects idx, re-indexed densely:
-	// its object a is this oracle's object idx[a]. A matrix serves it as
-	// a matrix of its cells copied out, a lazy oracle as a matrix over
-	// the re-sliced vectors. The cluster layer's own samples and rounds
-	// are such matrices, filled in its Scratch (see subsetStore).
-	// Entries of idx must be distinct, valid indices; idx may be
-	// retained, so callers must not mutate it afterwards.
-	Subset(idx []int) Oracle
 	// DistEvals returns the cumulative number of exact metric
 	// evaluations the oracle has made: a matrix's cells, fixed at
 	// construction; a lazy oracle's rows, n-1 each, and the cells of
-	// every subset matrix it built, in one atomic count: every
+	// every matrix filled from it, in one atomic count: every
 	// evaluation. Callers interested in one build take a before/after
-	// delta (see core's build trace). A matrix subset of a matrix counts
-	// its copied cells as its own; no build's count reads one.
+	// delta (see core's build trace).
 	DistEvals() int64
+	// fillSubset writes the oracle's distances among the objects idx,
+	// in idx's order, into st's matrix on the storage it holds, on the
+	// calling goroutine. Entries of idx are distinct, valid indices.
+	fillSubset(idx []int, st *subsetStore)
 }
 
 // OracleStrategy is ignored by BuildOracle; removed with ROADMAP 8(f).
@@ -108,30 +108,31 @@ type KNNOracleOptions struct{}
 
 // DefaultPAMThreshold is the engine's default crossover: the object
 // count above which a map build leaves exact PAM for CLARA with
-// Monte-Carlo silhouettes (AutoKOptions.LargeThreshold and
-// MCSilhouetteThreshold), and so above which its oracle is lazy.
+// Monte-Carlo silhouettes (AutoKOptions.LargeThreshold), and so above
+// which its oracle is lazy.
 const DefaultPAMThreshold = 1024
 
-// NewOracle builds the distance oracle a sweep whose crossover is
-// pamThreshold clusters: a DistMatrix for at most pamThreshold objects,
-// where AutoK runs exact PAM, and a LazyOracle above, where it runs
-// CLARA, which reads no full matrix. The two answer with the same bits,
-// so the choice moves memory and speed, never a clustering. scratch,
-// which may be nil, is a matrix its owner is done with: the new matrix
-// takes over its storage when that has room for n objects, and
-// allocates its own otherwise. A caller that hands each build's matrix
-// to the next allocates the triangle once, and never holds one above
-// the crossover.
-func NewOracle(vecs [][]float64, metric stats.Distance, pamThreshold int, scratch *DistMatrix) Oracle {
-	if len(vecs) > pamThreshold {
+// Oracle builds the distance oracle of a sweep whose crossover is
+// threshold, as AutoKOptions.LargeThreshold reads it: a DistMatrix for
+// at most threshold objects (or any number, at 0), where AutoK runs
+// exact PAM, and a LazyOracle above, where it runs CLARA, which reads no
+// full matrix. The two answer with the same bits, so the choice moves
+// memory and speed, never a clustering. The matrix is the scratch's own:
+// it is built on the storage the scratch's last matrix left when that
+// has room, and is valid until the scratch builds the next one. A
+// caller that keeps its Scratch allocates the triangle once, and never
+// holds one above the crossover.
+func (s *Scratch) Oracle(vecs [][]float64, metric stats.Distance, threshold int) Oracle {
+	if above(len(vecs), threshold) {
 		return NewLazyOracle(vecs, metric)
 	}
-	return computeDistMatrix(vecs, metric, scratch)
+	s.matrix = computeDistMatrix(vecs, metric, s.matrix)
+	return s.matrix
 }
 
-// BuildOracle is NewOracle at DefaultPAMThreshold with no storage to
-// reuse; its last three parameters are ignored. Removed with ROADMAP
+// BuildOracle is Scratch.Oracle at DefaultPAMThreshold in a scratch of
+// its own; its last three parameters are ignored. Removed with ROADMAP
 // 8(f).
 func BuildOracle(vecs [][]float64, metric stats.Distance, _ OracleStrategy, _ int, _ KNNOracleOptions) Oracle {
-	return NewOracle(vecs, metric, DefaultPAMThreshold, nil)
+	return new(Scratch).Oracle(vecs, metric, DefaultPAMThreshold)
 }

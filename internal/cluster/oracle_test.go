@@ -37,22 +37,34 @@ func blobDatasets(t *testing.T) []struct {
 }
 
 // TestLazyOracleMatchesDistMatrix is the pinned-seed differential test of
-// the lazy oracle: PAM must produce byte-identical clusterings whether
-// distances come from the materialized matrix or are computed on demand.
+// the lazy oracle: CLARA, whose sample matrices each storage fills by
+// its own code and whose assignments read its rows, and an exact sweep,
+// which reads a lazy oracle's vectors as the scratch's matrix, must
+// produce byte-identical clusterings whether distances come from the
+// materialized matrix or are computed on demand.
 func TestLazyOracleMatchesDistMatrix(t *testing.T) {
 	for _, g := range blobDatasets(t) {
 		matrix := ComputeDistMatrix(g.vecs, stats.Euclidean{})
 		lazy := NewLazyOracle(g.vecs, stats.Euclidean{})
-
-		cm, err := PAM(matrix, g.k)
-		if err != nil {
-			t.Fatal(err)
+		clara := func(o Oracle) *Clustering {
+			c, err := CLARA(o, g.k, CLARAOptions{Rand: rand.New(rand.NewSource(int64(g.n)))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
 		}
-		cl, err := PAM(lazy, g.k)
-		if err != nil {
-			t.Fatal(err)
+		assertIdenticalClustering(t, "clara", g.n, clara(matrix), clara(lazy))
+		if g.n > 1000 {
+			continue
 		}
-		assertIdenticalClustering(t, "pam", g.n, cm, cl)
+		exact := func(o Oracle) *Clustering {
+			c, err := AutoK(o, AutoKOptions{KMin: 2, KMax: g.k, Rand: rand.New(rand.NewSource(1))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		assertIdenticalClustering(t, "exact sweep", g.n, exact(matrix), exact(lazy))
 	}
 }
 
@@ -130,8 +142,9 @@ func TestNewDistMatrixDegenerate(t *testing.T) {
 }
 
 // TestBuildOracleSelectsImplementation checks both sides of the
-// crossover NewOracle is handed, and that the BuildOracle wrapper, whose
-// threshold argument is ignored, decides at DefaultPAMThreshold.
+// crossover Scratch.Oracle is handed, that 0 is no crossover, and that
+// the BuildOracle wrapper, whose threshold argument is ignored, decides
+// at DefaultPAMThreshold.
 func TestBuildOracleSelectsImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	vecs := make([][]float64, DefaultPAMThreshold+1)
@@ -139,11 +152,15 @@ func TestBuildOracleSelectsImplementation(t *testing.T) {
 		vecs[i] = []float64{rng.Float64()}
 	}
 	metric := stats.Euclidean{}
-	if _, ok := NewOracle(vecs[:50], metric, 50, nil).(*DistMatrix); !ok {
+	var sc Scratch
+	if _, ok := sc.Oracle(vecs[:50], metric, 50).(*DistMatrix); !ok {
 		t.Error("at the threshold the oracle should materialize")
 	}
-	if _, ok := NewOracle(vecs[:51], metric, 50, nil).(*LazyOracle); !ok {
+	if _, ok := sc.Oracle(vecs[:51], metric, 50).(*LazyOracle); !ok {
 		t.Error("above the threshold the oracle should go lazy")
+	}
+	if _, ok := sc.Oracle(vecs[:51], metric, 0).(*DistMatrix); !ok {
+		t.Error("with no threshold the oracle should materialize")
 	}
 	if _, ok := BuildOracle(vecs[:DefaultPAMThreshold], metric, OracleAuto, 49, KNNOracleOptions{}).(*DistMatrix); !ok {
 		t.Error("BuildOracle should materialize at DefaultPAMThreshold")
@@ -153,11 +170,12 @@ func TestBuildOracleSelectsImplementation(t *testing.T) {
 	}
 }
 
-// TestNewOracleReusesScratch: a matrix built on a spent matrix's storage
-// takes it over when it has room — every cell rewritten, so the spent
-// matrix's cells leave no trace — and leaves a spent matrix too small
-// alone.
-func TestNewOracleReusesScratch(t *testing.T) {
+// TestScratchOracleReusesStorage: a scratch's matrix is built on the
+// storage of the scratch's last one when that has room — every cell
+// rewritten, so the spent matrix's cells leave no trace — and on new
+// storage when it has not, leaving the spent one as it was; a lazy
+// oracle leaves the scratch's matrix alone.
+func TestScratchOracleReusesStorage(t *testing.T) {
 	vecs := normalVecs(60, 3, 24)
 	metric := stats.Euclidean{}
 	want := ComputeDistMatrix(vecs, metric)
@@ -167,15 +185,20 @@ func TestNewOracleReusesScratch(t *testing.T) {
 		spent.data[i] = math.NaN()
 	}
 	cells := &spent.data[0]
-	got, ok := NewOracle(vecs, metric, len(vecs), spent).(*DistMatrix)
+	sc := Scratch{matrix: spent}
+	got, ok := sc.Oracle(vecs, metric, len(vecs)).(*DistMatrix)
 	if !ok || got != spent || &got.data[0] != cells {
 		t.Fatal("a large enough spent matrix was not reused")
 	}
 	assertOracleByteIdentical(t, "reused", got, want)
+	if _, ok := sc.Oracle(vecs, metric, 10).(*LazyOracle); !ok || sc.matrix != spent {
+		t.Fatal("a lazy oracle replaced the scratch's matrix")
+	}
 
 	small := NewDistMatrix(10)
-	if got := NewOracle(vecs, metric, len(vecs), small); got == Oracle(small) || small.N() != 10 {
+	sc = Scratch{matrix: small}
+	if got := sc.Oracle(vecs, metric, len(vecs)); got == Oracle(small) || small.N() != 10 {
 		t.Fatal("a spent matrix too small was reused or reshaped")
 	}
-	assertOracleByteIdentical(t, "fresh", NewOracle(vecs, metric, len(vecs), small), want)
+	assertOracleByteIdentical(t, "fresh", sc.matrix, want)
 }

@@ -36,7 +36,7 @@ func TestPairedKChoiceIsSteadier(t *testing.T) {
 		o := NewLazyOracle(nearTieVecs(n, sub, 1), stats.Euclidean{})
 		opts := func(seed int64) AutoKOptions {
 			return AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: DefaultPAMThreshold,
-				MCSilhouetteThreshold: DefaultPAMThreshold, Rand: rand.New(rand.NewSource(seed))}
+				Rand: rand.New(rand.NewSource(seed))}
 		}
 		shared, perK := map[int]int{}, map[int]int{}
 		for seed := int64(1); seed <= seeds; seed++ {

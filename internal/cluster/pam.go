@@ -46,8 +46,8 @@ const maxSwapIters = 100
 
 // checkPAMArgs validates common PAM preconditions and, when k >= n,
 // returns the degenerate clustering every k-medoid variant shares.
-func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
-	n := o.N()
+func checkPAMArgs(m *DistMatrix, k int) (*Clustering, error) {
+	n := m.N()
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: PAM needs k >= 1, got %d", k)
 	}
@@ -70,7 +70,7 @@ func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
 	return nil, nil
 }
 
-// PAM runs Partitioning Around Medoids on the oracle: BUILD greedily
+// PAM runs Partitioning Around Medoids on the matrix: BUILD greedily
 // seeds k medoids, then the eager removal-loss SWAP of FasterPAM
 // (Schubert & Rousseeuw 2021) makes repeated passes over the non-medoids,
 // scoring each candidate against all k medoids at once and applying the
@@ -84,21 +84,21 @@ func checkPAMArgs(o Oracle, k int) (*Clustering, error) {
 // detection (on the dependency graph) and map construction (§3), because
 // it is "accurate, well established and fast enough" and, unlike k-means,
 // needs only pairwise dissimilarities (so it copes with mixed data).
-func PAM(o Oracle, k int) (*Clustering, error) {
-	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
+func PAM(m *DistMatrix, k int) (*Clustering, error) {
+	if c, err := checkPAMArgs(m, k); c != nil || err != nil {
 		return c, err
 	}
 	r := new(pamRun)
-	if err := r.pam(o, k); err != nil {
+	if err := r.pam(m, k); err != nil {
 		return nil, err
 	}
 	return &Clustering{K: k, Labels: r.n1, Medoids: r.medoids, Cost: r.cost, Silhouette: math.NaN()}, nil
 }
 
-// pam is PAM over o, 1 <= k < n, in r's storage: the medoids are left
+// pam is PAM over m, 1 <= k < n, in r's storage: the medoids are left
 // in r.medoids, the labels in r.n1 and the cost in r.cost.
-func (r *pamRun) pam(o Oracle, k int) error {
-	seeds, err := r.build(o, k)
+func (r *pamRun) pam(m *DistMatrix, k int) error {
+	seeds, err := r.build(m, k)
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func (r *pamRun) pam(o Oracle, k int) error {
 		// row sum is finite, so BUILD's nearest is that row: every label
 		// is 0 and the cost is its sum in object order, as assignInto's.
 		r.medoids = append(r.medoids[:0], seeds...)
-		r.n1 = grow(r.n1, o.N())
+		r.n1 = grow(r.n1, m.N())
 		clear(r.n1)
 		r.cost = 0
 		for _, d := range r.nearest {
@@ -116,7 +116,7 @@ func (r *pamRun) pam(o Oracle, k int) error {
 		}
 		return nil
 	}
-	r.swap(o, seeds)
+	r.swap(m, seeds)
 	return nil
 }
 

@@ -3,10 +3,13 @@ package cluster
 import (
 	"math"
 	"slices"
+
+	"repro/internal/cores"
 )
 
 // Scratch is the storage an AutoK sweep works in, kept for the next
-// sweep: the exact path's PAM run (SWAP's state, BUILD's, the row and
+// sweep, and the owner of every matrix the sweep reads: the exact path's
+// matrix (Oracle's) and its PAM run (SWAP's state, BUILD's, the row and
 // block buffers), one slot per CLARA sample (its ids, its matrix, its
 // PAM run and its assignment's rows), one per Monte-Carlo round (its
 // ids, labels and matrix), the silhouette kernel's buffers, and two
@@ -22,6 +25,7 @@ import (
 // Scratch is not safe for concurrent use; CLARA's fan-out writes only
 // its own samples' slots.
 type Scratch struct {
+	matrix  *DistMatrix
 	run     pamRun
 	samples [claraSamples]claraSample
 	rounds  [mcRounds]mcRound
@@ -56,16 +60,29 @@ func (s *Scratch) perCluster(k int) ([]float64, []int) {
 	return b.perCluster, b.counts
 }
 
-// pam is PAM in the scratch's run, its labels copied into the current
-// k's buffer.
-func (s *Scratch) pam(o Oracle, k int) (*Clustering, error) {
-	if c, err := checkPAMArgs(o, k); c != nil || err != nil {
+// pam is PAM over m in the scratch's run, its labels copied into the
+// current k's buffer.
+func (s *Scratch) pam(m *DistMatrix, k int) (*Clustering, error) {
+	if c, err := checkPAMArgs(m, k); c != nil || err != nil {
 		return c, err
 	}
-	if err := s.run.pam(o, k); err != nil {
+	if err := s.run.pam(m, k); err != nil {
 		return nil, err
 	}
 	return s.result(k), nil
+}
+
+// exact is o as the matrix exact PAM reads: a matrix itself, or a lazy
+// oracle's vectors filled into the scratch's own matrix (Oracle's), as
+// AutoK below LargeThreshold and CLARA on at most one sample's objects
+// need when they are handed vectors.
+func (s *Scratch) exact(o Oracle) *DistMatrix {
+	if l, ok := o.(*LazyOracle); ok {
+		s.matrix = computeDistMatrix(l.vecs, l.metric, s.matrix)
+		l.evals.Add(s.matrix.DistEvals())
+		return s.matrix
+	}
+	return o.(*DistMatrix)
 }
 
 // result is the scratch run's clustering into k clusters: its labels
@@ -78,44 +95,28 @@ func (s *Scratch) result(k int) *Clustering {
 }
 
 // subsetStore is the storage of the matrix one CLARA sample or one
-// Monte-Carlo round reads: the matrix, and a lazy parent's re-sliced
-// vectors it is computed from.
+// Monte-Carlo round reads: the matrix, and a lazy oracle's re-sliced
+// vectors it is computed from. The oracle fills it (Oracle.fillSubset)
+// on the storage the last matrix left, so a fill allocates nothing once
+// the store is warm.
 type subsetStore struct {
 	vecs   [][]float64
 	matrix *DistMatrix
 }
 
-// over fills st's matrix with o's distances among the objects idx, in
-// idx's order, and returns it: computed from a lazy oracle's vectors
-// (its cells added to the oracle's count), copied out of a matrix's
-// cells, or read from o.Subset's rows on any other oracle. The matrix is
-// built on the storage the last one left, so over allocates nothing
-// once st is warm on a lazy oracle or a matrix.
-func (st *subsetStore) over(o Oracle, idx []int) *DistMatrix {
-	switch p := o.(type) {
-	case *LazyOracle:
-		st.vecs = grow(st.vecs, len(idx))
-		st.matrix = p.subsetOver(idx, st.vecs, st.matrix)
-		clear(st.vecs) // keep none of the parent's vectors
-		return st.matrix
-	case *DistMatrix:
-		m := st.matrix.reuse(len(idx))
-		for a, pa := range idx {
-			row := m.data[m.rowOff[a]+a+1 : m.rowOff[a]+m.n]
-			for b, pb := range idx[a+1:] {
-				row[b] = p.Dist(pa, pb)
-			}
+// fill fills the matrices of the first samples CLARA samples and the
+// first rounds Monte-Carlo rounds, over the ids drawSamples and
+// drawRounds drew, from o: every one a task of one fan-out, each filled
+// inline on its task's goroutine, the rounds — the larger — first. Each
+// matrix is its task's alone, and a fill is the same at any worker
+// count, so the matrices are those a sequential fill gives.
+func (s *Scratch) fill(o Oracle, samples, rounds int) {
+	cores.Run(rounds+samples, func(i int) {
+		if i < rounds {
+			o.fillSubset(s.rounds[i].ids, &s.rounds[i].sub)
+			return
 		}
-		st.matrix = m
-		return m
-	}
-	sub := o.Subset(idx)
-	m := st.matrix.reuse(len(idx))
-	buf := make([]float64, len(idx))
-	for a := range idx {
-		sub.RowInto(a, buf)
-		copy(m.data[m.rowOff[a]+a+1:m.rowOff[a]+m.n], buf[a+1:])
-	}
-	st.matrix = m
-	return m
+		sm := &s.samples[i-rounds]
+		o.fillSubset(sm.ids, &sm.sub)
+	})
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // TestDirtyScratchMatchesFresh: one Scratch sweeps a sequence of oracles
-// whose n grows and shrinks, on the exact path, on CLARA, and on exact
-// PAM scored by the Monte-Carlo silhouette, over matrices and lazy
-// oracles, at several k ranges. Every sweep gives, bit for bit, what a
+// whose n grows and shrinks, on the exact path and on CLARA, over
+// matrices and lazy oracles, at two k ranges. Every sweep gives, bit for bit, what a
 // fresh AutoK gives on a same-seed source, and leaves the source where
 // the fresh sweep leaves it.
 func TestDirtyScratchMatchesFresh(t *testing.T) {
@@ -38,12 +37,11 @@ func TestDirtyScratchMatchesFresh(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
-		large, mc  int
+		large      int
 		kMin, kMax int
 	}{
-		{"exact", 2000, 2000, 2, 6},
-		{"clara", 200, 200, 2, 9},
-		{"clara+exact-mc", 1000, 250, 3, 4},
+		{"exact", 2000, 2, 6},
+		{"clara", 200, 2, 9},
 	} {
 		for _, st := range stores {
 			var sc Scratch
@@ -51,7 +49,7 @@ func TestDirtyScratchMatchesFresh(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/n=%d", tc.name, st.name, o.N())
 				opts := func(seed int64) AutoKOptions {
 					return AutoKOptions{KMin: tc.kMin, KMax: tc.kMax, LargeThreshold: tc.large,
-						MCSilhouetteThreshold: tc.mc, Rand: rand.New(rand.NewSource(seed))}
+						Rand: rand.New(rand.NewSource(seed))}
 				}
 				seed := int64(100 + i)
 				gotOpts, wantOpts := opts(seed), opts(seed)
@@ -157,7 +155,7 @@ func TestNoFiniteDistanceIsAnError(t *testing.T) {
 		run  func(Oracle) error
 		vecs [][]float64
 	}{
-		{"PAM", func(o Oracle) error { _, err := PAM(o, 3); return err }, exact},
+		{"PAM", func(o Oracle) error { _, err := PAM(pairMatrix(o), 3); return err }, exact},
 		{"AutoK/exact", func(o Oracle) error {
 			_, err := AutoK(o, AutoKOptions{Rand: rand.New(rand.NewSource(1))})
 			return err
@@ -167,7 +165,7 @@ func TestNoFiniteDistanceIsAnError(t *testing.T) {
 			return err
 		}, sampled},
 		{"AutoK/clara", func(o Oracle) error {
-			_, err := AutoK(o, AutoKOptions{LargeThreshold: 100, MCSilhouetteThreshold: 100, Rand: rand.New(rand.NewSource(1))})
+			_, err := AutoK(o, AutoKOptions{LargeThreshold: 100, Rand: rand.New(rand.NewSource(1))})
 			return err
 		}, sampled},
 	} {

@@ -172,7 +172,8 @@ func MCSilhouette(o Oracle, labels []int, k int, rng *rand.Rand) float64 {
 	if o.N() <= mcSampleSize {
 		return s.sil.silhouettes(o, labels, k, per)
 	}
-	s.drawRounds(o, rng)
+	s.drawRounds(o.N(), rng)
+	s.fill(o, 0, mcRounds)
 	return s.mcScore(labels, k, per, counts)
 }
 
@@ -186,15 +187,14 @@ type mcRound struct {
 	sub    subsetStore
 }
 
-// drawRounds draws the Monte-Carlo rounds from rng, in round order, each
-// a uniform sample of mcSampleSize of o's objects, n > mcSampleSize,
-// ascending, and fills each one's matrix: once per sweep, for every k
-// it scores.
-func (s *Scratch) drawRounds(o Oracle, rng *rand.Rand) {
+// drawRounds draws the Monte-Carlo rounds' ids from rng, in round
+// order, each a uniform sample of mcSampleSize of n > mcSampleSize
+// objects, ascending; fill fills their matrices, once per sweep, for
+// every k they score.
+func (s *Scratch) drawRounds(n int, rng *rand.Rand) {
 	for r := range s.rounds {
 		m := &s.rounds[r]
-		m.ids, m.taken = store.SampleIndicesInto(o.N(), mcSampleSize, rng, m.ids, m.taken)
-		m.sub.over(o, m.ids)
+		m.ids, m.taken = store.SampleIndicesInto(n, mcSampleSize, rng, m.ids, m.taken)
 	}
 }
 

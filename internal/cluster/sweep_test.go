@@ -37,8 +37,9 @@ func sweepVecs(n, dup int, seed int64) [][]float64 {
 	return vecs
 }
 
-// sweepOracles returns the storages over vecs: the matrix, the subset
-// of a matrix over twice the objects and the lazy oracle.
+// sweepOracles returns the storages over vecs: the matrix, a matrix
+// filled from one over twice the objects (as a CLARA sample's is) and
+// the lazy oracle.
 func sweepOracles(vecs [][]float64, seed int64) []struct {
 	name string
 	o    Oracle
@@ -57,7 +58,7 @@ func sweepOracles(vecs [][]float64, seed int64) []struct {
 		o    Oracle
 	}{
 		{"matrix", ComputeDistMatrix(vecs, metric)},
-		{"subset", ComputeDistMatrix(parent, metric).Subset(idx)},
+		{"subset", filledSubset(ComputeDistMatrix(parent, metric), idx)},
 		{"lazy", NewLazyOracle(vecs, metric)},
 	}
 }
@@ -65,7 +66,8 @@ func sweepOracles(vecs [][]float64, seed int64) []struct {
 // TestBuildPrefixLaw pins what lets AutoK run BUILD once per sweep:
 // BUILD is greedy and first-wins on ties, so its seeds for k are the
 // first k of its seeds for any larger k — on random data, on data with
-// duplicated points, over every storage, sequential and fanned out.
+// duplicated points, over a matrix of every storage, sequential and
+// fanned out.
 func TestBuildPrefixLaw(t *testing.T) {
 	old := maxWorkers
 	defer func() { maxWorkers = old }()
@@ -74,12 +76,13 @@ func TestBuildPrefixLaw(t *testing.T) {
 		for _, tc := range sweepOracles(sweepVecs(n, dup, 31), 31) {
 			for _, workers := range []int{1, 3} {
 				maxWorkers = workers
-				full, err := new(pamRun).build(tc.o, kMax)
+				m := pairMatrix(tc.o)
+				full, err := new(pamRun).build(m, kMax)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for k := 1; k <= kMax; k++ {
-					got, err := new(pamRun).build(tc.o, k)
+					got, err := new(pamRun).build(m, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,18 +102,19 @@ func TestBuildPrefixLaw(t *testing.T) {
 // sweep against.
 func perKDrawReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
 	var best *Clustering
+	large := above(o.N(), opts.LargeThreshold)
 	for k := opts.KMin; k <= min(opts.KMax, o.N()-1); k++ {
 		var c *Clustering
 		var err error
-		if above(o.N(), opts.LargeThreshold) {
+		if large {
 			c, err = CLARA(o, k, CLARAOptions{Rand: opts.Rand})
 		} else {
-			c, err = PAM(o, k)
+			c, err = PAM(pairMatrix(o), k)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if above(o.N(), opts.MCSilhouetteThreshold) {
+		if large {
 			c.Silhouette = MCSilhouette(o, c.Labels, c.K, opts.Rand)
 		} else {
 			c.Silhouette = Silhouette(o, c.Labels, c.K)
@@ -125,8 +129,9 @@ func perKDrawReference(o Oracle, opts AutoKOptions) (*Clustering, error) {
 // sharedDrawReference is AutoK as its contract states it, with nothing
 // kept between ks but the draws, each drawn once before the first k:
 // CLARA's samples, at the largest k's size, each shuffled, whose leading
-// claraSampleSize(k) objects k's PAM runs on through Subset; then the
-// Monte-Carlo rounds, on whose Subsets every k is scored. The winner's
+// claraSampleSize(k) objects k's PAM runs on, as a matrix of their own
+// (subMatrix); then the Monte-Carlo rounds, on whose matrices every k is
+// scored. The winner's
 // per-cluster means are the rounds' (each cluster's widths added up in
 // round order, over its measured ones), or SilhouettePerCluster's for a
 // cluster the rounds measure fewer than mcMinMembers times — how many
@@ -144,7 +149,7 @@ func sharedDrawReference(o Oracle, opts AutoKOptions) (_ *Clustering, fallbacks 
 		}
 	}
 	var rounds [][]int
-	if above(n, opts.MCSilhouetteThreshold) && n > mcSampleSize {
+	if clara && n > mcSampleSize {
 		for range mcRounds {
 			rounds = append(rounds, store.SampleIndices(n, mcSampleSize, rng))
 		}
@@ -156,18 +161,20 @@ func sharedDrawReference(o Oracle, opts AutoKOptions) (_ *Clustering, fallbacks 
 		}
 		return out
 	}
+	// Every sub-matrix is read from one matrix of o's pairs.
+	pairs := pairMatrix(o)
 	var best *Clustering
 	for k := opts.KMin; k <= kMax; k++ {
 		var c *Clustering
 		if !clara || n <= claraSampleSize(k) {
 			var err error
-			if c, err = PAM(o, k); err != nil {
+			if c, err = PAM(pairs, k); err != nil {
 				return nil, 0, err
 			}
 		} else {
 			for _, ids := range samples {
 				lead := ids[:claraSampleSize(k)]
-				p, err := PAM(o.Subset(lead), k)
+				p, err := PAM(subMatrix(pairs, lead), k)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -184,7 +191,7 @@ func sharedDrawReference(o Oracle, opts AutoKOptions) (_ *Clustering, fallbacks 
 		if rounds != nil {
 			sum := 0.0
 			for _, r := range rounds {
-				sum += Silhouette(o.Subset(r), roundLabels(r, c.Labels), c.K)
+				sum += Silhouette(subMatrix(pairs, r), roundLabels(r, c.Labels), c.K)
 			}
 			c.Silhouette = sum / mcRounds
 		} else {
@@ -201,7 +208,7 @@ func sharedDrawReference(o Oracle, opts AutoKOptions) (_ *Clustering, fallbacks 
 	}
 	sums, counts := make([]float64, best.K), make([]int, best.K)
 	for _, r := range rounds {
-		sub, labels := o.Subset(r), roundLabels(r, best.Labels)
+		sub, labels := subMatrix(pairs, r), roundLabels(r, best.Labels)
 		sizes := sizesInto(nil, labels, best.K)
 		addWidths(pairWidths(sub, labels, sizes, best.K), labels, sizes, 0, sums, counts)
 	}
@@ -272,16 +279,14 @@ func checkSweep(t *testing.T, label string, o Oracle, opts AutoKOptions) (fallba
 }
 
 // TestAutoKMatchesPerKReference holds the sweep to the shared-draw
-// reference on every storage, on both sides of LargeThreshold and of
-// MCSilhouetteThreshold, on random data, on data with duplicated points
-// and on data with a rare cluster.
+// reference on every storage, on both sides of LargeThreshold, on random
+// data, on data with duplicated points and on data with a rare cluster.
 func TestAutoKMatchesPerKReference(t *testing.T) {
 	for _, dup := range []int{1, 2} {
 		for _, tc := range sweepOracles(sweepVecs(150, dup, 41), 41) {
-			for _, th := range []struct{ large, mc int }{{1000, 1000}, {1000, 120}, {120, 120}, {120, 1000}} {
-				checkSweep(t, fmt.Sprintf("%s dup=%d large=%d mc=%d", tc.name, dup, th.large, th.mc), tc.o,
-					AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: th.large,
-						MCSilhouetteThreshold: th.mc})
+			for _, large := range []int{1000, 120} {
+				checkSweep(t, fmt.Sprintf("%s dup=%d large=%d", tc.name, dup, large), tc.o,
+					AutoKOptions{KMin: 2, KMax: 6, LargeThreshold: large})
 			}
 		}
 	}
@@ -289,8 +294,8 @@ func TestAutoKMatchesPerKReference(t *testing.T) {
 	// once, after CLARA's samples.
 	for _, tc := range sweepOracles(sweepVecs(270, 1, 43), 43)[:2] {
 		for _, large := range []int{1000, 200} {
-			checkSweep(t, fmt.Sprintf("%s n=270 large=%d mc=200", tc.name, large), tc.o,
-				AutoKOptions{KMin: 2, KMax: 5, LargeThreshold: large, MCSilhouetteThreshold: 200})
+			checkSweep(t, fmt.Sprintf("%s n=270 large=%d", tc.name, large), tc.o,
+				AutoKOptions{KMin: 2, KMax: 5, LargeThreshold: large})
 		}
 	}
 	// At the engine's crossovers, ten far-off objects among 2 000 are a
@@ -301,7 +306,7 @@ func TestAutoKMatchesPerKReference(t *testing.T) {
 		vecs[i*197] = []float64{100 + float64(i)/4, -100, 0, 20}
 	}
 	if checkSweep(t, "lazy n=2000 planted", NewLazyOracle(vecs, stats.Euclidean{}),
-		AutoKOptions{KMin: 2, KMax: 8, LargeThreshold: DefaultPAMThreshold, MCSilhouetteThreshold: DefaultPAMThreshold}) == 0 {
+		AutoKOptions{KMin: 2, KMax: 8, LargeThreshold: DefaultPAMThreshold}) == 0 {
 		t.Fatal("n=2000 planted: no cluster of the winner was rare in the rounds, so the exact fallback went unchecked")
 	}
 }
@@ -315,7 +320,7 @@ func TestClusterKMatchesPerKReference(t *testing.T) {
 	for _, large := range []int{1000, 100} {
 		for _, k := range []int{2, 5, n - 1} {
 			checkSweep(t, fmt.Sprintf("large=%d k=%d", large, k), o,
-				AutoKOptions{KMin: k, KMax: k, LargeThreshold: large, MCSilhouetteThreshold: 1000})
+				AutoKOptions{KMin: k, KMax: k, LargeThreshold: large})
 		}
 	}
 }
@@ -452,7 +457,7 @@ func TestSilhouetteKernelMatchesPairReference(t *testing.T) {
 	oracles = append(oracles, struct {
 		name string
 		o    Oracle
-	}{"lazy subset", NewLazyOracle(parent, stats.Euclidean{}).Subset(idx)})
+	}{"lazy subset", filledSubset(NewLazyOracle(parent, stats.Euclidean{}), idx)})
 	for _, tc := range oracles {
 		per, cnt := make([]float64, k), make([]int, k)
 		total, counted := silhouetteKernel(tc.o, labels, sizes, make([]float64, n), make([]float64, k), per, cnt)

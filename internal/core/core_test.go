@@ -120,12 +120,14 @@ func TestExplorerOptionsReportsEffectiveDefaults(t *testing.T) {
 // TestBuildTraceRecordsOracle: the engine chooses the oracle's storage
 // by sample size, and every build that clusters builds its own oracle
 // and says which on its trace — a zoom its own too, whatever its
-// parent's was — with an oracle span and, over a matrix, the matrix's
-// cells as its distance work; a map hit clusters nothing and says
-// nothing. The lazy case's select clusters 2500 objects, and its zoom
-// a region within PAMThreshold; the select's
-// distance work is its lazy oracle's rows and subset matrices, more
-// than none and the same in a second same-seed build.
+// parent's was — with an oracle span and, over a matrix, exactly the
+// matrix's n(n-1)/2 cells as its distance work (the cost model's "exact
+// builds pay one matrix"), on the in-memory table and on a segment of
+// it; a map hit clusters nothing and says nothing. The lazy case's
+// select clusters 2500 objects, and its zoom a region within
+// PAMThreshold; the select's distance work is its lazy oracle's rows and
+// the matrices filled from it, more than none and the same in a second
+// same-seed build.
 func TestBuildTraceRecordsOracle(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -138,76 +140,85 @@ func TestBuildTraceRecordsOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := NewExplorer(pinnedTable(tc.n, 19).Table, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// traced runs b and returns its map and its trace.
-			traced := func(b *MapBuild, err error) (*Map, obs.TraceSnapshot) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr := obs.NewTrace(obs.ClockAt(func() time.Time { return time.Time{} }))
-				m, err := b.Run(obs.WithTrace(context.Background(), tr), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m, tr.Snapshot()
-			}
-			// run applies b and returns its distance work.
-			run := func(b *MapBuild, err error, wantReuse ReuseLevel, wantOracle string) int64 {
-				t.Helper()
-				m, snap := traced(b, err)
-				if err := e.ApplyBuild(b, m); err != nil {
-					t.Fatal(err)
-				}
-				if snap.Attrs["reuse"] != string(wantReuse) || snap.Attrs["oracle"] != wantOracle {
-					t.Fatalf("trace attrs %v, want reuse %q and oracle %q", snap.Attrs, wantReuse, wantOracle)
-				}
-				spans := 0
-				for _, sp := range snap.Spans {
-					if sp.Name == "oracle" {
-						spans++
+			tab := pinnedTable(tc.n, 19).Table
+			for _, backing := range []struct {
+				name string
+				rel  store.Relation
+			}{{"memory", tab}, {"segment", lawSegment(t, tab)}} {
+				t.Run(backing.name, func(t *testing.T) {
+					e, err := NewExplorer(backing.rel, tc.opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if wantOracle == "" {
-					if spans != 0 {
-						t.Fatalf("a map hit has %d oracle spans", spans)
+					// traced runs b and returns its map and its trace.
+					traced := func(b *MapBuild, err error) (*Map, obs.TraceSnapshot) {
+						t.Helper()
+						if err != nil {
+							t.Fatal(err)
+						}
+						tr := obs.NewTrace(obs.ClockAt(func() time.Time { return time.Time{} }))
+						m, err := b.Run(obs.WithTrace(context.Background(), tr), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m, tr.Snapshot()
 					}
-					return 0
-				}
-				if spans != 1 {
-					t.Fatalf("%d oracle spans, want 1", spans)
-				}
-				if (m.SampleSize > e.Options().PAMThreshold) != (wantOracle == "lazy") {
-					t.Fatalf("sample of %d objects clustered over a %s oracle", m.SampleSize, wantOracle)
-				}
-				if n := int64(m.SampleSize); wantOracle == "matrix" && snap.Counters["oracleDistEvals"] != n*(n-1)/2 {
-					t.Fatalf("oracleDistEvals %d, want the %d cells of this build's own matrix", snap.Counters["oracleDistEvals"], n*(n-1)/2)
-				}
-				return snap.Counters["oracleDistEvals"]
+					// run applies b and returns its distance work.
+					run := func(b *MapBuild, err error, wantReuse ReuseLevel, wantOracle string) int64 {
+						t.Helper()
+						m, snap := traced(b, err)
+						if err := e.ApplyBuild(b, m); err != nil {
+							t.Fatal(err)
+						}
+						// Exact builds pay one matrix, whatever holds it.
+						if n := int64(m.SampleSize); wantReuse == ReuseCold && n <= int64(e.Options().PAMThreshold) && snap.Counters["oracleDistEvals"] != n*(n-1)/2 {
+							t.Fatalf("oracleDistEvals %d, want the %d cells of this build's one matrix", snap.Counters["oracleDistEvals"], n*(n-1)/2)
+						}
+						if snap.Attrs["reuse"] != string(wantReuse) || snap.Attrs["oracle"] != wantOracle {
+							t.Fatalf("trace attrs %v, want reuse %q and oracle %q", snap.Attrs, wantReuse, wantOracle)
+						}
+						spans := 0
+						for _, sp := range snap.Spans {
+							if sp.Name == "oracle" {
+								spans++
+							}
+						}
+						if wantOracle == "" {
+							if spans != 0 {
+								t.Fatalf("a map hit has %d oracle spans", spans)
+							}
+							return 0
+						}
+						if spans != 1 {
+							t.Fatalf("%d oracle spans, want 1", spans)
+						}
+						if (m.SampleSize > e.Options().PAMThreshold) != (wantOracle == "lazy") {
+							t.Fatalf("sample of %d objects clustered over a %s oracle", m.SampleSize, wantOracle)
+						}
+						return snap.Counters["oracleDistEvals"]
+					}
+					b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
+					cold := run(b, err, ReuseCold, tc.cold)
+					if tc.cold == "lazy" {
+						again, err := NewExplorer(backing.rel, tc.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						_, snap := traced(again.Prepare(Action{Kind: ActionSelect, Theme: 0}))
+						if n := snap.Counters["oracleDistEvals"]; cold <= 0 || n != cold {
+							t.Fatalf("cold lazy builds booked %d and %d oracleDistEvals, want the same count above 0", cold, n)
+						}
+					}
+					leaf := largestLeaf(e.CurrentMap())
+					b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
+					run(b, err, ReuseCold, tc.zoom)
+					if err := e.Rollback(); err != nil {
+						t.Fatal(err)
+					}
+					b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
+					run(b, err, ReuseMapHit, "")
+				})
 			}
-			b, err := e.Prepare(Action{Kind: ActionSelect, Theme: 0})
-			cold := run(b, err, ReuseCold, tc.cold)
-			if tc.cold == "lazy" {
-				again, err := NewExplorer(pinnedTable(tc.n, 19).Table, tc.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, snap := traced(again.Prepare(Action{Kind: ActionSelect, Theme: 0}))
-				if n := snap.Counters["oracleDistEvals"]; cold <= 0 || n != cold {
-					t.Fatalf("cold lazy builds booked %d and %d oracleDistEvals, want the same count above 0", cold, n)
-				}
-			}
-			leaf := largestLeaf(e.CurrentMap())
-			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
-			run(b, err, ReuseCold, tc.zoom)
-			if err := e.Rollback(); err != nil {
-				t.Fatal(err)
-			}
-			b, err = e.Prepare(Action{Kind: ActionZoom, Path: leaf})
-			run(b, err, ReuseMapHit, "")
 		})
 	}
 }

@@ -102,22 +102,22 @@ type Dataset struct {
 }
 
 // buildScratch is the storage a build works in and leaves behind: the
-// matrix it computed its distances in (nil until a build materializes
-// one), the slab its sample's float columns were gathered into, the
-// headers and slab its sample's vectors were transformed into (one
-// Dim-capped window of vecSlab per sampled row), the buffers its
-// clustering swept in (cluster.Scratch): SWAP's and BUILD's state, the
-// row and block buffers, one slot per CLARA sample, the Monte-Carlo
-// rounds' ids, labels and view, the silhouette kernel's buffers and the
-// labels of the k being scored and of the best, and the buffers its
-// description tree was fitted in (tree.Scratch): the sample's row ids
-// presorted per numeric feature, plus one list in row order (4 B a row
-// each), a side byte per row, and the presort's and partition's temps.
+// slab its sample's float columns were gathered into, the headers and
+// slab its sample's vectors were transformed into (one Dim-capped
+// window of vecSlab per sampled row), the buffers its clustering swept
+// in (cluster.Scratch): every matrix it read — the exact path's, nil
+// until a build materializes one, and each CLARA sample's and
+// Monte-Carlo round's — SWAP's and BUILD's state, the row and block
+// buffers, the rounds' ids and labels, the silhouette kernel's buffers
+// and the labels of the k being scored and of the best — and the
+// buffers its description tree was fitted in (tree.Scratch): the
+// sample's row ids presorted per numeric feature, plus one list in row
+// order (4 B a row each), a side byte per row, and the presort's and
+// partition's temps.
 // The map a build returns references none of them — the sample table,
 // the vectors and the clustering die with the build, the tree holds
 // only its nodes — so the next build may overwrite them all.
 type buildScratch struct {
-	matrix  *cluster.DistMatrix
 	floats  []float64
 	vecs    [][]float64
 	vecSlab []float64

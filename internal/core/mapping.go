@@ -65,7 +65,7 @@ type Map struct {
 // build's distance oracle, a clustering, the region tree — and every
 // one but the tree lives in sc, the build's scratch: the sample's float
 // columns in its slab, the vectors in its vector slab, a matrix oracle
-// on the storage of its matrix (see oracleStage). Nothing the map keeps
+// in its cluster scratch (see oracleStage). Nothing the map keeps
 // references them, so the next build may overwrite them all.
 func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *store.RowSet, theme Theme, sc *buildScratch, progress func(float64)) (*Map, error) {
 	report := func(f float64) {
@@ -196,17 +196,13 @@ func (e *Explorer) prepStage(sample *store.Table, theme Theme, sc *buildScratch)
 // cluster stage runs exact PAM, whose BUILD and SWAP read every pair
 // many times, and a lazy oracle above it, where CLARA reads only its
 // samples' and rounds' small matrices and k medoid rows per sample. Both
-// answer with the same bits. A matrix is built on the storage of the
-// scratch's, which is one build's alone, so concurrent builds never
-// share one, and it becomes the scratch's matrix; a build that goes lazy
-// leaves the scratch's matrix as it was, so no matrix above the
-// crossover is ever built or kept.
+// answer with the same bits. The matrix is the cluster scratch's own
+// (cluster.Scratch.Oracle), built on its last one's storage; the
+// scratch is one build's alone, so concurrent builds never share one,
+// and a build that goes lazy leaves it as it was, so no matrix above
+// the crossover is ever built or kept.
 func (e *Explorer) oracleStage(vecs [][]float64, sc *buildScratch) cluster.Oracle {
-	o := cluster.NewOracle(vecs, e.metric, e.data.opts.PAMThreshold, sc.matrix)
-	if m, ok := o.(*cluster.DistMatrix); ok {
-		sc.matrix = m
-	}
-	return o
+	return sc.cluster.Oracle(vecs, e.metric, e.data.opts.PAMThreshold)
 }
 
 // clusterStage runs cluster detection with automatic k over the build's
@@ -223,11 +219,10 @@ func (e *Explorer) clusterStage(ctx context.Context, oracle cluster.Oracle, rng 
 		return &cluster.Clustering{K: 1, Labels: make([]int, oracle.N()), Silhouette: 0}, nil
 	}
 	return sc.cluster.AutoK(oracle, cluster.AutoKOptions{
-		KMin:                  e.data.opts.MapKMin,
-		KMax:                  kMax,
-		LargeThreshold:        e.data.opts.PAMThreshold,
-		MCSilhouetteThreshold: e.data.opts.PAMThreshold,
-		Context:               ctx,
+		KMin:           e.data.opts.MapKMin,
+		KMax:           kMax,
+		LargeThreshold: e.data.opts.PAMThreshold,
+		Context:        ctx,
 		Progress: func(done, total int) {
 			report(0.15 + 0.7*float64(done)/float64(total))
 		},

@@ -58,6 +58,18 @@ func reverseColumns(t *store.Table) *store.Table {
 	return out
 }
 
+// renameReversed renames t's columns so that their names sort in the
+// reverse order — the column whose name sorts i-th of n is named for the
+// (n-1-i)-th — a bijection that keeps every column's values and place.
+func renameReversed(t *store.Table) *store.Table {
+	sorted := slices.Clone(t.ColumnNames())
+	slices.Sort(sorted)
+	return mapTable(t, func(c store.Column) store.Column {
+		rank, _ := slices.BinarySearch(sorted, c.Name())
+		return store.NewFloatColumnFrom(fmt.Sprintf("v%03d", len(sorted)-1-rank), floatsOf(c))
+	})
+}
+
 // roundFloats rounds every float column of t to quarters, held as
 // integral Float64 values (quarters times four).
 func roundFloats(t *store.Table) *store.Table {
@@ -218,7 +230,9 @@ func leafSets(maps []*Map) string {
 //     leaves every distance as it was; the tree's cuts flip, so the law
 //     is on leaf row sets, not paths;
 //   - integral values held as Int64 vectorize and split as the same
-//     values held as Float64.
+//     values held as Float64;
+//   - renaming the columns so that their names sort the other way
+//     changes no theme and no partition: names only label the splits.
 func TestMetamorphicLaws(t *testing.T) {
 	planted := pinnedTable(600, 11).Table
 	same := func(t *store.Table) *store.Table { return t }
@@ -233,6 +247,7 @@ func TestMetamorphicLaws(t *testing.T) {
 		{"reverse columns", same, reverseColumns, scaledDigest(1), scaledDigest(1)},
 		{"negate floats", same, scaleFloats(-1), leafSets, leafSets},
 		{"float vs int", roundFloats, floatsAsInts, leafSets, leafSets},
+		{"rename reversing sort order", same, renameReversed, leafSets, leafSets},
 	}
 	for _, law := range laws {
 		t.Run(law.name, func(t *testing.T) {
