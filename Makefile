@@ -142,8 +142,12 @@ bench:
 # BenchmarkPAMClassic in internal/cluster), the storage-engine filter
 # benchmarks, the scan benchmarks (limit pushdown, sample gathers), the
 # kernels behind the filter and highlight clicks (BenchmarkFilterKernel*,
-# BenchmarkStatsRows*), the row set's run reads and fingerprint in
-# each form (BenchmarkRowSetRuns, BenchmarkRowSetFingerprint), a string
+# BenchmarkStatsRows*: /x counts a full-precision column's distinct
+# values in a table, /x4 a 4-decimal column's in a bitmap, /w4 a wide
+# 4-decimal column's in a table split over hash partitions in memory), key
+# detection over an integer key (BenchmarkIsLikelyKeyInt), the row
+# set's run reads and fingerprint in each form (BenchmarkRowSetRuns,
+# BenchmarkRowSetFingerprint), a string
 # equality's compile, first and later (BenchmarkCompileStrEq), a string
 # filter click and LIMIT query (BenchmarkFilterStrEq), a new
 # session's first map on a shared Dataset (BenchmarkSessionFirstBuild),

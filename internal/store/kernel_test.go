@@ -21,10 +21,13 @@ import (
 // every kind, nulls in each, and in the float column the cells a
 // comparison kernel can get wrong — NaN (not null), both zeros, both
 // infinities. The strings include numbers, so a numeric comparison over
-// the string column has rows to match.
+// the string column has rows to match. d is a float column of 2-decimal
+// values beside NaN and -0, whose distinct values the statistics count
+// in a bitmap; it draws nothing from rng, so the other columns are what
+// they were before it.
 func kernelTable(rng *rand.Rand, rows int) *Table {
 	t := NewTable("kern")
-	f, i, s, b := NewFloatColumn("f"), NewIntColumn("i"), NewStringColumn("s"), NewBoolColumn("b")
+	f, i, s, b, d := NewFloatColumn("f"), NewIntColumn("i"), NewStringColumn("s"), NewBoolColumn("b"), NewFloatColumn("d")
 	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 0.5}
 	levels := []string{"u", "v", "1", "-2.5", "x"}
 	for r := 0; r < rows; r++ {
@@ -51,8 +54,18 @@ func kernelTable(rng *rand.Rand, rows int) *Table {
 		} else {
 			b.Append(rng.Intn(2) == 0)
 		}
+		switch {
+		case r%11 == 0:
+			d.AppendNull()
+		case r%17 == 0:
+			d.Append(math.Copysign(0, -1))
+		case r%19 == 0:
+			d.Append(math.NaN())
+		default:
+			d.Append(float64(r*7919%4001-2000) / 100)
+		}
 	}
-	for _, c := range []Column{f, i, s, b} {
+	for _, c := range []Column{f, i, s, b, d} {
 		t.MustAddColumn(c)
 	}
 	return t
@@ -429,8 +442,9 @@ func allocated(fn func()) uint64 {
 }
 
 // TestKernelByteBudgets: a highlight's statistics over n rows allocate
-// the distinct-value table (sized for two values on a bool column) and
-// fixed scratch — no 8-byte-per-row copy of the column — and a filter
+// the distinct-value table, or for decimals (a bool column among them)
+// a bitmap over their keys, and fixed scratch — no 8-byte-per-row copy
+// of the column — and a filter
 // of n candidates with m matches allocates its result, one match byte
 // per candidate (allocated page by page, so up to an eighth more in
 // size-class rounding) and fixed scratch.
@@ -445,7 +459,7 @@ func TestKernelByteBudgets(t *testing.T) {
 	if got := allocated(func() { StatsRows(tab.ColumnByName("x"), rows) }); got > table+slack || table+slack >= uint64(8*len(ids)) {
 		t.Errorf("StatsRows over %d rows allocated %d bytes, budget %d (a copy is %d)", len(ids), got, table+slack, 8*len(ids))
 	}
-	// A bool column has two values to tell apart: its table is 3 slots.
+	// A bool column's values are the keys 0 and 1: its bitmap is a word.
 	flags := make([]bool, n)
 	for i := range flags {
 		flags[i] = i%3 == 0
@@ -453,6 +467,14 @@ func TestKernelByteBudgets(t *testing.T) {
 	flag := NewBoolColumnFrom("flag", flags)
 	if got := allocated(func() { StatsRows(flag, rows) }); got > slack {
 		t.Errorf("StatsRows of a bool column over %d rows allocated %d bytes, budget %d", len(ids), got, slack)
+	}
+	// A 4-decimal column's distinct values take a bit per key of the
+	// region's range R, ⌈R/64⌉ words, not the table.
+	x4 := tab.ColumnByName("x4")
+	s4 := StatsRows(x4, rows)
+	keys := uint64(math.Round(s4.Max*1e4)-math.Round(s4.Min*1e4)) + 1
+	if got, budget := allocated(func() { StatsRows(x4, rows) }), 8*((keys+63)/64)+slack; got > budget {
+		t.Errorf("StatsRows of a 4-decimal column over %d rows (%d keys) allocated %d bytes, budget %d (the table is %d)", len(ids), keys, got, budget, table)
 	}
 
 	p := benchScanPred()

@@ -79,17 +79,26 @@ func BenchmarkFilterKernelMem(b *testing.B) { benchFilterKernel(b, benchTable(10
 func BenchmarkFilterKernelSeg(b *testing.B) { benchFilterKernel(b, benchSegment(b)) }
 
 // benchStatsRows is the highlight click's store call: the statistics
-// of a float column over a region of 30 000 rows, read in place.
+// of a float column over a region of 30 000 rows, read in place — x,
+// full precision, whose distinct values go in a table in one pass; x4,
+// 4 decimals, whose go in a bitmap over their range in a second; and
+// w4, 4 decimals over a range too wide for the bitmap, whose go in the
+// table in a second pass on a segment and, in memory, in an eighth of
+// it over eight.
 func benchStatsRows(b *testing.B, r Relation) {
 	rows := make([]int, 0, 30_000)
 	for i := 0; len(rows) < cap(rows); i += 3 {
 		rows = append(rows, i)
 	}
 	set := RowsOf(rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = StatsRows(r.ColumnByName("x"), set).Count
+	for _, col := range []string{"x", "x4", "w4"} {
+		b.Run(col, func(b *testing.B) {
+			c := r.ColumnByName(col)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = StatsRows(c, set).Count
+			}
+		})
 	}
 }
 
@@ -120,5 +129,21 @@ func BenchmarkCompileStrEq(b *testing.B) {
 				benchSink = int(ev.compile(t, p).val)
 			}
 		})
+	}
+}
+
+// BenchmarkIsLikelyKeyInt is key detection over an integer key column of
+// 100 000 sequential values: a full scan of the prefix, every value new.
+func BenchmarkIsLikelyKeyInt(b *testing.B) {
+	ids := make([]int64, 100_000)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	c := NewIntColumnFrom("id", ids)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !IsLikelyKey(c) {
+			b.Fatal("a sequential column is a key")
+		}
 	}
 }

@@ -71,6 +71,22 @@ func ComputeStats(c Column) ColumnStats { return StatsRows(c, All(c.Len())) }
 // column is read run by run through the typed reader (kernel.go), and
 // the sums accumulate in row order in one accumulator, so the moments
 // are the same bits whatever the backing.
+//
+// A numeric column's distinct values are counted in whichever of two
+// forms is smaller, as a RowSet takes its smallest form. If every value
+// is a decimal of at most 9 places (decimalKey), and the range of
+// their integer keys takes no more words than the table slots, it is a
+// bitmap over that range (keyBitmap): the first pass finds the exponent
+// and the range, a second sets the bits. Otherwise it is a floatSet,
+// filled in the first pass when the first run already rules the bitmap
+// out, else in a second. A second pass stops once it has counted
+// distinctCap values.
+//
+// An in-memory column, whose passes read no pages, counts decimals too
+// wide for the bitmap in a table an eighth the size instead, one hash
+// partition a pass (countDecimals), so that only a column of values
+// that are not decimals allocates the whole table; a segment column's
+// highlight reads each page at most twice.
 func StatsRows(c Column, rows *RowSet) ColumnStats {
 	s := ColumnStats{Name: c.Name(), Type: c.Type(), Min: math.NaN(), Max: math.NaN(),
 		Mean: math.NaN(), Std: math.NaN()}
@@ -82,59 +98,89 @@ func StatsRows(c Column, rows *RowSet) ColumnStats {
 		c, rows = c.Gather(rows.AppendTo(nil)), All(n)
 		rd, _ = bindCol(c)
 	}
-	// A string column's values are counted by dictionary code (entries
-	// are distinct), the others accumulated; a bool column has at most
-	// two values to tell apart.
-	var counts []int
-	acc := numAcc{min: math.Inf(1), max: math.Inf(-1)}
-	switch c.Type() {
-	case String:
-		counts = make([]int, len(rd.dict))
-	case Bool:
-		acc.distinct.slots = make([]uint64, min(n, 2)*5/4+1)
-	default:
-		acc.distinct.slots = make([]uint64, min(n, distinctCap)*5/4+1)
-	}
 	vals, present := make([]float64, min(n, readRun)), make([]uint8, min(n, readRun))
-	rows.runs(readRun, rd.rpp, func(_, page int, run []int) bool {
-		sel := routeIdentity[:len(run)]
-		rd.notNull(page, run, sel, present[:len(run)])
-		rd.loadFloats(page, run, sel, vals)
-		if counts != nil {
-			acc.count += countCodes(vals[:len(run)], present, counts)
-		} else {
-			acc.add(vals[:len(run)], present)
+	// pass reads the rows run by run and hands each run's values to fn,
+	// until fn returns false.
+	pass := func(fn func(vals []float64, present []uint8) bool) {
+		rows.runs(readRun, rd.rpp, func(_, page int, run []int) bool {
+			sel := routeIdentity[:len(run)]
+			rd.notNull(page, run, sel, present[:len(run)])
+			rd.loadFloats(page, run, sel, vals)
+			return fn(vals[:len(run)], present[:len(run)])
+		})
+	}
+	if c.Type() == String {
+		// A string column's values are counted by dictionary code
+		// (entries are distinct).
+		counts := make([]int, len(rd.dict))
+		pass(func(vals []float64, present []uint8) bool {
+			s.Count += countCodes(vals, present, counts)
+			return true
+		})
+		s.Nulls = n - s.Count
+		s.TopValues, s.Distinct = topK(rd.dict, counts, MaxTopValues)
+		return s
+	}
+	acc := numAcc{min: math.Inf(1), max: math.Inf(-1), maxWords: tableSlots(n)}
+	inMemory := rd.seg == nil
+	if inMemory {
+		acc.maxWords = math.MaxInt
+	}
+	pass(func(vals []float64, present []uint8) bool {
+		first := acc.count == 0
+		acc.add(vals, present)
+		if first && acc.exp == noDecimal {
+			acc.distinct = newFloatSet(n)
+			acc.distinct.addAll(vals, present)
 		}
 		return true
 	})
-	s.Count, s.Nulls, s.Distinct = acc.count, n-acc.count, acc.distinct.n
-	if counts != nil {
-		s.TopValues, s.Distinct = topK(rd.dict, counts, MaxTopValues)
-	} else if s.Count > 0 {
-		s.Min, s.Max = acc.min, acc.max
-		s.Mean = acc.sum / float64(s.Count)
-		variance := acc.sumsq/float64(s.Count) - s.Mean*s.Mean
-		if variance < 0 {
-			variance = 0
-		}
-		s.Std = math.Sqrt(variance)
+	s.Count, s.Nulls = acc.count, n-acc.count
+	if s.Count == 0 {
+		return s
 	}
+	s.Distinct = acc.distinct.n
+	if acc.distinct.slots == nil {
+		var ok bool
+		if s.Distinct, ok = countDecimals(pass, acc.min, acc.max, acc.exp, s.Count, inMemory); !ok {
+			acc.distinct = newFloatSet(s.Count)
+			pass(func(vals []float64, present []uint8) bool {
+				acc.distinct.addAll(vals, present)
+				return acc.distinct.n < distinctCap
+			})
+			s.Distinct = acc.distinct.n
+		}
+	}
+	s.Min, s.Max = acc.min, acc.max
+	s.Mean = acc.sum / float64(s.Count)
+	variance := acc.sumsq/float64(s.Count) - s.Mean*s.Mean
+	if variance < 0 {
+		variance = 0
+	}
+	s.Std = math.Sqrt(variance)
 	return s
 }
 
-// numAcc accumulates the moments, range and distinct count of the
-// values it is shown, in the order shown.
+// numAcc accumulates the moments and range of the values it is shown,
+// in the order shown, and either their distinct values, once distinct
+// is allocated, or the decimal exponent they need.
 type numAcc struct {
 	count      int
 	sum, sumsq float64
 	min, max   float64
-	distinct   floatSet
+	// exp is the least exponent at which every value shown has a
+	// decimal key (NaN aside), noDecimal once one has none or their
+	// keys span more than maxWords bitmap words.
+	exp      int
+	maxWords int
+	distinct floatSet
 }
 
 // add takes in the values whose present byte is set.
 //
 //blaeu:hot
 func (a *numAcc) add(vals []float64, present []uint8) {
+	counting := a.distinct.slots != nil
 	for k, v := range vals {
 		if present[k] == 0 {
 			continue
@@ -148,7 +194,15 @@ func (a *numAcc) add(vals []float64, present []uint8) {
 		if v > a.max {
 			a.max = v
 		}
-		a.distinct.add(v)
+		if counting {
+			a.distinct.add(v)
+		}
+	}
+	if !counting && a.exp != noDecimal {
+		a.exp = decimalExp(vals, present, a.exp)
+		if a.min <= a.max && keyWords(a.min, a.max, a.exp) > a.maxWords {
+			a.exp = noDecimal
+		}
 	}
 }
 
@@ -193,45 +247,243 @@ func RowFloats(c Column, rows *RowSet) (vals []float64, present []uint8) {
 const distinctCap = 100001
 
 // floatSet counts distinct float64 values, up to distinctCap, in one
-// open-addressing table its user allocates once with a quarter again as
-// many slots as values to add, so linear probing never fills it past
-// 0.8: growing a map[float64]struct{} from empty was most of what a
-// highlight allocated, and the table is still the largest allocation of
-// a highlight click (10 B per row of the region). Values are told apart as map keys
-// are: -0 and +0 are one, every NaN is its own. A slot holds a value's
-// bits xor floatSetEmpty — a NaN's bits, and NaNs are not stored, so 0
-// marks a free slot.
+// open-addressing table allocated once with a quarter again as many
+// slots as values to add (tableSlots), so linear probing never fills it
+// past 0.8: growing a map[float64]struct{} from empty cost more. It
+// takes 10 B per value, so StatsRows uses it only where a keyBitmap
+// would be larger: for values that are not all decimals, or whose
+// decimal range is wide. Values are told apart as map keys are: -0 and
+// +0 are one, every NaN is its own. A slot holds a value's bits xor
+// floatSetEmpty — a NaN's bits, and NaNs are not stored, so 0 marks a
+// free slot.
+//
+// A set may take in only the values of one of parts partitions of the
+// hash, part, so that a smaller table counts them all, a partition a
+// pass (countDecimals); NaNs belong to partition 0. held counts the
+// slots in use, n every value taken in since the set was made.
 type floatSet struct {
-	slots []uint64
-	n     int
+	slots       []uint64
+	n, held     int
+	part, parts uint64
 }
 
 const floatSetEmpty = 0x7FF8000000000001
 
-func (s *floatSet) add(v float64) {
+// tableSlots is the size of a floatSet for n values.
+func tableSlots(n int) int { return min(n, distinctCap)*5/4 + 1 }
+
+func newFloatSet(n int) floatSet { return floatSet{slots: make([]uint64, tableSlots(n)), parts: 1} }
+
+// add takes v, which must fall in the set's partition (mine), in and
+// reports whether it was new. A set that holds distinctCap values takes
+// nothing more in.
+func (s *floatSet) add(v float64) bool {
 	if s.n >= distinctCap {
-		return
+		return false
 	}
 	if v != v {
 		s.n++
-		return
+		return true
 	}
 	if v == 0 {
 		v = 0 // folds -0 into +0
 	}
 	key := math.Float64bits(v) ^ floatSetEmpty
-	// Fibonacci hashing, reduced to the table's length by a multiply.
-	h, _ := bits.Mul64(key*0x9E3779B97F4A7C15, uint64(len(s.slots)))
-	for s.slots[h] != key {
-		if s.slots[h] == 0 {
-			s.slots[h] = key
+	// Fibonacci hashing: the hash times parts has the partition in its
+	// high word (mine) and the slot, reduced to the table's length by a
+	// multiply, in its low (for one partition, the whole hash).
+	_, h := bits.Mul64(key*0x9E3779B97F4A7C15, s.parts)
+	i, _ := bits.Mul64(h, uint64(len(s.slots)))
+	for s.slots[i] != key {
+		if s.slots[i] == 0 {
+			s.slots[i] = key
 			s.n++
-			return
+			s.held++
+			return true
 		}
-		if h++; h == uint64(len(s.slots)) {
-			h = 0
+		if i++; i == uint64(len(s.slots)) {
+			i = 0
 		}
 	}
+	return false
+}
+
+// mine reports whether v falls in the set's partition.
+//
+//blaeu:hot
+func (s *floatSet) mine(v float64) bool {
+	if v != v {
+		return s.part == 0
+	}
+	if v == 0 {
+		v = 0
+	}
+	part, _ := bits.Mul64((math.Float64bits(v)^floatSetEmpty)*0x9E3779B97F4A7C15, s.parts)
+	return part == s.part
+}
+
+// addAll takes in the values whose present byte is set and that fall in
+// the set's partition. It returns false, having stopped, once the table
+// has one free slot left, which a partition's table can reach; a table
+// sized by tableSlots for the values it is shown never does.
+//
+//blaeu:hot
+func (s *floatSet) addAll(vals []float64, present []uint8) bool {
+	for k, v := range vals {
+		if s.held == len(s.slots)-1 {
+			return false
+		}
+		if present[k] != 0 && (s.parts == 1 || s.mine(v)) {
+			s.add(v)
+		}
+	}
+	return true
+}
+
+// pow10 holds the powers of ten a decimal key may scale by, each exact.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// noDecimal is the exponent of a value that has no decimal key.
+const noDecimal = len(pow10)
+
+// decimalKey returns v's key at the exponent e whose power p is
+// pow10[e], v·10^e rounded to an integer, and whether it stands for v:
+// it is under 2^53 in magnitude, so exact, and divided back by 10^e
+// gives v again. Keys that stand for their values are as distinct as
+// the values, except that -0 and +0 share the key 0, as they share a
+// floatSet slot. A NaN or an infinity has none.
+//
+//blaeu:hot
+func decimalKey(v, p float64) (int64, bool) {
+	k := math.RoundToEven(v * p) // one instruction where math.Round is a dozen
+	return int64(k), math.Abs(k) < 1<<53 && k/p == v
+}
+
+// decimalExp returns the least exponent from e up at which every
+// present value but NaN has a decimal key, or noDecimal if one has
+// none.
+//
+//blaeu:hot
+func decimalExp(vals []float64, present []uint8, e int) int {
+	for k, v := range vals {
+		if present[k] == 0 || v != v {
+			continue
+		}
+		for {
+			if _, ok := decimalKey(v, pow10[e]); ok {
+				break
+			}
+			if e++; e == noDecimal {
+				return e
+			}
+		}
+	}
+	return e
+}
+
+// tableParts is how many hash partitions the table of an in-memory
+// decimal column too wide for a bitmap is split into, one pass each, so
+// that it takes an eighth of the words (partSlots).
+const tableParts = 8
+
+// partSlots is the size of the table of one of tableParts partitions of
+// count values: an eighth of their table, but no fewer than 512 slots
+// (4 KB), so that a small region is split into no more passes than it
+// must.
+func partSlots(count int) int { return max((tableSlots(count)+tableParts-1)/tableParts, 512) }
+
+// countDecimals counts the distinct values of the rows pass reads,
+// count of them present, from least to most, which the first pass found
+// to be decimals at exponent e. If the bitmap over their keys' range
+// takes no more words than their table, one pass fills it. Otherwise,
+// if split, a table of partSlots slots takes them in, one hash partition
+// a pass. It reports false if e is noDecimal, if a value turns out to
+// have no key at e (decimalExp checked it at a smaller one), if the
+// bitmap is too wide and split is false, or if a partition's values fill
+// its table: then only the whole table counts them.
+func countDecimals(pass func(func(vals []float64, present []uint8) bool), least, most float64, e, count int, split bool) (int, bool) {
+	if e == noDecimal {
+		return 0, false
+	}
+	ok := true
+	slots := tableSlots(count)
+	if words := keyWords(least, most, e); words <= slots {
+		lo, _ := decimalKey(least, pow10[e])
+		keys := keyBitmap{words: make([]uint64, words), lo: lo, p: pow10[e]}
+		pass(func(vals []float64, present []uint8) bool {
+			ok = keys.add(vals, present)
+			return ok && keys.n < distinctCap
+		})
+		return min(keys.n, distinctCap), ok
+	}
+	if !split {
+		return 0, false
+	}
+	part := partSlots(count)
+	set := floatSet{slots: make([]uint64, part), parts: uint64((slots + part - 1) / part)}
+	for ; ok && set.part < set.parts && set.n < distinctCap; set.part++ {
+		clear(set.slots)
+		set.held = 0
+		pass(func(vals []float64, present []uint8) bool {
+			ok = set.addAll(vals, present)
+			return ok && set.n < distinctCap
+		})
+	}
+	return set.n, ok
+}
+
+// keyBitmap counts distinct decimals as a bit per key at one exponent,
+// whose power is p, from the key lo up, and each NaN as a value of its
+// own: 1/8 B per key of the values' range, against a floatSet's 10 B
+// per value. n is the count.
+type keyBitmap struct {
+	words []uint64
+	lo    int64
+	p     float64
+	n     int
+}
+
+// keyWords returns the words of a keyBitmap over the keys from least's
+// to most's at exponent e, or math.MaxInt if either has none.
+//
+//blaeu:hot
+func keyWords(least, most float64, e int) int {
+	if e == noDecimal {
+		return math.MaxInt
+	}
+	lo, okLo := decimalKey(least, pow10[e])
+	hi, okHi := decimalKey(most, pow10[e])
+	if !okLo || !okHi {
+		return math.MaxInt
+	}
+	return int((hi-lo)/64 + 1)
+}
+
+// add sets the bit of every present value's key. It returns false at
+// the first value whose key does not stand for it or lies outside the
+// bitmap, which then counts nothing.
+//
+//blaeu:hot
+func (b *keyBitmap) add(vals []float64, present []uint8) bool {
+	span := uint64(len(b.words)) << 6
+	for k, v := range vals {
+		if present[k] == 0 {
+			continue
+		}
+		if v != v {
+			b.n++
+			continue
+		}
+		key, ok := decimalKey(v, b.p)
+		bit := uint64(key - b.lo)
+		if !ok || bit >= span {
+			return false
+		}
+		w := b.words[bit>>6]
+		b.n += int(^w >> (bit & 63) & 1)
+		b.words[bit>>6] = w | 1<<(bit&63)
+	}
+	return true
 }
 
 // topK returns the k most frequent dictionary values (count
@@ -301,13 +553,11 @@ func IsLikelyKey(c Column) bool {
 			return was
 		}
 	} else {
-		seen := make(map[float64]struct{})
+		seen := newFloatSet(limit)
 		repeated = func(i int) bool {
 			v := c.Float(i)
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
-			_, was := seen[v]
-			seen[v] = struct{}{}
-			return was
+			return !seen.add(v)
 		}
 	}
 	repeats := 0

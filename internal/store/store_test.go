@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
@@ -702,6 +703,54 @@ func TestStatsDistinctMatchesMapReference(t *testing.T) {
 	allNull := NewFloatColumn("allNull")
 	allNull.AppendNull()
 
+	// Decimal columns, whose distinct values StatsRows counts in a bitmap
+	// over their keys, and the ones that send it back to the table.
+	decimal4 := NewFloatColumn("decimal4")
+	mixedExp := NewFloatColumn("mixedExp") // negative, 0 to 3 decimals
+	intFloats := NewFloatColumn("intFloats")
+	zerosNaN := NewFloatColumn("zerosNaN")
+	lateFull := NewFloatColumn("lateFull") // decimal for the first run, not after it
+	lateWide := NewFloatColumn("lateWide") // decimal, too wide for a bitmap after the first run
+	for i := 0; i < 5000; i++ {
+		if i%13 == 0 {
+			decimal4.AppendNull()
+		} else {
+			decimal4.Append(math.Round(rng.Float64()*1e6) / 1e4)
+		}
+		mixedExp.Append(-float64(rng.Intn(100000)) / []float64{1, 10, 100, 1000}[rng.Intn(4)])
+		intFloats.Append(float64(rng.Intn(2000) - 1000))
+		switch i % 5 {
+		case 0:
+			zerosNaN.Append(negZero)
+		case 1:
+			zerosNaN.Append(math.NaN())
+		case 2:
+			zerosNaN.Append(0)
+		default:
+			zerosNaN.Append(float64(rng.Intn(400)-200) / 100)
+		}
+		if i < readRun {
+			lateFull.Append(float64(rng.Intn(1000)) / 10)
+			lateWide.Append(float64(rng.Intn(100)) / 100)
+		} else {
+			lateFull.Append(rng.Float64() * 100)
+			lateWide.Append(float64(rng.Intn(1e8)) / 100)
+		}
+	}
+	overCap := NewFloatColumn("overCap") // 110 000 distinct decimals
+	for i := 0; i < 110000; i++ {
+		overCap.Append(float64(i) / 1e4)
+	}
+	// Integer ranges whose bitmap takes one word fewer than, as many as
+	// and one word more than the table's slots: the bitmap counts the
+	// first two, the partitioned table the third
+	// (TestCountDecimalsStaysInBudget tells the forms apart).
+	var crossover []*FloatColumn
+	const crossN = 1000
+	for _, words := range []int{tableSlots(crossN) - 1, tableSlots(crossN), tableSlots(crossN) + 1} {
+		crossover = append(crossover, crossoverColumn(rng, crossN, words))
+	}
+
 	for _, tc := range []struct {
 		c    Column
 		want int
@@ -714,6 +763,16 @@ func TestStatsDistinctMatchesMapReference(t *testing.T) {
 		{justUnder, 100000},
 		{allNull, 0},
 		{NewFloatColumn("empty"), 0},
+		{decimal4, -1},
+		{mixedExp, -1},
+		{intFloats, -1},
+		{zerosNaN, -1},
+		{lateFull, -1},
+		{lateWide, -1},
+		{overCap, distinctCap},
+		{crossover[0], -1},
+		{crossover[1], -1},
+		{crossover[2], -1},
 	} {
 		got := ComputeStats(tc.c).Distinct
 		if ref := distinctViaMap(tc.c); got != ref {
@@ -721,6 +780,102 @@ func TestStatsDistinctMatchesMapReference(t *testing.T) {
 		}
 		if tc.want >= 0 && got != tc.want {
 			t.Errorf("%s: Distinct = %d, want %d", tc.c.Name(), got, tc.want)
+		}
+	}
+}
+
+// crossoverColumn is n integers from 0 to 64·(words-1): their bitmap
+// takes words words.
+func crossoverColumn(rng *rand.Rand, n, words int) *FloatColumn {
+	c := NewFloatColumn(fmt.Sprintf("crossover%d", words))
+	hi := 64 * (words - 1)
+	c.Append(0)
+	c.Append(float64(hi))
+	for i := 2; i < n; i++ {
+		c.Append(float64(rng.Intn(hi + 1)))
+	}
+	return c
+}
+
+// TestCountDecimalsStaysInBudget: the distinct values of an in-memory
+// decimal column are counted in one pass into a bitmap over their keys'
+// range when it takes no more words than their table, and otherwise in
+// a table of partSlots slots, an eighth of the whole, one hash partition
+// a pass over tableParts passes — and the count is the map's. A
+// partition whose values fill its table gives the count back to the
+// whole table, and StatsRows still counts exactly. (A segment column's
+// wide decimals take the whole table in one pass:
+// TestInspectionReadsPagesNotRows in internal/core bounds its passes.)
+func TestCountDecimalsStaysInBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 40000
+	slots, part := tableSlots(n), partSlots(n)
+	decimals := func(name string, draw func() float64) *FloatColumn {
+		c := NewFloatColumn(name)
+		for i := 0; i < n; i++ {
+			c.Append(draw())
+		}
+		return c
+	}
+	nan := decimals("wideNaN", func() float64 { return float64(rng.Intn(1e8)) / 1e4 })
+	nan.vals[7], nan.vals[9], nan.vals[n-1] = math.NaN(), math.Copysign(0, -1), math.NaN()
+	// inPartition0 draws a wide decimal whose hash falls in partition 0
+	// of tableParts, as every value of a column of them does.
+	inPartition0 := func() float64 {
+		for {
+			v := float64(rng.Intn(1e9)) / 100
+			if p, _ := bits.Mul64((math.Float64bits(v)^floatSetEmpty)*0x9E3779B97F4A7C15, tableParts); p == 0 {
+				return v
+			}
+		}
+	}
+	for _, tc := range []struct {
+		c      *FloatColumn
+		passes int // 0: a partition fills, and countDecimals hands back
+		words  int // the most the counter may take
+	}{
+		{decimals("narrow", func() float64 { return math.Round(rng.Float64()*1e5) / 1e4 }), 1, 1563},
+		{crossoverColumn(rng, n, slots), 1, slots},
+		{crossoverColumn(rng, n, slots+1), tableParts, part},
+		{decimals("wide", func() float64 { return float64(rng.Intn(1e8)) / 1e4 }), tableParts, part},
+		{decimals("heavyTail", func() float64 { return math.Round(math.Exp(2*rng.NormFloat64())*1e4) / 1e4 }), tableParts, part},
+		{nan, tableParts, part},
+		{decimals("onePartition", inPartition0), 0, part},
+	} {
+		vals, present := tc.c.vals, make([]uint8, n)
+		for i := range present {
+			present[i] = 1
+		}
+		passes := 0
+		pass := func(fn func(vals []float64, present []uint8) bool) {
+			passes++
+			for off := 0; off < n; off += readRun {
+				if !fn(vals[off:min(off+readRun, n)], present[off:min(off+readRun, n)]) {
+					return
+				}
+			}
+		}
+		s := ComputeStats(tc.c)
+		var got int
+		var ok bool
+		bytes := allocated(func() {
+			passes = 0
+			got, ok = countDecimals(pass, s.Min, s.Max, decimalExp(vals, present, 0), s.Count, true)
+		})
+		ref := distinctViaMap(tc.c)
+		switch {
+		case tc.passes == 0 && ok:
+			t.Errorf("%s: countDecimals kept one partition of %d values in %d slots", tc.c.Name(), n, part)
+		case tc.passes != 0 && (!ok || got != ref || passes != tc.passes):
+			t.Errorf("%s: countDecimals = %d, %v in %d passes; want %d in %d", tc.c.Name(), got, ok, passes, ref, tc.passes)
+		}
+		// The counter, rounded up to the allocator's 8 KB pages, and the
+		// pass closures.
+		if limit := uint64(8*tc.words + 9<<10); bytes > limit {
+			t.Errorf("%s: countDecimals allocated %d bytes, budget %d", tc.c.Name(), bytes, limit)
+		}
+		if s.Distinct != ref {
+			t.Errorf("%s: Distinct = %d, the map counts %d", tc.c.Name(), s.Distinct, ref)
 		}
 	}
 }

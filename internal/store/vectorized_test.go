@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -97,19 +98,26 @@ func TestZeroColumnRowCounts(t *testing.T) {
 }
 
 // benchTable builds a single-allocation numeric+string table for the
-// filter benchmarks.
+// filter benchmarks: x is a full-precision float in [0, 100), x4 the
+// same value at 4 decimals (as the ledger's CSV writes it), and w4 a
+// thousand times it at 4 decimals, a range too wide for a bitmap.
 func benchTable(n int) *Table {
 	rng := rand.New(rand.NewSource(11))
 	t := NewTable("bench")
-	f := NewFloatColumn("x")
+	f, f4, w4 := NewFloatColumn("x"), NewFloatColumn("x4"), NewFloatColumn("w4")
 	s := NewStringColumn("label")
 	levels := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for i := 0; i < n; i++ {
-		f.Append(rng.Float64() * 100)
+		x := rng.Float64() * 100
+		f.Append(x)
+		f4.Append(math.Round(x*1e4) / 1e4)
+		w4.Append(math.Round(x*1e7) / 1e4)
 		s.Append(levels[rng.Intn(len(levels))])
 	}
 	t.MustAddColumn(f)
 	t.MustAddColumn(s)
+	t.MustAddColumn(f4)
+	t.MustAddColumn(w4)
 	return t
 }
 
