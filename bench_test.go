@@ -370,6 +370,45 @@ func BenchmarkColdSelectDefault(b *testing.B) {
 	}
 }
 
+// BenchmarkColdBuildWarm is a cold select on a dataset whose build
+// scratch an earlier build has warmed: the explore_mem workload's table
+// (bench/load: LOFAR, 100 000 rows, seed 1) with the map cache off, its
+// widest theme selected and rolled back. n=1100 is explore_mem's
+// sample, clustered by CLARA over a lazy oracle; n=300 runs exact PAM
+// over the scratch's matrix. A warm build allocates what its map keeps,
+// the routing and the regions, and little else: watch B/op.
+func BenchmarkColdBuildWarm(b *testing.B) {
+	ds := datagen.LOFAR(datagen.LOFAROptions{N: 100_000}, rand.New(rand.NewSource(1)))
+	for _, n := range []int{1100, 300} {
+		d, err := core.NewDataset(ds.Table, core.Options{Seed: 1, SampleSize: n, MapCacheSize: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := d.Open()
+		wide := 0
+		for i, th := range e.Themes() {
+			if len(th.Columns) > len(e.Themes()[wide].Columns) {
+				wide = i
+			}
+		}
+		build := func() {
+			if _, err := e.SelectTheme(wide); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Rollback(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		build()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		})
+	}
+}
+
 // BenchmarkFilterStrEq is a string equality on the explore_mem
 // workload's table (bench/load: LOFAR, 100 000 rows, sample 1100, seed
 // 1) over SourceID, whose 100 000 values are all distinct, against its

@@ -107,6 +107,46 @@ func (s *Scratch) drawSamples(n, size int, rng *rand.Rand) {
 	}
 }
 
+// claraTask is the state CLARA's per-sample fan-out reads: the oracle,
+// the k clustered and the context of one k's fan-out, the task its
+// batch calls, bound once per scratch, and the batch, so that no k's
+// fan-out allocates.
+type claraTask struct {
+	o     Oracle
+	k     int
+	ctx   context.Context
+	run   func(i int)
+	batch cores.Batch
+}
+
+// runSample is sample i's task of CLARA's fan-out: PAM on the leading
+// block of its matrix, in its slot, and the cost and labels of its
+// medoids over the full set.
+func (s *Scratch) runSample(i int) {
+	t, sm := &s.claraTask, &s.samples[i]
+	sm.cost = math.Inf(1)
+	if sm.err = ctxErr(t.ctx); sm.err != nil {
+		return
+	}
+	sub := sm.sub.matrix.lead(claraSampleSize(t.k), &sm.lead)
+	if _, sm.err = checkPAMArgs(sub, t.k); sm.err == nil {
+		sm.err = sm.run.pam(sub, t.k)
+	}
+	if sm.err != nil {
+		return
+	}
+	sm.medoids = grow(sm.medoids, len(sm.run.medoids))
+	for j, m := range sm.run.medoids {
+		sm.medoids[j] = sm.ids[m]
+	}
+	// Cost and label the sample's medoids over the full dataset — the
+	// expensive O(n·k) half of a sample's work, also parallelized by the
+	// fan-out. The winner's labels are kept (see clara).
+	n := t.o.N()
+	sm.row, sm.best, sm.labels = grow(sm.row, n), grow(sm.best, n), grow(sm.labels, n)
+	sm.cost = assignInto(t.o, sm.medoids, sm.labels, sm.row, sm.best)
+}
+
 // clara is CLARA in s for k clusters over the samples drawSamples drew
 // and fill filled: each sample's PAM on the leading block of its matrix,
 // in its slot, the winner's labels in the current k's buffer. At most
@@ -117,30 +157,15 @@ func (s *Scratch) clara(o Oracle, k int, ctx context.Context) (*Clustering, erro
 	if n <= size || n <= k {
 		return s.pam(s.exact(o), k)
 	}
-	cores.Run(len(s.samples), func(i int) {
-		sm := &s.samples[i]
-		sm.cost = math.Inf(1)
-		if sm.err = ctxErr(ctx); sm.err != nil {
-			return
-		}
-		sub := sm.sub.matrix.lead(size, &sm.lead)
-		if _, sm.err = checkPAMArgs(sub, k); sm.err == nil {
-			sm.err = sm.run.pam(sub, k)
-		}
-		if sm.err != nil {
-			return
-		}
-		sm.medoids = grow(sm.medoids, len(sm.run.medoids))
-		for j, m := range sm.run.medoids {
-			sm.medoids[j] = sm.ids[m]
-		}
-		// Cost and label the sample's medoids over the full dataset —
-		// the expensive O(n·k) half of a sample's work, also
-		// parallelized by the fan-out. The winner's labels are kept,
-		// below.
-		sm.row, sm.best, sm.labels = grow(sm.row, n), grow(sm.best, n), grow(sm.labels, n)
-		sm.cost = assignInto(o, sm.medoids, sm.labels, sm.row, sm.best)
-	})
+	// The fan-out reads its task state off the scratch, cleared after it
+	// so that a kept scratch holds no caller's oracle or context.
+	t := &s.claraTask
+	t.o, t.k, t.ctx = o, k, ctx
+	if t.run == nil {
+		t.run = s.runSample
+	}
+	t.batch.Run(len(s.samples), t.run)
+	t.o, t.ctx = nil, nil
 
 	var best *claraSample
 	for i := range s.samples {

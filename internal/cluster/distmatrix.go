@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/cores"
 	"repro/internal/stats"
 )
 
@@ -50,14 +51,18 @@ func ComputeDistMatrix(vecs [][]float64, d stats.Distance) *DistMatrix {
 
 // computeDistMatrix fills the matrix scratch.reuse returns with pairwise
 // distances of the vectors, its rows dealt round-robin so that the
-// triangle's long and short rows spread evenly over the workers. Rows
-// are disjoint slices of the condensed storage: nothing to synchronize,
-// the same matrix at every worker count, and every cell written, so
-// reused storage needs no zeroing.
+// triangle's long and short rows spread evenly over the workers, one
+// task each through cores.Run; one worker fills them inline. Rows are
+// disjoint slices of the condensed storage: nothing to synchronize, the
+// same matrix at every worker count, and every cell written, so reused
+// storage needs no zeroing.
 func computeDistMatrix(vecs [][]float64, d stats.Distance, scratch *DistMatrix) *DistMatrix {
 	m := scratch.reuse(len(vecs))
-	workers := rangeWorkers(m.n)
-	parallelChunks(workers, workers, func(w, _, _ int) { m.fillRows(vecs, d, w, workers) })
+	if workers := rangeWorkers(m.n); workers > 1 {
+		cores.Run(workers, func(w int) { m.fillRows(vecs, d, w, workers) })
+	} else {
+		m.fillRows(vecs, d, 0, 1)
+	}
 	return m
 }
 

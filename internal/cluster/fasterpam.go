@@ -32,25 +32,6 @@ func rangeWorkers(n int) int {
 	return min(maxWorkers, n)
 }
 
-// parallelChunks is the one fan-out idiom every parallel helper here
-// builds on: it splits [0,n) into contiguous chunks, at most workers of
-// them, and runs fn(chunk, lo, hi) for each through cores.Run, on
-// whatever cores are free. Chunk indices are dense from 0 and chunk w
-// covers lower indices than chunk w+1, which reductions rely on for
-// deterministic tie-breaking; each chunk runs on one goroutine, so it
-// may use scratch indexed by w. workers <= 1 or n <= 1 runs inline.
-func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	cores.Run((n+chunk-1)/chunk, func(w int) {
-		lo := w * chunk
-		fn(w, lo, min(lo+chunk, n))
-	})
-}
-
 // ErrNoFiniteDistance is BUILD's error when no object it may pick scores
 // a finite total distance: every candidate's sum holds a +Inf or a NaN
 // distance, as it does when one vector holds an infinite coordinate
@@ -64,6 +45,16 @@ var ErrNoFiniteDistance = errors.New("cluster: BUILD found no object with a fini
 // its medoids are in medoids, its labels in n1 and its cost in cost.
 type pamRun struct {
 	swapState
+	// The fan-out's task state (see fanOut): the step its chunks run,
+	// the range it splits and the chunk length, the task its batch
+	// calls, bound once per run storage, and the batch, so that no step
+	// allocates.
+	step      step
+	fanN, per int
+	task      func(w int)
+	batch     cores.Batch
+	// applySlot is the medoid slot applySwap's step installs into.
+	applySlot int
 	// rows holds one n-sized distance-row buffer per worker a run over
 	// n objects fans out to (rangeWorkers): BUILD's scoring and nearest
 	// updates and SWAP's candidate evaluation all materialize rows in
@@ -114,36 +105,82 @@ func (r *pamRun) sizeRows(n int) {
 	}
 }
 
-// argMinScore evaluates score(i) for every i in [0,n) across one worker
-// per row buffer and returns the argmin and its value, or −1 when no
-// score is below +Inf. Each worker hands score its own buffer of rows,
-// to materialize distance rows into. Exact ties resolve to the lowest
+// step names the chunked work of one fan-out of a run: BUILD's
+// scoring of every object's row sum (the first medoid) or negated gain
+// (each later one), SWAP's full reassignment of every object, the
+// incremental repair after a swap, and the evaluation of one block's
+// candidates.
+type step uint8
+
+const (
+	stepCentral step = iota
+	stepGain
+	stepReassign
+	stepApply
+	stepEval
+)
+
+// fanOut runs st over [0, n) in at most workers contiguous chunks:
+// chunk w covers lower indices than chunk w+1, which reductions rely on
+// for deterministic tie-breaking, and runs on one goroutine, so it may
+// use the buffers indexed by w. One worker, or n <= 1, runs inline as
+// chunk 0; more go through the run's batch, on whatever cores are
+// free, calling the task the run binds on its first fan-out.
+func (r *pamRun) fanOut(st step, n, workers int) {
+	r.step = st
+	if workers <= 1 || n <= 1 {
+		r.chunk(0, 0, n)
+		return
+	}
+	r.fanN, r.per = n, (n+workers-1)/workers
+	if r.task == nil {
+		r.task = func(w int) {
+			lo := w * r.per
+			r.chunk(w, lo, min(lo+r.per, r.fanN))
+		}
+	}
+	r.batch.Run((n+r.per-1)/r.per, r.task)
+}
+
+// chunk runs objects (or, for stepEval, block candidates) [lo, hi) of
+// the current step as worker w.
+//
+//blaeu:hot
+func (r *pamRun) chunk(w, lo, hi int) {
+	switch r.step {
+	case stepCentral, stepGain:
+		r.argMinChunk(w, lo, hi)
+	case stepReassign:
+		for j := lo; j < hi; j++ {
+			r.reassign(j)
+		}
+	case stepApply:
+		r.applyChunk(lo, hi)
+	case stepEval:
+		r.evalChunk(w, lo, hi)
+	}
+}
+
+// argMinScore scores every object in [0,n) under BUILD's current step
+// across one worker per row buffer and returns the argmin and its
+// value, or −1 when no score is below +Inf. Each worker materializes
+// distance rows in its own buffer. Exact ties resolve to the lowest
 // index, so the result is identical to a sequential first-wins scan
 // regardless of core count.
-func (r *pamRun) argMinScore(n int, score func(i int, row []float64) float64) (int, float64) {
-	rows := r.rows
-	results := grow(r.results, len(rows))
-	r.results = results
-	for w := range results {
-		// parallelChunks may launch fewer chunks than workers (chunk size
-		// is rounded up); unwritten slots must lose every comparison, not
+func (r *pamRun) argMinScore(st step, n int) (int, float64) {
+	r.results = grow(r.results, len(r.rows))
+	for w := range r.results {
+		// A fan-out may run fewer chunks than workers (chunk size is
+		// rounded up); unwritten slots must lose every comparison, not
 		// sit at the zero value {idx: 0, val: 0} pretending object 0
 		// scored 0.
-		results[w] = argMin{-1, math.Inf(1)}
+		r.results[w] = argMin{-1, math.Inf(1)}
 	}
-	parallelChunks(n, len(rows), func(w, lo, hi int) {
-		best, bestV := -1, math.Inf(1)
-		for i := lo; i < hi; i++ {
-			if v := score(i, rows[w]); v < bestV {
-				best, bestV = i, v
-			}
-		}
-		results[w] = argMin{best, bestV}
-	})
+	r.fanOut(st, n, len(r.rows))
 	best, bestV := -1, math.Inf(1)
 	// Chunks are in ascending index order, so a strict < keeps the lowest
 	// index on ties.
-	for _, res := range results {
+	for _, res := range r.results {
 		if res.idx >= 0 && res.val < bestV {
 			best, bestV = res.idx, res.val
 		}
@@ -151,10 +188,60 @@ func (r *pamRun) argMinScore(n int, score func(i int, row []float64) float64) (i
 	return best, bestV
 }
 
-// parallelRange splits [0,n) into contiguous chunks and runs fn on each
-// through cores.Run; sequential below parallelThreshold.
-func parallelRange(n int, fn func(lo, hi int)) {
-	parallelChunks(n, rangeWorkers(n), func(_, lo, hi int) { fn(lo, hi) })
+// argMinChunk is worker w's share of argMinScore: the first-wins argmin
+// of objects [lo, hi) under the current step.
+//
+//blaeu:hot
+func (r *pamRun) argMinChunk(w, lo, hi int) {
+	best, bestV := -1, math.Inf(1)
+	row := r.rows[w]
+	for i := lo; i < hi; i++ {
+		var v float64
+		if r.step == stepCentral {
+			v = r.rowSum(i, row)
+		} else {
+			v = r.negGain(i, row)
+		}
+		if v < bestV {
+			best, bestV = i, v
+		}
+	}
+	r.results[w] = argMin{best, bestV}
+}
+
+// rowSum is object i's total distance, the first medoid's score; row is
+// the n-sized buffer its row is materialized into.
+//
+//blaeu:hot
+func (r *pamRun) rowSum(i int, row []float64) float64 {
+	r.m.RowInto(i, row)
+	sum := 0.0
+	for _, d := range row {
+		sum += d
+	}
+	return sum
+}
+
+// negGain is BUILD's score of object i as the next medoid: the negated
+// total distance reduction it brings, +Inf for a seed already chosen.
+//
+//blaeu:hot
+func (r *pamRun) negGain(i int, row []float64) float64 {
+	chosen, nearest := r.chosen, r.nearest
+	if chosen[i] {
+		return math.Inf(1)
+	}
+	r.m.RowInto(i, row)
+	gain := 0.0
+	for j, d := range row {
+		if chosen[j] || j == i {
+			continue
+		}
+		if d < nearest[j] {
+			gain += nearest[j] - d
+		}
+	}
+	return -gain
 }
 
 // updateNearest lowers each nearest[j] that medoid med's row of m
@@ -180,61 +267,38 @@ func updateNearest(m *DistMatrix, nearest, row []float64, med int) {
 func (r *pamRun) build(m *DistMatrix, k int) ([]int, error) {
 	n := m.N()
 	r.sizeRows(n)
+	// The scoring steps read m as SWAP's do; the run keeps its buffers,
+	// not the matrix (see swap).
+	r.m = m
+	defer func() { r.m = nil }()
 	medoids := grow(r.seeds, k)[:0]
 
 	// First medoid: the most central object.
-	//blaeu:hot
-	first, _ := r.argMinScore(n, func(i int, row []float64) float64 {
-		m.RowInto(i, row)
-		sum := 0.0
-		for _, d := range row {
-			sum += d
-		}
-		return sum
-	})
+	first, _ := r.argMinScore(stepCentral, n)
 	if first < 0 {
 		return nil, ErrNoFiniteDistance
 	}
 	medoids = append(medoids, first)
 
-	nearest := grow(r.nearest, n)
-	r.nearest = nearest
-	for j := range nearest {
-		nearest[j] = math.Inf(1)
+	r.nearest = grow(r.nearest, n)
+	for j := range r.nearest {
+		r.nearest[j] = math.Inf(1)
 	}
-	updateNearest(m, nearest, r.rows[0], first)
-	chosen := grow(r.chosen, n)
-	r.chosen = chosen
-	clear(chosen)
-	chosen[first] = true
+	updateNearest(m, r.nearest, r.rows[0], first)
+	r.chosen = grow(r.chosen, n)
+	clear(r.chosen)
+	r.chosen[first] = true
 
 	// Greedy addition: maximize the total distance reduction (argmin of
 	// the negated gain).
-	//blaeu:hot
-	negGain := func(i int, row []float64) float64 {
-		if chosen[i] {
-			return math.Inf(1)
-		}
-		m.RowInto(i, row)
-		gain := 0.0
-		for j, d := range row {
-			if chosen[j] || j == i {
-				continue
-			}
-			if d < nearest[j] {
-				gain += nearest[j] - d
-			}
-		}
-		return -gain
-	}
 	for len(medoids) < k {
-		bestI, _ := r.argMinScore(n, negGain)
+		bestI, _ := r.argMinScore(stepGain, n)
 		if bestI < 0 {
 			return nil, ErrNoFiniteDistance
 		}
-		chosen[bestI] = true
+		r.chosen[bestI] = true
 		medoids = append(medoids, bestI)
-		updateNearest(m, nearest, r.rows[0], bestI)
+		updateNearest(m, r.nearest, r.rows[0], bestI)
 	}
 	r.seeds = medoids
 	return medoids, nil
@@ -255,9 +319,11 @@ type swapState struct {
 	cost       float64
 }
 
-// reset readies s for a SWAP over m from the seed medoids, which it
-// copies into its own buffer with their rows, regrowing as needed.
-func (s *swapState) reset(m *DistMatrix, seeds []int) {
+// reset readies the run's SWAP state over m from the seed medoids,
+// which it copies into its own buffer with their rows, regrowing as
+// needed.
+func (r *pamRun) reset(m *DistMatrix, seeds []int) {
+	s := &r.swapState
 	n := m.N()
 	s.m, s.n, s.k = m, n, len(seeds)
 	s.medoids = append(s.medoids[:0], seeds...)
@@ -274,11 +340,7 @@ func (s *swapState) reset(m *DistMatrix, seeds []int) {
 		s.medoidRows[slot] = grow(s.medoidRows[slot], n)
 		m.RowInto(med, s.medoidRows[slot])
 	}
-	parallelRange(n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			s.reassign(j)
-		}
-	})
+	r.fanOut(stepReassign, n, rangeWorkers(n))
 	s.refresh()
 }
 
@@ -358,45 +420,65 @@ func (s *swapState) evalCandidate(c int, scratch, row []float64) (float64, int) 
 // row: most objects need O(1) work, only those whose nearest or second
 // was the replaced medoid fall back to an O(k) rescan. Classic PAM
 // instead re-ran a full O(n·k) assignment after every swap.
-func (s *swapState) applySwap(slot, c int) {
+func (r *pamRun) applySwap(slot, c int) {
+	s := &r.swapState
 	s.isMedoid[s.medoids[slot]] = false
 	s.isMedoid[c] = true
 	s.medoids[slot] = c
+	s.m.RowInto(c, s.medoidRows[slot])
+	r.applySlot = slot
+	r.fanOut(stepApply, s.n, rangeWorkers(s.n))
+	s.refresh()
+}
+
+// applyChunk is applySwap's repair of objects [lo, hi) from the row of
+// the medoid installed in slot r.applySlot.
+//
+//blaeu:hot
+func (r *pamRun) applyChunk(lo, hi int) {
+	s, slot := &r.swapState, r.applySlot
 	row := s.medoidRows[slot]
-	s.m.RowInto(c, row)
-	parallelRange(s.n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			d := row[j]
-			switch {
-			case s.n1[j] == slot:
-				if d <= s.ds[j] {
-					// Slot stays nearest, now holding c; the second-best
-					// medoid is untouched.
-					s.dn[j] = d
-				} else {
-					s.reassign(j)
-				}
-			case s.n2[j] == slot:
-				if d < s.dn[j] {
-					// c leapfrogs the old nearest: it becomes second.
-					s.n2[j], s.ds[j] = s.n1[j], s.dn[j]
-					s.n1[j], s.dn[j] = slot, d
-				} else {
-					// The second-nearest medoid was replaced by something
-					// farther; the new runner-up is unknown.
-					s.reassign(j)
-				}
-			default:
-				if d < s.dn[j] {
-					s.n2[j], s.ds[j] = s.n1[j], s.dn[j]
-					s.n1[j], s.dn[j] = slot, d
-				} else if d < s.ds[j] {
-					s.n2[j], s.ds[j] = slot, d
-				}
+	for j := lo; j < hi; j++ {
+		d := row[j]
+		switch {
+		case s.n1[j] == slot:
+			if d <= s.ds[j] {
+				// Slot stays nearest, now holding c; the second-best
+				// medoid is untouched.
+				s.dn[j] = d
+			} else {
+				s.reassign(j)
+			}
+		case s.n2[j] == slot:
+			if d < s.dn[j] {
+				// c leapfrogs the old nearest: it becomes second.
+				s.n2[j], s.ds[j] = s.n1[j], s.dn[j]
+				s.n1[j], s.dn[j] = slot, d
+			} else {
+				// The second-nearest medoid was replaced by something
+				// farther; the new runner-up is unknown.
+				s.reassign(j)
+			}
+		default:
+			if d < s.dn[j] {
+				s.n2[j], s.ds[j] = s.n1[j], s.dn[j]
+				s.n1[j], s.dn[j] = slot, d
+			} else if d < s.ds[j] {
+				s.n2[j], s.ds[j] = slot, d
 			}
 		}
-	})
-	s.refresh()
+	}
+}
+
+// evalChunk is worker w's share of one block's evaluation: candidates
+// [lo, hi) of r.cands, each scored into its verdict with the worker's
+// own removal-loss and row buffers.
+//
+//blaeu:hot
+func (r *pamRun) evalChunk(w, lo, hi int) {
+	for bi := lo; bi < hi; bi++ {
+		r.verdicts[bi].delta, r.verdicts[bi].slot = r.evalCandidate(r.cands[bi], r.losses[w], r.rows[w])
+	}
 }
 
 // swap runs the eager removal-loss SWAP phase over m from the seed
@@ -406,44 +488,37 @@ func (r *pamRun) swap(m *DistMatrix, seeds []int) {
 	n := m.N()
 	r.sizeRows(n)
 	s := &r.swapState
-	s.reset(m, seeds)
-	cands := grow(r.cands, swapBlock)[:0]
-	out := grow(r.verdicts, swapBlock)
-	rows := r.rows
+	r.reset(m, seeds)
+	r.cands = grow(r.cands, swapBlock)[:0]
+	r.verdicts = grow(r.verdicts, swapBlock)
 	// Per-worker removal-loss scratch, kept like the rows: the SWAP loop
 	// evaluates blocks constantly and per-block buffers would be pure GC
 	// churn on its hottest path.
-	blockWorkers := min(len(rows), swapBlock)
+	blockWorkers := min(len(r.rows), swapBlock)
 	r.losses = grow(r.losses, blockWorkers)
 	for w := range r.losses {
 		r.losses[w] = grow(r.losses[w], s.k)
-	}
-	scratchBufs := r.losses
-	// One closure for the whole run: it reads the block through cands.
-	eval := func(w, lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			out[bi].delta, out[bi].slot = s.evalCandidate(cands[bi], scratchBufs[w], rows[w])
-		}
 	}
 
 	for pass := 0; pass < maxSwapIters; pass++ {
 		improved := false
 		for start := 0; start < n; start += swapBlock {
 			end := min(start+swapBlock, n)
-			cands = cands[:0]
+			cands := r.cands[:0]
 			for c := start; c < end; c++ {
 				if !s.isMedoid[c] {
 					cands = append(cands, c)
 				}
 			}
+			r.cands = cands
 			if len(cands) == 0 {
 				continue
 			}
 			// Each candidate costs O(n), so parallelism pays off even for
 			// a partial block once n is long enough — which rangeWorkers
 			// decided when rows was sized.
-			parallelChunks(len(cands), min(blockWorkers, len(cands)), eval)
-			best := -1
+			r.fanOut(stepEval, len(cands), min(blockWorkers, len(cands)))
+			out, best := r.verdicts, -1
 			for bi := range cands {
 				// The textbook loop's numeric guard, so FP noise never causes
 				// swap cycles; ties keep the lowest candidate index.
@@ -452,7 +527,7 @@ func (r *pamRun) swap(m *DistMatrix, seeds []int) {
 				}
 			}
 			if best >= 0 {
-				s.applySwap(out[best].slot, cands[best])
+				r.applySwap(out[best].slot, cands[best])
 				improved = true
 			}
 		}
@@ -460,7 +535,6 @@ func (r *pamRun) swap(m *DistMatrix, seeds []int) {
 			break
 		}
 	}
-	r.cands, r.verdicts = cands, out
 	// The run keeps its buffers, not the matrix: a kept scratch must
 	// not hold a caller's matrix alive.
 	s.m = nil

@@ -28,8 +28,10 @@ type Scratch struct {
 	matrix  *DistMatrix
 	run     pamRun
 	samples [claraSamples]claraSample
-	rounds  [mcRounds]mcRound
-	sil     silScratch
+	// claraTask is the per-sample fan-out's task state (see clara).
+	claraTask claraTask
+	rounds    [mcRounds]mcRound
+	sil       silScratch
 	// kept[cur] takes the labels, per-cluster silhouettes and
 	// per-cluster round counts of the k being scored; a k that beats the
 	// best so far keeps its buffers, and the next k takes the other set.

@@ -100,9 +100,11 @@ func autoKBytes(t *testing.T, o Oracle, opts func() AutoKOptions) uint64 {
 }
 
 // sweepSlack is what a warm sweep may allocate: the Clustering headers
-// and medoids of each k, CLARA's per-sample closure and the fan-out's
-// closures — a few hundred of them, none sized by n.
-const sweepSlack = 32 << 10
+// and medoids of each k, none sized by n. The fan-outs build no
+// closures (their task state is the run's and the scratch's), and a
+// sweep of each kind below reads 696 B: the slack is about three times
+// that.
+const sweepSlack = 2 << 10
 
 // TestWarmAutoKAllocatesOnlyWhatItKeeps is the cluster stage's byte law:
 // a sweep in a warm Scratch allocates at most sweepSlack, on CLARA with

@@ -165,10 +165,12 @@ func (b *MapBuild) Rows() int { return b.next.Rows.Len() }
 // not be called under the session lock — that is the point: ctx cancels
 // the build between pipeline stages and candidate k values, and progress
 // (may be nil) receives monotone fractions in [0, 1]. Every build that
-// clusters draws its own sample and computes its own vectors and oracle
-// in a scratch off the dataset's free list, which one build takes at a
-// time, so concurrent Runs on one explorer, or on sessions of one
-// dataset, are safe.
+// clusters takes a scratch off the dataset's free list first, which one
+// build holds at a time, re-seeds its generator with the build's seed,
+// and draws its sample and computes its sample table, pipeline, vectors
+// and oracle in it, so concurrent Runs on one explorer, or on sessions
+// of one dataset, are safe, and a warm build allocates little beyond
+// the map it returns.
 func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error) {
 	// Record the reuse level on the build trace, if one rides the
 	// context.
@@ -183,14 +185,19 @@ func (b *MapBuild) Run(ctx context.Context, progress func(float64)) (*Map, error
 		}
 		return b.hit, nil
 	}
-	rng := rand.New(rand.NewSource(b.seed))
-	// The build gathers its sample, computes its vectors and its matrix
-	// in a scratch off the dataset's free list, and gives it back on
-	// return, error or not. A panic skips this and drops it: a later
-	// build allocates afresh rather than trust storage a failed build was
-	// writing.
+	// The build draws, gathers, prepares, clusters and fits in a scratch
+	// off the dataset's free list, and gives it back on return, error or
+	// not. A panic skips this and drops it: a later build allocates
+	// afresh rather than trust storage a failed build was writing. Its
+	// random source is the scratch's generator, re-seeded with the
+	// build's seed: the stream a new generator on that seed starts.
 	sc := b.e.data.takeScratch()
-	m, err := b.e.buildMapStaged(ctx, rng, b.next.Rows, b.theme, sc, progress)
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(b.seed))
+	} else {
+		sc.rng.Seed(b.seed)
+	}
+	m, err := b.e.buildMapStaged(ctx, sc.rng, b.next.Rows, b.theme, sc, progress)
 	b.e.data.putScratch(sc)
 	return m, err
 }

@@ -242,7 +242,7 @@ func TestLazyStrategyMatchesMaterializedMaps(t *testing.T) {
 		}
 	}
 	ctx, rows := context.Background(), e.State().Rows
-	sampleRows := e.sampleStage(rand.New(rand.NewSource(7)), rows)
+	sampleRows := e.sampleStage(rand.New(rand.NewSource(7)), rows, &buildScratch{})
 	sample, err := e.gatherSample(sampleRows, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)

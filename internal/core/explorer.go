@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cores"
 	"repro/internal/graph"
+	"repro/internal/prep"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/tree"
@@ -101,24 +102,42 @@ type Dataset struct {
 	spent chan *buildScratch
 }
 
-// buildScratch is the storage a build works in and leaves behind: the
-// slab its sample's float columns were gathered into, the headers and
-// slab its sample's vectors were transformed into (one Dim-capped
-// window of vecSlab per sampled row), the buffers its clustering swept
-// in (cluster.Scratch): every matrix it read — the exact path's, nil
-// until a build materializes one, and each CLARA sample's and
-// Monte-Carlo round's — SWAP's and BUILD's state, the row and block
-// buffers, the rounds' ids and labels, the silhouette kernel's buffers
-// and the labels of the k being scored and of the best — and the
-// buffers its description tree was fitted in (tree.Scratch): the
-// sample's row ids presorted per numeric feature, plus one list in row
-// order (4 B a row each), a side byte per row, and the presort's and
-// partition's temps.
-// The map a build returns references none of them — the sample table,
-// the vectors and the clustering die with the build, the tree holds
-// only its nodes — so the next build may overwrite them all.
+// buildScratch is the storage a build works in and leaves behind:
+//   - rng, the build's generator, re-seeded by MapBuild.Run with the
+//     build's seed;
+//   - ids and taken, the sample draw's positions (then rows) and its
+//     taken set (store.SampleIndicesInto);
+//   - sample, the gathered sample table, refilled: its name index,
+//     column list and float column headers with their null-bitmap
+//     words (store.GatherInto), and floats, the slab its float columns
+//     are windows of;
+//   - pipe, the preprocessing pipeline refitted on the sample
+//     (prep.Pipeline.Refit), and vecs and vecSlab, the headers and slab
+//     the sample's vectors were transformed into (one Dim-capped window
+//     of vecSlab per sampled row);
+//   - cluster, the buffers its clustering swept in (cluster.Scratch):
+//     every matrix it read — the exact path's, nil until a build
+//     materializes one, and each CLARA sample's and Monte-Carlo round's
+//     — SWAP's and BUILD's state, the row and block buffers and the
+//     fan-outs' task state, the rounds' ids and labels, the silhouette
+//     kernel's buffers and the labels of the k being scored and of the
+//     best;
+//   - tree, the buffers its description tree was fitted in
+//     (tree.Scratch): the sample's row ids presorted per numeric
+//     feature, plus one list in row order (4 B a row each), a side byte
+//     per row, and the presort's and partition's temps.
+//
+// The map a build returns references none of them — the sample, the
+// table, the pipeline, the vectors and the clustering die with the
+// build, the tree holds only its nodes — so the next build may
+// overwrite them all.
 type buildScratch struct {
+	rng     *rand.Rand
+	ids     []int
+	taken   []uint64
+	sample  store.Table
 	floats  []float64
+	pipe    prep.Pipeline
 	vecs    [][]float64
 	vecSlab []float64
 	cluster cluster.Scratch

@@ -88,7 +88,7 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 	// (index math only), then materialized by a gather projected onto
 	// the theme's columns.
 	sp := tr.Start("sample")
-	sampleRows := e.sampleStage(rng, rows)
+	sampleRows := e.sampleStage(rng, rows, sc)
 	sample, err := e.gatherSample(sampleRows, theme, sc)
 	sp.End()
 	if err != nil {
@@ -155,12 +155,17 @@ func (e *Explorer) buildMapStaged(ctx context.Context, rng *rand.Rand, rows *sto
 }
 
 // sampleStage draws the multi-scale sample: at most opts.SampleSize of
-// the selection's rows, uniformly, ascending.
-func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
+// the selection's rows, uniformly, ascending, in sc's ids: the draw's
+// positions (its taken set in sc's taken words) mapped to rows in
+// place, or, for a selection within the sample size, its rows. The
+// draws are store.SampleIndices', in order.
+func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet, sc *buildScratch) []int {
 	if rows.Len() <= e.data.opts.SampleSize {
-		return rows.AppendTo(nil)
+		sc.ids = rows.AppendTo(sc.ids[:0])
+		return sc.ids
 	}
-	return rows.Pick(store.SampleIndices(rows.Len(), e.data.opts.SampleSize, rng))
+	sc.ids, sc.taken = store.SampleIndicesInto(rows.Len(), e.data.opts.SampleSize, rng, sc.ids, sc.taken)
+	return rows.Pick(sc.ids)
 }
 
 // gatherSample materializes the build sample for one theme: only the
@@ -168,27 +173,29 @@ func (e *Explorer) sampleStage(rng *rand.Rand, rows *store.RowSet) []int {
 // fitting never read outside them, since the tree's features are
 // pipe.UsedColumns() ⊆ theme.Columns), so a sparse sample over a
 // segment touches only the pages of those columns it actually draws
-// from. Its float columns are windows of the scratch's slab, which
-// grows to the largest sample gathered into it. A theme column missing
-// from the table is an error.
+// from. The table is the scratch's, refilled: its float columns are
+// windows of the scratch's slab, which grows to the largest sample
+// gathered into it. A theme column missing from the table is an error.
 func (e *Explorer) gatherSample(rows []int, theme Theme, sc *buildScratch) (*store.Table, error) {
-	sample, floats, err := store.GatherInto(e.data.table, rows, theme.Columns, sc.floats)
+	floats, err := store.GatherInto(&sc.sample, e.data.table, rows, theme.Columns, sc.floats)
 	sc.floats = floats
-	return sample, err
+	if err != nil {
+		return nil, err
+	}
+	return &sc.sample, nil
 }
 
-// prepStage fits the preprocessing pipeline on the gathered sample and
-// vectorizes it into the vector slab of sc: one header per sample row,
-// each a window of one float slab. The error return marks a degenerate
-// sample — constant or key-only on the theme's columns.
+// prepStage refits the scratch's preprocessing pipeline on the gathered
+// sample and vectorizes it into the vector slab of sc: one header per
+// sample row, each a window of one float slab. The error return marks a
+// degenerate sample — constant or key-only on the theme's columns.
 func (e *Explorer) prepStage(sample *store.Table, theme Theme, sc *buildScratch) (*prep.Pipeline, [][]float64, error) {
-	pipe, err := prep.Fit(sample, theme.Columns)
-	if err != nil {
+	if err := sc.pipe.Refit(sample, theme.Columns); err != nil {
 		return nil, nil, err
 	}
-	vecs, slab, err := pipe.Transform(sample, sc.vecs, sc.vecSlab)
+	vecs, slab, err := sc.pipe.Transform(sample, sc.vecs, sc.vecSlab)
 	sc.vecs, sc.vecSlab = vecs, slab
-	return pipe, vecs, err
+	return &sc.pipe, vecs, err
 }
 
 // oracleStage builds the distance oracle over the vectors at the

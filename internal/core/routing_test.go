@@ -190,7 +190,7 @@ func TestRegionStageByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, rng, theme, rows := context.Background(), rand.New(rand.NewSource(1)), e.Themes()[0], e.State().Rows
-	sampleRows := e.sampleStage(rng, rows)
+	sampleRows := e.sampleStage(rng, rows, &buildScratch{})
 	sample, err := e.gatherSample(sampleRows, theme, &buildScratch{})
 	if err != nil {
 		t.Fatal(err)

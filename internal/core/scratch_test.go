@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,6 +121,72 @@ func TestColdBuildReusesSampleSlab(t *testing.T) {
 	}
 	if vectors := gather + uint64(n)*uint64(unsafe.Sizeof([]float64(nil))); second >= vectors {
 		t.Errorf("second cold build allocated %d bytes, its n×Dim vectors and their headers are %d", second, vectors)
+	}
+}
+
+// warmBuildSlack is what a warm cold build may allocate beyond its
+// routing's planes: the rest of what its map keeps — the regions, their
+// conditions and labels, the tree's nodes and features, the routing's
+// node table — and the little its stages still allocate per build: the
+// clusterings' headers and medoids, the router, the lazy oracle. Both
+// paths below read about 5.5 KB over their planes.
+const warmBuildSlack = 8 << 10
+
+// TestWarmColdBuildAllocatesWhatItsMapKeeps: with the cache off and the
+// dataset's build scratch warmed by a first build, a cold build draws
+// its sample, gathers it, prepares, clusters and fits in that scratch,
+// so it allocates its routing's planes — ⌈log₂ L⌉ bit-planes of
+// ⌈N/64⌉ words for L leaves over N selected rows — and at most
+// warmBuildSlack besides: on the CLARA path (a 1 100-row sample over a
+// lazy oracle) and on the exact one (300 rows, PAM over the scratch's
+// matrix). The store's pooled run scratch is not the build's: the
+// builds run on one P, since sync.Pool keeps it per P and a build that
+// resumes on another after a fan-out would miss it, and the least of up
+// to twenty builds is read, since a GC between them empties the pool
+// and the race detector's pool drops a quarter of what it is given.
+func TestWarmColdBuildAllocatesWhatItsMapKeeps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tab := datagen.LOFAR(datagen.LOFAROptions{N: 20_000}, rand.New(rand.NewSource(1))).Table
+	for _, n := range []int{1100, 300} {
+		d, err := NewDataset(tab, Options{Seed: 1, SampleSize: n, MapCacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := d.Open()
+		wide := 0
+		for i, th := range e.Themes() {
+			if len(th.Columns) > len(e.Themes()[wide].Columns) {
+				wide = i
+			}
+		}
+		var m *Map
+		build := func() {
+			if m, err = e.SelectTheme(wide); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build()
+		leaves := 0
+		for _, r := range regionsOf(m) {
+			if len(r.Children) == 0 {
+				leaves++
+			}
+		}
+		if m.SampleSize != n || leaves < 2 {
+			t.Fatalf("n=%d: the build clustered %d objects into %d leaves", n, m.SampleSize, leaves)
+		}
+		planes := uint64(bits.Len(uint(leaves-1))) * uint64((tab.NumRows()+63)/64) * 8
+		got := allocated(build)
+		for i := 1; i < 20 && got > planes+warmBuildSlack; i++ {
+			got = min(got, allocated(build))
+		}
+		if got > planes+warmBuildSlack {
+			t.Errorf("n=%d: a warm cold build allocated %d bytes, its %d leaves' planes are %d, slack %d",
+				n, got, leaves, planes, warmBuildSlack)
+		}
 	}
 }
 
@@ -288,107 +356,142 @@ func TestConcurrentColdBuildsScratch(t *testing.T) {
 
 // TestConcurrentColdBuildsAcrossSessions: cores.Width()+1 sessions on
 // one dataset, each building a cold map at once, contend for the
-// dataset's free list of spent matrices. Their maps are the ones serial
-// runs give, and afterwards the dataset holds at most cores.Width()
-// matrices, not one per session (run under -race in CI).
+// dataset's free list of spent scratch. Their maps are the ones serial
+// runs give and the ones each session's build gives on a fresh dataset
+// of its own, and afterwards the dataset holds at most cores.Width()
+// scratches, not one per session (run under -race in CI). It runs on
+// exact PAM (300 objects) and on CLARA (a 1 100-row sample of 3 000
+// rows, above PAMThreshold), where the kept generator and draw buffers
+// feed CLARA's samples and Monte-Carlo rounds.
 func TestConcurrentColdBuildsAcrossSessions(t *testing.T) {
 	sessions := cores.Width() + 1
-	digests := func(concurrent bool) string {
-		d := coldDataset(t, 300, Options{Seed: 4})
-		explorers := make([]*Explorer, sessions)
-		for i := range explorers {
-			explorers[i] = d.Open()
-		}
-		maps := make([]*Map, sessions)
-		errs := make([]error, sessions)
-		var wg sync.WaitGroup
-		for i, e := range explorers {
-			run := func() { maps[i], errs[i] = e.SelectTheme(i % len(d.themes)) }
-			if !concurrent {
-				run()
-				continue
+	for _, tc := range []struct{ rows, sample int }{{300, 0}, {3000, 1100}} {
+		opts := Options{Seed: 4, SampleSize: tc.sample}
+		// digests runs the sessions' builds at once or one after another
+		// on one dataset, or each on a fresh dataset of its own.
+		digests := func(concurrent, fresh bool) string {
+			d := coldDataset(t, tc.rows, opts)
+			explorers := make([]*Explorer, sessions)
+			for i := range explorers {
+				if fresh {
+					explorers[i] = coldDataset(t, tc.rows, opts).Open()
+				} else {
+					explorers[i] = d.Open()
+				}
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-		var sb strings.Builder
-		for i, m := range maps {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
+			maps := make([]*Map, sessions)
+			errs := make([]error, sessions)
+			var wg sync.WaitGroup
+			for i, e := range explorers {
+				run := func() { maps[i], errs[i] = e.SelectTheme(i % len(d.themes)) }
+				if !concurrent {
+					run()
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run()
+				}()
 			}
-			mapDigest(&sb, explorers[i].State().Detail, m)
+			wg.Wait()
+			var sb strings.Builder
+			for i, m := range maps {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if tc.sample > 0 && m.SampleSize != tc.sample {
+					t.Fatalf("session %d clustered %d objects, want %d", i, m.SampleSize, tc.sample)
+				}
+				mapDigest(&sb, explorers[i].State().Detail, m)
+			}
+			if n := len(d.spent); !fresh && (n == 0 || n > cores.Width()) {
+				t.Fatalf("%d sessions' builds left %d spent scratches, want 1 to %d", sessions, n, cores.Width())
+			}
+			return sb.String()
 		}
-		if n := len(d.spent); n == 0 || n > cores.Width() {
-			t.Fatalf("%d sessions' builds left %d spent matrices, want 1 to %d", sessions, n, cores.Width())
+		want := digests(false, false)
+		if got := digests(false, true); got != want {
+			t.Fatalf("%d rows: builds on fresh datasets gave\n%s\nserial runs on one\n%s", tc.rows, got, want)
 		}
-		return sb.String()
-	}
-	want := digests(false)
-	for round := 0; round < 3; round++ {
-		if got := digests(true); got != want {
-			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
+		for round := 0; round < 3; round++ {
+			if got := digests(true, false); got != want {
+				t.Fatalf("%d rows, round %d: concurrent sessions gave\n%s\nserial runs\n%s", tc.rows, round, got, want)
+			}
 		}
 	}
 }
 
 // TestConcurrentBuildsShareSlabs: sessions on one dataset select a
 // theme and zoom into its largest region at once, so builds of different
-// sample sizes and theme widths gather their samples and transform their
-// vectors into the slabs of the dataset's free list as other builds hand
-// them back. Their maps are the ones serial runs give (run under -race
-// in CI).
+// sample sizes and theme widths draw their samples, gather them, fit
+// their pipelines and transform their vectors into the storage of the
+// dataset's free list as other builds hand it back. Their maps are the
+// ones serial runs give, and the ones each session gives on a fresh
+// dataset of its own (run under -race in CI). It runs at a 300-row
+// sample of 700 rows and at a 1 100-row sample of 3 000, whose selects
+// cluster by CLARA on the kept generator's draws.
 func TestConcurrentBuildsShareSlabs(t *testing.T) {
 	sessions := cores.Width() + 2
-	opts := Options{Seed: 6, SampleSize: 300}
-	digests := func(concurrent bool) string {
-		d, err := NewDataset(pinnedTable(700, 21).Table, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct{ rows, sample int }{{700, 300}, {3000, 1100}} {
+		opts := Options{Seed: 6, SampleSize: tc.sample}
+		dataset := func() *Dataset {
+			d, err := NewDataset(pinnedTable(tc.rows, 21).Table, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
-		explorers := make([]*Explorer, sessions)
-		for i := range explorers {
-			explorers[i] = d.Open()
-		}
-		errs := make([]error, sessions)
-		var wg sync.WaitGroup
-		for i, e := range explorers {
-			run := func() {
-				m, err := e.SelectTheme(i % len(d.themes))
-				if err == nil {
-					_, err = e.Zoom(largestLeaf(m)...)
+		digests := func(concurrent, fresh bool) string {
+			d := dataset()
+			explorers := make([]*Explorer, sessions)
+			for i := range explorers {
+				if fresh {
+					explorers[i] = dataset().Open()
+				} else {
+					explorers[i] = d.Open()
 				}
-				errs[i] = err
 			}
-			if !concurrent {
-				run()
-				continue
+			errs := make([]error, sessions)
+			var wg sync.WaitGroup
+			for i, e := range explorers {
+				run := func() {
+					m, err := e.SelectTheme(i % len(d.themes))
+					if err == nil {
+						_, err = e.Zoom(largestLeaf(m)...)
+					}
+					errs[i] = err
+				}
+				if !concurrent {
+					run()
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run()
+				}()
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
+			wg.Wait()
+			var sb strings.Builder
+			for i, e := range explorers {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				for _, st := range e.History()[1:] {
+					mapDigest(&sb, st.Detail, st.Map)
+				}
+			}
+			return sb.String()
 		}
-		wg.Wait()
-		var sb strings.Builder
-		for i, e := range explorers {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			for _, st := range e.History()[1:] {
-				mapDigest(&sb, st.Detail, st.Map)
-			}
+		want := digests(false, false)
+		if got := digests(false, true); got != want {
+			t.Fatalf("%d rows: sessions on fresh datasets gave\n%s\nserial runs on one\n%s", tc.rows, got, want)
 		}
-		return sb.String()
-	}
-	want := digests(false)
-	for round := 0; round < 3; round++ {
-		if got := digests(true); got != want {
-			t.Fatalf("round %d: concurrent sessions gave\n%s\nserial runs\n%s", round, got, want)
+		for round := 0; round < 3; round++ {
+			if got := digests(true, false); got != want {
+				t.Fatalf("%d rows, round %d: concurrent sessions gave\n%s\nserial runs\n%s", tc.rows, round, got, want)
+			}
 		}
 	}
 }

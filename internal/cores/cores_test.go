@@ -127,3 +127,41 @@ func TestRunReraisesTaskPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchReuse: a kept Batch runs fan-out after fan-out, a panicking
+// one among them, each running every task once; the panic reaches that
+// fan-out's caller only, and once warm a fan-out allocates nothing.
+func TestBatchReuse(t *testing.T) {
+	var b Batch
+	const n = 16
+	var counts [n]atomic.Int64
+	count := func(i int) { counts[i].Add(1) }
+	for round := 1; round <= 3; round++ {
+		if round == 2 {
+			func() {
+				defer func() {
+					if r := recover(); r != "task 5" {
+						t.Fatalf("recovered %v, want the task's panic", r)
+					}
+				}()
+				b.Run(n, func(i int) {
+					if i == 5 {
+						panic("task 5")
+					}
+				})
+			}()
+		}
+		b.Run(n, count)
+		for i := range counts {
+			if got := counts[i].Load(); got != int64(round) {
+				t.Fatalf("round %d: task %d ran %d times", round, i, got)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { b.Run(n, count) }); allocs > 0 {
+		t.Errorf("a warm batch's fan-out allocated %.1f times", allocs)
+	}
+	if c := busy.Load(); c != 0 {
+		t.Errorf("%d cores still busy after the batch's fan-outs", c)
+	}
+}

@@ -77,14 +77,27 @@ type Pipeline struct {
 // Fit learns a preprocessing pipeline on the given columns of t (all
 // columns when cols is nil).
 func Fit(t *store.Table, cols []string) (*Pipeline, error) {
+	p := new(Pipeline)
+	if err := p.Refit(t, cols); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Refit is Fit into p: what p learned before is forgotten, and its
+// feature, name and dropped lists are refilled on their own storage, so
+// a pipeline refitted on samples of one theme allocates nothing for
+// them once it has seen the widest. A failed refit leaves p unusable
+// until the next succeeds.
+func (p *Pipeline) Refit(t *store.Table, cols []string) error {
 	if cols == nil {
 		cols = t.ColumnNames()
 	}
-	p := &Pipeline{}
+	p.features, p.names, p.dropped = p.features[:0], p.names[:0], p.dropped[:0]
 	for _, name := range cols {
 		c := t.ColumnByName(name)
 		if c == nil {
-			return nil, fmt.Errorf("prep: no column %q", name)
+			return fmt.Errorf("prep: no column %q", name)
 		}
 		if store.IsLikelyKey(c) {
 			p.dropped = append(p.dropped, name)
@@ -119,9 +132,9 @@ func Fit(t *store.Table, cols []string) (*Pipeline, error) {
 		}
 	}
 	if len(p.features) == 0 {
-		return nil, fmt.Errorf("prep: no usable columns after preprocessing (dropped %v)", p.dropped)
+		return fmt.Errorf("prep: no usable columns after preprocessing (dropped %v)", p.dropped)
 	}
-	return p, nil
+	return nil
 }
 
 func topLevels(c *store.StringColumn, max int) []string {

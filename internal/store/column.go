@@ -77,14 +77,32 @@ func NewFloatColumn(name string) *FloatColumn {
 	return &FloatColumn{name: name, nulls: NewBitmap(0)}
 }
 
-// newFloatColumnIn is NewFloatColumn with room for n rows, so a gather
-// of known length never regrows its storage: its values are written
-// into buf, or into a new slice when buf has less room.
-func newFloatColumnIn(name string, buf []float64, n int) *FloatColumn {
+// refill readies c, a gather's output, for n rows named name, on its
+// own storage: the values go into buf, or into a new slice when buf has
+// less room, and the null bitmap's words, kept from c's last gather,
+// are taken only by the first null (setNull): a gather that meets none
+// leaves the bitmap empty. The gather writes every value.
+func (c *FloatColumn) refill(name string, buf []float64, n int) {
 	if cap(buf) < n {
-		buf = make([]float64, 0, n)
+		buf = make([]float64, n)
 	}
-	return &FloatColumn{name: name, vals: buf[:0], nulls: newBitmapCap(n)}
+	if c.nulls == nil {
+		c.nulls = new(Bitmap)
+	}
+	c.name, c.vals = name, buf[:n]
+	c.nulls.words, c.nulls.n = c.nulls.words[:0], 0
+}
+
+// setNull marks row k of a column refill readied as null, making its
+// null bitmap cover the column at the first null.
+func (c *FloatColumn) setNull(k int) {
+	if b := c.nulls; b.n == 0 {
+		b.words = grown(b.words, bitmapWords(len(c.vals)))
+		clear(b.words)
+		b.n = len(c.vals)
+	}
+	c.vals[k] = math.NaN()
+	c.nulls.words[k>>6] |= 1 << (k & 63)
 }
 
 // NewFloatColumnFrom builds a float column from values; NaNs become nulls.
@@ -148,19 +166,22 @@ func (c *FloatColumn) StringAt(i int) string {
 }
 
 // Gather implements Column.
-func (c *FloatColumn) Gather(rows []int) Column { return c.gatherIn(rows, nil) }
+func (c *FloatColumn) Gather(rows []int) Column {
+	out := new(FloatColumn)
+	c.gatherIn(rows, out, nil)
+	return out
+}
 
-// gatherIn is Gather writing the values into buf (see newFloatColumnIn).
-func (c *FloatColumn) gatherIn(rows []int, buf []float64) Column {
-	out := newFloatColumnIn(c.name, buf, len(rows))
-	for _, r := range rows {
-		if c.IsNull(r) {
-			out.AppendNull()
+// gatherIn is Gather into out, refilled on buf (see refill).
+func (c *FloatColumn) gatherIn(rows []int, out *FloatColumn, buf []float64) {
+	out.refill(c.name, buf, len(rows))
+	for k, r := range rows {
+		if c.nulls.Get(r) {
+			out.setNull(k)
 		} else {
-			out.Append(c.vals[r])
+			out.vals[k] = c.vals[r]
 		}
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

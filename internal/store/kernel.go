@@ -45,16 +45,18 @@ var routeIdentity = func() (id [routeRun]uint16) {
 
 // runScratch is the run-sized buffers of one pass over a row set: the
 // rows a range or a bitmap decodes a run into (RowSet.runs), and a
-// router's match bytes, leaf ids and per-depth selection vectors. A
-// pass takes them from runScratchPool and gives them back when it
-// returns, so routes, filters, scans and statistics reads of every
-// session share them, and a warm pool serves a pass without
-// allocating. Each buffer grows to the largest pass that used it.
+// router's match bytes, leaf ids, per-depth selection vectors and
+// decode chunk (evaluator.vals, at most kernelChunk values). A pass
+// takes them from runScratchPool and gives them back when it returns,
+// so routes, filters, scans and statistics reads of every session
+// share them, and a warm pool serves a pass without allocating. Each
+// buffer grows to the largest pass that used it.
 type runScratch struct {
 	ids     []int
 	match   []uint8
 	leafIDs []uint8
 	sel     []uint16
+	vals    []float64
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -251,7 +253,10 @@ type evaluator struct {
 	// run being evaluated; runCap bounds a run's length.
 	rpp, page, runCap int
 	run               []int
-	vals              []float64 // the decode scratch: a chunk of values
+	// vals is the decode scratch, a chunk of values: the run scratch's,
+	// set for the duration of a router's pass (every evaluator is a
+	// router's), since only a pass evaluates.
+	vals []float64
 }
 
 // bind points at the shared reader of c.
@@ -264,9 +269,6 @@ func (ev *evaluator) bind(c Column) (int, bool) {
 	rd, ok := bindCol(c)
 	if !ok {
 		return 0, false
-	}
-	if ev.vals == nil {
-		ev.vals = make([]float64, min(ev.runCap, kernelChunk))
 	}
 	ev.rpp = rd.rpp
 	ev.cols = append(ev.cols, rd)

@@ -477,6 +477,17 @@ func TestKernelByteBudgets(t *testing.T) {
 		t.Errorf("StatsRows of a 4-decimal column over %d rows (%d keys) allocated %d bytes, budget %d (the table is %d)", len(ids), keys, got, budget, table)
 	}
 
+	// Key detection over an int column of three levels stops after
+	// ~1 000 rows, before its set outgrows the early-exit window.
+	levels := make([]int64, 100_000)
+	for i := range levels {
+		levels[i] = int64(i % 3)
+	}
+	lv := NewIntColumnFrom("levels", levels)
+	if got := allocated(func() { IsLikelyKey(lv) }); got > slack {
+		t.Errorf("IsLikelyKey of a 3-level int column of %d rows allocated %d bytes, budget %d", len(levels), got, slack)
+	}
+
 	p := benchScanPred()
 	m := ScanRows(tab, p, rows).Len()
 	if got, budget := allocated(func() { ScanRows(tab, p, rows) }), uint64(8*m+len(ids)*9/8+slack); got > budget {

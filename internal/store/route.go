@@ -305,11 +305,13 @@ func (rt *router) pass(rows *RowSet, tally func(run []int, m []uint8, excluded b
 	rt.sc = takeRunScratch()
 	defer func() {
 		rt.sc.release()
-		rt.sc = nil
+		rt.sc, rt.vals = nil, nil
 	}()
 	rt.sc.match = resize(rt.sc.match, rt.runCap)
 	rt.sc.leafIDs = resize(rt.sc.leafIDs, rt.runCap)
 	rt.sc.sel = resize(rt.sc.sel, rt.depth*rt.runCap)
+	rt.sc.vals = resize(rt.sc.vals, min(rt.runCap, kernelChunk))
+	rt.vals = rt.sc.vals
 	rows.runs(routeRun, rt.rpp, func(off, page int, run []int) bool {
 		rt.page, rt.run = page, run
 		rt.visit(0, routeIdentity[:len(run)])

@@ -261,15 +261,13 @@ func (c *segCol) StringAt(i int) string {
 
 // Gather implements Column: the result is the in-memory column type
 // of the same kind.
-func (c *segCol) Gather(rows []int) Column { return c.gatherIn(rows, nil) }
-
-// gatherIn is Gather writing a Float64 column's values into buf (see
-// newFloatColumnIn).
-func (c *segCol) gatherIn(rows []int, buf []float64) Column {
+func (c *segCol) Gather(rows []int) Column {
 	name := c.meta.Name
 	switch c.typ {
 	case Float64:
-		return gatherSeg(c, rows, newFloatColumnIn(name, buf, len(rows)), segment.Float64At)
+		out := new(FloatColumn)
+		c.gatherFloats(rows, out, nil)
+		return out
 	case Int64:
 		return gatherSeg(c, rows, newIntColumnCap(name, len(rows)), segment.Int64At)
 	case Bool:
@@ -278,6 +276,21 @@ func (c *segCol) gatherIn(rows []int, buf []float64) Column {
 	return gatherSeg(c, rows, newStringColumnCap(name, len(rows)), func(data []byte, j int) string {
 		return c.dict[segment.Int32At(data, j)]
 	})
+}
+
+// gatherFloats is a Float64 column's Gather into out, refilled on buf
+// (see FloatColumn.refill), through one page cursor.
+func (c *segCol) gatherFloats(rows []int, out *FloatColumn, buf []float64) {
+	out.refill(c.meta.Name, buf, len(rows))
+	cur := c.cursor()
+	for k, r := range rows {
+		j := cur.seek(r)
+		if cur.isNull(j) {
+			out.setNull(k)
+		} else {
+			out.vals[k] = segment.Float64At(cur.data, j)
+		}
+	}
 }
 
 // gatherSeg appends the given rows of c to out (reserved for them by

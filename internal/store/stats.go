@@ -288,7 +288,12 @@ func (s *floatSet) add(v float64) bool {
 	if v == 0 {
 		v = 0 // folds -0 into +0
 	}
-	key := math.Float64bits(v) ^ floatSetEmpty
+	return s.insert(math.Float64bits(v) ^ floatSetEmpty)
+}
+
+// insert adds a value's key, its bits xor floatSetEmpty, and reports
+// whether it was new.
+func (s *floatSet) insert(key uint64) bool {
 	// Fibonacci hashing: the hash times parts has the partition in its
 	// high word (mine) and the slot, reduced to the table's length by a
 	// multiply, in its low (for one partition, the whole hash).
@@ -306,6 +311,18 @@ func (s *floatSet) add(v float64) bool {
 		}
 	}
 	return false
+}
+
+// grow moves the set into a table sized for n values.
+func (s *floatSet) grow(n int) {
+	old, taken := s.slots, s.n
+	s.slots, s.held = make([]uint64, tableSlots(n)), 0
+	for _, key := range old {
+		if key != 0 {
+			s.insert(key)
+		}
+	}
+	s.n = taken
 }
 
 // mine reports whether v falls in the set's partition.
@@ -553,10 +570,20 @@ func IsLikelyKey(c Column) bool {
 			return was
 		}
 	} else {
-		seen := newFloatSet(limit)
+		// The table starts past the early-exit window, 1% of the prefix,
+		// so a column the rule rejects there never grows it, and grows
+		// fourfold, to the prefix at the last step: a key's values cost
+		// the prefix's table and a third of it again, not a table sized
+		// for the prefix from the first row.
+		room := min(limit, max((limit+63)>>6, 64))
+		seen := newFloatSet(room)
 		repeated = func(i int) bool {
 			v := c.Float(i)
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
+			if seen.held == room {
+				room = min(4*room, limit)
+				seen.grow(room)
+			}
 			return !seen.add(v)
 		}
 	}

@@ -83,29 +83,36 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	return out, nil
 }
 
-// ScanGather is GatherInto with no slab to reuse. workers is unused; it
-// stays in the signature because the frozen click benchmark (bench/load)
-// passes it.
+// ScanGather is GatherInto with no table or slab to reuse. workers is
+// unused; it stays in the signature because the frozen click benchmark
+// (bench/load) passes it.
 func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, error) {
-	t, _, err := GatherInto(r, rows, cols, nil)
-	return t, err
+	t := new(Table)
+	if _, err := GatherInto(t, r, rows, cols, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // GatherInto materializes the named columns of the given rows of r into
-// an in-memory table — Gather with projection pushdown: only the
+// dst, an in-memory table — Gather with projection pushdown: only the
 // requested columns are decoded, and on a segment backing an ascending
 // row set reads each of their pages once, through the column's page
-// cursor. The values of the Float64 columns are written into slab,
-// len(rows) a column in column order; a slab with too little room is
-// replaced by one just large enough, and the slab written is returned.
-// The table aliases it: a caller reusing the slab must be done with the
-// table first.
-func GatherInto(r Relation, rows []int, cols []string, slab []float64) (*Table, []float64, error) {
+// cursor. dst is refilled, not rebuilt: its name index and column list
+// are emptied and reused, and a Float64 column takes the header (and
+// the null bitmap's words) of the float column dst held at its
+// position, if any, so dst must own its columns: an empty table, or one
+// only GatherInto filled. The values of the Float64 columns are written
+// into slab, len(rows) a column in column order; a slab with too little
+// room is replaced by one just large enough, and the slab written is
+// returned. dst aliases it: a caller reusing dst or the slab must be
+// done with the table first.
+func GatherInto(dst *Table, r Relation, rows []int, cols []string, slab []float64) ([]float64, error) {
 	need := 0
 	for _, name := range cols {
 		c := r.ColumnByName(name)
 		if c == nil {
-			return nil, slab, fmt.Errorf("store: gather of %s: no column %q", r.Name(), name)
+			return slab, fmt.Errorf("store: gather of %s: no column %q", r.Name(), name)
 		}
 		if c.Type() == Float64 {
 			need += len(rows)
@@ -114,34 +121,62 @@ func GatherInto(r Relation, rows []int, cols []string, slab []float64) (*Table, 
 	if cap(slab) < need {
 		slab = make([]float64, need)
 	}
-	out := NewTable(r.Name())
+	// The column list's whole array: headers past its length, from a
+	// wider gather, are reused too.
+	old := dst.cols[:cap(dst.cols)]
+	dst.name, dst.cols, dst.numRows = r.Name(), dst.cols[:0], 0
+	if dst.colIdx == nil {
+		dst.colIdx = make(map[string]int, len(cols))
+	}
+	clear(dst.colIdx)
 	free := slab[:need]
-	for _, name := range cols {
+	for i, name := range cols {
 		c := r.ColumnByName(name)
-		var buf []float64
+		var col Column
 		if c.Type() == Float64 {
+			var out *FloatColumn
+			if i < len(old) {
+				out, _ = old[i].(*FloatColumn)
+			}
+			if out == nil {
+				out = new(FloatColumn)
+			}
+			var buf []float64
 			buf, free = free[:len(rows):len(rows)], free[len(rows):]
+			gatherFloats(c, rows, out, buf)
+			col = out
+		} else {
+			col = c.Gather(rows)
 		}
-		if err := out.AddColumn(gatherIn(c, rows, buf)); err != nil {
-			return nil, slab, err
+		if err := dst.AddColumn(col); err != nil {
+			return slab, err
 		}
 	}
 	if len(cols) == 0 {
-		out.numRows = len(rows)
+		dst.numRows = len(rows)
 	}
-	return out, slab, nil
+	return slab, nil
 }
 
-// gatherIn is c.Gather(rows), writing a Float64 column's values into
-// buf when the column is one of the store's own.
-func gatherIn(c Column, rows []int, buf []float64) Column {
+// gatherFloats is c.Gather(rows) for a Float64 column, into out,
+// refilled on buf (see FloatColumn.refill).
+func gatherFloats(c Column, rows []int, out *FloatColumn, buf []float64) {
 	switch c := c.(type) {
 	case *FloatColumn:
-		return c.gatherIn(rows, buf)
+		c.gatherIn(rows, out, buf)
+		return
 	case *segCol:
-		return c.gatherIn(rows, buf)
+		c.gatherFloats(rows, out, buf)
+		return
 	}
-	return c.Gather(rows)
+	out.refill(c.Name(), buf, len(rows))
+	for k, r := range rows {
+		if c.IsNull(r) {
+			out.setNull(k)
+		} else {
+			out.vals[k] = c.Float(r)
+		}
+	}
 }
 
 // SampleIndices draws up to k of the integers [0,n) uniformly without
