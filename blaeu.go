@@ -21,12 +21,14 @@
 // textbook Kaufman & Rousseeuw loop lives only in the tests, as the
 // reference PAM is held to.
 //
-// Distances flow through one contract (pairs, rows and subsets of an
-// oracle) with two storages behind it, chosen by the engine from the
-// sample size alone: a materialized matrix for small samples, a lazy
-// on-demand oracle for large ones (no O(n²) allocation, byte-identical
-// clusterings). No option selects between them.
-// This is what lets the sampling budget default to 5000.
+// Distances flow through one contract, an oracle's rows, with two
+// storages behind it, chosen by the engine from the sample size alone: a
+// materialized matrix for small samples, a lazy on-demand oracle for
+// large ones (no O(n²) allocation, byte-identical clusterings); no
+// option selects between them. This is what lets the sampling budget
+// default to 5000. The matrices PAM reads (exact PAM's whole one,
+// CLARA's samples' and Monte-Carlo rounds') are the build scratch's
+// own, filled from the oracle.
 //
 // At the serving tiers, map builds run asynchronously: the session
 // manager schedules them on a bounded worker pool (internal/jobs) with

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/store/segment"
 )
 
 // TestReuseIsFree holds the cost model's first law on both backings,
@@ -130,4 +135,91 @@ func TestBuildWorkIsLinear(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestColdSegmentBuildReadsEachPageOncePerPass is the cost model's page
+// law on a segment, counted in buffer-pool lookups (hits plus misses):
+// a cold build reads its theme's columns in two passes, the sample's
+// gather and the selection's route through the description tree, and
+// each pass fetches a page once, so a cold select and a cold zoom look
+// up at most 2 × (the theme columns' pages in the selection's span).
+// Key detection, at theme detection, reads a string column's prefix
+// once and an integer column's twice: its range, then its count.
+func TestColdSegmentBuildReadsEachPageOncePerPass(t *testing.T) {
+	const n, rpp = 3000, 64
+	tab := pinnedTable(n, 44).Table
+	ids, names := make([]int64, n), make([]string, n)
+	for i := range ids {
+		ids[i], names[i] = int64(1000+i), fmt.Sprintf("row%d", i)
+	}
+	tab.MustAddColumn(store.NewIntColumnFrom("id", ids))
+	tab.MustAddColumn(store.NewStringColumnFrom("name", names))
+	dir := t.TempDir()
+	var csv bytes.Buffer
+	if err := store.WriteCSV(&csv, tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "planted.csv"), csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segPath := filepath.Join(dir, "planted.seg")
+	if _, err := store.BuildSegment(filepath.Join(dir, "planted.csv"), segPath, &store.SegmentBuildOptions{RowsPerPage: rpp}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := store.OpenSegmentTableWith(segPath, segment.NewPoolObs(64<<10, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	lookups := func(fn func()) int {
+		before := seg.PoolStats()
+		fn()
+		after := seg.PoolStats()
+		return int(after.Hits + after.Misses - before.Hits - before.Misses)
+	}
+
+	pages := (n + rpp - 1) / rpp // the whole column is the key scan's prefix
+	for _, tc := range []struct {
+		col    string
+		passes int
+	}{{"id", 2}, {"name", 1}} {
+		var key bool
+		got := lookups(func() { key = store.IsLikelyKey(seg.ColumnByName(tc.col)) })
+		t.Logf("IsLikelyKey(%s): %d lookups over %d pages", tc.col, got, pages)
+		if !key || got > tc.passes*pages {
+			t.Errorf("IsLikelyKey(%s) = %v in %d pool lookups; want a key in at most %d × %d", tc.col, key, got, tc.passes, pages)
+		}
+	}
+
+	e, err := NewExplorer(seg, Options{Seed: 44, SampleSize: 300, MapCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(what string, a Action) *Map {
+		t.Helper()
+		var m *Map
+		got := lookups(func() {
+			var b *MapBuild
+			if b, err = e.Prepare(a); err != nil {
+				return
+			}
+			if m, err = b.Run(context.Background(), nil); err != nil {
+				return
+			}
+			err = e.ApplyBuild(b, m)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := e.State().Rows.AppendTo(nil)
+		span := rows[len(rows)-1]/rpp - rows[0]/rpp + 1
+		bound := 2 * len(m.Theme.Columns) * span
+		t.Logf("%s: %d lookups, bound %d (%d columns × %d pages × 2 passes)", what, got, bound, len(m.Theme.Columns), span)
+		if got > bound {
+			t.Errorf("%s: a cold build made %d pool lookups; the law allows %d", what, got, bound)
+		}
+		return m
+	}
+	m := build("select", Action{Kind: ActionSelect, Theme: 0})
+	build("zoom", Action{Kind: ActionZoom, Path: largestLeaf(m)})
 }

@@ -97,7 +97,7 @@ func (c *FloatColumn) refill(name string, buf []float64, n int) {
 // null bitmap cover the column at the first null.
 func (c *FloatColumn) setNull(k int) {
 	if b := c.nulls; b.n == 0 {
-		b.words = grown(b.words, bitmapWords(len(c.vals)))
+		b.words = resize(b.words, bitmapWords(len(c.vals)))
 		clear(b.words)
 		b.n = len(c.vals)
 	}

@@ -10,12 +10,13 @@ import (
 // The typed column reader and its batch kernels: the one way the
 // store's row-proportional work reads a column. Every consumer — the
 // tree router (route.go) and the scan operators, its one-split case
-// (scan.go), the statistics and value reads over a row set (stats.go)
-// — cuts its RowSet into runs that share a page (RowSet.runs), fetches
-// each needed column page once per run, and works on a run as a
-// selection vector of uint16 offsets: values are decoded into a small
-// scratch by one loader per column kind and backing, and predicates are
-// evaluated on the scratch into one match byte per offset. A predicate
+// (scan.go), the statistics, key detection and value reads over a row
+// set (stats.go) — cuts its RowSet into runs that share a page
+// (RowSet.runs), fetches each needed column page once per run, and
+// works on a run as a selection vector of uint16 offsets: values are
+// decoded into a small scratch by one loader per column kind and
+// backing, and predicates are evaluated on the scratch into one match
+// byte per offset. A predicate
 // node whose segment page the zone map excludes matches nothing on it
 // and fetches nothing. No kernel makes an indirect call per row; a
 // predicate or column implementation no kernel binds is evaluated row

@@ -3,10 +3,12 @@ package segment
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -333,6 +335,80 @@ func TestSegmentPreadFallback(t *testing.T) {
 		if buf[i] != h.Bytes()[i] {
 			t.Fatalf("mmap and pread disagree at byte %d", i)
 		}
+	}
+}
+
+// TestPoolConcurrentPreadReads drives Segment.load's pread branch, the
+// page I/O of a segment with no mapping: a segment whose mapping is
+// dropped serves every data, null and dictionary page from several
+// goroutines through a pool that holds a fraction of its pages, so
+// loads and evictions interleave, and each page it hands out must be
+// byte-equal to the mapped segment's.
+func TestPoolConcurrentPreadReads(t *testing.T) {
+	path, f := buildTestSegment(t, 1000, 64)
+	mapped, err := Open(path, NewPoolObs(1<<20, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if !mapped.Mapped() {
+		t.Skip("mmap unavailable on this platform; every test reads through pread")
+	}
+	pool := NewPoolObs(2<<10, nil) // four float pages of 64 rows
+	s, err := Open(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := munmap(s.mapped); err != nil {
+		t.Fatal(err)
+	}
+	s.mapped = nil
+
+	// same compares a pinned page with the mapped bytes at [off, off+n).
+	same := func(what string, h Handle, err error, off, n int64) {
+		t.Helper()
+		if err != nil {
+			t.Error(what, err)
+			return
+		}
+		defer h.Release()
+		if want := mapped.mapped[off : off+n]; !bytes.Equal(h.Bytes(), want) {
+			t.Errorf("%s: pread bytes differ from the mapping", what)
+		}
+	}
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for ci, c := range f.Cols {
+					for k := range c.Pages {
+						pi := (k + w*5) % len(c.Pages) // each worker starts elsewhere
+						p := &c.Pages[pi]
+						h, err := s.DataPage(ci, pi)
+						same(fmt.Sprintf("column %d data page %d", ci, pi), h, err, p.Off, p.Len)
+						if p.NullCount > 0 {
+							h, err := s.NullPage(ci, pi)
+							same(fmt.Sprintf("column %d null page %d", ci, pi), h, err, p.NullOff, p.NullLen)
+						}
+					}
+					if c.Kind == KindString {
+						got, err := s.Dict(ci)
+						want, _ := mapped.Dict(ci)
+						if err != nil || !slices.Equal(got, want) {
+							t.Errorf("column %d dictionary: %q (err %v), want %q", ci, got, err, want)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := pool.Stats(); st.Evictions == 0 || st.Pinned != 0 || st.Used > st.Budget {
+		t.Fatalf("the pool should evict and end unpinned within budget: %+v", st)
 	}
 }
 

@@ -132,9 +132,6 @@ func (w *Writer) write(b []byte) error {
 	return err
 }
 
-// NumCols returns the number of columns.
-func (w *Writer) NumCols() int { return len(w.cols) }
-
 // AppendFloat appends a non-null float to column ci.
 func (w *Writer) AppendFloat(ci int, v float64) {
 	c := w.cols[ci]

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/bits"
@@ -288,12 +289,7 @@ func (s *floatSet) add(v float64) bool {
 	if v == 0 {
 		v = 0 // folds -0 into +0
 	}
-	return s.insert(math.Float64bits(v) ^ floatSetEmpty)
-}
-
-// insert adds a value's key, its bits xor floatSetEmpty, and reports
-// whether it was new.
-func (s *floatSet) insert(key uint64) bool {
+	key := math.Float64bits(v) ^ floatSetEmpty
 	// Fibonacci hashing: the hash times parts has the partition in its
 	// high word (mine) and the slot, reduced to the table's length by a
 	// multiply, in its low (for one partition, the whole hash).
@@ -311,18 +307,6 @@ func (s *floatSet) insert(key uint64) bool {
 		}
 	}
 	return false
-}
-
-// grow moves the set into a table sized for n values.
-func (s *floatSet) grow(n int) {
-	old, taken := s.slots, s.n
-	s.slots, s.held = make([]uint64, tableSlots(n)), 0
-	for _, key := range old {
-		if key != 0 {
-			s.insert(key)
-		}
-	}
-	s.n = taken
 }
 
 // mine reports whether v falls in the set's partition.
@@ -452,7 +436,8 @@ func countDecimals(pass func(func(vals []float64, present []uint8) bool), least,
 // keyBitmap counts distinct decimals as a bit per key at one exponent,
 // whose power is p, from the key lo up, and each NaN as a value of its
 // own: 1/8 B per key of the values' range, against a floatSet's 10 B
-// per value. n is the count.
+// per value. n is the count. IsLikelyKey counts dictionary codes and
+// integer offsets in one at exponent 0.
 type keyBitmap struct {
 	words []uint64
 	lo    int64
@@ -531,9 +516,16 @@ const maxKeyScanRows = 100000
 //
 // The rule, over the first maxKeyScanRows rows: no nulls, more than 99%
 // of the values distinct and, for integers (keys are usually sequential
-// or near-sequential), more than half of the value range occupied. Only
-// distinctness is counted, and the scan stops at the first null or as
-// soon as the repeats seen already put the 99% out of reach.
+// or near-sequential), more than half of the value range occupied. The
+// prefix is read run by run through the typed reader (kernel.go), as
+// StatsRows reads a column, and its distinct values are counted in a
+// keyBitmap: a string's dictionary codes, or an integer's offsets from
+// the least value, which a first pass finds. The density rule bounds
+// that range to twice the prefix, so a range it rejects is never
+// counted. A pass stops at the first run that holds a null, and the
+// count as soon as the repeats seen put the 99% out of reach; a segment
+// column's prefix pages are read once for a string, twice for an
+// integer.
 func IsLikelyKey(c Column) bool {
 	n := c.Len()
 	// Only strings and integers can be keys under the rule, so the
@@ -545,65 +537,58 @@ func IsLikelyKey(c Column) bool {
 	// rule on both in-memory and segment-backed columns, so key
 	// detection does not force a full pass over an out-of-core column.
 	limit := min(n, maxKeyScanRows)
-	if seg, ok := c.(*segCol); ok {
-		// One cursor pass over the prefix, not a pool round trip per row.
-		c = seg.Gather(rangeRows(0, limit))
+	rd, ok := bindCol(c)
+	if !ok {
+		// A foreign Column implementation: its Gather yields one of the
+		// store's own.
+		c = c.Gather(rangeRows(0, limit))
+		rd, _ = bindCol(c)
 	}
-	// repeated reports whether row i's value occurred before it.
-	var repeated func(i int) bool
-	lo, hi := math.Inf(1), math.Inf(-1)
-	if sc, ok := c.(*StringColumn); ok {
-		// Dictionary entries are distinct, so codes stand for values.
-		seen := NewBitmap(len(sc.dict))
-		repeated = func(i int) bool {
-			code := int(sc.codes[i])
-			was := seen.Get(code)
-			seen.Set(code)
-			return was
-		}
-	} else if c.Type() == String {
-		seen := make(map[string]struct{})
-		repeated = func(i int) bool {
-			v := c.StringAt(i)
-			_, was := seen[v]
-			seen[v] = struct{}{}
-			return was
-		}
-	} else {
-		// The table starts past the early-exit window, 1% of the prefix,
-		// so a column the rule rejects there never grows it, and grows
-		// fourfold, to the prefix at the last step: a key's values cost
-		// the prefix's table and a third of it again, not a table sized
-		// for the prefix from the first row.
-		room := min(limit, max((limit+63)>>6, 64))
-		seen := newFloatSet(room)
-		repeated = func(i int) bool {
-			v := c.Float(i)
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-			if seen.held == room {
-				room = min(4*room, limit)
-				seen.grow(room)
-			}
-			return !seen.add(v)
-		}
-	}
-	repeats := 0
-	for i := 0; i < limit; i++ {
-		if c.IsNull(i) {
-			return false
-		}
-		if repeated(i) {
-			repeats++
-			if float64(limit-repeats)/float64(limit) <= 0.99 {
+	rows := All(limit)
+	vals, present := make([]float64, min(limit, readRun)), make([]uint8, min(limit, readRun))
+	// pass reads the prefix run by run and hands each run's values to fn,
+	// until fn returns false; it reports false, having stopped, at the
+	// first run that holds a null.
+	pass := func(fn func(vals []float64) bool) bool {
+		noNulls := true
+		rows.runs(readRun, rd.rpp, func(_, page int, run []int) bool {
+			sel := routeIdentity[:len(run)]
+			rd.notNull(page, run, sel, present[:len(run)])
+			if noNulls = bytes.IndexByte(present[:len(run)], 0) < 0; !noNulls {
 				return false
 			}
+			rd.loadFloats(page, run, sel, vals)
+			return fn(vals[:len(run)])
+		})
+		return noNulls
+	}
+	// Dictionary entries are distinct, so codes stand for values.
+	lo, hi := 0.0, float64(len(rd.dict)-1)
+	if c.Type() == Int64 {
+		lo, hi = math.Inf(1), math.Inf(-1)
+		if !pass(func(vals []float64) bool {
+			for _, v := range vals {
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+			return true
+		}) || float64(limit)/(hi-lo+1) <= 0.5 {
+			return false
 		}
 	}
-	if c.Type() == String {
-		return true
-	}
-	span := hi - lo + 1
-	return span > 0 && float64(limit)/span > 0.5
+	// The values are integers, so an offset from lo is exact however
+	// large they are, and under 2·limit once the density rule holds.
+	keys := keyBitmap{words: make([]uint64, int(hi-lo)/64+1), p: 1}
+	repeats := 0
+	distinct := func() bool { return float64(limit-repeats)/float64(limit) > 0.99 }
+	return pass(func(vals []float64) bool {
+		for k := range vals {
+			vals[k] -= lo
+		}
+		seen := keys.n
+		keys.add(vals, present)
+		repeats += len(vals) - (keys.n - seen)
+		return distinct()
+	}) && distinct()
 }
 
 // Describe summarizes every column of t as a new table (one row per

@@ -1001,6 +1001,30 @@ func TestIsLikelyKeyMatchesStatsRule(t *testing.T) {
 	gen(long, 0, maxKeyScanRows-1, 1) // a null on its last row
 	gen(long, 5000+maxKeyScanRows/100, -1, 1)
 	gen(long, 5000+maxKeyScanRows/100+1, -1, 2)
+	// Integers as floats: negative ones, and ones either side of ±2^53,
+	// where a float64 holds only every other integer, so the rule counts
+	// the values a float keeps apart.
+	ints := func(name string, n int, at func(i int) int64) {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = at(i)
+		}
+		add(NewIntColumnFrom(name, vals))
+	}
+	const big = int64(1) << 53
+	ints("negative", 1000, func(i int) int64 { return int64(-2000 + i) })
+	ints("negative_sparse", 1000, func(i int) int64 { return int64(-3 * i) })
+	for _, sign := range []int64{1, -1} {
+		ints(fmt.Sprintf("to_2^53_%d", sign), 1000, func(i int) int64 { return sign * (big - 999 + int64(i)) })
+		ints(fmt.Sprintf("past_2^53_%d", sign), 1000, func(i int) int64 { return sign * (big - 998 + int64(i)) })
+		ints(fmt.Sprintf("across_2^53_%d", sign), 1000, func(i int) int64 { return sign * (big - 500 + int64(i)) })
+		ints(fmt.Sprintf("even_beyond_2^53_%d", sign), 1000, func(i int) int64 { return sign * (big + 2*int64(i)) })
+		ints(fmt.Sprintf("beyond_2^53_%d", sign), 1000, func(i int) int64 { return sign * (big + 1 + int64(i)) })
+	}
+	// A constant beyond 2^53 passes the density rule but has no decimal
+	// key; one row of it is a key.
+	ints("constant_2^60", 1000, func(int) int64 { return 1 << 60 })
+	ints("single_2^60", 1, func(int) int64 { return 1 << 60 })
 	add(NewFloatColumnFrom("f", []float64{1, 2, 3}))
 	add(NewBoolColumnFrom("b", []bool{true, false}))
 	add(NewIntColumn("empty"))
@@ -1043,5 +1067,14 @@ func TestIsLikelyKeyMatchesStatsRule(t *testing.T) {
 	}
 	if keys == 0 || keys == len(cols) {
 		t.Fatalf("%d of %d generated columns are keys: the generator no longer straddles the rule", keys, len(cols))
+	}
+	// Its bitmap spans its one value, not the keys no decimal stands for.
+	constant := make([]int64, 1000)
+	for i := range constant {
+		constant[i] = 1 << 60
+	}
+	cc := NewIntColumnFrom("constant", constant)
+	if got := allocated(func() { IsLikelyKey(cc) }); got > 16<<10 {
+		t.Errorf("IsLikelyKey of a constant column beyond 2^53 allocated %d bytes", got)
 	}
 }

@@ -192,7 +192,7 @@ func SampleIndices(n, k int, rng *rand.Rand) []int {
 // for the next call. It makes SampleIndices' draws from rng, in order.
 func SampleIndicesInto(n, k int, rng *rand.Rand, out []int, taken []uint64) ([]int, []uint64) {
 	if k >= n {
-		out = grown(out, n)
+		out = resize(out, n)
 		for i := range out {
 			out[i] = i
 		}
@@ -204,9 +204,9 @@ func SampleIndicesInto(n, k int, rng *rand.Rand, out []int, taken []uint64) ([]i
 	// map entry; else it is the result itself, kept sorted: j exceeds
 	// every earlier pick, so taking it is an append, and a fresh v is one
 	// insertion (k²/4 moves in all, at most, where k < n/256).
-	out = grown(out, k)
+	out = resize(out, k)
 	if words := bitmapWords(n); words <= 4*k {
-		taken = grown(taken, words)
+		taken = resize(taken, words)
 		clear(taken)
 		for j := n - k; j < n; j++ {
 			v := rng.Intn(j + 1)
@@ -228,13 +228,4 @@ func SampleIndicesInto(n, k int, rng *rand.Rand, out []int, taken []uint64) ([]i
 		}
 	}
 	return out, taken
-}
-
-// grown returns buf resliced to length n, reallocated when its capacity
-// is short; its contents are the caller's to write.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
