@@ -140,7 +140,9 @@ bench:
 # One iteration of every benchmark — the CI bit-rot guard. Includes the
 # PAM engine beside the textbook SWAP it is held to (BenchmarkPAM,
 # BenchmarkPAMClassic in internal/cluster), the storage-engine filter
-# benchmarks, the scan benchmarks (limit pushdown, sample gathers), the
+# benchmarks, the scan benchmarks (limit pushdown; the sample gathers,
+# projected and full-width, on both backings: BenchmarkScanGatherProjected
+# and BenchmarkGatherMaterialized, /mem and /seg), the
 # kernels behind the filter and highlight clicks (BenchmarkFilterKernel*,
 # BenchmarkStatsRows*: /x counts a full-precision column's distinct
 # values in a table, /x4 a 4-decimal column's in a bitmap, /w4 a wide

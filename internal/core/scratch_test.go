@@ -15,6 +15,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/prep"
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // coldDataset detects the themes of a pinned table under options with
@@ -139,53 +140,57 @@ const warmBuildSlack = 8 << 10
 // ⌈N/64⌉ words for L leaves over N selected rows — and at most
 // warmBuildSlack besides: on the CLARA path (a 1 100-row sample over a
 // lazy oracle) and on the exact one (300 rows, PAM over the scratch's
-// matrix). The store's pooled run scratch is not the build's: the
-// builds run on one P, since sync.Pool keeps it per P and a build that
-// resumes on another after a fan-out would miss it, and the least of up
-// to twenty builds is read, since a GC between them empties the pool
-// and the race detector's pool drops a quarter of what it is given.
+// matrix), over the table in memory and over a segment of it, whose
+// gathers read pages through the store's pooled run scratch. That
+// scratch is not the build's: the builds run on one P, since sync.Pool
+// keeps it per P and a build that resumes on another after a fan-out
+// would miss it, and the least of up to twenty builds is read, since a
+// GC between them empties the pool and the race detector's pool drops
+// a quarter of what it is given.
 func TestWarmColdBuildAllocatesWhatItsMapKeeps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tab := datagen.LOFAR(datagen.LOFAROptions{N: 20_000}, rand.New(rand.NewSource(1))).Table
-	for _, n := range []int{1100, 300} {
-		d, err := NewDataset(tab, Options{Seed: 1, SampleSize: n, MapCacheSize: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := d.Open()
-		wide := 0
-		for i, th := range e.Themes() {
-			if len(th.Columns) > len(e.Themes()[wide].Columns) {
-				wide = i
-			}
-		}
-		var m *Map
-		build := func() {
-			if m, err = e.SelectTheme(wide); err != nil {
+	for _, rel := range []store.Relation{tab, lawSegment(t, tab)} {
+		for _, n := range []int{1100, 300} {
+			d, err := NewDataset(rel, Options{Seed: 1, SampleSize: n, MapCacheSize: -1})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Rollback(); err != nil {
-				t.Fatal(err)
+			e := d.Open()
+			wide := 0
+			for i, th := range e.Themes() {
+				if len(th.Columns) > len(e.Themes()[wide].Columns) {
+					wide = i
+				}
 			}
-		}
-		build()
-		leaves := 0
-		for _, r := range regionsOf(m) {
-			if len(r.Children) == 0 {
-				leaves++
+			var m *Map
+			build := func() {
+				if m, err = e.SelectTheme(wide); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Rollback(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if m.SampleSize != n || leaves < 2 {
-			t.Fatalf("n=%d: the build clustered %d objects into %d leaves", n, m.SampleSize, leaves)
-		}
-		planes := uint64(bits.Len(uint(leaves-1))) * uint64((tab.NumRows()+63)/64) * 8
-		got := allocated(build)
-		for i := 1; i < 20 && got > planes+warmBuildSlack; i++ {
-			got = min(got, allocated(build))
-		}
-		if got > planes+warmBuildSlack {
-			t.Errorf("n=%d: a warm cold build allocated %d bytes, its %d leaves' planes are %d, slack %d",
-				n, got, leaves, planes, warmBuildSlack)
+			build()
+			leaves := 0
+			for _, r := range regionsOf(m) {
+				if len(r.Children) == 0 {
+					leaves++
+				}
+			}
+			if m.SampleSize != n || leaves < 2 {
+				t.Fatalf("%T, n=%d: the build clustered %d objects into %d leaves", rel, n, m.SampleSize, leaves)
+			}
+			planes := uint64(bits.Len(uint(leaves-1))) * uint64((tab.NumRows()+63)/64) * 8
+			got := allocated(build)
+			for i := 1; i < 20 && got > planes+warmBuildSlack; i++ {
+				got = min(got, allocated(build))
+			}
+			if got > planes+warmBuildSlack {
+				t.Errorf("%T, n=%d: a warm cold build allocated %d bytes, its %d leaves' planes are %d, slack %d",
+					rel, n, got, leaves, planes, warmBuildSlack)
+			}
 		}
 	}
 }

@@ -50,6 +50,18 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << uint(i&63)
 }
 
+// setCovering sets bit i of b, which is empty or covers n bits — a
+// null bitmap as gather writes one — making it cover them at its first
+// bit.
+func (b *Bitmap) setCovering(n, i int) {
+	if b.n == 0 {
+		b.words = resize(b.words, bitmapWords(n))
+		clear(b.words)
+		b.n = n
+	}
+	b.words[i>>6] |= 1 << (i & 63)
+}
+
 // Get reports whether bit i is set. Out-of-range bits read as clear.
 func (b *Bitmap) Get(i int) bool {
 	if b == nil || i < 0 || i >= b.n {

@@ -38,8 +38,9 @@ func (t Type) String() string {
 // IsNumeric reports whether the type holds ordered numeric values.
 func (t Type) IsNumeric() bool { return t == Float64 || t == Int64 }
 
-// Column is a typed, nullable vector of values. All implementations are
-// append-only; rows are addressed by dense integer position.
+// Column is a typed, nullable, read-only vector of values; rows are
+// addressed by dense integer position. The in-memory implementations
+// are built by their own Append and AppendNull.
 type Column interface {
 	// Name returns the column name.
 	Name() string
@@ -56,8 +57,6 @@ type Column interface {
 	Float(i int) float64
 	// StringAt returns row i rendered as a string ("" for null).
 	StringAt(i int) string
-	// AppendNull appends a missing value.
-	AppendNull()
 	// Gather returns a new column containing the given rows, in order.
 	Gather(rows []int) Column
 }
@@ -80,8 +79,8 @@ func NewFloatColumn(name string) *FloatColumn {
 // refill readies c, a gather's output, for n rows named name, on its
 // own storage: the values go into buf, or into a new slice when buf has
 // less room, and the null bitmap's words, kept from c's last gather,
-// are taken only by the first null (setNull): a gather that meets none
-// leaves the bitmap empty. The gather writes every value.
+// are taken only by the first null (Bitmap.setCovering): a gather that
+// meets none leaves the bitmap empty. The gather writes every value.
 func (c *FloatColumn) refill(name string, buf []float64, n int) {
 	if cap(buf) < n {
 		buf = make([]float64, n)
@@ -91,18 +90,6 @@ func (c *FloatColumn) refill(name string, buf []float64, n int) {
 	}
 	c.name, c.vals = name, buf[:n]
 	c.nulls.words, c.nulls.n = c.nulls.words[:0], 0
-}
-
-// setNull marks row k of a column refill readied as null, making its
-// null bitmap cover the column at the first null.
-func (c *FloatColumn) setNull(k int) {
-	if b := c.nulls; b.n == 0 {
-		b.words = resize(b.words, bitmapWords(len(c.vals)))
-		clear(b.words)
-		b.n = len(c.vals)
-	}
-	c.vals[k] = math.NaN()
-	c.nulls.words[k>>6] |= 1 << (k & 63)
 }
 
 // NewFloatColumnFrom builds a float column from values; NaNs become nulls.
@@ -139,7 +126,7 @@ func (c *FloatColumn) Append(v float64) {
 	c.nulls.Resize(len(c.vals))
 }
 
-// AppendNull implements Column.
+// AppendNull appends a missing value.
 func (c *FloatColumn) AppendNull() {
 	c.vals = append(c.vals, math.NaN())
 	c.nulls.Resize(len(c.vals))
@@ -166,23 +153,7 @@ func (c *FloatColumn) StringAt(i int) string {
 }
 
 // Gather implements Column.
-func (c *FloatColumn) Gather(rows []int) Column {
-	out := new(FloatColumn)
-	c.gatherIn(rows, out, nil)
-	return out
-}
-
-// gatherIn is Gather into out, refilled on buf (see refill).
-func (c *FloatColumn) gatherIn(rows []int, out *FloatColumn, buf []float64) {
-	out.refill(c.name, buf, len(rows))
-	for k, r := range rows {
-		if c.nulls.Get(r) {
-			out.setNull(k)
-		} else {
-			out.vals[k] = c.vals[r]
-		}
-	}
-}
+func (c *FloatColumn) Gather(rows []int) Column { return gather(c, rows, nil, nil) }
 
 // ---------------------------------------------------------------------------
 // Int column
@@ -197,11 +168,6 @@ type IntColumn struct {
 // NewIntColumn returns an empty integer column with the given name.
 func NewIntColumn(name string) *IntColumn {
 	return &IntColumn{name: name, nulls: NewBitmap(0)}
-}
-
-// newIntColumnCap is NewIntColumn with room for n rows.
-func newIntColumnCap(name string, n int) *IntColumn {
-	return &IntColumn{name: name, vals: make([]int64, 0, n), nulls: newBitmapCap(n)}
 }
 
 // NewIntColumnFrom builds an integer column from values.
@@ -234,7 +200,7 @@ func (c *IntColumn) Append(v int64) {
 	c.nulls.Resize(len(c.vals))
 }
 
-// AppendNull implements Column.
+// AppendNull appends a missing value.
 func (c *IntColumn) AppendNull() {
 	c.vals = append(c.vals, 0)
 	c.nulls.Resize(len(c.vals))
@@ -258,17 +224,7 @@ func (c *IntColumn) StringAt(i int) string {
 }
 
 // Gather implements Column.
-func (c *IntColumn) Gather(rows []int) Column {
-	out := newIntColumnCap(c.name, len(rows))
-	for _, r := range rows {
-		if c.IsNull(r) {
-			out.AppendNull()
-		} else {
-			out.Append(c.vals[r])
-		}
-	}
-	return out
-}
+func (c *IntColumn) Gather(rows []int) Column { return gather(c, rows, nil, nil) }
 
 // ---------------------------------------------------------------------------
 // String column (dictionary encoded)
@@ -350,7 +306,7 @@ func (c *StringColumn) Append(v string) {
 	c.nulls.Resize(len(c.codes))
 }
 
-// AppendNull implements Column.
+// AppendNull appends a missing value.
 func (c *StringColumn) AppendNull() {
 	c.codes = append(c.codes, 0)
 	c.nulls.Resize(len(c.codes))
@@ -395,17 +351,7 @@ func (c *StringColumn) Float(i int) float64 {
 func (c *StringColumn) StringAt(i int) string { return c.Value(i) }
 
 // Gather implements Column.
-func (c *StringColumn) Gather(rows []int) Column {
-	out := newStringColumnCap(c.name, len(rows))
-	for _, r := range rows {
-		if c.IsNull(r) {
-			out.AppendNull()
-		} else {
-			out.Append(c.Value(r))
-		}
-	}
-	return out
-}
+func (c *StringColumn) Gather(rows []int) Column { return gather(c, rows, nil, nil) }
 
 // ---------------------------------------------------------------------------
 // Bool column
@@ -462,7 +408,7 @@ func (c *BoolColumn) Append(v bool) {
 	}
 }
 
-// AppendNull implements Column.
+// AppendNull appends a missing value.
 func (c *BoolColumn) AppendNull() {
 	c.n++
 	c.vals.Resize(c.n)
@@ -490,14 +436,4 @@ func (c *BoolColumn) StringAt(i int) string {
 }
 
 // Gather implements Column.
-func (c *BoolColumn) Gather(rows []int) Column {
-	out := newBoolColumnCap(c.name, len(rows))
-	for _, r := range rows {
-		if c.IsNull(r) {
-			out.AppendNull()
-		} else {
-			out.Append(c.vals.Get(r))
-		}
-	}
-	return out
-}
+func (c *BoolColumn) Gather(rows []int) Column { return gather(c, rows, nil, nil) }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"sync"
@@ -8,19 +9,23 @@ import (
 )
 
 // The typed column reader and its batch kernels: the one way the
-// store's row-proportional work reads a column. Every consumer — the
-// tree router (route.go) and the scan operators, its one-split case
-// (scan.go), the statistics, key detection and value reads over a row
-// set (stats.go) — cuts its RowSet into runs that share a page
-// (RowSet.runs), fetches each needed column page once per run, and
-// works on a run as a selection vector of uint16 offsets: values are
-// decoded into a small scratch by one loader per column kind and
-// backing, and predicates are evaluated on the scratch into one match
-// byte per offset. A predicate
-// node whose segment page the zone map excludes matches nothing on it
-// and fetches nothing. No kernel makes an indirect call per row; a
-// predicate or column implementation no kernel binds is evaluated row
-// by row through its own Predicate.Matches, into the same match bytes.
+// store's row-proportional work reads a column, and the store's only
+// decoder of a segment page. Every consumer — the tree router
+// (route.go) and the scan operators, its one-split case (scan.go), the
+// statistics, key detection and value reads over a row set (stats.go)
+// — cuts its RowSet into runs that share a page (RowSet.runs); a
+// gather (gather: every Column.Gather, GatherInto, a segment column's
+// Float and StringAt) cuts its rows, in any order, into runs on one
+// page, and a segment column's null test and code read their row alone.
+// Each fetches each needed column page once per run, and works on a
+// run as a selection vector of uint16 offsets: values are decoded into
+// a small scratch, or a gather's output, by one loader per column kind
+// and backing, and predicates are evaluated on the scratch into one
+// match byte per offset. A predicate node whose segment page the zone
+// map excludes matches nothing on it and fetches nothing. No kernel
+// makes an indirect call per row; a predicate or column implementation
+// no kernel binds is evaluated row by row through its own
+// Predicate.Matches, into the same match bytes.
 
 const (
 	// routeRun bounds a run, so selection vectors are uint16 offsets
@@ -192,6 +197,17 @@ func (c *colReader) loadFloats(page int, run []int, sel []uint16, dst []float64)
 	}
 }
 
+// loadInts is loadFloats for an Int64 column, decoding its values
+// exactly.
+func (c *colReader) loadInts(page int, run []int, sel []uint16, dst []int64) {
+	base := c.seek(page)
+	if c.seg == nil {
+		loadNum(c.ints, run, sel, dst)
+	} else {
+		loadInt64Page(c.data, base, run, sel, dst)
+	}
+}
+
 // clearNulls zeroes the byte of m at every offset of sel whose row is
 // null.
 func (c *colReader) clearNulls(page int, run []int, sel []uint16, m []uint8) {
@@ -208,6 +224,99 @@ func (c *colReader) clearNulls(page int, run []int, sel []uint16, m []uint8) {
 func (c *colReader) notNull(page int, run []int, sel []uint16, m []uint8) {
 	fillBytes(m, 1)
 	c.clearNulls(page, run, sel, m)
+}
+
+// gather returns the given rows of c, in order, as a new in-memory
+// column of its kind; a Float64 column is written into fl, refilled on
+// buf (see FloatColumn.refill), when fl is not nil. The rows may come
+// in any order and repeat: a run ends at readRun rows or at the first
+// row off its page, so an ascending gather fetches each page once.
+// Values decode through the typed loaders (an Int64 exactly), nulls
+// from notNull's bytes, and a string column's dictionary is rebuilt in
+// the rows' first-appearance order, as Append builds one. The run
+// buffers live on the stack, so a gather allocates only the column it
+// returns. A foreign Column implementation gathers itself.
+func gather(c Column, rows []int, fl *FloatColumn, buf []float64) Column {
+	rd, ok := bindCol(c)
+	if !ok {
+		return c.Gather(rows)
+	}
+	n := len(rows)
+	var out Column
+	switch rd.kind {
+	case Float64:
+		if fl == nil {
+			fl = new(FloatColumn)
+		}
+		fl.refill(c.Name(), buf, n)
+		out = fl
+	case Int64:
+		out = &IntColumn{name: c.Name(), vals: make([]int64, n), nulls: new(Bitmap)}
+	case Bool:
+		out = newBoolColumnCap(c.Name(), n)
+	default:
+		out = newStringColumnCap(c.Name(), n)
+	}
+	// A run's present bytes, and its bool values or codes.
+	var presentBuf [readRun]uint8
+	var vals [readRun]float64
+	for lo := 0; lo < n; {
+		page, hi := 0, min(n, lo+readRun)
+		if rd.rpp > 0 {
+			page = rows[lo] / rd.rpp
+			for j := lo + 1; j < hi; j++ {
+				if uint(rows[j]-page*rd.rpp) >= uint(rd.rpp) {
+					hi = j
+					break
+				}
+			}
+		}
+		run, sel, present := rows[lo:hi], routeIdentity[:hi-lo], presentBuf[:hi-lo]
+		rd.notNull(page, run, sel, present)
+		switch out := out.(type) {
+		case *FloatColumn:
+			rd.loadFloats(page, run, sel, out.vals[lo:hi])
+			for k := nextNull(present, 0); k < len(present); k = nextNull(present, k+1) {
+				out.vals[lo+k] = math.NaN()
+				out.nulls.setCovering(n, lo+k)
+			}
+		case *IntColumn:
+			rd.loadInts(page, run, sel, out.vals[lo:hi])
+			for k := nextNull(present, 0); k < len(present); k = nextNull(present, k+1) {
+				out.vals[lo+k] = 0
+				out.nulls.setCovering(n, lo+k)
+			}
+		case *BoolColumn:
+			rd.loadFloats(page, run, sel, vals[:])
+			for k, p := range present {
+				if p == 0 {
+					out.AppendNull()
+				} else {
+					out.Append(vals[k] != 0)
+				}
+			}
+		case *StringColumn:
+			rd.loadFloats(page, run, sel, vals[:])
+			for k, p := range present {
+				if p == 0 {
+					out.AppendNull()
+				} else {
+					out.Append(rd.dict[int32(vals[k])])
+				}
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
+// nextNull returns the first offset from k on whose present byte is 0,
+// or len(present) if there is none.
+func nextNull(present []uint8, k int) int {
+	if i := bytes.IndexByte(present[k:], 0); i >= 0 {
+		return k + i
+	}
+	return len(present)
 }
 
 // predKind selects how a compiled predicate node is evaluated.
@@ -472,10 +581,10 @@ func (ev *evaluator) eval(nd *predNode, sel []uint16, m []uint8) {
 // match kernel writes m[k] as 0 or 1 for every k of its first operand.
 
 //blaeu:hot
-func loadNum[T float64 | int64 | int32](vals []T, run []int, sel []uint16, dst []float64) {
+func loadNum[T float64 | int64 | int32, D float64 | int64](vals []T, run []int, sel []uint16, dst []D) {
 	dst = dst[:len(sel)]
 	for k, s := range sel {
-		dst[k] = float64(vals[run[s]])
+		dst[k] = D(vals[run[s]])
 	}
 }
 
@@ -500,6 +609,14 @@ func loadIntPage(data []byte, base int, run []int, sel []uint16, dst []float64) 
 	dst = dst[:len(sel)]
 	for k, s := range sel {
 		dst[k] = float64(int64(le64(data[(run[s]-base)*8:])))
+	}
+}
+
+//blaeu:hot
+func loadInt64Page(data []byte, base int, run []int, sel []uint16, dst []int64) {
+	dst = dst[:len(sel)]
+	for k, s := range sel {
+		dst[k] = int64(le64(data[(run[s]-base)*8:]))
 	}
 }
 
@@ -596,10 +713,17 @@ func evalMatcher(match func(i int) bool, run []int, sel []uint16, m []uint8) {
 	}
 }
 
+// fillBytes sets every byte of m to b, doubling the filled prefix with
+// each copy.
+//
 //blaeu:hot
 func fillBytes(m []uint8, b uint8) {
-	for k := range m {
-		m[k] = b
+	if len(m) == 0 {
+		return
+	}
+	m[0] = b
+	for k := 1; k < len(m); k *= 2 {
+		copy(m[k:], m[:k])
 	}
 }
 

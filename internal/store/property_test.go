@@ -3,44 +3,98 @@ package store
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestGatherRoundTripProperty: gathering all indices in order reproduces
-// the column exactly, including nulls, for every column type.
+// TestGatherRoundTripProperty: a gather of any rows — all of them in
+// order, ascending and sparse across pages, a shuffled permutation,
+// repeated rows, none — reads every column kind's values and nulls at
+// those rows, from an in-memory table, its segment at pages of 8 rows
+// (so runs cross pages) and a foreign column implementation alike. An
+// Int64 comes back exact at and beyond ±2^53, a string column's
+// dictionary is rebuilt in the rows' first-appearance order, and a
+// float gather that meets no null has an empty null bitmap.
 func TestGatherRoundTripProperty(t *testing.T) {
+	const rpp = 8
+	wide := []int64{1<<53 + 1, -(1<<53 + 1), 1<<62 + 3, math.MaxInt64, math.MinInt64}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(60)
-		cols := []Column{
-			NewFloatColumn("f"), NewIntColumn("i"), NewStringColumn("s"), NewBoolColumn("b"),
-		}
+		fc, ic, sc, bc := NewFloatColumn("f"), NewIntColumn("i"), NewStringColumn("s"), NewBoolColumn("b")
 		for r := 0; r < n; r++ {
 			if rng.Float64() < 0.15 {
-				for _, c := range cols {
-					c.AppendNull()
-				}
+				fc.AppendNull()
+				ic.AppendNull()
+				sc.AppendNull()
+				bc.AppendNull()
 				continue
 			}
-			cols[0].(*FloatColumn).Append(rng.NormFloat64())
-			cols[1].(*IntColumn).Append(rng.Int63n(100))
-			cols[2].(*StringColumn).Append([]string{"x", "y", "z"}[rng.Intn(3)])
-			cols[3].(*BoolColumn).Append(rng.Intn(2) == 0)
-		}
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		for _, c := range cols {
-			g := c.Gather(all)
-			if g.Len() != n {
-				return false
+			fc.Append(rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				ic.Append(wide[rng.Intn(len(wide))])
+			} else {
+				ic.Append(rng.Int63n(100))
 			}
-			for i := 0; i < n; i++ {
-				if g.IsNull(i) != c.IsNull(i) || g.StringAt(i) != c.StringAt(i) {
-					return false
+			sc.Append([]string{"x", "y", "z"}[rng.Intn(3)])
+			bc.Append(rng.Intn(2) == 0)
+		}
+		mem := NewTable("g")
+		for _, c := range []Column{fc, ic, sc, bc} {
+			mem.MustAddColumn(c)
+		}
+		seg := segmentOf(t, mem, rpp)
+		repeated := make([]int, 2*n)
+		for k := range repeated {
+			repeated[k] = rng.Intn(n)
+		}
+		shapes := map[string][]int{
+			"all": rangeRows(0, n), "sparse": SampleIndices(n, 1+n/rpp, rng),
+			"shuffled": rng.Perm(n), "repeated": repeated, "empty": {},
+		}
+		for ci := range mem.NumCols() {
+			want := mem.Column(ci)
+			for _, c := range []Column{want, seg.Column(ci), foreignCol{seg.Column(ci)}} {
+				for shape, rows := range shapes {
+					g := c.Gather(rows)
+					if g.Len() != len(rows) || g.Type() != want.Type() {
+						t.Logf("%s of %T, %s rows: gathered %d rows of %v", want.Name(), c, shape, g.Len(), g.Type())
+						return false
+					}
+					var dict []string
+					nulls := 0
+					for k, r := range rows {
+						if g.IsNull(k) != want.IsNull(r) || g.StringAt(k) != want.StringAt(r) {
+							t.Logf("%s of %T, %s rows: row %d reads %q, want %q", want.Name(), c, shape, r, g.StringAt(k), want.StringAt(r))
+							return false
+						}
+						if want.IsNull(r) {
+							nulls++
+						} else if v := want.StringAt(r); !slices.Contains(dict, v) {
+							dict = append(dict, v)
+						}
+					}
+					switch g := g.(type) {
+					case *IntColumn:
+						for k, r := range rows {
+							if !g.IsNull(k) && g.vals[k] != ic.vals[r] {
+								t.Logf("%T, %s rows: row %d reads %d, want %d", c, shape, r, g.vals[k], ic.vals[r])
+								return false
+							}
+						}
+					case *StringColumn:
+						if !slices.Equal(g.Dict(), dict) {
+							t.Logf("%T, %s rows: dictionary %q, want %q", c, shape, g.Dict(), dict)
+							return false
+						}
+					case *FloatColumn:
+						if nulls == 0 && g.nulls.Len() != 0 {
+							t.Logf("%T, %s rows: a gather with no null has a %d-bit null bitmap", c, shape, g.nulls.Len())
+							return false
+						}
+					}
 				}
 			}
 		}

@@ -33,30 +33,39 @@ func benchSampleRows(n int) []int {
 	return rows
 }
 
+// benchBackings runs fn over the benchmark table in memory and over
+// its segment, as the sub-benchmarks mem and seg.
+func benchBackings(b *testing.B, fn func(b *testing.B, r Relation)) {
+	b.Run("mem", func(b *testing.B) { fn(b, benchTable(100_000)) })
+	b.Run("seg", func(b *testing.B) { fn(b, benchSegment(b)) })
+}
+
 // BenchmarkScanGatherProjected is the projected sample gather: only
 // the projected column is decoded, each of its pages read once.
 func BenchmarkScanGatherProjected(b *testing.B) {
-	st := benchSegment(b)
-	rows := benchSampleRows(st.NumRows())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab, err := ScanGather(st, rows, []string{"x"}, 0)
-		if err != nil {
-			b.Fatal(err)
+	benchBackings(b, func(b *testing.B, r Relation) {
+		rows := benchSampleRows(r.NumRows())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tab, err := ScanGather(r, rows, []string{"x"}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = tab.NumRows()
 		}
-		benchSink = tab.NumRows()
-	}
+	})
 }
 
 // BenchmarkGatherMaterialized is the baseline for the same row set:
 // full-width Gather of every column.
 func BenchmarkGatherMaterialized(b *testing.B) {
-	st := benchSegment(b)
-	rows := benchSampleRows(st.NumRows())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = st.Gather(rows).NumRows()
-	}
+	benchBackings(b, func(b *testing.B, r Relation) {
+		rows := benchSampleRows(r.NumRows())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = r.Gather(rows).NumRows()
+		}
+	})
 }
 
 // benchFilterKernel is the filter click's store call: a one-comparison

@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/store/segment"
@@ -104,10 +102,10 @@ func (t *SegmentTable) PoolStats() segment.PoolStats {
 // Segment-backed columns
 
 // segCol is the one segment-backed Column: a page directory plus, for
-// strings, the dictionary. typ selects how a page slot decodes; every
-// access goes through a page cursor, so a Gather of sorted rows
-// fetches each page once. The batch kernels (kernel.go) read its pages
-// through fetch, and its page directory's zone maps before they do.
+// strings, the dictionary. typ selects how a page slot decodes. Every
+// read goes through the typed reader (kernel.go), which fetches its
+// pages and reads their zone maps: a Gather of sorted rows fetches each
+// page once, and a point read reads its one row.
 type segCol struct {
 	seg  *segment.Segment
 	ci   int
@@ -126,16 +124,11 @@ func (c *segCol) Type() Type     { return c.typ }
 func (c *segCol) Len() int       { return c.n }
 func (c *segCol) NullCount() int { return c.meta.NullCount() }
 
-// AppendNull implements Column; segment columns are immutable.
-func (c *segCol) AppendNull() {
-	panic(fmt.Sprintf("store: segment column %q is immutable", c.meta.Name))
-}
-
 // fetch returns the data and null payloads of page pi (nulls is nil
 // when the page has none). Both handles, values that carry their
 // pages' bytes, are released before returning: the slices stay valid
 // (see segment.Handle) and the pages simply become evictable again, so
-// cursors can hold the bytes without pinning pool budget. On the mmap
+// readers can hold the bytes without pinning pool budget. On the mmap
 // path a fetch allocates nothing, hit or miss.
 func (c *segCol) fetch(pi int) (data, nulls []byte) {
 	h, err := c.seg.DataPage(c.ci, pi)
@@ -153,47 +146,32 @@ func (c *segCol) fetch(pi int) (data, nulls []byte) {
 	return data, nulls
 }
 
-// segCursor walks a column page by page; sequential access fetches
-// each page once.
-type segCursor struct {
-	c           *segCol
-	pi          int
-	data, nulls []byte
-}
+// row gathers row i alone: a page fetch a call.
+func (c *segCol) row(i int) Column { return gather(c, []int{i}, nil, nil) }
 
-func (c *segCol) cursor() segCursor { return segCursor{c: c, pi: -1} }
-
-// seek positions the cursor on row i's page and returns the in-page
-// offset.
-//
-//blaeu:hot
-func (cur *segCursor) seek(i int) int {
-	pi := i / cur.c.rpp
-	if pi != cur.pi {
-		//blaeu:nolint hotpath one page fetch amortized over the page's rows
-		cur.data, cur.nulls = cur.c.fetch(pi)
-		cur.pi = pi
+// point reads row i through the typed reader: its value as loadFloats
+// decodes it (a string's dictionary code), and whether it holds one.
+func (c *segCol) point(i int) (v float64, ok bool) {
+	rd, _ := bindCol(c)
+	page, run, sel := i/c.rpp, []int{i}, routeIdentity[:1]
+	var present [1]uint8
+	var val [1]float64
+	rd.notNull(page, run, sel, present[:])
+	if present[0] == 0 {
+		return 0, false
 	}
-	return i - pi*cur.c.rpp
+	rd.loadFloats(page, run, sel, val[:])
+	return val[0], true
 }
 
-func (cur *segCursor) isNull(j int) bool {
-	return cur.nulls != nil && segment.BitAt(cur.nulls, j)
-}
-
-// IsNull is the point-access null test (page fetch per call).
+// IsNull implements Column; a page with no null is answered from the
+// page directory.
 func (c *segCol) IsNull(i int) bool {
-	pi := i / c.rpp
-	if c.meta.Pages[pi].NullCount == 0 {
+	if c.meta.Pages[i/c.rpp].NullCount == 0 {
 		return false
 	}
-	h, err := c.seg.NullPage(c.ci, pi)
-	if err != nil {
-		panic(fmt.Sprintf("store: segment column %q null page %d: %v", c.meta.Name, pi, err))
-	}
-	v := segment.BitAt(h.Bytes(), i-pi*c.rpp)
-	h.Release()
-	return v
+	_, ok := c.point(i)
+	return !ok
 }
 
 // Code returns the dictionary code at row i of a string column (-1
@@ -202,114 +180,21 @@ func (c *segCol) IsNull(i int) bool {
 // across them — the discretization layer relies on that for
 // backing-independent NMI.
 func (c *segCol) Code(i int) int32 {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return -1
+	if v, ok := c.point(i); ok {
+		return int32(v)
 	}
-	return segment.Int32At(cur.data, j)
-}
-
-// floatAt decodes non-null slot j of a page as Column.Float defines it:
-// bools map to 0/1, strings parse as numbers when possible.
-func (c *segCol) floatAt(data []byte, j int) float64 {
-	switch c.typ {
-	case Float64:
-		return segment.Float64At(data, j)
-	case Int64:
-		return float64(segment.Int64At(data, j))
-	case Bool:
-		if segment.BitAt(data, j) {
-			return 1
-		}
-		return 0
-	}
-	v, err := strconv.ParseFloat(c.dict[segment.Int32At(data, j)], 64)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
+	return -1
 }
 
 // Float implements Column.
-func (c *segCol) Float(i int) float64 {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return math.NaN()
-	}
-	return c.floatAt(cur.data, j)
-}
+func (c *segCol) Float(i int) float64 { return c.row(i).Float(0) }
 
 // StringAt implements Column.
-func (c *segCol) StringAt(i int) string {
-	cur := c.cursor()
-	j := cur.seek(i)
-	if cur.isNull(j) {
-		return ""
-	}
-	switch c.typ {
-	case Float64:
-		return strconv.FormatFloat(segment.Float64At(cur.data, j), 'g', -1, 64)
-	case Int64:
-		return strconv.FormatInt(segment.Int64At(cur.data, j), 10)
-	case Bool:
-		return strconv.FormatBool(segment.BitAt(cur.data, j))
-	}
-	return c.dict[segment.Int32At(cur.data, j)]
-}
+func (c *segCol) StringAt(i int) string { return c.row(i).StringAt(0) }
 
 // Gather implements Column: the result is the in-memory column type
 // of the same kind.
-func (c *segCol) Gather(rows []int) Column {
-	name := c.meta.Name
-	switch c.typ {
-	case Float64:
-		out := new(FloatColumn)
-		c.gatherFloats(rows, out, nil)
-		return out
-	case Int64:
-		return gatherSeg(c, rows, newIntColumnCap(name, len(rows)), segment.Int64At)
-	case Bool:
-		return gatherSeg(c, rows, newBoolColumnCap(name, len(rows)), segment.BitAt)
-	}
-	return gatherSeg(c, rows, newStringColumnCap(name, len(rows)), func(data []byte, j int) string {
-		return c.dict[segment.Int32At(data, j)]
-	})
-}
-
-// gatherFloats is a Float64 column's Gather into out, refilled on buf
-// (see FloatColumn.refill), through one page cursor.
-func (c *segCol) gatherFloats(rows []int, out *FloatColumn, buf []float64) {
-	out.refill(c.meta.Name, buf, len(rows))
-	cur := c.cursor()
-	for k, r := range rows {
-		j := cur.seek(r)
-		if cur.isNull(j) {
-			out.setNull(k)
-		} else {
-			out.vals[k] = segment.Float64At(cur.data, j)
-		}
-	}
-}
-
-// gatherSeg appends the given rows of c to out (reserved for them by
-// the caller) through one page cursor, decoding non-null slots with at.
-func gatherSeg[T any, C interface {
-	Column
-	Append(T)
-}](c *segCol, rows []int, out C, at func(data []byte, j int) T) Column {
-	cur := c.cursor()
-	for _, r := range rows {
-		j := cur.seek(r)
-		if cur.isNull(j) {
-			out.AppendNull()
-		} else {
-			out.Append(at(cur.data, j))
-		}
-	}
-	return out
-}
+func (c *segCol) Gather(rows []int) Column { return gather(c, rows, nil, nil) }
 
 // rangeRows returns the rows [lo, hi), ascending: a range as a gather's
 // row list.

@@ -324,16 +324,6 @@ func TestSegmentTableStats(t *testing.T) {
 	assertRelationsEqual(t, Describe(mem), Describe(seg))
 }
 
-func TestSegmentColumnsImmutable(t *testing.T) {
-	_, seg := openBoth(t, 100, 1<<20)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendNull on a segment column did not panic")
-		}
-	}()
-	seg.Column(0).AppendNull()
-}
-
 func TestOpenSegmentTableRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk.seg")
 	if err := os.WriteFile(path, []byte("definitely not a segment"), 0o644); err != nil {

@@ -229,8 +229,10 @@ func RowFloats(c Column, rows *RowSet) (vals []float64, present []uint8) {
 	vals, present = make([]float64, rows.Len()), make([]uint8, rows.Len())
 	rd, ok := bindCol(c)
 	if !ok || c.Type() == String {
-		for k, r := range rows.AppendTo(nil) {
-			vals[k], present[k] = c.Float(r), bit(!c.IsNull(r))
+		// A string parses as Column.Float parses it, from a gathered copy.
+		g := c.Gather(rows.AppendTo(nil))
+		for k := range vals {
+			vals[k], present[k] = g.Float(k), bit(!g.IsNull(k))
 		}
 		return vals, present
 	}

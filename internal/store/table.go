@@ -96,9 +96,9 @@ func ScanGather(r Relation, rows []int, cols []string, workers int) (*Table, err
 
 // GatherInto materializes the named columns of the given rows of r into
 // dst, an in-memory table — Gather with projection pushdown: only the
-// requested columns are decoded, and on a segment backing an ascending
-// row set reads each of their pages once, through the column's page
-// cursor. dst is refilled, not rebuilt: its name index and column list
+// requested columns are decoded, through the typed reader (gather), and
+// on a segment backing an ascending row set reads each of their pages
+// once. dst is refilled, not rebuilt: its name index and column list
 // are emptied and reused, and a Float64 column takes the header (and
 // the null bitmap's words) of the float column dst held at its
 // position, if any, so dst must own its columns: an empty table, or one
@@ -132,23 +132,15 @@ func GatherInto(dst *Table, r Relation, rows []int, cols []string, slab []float6
 	free := slab[:need]
 	for i, name := range cols {
 		c := r.ColumnByName(name)
-		var col Column
+		var out *FloatColumn
+		var buf []float64
 		if c.Type() == Float64 {
-			var out *FloatColumn
 			if i < len(old) {
 				out, _ = old[i].(*FloatColumn)
 			}
-			if out == nil {
-				out = new(FloatColumn)
-			}
-			var buf []float64
 			buf, free = free[:len(rows):len(rows)], free[len(rows):]
-			gatherFloats(c, rows, out, buf)
-			col = out
-		} else {
-			col = c.Gather(rows)
 		}
-		if err := dst.AddColumn(col); err != nil {
+		if err := dst.AddColumn(gather(c, rows, out, buf)); err != nil {
 			return slab, err
 		}
 	}
@@ -156,27 +148,6 @@ func GatherInto(dst *Table, r Relation, rows []int, cols []string, slab []float6
 		dst.numRows = len(rows)
 	}
 	return slab, nil
-}
-
-// gatherFloats is c.Gather(rows) for a Float64 column, into out,
-// refilled on buf (see FloatColumn.refill).
-func gatherFloats(c Column, rows []int, out *FloatColumn, buf []float64) {
-	switch c := c.(type) {
-	case *FloatColumn:
-		c.gatherIn(rows, out, buf)
-		return
-	case *segCol:
-		c.gatherFloats(rows, out, buf)
-		return
-	}
-	out.refill(c.Name(), buf, len(rows))
-	for k, r := range rows {
-		if c.IsNull(r) {
-			out.setNull(k)
-		} else {
-			out.vals[k] = c.Float(r)
-		}
-	}
 }
 
 // SampleIndices draws up to k of the integers [0,n) uniformly without
